@@ -8,7 +8,6 @@
 //	experiments [-fig 9|10|11|12|13|14|15|16|17|free|uncertain|diskio|all]
 //	            [-scale N] [-queries N] [-area 2mi|30mi] [-chart]
 //	            [-parallel N] [-worldworkers N] [-queryworkers N]
-//	            [-gather batched|perquery] [-rebuild incremental|full]
 //	            [-repeats N] [-json dir]
 //	            [-cpuprofile file] [-memprofile file]
 package main
@@ -43,32 +42,12 @@ func main() {
 			"query-resolve workers inside each simulation (0 = derive from the -parallel budget; output is identical for any value)")
 		repeats = flag.Int("repeats", 0,
 			"independent runs per sweep point, reported as mean ± stddev in the JSON output (0 = runner default: 1 for sweeps, 3 for the free comparison)")
-		gather = flag.String("gather", "batched",
-			"peer gather strategy: batched (per-step spatial join) or perquery (per-query grid sweep); output is identical either way")
-		rebuild = flag.String("rebuild", "incremental",
-			"host-grid maintenance: incremental (patch from the moved-host delta) or full (counting rebuild every step); output is identical either way")
 		jsonDir = flag.String("json", "",
 			"directory to also write machine-readable results into (one JSON file per figure, stable key order)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
-	perQueryGather := false
-	switch *gather {
-	case "batched":
-	case "perquery":
-		perQueryGather = true
-	default:
-		fatal(fmt.Errorf("unknown -gather mode %q; want batched or perquery", *gather))
-	}
-	fullRebuild := false
-	switch *rebuild {
-	case "incremental":
-	case "full":
-		fullRebuild = true
-	default:
-		fatal(fmt.Errorf("unknown -rebuild mode %q; want incremental or full", *rebuild))
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -96,7 +75,6 @@ func main() {
 		DurationScale: *scale, HostScale: *hostSc, Seed: *seed,
 		Workers: *parallel, WorldWorkers: *worldWorkers,
 		QueryWorkers: *queryWorkers, Repeats: *repeats,
-		PerQueryGather: perQueryGather, FullRebuild: fullRebuild,
 	}
 	persist := func(err error) {
 		if err != nil {

@@ -40,8 +40,6 @@ func main() {
 		maxTxRange   = flag.Float64("max-txrange", 0, "cap on relayed transmission radius (0 = default 10000 m)")
 		relayTimeout = flag.Duration("relay-timeout", 0, "peer relay wait bound (0 = default 2s)")
 		flushBytes   = flag.Int("flush-threshold", 0, "write-batch flush threshold in bytes (0 = default 2048, negative disables)")
-		dirCell      = flag.Float64("dir-cell", 0, "session-directory grid cell size in m (0 = 1/64 of the larger area side)")
-		dirShards    = flag.Int("dir-shards", 0, "session-directory lock stripes, rounded up to a power of two (0 = default 64)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 
 		mkstore  = flag.String("mkstore", "", "write a fresh POI store to this path and exit")
@@ -80,8 +78,6 @@ func main() {
 		MaxTxRange:     *maxTxRange,
 		RelayTimeout:   *relayTimeout,
 		FlushThreshold: *flushBytes,
-		DirCell:        *dirCell,
-		DirShards:      *dirShards,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -262,6 +262,7 @@ var DeterministicPackages = []string{
 	"repro/internal/rtree",
 	"repro/internal/spatialnet",
 	"repro/internal/pagestore",
+	"repro/internal/grid",
 }
 
 // ServingPackages are the import-path prefixes the cross-function

@@ -9,7 +9,7 @@ import (
 )
 
 // newCacheIndex buckets a static synthetic peer-cache population into a
-// uniform grid (sim.PointGrid — the same cell math as the simulator's host
+// uniform grid (sim.PointGrid — a grid.Index, like the simulator's host
 // grid) and returns a range-lookup closure: every cache whose query
 // location lies within radius of q, in ascending cache order. It replaces
 // the O(#caches) per-query scans of the Figure 17 and disk-I/O workload

@@ -81,17 +81,6 @@ type Options struct {
 	// independent samples. Repeated runs of the same point always draw
 	// distinct seeds.
 	CommonRandomNumbers bool
-	// PerQueryGather forwards sim.Config.PerQueryGather to every launched
-	// simulation: each query re-sweeps the host grid instead of reading the
-	// batched per-cell snapshots. Output is bit-identical either way; the
-	// determinism CI job diffs the two modes through this switch.
-	PerQueryGather bool
-	// FullRebuild forwards sim.Config.FullRebuild to every launched
-	// simulation: the host grid is rebuilt from scratch after each movement
-	// step instead of patched from the moved-host delta. Output is
-	// bit-identical either way; the determinism CI job diffs the two modes
-	// through this switch.
-	FullRebuild bool
 }
 
 // normalize fills defaults.
@@ -199,8 +188,6 @@ func runSweep(base sim.Config, xs []float64, opts Options, mut func(cfg *sim.Con
 				cfg.Seed = sweepSeed(base.Seed, opts, i, rep)
 				cfg.Workers = move
 				cfg.QueryWorkers = query
-				cfg.PerQueryGather = opts.PerQueryGather
-				cfg.FullRebuild = opts.FullRebuild
 				mut(&cfg, x)
 				w, err := sim.New(cfg)
 				if err != nil {
@@ -327,8 +314,6 @@ func FreeMovementComparison(r Region, a Area, opts Options) (road, free float64,
 				cfg.Seed += opts.Seed + int64(rep)*7919
 				cfg.Workers = move
 				cfg.QueryWorkers = query
-				cfg.PerQueryGather = opts.PerQueryGather
-				cfg.FullRebuild = opts.FullRebuild
 				w, werr := sim.New(cfg)
 				if werr != nil {
 					return werr
@@ -411,9 +396,9 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 		}
 		caches[i] = core.NewPeerCache(loc, ns)
 	}
-	// Index cache locations in a uniform grid (the simulator's hostGrid
-	// cell math) so each query scans only the cells within transmission
-	// range instead of all nCaches locations. Indices are sorted back to
+	// Index cache locations in a uniform grid (sim.PointGrid, on the shared
+	// internal/grid layout) so each query scans only the cells within
+	// transmission range instead of all nCaches locations. Indices are sorted back to
 	// ascending cache order, so the gathered peer list is exactly what the
 	// old O(#caches) scan produced.
 	nearCaches := newCacheIndex(caches, bounds, base.TxRange)

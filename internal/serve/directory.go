@@ -1,22 +1,21 @@
 package serve
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // sessionDirectory is the daemon's spatial index over live session
 // positions: the structure that makes relay fan-out sublinear in the
-// session count. It is a sharded uniform grid — the same cell math as the
-// simulator's hostGrid / sim.PointGrid (floor-based raw cells, ceil sizing,
-// out-of-range positions clamped into the border cells) — but mutable under
-// churn: every streamed Position patches the index incrementally (move the
-// session between cell buckets, or rewrite its stored position in place
-// when the cell did not change), the way hostGrid.applyDelta patches the
-// CSR grid from the moved-host delta.
+// session count. It is a sharded uniform grid over the shared grid.Geom
+// cell layout (the one the simulator's hostGrid / sim.PointGrid use), but
+// mutable under churn: every streamed Position patches the index
+// incrementally (move the session between cell buckets, or rewrite its
+// stored position in place when the cell did not change), the way
+// hostGrid.applyDelta patches the CSR grid from the moved-host delta.
 //
 // Sharding and locking. Cells are striped across a power-of-two number of
 // shards by low cell-index bits, so the cells of one geographic
@@ -46,7 +45,7 @@ import (
 // property test). Whether a candidate is probed is decided at scan time by
 // the exact distance filter and a non-nil conn.
 type sessionDirectory struct {
-	geo    dirGeom
+	geo    grid.Geom
 	shards []dirShard
 	mask   uint32
 
@@ -74,138 +73,39 @@ type dirCell struct {
 	pos      []geom.Point
 }
 
-// dirGeom is the directory's cell layout: the cellGeom math of
-// internal/sim/grid.go (clamped cell assignment, floor-based raw cells for
-// neighborhood anchoring, ceil sizing with no dead border row).
-type dirGeom struct {
-	origin geom.Point
-	cell   float64
-	inv    float64
-	nx, ny int
-}
-
 const (
-	// defaultDirShards is the default lock-stripe count. 64 shards keep the
-	// probability of two concurrent relays colliding on a stripe low at any
-	// realistic core count, for a few hundred bytes of mutexes.
-	defaultDirShards = 64
-	// dirCellDivisor sizes the default cell: 1/64 of the service area's
-	// larger side, so a typical transmission radius covers a handful of
-	// cells while a million uniformly spread sessions still keep bucket
-	// sizes in the hundreds.
+	// dirStripes is the lock-stripe count. 64 shards keep the probability
+	// of two concurrent relays colliding on a stripe low at any realistic
+	// core count, for a few hundred bytes of mutexes.
+	dirStripes = 64
+	// dirCellDivisor sizes the cell: 1/64 of the service area's larger
+	// side, so a typical transmission radius covers a handful of cells
+	// while a million uniformly spread sessions still keep bucket sizes in
+	// the hundreds.
 	dirCellDivisor = 64
-	// dirMaxCellsPerAxis bounds the table size whatever cell size a flag
-	// asks for (the table is nx*ny cells).
-	dirMaxCellsPerAxis = 512
 )
 
-// newDirGeom builds the cell layout over bounds. A non-positive cell picks
-// the default; either way the cell is clamped so the table stays at most
-// dirMaxCellsPerAxis cells per axis, and degenerate bounds collapse to a
-// single cell.
-func newDirGeom(bounds geom.Rect, cell float64) dirGeom {
-	w, h := bounds.Width(), bounds.Height()
-	maxDim := w
-	if h > maxDim {
-		maxDim = h
-	}
-	if cell <= 0 {
-		cell = maxDim / dirCellDivisor
-	}
-	minCell := w / dirMaxCellsPerAxis
-	if m := h / dirMaxCellsPerAxis; m > minCell {
-		minCell = m
-	}
-	if cell < minCell {
-		cell = minCell
-	}
-	if cell <= 0 {
-		cell = 1
-	}
-	nx := int(math.Ceil(w / cell))
-	if nx < 1 {
-		nx = 1
-	}
-	ny := int(math.Ceil(h / cell))
-	if ny < 1 {
-		ny = 1
-	}
-	return dirGeom{origin: bounds.Min, cell: cell, inv: 1 / cell, nx: nx, ny: ny}
-}
-
-// cellIndex files p into a cell, clamping out-of-bounds positions into the
-// border cells (same contract as the simulator grids: the covered-cell
-// enumeration below always reaches the clamped cell of any point within the
-// query radius, so clamping never loses a candidate).
-func (g dirGeom) cellIndex(p geom.Point) int32 {
-	cx := int((p.X - g.origin.X) * g.inv)
-	cy := int((p.Y - g.origin.Y) * g.inv)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	return int32(cy*g.nx + cx)
-}
-
-// cellRange returns the clamped row-major cell rectangle that covers the
-// disc of radius r around p: the cells a range scan must visit. The anchor
-// floors (a query just left of the origin anchors at raw cell -1, not 0)
-// and is then clamped onto the grid, exactly as forCellsAt does in the
-// simulator.
-func (g dirGeom) cellRange(p geom.Point, r float64) (x0, y0, x1, y1 int) {
-	cx := int(math.Floor((p.X - g.origin.X) * g.inv))
-	cy := int(math.Floor((p.Y - g.origin.Y) * g.inv))
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	reach := int(r*g.inv) + 1
-	x0, x1 = cx-reach, cx+reach
-	y0, y1 = cy-reach, cy+reach
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 >= g.nx {
-		x1 = g.nx - 1
-	}
-	if y1 >= g.ny {
-		y1 = g.ny - 1
-	}
-	return x0, y0, x1, y1
-}
-
 // newSessionDirectory builds an empty directory over the service area.
-// cell <= 0 and shards <= 0 pick the defaults; shards is rounded up to a
-// power of two so the stripe of a cell is a mask, not a modulo.
+// cell <= 0 and shards <= 0 pick the defaults — what the daemon always
+// passes; the parameters exist for the layout property tests. shards is
+// rounded up to a power of two so the stripe of a cell is a mask, not a
+// modulo.
 func newSessionDirectory(bounds geom.Rect, cell float64, shards int) *sessionDirectory {
+	if cell <= 0 {
+		cell = max(bounds.Width(), bounds.Height()) / dirCellDivisor
+	}
 	if shards <= 0 {
-		shards = defaultDirShards
+		shards = dirStripes
 	}
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	d := &sessionDirectory{
-		geo:    newDirGeom(bounds, cell),
+	return &sessionDirectory{
+		geo:    grid.New(bounds, cell),
 		shards: make([]dirShard, n),
 		mask:   uint32(n - 1),
 	}
-	return d
 }
 
 func (d *sessionDirectory) shard(cell int32) *dirShard {
@@ -219,7 +119,7 @@ func (d *sessionDirectory) shard(cell int32) *dirShard {
 // against concurrent updates of the same session (a superseded connection
 // racing its replacement): sess.dirMu serializes the transitions.
 func (d *sessionDirectory) update(sess *session, pos geom.Point) {
-	c := d.geo.cellIndex(pos)
+	c := d.geo.CellIndex(pos)
 	sess.dirMu.Lock()
 	if sess.dirIn && sess.dirCell == c {
 		sh := d.shard(c)
@@ -284,10 +184,11 @@ type relayTarget struct {
 // semantics are order-insensitive, which the order property test pins.
 func (d *sessionDirectory) collectTargets(exclude *session, q geom.Point, radius float64, dst []relayTarget) []relayTarget {
 	r2 := radius * radius
-	x0, y0, x1, y1 := d.geo.cellRange(q, radius)
+	cx, cy := d.geo.RawCell(q)
+	x0, y0, x1, y1 := d.geo.Cover(cx, cy, radius)
 	var scanned, rejected int64
 	for y := y0; y <= y1; y++ {
-		row := int32(y * d.geo.nx)
+		row := int32(y * d.geo.NX())
 		for x := x0; x <= x1; x++ {
 			c := row + int32(x)
 			scanned++
@@ -317,32 +218,5 @@ func (d *sessionDirectory) collectTargets(exclude *session, q geom.Point, radius
 	}
 	d.cellsScanned.Add(scanned)
 	d.candRejected.Add(rejected)
-	return dst
-}
-
-// collectTargetsLinear is the pre-directory implementation — a linear sweep
-// of the whole session table under Server.mu — retained verbatim as the
-// oracle the property tests pin the grid directory against and as the
-// baseline BenchmarkRelayFanout measures the speedup from. It must keep
-// selecting exactly the target set collectTargets selects.
-func (s *Server) collectTargetsLinear(exclude *session, q geom.Point, radius float64, dst []relayTarget) []relayTarget {
-	r2 := radius * radius
-	s.mu.Lock()
-	for _, sess := range s.sessions {
-		if sess == exclude {
-			continue
-		}
-		sess.mu.Lock()
-		conn, pos, hasPos := sess.conn, sess.pos, sess.hasPos
-		sess.mu.Unlock()
-		if conn == nil || !hasPos {
-			continue
-		}
-		if q.Dist2(pos) > r2 {
-			continue
-		}
-		dst = append(dst, relayTarget{sess: sess, conn: conn})
-	}
-	s.mu.Unlock()
 	return dst
 }

@@ -112,9 +112,21 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 	}
 }
 
-// Degenerate geometry must not break cell assignment: zero-area bounds
-// collapse to one cell, and oversized cell requests clamp rather than
-// produce a 0xN grid.
+// The daemon's layout is fixed: 64 lock stripes and a cell of 1/64 of the
+// service area's larger side.
+func TestDirectoryDefaultLayout(t *testing.T) {
+	d := newSessionDirectory(geom.Rect{Min: geom.Pt(-500, 100), Max: geom.Pt(19500, 10100)}, 0, 0)
+	if len(d.shards) != 64 || d.mask != 63 {
+		t.Errorf("%d shards, mask %#x; want 64, 0x3f", len(d.shards), d.mask)
+	}
+	if d.geo.Cell() != 20000.0/64 || d.geo.NX() != 64 || d.geo.NY() != 32 {
+		t.Errorf("cell %g, %dx%d cells; want %g, 64x32", d.geo.Cell(), d.geo.NX(), d.geo.NY(), 20000.0/64)
+	}
+}
+
+// Degenerate bounds collapse to one cell under the default layout (the cell
+// math itself is pinned in internal/grid); a far-out session must still be
+// found through its clamped cell.
 func TestDirectoryDegenerateBounds(t *testing.T) {
 	for _, bounds := range []geom.Rect{
 		{},
@@ -122,9 +134,6 @@ func TestDirectoryDegenerateBounds(t *testing.T) {
 		{Min: geom.Pt(0, 0), Max: geom.Pt(1, 0)},
 	} {
 		d := newSessionDirectory(bounds, 0, 0)
-		if d.geo.nx < 1 || d.geo.ny < 1 {
-			t.Fatalf("bounds %+v: grid %dx%d", bounds, d.geo.nx, d.geo.ny)
-		}
 		sess := &session{conn: &WSConn{}}
 		p := geom.Pt(1e9, -1e9)
 		sess.setPos(p)
@@ -197,4 +206,31 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 			t.Fatal("post-churn target/conn mismatch vs oracle")
 		}
 	}
+}
+
+// collectTargetsLinear is the pre-directory implementation — a linear sweep
+// of the whole session table under Server.mu — kept as the oracle the
+// property tests pin the grid directory against and as the baseline
+// BenchmarkRelayFanout measures the speedup from. It must keep selecting
+// exactly the target set collectTargets selects.
+func (s *Server) collectTargetsLinear(exclude *session, q geom.Point, radius float64, dst []relayTarget) []relayTarget {
+	r2 := radius * radius
+	s.mu.Lock()
+	for _, sess := range s.sessions {
+		if sess == exclude {
+			continue
+		}
+		sess.mu.Lock()
+		conn, pos, hasPos := sess.conn, sess.pos, sess.hasPos
+		sess.mu.Unlock()
+		if conn == nil || !hasPos {
+			continue
+		}
+		if q.Dist2(pos) > r2 {
+			continue
+		}
+		dst = append(dst, relayTarget{sess: sess, conn: conn})
+	}
+	s.mu.Unlock()
+	return dst
 }

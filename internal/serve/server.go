@@ -40,13 +40,6 @@ type Options struct {
 	// FlushThreshold is the per-connection write-batching limit in bytes
 	// (default 2048; negative disables batching).
 	FlushThreshold int
-	// DirCell is the session directory's grid cell size in world units
-	// (default: 1/64 of the service area's larger side; clamped so the grid
-	// stays at most 512 cells per axis).
-	DirCell float64
-	// DirShards is the directory's lock-stripe count, rounded up to a power
-	// of two (default 64).
-	DirShards int
 }
 
 // Server is the network face of the remote spatial database: HTTP for
@@ -160,7 +153,7 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		flushBytes:   opts.FlushThreshold,
 		bounds:       bounds,
 		sessions:     make(map[string]*session),
-		dir:          newSessionDirectory(bounds, opts.DirCell, opts.DirShards),
+		dir:          newSessionDirectory(bounds, 0, 0),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/session", s.handleNewSession)

@@ -114,22 +114,6 @@ type Config struct {
 	// count produces bit-identical simulation output; only wall-clock time
 	// changes (see the plan/resolve/commit pipeline in queryengine.go).
 	QueryWorkers int
-	// PerQueryGather disables the batched per-step spatial join of the query
-	// pipeline's gather phase: instead of snapshotting each distinct grid
-	// cell's peer-cache neighborhood once per batch, every query re-sweeps
-	// the host grid on its own. Both gather modes produce bit-identical
-	// simulation output (the snapshot is a pure read of step-start state);
-	// the flag exists so the determinism CI job can diff them and as an
-	// escape hatch for memory-constrained runs.
-	PerQueryGather bool
-	// FullRebuild disables incremental grid maintenance: every movement step
-	// recomputes the host grid with the full counting rebuild instead of
-	// applying the moved-host delta, and the gather phase's dirty-cell
-	// snapshot reuse is off (a full rebuild reports no per-cell change
-	// information). Both modes produce bit-identical simulation output; the
-	// flag exists so the determinism CI job can diff them, mirroring
-	// PerQueryGather.
-	FullRebuild bool
 	// Seed makes runs reproducible.
 	Seed int64
 }

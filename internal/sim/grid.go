@@ -1,244 +1,47 @@
 package sim
 
 import (
-	"math"
-
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
-// cellGeom is the cell math shared by the uniform grids in this package
-// (hostGrid over the mobile hosts, PointGrid over static point sets): a
-// rectangular area cut into nx×ny square cells of the given side length,
-// with positions clamped into the border cells.
-type cellGeom struct {
-	origin geom.Point
-	cell   float64
-	inv    float64 // 1/cell: cell assignment is a multiply, not a divide
-	nx, ny int
-}
-
-// newCellGeom builds the cell layout for bounds with the requested cell side
-// (normally the transmission range; clamped to keep the table small).
-func newCellGeom(bounds geom.Rect, cell float64) cellGeom {
-	// Clamp on both dimensions: either a wide or a tall area could
-	// otherwise blow up its axis's cell count (the table is nx*ny).
-	minCell := bounds.Width() / 512
-	if m := bounds.Height() / 512; m > minCell {
-		minCell = m
-	}
-	if cell < minCell {
-		cell = minCell
-	}
-	if cell <= 0 {
-		cell = 1
-	}
-	// Ceil, not trunc+1: when the area is an exact multiple of the cell size
-	// the old int(dim/cell)+1 allocated a dead extra row and column (a 1M-host
-	// grid carried a whole empty rim). Boundary positions at exactly dim land
-	// in raw cell nx and are clamped into the border cells, same as any other
-	// out-of-range position.
-	nx := int(math.Ceil(bounds.Width() / cell))
-	if nx < 1 {
-		nx = 1
-	}
-	ny := int(math.Ceil(bounds.Height() / cell))
-	if ny < 1 {
-		ny = 1
-	}
-	return cellGeom{
-		origin: bounds.Min,
-		cell:   cell,
-		inv:    1 / cell,
-		nx:     nx,
-		ny:     ny,
-	}
-}
-
-func (g cellGeom) numCells() int { return g.nx * g.ny }
-
-func (g cellGeom) cellIndex(p geom.Point) int32 {
-	cx := int((p.X - g.origin.X) * g.inv)
-	cy := int((p.Y - g.origin.Y) * g.inv)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	return int32(cy*g.nx + cx)
-}
-
-// floorCell is floor(v) as an int. Plain int(v) truncates toward zero, which
-// would fold v in (-1, 0) onto cell 0 — see rawCell.
-func floorCell(v float64) int {
-	return int(math.Floor(v))
-}
-
-// rawCell returns the unclamped cell coordinates of p — the anchor forCells
-// derives its neighborhood from. Unlike cellIndex it does not clamp
-// out-of-bounds positions into the border cells, so two points share a
-// rawCell exactly when forCells enumerates the same cell set for both (the
-// property the batched gather's per-cell snapshots rely on). The division
-// floors: a point just left of or below the origin must land in raw cell -1,
-// not alias the in-bounds points of cell 0 (truncation toward zero used to
-// merge the two, handing both groups one neighborhood and violating the
-// contract above).
-func (g cellGeom) rawCell(p geom.Point) (cx, cy int) {
-	return floorCell((p.X - g.origin.X) * g.inv), floorCell((p.Y - g.origin.Y) * g.inv)
-}
-
-// forCells invokes fn for every cell whose square could intersect the disc of
-// radius r around p, in row-major order.
-func (g cellGeom) forCells(p geom.Point, r float64, fn func(c int32)) {
-	cx, cy := g.rawCell(p)
-	g.forCellsAt(cx, cy, r, fn)
-}
-
-// forCellsAt is forCells anchored at explicit raw cell coordinates, so a
-// caller that groups points by rawCell can enumerate one shared neighborhood
-// for all of them. Out-of-range anchors are clamped onto the border cells
-// first: cellIndex files out-of-bounds hosts into the border cells, so an
-// out-of-bounds query point must derive its neighborhood from there too (the
-// clamped anchor is still a pure function of the raw cell, preserving the
-// rawCell grouping contract).
-func (g cellGeom) forCellsAt(cx, cy int, r float64, fn func(c int32)) {
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	reach := int(r/g.cell) + 1
-	for dy := -reach; dy <= reach; dy++ {
-		y := cy + dy
-		if y < 0 || y >= g.ny {
-			continue
-		}
-		for dx := -reach; dx <= reach; dx++ {
-			x := cx + dx
-			if x < 0 || x >= g.nx {
-				continue
-			}
-			fn(int32(y*g.nx + x))
-		}
-	}
-}
-
-// hostGrid is a uniform-grid spatial index over mobile host positions,
+// hostGrid is the uniform-grid spatial index over mobile host positions,
 // giving O(neighborhood) lookups of every host within the wireless
 // transmission range. Cells are sized to the transmission range so a range
-// query touches at most 9 cells.
+// query touches at most 25 cells.
 //
-// The index is stored in CSR form — cell c owns entries[start[c]:start[c+1]]
-// — and is recomputed each movement step by a deterministic counting
-// rebuild: every bucket lists its hosts in ascending host index, whatever
-// execution order produced the positions. forNeighbors therefore enumerates
-// a bit-identical sequence for any Config.Workers value, which is what keeps
-// the peer list fed to SortPeersByProximity (and with it every simulation
-// metric) independent of the movement phase's parallelism.
+// It is a grid.Index (cell layout plus CSR buckets, built once by the
+// counting sort of Index.Build) that applyDelta then patches every movement
+// step from the moved-host delta. Either way every bucket lists its hosts in
+// ascending host index, whatever execution order produced the positions, so
+// a neighborhood enumerates a bit-identical sequence for any Config.Workers
+// value — which is what keeps the peer list fed to SortPeersByProximity (and
+// with it every simulation metric) independent of the movement phase's
+// parallelism.
 type hostGrid struct {
-	cellGeom
-	start   []int32      // bucket boundaries, len numCells+1
-	entries []int32      // host indices, ascending within each bucket
-	counts  []int32      // scratch for sequential rebuilds
-	delta   deltaScratch // scratch for incremental maintenance (gridinc.go)
+	grid.Index
+	delta deltaScratch // scratch for incremental maintenance (gridinc.go)
 }
 
 // newHostGrid builds an index over bounds for n hosts with the given cell
-// size.
+// size (normally the transmission range).
 func newHostGrid(bounds geom.Rect, n int, cell float64) *hostGrid {
-	cg := newCellGeom(bounds, cell)
-	return &hostGrid{
-		cellGeom: cg,
-		start:    make([]int32, cg.numCells()+1),
-		entries:  make([]int32, n),
-		counts:   make([]int32, cg.numCells()),
-	}
-}
-
-// rebuild recomputes the whole index from cells[i] = current cell of host i
-// (as returned by cellIndex) with a two-pass counting sort. The parallel
-// movement engine performs the same passes sharded across workers
-// (stepEngine); both produce identical start/entries arrays.
-func (g *hostGrid) rebuild(cells []int32) {
-	for c := range g.counts {
-		g.counts[c] = 0
-	}
-	for _, c := range cells {
-		g.counts[c]++
-	}
-	pos := int32(0)
-	for c, n := range g.counts {
-		g.start[c] = pos
-		g.counts[c] = pos // becomes the placement cursor
-		pos += n
-	}
-	g.start[len(g.start)-1] = pos
-	for i, c := range cells {
-		g.entries[g.counts[c]] = int32(i)
-		g.counts[c]++
-	}
-}
-
-// forNeighbors invokes fn for every host index whose cell is within range r
-// of p (callers must still distance-filter; the grid over-approximates).
-// Enumeration order is deterministic: cells in row-major order, hosts within
-// a cell in ascending index.
-func (g *hostGrid) forNeighbors(p geom.Point, r float64, fn func(i int32)) {
-	g.forCells(p, r, func(c int32) {
-		for _, i := range g.entries[g.start[c]:g.start[c+1]] {
-			fn(i)
-		}
-	})
+	return &hostGrid{Index: grid.NewIndex(bounds, cell, n)}
 }
 
 // PointGrid is an immutable uniform-grid index over a fixed point set, built
-// once with the same cell math and counting layout as the simulator's host
-// grid. The experiments package uses it to bucket the Figure 17 / disk-I/O
-// synthetic peer caches, replacing their O(#caches) per-query scans.
+// once on the same grid.Index as the simulator's host grid. The experiments
+// package uses it to bucket the Figure 17 / disk-I/O synthetic peer caches,
+// replacing their O(#caches) per-query scans.
 type PointGrid struct {
-	cellGeom
-	pts     []geom.Point
-	start   []int32
-	entries []int32
+	ix  grid.Index
+	pts []geom.Point
 }
 
 // NewPointGrid indexes pts over bounds with the given cell size. The slice
 // is retained; callers must not mutate it afterwards.
 func NewPointGrid(pts []geom.Point, bounds geom.Rect, cell float64) *PointGrid {
-	cg := newCellGeom(bounds, cell)
-	g := &PointGrid{
-		cellGeom: cg,
-		pts:      pts,
-		start:    make([]int32, cg.numCells()+1),
-		entries:  make([]int32, len(pts)),
-	}
-	counts := make([]int32, cg.numCells())
-	cells := make([]int32, len(pts))
-	for i, p := range pts {
-		cells[i] = cg.cellIndex(p)
-		counts[cells[i]]++
-	}
-	pos := int32(0)
-	for c, n := range counts {
-		g.start[c] = pos
-		counts[c] = pos
-		pos += n
-	}
-	g.start[len(g.start)-1] = pos
-	for i, c := range cells {
-		g.entries[counts[c]] = int32(i)
-		counts[c]++
-	}
-	return g
+	return &PointGrid{ix: grid.NewPointIndex(bounds, cell, pts), pts: pts}
 }
 
 // ForEachWithin invokes fn with the index of every point at distance <= r of
@@ -247,11 +50,13 @@ func NewPointGrid(pts []geom.Point, bounds geom.Rect, cell float64) *PointGrid {
 // index order must sort.
 func (g *PointGrid) ForEachWithin(p geom.Point, r float64, fn func(i int32)) {
 	r2 := r * r
-	g.forCells(p, r, func(c int32) {
-		for _, i := range g.entries[g.start[c]:g.start[c+1]] {
+	cx, cy := g.ix.RawCell(p)
+	x0, y0, x1, y1 := g.ix.Cover(cx, cy, r)
+	for y := y0; y <= y1; y++ {
+		for _, i := range g.ix.Row(y, x0, x1) {
 			if p.Dist2(g.pts[i]) <= r2 {
 				fn(i)
 			}
 		}
-	})
+	}
 }

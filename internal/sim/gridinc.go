@@ -2,12 +2,13 @@ package sim
 
 // Incremental maintenance of the hostGrid CSR index.
 //
-// A full counting rebuild touches every host twice per step (count, place) no
-// matter how many actually changed cell. At realistic velocities a host
-// crosses a cell boundary only every few steps, so the per-step moved-host
-// delta — every (host, fromCell, toCell) whose cellIndex changed — is a small
-// fraction of the population and most buckets are untouched. applyDelta
-// reshapes the index around that delta instead of rebuilding it:
+// A full counting rebuild (grid.Index.Build, the construction path) touches
+// every host twice per step (count, place) no matter how many actually
+// changed cell. At realistic velocities a host crosses a cell boundary only
+// every few steps, so the per-step moved-host delta — every (host, fromCell,
+// toCell) whose CellIndex changed — is a small fraction of the population
+// and most buckets are untouched. applyDelta reshapes the index around that
+// delta instead of rebuilding it:
 //
 //  1. the distinct affected cells (every from and to) are radix-sorted and
 //     the movers are grouped by destination cell;
@@ -26,10 +27,9 @@ package sim
 // (an in-place variant would need a strict run-move schedule). The result is
 // byte-identical to a full counting rebuild over the same cell assignment —
 // buckets ascending by host index, cells dense in row-major order — which
-// TestIncrementalGridMatchesFullRebuild and the CI determinism diff against
-// Config.FullRebuild both pin. The output depends only on the movers list,
-// which callers assemble in ascending host order whatever the movement
-// worker count.
+// TestIncrementalGridMatchesFullRebuild and FuzzApplyDelta pin. The output
+// depends only on the movers list, which callers assemble in ascending host
+// order whatever the movement worker count.
 
 // moverRec records one host whose grid cell changed during a movement step.
 type moverRec struct {
@@ -107,7 +107,7 @@ func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) (af
 	}
 	sc := &g.delta
 	if sc.touch == nil {
-		sc.touch = make([]int32, g.numCells())
+		sc.touch = make([]int32, g.NumCells())
 	}
 
 	// Distinct affected cells, sorted. The touch table doubles as the
@@ -173,16 +173,16 @@ func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) (af
 	prev := int32(-1)
 	for s := 0; s < nSlots; s++ {
 		c := sc.affected[s]
-		lo, hi := g.start[c], g.start[c+1]
+		lo, hi := g.Start[c], g.Start[c+1]
 		sc.oldLo[s], sc.oldHi[s] = lo, hi
 		sc.runShift[s] = shift
 		sc.newLo[s] = lo + shift
 		if shift != 0 {
 			for cc := prev + 1; cc < c; cc++ {
-				g.start[cc] += shift
+				g.Start[cc] += shift
 			}
 		}
-		g.start[c] = lo + shift
+		g.Start[c] = lo + shift
 		shift += sc.delta[s]
 		prev = c
 	}
@@ -196,12 +196,12 @@ func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) (af
 	// block before affected bucket s), bucket s, ..., tail run. Every unit
 	// reads the old array and writes a disjoint interval of the new one, so
 	// the units shard across workers freely.
-	sc.alt = grow(sc.alt, len(g.entries))
+	sc.alt = grow(sc.alt, len(g.Entries))
 	nUnits := 2*nSlots + 1
 	copyUnit := func(u int) {
 		if u == 2*nSlots { // tail run, never shifted
 			lo := sc.oldHi[nSlots-1]
-			copy(sc.alt[lo:], g.entries[lo:])
+			copy(sc.alt[lo:], g.Entries[lo:])
 			return
 		}
 		s := u / 2
@@ -213,14 +213,14 @@ func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) (af
 			hi := sc.oldLo[s]
 			if lo < hi {
 				d := sc.runShift[s]
-				copy(sc.alt[lo+d:hi+d], g.entries[lo:hi])
+				copy(sc.alt[lo+d:hi+d], g.Entries[lo:hi])
 			}
 			return
 		}
 		// Bucket s: merge stayers with joiners, both ascending by host.
 		c := sc.affected[s]
 		dst := sc.alt[sc.newLo[s] : sc.newLo[s]+sc.newCount[s]]
-		old := g.entries[sc.oldLo[s]:sc.oldHi[s]]
+		old := g.Entries[sc.oldLo[s]:sc.oldHi[s]]
 		jn := sc.joiners[sc.joinStart[s]:sc.joinStart[s+1]]
 		k := 0
 		j := 0
@@ -254,7 +254,7 @@ func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) (af
 			copyUnit(u)
 		}
 	}
-	g.entries, sc.alt = sc.alt, g.entries
+	g.Entries, sc.alt = sc.alt, g.Entries
 
 	// Wipe the touch table for the next delta.
 	for _, c := range sc.affected {

@@ -10,8 +10,8 @@ import (
 )
 
 // deltaTrace drives a hostGrid through steps of randomized relocation via
-// applyDelta while a reference grid is fully rebuilt from the same cell
-// assignment, and requires the raw CSR arrays to stay byte-identical. It
+// applyDelta while a reference grid is fully rebuilt (grid.Index.Build) from
+// the same cell assignment, and requires the raw CSR arrays to stay byte-identical. It
 // also checks the affected-cells return: ascending, distinct, exactly the
 // from/to cells of the delta.
 func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float64) {
@@ -31,9 +31,9 @@ func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float6
 	}
 	for i := range pos {
 		pos[i] = randPt()
-		cells[i] = g.cellIndex(pos[i])
+		cells[i] = g.CellIndex(pos[i])
 	}
-	g.rebuild(cells)
+	g.Build(cells)
 
 	var movers []moverRec
 	for step := 0; step < steps; step++ {
@@ -44,7 +44,7 @@ func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float6
 				continue
 			}
 			pos[i] = randPt()
-			if c := g.cellIndex(pos[i]); c != cells[i] {
+			if c := g.CellIndex(pos[i]); c != cells[i] {
 				movers = append(movers, moverRec{host: int32(i), from: cells[i], to: c})
 				wantAffected[cells[i]] = true
 				wantAffected[c] = true
@@ -52,11 +52,11 @@ func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float6
 			}
 		}
 		affected := g.applyDelta(cells, movers, workers)
-		ref.rebuild(cells)
-		if !reflect.DeepEqual(g.start, ref.start) {
+		ref.Build(cells)
+		if !reflect.DeepEqual(g.Start, ref.Start) {
 			t.Fatalf("step %d (%d movers): start arrays diverged", step, len(movers))
 		}
-		if !reflect.DeepEqual(g.entries, ref.entries) {
+		if !reflect.DeepEqual(g.Entries, ref.Entries) {
 			t.Fatalf("step %d (%d movers): entries arrays diverged", step, len(movers))
 		}
 		want := make([]int32, 0, len(wantAffected))
@@ -110,13 +110,13 @@ func TestApplyDeltaSingleCellWorld(t *testing.T) {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 	g := newHostGrid(bounds, 4, 500) // one cell covers everything
 	cells := []int32{0, 0, 0, 0}
-	g.rebuild(cells)
+	g.Build(cells)
 	if got := g.applyDelta(cells, nil, 1); got != nil {
 		t.Fatalf("empty delta returned affected cells %v", got)
 	}
 	ref := newHostGrid(bounds, 4, 500)
-	ref.rebuild(cells)
-	if !reflect.DeepEqual(g.entries, ref.entries) || !reflect.DeepEqual(g.start, ref.start) {
+	ref.Build(cells)
+	if !reflect.DeepEqual(g.Entries, ref.Entries) || !reflect.DeepEqual(g.Start, ref.Start) {
 		t.Fatal("empty delta changed the index")
 	}
 }
@@ -135,140 +135,4 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		deltaTrace(t, seed, int(n), int(steps%16)+1, int(workers%9)+1, float64(movePct%101)/100)
 	})
-}
-
-// TestRawCellFloorsNegativeCoordinates is the regression test for the
-// truncation bug: int() truncates toward zero, folding the out-of-bounds
-// band (-cell, 0) onto raw cell 0 and making points on either side of the
-// origin share a raw cell. rawCell must floor.
-func TestRawCellFloorsNegativeCoordinates(t *testing.T) {
-	g := newCellGeom(geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000)), 100)
-	cases := []struct {
-		p      geom.Point
-		cx, cy int
-	}{
-		{geom.Pt(-0.5, -0.5), -1, -1}, // the aliasing band itself
-		{geom.Pt(0.5, 0.5), 0, 0},     // in-bounds side of the origin
-		{geom.Pt(-150, 50), -2, 0},    // a full cell below the origin
-		{geom.Pt(-100, -100), -1, -1}, // exact negative boundary floors up
-		{geom.Pt(250, -0.001), 2, -1}, // barely below: still cell -1
-		{geom.Pt(1050, 1150), 10, 11}, // beyond the far edge keeps counting
-		{geom.Pt(100, 100), 1, 1},     // exact interior boundary
-		{geom.Pt(999.999, 0), 9, 0},   // last interior cell
-	}
-	for _, c := range cases {
-		cx, cy := g.rawCell(c.p)
-		if cx != c.cx || cy != c.cy {
-			t.Errorf("rawCell(%v) = (%d,%d), want (%d,%d)", c.p, cx, cy, c.cx, c.cy)
-		}
-	}
-}
-
-// TestRawCellGroupingContract pins the property the batched gather relies
-// on: two points sharing a rawCell get the identical forCells neighborhood.
-func TestRawCellGroupingContract(t *testing.T) {
-	g := newCellGeom(geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 800)), 100)
-	rng := rand.New(rand.NewSource(5))
-	enum := func(p geom.Point) []int32 {
-		var out []int32
-		g.forCells(p, 250, func(c int32) { out = append(out, c) })
-		return out
-	}
-	type key struct{ cx, cy int }
-	seen := map[key][]int32{}
-	for i := 0; i < 2000; i++ {
-		p := geom.Pt(rng.Float64()*1400-200, rng.Float64()*1200-200)
-		cx, cy := g.rawCell(p)
-		cells := enum(p)
-		if prev, ok := seen[key{cx, cy}]; ok {
-			if !reflect.DeepEqual(prev, cells) {
-				t.Fatalf("raw cell (%d,%d): neighborhoods diverged", cx, cy)
-			}
-			continue
-		}
-		seen[key{cx, cy}] = cells
-	}
-}
-
-// TestNewCellGeomSizing pins the table dimensions: exact multiples must not
-// allocate a dead extra row/column, fractional fits round up, and the
-// boundary position files into the border cell.
-func TestNewCellGeomSizing(t *testing.T) {
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
-
-	g := newCellGeom(bounds, 100) // exact multiple: 10, not 11
-	if g.nx != 10 || g.ny != 10 {
-		t.Errorf("1000/100: got %dx%d cells, want 10x10", g.nx, g.ny)
-	}
-	if c := g.cellIndex(geom.Pt(1000, 1000)); c != int32(g.numCells()-1) {
-		t.Errorf("boundary corner lands in cell %d, want %d", c, g.numCells()-1)
-	}
-	if c := g.cellIndex(geom.Pt(0, 0)); c != 0 {
-		t.Errorf("origin lands in cell %d, want 0", c)
-	}
-
-	g = newCellGeom(bounds, 300) // ceil(1000/300) = 4
-	if g.nx != 4 || g.ny != 4 {
-		t.Errorf("1000/300: got %dx%d cells, want 4x4", g.nx, g.ny)
-	}
-
-	wide := newCellGeom(geom.NewRect(geom.Pt(0, 0), geom.Pt(2500, 400)), 250)
-	if wide.nx != 10 || wide.ny != 2 {
-		t.Errorf("2500x400/250: got %dx%d cells, want 10x2", wide.nx, wide.ny)
-	}
-
-	// The 512-per-axis clamp bounds the table for tiny cell sizes.
-	tiny := newCellGeom(bounds, 0.001)
-	if tiny.nx > 512 || tiny.ny > 512 {
-		t.Errorf("clamped geometry still %dx%d cells", tiny.nx, tiny.ny)
-	}
-
-	// hostGrid scratch must agree with the geometry.
-	hg := newHostGrid(bounds, 7, 100)
-	if len(hg.counts) != hg.numCells() {
-		t.Errorf("counts scratch has %d cells, grid %d", len(hg.counts), hg.numCells())
-	}
-	if len(hg.start) != hg.numCells()+1 {
-		t.Errorf("start has %d offsets, want %d", len(hg.start), hg.numCells()+1)
-	}
-	if len(hg.entries) != 7 {
-		t.Errorf("entries sized %d, want 7", len(hg.entries))
-	}
-}
-
-// TestFullRebuildMatchesIncrementalWorld is the end-to-end oracle of the
-// Config.FullRebuild escape hatch: a complete World.Run under incremental
-// grid maintenance (with dirty-cell snapshot reuse) and under per-step full
-// rebuilds (reuse disabled) must produce byte-identical metrics and series,
-// in both movement modes and across movement worker counts. The CI
-// determinism job runs the same diff on the real figure pipeline.
-func TestFullRebuildMatchesIncrementalWorld(t *testing.T) {
-	for _, mode := range []Mode{ModeRoadNetwork, ModeFreeMovement} {
-		capture := func(full bool, workers int) (Metrics, []WindowPoint) {
-			cfg := smallConfig()
-			cfg.Mode = mode
-			cfg.SeriesWindow = 60
-			cfg.FullRebuild = full
-			cfg.Workers = workers
-			w, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w.Run(), w.Series()
-		}
-		wantM, wantS := capture(false, 1)
-		for _, alt := range []struct {
-			full    bool
-			workers int
-		}{{true, 1}, {true, 4}, {false, 4}} {
-			gotM, gotS := capture(alt.full, alt.workers)
-			if !reflect.DeepEqual(gotM, wantM) {
-				t.Errorf("%v full=%v workers=%d: metrics diverged:\ngot:  %+v\nwant: %+v",
-					mode, alt.full, alt.workers, gotM, wantM)
-			}
-			if !reflect.DeepEqual(gotS, wantS) {
-				t.Errorf("%v full=%v workers=%d: series diverged", mode, alt.full, alt.workers)
-			}
-		}
-	}
 }

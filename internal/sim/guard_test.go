@@ -49,29 +49,6 @@ func TestRunTwicePanics(t *testing.T) {
 	w.Run()
 }
 
-func TestHostGridClampsBothDimensions(t *testing.T) {
-	// A tall, narrow area with a tiny cell: the width-only clamp used to
-	// leave the row count unbounded (height/cell rows).
-	tall := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 1_000_000))
-	g := newHostGrid(tall, 4, 1)
-	if cells := g.nx * g.ny; cells > 514*514 {
-		t.Errorf("tall area allocated %d cells (%dx%d); clamp failed", cells, g.nx, g.ny)
-	}
-	wide := geom.NewRect(geom.Pt(0, 0), geom.Pt(1_000_000, 100))
-	g = newHostGrid(wide, 4, 1)
-	if cells := g.nx * g.ny; cells > 514*514 {
-		t.Errorf("wide area allocated %d cells (%dx%d); clamp failed", cells, g.nx, g.ny)
-	}
-	// The grid must still index and find hosts after clamping.
-	g.rebuild([]int32{g.cellIndex(geom.Pt(10, 50)), g.cellIndex(geom.Pt(20, 60)),
-		g.cellIndex(geom.Pt(30, 70)), g.cellIndex(geom.Pt(40, 80))})
-	found := false
-	g.forNeighbors(geom.Pt(11, 51), 5, func(i int32) { found = found || i == 0 })
-	if !found {
-		t.Error("clamped grid lost a host")
-	}
-}
-
 // TestServerKNNExcludesLowerBoundPOI pins the boundary behavior the
 // server-fallback merge in executeQuery depends on: the EINN lower bound is
 // inclusive, so the POI whose distance equals the last certain distance is

@@ -17,24 +17,14 @@ import (
 // cell-crossing deltas concatenated in shard order — ascending host index
 // for ANY shard layout, since shards are contiguous ranges of the ascending
 // moving-host list — so hostGrid.applyDelta sees the identical mover
-// sequence whatever the worker count, and forNeighbors enumeration (and
-// with it the peer list every query gathers) is bit-identical. The
-// Config.FullRebuild escape hatch runs the old three-phase counting rebuild
-// instead; both produce byte-identical start/entries arrays.
+// sequence whatever the worker count, and neighborhood enumeration (and
+// with it the peer list every query gathers) is bit-identical.
 type stepEngine struct {
 	world    *World
 	workers  int
 	shards   [][2]int     // per-worker [lo,hi) ranges over the moving-host list
 	movers   []moverRec   // per-step delta, concatenated in shard order
 	moverBuf [][]moverRec // per-shard crossing records
-
-	// Full-rebuild scratch (Config.FullRebuild only; allocated on first
-	// use): per-worker cell counts plus the two-level prefix buffers.
-	hostShards [][2]int // per-worker [lo,hi) host ranges for count/placement
-	cellRanges [][2]int // per-worker [lo,hi) cell ranges for the offset pass
-	counts     [][]int32
-	rangeTotal []int32
-	rangeStart []int32
 }
 
 // splitRange cuts [0,n) into k near-equal contiguous pieces (fewer when
@@ -82,9 +72,8 @@ func runWorkers(n int, fn func(s int)) {
 	wg.Wait()
 }
 
-// step advances every moving host by dt and maintains the host grid —
-// incrementally from the cell-crossing delta, or by a full counting rebuild
-// under Config.FullRebuild.
+// step advances every moving host by dt and patches the host grid from the
+// cell-crossing delta.
 func (e *stepEngine) step(dt float64) {
 	w := e.world
 	g := w.grid
@@ -99,7 +88,7 @@ func (e *stepEngine) step(dt float64) {
 				i := w.moving[j]
 				p := w.wp.Advance(int(i), w.pos[i], dt)
 				w.pos[i] = p
-				if c := g.cellIndex(p); c != w.cells[i] {
+				if c := g.CellIndex(p); c != w.cells[i] {
 					buf = append(buf, moverRec{host: i, from: w.cells[i], to: c})
 					w.cells[i] = c
 				}
@@ -109,7 +98,7 @@ func (e *stepEngine) step(dt float64) {
 				i := w.moving[j]
 				p := w.road[j].Advance(dt)
 				w.pos[i] = p
-				if c := g.cellIndex(p); c != w.cells[i] {
+				if c := g.CellIndex(p); c != w.cells[i] {
 					buf = append(buf, moverRec{host: i, from: w.cells[i], to: c})
 					w.cells[i] = c
 				}
@@ -117,12 +106,6 @@ func (e *stepEngine) step(dt float64) {
 		}
 		e.moverBuf[s] = buf
 	})
-
-	if w.cfg.FullRebuild {
-		e.fullRebuild()
-		w.noteFullRebuild()
-		return
-	}
 
 	// Concatenate the shard deltas in shard order: contiguous shards of the
 	// ascending moving list keep the movers in ascending host order, which
@@ -132,82 +115,6 @@ func (e *stepEngine) step(dt float64) {
 		e.movers = append(e.movers, e.moverBuf[s]...)
 	}
 	w.noteCellChanges(g.applyDelta(w.cells, e.movers, e.workers))
-}
-
-// fullRebuild recomputes the whole index from w.cells with the sharded
-// three-phase counting rebuild (count per host shard, two-level prefix,
-// placement at per-shard cursors). Bucket c holds shard 0's block, then
-// shard 1's, and so on; each shard places its hosts in ascending index
-// order, so buckets come out sorted by host index for ANY shard layout.
-func (e *stepEngine) fullRebuild() {
-	w := e.world
-	g := w.grid
-	if e.counts == nil {
-		e.hostShards = splitRange(len(w.pos), e.workers)
-		e.cellRanges = splitRange(g.numCells(), e.workers)
-		e.counts = make([][]int32, len(e.hostShards))
-		for s := range e.counts {
-			e.counts[s] = make([]int32, g.numCells())
-		}
-		e.rangeTotal = make([]int32, len(e.cellRanges))
-		e.rangeStart = make([]int32, len(e.cellRanges))
-	}
-
-	// Phase B0 — count cell occupancy per host shard.
-	runWorkers(len(e.hostShards), func(s int) {
-		counts := e.counts[s]
-		for c := range counts {
-			counts[c] = 0
-		}
-		lo, hi := e.hostShards[s][0], e.hostShards[s][1]
-		for i := lo; i < hi; i++ {
-			counts[w.cells[i]]++
-		}
-	})
-
-	// Phase B — turn counts into bucket starts and per-shard placement
-	// cursors. B1 totals each worker's cell range; a tiny sequential prefix
-	// over the O(workers) totals seeds B2, which lays out the cells of each
-	// range.
-	runWorkers(len(e.cellRanges), func(s int) {
-		lo, hi := e.cellRanges[s][0], e.cellRanges[s][1]
-		var tot int32
-		for c := lo; c < hi; c++ {
-			for _, counts := range e.counts {
-				tot += counts[c]
-			}
-		}
-		e.rangeTotal[s] = tot
-	})
-	pos := int32(0)
-	for s := range e.rangeTotal {
-		e.rangeStart[s] = pos
-		pos += e.rangeTotal[s]
-	}
-	runWorkers(len(e.cellRanges), func(s int) {
-		lo, hi := e.cellRanges[s][0], e.cellRanges[s][1]
-		pos := e.rangeStart[s]
-		for c := lo; c < hi; c++ {
-			g.start[c] = pos
-			for _, counts := range e.counts {
-				n := counts[c]
-				counts[c] = pos
-				pos += n
-			}
-		}
-	})
-	g.start[len(g.start)-1] = int32(len(w.pos))
-
-	// Phase C — place each shard's hosts at its cursors, in index order.
-	runWorkers(len(e.hostShards), func(s int) {
-		counts := e.counts[s]
-		lo, hi := e.hostShards[s][0], e.hostShards[s][1]
-		for i := lo; i < hi; i++ {
-			c := w.cells[i]
-			g.entries[counts[c]] = int32(i)
-			counts[c]++
-		}
-	})
 }
 
 // initEngine arms (or disarms) the parallel movement engine for the given
@@ -245,13 +152,6 @@ func (w *World) noteCellChanges(affected []int32) {
 	}
 }
 
-// noteFullRebuild advances the clock and invalidates every cached snapshot:
-// a counting rebuild reports no per-cell change information.
-func (w *World) noteFullRebuild() {
-	w.clock++
-	w.fullStamp = w.clock
-}
-
 // advanceMovement runs one movement step: every moving host's trajectory,
 // then deterministic grid maintenance.
 func (w *World) advanceMovement(dt float64) {
@@ -265,7 +165,7 @@ func (w *World) advanceMovement(dt float64) {
 		for _, i := range w.moving {
 			p := w.wp.Advance(int(i), w.pos[i], dt)
 			w.pos[i] = p
-			if c := g.cellIndex(p); c != w.cells[i] {
+			if c := g.CellIndex(p); c != w.cells[i] {
 				w.movers = append(w.movers, moverRec{host: i, from: w.cells[i], to: c})
 				w.cells[i] = c
 			}
@@ -274,16 +174,11 @@ func (w *World) advanceMovement(dt float64) {
 		for j, i := range w.moving {
 			p := w.road[j].Advance(dt)
 			w.pos[i] = p
-			if c := g.cellIndex(p); c != w.cells[i] {
+			if c := g.CellIndex(p); c != w.cells[i] {
 				w.movers = append(w.movers, moverRec{host: i, from: w.cells[i], to: c})
 				w.cells[i] = c
 			}
 		}
-	}
-	if w.cfg.FullRebuild {
-		g.rebuild(w.cells)
-		w.noteFullRebuild()
-		return
 	}
 	w.noteCellChanges(g.applyDelta(w.cells, w.movers, 1))
 }

@@ -64,22 +64,36 @@ func BenchmarkWorldStep(b *testing.B) {
 			}
 		})
 	}
-	// Million-host movement step, incremental grid maintenance versus the
-	// per-step counting rebuild. The CI bench job gates the ratio: the
-	// incremental path must hold a >=2x whole-step win at this scale.
-	for _, full := range []bool{false, true} {
-		name := "hosts=1M"
-		if full {
-			name += "-full"
+	// Million-host movement step on the coordinating goroutine (advance the
+	// 10% that move, patch the grid from their delta).
+	b.Run("hosts=1M", func(b *testing.B) {
+		w := bigStepWorld(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.advanceMovement(w.cfg.StepSeconds)
 		}
-		b.Run(name, func(b *testing.B) {
-			w := bigStepWorld(b, full)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.advanceMovement(w.cfg.StepSeconds)
-			}
-		})
-	}
+	})
+	// Grid maintenance alone on that world's one-step moved-host delta:
+	// applyDelta versus the counting rebuild (grid.Index.Build) it replaced
+	// in the step loop. One op applies the delta and then its inverse, so
+	// the grid returns to its start state and both sides do equal work on
+	// identical inputs. The CI bench job gates the ratio at >=2x.
+	b.Run("grid=1M/delta", func(b *testing.B) {
+		d := bigGridDelta(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.g.applyDelta(d.after, d.fwd, 1)
+			d.g.applyDelta(d.before, d.rev, 1)
+		}
+	})
+	b.Run("grid=1M/rebuild", func(b *testing.B) {
+		d := bigGridDelta(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.g.Build(d.after)
+			d.g.Build(d.before)
+		}
+	})
 	for _, qworkers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("queries/qworkers=%d", qworkers), func(b *testing.B) {
 			w := benchStepWorld(b)
@@ -106,30 +120,24 @@ func BenchmarkWorldStep(b *testing.B) {
 	}
 }
 
-// bigWorlds caches the million-host benchmark worlds (one per grid
-// maintenance mode): free movement at the Table 4 Los Angeles host density,
-// the area scaled by sqrt(1e6/121500) so hosts-per-cell stays the paper's,
-// with a 10% movement duty cycle. The duty cycle is the point of the
-// comparison: a counting rebuild pays for all million hosts every step no
-// matter how few moved, while the incremental path pays for the moved-host
-// delta. At Table 4's 80% moving x 30 mph roughly a tenth of the population
-// crosses a cell boundary every second, nearly every cell is touched, and
-// the rebuild's clean linear passes win — the regime the FullRebuild escape
-// hatch keeps available (EXPERIMENTS.md documents the crossover). Building
-// a world this size takes seconds; the movement phase is what the benchmark
-// times.
-var bigWorlds = struct {
-	once [2]sync.Once
-	w    [2]*World
-	err  [2]error
+// bigWorld caches the million-host benchmark world: free movement at the
+// Table 4 Los Angeles host density, the area scaled by sqrt(1e6/121500) so
+// hosts-per-cell stays the paper's, with a 10% movement duty cycle. The duty
+// cycle is the point of the grid=1M comparison: a counting rebuild pays for
+// all million hosts every step no matter how few moved, while applyDelta
+// pays for the moved-host delta. (At Table 4's 80% moving x 30 mph roughly a
+// tenth of the population crosses a cell boundary every second, nearly every
+// cell is touched, and the rebuild's clean linear passes win; EXPERIMENTS.md
+// documents that crossover.) Building a world this size takes seconds; the
+// movement phase is what the benchmarks time.
+var bigWorld = struct {
+	once sync.Once
+	w    *World
+	err  error
 }{}
 
-func bigStepWorld(b *testing.B, full bool) *World {
-	idx := 0
-	if full {
-		idx = 1
-	}
-	bigWorlds.once[idx].Do(func() {
+func bigStepWorld(b *testing.B) *World {
+	bigWorld.once.Do(func() {
 		const side = 138470 // 30 mi * sqrt(1e6 / 121500), in meters
 		cfg := Config{
 			AreaWidth: side, AreaHeight: side,
@@ -144,15 +152,9 @@ func bigStepWorld(b *testing.B, full bool) *World {
 			Duration: 5 * 3600,
 			Mode:     ModeFreeMovement,
 			MaxPause: 30,
-			// workers=1 keeps the comparison honest for the CI gate: the
-			// incremental path's win is largest on the coordinating
-			// goroutine, while the counting rebuild regains ground at high
-			// worker counts (its phases parallelize perfectly; see
-			// EXPERIMENTS.md). The workers=1/8 sub-benchmarks above cover
-			// the parallel scaling story.
-			Workers:     1,
-			FullRebuild: full,
-			Seed:        1,
+			// The workers=1/8 sub-benchmarks above cover parallel scaling.
+			Workers: 1,
+			Seed:    1,
 		}
 		w, err := New(cfg)
 		if err == nil {
@@ -164,12 +166,48 @@ func bigStepWorld(b *testing.B, full bool) *World {
 				w.advanceMovement(w.cfg.StepSeconds)
 			}
 		}
-		bigWorlds.w[idx], bigWorlds.err[idx] = w, err
+		bigWorld.w, bigWorld.err = w, err
 	})
-	if bigWorlds.err[idx] != nil {
-		b.Fatal(bigWorlds.err[idx])
+	if bigWorld.err != nil {
+		b.Fatal(bigWorld.err)
 	}
-	return bigWorlds.w[idx]
+	return bigWorld.w
+}
+
+// gridDelta is one real movement step of the million-host world captured as
+// data: the cell assignment before and after, the moved-host delta between
+// them in both directions, and a private grid indexed at before.
+type gridDelta struct {
+	g             *hostGrid
+	before, after []int32
+	fwd, rev      []moverRec
+}
+
+var bigDelta = struct {
+	once sync.Once
+	d    gridDelta
+}{}
+
+func bigGridDelta(b *testing.B) *gridDelta {
+	w := bigStepWorld(b)
+	bigDelta.once.Do(func() {
+		d := &bigDelta.d
+		d.before = append([]int32(nil), w.cells...)
+		w.advanceMovement(w.cfg.StepSeconds)
+		d.after = append([]int32(nil), w.cells...)
+		for i, from := range d.before {
+			if to := d.after[i]; to != from {
+				d.fwd = append(d.fwd, moverRec{host: int32(i), from: from, to: to})
+				d.rev = append(d.rev, moverRec{host: int32(i), from: to, to: from})
+			}
+		}
+		d.g = newHostGrid(w.cfg.Bounds(), len(d.before), w.cfg.TxRange)
+		d.g.Build(d.before)
+		// Fault in the delta scratch outside any timed window (see above).
+		d.g.applyDelta(d.after, d.fwd, 1)
+		d.g.applyDelta(d.before, d.rev, 1)
+	})
+	return &bigDelta.d
 }
 
 // benchQueryBatch plans a fixed query-heavy batch — far larger than the

@@ -167,8 +167,8 @@ func TestForNeighborsOrderAcrossWorkers(t *testing.T) {
 		// While here, assert the CSR invariant directly: every bucket holds
 		// ascending host indices.
 		g := w.grid
-		for c := 0; c < g.numCells(); c++ {
-			bucket := g.entries[g.start[c]:g.start[c+1]]
+		for c := 0; c < g.NumCells(); c++ {
+			bucket := g.Entries[g.Start[c]:g.Start[c+1]]
 			for j := 1; j < len(bucket); j++ {
 				if bucket[j] <= bucket[j-1] {
 					t.Fatalf("workers=%d: cell %d bucket not ascending: %v", workers, c, bucket)
@@ -190,9 +190,10 @@ func TestForNeighborsOrderAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineGridMatchesSequentialRebuild drives the sharded counting rebuild
-// and the sequential one over the same relocation history and requires the
-// raw CSR arrays to come out identical.
+// TestEngineGridMatchesSequentialRebuild drives the sharded movement engine
+// (per-shard deltas, applyDelta) and a sequential counting rebuild over the
+// same relocation history and requires the raw CSR arrays to come out
+// identical.
 func TestEngineGridMatchesSequentialRebuild(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Workers = 5
@@ -208,13 +209,13 @@ func TestEngineGridMatchesSequentialRebuild(t *testing.T) {
 	for step := 0; step < 30; step++ {
 		w.engine.step(cfg.StepSeconds)
 		for i, p := range w.pos {
-			cells[i] = ref.cellIndex(p)
+			cells[i] = ref.CellIndex(p)
 		}
-		ref.rebuild(cells)
-		if !reflect.DeepEqual(w.grid.start, ref.start) {
+		ref.Build(cells)
+		if !reflect.DeepEqual(w.grid.Start, ref.Start) {
 			t.Fatalf("step %d: start arrays diverged", step)
 		}
-		if !reflect.DeepEqual(w.grid.entries, ref.entries) {
+		if !reflect.DeepEqual(w.grid.Entries, ref.Entries) {
 			t.Fatalf("step %d: entries arrays diverged", step)
 		}
 	}
@@ -245,9 +246,9 @@ func FuzzHostGridNeighbors(f *testing.F) {
 		cells := make([]int32, n)
 		reindex := func() {
 			for i, p := range pos {
-				cells[i] = g.cellIndex(p)
+				cells[i] = g.CellIndex(p)
 			}
-			g.rebuild(cells)
+			g.Build(cells)
 		}
 		// Positions deliberately overflow the bounds a little so the clamp
 		// path is part of the property.
@@ -284,11 +285,12 @@ func FuzzHostGridNeighbors(f *testing.F) {
 			}
 		}
 		// And nothing outside the cell over-approximation: every enumerated
-		// host's cell must be one forCells visits.
-		inRange := make(map[int32]bool)
-		g.forCells(q, r, func(c int32) { inRange[c] = true })
+		// host's cell must lie in the Cover rectangle.
+		cx, cy := g.RawCell(q)
+		x0, y0, x1, y1 := g.Cover(cx, cy, r)
 		for _, i := range enum {
-			if !inRange[cells[i]] {
+			x, y := int(cells[i])%g.NX(), int(cells[i])/g.NX()
+			if x < x0 || x > x1 || y < y0 || y > y1 {
 				t.Fatalf("host %d enumerated from out-of-range cell %d", i, cells[i])
 			}
 		}

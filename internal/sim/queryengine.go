@@ -75,7 +75,7 @@ type resolverScratch struct {
 // simPeerSource adapts the simulator's in-memory peer sweep to
 // client.PeerSource. host and idx are set per query before Resolve runs:
 // the querying host is excluded from its own broadcast, and idx keys the
-// plan's cell snapshot under batched gather.
+// plan's cell snapshot.
 type simPeerSource struct {
 	e    *queryEngine
 	host int32
@@ -84,42 +84,26 @@ type simPeerSource struct {
 
 // Gather appends every in-range peer's shareable cache entry to dst and
 // accounts the P2P exchange: one broadcast request plus one cache-share
-// response per peer holding data, costed at internal/wire codec sizes.
-// Under batched gather the sweep reads the query cell's shared snapshot;
-// both modes visit the identical peer sequence (see cellSnap).
+// response per peer holding data, costed at internal/wire codec sizes. The
+// sweep reads the query cell's shared snapshot, which lists exactly the peer
+// sequence a per-query grid sweep would visit (see cellSnap).
 func (s *simPeerSource) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerCache, int64, int64) {
 	e := s.e
 	w := e.w
 	msgs, bytes := int64(1), int64(wire.CacheRequestSize)
 	tx2 := w.cfg.TxRange * w.cfg.TxRange
-	if w.cfg.PerQueryGather {
-		w.grid.forNeighbors(q, w.cfg.TxRange, func(i int32) {
-			if i == s.host {
-				return
-			}
-			if q.Dist2(w.pos[i]) > tx2 {
-				return
-			}
-			if ent, ok := w.caches[i].Entry(); ok {
-				dst = append(dst, ent)
-				msgs++
-				bytes += int64(wire.CacheShareSize(len(ent.Neighbors)))
-			}
-		})
-	} else {
-		snap := &e.snaps[e.snapOf[s.idx]]
-		for j := range snap.peers {
-			sp := &snap.peers[j]
-			if sp.host == s.host {
-				continue
-			}
-			if q.Dist2(w.pos[sp.host]) > tx2 {
-				continue
-			}
-			dst = append(dst, sp.entry)
-			msgs++
-			bytes += sp.share
+	snap := &e.snaps[e.snapOf[s.idx]]
+	for j := range snap.peers {
+		sp := &snap.peers[j]
+		if sp.host == s.host {
+			continue
 		}
+		if q.Dist2(w.pos[sp.host]) > tx2 {
+			continue
+		}
+		dst = append(dst, sp.entry)
+		msgs++
+		bytes += sp.share
 	}
 	return dst, msgs, bytes
 }
@@ -152,18 +136,17 @@ type snapPeer struct {
 
 // cellSnap is the peer-cache snapshot of one grid-cell neighborhood,
 // gathered once and shared by every query whose point falls in that cell
-// (the per-step spatial join). peers holds the hosts of the cell's forCells
-// neighborhood that have a cache entry, in the exact order forNeighbors
-// would enumerate them, so a resolver filtering it by host index and
-// TxRange sees the identical peer sequence a per-query grid sweep would
-// produce.
+// (the per-step spatial join). peers holds the hosts of the cell's Cover
+// neighborhood that have a cache entry, in enumeration order (cells
+// row-major, hosts ascending within a cell), so a resolver filtering it by
+// host index and TxRange sees the identical peer sequence a per-query grid
+// sweep would produce (TestBatchedGatherMatchesPerQuery).
 //
 // Snapshots persist across batches: fillStamp records the world's
 // dirty-cell clock at fill time, and the snapshot is reused as long as no
 // cell of its neighborhood has been stamped since (no membership change, no
-// resident cache write, no full rebuild — see World.noteCellChanges). A
-// reused snapshot is byte-identical to what a fresh fill would produce,
-// which the batched-vs-per-query CI diff exercises end to end.
+// resident cache write — see World.noteCellChanges). A reused snapshot is
+// byte-identical to what a fresh fill would produce.
 type cellSnap struct {
 	cx, cy    int
 	fillStamp uint64 // world clock at fill; 0 = never filled
@@ -183,10 +166,9 @@ type queryEngine struct {
 	scratch []*resolverScratch
 	plans   []queryPlan
 	results []queryResult
-	// Batched-gather state (unused when Config.PerQueryGather is set):
-	// snapOf[i] is the index into snaps of plan i's cell snapshot. snaps and
-	// cellIdx persist across batches; fills lists the snaps this batch must
-	// (re)fill.
+	// Gather-phase state: snapOf[i] is the index into snaps of plan i's cell
+	// snapshot. snaps and cellIdx persist across batches; fills lists the
+	// snaps this batch must (re)fill.
 	snapOf  []int32
 	cellIdx map[[2]int]int32 // raw cell coords -> snaps index
 	snaps   []cellSnap
@@ -218,8 +200,7 @@ func (w *World) initQueryEngine(workers int) {
 
 // GatherReuse reports how many cell snapshots the batched gather phase
 // reused versus filled since the world was built — diagnostic output for
-// the dirty-cell reuse machinery (zero hits under Config.FullRebuild or
-// Config.PerQueryGather).
+// the dirty-cell reuse machinery.
 func (w *World) GatherReuse() (hits, fills uint64) {
 	return w.qengine.snapHits, w.qengine.snapFills
 }
@@ -238,9 +219,7 @@ func (e *queryEngine) runBatch() {
 	for _, sc := range e.scratch {
 		sc.r.ResetArena()
 	}
-	if !e.w.cfg.PerQueryGather {
-		e.gatherCells()
-	}
+	e.gatherCells()
 
 	workers := e.workers
 	if workers > n {
@@ -300,7 +279,7 @@ func (e *queryEngine) gatherCells() {
 	e.fills = e.fills[:0]
 	for i := range e.plans {
 		q := w.pos[e.plans[i].host]
-		cx, cy := w.grid.rawCell(q)
+		cx, cy := w.grid.RawCell(q)
 		key := [2]int{cx, cy}
 		idx, ok := e.cellIdx[key]
 		if !ok {
@@ -354,31 +333,31 @@ func (e *queryEngine) gatherCells() {
 }
 
 // snapValid reports whether s still reflects its neighborhood: no cell of
-// the forCells sweep may have been stamped after the snapshot was filled
-// (membership change or resident cache write), and no full rebuild may have
-// occurred since.
+// its Cover rectangle may have been stamped after the snapshot was filled
+// (membership change or resident cache write).
 func (e *queryEngine) snapValid(s *cellSnap) bool {
 	w := e.w
-	if s.fillStamp < w.fullStamp {
-		return false
-	}
-	valid := true
-	w.grid.forCellsAt(s.cx, s.cy, w.cfg.TxRange, func(c int32) {
-		if w.cellStamp[c] > s.fillStamp {
-			valid = false
+	x0, y0, x1, y1 := w.grid.Cover(s.cx, s.cy, w.cfg.TxRange)
+	for y := y0; y <= y1; y++ {
+		row := y * w.grid.NX()
+		for _, stamp := range w.cellStamp[row+x0 : row+x1+1] {
+			if stamp > s.fillStamp {
+				return false
+			}
 		}
-	})
-	return valid
+	}
+	return true
 }
 
-// fillSnap captures one cell neighborhood's shareable caches in forNeighbors
-// enumeration order (cells row-major, hosts ascending within a cell).
+// fillSnap captures one cell neighborhood's shareable caches in enumeration
+// order (cells row-major, hosts ascending within a cell).
 func (e *queryEngine) fillSnap(s *cellSnap) {
 	w := e.w
 	s.peers = s.peers[:0]
 	s.fillStamp = w.clock
-	w.grid.forCellsAt(s.cx, s.cy, w.cfg.TxRange, func(c int32) {
-		for _, hi := range w.grid.entries[w.grid.start[c]:w.grid.start[c+1]] {
+	x0, y0, x1, y1 := w.grid.Cover(s.cx, s.cy, w.cfg.TxRange)
+	for y := y0; y <= y1; y++ {
+		for _, hi := range w.grid.Row(y, x0, x1) {
 			if ent, ok := w.caches[hi].Entry(); ok {
 				s.peers = append(s.peers, snapPeer{
 					host:  hi,
@@ -387,7 +366,7 @@ func (e *queryEngine) fillSnap(s *cellSnap) {
 				})
 			}
 		}
-	})
+	}
 }
 
 // resolve runs one complete SENN query against the step-start snapshot by
@@ -396,7 +375,7 @@ func (e *queryEngine) fillSnap(s *cellSnap) {
 // fallback with the §3.3 pruning bounds) wired to the simulator's two
 // transports. It only reads world state — every effect is returned in the
 // queryResult for the commit phase. idx is the plan's batch position (it
-// keys the cell snapshot under batched gather). Both the peer-solved and
+// keys the cell snapshot). Both the peer-solved and
 // the server-solved path perform no heap allocations in steady state.
 func (e *queryEngine) resolve(p *queryPlan, idx int, sc *resolverScratch) queryResult {
 	w := e.w

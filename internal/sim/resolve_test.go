@@ -1,13 +1,12 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
 // warmResolveWorld builds a dense world and pushes query batches through it
@@ -86,53 +85,77 @@ func TestResolveAllocsPeerSolved(t *testing.T) {
 	}
 }
 
-// TestBatchedGatherMatchesPerQuery is the spatial-join oracle: the batched
-// per-cell snapshot gather and the per-query grid sweep must produce
-// bit-identical simulations — metrics, time series, and every audited
-// per-query answer included.
+// TestBatchedGatherMatchesPerQuery is the spatial-join oracle at the data
+// level: on a moving world driven step by step, every planned query's
+// Gather — served from its cell's shared, possibly reused snapshot — must
+// return exactly the (peers, msgs, bytes) a fresh per-query grid sweep
+// computes from live state. The run is long enough that snapshots are both
+// reused across steps and invalidated by movement and cache commits.
 func TestBatchedGatherMatchesPerQuery(t *testing.T) {
-	type answer struct {
-		Q     geom.Point
-		K     int
-		Src   core.Source
-		IDs   []int64
-		Dists []float64
+	cfg := smallConfig()
+	cfg.QueryWorkers = 4
+	// A quarter of the hosts moving: enough parked neighborhoods that
+	// snapshots survive between steps, enough traffic that most do not.
+	cfg.MovePercentage = 0.25
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	capture := func(perQuery bool) []byte {
-		cfg := smallConfig()
-		cfg.Duration = 300
-		cfg.SeriesWindow = 60
-		cfg.QueryWorkers = 4
-		cfg.PerQueryGather = perQuery
-		w, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	e := w.qengine
+	src := &e.scratch[0].peerSrc
+	rng := rand.New(rand.NewSource(3))
+	tx2 := cfg.TxRange * cfg.TxRange
+	var hits, fills, peersSeen uint64
+	for step := 0; step < 400; step++ {
+		w.advanceMovement(0.25)
+		e.plans = e.plans[:0]
+		for i := 0; i < 12; i++ {
+			e.plans = append(e.plans, queryPlan{
+				at:   float64(step),
+				host: int32(rng.Intn(len(w.pos))),
+				k:    cfg.KMin + rng.Intn(cfg.KMax-cfg.KMin+1),
+			})
 		}
-		var answers []answer
-		w.SetAudit(func(q geom.Point, k int, ans []core.Candidate, src core.Source) {
-			a := answer{Q: q, K: k, Src: src}
-			for _, c := range ans {
-				a.IDs = append(a.IDs, c.ID)
-				a.Dists = append(a.Dists, c.Dist)
+		h0, f0 := w.GatherReuse()
+		e.gatherCells()
+		h1, f1 := w.GatherReuse()
+		hits, fills = hits+h1-h0, fills+f1-f0
+		for i, p := range e.plans {
+			q := w.pos[p.host]
+			src.host, src.idx = p.host, i
+			got, gotMsgs, gotBytes := src.Gather(q, nil)
+
+			var want []core.PeerCache
+			wantMsgs, wantBytes := int64(1), int64(wire.CacheRequestSize)
+			w.grid.forNeighbors(q, cfg.TxRange, func(h int32) {
+				if h == p.host || q.Dist2(w.pos[h]) > tx2 {
+					return
+				}
+				if ent, ok := w.caches[h].Entry(); ok {
+					want = append(want, ent)
+					wantMsgs++
+					wantBytes += int64(wire.CacheShareSize(len(ent.Neighbors)))
+				}
+			})
+			if !reflect.DeepEqual(got, want) || gotMsgs != wantMsgs || gotBytes != wantBytes {
+				t.Fatalf("step %d plan %d (host %d): snapshot gather %d peers/%d msgs/%d bytes, sweep %d/%d/%d",
+					step, i, p.host, len(got), gotMsgs, gotBytes, len(want), wantMsgs, wantBytes)
 			}
-			answers = append(answers, a)
-		})
-		m := w.Run()
-		data, err := json.Marshal(struct {
-			Metrics Metrics
-			Series  []WindowPoint
-			Answers []answer
-		}{m, w.Series(), answers})
-		if err != nil {
-			t.Fatal(err)
+			peersSeen += uint64(len(want))
 		}
-		return data
+		// Resolve and commit the batch so caches fill and commits dirty cells.
+		// (runBatch re-validates the snapshots just gathered; only the
+		// explicit gather above is counted.)
+		e.runBatch()
 	}
-	batched := capture(false)
-	perQuery := capture(true)
-	if len(batched) == 0 || !bytes.Equal(batched, perQuery) {
-		t.Errorf("batched gather diverged from per-query gather:\nbatched:  %.200s\nperquery: %.200s",
-			batched, perQuery)
+	if peersSeen == 0 {
+		t.Fatal("no query ever had a peer in range; the comparison is vacuous")
+	}
+	if hits == 0 || fills == 0 {
+		t.Errorf("gather reuse %d hits / %d fills: want both reuse and refills exercised", hits, fills)
+	}
+	if distinct := uint64(len(e.snaps)); fills <= distinct {
+		t.Errorf("%d fills over %d distinct cells: no snapshot was ever invalidated and refilled", fills, distinct)
 	}
 }
 

@@ -104,28 +104,20 @@ func TestResolveAllocsServerSolved(t *testing.T) {
 
 // TestGatherSnapshotReuse checks the dirty-cell machinery actually fires: in
 // a world whose hosts are parked, only cache commits dirty cells, so the
-// gather phase must reuse snapshots across steps. Under Config.FullRebuild
-// reuse is disabled by design and the hit counter must stay at zero.
+// gather phase must reuse snapshots across steps.
 func TestGatherSnapshotReuse(t *testing.T) {
-	run := func(fullRebuild bool) (hits, fills uint64) {
-		cfg := smallConfig()
-		cfg.MovePercentage = 0
-		cfg.FullRebuild = fullRebuild
-		w, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Run()
-		return w.GatherReuse()
+	cfg := smallConfig()
+	cfg.MovePercentage = 0
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hits, fills := run(false)
+	w.Run()
+	hits, fills := w.GatherReuse()
 	if fills == 0 {
 		t.Fatal("no snapshot fills recorded; gather phase did not run")
 	}
 	if hits == 0 {
 		t.Error("parked world produced no snapshot reuse; dirty-cell tracking broken")
-	}
-	if fullHits, fullFills := run(true); fullHits != 0 || fullFills == 0 {
-		t.Errorf("FullRebuild run: %d hits / %d fills, want 0 hits and some fills", fullHits, fullFills)
 	}
 }

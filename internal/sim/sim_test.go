@@ -94,6 +94,24 @@ func TestServerModuleCounts(t *testing.T) {
 	}
 }
 
+// forNeighbors is the per-query grid sweep, kept test-local as the oracle
+// the batched gather and the index tests compare against: fn sees every host
+// filed in a cell of Cover(p, r), cells row-major and hosts ascending within
+// a cell (callers distance-filter; the grid over-approximates). It walks the
+// buckets one cell at a time, independently of Index.Row.
+func (g *hostGrid) forNeighbors(p geom.Point, r float64, fn func(i int32)) {
+	cx, cy := g.RawCell(p)
+	x0, y0, x1, y1 := g.Cover(cx, cy, r)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			c := y*g.NX() + x
+			for _, i := range g.Entries[g.Start[c]:g.Start[c+1]] {
+				fn(i)
+			}
+		}
+	}
+}
+
 func TestHostGrid(t *testing.T) {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
 	g := newHostGrid(bounds, 100, 100)
@@ -102,9 +120,9 @@ func TestHostGrid(t *testing.T) {
 	cells := make([]int32, 100)
 	reindex := func() {
 		for i, p := range pos {
-			cells[i] = g.cellIndex(p)
+			cells[i] = g.CellIndex(p)
 		}
-		g.rebuild(cells)
+		g.Build(cells)
 	}
 	for i := range pos {
 		pos[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)

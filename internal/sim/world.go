@@ -24,7 +24,7 @@ type World struct {
 	roads  *spatialnet.Graph // nil in free-movement mode
 
 	// Per-host parallel slices (the SoA columns). pos is the step-start
-	// position the query pipeline reads; cells mirrors grid.cellIndex(pos)
+	// position the query pipeline reads; cells mirrors grid.CellIndex(pos)
 	// and is the movement phase's crossing detector.
 	pos    []geom.Point
 	cells  []int32
@@ -48,11 +48,9 @@ type World struct {
 	// Dirty-cell clock for the gather phase's snapshot reuse (DESIGN.md
 	// §10): clock advances before every batch of world mutations, and
 	// cellStamp[c] records the clock at which cell c's membership or a
-	// resident host's cache last changed. fullStamp invalidates everything
-	// at once (full rebuilds report no per-cell information).
+	// resident host's cache last changed.
 	clock     uint64
 	cellStamp []uint64
-	fullStamp uint64
 
 	// qengine runs each step's query batch through the plan/resolve/commit
 	// pipeline (queryengine.go), fanning the resolve phase across
@@ -167,12 +165,11 @@ func New(cfg Config) (*World, error) {
 			w.road = append(w.road, m)
 			w.moving = append(w.moving, int32(i))
 		}
-		w.cells[i] = w.grid.cellIndex(w.pos[i])
+		w.cells[i] = w.grid.CellIndex(w.pos[i])
 	}
-	w.grid.rebuild(w.cells)
+	w.grid.Build(w.cells)
 	w.clock = 1
-	w.fullStamp = 1
-	w.cellStamp = make([]uint64, w.grid.numCells())
+	w.cellStamp = make([]uint64, w.grid.NumCells())
 	w.initEngine(cfg.Workers)
 	w.initQueryEngine(cfg.QueryWorkers)
 	if cfg.SeriesWindow > 0 {

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // NodeID identifies a graph node. The modeling graph of the paper contains
@@ -81,7 +82,7 @@ type Graph struct {
 	locs    []geom.Point
 	adj     [][]halfEdge
 	edges   int
-	nodeIdx *nodeGrid // optional, built by BuildNodeIndex
+	nodeIdx *grid.Index // optional, built by BuildNodeIndex
 }
 
 // NewGraph returns an empty graph.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // PathFinder runs repeated point-to-point Dijkstra searches over one graph
@@ -91,17 +92,9 @@ func (pf *PathFinder) ShortestPath(from, to NodeID) (float64, []NodeID, bool) {
 	return pf.dist[to], path, true
 }
 
-// nodeGrid is a uniform-grid index over node locations for O(1) nearest-node
-// lookups.
-type nodeGrid struct {
-	origin geom.Point
-	cell   float64
-	nx, ny int
-	cells  [][]NodeID
-}
-
-// BuildNodeIndex constructs the spatial index used by NearestNodeIndexed.
-// Call it once after the graph is fully built.
+// BuildNodeIndex constructs the spatial index used by NearestNodeIndexed: a
+// grid.Index over the node locations. Call it once after the graph is fully
+// built.
 func (g *Graph) BuildNodeIndex() {
 	if len(g.locs) == 0 {
 		return
@@ -110,32 +103,8 @@ func (g *Graph) BuildNodeIndex() {
 	// Aim for a handful of nodes per cell.
 	area := math.Max(b.Area(), 1)
 	cell := math.Max(math.Sqrt(area/float64(len(g.locs)))*2, 1e-6)
-	nx := int(b.Width()/cell) + 1
-	ny := int(b.Height()/cell) + 1
-	idx := &nodeGrid{origin: b.Min, cell: cell, nx: nx, ny: ny, cells: make([][]NodeID, nx*ny)}
-	for i, loc := range g.locs {
-		c := idx.cellOf(loc)
-		idx.cells[c] = append(idx.cells[c], NodeID(i))
-	}
-	g.nodeIdx = idx
-}
-
-func (ng *nodeGrid) cellOf(p geom.Point) int {
-	cx := int((p.X - ng.origin.X) / ng.cell)
-	cy := int((p.Y - ng.origin.Y) / ng.cell)
-	cx = clampInt(cx, 0, ng.nx-1)
-	cy = clampInt(cy, 0, ng.ny-1)
-	return cy*ng.nx + cx
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	idx := grid.NewPointIndex(b, cell, g.locs)
+	g.nodeIdx = &idx
 }
 
 // NearestNodeIndexed returns the node closest to p using the grid index
@@ -146,17 +115,18 @@ func (g *Graph) NearestNodeIndexed(p geom.Point) (NodeID, bool) {
 	if ng == nil {
 		return g.NearestNode(p)
 	}
-	cx := clampInt(int((p.X-ng.origin.X)/ng.cell), 0, ng.nx-1)
-	cy := clampInt(int((p.Y-ng.origin.Y)/ng.cell), 0, ng.ny-1)
+	nx, ny := ng.NX(), ng.NY()
+	c := int(ng.CellIndex(p)) // clamped: rings grow from the border cell nearest an outside p
+	cx, cy := c%nx, c/nx
 	best, bestD := NodeID(-1), math.Inf(1)
-	maxRing := ng.nx
-	if ng.ny > maxRing {
-		maxRing = ng.ny
+	maxRing := nx
+	if ny > maxRing {
+		maxRing = ny
 	}
 	for ring := 0; ring <= maxRing; ring++ {
 		// Once a candidate is known, stop after the first ring that cannot
 		// contain anything closer.
-		if best >= 0 && float64(ring-1)*ng.cell > math.Sqrt(bestD) {
+		if best >= 0 && float64(ring-1)*ng.Cell() > math.Sqrt(bestD) {
 			break
 		}
 		for dy := -ring; dy <= ring; dy++ {
@@ -165,12 +135,12 @@ func (g *Graph) NearestNodeIndexed(p geom.Point) (NodeID, bool) {
 					continue // interior cells were scanned in earlier rings
 				}
 				x, y := cx+dx, cy+dy
-				if x < 0 || x >= ng.nx || y < 0 || y >= ng.ny {
+				if x < 0 || x >= nx || y < 0 || y >= ny {
 					continue
 				}
-				for _, id := range ng.cells[y*ng.nx+x] {
+				for _, id := range ng.Row(y, x, x) {
 					if d := p.Dist2(g.locs[id]); d < bestD {
-						best, bestD = id, d
+						best, bestD = NodeID(id), d
 					}
 				}
 			}

@@ -63,7 +63,7 @@ func TestNearestNodeIndexedMatchesLinear(t *testing.T) {
 	}
 	g.BuildNodeIndex()
 	rng := newTestRand(21)
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 1000; trial++ { // in and up to 300 m out of bounds
 		p := geom.Pt(rng.Float64()*2600-300, rng.Float64()*2100-300)
 		want, ok1 := g.NearestNode(p)
 		got, ok2 := g.NearestNodeIndexed(p)
@@ -74,6 +74,41 @@ func TestNearestNodeIndexedMatchesLinear(t *testing.T) {
 		if math.Abs(p.Dist(g.Loc(want))-p.Dist(g.Loc(got))) > 1e-9 {
 			t.Fatalf("nearest mismatch at %v: linear %v (%v), indexed %v (%v)",
 				p, want, p.Dist(g.Loc(want)), got, p.Dist(g.Loc(got)))
+		}
+	}
+}
+
+// TestNodeIndexNoDeadRim is the regression test for the trunc+1 sizing the
+// node index had before it moved onto grid.Geom: when the node MBR is an
+// exact multiple of the cell, int(w/cell)+1 allocated an extra row and
+// column that held nothing but the nodes sitting exactly on the far edges.
+// 16 nodes over an 8x8 MBR give cell = 2*sqrt(64/16) = 4, so the table must
+// be 2x2 with the far-edge nodes clamped into real cells, and lookups near
+// and beyond those edges must still agree with the linear scan.
+func TestNodeIndexNoDeadRim(t *testing.T) {
+	g := NewGraph()
+	for _, y := range []float64{0, 2, 6, 8} {
+		for _, x := range []float64{0, 2, 6, 8} {
+			g.AddNode(geom.Pt(x, y))
+		}
+	}
+	g.BuildNodeIndex()
+	ix := g.nodeIdx
+	if ix.NX() != 2 || ix.NY() != 2 {
+		t.Fatalf("aligned 8x8 MBR at cell %g: %dx%d table, want 2x2", ix.Cell(), ix.NX(), ix.NY())
+	}
+	for c := 0; c < ix.NumCells(); c++ {
+		if n := ix.Start[c+1] - ix.Start[c]; n != 4 {
+			t.Errorf("cell %d holds %d nodes, want 4", c, n)
+		}
+	}
+	rng := newTestRand(5)
+	for trial := 0; trial < 1000; trial++ {
+		p := geom.Pt(rng.Float64()*12-2, rng.Float64()*12-2)
+		want, _ := g.NearestNode(p)
+		got, ok := g.NearestNodeIndexed(p)
+		if !ok || math.Abs(p.Dist(g.Loc(want))-p.Dist(g.Loc(got))) > 1e-12 {
+			t.Fatalf("nearest mismatch at %v: linear %v, indexed %v", p, want, got)
 		}
 	}
 }
