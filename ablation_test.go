@@ -6,10 +6,12 @@ package senn
 //
 //   - Heuristic 3.3 peer ordering vs arbitrary order;
 //   - the kNN_multiple stage vs single-peer verification only;
-//   - the exact arc-coverage region test vs the paper's polygonization;
+//   - the exact arc-coverage region test vs the paper's polygonization
+//     (BenchmarkAblationRegion* in internal/geom, beside the test-only
+//     polygonized construction);
 //   - EINN pruning bounds vs plain INN at the server.
 //
-// Run with: go test -bench Ablation -benchmem
+// Run with: go test -bench Ablation -benchmem . ./internal/geom
 
 import (
 	"math/rand"
@@ -30,7 +32,7 @@ func ablationScene(seed int64) (pois []core.POI, caches []core.PeerCache, srv *s
 	caches = make([]core.PeerCache, 1200)
 	for i := range caches {
 		loc := geom.Pt(rng.Float64()*20000, rng.Float64()*20000)
-		res := nn.BestFirst(srv.Tree(), loc, 15)
+		res, _ := nn.BestFirst(srv.Tree(), loc, 15)
 		ns := make([]core.POI, len(res))
 		for j, r := range res {
 			ns[j] = r.Data.(core.POI)
@@ -128,49 +130,6 @@ func BenchmarkAblationMultiPeerStage(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRegionExact and ...RegionPolygonized compare the two
-// Lemma 3.8 implementations on identical workloads: same verdicts (up to the
-// polygonization's conservatism), very different cost.
-func BenchmarkAblationRegionExact(b *testing.B) {
-	benchRegionMethod(b, func(r *geom.Region, c geom.Circle) bool { return r.CoversCircle(c) })
-}
-
-// BenchmarkAblationRegionPolygonized is the paper-faithful counterpart of
-// BenchmarkAblationRegionExact.
-func BenchmarkAblationRegionPolygonized(b *testing.B) {
-	benchRegionMethod(b, func(r *geom.Region, c geom.Circle) bool { return r.CoversCirclePolygonized(c) })
-}
-
-func benchRegionMethod(b *testing.B, covers func(*geom.Region, geom.Circle) bool) {
-	rng := rand.New(rand.NewSource(3))
-	type tc struct {
-		region *geom.Region
-		cand   geom.Circle
-	}
-	cases := make([]tc, 256)
-	for i := range cases {
-		var circles []geom.Circle
-		for j := 0; j < 2+rng.Intn(6); j++ {
-			circles = append(circles, geom.NewCircle(
-				geom.Pt(rng.Float64()*100, rng.Float64()*100), 20+rng.Float64()*30))
-		}
-		cases[i] = tc{
-			region: geom.NewRegion(circles...),
-			cand:   geom.NewCircle(geom.Pt(rng.Float64()*100, rng.Float64()*100), 5+rng.Float64()*30),
-		}
-	}
-	covered := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := cases[i%len(cases)]
-		if covers(c.region, c.cand) {
-			covered++
-		}
-	}
-	b.ReportMetric(100*float64(covered)/float64(b.N), "covered%")
-}
-
 // BenchmarkAblationServerBoundsOff reruns the Figure 17 situation with the
 // bounds discarded, isolating their PAR contribution.
 func BenchmarkAblationServerBoundsOff(b *testing.B) {
@@ -214,9 +173,8 @@ func benchServerBounds(b *testing.B, useBounds bool) {
 			}
 			fetch = capacity - h.NumCertain()
 		}
-		tree.ResetAccessCount()
-		nn.EINN(tree, q, fetch, bounds)
-		pages += tree.AccessCount()
+		_, p := nn.EINN(tree, q, fetch, bounds)
+		pages += p
 		queries++
 	}
 	if queries > 0 {

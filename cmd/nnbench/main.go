@@ -62,14 +62,13 @@ func main() {
 	caches := make([]core.PeerCache, *nCaches)
 	for i := range caches {
 		loc := geom.Pt(rng.Float64()**side, rng.Float64()**side)
-		res := nn.BestFirst(tree, loc, *cacheSz)
+		res, _ := nn.BestFirst(tree, loc, *cacheSz)
 		ns := make([]core.POI, len(res))
 		for j, r := range res {
 			ns[j] = r.Data.(core.POI)
 		}
 		caches[i] = core.NewPeerCache(loc, ns)
 	}
-	tree.ResetAccessCount()
 
 	fmt.Printf("EINN vs INN: %d POIs (%d clusters), fanout %d, %d peer caches of %d NNs, %d queries/k\n\n",
 		*pois, *clusters, *fanout, *nCaches, *cacheSz, *queries)
@@ -111,13 +110,10 @@ func main() {
 			}
 			want := maxInt(k, *cacheSz)
 
-			tree.ResetAccessCount()
-			nn.BestFirst(tree, query, want)
-			innPages += tree.AccessCount()
-
-			tree.ResetAccessCount()
-			nn.EINN(tree, query, want-heap.NumCertain(), b)
-			einnPages += tree.AccessCount()
+			_, pages := nn.BestFirst(tree, query, want)
+			innPages += pages
+			_, pages = nn.EINN(tree, query, want-heap.NumCertain(), b)
+			einnPages += pages
 		}
 		n := float64(*queries)
 		inn, einn := float64(innPages)/n, float64(einnPages)/n

@@ -71,11 +71,7 @@ func RangeQuery(q geom.Point, r float64, peers []PeerCache, srv RangeServer, opt
 
 	// Multi-peer completeness: the query disc covered by R_c.
 	if used > 0 {
-		region := CertainRegion(sorted)
-		if opts.PolygonVertices > 0 {
-			region.SetPolygonVertices(opts.PolygonVertices)
-		}
-		if region.CoversCircle(geom.NewCircle(q, r)) {
+		if CertainRegion(sorted).CoversCircle(geom.NewCircle(q, r)) {
 			return RangeResult{
 				POIs:      collectWithin(q, r, sorted),
 				Source:    SolvedByMultiPeer,

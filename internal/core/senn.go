@@ -52,11 +52,6 @@ type Options struct {
 	// AcceptUncertain allows returning a full heap that still contains
 	// uncertain entries without querying the server (Algorithm 1 line 15).
 	AcceptUncertain bool
-	// PolygonVertices, when positive, switches the multi-peer verification
-	// to the paper's polygonization + overlay construction at this fidelity
-	// (vertices per circle) instead of the default exact arc-coverage test.
-	// Both are sound; the polygonized test is conservative.
-	PolygonVertices int
 }
 
 // Result is the outcome of a SENN query.
@@ -116,11 +111,7 @@ func SENN(q geom.Point, k int, peers []PeerCache, srv Server, opts Options) Resu
 
 	// kNN_multiple: merge every peer's certain circle into R_c and retry.
 	if used > 0 {
-		if opts.PolygonVertices > 0 {
-			VerifyMultiPeerPolygonized(q, sorted, h, opts.PolygonVertices)
-		} else {
-			VerifyMultiPeer(q, sorted, h)
-		}
+		VerifyMultiPeer(q, sorted, h)
 		if h.Complete() {
 			return Result{
 				Neighbors: rankedFromHeap(h),

@@ -27,7 +27,7 @@ func newRtreeServer(pois []POI) *rtreeServer {
 
 func (s *rtreeServer) KNN(q geom.Point, k int, b nn.Bounds) []POI {
 	s.queries++
-	results := nn.EINN(s.tree, q, k, b)
+	results, _ := nn.EINN(s.tree, q, k, b)
 	out := make([]POI, len(results))
 	for i, r := range results {
 		out[i] = r.Data.(POI)
@@ -223,24 +223,6 @@ func TestSENNServerBoundsConsistency(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestSENNPolygonVerticesOption(t *testing.T) {
-	// The Fig. 7 construction again, but with a crude 6-gon fidelity the
-	// lens-shaped union may fail to certify; with a fine 128-gon it must.
-	target := POI{ID: 10, Loc: geom.Pt(0, 2.9)}
-	f3 := POI{ID: 11, Loc: geom.Pt(-7, 0)}
-	f4 := POI{ID: 12, Loc: geom.Pt(7, 0)}
-	p3 := NewPeerCache(geom.Pt(-3, 0), []POI{target, f3})
-	p4 := NewPeerCache(geom.Pt(3, 0), []POI{target, f4})
-	fine := SENN(geom.Pt(0, 0), 1, []PeerCache{p3, p4}, nil, Options{PolygonVertices: 128})
-	if fine.Source == SolvedUncertain && fine.State != StateNotFullCertain {
-		// Radius 2.9 circle around Q: extreme point (0,-2.9) has distance
-		// sqrt(9+8.41)=4.17 > 4 from both peers - actually not covered.
-		// So even fine fidelity cannot certify; downgrade the target.
-		t.Skip("construction not certifiable at any fidelity")
-	}
-	_ = fine
 }
 
 func TestSourceStrings(t *testing.T) {

@@ -36,8 +36,7 @@ func VerifySinglePeer(q geom.Point, peer PeerCache, h *ResultHeap) {
 }
 
 // CertainRegion returns R_c, the union of the certain circles of all peers
-// (Lemma 3.8). The polygonization fidelity of the returned region can be
-// tuned with SetPolygonVertices; the default is geom.DefaultPolygonVertices.
+// (Lemma 3.8).
 func CertainRegion(peers []PeerCache) *geom.Region {
 	r := geom.NewRegion()
 	for _, p := range peers {
@@ -168,32 +167,3 @@ func (s *candSorter) Less(i, j int) bool {
 	return a.ID < b.ID
 }
 func (s *candSorter) Swap(i, j int) { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
-
-// VerifyMultiPeerPolygonized is VerifyMultiPeer using the paper's
-// polygonization + overlay construction at the given fidelity (vertices per
-// circle) instead of the exact arc-coverage test. Its "certain" verdicts are
-// a conservative subset of VerifyMultiPeer's.
-//
-// Unlike the exact path, this variant keeps the per-candidate coverage loop:
-// the polygonized predicate's sliver thresholds scale with the candidate
-// area, so it is not strictly monotone in the radius, and as the
-// paper-faithful reference implementation it stays off the query hot path.
-func VerifyMultiPeerPolygonized(q geom.Point, peers []PeerCache, h *ResultHeap, vertices int) {
-	region := CertainRegion(peers)
-	if vertices > 0 {
-		region.SetPolygonVertices(vertices)
-	}
-	if region.IsEmpty() {
-		return
-	}
-	var s VerifierScratch
-	cands, _ := s.gatherCandidates(q, peers)
-	for i := range cands {
-		if h.Complete() {
-			return
-		}
-		c := cands[i]
-		c.Certain = region.CoversCirclePolygonized(geom.NewCircle(q, c.Dist))
-		h.Add(c)
-	}
-}

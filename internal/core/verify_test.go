@@ -263,50 +263,6 @@ func TestVerificationSoundnessRandomized(t *testing.T) {
 	}
 }
 
-// The polygonized multi-peer variant must be conservative with respect to
-// the exact one: everything it certifies, the exact method certifies too,
-// and at high fidelity the two agree on almost every candidate.
-func TestVerifyMultiPeerPolygonizedConservative(t *testing.T) {
-	rng := rand.New(rand.NewSource(808))
-	agree, polyOnly := 0, 0
-	for trial := 0; trial < 100; trial++ {
-		pois := make([]POI, 30)
-		for i := range pois {
-			pois[i] = POI{ID: int64(i), Loc: geom.Pt(rng.Float64()*400, rng.Float64()*400)}
-		}
-		q := geom.Pt(rng.Float64()*400, rng.Float64()*400)
-		var peers []PeerCache
-		for i := 0; i < 3; i++ {
-			loc := geom.Pt(q.X+rng.NormFloat64()*60, q.Y+rng.NormFloat64()*60)
-			peers = append(peers, honestCache(loc, pois, 6))
-		}
-		hExact := NewResultHeap(5)
-		VerifyMultiPeer(q, peers, hExact)
-		hPoly := NewResultHeap(5)
-		VerifyMultiPeerPolygonized(q, peers, hPoly, 64)
-		if hPoly.NumCertain() > hExact.NumCertain() {
-			// The early-exit can stop the exact pass sooner, so compare
-			// per-candidate certainty instead of raw counts.
-			exactCertain := map[int64]bool{}
-			for _, c := range hExact.CertainEntries() {
-				exactCertain[c.ID] = true
-			}
-			for _, c := range hPoly.CertainEntries() {
-				if !exactCertain[c.ID] && !hExact.Complete() {
-					t.Fatalf("trial %d: polygonized certified POI %d that exact did not", trial, c.ID)
-				}
-			}
-			polyOnly++
-		} else if hPoly.NumCertain() == hExact.NumCertain() {
-			agree++
-		}
-	}
-	if agree == 0 {
-		t.Error("methods never agreed; generator broken")
-	}
-	_ = polyOnly
-}
-
 // Multi-peer verification must strictly dominate single-peer verification:
 // everything certifiable alone stays certifiable with the merged region.
 func TestMultiPeerDominatesSinglePeer(t *testing.T) {

@@ -72,7 +72,7 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	caches := make([]core.PeerCache, 1200)
 	for i := range caches {
 		loc := geom.Pt(rng.Float64()*base.AreaWidth, rng.Float64()*base.AreaHeight)
-		res := nn.BestFirst(tree, loc, base.CacheSize)
+		res, _ := nn.BestFirst(tree, loc, base.CacheSize)
 		ns := make([]core.POI, len(res))
 		for j, rr := range res {
 			ns[j] = rr.Data.(core.POI)
@@ -147,9 +147,9 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 					}
 					for _, wi := range work {
 						if useBounds {
-							nn.EINNOver(dt, wi.q, wi.want, wi.bounds)
+							nn.EINN(dt, wi.q, wi.want, wi.bounds)
 						} else {
-							nn.BestFirstOver(dt, wi.q, base.CacheSize)
+							nn.BestFirst(dt, wi.q, base.CacheSize)
 						}
 					}
 				}

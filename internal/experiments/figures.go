@@ -380,7 +380,10 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 	rng := rand.New(rand.NewSource(base.Seed + opts.Seed + 17))
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(base.AreaWidth, base.AreaHeight))
 	pois := sim.ClusteredPOIs(base.NumPOIs, bounds, base.NumPOIs/25, base.AreaWidth/250, rng)
-	setupTree := sim.NewServerModule(pois, base.RTreeFanout).Tree()
+	// One read-only tree serves the cache setup and every k-task: each
+	// traversal returns its own page count, so concurrent tasks share no
+	// mutable state.
+	tree := sim.NewServerModule(pois, base.RTreeFanout).Tree()
 
 	// Synthetic peer caches: hosts that previously queried at random
 	// locations and hold their exact top-C_Size NN sets — what the running
@@ -389,7 +392,7 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 	caches := make([]core.PeerCache, nCaches)
 	for i := range caches {
 		loc := geom.Pt(rng.Float64()*base.AreaWidth, rng.Float64()*base.AreaHeight)
-		res := nn.BestFirst(setupTree, loc, base.CacheSize)
+		res, _ := nn.BestFirst(tree, loc, base.CacheSize)
 		ns := make([]core.POI, len(res))
 		for j, rr := range res {
 			ns[j] = rr.Data.(core.POI)
@@ -409,11 +412,9 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 	for ki, k := range ks {
 		ki, k := ki, k
 		tasks[ki] = func() error {
-			// Each k measures on its own tree — the page-access counter is
-			// per-tree mutable state — and draws its workload from a seed
-			// derived from (base seed, k), so the series is independent of
-			// both the other ks and the execution order.
-			tree := sim.NewServerModule(pois, base.RTreeFanout).Tree()
+			// Each k draws its workload from a seed derived from (base seed,
+			// k), so the series is independent of both the other ks and the
+			// execution order.
 			rng := rand.New(rand.NewSource(base.Seed + opts.Seed + 17 + int64(k)*7919))
 			var einnTotal, innTotal int64
 			for qi := 0; qi < queries; qi++ {
@@ -450,13 +451,10 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 					want = k
 				}
 
-				tree.ResetAccessCount()
-				_ = nn.BestFirst(tree, q, want)
-				innTotal += tree.AccessCount()
-
-				tree.ResetAccessCount()
-				_ = nn.EINN(tree, q, want-heap.NumCertain(), b)
-				einnTotal += tree.AccessCount()
+				_, innPages := nn.BestFirst(tree, q, want)
+				innTotal += innPages
+				_, einnPages := nn.EINN(tree, q, want-heap.NumCertain(), b)
+				einnTotal += einnPages
 			}
 			n := float64(queries)
 			einn, inn := float64(einnTotal)/n, float64(innTotal)/n

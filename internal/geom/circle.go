@@ -59,43 +59,6 @@ func (c Circle) PointAt(theta float64) Point {
 	}
 }
 
-// InscribedPolygon returns the regular n-gon inscribed in c (a subset of the
-// disc). n must be at least 3. The polygonization step of the paper's
-// kNN_multiple (§3.2.2) uses inscribed polygons for the peers' certain
-// circles so that the merged region under-approximates the true certain
-// region and verification stays sound.
-func (c Circle) InscribedPolygon(n int) ConvexPolygon {
-	if n < 3 {
-		panic(fmt.Sprintf("geom: inscribed polygon needs >= 3 vertices, got %d", n))
-	}
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		pts[i] = c.PointAt(2 * math.Pi * float64(i) / float64(n))
-	}
-	return ConvexPolygon{vertices: pts}
-}
-
-// CircumscribedPolygon returns the regular n-gon circumscribed about c (a
-// superset of the disc), with edge midpoints touching the circle. n must be
-// at least 3. The candidate circle C_ni of Lemma 3.8 uses the circumscribed
-// polygon so that coverage of the polygon implies coverage of the disc.
-func (c Circle) CircumscribedPolygon(n int) ConvexPolygon {
-	if n < 3 {
-		panic(fmt.Sprintf("geom: circumscribed polygon needs >= 3 vertices, got %d", n))
-	}
-	// Scale the inscribed polygon's vertices so its edges become tangent.
-	r := c.Radius / math.Cos(math.Pi/float64(n))
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		theta := 2 * math.Pi * (float64(i) + 0.5) / float64(n)
-		pts[i] = Point{
-			X: c.Center.X + r*math.Cos(theta),
-			Y: c.Center.Y + r*math.Sin(theta),
-		}
-	}
-	return ConvexPolygon{vertices: pts}
-}
-
 // String implements fmt.Stringer.
 func (c Circle) String() string {
 	return fmt.Sprintf("circle(%s, r=%.3f)", c.Center, c.Radius)

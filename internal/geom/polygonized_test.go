@@ -1,5 +1,12 @@
 package geom
 
+// The paper's §3.2.2 construction of the Lemma 3.8 coverage test — circles
+// polygonized, coverage decided by convex-polygon subtraction (DESIGN.md
+// substitution D1). Production verifies with the exact arc method
+// (Region.CoversCircle / MaxCoveredRadius); this file keeps the paper's
+// construction as the independent cross-check the tests in this package
+// validate the exact method against, at explicit fidelities.
+
 import (
 	"fmt"
 	"math"
@@ -257,4 +264,102 @@ func (p ConvexPolygon) SubtractConvex(q ConvexPolygon, areaEps float64) []Convex
 // String implements fmt.Stringer.
 func (p ConvexPolygon) String() string {
 	return fmt.Sprintf("polygon(%d vertices, area=%.3f)", len(p.vertices), p.Area())
+}
+
+// InscribedPolygon returns the regular n-gon inscribed in c (a subset of the
+// disc). n must be at least 3. The polygonization step of the paper's
+// kNN_multiple (§3.2.2) uses inscribed polygons for the peers' certain
+// circles so that the merged region under-approximates the true certain
+// region and verification stays sound.
+func (c Circle) InscribedPolygon(n int) ConvexPolygon {
+	if n < 3 {
+		panic(fmt.Sprintf("geom: inscribed polygon needs >= 3 vertices, got %d", n))
+	}
+	pts := make([]Point, n)
+	for i := 0; i < n; i++ {
+		pts[i] = c.PointAt(2 * math.Pi * float64(i) / float64(n))
+	}
+	return ConvexPolygon{vertices: pts}
+}
+
+// CircumscribedPolygon returns the regular n-gon circumscribed about c (a
+// superset of the disc), with edge midpoints touching the circle. n must be
+// at least 3. The candidate circle C_ni of Lemma 3.8 uses the circumscribed
+// polygon so that coverage of the polygon implies coverage of the disc.
+func (c Circle) CircumscribedPolygon(n int) ConvexPolygon {
+	if n < 3 {
+		panic(fmt.Sprintf("geom: circumscribed polygon needs >= 3 vertices, got %d", n))
+	}
+	// Scale the inscribed polygon's vertices so its edges become tangent.
+	r := c.Radius / math.Cos(math.Pi/float64(n))
+	pts := make([]Point, n)
+	for i := 0; i < n; i++ {
+		theta := 2 * math.Pi * (float64(i) + 0.5) / float64(n)
+		pts[i] = Point{
+			X: c.Center.X + r*math.Cos(theta),
+			Y: c.Center.Y + r*math.Sin(theta),
+		}
+	}
+	return ConvexPolygon{vertices: pts}
+}
+
+// CoversCirclePolygonized is the paper-faithful variant of CoversCircle
+// (§3.2.2, DESIGN.md substitution D1): the candidate disc is
+// over-approximated by its circumscribed polygon, each region disc is
+// under-approximated by its inscribed polygon, and coverage is decided by
+// subtracting region polygons from the candidate until either nothing
+// remains (covered) or residual area survives (not covered). The test is
+// conservative for any polygon fidelity (vertices per polygonized circle, at
+// least 3), so every "certain" verdict remains sound.
+func (r *Region) CoversCirclePolygonized(c Circle, vertices int) bool {
+	if c.Radius <= Eps {
+		return r.Contains(c.Center)
+	}
+	for _, rc := range r.circles {
+		if rc.ContainsCircle(c) {
+			return true
+		}
+	}
+	if !r.Bounds().ContainsRect(c.Bounds()) {
+		return false
+	}
+	var overlapping []Circle
+	for _, rc := range r.circles {
+		if rc.Radius > Eps && rc.Intersects(c) {
+			overlapping = append(overlapping, rc)
+		}
+	}
+	if len(overlapping) == 0 {
+		return false
+	}
+
+	candidate := c.CircumscribedPolygon(vertices)
+	// Slivers below this area are treated as numerical noise. It scales with
+	// the candidate size so the predicate is unit-independent.
+	areaEps := math.Max(c.Area()*1e-9, 1e-12)
+
+	residual := []ConvexPolygon{candidate}
+	// Piece-count guard: the residual decomposition can in principle grow
+	// multiplicatively with many overlapping circles. Beyond the cap the
+	// test answers false, which is the conservative (sound) direction.
+	const maxPieces = 4096
+	for _, rc := range overlapping {
+		cover := rc.InscribedPolygon(vertices)
+		next := residual[:0:0]
+		for _, piece := range residual {
+			next = append(next, piece.SubtractConvex(cover, areaEps)...)
+		}
+		residual = next
+		if len(residual) == 0 {
+			return true
+		}
+		if len(residual) > maxPieces {
+			return false
+		}
+	}
+	var left float64
+	for _, piece := range residual {
+		left += piece.Area()
+	}
+	return left <= math.Max(c.Area()*1e-7, 1e-10)
 }

@@ -5,11 +5,6 @@ import (
 	"sort"
 )
 
-// DefaultPolygonVertices is the number of vertices used when polygonizing
-// circles for region-coverage tests. 32 keeps the conservative approximation
-// error of the inscribed polygon below 0.5 % of the radius.
-const DefaultPolygonVertices = 32
-
 // Region is the union of a set of discs. In the multi-peer verification step
 // of the paper (kNN_multiple, §3.2.2) the certain region R_c is the union of
 // every reachable peer's certain circle; a candidate point of interest n_i is
@@ -17,35 +12,23 @@ const DefaultPolygonVertices = 32
 // centered at Q through n_i is fully covered by R_c (Lemma 3.8).
 type Region struct {
 	circles    []Circle
-	vertices   int         // polygonization fidelity
 	overlapBuf []Circle    // scratch, reused across CoversCircle calls
 	arcBuf     []regionArc // scratch, reused across MaxCoveredRadius calls
 }
 
 // NewRegion returns the union of the given circles. Zero-radius circles are
-// kept (they can still cover degenerate candidates). The polygonization
-// fidelity defaults to DefaultPolygonVertices.
+// kept (they can still cover degenerate candidates).
 func NewRegion(circles ...Circle) *Region {
 	cs := make([]Circle, len(circles))
 	copy(cs, circles)
-	return &Region{circles: cs, vertices: DefaultPolygonVertices}
-}
-
-// SetPolygonVertices overrides the number of vertices used to polygonize
-// circles during coverage tests. n must be at least 3.
-func (r *Region) SetPolygonVertices(n int) {
-	if n < 3 {
-		panic("geom: region polygonization needs >= 3 vertices")
-	}
-	r.vertices = n
+	return &Region{circles: cs}
 }
 
 // Add extends the region with another disc.
 func (r *Region) Add(c Circle) { r.circles = append(r.circles, c) }
 
-// Reset clears the region's discs in place, retaining allocated capacity and
-// the polygonization fidelity, so a scratch Region can be rebuilt across
-// queries without heap churn.
+// Reset clears the region's discs in place, retaining allocated capacity, so
+// a scratch Region can be rebuilt across queries without heap churn.
 func (r *Region) Reset() { r.circles = r.circles[:0] }
 
 // Circles returns a copy of the discs whose union forms the region.
@@ -90,9 +73,9 @@ func (r *Region) Bounds() Rect {
 //
 // Both conditions together are necessary and sufficient; the epsilon
 // handling errs toward "not covered", keeping Lemma 3.8 verification sound.
-// CoversCirclePolygonized implements the paper's polygonization + MapOverlay
-// construction of §3.2.2 and agrees with this method up to its (also
-// conservative) approximation error; tests cross-validate the two.
+// The package's tests cross-validate this method against the paper's own
+// polygonization + MapOverlay construction of §3.2.2, which agrees with it up
+// to its (also conservative) approximation error.
 func (r *Region) CoversCircle(c Circle) bool {
 	if c.Radius <= Eps {
 		return r.Contains(c.Center)
@@ -227,67 +210,6 @@ func circleIntersections(a, b Circle) (Point, Point, int) {
 	h := math.Sqrt(h2)
 	perp := Point{-dir.Y, dir.X}
 	return mid.Add(perp.Scale(h)), mid.Sub(perp.Scale(h)), 2
-}
-
-// CoversCirclePolygonized is the paper-faithful variant of CoversCircle
-// (§3.2.2, DESIGN.md substitution D1): the candidate disc is
-// over-approximated by its circumscribed polygon, each region disc is
-// under-approximated by its inscribed polygon, and coverage is decided by
-// subtracting region polygons from the candidate until either nothing
-// remains (covered) or residual area survives (not covered). The test is
-// conservative for any polygon fidelity, so every "certain" verdict remains
-// sound.
-func (r *Region) CoversCirclePolygonized(c Circle) bool {
-	if c.Radius <= Eps {
-		return r.Contains(c.Center)
-	}
-	for _, rc := range r.circles {
-		if rc.ContainsCircle(c) {
-			return true
-		}
-	}
-	if !r.Bounds().ContainsRect(c.Bounds()) {
-		return false
-	}
-	var overlapping []Circle
-	for _, rc := range r.circles {
-		if rc.Radius > Eps && rc.Intersects(c) {
-			overlapping = append(overlapping, rc)
-		}
-	}
-	if len(overlapping) == 0 {
-		return false
-	}
-
-	candidate := c.CircumscribedPolygon(r.vertices)
-	// Slivers below this area are treated as numerical noise. It scales with
-	// the candidate size so the predicate is unit-independent.
-	areaEps := math.Max(c.Area()*1e-9, 1e-12)
-
-	residual := []ConvexPolygon{candidate}
-	// Piece-count guard: the residual decomposition can in principle grow
-	// multiplicatively with many overlapping circles. Beyond the cap the
-	// test answers false, which is the conservative (sound) direction.
-	const maxPieces = 4096
-	for _, rc := range overlapping {
-		cover := rc.InscribedPolygon(r.vertices)
-		next := residual[:0:0]
-		for _, piece := range residual {
-			next = append(next, piece.SubtractConvex(cover, areaEps)...)
-		}
-		residual = next
-		if len(residual) == 0 {
-			return true
-		}
-		if len(residual) > maxPieces {
-			return false
-		}
-	}
-	var left float64
-	for _, piece := range residual {
-		left += piece.Area()
-	}
-	return left <= math.Max(c.Area()*1e-7, 1e-10)
 }
 
 // regionArc is an angular interval [lo, hi] ⊆ [0, 2π] of one disc's boundary

@@ -155,8 +155,15 @@ func TestCoversCircleChainOfDiscs(t *testing.T) {
 // The polygonized (paper-faithful) method is conservative with respect to
 // the exact arc method: whenever polygonization certifies coverage, the
 // exact test must agree. And whenever the exact test denies coverage with
-// slack, polygonization must deny too.
+// slack, polygonization must deny too. Checked at a coarse and at the paper's
+// default-grade fidelity.
 func TestExactVsPolygonizedConsistency(t *testing.T) {
+	for _, vertices := range []int{8, 32} {
+		testExactVsPolygonized(t, vertices)
+	}
+}
+
+func testExactVsPolygonized(t *testing.T, vertices int) {
 	rng := rand.New(rand.NewSource(303))
 	agreePos, agreeNeg := 0, 0
 	for i := 0; i < 800; i++ {
@@ -171,9 +178,9 @@ func TestExactVsPolygonizedConsistency(t *testing.T) {
 		r := NewRegion(circles...)
 		c := NewCircle(Pt(rng.Float64()*20-10, rng.Float64()*20-10), rng.Float64()*6+0.1)
 		exact := r.CoversCircle(c)
-		poly := r.CoversCirclePolygonized(c)
+		poly := r.CoversCirclePolygonized(c, vertices)
 		if poly && !exact {
-			t.Fatalf("polygonized=true but exact=false for %v over %v", c, circles)
+			t.Fatalf("%d-gon polygonized=true but exact=false for %v over %v", vertices, c, circles)
 		}
 		if exact == poly {
 			if exact {
@@ -184,7 +191,7 @@ func TestExactVsPolygonizedConsistency(t *testing.T) {
 		}
 	}
 	if agreePos == 0 || agreeNeg == 0 {
-		t.Errorf("methods never agreed on both verdicts (pos=%d neg=%d)", agreePos, agreeNeg)
+		t.Errorf("%d-gon: methods never agreed on both verdicts (pos=%d neg=%d)", vertices, agreePos, agreeNeg)
 	}
 }
 
@@ -197,6 +204,9 @@ func TestExactTighterThanPolygonized(t *testing.T) {
 	tight := NewCircle(Pt(0, 0), 9.98)
 	if !r.CoversCircle(tight) {
 		t.Error("exact method should certify a fit with 0.07% slack")
+	}
+	if r.CoversCirclePolygonized(tight, 32) {
+		t.Error("32-gon polygonization should be too conservative for a 0.07% slack")
 	}
 	if r.CoversCircle(NewCircle(Pt(0, 0), 9.99)) {
 		t.Error("exact method certified an uncovered disc")
@@ -218,28 +228,21 @@ func TestMaxCoveredRadius(t *testing.T) {
 	}
 }
 
-func TestSetPolygonVerticesFidelity(t *testing.T) {
-	// A disc that barely fits: low fidelity must be conservative (reject),
-	// high fidelity should accept.
-	r := NewRegion(NewCircle(Pt(0, 0), 10))
-	c := NewCircle(Pt(0, 0), 9.9)
-	r.SetPolygonVertices(4)
-	if r.CoversCircle(c) {
-		// With a square inscribed in radius 10, max covered radius along the
-		// diagonal is ~7.07 < 9.9: must reject. (Single-disc fast path is
-		// exact; force the polygon path with two discs.)
-		t.Skip("single-disc fast path is exact; see two-disc variant below")
+// Polygonization fidelity trades conservatism for cost: a disc with more than
+// one unit of slack in a two-disc union — too large for either disc alone, so
+// the single-disc fast path cannot answer — is rejected at 4 vertices and
+// certified at 128.
+func TestPolygonizedFidelity(t *testing.T) {
+	r := NewRegion(NewCircle(Pt(-3, 0), 10), NewCircle(Pt(3, 0), 10))
+	// Covered up to sqrt(100-9) ~ 9.54 at the origin; one disc holds only 7.
+	c := NewCircle(Pt(0, 0), 8)
+	if !r.CoversCircle(c) {
+		t.Fatal("exact method should certify the disc")
 	}
-	r2 := NewRegion(NewCircle(Pt(-0.5, 0), 10), NewCircle(Pt(0.5, 0), 10))
-	r2.SetPolygonVertices(4)
-	lowFidelity := r2.CoversCirclePolygonized(NewCircle(Pt(0, 0), 8.5))
-	r3 := NewRegion(NewCircle(Pt(-0.5, 0), 10), NewCircle(Pt(0.5, 0), 10))
-	r3.SetPolygonVertices(128)
-	highFidelity := r3.CoversCirclePolygonized(NewCircle(Pt(0, 0), 8.5))
-	if lowFidelity {
+	if r.CoversCirclePolygonized(c, 4) {
 		t.Error("4-gon fidelity should be too coarse to certify a tight fit")
 	}
-	if !highFidelity {
+	if !r.CoversCirclePolygonized(c, 128) {
 		t.Error("128-gon fidelity should certify a disc with >1 unit slack")
 	}
 }
@@ -261,4 +264,47 @@ func TestRegionAddAndCircles(t *testing.T) {
 	if !NewRegion().IsEmpty() {
 		t.Error("NewRegion() should be empty")
 	}
+}
+
+// BenchmarkAblationRegionExact and ...RegionPolygonized compare the two
+// Lemma 3.8 implementations on identical workloads: same verdicts (up to the
+// polygonization's conservatism), very different cost.
+func BenchmarkAblationRegionExact(b *testing.B) {
+	benchRegionMethod(b, func(r *Region, c Circle) bool { return r.CoversCircle(c) })
+}
+
+// BenchmarkAblationRegionPolygonized is the paper-faithful counterpart of
+// BenchmarkAblationRegionExact, at 32 vertices per polygonized circle.
+func BenchmarkAblationRegionPolygonized(b *testing.B) {
+	benchRegionMethod(b, func(r *Region, c Circle) bool { return r.CoversCirclePolygonized(c, 32) })
+}
+
+func benchRegionMethod(b *testing.B, covers func(*Region, Circle) bool) {
+	rng := rand.New(rand.NewSource(3))
+	type tc struct {
+		region *Region
+		cand   Circle
+	}
+	cases := make([]tc, 256)
+	for i := range cases {
+		var circles []Circle
+		for j := 0; j < 2+rng.Intn(6); j++ {
+			circles = append(circles, NewCircle(
+				Pt(rng.Float64()*100, rng.Float64()*100), 20+rng.Float64()*30))
+		}
+		cases[i] = tc{
+			region: NewRegion(circles...),
+			cand:   NewCircle(Pt(rng.Float64()*100, rng.Float64()*100), 5+rng.Float64()*30),
+		}
+	}
+	covered := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := cases[i%len(cases)]
+		if covers(c.region, c.cand) {
+			covered++
+		}
+	}
+	b.ReportMetric(100*float64(covered)/float64(b.N), "covered%")
 }

@@ -1,9 +1,6 @@
-// Package nn implements the nearest-neighbor search algorithms the paper
-// builds on and extends:
+// Package nn implements the nearest-neighbor search the paper builds on and
+// extends:
 //
-//   - DepthFirst: the branch-and-bound kNN search of Roussopoulos, Kelley and
-//     Vincent (SIGMOD 1995), descending the R-tree depth-first ordered by
-//     MINDIST.
 //   - BestFirst / Iterator: the optimal incremental nearest-neighbor
 //     algorithm of Hjaltason and Samet (TODS 1999), called INN by the paper.
 //     It reports neighbors in ascending distance order and visits only the
@@ -12,14 +9,13 @@
 //     expanding lower and upper bounds derived from the SENN heap H and adds
 //     the MAXDIST metric for downward pruning.
 //
-// All algorithms traverse any TreeSource — the in-memory R*-tree
-// (internal/rtree, counted by tree.AccessCount) or the disk-backed packed
-// tree (internal/pagestore, counted by its buffer pool) — so page-access
-// statistics always reflect the work each query did.
+// There is one traversal, generic over the node type, and it owns its page
+// count: the iterator that fetches a node is the only thing that counts the
+// fetch. The in-memory R*-tree (rtree.Node, by value) and the disk-backed
+// packed tree (internal/pagestore) both instantiate it directly.
 package nn
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -77,90 +73,98 @@ func (b Bounds) upper() float64 {
 // ---------------------------------------------------------------------------
 // Best-first incremental search (INN) and its bounded extension (EINN).
 
-// queueItem is an entry of the best-first priority queue: either a reference
-// to a tree node awaiting expansion or an object (leaf entry) awaiting
-// reporting. Node references hold the parent and the entry index so the child
-// page is fetched — and counted as an access — only if and when the item is
-// actually popped and expanded.
-type queueItem struct {
+// Node is a read-only view of one index node; N is the implementing type
+// itself, so Child returns a concrete node and nothing is boxed.
+type Node[N any] interface {
+	// IsLeaf reports whether entries carry data rather than children.
+	IsLeaf() bool
+	// Len returns the entry count.
+	Len() int
+	// Rect returns the bounding rectangle of entry i.
+	Rect(i int) geom.Rect
+	// Data returns the value of leaf entry i.
+	Data(i int) any
+	// Child fetches the child node of inner entry i: one page read.
+	Child(i int) N
+}
+
+// Tree is a spatial index the iterator can traverse. Root fetches the root
+// node (one page read); ok is false for an empty index.
+type Tree[N any] interface {
+	Root() (N, bool)
+}
+
+// item is an entry of the best-first priority queue: either a reference to a
+// tree node awaiting expansion or an object (leaf entry) awaiting reporting.
+// Node references hold the parent and the entry index so the child page is
+// fetched — and counted — only if and when the item is actually popped and
+// expanded. N is held by value, never as an interface, which is what keeps
+// the traversal free of allocations.
+type item[N any] struct {
 	dist     float64
 	isNode   bool
-	parent   TreeNode // valid when isNode && !isRoot
+	parent   N // the node itself when isRoot; the owner of childIdx otherwise
 	childIdx int
 	isRoot   bool
-	root     TreeNode // valid when isRoot
 	rect     geom.Rect
 	data     any
 }
 
-// fetch resolves a node item to its tree node, performing the page read.
-func (qi queueItem) fetch() TreeNode {
-	if qi.isRoot {
-		return qi.root
-	}
-	return qi.parent.Child(qi.childIdx)
-}
-
-type priorityQueue []queueItem
-
-func (pq priorityQueue) Len() int           { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool { return pq[i].dist < pq[j].dist }
-func (pq priorityQueue) Swap(i, j int)      { pq[i], pq[j] = pq[j], pq[i] }
-func (pq *priorityQueue) Push(x any)        { *pq = append(*pq, x.(queueItem)) }
-func (pq *priorityQueue) Pop() any {
-	old := *pq
-	n := len(old)
-	it := old[n-1]
-	*pq = old[:n-1]
-	return it
-}
-
-// Iterator performs incremental best-first nearest-neighbor search. Next
-// returns neighbors in non-decreasing distance order until the tree is
-// exhausted or the configured upper bound cuts the search off. The iterator
-// implements both INN (zero Bounds) and EINN (client-derived Bounds).
-type Iterator struct {
+// Iterator performs incremental best-first nearest-neighbor search: INN
+// under zero Bounds, EINN under client-derived Bounds. Next returns
+// neighbors in non-decreasing distance order until the tree is exhausted or
+// the upper bound cuts the search off. The zero value is ready for Reset;
+// the priority queue survives Reset, so a reused iterator performs no heap
+// allocations in steady state. An Iterator is owned by one traversal at a
+// time.
+type Iterator[N Node[N]] struct {
 	query  geom.Point
 	bounds Bounds
-	pq     priorityQueue
+	pq     []item[N]
+	pages  int64
 	done   bool
 }
 
-// NewIterator starts an incremental NN search from q over t, honoring b.
-func NewIterator(t *rtree.Tree, q geom.Point, b Bounds) *Iterator {
-	return NewIteratorOver(Source(t), q, b)
+// Reset starts a new search from q over t, honoring b. The page count
+// restarts at 1: the root fetch, counted even for an empty tree.
+func (it *Iterator[N]) Reset(t Tree[N], q geom.Point, b Bounds) {
+	it.query = q
+	it.bounds = b
+	it.pq = it.pq[:0]
+	it.pages = 1
+	it.done = false
+	root, ok := t.Root()
+	if !ok {
+		it.done = true
+		return
+	}
+	it.pq = append(it.pq, item[N]{dist: 0, isNode: true, isRoot: true, parent: root})
 }
 
-// NewIteratorOver starts an incremental NN search over any TreeSource —
-// the in-memory R*-tree or the disk-backed packed tree.
-func NewIteratorOver(src TreeSource, q geom.Point, b Bounds) *Iterator {
-	it := &Iterator{query: q, bounds: b}
-	root, ok := src.Root()
-	if ok {
-		it.pq = priorityQueue{{dist: 0, isNode: true, isRoot: true, root: root}}
-		heap.Init(&it.pq)
-	} else {
-		it.done = true
-	}
-	return it
-}
+// Pages returns the page reads performed since the last Reset: one for the
+// root plus one per child fetched.
+func (it *Iterator[N]) Pages() int64 { return it.pages }
 
 // Next returns the next nearest neighbor beyond the lower bound, or ok=false
 // when the search is exhausted (no more objects, or all remaining search
 // paths exceed the upper bound).
-func (it *Iterator) Next() (Result, bool) {
+func (it *Iterator[N]) Next() (Result, bool) {
 	lo, hi := it.bounds.lower(), it.bounds.upper()
-	for !it.done && it.pq.Len() > 0 {
-		item := heap.Pop(&it.pq).(queueItem)
-		if item.dist > hi {
+	for !it.done && len(it.pq) > 0 {
+		top := it.pop()
+		if top.dist > hi {
 			// Everything still queued is at least this far: stop for good.
 			it.done = true
 			return Result{}, false
 		}
-		if !item.isNode {
-			return Result{Point: item.rect.Center(), Data: item.data, Dist: item.dist}, true
+		if !top.isNode {
+			return Result{Point: top.rect.Center(), Data: top.data, Dist: top.dist}, true
 		}
-		nd := item.fetch()
+		nd := top.parent
+		if !top.isRoot {
+			nd = top.parent.Child(top.childIdx)
+			it.pages++
+		}
 		for i := 0; i < nd.Len(); i++ {
 			r := nd.Rect(i)
 			mind := r.MinDist(it.query)
@@ -171,54 +175,86 @@ func (it *Iterator) Next() (Result, bool) {
 				if mind <= lo {
 					continue // object already certain at the client
 				}
-				heap.Push(&it.pq, queueItem{dist: mind, rect: r, data: nd.Data(i)})
+				it.push(item[N]{dist: mind, rect: r, data: nd.Data(i)})
 				continue
 			}
 			if it.bounds.HasLower && r.MaxDist(it.query) <= lo {
 				continue // downward pruning: MBR inside the certain circle
 			}
-			heap.Push(&it.pq, queueItem{dist: mind, isNode: true, parent: nd, childIdx: i})
+			it.push(item[N]{dist: mind, isNode: true, parent: nd, childIdx: i})
 		}
 	}
 	it.done = true
 	return Result{}, false
 }
 
-// TightenUpper lowers the iterator's upper bound; subsequent Next calls prune
-// with the new value. Raising the bound is ignored: pruned state cannot be
-// recovered.
-func (it *Iterator) TightenUpper(u float64) {
-	if !it.bounds.HasUpper || u < it.bounds.Upper {
-		it.bounds.Upper = u
-		it.bounds.HasUpper = true
+// push, pop, up and down follow the standard library heap's sift order, ties
+// included: the visit order among equal distances — and with it result tie
+// order and page counts — is pinned against a reference built on that
+// package in internal/sim's tests.
+func (it *Iterator[N]) push(x item[N]) {
+	it.pq = append(it.pq, x)
+	it.up(len(it.pq) - 1)
+}
+
+func (it *Iterator[N]) pop() item[N] {
+	n := len(it.pq) - 1
+	it.pq[0], it.pq[n] = it.pq[n], it.pq[0]
+	it.down(0, n)
+	x := it.pq[n]
+	it.pq = it.pq[:n]
+	return x
+}
+
+func (it *Iterator[N]) up(j int) {
+	pq := it.pq
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(pq[j].dist < pq[i].dist) {
+			break
+		}
+		pq[i], pq[j] = pq[j], pq[i]
+		j = i
+	}
+}
+
+func (it *Iterator[N]) down(i0, n int) {
+	pq := it.pq
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && pq[j2].dist < pq[j1].dist {
+			j = j2
+		}
+		if !(pq[j].dist < pq[i].dist) {
+			break
+		}
+		pq[i], pq[j] = pq[j], pq[i]
+		i = j
 	}
 }
 
 // BestFirst returns the k nearest neighbors of q in ascending distance order
-// using the optimal incremental algorithm (INN). Fewer than k results are
-// returned when the tree holds fewer objects.
-func BestFirst(t *rtree.Tree, q geom.Point, k int) []Result {
+// using the optimal incremental algorithm (INN), and the pages the traversal
+// read. Fewer than k results are returned when the tree holds fewer objects.
+func BestFirst[N Node[N]](t Tree[N], q geom.Point, k int) ([]Result, int64) {
 	return EINN(t, q, k, NoBounds)
 }
 
-// BestFirstOver is BestFirst over any TreeSource.
-func BestFirstOver(src TreeSource, q geom.Point, k int) []Result {
-	return EINNOver(src, q, k, NoBounds)
-}
-
 // EINN returns the k nearest neighbors of q at distance greater than the
-// lower bound, using best-first search with the paper's pruning rules. The
-// search dynamically tightens the upper bound as results accumulate.
-func EINN(t *rtree.Tree, q geom.Point, k int, b Bounds) []Result {
-	return EINNOver(Source(t), q, k, b)
-}
-
-// EINNOver is EINN over any TreeSource.
-func EINNOver(src TreeSource, q geom.Point, k int, b Bounds) []Result {
+// lower bound, using best-first search with the paper's pruning rules, and
+// the pages the traversal read. k <= 0 performs no traversal at all — not
+// even the root fetch — and reads 0 pages.
+func EINN[N Node[N]](t Tree[N], q geom.Point, k int, b Bounds) ([]Result, int64) {
 	if k <= 0 {
-		return nil
+		return nil, 0
 	}
-	it := NewIteratorOver(src, q, b)
+	var it Iterator[N]
+	it.Reset(t, q, b)
 	out := make([]Result, 0, k)
 	for len(out) < k {
 		r, ok := it.Next()
@@ -227,131 +263,7 @@ func EINNOver(src TreeSource, q geom.Point, k int, b Bounds) []Result {
 		}
 		out = append(out, r)
 	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Depth-first branch-and-bound (Roussopoulos et al. 1995).
-
-// DepthFirst returns the k nearest neighbors of q in ascending distance
-// order by depth-first branch-and-bound over the R-tree, visiting subtrees in
-// MINDIST order and pruning those that cannot beat the current k-th best.
-func DepthFirst(t *rtree.Tree, q geom.Point, k int) []Result {
-	return DepthFirstOver(Source(t), q, k)
-}
-
-// DepthFirstOver is DepthFirst over any TreeSource.
-func DepthFirstOver(src TreeSource, q geom.Point, k int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	root, ok := src.Root()
-	if !ok {
-		return nil
-	}
-	best := &resultHeap{k: k}
-	dfVisit(root, q, best)
-	return best.sorted()
-}
-
-func dfVisit(nd TreeNode, q geom.Point, best *resultHeap) {
-	if nd.IsLeaf() {
-		for i := 0; i < nd.Len(); i++ {
-			d := nd.Rect(i).MinDist(q)
-			if best.accepts(d) {
-				best.push(Result{Point: nd.Rect(i).Center(), Data: nd.Data(i), Dist: d})
-			}
-		}
-		return
-	}
-	// Order children by MINDIST; prune those beyond the current k-th best.
-	// For 1NN queries the classic MINMAXDIST rule applies additionally:
-	// some object is guaranteed within the smallest sibling MINMAXDIST, so
-	// branches whose MINDIST exceeds it can never contain the winner.
-	type branch struct {
-		idx  int
-		dist float64
-	}
-	branches := make([]branch, 0, nd.Len())
-	minMaxBound := math.Inf(1)
-	for i := 0; i < nd.Len(); i++ {
-		r := nd.Rect(i)
-		branches = append(branches, branch{i, r.MinDist(q)})
-		if best.k == 1 {
-			if mm := r.MinMaxDist(q); mm < minMaxBound {
-				minMaxBound = mm
-			}
-		}
-	}
-	sort.Slice(branches, func(a, b int) bool { return branches[a].dist < branches[b].dist })
-	for _, br := range branches {
-		if !best.accepts(br.dist) {
-			return // remaining branches are even farther
-		}
-		if br.dist > minMaxBound+geom.Eps {
-			return // MINMAXDIST downward pruning (1NN only)
-		}
-		dfVisit(nd.Child(br.idx), q, best)
-	}
-}
-
-// resultHeap keeps the k best results seen so far as a max-heap on distance.
-type resultHeap struct {
-	k     int
-	items []Result
-}
-
-func (h *resultHeap) accepts(d float64) bool {
-	return len(h.items) < h.k || d < h.items[0].Dist
-}
-
-func (h *resultHeap) push(r Result) {
-	if len(h.items) < h.k {
-		h.items = append(h.items, r)
-		h.up(len(h.items) - 1)
-		return
-	}
-	if r.Dist >= h.items[0].Dist {
-		return
-	}
-	h.items[0] = r
-	h.down(0)
-}
-
-func (h *resultHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.items[parent].Dist >= h.items[i].Dist {
-			return
-		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
-	}
-}
-
-func (h *resultHeap) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && h.items[l].Dist > h.items[largest].Dist {
-			largest = l
-		}
-		if r < n && h.items[r].Dist > h.items[largest].Dist {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h.items[i], h.items[largest] = h.items[largest], h.items[i]
-		i = largest
-	}
-}
-
-func (h *resultHeap) sorted() []Result {
-	out := append([]Result(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
-	return out
+	return out, it.Pages()
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +271,7 @@ func (h *resultHeap) sorted() []Result {
 
 // BruteForce scans every stored object and returns the k nearest neighbors
 // of q in ascending distance order. It exists as the correctness oracle for
-// tests and small workloads; it does not touch the page-access counter.
+// tests and small workloads.
 func BruteForce(t *rtree.Tree, q geom.Point, k int) []Result {
 	if k <= 0 {
 		return nil

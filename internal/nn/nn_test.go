@@ -22,6 +22,147 @@ func buildTree(seed int64, n int, span float64, maxEntries int) (*rtree.Tree, []
 	return t, pts
 }
 
+// bestFirst, einn and depthFirst drop the page count for the tests that only
+// compare results.
+func bestFirst(t *rtree.Tree, q geom.Point, k int) []Result {
+	res, _ := BestFirst(t, q, k)
+	return res
+}
+
+func einn(t *rtree.Tree, q geom.Point, k int, b Bounds) []Result {
+	res, _ := EINN(t, q, k, b)
+	return res
+}
+
+func depthFirst(t *rtree.Tree, q geom.Point, k int) []Result {
+	res, _ := depthFirstCounted(t, q, k)
+	return res
+}
+
+// ---------------------------------------------------------------------------
+// Depth-first branch-and-bound (Roussopoulos, Kelley and Vincent, SIGMOD
+// 1995): the second, structurally different kNN the best-first iterator is
+// checked against, and the baseline of its optimality claim. It counts its
+// own page reads the way the iterator does: one for the root, one per Child.
+
+// depthFirstCounted returns the k nearest neighbors of q in ascending
+// distance order by depth-first branch-and-bound, visiting subtrees in
+// MINDIST order and pruning those that cannot beat the current k-th best.
+func depthFirstCounted(t *rtree.Tree, q geom.Point, k int) ([]Result, int64) {
+	if k <= 0 {
+		return nil, 0
+	}
+	root, ok := t.Root()
+	if !ok {
+		return nil, 1
+	}
+	best := &resultHeap{k: k}
+	pages := int64(1)
+	dfVisit(root, q, best, &pages)
+	return best.sorted(), pages
+}
+
+func dfVisit(nd rtree.Node, q geom.Point, best *resultHeap, pages *int64) {
+	if nd.IsLeaf() {
+		for i := 0; i < nd.Len(); i++ {
+			d := nd.Rect(i).MinDist(q)
+			if best.accepts(d) {
+				best.push(Result{Point: nd.Rect(i).Center(), Data: nd.Data(i), Dist: d})
+			}
+		}
+		return
+	}
+	// Order children by MINDIST; prune those beyond the current k-th best.
+	// For 1NN queries the classic MINMAXDIST rule applies additionally:
+	// some object is guaranteed within the smallest sibling MINMAXDIST, so
+	// branches whose MINDIST exceeds it can never contain the winner.
+	type branch struct {
+		idx  int
+		dist float64
+	}
+	branches := make([]branch, 0, nd.Len())
+	minMaxBound := math.Inf(1)
+	for i := 0; i < nd.Len(); i++ {
+		r := nd.Rect(i)
+		branches = append(branches, branch{i, r.MinDist(q)})
+		if best.k == 1 {
+			if mm := r.MinMaxDist(q); mm < minMaxBound {
+				minMaxBound = mm
+			}
+		}
+	}
+	sort.Slice(branches, func(a, b int) bool { return branches[a].dist < branches[b].dist })
+	for _, br := range branches {
+		if !best.accepts(br.dist) {
+			return // remaining branches are even farther
+		}
+		if br.dist > minMaxBound+geom.Eps {
+			return // MINMAXDIST downward pruning (1NN only)
+		}
+		*pages++
+		dfVisit(nd.Child(br.idx), q, best, pages)
+	}
+}
+
+// resultHeap keeps the k best results seen so far as a max-heap on distance.
+type resultHeap struct {
+	k     int
+	items []Result
+}
+
+func (h *resultHeap) accepts(d float64) bool {
+	return len(h.items) < h.k || d < h.items[0].Dist
+}
+
+func (h *resultHeap) push(r Result) {
+	if len(h.items) < h.k {
+		h.items = append(h.items, r)
+		h.up(len(h.items) - 1)
+		return
+	}
+	if r.Dist >= h.items[0].Dist {
+		return
+	}
+	h.items[0] = r
+	h.down(0)
+}
+
+func (h *resultHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.items[parent].Dist >= h.items[i].Dist {
+			return
+		}
+		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		i = parent
+	}
+}
+
+func (h *resultHeap) down(i int) {
+	n := len(h.items)
+	for {
+		l, r := 2*i+1, 2*i+2
+		largest := i
+		if l < n && h.items[l].Dist > h.items[largest].Dist {
+			largest = l
+		}
+		if r < n && h.items[r].Dist > h.items[largest].Dist {
+			largest = r
+		}
+		if largest == i {
+			return
+		}
+		h.items[i], h.items[largest] = h.items[largest], h.items[i]
+		i = largest
+	}
+}
+
+func (h *resultHeap) sorted() []Result {
+	out := append([]Result(nil), h.items...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
+	return out
+}
+
 func sameResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -49,15 +190,16 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			q := geom.Pt(rng.Float64()*1200-100, rng.Float64()*1200-100)
 			k := 1 + rng.Intn(20)
 			want := BruteForce(tree, q, k)
-			sameResults(t, "BestFirst", BestFirst(tree, q, k), want)
-			sameResults(t, "DepthFirst", DepthFirst(tree, q, k), want)
+			sameResults(t, "BestFirst", bestFirst(tree, q, k), want)
+			sameResults(t, "DepthFirst", depthFirst(tree, q, k), want)
 		}
 	}
 }
 
 func TestBestFirstAscendingOrder(t *testing.T) {
 	tree, _ := buildTree(7, 2000, 500, 16)
-	it := NewIterator(tree, geom.Pt(250, 250), NoBounds)
+	var it Iterator[rtree.Node]
+	it.Reset(tree, geom.Pt(250, 250), NoBounds)
 	prev := -1.0
 	count := 0
 	for {
@@ -80,20 +222,22 @@ func TestBestFirstAscendingOrder(t *testing.T) {
 	}
 }
 
+// The page-count contract at the edges: k <= 0 performs no traversal (0
+// pages), an empty tree still costs the root fetch (1 page).
 func TestKZeroAndEmptyTree(t *testing.T) {
 	tree, _ := buildTree(1, 100, 100, 4)
-	if got := BestFirst(tree, geom.Pt(0, 0), 0); got != nil {
-		t.Errorf("k=0 should return nil, got %v", got)
+	if got, pages := BestFirst(tree, geom.Pt(0, 0), 0); got != nil || pages != 0 {
+		t.Errorf("k=0 should return nil and read 0 pages, got %v, %d", got, pages)
 	}
-	if got := DepthFirst(tree, geom.Pt(0, 0), -1); got != nil {
-		t.Errorf("negative k should return nil, got %v", got)
+	if got, pages := depthFirstCounted(tree, geom.Pt(0, 0), -1); got != nil || pages != 0 {
+		t.Errorf("negative k should return nil and read 0 pages, got %v, %d", got, pages)
 	}
 	empty := rtree.NewDefault()
-	if got := BestFirst(empty, geom.Pt(0, 0), 5); len(got) != 0 {
-		t.Errorf("empty tree should return no results, got %v", got)
+	if got, pages := BestFirst(empty, geom.Pt(0, 0), 5); len(got) != 0 || pages != 1 {
+		t.Errorf("empty tree should return no results for 1 page, got %v, %d", got, pages)
 	}
-	if got := DepthFirst(empty, geom.Pt(0, 0), 5); len(got) != 0 {
-		t.Errorf("empty tree should return no results, got %v", got)
+	if got, pages := depthFirstCounted(empty, geom.Pt(0, 0), 5); len(got) != 0 || pages != 1 {
+		t.Errorf("empty tree should return no results for 1 page, got %v, %d", got, pages)
 	}
 	if got := BruteForce(empty, geom.Pt(0, 0), 5); len(got) != 0 {
 		t.Errorf("empty tree brute force returned %v", got)
@@ -106,8 +250,8 @@ func TestKLargerThanTree(t *testing.T) {
 		name string
 		fn   func() []Result
 	}{
-		{"BestFirst", func() []Result { return BestFirst(tree, geom.Pt(50, 50), 25) }},
-		{"DepthFirst", func() []Result { return DepthFirst(tree, geom.Pt(50, 50), 25) }},
+		{"BestFirst", func() []Result { return bestFirst(tree, geom.Pt(50, 50), 25) }},
+		{"DepthFirst", func() []Result { return depthFirst(tree, geom.Pt(50, 50), 25) }},
 	} {
 		got := algo.fn()
 		if len(got) != 10 {
@@ -131,7 +275,7 @@ func TestEINNLowerBound(t *testing.T) {
 		full := BruteForce(tree, q, k+30)
 		lowerIdx := rng.Intn(20)
 		lower := full[lowerIdx].Dist
-		got := EINN(tree, q, k, Bounds{Lower: lower, HasLower: true})
+		got := einn(tree, q, k, Bounds{Lower: lower, HasLower: true})
 		var want []Result
 		for _, r := range full {
 			if r.Dist > lower && len(want) < k {
@@ -153,7 +297,7 @@ func TestEINNValidUpperBoundPreservesResults(t *testing.T) {
 		k := 1 + rng.Intn(10)
 		want := BruteForce(tree, q, k)
 		upper := want[len(want)-1].Dist * (1 + rng.Float64())
-		got := EINN(tree, q, k, Bounds{Upper: upper, HasUpper: true})
+		got := einn(tree, q, k, Bounds{Upper: upper, HasUpper: true})
 		sameResults(t, "EINN upper", got, want)
 	}
 }
@@ -165,7 +309,7 @@ func TestEINNUpperBoundCutsOff(t *testing.T) {
 	q := geom.Pt(500, 500)
 	full := BruteForce(tree, q, 50)
 	upper := full[9].Dist
-	got := EINN(tree, q, 50, Bounds{Upper: upper, HasUpper: true})
+	got := einn(tree, q, 50, Bounds{Upper: upper, HasUpper: true})
 	if len(got) > 11 {
 		t.Fatalf("upper bound ignored: got %d results", len(got))
 	}
@@ -190,7 +334,7 @@ func TestEINNBothBounds(t *testing.T) {
 			lower = full[nCertain-1].Dist
 		}
 		upper := full[k-1].Dist // true kth NN distance: always valid
-		got := EINN(tree, q, k-nCertain, Bounds{
+		got := einn(tree, q, k-nCertain, Bounds{
 			Lower: lower, HasLower: nCertain > 0,
 			Upper: upper, HasUpper: true,
 		})
@@ -214,17 +358,13 @@ func TestEINNAccessesAtMostINN(t *testing.T) {
 			Lower: full[nCertain-1].Dist, HasLower: true,
 			Upper: full[k-1].Dist, HasUpper: true,
 		}
-		tree.ResetAccessCount()
-		_ = BestFirst(tree, q, k)
-		inn := tree.AccessCount()
-		tree.ResetAccessCount()
-		_ = EINN(tree, q, k-nCertain, b)
-		einn := tree.AccessCount()
-		if einn > inn {
-			t.Fatalf("EINN accessed %d pages, INN %d", einn, inn)
+		_, innAcc := BestFirst(tree, q, k)
+		_, einnAcc := EINN(tree, q, k-nCertain, b)
+		if einnAcc > innAcc {
+			t.Fatalf("EINN accessed %d pages, INN %d", einnAcc, innAcc)
 		}
-		totalINN += inn
-		totalEINN += einn
+		totalINN += innAcc
+		totalEINN += einnAcc
 	}
 	if totalEINN > totalINN {
 		t.Errorf("EINN total accesses %d exceed INN %d", totalEINN, totalINN)
@@ -254,57 +394,11 @@ func TestEINNDownwardPruningStrictWin(t *testing.T) {
 	k := 2005
 	full := BruteForce(tree, q, k)
 	lower := full[1999].Dist
-	tree.ResetAccessCount()
-	inn := BestFirst(tree, q, k)
-	innAcc := tree.AccessCount()
-	tree.ResetAccessCount()
-	einn := EINN(tree, q, 5, Bounds{Lower: lower, HasLower: true, Upper: full[k-1].Dist, HasUpper: true})
-	einnAcc := tree.AccessCount()
-	sameResults(t, "strict win results", einn, full[2000:])
+	_, innAcc := BestFirst(tree, q, k)
+	got, einnAcc := EINN(tree, q, 5, Bounds{Lower: lower, HasLower: true, Upper: full[k-1].Dist, HasUpper: true})
+	sameResults(t, "strict win results", got, full[2000:])
 	if einnAcc*2 >= innAcc {
 		t.Errorf("expected EINN (%d accesses) to beat INN (%d) by more than 2x", einnAcc, innAcc)
-	}
-	_ = inn
-}
-
-func TestIteratorTightenUpper(t *testing.T) {
-	tree, _ := buildTree(29, 2000, 1000, 16)
-	q := geom.Pt(500, 500)
-	full := BruteForce(tree, q, 20)
-	it := NewIterator(tree, q, NoBounds)
-	// Read 5 results, then clamp the bound below result 10.
-	for i := 0; i < 5; i++ {
-		if _, ok := it.Next(); !ok {
-			t.Fatal("premature exhaustion")
-		}
-	}
-	it.TightenUpper(full[9].Dist)
-	count := 5
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		if r.Dist > full[9].Dist+1e-9 {
-			t.Fatalf("result %v beyond tightened bound %v", r.Dist, full[9].Dist)
-		}
-		count++
-	}
-	if count < 9 || count > 11 {
-		t.Errorf("got %d results with tightened bound, expected about 10", count)
-	}
-	// Attempting to raise the bound must be a no-op.
-	it2 := NewIterator(tree, q, Bounds{Upper: full[4].Dist, HasUpper: true})
-	it2.TightenUpper(full[15].Dist)
-	n := 0
-	for {
-		if _, ok := it2.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n > 6 {
-		t.Errorf("raising bound should be ignored; got %d results", n)
 	}
 }
 
@@ -315,12 +409,8 @@ func TestBestFirstOptimality(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := geom.Pt(rng.Float64()*5000, rng.Float64()*5000)
 		k := 1 + rng.Intn(15)
-		tree.ResetAccessCount()
-		bf := BestFirst(tree, q, k)
-		bfAcc := tree.AccessCount()
-		tree.ResetAccessCount()
-		df := DepthFirst(tree, q, k)
-		dfAcc := tree.AccessCount()
+		bf, bfAcc := BestFirst(tree, q, k)
+		df, dfAcc := depthFirstCounted(tree, q, k)
 		sameResults(t, "BF vs DF", bf, df)
 		if bfAcc > dfAcc {
 			t.Errorf("best-first accessed %d > depth-first %d (k=%d)", bfAcc, dfAcc, k)
@@ -336,7 +426,7 @@ func TestDuplicateDistances(t *testing.T) {
 		th := 2 * math.Pi * float64(i) / 16
 		tree.InsertPoint(geom.Pt(center.X+50*math.Cos(th), center.Y+50*math.Sin(th)), i)
 	}
-	got := BestFirst(tree, center, 7)
+	got := bestFirst(tree, center, 7)
 	if len(got) != 7 {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -357,16 +447,6 @@ func BenchmarkBestFirstK5(b *testing.B) {
 	}
 }
 
-func BenchmarkDepthFirstK5(b *testing.B) {
-	tree, _ := buildTree(1, 50000, 48280, 30)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := geom.Pt(rng.Float64()*48280, rng.Float64()*48280)
-		DepthFirst(tree, q, 5)
-	}
-}
-
 func BenchmarkEINNWithBounds(b *testing.B) {
 	tree, _ := buildTree(1, 50000, 48280, 30)
 	rng := rand.New(rand.NewSource(2))
@@ -379,7 +459,7 @@ func BenchmarkEINNWithBounds(b *testing.B) {
 	pool := make([]qb, 256)
 	for i := range pool {
 		q := geom.Pt(rng.Float64()*48280, rng.Float64()*48280)
-		full := BestFirst(tree, q, 5)
+		full := bestFirst(tree, q, 5)
 		pool[i] = qb{q: q, b: Bounds{
 			Lower: full[1].Dist, HasLower: true,
 			Upper: full[4].Dist, HasUpper: true,

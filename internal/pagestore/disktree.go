@@ -6,12 +6,11 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/nn"
 	"repro/internal/rtree"
 )
 
 // This file implements a packed, read-only, page-per-node R-tree layout and
-// its traversal through the nn.TreeSource interface. Pack serializes an
+// the node view internal/nn's generic iterator traverses. Pack serializes an
 // in-memory R*-tree (preserving its exact structure, so fan-out and node
 // boundaries — and therefore page-access counts — are identical); an opened
 // DiskTree then serves queries through a BufferPool, turning the paper's
@@ -141,8 +140,9 @@ func packNode(nd rtree.Node, dst Appender, encode ItemEncoder) (PageID, error) {
 	return dst.AppendPage(buf)
 }
 
-// DiskTree is a packed R-tree served through a buffer pool. It implements
-// nn.TreeSource, so the INN/EINN algorithms run over it unchanged.
+// DiskTree is a packed R-tree served through a buffer pool. Its Root and the
+// nodes it returns have the method set nn.Iterator traverses, so INN/EINN
+// run over it unchanged.
 type DiskTree struct {
 	pool   *BufferPool
 	root   PageID
@@ -187,8 +187,9 @@ func (dt *DiskTree) Height() int { return dt.height }
 // Pool exposes the buffer pool for statistics.
 func (dt *DiskTree) Pool() *BufferPool { return dt.pool }
 
-// Root implements nn.TreeSource.
-func (dt *DiskTree) Root() (nn.TreeNode, bool) {
+// Root fetches the root node. ok is false for an empty tree or a failed
+// page read.
+func (dt *DiskTree) Root() (*diskNode, bool) {
 	nd, err := dt.fetch(dt.root)
 	if err != nil {
 		return nil, false
@@ -257,10 +258,10 @@ func (dt *DiskTree) fetch(id PageID) (*diskNode, error) {
 	return nd, nil
 }
 
-// IsLeaf implements nn.TreeNode.
+// IsLeaf reports whether entries carry items rather than children.
 func (nd *diskNode) IsLeaf() bool { return nd.leaf }
 
-// Len implements nn.TreeNode.
+// Len returns the entry count.
 func (nd *diskNode) Len() int {
 	if nd.leaf {
 		return len(nd.items)
@@ -268,7 +269,7 @@ func (nd *diskNode) Len() int {
 	return len(nd.rects)
 }
 
-// Rect implements nn.TreeNode.
+// Rect returns the bounding rectangle of entry i.
 func (nd *diskNode) Rect(i int) geom.Rect {
 	if nd.leaf {
 		return geom.RectFromPoint(nd.items[i].Loc)
@@ -276,13 +277,13 @@ func (nd *diskNode) Rect(i int) geom.Rect {
 	return nd.rects[i]
 }
 
-// Data implements nn.TreeNode.
+// Data returns the LeafItem of leaf entry i.
 func (nd *diskNode) Data(i int) any { return nd.items[i] }
 
-// Child implements nn.TreeNode. Fetch failures surface as an empty node —
-// the packed file is validated at open time, so this only happens on
-// truncated files mid-read.
-func (nd *diskNode) Child(i int) nn.TreeNode {
+// Child fetches the child node of inner entry i. Fetch failures surface as
+// an empty node — the packed file is validated at open time, so this only
+// happens on truncated files mid-read.
+func (nd *diskNode) Child(i int) *diskNode {
 	child, err := nd.dt.fetch(nd.kids[i])
 	if err != nil {
 		return &diskNode{dt: nd.dt, leaf: true}

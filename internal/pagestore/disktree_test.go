@@ -75,14 +75,11 @@ func TestDiskTreeEquivalence(t *testing.T) {
 		q := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
 		k := 1 + rng.Intn(12)
 
-		tree.ResetAccessCount()
-		memRes := nn.BestFirst(tree, q, k)
-		memAcc := tree.AccessCount()
+		memRes, memAcc := nn.BestFirst(tree, q, k)
 
 		dt.Pool().ResetStats()
-		diskRes := nn.BestFirstOver(dt, q, k)
+		diskRes, diskAcc := nn.BestFirst(dt, q, k)
 		h, ms := dt.Pool().Stats()
-		diskAcc := h + ms
 
 		if len(memRes) != len(diskRes) {
 			t.Fatalf("trial %d: result counts differ", trial)
@@ -98,14 +95,19 @@ func TestDiskTreeEquivalence(t *testing.T) {
 		if diskAcc != memAcc {
 			t.Fatalf("trial %d: disk accesses %d != memory accesses %d", trial, diskAcc, memAcc)
 		}
+		// The buffer pool counts lookups independently of the iterator.
+		if h+ms != diskAcc {
+			t.Fatalf("trial %d: pool served %d lookups, traversal counted %d pages", trial, h+ms, diskAcc)
+		}
 		// EINN with bounds agrees too.
 		full := nn.BruteForce(tree, q, k+5)
 		if len(full) > 2 {
 			b := nn.Bounds{Lower: full[0].Dist, HasLower: true, Upper: full[len(full)-1].Dist, HasUpper: true}
-			memE := nn.EINN(tree, q, k, b)
-			diskE := nn.EINNOver(dt, q, k, b)
-			if len(memE) != len(diskE) {
-				t.Fatalf("trial %d: EINN result counts differ", trial)
+			memE, memPages := nn.EINN(tree, q, k, b)
+			diskE, diskPages := nn.EINN(dt, q, k, b)
+			if len(memE) != len(diskE) || memPages != diskPages {
+				t.Fatalf("trial %d: EINN results %d/%d, pages %d/%d differ",
+					trial, len(memE), len(diskE), memPages, diskPages)
 			}
 			for i := range memE {
 				if math.Abs(memE[i].Dist-diskE[i].Dist) > 1e-9 {
@@ -126,7 +128,7 @@ func TestBufferPoolExtremes(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
 		for i := 0; i < 200; i++ {
 			q := geom.Pt(rng.Float64()*48000, rng.Float64()*48000)
-			nn.BestFirstOver(dt, q, 5)
+			nn.BestFirst(dt, q, 5)
 		}
 	}
 
@@ -188,7 +190,7 @@ func TestDiskTreeFileRoundTrip(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := geom.Pt(rng.Float64()*5000, rng.Float64()*5000)
 		want := nn.BruteForce(tree, q, 5)
-		got := nn.BestFirstOver(dt, q, 5)
+		got, _ := nn.BestFirst(dt, q, 5)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: count mismatch", trial)
 		}
@@ -219,7 +221,7 @@ func BenchmarkDiskTreeKNNColdPool(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*48280, rng.Float64()*48280)
-		nn.BestFirstOver(dt, q, 5)
+		nn.BestFirst(dt, q, 5)
 	}
 	b.ReportMetric(dt.Pool().HitRate()*100, "hit%")
 }
@@ -239,7 +241,7 @@ func BenchmarkDiskTreeKNNWarmPool(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*48280, rng.Float64()*48280)
-		nn.BestFirstOver(dt, q, 5)
+		nn.BestFirst(dt, q, 5)
 	}
 	b.ReportMetric(dt.Pool().HitRate()*100, "hit%")
 }

@@ -5,8 +5,8 @@
 //
 // It implements a fixed-size page file and an LRU buffer pool with pin
 // counting and hit/miss statistics, plus a packed, read-only R-tree layout
-// (one node per page) that the kNN algorithms in internal/nn traverse
-// through the nn.TreeSource interface. Running INN/EINN over a DiskTree
+// (one node per page) whose node view the generic iterator in internal/nn
+// traverses directly. Running INN/EINN over a DiskTree
 // reports true buffer hits versus disk faults, locating a configuration
 // anywhere between the paper's two extremes by sizing the pool.
 package pagestore

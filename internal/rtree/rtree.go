@@ -2,8 +2,10 @@
 // Seeger (SIGMOD 1990), the disk-based spatial index the paper's database
 // server uses to store points of interest. It provides insertion with forced
 // reinsertion, the R* topological split, deletion with tree condensation,
-// rectangle range search, and a node traversal API with page-access
-// accounting that the kNN algorithms in internal/nn build on.
+// rectangle range search, and a read-only node traversal API that the kNN
+// algorithms in internal/nn build on. The tree keeps no query-time state:
+// a traversal counts the pages it reads itself (Search returns its count,
+// nn.Iterator keeps its own), so concurrent readers share nothing mutable.
 //
 // The paper configures the branching factor of both index and leaf nodes to
 // 30 (§4.4); DefaultMaxEntries matches that.
@@ -13,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -52,17 +53,12 @@ func (n *node) bounds() geom.Rect {
 
 // Tree is an R*-tree mapping rectangles (usually degenerate point rectangles)
 // to opaque values. The zero value is not usable; construct with New.
-// Tree is not safe for concurrent mutation; concurrent read-only use —
-// including the access counter, which is atomic — is safe. Callers that need
-// a per-query access delta under concurrent readers should count through
-// their own traversal wrapper (nn.CountedSource) instead of differencing
-// AccessCount, which observes every concurrent reader at once.
+// Tree is not safe for concurrent mutation; concurrent read-only use is safe.
 type Tree struct {
 	root       *node
 	minEntries int
 	maxEntries int
 	size       int
-	accesses   atomic.Int64
 }
 
 // New returns an empty tree with the given maximum node fan-out. The minimum
@@ -95,15 +91,6 @@ func (t *Tree) Height() int { return t.root.level + 1 }
 
 // Bounds returns the MBR of all stored values.
 func (t *Tree) Bounds() geom.Rect { return t.root.bounds() }
-
-// AccessCount returns the number of node (page) reads performed through the
-// query APIs — Search and the Node traversal — since the last reset. Insert
-// and Delete do not contribute: the paper's PAR metric counts query-time
-// accesses only.
-func (t *Tree) AccessCount() int64 { return t.accesses.Load() }
-
-// ResetAccessCount zeroes the page-access counter.
-func (t *Tree) ResetAccessCount() { t.accesses.Store(0) }
 
 // InsertPoint stores data under the degenerate rectangle at p.
 func (t *Tree) InsertPoint(p geom.Point, data any) {
@@ -463,13 +450,15 @@ func (t *Tree) condense(path []*node) {
 }
 
 // Search invokes fn for every stored value whose rectangle intersects query,
-// stopping early if fn returns false. Visited nodes count as page accesses.
-func (t *Tree) Search(query geom.Rect, fn func(rect geom.Rect, data any) bool) {
-	t.searchNode(t.root, query, fn)
+// stopping early if fn returns false. It returns the number of nodes it
+// visited — the page accesses of this one search (the root always counts).
+func (t *Tree) Search(query geom.Rect, fn func(rect geom.Rect, data any) bool) (pages int64) {
+	searchNode(t.root, query, fn, &pages)
+	return pages
 }
 
-func (t *Tree) searchNode(n *node, query geom.Rect, fn func(geom.Rect, any) bool) bool {
-	t.accesses.Add(1)
+func searchNode(n *node, query geom.Rect, fn func(geom.Rect, any) bool, pages *int64) bool {
+	*pages++
 	for i := range n.entries {
 		if !n.entries[i].rect.Intersects(query) {
 			continue
@@ -478,15 +467,15 @@ func (t *Tree) searchNode(n *node, query geom.Rect, fn func(geom.Rect, any) bool
 			if !fn(n.entries[i].rect, n.entries[i].data) {
 				return false
 			}
-		} else if !t.searchNode(n.entries[i].child, query, fn) {
+		} else if !searchNode(n.entries[i].child, query, fn, pages) {
 			return false
 		}
 	}
 	return true
 }
 
-// All invokes fn for every stored value without counting page accesses. It is
-// intended for tests and bulk export, not query processing.
+// All invokes fn for every stored value. It is intended for tests and bulk
+// export, not query processing.
 func (t *Tree) All(fn func(rect geom.Rect, data any) bool) {
 	var walk func(n *node) bool
 	walk = func(n *node) bool {
@@ -506,17 +495,15 @@ func (t *Tree) All(fn func(rect geom.Rect, data any) bool) {
 
 // Node is a read-only view of a tree node for query algorithms that manage
 // their own traversal order (best-first kNN and friends). Obtaining a Node —
-// via Root or Child — counts as one page access.
+// via Root or Child — is one page read, which the traversal counts.
 type Node struct {
-	t *Tree
 	n *node
 }
 
-// Root returns the root node, counting one page access. ok is false only for
-// a tree with no entries at all (the empty root is still returned).
+// Root returns the root node. ok is false only for a tree with no entries at
+// all (the empty root is still returned).
 func (t *Tree) Root() (nd Node, ok bool) {
-	t.accesses.Add(1)
-	return Node{t: t, n: t.root}, len(t.root.entries) > 0
+	return Node{n: t.root}, len(t.root.entries) > 0
 }
 
 // IsLeaf reports whether the node's entries carry data rather than children.
@@ -531,10 +518,9 @@ func (nd Node) Rect(i int) geom.Rect { return nd.n.entries[i].rect }
 // Data returns the value of leaf entry i.
 func (nd Node) Data(i int) any { return nd.n.entries[i].data }
 
-// Child fetches the child node of inner entry i, counting one page access.
+// Child fetches the child node of inner entry i.
 func (nd Node) Child(i int) Node {
-	nd.t.accesses.Add(1)
-	return Node{t: nd.t, n: nd.n.entries[i].child}
+	return Node{n: nd.n.entries[i].child}
 }
 
 // CheckInvariants validates the structural invariants of the tree and

@@ -320,39 +320,42 @@ func TestDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestAccessCounting(t *testing.T) {
+// Search reports the nodes it visited: at least the root, and for a window
+// covering everything exactly the node count of the tree.
+func TestSearchReturnsNodesVisited(t *testing.T) {
 	tr := New(4)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 1000; i++ {
 		tr.InsertPoint(randPoint(rng, 100), i)
 	}
-	if tr.AccessCount() != 0 {
-		t.Fatalf("inserts should not count accesses, got %d", tr.AccessCount())
+	all := func(geom.Rect, any) bool { return true }
+	if got := New(4).Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)), all); got != 1 {
+		t.Fatalf("empty tree: search visited %d nodes, want the root alone", got)
 	}
-	tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), func(geom.Rect, any) bool { return true })
-	small := tr.AccessCount()
-	if small < 1 {
-		t.Fatal("search should count at least the root access")
+	small := tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), all)
+	if small < int64(tr.Height()) {
+		t.Fatalf("small search visited %d nodes, want at least one per level (%d)", small, tr.Height())
 	}
-	tr.ResetAccessCount()
-	tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100)), func(geom.Rect, any) bool { return true })
-	full := tr.AccessCount()
-	if full <= small {
-		t.Errorf("full-area search accesses (%d) should exceed small search (%d)", full, small)
-	}
-	tr.ResetAccessCount()
-	nd, ok := tr.Root()
-	if !ok {
-		t.Fatal("Root not ok")
-	}
-	if tr.AccessCount() != 1 {
-		t.Fatalf("Root should count 1 access, got %d", tr.AccessCount())
-	}
-	if !nd.IsLeaf() {
-		_ = nd.Child(0)
-		if tr.AccessCount() != 2 {
-			t.Fatalf("Child should count 1 more access, got %d", tr.AccessCount())
+	var nodes int64
+	var walk func(nd Node)
+	walk = func(nd Node) {
+		nodes++
+		for i := 0; !nd.IsLeaf() && i < nd.Len(); i++ {
+			walk(nd.Child(i))
 		}
+	}
+	root, _ := tr.Root()
+	walk(root)
+	full := tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100)), all)
+	if full != nodes {
+		t.Errorf("full-area search visited %d nodes, tree has %d", full, nodes)
+	}
+	if full <= small {
+		t.Errorf("full-area search (%d nodes) should exceed small search (%d)", full, small)
+	}
+	// An early stop ends the count with the search.
+	if got := tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100)), func(geom.Rect, any) bool { return false }); got != int64(tr.Height()) {
+		t.Errorf("search stopped at the first hit visited %d nodes, want one root-to-leaf path (%d)", got, tr.Height())
 	}
 }
 

@@ -215,7 +215,7 @@ func TestNetworkedSENNMatchesOracle(t *testing.T) {
 	for i := range peers {
 		pos := geom.Pt(center.X+rng.NormFloat64()*400, center.Y+rng.NormFloat64()*400)
 		csize := 2 + rng.Intn(10)
-		nbrs, _ := mod.KNNCounted(pos, csize, nn.Bounds{})
+		nbrs := mod.KNN(pos, csize, nn.Bounds{})
 		pc := core.NewPeerCache(pos, append([]core.POI(nil), nbrs...))
 		peers[i] = fixedPeer{pos: pos, cache: pc}
 

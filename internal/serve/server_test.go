@@ -17,13 +17,19 @@ import (
 	"repro/internal/wire"
 )
 
+// testModule indexes the fixed random POI set every test server serves;
+// calling it again yields an identical, independent module.
+func testModule(nPOIs int) *sim.ServerModule {
+	rng := rand.New(rand.NewSource(41))
+	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}
+	return sim.NewServerModule(sim.RandomPOIs(nPOIs, bounds, rng), 30)
+}
+
 // testServer boots a Server over a fresh random POI set and returns both so
 // oracle tests can query the module directly.
 func testServer(t *testing.T, nPOIs int, opts Options) (*httptest.Server, *sim.ServerModule) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(41))
-	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}
-	mod := sim.NewServerModule(sim.RandomPOIs(nPOIs, bounds, rng), 30)
+	mod := testModule(nPOIs)
 	srv := httptest.NewServer(NewServer(mod, opts).Handler())
 	t.Cleanup(srv.Close)
 	return srv, mod
@@ -62,6 +68,7 @@ func tryOpenSession(srv *httptest.Server) (*WSConn, error) {
 // same neighbors, same tie order, same page count.
 func TestServedKNNMatchesOracle(t *testing.T) {
 	srv, mod := testServer(t, 5000, Options{})
+	oracle := sim.NewSnapshotQuerier(mod)
 	ws := openSession(t, srv)
 	defer ws.Close()
 
@@ -87,10 +94,10 @@ func TestServedKNNMatchesOracle(t *testing.T) {
 		}
 
 		b := nn.Bounds{Lower: q.Lower, HasLower: q.HasLower, Upper: q.Upper, HasUpper: q.HasUpper}
-		// The served query already bumped the module's counters; KNNCounted
-		// here bumps them again, which is fine — counters are stats, not
+		// The served query already bumped the module's counters; the oracle
+		// call bumps them again, which is fine — counters are stats, not
 		// answer content.
-		neighbors, pages := mod.KNNCounted(q.Loc, q.K, b)
+		neighbors, pages := oracle.KNN(q.Loc, q.K, b, nil)
 		want := wire.EncodeAnswer(wire.Answer{
 			ReqID: q.ReqID,
 			Pages: pages,
@@ -129,6 +136,89 @@ func TestServedRangeMatchesOracle(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: served range answer differs from in-process oracle", trial)
 		}
+	}
+}
+
+// /v1/stats.page_accesses is the sum of what each served traversal counted
+// for itself, so kNN and Range traffic on concurrent connections must add up
+// to exactly what a sequential in-process replay of the same queries reports
+// on a fresh module.
+func TestServedPageAccessesExactUnderConcurrentTraffic(t *testing.T) {
+	const nPOIs, conns, perConn = 5000, 8, 150
+	srv, _ := testServer(t, nPOIs, Options{})
+
+	type op struct {
+		loc    geom.Point
+		k      int     // kNN when > 0
+		radius float64 // Range otherwise
+	}
+	rng := rand.New(rand.NewSource(45))
+	ops := make([][]op, conns)
+	for c := range ops {
+		ops[c] = make([]op, perConn)
+		for i := range ops[c] {
+			o := op{loc: geom.Pt(rng.Float64()*10000, rng.Float64()*10000)}
+			if c%2 == 0 { // even connections issue kNN, odd ones Range
+				o.k = 1 + rng.Intn(15)
+			} else {
+				o.radius = 100 + rng.Float64()*500
+			}
+			ops[c][i] = o
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	for c := range ops {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ws, err := tryOpenSession(srv)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer ws.Close()
+			for i, o := range ops[c] {
+				frame := wire.EncodeRange(wire.RangeQuery{ReqID: uint32(i), Loc: o.loc, Radius: o.radius})
+				if o.k > 0 {
+					frame = wire.EncodeQuery(wire.Query{ReqID: uint32(i), K: o.k, Loc: o.loc})
+				}
+				if err := ws.WriteBinary(frame); err != nil {
+					errs <- fmt.Errorf("conn %d op %d: write: %v", c, i, err)
+					return
+				}
+				if _, err := ws.ReadMessage(); err != nil {
+					errs <- fmt.Errorf("conn %d op %d: read: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	replay := testModule(nPOIs)
+	for _, conn := range ops {
+		for _, o := range conn {
+			if o.k > 0 {
+				replay.KNN(o.loc, o.k, nn.Bounds{})
+			} else {
+				replay.Range(o.loc, o.radius)
+			}
+		}
+	}
+
+	st := fetchStats(t, srv)
+	if st.ProtoErrors != 0 {
+		t.Fatalf("protocol_errors = %d, want 0", st.ProtoErrors)
+	}
+	if st.ServerQueries != replay.Queries() || st.PageAccesses != replay.PageAccesses() {
+		t.Fatalf("stats report %d queries / %d pages, sequential replay %d / %d",
+			st.ServerQueries, st.PageAccesses, replay.Queries(), replay.PageAccesses())
 	}
 }
 
@@ -266,7 +356,7 @@ func TestSessionLifecycleConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("worker %d: read: %v", w, err)
 					return
 				}
-				neighbors, _ := mod.KNNCounted(q.Loc, q.K, nn.Bounds{})
+				neighbors := mod.KNN(q.Loc, q.K, nn.Bounds{})
 				msg, err := wire.Decode(got)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: decode: %v", w, err)
@@ -331,14 +421,14 @@ func TestServeFromStoreMatchesDirectModule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	direct := sim.NewServerModule(pois, 24)
-	fromStore := sim.NewServerModule(loaded, info.Fanout)
+	direct := sim.NewSnapshotQuerier(sim.NewServerModule(pois, 24))
+	fromStore := sim.NewSnapshotQuerier(sim.NewServerModule(loaded, info.Fanout))
 
 	for trial := 0; trial < 50; trial++ {
 		q := geom.Pt(rng.Float64()*6000, rng.Float64()*6000)
 		k := 1 + rng.Intn(15)
-		wantN, wantP := direct.KNNCounted(q, k, nn.Bounds{})
-		gotN, gotP := fromStore.KNNCounted(q, k, nn.Bounds{})
+		wantN, wantP := direct.KNN(q, k, nn.Bounds{}, nil)
+		gotN, gotP := fromStore.KNN(q, k, nn.Bounds{}, nil)
 		if gotP != wantP || len(gotN) != len(wantN) {
 			t.Fatalf("trial %d: pages %d/%d, n %d/%d", trial, gotP, wantP, len(gotN), len(wantN))
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
+	"repro/internal/rtree"
 	"repro/internal/wire"
 )
 
@@ -114,7 +115,7 @@ func (s *simPeerSource) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerC
 // the error is always nil.
 type simServerSource struct {
 	mod *ServerModule
-	it  nn.TreeIterator
+	it  nn.Iterator[rtree.Node]
 }
 
 func (s *simServerSource) KNNInto(q geom.Point, k int, b nn.Bounds, dst []core.POI) ([]core.POI, int64, error) {

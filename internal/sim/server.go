@@ -14,9 +14,11 @@ import (
 // ServerModule is the remote spatial database of the simulated system: an
 // R*-tree over the POI set queried with the EINN algorithm (best-first
 // incremental NN extended with the client's pruning bounds). It counts
-// queries and R*-tree node (page) accesses — the PAR metric.
+// queries and R*-tree node (page) accesses — the PAR metric. Every page
+// count is the one its own traversal returned, so the total is exact under
+// any mix of concurrent queries.
 //
-// KNN and KNNCounted are safe for concurrent use: the tree is read-only
+// KNN, KNNInto and Range are safe for concurrent use: the tree is read-only
 // after construction and the stats are atomic, so the query-resolve phase
 // of the simulator may call them from many workers at once. Mutating calls
 // (ResetStats) must not overlap with queries.
@@ -35,7 +37,6 @@ func NewServerModule(pois []core.POI, fanout int) *ServerModule {
 	for _, p := range pois {
 		t.InsertPoint(p.Loc, p)
 	}
-	t.ResetAccessCount()
 	return &ServerModule{tree: t, pois: pois}
 }
 
@@ -103,43 +104,26 @@ func ClusteredPOIs(n int, bounds geom.Rect, clusters int, sigma float64, rng *ra
 // KNN implements core.Server: the k nearest POIs beyond the lower bound in
 // ascending order, searched with EINN under the provided bounds.
 func (s *ServerModule) KNN(q geom.Point, k int, b nn.Bounds) []core.POI {
-	out, _ := s.KNNCounted(q, k, b)
+	var it nn.Iterator[rtree.Node]
+	out, _ := s.KNNInto(q, k, b, &it, nil)
 	return out
 }
 
-// KNNCounted is KNN plus the exact number of R*-tree node (page) accesses
-// this one query performed. The count comes from a per-traversal wrapper,
-// not from differencing the shared counter, so it stays exact when many
-// queries run concurrently — the resolve phase of the simulator commits
-// these per-query counts in event order to keep metrics bit-identical for
-// any worker count.
-func (s *ServerModule) KNNCounted(q geom.Point, k int, b nn.Bounds) ([]core.POI, int64) {
-	s.queries.Add(1)
-	src := nn.NewCountedSource(nn.Source(s.tree))
-	results := nn.EINNOver(src, q, k, b)
-	pages := src.Accesses()
-	s.pageAccesses.Add(pages)
-	out := make([]core.POI, len(results))
-	for i, r := range results {
-		out[i] = r.Data.(core.POI)
-	}
-	return out, pages
-}
-
-// KNNInto is KNNCounted with caller-owned scratch: the EINN traversal runs
-// through it (a reusable concrete-tree iterator) and the results are
-// appended to dst[:0], whose backing array is reused. In steady state the
-// call performs no heap allocations, which is what keeps the simulator's
-// server-resolved query path allocation-free alongside the peer-solved one
-// (TestResolveAllocsServerSolved pins it). Results and page counts are
-// identical to KNNCounted's — TreeIterator replicates the generic
-// iterator's pruning, heap discipline, and access accounting exactly.
-func (s *ServerModule) KNNInto(q geom.Point, k int, b nn.Bounds, it *nn.TreeIterator, dst []core.POI) ([]core.POI, int64) {
+// KNNInto is KNN with caller-owned scratch, plus the exact number of R*-tree
+// node (page) accesses this one query performed: the EINN traversal runs
+// through it and the results are appended to dst[:0], whose backing array is
+// reused. In steady state the call performs no heap allocations, which is
+// what keeps the simulator's server-resolved query path allocation-free
+// alongside the peer-solved one (TestResolveAllocsServerSolved pins it). The
+// count is the iterator's own, so it stays exact when many queries run
+// concurrently — the resolve phase of the simulator commits these per-query
+// counts in event order to keep metrics bit-identical for any worker count.
+func (s *ServerModule) KNNInto(q geom.Point, k int, b nn.Bounds, it *nn.Iterator[rtree.Node], dst []core.POI) ([]core.POI, int64) {
 	s.queries.Add(1)
 	dst = dst[:0]
 	if k <= 0 {
 		// EINN performs no traversal at all for k <= 0 (not even the root
-		// fetch), so no pages are counted — matching KNNCounted.
+		// fetch), so no pages are counted.
 		return dst, 0
 	}
 	it.Reset(s.tree, q, b)
@@ -157,27 +141,24 @@ func (s *ServerModule) KNNInto(q geom.Point, k int, b nn.Bounds, it *nn.TreeIter
 
 // Range implements core.RangeServer: every POI within Euclidean distance r
 // of q in ascending distance order, found with an R*-tree window search over
-// the disc's bounding box followed by an exact distance filter. Node reads
-// count as page accesses.
-// Range is not on the concurrent resolve path, so the page delta may
-// difference the shared counter.
+// the disc's bounding box followed by an exact distance filter. The nodes
+// the search visited count as page accesses.
 func (s *ServerModule) Range(q geom.Point, r float64) []core.POI {
 	s.queries.Add(1)
-	before := s.tree.AccessCount()
 	window := geom.NewCircle(q, r).Bounds()
 	type hit struct {
 		poi  core.POI
 		dist float64
 	}
 	var hits []hit
-	s.tree.Search(window, func(rect geom.Rect, data any) bool {
+	pages := s.tree.Search(window, func(rect geom.Rect, data any) bool {
 		p := data.(core.POI)
 		if d := q.Dist(p.Loc); d <= r+geom.Eps {
 			hits = append(hits, hit{poi: p, dist: d})
 		}
 		return true
 	})
-	s.pageAccesses.Add(s.tree.AccessCount() - before)
+	s.pageAccesses.Add(pages)
 	// Equal distances are a real occurrence on gridded data; break the tie
 	// by POI ID so the hit order is a total order independent of the
 	// R*-tree's internal layout (the same rule the INE path uses).
@@ -201,11 +182,11 @@ func (s *ServerModule) POIs() []core.POI { return s.pois }
 // INN against EINN on the same data.
 func (s *ServerModule) Tree() *rtree.Tree { return s.tree }
 
-// Queries returns the number of KNN calls since the last reset.
+// Queries returns the number of KNN and Range calls since the last reset.
 func (s *ServerModule) Queries() int64 { return s.queries.Load() }
 
-// PageAccesses returns the R*-tree node accesses accumulated by KNN calls
-// since the last reset.
+// PageAccesses returns the R*-tree node accesses accumulated by KNN and
+// Range calls since the last reset.
 func (s *ServerModule) PageAccesses() int64 { return s.pageAccesses.Load() }
 
 // ResetStats zeroes the query and page-access counters. Must not run
@@ -213,5 +194,4 @@ func (s *ServerModule) PageAccesses() int64 { return s.pageAccesses.Load() }
 func (s *ServerModule) ResetStats() {
 	s.queries.Store(0)
 	s.pageAccesses.Store(0)
-	s.tree.ResetAccessCount()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
+	"repro/internal/rtree"
 )
 
 // serverSolvedPlans scans the warmed world for up to want queries that fall
@@ -31,11 +33,75 @@ func serverSolvedPlans(tb testing.TB, w *World, want int) []queryPlan {
 	return plans
 }
 
-// TestKNNIntoMatchesKNNCounted pins the pooled EINN traversal against the
-// generic one: over many random queries and bound combinations, results and
-// page counts must be identical — TreeIterator replicates Iterator's heap
-// discipline and pruning exactly, it is not merely equivalent.
-func TestKNNIntoMatchesKNNCounted(t *testing.T) {
+// refKNN is the independent reference for the one production iterator: the
+// same lazy best-first search (a child page is fetched, and counted, only
+// when its queue entry is popped) written over container/heap with boxed
+// items instead of nn.Iterator's inlined sift. Equal results, tie order and
+// page counts from the two are evidence about the loop, not a tautology.
+type refItem struct {
+	dist  float64
+	node  rtree.Node // with child >= 0: the parent whose entry child awaits fetching
+	child int        // -1: node is already fetched (the root)
+	isPOI bool
+	poi   core.POI
+}
+
+type refQueue []refItem
+
+func (pq refQueue) Len() int           { return len(pq) }
+func (pq refQueue) Less(i, j int) bool { return pq[i].dist < pq[j].dist }
+func (pq refQueue) Swap(i, j int)      { pq[i], pq[j] = pq[j], pq[i] }
+func (pq *refQueue) Push(x any)        { *pq = append(*pq, x.(refItem)) }
+func (pq *refQueue) Pop() any {
+	old := *pq
+	it := old[len(old)-1]
+	*pq = old[:len(old)-1]
+	return it
+}
+
+func refKNN(t *rtree.Tree, q geom.Point, k int, b nn.Bounds) (out []core.POI, pages int64) {
+	if k <= 0 {
+		return nil, 0
+	}
+	root, ok := t.Root()
+	if !ok {
+		return nil, 1
+	}
+	pages = 1
+	pq := &refQueue{{node: root, child: -1}}
+	for pq.Len() > 0 && len(out) < k {
+		it := heap.Pop(pq).(refItem)
+		switch {
+		case b.HasUpper && it.dist > b.Upper:
+			return out, pages
+		case it.isPOI:
+			out = append(out, it.poi)
+			continue
+		case it.child >= 0:
+			it.node, pages = it.node.Child(it.child), pages+1
+		}
+		nd := it.node
+		for i := 0; i < nd.Len(); i++ {
+			r := nd.Rect(i)
+			mind := r.MinDist(q)
+			switch {
+			case b.HasUpper && mind > b.Upper: // upward pruning
+			case nd.IsLeaf():
+				if !b.HasLower || mind > b.Lower {
+					heap.Push(pq, refItem{dist: mind, isPOI: true, poi: nd.Data(i).(core.POI)})
+				}
+			case !b.HasLower || r.MaxDist(q) > b.Lower: // else: inside the certain circle
+				heap.Push(pq, refItem{dist: mind, node: nd, child: i})
+			}
+		}
+	}
+	return out, pages
+}
+
+// TestKNNIntoMatchesReference pins the production EINN traversal against
+// refKNN: over many random queries and bound combinations, results and page
+// counts must be identical, not merely equivalent.
+func TestKNNIntoMatchesReference(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NumPOIs = 500
 	w, err := New(cfg)
@@ -44,7 +110,7 @@ func TestKNNIntoMatchesKNNCounted(t *testing.T) {
 	}
 	s := w.Server()
 	rng := rand.New(rand.NewSource(8))
-	var it nn.TreeIterator
+	var it nn.Iterator[rtree.Node]
 	var dst []core.POI
 	for trial := 0; trial < 400; trial++ {
 		q := geom.Pt(rng.Float64()*cfg.AreaWidth, rng.Float64()*cfg.AreaHeight)
@@ -58,12 +124,9 @@ func TestKNNIntoMatchesKNNCounted(t *testing.T) {
 			b.HasUpper = true
 			b.Upper = b.Lower + rng.Float64()*1000
 		}
-		wantPOIs, wantPages := s.KNNCounted(q, k, b)
+		wantPOIs, wantPages := refKNN(s.Tree(), q, k, b)
 		gotPOIs, gotPages := s.KNNInto(q, k, b, &it, dst)
 		dst = gotPOIs
-		if len(wantPOIs) == 0 {
-			wantPOIs = nil
-		}
 		var got []core.POI
 		if len(gotPOIs) > 0 {
 			got = append([]core.POI(nil), gotPOIs...)
@@ -80,9 +143,7 @@ func TestKNNIntoMatchesKNNCounted(t *testing.T) {
 
 // TestResolveAllocsServerSolved extends the zero-allocation gate to the
 // server fallback: with the worker's pooled iterator and fetched-POI scratch
-// warm, resolving a server-solved batch must not touch the allocator —
-// previously every fallback built a fresh counted source, boxed tree nodes,
-// and allocated a result slice per query.
+// warm, resolving a server-solved batch must not touch the allocator.
 func TestResolveAllocsServerSolved(t *testing.T) {
 	w := warmResolveWorld(t)
 	plans := serverSolvedPlans(t, w, 32)

@@ -6,17 +6,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
+	"repro/internal/rtree"
 )
 
 // SnapshotQuerier is the read-only query facade a network server (or any
 // caller outside the world loop) mounts over a ServerModule. Inside the
-// simulator the resolve phase hands each query worker its own
-// nn.TreeIterator as scratch; outside it there is no fixed worker set, so
-// the querier pools iterators instead. Answers and page counts are
-// bit-identical to ServerModule.KNNCounted for the same tree (KNNInto
-// replicates the generic traversal exactly — TestSnapshotQuerierMatchesKNNCounted
-// pins it), and in steady state a KNN call allocates nothing beyond what the
-// caller's dst slice needs.
+// simulator the resolve phase hands each query worker its own nn.Iterator
+// as scratch; outside it there is no fixed worker set, so the querier pools
+// iterators instead. It is the same KNNInto traversal either way, and in
+// steady state a KNN call allocates nothing beyond what the caller's dst
+// slice needs.
 //
 // The querier is safe for unbounded concurrent use: the tree is read-only,
 // the module's stats are atomic, and every traversal runs on a pooled
@@ -31,17 +30,16 @@ func NewSnapshotQuerier(mod *ServerModule) *SnapshotQuerier {
 	return &SnapshotQuerier{
 		mod: mod,
 		iters: sync.Pool{
-			New: func() any { return new(nn.TreeIterator) },
+			New: func() any { return new(nn.Iterator[rtree.Node]) },
 		},
 	}
 }
 
 // KNN answers a kNN query under the §3.3 pruning bounds, appending the
 // results to dst[:0] (whose backing array is reused) and returning the exact
-// page accesses the traversal performed. Results are identical to
-// ServerModule.KNNCounted's, including tie order.
+// page accesses the traversal performed.
 func (sq *SnapshotQuerier) KNN(q geom.Point, k int, b nn.Bounds, dst []core.POI) ([]core.POI, int64) {
-	it := sq.iters.Get().(*nn.TreeIterator)
+	it := sq.iters.Get().(*nn.Iterator[rtree.Node])
 	out, pages := sq.mod.KNNInto(q, k, b, it, dst)
 	sq.iters.Put(it)
 	return out, pages

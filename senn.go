@@ -124,14 +124,6 @@ func VerifyMultiPeer(q Point, peers []PeerCache, h *ResultHeap) {
 	core.VerifyMultiPeer(q, peers, h)
 }
 
-// VerifyMultiPeerPolygonized is VerifyMultiPeer with the paper's
-// polygonization + overlay construction at the given fidelity (vertices per
-// circle; 0 selects the default). Its verdicts are a conservative subset of
-// VerifyMultiPeer's.
-func VerifyMultiPeerPolygonized(q Point, peers []PeerCache, h *ResultHeap, vertices int) {
-	core.VerifyMultiPeerPolygonized(q, peers, h, vertices)
-}
-
 // Database is an in-process spatial database server: an R*-tree over a POI
 // set answering bounded kNN queries with the EINN algorithm and counting its
 // page accesses. It implements Server.
