@@ -39,7 +39,6 @@ func main() {
 		maxK         = flag.Int("maxk", 512, "largest k served per query")
 		maxTxRange   = flag.Float64("max-txrange", 0, "cap on relayed transmission radius (0 = default 10000 m)")
 		relayTimeout = flag.Duration("relay-timeout", 0, "peer relay wait bound (0 = default 2s)")
-		flushBytes   = flag.Int("flush-threshold", 0, "write-batch flush threshold in bytes (0 = default 2048, negative disables)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 
 		mkstore  = flag.String("mkstore", "", "write a fresh POI store to this path and exit")
@@ -73,11 +72,10 @@ func main() {
 		info.Count, info.Fanout, time.Since(t0).Round(time.Millisecond))
 
 	srv := serve.NewServer(mod, serve.Options{
-		MaxK:           *maxK,
-		Bounds:         info.Bounds,
-		MaxTxRange:     *maxTxRange,
-		RelayTimeout:   *relayTimeout,
-		FlushThreshold: *flushBytes,
+		MaxK:         *maxK,
+		Bounds:       info.Bounds,
+		MaxTxRange:   *maxTxRange,
+		RelayTimeout: *relayTimeout,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -40,7 +40,7 @@ import (
 
 // PeerSource supplies the shareable peer caches within transmission range
 // of a query point — the P2P exchange of §4.1 behind whatever transport
-// carries it (grid sweep, cell snapshot, daemon relay). Gather appends the
+// carries it (grid sweep, daemon relay). Gather appends the
 // peers to dst and returns the extended slice together with the exchange's
 // accounted cost: message count (the broadcast request plus one share per
 // responding peer) and wire volume (internal/wire codec sizes).

@@ -24,7 +24,7 @@ import (
 // RangeServer is the remote database interface for range queries.
 type RangeServer interface {
 	// Range returns every POI within Euclidean distance r of q, in
-	// ascending distance order.
+	// ascending distance order, equal distances by ascending ID.
 	Range(q geom.Point, r float64) []POI
 }
 
@@ -103,7 +103,8 @@ func RangeQuery(q geom.Point, r float64, peers []PeerCache, srv RangeServer, opt
 }
 
 // collectWithin gathers the distinct cached POIs within r of q, ascending by
-// distance, with ranks assigned.
+// distance with equal distances broken by POI ID (the candSorter order, which
+// is also the server's), with ranks assigned.
 func collectWithin(q geom.Point, r float64, peers []PeerCache) []RankedPOI {
 	seen := make(map[int64]bool)
 	var out []RankedPOI
@@ -118,7 +119,12 @@ func collectWithin(q geom.Point, r float64, peers []PeerCache) []RankedPOI {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].ID < out[j].ID
+	})
 	for i := range out {
 		out[i].Rank = i + 1
 	}

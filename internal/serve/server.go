@@ -37,9 +37,6 @@ type Options struct {
 	// RelayTimeout bounds how long a peer-cache relay waits for probed
 	// sessions before delivering what arrived (default 2s).
 	RelayTimeout time.Duration
-	// FlushThreshold is the per-connection write-batching limit in bytes
-	// (default 2048; negative disables batching).
-	FlushThreshold int
 }
 
 // Server is the network face of the remote spatial database: HTTP for
@@ -53,7 +50,6 @@ type Server struct {
 	maxAnswer    int
 	maxTxRange   float64
 	relayTimeout time.Duration
-	flushBytes   int
 	bounds       geom.Rect
 	mux          *http.ServeMux
 
@@ -134,12 +130,6 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 	if opts.RelayTimeout <= 0 {
 		opts.RelayTimeout = defaultRelayTimeout
 	}
-	switch {
-	case opts.FlushThreshold == 0:
-		opts.FlushThreshold = 2048
-	case opts.FlushThreshold < 0:
-		opts.FlushThreshold = 0
-	}
 	bounds := opts.Bounds
 	if bounds.Max.X <= bounds.Min.X || bounds.Max.Y <= bounds.Min.Y {
 		bounds = poiBounds(mod.POIs())
@@ -150,7 +140,6 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		maxAnswer:    opts.MaxAnswer,
 		maxTxRange:   opts.MaxTxRange,
 		relayTimeout: opts.RelayTimeout,
-		flushBytes:   opts.FlushThreshold,
 		bounds:       bounds,
 		sessions:     make(map[string]*session),
 		dir:          newSessionDirectory(bounds, 0, 0),
@@ -232,7 +221,6 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return // Upgrade wrote the HTTP error
 	}
-	ws.SetFlushThreshold(s.flushBytes)
 	// Attach the connection to the session so the peer relay can probe it;
 	// a reconnect simply supersedes the previous attachment.
 	sess.mu.Lock()

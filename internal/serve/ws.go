@@ -50,6 +50,10 @@ const wsGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 // the largest well-formed wire answer, AnswerSize(MaxQueryK) ≈ 96 KiB).
 const DefaultMaxMessage = 1 << 20
 
+// flushThreshold is the write-coalescing limit of a server-side connection:
+// WriteBinaryBatched holds frames back until this many bytes are pending.
+const flushThreshold = 2048
+
 // closeGrace bounds the transport writes of the closing handshake. Without
 // it, a writer wedged in conn.Write behind a peer that stopped reading
 // holds wmu indefinitely, and every Close/fail caller queues behind that
@@ -78,9 +82,10 @@ func acceptKey(key string) string {
 // come from a single goroutine; writes are internally serialized, so the
 // reader's automatic pong replies never interleave with application frames.
 //
-// Writes can be coalesced: WriteBinaryBatched appends the frame to a
-// pending buffer and only hits the transport once the buffer passes the
-// flush threshold (or an immediate write / explicit Flush drains it). A
+// Writes are coalesced on connections made by Upgrade: WriteBinaryBatched
+// appends the frame to a pending buffer and only hits the transport once the
+// buffer passes flushThreshold (or an immediate write / explicit Flush
+// drains it); on DialWS connections every write flushes. A
 // fan-out workload — one answer or relayed share per peer — then costs one
 // syscall per few frames instead of one per frame. ReadMessage flushes the
 // pending buffer before it can block on an idle transport, so a batched
@@ -99,9 +104,9 @@ type WSConn struct {
 	// append and flush in one step, so frame order on the transport is
 	// always the order the write calls acquired wmu.
 	pending []byte
-	// flushThreshold is the batched-write coalescing limit in bytes; 0
-	// means every write flushes immediately (the default).
-	flushThreshold int
+	// batch arms write coalescing (set by Upgrade, before the connection is
+	// shared); without it every write flushes immediately.
+	batch bool
 	// maskRNG generates frame mask keys on the client side. Masking exists
 	// to defeat proxy cache poisoning, not cryptanalysis, so a fast stream
 	// seeded once from crypto/rand is appropriate.
@@ -125,16 +130,6 @@ func newWSConn(conn net.Conn, br *bufio.Reader, client bool) *WSConn {
 // SetReadDeadline bounds how long ReadMessage may block.
 func (c *WSConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
 
-// SetFlushThreshold arms write batching: WriteBinaryBatched coalesces
-// frames until the pending buffer reaches n bytes. Call before the
-// connection is shared between goroutines; n <= 0 disables batching.
-func (c *WSConn) SetFlushThreshold(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.flushThreshold = n
-}
-
 // ReadMessage returns the next complete binary message, transparently
 // answering pings and skipping pongs. It returns ErrConnClosed after an
 // orderly close from the peer.
@@ -145,7 +140,7 @@ func (c *WSConn) ReadMessage() ([]byte, error) {
 		// About to (possibly) block on the transport: anything batched for
 		// this connection must go out first, or a coalesced reply would wait
 		// on the peer's next request.
-		if c.flushThreshold > 0 && c.br.Buffered() == 0 {
+		if c.batch && c.br.Buffered() == 0 {
 			if err := c.Flush(); err != nil {
 				return nil, err
 			}
@@ -204,12 +199,12 @@ func (c *WSConn) WriteBinary(p []byte) error { return c.writeFrame(opBinary, p) 
 // write until the pending buffer reaches the flush threshold (or the next
 // immediate write / Flush / pre-block flush in ReadMessage). The payload is
 // copied into the pending buffer before return, so the caller may reuse p.
-// With no threshold armed it is identical to WriteBinary.
+// On a DialWS connection it is identical to WriteBinary.
 func (c *WSConn) WriteBinaryBatched(p []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.pending = c.appendFrame(c.pending, opBinary, p)
-	if c.flushThreshold > 0 && len(c.pending) < c.flushThreshold {
+	if c.batch && len(c.pending) < flushThreshold {
 		return nil
 	}
 	//simvet:lockio — wmu serializes whole frames onto the transport; shutdown bounds a wedged write with a deadline before contending for it
@@ -437,7 +432,9 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*WSConn, error) {
 	}
 	// brw.Reader may already hold frames the client pipelined behind the
 	// handshake; keep reading through it.
-	return newWSConn(conn, brw.Reader, false), nil
+	c := newWSConn(conn, brw.Reader, false)
+	c.batch = true
+	return c, nil
 }
 
 // DialWS performs the client side of the opening handshake against a ws://

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // RFC 6455 §1.3's worked example pins the accept-key derivation.
@@ -198,4 +199,139 @@ func TestConcurrentWritersDoNotInterleave(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// upgradedPair returns the two ends of one live connection: the server side
+// as Upgrade made it (write batching armed) and the DialWS client. The
+// handler parks until the test ends, so the test drives both ends itself.
+func upgradedPair(t *testing.T) (server, client *WSConn) {
+	t.Helper()
+	conns := make(chan *WSConn, 1)
+	done := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ws, err := Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		defer ws.Close()
+		conns <- ws
+		<-done
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(done) })
+	client, err := DialWS(wsURL(srv))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { client.Close() })
+	server = <-conns
+	// A lost flush must fail the test's reads, not hang them.
+	deadline := time.Now().Add(10 * time.Second)
+	server.SetReadDeadline(deadline)
+	client.SetReadDeadline(deadline)
+	return server, client
+}
+
+// pendingBytes reports how many encoded bytes c is holding back.
+func pendingBytes(c *WSConn) int {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return len(c.pending)
+}
+
+// expectMessages reads len(want) messages from c and requires them in order.
+func expectMessages(t *testing.T, c *WSConn, want ...string) {
+	t.Helper()
+	for i, w := range want {
+		got, err := c.ReadMessage()
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if string(got) != w {
+			t.Fatalf("read %d: got %q, want %q", i, got, w)
+		}
+	}
+}
+
+// Frames queued below the threshold stay in the pending buffer until the
+// connection's own reader is about to block: ReadMessage's pre-block flush is
+// what delivers a coalesced reply when no further write comes.
+func TestBatchedWritesFlushBeforeReaderBlocks(t *testing.T) {
+	server, client := upgradedPair(t)
+	for _, m := range []string{"a", "b"} {
+		if err := server.WriteBinaryBatched([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := pendingBytes(server); n == 0 || n >= flushThreshold {
+		t.Fatalf("%d bytes pending after two small batched writes, want them held back", n)
+	}
+	read := make(chan string, 1)
+	go func() {
+		got, _ := server.ReadMessage() // flushes, then blocks until the client writes
+		read <- string(got)
+	}()
+	expectMessages(t, client, "a", "b")
+	// A DialWS connection is not batched: the same call flushes at once.
+	if err := client.WriteBinaryBatched([]byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-read; got != "c" {
+		t.Fatalf("server read %q, want %q", got, "c")
+	}
+}
+
+// An immediate write drains the queued frames ahead of itself, so transport
+// order is call order with no read on the writing side.
+func TestImmediateWriteDrainsBatchedFramesInOrder(t *testing.T) {
+	server, client := upgradedPair(t)
+	if err := server.WriteBinaryBatched([]byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.WriteBinaryBatched([]byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.WriteBinary([]byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	if n := pendingBytes(server); n != 0 {
+		t.Fatalf("%d bytes still pending after an immediate write", n)
+	}
+	expectMessages(t, client, "1", "2", "3")
+}
+
+// Crossing flushThreshold flushes by itself: neither a read nor an immediate
+// write is needed once enough bytes are pending.
+func TestBatchedWritesFlushAtThreshold(t *testing.T) {
+	server, client := upgradedPair(t)
+	frame := strings.Repeat("x", 512)
+	got := make(chan error, 1)
+	go func() { // concurrent reader: the flush must not wait for it
+		for i := 0; i < 4; i++ {
+			m, err := client.ReadMessage()
+			if err == nil && string(m) != frame {
+				err = ErrProtocol
+			}
+			if err != nil {
+				got <- err
+				return
+			}
+		}
+		got <- nil
+	}()
+	for i := 1; i <= 4; i++ {
+		if err := server.WriteBinaryBatched([]byte(frame)); err != nil {
+			t.Fatal(err)
+		}
+		held := i * (len(frame) + 4) // 4-byte header: 16-bit extended length
+		switch n := pendingBytes(server); {
+		case held < flushThreshold && n != held:
+			t.Fatalf("after %d frames: %d bytes pending, want %d held back", i, n, held)
+		case held >= flushThreshold && n != 0:
+			t.Fatalf("after %d frames (%d bytes): %d bytes still pending past the threshold", i, held, n)
+		}
+	}
+	if err := <-got; err != nil {
+		t.Fatalf("client read: %v", err)
+	}
 }

@@ -98,12 +98,10 @@ func radixSortInt32(keys, scratch []int32) (sorted, buf []int32) {
 // hold every host's new cell (as maintained by the movement phase); movers
 // must list exactly the hosts whose cell changed, in ascending host order,
 // with from/to matching the previous and current cells values. workers > 1
-// shards the copy phase. The returned slice lists the affected cells in
-// ascending order; it aliases internal scratch and is valid only until the
-// next applyDelta call.
-func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) (affected []int32) {
+// shards the copy phase.
+func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) {
 	if len(movers) == 0 {
-		return nil
+		return
 	}
 	sc := &g.delta
 	if sc.touch == nil {
@@ -260,5 +258,4 @@ func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) (af
 	for _, c := range sc.affected {
 		sc.touch[c] = 0
 	}
-	return sc.affected
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -11,9 +10,8 @@ import (
 
 // deltaTrace drives a hostGrid through steps of randomized relocation via
 // applyDelta while a reference grid is fully rebuilt (grid.Index.Build) from
-// the same cell assignment, and requires the raw CSR arrays to stay byte-identical. It
-// also checks the affected-cells return: ascending, distinct, exactly the
-// from/to cells of the delta.
+// the same cell assignment, and requires the raw CSR arrays to stay
+// byte-identical.
 func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float64) {
 	t.Helper()
 	const w, h = 3000.0, 2000.0
@@ -38,7 +36,6 @@ func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float6
 	var movers []moverRec
 	for step := 0; step < steps; step++ {
 		movers = movers[:0]
-		wantAffected := map[int32]bool{}
 		for i := range pos {
 			if rng.Float64() >= moveFrac {
 				continue
@@ -46,33 +43,16 @@ func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float6
 			pos[i] = randPt()
 			if c := g.CellIndex(pos[i]); c != cells[i] {
 				movers = append(movers, moverRec{host: int32(i), from: cells[i], to: c})
-				wantAffected[cells[i]] = true
-				wantAffected[c] = true
 				cells[i] = c
 			}
 		}
-		affected := g.applyDelta(cells, movers, workers)
+		g.applyDelta(cells, movers, workers)
 		ref.Build(cells)
 		if !reflect.DeepEqual(g.Start, ref.Start) {
 			t.Fatalf("step %d (%d movers): start arrays diverged", step, len(movers))
 		}
 		if !reflect.DeepEqual(g.Entries, ref.Entries) {
 			t.Fatalf("step %d (%d movers): entries arrays diverged", step, len(movers))
-		}
-		want := make([]int32, 0, len(wantAffected))
-		for c := range wantAffected {
-			want = append(want, c)
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(want) == 0 {
-			want = nil
-		}
-		got := affected
-		if len(got) == 0 {
-			got = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: affected cells %v, want %v", step, got, want)
 		}
 	}
 }
@@ -111,9 +91,7 @@ func TestApplyDeltaSingleCellWorld(t *testing.T) {
 	g := newHostGrid(bounds, 4, 500) // one cell covers everything
 	cells := []int32{0, 0, 0, 0}
 	g.Build(cells)
-	if got := g.applyDelta(cells, nil, 1); got != nil {
-		t.Fatalf("empty delta returned affected cells %v", got)
-	}
+	g.applyDelta(cells, nil, 1)
 	ref := newHostGrid(bounds, 4, 500)
 	ref.Build(cells)
 	if !reflect.DeepEqual(g.Entries, ref.Entries) || !reflect.DeepEqual(g.Start, ref.Start) {

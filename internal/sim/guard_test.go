@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -145,6 +146,61 @@ func TestNoDuplicatePOIsInAnswersOrCaches(t *testing.T) {
 			} else {
 				prev = d
 			}
+		}
+	}
+}
+
+// TestRangeAnswerOrderSameFromPeersAndServer pins the one total order of a
+// range answer — ascending distance, equal distances by POI ID — across the
+// three ways core.RangeQuery can resolve: on lattice data (every ring of the
+// query disc is a four-way distance tie, IDs scrambled against position) a
+// single covering peer, two flanking peers and the server must list the same
+// POIs in the same order.
+func TestRangeAnswerOrderSameFromPeersAndServer(t *testing.T) {
+	var pois []core.POI
+	for i := 0; i < 81; i++ {
+		pois = append(pois, core.POI{
+			ID:  int64(i * 37 % 81),
+			Loc: geom.Pt(float64(i%9-4)*10, float64(i/9-4)*10),
+		})
+	}
+	srv := NewServerModule(pois, 4)
+	peerAt := func(loc geom.Point, k int) core.PeerCache {
+		return core.NewPeerCache(loc, srv.KNN(loc, k, nn.Bounds{}))
+	}
+	q, r := geom.Pt(0, 0), 15.0
+
+	cases := []struct {
+		name  string
+		peers []core.PeerCache
+		src   core.Source
+	}{
+		// One certain circle holds the whole disc; the cache is ordered by
+		// distance from (3, 2), not from q.
+		{"single-peer", []core.PeerCache{peerAt(geom.Pt(3, 2), 45)}, core.SolvedBySinglePeer},
+		// Neither circle holds the disc (15 + 12 exceeds both radii), their
+		// union does.
+		{"multi-peer", []core.PeerCache{peerAt(geom.Pt(-12, 0), 14), peerAt(geom.Pt(12, 0), 14)}, core.SolvedByMultiPeer},
+		{"server", nil, core.SolvedByServer},
+	}
+	var want []int64
+	for _, p := range srv.Range(q, r) {
+		want = append(want, p.ID)
+	}
+	if len(want) != 9 {
+		t.Fatalf("server range answer has %d POIs, want the 9 of the two inner lattice rings", len(want))
+	}
+	for _, tc := range cases {
+		res := core.RangeQuery(q, r, tc.peers, srv, core.Options{})
+		if res.Source != tc.src || !res.Certain {
+			t.Fatalf("%s: resolved by %v (certain=%v), want %v", tc.name, res.Source, res.Certain, tc.src)
+		}
+		var got []int64
+		for _, p := range res.POIs {
+			got = append(got, p.ID)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: answer order %v, want %v (dist, then ID)", tc.name, got, want)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func (e *stepEngine) step(dt float64) {
 	for s := range e.moverBuf {
 		e.movers = append(e.movers, e.moverBuf[s]...)
 	}
-	w.noteCellChanges(g.applyDelta(w.cells, e.movers, e.workers))
+	g.applyDelta(w.cells, e.movers, e.workers)
 }
 
 // initEngine arms (or disarms) the parallel movement engine for the given
@@ -139,16 +139,6 @@ func (w *World) initEngine(workers int) {
 		for j := sh[0]; j < sh[1]; j++ {
 			w.road[j].SetFinder(finder)
 		}
-	}
-}
-
-// noteCellChanges advances the dirty-cell clock and stamps the cells whose
-// membership changed this step; snapshots whose neighborhood includes a
-// stamped cell are refilled by the next gather.
-func (w *World) noteCellChanges(affected []int32) {
-	w.clock++
-	for _, c := range affected {
-		w.cellStamp[c] = w.clock
 	}
 }
 
@@ -180,5 +170,5 @@ func (w *World) advanceMovement(dt float64) {
 			}
 		}
 	}
-	w.noteCellChanges(g.applyDelta(w.cells, w.movers, 1))
+	g.applyDelta(w.cells, w.movers, 1)
 }

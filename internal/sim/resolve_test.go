@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -46,10 +47,8 @@ func peerSolvedPlans(tb testing.TB, w *World, want int) []queryPlan {
 	for hi := 0; hi < len(w.pos) && len(plans) < want; hi++ {
 		for _, k := range []int{w.cfg.KMin, w.cfg.KMax} {
 			p := queryPlan{host: int32(hi), k: k}
-			e.plans = append(e.plans[:0], p)
-			e.gatherCells()
 			sc.r.ResetArena()
-			res := e.resolve(&p, 0, sc)
+			res := e.resolve(&p, sc)
 			if res.src == core.SolvedBySinglePeer || res.src == core.SolvedByMultiPeer {
 				plans = append(plans, p)
 				break
@@ -71,12 +70,10 @@ func TestResolveAllocsPeerSolved(t *testing.T) {
 	plans := peerSolvedPlans(t, w, 32)
 	e := w.qengine
 	sc := e.scratch[0]
-	e.plans = append(e.plans[:0], plans...)
-	e.gatherCells()
 	resolveAll := func() {
 		sc.r.ResetArena() // the batch-start reset runBatch performs
 		for i := range plans {
-			e.resolve(&plans[i], i, sc)
+			e.resolve(&plans[i], sc)
 		}
 	}
 	resolveAll() // warm the scratch capacities
@@ -85,77 +82,112 @@ func TestResolveAllocsPeerSolved(t *testing.T) {
 	}
 }
 
-// TestBatchedGatherMatchesPerQuery is the spatial-join oracle at the data
-// level: on a moving world driven step by step, every planned query's
-// Gather — served from its cell's shared, possibly reused snapshot — must
-// return exactly the (peers, msgs, bytes) a fresh per-query grid sweep
-// computes from live state. The run is long enough that snapshots are both
-// reused across steps and invalidated by movement and cache commits.
-func TestBatchedGatherMatchesPerQuery(t *testing.T) {
+// linearGather is the independent reference for simPeerSource.Gather: no
+// grid, no Cover — every host of the world is tested against the paper's
+// definition of a peer (another host within TxRange that holds a cache
+// entry), and the survivors are ordered by (cell index, host index), the
+// enumeration order the simulation's determinism contract fixes.
+func linearGather(w *World, host int32) (peers []core.PeerCache, msgs, bytes int64) {
+	q := w.pos[host]
+	var in []int32
+	for h := range w.pos {
+		if int32(h) != host && q.Dist(w.pos[h]) <= w.cfg.TxRange {
+			in = append(in, int32(h))
+		}
+	}
+	// Hosts were visited ascending, so a stable sort by cell leaves each
+	// cell's hosts ascending.
+	sort.SliceStable(in, func(i, j int) bool {
+		return w.grid.CellIndex(w.pos[in[i]]) < w.grid.CellIndex(w.pos[in[j]])
+	})
+	msgs, bytes = 1, int64(wire.CacheRequestSize)
+	for _, h := range in {
+		if ent, ok := w.caches[h].Entry(); ok {
+			peers = append(peers, ent)
+			msgs++
+			bytes += int64(wire.CacheShareSize(len(ent.Neighbors)))
+		}
+	}
+	return peers, msgs, bytes
+}
+
+// TestGatherMatchesLinearScan is the gather oracle at the data level: on a
+// moving world stepped by hand, with cache commits between steps, every
+// planned query's Gather must return exactly the (peers, msgs, bytes) of
+// linearGather. Every 25th step the batch is dense instead — every host of
+// the most crowded cell queries at once, so the four resolve workers sweep
+// the same cells concurrently (the case -race watches) — and the parallel
+// batch must reproduce a sequential resolve of the same plans.
+func TestGatherMatchesLinearScan(t *testing.T) {
 	cfg := smallConfig()
+	cfg.NumHosts = 600
 	cfg.QueryWorkers = 4
-	// A quarter of the hosts moving: enough parked neighborhoods that
-	// snapshots survive between steps, enough traffic that most do not.
-	cfg.MovePercentage = 0.25
 	w, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := w.qengine
-	src := &e.scratch[0].peerSrc
+	sc := e.scratch[0]
 	rng := rand.New(rand.NewSource(3))
-	tx2 := cfg.TxRange * cfg.TxRange
-	var hits, fills, peersSeen uint64
-	for step := 0; step < 400; step++ {
+	peersSeen := 0
+	for step := 0; step < 200; step++ {
 		w.advanceMovement(0.25)
 		e.plans = e.plans[:0]
-		for i := 0; i < 12; i++ {
-			e.plans = append(e.plans, queryPlan{
-				at:   float64(step),
-				host: int32(rng.Intn(len(w.pos))),
-				k:    cfg.KMin + rng.Intn(cfg.KMax-cfg.KMin+1),
-			})
-		}
-		h0, f0 := w.GatherReuse()
-		e.gatherCells()
-		h1, f1 := w.GatherReuse()
-		hits, fills = hits+h1-h0, fills+f1-f0
-		for i, p := range e.plans {
-			q := w.pos[p.host]
-			src.host, src.idx = p.host, i
-			got, gotMsgs, gotBytes := src.Gather(q, nil)
-
-			var want []core.PeerCache
-			wantMsgs, wantBytes := int64(1), int64(wire.CacheRequestSize)
-			w.grid.forNeighbors(q, cfg.TxRange, func(h int32) {
-				if h == p.host || q.Dist2(w.pos[h]) > tx2 {
-					return
+		if step%25 == 24 {
+			perCell := make([]int, w.grid.NumCells())
+			crowded := int32(0)
+			for _, c := range w.cells {
+				perCell[c]++
+				if perCell[c] > perCell[crowded] {
+					crowded = c
 				}
-				if ent, ok := w.caches[h].Entry(); ok {
-					want = append(want, ent)
-					wantMsgs++
-					wantBytes += int64(wire.CacheShareSize(len(ent.Neighbors)))
-				}
-			})
-			if !reflect.DeepEqual(got, want) || gotMsgs != wantMsgs || gotBytes != wantBytes {
-				t.Fatalf("step %d plan %d (host %d): snapshot gather %d peers/%d msgs/%d bytes, sweep %d/%d/%d",
-					step, i, p.host, len(got), gotMsgs, gotBytes, len(want), wantMsgs, wantBytes)
 			}
-			peersSeen += uint64(len(want))
+			for h, c := range w.cells {
+				if c == crowded {
+					e.plans = append(e.plans, queryPlan{at: float64(step), host: int32(h), k: cfg.KMax})
+				}
+			}
+			if len(e.plans) < 8 {
+				t.Fatalf("step %d: most crowded cell holds %d hosts, want a batch of >= 8 sharing a cell", step, len(e.plans))
+			}
+		} else {
+			for i := 0; i < 12; i++ {
+				e.plans = append(e.plans, queryPlan{
+					at:   float64(step),
+					host: int32(rng.Intn(len(w.pos))),
+					k:    cfg.KMin + rng.Intn(cfg.KMax-cfg.KMin+1),
+				})
+			}
 		}
-		// Resolve and commit the batch so caches fill and commits dirty cells.
-		// (runBatch re-validates the snapshots just gathered; only the
-		// explicit gather above is counted.)
+		type outcome struct {
+			src                core.Source
+			msgs, bytes, pages int64
+		}
+		want := make([]outcome, len(e.plans))
+		for i := range e.plans {
+			p := &e.plans[i]
+			sc.peerSrc.host = p.host
+			got, gotMsgs, gotBytes := sc.peerSrc.Gather(w.pos[p.host], nil)
+			ref, refMsgs, refBytes := linearGather(w, p.host)
+			if !reflect.DeepEqual(got, ref) || gotMsgs != refMsgs || gotBytes != refBytes {
+				t.Fatalf("step %d plan %d (host %d): gather %d peers/%d msgs/%d bytes, linear scan %d/%d/%d",
+					step, i, p.host, len(got), gotMsgs, gotBytes, len(ref), refMsgs, refBytes)
+			}
+			peersSeen += len(ref)
+			sc.r.ResetArena()
+			r := e.resolve(p, sc)
+			want[i] = outcome{r.src, r.msgs, r.bytes, r.pages}
+		}
+		// Resolve on four workers and commit, so caches fill between steps.
 		e.runBatch()
+		for i, r := range e.results {
+			if got := (outcome{r.src, r.msgs, r.bytes, r.pages}); got != want[i] {
+				t.Fatalf("step %d plan %d: parallel batch resolved %+v, sequential %+v", step, i, got, want[i])
+			}
+		}
 	}
 	if peersSeen == 0 {
 		t.Fatal("no query ever had a peer in range; the comparison is vacuous")
-	}
-	if hits == 0 || fills == 0 {
-		t.Errorf("gather reuse %d hits / %d fills: want both reuse and refills exercised", hits, fills)
-	}
-	if distinct := uint64(len(e.snaps)); fills <= distinct {
-		t.Errorf("%d fills over %d distinct cells: no snapshot was ever invalidated and refilled", fills, distinct)
 	}
 }
 
@@ -169,14 +201,12 @@ func BenchmarkResolve(b *testing.B) {
 	sc := e.scratch[0]
 	run := func(plans []queryPlan) func(b *testing.B) {
 		return func(b *testing.B) {
-			e.plans = append(e.plans[:0], plans...)
-			e.gatherCells()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sc.r.ResetArena()
 				for j := range plans {
-					e.resolve(&plans[j], j, sc)
+					e.resolve(&plans[j], sc)
 				}
 			}
 		}

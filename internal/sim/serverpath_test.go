@@ -20,10 +20,8 @@ func serverSolvedPlans(tb testing.TB, w *World, want int) []queryPlan {
 	var plans []queryPlan
 	for hi := 0; hi < len(w.pos) && len(plans) < want; hi++ {
 		p := queryPlan{host: int32(hi), k: w.cfg.KMax}
-		e.plans = append(e.plans[:0], p)
-		e.gatherCells()
 		sc.r.ResetArena()
-		if res := e.resolve(&p, 0, sc); res.src == core.SolvedByServer {
+		if res := e.resolve(&p, sc); res.src == core.SolvedByServer {
 			plans = append(plans, p)
 		}
 	}
@@ -149,36 +147,14 @@ func TestResolveAllocsServerSolved(t *testing.T) {
 	plans := serverSolvedPlans(t, w, 32)
 	e := w.qengine
 	sc := e.scratch[0]
-	e.plans = append(e.plans[:0], plans...)
-	e.gatherCells()
 	resolveAll := func() {
 		sc.r.ResetArena() // the batch-start reset runBatch performs
 		for i := range plans {
-			e.resolve(&plans[i], i, sc)
+			e.resolve(&plans[i], sc)
 		}
 	}
 	resolveAll() // warm the scratch capacities
 	if allocs := testing.AllocsPerRun(50, resolveAll); allocs != 0 {
 		t.Errorf("server-solved resolve path allocates %v objects per batch, want 0", allocs)
-	}
-}
-
-// TestGatherSnapshotReuse checks the dirty-cell machinery actually fires: in
-// a world whose hosts are parked, only cache commits dirty cells, so the
-// gather phase must reuse snapshots across steps.
-func TestGatherSnapshotReuse(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MovePercentage = 0
-	w, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Run()
-	hits, fills := w.GatherReuse()
-	if fills == 0 {
-		t.Fatal("no snapshot fills recorded; gather phase did not run")
-	}
-	if hits == 0 {
-		t.Error("parked world produced no snapshot reuse; dirty-cell tracking broken")
 	}
 }

@@ -94,8 +94,8 @@ func TestServerModuleCounts(t *testing.T) {
 	}
 }
 
-// forNeighbors is the per-query grid sweep, kept test-local as the oracle
-// the batched gather and the index tests compare against: fn sees every host
+// forNeighbors is a per-query grid sweep, kept test-local as the oracle the
+// index tests compare against: fn sees every host
 // filed in a cell of Cover(p, r), cells row-major and hosts ascending within
 // a cell (callers distance-filter; the grid over-approximates). It walks the
 // buckets one cell at a time, independently of Index.Row.

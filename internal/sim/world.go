@@ -45,13 +45,6 @@ type World struct {
 	engine *stepEngine
 	movers []moverRec
 
-	// Dirty-cell clock for the gather phase's snapshot reuse (DESIGN.md
-	// §10): clock advances before every batch of world mutations, and
-	// cellStamp[c] records the clock at which cell c's membership or a
-	// resident host's cache last changed.
-	clock     uint64
-	cellStamp []uint64
-
 	// qengine runs each step's query batch through the plan/resolve/commit
 	// pipeline (queryengine.go), fanning the resolve phase across
 	// Config.QueryWorkers goroutines.
@@ -168,8 +161,6 @@ func New(cfg Config) (*World, error) {
 		w.cells[i] = w.grid.CellIndex(w.pos[i])
 	}
 	w.grid.Build(w.cells)
-	w.clock = 1
-	w.cellStamp = make([]uint64, w.grid.NumCells())
 	w.initEngine(cfg.Workers)
 	w.initQueryEngine(cfg.QueryWorkers)
 	if cfg.SeriesWindow > 0 {
