@@ -247,3 +247,79 @@ func TestUnionMonotone(t *testing.T) {
 		}
 	}
 }
+
+// OverlapArea and Union are on the R*-tree insertion hot path and written
+// with the built-in min/max; they must stay bit-equal to the plain
+// formulations — Intersect(...).Area(), and math.Min/math.Max per
+// coordinate — or the tree the simulator and the daemon build would move.
+func TestOverlapAreaAndUnionBitExact(t *testing.T) {
+	unionRef := func(r, s Rect) Rect {
+		if r.IsEmpty() {
+			return s
+		}
+		if s.IsEmpty() {
+			return r
+		}
+		return Rect{
+			Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
+			Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+		}
+	}
+	bits := func(r Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.Min.X), math.Float64bits(r.Min.Y),
+			math.Float64bits(r.Max.X), math.Float64bits(r.Max.Y)}
+	}
+	check := func(r, s Rect) {
+		t.Helper()
+		for _, p := range [][2]Rect{{r, s}, {s, r}} {
+			got, want := p[0].OverlapArea(p[1]), p[0].Intersect(p[1]).Area()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("OverlapArea(%v, %v) = %v (%#x), Intersect.Area = %v (%#x)",
+					p[0], p[1], got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if g, w := p[0].Union(p[1]), unionRef(p[0], p[1]); bits(g) != bits(w) {
+				t.Fatalf("Union(%v, %v) = %v, math.Min/Max give %v", p[0], p[1], g, w)
+			}
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	unit := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
+	fixed := []Rect{
+		unit,
+		{Min: Pt(1, 0), Max: Pt(2, 1)},           // touching along an edge
+		{Min: Pt(1, 1), Max: Pt(2, 2)},           // touching at a corner
+		{Min: Pt(0.25, 0.25), Max: Pt(0.5, 0.5)}, // nested
+		{Min: Pt(3, 3), Max: Pt(4, 4)},           // disjoint
+		{Min: Pt(-1, 0.5), Max: Pt(5, 0.5)},      // degenerate: a segment crossing
+		RectFromPoint(Pt(0.5, 0.5)),              // degenerate: an interior point
+		RectFromPoint(Pt(1, 1)),                  // degenerate: a corner point
+		RectFromPoint(Pt(9, 9)),                  // degenerate: an outside point
+		EmptyRect(),
+		{Min: Pt(negZero, negZero), Max: Pt(0, 0)},
+		{Min: Pt(-1, -1), Max: Pt(negZero, negZero)},
+		{Min: Pt(0, 0), Max: Pt(1e-300, 1e-300)}, // product underflows
+		{Min: Pt(-1e150, -1e150), Max: Pt(1e150, 1e150)},
+	}
+	for _, r := range fixed {
+		for _, s := range fixed {
+			check(r, s)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	randRect := func() Rect {
+		switch rng.Intn(4) {
+		case 0: // a point
+			return RectFromPoint(Pt(rng.Float64()*100, rng.Float64()*100))
+		case 1: // snapped to a coarse lattice: shared and touching edges
+			a := Pt(float64(rng.Intn(8)), float64(rng.Intn(8)))
+			return NewRect(a, a.Add(Pt(float64(rng.Intn(4)), float64(rng.Intn(4)))))
+		default:
+			return NewRect(Pt(rng.Float64()*100, rng.Float64()*100), Pt(rng.Float64()*100, rng.Float64()*100))
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		check(randRect(), randRect())
+	}
+}

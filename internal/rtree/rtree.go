@@ -12,9 +12,10 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -27,6 +28,11 @@ const (
 	// on the first overflow of a level, p = 30% of M as recommended by the
 	// R*-tree authors.
 	reinsertFraction = 0.3
+	// maxHeight bounds a root-to-leaf path: every non-root node holds at
+	// least two entries, so a tree of height h stores at least 2^(h-1)
+	// values. It sizes the stack-allocated path of an insertion and keeps
+	// the per-insert reinserted-levels set in one word.
+	maxHeight = 64
 )
 
 // entry is a slot in a node: a bounding rectangle plus either a child node
@@ -59,6 +65,15 @@ type Tree struct {
 	minEntries int
 	maxEntries int
 	size       int
+
+	// Insert-path scratch, reused so that a steady-state Insert allocates
+	// only the nodes it creates.
+	reinserted uint64        // bit l: level l already force-reinserted during the current outer insert
+	evicted    []entry       // stack of entries awaiting forced reinsertion
+	far        []farKey      // reinsert's distance sort
+	keys       [4][]splitKey // chooseSplit's four candidate sorts
+	suffix     []geom.Rect   // chooseSplit's second-group MBRs
+	dists      []splitDist   // chooseSplit's candidate distributions
 }
 
 // New returns an empty tree with the given maximum node fan-out. The minimum
@@ -99,34 +114,38 @@ func (t *Tree) InsertPoint(p geom.Point, data any) {
 
 // Insert stores data under rect.
 func (t *Tree) Insert(rect geom.Rect, data any) {
-	t.insertEntry(entry{rect: rect, data: data}, 0, make(map[int]bool))
+	t.reinserted = 0
+	t.insertEntry(entry{rect: rect, data: data}, 0)
 	t.size++
 }
 
-// insertEntry inserts e at the given level. reinserted tracks which levels
+// insertEntry inserts e at the given level. t.reinserted tracks which levels
 // already performed a forced reinsertion during the current outer insert so
 // each level reinserts at most once (the R* rule).
-func (t *Tree) insertEntry(e entry, level int, reinserted map[int]bool) {
-	path := t.choosePath(e.rect, level)
+func (t *Tree) insertEntry(e entry, level int) {
+	// The path lives in this frame, not on the Tree: a forced reinsertion
+	// below re-enters insertEntry while this frame still walks its own path.
+	var buf [maxHeight]*node
+	path := t.choosePath(buf[:0], e.rect, level)
 	target := path[len(path)-1]
 	target.entries = append(target.entries, e)
 	// Walk back up, handling overflow and tightening parent rectangles.
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		if len(n.entries) > t.maxEntries {
-			t.overflow(path, i, reinserted)
+			t.overflow(path, i)
 		}
 	}
 }
 
 // choosePath descends from the root to the node at the target level whose
-// entry chain should receive a rectangle, returning the nodes along the way.
-// Subtree choice follows R*: minimum overlap enlargement when the children
-// are leaves, minimum area enlargement otherwise, with area and size
-// tie-breaks.
-func (t *Tree) choosePath(r geom.Rect, level int) []*node {
-	path := []*node{t.root}
+// entry chain should receive a rectangle, appending the nodes along the way
+// to path. Subtree choice follows R*: minimum overlap enlargement when the
+// children are leaves, minimum area enlargement otherwise, with area and
+// size tie-breaks.
+func (t *Tree) choosePath(path []*node, r geom.Rect, level int) []*node {
 	n := t.root
+	path = append(path, n)
 	for n.level > level {
 		best := t.chooseSubtree(n, r)
 		n.entries[best].rect = n.entries[best].rect.Union(r)
@@ -136,26 +155,60 @@ func (t *Tree) choosePath(r geom.Rect, level int) []*node {
 	return path
 }
 
+// chooseSubtree picks the entry of n that should receive r.
+//
+// At the leaf-parent level the R* criterion is the overlap enlargement
+//
+//	dOverlap(i) = Σ_{j≠i} area((rect_i ∪ r) ∩ rect_j) − Σ_{j≠i} area(rect_i ∩ rect_j)
+//
+// which costs 2(M−1) rectangle intersections per candidate. Three shortcuts
+// skip most of them; each is an exact identity on the floating-point
+// computation of the plain double loop (refChooseSubtree in the tests), not
+// an approximation, so the choice — and with it the whole tree — is
+// unchanged:
+//
+//   - containment: if rect_i ∪ r == rect_i the two sums are the same sequence
+//     of additions, so dOverlap is exactly 0;
+//   - disjoint sibling: a rect_j disjoint from rect_i ∪ r is disjoint from
+//     rect_i too and adds +0 to both sums, which are sums of non-negative
+//     terms and never −0, so skipping j leaves both bit-identical;
+//   - dominated candidate: max, min, − and × are monotone under rounding, so
+//     every term of the first sum is ≥ its partner in the second and
+//     dOverlap ≥ 0 always. Once bestOverlap−1e-12 ≤ 0 the first clause of
+//     the comparison below cannot fire, and a candidate whose enlargement
+//     and area lose the tie-break (tie is false) cannot replace the best
+//     whatever its dOverlap is. Candidates are still visited in index order,
+//     so the tolerance-based (non-transitive) comparison sees the same
+//     sequence of bests.
 func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
+	es := n.entries
 	if n.level == 1 {
 		// Children are leaves: minimize overlap enlargement.
 		best, bestOverlap, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1), math.Inf(1)
-		for i := range n.entries {
-			enlarged := n.entries[i].rect.Union(r)
-			var overlap, overlapNew float64
-			for j := range n.entries {
-				if j == i {
-					continue
-				}
-				overlap += n.entries[i].rect.OverlapArea(n.entries[j].rect)
-				overlapNew += enlarged.OverlapArea(n.entries[j].rect)
+		for i := range es {
+			ri := es[i].rect
+			enlarged := ri.Union(r)
+			area := ri.Area()
+			enl := enlarged.Area() - area
+			tie := enl < bestEnl-1e-12 || (almostEq(enl, bestEnl) && area < bestArea)
+			if !tie && bestOverlap-1e-12 <= 0 {
+				continue // dominated candidate
 			}
-			dOverlap := overlapNew - overlap
-			enl := n.entries[i].rect.Enlargement(r)
-			area := n.entries[i].rect.Area()
-			if dOverlap < bestOverlap-1e-12 ||
-				(almostEq(dOverlap, bestOverlap) && enl < bestEnl-1e-12) ||
-				(almostEq(dOverlap, bestOverlap) && almostEq(enl, bestEnl) && area < bestArea) {
+			var dOverlap float64
+			if enlarged != ri {
+				var overlap, overlapNew float64
+				for j := range es {
+					rj := &es[j].rect
+					if j == i || rj.Min.X > enlarged.Max.X || rj.Max.X < enlarged.Min.X ||
+						rj.Min.Y > enlarged.Max.Y || rj.Max.Y < enlarged.Min.Y {
+						continue // disjoint sibling (Intersects would re-test both for emptiness)
+					}
+					overlap += ri.OverlapArea(*rj)
+					overlapNew += enlarged.OverlapArea(*rj)
+				}
+				dOverlap = overlapNew - overlap
+			}
+			if dOverlap < bestOverlap-1e-12 || (almostEq(dOverlap, bestOverlap) && tie) {
 				best, bestOverlap, bestEnl, bestArea = i, dOverlap, enl, area
 			}
 		}
@@ -163,9 +216,9 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	}
 	// Inner levels: minimize area enlargement, then area.
 	best, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1)
-	for i := range n.entries {
-		enl := n.entries[i].rect.Enlargement(r)
-		area := n.entries[i].rect.Area()
+	for i := range es {
+		enl := es[i].rect.Enlargement(r)
+		area := es[i].rect.Area()
 		if enl < bestEnl-1e-12 || (almostEq(enl, bestEnl) && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -178,45 +231,55 @@ func almostEq(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
 // overflow resolves an overfull node at path[idx], either by forced
 // reinsertion (first overflow at this level for the current insert, non-root)
 // or by splitting.
-func (t *Tree) overflow(path []*node, idx int, reinserted map[int]bool) {
+func (t *Tree) overflow(path []*node, idx int) {
 	n := path[idx]
 	isRoot := idx == 0
-	if !isRoot && !reinserted[n.level] {
-		reinserted[n.level] = true
-		t.reinsert(path, idx, reinserted)
+	if bit := uint64(1) << uint(n.level); !isRoot && t.reinserted&bit == 0 {
+		t.reinserted |= bit
+		t.reinsert(path, idx)
 		return
 	}
-	t.split(path, idx, reinserted)
+	t.split(path, idx)
+}
+
+// farKey orders a node's entries by distance from the node's center.
+type farKey struct {
+	dist2 float64
+	idx   int
 }
 
 // reinsert removes the p entries of n farthest from its center and inserts
 // them again from the top, which tends to rebalance hot regions without a
 // split.
-func (t *Tree) reinsert(path []*node, idx int, reinserted map[int]bool) {
+func (t *Tree) reinsert(path []*node, idx int) {
 	n := path[idx]
 	center := n.bounds().Center()
-	order := make([]int, len(n.entries))
-	for i := range order {
-		order[i] = i
+	far := t.far[:0]
+	for i := range n.entries {
+		far = append(far, farKey{n.entries[i].rect.Center().Dist2(center), i})
 	}
-	sort.Slice(order, func(a, b int) bool {
-		da := n.entries[order[a]].rect.Center().Dist2(center)
-		db := n.entries[order[b]].rect.Center().Dist2(center)
-		return da > db // farthest first
-	})
+	t.far = far
+	// Farthest first. Ties fall where pdqsort leaves them, and which tied
+	// entries make the cut below decides the tree, so this must stay the
+	// sort.Slice permutation of the reference: slices.SortFunc instantiates
+	// the same generated template and consults only cmp(a, b) < 0.
+	slices.SortFunc(far, func(a, b farKey) int { return cmp.Compare(b.dist2, a.dist2) })
 	p := int(reinsertFraction * float64(t.maxEntries))
 	if p < 1 {
 		p = 1
 	}
-	evictIdx := make(map[int]bool, p)
-	for _, i := range order[:p] {
-		evictIdx[i] = true
-	}
-	var evicted []entry
+	// Partition in entry order. The evicted go on a stack rather than a plain
+	// scratch slice because reinserting one may overflow another level, whose
+	// reinsert pushes its own evicted on top while this loop is still
+	// draining.
+	evict := far[:p]
+	slices.SortFunc(evict, func(a, b farKey) int { return cmp.Compare(a.idx, b.idx) })
+	base := len(t.evicted)
 	kept := n.entries[:0]
 	for i, e := range n.entries {
-		if evictIdx[i] {
-			evicted = append(evicted, e)
+		if len(evict) > 0 && evict[0].idx == i {
+			t.evicted = append(t.evicted, e)
+			evict = evict[1:]
 		} else {
 			kept = append(kept, e)
 		}
@@ -224,9 +287,11 @@ func (t *Tree) reinsert(path []*node, idx int, reinserted map[int]bool) {
 	n.entries = kept
 	t.tightenPath(path, idx)
 	// Close reinsert: nearest evicted entries first.
-	for i := len(evicted) - 1; i >= 0; i-- {
-		t.insertEntry(evicted[i], n.level, reinserted)
+	for i := len(t.evicted) - 1; i >= base; i-- {
+		t.insertEntry(t.evicted[i], n.level)
 	}
+	clear(t.evicted[base:])
+	t.evicted = t.evicted[:base]
 }
 
 // tightenPath recomputes the parent rectangles covering path[idx] up to the
@@ -245,11 +310,9 @@ func (t *Tree) tightenPath(path []*node, idx int) {
 
 // split performs the R* topological split of path[idx] and pushes the new
 // sibling into the parent, growing the tree at the root if needed.
-func (t *Tree) split(path []*node, idx int, reinserted map[int]bool) {
+func (t *Tree) split(path []*node, idx int) {
 	n := path[idx]
-	left, right := t.chooseSplit(n)
-	n.entries = left
-	sibling := &node{leaf: n.leaf, level: n.level, entries: right}
+	sibling := &node{leaf: n.leaf, level: n.level, entries: t.chooseSplit(n)}
 
 	if idx == 0 {
 		// Root split: grow the tree.
@@ -274,98 +337,115 @@ func (t *Tree) split(path []*node, idx int, reinserted map[int]bool) {
 	parent.entries = append(parent.entries, entry{rect: sibling.bounds(), child: sibling})
 	t.tightenPath(path, idx-1)
 	if len(parent.entries) > t.maxEntries {
-		t.overflow(path[:idx], idx-1, reinserted)
+		t.overflow(path[:idx], idx-1)
 	}
+}
+
+// splitKey is one entry of an overflowing node under one of the four R*
+// candidate sorts: by lower or by upper coordinate along x or y, the other
+// bound of the same axis breaking ties.
+type splitKey struct {
+	primary, secondary float64
+	idx                int // position in the node's entries
+}
+
+func cmpSplitKey(a, b splitKey) int {
+	return cmp.Or(cmp.Compare(a.primary, b.primary), cmp.Compare(a.secondary, b.secondary))
+}
+
+// splitDist is the goodness of one candidate distribution.
+type splitDist struct {
+	overlap, area float64
 }
 
 // chooseSplit implements the R* split: pick the axis with the minimum sum of
 // margins over all candidate distributions, then the distribution with the
-// minimum overlap (area tie-break).
-func (t *Tree) chooseSplit(n *node) (left, right []entry) {
-	entries := n.entries
+// minimum overlap (area tie-break). It leaves the first group in n.entries
+// and returns the second.
+//
+// The two group MBRs of every distribution of one sort come from a single
+// suffix sweep and a running prefix instead of a fresh union per group: min
+// and max are exact and associative, so the rectangles — and the margins,
+// overlaps and areas computed from them — are the ones the per-group unions
+// (refChooseSplit in the tests) produce. A stable sort has one valid result,
+// so sorting keys instead of entries changes nothing either.
+func (t *Tree) chooseSplit(n *node) (right []entry) {
+	es := n.entries
 	m := t.minEntries
-	M := len(entries) - 1 // entries holds M+1 items during overflow
-
-	type distribution struct {
-		left, right []entry
-		margin      float64
-		overlap     float64
-		area        float64
-	}
-	axisDistributions := func(less func(a, b entry) bool) ([]distribution, float64) {
-		sorted := make([]entry, len(entries))
-		copy(sorted, entries)
-		sort.SliceStable(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
-		var dists []distribution
-		var marginSum float64
-		for k := m; k <= M+1-m; k++ {
-			l, r := sorted[:k], sorted[k:]
-			lb, rb := boundsOf(l), boundsOf(r)
-			d := distribution{
-				left:    l,
-				right:   r,
-				margin:  lb.Margin() + rb.Margin(),
-				overlap: lb.OverlapArea(rb),
-				area:    lb.Area() + rb.Area(),
-			}
-			dists = append(dists, d)
-			marginSum += d.margin
+	nd := len(es) - 2*m + 1 // distributions per sort: first group of m .. len(es)-m
+	if cap(t.suffix) < len(es) {
+		t.suffix = make([]geom.Rect, len(es))
+		t.dists = make([]splitDist, 4*nd)
+		for s := range t.keys {
+			t.keys[s] = make([]splitKey, len(es))
 		}
-		return dists, marginSum
 	}
+	suffix, dists := t.suffix[:len(es)], t.dists[:4*nd]
 
 	// Candidate sorts per axis: by lower then by upper coordinate. Summing
 	// the margins of both sorts selects the split axis.
-	xDists, xMargin := axisDistributions(func(a, b entry) bool {
-		if a.rect.Min.X != b.rect.Min.X {
-			return a.rect.Min.X < b.rect.Min.X
+	var margin [4]float64
+	for s := range t.keys {
+		keys := t.keys[s][:len(es)]
+		for i := range es {
+			r := &es[i].rect
+			switch s {
+			case 0:
+				keys[i] = splitKey{r.Min.X, r.Max.X, i}
+			case 1:
+				keys[i] = splitKey{r.Max.X, r.Min.X, i}
+			case 2:
+				keys[i] = splitKey{r.Min.Y, r.Max.Y, i}
+			case 3:
+				keys[i] = splitKey{r.Max.Y, r.Min.Y, i}
+			}
 		}
-		return a.rect.Max.X < b.rect.Max.X
-	})
-	xDists2, xMargin2 := axisDistributions(func(a, b entry) bool {
-		if a.rect.Max.X != b.rect.Max.X {
-			return a.rect.Max.X < b.rect.Max.X
+		slices.SortStableFunc(keys, cmpSplitKey)
+		// suffix[k] bounds keys[k:]; lb grows to bound keys[:k].
+		rb := geom.EmptyRect()
+		for k := len(es) - 1; k >= m; k-- {
+			rb = rb.Union(es[keys[k].idx].rect)
+			suffix[k] = rb
 		}
-		return a.rect.Min.X < b.rect.Min.X
-	})
-	yDists, yMargin := axisDistributions(func(a, b entry) bool {
-		if a.rect.Min.Y != b.rect.Min.Y {
-			return a.rect.Min.Y < b.rect.Min.Y
+		lb := geom.EmptyRect()
+		for k := 0; k < m-1; k++ {
+			lb = lb.Union(es[keys[k].idx].rect)
 		}
-		return a.rect.Max.Y < b.rect.Max.Y
-	})
-	yDists2, yMargin2 := axisDistributions(func(a, b entry) bool {
-		if a.rect.Max.Y != b.rect.Max.Y {
-			return a.rect.Max.Y < b.rect.Max.Y
+		for k := m; k <= len(es)-m; k++ {
+			lb = lb.Union(es[keys[k-1].idx].rect)
+			rb = suffix[k]
+			margin[s] += lb.Margin() + rb.Margin()
+			dists[s*nd+k-m] = splitDist{overlap: lb.OverlapArea(rb), area: lb.Area() + rb.Area()}
 		}
-		return a.rect.Min.Y < b.rect.Min.Y
-	})
+	}
 
-	var candidates []distribution
-	if xMargin+xMargin2 <= yMargin+yMargin2 {
-		candidates = append(xDists, xDists2...)
-	} else {
-		candidates = append(yDists, yDists2...)
+	// The candidates are the distributions of both sorts of the chosen axis,
+	// lower-coordinate sort first: one contiguous run of dists.
+	first := 0
+	if margin[0]+margin[1] > margin[2]+margin[3] {
+		first = 2 * nd
 	}
-	best := candidates[0]
-	for _, d := range candidates[1:] {
-		if d.overlap < best.overlap-1e-12 ||
-			(almostEq(d.overlap, best.overlap) && d.area < best.area) {
-			best = d
+	best := first
+	for c := first + 1; c < first+2*nd; c++ {
+		if d, b := dists[c], dists[best]; d.overlap < b.overlap-1e-12 ||
+			(almostEq(d.overlap, b.overlap) && d.area < b.area) {
+			best = c
 		}
 	}
-	// Copy out: the slices alias sort buffers.
-	left = append([]entry(nil), best.left...)
-	right = append([]entry(nil), best.right...)
-	return left, right
-}
+	keys, k := t.keys[best/nd][:len(es)], best%nd+m
 
-func boundsOf(es []entry) geom.Rect {
-	r := geom.EmptyRect()
-	for i := range es {
-		r = r.Union(es[i].rect)
+	// Both groups are built in fresh storage sized for a full node, so
+	// neither ever regrows; the old backing array is garbage either way.
+	left := make([]entry, k, t.maxEntries+1)
+	right = make([]entry, len(es)-k, t.maxEntries+1)
+	for i, key := range keys[:k] {
+		left[i] = es[key.idx]
 	}
-	return r
+	for i, key := range keys[k:] {
+		right[i] = es[key.idx]
+	}
+	n.entries = left
+	return right
 }
 
 // Delete removes one value equal to data stored under rect (comparison with
@@ -438,7 +518,8 @@ func (t *Tree) condense(path []*node) {
 		}
 	}
 	for i, e := range orphans {
-		t.insertEntry(e, orphanLevels[i], make(map[int]bool))
+		t.reinserted = 0
+		t.insertEntry(e, orphanLevels[i])
 	}
 	// Shrink a non-leaf root with a single child.
 	for !t.root.leaf && len(t.root.entries) == 1 {

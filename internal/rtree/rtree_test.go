@@ -431,19 +431,6 @@ func TestClusteredInsertionKeepsInvariants(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]geom.Point, b.N)
-	for i := range pts {
-		pts[i] = randPoint(rng, 1e5)
-	}
-	tr := NewDefault()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.InsertPoint(pts[i], i)
-	}
-}
-
 func BenchmarkSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tr := NewDefault()

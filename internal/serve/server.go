@@ -37,6 +37,12 @@ type Options struct {
 	// RelayTimeout bounds how long a peer-cache relay waits for probed
 	// sessions before delivering what arrived (default 2s).
 	RelayTimeout time.Duration
+	// StoreRead and IndexBuild are what the caller measured reading the POI
+	// store and building the R*-tree at boot. They are not knobs: the server
+	// only reports them on /v1/stats (store_read_ms, index_build_ms), so an
+	// operator can see what a restart costs without a profiler.
+	StoreRead  time.Duration
+	IndexBuild time.Duration
 }
 
 // Server is the network face of the remote spatial database: HTTP for
@@ -51,6 +57,8 @@ type Server struct {
 	maxTxRange   float64
 	relayTimeout time.Duration
 	bounds       geom.Rect
+	storeRead    time.Duration
+	indexBuild   time.Duration
 	mux          *http.ServeMux
 
 	mu       sync.Mutex
@@ -141,6 +149,8 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		maxTxRange:   opts.MaxTxRange,
 		relayTimeout: opts.RelayTimeout,
 		bounds:       bounds,
+		storeRead:    opts.StoreRead,
+		indexBuild:   opts.IndexBuild,
 		sessions:     make(map[string]*session),
 		dir:          newSessionDirectory(bounds, 0, 0),
 	}
@@ -346,6 +356,11 @@ type Stats struct {
 	Queries      int64   `json:"queries"`
 	RangeQueries int64   `json:"range_queries"`
 	ProtoErrors  int64   `json:"protocol_errors"`
+	// StoreReadMs and IndexBuildMs are the boot costs the daemon measured
+	// (Options.StoreRead, Options.IndexBuild), set once and never updated;
+	// zero when the embedder reported none.
+	StoreReadMs  float64 `json:"store_read_ms"`
+	IndexBuildMs float64 `json:"index_build_ms"`
 	// ServerQueries and PageAccesses are the wrapped module's own counters
 	// — the PAR metric, aggregated across every connection.
 	ServerQueries int64 `json:"server_queries"`
@@ -388,6 +403,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Queries:             s.stat.queries.Load(),
 		RangeQueries:        s.stat.ranges.Load(),
 		ProtoErrors:         s.stat.protoErrors.Load(),
+		StoreReadMs:         float64(s.storeRead) / float64(time.Millisecond),
+		IndexBuildMs:        float64(s.indexBuild) / float64(time.Millisecond),
 		ServerQueries:       mod.Queries(),
 		PageAccesses:        mod.PageAccesses(),
 		RelayRequests:       s.stat.relayRequests.Load(),

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -401,6 +402,40 @@ func TestSessionLifecycleConcurrent(t *testing.T) {
 	if st.Sessions != workers || st.Queries != workers*queriesPerWorker ||
 		st.Positions != workers*queriesPerWorker {
 		t.Fatalf("stats = %+v, want %d sessions / %d queries", st, workers, workers*queriesPerWorker)
+	}
+}
+
+// /v1/stats carries the boot costs the daemon measured, so a restart's price
+// is visible without a profiler: both fields are always present and
+// non-negative, and they report exactly what Options carried in.
+func TestStatsReportBootCosts(t *testing.T) {
+	for _, tc := range []struct {
+		opts        Options
+		read, build float64
+	}{
+		{Options{}, 0, 0},
+		{Options{StoreRead: 12500 * time.Microsecond, IndexBuild: 540 * time.Millisecond}, 12.5, 540},
+	} {
+		srv, _ := testServer(t, 200, tc.opts)
+		resp, err := http.Get(srv.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, want := range map[string]float64{"store_read_ms": tc.read, "index_build_ms": tc.build} {
+			got, ok := doc[key].(float64)
+			if !ok {
+				t.Fatalf("/v1/stats lacks a numeric %q: %v", key, doc[key])
+			}
+			if got < 0 || got != want {
+				t.Errorf("%s = %v, want %v", key, got, want)
+			}
+		}
 	}
 }
 
