@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/wire"
 )
@@ -35,9 +34,20 @@ import (
 // transport write. The in-range sweep reads the sharded session directory
 // (directory.go), scanning only the covered grid cells — it never takes the
 // global Server.mu, so relay fan-out stays sublinear in the session count
-// and free of global contention. The per-request scratch (target slice,
-// pending state with its share slice, encode buffer) is pooled, keeping
-// steady-state fan-out allocation-flat.
+// and free of global contention.
+//
+// Shares are forwarded, not re-encoded. A ShareReply's share block (query
+// location, neighbor count, neighbors) is byte for byte the block a
+// PeerShares message carries for the same cache, and the codec is canonical
+// (an accepted message re-encodes to its own bytes), so once
+// wire.ShareReplyBlock has validated a reply in place the relay appends the
+// block's bytes to the pending relay's aggregate — behind the PeerShares
+// header reserved when the relay started — and the delivery is that buffer.
+// No share is ever decoded into a cache on the daemon. The per-request
+// scratch (target slice, pending state with its waiting map and aggregate,
+// probe buffer) is pooled, so the reply path allocates nothing in steady
+// state (BenchmarkRelayForward gates it at zero); what a relay does allocate
+// is its timer.
 
 // defaultRelayTimeout bounds how long a relay waits for probed peers.
 const defaultRelayTimeout = 2 * time.Second
@@ -51,16 +61,20 @@ const defaultMaxTxRange = 10_000.0
 const relayShards = 16
 
 // pendingRelay is one in-flight fan-out. Instances are pooled: the waiting
-// map and shares slice survive recycling, so a steady relay load stops
-// allocating once the pool is warm.
+// map and the aggregate buffer survive recycling, so a steady relay load
+// stops allocating once the pool is warm.
 type pendingRelay struct {
 	reqConn *WSConn
 	reqID   uint32
 	probeID uint32
 	// waiting holds the probed sessions that have not replied yet; the
 	// relay completes when it drains (or the timer / a disconnect ends it).
-	waiting      map[*session]bool
-	shares       []core.PeerCache
+	waiting map[*session]bool
+	// agg is the PeerShares message under construction: the header's
+	// PeerSharesHeaderSize bytes (rewritten at delivery, when the share count
+	// is known), then the nShares validated share blocks in arrival order.
+	agg          []byte
+	nShares      int
 	peersInRange int
 	timer        *time.Timer
 	done         bool
@@ -89,14 +103,15 @@ var relayTargetPool = sync.Pool{
 }
 
 // relayPendingPool recycles pendingRelay state (including the waiting map
-// and the aggregated share slice's backing array).
+// and the aggregate buffer's backing array).
 var relayPendingPool = sync.Pool{
 	New: func() any { return &pendingRelay{waiting: make(map[*session]bool)} },
 }
 
-// relayBufPool recycles relay encode buffers (probe frames and PeerShares
-// deliveries). The batched and immediate writers both copy the payload into
-// the connection's own buffer before returning, so recycling is safe.
+// relayBufPool recycles relay encode buffers (probe frames and the empty
+// zero-peer PeerShares). The batched and immediate writers both copy the
+// payload into the connection's own buffer before returning, so recycling is
+// safe.
 var relayBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 256); return &b },
 }
@@ -106,11 +121,8 @@ var relayBufPool = sync.Pool{
 // concurrent reply, drop, or timer path can find it anymore.
 func recycleRelay(pr *pendingRelay) {
 	clear(pr.waiting)
-	for i := range pr.shares {
-		pr.shares[i] = core.PeerCache{} // drop decoded-cache references
-	}
 	pr.reqConn = nil
-	pr.shares = pr.shares[:0]
+	pr.nShares = 0
 	pr.timer = nil
 	pr.done = false
 	relayPendingPool.Put(pr)
@@ -158,32 +170,12 @@ func (s *Server) startRelay(reqSess *session, ws *WSConn, req wire.PeerRequest) 
 		return err
 	}
 
-	pr := relayPendingPool.Get().(*pendingRelay)
-	pr.reqConn = ws
-	pr.reqID = req.ReqID
-	pr.peersInRange = len(targets)
-	for _, t := range targets {
-		pr.waiting[t.sess] = true
-	}
-	probeID := s.relay.nextProbe.Add(1)
-	pr.probeID = probeID
-	sh := s.relay.shard(probeID)
-	sh.mu.Lock()
-	if sh.pending == nil {
-		sh.pending = make(map[uint32]*pendingRelay)
-	}
-	sh.pending[probeID] = pr
-	// Arm the timer inside the registration critical section: any path that
-	// finds pr in the pending map — including a reply racing in before this
-	// goroutine proceeds — is then guaranteed to observe a non-nil timer at
-	// its terminal transition.
-	pr.timer = time.AfterFunc(s.relayTimeout, func() { s.relayExpired(probeID) })
-	sh.mu.Unlock()
+	probeID := s.registerRelay(ws, req.ReqID, targets)
 
 	// Probe outside every lock. A dead target's failed write just removes
-	// it from the countdown, exactly like a disconnect. pr itself is never
-	// touched from here on: the relay may complete — and pr be recycled —
-	// while this loop is still probing, so it works off the local snapshot
+	// it from the countdown, exactly like a disconnect. The pending relay is
+	// not touched here: it may complete — and its state be recycled — while
+	// this loop is still probing, so the loop works off the local snapshot
 	// and the probe ID alone.
 	bp := relayBufPool.Get().(*[]byte)
 	probe := wire.AppendPeerProbe((*bp)[:0], probeID)
@@ -200,29 +192,65 @@ func (s *Server) startRelay(reqSess *session, ws *WSConn, req wire.PeerRequest) 
 	return nil
 }
 
-// handleShareReply services one ShareReply on the replying peer's
-// connection goroutine. Unknown probe IDs — forged, duplicate, or simply
-// late after a timeout — are counted and dropped without penalizing the
-// connection: the race against the timer is legitimate, so it cannot be a
-// protocol error.
-func (s *Server) handleShareReply(from *session, sh wire.ShareReply) {
-	st := s.relay.shard(sh.ProbeID)
+// registerRelay enters one fan-out over targets into the pending table, its
+// timer armed, and returns the probe id that names it from then on. The
+// aggregate starts as a PeerShares header with a zero share count (see
+// deliverRelay).
+func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []relayTarget) uint32 {
+	pr := relayPendingPool.Get().(*pendingRelay)
+	pr.reqConn = reqConn
+	pr.reqID = reqID
+	pr.peersInRange = len(targets)
+	pr.agg = wire.AppendPeerSharesHeader(pr.agg[:0], reqID, len(targets), 0)
+	for _, t := range targets {
+		pr.waiting[t.sess] = true
+	}
+	probeID := s.relay.nextProbe.Add(1)
+	pr.probeID = probeID
+	sh := s.relay.shard(probeID)
+	sh.mu.Lock()
+	if sh.pending == nil {
+		sh.pending = make(map[uint32]*pendingRelay)
+	}
+	sh.pending[probeID] = pr
+	// Arm the timer inside the registration critical section: any path that
+	// finds pr in the pending map — including a reply racing in before the
+	// caller proceeds — is then guaranteed to observe a non-nil timer at
+	// its terminal transition.
+	pr.timer = time.AfterFunc(s.relayTimeout, func() { s.relayExpired(probeID) })
+	sh.mu.Unlock()
+	return probeID
+}
+
+// handleShareReply services one ShareReply frame on the replying peer's
+// connection goroutine: validate it in place (wire.ShareReplyBlock runs the
+// checks Decode runs) and append its share block's bytes to the aggregate.
+// frame is the connection's read buffer, so the block is copied before this
+// returns. The error is a malformed frame — the caller's protocol violation.
+// Unknown probe IDs — forged, duplicate, or simply late after a timeout —
+// are counted and dropped without penalizing the connection: the race
+// against the timer is legitimate, so it cannot be a protocol error.
+func (s *Server) handleShareReply(from *session, frame []byte) error {
+	probeID, n, block, err := wire.ShareReplyBlock(frame)
+	if err != nil {
+		return err
+	}
+	st := s.relay.shard(probeID)
 	st.mu.Lock()
-	pr := st.pending[sh.ProbeID]
+	pr := st.pending[probeID]
 	if pr == nil || !pr.waiting[from] {
 		st.mu.Unlock()
 		s.stat.relayUnknown.Add(1)
-		return
+		return nil
 	}
 	delete(pr.waiting, from)
-	if sh.Has {
-		if len(sh.Cache.Neighbors) > s.maxAnswer {
-			// An oversized share would be refused as an answer too; it does
-			// not reach the requester.
-			s.stat.relayRejected.Add(1)
-		} else {
-			pr.shares = append(pr.shares, sh.Cache)
-		}
+	if n > s.maxAnswer {
+		// An oversized share would be refused as an answer too; it does
+		// not reach the requester.
+		s.stat.relayRejected.Add(1)
+	} else if n > 0 {
+		pr.agg = append(pr.agg, block...)
+		pr.nShares++
 	}
 	fire := len(pr.waiting) == 0 && !pr.done
 	if fire {
@@ -235,6 +263,7 @@ func (s *Server) handleShareReply(from *session, sh wire.ShareReply) {
 		s.deliverRelay(pr)
 		recycleRelay(pr)
 	}
+	return nil
 }
 
 // relayDropPeer removes one probed session from a relay's countdown (failed
@@ -285,20 +314,16 @@ func (s *Server) relayExpired(probeID uint32) {
 // hold no locks and have already made the relay's terminal transition, so
 // this runs exactly once per relay and owns pr exclusively.
 func (s *Server) deliverRelay(pr *pendingRelay) {
-	s.stat.relayShares.Add(int64(len(pr.shares)))
-	bp := relayBufPool.Get().(*[]byte)
-	buf := wire.AppendPeerShares((*bp)[:0], wire.PeerShares{
-		ReqID:        pr.reqID,
-		PeersInRange: pr.peersInRange,
-		Shares:       pr.shares,
-	})
+	s.stat.relayShares.Add(int64(pr.nShares))
+	// Rewrite the reserved header in place now that the share count is
+	// final: appending to agg[:0] lands on the same PeerSharesHeaderSize
+	// bytes and leaves the forwarded blocks behind them untouched.
+	wire.AppendPeerSharesHeader(pr.agg[:0], pr.reqID, pr.peersInRange, pr.nShares)
 	// An immediate write, not a batched one: delivery often runs on a peer's
 	// connection goroutine, and the requester's own reader is blocked
 	// waiting for exactly this message — it cannot flush its own batch.
 	//simvet:discard — a failed delivery means the requester's transport died; its serveConn observes and accounts that on its next read
-	_ = pr.reqConn.WriteBinary(buf)
-	*bp = buf
-	relayBufPool.Put(bp)
+	_ = pr.reqConn.WriteBinary(pr.agg)
 }
 
 // dropConn detaches a finished connection from its session and settles

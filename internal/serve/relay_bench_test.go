@@ -27,8 +27,9 @@ func BenchmarkRelayFanout(b *testing.B) {
 		s := newBareServer(bounds, 0, 0)
 		rng := rand.New(rand.NewSource(11))
 		sessions := make([]*session, bc.n)
+		conn := &WSConn{} // attached is all the sweep asks of it; one serves every session
 		for i := range sessions {
-			sess := &session{conn: &WSConn{}}
+			sess := &session{conn: conn}
 			p := geom.Pt(rng.Float64()*20000, rng.Float64()*20000)
 			sess.setPos(p)
 			s.dir.update(sess, p)

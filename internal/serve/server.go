@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,6 +238,17 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	sess.conn = ws
 	sess.mu.Unlock()
 	s.stat.activeConns.Add(1)
+	// The connection gets a goroutine of its own and the handler returns:
+	// net/http's conn.serve frame (the better part of a 16 KB stack), its
+	// http.conn, the Request and its contexts are all released, instead of
+	// idling under every parked session. The goroutine ends when the
+	// transport does (peer close, protocol error, write failure); nothing
+	// waits for it, as nothing waited for a hijacked handler.
+	go s.runConn(sess, ws)
+}
+
+// runConn owns one upgraded connection from attachment to teardown.
+func (s *Server) runConn(sess *session, ws *WSConn) {
 	defer s.stat.activeConns.Add(-1)
 	defer s.dropConn(sess, ws)
 	//simvet:discard — teardown of a finished connection; serveConn already accounted the session-ending error
@@ -263,13 +275,19 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			}
 			return
 		}
+		if typ, err := wire.PeekType(data); err == nil && typ == wire.TypeShareReply {
+			// Forwarded as bytes, never decoded; like every decoded message
+			// it does not alias data past this iteration (the next
+			// ReadMessage overwrites it).
+			if s.handleShareReply(sess, data) != nil {
+				s.rejectFrame(ws)
+				return
+			}
+			continue
+		}
 		msg, err := wire.Decode(data)
 		if err != nil {
-			// Garbage framing inside a valid WebSocket message: strict
-			// tear-down, like a WebSocket protocol violation.
-			s.stat.protoErrors.Add(1)
-			//simvet:discard — best-effort error report on a connection being torn down; the write failing changes nothing
-			_ = ws.WriteBinary(wire.EncodeError(wire.ErrorMsg{Code: wire.ErrCodeBadRequest}))
+			s.rejectFrame(ws)
 			return
 		}
 		switch msg.Type {
@@ -329,8 +347,6 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			if s.startRelay(sess, ws, msg.PeerReq) != nil {
 				return
 			}
-		case wire.TypeShareReply:
-			s.handleShareReply(sess, msg.Share)
 		default:
 			// Raw air-interface messages (CacheShare, CacheRequest) and
 			// server-to-client messages have no meaning client-to-server;
@@ -341,6 +357,15 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			}
 		}
 	}
+}
+
+// rejectFrame accounts and reports garbage framing inside a valid WebSocket
+// message; the caller then tears the connection down — strict, like a
+// WebSocket protocol violation.
+func (s *Server) rejectFrame(ws *WSConn) {
+	s.stat.protoErrors.Add(1)
+	//simvet:discard — best-effort error report on a connection being torn down; the write failing changes nothing
+	_ = ws.WriteBinary(wire.EncodeError(wire.ErrorMsg{Code: wire.ErrCodeBadRequest}))
 }
 
 // Stats is the /v1/stats document.
@@ -380,6 +405,48 @@ type Stats struct {
 	DirCellsScanned int64 `json:"dir_cells_scanned"`
 	DirCandRejected int64 `json:"dir_candidates_rejected"`
 	DirPatchOps     int64 `json:"dir_patch_ops"`
+	// Process memory, read through runtime/metrics (no stop-the-world):
+	// (heap_inuse_bytes + stack_inuse_bytes) / active_conns is what a session
+	// costs, and the growth of total_alloc_bytes and gc_cycles over a stretch
+	// of traffic is what an exchange allocates. The last two are cumulative.
+	Goroutines      int64 `json:"goroutines"`
+	HeapInuseBytes  int64 `json:"heap_inuse_bytes"`
+	StackInuseBytes int64 `json:"stack_inuse_bytes"`
+	TotalAllocBytes int64 `json:"total_alloc_bytes"`
+	GCCycles        int64 `json:"gc_cycles"`
+}
+
+// runtimeMetrics are the runtime/metrics samples behind the Stats memory
+// fields, in the order readRuntime consumes them. Heap in use is spans
+// holding objects: live and not-yet-swept objects plus the free slots
+// between them, what runtime.MemStats calls HeapInuse.
+var runtimeMetrics = [...]string{
+	"/sched/goroutines:goroutines",
+	"/memory/classes/heap/objects:bytes",
+	"/memory/classes/heap/unused:bytes",
+	"/memory/classes/heap/stacks:bytes",
+	"/gc/heap/allocs:bytes",
+	"/gc/cycles/total:gc-cycles",
+}
+
+// readRuntime fills the memory fields of st.
+func readRuntime(st *Stats) {
+	var samples [len(runtimeMetrics)]metrics.Sample
+	for i, name := range runtimeMetrics {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	var v [len(runtimeMetrics)]int64
+	for i := range samples {
+		if samples[i].Value.Kind() == metrics.KindUint64 {
+			v[i] = int64(samples[i].Value.Uint64())
+		}
+	}
+	st.Goroutines = v[0]
+	st.HeapInuseBytes = v[1] + v[2]
+	st.StackInuseBytes = v[3]
+	st.TotalAllocBytes = v[4]
+	st.GCCycles = v[5]
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -391,7 +458,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for i := range hist {
 		hist[i] = s.stat.peersInRange[i].Load()
 	}
-	writeJSON(w, Stats{
+	st := Stats{
 		POIs:                len(mod.POIs()),
 		BoundsMinX:          s.bounds.Min.X,
 		BoundsMinY:          s.bounds.Min.Y,
@@ -416,7 +483,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DirCellsScanned:     s.dir.cellsScanned.Load(),
 		DirCandRejected:     s.dir.candRejected.Load(),
 		DirPatchOps:         s.dir.patchOps.Load(),
-	})
+	}
+	readRuntime(&st)
+	writeJSON(w, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

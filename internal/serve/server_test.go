@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -26,14 +27,22 @@ func testModule(nPOIs int) *sim.ServerModule {
 	return sim.NewServerModule(sim.RandomPOIs(nPOIs, bounds, rng), 30)
 }
 
-// testServer boots a Server over a fresh random POI set and returns both so
-// oracle tests can query the module directly.
+// testServerHandle boots a Server over a fresh random POI set, for tests
+// that inspect the Server itself.
+func testServerHandle(t *testing.T, nPOIs int, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	s := NewServer(testModule(nPOIs), opts)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	return s, srv
+}
+
+// testServer is testServerHandle returning the module instead, so oracle
+// tests can query it directly.
 func testServer(t *testing.T, nPOIs int, opts Options) (*httptest.Server, *sim.ServerModule) {
 	t.Helper()
-	mod := testModule(nPOIs)
-	srv := httptest.NewServer(NewServer(mod, opts).Handler())
-	t.Cleanup(srv.Close)
-	return srv, mod
+	s, srv := testServerHandle(t, nPOIs, opts)
+	return srv, s.querier.Module()
 }
 
 // openSession POSTs /v1/session and dials the query WebSocket.
@@ -46,22 +55,31 @@ func openSession(t *testing.T, srv *httptest.Server) *WSConn {
 	return ws
 }
 
-func tryOpenSession(srv *httptest.Server) (*WSConn, error) {
+// sessionToken registers a session and returns its token.
+func sessionToken(srv *httptest.Server) (string, error) {
 	resp, err := http.Post(srv.URL+"/v1/session", "application/json", nil)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("session: status %d", resp.StatusCode)
+		return "", fmt.Errorf("session: status %d", resp.StatusCode)
 	}
 	var doc struct {
 		Session string `json:"session"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("session: %v", err)
+		return "", fmt.Errorf("session: %v", err)
 	}
-	return DialWS(wsURL(srv) + "/v1/ws?session=" + doc.Session)
+	return doc.Session, nil
+}
+
+func tryOpenSession(srv *httptest.Server) (*WSConn, error) {
+	token, err := sessionToken(srv)
+	if err != nil {
+		return nil, err
+	}
+	return DialWS(wsURL(srv) + "/v1/ws?session=" + token)
 }
 
 // The acceptance bar for the whole server: a served kNN answer must be the
@@ -436,6 +454,69 @@ func TestStatsReportBootCosts(t *testing.T) {
 				t.Errorf("%s = %v, want %v", key, got, want)
 			}
 		}
+	}
+}
+
+// /v1/stats is an interface: bench/ and the CI smoke gate decode it by JSON
+// name. The document is exactly the fields below — the names that existed
+// before the memory fields were added, unchanged, plus those five — and the
+// memory fields behave: gauges are positive, the cumulative two never go
+// back.
+func TestStatsMemoryFields(t *testing.T) {
+	srv, _ := testServer(t, 200, Options{})
+	fetch := func() map[string]any {
+		resp, err := http.Get(srv.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	first := fetch()
+	want := []string{
+		"pois", "bounds_min_x", "bounds_min_y", "bounds_max_x", "bounds_max_y",
+		"sessions", "active_conns", "positions", "queries", "range_queries", "protocol_errors",
+		"store_read_ms", "index_build_ms", "server_queries", "page_accesses",
+		"relay_requests", "relay_shares_forwarded", "relay_rejected", "relay_unknown_replies",
+		"relay_timeouts", "peers_in_range_hist",
+		"dir_cells_scanned", "dir_candidates_rejected", "dir_patch_ops",
+		"goroutines", "heap_inuse_bytes", "stack_inuse_bytes", "total_alloc_bytes", "gc_cycles",
+	}
+	for _, key := range want {
+		if _, ok := first[key]; !ok {
+			t.Errorf("/v1/stats lacks %q", key)
+		}
+	}
+	if len(first) != len(want) {
+		t.Errorf("/v1/stats has %d fields, want exactly the %d known ones: %v", len(first), len(want), first)
+	}
+	num := func(doc map[string]any, key string) float64 {
+		v, ok := doc[key].(float64)
+		if !ok {
+			t.Fatalf("%s is not a number: %v", key, doc[key])
+		}
+		return v
+	}
+	for _, key := range []string{"goroutines", "heap_inuse_bytes", "stack_inuse_bytes", "total_alloc_bytes"} {
+		if num(first, key) <= 0 {
+			t.Errorf("%s = %v, want > 0", key, first[key])
+		}
+	}
+
+	ws := openSession(t, srv)
+	defer ws.Close()
+	syncPosition(t, ws, geom.Pt(100, 100))
+	runtime.GC()
+	second := fetch()
+	if a, b := num(first, "total_alloc_bytes"), num(second, "total_alloc_bytes"); b <= a {
+		t.Errorf("total_alloc_bytes went %v -> %v across served traffic", a, b)
+	}
+	if a, b := num(first, "gc_cycles"), num(second, "gc_cycles"); b < a+1 {
+		t.Errorf("gc_cycles went %v -> %v across a forced collection", a, b)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -49,6 +50,24 @@ const wsGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 // DefaultMaxMessage bounds a reassembled message (1 MiB — comfortably above
 // the largest well-formed wire answer, AnswerSize(MaxQueryK) ≈ 96 KiB).
 const DefaultMaxMessage = 1 << 20
+
+// firstReadSize is the inline buffer every blocking transport read lands in —
+// all the read-side memory an idle connection holds. It is sized so the
+// protocol's steady-state client frames (Position, Query, PeerRequest, a
+// ShareReply carrying a 16-neighbor cache: 423 bytes framed) arrive whole in
+// that one read; a longer payload's remainder is read straight into the
+// message buffer, so no second buffer is ever needed.
+const firstReadSize = 512
+
+// payloadChunk bounds how far the message buffer grows ahead of the bytes
+// that have actually arrived: a frame header may announce up to maxMsg, but a
+// peer that then stalls has pinned one chunk, not the announced size.
+const payloadChunk = 16 << 10
+
+// maxParkedPayload is the largest message buffer a connection keeps while it
+// waits for the next message; one grown for a rare large message is dropped
+// instead of being pinned by an idle session.
+const maxParkedPayload = 4 << 10
 
 // flushThreshold is the write-coalescing limit of a server-side connection:
 // WriteBinaryBatched holds frames back until this many bytes are pending.
@@ -92,7 +111,14 @@ func acceptKey(key string) string {
 // reply never waits on traffic that will not come.
 type WSConn struct {
 	conn net.Conn
-	br   *bufio.Reader
+	// unread is the window of transport bytes read but not yet parsed. It
+	// aliases first or, right after the opening handshake, a one-off copy of
+	// what the HTTP reader had buffered behind it (see newWSConn).
+	unread []byte
+	first  [firstReadSize]byte
+	// payload is the connection's one message buffer: every frame's payload
+	// is read into it and ReadMessage returns a slice of it.
+	payload []byte
 	// client marks which masking role this side plays: per RFC 6455 §5.1 a
 	// client masks every frame it sends and requires unmasked frames from
 	// the server; a server does the reverse.
@@ -116,8 +142,15 @@ type WSConn struct {
 	closeErr  error
 }
 
+// newWSConn wraps conn once the opening handshake has been read through br.
+// Frames the peer pipelined behind the handshake are already in br; they are
+// copied out (inline when they fit) so br can be dropped — on the server side
+// it is net/http's reader, which pins that connection's whole http.conn,
+// Request and 4 KB buffer for as long as anything holds it.
 func newWSConn(conn net.Conn, br *bufio.Reader, client bool) *WSConn {
-	c := &WSConn{conn: conn, br: br, client: client, maxMsg: DefaultMaxMessage}
+	c := &WSConn{conn: conn, client: client, maxMsg: DefaultMaxMessage}
+	leftover, _ := br.Peek(br.Buffered()) // exactly what is buffered: no read, no error
+	c.unread = append(c.first[:0], leftover...)
 	if client {
 		var seed [8]byte
 		if _, err := rand.Read(seed[:]); err == nil {
@@ -132,23 +165,30 @@ func (c *WSConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadl
 
 // ReadMessage returns the next complete binary message, transparently
 // answering pings and skipping pongs. It returns ErrConnClosed after an
-// orderly close from the peer.
+// orderly close from the peer. The returned slice is the connection's own
+// message buffer: it is valid until the next ReadMessage call, so a caller
+// that keeps the bytes must copy them (wire.Decode and its variants do).
 func (c *WSConn) ReadMessage() ([]byte, error) {
-	var msg []byte
-	assembling := false
+	if len(c.unread) == 0 && cap(c.payload) > maxParkedPayload {
+		c.payload = nil // parking: see maxParkedPayload
+	}
+	// A fragmented message accumulates in payload[:assembled]; each further
+	// frame (interleaved control frames included) is read in behind it.
+	assembled, assembling := 0, false
 	for {
 		// About to (possibly) block on the transport: anything batched for
 		// this connection must go out first, or a coalesced reply would wait
 		// on the peer's next request.
-		if c.batch && c.br.Buffered() == 0 {
+		if c.batch && len(c.unread) == 0 {
 			if err := c.Flush(); err != nil {
 				return nil, err
 			}
 		}
-		fin, op, payload, err := c.readFrame()
+		fin, op, n, err := c.readFrame(assembled)
 		if err != nil {
 			return nil, err
 		}
+		payload := c.payload[assembled : assembled+n]
 		switch op {
 		case opPing:
 			if err := c.writeFrame(opPong, payload); err != nil {
@@ -171,17 +211,14 @@ func (c *WSConn) ReadMessage() ([]byte, error) {
 			if fin {
 				return payload, nil
 			}
-			msg, assembling = payload, true
+			assembled, assembling = n, true
 		case opContinuation:
 			if !assembling {
 				return nil, c.fail("continuation without a started message")
 			}
-			if len(msg)+len(payload) > c.maxMsg {
-				return nil, c.close1009()
-			}
-			msg = append(msg, payload...)
+			assembled += n
 			if fin {
-				return msg, nil
+				return c.payload[:assembled], nil
 			}
 		case opText:
 			return nil, c.fail("text frames are not part of this protocol")
@@ -254,62 +291,114 @@ func (c *WSConn) shutdown(code []byte) {
 	})
 }
 
-// readFrame reads and unmasks one frame.
-func (c *WSConn) readFrame() (fin bool, op byte, payload []byte, err error) {
-	var h [2]byte
-	if _, err := io.ReadFull(c.br, h[:]); err != nil {
-		return false, 0, nil, err
+// readFrame reads one frame, leaving its unmasked payload in
+// c.payload[off:off+n]; off is the length of the fragmented message already
+// assembled there.
+func (c *WSConn) readFrame(off int) (fin bool, op byte, n int, err error) {
+	if err := c.fill(2); err != nil {
+		return false, 0, 0, err
 	}
-	fin = h[0]&0x80 != 0
-	if h[0]&0x70 != 0 {
-		return false, 0, nil, c.fail("nonzero RSV bits without a negotiated extension")
+	h0, h1 := c.unread[0], c.unread[1]
+	fin = h0&0x80 != 0
+	if h0&0x70 != 0 {
+		return false, 0, 0, c.fail("nonzero RSV bits without a negotiated extension")
 	}
-	op = h[0] & 0x0F
-	masked := h[1]&0x80 != 0
-	n := uint64(h[1] & 0x7F)
+	op = h0 & 0x0F
+	masked := h1&0x80 != 0
+	size := uint64(h1 & 0x7F)
 	if op >= opClose { // control frame constraints (§5.5)
-		if !fin || n > 125 {
-			return false, 0, nil, c.fail("fragmented or oversized control frame")
+		if !fin || size > 125 {
+			return false, 0, 0, c.fail("fragmented or oversized control frame")
 		}
 	}
-	switch n {
+	hdr := 2
+	switch size {
 	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(c.br, ext[:]); err != nil {
-			return false, 0, nil, err
+		if err := c.fill(hdr + 2); err != nil {
+			return false, 0, 0, err
 		}
-		n = uint64(binary.BigEndian.Uint16(ext[:]))
+		size = uint64(binary.BigEndian.Uint16(c.unread[hdr:]))
+		hdr += 2
 	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(c.br, ext[:]); err != nil {
-			return false, 0, nil, err
+		if err := c.fill(hdr + 8); err != nil {
+			return false, 0, 0, err
 		}
-		n = binary.BigEndian.Uint64(ext[:])
+		size = binary.BigEndian.Uint64(c.unread[hdr:])
+		hdr += 8
 	}
-	if n > uint64(c.maxMsg) {
-		return false, 0, nil, c.close1009()
+	// The cap holds for the reassembled message, not just this frame, and is
+	// enforced before any of the payload is read. (The first clause also keeps
+	// a near-2^64 announcement from wrapping the sum.)
+	if size > uint64(c.maxMsg) || (op < opClose && uint64(off)+size > uint64(c.maxMsg)) {
+		return false, 0, 0, c.close1009()
 	}
 	// §5.1: exactly one side masks. A client expects unmasked server
 	// frames; a server expects masked client frames.
 	if masked == c.client {
-		return false, 0, nil, c.fail("frame masking violates RFC 6455 §5.1")
+		return false, 0, 0, c.fail("frame masking violates RFC 6455 §5.1")
 	}
 	var key [4]byte
 	if masked {
-		if _, err := io.ReadFull(c.br, key[:]); err != nil {
-			return false, 0, nil, err
+		if err := c.fill(hdr + 4); err != nil {
+			return false, 0, 0, err
 		}
+		copy(key[:], c.unread[hdr:])
+		hdr += 4
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return false, 0, nil, err
+	c.unread = c.unread[hdr:]
+	n = int(size)
+	if err := c.readPayload(off, n); err != nil {
+		return false, 0, 0, err
 	}
 	if masked {
+		payload := c.payload[off : off+n]
 		for i := range payload {
 			payload[i] ^= key[i&3]
 		}
 	}
-	return fin, op, payload, nil
+	return fin, op, n, nil
+}
+
+// fill blocks until at least need unread bytes are buffered; need is a frame
+// header length, far below len(first). What is left of the old window moves
+// to the front of first and the transport read lands behind it, so a
+// connection parked here holds no buffer but first.
+func (c *WSConn) fill(need int) error {
+	for len(c.unread) < need {
+		have := copy(c.first[:], c.unread)
+		n, err := c.conn.Read(c.first[have:])
+		c.unread = c.first[:have+n]
+		if err != nil && len(c.unread) < need {
+			if err == io.EOF && len(c.unread) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// readPayload reads the current frame's n payload bytes into
+// c.payload[off:off+n]. The buffer grows as the bytes arrive, at most
+// payloadChunk ahead of them, never on the frame header's say-so.
+func (c *WSConn) readPayload(off, n int) error {
+	c.payload = c.payload[:off]
+	for end := off + n; len(c.payload) < end; {
+		have := len(c.payload)
+		step := min(end-have, payloadChunk)
+		c.payload = slices.Grow(c.payload, step)[:have+step]
+		// Buffered bytes first; the rest straight from the transport into
+		// place, with no intermediate buffer.
+		got := copy(c.payload[have:], c.unread)
+		c.unread = c.unread[got:]
+		if _, err := io.ReadFull(c.conn, c.payload[have+got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // writeFrame emits one complete frame, flushing it (and any batched frames
@@ -430,8 +519,6 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*WSConn, error) {
 		abortConn(conn)
 		return nil, fmt.Errorf("serve: handshake write: %w", err)
 	}
-	// brw.Reader may already hold frames the client pipelined behind the
-	// handshake; keep reading through it.
 	c := newWSConn(conn, brw.Reader, false)
 	c.batch = true
 	return c, nil

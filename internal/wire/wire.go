@@ -304,7 +304,7 @@ func ShareReplySize(n int) int { return headerSize + 4 + 1 + pointSize + 4 + n*p
 // PeerSharesSize returns the encoded size of an aggregated relay reply whose
 // shares carry the given neighbor counts.
 func PeerSharesSize(neighborCounts []int) int {
-	size := headerSize + 4 + 4 + 4
+	size := PeerSharesHeaderSize
 	for _, n := range neighborCounts {
 		size += pointSize + 4 + n*poiSize
 	}
@@ -442,16 +442,29 @@ func EncodeShareReply(probeID uint32, has bool, pc core.PeerCache) []byte {
 // share must be a non-empty ascending-distance PeerCache (which is the only
 // kind the relay collects); Decode rejects anything else.
 func AppendPeerShares(dst []byte, ps PeerShares) []byte {
-	dst = appendHeader(dst, TypePeerShares)
-	dst = binary.LittleEndian.AppendUint32(dst, ps.ReqID)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ps.PeersInRange))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ps.Shares)))
+	dst = AppendPeerSharesHeader(dst, ps.ReqID, ps.PeersInRange, len(ps.Shares))
 	for _, pc := range ps.Shares {
 		dst = appendPoint(dst, pc.QueryLoc)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pc.Neighbors)))
 		dst = appendNeighbors(dst, pc.Neighbors)
 	}
 	return dst
+}
+
+// PeerSharesHeaderSize is the encoded size of the fixed prefix of a
+// PeerShares message (AppendPeerSharesHeader): everything before the first
+// share block.
+const PeerSharesHeaderSize = headerSize + 4 + 4 + 4
+
+// AppendPeerSharesHeader appends the fixed prefix of an aggregated relay
+// reply — request id, peers in range, share count. The message is that
+// prefix followed by the share blocks, so a relay holding validated wire
+// blocks (ShareReplyBlock) completes it by appending them unchanged.
+func AppendPeerSharesHeader(dst []byte, reqID uint32, peersInRange, shares int) []byte {
+	dst = appendHeader(dst, TypePeerShares)
+	dst = binary.LittleEndian.AppendUint32(dst, reqID)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(peersInRange))
+	return binary.LittleEndian.AppendUint32(dst, uint32(shares))
 }
 
 // EncodePeerShares emits an aggregated relay reply (see AppendPeerShares).
@@ -697,50 +710,65 @@ func decodePeerProbe(buf []byte) (Message, error) {
 	return Message{Type: TypePeerProbe, ProbeID: binary.LittleEndian.Uint32(buf[headerSize:])}, nil
 }
 
-// decodeShareInto parses one loc + count + neighbors share block at off,
-// validating finiteness, the neighbor cap, and the ascending-distance
-// invariant. Neighbors are appended to arena; the returned cache's Neighbors
-// alias the appended region (capped, so appending to the arena later cannot
-// write through them). It returns the cache, the offset past the block, and
-// the grown arena. Single validation path for every relayed-share decoder.
-func decodeShareInto(buf []byte, off int, arena []core.POI) (core.PeerCache, int, []core.POI, error) {
+// scanShare walks one loc + count + neighbors share block at off, validating
+// finiteness, the neighbor cap, and the ascending-distance invariant. It
+// returns the block's query location, its neighbor count, and the offset
+// past it. With keep set the neighbors are also appended to arena (returned
+// grown); without it the walk only validates, which is all a relay that
+// forwards the block's bytes needs. Single validation path for every
+// relayed-share decoder and for ShareReplyBlock.
+func scanShare(buf []byte, off int, keep bool, arena []core.POI) (geom.Point, int, int, []core.POI, error) {
 	if len(buf) < off+pointSize+4 {
-		return core.PeerCache{}, 0, arena, ErrTruncated
+		return geom.Point{}, 0, 0, arena, ErrTruncated
 	}
 	loc := getPoint(buf, off)
 	if !finite(loc) {
-		return core.PeerCache{}, 0, arena, ErrBadFloat
+		return geom.Point{}, 0, 0, arena, ErrBadFloat
 	}
 	n := int(binary.LittleEndian.Uint32(buf[off+pointSize:]))
 	if n > MaxShareNeighbors {
-		return core.PeerCache{}, 0, arena, fmt.Errorf("%w: share carries %d neighbors", ErrBadValue, n)
+		return geom.Point{}, 0, 0, arena, fmt.Errorf("%w: share carries %d neighbors", ErrBadValue, n)
 	}
 	off += pointSize + 4
 	if len(buf) < off+n*poiSize {
-		return core.PeerCache{}, 0, arena, ErrTruncated
+		return geom.Point{}, 0, 0, arena, ErrTruncated
 	}
-	arena = slices.Grow(arena, n)
-	start := len(arena)
+	if keep {
+		arena = slices.Grow(arena, n)
+	}
 	prev := -1.0
 	for i := 0; i < n; i++ {
-		id := int64(binary.LittleEndian.Uint64(buf[off:]))
 		p := getPoint(buf, off+8)
 		if !finite(p) {
-			return core.PeerCache{}, 0, arena, ErrBadFloat
+			return geom.Point{}, 0, 0, arena, ErrBadFloat
 		}
 		// Relayed shares descend from served answers, whose ascending order
 		// is authoritative; validating instead of re-sorting keeps the
 		// encoding canonical and the PeerCache invariant intact.
 		d2 := loc.Dist2(p)
 		if d2 < prev {
-			return core.PeerCache{}, 0, arena, ErrUnsorted
+			return geom.Point{}, 0, 0, arena, ErrUnsorted
 		}
 		prev = d2
-		arena = append(arena, core.POI{ID: id, Loc: p})
+		if keep {
+			arena = append(arena, core.POI{ID: int64(binary.LittleEndian.Uint64(buf[off:])), Loc: p})
+		}
 		off += poiSize
 	}
+	return loc, n, off, arena, nil
+}
+
+// decodeShareInto is scanShare keeping the neighbors: they are appended to
+// arena and the returned cache's Neighbors alias the appended region (capped,
+// so appending to the arena later cannot write through them).
+func decodeShareInto(buf []byte, off int, arena []core.POI) (core.PeerCache, int, []core.POI, error) {
+	start := len(arena)
+	loc, _, next, arena, err := scanShare(buf, off, true, arena)
+	if err != nil {
+		return core.PeerCache{}, 0, arena, err
+	}
 	end := len(arena)
-	return core.PeerCache{QueryLoc: loc, Neighbors: arena[start:end:end]}, off, arena, nil
+	return core.PeerCache{QueryLoc: loc, Neighbors: arena[start:end:end]}, next, arena, nil
 }
 
 // decodeShare is decodeShareInto with fresh storage per share.
@@ -749,43 +777,87 @@ func decodeShare(buf []byte, off int) (core.PeerCache, int, error) {
 	return pc, next, err
 }
 
-func decodeShareReply(buf []byte) (Message, error) {
-	if len(buf) < headerSize+4+1+pointSize+4 {
-		return Message{}, ErrTruncated
+// shareReplyBlockOff is where a ShareReply's share block starts: past the
+// header, the probe id and the has-cache flag.
+const shareReplyBlockOff = headerSize + 4 + 1
+
+// scanShareReply validates a ShareReply and returns it with its neighbor
+// count (0 for the canonical empty reply). With keep unset the cache is
+// validated but not materialised (r.Cache stays zero). Decode and
+// ShareReplyBlock both run it, so they accept exactly the same messages.
+func scanShareReply(buf []byte, keep bool) (ShareReply, int, error) {
+	if len(buf) < ShareReplySize(0) {
+		return ShareReply{}, 0, ErrTruncated
 	}
 	r := ShareReply{ProbeID: binary.LittleEndian.Uint32(buf[headerSize:])}
 	switch buf[headerSize+4] {
 	case 0:
 		// Canonical empty reply: zero location bits, zero neighbors.
 		if len(buf) != ShareReplySize(0) {
-			return Message{}, ErrTruncated
+			return ShareReply{}, 0, ErrTruncated
 		}
-		for _, b := range buf[headerSize+5:] {
+		for _, b := range buf[shareReplyBlockOff:] {
 			if b != 0 {
-				return Message{}, fmt.Errorf("%w: empty share reply carries data", ErrBadValue)
+				return ShareReply{}, 0, fmt.Errorf("%w: empty share reply carries data", ErrBadValue)
 			}
 		}
-		return Message{Type: TypeShareReply, Share: r}, nil
+		return r, 0, nil
 	case 1:
-		pc, off, err := decodeShare(buf, headerSize+5)
+		loc, n, off, neighbors, err := scanShare(buf, shareReplyBlockOff, keep, nil)
 		if err != nil {
-			return Message{}, err
+			return ShareReply{}, 0, err
 		}
 		if off != len(buf) {
-			return Message{}, ErrTruncated
+			return ShareReply{}, 0, ErrTruncated
 		}
-		if len(pc.Neighbors) == 0 {
-			return Message{}, fmt.Errorf("%w: share reply flagged non-empty with 0 neighbors", ErrBadValue)
+		if n == 0 {
+			return ShareReply{}, 0, fmt.Errorf("%w: share reply flagged non-empty with 0 neighbors", ErrBadValue)
 		}
-		r.Has, r.Cache = true, pc
-		return Message{Type: TypeShareReply, Share: r}, nil
+		r.Has = true
+		if keep {
+			r.Cache = core.PeerCache{QueryLoc: loc, Neighbors: neighbors[:n:n]}
+		}
+		return r, n, nil
 	default:
-		return Message{}, fmt.Errorf("%w: share flag %d", ErrBadValue, buf[headerSize+4])
+		return ShareReply{}, 0, fmt.Errorf("%w: share flag %d", ErrBadValue, buf[headerSize+4])
 	}
 }
 
+func decodeShareReply(buf []byte) (Message, error) {
+	r, _, err := scanShareReply(buf, true)
+	if err != nil {
+		return Message{}, err
+	}
+	return Message{Type: TypeShareReply, Share: r}, nil
+}
+
+// ShareReplyBlock validates a TypeShareReply message exactly as Decode does
+// — both run scanShareReply — but returns the share as wire bytes instead of
+// a decoded cache: block is the message's loc + count + neighbors region,
+// which is byte for byte the block AppendPeerShares emits for the same cache
+// (the encoding is canonical), so a relay forwards it behind
+// AppendPeerSharesHeader without decoding or re-encoding. block aliases buf
+// and is nil for the empty reply (neighbors == 0).
+func ShareReplyBlock(buf []byte) (probeID uint32, neighbors int, block []byte, err error) {
+	typ, err := PeekType(buf)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if typ != TypeShareReply {
+		return 0, 0, nil, fmt.Errorf("%w: %d (want ShareReply)", ErrBadType, typ)
+	}
+	r, n, err := scanShareReply(buf, false)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if n > 0 {
+		block = buf[shareReplyBlockOff:]
+	}
+	return r.ProbeID, n, block, nil
+}
+
 func decodePeerShares(buf []byte) (Message, error) {
-	if len(buf) < headerSize+4+4+4 {
+	if len(buf) < PeerSharesHeaderSize {
 		return Message{}, ErrTruncated
 	}
 	ps := PeerShares{
@@ -795,10 +867,10 @@ func decodePeerShares(buf []byte) (Message, error) {
 	m := int(binary.LittleEndian.Uint32(buf[headerSize+8:]))
 	// Each share block is at least pointSize+4 bytes, so m is bounded by the
 	// message length before anything is allocated.
-	if m > (len(buf)-headerSize-12)/(pointSize+4) {
+	if m > (len(buf)-PeerSharesHeaderSize)/(pointSize+4) {
 		return Message{}, ErrTruncated
 	}
-	off := headerSize + 12
+	off := PeerSharesHeaderSize
 	if m > 0 {
 		ps.Shares = make([]core.PeerCache, 0, m)
 	}
@@ -843,7 +915,7 @@ func DecodePeerSharesInto(buf []byte, sc *SharesScratch) (PeerShares, error) {
 	if typ != TypePeerShares {
 		return PeerShares{}, fmt.Errorf("%w: %d (want PeerShares)", ErrBadType, typ)
 	}
-	if len(buf) < headerSize+4+4+4 {
+	if len(buf) < PeerSharesHeaderSize {
 		return PeerShares{}, ErrTruncated
 	}
 	ps := PeerShares{
@@ -851,12 +923,12 @@ func DecodePeerSharesInto(buf []byte, sc *SharesScratch) (PeerShares, error) {
 		PeersInRange: int(binary.LittleEndian.Uint32(buf[headerSize+4:])),
 	}
 	m := int(binary.LittleEndian.Uint32(buf[headerSize+8:]))
-	if m > (len(buf)-headerSize-12)/(pointSize+4) {
+	if m > (len(buf)-PeerSharesHeaderSize)/(pointSize+4) {
 		return PeerShares{}, ErrTruncated
 	}
 	shares := sc.shares[:0]
 	arena := sc.arena[:0]
-	off := headerSize + 12
+	off := PeerSharesHeaderSize
 	for i := 0; i < m; i++ {
 		var pc core.PeerCache
 		pc, off, arena, err = decodeShareInto(buf, off, arena)
