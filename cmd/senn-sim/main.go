@@ -120,6 +120,8 @@ func main() {
 		m.ServerPageAccesses, m.PagesPerServerQuery())
 	fmt.Printf("  p2p overhead         %d messages, %.0f bytes/query\n",
 		m.PeerMessages, m.PeerBytesPerQuery())
+	fmt.Printf("\nhost state at end of run:\n  %s\n",
+		strings.ReplaceAll(w.Footprint().String(), "\n", "\n  "))
 
 	if pts := w.Series(); len(pts) > 0 {
 		fmt.Printf("\ntime series (window %.0f s; includes warm-up):\n", *series)

@@ -9,6 +9,11 @@
 //
 // The cached entry is exactly what the host shares with peers as a
 // core.PeerCache.
+//
+// Two containers hold entries: Cache is one host's cache (the networked
+// client owns one), Table is a whole simulated population's (table.go). Both
+// store through the same policy function, keep, so policy 1 has one
+// implementation.
 package cache
 
 import (
@@ -16,12 +21,31 @@ import (
 	"repro/internal/geom"
 )
 
+// keep is cache policy 1, the single implementation behind Cache.Store and
+// Table.Store: copy certain into buf's backing array, order it by ascending
+// distance to queryLoc, and keep at most capacity of the nearest. An empty
+// certain set keeps nothing, which both containers read as "no entry". It
+// allocates only when buf's capacity is below len(certain).
+func keep(buf []core.POI, capacity int, queryLoc geom.Point, certain []core.POI) []core.POI {
+	buf = append(buf[:0], certain...)
+	core.SortByDistance(queryLoc, buf)
+	if len(buf) > capacity {
+		buf = buf[:capacity]
+	}
+	return buf
+}
+
 // Cache is one mobile host's NN result cache. The zero value is unusable;
-// construct with New.
+// construct with New, or take a read view of a Table host with Table.View.
 type Cache struct {
 	capacity int
-	entry    core.PeerCache
-	valid    bool
+	// entry.Neighbors aliases buf (a cache that has stored) or a Table slot
+	// (a view); empty means no entry.
+	entry core.PeerCache
+	// buf is the cache's own storage, reused by every Store. A view has
+	// none, so a Store on it detaches it from the table rather than writing
+	// through.
+	buf []core.POI
 }
 
 // New returns an empty cache holding up to capacity POIs (the C_Size
@@ -33,15 +57,6 @@ func New(capacity int) *Cache {
 	return &Cache{capacity: capacity}
 }
 
-// Make is New as a value: simulators that keep one cache per host store
-// them in a single contiguous slice instead of a million heap objects.
-func Make(capacity int) Cache {
-	if capacity <= 0 {
-		panic("cache: capacity must be positive")
-	}
-	return Cache{capacity: capacity}
-}
-
 // Capacity returns C_Size. Per policy 2 it is also the result count a host
 // requests when it must contact the server.
 func (c *Cache) Capacity() int { return c.capacity }
@@ -50,35 +65,29 @@ func (c *Cache) Capacity() int { return c.capacity }
 // recent query (policy 1). Only certain POIs may be stored — the
 // verification lemmas require peers to share exact top-k sets — and at most
 // Capacity of the nearest ones are kept. Storing an empty set invalidates
-// the cache.
+// the cache. certain is copied, never retained or reordered; the previous
+// entry's memory is overwritten in place (see Entry).
 func (c *Cache) Store(queryLoc geom.Point, certain []core.POI) {
-	if len(certain) == 0 {
-		c.valid = false
-		c.entry = core.PeerCache{}
-		return
-	}
-	pc := core.NewPeerCache(queryLoc, certain)
-	if len(pc.Neighbors) > c.capacity {
-		pc.Neighbors = pc.Neighbors[:c.capacity]
-	}
-	c.entry = pc
-	c.valid = true
+	c.buf = keep(c.buf, c.capacity, queryLoc, certain)
+	c.entry = core.PeerCache{QueryLoc: queryLoc, Neighbors: c.buf}
 }
 
 // Entry returns the shareable cached result. ok is false when the cache is
 // empty.
+//
+// The entry's Neighbors alias the cache's storage: they are valid until the
+// next Store (or Invalidate) on this cache, which overwrites them in place.
+// Callers that keep an entry across a Store must copy the neighbors first;
+// encoding it or verifying against it before the next Store needs no copy.
 func (c *Cache) Entry() (core.PeerCache, bool) {
-	if !c.valid {
+	if len(c.entry.Neighbors) == 0 {
 		return core.PeerCache{}, false
 	}
 	return c.entry, true
 }
 
 // Invalidate clears the cache.
-func (c *Cache) Invalidate() {
-	c.valid = false
-	c.entry = core.PeerCache{}
-}
+func (c *Cache) Invalidate() { c.entry = core.PeerCache{} }
 
 // StagedWrite is a deferred cache update: the resolve phase of a concurrent
 // query batch records what Store call each query *would* make, and the
@@ -107,6 +116,15 @@ func (w StagedWrite) Apply(c *Cache) {
 		return
 	}
 	c.Store(w.queryLoc, w.certain)
+}
+
+// ApplyAt performs the recorded Store on host's entry of t. A zero
+// StagedWrite does nothing.
+func (w StagedWrite) ApplyAt(t *Table, host int) {
+	if !w.staged {
+		return
+	}
+	t.Store(host, w.queryLoc, w.certain)
 }
 
 // Staged reports whether Apply will write anything.

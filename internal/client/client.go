@@ -159,7 +159,10 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 
 	// Gather shareable cached results: the host's own cache first (the
 	// local-cache check of §4.1), then every peer within transmission
-	// range.
+	// range. The own entry aliases the cache's storage (cache.Cache.Entry);
+	// it is read only inside this call — verification copies the POIs it
+	// keeps into the heap, and the staged write lives in poiArena — so the
+	// commit that overwrites the entry in place cannot reach it.
 	peers := r.peers[:0]
 	if req.Cache != nil {
 		if ent, ok := req.Cache.Entry(); ok {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -21,15 +22,34 @@ type PeerCache struct {
 	Neighbors []POI
 }
 
-// NewPeerCache builds a PeerCache from an unordered neighbor set, sorting by
-// distance to the query location.
+// NewPeerCache builds a PeerCache from an unordered neighbor set, sorting a
+// private copy by distance to the query location.
 func NewPeerCache(queryLoc geom.Point, neighbors []POI) PeerCache {
 	ns := make([]POI, len(neighbors))
 	copy(ns, neighbors)
-	sort.Slice(ns, func(i, j int) bool {
-		return queryLoc.Dist2(ns[i].Loc) < queryLoc.Dist2(ns[j].Loc)
-	})
+	SortByDistance(queryLoc, ns)
 	return PeerCache{QueryLoc: queryLoc, Neighbors: ns}
+}
+
+// SortByDistance orders pois in place by ascending squared distance to q —
+// the neighbor order every PeerCache carries. It is the one comparator behind
+// NewPeerCache and the caches' in-place stores (internal/cache), and it
+// allocates nothing. The sort is not stable, but slices.SortFunc and the
+// sort.Slice it replaced run the same pdqsort over the same comparison
+// outcomes, so POIs at exactly equal distance land where they always did
+// (TestSortByDistanceMatchesSortSlice) — which keeps every figure
+// byte-identical.
+func SortByDistance(q geom.Point, pois []POI) {
+	slices.SortFunc(pois, func(a, b POI) int {
+		da, db := q.Dist2(a.Loc), q.Dist2(b.Loc)
+		switch {
+		case da < db:
+			return -1
+		case da > db:
+			return 1
+		}
+		return 0
+	})
 }
 
 // IsEmpty reports whether the cache holds no neighbors (nothing to share).

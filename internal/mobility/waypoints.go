@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -44,7 +45,11 @@ func (s *SplitMix64) Float64() float64 {
 //     and returns the new one.
 //
 // Slots are independent: concurrent Advance calls on disjoint slots are
-// safe, and each slot's trajectory depends only on its own seed.
+// safe, and each slot's trajectory depends only on its own seed and start —
+// never on the slot's number or on how many slots the engine has. Callers
+// therefore size the engine to their movers, not their population (the
+// simulator's slot j drives host moving[j]), and a parked host costs nothing
+// here (TestWaypointsSlotNumberingIrrelevant).
 type Waypoints struct {
 	bounds     geom.Rect
 	speed      float64 // m/s, shared by the whole population
@@ -76,6 +81,13 @@ func NewWaypoints(bounds geom.Rect, speed, maxPause, tripRadius float64, n int) 
 		pause:      make([]float64, n),
 		rng:        make([]SplitMix64, n),
 	}
+}
+
+// Bytes returns the engine's per-slot state in bytes — 56 per slot: dest,
+// vel, left, pause, rng — computed from the slice lengths.
+func (w *Waypoints) Bytes() int64 {
+	const perSlot = 2*unsafe.Sizeof(geom.Point{}) + 2*unsafe.Sizeof(float64(0)) + unsafe.Sizeof(SplitMix64(0))
+	return int64(len(w.rng)) * int64(perSlot)
 }
 
 // Seed arms slot i at start: installs its private RNG seed and picks the

@@ -154,3 +154,50 @@ func TestSplitMix64Reference(t *testing.T) {
 		}
 	}
 }
+
+// TestWaypointsSlotNumberingIrrelevant is what lets the simulator size the
+// engine to its movers: the same (start, seed) pairs are run once in a
+// population-sized engine at scattered host-index slots — the old layout,
+// nine slots in ten never seeded — and once in an engine with exactly one
+// slot per mover, numbered densely. Over 10,000 steps (pauses, trip-radius
+// rejection sampling and wall clamps all exercised) every position must be
+// bit-equal: a trajectory depends on its seed and start alone.
+func TestWaypointsSlotNumberingIrrelevant(t *testing.T) {
+	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(2000, 1500))
+	const (
+		hosts  = 400
+		movers = 40
+		steps  = 10000
+	)
+	sparse := NewWaypoints(bounds, 13.4, 30, 600, hosts)
+	dense := NewWaypoints(bounds, 13.4, 30, 600, movers)
+	if got := dense.Bytes(); got != movers*56 {
+		t.Fatalf("dense engine reports %d B for %d slots, want 56 B per slot", got, movers)
+	}
+	var rng SplitMix64 = 18
+	host := make([]int, movers) // ascending, scattered over the host index
+	posSparse := make([]geom.Point, movers)
+	posDense := make([]geom.Point, movers)
+	for j := range host {
+		host[j] = j*(hosts/movers) + int(rng.Uint64()%uint64(hosts/movers))
+		start := geom.Pt(rng.Float64()*2000, rng.Float64()*1500)
+		seed := rng.Uint64()
+		sparse.Seed(host[j], start, seed)
+		dense.Seed(j, start, seed)
+		posSparse[j], posDense[j] = start, start
+	}
+	for step := 0; step < steps; step++ {
+		dt := 1.0
+		if step%7 == 0 {
+			dt = 0.25 + 3*rng.Float64() // uneven steps, as at the end of a run
+		}
+		for j := range host {
+			posSparse[j] = sparse.Advance(host[j], posSparse[j], dt)
+			posDense[j] = dense.Advance(j, posDense[j], dt)
+			a, b := posSparse[j], posDense[j]
+			if math.Float64bits(a.X) != math.Float64bits(b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) {
+				t.Fatalf("step %d mover %d: host-indexed slot %d at %v, dense slot at %v", step, j, host[j], a, b)
+			}
+		}
+	}
+}

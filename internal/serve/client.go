@@ -105,7 +105,8 @@ func (c *SENNClient) Stats() ClientStats { return c.stats }
 // percentile digests). nil removes the observer.
 func (c *SENNClient) SetRelayObserver(fn func(time.Duration)) { c.relayObs = fn }
 
-// Cache exposes the client's local cache (tests prime and inspect it).
+// Cache exposes the client's local cache (tests prime and inspect it). An
+// Entry read from it is valid until the client's next Query stores.
 func (c *SENNClient) Cache() *cache.Cache { return c.cache }
 
 // Move streams the client's new position to the daemon. The position is
@@ -265,6 +266,10 @@ func (c *SENNClient) gatherShares() error {
 
 // answerProbe replies to a relay probe with this host's cache entry (or an
 // empty reply — mandatory either way, so the relay's countdown completes).
+// The entry aliases the cache and is overwritten in place by this client's
+// next Store, so it is encoded here, at probe time, and never held: a probe
+// serviced in the middle of a query ships the entry that query started with
+// (TestProbeBetweenQueriesShipsCurrentEntry).
 func (c *SENNClient) answerProbe(probeID uint32) error {
 	c.stats.ProbesAnswered++
 	ent, ok := c.cache.Entry()

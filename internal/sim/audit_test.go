@@ -141,8 +141,8 @@ func TestCachesDoNotCollapseAtLowK(t *testing.T) {
 	}
 	_ = w.Run()
 	withCache, total := 0, 0.0
-	for i := range w.caches {
-		if e, ok := w.caches[i].Entry(); ok {
+	for i := range w.pos {
+		if e, ok := w.caches.Entry(i); ok {
 			withCache++
 			total += float64(len(e.Neighbors))
 		}

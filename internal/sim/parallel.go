@@ -3,6 +3,7 @@ package sim
 import (
 	"sync"
 
+	"repro/internal/geom"
 	"repro/internal/spatialnet"
 )
 
@@ -81,30 +82,7 @@ func (e *stepEngine) step(dt float64) {
 	// Phase A — advance each shard of the moving list, recording every
 	// cell crossing. Stationary hosts are never visited.
 	runWorkers(len(e.shards), func(s int) {
-		buf := e.moverBuf[s][:0]
-		lo, hi := e.shards[s][0], e.shards[s][1]
-		if w.wp != nil {
-			for j := lo; j < hi; j++ {
-				i := w.moving[j]
-				p := w.wp.Advance(int(i), w.pos[i], dt)
-				w.pos[i] = p
-				if c := g.CellIndex(p); c != w.cells[i] {
-					buf = append(buf, moverRec{host: i, from: w.cells[i], to: c})
-					w.cells[i] = c
-				}
-			}
-		} else {
-			for j := lo; j < hi; j++ {
-				i := w.moving[j]
-				p := w.road[j].Advance(dt)
-				w.pos[i] = p
-				if c := g.CellIndex(p); c != w.cells[i] {
-					buf = append(buf, moverRec{host: i, from: w.cells[i], to: c})
-					w.cells[i] = c
-				}
-			}
-		}
-		e.moverBuf[s] = buf
+		e.moverBuf[s] = w.advanceRange(e.shards[s][0], e.shards[s][1], dt, e.moverBuf[s][:0])
 	})
 
 	// Concatenate the shard deltas in shard order: contiguous shards of the
@@ -149,26 +127,29 @@ func (w *World) advanceMovement(dt float64) {
 		w.engine.step(dt)
 		return
 	}
+	w.movers = w.advanceRange(0, len(w.moving), dt, w.movers[:0])
+	w.grid.applyDelta(w.cells, w.movers, 1)
+}
+
+// advanceRange advances movers lo..hi-1 of the moving list by dt — slot j
+// of the mode's movement state drives host moving[j] — and appends a
+// moverRec to buf for every host whose grid cell changed. Disjoint ranges
+// touch disjoint state, so shards may run it concurrently.
+func (w *World) advanceRange(lo, hi int, dt float64, buf []moverRec) []moverRec {
 	g := w.grid
-	w.movers = w.movers[:0]
-	if w.wp != nil {
-		for _, i := range w.moving {
-			p := w.wp.Advance(int(i), w.pos[i], dt)
-			w.pos[i] = p
-			if c := g.CellIndex(p); c != w.cells[i] {
-				w.movers = append(w.movers, moverRec{host: i, from: w.cells[i], to: c})
-				w.cells[i] = c
-			}
+	for j := lo; j < hi; j++ {
+		i := w.moving[j]
+		var p geom.Point
+		if w.wp != nil {
+			p = w.wp.Advance(j, w.pos[i], dt)
+		} else {
+			p = w.road[j].Advance(dt)
 		}
-	} else {
-		for j, i := range w.moving {
-			p := w.road[j].Advance(dt)
-			w.pos[i] = p
-			if c := g.CellIndex(p); c != w.cells[i] {
-				w.movers = append(w.movers, moverRec{host: i, from: w.cells[i], to: c})
-				w.cells[i] = c
-			}
+		w.pos[i] = p
+		if c := g.CellIndex(p); c != w.cells[i] {
+			buf = append(buf, moverRec{host: i, from: w.cells[i], to: c})
+			w.cells[i] = c
 		}
 	}
-	g.applyDelta(w.cells, w.movers, 1)
+	return buf
 }

@@ -66,8 +66,13 @@ type queryResult struct {
 // steady-state resolve path — peer-solved and server-solved alike — is
 // allocation-free (TestResolveAllocsPeerSolved and
 // TestResolveAllocsServerSolved pin both at zero).
+//
+// own is the querying host's cache as the *cache.Cache client.Request takes:
+// a read view of the host's table entry, refreshed per query, so the table
+// keeps no Cache per host.
 type resolverScratch struct {
 	r       *client.Resolver
+	own     cache.Cache
 	peerSrc simPeerSource
 	srv     simServerSource
 }
@@ -98,7 +103,7 @@ func (s *simPeerSource) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerC
 			if h == s.host || q.Dist2(w.pos[h]) > tx2 {
 				continue
 			}
-			if ent, ok := w.caches[h].Entry(); ok {
+			if ent, ok := w.caches.Entry(int(h)); ok {
 				dst = append(dst, ent)
 				msgs++
 				bytes += int64(wire.CacheShareSize(len(ent.Neighbors)))
@@ -211,10 +216,11 @@ func (e *queryEngine) resolve(p *queryPlan, sc *resolverScratch) queryResult {
 	q := w.pos[p.host]
 	sc.peerSrc.host = p.host
 	sc.srv.mod = w.server
+	sc.own = w.caches.View(int(p.host))
 	out := sc.r.Resolve(client.Request{
 		Q:               q,
 		K:               p.k,
-		Cache:           &w.caches[p.host],
+		Cache:           &sc.own,
 		AcceptUncertain: w.cfg.AcceptUncertain,
 		// The audit callback retains the answer past this worker's next
 		// query, so it needs the private copy NeedAnswer provides
@@ -267,9 +273,7 @@ func (e *queryEngine) commit(p *queryPlan, r *queryResult) {
 		w.metrics.PeerBytes += r.bytes
 		w.metrics.ServerPageAccesses += r.pages
 	}
-	if r.write.Staged() {
-		r.write.Apply(&w.caches[p.host])
-	}
+	r.write.ApplyAt(w.caches, int(p.host))
 	if w.audit != nil {
 		w.audit(r.q, p.k, r.answer, r.src)
 	}

@@ -102,7 +102,7 @@ func linearGather(w *World, host int32) (peers []core.PeerCache, msgs, bytes int
 	})
 	msgs, bytes = 1, int64(wire.CacheRequestSize)
 	for _, h := range in {
-		if ent, ok := w.caches[h].Entry(); ok {
+		if ent, ok := w.caches.Entry(int(h)); ok {
 			peers = append(peers, ent)
 			msgs++
 			bytes += int64(wire.CacheShareSize(len(ent.Neighbors)))

@@ -12,11 +12,14 @@ import (
 
 // World is a fully constructed simulation ready to run.
 //
-// Host state is stored structure-of-arrays: positions, grid cells, and
-// caches live in parallel slices indexed by host, so the movement shards and
-// the gather phase stream through contiguous memory instead of chasing one
-// heap object per host. The layout is what lets a single machine hold
-// million-host worlds — see DESIGN.md §10 for the per-host memory budget.
+// Host state is stored structure-of-arrays: positions, grid cells, and the
+// cache slot index live in parallel pointer-free slices indexed by host, so
+// the movement shards and the gather phase stream through contiguous memory
+// instead of chasing one heap object per host. What only some hosts use is
+// sized to them: movement state per mover, cache storage per host that has
+// queried. The layout is what lets a single machine hold million-host worlds
+// — see DESIGN.md §10 for the per-host memory budget, and Footprint for the
+// live numbers.
 type World struct {
 	cfg    Config
 	rng    *rand.Rand
@@ -28,12 +31,12 @@ type World struct {
 	// and is the movement phase's crossing detector.
 	pos    []geom.Point
 	cells  []int32
-	caches []cache.Cache
+	caches *cache.Table
 
 	// moving lists the non-stationary hosts in ascending index order — the
 	// movement phase iterates it instead of skipping parked hosts one by
-	// one. In free-movement mode wp (slot = host index) drives them; in road
-	// mode road[j] drives host moving[j].
+	// one. Movement state is indexed by position in this list: slot j of wp
+	// (free movement) or road[j] (road mode) drives host moving[j].
 	moving []int32
 	wp     *mobility.Waypoints
 	road   []*mobility.RoadNetwork
@@ -74,13 +77,18 @@ func (w *World) SetAudit(fn func(q geom.Point, k int, answer []core.Candidate, s
 	w.audit = fn
 }
 
-// PeerCachesSnapshot returns a copy of every host's current cache entry.
-// Tests use it to validate that the sharing infrastructure only ever holds
-// sound (exact-prefix) caches.
+// PeerCachesSnapshot returns every host's current cache entry, in host
+// order. Tests use it to validate that the sharing infrastructure only ever
+// holds sound (exact-prefix) caches.
+//
+// The slice is fresh but the entries are not copies: each one's Neighbors
+// alias the live cache table (cache.Table.Entry) and are overwritten in
+// place by that host's next committed query. Read them between steps or
+// after Run; copy the neighbors to keep them across one.
 func (w *World) PeerCachesSnapshot() []core.PeerCache {
 	var out []core.PeerCache
-	for i := range w.caches {
-		if e, ok := w.caches[i].Entry(); ok {
+	for i := range w.pos {
+		if e, ok := w.caches.Entry(i); ok {
 			out = append(out, e)
 		}
 	}
@@ -119,13 +127,10 @@ func New(cfg Config) (*World, error) {
 	w.grid = newHostGrid(cfg.Bounds(), n, cfg.TxRange)
 	w.pos = make([]geom.Point, n)
 	w.cells = make([]int32, n)
-	w.caches = make([]cache.Cache, n)
-	for i := range w.caches {
-		w.caches[i] = cache.Make(cfg.CacheSize)
-	}
-	if cfg.Mode == ModeFreeMovement {
-		w.wp = mobility.NewWaypoints(cfg.Bounds(), cfg.Velocity, cfg.MaxPause, cfg.TripRadius, n)
-	}
+	w.caches = cache.NewTable(n, cfg.CacheSize)
+	// Free movers' waypoint seeds in moving order: the engine is sized to
+	// the movers, whose number is only known once every host has drawn.
+	var wpSeeds []uint64
 	var finder *spatialnet.PathFinder
 	if w.roads != nil {
 		finder = spatialnet.NewPathFinder(w.roads)
@@ -147,7 +152,7 @@ func New(cfg Config) (*World, error) {
 			}
 		case cfg.Mode == ModeFreeMovement:
 			w.pos[i] = start
-			w.wp.Seed(i, start, rng.Uint64())
+			wpSeeds = append(wpSeeds, rng.Uint64())
 			w.moving = append(w.moving, int32(i))
 		default:
 			node, _ := w.roads.NearestNodeIndexed(start)
@@ -159,6 +164,12 @@ func New(cfg Config) (*World, error) {
 			w.moving = append(w.moving, int32(i))
 		}
 		w.cells[i] = w.grid.CellIndex(w.pos[i])
+	}
+	if cfg.Mode == ModeFreeMovement {
+		w.wp = mobility.NewWaypoints(cfg.Bounds(), cfg.Velocity, cfg.MaxPause, cfg.TripRadius, len(w.moving))
+		for j, i := range w.moving {
+			w.wp.Seed(j, w.pos[i], wpSeeds[j])
+		}
 	}
 	w.grid.Build(w.cells)
 	w.initEngine(cfg.Workers)
