@@ -39,8 +39,8 @@ func keep(buf []core.POI, capacity int, queryLoc geom.Point, certain []core.POI)
 // construct with New, or take a read view of a Table host with Table.View.
 type Cache struct {
 	capacity int
-	// entry.Neighbors aliases buf (a cache that has stored) or a Table slot
-	// (a view); empty means no entry.
+	// entry.Neighbors aliases buf (a cache that has stored) or the Arena a
+	// Table host was read into (a view); empty means no entry.
 	entry core.PeerCache
 	// buf is the cache's own storage, reused by every Store. A view has
 	// none, so a Store on it detaches it from the table rather than writing

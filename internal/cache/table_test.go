@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -45,7 +46,8 @@ func (c *refCache) Entry() (core.PeerCache, bool) {
 	return c.entry, true
 }
 
-// sameEntry compares two Entry results field for field.
+// sameEntry compares two Entry results field for field; neighbors must agree
+// POI for POI, IDs and coordinate bits.
 func sameEntry(a core.PeerCache, aok bool, b core.PeerCache, bok bool) error {
 	if aok != bok {
 		return fmt.Errorf("ok = %v, want %v", aok, bok)
@@ -57,7 +59,7 @@ func sameEntry(a core.PeerCache, aok bool, b core.PeerCache, bok bool) error {
 		return fmt.Errorf("%d neighbors, want %d", len(a.Neighbors), len(b.Neighbors))
 	}
 	for i := range a.Neighbors {
-		if a.Neighbors[i] != b.Neighbors[i] {
+		if !sameBits(a.Neighbors[i], b.Neighbors[i]) {
 			return fmt.Errorf("neighbor %d = %v, want %v", i, a.Neighbors[i], b.Neighbors[i])
 		}
 	}
@@ -66,17 +68,19 @@ func sameEntry(a core.PeerCache, aok bool, b core.PeerCache, bok bool) error {
 
 // checkInvariants verifies the table's structure: host→slot and slot→host
 // are inverse bijections over exactly the slots handed out, chunks cover
-// them with no spare chunk, every slot holds at most capacity neighbors in
-// ascending distance, and a never-stored host reads as empty.
+// them with no spare chunk, every slot holds at most capacity in-range POI
+// indices in ascending distance, Held counts what the headers hold, and a
+// never-stored host reads as empty.
 func checkInvariants(t *testing.T, tb *Table) {
 	t.Helper()
+	var arena Arena
 	owned := 0
 	for host, s := range tb.slot {
 		if s < 0 {
 			if s != -1 {
 				t.Fatalf("host %d: slot index %d", host, s)
 			}
-			if _, ok := tb.Entry(host); ok {
+			if _, ok := tb.Entry(host, &arena); ok {
 				t.Fatalf("host %d never stored but has an entry", host)
 			}
 			continue
@@ -95,38 +99,56 @@ func checkInvariants(t *testing.T, tb *Table) {
 	if want := (tb.used + slotsPerChunk - 1) / slotsPerChunk; len(tb.chunks) != want {
 		t.Fatalf("%d chunks for %d slots, want %d", len(tb.chunks), tb.used, want)
 	}
+	entries, neighbors := 0, 0
 	for s := int32(0); int(s) < tb.used; s++ {
-		h, pois := tb.at(s)
+		h, idx := tb.at(s)
 		if tb.slot[h.host] != s {
 			t.Fatalf("slot %d names host %d, whose slot is %d", s, h.host, tb.slot[h.host])
 		}
-		if h.n < 0 || int(h.n) > tb.capacity || len(pois) != tb.capacity || cap(pois) != tb.capacity {
-			t.Fatalf("slot %d: n=%d len=%d cap=%d, capacity %d", s, h.n, len(pois), cap(pois), tb.capacity)
+		if h.n < 0 || int(h.n) > tb.capacity || len(idx) != tb.capacity || cap(idx) != tb.capacity {
+			t.Fatalf("slot %d: n=%d len=%d cap=%d, capacity %d", s, h.n, len(idx), cap(idx), tb.capacity)
 		}
-		for i := 1; i < int(h.n); i++ {
-			if h.loc.Dist2(pois[i-1].Loc) > h.loc.Dist2(pois[i].Loc) {
+		for i, id := range idx[:h.n] {
+			if id < 0 || int(id) >= len(tb.pois) {
+				t.Fatalf("slot %d (host %d): neighbor %d is POI index %d of %d", s, h.host, i, id, len(tb.pois))
+			}
+			if i > 0 && h.loc.Dist2(tb.pois[idx[i-1]].Loc) > h.loc.Dist2(tb.pois[id].Loc) {
 				t.Fatalf("slot %d (host %d): neighbors %d,%d not ascending", s, h.host, i-1, i)
 			}
 		}
+		if h.n > 0 {
+			entries++
+			neighbors += int(h.n)
+		}
+	}
+	if e, n := tb.Held(); e != entries || n != neighbors {
+		t.Fatalf("Held() = %d entries, %d neighbors; the headers hold %d, %d", e, n, entries, neighbors)
 	}
 	idx, slots := tb.Bytes()
 	if idx != int64(4*len(tb.slot)) {
 		t.Fatalf("index column %d B for %d hosts", idx, len(tb.slot))
 	}
-	if want := int64(len(tb.chunks)) * slotsPerChunk * int64(24+24*tb.capacity); slots != want {
+	if want := int64(len(tb.chunks)) * slotsPerChunk * int64(24+4*tb.capacity); slots != want {
 		t.Fatalf("slot storage %d B, want %d", slots, want)
 	}
 }
 
-// randomPOIs draws n POIs on a coarse lattice around q, so distance ties —
-// where an unstable sort could diverge from the oracle's — are the norm.
-func randomPOIs(rng *rand.Rand, q geom.Point, n int) []core.POI {
+// latticeWorld is a POI set as Table takes it (ID == index): n POIs dealt
+// over a 9 × 9 integer lattice, several per point, so distance ties — where
+// an unstable sort could diverge from the oracle's — are the norm.
+func latticeWorld(rng *rand.Rand, n int) []core.POI {
 	out := make([]core.POI, n)
 	for i := range out {
-		out[i] = core.POI{
-			ID:  rng.Int63n(1 << 40),
-			Loc: geom.Pt(q.X+float64(rng.Intn(9)-4), q.Y+float64(rng.Intn(9)-4)),
-		}
+		out[i] = core.POI{ID: int64(i), Loc: geom.Pt(float64(rng.Intn(9)), float64(rng.Intn(9)))}
+	}
+	return out
+}
+
+// randomPOIs draws n distinct POIs of world, in random order.
+func randomPOIs(rng *rand.Rand, world []core.POI, n int) []core.POI {
+	out := make([]core.POI, n)
+	for i, j := range rng.Perm(len(world))[:n] {
+		out[i] = world[j]
 	}
 	return out
 }
@@ -136,8 +158,8 @@ func randomPOIs(rng *rand.Rand, q geom.Point, n int) []core.POI {
 // below capacity, above capacity, empty stores (to stored and never-stored
 // hosts), bursts of stores to one host, reads of never-stored hosts — over
 // enough hosts to cross several chunk boundaries. After every operation the
-// structural invariants must hold and all three must agree on the entry of
-// every host touched so far.
+// structural invariants must hold and all three must agree, POI for POI, on
+// the entry of every host touched so far.
 func TestTableChurn(t *testing.T) {
 	const (
 		hosts    = 1500
@@ -145,7 +167,8 @@ func TestTableChurn(t *testing.T) {
 		ops      = 2500
 	)
 	rng := rand.New(rand.NewSource(18))
-	tb := NewTable(hosts, capacity)
+	world := latticeWorld(rng, 400)
+	tb := NewTable(hosts, capacity, world)
 	per := make([]*Cache, hosts)
 	ref := make([]*refCache, hosts)
 	for i := range per {
@@ -157,8 +180,8 @@ func TestTableChurn(t *testing.T) {
 	var touched []int
 	isTouched := make([]bool, hosts)
 	store := func(host, n int) {
-		q := geom.Pt(float64(rng.Intn(100)), float64(rng.Intn(100)))
-		certain := randomPOIs(rng, q, n)
+		q := geom.Pt(float64(rng.Intn(9)), float64(rng.Intn(9)))
+		certain := randomPOIs(rng, world, n)
 		before := append([]core.POI(nil), certain...)
 		tb.Store(host, q, certain)
 		per[host].Store(q, certain)
@@ -173,12 +196,14 @@ func TestTableChurn(t *testing.T) {
 			touched = append(touched, host)
 		}
 	}
+	var arena Arena
 	verify := func(op int, what string) {
 		t.Helper()
 		checkInvariants(t, tb)
 		for _, h := range touched {
+			arena.Reset()
 			want, wok := ref[h].Entry()
-			got, ok := tb.Entry(h)
+			got, ok := tb.Entry(h, &arena)
 			if err := sameEntry(got, ok, want, wok); err != nil {
 				t.Fatalf("op %d (%s): table host %d: %v", op, what, h, err)
 			}
@@ -186,7 +211,7 @@ func TestTableChurn(t *testing.T) {
 			if err := sameEntry(got, ok, want, wok); err != nil {
 				t.Fatalf("op %d (%s): per-host cache %d: %v", op, what, h, err)
 			}
-			v := tb.View(h)
+			v := tb.View(h, &arena)
 			got, ok = v.Entry()
 			if err := sameEntry(got, ok, want, wok); err != nil || v.Capacity() != capacity {
 				t.Fatalf("op %d (%s): view of host %d: %v (capacity %d)", op, what, h, err, v.Capacity())
@@ -214,10 +239,10 @@ func TestTableChurn(t *testing.T) {
 			}
 		default:
 			what = "read never-stored"
-			if _, ok := tb.Entry(host); ok != (tb.slot[host] >= 0 && ref[host].valid) {
+			if _, ok := tb.Entry(host, &arena); ok != (tb.slot[host] >= 0 && ref[host].valid) {
 				t.Fatalf("op %d: Entry(%d) ok=%v on a host with slot %d", op, host, ok, tb.slot[host])
 			}
-			if v := tb.View(host); v.Capacity() != capacity {
+			if v := tb.View(host, &arena); v.Capacity() != capacity {
 				t.Fatalf("op %d: view capacity %d", op, v.Capacity())
 			}
 		}
@@ -232,7 +257,8 @@ func TestTableChurn(t *testing.T) {
 // query, wherever they sit in the host index — and an empty store to a host
 // that never stored claims nothing.
 func TestTableFirstStoreOrder(t *testing.T) {
-	tb := NewTable(1_000_000, 4)
+	world := []core.POI{{ID: 0, Loc: geom.Pt(1, 0)}}
+	tb := NewTable(1_000_000, 4, world)
 	if idx, slots := tb.Bytes(); idx != 4_000_000 || slots != 0 || tb.Slots() != 0 {
 		t.Fatalf("fresh table: index %d B, slots %d B, %d in use", idx, slots, tb.Slots())
 	}
@@ -243,13 +269,14 @@ func TestTableFirstStoreOrder(t *testing.T) {
 		if tb.slot[host] != -1 {
 			t.Fatalf("empty store gave host %d slot %d", host, tb.slot[host])
 		}
-		tb.Store(host, q, pois(geom.Pt(1, 0)))
+		tb.Store(host, q, world)
 		if int(tb.slot[host]) != want {
 			t.Fatalf("host %d got slot %d, want %d", host, tb.slot[host], want)
 		}
 	}
 	tb.Store(3, q, nil) // invalidates, keeps the slot
-	if _, ok := tb.Entry(3); ok || tb.slot[3] != 1 || tb.Slots() != 4 {
+	var arena Arena
+	if _, ok := tb.Entry(3, &arena); ok || tb.slot[3] != 1 || tb.Slots() != 4 {
 		t.Fatalf("empty store to a stored host: ok=%v slot=%d slots=%d", ok, tb.slot[3], tb.Slots())
 	}
 	checkInvariants(t, tb)
@@ -257,60 +284,143 @@ func TestTableFirstStoreOrder(t *testing.T) {
 
 // A view reads the table; storing to it must not write through.
 func TestViewStoreDetaches(t *testing.T) {
-	tb := NewTable(4, 3)
-	tb.Store(2, geom.Pt(0, 0), pois(geom.Pt(2, 0), geom.Pt(1, 0)))
-	v := tb.View(2)
-	v.Store(geom.Pt(9, 9), pois(geom.Pt(9, 8)))
+	world := []core.POI{{ID: 0, Loc: geom.Pt(2, 0)}, {ID: 1, Loc: geom.Pt(1, 0)}}
+	tb := NewTable(4, 3, world)
+	tb.Store(2, geom.Pt(0, 0), world)
+	var arena Arena
+	v := tb.View(2, &arena)
+	v.Store(geom.Pt(9, 9), pois(geom.Pt(9, 8))) // a view's own store takes any POI
 	if e, ok := v.Entry(); !ok || e.QueryLoc != geom.Pt(9, 9) || len(e.Neighbors) != 1 {
 		t.Fatalf("view after its own store: %+v ok=%v", e, ok)
 	}
-	e, ok := tb.Entry(2)
+	e, ok := tb.Entry(2, &arena)
 	if !ok || e.QueryLoc != geom.Pt(0, 0) || len(e.Neighbors) != 2 || e.Neighbors[0].Loc.X != 1 {
 		t.Fatalf("store on a view reached the table: %+v ok=%v", e, ok)
 	}
 }
 
-// Entry aliases storage: the documented lifetime is "until this host's next
-// Store". The previous entry's memory must then hold the new result in full
-// — overwritten, not half-written — and other hosts' entries must not move.
+// The two containers' entry lifetimes. A Cache entry aliases storage, valid
+// "until the next Store": the memory behind the old entry must then hold the
+// new result in full — overwritten, not half-written. A Table entry is a copy
+// in the caller's arena: no store, to its host or another, may reach it.
 func TestEntryLifetime(t *testing.T) {
-	tb := NewTable(8, 3)
+	world := []core.POI{
+		{ID: 0, Loc: geom.Pt(3, 0)}, {ID: 1, Loc: geom.Pt(1, 0)}, {ID: 2, Loc: geom.Pt(2, 0)},
+		{ID: 3, Loc: geom.Pt(12, 0)}, {ID: 4, Loc: geom.Pt(11, 0)},
+	}
+	tb := NewTable(8, 3, world)
 	c := New(3)
 	q1, q2 := geom.Pt(0, 0), geom.Pt(10, 0)
-	first := pois(geom.Pt(3, 0), geom.Pt(1, 0), geom.Pt(2, 0))
-	second := []core.POI{{ID: 7, Loc: geom.Pt(12, 0)}, {ID: 8, Loc: geom.Pt(11, 0)}}
+	first, second := world[:3], world[3:]
 
 	tb.Store(5, q1, first)
 	tb.Store(6, q1, first)
 	c.Store(q1, first)
-	held, _ := tb.Entry(5)
-	other, _ := tb.Entry(6)
-	otherCopy := append([]core.POI(nil), other.Neighbors...)
+	var arena Arena
+	held, _ := tb.Entry(5, &arena)
+	other, _ := tb.Entry(6, &arena)
 	heldC, _ := c.Entry()
 
 	tb.Store(5, q2, second)
 	c.Store(q2, second)
-	for i, old := range []core.PeerCache{held, heldC} {
-		if got := old.Neighbors[:2]; got[0].ID != 8 || got[1].ID != 7 {
-			t.Errorf("%s: memory behind the old entry holds %v, want the new result in place",
-				[]string{"table", "cache"}[i], got)
+	if got := heldC.Neighbors[:2]; got[0].ID != 4 || got[1].ID != 3 {
+		t.Errorf("cache: memory behind the old entry holds %v, want the new result in place", got)
+	}
+	asRead := core.PeerCache{QueryLoc: q1, Neighbors: []core.POI{world[1], world[2], world[0]}}
+	for _, old := range []core.PeerCache{held, other} {
+		if err := sameEntry(old, true, asRead, true); err != nil {
+			t.Errorf("a store to host 5 changed an entry read before it: %v", err)
 		}
 	}
-	for i := range otherCopy {
-		if other.Neighbors[i] != otherCopy[i] {
-			t.Errorf("a store to host 5 changed host 6's entry at %d", i)
+	if now, ok := tb.Entry(5, &arena); !ok || now.QueryLoc != q2 || len(now.Neighbors) != 2 || now.Neighbors[0].ID != 4 {
+		t.Errorf("host 5 after its second store: %+v ok=%v", now, ok)
+	}
+}
+
+// A slot keeps only POI indices, so Store must refuse — loudly — any POI
+// that would read back different from how it was stored.
+func TestStoreForeignPOIPanics(t *testing.T) {
+	world := []core.POI{{ID: 0, Loc: geom.Pt(1, 0)}, {ID: 1, Loc: geom.Pt(2, 0)}, {ID: 2, Loc: geom.Pt(0, 0)}}
+	for name, foreign := range map[string]core.POI{
+		"ID past the set":      {ID: 3, Loc: geom.Pt(1, 0)},
+		"negative ID":          {ID: -1, Loc: geom.Pt(1, 0)},
+		"ID beyond int32":      {ID: 1 << 32, Loc: geom.Pt(1, 0)},
+		"other coordinates":    {ID: 1, Loc: geom.Pt(2, 1e-9)},
+		"another POI's place":  {ID: 1, Loc: geom.Pt(1, 0)},
+		"negative zero for +0": {ID: 2, Loc: geom.Pt(0, math.Copysign(0, -1))},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tb := NewTable(4, 2, world)
+			tb.Store(1, geom.Pt(0, 0), world[:2])
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Store accepted %v", foreign)
+				}
+			}()
+			tb.Store(1, geom.Pt(0, 0), []core.POI{world[0], foreign})
+		})
+	}
+	// Policy first, identity second: a foreign POI that capacity trims away
+	// is never written, so it is not an error.
+	tb := NewTable(4, 2, world)
+	tb.Store(1, geom.Pt(0, 0), []core.POI{world[0], world[2], {ID: 9, Loc: geom.Pt(50, 50)}})
+	var arena Arena
+	if e, ok := tb.Entry(1, &arena); !ok || len(e.Neighbors) != 2 || e.Neighbors[0] != world[2] || e.Neighbors[1] != world[0] {
+		t.Errorf("entry after a store whose foreign POI was trimmed: %+v ok=%v", e, ok)
+	}
+}
+
+// An arena that runs out of room is replaced, not extended: entries read
+// before the growth keep their memory and their content, and once the arena
+// has seen a full round it serves the next one without allocating.
+func TestArenaGrowthKeepsSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	world := latticeWorld(rng, 64)
+	const hosts, capacity = 200, 8
+	tb := NewTable(hosts, capacity, world)
+	want := make([]core.PeerCache, hosts)
+	for h := range want {
+		q := geom.Pt(float64(rng.Intn(9)), float64(rng.Intn(9)))
+		certain := randomPOIs(rng, world, 1+rng.Intn(capacity))
+		tb.Store(h, q, certain)
+		want[h] = core.NewPeerCache(q, certain)
+	}
+	var arena Arena
+	got := make([]core.PeerCache, hosts)
+	grown := 0
+	readAll := func() {
+		arena.Reset()
+		for h := range got {
+			before := cap(arena)
+			got[h], _ = tb.Entry(h, &arena)
+			if cap(arena) != before {
+				grown++
+			}
 		}
+	}
+	readAll()
+	if grown < 3 {
+		t.Fatalf("the arena grew %d times while reading %d entries; the test needs several growths", grown, hosts)
+	}
+	for h := range got {
+		if err := sameEntry(got[h], true, want[h], true); err != nil {
+			t.Fatalf("host %d, read before a growth: %v", h, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, readAll); allocs != 0 {
+		t.Errorf("a warm arena allocates %v objects per round of reads, want 0", allocs)
 	}
 }
 
 // The point of storing in place: a committed query allocates nothing once
-// its host owns a slot (and, for oversized results, once the spill buffer
-// has grown).
+// its host owns a slot and the policy scratch has grown to the largest
+// result.
 func TestStoreAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	world := latticeWorld(rng, 100)
 	q := geom.Pt(0, 0)
-	small, big := randomPOIs(rng, q, 20), randomPOIs(rng, q, 50)
-	tb := NewTable(16, 20)
+	small, big := randomPOIs(rng, world, 20), randomPOIs(rng, world, 50)
+	tb := NewTable(16, 20, world)
 	c := New(20)
 	warm := func() {
 		tb.Store(7, q, big)

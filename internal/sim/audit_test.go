@@ -140,17 +140,11 @@ func TestCachesDoNotCollapseAtLowK(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = w.Run()
-	withCache, total := 0, 0.0
-	for i := range w.pos {
-		if e, ok := w.caches.Entry(i); ok {
-			withCache++
-			total += float64(len(e.Neighbors))
-		}
-	}
+	withCache, total := w.caches.Held()
 	if withCache == 0 {
 		t.Fatal("no host holds a cache after the run")
 	}
-	avg := total / float64(withCache)
+	avg := float64(total) / float64(withCache)
 	if avg < 2 {
 		t.Errorf("average cache size %.2f at k=1: caches collapsed", avg)
 	}

@@ -21,7 +21,7 @@ type Footprint struct {
 	CellBytes       int64 // each host's grid cell, 4 B per host
 	GridBytes       int64 // host grid: bucket table, entries and their double buffer
 	CacheIndexBytes int64 // cache slot index, 4 B per host
-	CacheSlotBytes  int64 // cache slot storage, whole chunks, first-store order
+	CacheSlotBytes  int64 // cache slot storage, 24 + 4·C_Size B per slot, whole chunks, first-store order
 	// MoverBytes is the moving list plus, per mover, the 56 B waypoint slot
 	// (free movement) or the pointer to its road mover (road mode; the
 	// mover's own route state is a heap object and not counted).

@@ -218,7 +218,7 @@ func TestWorldLayoutEquivalence(t *testing.T) {
 			wantEnt []core.PeerCache // Neighbors nil = no entry
 		)
 		for _, workers := range []int{1, 2, 4} {
-			for _, qworkers := range []int{1, 4} {
+			for _, qworkers := range []int{1, 2, 4} {
 				cfg := base
 				cfg.Workers, cfg.QueryWorkers = workers, qworkers
 				w, err := New(cfg)
@@ -244,12 +244,14 @@ func TestWorldLayoutEquivalence(t *testing.T) {
 					t.Fatalf("%v workers=%d qworkers=%d: metrics\n got  %+v\n want %+v", mode, workers, qworkers, got, want)
 				}
 				stored := 0
+				var arena cache.Arena
 				for i := range wantPos {
 					if !sameBits(w.pos[i], wantPos[i]) {
 						t.Fatalf("%v workers=%d qworkers=%d: host %d ends at %v, reference at %v",
 							mode, workers, qworkers, i, w.pos[i], wantPos[i])
 					}
-					e, ok := w.caches.Entry(i)
+					arena.Reset()
+					e, ok := w.caches.Entry(i, &arena)
 					if ok {
 						stored++
 					}
@@ -257,8 +259,8 @@ func TestWorldLayoutEquivalence(t *testing.T) {
 						t.Fatalf("%v workers=%d qworkers=%d: host %d cache entry %v (ok=%v), reference %v",
 							mode, workers, qworkers, i, e, ok, wantEnt[i])
 					}
-					for j := range e.Neighbors {
-						if e.Neighbors[j] != wantEnt[i].Neighbors[j] {
+					for j, got := range e.Neighbors {
+						if ref := wantEnt[i].Neighbors[j]; got.ID != ref.ID || !sameBits(got.Loc, ref.Loc) {
 							t.Fatalf("%v workers=%d qworkers=%d: host %d neighbor %d = %v, reference %v",
 								mode, workers, qworkers, i, j, e.Neighbors[j], wantEnt[i].Neighbors[j])
 						}
@@ -276,8 +278,8 @@ func TestWorldLayoutEquivalence(t *testing.T) {
 // world with one host in ten moving, New must spend exactly 4 B per host on
 // caches and 56 B of waypoint state per mover — nothing per parked host —
 // and at most 64 B per host in total (the per-host layout spent ≈ 140); and
-// after a run the cache storage must be what the hosts that queried need,
-// rounded up to one chunk.
+// after a run the cache storage must be exactly the whole chunks of
+// 24 + 4·C_Size-byte slots the hosts that queried need, at most 110 B each.
 func TestWorldBytesPerHost(t *testing.T) {
 	cfg := Config{
 		AreaWidth: 20000, AreaHeight: 20000,
@@ -316,9 +318,15 @@ func TestWorldBytesPerHost(t *testing.T) {
 		t.Fatalf("%d hosts queried; the run should leave a few thousand slots", f.CacheSlots)
 	}
 	const chunk = 256 // cache.slotsPerChunk
-	slots := int64((f.CacheSlots + chunk - 1) / chunk * chunk)
-	if limit := slots * int64(cfg.CacheSize*24+32); f.CacheSlotBytes > limit || f.CacheSlotBytes == 0 {
-		t.Errorf("cache slots: %d B for %d slots in use, limit %d", f.CacheSlotBytes, f.CacheSlots, limit)
+	chunks := int64((f.CacheSlots + chunk - 1) / chunk)
+	if want := chunks * chunk * int64(24+4*cfg.CacheSize); f.CacheSlotBytes != want {
+		t.Errorf("cache slots: %d B for %d slots in use, want %d chunks of %d slots of 24 + 4·C_Size B = %d",
+			f.CacheSlotBytes, f.CacheSlots, chunks, chunk, want)
+	}
+	perQuerier := float64(f.CacheSlotBytes) / float64(f.CacheSlots)
+	t.Logf("%d hosts queried: %d B of cache slots, %.1f B each", f.CacheSlots, f.CacheSlotBytes, perQuerier)
+	if perQuerier > 110 {
+		t.Errorf("%.1f B of cache slots per host that has queried, budget 110", perQuerier)
 	}
 	if f.CacheIndexBytes != 4*hosts || f.MoverBytes != 60*movers {
 		t.Errorf("fixed columns moved during the run: %+v", f)

@@ -67,11 +67,14 @@ type queryResult struct {
 // allocation-free (TestResolveAllocsPeerSolved and
 // TestResolveAllocsServerSolved pin both at zero).
 //
-// own is the querying host's cache as the *cache.Cache client.Request takes:
-// a read view of the host's table entry, refreshed per query, so the table
-// keeps no Cache per host.
+// arena holds the cache entries one query reads — the querying host's own
+// and every in-range peer's, materialised from the cache table — and is
+// reset per query. own is the querying host's cache as the *cache.Cache
+// client.Request takes: a view of its table entry, so the table keeps no
+// Cache per host.
 type resolverScratch struct {
 	r       *client.Resolver
+	arena   cache.Arena
 	own     cache.Cache
 	peerSrc simPeerSource
 	srv     simServerSource
@@ -79,10 +82,12 @@ type resolverScratch struct {
 
 // simPeerSource adapts the simulator's in-memory peer sweep to
 // client.PeerSource. host is set per query before Resolve runs: the querying
-// host is excluded from its own broadcast.
+// host is excluded from its own broadcast. arena is the worker's
+// resolverScratch.arena.
 type simPeerSource struct {
-	w    *World
-	host int32
+	w     *World
+	arena *cache.Arena
+	host  int32
 }
 
 // Gather appends every in-range peer's shareable cache entry to dst and
@@ -103,7 +108,7 @@ func (s *simPeerSource) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerC
 			if h == s.host || q.Dist2(w.pos[h]) > tx2 {
 				continue
 			}
-			if ent, ok := w.caches.Entry(int(h)); ok {
+			if ent, ok := w.caches.Entry(int(h), s.arena); ok {
 				dst = append(dst, ent)
 				msgs++
 				bytes += int64(wire.CacheShareSize(len(ent.Neighbors)))
@@ -145,6 +150,7 @@ func newQueryEngine(w *World, workers int) *queryEngine {
 	for i := range e.scratch {
 		e.scratch[i] = &resolverScratch{r: client.NewResolver()}
 		e.scratch[i].peerSrc.w = w
+		e.scratch[i].peerSrc.arena = &e.scratch[i].arena
 	}
 	return e
 }
@@ -216,7 +222,8 @@ func (e *queryEngine) resolve(p *queryPlan, sc *resolverScratch) queryResult {
 	q := w.pos[p.host]
 	sc.peerSrc.host = p.host
 	sc.srv.mod = w.server
-	sc.own = w.caches.View(int(p.host))
+	sc.arena.Reset()
+	sc.own = w.caches.View(int(p.host), &sc.arena)
 	out := sc.r.Resolve(client.Request{
 		Q:               q,
 		K:               p.k,

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -101,8 +102,9 @@ func linearGather(w *World, host int32) (peers []core.PeerCache, msgs, bytes int
 		return w.grid.CellIndex(w.pos[in[i]]) < w.grid.CellIndex(w.pos[in[j]])
 	})
 	msgs, bytes = 1, int64(wire.CacheRequestSize)
+	var arena cache.Arena
 	for _, h := range in {
-		if ent, ok := w.caches.Entry(int(h)); ok {
+		if ent, ok := w.caches.Entry(int(h), &arena); ok {
 			peers = append(peers, ent)
 			msgs++
 			bytes += int64(wire.CacheShareSize(len(ent.Neighbors)))

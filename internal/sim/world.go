@@ -81,14 +81,15 @@ func (w *World) SetAudit(fn func(q geom.Point, k int, answer []core.Candidate, s
 // order. Tests use it to validate that the sharing infrastructure only ever
 // holds sound (exact-prefix) caches.
 //
-// The slice is fresh but the entries are not copies: each one's Neighbors
-// alias the live cache table (cache.Table.Entry) and are overwritten in
-// place by that host's next committed query. Read them between steps or
-// after Run; copy the neighbors to keep them across one.
+// The entries are copies, not aliases of live slots: the snapshot owns its
+// neighbors — one allocation sized to exactly what the table holds — and
+// stays as it was taken whatever the world does next.
 func (w *World) PeerCachesSnapshot() []core.PeerCache {
-	var out []core.PeerCache
+	entries, neighbors := w.caches.Held()
+	out := make([]core.PeerCache, 0, entries)
+	arena := make(cache.Arena, 0, neighbors)
 	for i := range w.pos {
-		if e, ok := w.caches.Entry(i); ok {
+		if e, ok := w.caches.Entry(i, &arena); ok {
 			out = append(out, e)
 		}
 	}
@@ -127,7 +128,7 @@ func New(cfg Config) (*World, error) {
 	w.grid = newHostGrid(cfg.Bounds(), n, cfg.TxRange)
 	w.pos = make([]geom.Point, n)
 	w.cells = make([]int32, n)
-	w.caches = cache.NewTable(n, cfg.CacheSize)
+	w.caches = cache.NewTable(n, cfg.CacheSize, pois)
 	// Free movers' waypoint seeds in moving order: the engine is sized to
 	// the movers, whose number is only known once every host has drawn.
 	var wpSeeds []uint64
