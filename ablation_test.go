@@ -35,7 +35,7 @@ func ablationScene(seed int64) (pois []core.POI, caches []core.PeerCache, srv *s
 		res, _ := nn.BestFirst(srv.Tree(), loc, 15)
 		ns := make([]core.POI, len(res))
 		for j, r := range res {
-			ns[j] = r.Data.(core.POI)
+			ns[j] = pois[r.Ref]
 		}
 		caches[i] = core.NewPeerCache(loc, ns)
 	}

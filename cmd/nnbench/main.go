@@ -55,8 +55,8 @@ func main() {
 		poiSet = sim.RandomPOIs(*pois, bounds, rng)
 	}
 	tree := rtree.New(*fanout)
-	for _, p := range poiSet {
-		tree.InsertPoint(p.Loc, p)
+	for i, p := range poiSet {
+		tree.InsertPoint(p.Loc, int32(i))
 	}
 
 	caches := make([]core.PeerCache, *nCaches)
@@ -65,7 +65,7 @@ func main() {
 		res, _ := nn.BestFirst(tree, loc, *cacheSz)
 		ns := make([]core.POI, len(res))
 		for j, r := range res {
-			ns[j] = r.Data.(core.POI)
+			ns[j] = poiSet[r.Ref]
 		}
 		caches[i] = core.NewPeerCache(loc, ns)
 	}

@@ -73,8 +73,11 @@ func main() {
 	t0 = time.Now()
 	mod := sim.NewServerModule(pois, info.Fanout)
 	indexBuild := time.Since(t0)
-	fmt.Printf("senn-serverd: read %v, indexed %d POIs (fanout %d) in %v\n",
-		storeRead.Round(time.Millisecond), info.Count, info.Fanout, indexBuild.Round(time.Millisecond))
+	indexBytes, tableBytes := mod.Bytes()
+	perPOI := 1 / float64(max(info.Count, 1))
+	fmt.Printf("senn-serverd: read %v, indexed %d POIs (fanout %d) in %v: index %.1f + table %.1f B/POI\n",
+		storeRead.Round(time.Millisecond), info.Count, info.Fanout, indexBuild.Round(time.Millisecond),
+		float64(indexBytes)*perPOI, float64(tableBytes)*perPOI)
 
 	srv := serve.NewServer(mod, serve.Options{
 		MaxK:         *maxK,

@@ -14,15 +14,16 @@ import (
 // interface — the same wiring the simulator's server module uses.
 type rtreeServer struct {
 	tree    *rtree.Tree
+	pois    []POI
 	queries int
 }
 
 func newRtreeServer(pois []POI) *rtreeServer {
 	t := rtree.NewDefault()
-	for _, p := range pois {
-		t.InsertPoint(p.Loc, p)
+	for i, p := range pois {
+		t.InsertPoint(p.Loc, int32(i))
 	}
-	return &rtreeServer{tree: t}
+	return &rtreeServer{tree: t, pois: pois}
 }
 
 func (s *rtreeServer) KNN(q geom.Point, k int, b nn.Bounds) []POI {
@@ -30,7 +31,7 @@ func (s *rtreeServer) KNN(q geom.Point, k int, b nn.Bounds) []POI {
 	results, _ := nn.EINN(s.tree, q, k, b)
 	out := make([]POI, len(results))
 	for i, r := range results {
-		out[i] = r.Data.(POI)
+		out[i] = s.pois[r.Ref]
 	}
 	return out
 }

@@ -56,15 +56,11 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	pois := sim.ClusteredPOIs(base.NumPOIs, bounds, base.NumPOIs/25, base.AreaWidth/250, rng)
 
 	tree := rtree.New(base.RTreeFanout)
-	for _, p := range pois {
-		tree.InsertPoint(p.Loc, p)
+	for i, p := range pois {
+		tree.InsertPoint(p.Loc, int32(i))
 	}
 	pager := pagestore.NewMemPager()
-	err := pagestore.Pack(tree, pager, func(data any) pagestore.LeafItem {
-		p := data.(core.POI)
-		return pagestore.LeafItem{ID: p.ID, Loc: p.Loc}
-	})
-	if err != nil {
+	if err := pagestore.Pack(tree, pager); err != nil {
 		return DiskIOResult{}, err
 	}
 
@@ -75,7 +71,7 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 		res, _ := nn.BestFirst(tree, loc, base.CacheSize)
 		ns := make([]core.POI, len(res))
 		for j, rr := range res {
-			ns[j] = rr.Data.(core.POI)
+			ns[j] = pois[rr.Ref]
 		}
 		caches[i] = core.NewPeerCache(loc, ns)
 	}

@@ -395,7 +395,7 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 		res, _ := nn.BestFirst(tree, loc, base.CacheSize)
 		ns := make([]core.POI, len(res))
 		for j, rr := range res {
-			ns[j] = rr.Data.(core.POI)
+			ns[j] = pois[rr.Ref]
 		}
 		caches[i] = core.NewPeerCache(loc, ns)
 	}

@@ -12,7 +12,9 @@
 // There is one traversal, generic over the node type, and it owns its page
 // count: the iterator that fetches a node is the only thing that counts the
 // fetch. The in-memory R*-tree (rtree.Node, by value) and the disk-backed
-// packed tree (internal/pagestore) both instantiate it directly.
+// packed tree (internal/pagestore) both instantiate it directly. A result
+// names its object by the int32 item number the index stores, never by a
+// boxed value: the caller owns the table the number indexes.
 package nn
 
 import (
@@ -23,14 +25,11 @@ import (
 	"repro/internal/rtree"
 )
 
-// Result is one nearest neighbor: the indexed rectangle's representative
-// point (its center — for the point data used throughout this system the
-// point itself), the stored value, and the Euclidean distance to the query
-// point.
+// Result is one nearest neighbor: the item number stored in the index and
+// the Euclidean distance from its point to the query point.
 type Result struct {
-	Point geom.Point
-	Data  any
-	Dist  float64
+	Ref  int32
+	Dist float64
 }
 
 // Bounds carries the branch-expanding bounds of §3.3, extracted from the
@@ -73,41 +72,38 @@ func (b Bounds) upper() float64 {
 // ---------------------------------------------------------------------------
 // Best-first incremental search (INN) and its bounded extension (EINN).
 
-// Node is a read-only view of one index node; N is the implementing type
-// itself, so Child returns a concrete node and nothing is boxed.
-type Node[N any] interface {
-	// IsLeaf reports whether entries carry data rather than children.
+// Node is a read-only view of one index node.
+type Node interface {
+	// IsLeaf reports whether entries carry items rather than children.
 	IsLeaf() bool
 	// Len returns the entry count.
 	Len() int
-	// Rect returns the bounding rectangle of entry i.
+	// Rect returns the bounding rectangle of inner entry i.
 	Rect(i int) geom.Rect
-	// Data returns the value of leaf entry i.
-	Data(i int) any
-	// Child fetches the child node of inner entry i: one page read.
-	Child(i int) N
+	// Point returns the location of leaf entry i.
+	Point(i int) geom.Point
+	// Ref returns the item number of leaf entry i, or the reference that
+	// Tree.Node resolves to the child of inner entry i.
+	Ref(i int) int32
 }
 
 // Tree is a spatial index the iterator can traverse. Root fetches the root
-// node (one page read); ok is false for an empty index.
-type Tree[N any] interface {
+// node; ok is false for an empty index. Node fetches a child by the
+// reference its parent's entry holds. Each fetch is one page read.
+type Tree[N Node] interface {
 	Root() (N, bool)
+	Node(ref int32) N
 }
 
 // item is an entry of the best-first priority queue: either a reference to a
 // tree node awaiting expansion or an object (leaf entry) awaiting reporting.
-// Node references hold the parent and the entry index so the child page is
-// fetched — and counted — only if and when the item is actually popped and
-// expanded. N is held by value, never as an interface, which is what keeps
-// the traversal free of allocations.
-type item[N any] struct {
-	dist     float64
-	isNode   bool
-	parent   N // the node itself when isRoot; the owner of childIdx otherwise
-	childIdx int
-	isRoot   bool
-	rect     geom.Rect
-	data     any
+// A node item holds only the child's reference, so the child page is fetched
+// — and counted — only if and when the item is actually popped and
+// expanded.
+type item struct {
+	dist   float64
+	ref    int32
+	isNode bool
 }
 
 // Iterator performs incremental best-first nearest-neighbor search: INN
@@ -117,28 +113,26 @@ type item[N any] struct {
 // the priority queue survives Reset, so a reused iterator performs no heap
 // allocations in steady state. An Iterator is owned by one traversal at a
 // time.
-type Iterator[N Node[N]] struct {
+type Iterator[N Node] struct {
+	tree   Tree[N]
 	query  geom.Point
 	bounds Bounds
-	pq     []item[N]
+	pq     []item
 	pages  int64
-	done   bool
 }
 
-// Reset starts a new search from q over t, honoring b. The page count
-// restarts at 1: the root fetch, counted even for an empty tree.
+// Reset starts a new search from q over t, honoring b: it fetches the root
+// and queues its entries. The page count restarts at 1: the root fetch,
+// counted even for an empty tree.
 func (it *Iterator[N]) Reset(t Tree[N], q geom.Point, b Bounds) {
+	it.tree = t
 	it.query = q
 	it.bounds = b
 	it.pq = it.pq[:0]
 	it.pages = 1
-	it.done = false
-	root, ok := t.Root()
-	if !ok {
-		it.done = true
-		return
+	if root, ok := t.Root(); ok {
+		it.expand(root)
 	}
-	it.pq = append(it.pq, item[N]{dist: 0, isNode: true, isRoot: true, parent: root})
 }
 
 // Pages returns the page reads performed since the last Reset: one for the
@@ -149,55 +143,61 @@ func (it *Iterator[N]) Pages() int64 { return it.pages }
 // when the search is exhausted (no more objects, or all remaining search
 // paths exceed the upper bound).
 func (it *Iterator[N]) Next() (Result, bool) {
-	lo, hi := it.bounds.lower(), it.bounds.upper()
-	for !it.done && len(it.pq) > 0 {
+	hi := it.bounds.upper()
+	for len(it.pq) > 0 {
 		top := it.pop()
 		if top.dist > hi {
 			// Everything still queued is at least this far: stop for good.
-			it.done = true
-			return Result{}, false
+			it.pq = it.pq[:0]
+			break
 		}
 		if !top.isNode {
-			return Result{Point: top.rect.Center(), Data: top.data, Dist: top.dist}, true
+			return Result{Ref: top.ref, Dist: top.dist}, true
 		}
-		nd := top.parent
-		if !top.isRoot {
-			nd = top.parent.Child(top.childIdx)
-			it.pages++
-		}
-		for i := 0; i < nd.Len(); i++ {
-			r := nd.Rect(i)
-			mind := r.MinDist(it.query)
-			if mind > hi {
-				continue // upward pruning
-			}
-			if nd.IsLeaf() {
-				if mind <= lo {
-					continue // object already certain at the client
-				}
-				it.push(item[N]{dist: mind, rect: r, data: nd.Data(i)})
-				continue
-			}
-			if it.bounds.HasLower && r.MaxDist(it.query) <= lo {
-				continue // downward pruning: MBR inside the certain circle
-			}
-			it.push(item[N]{dist: mind, isNode: true, parent: nd, childIdx: i})
-		}
+		it.pages++
+		it.expand(it.tree.Node(top.ref))
 	}
-	it.done = true
 	return Result{}, false
+}
+
+// expand queues the entries of nd that the bounds do not prune.
+func (it *Iterator[N]) expand(nd N) {
+	lo, hi := it.bounds.lower(), it.bounds.upper()
+	if nd.IsLeaf() {
+		for i := 0; i < nd.Len(); i++ {
+			// The distance to a point is its degenerate rectangle's MINDIST,
+			// bit for bit.
+			d := it.query.Dist(nd.Point(i))
+			if d > hi || d <= lo {
+				continue // beyond the upper bound, or already certain at the client
+			}
+			it.push(item{dist: d, ref: nd.Ref(i)})
+		}
+		return
+	}
+	for i := 0; i < nd.Len(); i++ {
+		r := nd.Rect(i)
+		mind := r.MinDist(it.query)
+		if mind > hi {
+			continue // upward pruning
+		}
+		if it.bounds.HasLower && r.MaxDist(it.query) <= lo {
+			continue // downward pruning: MBR inside the certain circle
+		}
+		it.push(item{dist: mind, ref: nd.Ref(i), isNode: true})
+	}
 }
 
 // push, pop, up and down follow the standard library heap's sift order, ties
 // included: the visit order among equal distances — and with it result tie
 // order and page counts — is pinned against a reference built on that
 // package in internal/sim's tests.
-func (it *Iterator[N]) push(x item[N]) {
+func (it *Iterator[N]) push(x item) {
 	it.pq = append(it.pq, x)
 	it.up(len(it.pq) - 1)
 }
 
-func (it *Iterator[N]) pop() item[N] {
+func (it *Iterator[N]) pop() item {
 	n := len(it.pq) - 1
 	it.pq[0], it.pq[n] = it.pq[n], it.pq[0]
 	it.down(0, n)
@@ -241,7 +241,7 @@ func (it *Iterator[N]) down(i0, n int) {
 // BestFirst returns the k nearest neighbors of q in ascending distance order
 // using the optimal incremental algorithm (INN), and the pages the traversal
 // read. Fewer than k results are returned when the tree holds fewer objects.
-func BestFirst[N Node[N]](t Tree[N], q geom.Point, k int) ([]Result, int64) {
+func BestFirst[N Node](t Tree[N], q geom.Point, k int) ([]Result, int64) {
 	return EINN(t, q, k, NoBounds)
 }
 
@@ -249,7 +249,7 @@ func BestFirst[N Node[N]](t Tree[N], q geom.Point, k int) ([]Result, int64) {
 // lower bound, using best-first search with the paper's pruning rules, and
 // the pages the traversal read. k <= 0 performs no traversal at all — not
 // even the root fetch — and reads 0 pages.
-func EINN[N Node[N]](t Tree[N], q geom.Point, k int, b Bounds) ([]Result, int64) {
+func EINN[N Node](t Tree[N], q geom.Point, k int, b Bounds) ([]Result, int64) {
 	if k <= 0 {
 		return nil, 0
 	}
@@ -277,9 +277,8 @@ func BruteForce(t *rtree.Tree, q geom.Point, k int) []Result {
 		return nil
 	}
 	var all []Result
-	t.All(func(r geom.Rect, data any) bool {
-		p := r.Center()
-		all = append(all, Result{Point: p, Data: data, Dist: q.Dist(p)})
+	t.All(func(p geom.Point, ref int32) bool {
+		all = append(all, Result{Ref: ref, Dist: q.Dist(p)})
 		return true
 	})
 	sort.Slice(all, func(i, j int) bool { return all[i].Dist < all[j].Dist })

@@ -17,7 +17,7 @@ func buildTree(seed int64, n int, span float64, maxEntries int) (*rtree.Tree, []
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Pt(rng.Float64()*span, rng.Float64()*span)
-		t.InsertPoint(pts[i], i)
+		t.InsertPoint(pts[i], int32(i))
 	}
 	return t, pts
 }
@@ -67,7 +67,7 @@ func dfVisit(nd rtree.Node, q geom.Point, best *resultHeap, pages *int64) {
 		for i := 0; i < nd.Len(); i++ {
 			d := nd.Rect(i).MinDist(q)
 			if best.accepts(d) {
-				best.push(Result{Point: nd.Rect(i).Center(), Data: nd.Data(i), Dist: d})
+				best.push(Result{Ref: nd.Ref(i), Dist: d})
 			}
 		}
 		return
@@ -384,12 +384,12 @@ func TestEINNDownwardPruningStrictWin(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		th := rng.Float64() * 2 * math.Pi
 		rad := 100 * math.Sqrt(rng.Float64())
-		tree.InsertPoint(geom.Pt(rad*math.Cos(th), rad*math.Sin(th)), i)
+		tree.InsertPoint(geom.Pt(rad*math.Cos(th), rad*math.Sin(th)), int32(i))
 	}
 	// A handful of points farther out: the part the server must produce.
 	for i := 0; i < 20; i++ {
 		th := rng.Float64() * 2 * math.Pi
-		tree.InsertPoint(geom.Pt(300*math.Cos(th), 300*math.Sin(th)), 2000+i)
+		tree.InsertPoint(geom.Pt(300*math.Cos(th), 300*math.Sin(th)), int32(2000+i))
 	}
 	k := 2005
 	full := BruteForce(tree, q, k)
@@ -424,7 +424,7 @@ func TestDuplicateDistances(t *testing.T) {
 	center := geom.Pt(100, 100)
 	for i := 0; i < 16; i++ {
 		th := 2 * math.Pi * float64(i) / 16
-		tree.InsertPoint(geom.Pt(center.X+50*math.Cos(th), center.Y+50*math.Sin(th)), i)
+		tree.InsertPoint(geom.Pt(center.X+50*math.Cos(th), center.Y+50*math.Sin(th)), int32(i))
 	}
 	got := bestFirst(tree, center, 7)
 	if len(got) != 7 {

@@ -32,14 +32,6 @@ const (
 	MaxLeafFanout  = pageHeaderCap / leafEntrySz
 )
 
-// LeafItem is the value a DiskTree returns for leaf entries: the stored
-// item's identifier and location. Callers map IDs back to their domain
-// objects (e.g. core.POI).
-type LeafItem struct {
-	ID  int64
-	Loc geom.Point
-}
-
 // Appender is a Pager that can also be written, used by Pack.
 type Appender interface {
 	Pager
@@ -70,14 +62,11 @@ func (m *MemPager) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// ItemEncoder maps a leaf value from the source tree to its packed
-// representation. It must be total over the values stored in the tree.
-type ItemEncoder func(data any) LeafItem
-
 // Pack serializes t into dst: one node per page, children before parents,
-// with a header on page 0. The encoder converts leaf values. Packing an
-// empty tree is an error.
-func Pack(t *rtree.Tree, dst Appender, encode ItemEncoder) error {
+// with a header on page 0. A leaf entry is the tree's own: the item number
+// (widened to the page format's 8-byte id) and the point. Packing an empty
+// tree is an error.
+func Pack(t *rtree.Tree, dst Appender) error {
 	root, ok := t.Root()
 	if !ok {
 		return errors.New("pagestore: cannot pack an empty tree")
@@ -87,7 +76,7 @@ func Pack(t *rtree.Tree, dst Appender, encode ItemEncoder) error {
 	if _, err := dst.AppendPage(header); err != nil {
 		return err
 	}
-	rootID, err := packNode(root, dst, encode)
+	rootID, err := packNode(root, dst)
 	if err != nil {
 		return err
 	}
@@ -101,7 +90,7 @@ func Pack(t *rtree.Tree, dst Appender, encode ItemEncoder) error {
 }
 
 // packNode serializes the subtree under nd and returns its page ID.
-func packNode(nd rtree.Node, dst Appender, encode ItemEncoder) (PageID, error) {
+func packNode(nd rtree.Node, dst Appender) (PageID, error) {
 	n := nd.Len()
 	buf := make([]byte, PageSize)
 	var leafFlag uint32
@@ -118,15 +107,15 @@ func packNode(nd rtree.Node, dst Appender, encode ItemEncoder) (PageID, error) {
 	off = putU32(buf, off, uint32(n))
 	if nd.IsLeaf() {
 		for i := 0; i < n; i++ {
-			item := encode(nd.Data(i))
-			off = putU64(buf, off, uint64(item.ID))
-			off = putU64(buf, off, math.Float64bits(item.Loc.X))
-			off = putU64(buf, off, math.Float64bits(item.Loc.Y))
+			p := nd.Point(i)
+			off = putU64(buf, off, uint64(int64(nd.Ref(i))))
+			off = putU64(buf, off, math.Float64bits(p.X))
+			off = putU64(buf, off, math.Float64bits(p.Y))
 		}
 		return dst.AppendPage(buf)
 	}
 	for i := 0; i < n; i++ {
-		childID, err := packNode(nd.Child(i), dst, encode)
+		childID, err := packNode(nd.Child(i), dst)
 		if err != nil {
 			return InvalidPage, err
 		}
@@ -197,14 +186,24 @@ func (dt *DiskTree) Root() (*diskNode, bool) {
 	return nd, dt.count > 0
 }
 
+// Node fetches the child an inner entry's Ref names — its page id. Fetch
+// failures surface as an empty node — the packed file is validated at open
+// time, so this only happens on truncated files mid-read.
+func (dt *DiskTree) Node(ref int32) *diskNode {
+	child, err := dt.fetch(PageID(ref))
+	if err != nil {
+		return &diskNode{leaf: true}
+	}
+	return child
+}
+
 // diskNode is a fully decoded node. Decoding copies everything out of the
 // buffer frame, which is unpinned before fetch returns.
 type diskNode struct {
-	dt    *DiskTree
 	leaf  bool
-	rects []geom.Rect
-	kids  []PageID
-	items []LeafItem
+	rects []geom.Rect  // inner: child MBRs
+	pts   []geom.Point // leaf: item locations
+	refs  []int32      // leaf: item numbers; inner: child page ids
 }
 
 // fetch reads and decodes one node page, counting one buffer access.
@@ -218,29 +217,26 @@ func (dt *DiskTree) fetch(id PageID) (*diskNode, error) {
 	var leafFlag, n uint32
 	leafFlag, off = getU32(buf, off)
 	n, off = getU32(buf, off)
-	nd := &diskNode{dt: dt, leaf: leafFlag == 1}
+	nd := &diskNode{leaf: leafFlag == 1}
 	if nd.leaf {
 		if int(n) > MaxLeafFanout {
 			return nil, fmt.Errorf("pagestore: corrupt leaf count %d", n)
 		}
-		nd.items = make([]LeafItem, n)
-		for i := range nd.items {
+		nd.pts, nd.refs = make([]geom.Point, n), make([]int32, n)
+		for i := range nd.pts {
 			var idBits, xb, yb uint64
 			idBits, off = getU64(buf, off)
 			xb, off = getU64(buf, off)
 			yb, off = getU64(buf, off)
-			nd.items[i] = LeafItem{
-				ID:  int64(idBits),
-				Loc: geom.Point{X: math.Float64frombits(xb), Y: math.Float64frombits(yb)},
-			}
+			nd.refs[i] = int32(int64(idBits))
+			nd.pts[i] = geom.Point{X: math.Float64frombits(xb), Y: math.Float64frombits(yb)}
 		}
 		return nd, nil
 	}
 	if int(n) > MaxInnerFanout {
 		return nil, fmt.Errorf("pagestore: corrupt inner count %d", n)
 	}
-	nd.rects = make([]geom.Rect, n)
-	nd.kids = make([]PageID, n)
+	nd.rects, nd.refs = make([]geom.Rect, n), make([]int32, n)
 	for i := range nd.rects {
 		var a, b, c, d uint64
 		a, off = getU64(buf, off)
@@ -253,7 +249,7 @@ func (dt *DiskTree) fetch(id PageID) (*diskNode, error) {
 			Min: geom.Point{X: math.Float64frombits(a), Y: math.Float64frombits(b)},
 			Max: geom.Point{X: math.Float64frombits(c), Y: math.Float64frombits(d)},
 		}
-		nd.kids[i] = PageID(child)
+		nd.refs[i] = int32(child)
 	}
 	return nd, nil
 }
@@ -262,31 +258,14 @@ func (dt *DiskTree) fetch(id PageID) (*diskNode, error) {
 func (nd *diskNode) IsLeaf() bool { return nd.leaf }
 
 // Len returns the entry count.
-func (nd *diskNode) Len() int {
-	if nd.leaf {
-		return len(nd.items)
-	}
-	return len(nd.rects)
-}
+func (nd *diskNode) Len() int { return len(nd.refs) }
 
-// Rect returns the bounding rectangle of entry i.
-func (nd *diskNode) Rect(i int) geom.Rect {
-	if nd.leaf {
-		return geom.RectFromPoint(nd.items[i].Loc)
-	}
-	return nd.rects[i]
-}
+// Rect returns the bounding rectangle of inner entry i.
+func (nd *diskNode) Rect(i int) geom.Rect { return nd.rects[i] }
 
-// Data returns the LeafItem of leaf entry i.
-func (nd *diskNode) Data(i int) any { return nd.items[i] }
+// Point returns the location of leaf entry i.
+func (nd *diskNode) Point(i int) geom.Point { return nd.pts[i] }
 
-// Child fetches the child node of inner entry i. Fetch failures surface as
-// an empty node — the packed file is validated at open time, so this only
-// happens on truncated files mid-read.
-func (nd *diskNode) Child(i int) *diskNode {
-	child, err := nd.dt.fetch(nd.kids[i])
-	if err != nil {
-		return &diskNode{dt: nd.dt, leaf: true}
-	}
-	return child
-}
+// Ref returns the item number of leaf entry i or the page id of inner
+// entry i's child.
+func (nd *diskNode) Ref(i int) int32 { return nd.refs[i] }

@@ -11,39 +11,28 @@ import (
 	"repro/internal/rtree"
 )
 
-// buildSource creates an in-memory R*-tree over n random points; leaf data
-// is the point index as int.
-func buildSource(seed int64, n int, span float64) (*rtree.Tree, []geom.Point) {
+// buildSource creates an in-memory R*-tree over n random points; the item
+// number is the point's index.
+func buildSource(seed int64, n int, span float64) *rtree.Tree {
 	rng := rand.New(rand.NewSource(seed))
 	t := rtree.New(30)
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*span, rng.Float64()*span)
-		t.InsertPoint(pts[i], i)
+	for i := 0; i < n; i++ {
+		t.InsertPoint(geom.Pt(rng.Float64()*span, rng.Float64()*span), int32(i))
 	}
-	return t, pts
+	return t
 }
 
-// encodeInt maps the test tree's int data to LeafItems. The location must
-// come from the tree's own rect, so tests carry a closure over the points.
-func encoder(pts []geom.Point) ItemEncoder {
-	return func(data any) LeafItem {
-		i := data.(int)
-		return LeafItem{ID: int64(i), Loc: pts[i]}
-	}
-}
-
-func packToMem(t *testing.T, tree *rtree.Tree, pts []geom.Point) *MemPager {
+func packToMem(t *testing.T, tree *rtree.Tree) *MemPager {
 	t.Helper()
 	m := NewMemPager()
-	if err := Pack(tree, m, encoder(pts)); err != nil {
+	if err := Pack(tree, m); err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
 func TestPackEmptyTreeFails(t *testing.T) {
-	if err := Pack(rtree.NewDefault(), NewMemPager(), nil); err == nil {
+	if err := Pack(rtree.NewDefault(), NewMemPager()); err == nil {
 		t.Error("packing an empty tree should fail")
 	}
 }
@@ -60,8 +49,8 @@ func TestOpenDiskTreeValidation(t *testing.T) {
 // tree, for both INN and EINN, with identical page access counts (the
 // structure is preserved node-for-node).
 func TestDiskTreeEquivalence(t *testing.T) {
-	tree, pts := buildSource(1, 5000, 10000)
-	m := packToMem(t, tree, pts)
+	tree := buildSource(1, 5000, 10000)
+	m := packToMem(t, tree)
 	dt, err := OpenDiskTree(m, m.NumPages()) // pool holds everything
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +77,8 @@ func TestDiskTreeEquivalence(t *testing.T) {
 			if math.Abs(memRes[i].Dist-diskRes[i].Dist) > 1e-9 {
 				t.Fatalf("trial %d rank %d: dist %v vs %v", trial, i, memRes[i].Dist, diskRes[i].Dist)
 			}
-			if int64(memRes[i].Data.(int)) != diskRes[i].Data.(LeafItem).ID {
-				t.Fatalf("trial %d rank %d: id mismatch", trial, i)
+			if memRes[i].Ref != diskRes[i].Ref {
+				t.Fatalf("trial %d rank %d: ref %d vs %d", trial, i, memRes[i].Ref, diskRes[i].Ref)
 			}
 		}
 		if diskAcc != memAcc {
@@ -121,8 +110,8 @@ func TestDiskTreeEquivalence(t *testing.T) {
 // A tiny pool forces disk faults; a big pool after warm-up serves from
 // memory — the two I/O extremes of §4.4.
 func TestBufferPoolExtremes(t *testing.T) {
-	tree, pts := buildSource(3, 20000, 48000)
-	m := packToMem(t, tree, pts)
+	tree := buildSource(3, 20000, 48000)
+	m := packToMem(t, tree)
 
 	queries := func(dt *DiskTree) {
 		rng := rand.New(rand.NewSource(4))
@@ -161,13 +150,13 @@ func TestBufferPoolExtremes(t *testing.T) {
 
 // Packing to a real file and reopening it must preserve everything.
 func TestDiskTreeFileRoundTrip(t *testing.T) {
-	tree, pts := buildSource(5, 2000, 5000)
+	tree := buildSource(5, 2000, 5000)
 	path := filepath.Join(t.TempDir(), "tree.db")
 	pf, err := CreatePageFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Pack(tree, pf, encoder(pts)); err != nil {
+	if err := Pack(tree, pf); err != nil {
 		t.Fatal(err)
 	}
 	if err := pf.Sync(); err != nil {
@@ -207,9 +196,9 @@ func TestDiskTreeFileRoundTrip(t *testing.T) {
 }
 
 func BenchmarkDiskTreeKNNColdPool(b *testing.B) {
-	tree, pts := buildSource(7, 50000, 48280)
+	tree := buildSource(7, 50000, 48280)
 	m := NewMemPager()
-	if err := Pack(tree, m, encoder(pts)); err != nil {
+	if err := Pack(tree, m); err != nil {
 		b.Fatal(err)
 	}
 	dt, err := OpenDiskTree(m, 8)
@@ -227,9 +216,9 @@ func BenchmarkDiskTreeKNNColdPool(b *testing.B) {
 }
 
 func BenchmarkDiskTreeKNNWarmPool(b *testing.B) {
-	tree, pts := buildSource(7, 50000, 48280)
+	tree := buildSource(7, 50000, 48280)
 	m := NewMemPager()
-	if err := Pack(tree, m, encoder(pts)); err != nil {
+	if err := Pack(tree, m); err != nil {
 		b.Fatal(err)
 	}
 	dt, err := OpenDiskTree(m, m.NumPages())

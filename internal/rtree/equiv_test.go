@@ -4,41 +4,45 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/racebuild"
 )
 
-// sameTree reports the first structural difference between two trees: node
-// levels, entry counts, entry order, values, and all four coordinates of
-// every rectangle compared bit for bit.
-func sameTree(a, b *Tree) error {
+// sameTree reports the first structural difference between the production
+// tree, read through its Node view, and the reference tree: node levels,
+// entry counts, entry order, item numbers, and every coordinate of every
+// point and rectangle compared bit for bit.
+func sameTree(a *Tree, b *refTree) error {
 	if a.size != b.size {
 		return fmt.Errorf("size %d vs %d", a.size, b.size)
 	}
-	return sameNode(a.root, b.root, "root")
+	root, _ := a.Root()
+	return sameNode(root, b.root, "root")
 }
 
-func sameNode(a, b *node, at string) error {
-	if a.leaf != b.leaf || a.level != b.level || len(a.entries) != len(b.entries) {
+func sameNode(a Node, b *refNode, at string) error {
+	if a.IsLeaf() != b.leaf || a.Level() != b.level || a.Len() != len(b.entries) {
 		return fmt.Errorf("%s: leaf/level/entries %v/%d/%d vs %v/%d/%d",
-			at, a.leaf, a.level, len(a.entries), b.leaf, b.level, len(b.entries))
+			at, a.IsLeaf(), a.Level(), a.Len(), b.leaf, b.level, len(b.entries))
 	}
-	for i := range a.entries {
-		ea, eb := a.entries[i], b.entries[i]
-		if !sameBits(ea.rect, eb.rect) {
-			return fmt.Errorf("%s[%d]: rect %v vs %v", at, i, ea.rect, eb.rect)
+	for i, eb := range b.entries {
+		if !sameBits(a.Rect(i), eb.rect) {
+			return fmt.Errorf("%s[%d]: rect %v vs %v", at, i, a.Rect(i), eb.rect)
 		}
-		if ea.data != eb.data {
-			return fmt.Errorf("%s[%d]: data %v vs %v", at, i, ea.data, eb.data)
-		}
-		if (ea.child == nil) != (eb.child == nil) {
-			return fmt.Errorf("%s[%d]: child presence differs", at, i)
-		}
-		if ea.child != nil {
-			if err := sameNode(ea.child, eb.child, fmt.Sprintf("%s[%d]", at, i)); err != nil {
-				return err
+		if b.leaf {
+			if a.Ref(i) != eb.ref {
+				return fmt.Errorf("%s[%d]: ref %d vs %d", at, i, a.Ref(i), eb.ref)
 			}
+			continue
+		}
+		if eb.child == nil {
+			return fmt.Errorf("%s[%d]: reference inner entry has no child", at, i)
+		}
+		if err := sameNode(a.Child(i), eb.child, fmt.Sprintf("%s[%d]", at, i)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -51,53 +55,44 @@ func sameBits(a, b geom.Rect) bool {
 		math.Float64bits(a.Max.Y) == math.Float64bits(b.Max.Y)
 }
 
-// equivInputs are the point and rectangle sets the fast builder is held to
-// the reference on. The lattice and the duplicates make every tolerance
-// comparison, distance sort and coordinate sort a tie; the rectangles give
-// the overlap sums terms that are neither zero nor nested.
+// equivInputs are the point sets the fast builder is held to the reference
+// on. The lattice and the duplicates make every tolerance comparison,
+// distance sort and coordinate sort a tie.
 var equivInputs = []struct {
 	name string
-	gen  func(rng *rand.Rand, n int) []geom.Rect
+	gen  func(rng *rand.Rand, n int) []geom.Point
 }{
-	{"uniform", func(rng *rand.Rand, n int) []geom.Rect {
-		out := make([]geom.Rect, n)
+	{"uniform", func(rng *rand.Rand, n int) []geom.Point {
+		out := make([]geom.Point, n)
 		for i := range out {
-			out[i] = geom.RectFromPoint(randPoint(rng, 20000))
+			out[i] = randPoint(rng, 20000)
 		}
 		return out
 	}},
-	{"clusters16", func(rng *rand.Rand, n int) []geom.Rect {
+	{"clusters16", func(rng *rand.Rand, n int) []geom.Point {
 		centers := make([]geom.Point, 16)
 		for i := range centers {
 			centers[i] = randPoint(rng, 20000)
 		}
-		out := make([]geom.Rect, n)
+		out := make([]geom.Point, n)
 		for i := range out {
 			c := centers[rng.Intn(len(centers))]
-			out[i] = geom.RectFromPoint(geom.Pt(c.X+rng.NormFloat64()*400, c.Y+rng.NormFloat64()*400))
+			out[i] = geom.Pt(c.X+rng.NormFloat64()*400, c.Y+rng.NormFloat64()*400)
 		}
 		return out
 	}},
-	{"lattice", func(rng *rand.Rand, n int) []geom.Rect {
+	{"lattice", func(rng *rand.Rand, n int) []geom.Point {
 		side := int(math.Ceil(math.Sqrt(float64(n))))
-		out := make([]geom.Rect, n)
+		out := make([]geom.Point, n)
 		for i, j := range rng.Perm(n) {
-			out[i] = geom.RectFromPoint(geom.Pt(float64(j%side)*100, float64(j/side)*100))
+			out[i] = geom.Pt(float64(j%side)*100, float64(j/side)*100)
 		}
 		return out
 	}},
-	{"duplicates", func(rng *rand.Rand, n int) []geom.Rect {
-		out := make([]geom.Rect, n)
+	{"duplicates", func(rng *rand.Rand, n int) []geom.Point {
+		out := make([]geom.Point, n)
 		for i := range out {
-			out[i] = geom.RectFromPoint(geom.Pt(7, -3))
-		}
-		return out
-	}},
-	{"rects", func(rng *rand.Rand, n int) []geom.Rect {
-		out := make([]geom.Rect, n)
-		for i := range out {
-			p := randPoint(rng, 5000)
-			out[i] = geom.NewRect(p, p.Add(geom.Pt(rng.Float64()*300, rng.Float64()*300)))
+			out[i] = geom.Pt(7, -3)
 		}
 		return out
 	}},
@@ -105,45 +100,75 @@ var equivInputs = []struct {
 
 // The production insertion path must build, node for node and bit for bit,
 // the tree the reference builder builds: every shortcut it takes is an
-// identity on the reference's floating-point computation.
+// identity on the reference's floating-point computation, and the arena
+// layout changes where entries live, not which entries a node holds. The
+// full run adds the daemon-sized builds: 50,000 uniform and 50,000 clustered
+// points at the paper's fan-out.
 func TestFastBuildMatchesReference(t *testing.T) {
+	type build struct {
+		input, fanout, n int
+		seed             int64
+	}
 	n := 6000
 	if testing.Short() {
 		n = 1500
 	}
-	for _, in := range equivInputs {
+	var builds []build
+	for in := range equivInputs {
 		for _, fanout := range []int{4, 8, 30} {
 			for seed := int64(1); seed <= 2; seed++ {
-				rects := in.gen(rand.New(rand.NewSource(seed)), n)
-				fast, ref := New(fanout), New(fanout)
-				for i, r := range rects {
-					fast.Insert(r, i)
-					ref.refInsert(r, i)
-					// Checking along the way pins a divergence to the insert
-					// that caused it.
-					if i%500 == 499 || i == len(rects)-1 {
-						if err := sameTree(fast, ref); err != nil {
-							t.Fatalf("%s fanout=%d seed=%d after %d inserts: %v", in.name, fanout, seed, i+1, err)
-						}
-					}
-				}
-				if err := fast.CheckInvariants(); err != nil {
-					t.Fatalf("%s fanout=%d seed=%d: %v", in.name, fanout, seed, err)
-				}
+				builds = append(builds, build{in, fanout, n, seed})
 			}
 		}
 	}
+	if !testing.Short() {
+		builds = append(builds, build{0, DefaultMaxEntries, 50000, 1}, build{1, DefaultMaxEntries, 50000, 1})
+	}
+	for _, b := range builds {
+		in := equivInputs[b.input]
+		pts := in.gen(rand.New(rand.NewSource(b.seed)), b.n)
+		fast, ref := New(b.fanout), newRefTree(b.fanout)
+		for i, p := range pts {
+			fast.InsertPoint(p, int32(i))
+			ref.refInsert(geom.RectFromPoint(p), int32(i))
+			// Checking along the way pins a divergence to the insert
+			// that caused it.
+			if i%500 == 499 || i == len(pts)-1 {
+				if err := sameTree(fast, ref); err != nil {
+					t.Fatalf("%s fanout=%d seed=%d after %d inserts: %v", in.name, b.fanout, b.seed, i+1, err)
+				}
+			}
+		}
+		if err := fast.CheckInvariants(); err != nil {
+			t.Fatalf("%s fanout=%d seed=%d: %v", in.name, b.fanout, b.seed, err)
+		}
+	}
+}
+
+// liveNodes counts the leaf and inner nodes reachable from nd.
+func liveNodes(nd Node) (leaves, inner int) {
+	if nd.IsLeaf() {
+		return 1, 0
+	}
+	inner = 1
+	for i := 0; i < nd.Len(); i++ {
+		l, in := liveNodes(nd.Child(i))
+		leaves, inner = leaves+l, inner+in
+	}
+	return leaves, inner
 }
 
 // Random insert/delete churn, checked after every mutation: the invariants
 // hold and the production tree equals the reference tree. Deletes drive
 // condense's orphan reinsertion — whole subtrees re-entering at inner
 // levels — through the scratch-reusing insert path, and the shrink phases
-// take the tree back down through root collapses.
+// take the tree back down through root collapses. Dissolved nodes go on the
+// free lists and come back: the node table is only ever as long as the most
+// leaves plus the most inner nodes the tree has held at once.
 func TestChurnMatchesReference(t *testing.T) {
 	type item struct {
-		rect geom.Rect
-		id   int
+		p  geom.Point
+		id int32
 	}
 	steps := 2500
 	if testing.Short() {
@@ -151,9 +176,10 @@ func TestChurnMatchesReference(t *testing.T) {
 	}
 	for _, fanout := range []int{4, 8, 30} {
 		rng := rand.New(rand.NewSource(int64(fanout)))
-		fast, ref := New(fanout), New(fanout)
+		fast, ref := New(fanout), newRefTree(fanout)
 		var live []item
-		nextID := 0
+		var nextID int32
+		maxLeaves, maxInner := 0, 0
 		for step := 0; step < steps; step++ {
 			// Alternate growth and shrink phases so the tree repeatedly gains
 			// and loses levels.
@@ -163,22 +189,17 @@ func TestChurnMatchesReference(t *testing.T) {
 			}
 			if len(live) == 0 || rng.Float64() < pInsert {
 				// Coarse integer coordinates: duplicates and ties are common.
-				p := geom.Pt(float64(rng.Intn(40)), float64(rng.Intn(40)))
-				r := geom.RectFromPoint(p)
-				if rng.Intn(3) == 0 {
-					r = geom.NewRect(p, p.Add(geom.Pt(float64(rng.Intn(4)), rng.Float64()*3)))
-				}
-				it := item{r, nextID}
+				it := item{geom.Pt(float64(rng.Intn(40)), float64(rng.Intn(40))), nextID}
 				nextID++
 				live = append(live, it)
-				fast.Insert(it.rect, it.id)
-				ref.refInsert(it.rect, it.id)
+				fast.InsertPoint(it.p, it.id)
+				ref.refInsert(geom.RectFromPoint(it.p), it.id)
 			} else {
 				i := rng.Intn(len(live))
 				it := live[i]
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
-				if !fast.Delete(it.rect, it.id) || !ref.refDelete(it.rect, it.id) {
+				if !fast.DeletePoint(it.p, it.id) || !ref.refDelete(geom.RectFromPoint(it.p), it.id) {
 					t.Fatalf("fanout=%d step %d: delete of live item %v failed", fanout, step, it)
 				}
 			}
@@ -188,35 +209,75 @@ func TestChurnMatchesReference(t *testing.T) {
 			if err := sameTree(fast, ref); err != nil {
 				t.Fatalf("fanout=%d step %d (%d live): %v", fanout, step, len(live), err)
 			}
+			root, _ := fast.Root()
+			leaves, inner := liveNodes(root)
+			maxLeaves, maxInner = max(maxLeaves, leaves), max(maxInner, inner)
+			if len(fast.nodes) != maxLeaves+maxInner {
+				t.Fatalf("fanout=%d step %d: node table holds %d nodes, high-water mark is %d leaves + %d inner",
+					fanout, step, len(fast.nodes), maxLeaves, maxInner)
+			}
 		}
 	}
 }
 
-// A steady-state Insert allocates only the nodes it creates: no per-call
-// map, path or sort scratch. (The value is pre-boxed: boxing it into the
-// any parameter is the caller's allocation.)
+// growArenas gives every arena room for extra more nodes of either kind.
+func growArenas(t *Tree, extra int) {
+	t.nodes = slices.Grow(t.nodes, 2*extra)
+	t.leafPts = slices.Grow(t.leafPts, extra*t.stride)
+	t.leafRefs = slices.Grow(t.leafRefs, extra*t.stride)
+	t.innerRects = slices.Grow(t.innerRects, extra*t.stride)
+	t.innerKids = slices.Grow(t.innerKids, extra*t.stride)
+}
+
+// An Insert allocates nothing once the arenas have room: no per-call map,
+// path or sort scratch, no node objects, no boxed values.
 func TestInsertSteadyStateAllocs(t *testing.T) {
+	if racebuild.Enabled() {
+		t.Skip("race instrumentation allocates")
+	}
 	rng := rand.New(rand.NewSource(1))
 	tr := NewDefault()
-	var val any = "poi"
 	for i := 0; i < 20000; i++ {
-		tr.InsertPoint(randPoint(rng, 1e5), val)
+		tr.InsertPoint(randPoint(rng, 1e5), int32(i))
 	}
 	const inserts = 10000
 	pts := make([]geom.Point, inserts)
 	for i := range pts {
 		pts[i] = randPoint(rng, 1e5)
 	}
-	total := testing.AllocsPerRun(1, func() {
-		for _, p := range pts {
-			tr.InsertPoint(p, val)
+	growArenas(tr, inserts)
+	if total := testing.AllocsPerRun(1, func() {
+		for i, p := range pts {
+			tr.InsertPoint(p, int32(20000+i))
 		}
-	})
-	if perOp := total / inserts; perOp > 1 {
-		t.Fatalf("Insert allocates %.2f times per call, want <= 1 (node growth only)", perOp)
-	} else {
-		t.Logf("%.3f allocs per Insert", perOp)
+	}); total != 0 {
+		t.Fatalf("%d inserts into grown arenas allocated %.0f times, want 0", inserts, total)
 	}
+}
+
+// A build allocates when an arena or a scratch slice grows — a number that
+// follows the logarithm of the node count — never per point.
+func TestBuildAllocsFollowNodes(t *testing.T) {
+	if racebuild.Enabled() {
+		t.Skip("race instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]geom.Point, 50000)
+	for i := range pts {
+		pts[i] = randPoint(rng, 20000)
+	}
+	var nodes int
+	allocs := testing.AllocsPerRun(1, func() {
+		tr := NewDefault()
+		for i, p := range pts {
+			tr.InsertPoint(p, int32(i))
+		}
+		nodes = len(tr.nodes)
+	})
+	if allocs > float64(nodes)/10 {
+		t.Fatalf("building %d points into %d nodes allocated %.0f times", len(pts), nodes, allocs)
+	}
+	t.Logf("%d points, %d nodes, %.0f allocations", len(pts), nodes, allocs)
 }
 
 // BenchmarkBuild builds the daemon-sized index — 50,000 points at the
@@ -225,30 +286,32 @@ func TestInsertSteadyStateAllocs(t *testing.T) {
 func BenchmarkBuild(b *testing.B) {
 	const n = 50000
 	rng := rand.New(rand.NewSource(1))
-	rects := make([]geom.Rect, n)
-	vals := make([]any, n)
-	for i := range rects {
-		rects[i] = geom.RectFromPoint(randPoint(rng, 20000))
-		vals[i] = i
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = randPoint(rng, 20000)
 	}
-	for _, impl := range []struct {
-		name   string
-		insert func(*Tree, geom.Rect, any)
-	}{
-		{"ref", (*Tree).refInsert},
-		{"fast", (*Tree).Insert},
-	} {
-		b.Run(impl.name+"/n=50k", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr := NewDefault()
-				for j, r := range rects {
-					impl.insert(tr, r, vals[j])
-				}
-				if tr.Len() != n {
-					b.Fatal("short build")
-				}
+	b.Run("ref/n=50k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr := newRefTree(DefaultMaxEntries)
+			for j, p := range pts {
+				tr.refInsert(geom.RectFromPoint(p), int32(j))
 			}
-		})
-	}
+			if tr.size != n {
+				b.Fatal("short build")
+			}
+		}
+	})
+	b.Run("fast/n=50k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr := NewDefault()
+			for j, p := range pts {
+				tr.InsertPoint(p, int32(j))
+			}
+			if tr.Len() != n {
+				b.Fatal("short build")
+			}
+		}
+	})
 }

@@ -24,15 +24,15 @@ func TestInsertRetrieveQuick(t *testing.T) {
 		tr := New(6)
 		n := len(coords) / 2
 		for i := 0; i < n; i++ {
-			tr.InsertPoint(geom.Pt(sanitize(coords[2*i]), sanitize(coords[2*i+1])), i)
+			tr.InsertPoint(geom.Pt(sanitize(coords[2*i]), sanitize(coords[2*i+1])), int32(i))
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Log(err)
 			return false
 		}
 		found := map[int]bool{}
-		tr.Search(geom.NewRect(geom.Pt(-1e6, -1e6), geom.Pt(1e6, 1e6)), func(_ geom.Rect, d any) bool {
-			found[d.(int)] = true
+		tr.Search(geom.NewRect(geom.Pt(-1e6, -1e6), geom.Pt(1e6, 1e6)), func(_ geom.Point, d int32) bool {
+			found[int(d)] = true
 			return true
 		})
 		return len(found) == n
@@ -52,12 +52,12 @@ func TestInsertDeleteComplementQuick(t *testing.T) {
 		pts := make([]geom.Point, count)
 		for i := range pts {
 			pts[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			tr.InsertPoint(pts[i], i)
+			tr.InsertPoint(pts[i], int32(i))
 		}
 		removed := map[int]bool{}
 		for i := 0; i < count; i++ {
 			if rng.Float64() < 0.5 {
-				if !tr.DeletePoint(pts[i], i) {
+				if !tr.DeletePoint(pts[i], int32(i)) {
 					t.Logf("delete %d failed", i)
 					return false
 				}
@@ -72,7 +72,7 @@ func TestInsertDeleteComplementQuick(t *testing.T) {
 			return false
 		}
 		left := map[int]bool{}
-		tr.All(func(_ geom.Rect, d any) bool { left[d.(int)] = true; return true })
+		tr.All(func(_ geom.Point, d int32) bool { left[int(d)] = true; return true })
 		for i := 0; i < count; i++ {
 			if removed[i] == left[i] {
 				return false

@@ -11,21 +11,95 @@ import (
 // exactly as they stood before the exact-shortcut rewrite — the full
 // O(M²) overlap sums through Intersect(...).Area(), boundsOf per candidate
 // distribution, sort.Slice/sort.SliceStable, fresh maps and slices per
-// call. It is the oracle of TestFastBuildMatchesReference and
-// TestChurnMatchesReference (node-for-node, bitwise equality) and the
-// baseline of BenchmarkBuild. It shares only the node layout, bounds,
-// tightenPath, findLeaf and almostEq with production.
+// call — over the node layout they were written for: heap nodes that own a
+// slice of entries and point at their children. It is the oracle of
+// TestFastBuildMatchesReference and TestChurnMatchesReference (node-for-node,
+// bitwise equality through the production tree's Node view) and the baseline
+// of BenchmarkBuild. It shares only almostEq and reinsertFraction with
+// production.
 
-// refInsert stores data under rect.
-func (t *Tree) refInsert(rect geom.Rect, data any) {
-	t.refInsertEntry(entry{rect: rect, data: data}, 0, make(map[int]bool))
+// refEntry is a slot in a refNode: a bounding rectangle plus either a child
+// node (inner levels) or the item number (leaf level).
+type refEntry struct {
+	rect  geom.Rect
+	child *refNode // nil at leaf level
+	ref   int32
+}
+
+type refNode struct {
+	leaf    bool
+	level   int // 0 = leaf
+	entries []refEntry
+}
+
+func (n *refNode) bounds() geom.Rect {
+	r := geom.EmptyRect()
+	for i := range n.entries {
+		r = r.Union(n.entries[i].rect)
+	}
+	return r
+}
+
+type refTree struct {
+	root       *refNode
+	minEntries int
+	maxEntries int
+	size       int
+}
+
+// newRefTree mirrors New: minimum fill 40 % of the maximum.
+func newRefTree(maxEntries int) *refTree {
+	return &refTree{
+		root:       &refNode{leaf: true},
+		minEntries: max(maxEntries*2/5, 2),
+		maxEntries: maxEntries,
+	}
+}
+
+// tightenPath recomputes the parent rectangles covering path[idx] up to the
+// root.
+func (t *refTree) tightenPath(path []*refNode, idx int) {
+	for i := idx - 1; i >= 0; i-- {
+		parent, child := path[i], path[i+1]
+		for j := range parent.entries {
+			if parent.entries[j].child == child {
+				parent.entries[j].rect = child.bounds()
+				break
+			}
+		}
+	}
+}
+
+func (t *refTree) findLeaf(n *refNode, path []*refNode, rect geom.Rect, ref int32) ([]*refNode, int) {
+	path = append(path, n)
+	if n.leaf {
+		for i := range n.entries {
+			if n.entries[i].ref == ref && n.entries[i].rect == rect {
+				return path, i
+			}
+		}
+		return nil, -1
+	}
+	for i := range n.entries {
+		if n.entries[i].rect.ContainsRect(rect) {
+			if p, idx := t.findLeaf(n.entries[i].child, path, rect, ref); p != nil {
+				return p, idx
+			}
+		}
+	}
+	return nil, -1
+}
+
+// refInsert stores item number ref under rect.
+func (t *refTree) refInsert(rect geom.Rect, ref int32) {
+	t.refInsertEntry(refEntry{rect: rect, ref: ref}, 0, make(map[int]bool))
 	t.size++
 }
 
 // refInsertEntry inserts e at the given level. reinserted tracks which levels
 // already performed a forced reinsertion during the current outer insert so
 // each level reinserts at most once (the R* rule).
-func (t *Tree) refInsertEntry(e entry, level int, reinserted map[int]bool) {
+func (t *refTree) refInsertEntry(e refEntry, level int, reinserted map[int]bool) {
 	path := t.refChoosePath(e.rect, level)
 	target := path[len(path)-1]
 	target.entries = append(target.entries, e)
@@ -43,8 +117,8 @@ func (t *Tree) refInsertEntry(e entry, level int, reinserted map[int]bool) {
 // Subtree choice follows R*: minimum overlap enlargement when the children
 // are leaves, minimum area enlargement otherwise, with area and size
 // tie-breaks.
-func (t *Tree) refChoosePath(r geom.Rect, level int) []*node {
-	path := []*node{t.root}
+func (t *refTree) refChoosePath(r geom.Rect, level int) []*refNode {
+	path := []*refNode{t.root}
 	n := t.root
 	for n.level > level {
 		best := t.refChooseSubtree(n, r)
@@ -55,7 +129,7 @@ func (t *Tree) refChoosePath(r geom.Rect, level int) []*node {
 	return path
 }
 
-func (t *Tree) refChooseSubtree(n *node, r geom.Rect) int {
+func (t *refTree) refChooseSubtree(n *refNode, r geom.Rect) int {
 	if n.level == 1 {
 		// Children are leaves: minimize overlap enlargement.
 		best, bestOverlap, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1), math.Inf(1)
@@ -95,7 +169,7 @@ func (t *Tree) refChooseSubtree(n *node, r geom.Rect) int {
 // refOverflow resolves an overfull node at path[idx], either by forced
 // reinsertion (first overflow at this level for the current insert, non-root)
 // or by splitting.
-func (t *Tree) refOverflow(path []*node, idx int, reinserted map[int]bool) {
+func (t *refTree) refOverflow(path []*refNode, idx int, reinserted map[int]bool) {
 	n := path[idx]
 	isRoot := idx == 0
 	if !isRoot && !reinserted[n.level] {
@@ -109,7 +183,7 @@ func (t *Tree) refOverflow(path []*node, idx int, reinserted map[int]bool) {
 // refReinsert removes the p entries of n farthest from its center and inserts
 // them again from the top, which tends to rebalance hot regions without a
 // split.
-func (t *Tree) refReinsert(path []*node, idx int, reinserted map[int]bool) {
+func (t *refTree) refReinsert(path []*refNode, idx int, reinserted map[int]bool) {
 	n := path[idx]
 	center := n.bounds().Center()
 	order := make([]int, len(n.entries))
@@ -129,7 +203,7 @@ func (t *Tree) refReinsert(path []*node, idx int, reinserted map[int]bool) {
 	for _, i := range order[:p] {
 		evictIdx[i] = true
 	}
-	var evicted []entry
+	var evicted []refEntry
 	kept := n.entries[:0]
 	for i, e := range n.entries {
 		if evictIdx[i] {
@@ -148,18 +222,18 @@ func (t *Tree) refReinsert(path []*node, idx int, reinserted map[int]bool) {
 
 // refSplit performs the R* topological split of path[idx] and pushes the new
 // sibling into the parent, growing the tree at the root if needed.
-func (t *Tree) refSplit(path []*node, idx int, reinserted map[int]bool) {
+func (t *refTree) refSplit(path []*refNode, idx int, reinserted map[int]bool) {
 	n := path[idx]
 	left, right := t.refChooseSplit(n)
 	n.entries = left
-	sibling := &node{leaf: n.leaf, level: n.level, entries: right}
+	sibling := &refNode{leaf: n.leaf, level: n.level, entries: right}
 
 	if idx == 0 {
 		// Root split: grow the tree.
-		newRoot := &node{
+		newRoot := &refNode{
 			leaf:  false,
 			level: n.level + 1,
-			entries: []entry{
+			entries: []refEntry{
 				{rect: n.bounds(), child: n},
 				{rect: sibling.bounds(), child: sibling},
 			},
@@ -174,7 +248,7 @@ func (t *Tree) refSplit(path []*node, idx int, reinserted map[int]bool) {
 			break
 		}
 	}
-	parent.entries = append(parent.entries, entry{rect: sibling.bounds(), child: sibling})
+	parent.entries = append(parent.entries, refEntry{rect: sibling.bounds(), child: sibling})
 	t.tightenPath(path, idx-1)
 	if len(parent.entries) > t.maxEntries {
 		t.refOverflow(path[:idx], idx-1, reinserted)
@@ -184,19 +258,19 @@ func (t *Tree) refSplit(path []*node, idx int, reinserted map[int]bool) {
 // refChooseSplit implements the R* split: pick the axis with the minimum sum of
 // margins over all candidate distributions, then the distribution with the
 // minimum overlap (area tie-break).
-func (t *Tree) refChooseSplit(n *node) (left, right []entry) {
+func (t *refTree) refChooseSplit(n *refNode) (left, right []refEntry) {
 	entries := n.entries
 	m := t.minEntries
 	M := len(entries) - 1 // entries holds M+1 items during overflow
 
 	type distribution struct {
-		left, right []entry
+		left, right []refEntry
 		margin      float64
 		overlap     float64
 		area        float64
 	}
-	axisDistributions := func(less func(a, b entry) bool) ([]distribution, float64) {
-		sorted := make([]entry, len(entries))
+	axisDistributions := func(less func(a, b refEntry) bool) ([]distribution, float64) {
+		sorted := make([]refEntry, len(entries))
 		copy(sorted, entries)
 		sort.SliceStable(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
 		var dists []distribution
@@ -219,25 +293,25 @@ func (t *Tree) refChooseSplit(n *node) (left, right []entry) {
 
 	// Candidate sorts per axis: by lower then by upper coordinate. Summing
 	// the margins of both sorts selects the split axis.
-	xDists, xMargin := axisDistributions(func(a, b entry) bool {
+	xDists, xMargin := axisDistributions(func(a, b refEntry) bool {
 		if a.rect.Min.X != b.rect.Min.X {
 			return a.rect.Min.X < b.rect.Min.X
 		}
 		return a.rect.Max.X < b.rect.Max.X
 	})
-	xDists2, xMargin2 := axisDistributions(func(a, b entry) bool {
+	xDists2, xMargin2 := axisDistributions(func(a, b refEntry) bool {
 		if a.rect.Max.X != b.rect.Max.X {
 			return a.rect.Max.X < b.rect.Max.X
 		}
 		return a.rect.Min.X < b.rect.Min.X
 	})
-	yDists, yMargin := axisDistributions(func(a, b entry) bool {
+	yDists, yMargin := axisDistributions(func(a, b refEntry) bool {
 		if a.rect.Min.Y != b.rect.Min.Y {
 			return a.rect.Min.Y < b.rect.Min.Y
 		}
 		return a.rect.Max.Y < b.rect.Max.Y
 	})
-	yDists2, yMargin2 := axisDistributions(func(a, b entry) bool {
+	yDists2, yMargin2 := axisDistributions(func(a, b refEntry) bool {
 		if a.rect.Max.Y != b.rect.Max.Y {
 			return a.rect.Max.Y < b.rect.Max.Y
 		}
@@ -258,12 +332,12 @@ func (t *Tree) refChooseSplit(n *node) (left, right []entry) {
 		}
 	}
 	// Copy out: the slices alias sort buffers.
-	left = append([]entry(nil), best.left...)
-	right = append([]entry(nil), best.right...)
+	left = append([]refEntry(nil), best.left...)
+	right = append([]refEntry(nil), best.right...)
 	return left, right
 }
 
-func refBoundsOf(es []entry) geom.Rect {
+func refBoundsOf(es []refEntry) geom.Rect {
 	r := geom.EmptyRect()
 	for i := range es {
 		r = r.Union(es[i].rect)
@@ -271,10 +345,10 @@ func refBoundsOf(es []entry) geom.Rect {
 	return r
 }
 
-// refDelete removes one value equal to data stored under rect (comparison with
+// refDelete removes item number ref stored under rect (comparison with
 // ==). It reports whether a matching entry was found.
-func (t *Tree) refDelete(rect geom.Rect, data any) bool {
-	path, entryIdx := t.findLeaf(t.root, nil, rect, data)
+func (t *refTree) refDelete(rect geom.Rect, ref int32) bool {
+	path, entryIdx := t.findLeaf(t.root, nil, rect, ref)
 	if path == nil {
 		return false
 	}
@@ -287,8 +361,8 @@ func (t *Tree) refDelete(rect geom.Rect, data any) bool {
 
 // refCondense removes underfull nodes along the path and reinserts their
 // orphaned entries, then shrinks the root if it has a single child.
-func (t *Tree) refCondense(path []*node) {
-	var orphans []entry
+func (t *refTree) refCondense(path []*refNode) {
+	var orphans []refEntry
 	var orphanLevels []int
 	for i := len(path) - 1; i >= 1; i-- {
 		n := path[i]

@@ -1,11 +1,17 @@
 // Package rtree implements the R*-tree of Beckmann, Kriegel, Schneider and
 // Seeger (SIGMOD 1990), the disk-based spatial index the paper's database
-// server uses to store points of interest. It provides insertion with forced
+// server uses to store points of interest. It indexes points: a value is the
+// caller's int32 item number (its row in the caller's own table), stored next
+// to the point it lives at. The package provides insertion with forced
 // reinsertion, the R* topological split, deletion with tree condensation,
 // rectangle range search, and a read-only node traversal API that the kNN
 // algorithms in internal/nn build on. The tree keeps no query-time state:
 // a traversal counts the pages it reads itself (Search returns its count,
 // nn.Iterator keeps its own), so concurrent readers share nothing mutable.
+//
+// Nodes live in pointer-free arenas addressed by int32 node id (DESIGN.md
+// §16): the collector never traces the index, and a node is one contiguous
+// run of slots, as a disk page is.
 //
 // The paper configures the branching factor of both index and leaf nodes to
 // 30 (§4.4); DefaultMaxEntries matches that.
@@ -35,42 +41,49 @@ const (
 	maxHeight = 64
 )
 
-// entry is a slot in a node: a bounding rectangle plus either a child node
-// (inner levels) or user data (leaf level).
-type entry struct {
-	rect  geom.Rect
-	child *node // nil at leaf level
-	data  any   // nil at inner levels
-}
-
+// node is one row of the node table. Its entries are the first count slots
+// of run number run in the leaf arena (level 0) or the inner arena.
 type node struct {
-	leaf    bool
-	level   int // 0 = leaf
-	entries []entry
+	level int32 // 0 = leaf; -1 = on the free list
+	count int32 // entries in use; on the free list, the next free node id
+	run   int32
 }
 
-func (n *node) bounds() geom.Rect {
-	r := geom.EmptyRect()
-	for i := range n.entries {
-		r = r.Union(n.entries[i].rect)
-	}
-	return r
+// entry is a slot as the insertion algorithm sees it: a rectangle (degenerate
+// at leaf level) plus the item number (leaf) or child node id (inner).
+type entry struct {
+	rect geom.Rect
+	ref  int32
 }
 
-// Tree is an R*-tree mapping rectangles (usually degenerate point rectangles)
-// to opaque values. The zero value is not usable; construct with New.
-// Tree is not safe for concurrent mutation; concurrent read-only use is safe.
+// Tree is an R*-tree mapping points to int32 item numbers. The zero value is
+// not usable; construct with New. Tree is not safe for concurrent mutation;
+// concurrent read-only use is safe.
 type Tree struct {
-	root       *node
+	root       int32
 	minEntries int
 	maxEntries int
 	size       int
 
+	// A node owns a run of stride = maxEntries+1 slots (one spare for the
+	// entry that overflows it). Leaf slot s is leafPts[s] + leafRefs[s], 20 B;
+	// inner slot s is innerRects[s] + innerKids[s], 36 B. No pointers.
+	stride     int
+	nodes      []node
+	leafPts    []geom.Point
+	leafRefs   []int32
+	innerRects []geom.Rect
+	innerKids  []int32
+	// Free lists of leaf ([0]) and inner ([1]) nodes, threaded through
+	// node.count, -1 when empty. A freed node keeps its run.
+	free [2]int32
+
 	// Insert-path scratch, reused so that a steady-state Insert allocates
-	// only the nodes it creates.
+	// only when an arena grows.
 	reinserted uint64        // bit l: level l already force-reinserted during the current outer insert
 	evicted    []entry       // stack of entries awaiting forced reinsertion
 	far        []farKey      // reinsert's distance sort
+	over       []entry       // chooseSplit's copy of the overflowing node
 	keys       [4][]splitKey // chooseSplit's four candidate sorts
 	suffix     []geom.Rect   // chooseSplit's second-group MBRs
 	dists      []splitDist   // chooseSplit's candidate distributions
@@ -83,15 +96,14 @@ func New(maxEntries int) *Tree {
 	if maxEntries < 4 {
 		panic(fmt.Sprintf("rtree: maxEntries must be >= 4, got %d", maxEntries))
 	}
-	minEntries := maxEntries * 2 / 5
-	if minEntries < 2 {
-		minEntries = 2
-	}
-	return &Tree{
-		root:       &node{leaf: true, level: 0},
-		minEntries: minEntries,
+	t := &Tree{
+		minEntries: max(maxEntries*2/5, 2),
 		maxEntries: maxEntries,
+		stride:     maxEntries + 1,
+		free:       [2]int32{-1, -1},
 	}
+	t.root = t.newNode(0)
+	return t
 }
 
 // NewDefault returns an empty tree with the paper's branching factor of 30.
@@ -102,37 +114,135 @@ func (t *Tree) Len() int { return t.size }
 
 // Height returns the number of levels in the tree (1 for a tree that is a
 // single leaf).
-func (t *Tree) Height() int { return t.root.level + 1 }
+func (t *Tree) Height() int { return int(t.nodes[t.root].level) + 1 }
 
 // Bounds returns the MBR of all stored values.
-func (t *Tree) Bounds() geom.Rect { return t.root.bounds() }
+func (t *Tree) Bounds() geom.Rect { return t.bounds(t.root) }
 
-// InsertPoint stores data under the degenerate rectangle at p.
-func (t *Tree) InsertPoint(p geom.Point, data any) {
-	t.Insert(geom.RectFromPoint(p), data)
+// Bytes returns the memory the index occupies (not the caller's item table):
+// 12 B per node, 20 B per leaf slot, 36 B per inner slot, from arena lengths.
+func (t *Tree) Bytes() int64 {
+	return 12*int64(len(t.nodes)) + 20*int64(len(t.leafRefs)) + 36*int64(len(t.innerKids))
 }
 
-// Insert stores data under rect.
-func (t *Tree) Insert(rect geom.Rect, data any) {
+// Reserve gives the node table and the leaf arena room for a build of n
+// points: grown by append they leave outgrown copies behind, at the daemon's
+// boot more garbage than the finished index is large. Leaves are assumed
+// two-thirds full, a little under what R* insertion reaches on uniform and on
+// clustered points; a build that fills them less grows the arenas as usual.
+func (t *Tree) Reserve(n int) {
+	leaves := n/(2*t.maxEntries/3) + 1
+	t.nodes = slices.Grow(t.nodes, leaves)
+	t.leafPts = slices.Grow(t.leafPts, leaves*t.stride)
+	t.leafRefs = slices.Grow(t.leafRefs, leaves*t.stride)
+}
+
+// newNode returns an empty node, reusing a freed one of the same kind if it
+// can. It may move the arenas: slices and *node taken before it are stale.
+func (t *Tree) newNode(level int32) int32 {
+	free := &t.free[min(level, 1)]
+	if id := *free; id >= 0 {
+		n := &t.nodes[id]
+		*free = n.count
+		n.level, n.count = level, 0
+		return id
+	}
+	var run int
+	if level == 0 {
+		run = len(t.leafRefs) / t.stride
+		t.leafPts = append(t.leafPts, make([]geom.Point, t.stride)...)
+		t.leafRefs = append(t.leafRefs, make([]int32, t.stride)...)
+	} else {
+		run = len(t.innerKids) / t.stride
+		t.innerRects = append(t.innerRects, make([]geom.Rect, t.stride)...)
+		t.innerKids = append(t.innerKids, make([]int32, t.stride)...)
+	}
+	t.nodes = append(t.nodes, node{level: level, run: int32(run)})
+	return int32(len(t.nodes) - 1)
+}
+
+// freeNode puts an unlinked node on the free list of its kind.
+func (t *Tree) freeNode(id int32) {
+	n := &t.nodes[id]
+	free := &t.free[min(n.level, 1)]
+	n.level, n.count = -1, *free
+	*free = id
+}
+
+// slots returns the arena range [lo, hi) holding the entries of node id.
+func (t *Tree) slots(id int32) (lo, hi int) {
+	n := &t.nodes[id]
+	lo = int(n.run) * t.stride
+	return lo, lo + int(n.count)
+}
+
+// entryAt reads slot s (an arena index) of a node at the given level.
+func (t *Tree) entryAt(level int32, s int) entry {
+	if level == 0 {
+		return entry{rect: geom.RectFromPoint(t.leafPts[s]), ref: t.leafRefs[s]}
+	}
+	return entry{rect: t.innerRects[s], ref: t.innerKids[s]}
+}
+
+// setEntry writes slot s of a node at the given level.
+func (t *Tree) setEntry(level int32, s int, e entry) {
+	if level == 0 {
+		t.leafPts[s], t.leafRefs[s] = e.rect.Min, e.ref
+	} else {
+		t.innerRects[s], t.innerKids[s] = e.rect, e.ref
+	}
+}
+
+// push appends e to node id, which must have a free slot.
+func (t *Tree) push(id int32, e entry) {
+	n := &t.nodes[id]
+	t.setEntry(n.level, int(n.run)*t.stride+int(n.count), e)
+	n.count++
+}
+
+// removeSlot deletes arena slot s of node id, keeping the order of the rest.
+func (t *Tree) removeSlot(id int32, s int) {
+	n := &t.nodes[id]
+	for _, hi := t.slots(id); s < hi-1; s++ {
+		t.setEntry(n.level, s, t.entryAt(n.level, s+1))
+	}
+	n.count--
+}
+
+// childSlot returns the arena index of parent's entry for child.
+func (t *Tree) childSlot(parent, child int32) int {
+	lo, hi := t.slots(parent)
+	return lo + slices.Index(t.innerKids[lo:hi], child)
+}
+
+func (t *Tree) bounds(id int32) geom.Rect {
+	r, level := geom.EmptyRect(), t.nodes[id].level
+	lo, hi := t.slots(id)
+	for s := lo; s < hi; s++ {
+		r = r.Union(t.entryAt(level, s).rect)
+	}
+	return r
+}
+
+// InsertPoint stores item number ref at p.
+func (t *Tree) InsertPoint(p geom.Point, ref int32) {
 	t.reinserted = 0
-	t.insertEntry(entry{rect: rect, data: data}, 0)
+	t.insertEntry(entry{rect: geom.RectFromPoint(p), ref: ref}, 0)
 	t.size++
 }
 
 // insertEntry inserts e at the given level. t.reinserted tracks which levels
 // already performed a forced reinsertion during the current outer insert so
 // each level reinserts at most once (the R* rule).
-func (t *Tree) insertEntry(e entry, level int) {
+func (t *Tree) insertEntry(e entry, level int32) {
 	// The path lives in this frame, not on the Tree: a forced reinsertion
 	// below re-enters insertEntry while this frame still walks its own path.
-	var buf [maxHeight]*node
+	var buf [maxHeight]int32
 	path := t.choosePath(buf[:0], e.rect, level)
-	target := path[len(path)-1]
-	target.entries = append(target.entries, e)
+	t.push(path[len(path)-1], e)
 	// Walk back up, handling overflow and tightening parent rectangles.
 	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		if len(n.entries) > t.maxEntries {
+		if int(t.nodes[path[i]].count) > t.maxEntries {
 			t.overflow(path, i)
 		}
 	}
@@ -143,19 +253,21 @@ func (t *Tree) insertEntry(e entry, level int) {
 // to path. Subtree choice follows R*: minimum overlap enlargement when the
 // children are leaves, minimum area enlargement otherwise, with area and
 // size tie-breaks.
-func (t *Tree) choosePath(path []*node, r geom.Rect, level int) []*node {
-	n := t.root
-	path = append(path, n)
-	for n.level > level {
-		best := t.chooseSubtree(n, r)
-		n.entries[best].rect = n.entries[best].rect.Union(r)
-		n = n.entries[best].child
-		path = append(path, n)
+func (t *Tree) choosePath(path []int32, r geom.Rect, level int32) []int32 {
+	id := t.root
+	path = append(path, id)
+	for t.nodes[id].level > level {
+		lo, hi := t.slots(id)
+		es := t.innerRects[lo:hi]
+		best := chooseSubtree(es, t.nodes[id].level == 1, r)
+		es[best] = es[best].Union(r)
+		id = t.innerKids[lo+best]
+		path = append(path, id)
 	}
 	return path
 }
 
-// chooseSubtree picks the entry of n that should receive r.
+// chooseSubtree picks the entry of an inner node (rectangles es) to receive r.
 //
 // At the leaf-parent level the R* criterion is the overlap enlargement
 //
@@ -180,13 +292,12 @@ func (t *Tree) choosePath(path []*node, r geom.Rect, level int) []*node {
 //     whatever its dOverlap is. Candidates are still visited in index order,
 //     so the tolerance-based (non-transitive) comparison sees the same
 //     sequence of bests.
-func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
-	es := n.entries
-	if n.level == 1 {
+func chooseSubtree(es []geom.Rect, leafParent bool, r geom.Rect) int {
+	if leafParent {
 		// Children are leaves: minimize overlap enlargement.
 		best, bestOverlap, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1), math.Inf(1)
 		for i := range es {
-			ri := es[i].rect
+			ri := es[i]
 			enlarged := ri.Union(r)
 			area := ri.Area()
 			enl := enlarged.Area() - area
@@ -198,7 +309,7 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 			if enlarged != ri {
 				var overlap, overlapNew float64
 				for j := range es {
-					rj := &es[j].rect
+					rj := &es[j]
 					if j == i || rj.Min.X > enlarged.Max.X || rj.Max.X < enlarged.Min.X ||
 						rj.Min.Y > enlarged.Max.Y || rj.Max.Y < enlarged.Min.Y {
 						continue // disjoint sibling (Intersects would re-test both for emptiness)
@@ -217,8 +328,8 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	// Inner levels: minimize area enlargement, then area.
 	best, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1)
 	for i := range es {
-		enl := es[i].rect.Enlargement(r)
-		area := es[i].rect.Area()
+		enl := es[i].Enlargement(r)
+		area := es[i].Area()
 		if enl < bestEnl-1e-12 || (almostEq(enl, bestEnl) && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -231,10 +342,8 @@ func almostEq(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
 // overflow resolves an overfull node at path[idx], either by forced
 // reinsertion (first overflow at this level for the current insert, non-root)
 // or by splitting.
-func (t *Tree) overflow(path []*node, idx int) {
-	n := path[idx]
-	isRoot := idx == 0
-	if bit := uint64(1) << uint(n.level); !isRoot && t.reinserted&bit == 0 {
+func (t *Tree) overflow(path []int32, idx int) {
+	if bit := uint64(1) << uint(t.nodes[path[idx]].level); idx > 0 && t.reinserted&bit == 0 {
 		t.reinserted |= bit
 		t.reinsert(path, idx)
 		return
@@ -251,12 +360,14 @@ type farKey struct {
 // reinsert removes the p entries of n farthest from its center and inserts
 // them again from the top, which tends to rebalance hot regions without a
 // split.
-func (t *Tree) reinsert(path []*node, idx int) {
-	n := path[idx]
-	center := n.bounds().Center()
+func (t *Tree) reinsert(path []int32, idx int) {
+	id := path[idx]
+	level := t.nodes[id].level
+	lo, hi := t.slots(id)
+	center := t.bounds(id).Center()
 	far := t.far[:0]
-	for i := range n.entries {
-		far = append(far, farKey{n.entries[i].rect.Center().Dist2(center), i})
+	for s := lo; s < hi; s++ {
+		far = append(far, farKey{t.entryAt(level, s).rect.Center().Dist2(center), s - lo})
 	}
 	t.far = far
 	// Farthest first. Ties fall where pdqsort leaves them, and which tied
@@ -264,10 +375,7 @@ func (t *Tree) reinsert(path []*node, idx int) {
 	// sort.Slice permutation of the reference: slices.SortFunc instantiates
 	// the same generated template and consults only cmp(a, b) < 0.
 	slices.SortFunc(far, func(a, b farKey) int { return cmp.Compare(b.dist2, a.dist2) })
-	p := int(reinsertFraction * float64(t.maxEntries))
-	if p < 1 {
-		p = 1
-	}
+	p := max(int(reinsertFraction*float64(t.maxEntries)), 1)
 	// Partition in entry order. The evicted go on a stack rather than a plain
 	// scratch slice because reinserting one may overflow another level, whose
 	// reinsert pushes its own evicted on top while this loop is still
@@ -275,68 +383,54 @@ func (t *Tree) reinsert(path []*node, idx int) {
 	evict := far[:p]
 	slices.SortFunc(evict, func(a, b farKey) int { return cmp.Compare(a.idx, b.idx) })
 	base := len(t.evicted)
-	kept := n.entries[:0]
-	for i, e := range n.entries {
-		if len(evict) > 0 && evict[0].idx == i {
+	kept := lo
+	for s := lo; s < hi; s++ {
+		e := t.entryAt(level, s)
+		if len(evict) > 0 && evict[0].idx == s-lo {
 			t.evicted = append(t.evicted, e)
 			evict = evict[1:]
 		} else {
-			kept = append(kept, e)
+			t.setEntry(level, kept, e)
+			kept++
 		}
 	}
-	n.entries = kept
+	t.nodes[id].count = int32(kept - lo)
 	t.tightenPath(path, idx)
 	// Close reinsert: nearest evicted entries first.
 	for i := len(t.evicted) - 1; i >= base; i-- {
-		t.insertEntry(t.evicted[i], n.level)
+		t.insertEntry(t.evicted[i], level)
 	}
-	clear(t.evicted[base:])
 	t.evicted = t.evicted[:base]
 }
 
 // tightenPath recomputes the parent rectangles covering path[idx] up to the
 // root.
-func (t *Tree) tightenPath(path []*node, idx int) {
+func (t *Tree) tightenPath(path []int32, idx int) {
 	for i := idx - 1; i >= 0; i-- {
-		parent, child := path[i], path[i+1]
-		for j := range parent.entries {
-			if parent.entries[j].child == child {
-				parent.entries[j].rect = child.bounds()
-				break
-			}
-		}
+		t.innerRects[t.childSlot(path[i], path[i+1])] = t.bounds(path[i+1])
 	}
 }
 
 // split performs the R* topological split of path[idx] and pushes the new
 // sibling into the parent, growing the tree at the root if needed.
-func (t *Tree) split(path []*node, idx int) {
-	n := path[idx]
-	sibling := &node{leaf: n.leaf, level: n.level, entries: t.chooseSplit(n)}
+func (t *Tree) split(path []int32, idx int) {
+	id := path[idx]
+	level := t.nodes[id].level
+	sibling := t.newNode(level)
+	t.chooseSplit(id, sibling)
 
 	if idx == 0 {
 		// Root split: grow the tree.
-		newRoot := &node{
-			leaf:  false,
-			level: n.level + 1,
-			entries: []entry{
-				{rect: n.bounds(), child: n},
-				{rect: sibling.bounds(), child: sibling},
-			},
-		}
-		t.root = newRoot
+		t.root = t.newNode(level + 1)
+		t.push(t.root, entry{rect: t.bounds(id), ref: id})
+		t.push(t.root, entry{rect: t.bounds(sibling), ref: sibling})
 		return
 	}
 	parent := path[idx-1]
-	for j := range parent.entries {
-		if parent.entries[j].child == n {
-			parent.entries[j].rect = n.bounds()
-			break
-		}
-	}
-	parent.entries = append(parent.entries, entry{rect: sibling.bounds(), child: sibling})
+	t.innerRects[t.childSlot(parent, id)] = t.bounds(id)
+	t.push(parent, entry{rect: t.bounds(sibling), ref: sibling})
 	t.tightenPath(path, idx-1)
-	if len(parent.entries) > t.maxEntries {
+	if int(t.nodes[parent].count) > t.maxEntries {
 		t.overflow(path[:idx], idx-1)
 	}
 }
@@ -360,8 +454,8 @@ type splitDist struct {
 
 // chooseSplit implements the R* split: pick the axis with the minimum sum of
 // margins over all candidate distributions, then the distribution with the
-// minimum overlap (area tie-break). It leaves the first group in n.entries
-// and returns the second.
+// minimum overlap (area tie-break). It leaves the first group in node id and
+// puts the second in the empty node sibling.
 //
 // The two group MBRs of every distribution of one sort come from a single
 // suffix sweep and a running prefix instead of a fresh union per group: min
@@ -369,8 +463,14 @@ type splitDist struct {
 // overlaps and areas computed from them — are the ones the per-group unions
 // (refChooseSplit in the tests) produce. A stable sort has one valid result,
 // so sorting keys instead of entries changes nothing either.
-func (t *Tree) chooseSplit(n *node) (right []entry) {
-	es := n.entries
+func (t *Tree) chooseSplit(id, sibling int32) {
+	level := t.nodes[id].level
+	lo, hi := t.slots(id)
+	es := t.over[:0]
+	for s := lo; s < hi; s++ {
+		es = append(es, t.entryAt(level, s))
+	}
+	t.over = es
 	m := t.minEntries
 	nd := len(es) - 2*m + 1 // distributions per sort: first group of m .. len(es)-m
 	if cap(t.suffix) < len(es) {
@@ -434,121 +534,110 @@ func (t *Tree) chooseSplit(n *node) (right []entry) {
 	}
 	keys, k := t.keys[best/nd][:len(es)], best%nd+m
 
-	// Both groups are built in fresh storage sized for a full node, so
-	// neither ever regrows; the old backing array is garbage either way.
-	left := make([]entry, k, t.maxEntries+1)
-	right = make([]entry, len(es)-k, t.maxEntries+1)
+	// es is a copy, so the first group overwrites the node's own run.
 	for i, key := range keys[:k] {
-		left[i] = es[key.idx]
+		t.setEntry(level, lo+i, es[key.idx])
 	}
-	for i, key := range keys[k:] {
-		right[i] = es[key.idx]
+	t.nodes[id].count = int32(k)
+	for _, key := range keys[k:] {
+		t.push(sibling, es[key.idx])
 	}
-	n.entries = left
-	return right
 }
 
-// Delete removes one value equal to data stored under rect (comparison with
-// ==). It reports whether a matching entry was found.
-func (t *Tree) Delete(rect geom.Rect, data any) bool {
-	path, entryIdx := t.findLeaf(t.root, nil, rect, data)
+// DeletePoint removes item number ref stored at p. It reports whether a
+// matching entry was found.
+func (t *Tree) DeletePoint(p geom.Point, ref int32) bool {
+	var buf [maxHeight]int32
+	path, slot := t.findLeaf(t.root, buf[:0], p, ref)
 	if path == nil {
 		return false
 	}
-	leaf := path[len(path)-1]
-	leaf.entries = append(leaf.entries[:entryIdx], leaf.entries[entryIdx+1:]...)
+	t.removeSlot(path[len(path)-1], slot)
 	t.size--
 	t.condense(path)
 	return true
 }
 
-// DeletePoint removes one value stored at point p.
-func (t *Tree) DeletePoint(p geom.Point, data any) bool {
-	return t.Delete(geom.RectFromPoint(p), data)
-}
-
-func (t *Tree) findLeaf(n *node, path []*node, rect geom.Rect, data any) ([]*node, int) {
-	path = append(path, n)
-	if n.leaf {
-		for i := range n.entries {
-			if n.entries[i].data == data && n.entries[i].rect == rect {
-				return path, i
+func (t *Tree) findLeaf(id int32, path []int32, p geom.Point, ref int32) ([]int32, int) {
+	path = append(path, id)
+	lo, hi := t.slots(id)
+	if t.nodes[id].level == 0 {
+		for s := lo; s < hi; s++ {
+			if t.leafRefs[s] == ref && t.leafPts[s] == p {
+				return path, s
 			}
 		}
 		return nil, -1
 	}
-	for i := range n.entries {
-		if n.entries[i].rect.ContainsRect(rect) {
-			if p, idx := t.findLeaf(n.entries[i].child, path, rect, data); p != nil {
-				return p, idx
+	for s := lo; s < hi; s++ {
+		if t.innerRects[s].Contains(p) {
+			if found, slot := t.findLeaf(t.innerKids[s], path, p, ref); found != nil {
+				return found, slot
 			}
 		}
 	}
 	return nil, -1
 }
 
+// orphan is an entry of a dissolved node and the level it must re-enter at.
+type orphan struct {
+	entry
+	level int32
+}
+
 // condense removes underfull nodes along the path and reinserts their
 // orphaned entries, then shrinks the root if it has a single child.
-func (t *Tree) condense(path []*node) {
-	var orphans []entry
-	var orphanLevels []int
+func (t *Tree) condense(path []int32) {
+	var orphans []orphan
 	for i := len(path) - 1; i >= 1; i-- {
-		n := path[i]
-		parent := path[i-1]
-		if len(n.entries) < t.minEntries {
-			// Remove n from its parent and queue its entries.
-			for j := range parent.entries {
-				if parent.entries[j].child == n {
-					parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
-					break
-				}
-			}
-			for _, e := range n.entries {
-				orphans = append(orphans, e)
-				orphanLevels = append(orphanLevels, n.level)
-			}
-		} else {
-			// Tighten the parent rectangle.
-			for j := range parent.entries {
-				if parent.entries[j].child == n {
-					parent.entries[j].rect = n.bounds()
-					break
-				}
-			}
+		id, parent := path[i], path[i-1]
+		slot := t.childSlot(parent, id)
+		if int(t.nodes[id].count) >= t.minEntries {
+			t.innerRects[slot] = t.bounds(id)
+			continue
 		}
+		t.removeSlot(parent, slot)
+		level := t.nodes[id].level
+		lo, hi := t.slots(id)
+		for s := lo; s < hi; s++ {
+			orphans = append(orphans, orphan{t.entryAt(level, s), level})
+		}
+		t.freeNode(id)
 	}
-	for i, e := range orphans {
+	for _, o := range orphans {
 		t.reinserted = 0
-		t.insertEntry(e, orphanLevels[i])
+		t.insertEntry(o.entry, o.level)
 	}
 	// Shrink a non-leaf root with a single child.
-	for !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
-	}
-	if t.root.leaf {
-		t.root.level = 0
+	for t.nodes[t.root].level > 0 && t.nodes[t.root].count == 1 {
+		lo, _ := t.slots(t.root)
+		child := t.innerKids[lo]
+		t.freeNode(t.root)
+		t.root = child
 	}
 }
 
-// Search invokes fn for every stored value whose rectangle intersects query,
+// Search invokes fn for every stored value whose point lies in query,
 // stopping early if fn returns false. It returns the number of nodes it
 // visited — the page accesses of this one search (the root always counts).
-func (t *Tree) Search(query geom.Rect, fn func(rect geom.Rect, data any) bool) (pages int64) {
-	searchNode(t.root, query, fn, &pages)
+func (t *Tree) Search(query geom.Rect, fn func(p geom.Point, ref int32) bool) (pages int64) {
+	t.search(t.root, query, fn, &pages)
 	return pages
 }
 
-func searchNode(n *node, query geom.Rect, fn func(geom.Rect, any) bool, pages *int64) bool {
+func (t *Tree) search(id int32, query geom.Rect, fn func(geom.Point, int32) bool, pages *int64) bool {
 	*pages++
-	for i := range n.entries {
-		if !n.entries[i].rect.Intersects(query) {
-			continue
-		}
-		if n.leaf {
-			if !fn(n.entries[i].rect, n.entries[i].data) {
+	lo, hi := t.slots(id)
+	if t.nodes[id].level == 0 {
+		for s := lo; s < hi; s++ {
+			if query.Contains(t.leafPts[s]) && !fn(t.leafPts[s], t.leafRefs[s]) {
 				return false
 			}
-		} else if !searchNode(n.entries[i].child, query, fn, pages) {
+		}
+		return true
+	}
+	for s := lo; s < hi; s++ {
+		if t.innerRects[s].Intersects(query) && !t.search(t.innerKids[s], query, fn, pages) {
 			return false
 		}
 	}
@@ -557,102 +646,121 @@ func searchNode(n *node, query geom.Rect, fn func(geom.Rect, any) bool, pages *i
 
 // All invokes fn for every stored value. It is intended for tests and bulk
 // export, not query processing.
-func (t *Tree) All(fn func(rect geom.Rect, data any) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		for i := range n.entries {
-			if n.leaf {
-				if !fn(n.entries[i].rect, n.entries[i].data) {
-					return false
-				}
-			} else if !walk(n.entries[i].child) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(t.root)
+func (t *Tree) All(fn func(p geom.Point, ref int32) bool) {
+	inf := math.Inf(1)
+	t.Search(geom.Rect{Min: geom.Pt(-inf, -inf), Max: geom.Pt(inf, inf)}, fn)
 }
 
 // Node is a read-only view of a tree node for query algorithms that manage
 // their own traversal order (best-first kNN and friends). Obtaining a Node —
-// via Root or Child — is one page read, which the traversal counts.
+// via Root, Child or Node — is one page read, which the traversal counts. A
+// view is valid until the tree is next mutated.
 type Node struct {
-	n *node
+	t     *Tree
+	lo    int32 // arena index of entry 0
+	n     int32
+	level int32
 }
 
 // Root returns the root node. ok is false only for a tree with no entries at
 // all (the empty root is still returned).
 func (t *Tree) Root() (nd Node, ok bool) {
-	return Node{n: t.root}, len(t.root.entries) > 0
+	nd = t.Node(t.root)
+	return nd, nd.n > 0
 }
 
-// IsLeaf reports whether the node's entries carry data rather than children.
-func (nd Node) IsLeaf() bool { return nd.n.leaf }
+// Node fetches the node an inner entry's Ref names.
+func (t *Tree) Node(ref int32) Node {
+	n := &t.nodes[ref]
+	return Node{t: t, lo: n.run * int32(t.stride), n: n.count, level: n.level}
+}
+
+// IsLeaf reports whether the node's entries carry items rather than children.
+func (nd Node) IsLeaf() bool { return nd.level == 0 }
+
+// Level returns the node's height above the leaves (0 for a leaf).
+func (nd Node) Level() int { return int(nd.level) }
 
 // Len returns the number of entries in the node.
-func (nd Node) Len() int { return len(nd.n.entries) }
+func (nd Node) Len() int { return int(nd.n) }
 
-// Rect returns the bounding rectangle of entry i.
-func (nd Node) Rect(i int) geom.Rect { return nd.n.entries[i].rect }
+// Rect returns the MBR of inner entry i (of a leaf entry, its point's).
+func (nd Node) Rect(i int) geom.Rect {
+	if nd.level == 0 {
+		return geom.RectFromPoint(nd.Point(i))
+	}
+	return nd.t.innerRects[int(nd.lo)+i]
+}
 
-// Data returns the value of leaf entry i.
-func (nd Node) Data(i int) any { return nd.n.entries[i].data }
+// Point returns the location of leaf entry i.
+func (nd Node) Point(i int) geom.Point { return nd.t.leafPts[int(nd.lo)+i] }
+
+// Ref returns the item number of leaf entry i, or the Tree.Node reference
+// of inner entry i's child.
+func (nd Node) Ref(i int) int32 {
+	if nd.level == 0 {
+		return nd.t.leafRefs[int(nd.lo)+i]
+	}
+	return nd.t.innerKids[int(nd.lo)+i]
+}
 
 // Child fetches the child node of inner entry i.
-func (nd Node) Child(i int) Node {
-	return Node{n: nd.n.entries[i].child}
-}
+func (nd Node) Child(i int) Node { return nd.t.Node(nd.Ref(i)) }
 
 // CheckInvariants validates the structural invariants of the tree and
 // returns a descriptive error on the first violation. It is exported for use
 // by tests and fuzzing harnesses.
 func (t *Tree) CheckInvariants() error {
-	count := 0
-	var walk func(n *node, isRoot bool, wantLevel int) error
-	walk = func(n *node, isRoot bool, wantLevel int) error {
-		if n.level != wantLevel {
+	count, reached := 0, 0
+	var walk func(id, wantLevel int32) error
+	walk = func(id, wantLevel int32) error {
+		reached++
+		n, isRoot := t.nodes[id], id == t.root
+		switch {
+		case n.level != wantLevel:
 			return fmt.Errorf("node level %d, want %d", n.level, wantLevel)
+		case int(n.count) > t.maxEntries:
+			return fmt.Errorf("node has %d entries, max %d", n.count, t.maxEntries)
+		case !isRoot && int(n.count) < t.minEntries:
+			return fmt.Errorf("non-root node has %d entries, min %d", n.count, t.minEntries)
+		case isRoot && n.level > 0 && n.count < 2:
+			return fmt.Errorf("inner root has %d entries, want >= 2", n.count)
+		case n.level == 0:
+			count += int(n.count)
+			return nil
 		}
-		if n.leaf != (n.level == 0) {
-			return fmt.Errorf("leaf flag %v inconsistent with level %d", n.leaf, n.level)
-		}
-		if len(n.entries) > t.maxEntries {
-			return fmt.Errorf("node has %d entries, max %d", len(n.entries), t.maxEntries)
-		}
-		if !isRoot && len(n.entries) < t.minEntries {
-			return fmt.Errorf("non-root node has %d entries, min %d", len(n.entries), t.minEntries)
-		}
-		if isRoot && !n.leaf && len(n.entries) < 2 {
-			return fmt.Errorf("inner root has %d entries, want >= 2", len(n.entries))
-		}
-		for i := range n.entries {
-			e := n.entries[i]
-			if n.leaf {
-				count++
-				if e.child != nil {
-					return fmt.Errorf("leaf entry has child")
-				}
-				continue
+		lo, hi := t.slots(id)
+		for s := lo; s < hi; s++ {
+			child := t.innerKids[s]
+			if child < 0 || int(child) >= len(t.nodes) {
+				return fmt.Errorf("inner entry names node %d of %d", child, len(t.nodes))
 			}
-			if e.child == nil {
-				return fmt.Errorf("inner entry missing child")
+			if cb := t.bounds(child); !t.innerRects[s].ContainsRect(cb) {
+				return fmt.Errorf("entry rect %v does not contain child bounds %v", t.innerRects[s], cb)
 			}
-			cb := e.child.bounds()
-			if !e.rect.ContainsRect(cb) {
-				return fmt.Errorf("entry rect %v does not contain child bounds %v", e.rect, cb)
-			}
-			if err := walk(e.child, false, wantLevel-1); err != nil {
+			if err := walk(child, wantLevel-1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(t.root, true, t.root.level); err != nil {
+	if err := walk(t.root, t.nodes[t.root].level); err != nil {
 		return err
 	}
 	if count != t.size {
 		return fmt.Errorf("tree size %d, counted %d leaf entries", t.size, count)
+	}
+	// Every node is either in the tree or on a free list: none leaks.
+	for _, head := range t.free {
+		for id := head; id >= 0; id = t.nodes[id].count {
+			if t.nodes[id].level != -1 {
+				return fmt.Errorf("free list holds live node %d (level %d)", id, t.nodes[id].level)
+			}
+			reached++
+		}
+	}
+	if reached != len(t.nodes) {
+		return fmt.Errorf("%d nodes in the tree or free, node table holds %d", reached, len(t.nodes))
 	}
 	return nil
 }

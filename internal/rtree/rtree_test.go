@@ -2,8 +2,10 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -33,7 +35,7 @@ func TestEmptyTree(t *testing.T) {
 		t.Error("empty tree should have empty bounds")
 	}
 	found := 0
-	tr.Search(geom.NewRect(geom.Pt(-1e9, -1e9), geom.Pt(1e9, 1e9)), func(geom.Rect, any) bool {
+	tr.Search(geom.NewRect(geom.Pt(-1e9, -1e9), geom.Pt(1e9, 1e9)), func(geom.Point, int32) bool {
 		found++
 		return true
 	})
@@ -55,7 +57,7 @@ func TestInsertAndSearchSmall(t *testing.T) {
 		geom.Pt(11, 11), geom.Pt(12, 12), geom.Pt(20, 1), geom.Pt(21, 2),
 	}
 	for i, p := range pts {
-		tr.InsertPoint(p, i)
+		tr.InsertPoint(p, int32(i))
 	}
 	if tr.Len() != len(pts) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(pts))
@@ -64,8 +66,8 @@ func TestInsertAndSearchSmall(t *testing.T) {
 		t.Fatalf("invariants: %v", err)
 	}
 	var got []int
-	tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(5, 5)), func(_ geom.Rect, d any) bool {
-		got = append(got, d.(int))
+	tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(5, 5)), func(_ geom.Point, d int32) bool {
+		got = append(got, int(d))
 		return true
 	})
 	sort.Ints(got)
@@ -83,10 +85,10 @@ func TestInsertAndSearchSmall(t *testing.T) {
 func TestSearchEarlyStop(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 100; i++ {
-		tr.InsertPoint(geom.Pt(float64(i), 0), i)
+		tr.InsertPoint(geom.Pt(float64(i), 0), int32(i))
 	}
 	count := 0
-	tr.Search(geom.NewRect(geom.Pt(-1, -1), geom.Pt(200, 1)), func(geom.Rect, any) bool {
+	tr.Search(geom.NewRect(geom.Pt(-1, -1), geom.Pt(200, 1)), func(geom.Point, int32) bool {
 		count++
 		return count < 5
 	})
@@ -105,7 +107,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		pts := make([]geom.Point, n)
 		for i := range pts {
 			pts[i] = randPoint(rng, 1000)
-			tr.InsertPoint(pts[i], i)
+			tr.InsertPoint(pts[i], int32(i))
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("maxEntries=%d invariants: %v", maxEntries, err)
@@ -119,8 +121,8 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 				}
 			}
 			got := map[int]bool{}
-			tr.Search(query, func(_ geom.Rect, d any) bool {
-				got[d.(int)] = true
+			tr.Search(query, func(_ geom.Point, d int32) bool {
+				got[int(d)] = true
 				return true
 			})
 			if len(got) != len(want) {
@@ -136,36 +138,6 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestInsertRects(t *testing.T) {
-	tr := New(5)
-	rng := rand.New(rand.NewSource(77))
-	type item struct{ r geom.Rect }
-	var items []geom.Rect
-	for i := 0; i < 500; i++ {
-		r := geom.NewRect(randPoint(rng, 500), randPoint(rng, 500))
-		items = append(items, r)
-		tr.Insert(r, i)
-	}
-	_ = item{}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	for q := 0; q < 30; q++ {
-		query := geom.NewRect(randPoint(rng, 500), randPoint(rng, 500))
-		want := 0
-		for _, r := range items {
-			if r.Intersects(query) {
-				want++
-			}
-		}
-		got := 0
-		tr.Search(query, func(geom.Rect, any) bool { got++; return true })
-		if got != want {
-			t.Fatalf("rect search got %d, want %d", got, want)
-		}
-	}
-}
-
 func TestDelete(t *testing.T) {
 	tr := New(4)
 	rng := rand.New(rand.NewSource(42))
@@ -174,13 +146,13 @@ func TestDelete(t *testing.T) {
 	alive := make(map[int]bool, n)
 	for i := range pts {
 		pts[i] = randPoint(rng, 300)
-		tr.InsertPoint(pts[i], i)
+		tr.InsertPoint(pts[i], int32(i))
 		alive[i] = true
 	}
 	// Delete a random 60 % interleaved with invariant checks.
 	order := rng.Perm(n)
 	for k, i := range order[:n*6/10] {
-		if !tr.DeletePoint(pts[i], i) {
+		if !tr.DeletePoint(pts[i], int32(i)) {
 			t.Fatalf("delete %d failed", i)
 		}
 		delete(alive, i)
@@ -197,7 +169,7 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("invariants: %v", err)
 	}
 	got := map[int]bool{}
-	tr.All(func(_ geom.Rect, d any) bool { got[d.(int)] = true; return true })
+	tr.All(func(_ geom.Point, d int32) bool { got[int(d)] = true; return true })
 	if len(got) != len(alive) {
 		t.Fatalf("All found %d, want %d", len(got), len(alive))
 	}
@@ -207,7 +179,7 @@ func TestDelete(t *testing.T) {
 		}
 	}
 	// Deleting something absent must fail without corrupting the tree.
-	if tr.DeletePoint(geom.Pt(-1, -1), 12345) {
+	if tr.DeletePoint(geom.Pt(-1, -1), int32(12345)) {
 		t.Error("delete of absent item reported success")
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -222,10 +194,10 @@ func TestDeleteAll(t *testing.T) {
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = randPoint(rng, 100)
-		tr.InsertPoint(pts[i], i)
+		tr.InsertPoint(pts[i], int32(i))
 	}
 	for i := range pts {
-		if !tr.DeletePoint(pts[i], i) {
+		if !tr.DeletePoint(pts[i], int32(i)) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
@@ -239,10 +211,10 @@ func TestDeleteAll(t *testing.T) {
 		t.Fatalf("invariants: %v", err)
 	}
 	// Tree remains usable.
-	tr.InsertPoint(geom.Pt(5, 5), "again")
+	tr.InsertPoint(geom.Pt(5, 5), 777)
 	found := false
-	tr.Search(geom.RectFromPoint(geom.Pt(5, 5)), func(_ geom.Rect, d any) bool {
-		found = d.(string) == "again"
+	tr.Search(geom.RectFromPoint(geom.Pt(5, 5)), func(_ geom.Point, d int32) bool {
+		found = d == 777
 		return true
 	})
 	if !found {
@@ -263,12 +235,12 @@ func TestInterleavedInsertDelete(t *testing.T) {
 		if len(live) == 0 || rng.Float64() < 0.6 {
 			r := rec{p: randPoint(rng, 200), id: nextID}
 			nextID++
-			tr.InsertPoint(r.p, r.id)
+			tr.InsertPoint(r.p, int32(r.id))
 			live = append(live, r)
 		} else {
 			i := rng.Intn(len(live))
 			r := live[i]
-			if !tr.DeletePoint(r.p, r.id) {
+			if !tr.DeletePoint(r.p, int32(r.id)) {
 				t.Fatalf("step %d: delete %d failed", step, r.id)
 			}
 			live[i] = live[len(live)-1]
@@ -292,25 +264,25 @@ func TestDuplicatePoints(t *testing.T) {
 	tr := New(4)
 	p := geom.Pt(7, 7)
 	for i := 0; i < 50; i++ {
-		tr.InsertPoint(p, i)
+		tr.InsertPoint(p, int32(i))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants with duplicates: %v", err)
 	}
 	count := 0
-	tr.Search(geom.RectFromPoint(p), func(geom.Rect, any) bool { count++; return true })
+	tr.Search(geom.RectFromPoint(p), func(geom.Point, int32) bool { count++; return true })
 	if count != 50 {
 		t.Fatalf("found %d duplicates, want 50", count)
 	}
 	// Delete a specific duplicate by value.
-	if !tr.DeletePoint(p, 25) {
+	if !tr.DeletePoint(p, int32(25)) {
 		t.Fatal("delete of specific duplicate failed")
 	}
 	count = 0
 	seen25 := false
-	tr.Search(geom.RectFromPoint(p), func(_ geom.Rect, d any) bool {
+	tr.Search(geom.RectFromPoint(p), func(_ geom.Point, d int32) bool {
 		count++
-		if d.(int) == 25 {
+		if int(d) == 25 {
 			seen25 = true
 		}
 		return true
@@ -326,9 +298,9 @@ func TestSearchReturnsNodesVisited(t *testing.T) {
 	tr := New(4)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 1000; i++ {
-		tr.InsertPoint(randPoint(rng, 100), i)
+		tr.InsertPoint(randPoint(rng, 100), int32(i))
 	}
-	all := func(geom.Rect, any) bool { return true }
+	all := func(geom.Point, int32) bool { return true }
 	if got := New(4).Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)), all); got != 1 {
 		t.Fatalf("empty tree: search visited %d nodes, want the root alone", got)
 	}
@@ -354,7 +326,7 @@ func TestSearchReturnsNodesVisited(t *testing.T) {
 		t.Errorf("full-area search (%d nodes) should exceed small search (%d)", full, small)
 	}
 	// An early stop ends the count with the search.
-	if got := tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100)), func(geom.Rect, any) bool { return false }); got != int64(tr.Height()) {
+	if got := tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100)), func(geom.Point, int32) bool { return false }); got != int64(tr.Height()) {
 		t.Errorf("search stopped at the first hit visited %d nodes, want one root-to-leaf path (%d)", got, tr.Height())
 	}
 }
@@ -364,7 +336,7 @@ func TestNodeTraversalSeesEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	want := map[int]bool{}
 	for i := 0; i < 700; i++ {
-		tr.InsertPoint(randPoint(rng, 50), i)
+		tr.InsertPoint(randPoint(rng, 50), int32(i))
 		want[i] = true
 	}
 	got := map[int]bool{}
@@ -372,7 +344,7 @@ func TestNodeTraversalSeesEverything(t *testing.T) {
 	walk = func(nd Node) {
 		for i := 0; i < nd.Len(); i++ {
 			if nd.IsLeaf() {
-				got[nd.Data(i).(int)] = true
+				got[int(nd.Ref(i))] = true
 				if !nd.Rect(i).ContainsRect(nd.Rect(i)) {
 					t.Fatal("self containment must hold")
 				}
@@ -403,7 +375,7 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 	tr := New(8)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
-		tr.InsertPoint(randPoint(rng, 10000), i)
+		tr.InsertPoint(randPoint(rng, 10000), int32(i))
 	}
 	h := tr.Height()
 	// With fan-out 8 and min fill 3, height of 5000 items stays modest.
@@ -420,7 +392,7 @@ func TestClusteredInsertionKeepsInvariants(t *testing.T) {
 		cx, cy := rng.Float64()*1000, rng.Float64()*1000
 		for i := 0; i < 200; i++ {
 			p := geom.Pt(cx+rng.NormFloat64(), cy+rng.NormFloat64())
-			tr.InsertPoint(p, c*200+i)
+			tr.InsertPoint(p, int32(c*200+i))
 		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -435,12 +407,58 @@ func BenchmarkSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tr := NewDefault()
 	for i := 0; i < 100000; i++ {
-		tr.InsertPoint(randPoint(rng, 1e5), i)
+		tr.InsertPoint(randPoint(rng, 1e5), int32(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := randPoint(rng, 1e5)
 		query := geom.NewRect(q, q.Add(geom.Pt(1000, 1000)))
-		tr.Search(query, func(geom.Rect, any) bool { return true })
+		tr.Search(query, func(geom.Point, int32) bool { return true })
+	}
+}
+
+// Reserve is a capacity hint: it changes no tree, and a build of the reserved
+// size at R*'s usual fill leaves the leaf arena where Reserve put it.
+func TestReserve(t *testing.T) {
+	for _, fanout := range []int{4, 5, 8, 30} {
+		for _, n := range []int{0, 1, 3, 4, 100, 5000} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			plain, reserved := New(fanout), New(fanout)
+			reserved.Reserve(n)
+			leafCap := cap(reserved.leafPts)
+			for i := 0; i < n; i++ {
+				p := randPoint(rng, 1000)
+				plain.InsertPoint(p, int32(i))
+				reserved.InsertPoint(p, int32(i))
+			}
+			if err := reserved.CheckInvariants(); err != nil {
+				t.Fatalf("fanout=%d n=%d: %v", fanout, n, err)
+			}
+			if !slices.Equal(plain.nodes, reserved.nodes) || !slices.Equal(plain.leafPts, reserved.leafPts) ||
+				!slices.Equal(plain.leafRefs, reserved.leafRefs) || !slices.Equal(plain.innerRects, reserved.innerRects) ||
+				!slices.Equal(plain.innerKids, reserved.innerKids) {
+				t.Fatalf("fanout=%d n=%d: reserving changed the tree", fanout, n)
+			}
+			if fanout == 30 && cap(reserved.leafPts) != leafCap {
+				t.Errorf("fanout=%d n=%d: the leaf arena grew past the reservation: %d -> %d slots",
+					fanout, n, leafCap, cap(reserved.leafPts))
+			}
+		}
+	}
+}
+
+// Bytes prices the arenas with the slot sizes DESIGN.md §16 budgets for; the
+// compiler's view of the same slices must agree.
+func TestBytesMatchesLayout(t *testing.T) {
+	tr := New(8)
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 3000; i++ {
+		tr.InsertPoint(randPoint(rng, 100), int32(i))
+	}
+	want := int64(len(tr.nodes))*int64(unsafe.Sizeof(tr.nodes[0])) +
+		int64(len(tr.leafPts))*int64(unsafe.Sizeof(tr.leafPts[0])) + int64(len(tr.leafRefs))*int64(unsafe.Sizeof(tr.leafRefs[0])) +
+		int64(len(tr.innerRects))*int64(unsafe.Sizeof(tr.innerRects[0])) + int64(len(tr.innerKids))*int64(unsafe.Sizeof(tr.innerKids[0]))
+	if got := tr.Bytes(); got != want || len(tr.leafPts) != len(tr.leafRefs) || len(tr.innerRects) != len(tr.innerKids) {
+		t.Fatalf("Bytes() = %d, arenas hold %d", got, want)
 	}
 }

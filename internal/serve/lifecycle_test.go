@@ -7,13 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/racebuild"
 	"repro/internal/wire"
 )
 
@@ -172,19 +172,6 @@ func TestDisconnectReturnsToBaseline(t *testing.T) {
 	}
 }
 
-// raceBuild reports whether the test binary was built with -race.
-func raceBuild() bool {
-	info, _ := debug.ReadBuildInfo()
-	if info != nil {
-		for _, s := range info.Settings {
-			if s.Key == "-race" {
-				return s.Value == "true"
-			}
-		}
-	}
-	return false
-}
-
 // What an idle session costs is the daemon's capacity: the paper's hosts
 // query once per ~15 minutes, so nearly every session is parked. Each one
 // here is a real upgraded connection that has streamed a position and been
@@ -197,7 +184,7 @@ func TestIdleSessionFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens a thousand sockets")
 	}
-	if raceBuild() {
+	if racebuild.Enabled() {
 		t.Skip("race-instrumented frames and stacks are not what a deployed daemon holds")
 	}
 	const (

@@ -257,10 +257,10 @@ func (s *Server) runConn(sess *session, ws *WSConn) {
 }
 
 // serveConn runs one connection's read-dispatch-answer loop. The scratch
-// slice and the pooled encode buffer keep steady-state kNN serving
-// allocation-free: answers are encoded append-style into encBuf and handed
-// to the batched writer, which copies into the connection's pending buffer
-// before returning.
+// slice and the encode buffer keep steady-state kNN and range serving
+// allocation-free: results land in scratch, answers are encoded append-style
+// into encBuf and handed to the batched writer, which copies into the
+// connection's pending buffer before returning.
 func (s *Server) serveConn(sess *session, ws *WSConn) {
 	var scratch []core.POI
 	var encBuf []byte
@@ -322,14 +322,16 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			}
 		case wire.TypeRange:
 			rq := msg.Range
-			hits := s.querier.Range(rq.Loc, rq.Radius)
+			var ok bool
+			scratch, ok = s.querier.RangeInto(rq.Loc, rq.Radius, s.maxAnswer, scratch)
 			s.stat.ranges.Add(1)
 			sess.mu.Lock()
 			sess.queries++
 			sess.mu.Unlock()
-			if len(hits) > s.maxAnswer {
+			if !ok {
 				// A truncated range answer would claim a certain region it
-				// does not cover; refuse instead.
+				// does not cover; refuse instead. The search itself stopped
+				// at the cap, so a whole-map radius costs one bounded scan.
 				if ws.WriteBinary(wire.EncodeError(wire.ErrorMsg{ReqID: rq.ReqID, Code: wire.ErrCodeTooLarge})) != nil {
 					return
 				}
@@ -337,7 +339,7 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			}
 			ans := wire.Answer{
 				ReqID: rq.ReqID,
-				Cache: core.PeerCache{QueryLoc: rq.Loc, Neighbors: hits},
+				Cache: core.PeerCache{QueryLoc: rq.Loc, Neighbors: scratch},
 			}
 			encBuf = wire.AppendAnswer(encBuf[:0], ans)
 			if ws.WriteBinaryBatched(encBuf) != nil {
@@ -386,6 +388,12 @@ type Stats struct {
 	// zero when the embedder reported none.
 	StoreReadMs  float64 `json:"store_read_ms"`
 	IndexBuildMs float64 `json:"index_build_ms"`
+	// IndexBytes is the R*-tree's node table and slot arenas, POITableBytes
+	// the POI table they index: together the store's resident cost, fixed at
+	// boot. IndexBytes / POIs is the index overhead per POI (≤ 32 B at the
+	// paper's fan-out).
+	IndexBytes    int64 `json:"index_bytes"`
+	POITableBytes int64 `json:"poi_table_bytes"`
 	// ServerQueries and PageAccesses are the wrapped module's own counters
 	// — the PAR metric, aggregated across every connection.
 	ServerQueries int64 `json:"server_queries"`
@@ -484,6 +492,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DirCandRejected:     s.dir.candRejected.Load(),
 		DirPatchOps:         s.dir.patchOps.Load(),
 	}
+	st.IndexBytes, st.POITableBytes = mod.Bytes()
 	readRuntime(&st)
 	writeJSON(w, st)
 }

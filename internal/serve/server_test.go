@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -155,6 +156,64 @@ func TestServedRangeMatchesOracle(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: served range answer differs from in-process oracle", trial)
 		}
+	}
+}
+
+// A Range whose disc holds more POIs than one answer may carry is refused
+// with ErrCodeTooLarge, and the refusal is cheap: the search stopped at the
+// cap instead of collecting, copying and sorting the whole store first. The
+// connection stays usable, and an answer of exactly MaxAnswer POIs is served.
+func TestOversizedRangeRefusedAtTheCap(t *testing.T) {
+	const nPOIs = 20000
+	srv, mod := testServer(t, nPOIs, Options{MaxAnswer: 500})
+	ws := openSession(t, srv)
+	defer ws.Close()
+	exchange := func(rq wire.RangeQuery) wire.Message {
+		t.Helper()
+		if err := ws.WriteBinary(wire.EncodeRange(rq)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := ws.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := wire.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+
+	centre := geom.Pt(5000, 5000)
+	diagonal := geom.Pt(0, 0).Dist(geom.Pt(10000, 10000))
+	msg := exchange(wire.RangeQuery{ReqID: 11, Loc: centre, Radius: diagonal})
+	if msg.Type != wire.TypeError || msg.Err.ReqID != 11 || msg.Err.Code != wire.ErrCodeTooLarge {
+		t.Fatalf("whole-map range got %+v, want too-large error for req 11", msg)
+	}
+	st := fetchStats(t, srv)
+	// 501 hits at no fewer than 12 per leaf, the inner nodes above those
+	// leaves and one root-to-leaf path; the whole tree is ~950 nodes.
+	if st.RangeQueries != 1 || st.PageAccesses > 501/12+1+8 {
+		t.Fatalf("refused range: %d range queries, %d pages read", st.RangeQueries, st.PageAccesses)
+	}
+
+	// The radius whose disc holds exactly MaxAnswer POIs is served whole;
+	// the next POI out tips it over.
+	byDist := mod.Range(centre, 1500)
+	if len(byDist) <= 500 {
+		t.Fatalf("test geometry: only %d POIs within 1500 m", len(byDist))
+	}
+	atCap := (centre.Dist(byDist[499].Loc) + centre.Dist(byDist[500].Loc)) / 2
+	msg = exchange(wire.RangeQuery{ReqID: 12, Loc: centre, Radius: atCap})
+	if msg.Type != wire.TypeAnswer || msg.Answer.ReqID != 12 || !slices.Equal(msg.Answer.Cache.Neighbors, byDist[:500]) {
+		t.Fatalf("range holding exactly MaxAnswer POIs: got type %v with %d neighbors", msg.Type, len(msg.Answer.Cache.Neighbors))
+	}
+	msg = exchange(wire.RangeQuery{ReqID: 13, Loc: centre, Radius: centre.Dist(byDist[500].Loc)})
+	if msg.Type != wire.TypeError || msg.Err.Code != wire.ErrCodeTooLarge {
+		t.Fatalf("range holding MaxAnswer+1 POIs got %+v, want too-large error", msg)
+	}
+	if st := fetchStats(t, srv); st.ProtoErrors != 0 {
+		t.Fatalf("protocol_errors = %d: a refused range is an answer, not a violation", st.ProtoErrors)
 	}
 }
 
@@ -459,9 +518,9 @@ func TestStatsReportBootCosts(t *testing.T) {
 
 // /v1/stats is an interface: bench/ and the CI smoke gate decode it by JSON
 // name. The document is exactly the fields below — the names that existed
-// before the memory fields were added, unchanged, plus those five — and the
-// memory fields behave: gauges are positive, the cumulative two never go
-// back.
+// before the memory fields were added, unchanged, plus those five and the two
+// store sizes — and the memory fields behave: gauges are positive, the
+// cumulative two never go back, the store sizes are what the module reports.
 func TestStatsMemoryFields(t *testing.T) {
 	srv, _ := testServer(t, 200, Options{})
 	fetch := func() map[string]any {
@@ -480,7 +539,7 @@ func TestStatsMemoryFields(t *testing.T) {
 	want := []string{
 		"pois", "bounds_min_x", "bounds_min_y", "bounds_max_x", "bounds_max_y",
 		"sessions", "active_conns", "positions", "queries", "range_queries", "protocol_errors",
-		"store_read_ms", "index_build_ms", "server_queries", "page_accesses",
+		"store_read_ms", "index_build_ms", "index_bytes", "poi_table_bytes", "server_queries", "page_accesses",
 		"relay_requests", "relay_shares_forwarded", "relay_rejected", "relay_unknown_replies",
 		"relay_timeouts", "peers_in_range_hist",
 		"dir_cells_scanned", "dir_candidates_rejected", "dir_patch_ops",
@@ -501,7 +560,10 @@ func TestStatsMemoryFields(t *testing.T) {
 		}
 		return v
 	}
-	for _, key := range []string{"goroutines", "heap_inuse_bytes", "stack_inuse_bytes", "total_alloc_bytes"} {
+	if got := num(first, "poi_table_bytes"); got != 200*24 {
+		t.Errorf("poi_table_bytes = %v, want 200 POIs x 24 B", got)
+	}
+	for _, key := range []string{"index_bytes", "goroutines", "heap_inuse_bytes", "stack_inuse_bytes", "total_alloc_bytes"} {
 		if num(first, key) <= 0 {
 			t.Errorf("%s = %v, want > 0", key, first[key])
 		}

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -18,13 +22,18 @@ import (
 // count is the one its own traversal returned, so the total is exact under
 // any mix of concurrent queries.
 //
-// KNN, KNNInto and Range are safe for concurrent use: the tree is read-only
-// after construction and the stats are atomic, so the query-resolve phase
-// of the simulator may call them from many workers at once. Mutating calls
-// (ResetStats) must not overlap with queries.
+// The tree stores each POI's point and its row number in pois; an answer is
+// pois[ref], and the index holds no second copy of a POI.
+//
+// KNN, KNNInto, Range and RangeInto are safe for concurrent use: the tree is
+// read-only after construction and the stats are atomic, so the
+// query-resolve phase of the simulator may call them from many workers at
+// once. Mutating calls (ResetStats) must not overlap with queries.
 type ServerModule struct {
 	tree *rtree.Tree
 	pois []core.POI
+	// rangeHits pools RangeInto's *[]rangeHit scratch.
+	rangeHits sync.Pool
 
 	// Stats.
 	queries      atomic.Int64
@@ -34,10 +43,11 @@ type ServerModule struct {
 // NewServerModule indexes the POIs with the given R*-tree fan-out.
 func NewServerModule(pois []core.POI, fanout int) *ServerModule {
 	t := rtree.New(fanout)
-	for _, p := range pois {
-		t.InsertPoint(p.Loc, p)
+	t.Reserve(len(pois))
+	for i, p := range pois {
+		t.InsertPoint(p.Loc, int32(i))
 	}
-	return &ServerModule{tree: t, pois: pois}
+	return &ServerModule{tree: t, pois: pois, rangeHits: sync.Pool{New: func() any { return new([]rangeHit) }}}
 }
 
 // RandomPOIs generates n POIs uniformly distributed over bounds.
@@ -132,7 +142,7 @@ func (s *ServerModule) KNNInto(q geom.Point, k int, b nn.Bounds, it *nn.Iterator
 		if !ok {
 			break
 		}
-		dst = append(dst, r.Data.(core.POI))
+		dst = append(dst, s.pois[r.Ref])
 	}
 	pages := it.Pages()
 	s.pageAccesses.Add(pages)
@@ -140,43 +150,59 @@ func (s *ServerModule) KNNInto(q geom.Point, k int, b nn.Bounds, it *nn.Iterator
 }
 
 // Range implements core.RangeServer: every POI within Euclidean distance r
-// of q in ascending distance order, found with an R*-tree window search over
-// the disc's bounding box followed by an exact distance filter. The nodes
-// the search visited count as page accesses.
+// of q in ascending distance order, ties broken by POI ID.
 func (s *ServerModule) Range(q geom.Point, r float64) []core.POI {
+	out, _ := s.RangeInto(q, r, math.MaxInt, nil)
+	return out
+}
+
+// rangeHit is a POI inside a range query's disc, before ordering.
+type rangeHit struct {
+	dist float64
+	ref  int32
+}
+
+// RangeInto is Range into dst[:0] with a hit cap: an R*-tree window search
+// over the disc's bounding box, an exact distance filter, and the nodes the
+// search visited counted as page accesses. When the disc holds more than
+// limit POIs the search stops at hit limit+1 and ok is false, before
+// anything is copied or sorted: a caller that would refuse an oversized
+// answer never pays for collecting one. Steady state allocates nothing.
+func (s *ServerModule) RangeInto(q geom.Point, r float64, limit int, dst []core.POI) (out []core.POI, ok bool) {
 	s.queries.Add(1)
-	window := geom.NewCircle(q, r).Bounds()
-	type hit struct {
-		poi  core.POI
-		dist float64
-	}
-	var hits []hit
-	pages := s.tree.Search(window, func(rect geom.Rect, data any) bool {
-		p := data.(core.POI)
-		if d := q.Dist(p.Loc); d <= r+geom.Eps {
-			hits = append(hits, hit{poi: p, dist: d})
+	scratch := s.rangeHits.Get().(*[]rangeHit)
+	hits := (*scratch)[:0]
+	pages := s.tree.Search(geom.NewCircle(q, r).Bounds(), func(p geom.Point, ref int32) bool {
+		if d := q.Dist(p); d <= r+geom.Eps {
+			hits = append(hits, rangeHit{dist: d, ref: ref})
 		}
-		return true
+		return len(hits) <= limit
 	})
 	s.pageAccesses.Add(pages)
-	// Equal distances are a real occurrence on gridded data; break the tie
-	// by POI ID so the hit order is a total order independent of the
-	// R*-tree's internal layout (the same rule the INE path uses).
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].dist != hits[j].dist {
-			return hits[i].dist < hits[j].dist
+	dst = dst[:0]
+	if ok = len(hits) <= limit; ok {
+		// Equal distances are a real occurrence on gridded data; break the
+		// tie by POI ID so the hit order is a total order independent of the
+		// R*-tree's internal layout (the same rule the INE path uses).
+		slices.SortFunc(hits, func(a, b rangeHit) int {
+			return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(s.pois[a.ref].ID, s.pois[b.ref].ID))
+		})
+		for _, h := range hits {
+			dst = append(dst, s.pois[h.ref])
 		}
-		return hits[i].poi.ID < hits[j].poi.ID
-	})
-	out := make([]core.POI, len(hits))
-	for i, h := range hits {
-		out[i] = h.poi
 	}
-	return out
+	*scratch = hits
+	s.rangeHits.Put(scratch)
+	return dst, ok
 }
 
 // POIs returns the indexed POI set.
 func (s *ServerModule) POIs() []core.POI { return s.pois }
+
+// Bytes returns the memory of the R*-tree and of the POI table it indexes.
+func (s *ServerModule) Bytes() (index, table int64) {
+	return s.tree.Bytes(), int64(len(s.pois)) * int64(unsafe.Sizeof(core.POI{}))
+}
 
 // Tree exposes the underlying index for benchmark harnesses that compare
 // INN against EINN on the same data.

@@ -57,7 +57,7 @@ func (pq *refQueue) Pop() any {
 	return it
 }
 
-func refKNN(t *rtree.Tree, q geom.Point, k int, b nn.Bounds) (out []core.POI, pages int64) {
+func refKNN(t *rtree.Tree, pois []core.POI, q geom.Point, k int, b nn.Bounds) (out []core.POI, pages int64) {
 	if k <= 0 {
 		return nil, 0
 	}
@@ -86,7 +86,7 @@ func refKNN(t *rtree.Tree, q geom.Point, k int, b nn.Bounds) (out []core.POI, pa
 			case b.HasUpper && mind > b.Upper: // upward pruning
 			case nd.IsLeaf():
 				if !b.HasLower || mind > b.Lower {
-					heap.Push(pq, refItem{dist: mind, isPOI: true, poi: nd.Data(i).(core.POI)})
+					heap.Push(pq, refItem{dist: mind, isPOI: true, poi: pois[nd.Ref(i)]})
 				}
 			case !b.HasLower || r.MaxDist(q) > b.Lower: // else: inside the certain circle
 				heap.Push(pq, refItem{dist: mind, node: nd, child: i})
@@ -122,7 +122,7 @@ func TestKNNIntoMatchesReference(t *testing.T) {
 			b.HasUpper = true
 			b.Upper = b.Lower + rng.Float64()*1000
 		}
-		wantPOIs, wantPages := refKNN(s.Tree(), q, k, b)
+		wantPOIs, wantPages := refKNN(s.Tree(), s.POIs(), q, k, b)
 		gotPOIs, gotPages := s.KNNInto(q, k, b, &it, dst)
 		dst = gotPOIs
 		var got []core.POI

@@ -46,11 +46,16 @@ func (sq *SnapshotQuerier) KNN(q geom.Point, k int, b nn.Bounds, dst []core.POI)
 }
 
 // Range answers a range query: every POI within Euclidean distance r of q in
-// ascending distance order, ties broken by POI ID. It delegates to
-// ServerModule.Range, which is safe for concurrent use with KNN traffic
-// (read-only tree, atomic counters).
+// ascending distance order, ties broken by POI ID.
 func (sq *SnapshotQuerier) Range(q geom.Point, r float64) []core.POI {
 	return sq.mod.Range(q, r)
+}
+
+// RangeInto is Range into dst[:0], refusing (ok false, nothing collected) a
+// disc that holds more than limit POIs. Like KNN it is safe for concurrent
+// use and allocates nothing in steady state.
+func (sq *SnapshotQuerier) RangeInto(q geom.Point, r float64, limit int, dst []core.POI) ([]core.POI, bool) {
+	return sq.mod.RangeInto(q, r, limit, dst)
 }
 
 // Module exposes the wrapped ServerModule for statistics.

@@ -3,12 +3,14 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
+	"repro/internal/racebuild"
 )
 
 // latticePOIs places one POI on every point of an n×n integer lattice with
@@ -54,7 +56,7 @@ func TestSnapshotQuerierMatchesReference(t *testing.T) {
 			if rng.Float64() < 0.4 {
 				b.HasUpper, b.Upper = true, 200+rng.Float64()*2000
 			}
-			want, wantPages := refKNN(mod.Tree(), q, k, b)
+			want, wantPages := refKNN(mod.Tree(), tc.pois, q, k, b)
 			var pages int64
 			dst, pages = sq.KNN(q, k, b, dst)
 			if pages != wantPages {
@@ -182,4 +184,176 @@ func TestSnapshotQuerierConcurrent(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
+}
+
+// daemonModule is the store the daemon serves in CI and in the benchmark's
+// serve workloads: 50,000 POIs at the paper's fan-out.
+func daemonModule() (*ServerModule, geom.Rect) {
+	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(20000, 20000)}
+	return NewServerModule(RandomPOIs(50000, bounds, rand.New(rand.NewSource(1))), 30), bounds
+}
+
+// sweepQueries is the 64 positions one steady-state sweep over daemonModule
+// queries from.
+func sweepQueries() []geom.Point {
+	rng := rand.New(rand.NewSource(2))
+	qs := make([]geom.Point, 64)
+	for i := range qs {
+		qs[i] = geom.Pt(rng.Float64()*20000, rng.Float64()*20000)
+	}
+	return qs
+}
+
+// The index costs at most 32 bytes per POI on top of the POI table itself:
+// a 20-byte leaf slot at the R*-tree's ~70 % fill, plus inner nodes and the
+// node table (DESIGN.md §16). While nodes owned entry slices and leaves
+// boxed a copy of every POI it was about 140.
+func TestIndexBytesPerPOI(t *testing.T) {
+	mod, _ := daemonModule()
+	n := int64(len(mod.POIs()))
+	index, table := mod.Bytes()
+	if table != 24*n {
+		t.Errorf("POI table is %d bytes, want 24 per POI", table)
+	}
+	perPOI := float64(index) / float64(n)
+	if perPOI > 32 {
+		t.Errorf("index costs %.1f B per POI beyond the table, budget 32", perPOI)
+	}
+	t.Logf("%d POIs: index %.1f B/POI, table 24 B/POI", n, perPOI)
+}
+
+// What a daemon connection does per request — kNN and Range into its own
+// scratch slice — allocates nothing once the pooled iterator, the pooled hit
+// scratch and the slice have grown; neither does a refused Range.
+func TestSnapshotQuerierSteadyStateAllocs(t *testing.T) {
+	if racebuild.Enabled() {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	mod, _ := daemonModule()
+	sq := NewSnapshotQuerier(mod)
+	qs := sweepQueries()
+	var dst []core.POI
+	for _, tc := range []struct {
+		name string
+		op   func(q geom.Point)
+	}{
+		{"KNN", func(q geom.Point) {
+			dst, _ = sq.KNN(q, 20, nn.Bounds{}, dst)
+		}},
+		{"KNN bounded", func(q geom.Point) {
+			dst, _ = sq.KNN(q, 20, nn.Bounds{Lower: 150, HasLower: true, Upper: 900, HasUpper: true}, dst)
+		}},
+		{"RangeInto", func(q geom.Point) {
+			var ok bool
+			if dst, ok = sq.RangeInto(q, 300, 4096, dst); !ok || len(dst) == 0 {
+				t.Fatalf("Range(300) at %v: %d hits, ok=%v", q, len(dst), ok)
+			}
+		}},
+		{"RangeInto refused", func(q geom.Point) {
+			var ok bool
+			if dst, ok = sq.RangeInto(q, 40000, 4096, dst); ok {
+				t.Fatalf("whole-map Range at %v was not refused", q)
+			}
+		}},
+	} {
+		all := func() {
+			for _, q := range qs {
+				tc.op(q)
+			}
+		}
+		all() // grow the scratch
+		if allocs := testing.AllocsPerRun(10, all); allocs != 0 {
+			t.Errorf("%s allocates %v objects per %d queries in steady state, want 0", tc.name, allocs, len(qs))
+		}
+	}
+}
+
+// A Range whose disc holds more POIs than the caller will accept stops at
+// the first hit past the limit: it reports the refusal, returns nothing, and
+// has read a number of pages set by the limit — not the whole tree, which is
+// what the same radius costs without one.
+func TestRangeIntoStopsAtLimit(t *testing.T) {
+	mod, bounds := daemonModule()
+	q := bounds.Center()
+	diagonal := bounds.Min.Dist(bounds.Max)
+
+	mod.ResetStats()
+	all := mod.Range(q, diagonal)
+	allPages := mod.PageAccesses()
+	if len(all) != len(mod.POIs()) {
+		t.Fatalf("whole-map Range returned %d of %d POIs", len(all), len(mod.POIs()))
+	}
+
+	const limit = 4096
+	mod.ResetStats()
+	out, ok := mod.RangeInto(q, diagonal, limit, make([]core.POI, 0, 8))
+	if ok || len(out) != 0 {
+		t.Fatalf("whole-map RangeInto(limit %d): ok=%v with %d POIs, want a refusal with none", limit, ok, len(out))
+	}
+	// Every point is a hit, so a visited leaf yields at least the minimum
+	// fill (40 % of 30) and the search ends within (limit+1)/12 leaves, the
+	// inner nodes above them, and one root-to-leaf path.
+	leaves := int64(limit+1)/12 + 1
+	if got, bound := mod.PageAccesses(), leaves+leaves/12+int64(mod.Tree().Height()); got > bound {
+		t.Errorf("refused Range read %d pages, bound %d", got, bound)
+	} else {
+		t.Logf("refused Range read %d pages; unlimited, %d", got, allPages)
+	}
+	if mod.Queries() != 1 {
+		t.Errorf("refused Range counted %d queries, want 1", mod.Queries())
+	}
+
+	// At and just under the hit count: the limit is inclusive, and an
+	// accepted answer is Range's, order included.
+	near := mod.Range(q, 600)
+	if len(near) < 10 {
+		t.Fatalf("Range(600) found only %d POIs", len(near))
+	}
+	got, ok := mod.RangeInto(q, 600, len(near), nil)
+	if !ok || !slices.Equal(got, near) {
+		t.Errorf("RangeInto(limit = hit count): ok=%v, %d POIs, want Range's %d", ok, len(got), len(near))
+	}
+	if got, ok := mod.RangeInto(q, 600, len(near)-1, nil); ok || len(got) != 0 {
+		t.Errorf("RangeInto(limit = hit count - 1): ok=%v with %d POIs, want a refusal", ok, len(got))
+	}
+}
+
+// BenchmarkKNN and BenchmarkRange measure the two query types a daemon
+// connection serves, over the daemon-sized store and through the same pooled
+// SnapshotQuerier path; one op is a sweep of 64 positions. The CI bench job
+// gates allocs/op at zero on both.
+func benchmarkSweep(b *testing.B, op func(sq *SnapshotQuerier, q geom.Point, dst []core.POI) []core.POI) {
+	mod, _ := daemonModule()
+	sq := NewSnapshotQuerier(mod)
+	qs := sweepQueries()
+	var dst []core.POI
+	sweep := func() {
+		for _, q := range qs {
+			dst = op(sq, q, dst)
+		}
+	}
+	sweep() // grow the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}
+
+func BenchmarkKNN(b *testing.B) {
+	b.Run("n=50k", func(b *testing.B) {
+		benchmarkSweep(b, func(sq *SnapshotQuerier, q geom.Point, dst []core.POI) []core.POI {
+			dst, _ = sq.KNN(q, 16, nn.Bounds{}, dst)
+			return dst
+		})
+	})
+}
+
+func BenchmarkRange(b *testing.B) {
+	b.Run("n=50k/r=300", func(b *testing.B) {
+		benchmarkSweep(b, func(sq *SnapshotQuerier, q geom.Point, dst []core.POI) []core.POI {
+			dst, _ = sq.RangeInto(q, 300, 4096, dst)
+			return dst
+		})
+	})
 }
