@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
-	"repro/internal/rtree"
 	"repro/internal/sim"
 )
 
@@ -54,10 +53,7 @@ func main() {
 	} else {
 		poiSet = sim.RandomPOIs(*pois, bounds, rng)
 	}
-	tree := rtree.New(*fanout)
-	for i, p := range poiSet {
-		tree.InsertPoint(p.Loc, int32(i))
-	}
+	tree := sim.NewServerModule(poiSet, *fanout).Tree()
 
 	caches := make([]core.PeerCache, *nCaches)
 	for i := range caches {

@@ -1,8 +1,8 @@
 // Command senn-serverd serves SENN spatial queries over the network: HTTP
 // for session setup and stats, WebSocket + the internal/wire binary protocol
 // for position updates and kNN/range queries. The POI data set comes from an
-// on-disk page-aligned store (see internal/serve), which the daemon indexes
-// at boot into the same R*-tree the in-process simulator uses — served
+// on-disk page-aligned store (see internal/serve), which the daemon packs at
+// boot into the same R*-tree the in-process simulator builds — served
 // answers are bit-identical to ServerModule's, page counts included.
 //
 // Usage:
@@ -43,7 +43,7 @@ func main() {
 
 		mkstore  = flag.String("mkstore", "", "write a fresh POI store to this path and exit")
 		nPOIs    = flag.Int("pois", 50000, "mkstore: number of POIs")
-		fanout   = flag.Int("fanout", 30, "mkstore: R*-tree fan-out")
+		fanout   = flag.Int("fanout", 30, "mkstore: fan-out the serving daemon packs its R*-tree with")
 		width    = flag.Float64("width", 20000, "mkstore: square area side (m)")
 		clusters = flag.Int("clusters", 0, "mkstore: POI clusters (0 = uniform)")
 		sigma    = flag.Float64("sigma", 400, "mkstore: cluster spread (m)")
@@ -75,9 +75,9 @@ func main() {
 	indexBuild := time.Since(t0)
 	indexBytes, tableBytes := mod.Bytes()
 	perPOI := 1 / float64(max(info.Count, 1))
-	fmt.Printf("senn-serverd: read %v, indexed %d POIs (fanout %d) in %v: index %.1f + table %.1f B/POI\n",
+	fmt.Printf("senn-serverd: read %v, indexed %d POIs (fanout %d) in %v: height %d, %d nodes, index %.1f + table %.1f B/POI\n",
 		storeRead.Round(time.Millisecond), info.Count, info.Fanout, indexBuild.Round(time.Millisecond),
-		float64(indexBytes)*perPOI, float64(tableBytes)*perPOI)
+		mod.Tree().Height(), mod.Tree().Nodes(), float64(indexBytes)*perPOI, float64(tableBytes)*perPOI)
 
 	srv := serve.NewServer(mod, serve.Options{
 		MaxK:         *maxK,
@@ -114,6 +114,11 @@ func main() {
 		fmt.Println("senn-serverd: shutting down")
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
+		// Shutdown does not know the hijacked WebSocket connections: Close
+		// tells each client the daemon is going away and waits for them.
+		if err := srv.Close(shutCtx); err != nil {
+			fmt.Fprintln(os.Stderr, "senn-serverd: connections still open at exit:", err)
+		}
 		_ = httpSrv.Shutdown(shutCtx)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/nn"
 	"repro/internal/pagestore"
-	"repro/internal/rtree"
 	"repro/internal/sim"
 )
 
@@ -55,10 +54,7 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(base.AreaWidth, base.AreaHeight))
 	pois := sim.ClusteredPOIs(base.NumPOIs, bounds, base.NumPOIs/25, base.AreaWidth/250, rng)
 
-	tree := rtree.New(base.RTreeFanout)
-	for i, p := range pois {
-		tree.InsertPoint(p.Loc, int32(i))
-	}
+	tree := sim.NewServerModule(pois, base.RTreeFanout).Tree()
 	pager := pagestore.NewMemPager()
 	if err := pagestore.Pack(tree, pager); err != nil {
 		return DiskIOResult{}, err

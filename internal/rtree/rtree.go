@@ -2,12 +2,19 @@
 // Seeger (SIGMOD 1990), the disk-based spatial index the paper's database
 // server uses to store points of interest. It indexes points: a value is the
 // caller's int32 item number (its row in the caller's own table), stored next
-// to the point it lives at. The package provides insertion with forced
-// reinsertion, the R* topological split, deletion with tree condensation,
-// rectangle range search, and a read-only node traversal API that the kNN
-// algorithms in internal/nn build on. The tree keeps no query-time state:
-// a traversal counts the pages it reads itself (Search returns its count,
-// nn.Iterator keeps its own), so concurrent readers share nothing mutable.
+// to the point it lives at.
+//
+// A point set known in full is indexed by Build, which packs the tree
+// top-down (build.go): every index the repository serves or simulates is
+// built that way, and nothing outside this package calls InsertPoint. The R*
+// algorithms proper — insertion with forced reinsertion, the topological
+// split, deletion with tree condensation — are the mutation API (a packed
+// tree meets their invariants), and the tree they grow point by point is the
+// reference the tests measure the packed one against. Reading is rectangle
+// range search and a read-only node traversal API that the kNN algorithms in
+// internal/nn build on. The tree keeps no query-time state: a traversal
+// counts the pages it reads itself (Search returns its count, nn.Iterator
+// keeps its own), so concurrent readers share nothing mutable.
 //
 // Nodes live in pointer-free arenas addressed by int32 node id (DESIGN.md
 // §16): the collector never traces the index, and a node is one contiguous
@@ -93,17 +100,22 @@ type Tree struct {
 // fill is set to 40 % of max, the R*-tree authors' recommendation. maxEntries
 // must be at least 4.
 func New(maxEntries int) *Tree {
+	t := newTree(maxEntries)
+	t.root = t.newNode(0)
+	return t
+}
+
+// newTree returns a tree with no nodes, not even a root.
+func newTree(maxEntries int) *Tree {
 	if maxEntries < 4 {
 		panic(fmt.Sprintf("rtree: maxEntries must be >= 4, got %d", maxEntries))
 	}
-	t := &Tree{
+	return &Tree{
 		minEntries: max(maxEntries*2/5, 2),
 		maxEntries: maxEntries,
 		stride:     maxEntries + 1,
 		free:       [2]int32{-1, -1},
 	}
-	t.root = t.newNode(0)
-	return t
 }
 
 // NewDefault returns an empty tree with the paper's branching factor of 30.
@@ -116,6 +128,9 @@ func (t *Tree) Len() int { return t.size }
 // single leaf).
 func (t *Tree) Height() int { return int(t.nodes[t.root].level) + 1 }
 
+// Nodes returns the number of nodes — pages — in the arenas, freed ones included.
+func (t *Tree) Nodes() int { return len(t.nodes) }
+
 // Bounds returns the MBR of all stored values.
 func (t *Tree) Bounds() geom.Rect { return t.bounds(t.root) }
 
@@ -123,18 +138,6 @@ func (t *Tree) Bounds() geom.Rect { return t.bounds(t.root) }
 // 12 B per node, 20 B per leaf slot, 36 B per inner slot, from arena lengths.
 func (t *Tree) Bytes() int64 {
 	return 12*int64(len(t.nodes)) + 20*int64(len(t.leafRefs)) + 36*int64(len(t.innerKids))
-}
-
-// Reserve gives the node table and the leaf arena room for a build of n
-// points: grown by append they leave outgrown copies behind, at the daemon's
-// boot more garbage than the finished index is large. Leaves are assumed
-// two-thirds full, a little under what R* insertion reaches on uniform and on
-// clustered points; a build that fills them less grows the arenas as usual.
-func (t *Tree) Reserve(n int) {
-	leaves := n/(2*t.maxEntries/3) + 1
-	t.nodes = slices.Grow(t.nodes, leaves)
-	t.leafPts = slices.Grow(t.leafPts, leaves*t.stride)
-	t.leafRefs = slices.Grow(t.leafRefs, leaves*t.stride)
 }
 
 // newNode returns an empty node, reusing a freed one of the same kind if it

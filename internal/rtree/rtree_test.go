@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -414,36 +413,6 @@ func BenchmarkSearch(b *testing.B) {
 		q := randPoint(rng, 1e5)
 		query := geom.NewRect(q, q.Add(geom.Pt(1000, 1000)))
 		tr.Search(query, func(geom.Point, int32) bool { return true })
-	}
-}
-
-// Reserve is a capacity hint: it changes no tree, and a build of the reserved
-// size at R*'s usual fill leaves the leaf arena where Reserve put it.
-func TestReserve(t *testing.T) {
-	for _, fanout := range []int{4, 5, 8, 30} {
-		for _, n := range []int{0, 1, 3, 4, 100, 5000} {
-			rng := rand.New(rand.NewSource(int64(n)))
-			plain, reserved := New(fanout), New(fanout)
-			reserved.Reserve(n)
-			leafCap := cap(reserved.leafPts)
-			for i := 0; i < n; i++ {
-				p := randPoint(rng, 1000)
-				plain.InsertPoint(p, int32(i))
-				reserved.InsertPoint(p, int32(i))
-			}
-			if err := reserved.CheckInvariants(); err != nil {
-				t.Fatalf("fanout=%d n=%d: %v", fanout, n, err)
-			}
-			if !slices.Equal(plain.nodes, reserved.nodes) || !slices.Equal(plain.leafPts, reserved.leafPts) ||
-				!slices.Equal(plain.leafRefs, reserved.leafRefs) || !slices.Equal(plain.innerRects, reserved.innerRects) ||
-				!slices.Equal(plain.innerKids, reserved.innerKids) {
-				t.Fatalf("fanout=%d n=%d: reserving changed the tree", fanout, n)
-			}
-			if fanout == 30 && cap(reserved.leafPts) != leafCap {
-				t.Errorf("fanout=%d n=%d: the leaf arena grew past the reservation: %d -> %d slots",
-					fanout, n, leafCap, cap(reserved.leafPts))
-			}
-		}
 	}
 }
 

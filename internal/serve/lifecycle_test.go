@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -169,6 +172,84 @@ func TestDisconnectReturnsToBaseline(t *testing.T) {
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
 	if st := fetchStats(t, srv); st.Sessions != n || st.RelayTimeouts != 0 {
 		t.Fatalf("stats %+v: sessions outlive their conns and no relay rode the timer", st)
+	}
+}
+
+// Close is what a restart owes its clients: every attached connection reads a
+// 1001 (going away) close frame — not a reset, which is what process exit
+// after http.Server.Shutdown alone gives a hijacked connection — and when
+// Close returns the connection goroutines are gone, a pending relay with
+// them. A connection arriving afterwards is turned away the same way.
+func TestCloseDrainsAttachedConnections(t *testing.T) {
+	s, srv := testServerHandle(t, 500, Options{RelayTimeout: time.Hour})
+	http.DefaultClient.CloseIdleConnections()
+	baseline := runtime.NumGoroutine()
+
+	const n = 16
+	centre := geom.Pt(5000, 5000)
+	conns := make([]*WSConn, n)
+	for i := range conns {
+		conns[i] = openSession(t, srv)
+		defer conns[i].conn.Close()
+		syncPosition(t, conns[i], geom.Pt(centre.X+float64(i), centre.Y))
+	}
+	// A relay nobody answers is in flight when the drain starts.
+	if err := conns[0].WriteBinary(wire.EncodePeerRequest(wire.PeerRequest{ReqID: 1, Loc: centre, Radius: 100})); err != nil {
+		t.Fatal(err)
+	}
+	if msg := readDecoded(t, conns[1]); msg.Type != wire.TypePeerProbe {
+		t.Fatalf("peer got %+v, want probe", msg)
+	}
+	late, err := sessionToken(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := s.stat.activeConns.Load(); got != 0 || len(s.conns) != 0 || pendingRelays(s) != 0 {
+		t.Fatalf("after Close: active_conns %d, %d tracked conns, %d pending relays", got, len(s.conns), pendingRelays(s))
+	}
+	http.DefaultClient.CloseIdleConnections()
+	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
+
+	// The next frame on every client is the close, status 1001, then EOF.
+	expectGoingAway := func(name string, ws *WSConn) {
+		t.Helper()
+		if err := ws.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, op, n, err := ws.readFrame(0)
+			if err != nil {
+				t.Fatalf("%s: read %v, want a close frame", name, err)
+			}
+			if op == opBinary {
+				continue // the probes conn 0's relay sent before the drain
+			}
+			if op != opClose || n != 2 || ws.payload[0] != 0x03 || ws.payload[1] != 0xE9 {
+				t.Fatalf("%s: frame op %#x payload %x, want close 1001", name, op, ws.payload[:n])
+			}
+			break
+		}
+		if _, _, _, err := ws.readFrame(0); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: after the close frame read %v, want EOF", name, err)
+		}
+	}
+	for i, ws := range conns {
+		expectGoingAway(fmt.Sprintf("conn %d", i), ws)
+	}
+	lateWS, err := DialWS(wsURL(srv) + "/v1/ws?session=" + late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lateWS.conn.Close()
+	expectGoingAway("late conn", lateWS)
+	if st := fetchStats(t, srv); st.ActiveConns != 0 || st.ProtoErrors != 0 {
+		t.Fatalf("stats after the drain: %+v", st)
 	}
 }
 

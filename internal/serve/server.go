@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -64,6 +65,11 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
+	// conns are the connections with a running runConn, counted by connWG;
+	// once closed is set (Close) no further one is admitted.
+	conns  map[*WSConn]struct{}
+	closed bool
+	connWG sync.WaitGroup
 
 	// dir is the sharded spatial index over session positions: the relay's
 	// range sweep reads it instead of walking s.sessions under s.mu.
@@ -153,6 +159,7 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		storeRead:    opts.StoreRead,
 		indexBuild:   opts.IndexBuild,
 		sessions:     make(map[string]*session),
+		conns:        make(map[*WSConn]struct{}),
 		dir:          newSessionDirectory(bounds, 0, 0),
 	}
 	mux := http.NewServeMux()
@@ -232,6 +239,17 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return // Upgrade wrote the HTTP error
 	}
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.conns[ws] = struct{}{}
+		s.connWG.Add(1)
+	}
+	s.mu.Unlock()
+	if closed {
+		ws.goingAway()
+		return
+	}
 	// Attach the connection to the session so the peer relay can probe it;
 	// a reconnect simply supersedes the previous attachment.
 	sess.mu.Lock()
@@ -242,13 +260,57 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	// net/http's conn.serve frame (the better part of a 16 KB stack), its
 	// http.conn, the Request and its contexts are all released, instead of
 	// idling under every parked session. The goroutine ends when the
-	// transport does (peer close, protocol error, write failure); nothing
-	// waits for it, as nothing waited for a hijacked handler.
+	// transport does (peer close, protocol error, write failure, Close).
 	go s.runConn(sess, ws)
+}
+
+// Close drains the server for a restart: it admits no further connection,
+// ends every open one with a 1001 (going away) close frame and waits for the
+// connection goroutines to finish, or for ctx. http.Server.Shutdown cannot do
+// this — it does not know hijacked connections, so without Close a process
+// exit cuts every WebSocket with a reset. Call it before Shutdown.
+func (s *Server) Close(ctx context.Context) error {
+	s.mu.Lock()
+	s.closed = true
+	conns := make([]*WSConn, 0, len(s.conns))
+	for ws := range s.conns {
+		conns = append(conns, ws)
+	}
+	s.mu.Unlock()
+	for _, ws := range conns {
+		if ctx.Err() != nil {
+			break
+		}
+		ws.goingAway()
+	}
+	done := make(chan struct{})
+	go func() {
+		s.connWG.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// draining reports whether Close has begun.
+func (s *Server) draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }
 
 // runConn owns one upgraded connection from attachment to teardown.
 func (s *Server) runConn(sess *session, ws *WSConn) {
+	defer s.connWG.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, ws)
+		s.mu.Unlock()
+	}()
 	defer s.stat.activeConns.Add(-1)
 	defer s.dropConn(sess, ws)
 	//simvet:discard — teardown of a finished connection; serveConn already accounted the session-ending error
@@ -269,8 +331,9 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 		if err != nil {
 			// Orderly close, peer protocol violation, or transport death:
 			// the connection is done either way. Protocol violations are
-			// accounted so the load harness can gate on zero.
-			if err != ErrConnClosed {
+			// accounted so the load harness can gate on zero; the read that
+			// fails because Close took the transport away is not one.
+			if err != ErrConnClosed && !s.draining() {
 				s.stat.protoErrors.Add(1)
 			}
 			return
@@ -390,10 +453,14 @@ type Stats struct {
 	IndexBuildMs float64 `json:"index_build_ms"`
 	// IndexBytes is the R*-tree's node table and slot arenas, POITableBytes
 	// the POI table they index: together the store's resident cost, fixed at
-	// boot. IndexBytes / POIs is the index overhead per POI (≤ 32 B at the
-	// paper's fan-out).
+	// boot. IndexBytes / POIs is the index overhead per POI (≤ 24 B for the
+	// packed tree at the paper's fan-out). IndexHeight is the pages a point
+	// lookup reads, IndexNodes the pages there are; with IndexBytes they
+	// give the leaf count, and POIs over leaf slots is the fill.
 	IndexBytes    int64 `json:"index_bytes"`
 	POITableBytes int64 `json:"poi_table_bytes"`
+	IndexHeight   int   `json:"index_height"`
+	IndexNodes    int   `json:"index_nodes"`
 	// ServerQueries and PageAccesses are the wrapped module's own counters
 	// — the PAR metric, aggregated across every connection.
 	ServerQueries int64 `json:"server_queries"`
@@ -493,6 +560,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DirPatchOps:         s.dir.patchOps.Load(),
 	}
 	st.IndexBytes, st.POITableBytes = mod.Bytes()
+	st.IndexHeight, st.IndexNodes = mod.Tree().Height(), mod.Tree().Nodes()
 	readRuntime(&st)
 	writeJSON(w, st)
 }

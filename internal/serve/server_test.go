@@ -539,7 +539,8 @@ func TestStatsMemoryFields(t *testing.T) {
 	want := []string{
 		"pois", "bounds_min_x", "bounds_min_y", "bounds_max_x", "bounds_max_y",
 		"sessions", "active_conns", "positions", "queries", "range_queries", "protocol_errors",
-		"store_read_ms", "index_build_ms", "index_bytes", "poi_table_bytes", "server_queries", "page_accesses",
+		"store_read_ms", "index_build_ms", "index_bytes", "poi_table_bytes", "index_height", "index_nodes",
+		"server_queries", "page_accesses",
 		"relay_requests", "relay_shares_forwarded", "relay_rejected", "relay_unknown_replies",
 		"relay_timeouts", "peers_in_range_hist",
 		"dir_cells_scanned", "dir_candidates_rejected", "dir_patch_ops",
@@ -562,6 +563,10 @@ func TestStatsMemoryFields(t *testing.T) {
 	}
 	if got := num(first, "poi_table_bytes"); got != 200*24 {
 		t.Errorf("poi_table_bytes = %v, want 200 POIs x 24 B", got)
+	}
+	// 200 POIs at fan-out 30 pack into seven leaves under one root.
+	if h, n := num(first, "index_height"), num(first, "index_nodes"); h != 2 || n != 8 {
+		t.Errorf("index_height = %v, index_nodes = %v, want 2 and 8", h, n)
 	}
 	for _, key := range []string{"index_bytes", "goroutines", "heap_inuse_bytes", "stack_inuse_bytes", "total_alloc_bytes"} {
 		if num(first, key) <= 0 {

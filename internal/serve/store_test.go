@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pagestore"
+	"repro/internal/rtree"
 	"repro/internal/sim"
 )
 
@@ -42,7 +43,34 @@ func TestStoreRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: POI %d = %+v, want %+v", n, i, got[i], pois[i])
 			}
 		}
+		// What the daemon serves is what the simulator simulates: the index
+		// packed from the read-back store is the in-memory one, node for node.
+		a, _ := sim.NewServerModule(pois, info.Fanout).Tree().Root()
+		b, _ := sim.NewServerModule(got, info.Fanout).Tree().Root()
+		if !sameIndex(a, b) {
+			t.Fatalf("n=%d: the index built from the store differs from the one built from the POIs", n)
+		}
 	}
+}
+
+// sameIndex compares two R*-tree nodes and everything below them: levels,
+// entry counts, item numbers in slot order and every coordinate bit for bit.
+func sameIndex(a, b rtree.Node) bool {
+	if a.Level() != b.Level() || a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		ra, rb := a.Rect(i), b.Rect(i)
+		for _, c := range [][2]float64{{ra.Min.X, rb.Min.X}, {ra.Min.Y, rb.Min.Y}, {ra.Max.X, rb.Max.X}, {ra.Max.Y, rb.Max.Y}} {
+			if math.Float64bits(c[0]) != math.Float64bits(c[1]) {
+				return false
+			}
+		}
+		if a.IsLeaf() && a.Ref(i) != b.Ref(i) || !a.IsLeaf() && !sameIndex(a.Child(i), b.Child(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestWriteStoreRejectsBadFanout(t *testing.T) {

@@ -269,6 +269,9 @@ func (c *WSConn) fail(reason string) error {
 	return fmt.Errorf("%w: %s", ErrProtocol, reason)
 }
 
+// goingAway sends a 1001 (going away) close: the server is shutting down.
+func (c *WSConn) goingAway() { c.shutdown([]byte{0x03, 0xE9}) }
+
 // close1009 sends a 1009 (message too big) close and returns ErrTooLarge.
 func (c *WSConn) close1009() error {
 	c.shutdown([]byte{0x03, 0xF1}) // 1009

@@ -26,6 +26,11 @@ type Footprint struct {
 	// (free movement) or the pointer to its road mover (road mode; the
 	// mover's own route state is a heap object and not counted).
 	MoverBytes int64
+
+	// The server's POI index, which is not host state and not in Total: the
+	// R*-tree's pages, the pages a point lookup reads, and its bytes.
+	IndexNodes, IndexHeight int
+	IndexBytes              int64
 }
 
 // Total sums the columns.
@@ -33,13 +38,15 @@ func (f Footprint) Total() int64 {
 	return f.PosBytes + f.CellBytes + f.GridBytes + f.CacheIndexBytes + f.CacheSlotBytes + f.MoverBytes
 }
 
-// String renders the footprint as the two summary lines cmd/senn-sim prints.
+// String renders the footprint as the three summary lines cmd/senn-sim prints.
 func (f Footprint) String() string {
 	mb := func(b int64) float64 { return float64(b) / (1 << 20) }
 	return fmt.Sprintf("%d hosts, %d movers, %d cache slots in use: %.1f MB (%.1f B/host)\n"+
-		"positions %.1f, cells %.1f, grid %.1f, cache index %.1f, cache slots %.1f, movement %.1f MB",
+		"positions %.1f, cells %.1f, grid %.1f, cache index %.1f, cache slots %.1f, movement %.1f MB\n"+
+		"POI index: height %d, %d nodes, %d bytes",
 		f.Hosts, f.Movers, f.CacheSlots, mb(f.Total()), float64(f.Total())/float64(f.Hosts),
-		mb(f.PosBytes), mb(f.CellBytes), mb(f.GridBytes), mb(f.CacheIndexBytes), mb(f.CacheSlotBytes), mb(f.MoverBytes))
+		mb(f.PosBytes), mb(f.CellBytes), mb(f.GridBytes), mb(f.CacheIndexBytes), mb(f.CacheSlotBytes), mb(f.MoverBytes),
+		f.IndexHeight, f.IndexNodes, f.IndexBytes)
 }
 
 // Footprint reports the world's current host-state memory. The fixed columns
@@ -55,6 +62,10 @@ func (w *World) Footprint() Footprint {
 		CellBytes:  int64(len(w.cells)) * i32,
 		GridBytes:  int64(len(w.grid.Start)+len(w.grid.Entries)+len(w.grid.delta.alt)+len(w.grid.delta.touch)) * i32,
 		MoverBytes: int64(len(w.moving)) * i32,
+
+		IndexNodes:  w.server.tree.Nodes(),
+		IndexHeight: w.server.tree.Height(),
+		IndexBytes:  w.server.tree.Bytes(),
 	}
 	f.CacheIndexBytes, f.CacheSlotBytes = w.caches.Bytes()
 	if w.wp != nil {

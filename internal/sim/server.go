@@ -40,13 +40,12 @@ type ServerModule struct {
 	pageAccesses atomic.Int64
 }
 
-// NewServerModule indexes the POIs with the given R*-tree fan-out.
+// NewServerModule indexes the POIs in an R*-tree of the given fan-out, packed
+// top-down (rtree.Build; DESIGN.md §4 D7). It is the one place an index is
+// built: the daemon, the simulator and the experiment drivers all serve the
+// tree it returns, so a page count means the same thing in each.
 func NewServerModule(pois []core.POI, fanout int) *ServerModule {
-	t := rtree.New(fanout)
-	t.Reserve(len(pois))
-	for i, p := range pois {
-		t.InsertPoint(p.Loc, int32(i))
-	}
+	t := rtree.Build(fanout, len(pois), func(i int) geom.Point { return pois[i].Loc })
 	return &ServerModule{tree: t, pois: pois, rangeHits: sync.Pool{New: func() any { return new([]rangeHit) }}}
 }
 
