@@ -11,7 +11,10 @@
 //     peer),
 //   - gather shareable peer caches from the pluggable PeerSource,
 //   - verify them with the §3.2 lemmas (kNN_single per peer in Heuristic 3.3
-//     order, then kNN_multiple over the merged certain region),
+//     order until the k-th certificate, then once more on whichever received
+//     share certifies farthest, so the cache write keeps everything the
+//     exchange licensed; kNN_multiple over the merged certain region when no
+//     run of single peers answers),
 //   - optionally accept a full-but-uncertain answer (Algorithm 1 line 15),
 //   - otherwise fall back to the pluggable Server with the §3.3 pruning
 //     bounds, topping the request up to cache capacity (policy 2),
@@ -32,6 +35,8 @@
 package client
 
 import (
+	"math"
+
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -149,7 +154,10 @@ func (r *Resolver) ResetArena() {
 
 // Resolve runs one complete SENN query (Algorithm 1): local cache, peer
 // gather, kNN_single/kNN_multiple verification, then the server fallback
-// with the §3.3 pruning bounds. It mutates nothing but its own scratch —
+// with the §3.3 pruning bounds. The k-th certificate settles the answer but
+// does not end kNN_single: certifyReceived lets the shares already received
+// certify what more they can for the staged cache write (DESIGN §4 D8). It
+// mutates nothing but its own scratch —
 // every effect is returned in the Outcome. peers may be nil (no P2P
 // channel); srv may be nil (no server connectivity — the best available
 // answer is returned with Source SolvedUncertain, mirroring core.SENN).
@@ -181,7 +189,8 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 	// neighbors of the most recent query — the full certified set is still
 	// an exact distance prefix (every POI closer than a certified one is
 	// itself certified), so it is a valid PeerCache and keeps the shared
-	// caches from degrading to the last query's k.
+	// caches from degrading to the last query's k, or (certifyReceived) to
+	// whatever the first sufficient peer happened to certify.
 	heapK := k
 	if req.Cache != nil {
 		if c := req.Cache.Capacity(); c > heapK {
@@ -198,10 +207,11 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 	r.sorter.Peers = peers
 	r.sorter.Sort()
 	solvedSingle := false
-	for _, pc := range peers {
+	for i, pc := range peers {
 		core.VerifySinglePeer(q, pc, h)
 		if answered() {
 			solvedSingle = true
+			certifyReceived(q, peers, i, h)
 			break
 		}
 	}
@@ -276,6 +286,35 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 		res.Answer = append([]core.Candidate(nil), full[:nk]...)
 	}
 	return res
+}
+
+// certifyReceived finishes kNN_single for the cache write once peers[visited]
+// has supplied the k-th certificate. The answer is settled; what is not is
+// how much of what the exchange already delivered the host may keep. By
+// Lemma 3.2 a peer certifies exactly the POIs within its Reach of q, and
+// those discs are nested around q, so among the shares not yet looked at only
+// the one with the largest reach can certify anything the visited ones did
+// not — and only when its reach exceeds theirs. One scan finds it, at most
+// one more VerifySinglePeer runs, and nothing is sent or fetched: the
+// certain set only grows outward, to the full exact prefix the received
+// shares license (capped by the heap at cache capacity).
+func certifyReceived(q geom.Point, peers []core.PeerCache, visited int, h *core.ResultHeap) {
+	if h.Complete() {
+		return
+	}
+	best, bestReach := 0, math.Inf(-1)
+	for i, pc := range peers {
+		if pc.IsEmpty() {
+			continue
+		}
+		// Strictly greater: on a tie the earlier — visited — share stands.
+		if rho := pc.Reach(q); rho > bestReach {
+			best, bestReach = i, rho
+		}
+	}
+	if best > visited {
+		core.VerifySinglePeer(q, peers[best], h)
+	}
 }
 
 // stageResult prepares cache policy 1 as a deferred write: keep the query

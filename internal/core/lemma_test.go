@@ -184,3 +184,59 @@ func TestCertifiedSetIsPrefixClosed(t *testing.T) {
 		}
 	}
 }
+
+// Reach is Lemma 3.2 as one number, and it is what lets a resolver ask what a
+// share could certify before looking inside it: an honest peer certifies
+// exactly the POIs of the world within Reach(q) of q — none missing, none
+// beyond — so of two peers the one with the larger reach certifies everything
+// the other does, and a peer whose reach is negative certifies nothing.
+func TestReachBoundsWhatAPeerCertifies(t *testing.T) {
+	rng := rand.New(rand.NewSource(2202))
+	positive := 0
+	for trial := 0; trial < 400; trial++ {
+		pois := make([]POI, 25+rng.Intn(50))
+		for i := range pois {
+			pois[i] = POI{ID: int64(i), Loc: geom.Pt(rng.Float64()*400, rng.Float64()*400)}
+		}
+		q := geom.Pt(rng.Float64()*400, rng.Float64()*400)
+		certifiedBy := func(p PeerCache) map[int64]bool {
+			h := NewResultHeap(len(pois))
+			VerifySinglePeer(q, p, h)
+			out := map[int64]bool{}
+			for _, c := range h.CertainEntries() {
+				out[c.ID] = true
+			}
+			return out
+		}
+		var peers [2]PeerCache
+		var sets [2]map[int64]bool
+		for i := range peers {
+			loc := geom.Pt(q.X+rng.NormFloat64()*60, q.Y+rng.NormFloat64()*60)
+			peers[i] = honestCache(loc, pois, 1+rng.Intn(15))
+			sets[i] = certifiedBy(peers[i])
+			reach := peers[i].Reach(q)
+			if reach > 0 {
+				positive++
+			}
+			for _, p := range pois {
+				if want := q.Dist(p.Loc) <= reach+geom.Eps; sets[i][p.ID] != want {
+					t.Fatalf("trial %d: POI %d at %.6f from Q, reach %.6f: certified %v",
+						trial, p.ID, q.Dist(p.Loc), reach, sets[i][p.ID])
+				}
+			}
+		}
+		small, large := 0, 1
+		if peers[0].Reach(q) > peers[1].Reach(q) {
+			small, large = 1, 0
+		}
+		for id := range sets[small] {
+			if !sets[large][id] {
+				t.Fatalf("trial %d: POI %d certified at reach %.6f but not at the larger reach %.6f",
+					trial, id, peers[small].Reach(q), peers[large].Reach(q))
+			}
+		}
+	}
+	if positive < 100 {
+		t.Fatalf("only %d of 800 peers could certify anything; fixture too weak", positive)
+	}
+}

@@ -70,6 +70,18 @@ func (pc PeerCache) CertainCircle() geom.Circle {
 	return geom.NewCircle(pc.QueryLoc, pc.Radius())
 }
 
+// Reach returns ρ_P(q) = Radius() − Dist(q, QueryLoc): the radius of the
+// largest disc around q that lies inside the peer's certain circle. It is
+// Lemma 3.2 as one number — the peer knows every POI within Reach(q) of q, so
+// a cached neighbor n is a certain nearest neighbor of q exactly when
+// Dist(q, n) <= Reach(q) (within geom.Eps), and the neighbors a peer can
+// certify are nested discs around q: the peer with the larger reach certifies
+// everything the other does. Negative when q lies outside the certain circle
+// (the peer certifies nothing at q).
+func (pc PeerCache) Reach(q geom.Point) float64 {
+	return pc.Radius() - q.Dist(pc.QueryLoc)
+}
+
 // String implements fmt.Stringer.
 func (pc PeerCache) String() string {
 	return fmt.Sprintf("peercache(%s, %d neighbors, r=%.2f)",

@@ -18,20 +18,17 @@ import (
 // because the disc around Q through n_i then lies entirely inside the peer's
 // certain circle, which contains every existing POI the peer knows about.
 // Otherwise Lemma 3.1 applies: an unknown POI could hide in the uncovered
-// part of the disc, so n_i is only a candidate (uncertain).
+// part of the disc, so n_i is only a candidate (uncertain). The inequality is
+// evaluated as Dist(Q, n_i) <= peer.Reach(Q), the one statement of the lemma
+// shared with callers that ask what a peer could certify before visiting it.
 func VerifySinglePeer(q geom.Point, peer PeerCache, h *ResultHeap) {
 	if peer.IsEmpty() {
 		return
 	}
-	delta := q.Dist(peer.QueryLoc)
-	reach := peer.Radius()
+	reach := peer.Reach(q) + geom.Eps
 	for _, n := range peer.Neighbors {
 		d := q.Dist(n.Loc)
-		h.Add(Candidate{
-			POI:     n,
-			Dist:    d,
-			Certain: d+delta <= reach+geom.Eps,
-		})
+		h.Add(Candidate{POI: n, Dist: d, Certain: d <= reach})
 	}
 }
 

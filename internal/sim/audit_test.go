@@ -150,6 +150,51 @@ func TestCachesDoNotCollapseAtLowK(t *testing.T) {
 	}
 }
 
+// Policy 1 read all the way: a peer-solved query stores every neighbor the
+// exchange certified, not what the first sufficient peer certified. Against
+// the same world resolved with the early exit (refWorld + earlyExitPeers: the
+// same RNG draws, the same movement, the same plans), entries must hold
+// strictly more neighbors on average and the server share must not rise — at
+// k = 1, where one certificate used to end the loop, and at the k 3–7 the
+// benchmark runs.
+func TestCertifiedSharesKeepCachesDeep(t *testing.T) {
+	for _, k := range [][2]int{{1, 1}, {3, 7}} {
+		cfg := smallConfig()
+		cfg.KMin, cfg.KMax = k[0], k[1]
+		cfg.Duration = 600
+		w, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		early := newRefWorld(w.Config(), w.Roads())
+		early.earlyExit = true
+		want := early.run()
+		wantEntries, wantNeighbors := 0, 0
+		for _, c := range early.caches {
+			if ent, ok := c.Entry(); ok {
+				wantEntries++
+				wantNeighbors += len(ent.Neighbors)
+			}
+		}
+
+		got := w.Run()
+		entries, neighbors := w.caches.Held()
+		if got.TotalQueries != want.TotalQueries || entries != wantEntries || entries == 0 {
+			t.Fatalf("k %v: %d queries / %d entries, early-exit world %d / %d: the two runs are not the same plan",
+				k, got.TotalQueries, entries, want.TotalQueries, wantEntries)
+		}
+		mean, wantMean := float64(neighbors)/float64(entries), float64(wantNeighbors)/float64(wantEntries)
+		t.Logf("k %v: %.2f neighbors per held entry (early exit %.2f), SQRR %.2f %% (early exit %.2f %%)",
+			k, mean, wantMean, got.SQRR(), want.SQRR())
+		if mean <= wantMean {
+			t.Errorf("k %v: %.2f neighbors per held entry, no deeper than the early exit's %.2f", k, mean, wantMean)
+		}
+		if got.SQRR() > want.SQRR() {
+			t.Errorf("k %v: SQRR %.2f %%, above the early exit's %.2f %%", k, got.SQRR(), want.SQRR())
+		}
+	}
+}
+
 // The §3.3 bounds forwarded to the server must never exclude a true result:
 // implied by TestEveryQueryAnswerIsExact, but this checks the accounting
 // side — server-solved queries must actually consume bounds when peers

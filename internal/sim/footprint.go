@@ -16,6 +16,10 @@ type Footprint struct {
 	Hosts      int // population
 	Movers     int // hosts with movement state
 	CacheSlots int // hosts that have stored a query result
+	// CacheEntries hosts hold an entry now, CachedNeighbors POIs in all:
+	// their ratio against C_Size is how deep the shared caches are — what a
+	// peer-solved query passes on, not bytes (slots are fixed-capacity).
+	CacheEntries, CachedNeighbors int
 
 	PosBytes        int64 // positions, 16 B per host
 	CellBytes       int64 // each host's grid cell, 4 B per host
@@ -38,14 +42,16 @@ func (f Footprint) Total() int64 {
 	return f.PosBytes + f.CellBytes + f.GridBytes + f.CacheIndexBytes + f.CacheSlotBytes + f.MoverBytes
 }
 
-// String renders the footprint as the three summary lines cmd/senn-sim prints.
+// String renders the footprint as the four summary lines cmd/senn-sim prints.
 func (f Footprint) String() string {
 	mb := func(b int64) float64 { return float64(b) / (1 << 20) }
 	return fmt.Sprintf("%d hosts, %d movers, %d cache slots in use: %.1f MB (%.1f B/host)\n"+
 		"positions %.1f, cells %.1f, grid %.1f, cache index %.1f, cache slots %.1f, movement %.1f MB\n"+
+		"cache entries: %d held, %.2f neighbors each\n"+
 		"POI index: height %d, %d nodes, %d bytes",
 		f.Hosts, f.Movers, f.CacheSlots, mb(f.Total()), float64(f.Total())/float64(f.Hosts),
 		mb(f.PosBytes), mb(f.CellBytes), mb(f.GridBytes), mb(f.CacheIndexBytes), mb(f.CacheSlotBytes), mb(f.MoverBytes),
+		f.CacheEntries, float64(f.CachedNeighbors)/float64(max(f.CacheEntries, 1)),
 		f.IndexHeight, f.IndexNodes, f.IndexBytes)
 }
 
@@ -68,6 +74,7 @@ func (w *World) Footprint() Footprint {
 		IndexBytes:  w.server.tree.Bytes(),
 	}
 	f.CacheIndexBytes, f.CacheSlotBytes = w.caches.Bytes()
+	f.CacheEntries, f.CachedNeighbors = w.caches.Held()
 	if w.wp != nil {
 		f.MoverBytes += w.wp.Bytes()
 	} else {

@@ -37,6 +37,10 @@ type refWorld struct {
 	road   []*mobility.RoadNetwork // road mode: road[j] drives moving[j]
 	grid   *hostGrid
 	nextAt float64
+
+	// earlyExit resolves every query through earlyExitPeers: the world as
+	// it ran while kNN_single returned at the k-th certificate.
+	earlyExit bool
 }
 
 // newRefWorld builds the reference world of a validated cfg. roads is the
@@ -120,6 +124,34 @@ func (s refPeers) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerCache, 
 	return dst, msgs, bytes
 }
 
+// earlyExitPeers is the early-exit oracle at simulator level: a PeerSource
+// that runs kNN_single literally as Algorithm 1 prints it — Heuristic 3.3
+// order, return at the k-th certificate — over everything gathered (dst
+// arrives holding the querying host's own entry) and hands the resolver only
+// the shares that loop looked at. With nothing received but unvisited,
+// client.Resolver has nothing further to certify and stages exactly the write
+// the early exit staged; source, messages and bytes are the full exchange's.
+// When the loop does not answer, every share goes on to kNN_multiple
+// unchanged.
+type earlyExitPeers struct {
+	inner client.PeerSource
+	k     int
+}
+
+func (s earlyExitPeers) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerCache, int64, int64) {
+	peers, msgs, bytes := s.inner.Gather(q, dst)
+	sorter := core.PeerProximitySorter{Q: q, Peers: peers}
+	sorter.Sort()
+	h := core.NewResultHeap(s.k)
+	for i, pc := range peers {
+		core.VerifySinglePeer(q, pc, h)
+		if h.Complete() {
+			return peers[:i+1], msgs, bytes // the early exit
+		}
+	}
+	return peers, msgs, bytes
+}
+
 func (r *refWorld) run() Metrics {
 	type plan struct {
 		host      int32
@@ -149,9 +181,13 @@ func (r *refWorld) run() Metrics {
 		// the writes land afterwards, in event order.
 		res.ResetArena()
 		for _, p := range plans {
+			var ps client.PeerSource = refPeers{r, p.host}
+			if r.earlyExit {
+				ps = earlyExitPeers{ps, p.k}
+			}
 			outs = append(outs, res.Resolve(client.Request{
 				Q: r.pos[p.host], K: p.k, Cache: r.caches[p.host], AcceptUncertain: cfg.AcceptUncertain,
-			}, refPeers{r, p.host}, &r.srv))
+			}, ps, &r.srv))
 		}
 		for i, p := range plans {
 			o := &outs[i]
