@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -105,24 +106,101 @@ func storedIDs(w cache.StagedWrite, capacity int) []int64 {
 	return ids
 }
 
-// TestResolveKeepsEveryCertifiedNeighbor is the property test of
-// certifyReceived. Over seeded random worlds, own-cache entries and peer
-// shares, after every trial and against a brute-force scan of the POI set:
+// licensedPrefix is what the received shares license at q, worked out the slow
+// way and sharing nothing with the resolver's covered-radius kernel: truth is
+// every POI by distance to q, and a POI is licensed when the disc around q
+// through it lies inside the merged certain region R_c — Lemma 3.8 decided per
+// POI by the exact arc-arrangement predicate (DESIGN §4 D1). It returns how
+// many leading POIs of truth are licensed by R_c, and how many by the largest
+// single Reach (Lemma 3.2) alone.
+func licensedPrefix(q geom.Point, shares []core.PeerCache, truth []core.POI) (merged, single int) {
+	region := core.CertainRegion(shares)
+	reach := math.Inf(-1)
+	for _, pc := range shares {
+		if !pc.IsEmpty() {
+			reach = math.Max(reach, pc.Reach(q))
+		}
+	}
+	merged = sort.Search(len(truth), func(i int) bool {
+		return !region.CoversCircle(geom.NewCircle(q, q.Dist(truth[i].Loc)))
+	})
+	single = sort.Search(len(truth), func(i int) bool { return q.Dist(truth[i].Loc) > reach+geom.Eps })
+	return merged, single
+}
+
+// checkCertifiedWrite resolves req both ways and holds the resolver to the
+// contract of certifyReceived:
 //
 //   - the query is the early-exit oracle's query — Src, Answer, Msgs, Bytes,
 //     Pages and PeersUsed are equal;
-//   - the staged write is an exact distance prefix at Q, whatever resolved
+//   - the staged write is an exact distance prefix at Q (the shares are exact,
+//     so brute force over the POI set is the reference), whatever resolved
 //     the query;
-//   - when a run of single peers answered, the write is maximal: every POI
-//     within the largest Reach(Q) of any received share (own entry included),
-//     capped at capacity, in oracle order — never shorter than the oracle's
-//     write, and strictly longer often enough to matter;
+//   - when a run of single peers answered, the write is maximal: POI for POI,
+//     every received POI inside the merged region's covered disc around Q
+//     (own entry included), capped at capacity — never less than the largest
+//     single Reach licenses, which is never less than the oracle's write;
 //   - on every other path the write is the oracle's write.
+//
+// It returns the outcome and the stored/oracle/single-reach write lengths.
+func checkCertifiedWrite(t *testing.T, label string, r *client.Resolver, req client.Request, peers []core.PeerCache, srv *bruteServer) (got client.Outcome, stored, early, single int) {
+	t.Helper()
+	q, capacity := req.Q, req.Cache.Capacity()
+	want := resolveEarlyExit(req, &slicePeers{peers: peers}, srv)
+	r.ResetArena()
+	got = r.Resolve(req, &slicePeers{peers: peers}, srv)
+
+	if got.Src != want.Src || got.Msgs != want.Msgs || got.Bytes != want.Bytes ||
+		got.Pages != want.Pages || got.PeersUsed != want.PeersUsed || got.Err != nil {
+		t.Fatalf("%s: outcome %+v, early-exit oracle %+v", label, got, want)
+	}
+	if len(got.Answer) != len(want.Answer) {
+		t.Fatalf("%s: %v: %d answers, oracle %d", label, got.Src, len(got.Answer), len(want.Answer))
+	}
+	for i, c := range got.Answer {
+		if c != want.Answer[i] {
+			t.Fatalf("%s: %v: answer %d = %+v, oracle %+v", label, got.Src, i, c, want.Answer[i])
+		}
+	}
+
+	// Brute force: every POI by distance to Q.
+	truth := srv.knn(q, len(srv.pois), nn.Bounds{})
+	gotIDs, wantIDs := storedIDs(got.Write, capacity), storedIDs(want.Write, capacity)
+	for i, id := range gotIDs {
+		if id != truth[i].ID {
+			t.Fatalf("%s: %v: stored neighbor %d is POI %d, the %d-th nearest is POI %d: not an exact prefix", label, got.Src, i, id, i+1, truth[i].ID)
+		}
+	}
+	if got.Src != core.SolvedBySinglePeer {
+		if len(gotIDs) != len(wantIDs) {
+			t.Fatalf("%s: %v: stored %d neighbors, oracle %d — only the single-peer path may differ", label, got.Src, len(gotIDs), len(wantIDs))
+		}
+		return got, len(gotIDs), len(wantIDs), len(wantIDs)
+	}
+	shares := peers
+	if ent, ok := req.Cache.Entry(); ok {
+		shares = append([]core.PeerCache{ent}, peers...)
+	}
+	merged, single := licensedPrefix(q, shares, truth)
+	if n := min(merged, capacity); len(gotIDs) != n {
+		t.Fatalf("%s: stored %d neighbors; the merged certain region licenses %d (the largest single reach %d), capacity %d, so %d", label, len(gotIDs), merged, single, capacity, n)
+	}
+	single = min(single, capacity)
+	if len(gotIDs) < single || single < len(wantIDs) {
+		t.Fatalf("%s: stored %d neighbors, the largest single reach licenses %d, the early exit kept %d: not nested", label, len(gotIDs), single, len(wantIDs))
+	}
+	return got, len(gotIDs), len(wantIDs), single
+}
+
+// TestResolveKeepsEveryCertifiedNeighbor is the property test of
+// certifyReceived: checkCertifiedWrite over seeded random worlds, own-cache
+// entries and peer shares. The write must outgrow the early exit's, and the
+// merged region must outgrow the largest single reach, often enough to matter.
 func TestResolveKeepsEveryCertifiedNeighbor(t *testing.T) {
 	rng := rand.New(rand.NewSource(2201))
 	r := client.NewResolver()
 	srcCounts := map[core.Source]int{}
-	grew, neighborsGained := 0, 0
+	grew, neighborsGained, merged, mergedGained := 0, 0, 0, 0
 	for trial := 0; trial < 1500; trial++ {
 		srv := &bruteServer{pois: randomWorld(rng, 60+rng.Intn(100))}
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
@@ -144,59 +222,15 @@ func TestResolveKeepsEveryCertifiedNeighbor(t *testing.T) {
 			Q: q, K: k, Cache: own,
 			AcceptUncertain: rng.Intn(4) == 0, NeedAnswer: true,
 		}
-
-		want := resolveEarlyExit(req, &slicePeers{peers: peers}, srv)
-		r.ResetArena()
-		got := r.Resolve(req, &slicePeers{peers: peers}, srv)
+		got, stored, early, single := checkCertifiedWrite(t, fmt.Sprintf("trial %d", trial), r, req, peers, srv)
 		srcCounts[got.Src]++
-
-		if got.Src != want.Src || got.Msgs != want.Msgs || got.Bytes != want.Bytes ||
-			got.Pages != want.Pages || got.PeersUsed != want.PeersUsed || got.Err != nil {
-			t.Fatalf("trial %d: outcome %+v, early-exit oracle %+v", trial, got, want)
-		}
-		if len(got.Answer) != len(want.Answer) {
-			t.Fatalf("trial %d (%v): %d answers, oracle %d", trial, got.Src, len(got.Answer), len(want.Answer))
-		}
-		for i, c := range got.Answer {
-			if c != want.Answer[i] {
-				t.Fatalf("trial %d (%v): answer %d = %+v, oracle %+v", trial, got.Src, i, c, want.Answer[i])
-			}
-		}
-
-		// Brute force: every POI by distance to Q.
-		truth := srv.knn(q, len(srv.pois), nn.Bounds{})
-		gotIDs, wantIDs := storedIDs(got.Write, capacity), storedIDs(want.Write, capacity)
-		for i, id := range gotIDs {
-			if id != truth[i].ID {
-				t.Fatalf("trial %d (%v): stored neighbor %d is POI %d, the %d-th nearest is POI %d: not an exact prefix",
-					trial, got.Src, i, id, i+1, truth[i].ID)
-			}
-		}
-		if got.Src != core.SolvedBySinglePeer {
-			if len(gotIDs) != len(wantIDs) {
-				t.Fatalf("trial %d (%v): stored %d neighbors, oracle %d — only the single-peer path may differ",
-					trial, got.Src, len(gotIDs), len(wantIDs))
-			}
-			continue
-		}
-		reach := math.Inf(-1)
-		if ent, ok := own.Entry(); ok {
-			reach = ent.Reach(q)
-		}
-		for _, pc := range peers {
-			reach = math.Max(reach, pc.Reach(q))
-		}
-		licensed := sort.Search(len(truth), func(i int) bool { return q.Dist(truth[i].Loc) > reach+geom.Eps })
-		if n := min(licensed, capacity); len(gotIDs) != n {
-			t.Fatalf("trial %d: stored %d neighbors; the received shares certify %d within reach %.3f, capacity %d, so %d",
-				trial, len(gotIDs), licensed, reach, capacity, n)
-		}
-		if len(gotIDs) < len(wantIDs) {
-			t.Fatalf("trial %d: stored %d neighbors, fewer than the early exit's %d", trial, len(gotIDs), len(wantIDs))
-		}
-		if len(gotIDs) > len(wantIDs) {
+		if stored > early {
 			grew++
-			neighborsGained += len(gotIDs) - len(wantIDs)
+			neighborsGained += stored - early
+		}
+		if stored > single {
+			merged++
+			mergedGained += stored - single
 		}
 	}
 	for _, src := range []core.Source{
@@ -207,9 +241,59 @@ func TestResolveKeepsEveryCertifiedNeighbor(t *testing.T) {
 			t.Errorf("only %d trials resolved via %v; fixture too weak", srcCounts[src], src)
 		}
 	}
-	t.Logf("sources %v; %d of %d single-peer writes grew past the early exit's, by %d neighbors in all",
-		srcCounts, grew, srcCounts[core.SolvedBySinglePeer], neighborsGained)
-	if grew < 50 {
-		t.Errorf("the write outgrew the early exit's in only %d trials; fixture too weak", grew)
+	t.Logf("sources %v; of %d single-peer writes %d grew past the early exit's (by %d neighbors in all), %d past the largest single reach (by %d)",
+		srcCounts, srcCounts[core.SolvedBySinglePeer], grew, neighborsGained, merged, mergedGained)
+	if grew < 50 || merged < 25 {
+		t.Errorf("the write outgrew the early exit's in %d trials and the largest single reach in %d; fixture too weak", grew, merged)
 	}
+}
+
+// The two shapes the random trials seldom draw exactly. In both, one share at
+// or beside Q answers a small k, the cache has room for far more, and other
+// shares lie around it.
+func TestResolveCertifiesToTheRegionsEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(2302))
+	srv := &bruteServer{pois: randomWorld(rng, 400)}
+	q := geom.Pt(500, 500)
+	const k, capacity = 2, 40
+	request := func() client.Request {
+		return client.Request{Q: q, K: k, Cache: cache.New(capacity), NeedAnswer: true}
+	}
+	r := client.NewResolver()
+
+	// Q is the best share's own query location: its certain circle is
+	// centred on Q, the radial projection of Q onto it has no direction,
+	// and shares on every side push the covered disc past it.
+	t.Run("Q at the best share's query location", func(t *testing.T) {
+		peers := []core.PeerCache{peerAt(srv, q, 12)}
+		for i := 0; i < 6; i++ {
+			at := geom.Pt(q.X+60*math.Cos(float64(i)), q.Y+60*math.Sin(float64(i)))
+			peers = append(peers, peerAt(srv, at, 20))
+		}
+		got, stored, _, single := checkCertifiedWrite(t, "centred", r, request(), peers, srv)
+		if got.Src != core.SolvedBySinglePeer || single != 12 || stored <= single {
+			t.Fatalf("%v stored %d neighbors, the share at Q licenses %d: want a single-peer answer the region extends", got.Src, stored, single)
+		}
+	})
+
+	// The other shares all lie behind the best one as seen from Q, so the
+	// point of its circle nearest Q is on the region's boundary: the merged
+	// region licenses exactly what the best share does, with room to spare.
+	t.Run("nothing beyond the best share", func(t *testing.T) {
+		best := peerAt(srv, geom.Pt(q.X-40, q.Y), 20)
+		peers := []core.PeerCache{best}
+		for i := 1; i <= 4; i++ {
+			peers = append(peers, peerAt(srv, geom.Pt(q.X-40-30*float64(i), q.Y), 6))
+		}
+		edge := geom.Pt(q.X+best.Reach(q), q.Y)
+		for _, pc := range peers[1:] {
+			if pc.CertainCircle().Contains(edge) {
+				t.Fatalf("fixture: %v covers the best share's nearest boundary point", pc)
+			}
+		}
+		got, stored, _, single := checkCertifiedWrite(t, "exposed", r, request(), peers, srv)
+		if got.Src != core.SolvedBySinglePeer || stored != single || stored < k || stored >= capacity {
+			t.Fatalf("%v stored %d neighbors, the best share licenses %d of capacity %d: want exactly its licence", got.Src, stored, single, capacity)
+		}
+	})
 }

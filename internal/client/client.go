@@ -12,9 +12,9 @@
 //   - gather shareable peer caches from the pluggable PeerSource,
 //   - verify them with the §3.2 lemmas (kNN_single per peer in Heuristic 3.3
 //     order until the k-th certificate, then once more on whichever received
-//     share certifies farthest, so the cache write keeps everything the
-//     exchange licensed; kNN_multiple over the merged certain region when no
-//     run of single peers answers),
+//     share certifies farthest and once over the merged certain region, so
+//     the cache write keeps everything the exchange licensed; kNN_multiple
+//     over the merged certain region when no run of single peers answers),
 //   - optionally accept a full-but-uncertain answer (Algorithm 1 line 15),
 //   - otherwise fall back to the pluggable Server with the §3.3 pruning
 //     bounds, topping the request up to cache capacity (policy 2),
@@ -122,7 +122,10 @@ func (o *Outcome) PeerSolved() bool {
 // one goroutine; a parallel caller keeps one per worker. The zero value is
 // not ready — construct with NewResolver.
 type Resolver struct {
-	peers  []core.PeerCache
+	peers []core.PeerCache
+	// geoms[i] is peers[i] measured from the query point, taken once per
+	// query after the proximity sort and handed to every verification step.
+	geoms  []core.PeerGeom
 	heap   *core.ResultHeap
 	verify core.VerifierScratch
 	sorter core.PeerProximitySorter
@@ -155,8 +158,9 @@ func (r *Resolver) ResetArena() {
 // Resolve runs one complete SENN query (Algorithm 1): local cache, peer
 // gather, kNN_single/kNN_multiple verification, then the server fallback
 // with the §3.3 pruning bounds. The k-th certificate settles the answer but
-// does not end kNN_single: certifyReceived lets the shares already received
-// certify what more they can for the staged cache write (DESIGN §4 D8). It
+// does not end verification: certifyReceived lets the shares already received
+// certify what more they can, alone and merged, for the staged cache write
+// (DESIGN §4 D8). It
 // mutates nothing but its own scratch —
 // every effect is returned in the Outcome. peers may be nil (no P2P
 // channel); srv may be nil (no server connectivity — the best available
@@ -206,17 +210,22 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 	r.sorter.Q = q
 	r.sorter.Peers = peers
 	r.sorter.Sort()
+	geoms := r.geoms[:0]
+	for _, pc := range peers {
+		geoms = append(geoms, pc.GeomAt(q))
+	}
+	r.geoms = geoms
 	solvedSingle := false
 	for i, pc := range peers {
-		core.VerifySinglePeer(q, pc, h)
+		core.VerifySinglePeerAt(q, pc, geoms[i].Reach, h)
 		if answered() {
 			solvedSingle = true
-			certifyReceived(q, peers, i, h)
+			r.certifyReceived(q, peers, geoms, i, h)
 			break
 		}
 	}
 	if !solvedSingle && len(peers) > 0 {
-		r.verify.VerifyMultiPeer(q, peers, h)
+		r.verify.VerifyMultiPeerAt(q, peers, geoms, h)
 	}
 	if answered() {
 		res.Src = core.SolvedByMultiPeer
@@ -288,17 +297,24 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 	return res
 }
 
-// certifyReceived finishes kNN_single for the cache write once peers[visited]
-// has supplied the k-th certificate. The answer is settled; what is not is
-// how much of what the exchange already delivered the host may keep. By
-// Lemma 3.2 a peer certifies exactly the POIs within its Reach of q, and
-// those discs are nested around q, so among the shares not yet looked at only
-// the one with the largest reach can certify anything the visited ones did
-// not — and only when its reach exceeds theirs. One scan finds it, at most
-// one more VerifySinglePeer runs, and nothing is sent or fetched: the
-// certain set only grows outward, to the full exact prefix the received
-// shares license (capped by the heap at cache capacity).
-func certifyReceived(q geom.Point, peers []core.PeerCache, visited int, h *core.ResultHeap) {
+// certifyReceived finishes both verification lemmas for the cache write once
+// peers[visited] has supplied the k-th certificate. The answer is settled;
+// what is not is how much of what the exchange already delivered the host may
+// keep. Nothing is sent or fetched: the certain set only grows outward, to the
+// full exact prefix the received shares license (capped by the heap at cache
+// capacity).
+//
+// Lemma 3.2 first. A peer certifies exactly the POIs within its Reach of q,
+// and those discs are nested around q, so among the shares not yet looked at
+// only the one with the largest reach ρ* can certify anything the visited
+// ones did not — and only when its reach exceeds theirs. One scan finds it
+// and at most one more kNN_single runs.
+//
+// Then Lemma 3.8. The merged certain region can cover a larger disc around q
+// than any one share does; CertifyCovered adds the received POIs between ρ*
+// and that radius, and returns at once when the region ends where the best
+// share's circle does.
+func (r *Resolver) certifyReceived(q geom.Point, peers []core.PeerCache, geoms []core.PeerGeom, visited int, h *core.ResultHeap) {
 	if h.Complete() {
 		return
 	}
@@ -308,13 +324,14 @@ func certifyReceived(q geom.Point, peers []core.PeerCache, visited int, h *core.
 			continue
 		}
 		// Strictly greater: on a tie the earlier — visited — share stands.
-		if rho := pc.Reach(q); rho > bestReach {
+		if rho := geoms[i].Reach; rho > bestReach {
 			best, bestReach = i, rho
 		}
 	}
 	if best > visited {
-		core.VerifySinglePeer(q, peers[best], h)
+		core.VerifySinglePeerAt(q, peers[best], bestReach, h)
 	}
+	r.verify.CertifyCovered(q, peers, geoms, bestReach, h)
 }
 
 // stageResult prepares cache policy 1 as a deferred write: keep the query

@@ -67,12 +67,13 @@ type Candidate struct {
 // uncertain entries exist only while fewer than k certain ones are known,
 // and a newly certified object evicts the worst uncertain one. Entries are
 // deduplicated by POI ID, and certifying an already-present uncertain POI
-// upgrades it in place.
+// upgrades it in place. The heap never holds more than k entries — k is a
+// result size or a cache capacity, a few dozen at most — so the
+// deduplication is a linear scan of the two slices, not an index.
 type ResultHeap struct {
 	k         int
 	certain   []Candidate
 	uncertain []Candidate
-	byID      map[int64]bool
 	dists     []float64 // UpperBoundFor scratch, reused across queries
 }
 
@@ -82,7 +83,7 @@ func NewResultHeap(k int) *ResultHeap {
 	if k <= 0 {
 		panic("core: result heap needs k > 0")
 	}
-	return &ResultHeap{k: k, byID: make(map[int64]bool)}
+	return &ResultHeap{k: k}
 }
 
 // Reset empties the heap and re-arms it for a query requesting k neighbors,
@@ -95,11 +96,6 @@ func (h *ResultHeap) Reset(k int) {
 	h.k = k
 	h.certain = h.certain[:0]
 	h.uncertain = h.uncertain[:0]
-	if h.byID == nil {
-		h.byID = make(map[int64]bool)
-	} else {
-		clear(h.byID)
-	}
 }
 
 // K returns the requested result count.
@@ -128,18 +124,24 @@ func (h *ResultHeap) Add(c Candidate) bool {
 }
 
 func (h *ResultHeap) addCertain(c Candidate) bool {
-	if h.byID[c.ID] {
-		// Possibly an upgrade of an uncertain entry.
-		for i := range h.uncertain {
-			if h.uncertain[i].ID == c.ID {
-				h.uncertain = append(h.uncertain[:i], h.uncertain[i+1:]...)
-				return h.insertCertain(c)
-			}
-		}
+	if indexOfID(h.certain, c.ID) >= 0 {
 		return false // already certain
 	}
-	h.byID[c.ID] = true
+	if i := indexOfID(h.uncertain, c.ID); i >= 0 {
+		// An upgrade of an uncertain entry.
+		h.uncertain = append(h.uncertain[:i], h.uncertain[i+1:]...)
+	}
 	return h.insertCertain(c)
+}
+
+// indexOfID returns the position of the entry for POI id, or -1.
+func indexOfID(entries []Candidate, id int64) int {
+	for i := range entries {
+		if entries[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 func (h *ResultHeap) insertCertain(c Candidate) bool {
@@ -149,8 +151,6 @@ func (h *ResultHeap) insertCertain(c Candidate) bool {
 	h.certain[i] = c
 	if len(h.certain) > h.k {
 		// More certain objects than requested: keep the k nearest.
-		drop := h.certain[len(h.certain)-1]
-		delete(h.byID, drop.ID)
 		h.certain = h.certain[:len(h.certain)-1]
 	}
 	h.trimUncertain()
@@ -158,9 +158,6 @@ func (h *ResultHeap) insertCertain(c Candidate) bool {
 }
 
 func (h *ResultHeap) addUncertain(c Candidate) bool {
-	if h.byID[c.ID] {
-		return false // certain or already queued: nothing to improve
-	}
 	room := h.k - len(h.certain)
 	if room <= 0 {
 		return false
@@ -169,7 +166,9 @@ func (h *ResultHeap) addUncertain(c Candidate) bool {
 	if i >= room {
 		return false // worse than every kept uncertain entry
 	}
-	h.byID[c.ID] = true
+	if indexOfID(h.certain, c.ID) >= 0 || indexOfID(h.uncertain, c.ID) >= 0 {
+		return false // certain or already queued: nothing to improve
+	}
 	h.uncertain = append(h.uncertain, Candidate{})
 	copy(h.uncertain[i+1:], h.uncertain[i:])
 	h.uncertain[i] = c
@@ -183,10 +182,8 @@ func (h *ResultHeap) trimUncertain() {
 	if room < 0 {
 		room = 0
 	}
-	for len(h.uncertain) > room {
-		drop := h.uncertain[len(h.uncertain)-1]
-		delete(h.byID, drop.ID)
-		h.uncertain = h.uncertain[:len(h.uncertain)-1]
+	if len(h.uncertain) > room {
+		h.uncertain = h.uncertain[:room]
 	}
 }
 

@@ -82,6 +82,23 @@ func (pc PeerCache) Reach(q geom.Point) float64 {
 	return pc.Radius() - q.Dist(pc.QueryLoc)
 }
 
+// PeerGeom is a peer cache's geometry as seen from one query point q: the
+// three distances every verification step needs and none should recompute
+// (each costs a math.Hypot or two). A resolver takes it once per gathered
+// peer (GeomAt) and hands it down to the verification steps.
+type PeerGeom struct {
+	Dist   float64 // Dist(q, P), the δ of Lemma 3.2
+	Radius float64 // PeerCache.Radius()
+	Reach  float64 // PeerCache.Reach(q) = Radius − Dist
+}
+
+// GeomAt measures the cache from q. Its fields are bit-for-bit what Radius
+// and Reach return.
+func (pc PeerCache) GeomAt(q geom.Point) PeerGeom {
+	radius, dist := pc.Radius(), q.Dist(pc.QueryLoc)
+	return PeerGeom{Dist: dist, Radius: radius, Reach: radius - dist}
+}
+
 // String implements fmt.Stringer.
 func (pc PeerCache) String() string {
 	return fmt.Sprintf("peercache(%s, %d neighbors, r=%.2f)",

@@ -25,7 +25,13 @@ func VerifySinglePeer(q geom.Point, peer PeerCache, h *ResultHeap) {
 	if peer.IsEmpty() {
 		return
 	}
-	reach := peer.Reach(q) + geom.Eps
+	VerifySinglePeerAt(q, peer, peer.Reach(q), h)
+}
+
+// VerifySinglePeerAt is VerifySinglePeer for a caller that already holds
+// reach = peer.Reach(q) (PeerGeom.Reach).
+func VerifySinglePeerAt(q geom.Point, peer PeerCache, reach float64, h *ResultHeap) {
+	reach += geom.Eps
 	for _, n := range peer.Neighbors {
 		d := q.Dist(n.Loc)
 		h.Add(Candidate{POI: n, Dist: d, Certain: d <= reach})
@@ -61,12 +67,13 @@ func VerifyMultiPeer(q geom.Point, peers []PeerCache, h *ResultHeap) {
 }
 
 // VerifierScratch holds the reusable buffers of multi-peer verification — the
-// certain region, the candidate dedup map, and the candidate sort slice — so
-// a resolver worker can run VerifyMultiPeer across many queries with zero
-// steady-state heap allocations. The zero value is ready to use. A scratch
-// must not be shared between goroutines.
+// certain region, the peers' geometry, the candidate dedup map, and the
+// candidate sort slice — so a resolver worker can run it across many queries
+// with zero steady-state heap allocations. The zero value is ready to use. A
+// scratch must not be shared between goroutines.
 type VerifierScratch struct {
 	region *geom.Region
+	geoms  []PeerGeom
 	seen   map[int64]bool
 	cands  candSorter
 }
@@ -82,19 +89,18 @@ type VerifierScratch struct {
 // O(candidates × arrangement) loop collapses to one arrangement pass plus a
 // float comparison per candidate.
 func (s *VerifierScratch) VerifyMultiPeer(q geom.Point, peers []PeerCache, h *ResultHeap) {
-	if h.Complete() {
-		return
-	}
-	if s.region == nil {
-		s.region = geom.NewRegion()
-	}
-	s.region.Reset()
+	geoms := s.geoms[:0]
 	for _, p := range peers {
-		if !p.IsEmpty() {
-			s.region.Add(p.CertainCircle())
-		}
+		geoms = append(geoms, p.GeomAt(q))
 	}
-	if s.region.IsEmpty() {
+	s.geoms = geoms
+	s.VerifyMultiPeerAt(q, peers, geoms, h)
+}
+
+// VerifyMultiPeerAt is VerifyMultiPeer for a caller that already holds
+// geoms[i] = peers[i].GeomAt(q).
+func (s *VerifierScratch) VerifyMultiPeerAt(q geom.Point, peers []PeerCache, geoms []PeerGeom, h *ResultHeap) {
+	if h.Complete() || !s.buildRegion(peers, geoms) {
 		return
 	}
 	cands, maxDist := s.gatherCandidates(q, peers)
@@ -107,15 +113,86 @@ func (s *VerifierScratch) VerifyMultiPeer(q geom.Point, peers []PeerCache, h *Re
 			return
 		}
 		c := cands[i]
-		if c.Dist <= geom.Eps {
-			// Degenerate candidate at Q itself: certain iff Q is covered,
-			// matching CoversCircle's point-circle rule.
-			c.Certain = s.region.Contains(q)
-		} else {
-			c.Certain = c.Dist <= rho+geom.Eps
-		}
+		c.Certain = s.certainWithin(q, c.Dist, rho)
 		h.Add(c)
 	}
+}
+
+// CertifyCovered finishes Lemma 3.8 for a query whose answer is already
+// settled: every received POI farther from q than floor — the radius out to
+// which a single share has already certified everything (Lemma 3.2) — and
+// within the merged region's covered radius ρ_max is added to h as certain.
+// Every POI that close to q is in some share (each point of that disc lies in
+// a certain circle whose owner knows every POI in it), so the certain set
+// stays an exact distance prefix at q. Unlike VerifyMultiPeer it adds nothing
+// uncertain and so needs no candidate order and no dedup beyond the heap's
+// own: a certified POI is certified whichever share shows it first, and the
+// heap keeps the nearest of them whatever order they arrive in.
+//
+// ρ_max is asked for only as far as it can matter. A full heap holds as many
+// distinct POIs as will be kept, so no POI beyond its farthest entry can be
+// among the nearest that many; short of that, no received POI lies beyond the
+// far side of the farthest certain circle.
+func (s *VerifierScratch) CertifyCovered(q geom.Point, peers []PeerCache, geoms []PeerGeom, floor float64, h *ResultHeap) {
+	if h.Complete() || !s.buildRegion(peers, geoms) {
+		return
+	}
+	hi := 0.0
+	if b := h.Bounds(); b.HasUpper {
+		hi = b.Upper
+	} else {
+		for _, g := range geoms {
+			if far := g.Dist + g.Radius; far > hi {
+				hi = far
+			}
+		}
+	}
+	rho := s.region.MaxCoveredRadius(q, hi)
+	if rho <= floor {
+		return // the single share's own circle is where the region ends
+	}
+	// Squared-distance window first, a hair wide on both sides; only a POI
+	// inside it pays for the exact distance the heap orders by.
+	lo2, hi2 := 0.0, (rho+2*geom.Eps)*(rho+2*geom.Eps)
+	if floor > geom.Eps {
+		lo2 = (floor - geom.Eps) * (floor - geom.Eps)
+	}
+	for _, p := range peers {
+		for _, n := range p.Neighbors {
+			if d2 := q.Dist2(n.Loc); d2 < lo2 || d2 > hi2 {
+				continue
+			}
+			if d := q.Dist(n.Loc); s.certainWithin(q, d, rho) {
+				h.Add(Candidate{POI: n, Dist: d, Certain: true})
+			}
+		}
+	}
+}
+
+// buildRegion rebuilds the scratch region as R_c, the union of the non-empty
+// peers' certain circles, and reports whether it holds any.
+func (s *VerifierScratch) buildRegion(peers []PeerCache, geoms []PeerGeom) bool {
+	if s.region == nil {
+		s.region = geom.NewRegion()
+	}
+	s.region.Reset()
+	for i, p := range peers {
+		if !p.IsEmpty() {
+			s.region.Add(geom.NewCircle(p.QueryLoc, geoms[i].Radius))
+		}
+	}
+	return !s.region.IsEmpty()
+}
+
+// certainWithin is Lemma 3.8 for one candidate at distance dist from q, given
+// the region's covered radius rho at q.
+func (s *VerifierScratch) certainWithin(q geom.Point, dist, rho float64) bool {
+	if dist <= geom.Eps {
+		// Degenerate candidate at Q itself: certain iff Q is covered,
+		// matching CoversCircle's point-circle rule.
+		return s.region.Contains(q)
+	}
+	return dist <= rho+geom.Eps
 }
 
 // gatherCandidates deduplicates the peers' cached neighbors by POI ID into

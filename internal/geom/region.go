@@ -1,7 +1,9 @@
 package geom
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -12,8 +14,8 @@ import (
 // centered at Q through n_i is fully covered by R_c (Lemma 3.8).
 type Region struct {
 	circles    []Circle
-	overlapBuf []Circle    // scratch, reused across CoversCircle calls
-	arcBuf     []regionArc // scratch, reused across MaxCoveredRadius calls
+	overlapBuf []Circle   // scratch, reused across CoversCircle calls
+	nearBuf    []nearDisc // scratch, reused across MaxCoveredRadius calls
 }
 
 // NewRegion returns the union of the given circles. Zero-radius circles are
@@ -212,9 +214,14 @@ func circleIntersections(a, b Circle) (Point, Point, int) {
 	return mid.Add(perp.Scale(h)), mid.Sub(perp.Scale(h)), 2
 }
 
-// regionArc is an angular interval [lo, hi] ⊆ [0, 2π] of one disc's boundary
-// covered by another disc; scratch storage for MaxCoveredRadius.
-type regionArc struct{ lo, hi float64 }
+// nearDisc is one positive-radius disc as MaxCoveredRadius sees it from its
+// center point p: d = Dist(p, disc center) and gap = |d − radius|, the
+// distance from p to the nearest point of the disc's boundary circle — no
+// point of that boundary is closer.
+type nearDisc struct {
+	idx    int
+	d, gap float64
+}
 
 // MaxCoveredRadius returns the largest radius rad (capped at hi) such that the
 // disc centered at p with radius rad is covered by the region — the monotone
@@ -225,166 +232,132 @@ type regionArc struct{ lo, hi float64 }
 // It returns 0 when p itself is uncovered, or covered only by zero-radius
 // point circles (which contribute no interior).
 //
-// The threshold is computed exactly in one pass over the disc arrangement:
 // ρ_max is the distance from p to the nearest *exposed* boundary point of the
-// union — a point on some disc's boundary circle that is not strictly interior
-// to any other disc. For each disc, the angular intervals of its boundary
-// covered by the other discs are merged (the same law-of-cosines arcs
-// CoversCircle uses); the uncovered gaps yield the candidate distances: the
-// radial projection of p when its direction falls inside a gap, or the gap
-// endpoints otherwise. Gap endpoints are exactly the arrangement's
-// intersection vertices, so interior holes of the union need no separate
-// treatment — their corners are gap endpoints too.
+// union — a point on some disc's boundary circle that is not strictly (by
+// Eps) interior to any other disc. Along one exposed arc the distance to p
+// has its only local minimum at p's radial projection onto that circle, so
+// the nearest exposed point is either such a projection or an arc endpoint,
+// and arc endpoints are intersection vertices of two boundary circles.
+// Enumerating those two finite sets and keeping the nearest exposed member
+// is therefore exact, with no angle ever computed; corners of interior holes
+// are vertices too and need no separate treatment, and duplicate discs lie
+// on, not inside, each other, so neither erases the other's boundary.
+//
+// Two prunes keep the enumeration short. A boundary circle passes no closer
+// to p than its gap, so a disc whose gap is not below the best distance so
+// far contributes nothing — neither its projection nor any of its vertices.
+// And the disc around p of radius inner = max(radius − d) over the discs
+// containing p lies inside one region disc, so any point nearer than that is
+// covered without looking.
 func (r *Region) MaxCoveredRadius(p Point, hi float64) float64 {
 	if hi <= 0 {
 		return 0
 	}
-	coveredPositive := false
-	for _, c := range r.circles {
-		if c.Radius > Eps && c.Contains(p) {
-			coveredPositive = true
-			break
-		}
-	}
-	if !coveredPositive {
-		return 0
-	}
-	best := hi
-	for i := range r.circles {
-		ci := r.circles[i]
-		if ci.Radius <= Eps {
+	near := r.nearBuf[:0]
+	covered, inner := false, 0.0
+	for i, c := range r.circles {
+		if c.Radius <= Eps {
 			continue // point circles have no boundary arcs and no interior
 		}
-		d := p.Dist(ci.Center)
-		if near := math.Abs(d - ci.Radius); near >= best {
-			continue // every point of this boundary is at least near away
+		d := math.Sqrt(p.Dist2(c.Center))
+		if d <= c.Radius+Eps {
+			covered = true
+			if c.Radius-d > inner {
+				inner = c.Radius - d
+			}
 		}
-		if dist, exposed := r.nearestExposedOnCircle(p, i, d); exposed && dist < best {
-			best = dist
+		if gap := math.Abs(d - c.Radius); gap < hi {
+			near = append(near, nearDisc{idx: i, d: d, gap: gap})
+		}
+	}
+	r.nearBuf = near
+	if !covered {
+		return 0
+	}
+	// Points closer to p than this are strictly inside the disc that set
+	// inner; the slack keeps the shortcut inside what exposed would decide.
+	skip := inner - 2*Eps
+
+	best := hi
+	for _, n := range near {
+		if n.gap >= best || n.gap < skip {
+			continue
+		}
+		c := r.circles[n.idx]
+		// p's radial projection; any direction serves when p is the center,
+		// where every boundary point is equally far.
+		proj := Point{c.Center.X + c.Radius, c.Center.Y}
+		if n.d > Eps {
+			s := c.Radius / n.d
+			proj = Point{c.Center.X + (p.X-c.Center.X)*s, c.Center.Y + (p.Y-c.Center.Y)*s}
+		}
+		if r.exposed(proj, n.idx, n.idx) {
+			best = n.gap
+		}
+	}
+	if best <= inner {
+		return best // the covered disc around p touches the union's boundary
+	}
+
+	// Nearest boundaries first: their vertices tend to be the near ones, so
+	// best tightens early and each loop can stop at the first disc it prunes.
+	slices.SortFunc(near, func(a, b nearDisc) int { return cmp.Compare(a.gap, b.gap) })
+	skip2 := 0.0
+	if skip > 0 {
+		skip2 = skip * skip
+	}
+	for a, na := range near {
+		if na.gap >= best {
+			break
+		}
+		ca := r.circles[na.idx]
+		for _, nb := range near[a+1:] {
+			if nb.gap >= best {
+				break
+			}
+			cb := r.circles[nb.idx]
+			// Most pairs do not cross; tell without a square root.
+			dx, dy := cb.Center.X-ca.Center.X, cb.Center.Y-ca.Center.Y
+			D2 := dx*dx + dy*dy
+			if sum, diff := ca.Radius+cb.Radius, ca.Radius-cb.Radius; D2 > sum*sum || D2 < diff*diff || D2 <= Eps*Eps {
+				continue
+			}
+			// The two vertices, in units of the center-to-center vector: t
+			// along it to the common chord, ±w across it (one division, one
+			// square root; a tangency gives the same point twice).
+			inv := 1 / D2
+			t := 0.5 + 0.5*(ca.Radius*ca.Radius-cb.Radius*cb.Radius)*inv
+			w2 := ca.Radius*ca.Radius*inv - t*t
+			if w2 < 0 {
+				w2 = 0
+			}
+			w := math.Sqrt(w2)
+			mx, my := ca.Center.X+t*dx, ca.Center.Y+t*dy
+			for _, v := range [2]Point{{mx - w*dy, my + w*dx}, {mx + w*dy, my - w*dx}} {
+				d2 := p.Dist2(v)
+				if d2 >= best*best || d2 < skip2 {
+					continue
+				}
+				if r.exposed(v, na.idx, nb.idx) {
+					best = math.Sqrt(d2)
+				}
+			}
 		}
 	}
 	return best
 }
 
-// nearestExposedOnCircle returns the minimum distance from p to an exposed
-// point of circle i's boundary; d is the precomputed distance from p to that
-// circle's center. exposed is false when the other discs cover the boundary
-// entirely.
-func (r *Region) nearestExposedOnCircle(p Point, i int, d float64) (float64, bool) {
-	ci := r.circles[i]
-	arcs := r.arcBuf[:0]
-	for j := range r.circles {
-		if j == i {
+// exposed reports whether x — a point on the boundary circles of discs i and
+// j (i == j for a point taken from one circle) — is strictly inside no other
+// positive-radius disc of the region, i.e. lies on the boundary of the union.
+func (r *Region) exposed(x Point, i, j int) bool {
+	for k, c := range r.circles {
+		if k == i || k == j || c.Radius <= Eps {
 			continue
 		}
-		cj := r.circles[j]
-		if cj.Radius <= Eps {
-			continue
-		}
-		D := ci.Center.Dist(cj.Center)
-		if D+ci.Radius <= cj.Radius+Eps {
-			// cj covers this whole boundary. Mutually-covering discs
-			// (identical up to Eps) tie-break by index so exactly one of them
-			// keeps the shared boundary — otherwise duplicates would erase
-			// each other and the boundary would vanish from the arrangement.
-			if D+cj.Radius <= ci.Radius+Eps && j > i {
-				continue
-			}
-			r.arcBuf = arcs
-			return 0, false
-		}
-		if D >= cj.Radius+ci.Radius || cj.Radius+D <= ci.Radius {
-			continue // boundary circles don't interact
-		}
-		cosPhi := (D*D + ci.Radius*ci.Radius - cj.Radius*cj.Radius) / (2 * D * ci.Radius)
-		if cosPhi > 1 {
-			cosPhi = 1
-		} else if cosPhi < -1 {
-			cosPhi = -1
-		}
-		phi := math.Acos(cosPhi)
-		theta := math.Atan2(cj.Center.Y-ci.Center.Y, cj.Center.X-ci.Center.X)
-		lo, hiAng := theta-phi, theta+phi
-		// Normalize into [0, 2π) and split wrap-around arcs.
-		lo = math.Mod(lo+4*math.Pi, 2*math.Pi)
-		hiAng = math.Mod(hiAng+4*math.Pi, 2*math.Pi)
-		if lo <= hiAng {
-			arcs = append(arcs, regionArc{lo, hiAng})
-		} else {
-			arcs = append(arcs, regionArc{lo, 2 * math.Pi}, regionArc{0, hiAng})
+		if in := c.Radius - Eps; x.Dist2(c.Center) < in*in {
+			return false
 		}
 	}
-	r.arcBuf = arcs
-	// Angle of p as seen from the circle's center (arbitrary when p is at the
-	// center, where the distance below is R for every gap angle anyway).
-	thetaP := math.Atan2(p.Y-ci.Center.Y, p.X-ci.Center.X)
-	if thetaP < 0 {
-		thetaP += 2 * math.Pi
-	}
-	if len(arcs) == 0 {
-		return math.Abs(d - ci.Radius), true // whole boundary exposed
-	}
-	// Insertion sort: arc counts are small (≤ 2·discs) and sorting in place
-	// keeps the hot path allocation-free.
-	for k := 1; k < len(arcs); k++ {
-		a := arcs[k]
-		m := k - 1
-		for m >= 0 && arcs[m].lo > a.lo {
-			arcs[m+1] = arcs[m]
-			m--
-		}
-		arcs[m+1] = a
-	}
-	const angEps = 1e-12
-	minDist := math.Inf(1)
-	gap := func(gLo, gHi float64) {
-		if gHi-gLo <= angEps {
-			return
-		}
-		var ang float64
-		if thetaP >= gLo && thetaP <= gHi {
-			ang = 0
-		} else {
-			ang = math.Min(circAngleDiff(thetaP, gLo), circAngleDiff(thetaP, gHi))
-		}
-		// Law of cosines: distance from p to the boundary point at angular
-		// offset ang from p's direction. Distance grows with the circular
-		// offset, so the nearest gap point is p's radial projection when it
-		// falls inside the gap and the circularly nearest endpoint otherwise.
-		v := d*d + ci.Radius*ci.Radius - 2*d*ci.Radius*math.Cos(ang)
-		if v < 0 {
-			v = 0
-		}
-		if dist := math.Sqrt(v); dist < minDist {
-			minDist = dist
-		}
-	}
-	if arcs[0].lo > angEps {
-		gap(0, arcs[0].lo)
-	}
-	reach := arcs[0].hi
-	for _, a := range arcs[1:] {
-		if a.lo > reach+angEps {
-			gap(reach, a.lo)
-		}
-		if a.hi > reach {
-			reach = a.hi
-		}
-	}
-	if reach < 2*math.Pi-angEps {
-		gap(reach, 2*math.Pi)
-	}
-	if math.IsInf(minDist, 1) {
-		return 0, false
-	}
-	return minDist, true
-}
-
-// circAngleDiff returns the circular distance between two angles in [0, 2π).
-func circAngleDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if d > math.Pi {
-		d = 2*math.Pi - d
-	}
-	return d
+	return true
 }
