@@ -4,17 +4,18 @@ package senn
 // as promised in DESIGN.md. Each ablation switches one mechanism off (or
 // swaps an implementation) and reports the effect:
 //
-//   - Heuristic 3.3 peer ordering vs arbitrary order;
+//   - Heuristic 3.3 peer ordering vs arbitrary order vs largest Reach first;
 //   - the kNN_multiple stage vs single-peer verification only;
 //   - the exact arc-coverage region test vs the paper's polygonization
-//     (BenchmarkAblationRegion* in internal/geom, beside the test-only
-//     polygonized construction);
+//     (BenchmarkAblationRegion* in internal/geom, both test-only now that
+//     production decides Lemma 3.8 by Region.MaxCoveredRadius);
 //   - EINN pruning bounds vs plain INN at the server.
 //
 // Run with: go test -bench Ablation -benchmem . ./internal/geom
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -54,41 +55,59 @@ func gatherPeers(q geom.Point, caches []core.PeerCache, radius float64) []core.P
 	return out
 }
 
-// BenchmarkAblationPeerOrdering compares Heuristic 3.3 (nearest cached query
-// location first) against the unsorted peer order: the heuristic should
-// reach k certain objects after examining fewer peers.
+// BenchmarkAblationPeerOrdering is the evidence for running kNN_single once:
+// it counts the kNN_single runs a query needs before its k-th certificate —
+// and the neighbors certified by then, on a heap sized at the cache capacity —
+// under three visiting orders: arbitrary (generation order), Heuristic 3.3
+// (nearest cached query location first) and largest Reach first. A peer
+// certifies what lies within its Reach of Q and those discs are nested, so the
+// share with the largest Reach certifies everything any order does: whenever
+// single peers can answer at all it answers alone — exactly 1.00 runs — and
+// certifies the most, which is why production visits no other
+// (core.VerifierScratch.VerifyPeers, DESIGN §4 D9).
 func BenchmarkAblationPeerOrdering(b *testing.B) {
 	_, caches, _, rng := ablationScene(1)
-	const k = 5
-	var withH, withoutH, solvedBoth int
+	const k, capacity = 5, 15
+	orders := []struct {
+		name string
+		less func(q geom.Point, a, b core.PeerCache) bool
+	}{
+		{"arbitrary", nil},
+		{"heuristic3.3", func(q geom.Point, a, b core.PeerCache) bool { return q.Dist2(a.QueryLoc) < q.Dist2(b.QueryLoc) }},
+		{"largestReach", func(q geom.Point, a, b core.PeerCache) bool { return a.Reach(q) > b.Reach(q) }},
+	}
+	var runs, certain [3]int
+	solved := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		home := caches[rng.Intn(len(caches))]
 		q := home.QueryLoc.Add(geom.Pt(rng.NormFloat64()*120, rng.NormFloat64()*120))
 		peers := gatherPeers(q, caches, 600)
-
-		count := func(ps []core.PeerCache) (peersUsed int, solved bool) {
-			h := core.NewResultHeap(k)
+		if _, single := new(core.VerifierScratch).VerifySinglePeers(q, k, peers, core.NewResultHeap(k)); !single {
+			continue // no order answers this one from single peers
+		}
+		solved++
+		for o, order := range orders {
+			ps := append([]core.PeerCache(nil), peers...)
+			if order.less != nil {
+				sort.SliceStable(ps, func(i, j int) bool { return order.less(q, ps[i], ps[j]) })
+			}
+			h := core.NewResultHeap(capacity)
 			for _, p := range ps {
-				peersUsed++
+				runs[o]++
 				core.VerifySinglePeer(q, p, h)
-				if h.Complete() {
-					return peersUsed, true
+				if h.NumCertain() >= k {
+					break
 				}
 			}
-			return peersUsed, false
-		}
-		u1, s1 := count(core.SortPeersByProximity(q, peers))
-		u2, s2 := count(peers) // arbitrary (generation) order
-		if s1 && s2 {
-			solvedBoth++
-			withH += u1
-			withoutH += u2
+			certain[o] += h.NumCertain()
 		}
 	}
-	if solvedBoth > 0 {
-		b.ReportMetric(float64(withH)/float64(solvedBoth), "peersUsed/sorted")
-		b.ReportMetric(float64(withoutH)/float64(solvedBoth), "peersUsed/unsorted")
+	for o, order := range orders {
+		if solved > 0 {
+			b.ReportMetric(float64(runs[o])/float64(solved), "runs/"+order.name)
+			b.ReportMetric(float64(certain[o])/float64(solved), "certain/"+order.name)
+		}
 	}
 }
 
@@ -98,23 +117,19 @@ func BenchmarkAblationMultiPeerStage(b *testing.B) {
 	_, caches, _, rng := ablationScene(2)
 	const k = 6
 	var singleOnly, multiRescued, unresolved int
+	var verify core.VerifierScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		home := caches[rng.Intn(len(caches))]
 		q := home.QueryLoc.Add(geom.Pt(rng.NormFloat64()*150, rng.NormFloat64()*150))
-		peers := core.SortPeersByProximity(q, gatherPeers(q, caches, 400))
+		peers := gatherPeers(q, caches, 400)
 		h := core.NewResultHeap(k)
-		for _, p := range peers {
-			core.VerifySinglePeer(q, p, h)
-			if h.Complete() {
-				break
-			}
-		}
+		verify.VerifySinglePeers(q, k, peers, h)
 		switch {
 		case h.Complete():
 			singleOnly++
 		default:
-			core.VerifyMultiPeer(q, peers, h)
+			verify.VerifyMultiPeer(q, peers, h)
 			if h.Complete() {
 				multiRescued++
 			} else {
@@ -146,20 +161,15 @@ func benchServerBounds(b *testing.B, useBounds bool) {
 	const k, capacity = 5, 15
 	tree := srv.Tree()
 	var pages int64
+	var verify core.VerifierScratch
 	queries := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		home := caches[rng.Intn(len(caches))]
 		q := home.QueryLoc.Add(geom.Pt(rng.NormFloat64()*100, rng.NormFloat64()*100))
-		peers := core.SortPeersByProximity(q, gatherPeers(q, caches, 200))
 		h := core.NewResultHeap(capacity)
-		for _, p := range peers {
-			core.VerifySinglePeer(q, p, h)
-			if h.NumCertain() >= k {
-				break
-			}
-		}
+		verify.VerifySinglePeers(q, k, gatherPeers(q, caches, 200), h)
 		if h.NumCertain() >= k {
 			continue // peer-resolved
 		}

@@ -71,6 +71,7 @@ func main() {
 	fmt.Printf("%-6s %12s %12s %12s %14s\n", "k", "INN pages", "EINN pages", "saved %", "bounds found")
 	for k := 4; k <= *kMax; k += 2 {
 		var innPages, einnPages int64
+		var verify core.VerifierScratch
 		boundsFound := 0
 		for q := 0; q < *queries; q++ {
 			// Queries originate at hosts that hold a drifted cache of
@@ -86,12 +87,7 @@ func main() {
 				}
 			}
 			heap := core.NewResultHeap(maxInt(k, *cacheSz))
-			for _, pc := range core.SortPeersByProximity(query, peers) {
-				core.VerifySinglePeer(query, pc, heap)
-				if heap.NumCertain() >= k {
-					break
-				}
-			}
+			verify.VerifySinglePeers(query, k, peers, heap)
 			if heap.NumCertain() >= k {
 				q--
 				continue // peer-resolved: never reaches the server

@@ -59,8 +59,7 @@ func main() {
 
 	// Verify the peers' results locally into a capacity-sized heap.
 	h := senn.NewResultHeap(capacity)
-	senn.VerifySinglePeer(q, near, h)
-	senn.VerifySinglePeer(q, far, h)
+	senn.VerifyMultiPeer(q, []senn.PeerCache{near, far}, h)
 	fmt.Printf("two peers shared %d stations; %d verified certain (k=%d wanted)\n",
 		4+30, h.NumCertain(), k)
 	b := h.Bounds()

@@ -14,12 +14,12 @@ import (
 	"repro/internal/nn"
 )
 
-// resolveEarlyExit is the resolver as it stood before certifyReceived,
-// written out plainly as the oracle: identical to Resolver.Resolve in every
-// respect except that kNN_single returns at the k-th certificate, as
-// Algorithm 1 is printed — so the staged write holds whatever the first
-// sufficient run of peers happened to certify. It allocates freely. This is
-// the only place the early exit survives.
+// resolveEarlyExit is the resolver as Algorithm 1 is printed, written out
+// plainly as the oracle: identical to Resolver.Resolve in every respect except
+// that kNN_single visits the peers in Heuristic 3.3 order and returns at the
+// k-th certificate — so the staged write holds whatever the first sufficient
+// run of peers happened to certify. It allocates freely. This is the only
+// place the early exit survives.
 func resolveEarlyExit(req client.Request, ps client.PeerSource, srv client.Server) client.Outcome {
 	q, k := req.Q, req.K
 	var res client.Outcome
@@ -34,10 +34,16 @@ func resolveEarlyExit(req client.Request, ps client.PeerSource, srv client.Serve
 	if ps != nil {
 		peers, res.Msgs, res.Bytes = ps.Gather(q, peers)
 	}
-	res.PeersUsed = len(peers)
+	for _, pc := range peers {
+		if !pc.IsEmpty() {
+			res.PeersUsed++
+		}
+	}
 
 	h := core.NewResultHeap(heapK)
-	peers = core.SortPeersByProximity(q, peers)
+	sort.SliceStable(peers, func(i, j int) bool {
+		return q.Dist2(peers[i].QueryLoc) < q.Dist2(peers[j].QueryLoc)
+	})
 	solvedSingle := false
 	for _, pc := range peers {
 		core.VerifySinglePeer(q, pc, h)
@@ -114,22 +120,23 @@ func storedIDs(w cache.StagedWrite, capacity int) []int64 {
 // many leading POIs of truth are licensed by R_c, and how many by the largest
 // single Reach (Lemma 3.2) alone.
 func licensedPrefix(q geom.Point, shares []core.PeerCache, truth []core.POI) (merged, single int) {
-	region := core.CertainRegion(shares)
+	region := geom.NewRegion()
 	reach := math.Inf(-1)
 	for _, pc := range shares {
 		if !pc.IsEmpty() {
+			region.Add(pc.CertainCircle())
 			reach = math.Max(reach, pc.Reach(q))
 		}
 	}
 	merged = sort.Search(len(truth), func(i int) bool {
-		return !region.CoversCircle(geom.NewCircle(q, q.Dist(truth[i].Loc)))
+		return !coversCircle(region, geom.NewCircle(q, q.Dist(truth[i].Loc)))
 	})
 	single = sort.Search(len(truth), func(i int) bool { return q.Dist(truth[i].Loc) > reach+geom.Eps })
 	return merged, single
 }
 
 // checkCertifiedWrite resolves req both ways and holds the resolver to the
-// contract of certifyReceived:
+// contract of DESIGN §4 D8:
 //
 //   - the query is the early-exit oracle's query — Src, Answer, Msgs, Bytes,
 //     Pages and PeersUsed are equal;
@@ -192,8 +199,8 @@ func checkCertifiedWrite(t *testing.T, label string, r *client.Resolver, req cli
 	return got, len(gotIDs), len(wantIDs), single
 }
 
-// TestResolveKeepsEveryCertifiedNeighbor is the property test of
-// certifyReceived: checkCertifiedWrite over seeded random worlds, own-cache
+// TestResolveKeepsEveryCertifiedNeighbor is the property test of D8:
+// checkCertifiedWrite over seeded random worlds, own-cache
 // entries and peer shares. The write must outgrow the early exit's, and the
 // merged region must outgrow the largest single reach, often enough to matter.
 func TestResolveKeepsEveryCertifiedNeighbor(t *testing.T) {

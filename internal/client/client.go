@@ -10,11 +10,9 @@
 //   - consult the local cache (policy 1's stored entry is just the nearest
 //     peer),
 //   - gather shareable peer caches from the pluggable PeerSource,
-//   - verify them with the §3.2 lemmas (kNN_single per peer in Heuristic 3.3
-//     order until the k-th certificate, then once more on whichever received
-//     share certifies farthest and once over the merged certain region, so
-//     the cache write keeps everything the exchange licensed; kNN_multiple
-//     over the merged certain region when no run of single peers answers),
+//   - verify them with the §3.2 lemmas (core.VerifierScratch.VerifyPeers:
+//     everything the received shares certify, singly or merged, so the cache
+//     write keeps all the exchange licensed — DESIGN §4 D8, D9),
 //   - optionally accept a full-but-uncertain answer (Algorithm 1 line 15),
 //   - otherwise fall back to the pluggable Server with the §3.3 pruning
 //     bounds, topping the request up to cache capacity (policy 2),
@@ -35,8 +33,6 @@
 package client
 
 import (
-	"math"
-
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -50,9 +46,9 @@ import (
 // accounted cost: message count (the broadcast request plus one share per
 // responding peer) and wire volume (internal/wire codec sizes).
 //
-// The enumeration order must be deterministic for a deterministic caller:
-// the resolver's proximity sort is stable, so peers at equal distance keep
-// their gather order.
+// Verification does not depend on the enumeration order (the result heap
+// orders what it is fed); the accounted cost must be deterministic for a
+// deterministic caller.
 type PeerSource interface {
 	Gather(q geom.Point, dst []core.PeerCache) (peers []core.PeerCache, msgs, bytes int64)
 }
@@ -97,8 +93,8 @@ type Outcome struct {
 	// Pages is the server page-access cost (0 unless the server was
 	// contacted).
 	Pages int64
-	// PeersUsed is the number of peer caches examined (the local cache
-	// counts when it held an entry).
+	// PeersUsed is the number of non-empty shares verification received (the
+	// local cache counts when it held an entry).
 	PeersUsed int
 	// Write is the pending cache policy 1 update. Its POI slice lives in
 	// the Resolver's arena: it stays valid until the next ResetArena, and
@@ -122,13 +118,9 @@ func (o *Outcome) PeerSolved() bool {
 // one goroutine; a parallel caller keeps one per worker. The zero value is
 // not ready — construct with NewResolver.
 type Resolver struct {
-	peers []core.PeerCache
-	// geoms[i] is peers[i] measured from the query point, taken once per
-	// query after the proximity sort and handed to every verification step.
-	geoms  []core.PeerGeom
+	peers  []core.PeerCache
 	heap   *core.ResultHeap
 	verify core.VerifierScratch
-	sorter core.PeerProximitySorter
 	// poiArena backs the POI slices handed to cache.Stage. It is reset by
 	// ResetArena, not per query: staged slices must stay intact until the
 	// caller applies them (cache.Store copies on Apply, so nothing
@@ -158,13 +150,12 @@ func (r *Resolver) ResetArena() {
 // Resolve runs one complete SENN query (Algorithm 1): local cache, peer
 // gather, kNN_single/kNN_multiple verification, then the server fallback
 // with the §3.3 pruning bounds. The k-th certificate settles the answer but
-// does not end verification: certifyReceived lets the shares already received
-// certify what more they can, alone and merged, for the staged cache write
-// (DESIGN §4 D8). It
-// mutates nothing but its own scratch —
-// every effect is returned in the Outcome. peers may be nil (no P2P
-// channel); srv may be nil (no server connectivity — the best available
-// answer is returned with Source SolvedUncertain, mirroring core.SENN).
+// does not end verification: the shares already received certify what more
+// they can, alone and merged, for the staged cache write (DESIGN §4 D8). It
+// mutates nothing but its own scratch — every effect is returned in the
+// Outcome. peers may be nil (no P2P channel); srv may be nil (no server
+// connectivity — the best available answer is returned with Source
+// SolvedUncertain, mirroring core.SENN).
 func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 	q, k := req.Q, req.K
 	res := Outcome{}
@@ -185,7 +176,6 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 		peers, res.Msgs, res.Bytes = ps.Gather(q, peers)
 	}
 	r.peers = peers[:0]
-	res.PeersUsed = len(peers)
 
 	// Algorithm 1 over the gathered peer data. The heap is sized at
 	// max(k, C_Size) rather than k: the query itself needs k certain
@@ -193,8 +183,7 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 	// neighbors of the most recent query — the full certified set is still
 	// an exact distance prefix (every POI closer than a certified one is
 	// itself certified), so it is a valid PeerCache and keeps the shared
-	// caches from degrading to the last query's k, or (certifyReceived) to
-	// whatever the first sufficient peer happened to certify.
+	// caches from degrading to the last query's k.
 	heapK := k
 	if req.Cache != nil {
 		if c := req.Cache.Capacity(); c > heapK {
@@ -203,33 +192,11 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 	}
 	h := r.heap
 	h.Reset(heapK)
-	answered := func() bool { return h.NumCertain() >= k }
-
-	// Heuristic 3.3 ordering, in place: the resolver owns the peers slice,
-	// so the copying SortPeersByProximity would only add garbage.
-	r.sorter.Q = q
-	r.sorter.Peers = peers
-	r.sorter.Sort()
-	geoms := r.geoms[:0]
-	for _, pc := range peers {
-		geoms = append(geoms, pc.GeomAt(q))
-	}
-	r.geoms = geoms
-	solvedSingle := false
-	for i, pc := range peers {
-		core.VerifySinglePeerAt(q, pc, geoms[i].Reach, h)
-		if answered() {
-			solvedSingle = true
-			r.certifyReceived(q, peers, geoms, i, h)
-			break
-		}
-	}
-	if !solvedSingle && len(peers) > 0 {
-		r.verify.VerifyMultiPeerAt(q, peers, geoms, h)
-	}
-	if answered() {
+	var single bool
+	res.PeersUsed, single = r.verify.VerifyPeers(q, k, peers, h)
+	if h.NumCertain() >= k {
 		res.Src = core.SolvedByMultiPeer
-		if solvedSingle {
+		if single {
 			res.Src = core.SolvedBySinglePeer
 		}
 		// CertainView aliases the heap scratch; the arena copy made for the
@@ -295,43 +262,6 @@ func (r *Resolver) Resolve(req Request, ps PeerSource, srv Server) Outcome {
 		res.Answer = append([]core.Candidate(nil), full[:nk]...)
 	}
 	return res
-}
-
-// certifyReceived finishes both verification lemmas for the cache write once
-// peers[visited] has supplied the k-th certificate. The answer is settled;
-// what is not is how much of what the exchange already delivered the host may
-// keep. Nothing is sent or fetched: the certain set only grows outward, to the
-// full exact prefix the received shares license (capped by the heap at cache
-// capacity).
-//
-// Lemma 3.2 first. A peer certifies exactly the POIs within its Reach of q,
-// and those discs are nested around q, so among the shares not yet looked at
-// only the one with the largest reach ρ* can certify anything the visited
-// ones did not — and only when its reach exceeds theirs. One scan finds it
-// and at most one more kNN_single runs.
-//
-// Then Lemma 3.8. The merged certain region can cover a larger disc around q
-// than any one share does; CertifyCovered adds the received POIs between ρ*
-// and that radius, and returns at once when the region ends where the best
-// share's circle does.
-func (r *Resolver) certifyReceived(q geom.Point, peers []core.PeerCache, geoms []core.PeerGeom, visited int, h *core.ResultHeap) {
-	if h.Complete() {
-		return
-	}
-	best, bestReach := 0, math.Inf(-1)
-	for i, pc := range peers {
-		if pc.IsEmpty() {
-			continue
-		}
-		// Strictly greater: on a tie the earlier — visited — share stands.
-		if rho := geoms[i].Reach; rho > bestReach {
-			best, bestReach = i, rho
-		}
-	}
-	if best > visited {
-		core.VerifySinglePeerAt(q, peers[best], bestReach, h)
-	}
-	r.verify.CertifyCovered(q, peers, geoms, bestReach, h)
 }
 
 // stageResult prepares cache policy 1 as a deferred write: keep the query

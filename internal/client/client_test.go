@@ -234,3 +234,26 @@ func TestResolveServerError(t *testing.T) {
 		t.Fatal("failed query staged a write or returned an answer")
 	}
 }
+
+// Outcome.PeersUsed is core.Result.PeersUsed: the non-empty shares received,
+// own entry included — not the slots the source gathered.
+func TestResolvePeersUsedSkipsEmptyShares(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	srv := &bruteServer{pois: randomWorld(rng, 80)}
+	q := geom.Pt(500, 500)
+	own := cache.New(10)
+	own.Store(geom.Pt(505, 500), srv.knn(geom.Pt(505, 500), 10, nn.Bounds{}))
+	peers := []core.PeerCache{
+		{QueryLoc: geom.Pt(500, 501)}, // empty, and the nearest to q
+		peerAt(srv, geom.Pt(490, 495), 8),
+		{QueryLoc: geom.Pt(520, 520)}, // empty
+		peerAt(srv, geom.Pt(515, 480), 6),
+	}
+	r := client.NewResolver()
+	out := r.Resolve(client.Request{Q: q, K: 2, Cache: own}, &slicePeers{peers: peers}, srv)
+	ent, _ := own.Entry()
+	want := core.SENN(q, 2, append([]core.PeerCache{ent}, peers...), srv, core.Options{})
+	if out.PeersUsed != 3 || want.PeersUsed != 3 || out.Msgs != 5 {
+		t.Fatalf("PeersUsed %d (core.SENN %d) with %d messages, want 3 and 3 of the 5 gathered", out.PeersUsed, want.PeersUsed, out.Msgs)
+	}
+}

@@ -61,6 +61,16 @@ type Candidate struct {
 	Certain bool
 }
 
+// after reports whether c sorts after o in the repository's total order:
+// ascending distance, equal distances by ascending POI ID — the order INE and
+// ServerModule.Range use.
+func (c Candidate) after(o Candidate) bool {
+	if c.Dist != o.Dist {
+		return c.Dist > o.Dist
+	}
+	return c.ID > o.ID
+}
+
 // ResultHeap is the paper's heap H (§3.2.1, Table 1): a bounded container of
 // the k best candidates discovered so far. Certain entries are kept in
 // ascending distance order ahead of uncertain entries (also ascending);
@@ -70,6 +80,11 @@ type Candidate struct {
 // upgrades it in place. The heap never holds more than k entries — k is a
 // result size or a cache capacity, a few dozen at most — so the
 // deduplication is a linear scan of the two slices, not an index.
+//
+// Both lists are ordered by the total order (distance, then POI ID), so what
+// the heap holds is a function of the set of candidates added, not of the
+// order they arrived in: callers need neither sort nor deduplicate what they
+// feed it.
 type ResultHeap struct {
 	k         int
 	certain   []Candidate
@@ -145,7 +160,7 @@ func indexOfID(entries []Candidate, id int64) int {
 }
 
 func (h *ResultHeap) insertCertain(c Candidate) bool {
-	i := sort.Search(len(h.certain), func(i int) bool { return h.certain[i].Dist > c.Dist })
+	i := sort.Search(len(h.certain), func(i int) bool { return h.certain[i].after(c) })
 	h.certain = append(h.certain, Candidate{})
 	copy(h.certain[i+1:], h.certain[i:])
 	h.certain[i] = c
@@ -162,7 +177,7 @@ func (h *ResultHeap) addUncertain(c Candidate) bool {
 	if room <= 0 {
 		return false
 	}
-	i := sort.Search(len(h.uncertain), func(i int) bool { return h.uncertain[i].Dist > c.Dist })
+	i := sort.Search(len(h.uncertain), func(i int) bool { return h.uncertain[i].after(c) })
 	if i >= room {
 		return false // worse than every kept uncertain entry
 	}

@@ -38,7 +38,7 @@ func verifyMultiPeerReference(q geom.Point, peers []PeerCache, h *ResultHeap) {
 		if h.Complete() {
 			return
 		}
-		c.Certain = region.CoversCircle(geom.NewCircle(q, c.Dist))
+		c.Certain = coversCircle(region, geom.NewCircle(q, c.Dist))
 		h.Add(c)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -82,60 +81,8 @@ func (pc PeerCache) Reach(q geom.Point) float64 {
 	return pc.Radius() - q.Dist(pc.QueryLoc)
 }
 
-// PeerGeom is a peer cache's geometry as seen from one query point q: the
-// three distances every verification step needs and none should recompute
-// (each costs a math.Hypot or two). A resolver takes it once per gathered
-// peer (GeomAt) and hands it down to the verification steps.
-type PeerGeom struct {
-	Dist   float64 // Dist(q, P), the δ of Lemma 3.2
-	Radius float64 // PeerCache.Radius()
-	Reach  float64 // PeerCache.Reach(q) = Radius − Dist
-}
-
-// GeomAt measures the cache from q. Its fields are bit-for-bit what Radius
-// and Reach return.
-func (pc PeerCache) GeomAt(q geom.Point) PeerGeom {
-	radius, dist := pc.Radius(), q.Dist(pc.QueryLoc)
-	return PeerGeom{Dist: dist, Radius: radius, Reach: radius - dist}
-}
-
 // String implements fmt.Stringer.
 func (pc PeerCache) String() string {
 	return fmt.Sprintf("peercache(%s, %d neighbors, r=%.2f)",
 		pc.QueryLoc, len(pc.Neighbors), pc.Radius())
-}
-
-// SortPeersByProximity orders peer caches in ascending distance between
-// their cached query locations and the query point q. This is Heuristic 3.3:
-// cached query locations closer to Q are more likely to contribute certain
-// neighbors, so processing them first tends to fill the heap sooner. The
-// input slice is left untouched; hot paths that own their slice should use
-// PeerProximitySorter instead.
-func SortPeersByProximity(q geom.Point, peers []PeerCache) []PeerCache {
-	out := make([]PeerCache, len(peers))
-	copy(out, peers)
-	s := PeerProximitySorter{Q: q, Peers: out}
-	s.Sort()
-	return out
-}
-
-// PeerProximitySorter is the allocation-free, in-place form of
-// SortPeersByProximity for resolver scratch slices. The sort is stable, so
-// peers at equal distance keep their gather order and the resolution stays
-// deterministic for any worker count.
-type PeerProximitySorter struct {
-	Q     geom.Point
-	Peers []PeerCache
-}
-
-// Sort orders Peers in place by ascending distance of their cached query
-// location to Q.
-func (s *PeerProximitySorter) Sort() { sort.Stable(s) }
-
-func (s *PeerProximitySorter) Len() int { return len(s.Peers) }
-func (s *PeerProximitySorter) Less(i, j int) bool {
-	return s.Q.Dist2(s.Peers[i].QueryLoc) < s.Q.Dist2(s.Peers[j].QueryLoc)
-}
-func (s *PeerProximitySorter) Swap(i, j int) {
-	s.Peers[i], s.Peers[j] = s.Peers[j], s.Peers[i]
 }

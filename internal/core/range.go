@@ -9,17 +9,12 @@ import (
 // This file implements sharing-based range queries — the first of the
 // extensions the paper lists as future work (§5: "we plan to extend our work
 // to investigate other types of spatial queries, such as range and spatial
-// join searches"). The verification argument mirrors the kNN lemmas:
-//
-//   - a single peer P answers the range query (Q, r) completely when
-//     r + δ <= Dist(P, n_k)  (the query disc lies inside P's certain
-//     circle — the range analogue of Lemma 3.2);
-//   - multiple peers answer it completely when the query disc is covered by
-//     the merged certain region R_c (the analogue of Lemma 3.8);
-//
-// and in either case the exact answer is the set of cached POIs within r of
-// Q, because every existing POI inside a covered disc appears in some peer's
-// cache.
+// join searches"). The verification argument is the kNN lemmas' own: the
+// shares of one exchange hold every POI within their certified radius of Q
+// (VerifierScratch.certifiedRadius — the largest single Reach, Lemma 3.2,
+// extended over the merged certain region, Lemma 3.8), so the range query
+// (Q, r) is answered completely exactly when r is within that radius, and the
+// answer is the set of received POIs within r of Q.
 
 // RangeServer is the remote database interface for range queries.
 type RangeServer interface {
@@ -37,7 +32,7 @@ type RangeResult struct {
 	Source Source
 	// Certain reports whether the answer is provably complete.
 	Certain bool
-	// PeersUsed is the number of non-empty peer caches examined.
+	// PeersUsed is the number of non-empty peer caches received.
 	PeersUsed int
 }
 
@@ -45,66 +40,32 @@ type RangeResult struct {
 // and the server only as fallback. srv may be nil: the best-effort union of
 // peer data (marked uncertain) is returned instead.
 func RangeQuery(q geom.Point, r float64, peers []PeerCache, srv RangeServer, opts Options) RangeResult {
-	sorted := SortPeersByProximity(q, peers)
-	used := 0
-	for _, p := range sorted {
-		if !p.IsEmpty() {
-			used++
+	var s VerifierScratch
+	best, used := s.measure(q, peers)
+	res := RangeResult{Source: SolvedUncertain, PeersUsed: used}
+	if used > 0 && r <= s.certifiedRadius(q, peers, best, r)+geom.Eps {
+		res.Certain = true
+		res.Source = SolvedByMultiPeer
+		if r <= s.geoms[best].reach+geom.Eps {
+			res.Source = SolvedBySinglePeer
 		}
 	}
-
-	// Single-peer completeness: the query disc inside one certain circle.
-	for _, p := range sorted {
-		if p.IsEmpty() {
-			continue
-		}
-		delta := q.Dist(p.QueryLoc)
-		if r+delta <= p.Radius()+geom.Eps {
-			return RangeResult{
-				POIs:      collectWithin(q, r, []PeerCache{p}),
-				Source:    SolvedBySinglePeer,
-				Certain:   true,
-				PeersUsed: used,
-			}
-		}
-	}
-
-	// Multi-peer completeness: the query disc covered by R_c.
-	if used > 0 {
-		if CertainRegion(sorted).CoversCircle(geom.NewCircle(q, r)) {
-			return RangeResult{
-				POIs:      collectWithin(q, r, sorted),
-				Source:    SolvedByMultiPeer,
-				Certain:   true,
-				PeersUsed: used,
-			}
-		}
-	}
-
-	if srv == nil {
-		return RangeResult{
-			POIs:      collectWithin(q, r, sorted),
-			Source:    SolvedUncertain,
-			Certain:   false,
-			PeersUsed: used,
-		}
+	if res.Certain || srv == nil {
+		res.POIs = collectWithin(q, r, peers)
+		return res
 	}
 	pois := srv.Range(q, r)
-	out := make([]RankedPOI, len(pois))
+	res.POIs = make([]RankedPOI, len(pois))
 	for i, p := range pois {
-		out[i] = RankedPOI{POI: p, Dist: q.Dist(p.Loc), Rank: i + 1}
+		res.POIs[i] = RankedPOI{POI: p, Dist: q.Dist(p.Loc), Rank: i + 1}
 	}
-	return RangeResult{
-		POIs:      out,
-		Source:    SolvedByServer,
-		Certain:   true,
-		PeersUsed: used,
-	}
+	res.Source, res.Certain = SolvedByServer, true
+	return res
 }
 
 // collectWithin gathers the distinct cached POIs within r of q, ascending by
-// distance with equal distances broken by POI ID (the candSorter order, which
-// is also the server's), with ranks assigned.
+// distance with equal distances broken by POI ID (the heap's order, which is
+// also the server's), with ranks assigned.
 func collectWithin(q geom.Point, r float64, peers []PeerCache) []RankedPOI {
 	seen := make(map[int64]bool)
 	var out []RankedPOI

@@ -68,105 +68,60 @@ type Result struct {
 	// Bounds are the branch-expanding bounds that were (or would have been)
 	// forwarded to the server.
 	Bounds nn.Bounds
-	// PeersUsed is the number of non-empty peer caches examined.
+	// PeersUsed is the number of non-empty peer caches received.
 	PeersUsed int
 }
 
 // SENN executes Algorithm 1, the Sharing-based Euclidean distance Nearest
-// Neighbor query: verify peer results one at a time (kNN_single), then
-// jointly (kNN_multiple), then — unless an uncertain answer is acceptable —
-// query the server with the pruning bounds for the uncertified remainder.
+// Neighbor query: verify the peer results singly and jointly
+// (VerifierScratch.VerifyPeers), then — unless an uncertain answer is
+// acceptable — query the server with the pruning bounds for the uncertified
+// remainder.
 //
 // srv may be nil, modeling a host with no server connectivity: the best
 // available (possibly partial or uncertain) answer is returned with Source
 // SolvedUncertain.
 func SENN(q geom.Point, k int, peers []PeerCache, srv Server, opts Options) Result {
 	h := NewResultHeap(k)
-
-	// Heuristic 3.3: process peers whose cached query locations are nearest
-	// to Q first.
-	sorted := SortPeersByProximity(q, peers)
-	used := 0
-	singleComplete := false
-	for _, p := range sorted {
-		if p.IsEmpty() {
-			continue
-		}
-		used++
-		VerifySinglePeer(q, p, h)
-		if h.Complete() {
-			singleComplete = true
-			break
-		}
+	var s VerifierScratch
+	used, single := s.VerifyPeers(q, k, peers, h)
+	res := Result{State: h.State(), Bounds: h.Bounds(), PeersUsed: used}
+	switch {
+	case single:
+		res.Source = SolvedBySinglePeer
+	case h.Complete():
+		res.Source = SolvedByMultiPeer
+	case opts.AcceptUncertain && h.Full() || srv == nil:
+		// Algorithm 1 line 15: a full heap with uncertain entries may be
+		// acceptable to the application.
+		res.Source = SolvedUncertain
+	default:
+		res.Source = SolvedByServer
 	}
-	if singleComplete {
-		return Result{
-			Neighbors: rankedFromHeap(h),
-			Source:    SolvedBySinglePeer,
-			State:     h.State(),
-			Bounds:    h.Bounds(),
-			PeersUsed: used,
-		}
-	}
-
-	// kNN_multiple: merge every peer's certain circle into R_c and retry.
-	if used > 0 {
-		VerifyMultiPeer(q, sorted, h)
-		if h.Complete() {
-			return Result{
-				Neighbors: rankedFromHeap(h),
-				Source:    SolvedByMultiPeer,
-				State:     h.State(),
-				Bounds:    h.Bounds(),
-				PeersUsed: used,
-			}
-		}
-	}
-
-	state := h.State()
-	bounds := h.Bounds()
-
-	// Algorithm 1 line 15: a full heap with uncertain entries may be
-	// acceptable to the application.
-	if opts.AcceptUncertain && h.Full() || srv == nil {
-		return Result{
-			Neighbors: rankedFromHeap(h),
-			Source:    SolvedUncertain,
-			State:     state,
-			Bounds:    bounds,
-			PeersUsed: used,
-		}
+	if res.Source != SolvedByServer {
+		res.Neighbors = rankedFromHeap(h)
+		return res
 	}
 
 	// Fall back to the server for the uncertified remainder, forwarding the
 	// branch-expanding bounds. The certain prefix (ranks 1..j) is kept; the
 	// server supplies ranks j+1..k, all at distance > bounds.Lower.
-	certain := h.CertainEntries()
-	need := k - len(certain)
-	serverBounds := bounds
-	fetched := srv.KNN(q, need, serverBounds)
-
-	neighbors := make([]RankedPOI, 0, k)
+	certain := h.CertainView()
+	res.Neighbors = make([]RankedPOI, 0, k)
 	for i, c := range certain {
-		neighbors = append(neighbors, RankedPOI{POI: c.POI, Dist: c.Dist, Rank: i + 1})
+		res.Neighbors = append(res.Neighbors, RankedPOI{POI: c.POI, Dist: c.Dist, Rank: i + 1})
 	}
-	for _, p := range fetched {
-		if len(neighbors) >= k {
+	for _, p := range srv.KNN(q, k-len(certain), res.Bounds) {
+		if len(res.Neighbors) >= k {
 			break
 		}
-		neighbors = append(neighbors, RankedPOI{
+		res.Neighbors = append(res.Neighbors, RankedPOI{
 			POI:  p,
 			Dist: q.Dist(p.Loc),
-			Rank: len(neighbors) + 1,
+			Rank: len(res.Neighbors) + 1,
 		})
 	}
-	return Result{
-		Neighbors: neighbors,
-		Source:    SolvedByServer,
-		State:     state,
-		Bounds:    serverBounds,
-		PeersUsed: used,
-	}
+	return res
 }
 
 // rankedFromHeap converts heap entries into ranked results. Certain entries

@@ -83,6 +83,7 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	// rather than a scan over all caches.
 	nearCaches := newCacheIndex(caches, bounds, base.TxRange)
 	var work []workItem
+	var verify core.VerifierScratch
 	for len(work) < queries {
 		home := caches[rng.Intn(len(caches))]
 		drift := rng.Float64() * base.TxRange
@@ -90,12 +91,7 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 		q := home.QueryLoc.Add(geom.Pt(drift*math.Cos(angle), drift*math.Sin(angle)))
 		peers := nearCaches(q, base.TxRange)
 		heap := core.NewResultHeap(base.CacheSize)
-		for _, p := range core.SortPeersByProximity(q, peers) {
-			core.VerifySinglePeer(q, p, heap)
-			if heap.NumCertain() >= k {
-				break
-			}
-		}
+		verify.VerifySinglePeers(q, k, peers, heap)
 		if heap.NumCertain() >= k {
 			continue // peer-resolved
 		}

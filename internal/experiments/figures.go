@@ -417,6 +417,7 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 			// execution order.
 			rng := rand.New(rand.NewSource(base.Seed + opts.Seed + 17 + int64(k)*7919))
 			var einnTotal, innTotal int64
+			var verify core.VerifierScratch
 			for qi := 0; qi < queries; qi++ {
 				// A querying host always carries its own cached previous
 				// result, so sample the query displaced from a cache location
@@ -427,12 +428,7 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 				q := home.QueryLoc.Add(geom.Pt(drift*math.Cos(angle), drift*math.Sin(angle)))
 				peers := nearCaches(q, base.TxRange)
 				heap := core.NewResultHeap(k)
-				for _, p := range core.SortPeersByProximity(q, peers) {
-					core.VerifySinglePeer(q, p, heap)
-					if heap.Complete() {
-						break
-					}
-				}
+				verify.VerifySinglePeers(q, k, peers, heap)
 				if heap.Complete() {
 					// Peer-resolved queries never reach the server; Figure 17
 					// measures server-side behavior, so draw another query.

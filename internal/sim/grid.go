@@ -15,9 +15,9 @@ import (
 // step from the moved-host delta. Either way every bucket lists its hosts in
 // ascending host index, whatever execution order produced the positions, so
 // a neighborhood enumerates a bit-identical sequence for any Config.Workers
-// value — which is what keeps the peer list fed to SortPeersByProximity (and
-// with it every simulation metric) independent of the movement phase's
-// parallelism.
+// value — which is what keeps the gathered peer list, its message and byte
+// accounting (and with it every simulation metric) independent of the
+// movement phase's parallelism.
 type hostGrid struct {
 	grid.Index
 	delta deltaScratch // scratch for incremental maintenance (gridinc.go)

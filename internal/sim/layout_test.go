@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cache"
@@ -140,8 +141,9 @@ type earlyExitPeers struct {
 
 func (s earlyExitPeers) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerCache, int64, int64) {
 	peers, msgs, bytes := s.inner.Gather(q, dst)
-	sorter := core.PeerProximitySorter{Q: q, Peers: peers}
-	sorter.Sort()
+	sort.SliceStable(peers, func(i, j int) bool {
+		return q.Dist2(peers[i].QueryLoc) < q.Dist2(peers[j].QueryLoc)
+	})
 	h := core.NewResultHeap(s.k)
 	for i, pc := range peers {
 		core.VerifySinglePeer(q, pc, h)

@@ -35,7 +35,7 @@ type (
 	// Circle is a closed disc.
 	Circle = geom.Circle
 	// Region is a union of discs — the merged certain region R_c of
-	// multi-peer verification.
+	// multi-peer verification; Region.MaxCoveredRadius decides Lemma 3.8.
 	Region = geom.Region
 )
 
@@ -118,8 +118,10 @@ func VerifySinglePeer(q Point, peer PeerCache, h *ResultHeap) {
 	core.VerifySinglePeer(q, peer, h)
 }
 
-// VerifyMultiPeer runs kNN_multiple (Lemma 3.8) over the merged certain
-// region of all peers, using the exact arc-coverage test.
+// VerifyMultiPeer runs kNN_multiple (Lemma 3.8): every neighbor the peers
+// hold enters h, certain when it lies within the covered radius of their
+// merged certain region around q (Region.MaxCoveredRadius), uncertain beyond
+// it. It certifies whatever VerifySinglePeer on each peer would.
 func VerifyMultiPeer(q Point, peers []PeerCache, h *ResultHeap) {
 	core.VerifyMultiPeer(q, peers, h)
 }

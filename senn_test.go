@@ -1,6 +1,7 @@
 package senn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -100,11 +101,13 @@ func TestFacadeRegionCoverage(t *testing.T) {
 		Circle{Center: Pt(-3, 0), Radius: 4},
 		Circle{Center: Pt(3, 0), Radius: 4},
 	)
-	if !r.CoversCircle(Circle{Center: Pt(0, 0), Radius: 2.5}) {
-		t.Error("union should cover the lens-center disc")
+	// The nearest points of the union's boundary to the origin are the two
+	// vertices where the circles cross, (0, ±√7).
+	if rho := r.MaxCoveredRadius(Pt(0, 0), 5); math.Abs(rho-math.Sqrt(7)) > 1e-9 {
+		t.Errorf("covered radius at the origin = %v, want √7", rho)
 	}
-	if r.CoversCircle(Circle{Center: Pt(0, 0), Radius: 5}) {
-		t.Error("too-large disc must not verify")
+	if rho := r.MaxCoveredRadius(Pt(0, 9), 5); rho != 0 {
+		t.Errorf("covered radius outside the union = %v, want 0", rho)
 	}
 }
 
