@@ -5,6 +5,11 @@
 # ever have fired on real code, rather than only on their own fixtures — and
 # removes nothing. Needs only git and the Go toolchain; no network.
 #
+# The committed results/SIMVET_HISTORY.txt is PR 24's run, over nine analyzers.
+# PR 25 acted on it and deleted the four that never fired (globalrand, walltime,
+# counteratomic, annotation), so re-running this script now reports the five
+# survivors only — write to another file unless that is what you want.
+#
 # A "PR" is a commit on the first-parent history whose subject is not a
 # roadmap re-anchor or a growth seed; its parent tree is what the PR's author
 # was handed. Trees are unpacked with `git archive` into a temporary directory

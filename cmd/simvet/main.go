@@ -1,21 +1,21 @@
 // Command simvet runs the repository's determinism-and-concurrency lint
-// suite (internal/analysis) over the module. The v1 analyzers — maporder,
-// globalrand, walltime, floateq, counteratomic — are the static half of
-// the reproducibility gate: the CI determinism job byte-diffs simulator
-// output at run time; simvet rejects the bug classes that would make that
-// diff fail (or make it pass by luck) before they compile into the tree.
-// The v2 analyzers ride on a per-package call graph with bottom-up
-// function summaries and guard the serving stack: locksafe (a mutex held
-// across a blocking call; sync types copied by value), goleak (a goroutine
-// spawned with no reachable termination path), errsink (a discarded error
-// from conn/wire/pagestore operations or their same-package wrappers).
-// annotation audits the //simvet: suppression comments themselves, so a
-// typo'd key fails the lint instead of silently suppressing nothing.
+// suite (internal/analysis) over the module. maporder and floateq are the
+// static half of the reproducibility gate: the CI determinism job
+// byte-diffs simulator output at run time; simvet rejects two bug classes
+// that would make that diff fail (or make it pass by luck) before they
+// compile into the tree. The other three ride on a per-package call graph
+// with bottom-up function summaries and guard the serving stack: locksafe
+// (a mutex held across a blocking call; sync types copied by value), goleak
+// (a goroutine spawned with no reachable termination path), errsink (a
+// discarded error from conn/wire/pagestore operations or their same-package
+// wrappers). Every analyzer in the suite has a record
+// (results/SIMVET_HISTORY.txt); the invariants whose analyzers never fired
+// are held by the gates DESIGN §7 names.
 //
 // Usage:
 //
 //	go run ./cmd/simvet ./...
-//	go run ./cmd/simvet -only maporder,walltime ./internal/sim
+//	go run ./cmd/simvet -only maporder ./internal/sim
 //
 // Patterns are package directories; a trailing /... walks recursively,
 // skipping testdata and vendor like the go tool. With no patterns, ./...

@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -18,13 +17,6 @@ func TestMapOrderFixture(t *testing.T) {
 	diags := analysis.RunWant(t, analysis.MapOrder, analysis.Fixture(t, "maporder"))
 	if len(diags) != 2 {
 		t.Errorf("maporder: got %d diagnostics, want 2", len(diags))
-	}
-}
-
-func TestGlobalRandFixture(t *testing.T) {
-	diags := analysis.RunWant(t, analysis.GlobalRand, analysis.Fixture(t, "globalrand"))
-	if len(diags) != 11 {
-		t.Errorf("globalrand: got %d diagnostics, want 11", len(diags))
 	}
 }
 
@@ -49,53 +41,10 @@ func TestErrSinkFixture(t *testing.T) {
 	}
 }
 
-// TestAnnotationFixture asserts the annotation analyzer's findings directly:
-// a want clause cannot share its line with the malformed comment under test,
-// so the fixture is checked by message substring instead.
-func TestAnnotationFixture(t *testing.T) {
-	loader := analysis.NewLoader()
-	dir := analysis.Fixture(t, "annotation")
-	pkg, err := loader.Load(dir, "testdata/annotation")
-	if err != nil {
-		t.Fatalf("load fixture: %v", err)
-	}
-	diags, err := analysis.Run(analysis.Annotation, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSubstr := []string{
-		`unknown //simvet: key "dicard"`,
-		`malformed simvet annotation "// simvet:ordered`,
-		`malformed simvet annotation "//simvet: ordered"`,
-	}
-	if len(diags) != len(wantSubstr) {
-		t.Fatalf("annotation: got %d diagnostics, want %d:\n%v", len(diags), len(wantSubstr), diags)
-	}
-	for i, want := range wantSubstr {
-		if !strings.Contains(diags[i].Message, want) {
-			t.Errorf("annotation diagnostic %d = %q, want substring %q", i, diags[i].Message, want)
-		}
-	}
-}
-
-func TestWallTimeFixture(t *testing.T) {
-	diags := analysis.RunWant(t, analysis.WallTime, analysis.Fixture(t, "walltime"))
-	if len(diags) != 3 {
-		t.Errorf("walltime: got %d diagnostics, want 3", len(diags))
-	}
-}
-
 func TestFloatEqFixture(t *testing.T) {
 	diags := analysis.RunWant(t, analysis.FloatEq, analysis.Fixture(t, "floateq"))
 	if len(diags) != 3 {
 		t.Errorf("floateq: got %d diagnostics, want 3", len(diags))
-	}
-}
-
-func TestCounterAtomicFixture(t *testing.T) {
-	diags := analysis.RunWant(t, analysis.CounterAtomic, analysis.Fixture(t, "counteratomic"))
-	if len(diags) != 3 {
-		t.Errorf("counteratomic: got %d diagnostics, want 3", len(diags))
 	}
 }
 
@@ -109,20 +58,15 @@ func TestAnalyzerScopes(t *testing.T) {
 		{analysis.MapOrder, "repro/internal/spatialnet", true},
 		{analysis.MapOrder, "repro/internal/geom", false},
 		{analysis.MapOrder, "repro/internal/simulator", false}, // prefix must respect path boundaries
-		{analysis.WallTime, "repro/internal/sim", true},
-		{analysis.WallTime, "repro/internal/rtree", false},
-		{analysis.WallTime, "repro/cmd/experiments", false},
 		{analysis.FloatEq, "repro/internal/geom", true},
 		{analysis.FloatEq, "repro/internal/core", false},
-		{analysis.CounterAtomic, "repro/internal/pagestore", true}, // empty scope: everywhere
-		{analysis.CounterAtomic, "repro/cmd/benchjson", true},
 		{analysis.LockSafe, "repro/internal/serve", true},
 		{analysis.LockSafe, "repro/internal/rtree", false},
 		{analysis.GoLeak, "repro/internal/wire", true},
 		{analysis.GoLeak, "repro/internal/servemesh", false}, // path boundary again
 		{analysis.ErrSink, "repro/cmd/senn-load", true},
 		{analysis.ErrSink, "repro/internal/experiments", false},
-		{analysis.Annotation, "repro/internal/geom", true}, // empty scope: everywhere
+		{&analysis.Analyzer{Name: "unscoped"}, "repro/cmd/benchjson", true}, // empty scope: everywhere
 	}
 	for _, c := range cases {
 		if got := c.analyzer.AppliesTo(c.pkg); got != c.want {
@@ -131,15 +75,12 @@ func TestAnalyzerScopes(t *testing.T) {
 	}
 }
 
-// TestSuiteComplete pins the suite roster: the five v1 analyzers, the three
-// cross-function v2 analyzers, and the annotation audit — and checks that
-// every suppression key names an analyzer that is actually registered, so a
-// key cannot outlive its analyzer.
+// TestSuiteComplete pins the suite roster: the two determinism analyzers and
+// the three cross-function serving-stack analyzers — each has fired on a tree
+// a PR started from or carries reviewed suppressions
+// (results/SIMVET_HISTORY.txt).
 func TestSuiteComplete(t *testing.T) {
-	want := []string{
-		"maporder", "globalrand", "walltime", "floateq", "counteratomic",
-		"locksafe", "goleak", "errsink", "annotation",
-	}
+	want := []string{"maporder", "floateq", "locksafe", "goleak", "errsink"}
 	byName := map[string]bool{}
 	for _, a := range analysis.Analyzers() {
 		if byName[a.Name] {
@@ -154,11 +95,6 @@ func TestSuiteComplete(t *testing.T) {
 	}
 	if len(byName) != len(want) {
 		t.Errorf("suite has %d analyzers, want %d", len(byName), len(want))
-	}
-	for key, analyzer := range analysis.KnownAnnotationKeys {
-		if !byName[analyzer] {
-			t.Errorf("annotation key %q names unregistered analyzer %q", key, analyzer)
-		}
 	}
 }
 

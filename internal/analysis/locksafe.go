@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
+	"strings"
 )
 
 // LockSafe guards the serving layer's mutex discipline with two checks
@@ -163,6 +165,14 @@ func firstHeld(pass *Pass, held map[string]token.Pos) (string, token.Pos) {
 		}
 	}
 	return name, pos
+}
+
+func shortPos(p token.Position) string {
+	name := p.Filename
+	if i := strings.LastIndexByte(name, '/'); i >= 0 {
+		name = name[i+1:]
+	}
+	return name + ":" + strconv.Itoa(p.Line)
 }
 
 func copyHeld(held map[string]token.Pos) map[string]token.Pos {

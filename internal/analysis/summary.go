@@ -9,12 +9,11 @@ import (
 )
 
 // This file is the cross-function core the v2 analyzers (locksafe, goleak,
-// errsink, and globalrand's escape check) share: a per-package call graph
-// plus a summary of each function's concurrency-relevant behavior, computed
-// bottom-up over the same AST+types representation the single-function
-// analyzers use. Summaries start from direct facts (blocking operations
-// performed, loops with no exit, termination signals referenced, error
-// sources called, rand fields drawn through parameters, static callees) and
+// errsink) share: a per-package call graph plus a summary of each function's
+// concurrency-relevant behavior, computed bottom-up over the same AST+types
+// representation the single-function analyzers use. Summaries start from
+// direct facts (blocking operations performed, loops with no exit,
+// termination signals referenced, error sources called, static callees) and
 // close over the call graph with a worklist fixpoint, so an analyzer asking
 // "may this call block?" or "does this goroutine body ever terminate?" sees
 // through any depth of same-package calls. Cross-package calls are opaque
@@ -71,26 +70,6 @@ type FuncSummary struct {
 	ErrSource    bool
 	returnsError bool
 	directSource bool
-
-	// RandFields maps a parameter (or method receiver) to the math/rand
-	// Rand-typed fields drawn through it, directly or via same-package
-	// calls. randVia names the callee a field was first reached through,
-	// for diagnostics ("drawn in drawShared").
-	RandFields map[*types.Var]map[types.Object]bool
-	randVia    map[*types.Var]map[types.Object]string
-
-	// randEdges records call sites whose argument is rooted at one of this
-	// function's parameters, for the bottom-up RandFields propagation.
-	randEdges []randEdge
-}
-
-// A randEdge is one call site passing a caller parameter into a callee
-// parameter: if the callee draws rand fields through its parameter, the
-// caller does too.
-type randEdge struct {
-	callee    *types.Func
-	calleeVar *types.Var
-	callerVar *types.Var
 }
 
 // Summaries is the per-package summary table.
@@ -114,12 +93,7 @@ func Summarize(pass *Pass) *Summaries {
 			if !ok {
 				continue
 			}
-			fs := &FuncSummary{
-				Obj:        obj,
-				Decl:       fd,
-				RandFields: make(map[*types.Var]map[types.Object]bool),
-				randVia:    make(map[*types.Var]map[types.Object]string),
-			}
+			fs := &FuncSummary{Obj: obj, Decl: fd}
 			s.collectDirect(fs)
 			s.list = append(s.list, fs)
 			s.byFn[obj] = fs
@@ -140,13 +114,12 @@ func (s *Summaries) ForFunc(obj *types.Func) *FuncSummary {
 // collectDirect fills fs's direct facts from its body.
 func (s *Summaries) collectDirect(fs *FuncSummary) {
 	pass := s.pass
-	params := paramVars(pass, fs.Decl)
 	seenCall := make(map[*types.Func]bool)
 
 	// Blocking operations and loop shape are properties of the function's
-	// own execution, so nested literals are excluded from them; calls,
-	// termination signals, and rand flows are collected everywhere, since
-	// they describe what the function's code can reach.
+	// own execution, so nested literals are excluded from them; calls and
+	// termination signals are collected everywhere, since they describe what
+	// the function's code can reach.
 	var walk func(n ast.Node, inLit bool)
 	walk = func(n ast.Node, inLit bool) {
 		ast.Inspect(n, func(m ast.Node) bool {
@@ -169,19 +142,13 @@ func (s *Summaries) collectDirect(fs *FuncSummary) {
 				fs.TermSignal = true
 			}
 			if call, ok := m.(*ast.CallExpr); ok {
-				if callee := staticCallee(pass, call); callee != nil {
-					if callee.Pkg() == pass.Pkg && !seenCall[callee] {
-						seenCall[callee] = true
-						fs.Calls = append(fs.Calls, callee)
-					}
-					s.recordRandEdges(fs, params, call, callee)
+				if callee := staticCallee(pass, call); callee != nil && callee.Pkg() == pass.Pkg && !seenCall[callee] {
+					seenCall[callee] = true
+					fs.Calls = append(fs.Calls, callee)
 				}
 				if _, ok := externalErrSource(pass, call); ok {
 					fs.directSource = true
 				}
-			}
-			if sel, ok := m.(*ast.SelectorExpr); ok {
-				s.recordRandSelection(fs, params, sel)
 			}
 			return true
 		})
@@ -201,81 +168,9 @@ func (s *Summaries) collectDirect(fs *FuncSummary) {
 	}
 }
 
-// recordRandSelection marks a rand-typed field selection rooted at one of
-// the function's parameters.
-func (s *Summaries) recordRandSelection(fs *FuncSummary, params map[types.Object]*types.Var, sel *ast.SelectorExpr) {
-	info, ok := s.pass.TypesInfo.Selections[sel]
-	if !ok || info.Kind() != types.FieldVal || !isRandType(info.Obj().Type()) {
-		return
-	}
-	root := rootIdent(sel.X)
-	if root == nil {
-		return
-	}
-	if p, ok := params[s.pass.TypesInfo.Uses[root]]; ok {
-		addRandField(fs, p, info.Obj(), "")
-	}
-}
-
-// recordRandEdges records the parameter-to-parameter flows of one call site
-// (receiver included), feeding the RandFields fixpoint.
-func (s *Summaries) recordRandEdges(fs *FuncSummary, params map[types.Object]*types.Var, call *ast.CallExpr, callee *types.Func) {
-	if callee.Pkg() != s.pass.Pkg {
-		return
-	}
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	bind := func(arg ast.Expr, calleeVar *types.Var) {
-		root := rootIdent(arg)
-		if root == nil || calleeVar == nil {
-			return
-		}
-		if p, ok := params[s.pass.TypesInfo.Uses[root]]; ok {
-			fs.randEdges = append(fs.randEdges, randEdge{callee: callee, calleeVar: calleeVar, callerVar: p})
-		}
-	}
-	if recv := sig.Recv(); recv != nil {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			bind(sel.X, recv)
-		}
-	}
-	for i, arg := range call.Args {
-		if i >= sig.Params().Len() {
-			break // variadic tail beyond the declared slice parameter
-		}
-		bind(arg, sig.Params().At(i))
-	}
-}
-
-func addRandField(fs *FuncSummary, p *types.Var, field types.Object, via string) bool {
-	fields := fs.RandFields[p]
-	if fields == nil {
-		fields = make(map[types.Object]bool)
-		fs.RandFields[p] = fields
-		fs.randVia[p] = make(map[types.Object]string)
-	}
-	if fields[field] {
-		return false
-	}
-	fields[field] = true
-	fs.randVia[p][field] = via
-	return true
-}
-
-// RandVia names the same-package callee through which fs first reaches
-// field from p ("" when the draw is in fs's own body).
-func (fs *FuncSummary) RandVia(p *types.Var, field types.Object) string {
-	if via, ok := fs.randVia[p]; ok {
-		return via[field]
-	}
-	return ""
-}
-
 // propagate closes the direct facts over the call graph with a worklist
 // fixpoint. Iteration is over the declaration-ordered list so the
-// diagnostics derived from BlockDesc/randVia are deterministic.
+// diagnostics derived from BlockDesc are deterministic.
 func (s *Summaries) propagate() {
 	for changed := true; changed; {
 		changed = false
@@ -301,17 +196,6 @@ func (s *Summaries) propagate() {
 				if cs.ErrSource && fs.returnsError && !fs.ErrSource {
 					fs.ErrSource = true
 					changed = true
-				}
-			}
-			for _, e := range fs.randEdges {
-				cs := s.byFn[e.callee]
-				if cs == nil {
-					continue
-				}
-				for field := range cs.RandFields[e.calleeVar] {
-					if addRandField(fs, e.callerVar, field, e.callee.Name()) {
-						changed = true
-					}
 				}
 			}
 		}
@@ -591,27 +475,6 @@ func staticCallee(pass *Pass, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// paramVars collects the parameter and receiver objects of a declaration,
-// keyed by themselves for capture checks.
-func paramVars(pass *Pass, fd *ast.FuncDecl) map[types.Object]*types.Var {
-	out := make(map[types.Object]*types.Var)
-	add := func(fields *ast.FieldList) {
-		if fields == nil {
-			return
-		}
-		for _, f := range fields.List {
-			for _, name := range f.Names {
-				if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-					out[v] = v
-				}
-			}
-		}
-	}
-	add(fd.Recv)
-	add(fd.Type.Params)
-	return out
 }
 
 // connMethodNames is the method-set shape identifying a net.Conn-like type.

@@ -1,16 +1,10 @@
 package analysis
 
-import (
-	"go/types"
-	"testing"
-)
+import "testing"
 
-// The summary layer's correctness rests on two things the rest of the suite
-// only assumes: that Signature parameter objects and Defs entries for the
-// parameter identifiers are the same *types.Var (the RandFields maps and
-// randEdges are keyed on that identity), and that the fixpoint actually
-// closes blocking/loop/error facts over same-package calls. Both are pinned
-// here against the analyzer fixtures.
+// The summary layer's correctness rests on one thing the rest of the suite
+// only assumes: that the fixpoint actually closes blocking/loop/error facts
+// over same-package calls. It is pinned here against the analyzer fixtures.
 
 func loadFixturePkg(t *testing.T, name string) *Package {
 	t.Helper()
@@ -34,22 +28,6 @@ func summaryOf(t *testing.T, sums *Summaries, name string) *FuncSummary {
 	}
 	t.Fatalf("no summary for %s", name)
 	return nil
-}
-
-func TestParamIdentity(t *testing.T) {
-	pkg := loadFixturePkg(t, "errsink")
-	pass := NewPass(ErrSink, pkg)
-	sums := Summarize(pass)
-	fs := summaryOf(t, sums, "sendFrame")
-
-	sig := fs.Obj.Type().(*types.Signature)
-	params := paramVars(pass, fs.Decl)
-	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		if params[p] == nil {
-			t.Errorf("Signature.Params().At(%d) = %v is not the Defs object of its identifier; summary keying is broken", i, p)
-		}
-	}
 }
 
 func TestSummaryErrAndBlockFacts(t *testing.T) {
@@ -81,38 +59,5 @@ func TestSummaryLoopFixpoint(t *testing.T) {
 	}
 	if w := summaryOf(t, sums, "work"); w.LoopsForever {
 		t.Error("work is straight-line; want !LoopsForever")
-	}
-}
-
-func TestSummaryRandFlow(t *testing.T) {
-	pkg := loadFixturePkg(t, "globalrand")
-	pass := NewPass(GlobalRand, pkg)
-	sums := Summarize(pass)
-
-	draw := summaryOf(t, sums, "drawShared")
-	p := draw.Obj.Type().(*types.Signature).Params().At(0)
-	if len(draw.RandFields[p]) != 1 {
-		t.Fatalf("drawShared: want exactly one rand field drawn through its parameter, got %v", draw.RandFields[p])
-	}
-	var field types.Object
-	for f := range draw.RandFields[p] {
-		field = f
-	}
-	if field.Name() != "rng" {
-		t.Errorf("drawShared draws field %q, want rng", field.Name())
-	}
-	if via := draw.RandVia(p, field); via != "" {
-		t.Errorf("drawShared draws directly; RandVia = %q, want empty", via)
-	}
-
-	// drawDeep reaches the field only through drawShared — the propagated
-	// edge must carry both the field and the mediating callee's name.
-	deep := summaryOf(t, sums, "drawDeep")
-	dp := deep.Obj.Type().(*types.Signature).Params().At(0)
-	if !deep.RandFields[dp][field] {
-		t.Fatal("drawDeep: rand field must propagate through the call to drawShared")
-	}
-	if via := deep.RandVia(dp, field); via != "drawShared" {
-		t.Errorf("drawDeep RandVia = %q, want drawShared", via)
 	}
 }

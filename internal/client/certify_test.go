@@ -11,6 +11,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 	"repro/internal/nn"
 )
 
@@ -129,7 +130,7 @@ func licensedPrefix(q geom.Point, shares []core.PeerCache, truth []core.POI) (me
 		}
 	}
 	merged = sort.Search(len(truth), func(i int) bool {
-		return !coversCircle(region, geom.NewCircle(q, q.Dist(truth[i].Loc)))
+		return !geomtest.CoversCircle(region, geom.NewCircle(q, q.Dist(truth[i].Loc)))
 	})
 	single = sort.Search(len(truth), func(i int) bool { return q.Dist(truth[i].Loc) > reach+geom.Eps })
 	return merged, single

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 )
 
 // verifyMultiPeerReference is the pre-monotone kNN_multiple loop: one exact
@@ -38,7 +39,7 @@ func verifyMultiPeerReference(q geom.Point, peers []PeerCache, h *ResultHeap) {
 		if h.Complete() {
 			return
 		}
-		c.Certain = coversCircle(region, geom.NewCircle(q, c.Dist))
+		c.Certain = geomtest.CoversCircle(region, geom.NewCircle(q, c.Dist))
 		h.Add(c)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 )
 
 // The peer phase of Algorithm 1 as the paper prints it, kept as the oracle of
@@ -81,7 +82,7 @@ func paperVerifyMultiPeer(q geom.Point, peers []PeerCache, h *ResultHeap) {
 		if h.Complete() {
 			return
 		}
-		c.Certain = coversCircle(region, geom.NewCircle(q, c.Dist))
+		c.Certain = geomtest.CoversCircle(region, geom.NewCircle(q, c.Dist))
 		h.Add(c)
 	}
 }
@@ -94,6 +95,6 @@ func paperVerifyMultiPeer(q geom.Point, peers []PeerCache, h *ResultHeap) {
 // shares' certain circles is a vertex of the region's boundary.
 func onRegionEdge(region *geom.Region, q geom.Point, d float64) bool {
 	margin := 1e-6 * (1 + d)
-	return d > margin && coversCircle(region, geom.NewCircle(q, d-margin)) &&
-		!coversCircle(region, geom.NewCircle(q, d+margin))
+	return d > margin && geomtest.CoversCircle(region, geom.NewCircle(q, d-margin)) &&
+		!geomtest.CoversCircle(region, geom.NewCircle(q, d+margin))
 }

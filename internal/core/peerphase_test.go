@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 )
 
 // peerScene is one exchange as VerifyPeers sees it: a k-NN query at q, a heap
@@ -203,7 +204,7 @@ func TestRangeThresholdMatchesCoversCircle(t *testing.T) {
 			}
 		}
 		region := CertainRegion(sc.peers)
-		if want == SolvedUncertain && !region.IsEmpty() && coversCircle(region, geom.NewCircle(sc.q, r)) {
+		if want == SolvedUncertain && !region.IsEmpty() && geomtest.CoversCircle(region, geom.NewCircle(sc.q, r)) {
 			want = SolvedByMultiPeer
 		}
 		got := RangeQuery(sc.q, r, sc.peers, nil, Options{})

@@ -1,4 +1,10 @@
-package core
+// Package geomtest holds the Lemma 3.8 referee that tests outside
+// internal/geom decide coverage with (internal/core's paper-sequence oracle,
+// internal/client's per-POI certification property): one importable copy, in
+// the style of testing/iotest. Only _test.go files import it (the CI lint job
+// greps for any other importer); production decides Lemma 3.8 with
+// geom.Region.MaxCoveredRadius alone.
+package geomtest
 
 import (
 	"math"
@@ -7,17 +13,14 @@ import (
 	"repro/internal/geom"
 )
 
-// This file is the same in internal/core and internal/client but for its
-// package clause (a _test.go file cannot be imported; CI diffs the two).
-
-// coversCircle reports whether the disc c lies inside the region — the exact
+// CoversCircle reports whether the disc c lies inside the region — the exact
 // arc-arrangement test geom.Region.CoversCircle was (the method itself lives
-// on in internal/geom/coverscircle_test.go as MaxCoveredRadius's referee):
-// c's boundary circle is covered, by merging the angular interval each region
-// disc covers, and no hole opens inside c, every intersection vertex of two
-// region discs strictly inside c being strictly inside a third. Epsilons err
-// toward "not covered".
-func coversCircle(r *geom.Region, c geom.Circle) bool {
+// on in internal/geom/coverscircle_test.go as MaxCoveredRadius's in-package
+// referee, which cannot import this package): c's boundary circle is covered,
+// by merging the angular interval each region disc covers, and no hole opens
+// inside c, every intersection vertex of two region discs strictly inside c
+// being strictly inside a third. Epsilons err toward "not covered".
+func CoversCircle(r *geom.Region, c geom.Circle) bool {
 	if c.Radius <= geom.Eps {
 		return r.Contains(c.Center)
 	}

@@ -173,37 +173,15 @@ func (c *SENNClient) Range(radius float64) (int, error) {
 	})); err != nil {
 		return 0, err
 	}
-	for {
-		msg, err := c.readMsg()
-		if err != nil {
-			return 0, err
-		}
-		switch msg.Type {
-		case wire.TypePeerProbe:
-			if err := c.answerProbe(msg.ProbeID); err != nil {
-				return 0, err
-			}
-		case wire.TypeAnswer:
-			if msg.Answer.ReqID != reqID {
-				return 0, fmt.Errorf("serve: client: answer for request %d, want %d",
-					msg.Answer.ReqID, reqID)
-			}
-			return len(msg.Answer.Cache.Neighbors), nil
-		case wire.TypeError:
-			return 0, fmt.Errorf("serve: client: server error code %d for range request %d",
-				msg.Err.Code, reqID)
-		default:
-			return 0, fmt.Errorf("serve: client: unexpected %d frame while awaiting range answer", msg.Type)
-		}
+	msg, err := c.await(wire.TypeAnswer, reqID)
+	if err != nil {
+		return 0, err
 	}
+	return len(msg.Answer.Cache.Neighbors), nil
 }
 
 // gatherShares runs the relay exchange: send PeerRequest, service probes,
-// collect the PeerShares aggregate into c.shares. The aggregate is decoded
-// into the client's reusable scratch (wire.DecodePeerSharesInto), so a
-// steady stream of exchanges allocates nothing once the scratch has grown
-// to the neighborhood's working-set size — the decode-side mirror of the
-// pooled encode buffer.
+// collect the PeerShares aggregate into c.shares.
 func (c *SENNClient) gatherShares() error {
 	c.shares = c.shares[:0]
 	c.nextReq++
@@ -220,47 +198,69 @@ func (c *SENNClient) gatherShares() error {
 	if err := c.ws.WriteBinary(c.encBuf); err != nil {
 		return err
 	}
+	msg, err := c.await(wire.TypePeerShares, reqID)
+	if err != nil {
+		return err
+	}
+	if c.relayObs != nil {
+		c.relayObs(time.Since(start))
+	}
+	// The decoder has already enforced ascending neighbor order on every
+	// share, so they feed the resolver directly — no re-sort.
+	c.shares = append(c.shares, msg.Shares.Shares...)
+	c.stats.SharesReceived += int64(len(msg.Shares.Shares))
+	return nil
+}
+
+// await reads frames until the reply to request reqID — an Answer or a
+// PeerShares, as want says — arrives, and returns it. Every PeerProbe that
+// comes first is answered on the spot, whichever reply is awaited; an Error
+// frame, a reply of the other type or a reply to another request fails the
+// wait. A PeerShares frame is decoded into the client's reusable scratch
+// (wire.DecodePeerSharesInto), so a steady stream of exchanges allocates
+// nothing once the scratch has grown to the neighborhood's working-set size —
+// the decode-side mirror of the pooled encode buffer.
+func (c *SENNClient) await(want byte, reqID uint32) (wire.Message, error) {
 	for {
 		data, err := c.ws.ReadMessage()
 		if err != nil {
-			return err
+			return wire.Message{}, err
 		}
 		typ, err := wire.PeekType(data)
 		if err != nil {
-			return err
+			return wire.Message{}, err
 		}
+		var msg wire.Message
 		if typ == wire.TypePeerShares {
-			ps, err := wire.DecodePeerSharesInto(data, &c.decScratch)
-			if err != nil {
-				return err
-			}
-			if ps.ReqID != reqID {
-				return fmt.Errorf("serve: client: peer shares for request %d, want %d",
-					ps.ReqID, reqID)
-			}
-			if c.relayObs != nil {
-				c.relayObs(time.Since(start))
-			}
-			// The decoder has already enforced ascending neighbor order on
-			// every share, so they feed the resolver directly — no re-sort.
-			c.shares = append(c.shares, ps.Shares...)
-			c.stats.SharesReceived += int64(len(ps.Shares))
-			return nil
+			msg.Type = typ
+			msg.Shares, err = wire.DecodePeerSharesInto(data, &c.decScratch)
+		} else {
+			msg, err = wire.Decode(data)
 		}
-		msg, err := wire.Decode(data)
 		if err != nil {
-			return err
+			return wire.Message{}, err
 		}
-		switch msg.Type {
-		case wire.TypePeerProbe:
+		switch {
+		case msg.Type == wire.TypePeerProbe:
 			if err := c.answerProbe(msg.ProbeID); err != nil {
-				return err
+				return wire.Message{}, err
 			}
-		case wire.TypeError:
-			return fmt.Errorf("serve: client: server error code %d during relay", msg.Err.Code)
-		default:
-			return fmt.Errorf("serve: client: unexpected %d frame while awaiting peer shares", msg.Type)
+			continue
+		case msg.Type == wire.TypeError:
+			return wire.Message{}, fmt.Errorf("serve: client: server error code %d for request %d",
+				msg.Err.Code, reqID)
+		case msg.Type != want:
+			return wire.Message{}, fmt.Errorf("serve: client: unexpected %d frame while awaiting request %d",
+				msg.Type, reqID)
 		}
+		got := msg.Answer.ReqID
+		if want == wire.TypePeerShares {
+			got = msg.Shares.ReqID
+		}
+		if got != reqID {
+			return wire.Message{}, fmt.Errorf("serve: client: reply for request %d, want %d", got, reqID)
+		}
+		return msg, nil
 	}
 }
 
@@ -278,15 +278,6 @@ func (c *SENNClient) answerProbe(probeID uint32) error {
 	}
 	c.encBuf = wire.AppendShareReply(c.encBuf[:0], probeID, ok, ent)
 	return c.ws.WriteBinary(c.encBuf)
-}
-
-// readMsg reads and decodes one wire message.
-func (c *SENNClient) readMsg() (wire.Message, error) {
-	data, err := c.ws.ReadMessage()
-	if err != nil {
-		return wire.Message{}, err
-	}
-	return wire.Decode(data)
 }
 
 // relayPeerSource adapts the relayed shares to client.PeerSource. The cost
@@ -325,27 +316,9 @@ func (w *wireServer) KNNInto(q geom.Point, k int, b nn.Bounds, dst []core.POI) (
 	if err := c.ws.WriteBinary(c.encBuf); err != nil {
 		return nil, 0, err
 	}
-	for {
-		msg, err := c.readMsg()
-		if err != nil {
-			return nil, 0, err
-		}
-		switch msg.Type {
-		case wire.TypePeerProbe:
-			if err := c.answerProbe(msg.ProbeID); err != nil {
-				return nil, 0, err
-			}
-		case wire.TypeAnswer:
-			if msg.Answer.ReqID != reqID {
-				return nil, 0, fmt.Errorf("serve: client: answer for request %d, want %d",
-					msg.Answer.ReqID, reqID)
-			}
-			return append(dst[:0], msg.Answer.Cache.Neighbors...), msg.Answer.Pages, nil
-		case wire.TypeError:
-			return nil, 0, fmt.Errorf("serve: client: server error code %d for request %d",
-				msg.Err.Code, reqID)
-		default:
-			return nil, 0, fmt.Errorf("serve: client: unexpected %d frame while awaiting answer", msg.Type)
-		}
+	msg, err := c.await(wire.TypeAnswer, reqID)
+	if err != nil {
+		return nil, 0, err
 	}
+	return append(dst[:0], msg.Answer.Cache.Neighbors...), msg.Answer.Pages, nil
 }

@@ -16,12 +16,38 @@ import (
 // place, so a SENNClient must ship a probed entry before its own next store,
 // never retain it across one. Each round a second session requests the
 // client's share while the client sits idle between query i and query i+1;
-// the probe is serviced inline during query i+1 — after the server round
-// trip has begun, before that query's result is stored — and the share that
-// reaches the requester must be entry i exactly: its query location, its
-// neighbors, not a mix with entry i+1 (whose length differs round to round).
-// Afterwards the client's cache must hold entry i+1, equal to the oracle.
+// the probe is serviced inline by whichever wait the client enters next —
+// its server fallback's, its own relay exchange's, or a range query's: the
+// three share one reply loop (SENNClient.await) — before query i+1's result
+// is stored, and the share that reaches the requester must be entry i
+// exactly: its query location, its neighbors, not a mix with entry i+1
+// (whose length differs round to round). Afterwards the client's cache must
+// hold entry i+1, equal to the oracle.
 func TestProbeBetweenQueriesShipsCurrentEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// sharing: the client opens every query with a relay exchange of its
+		// own (no peer is in its range, so the server is still reached), and
+		// the queued probe is read while it awaits those PeerShares. Off, the
+		// query is a server round trip and the probe is read awaiting the
+		// Answer.
+		sharing bool
+		// rangeFirst: a Range precedes query i+1, and the probe is read while
+		// the client awaits the range answer.
+		rangeFirst bool
+	}{
+		{"mid-fallback", false, false},
+		{"mid-relay", true, false},
+		{"mid-range", false, true},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			probeShipsCurrentEntry(t, tc.sharing, tc.rangeFirst)
+		})
+	}
+}
+
+func probeShipsCurrentEntry(t *testing.T, sharing, rangeFirst bool) {
 	// An hour: no relay may complete by timeout and hide a missing reply.
 	srv, mod := testServer(t, 4000, Options{RelayTimeout: time.Hour})
 	const capacity = 12
@@ -29,9 +55,7 @@ func TestProbeBetweenQueriesShipsCurrentEntry(t *testing.T) {
 
 	aws := openSession(t, srv)
 	defer aws.Close()
-	// Sharing off: the client runs no relay exchange of its own, so every
-	// query is a server round trip during which the queued probe is read.
-	a := NewSENNClient(aws, capacity, 500, false)
+	a := NewSENNClient(aws, capacity, 500, sharing)
 	b := openSession(t, srv)
 	defer b.Close()
 	syncPosition(t, b, geom.Pt(1, 1))
@@ -71,7 +95,15 @@ func TestProbeBetweenQueriesShipsCurrentEntry(t *testing.T) {
 	}
 
 	current := query(spot(0))
-	for round := 1; round <= 25; round++ {
+	round := 0
+	// Fires when the client's own relay exchange completes, before its server
+	// fallback begins: the probe must have been answered inside that wait.
+	a.SetRelayObserver(func(time.Duration) {
+		if st := a.Stats(); st.ProbesAnswered != int64(round) {
+			t.Errorf("round %d: %d probes answered when the relay exchange completed, want %d", round, st.ProbesAnswered, round)
+		}
+	})
+	for round = 1; round <= 25; round++ {
 		// B asks for the shares around A's streamed position, then round-
 		// trips a query on the same connection: frames are served in order
 		// and the probe is written to A's socket inside the PeerRequest
@@ -87,7 +119,15 @@ func TestProbeBetweenQueriesShipsCurrentEntry(t *testing.T) {
 			t.Fatalf("round %d: expected the fence answer, got %+v", round, msg)
 		}
 
-		next := query(spot(round)) // services the probe, then overwrites the entry
+		if rangeFirst {
+			if _, err := a.Range(100); err != nil {
+				t.Fatal(err)
+			}
+			if st := a.Stats(); st.ProbesAnswered != int64(round) {
+				t.Fatalf("round %d: %d probes answered after the range query, want %d", round, st.ProbesAnswered, round)
+			}
+		}
+		next := query(spot(round)) // services the probe if it is still queued, then overwrites the entry
 
 		msg := readDecoded(t, b)
 		if msg.Type != wire.TypePeerShares || msg.Shares.ReqID != reqID || len(msg.Shares.Shares) != 1 {

@@ -33,9 +33,8 @@ import (
 //
 //	session.dirMu  >  dirShard.mu  >  session.mu
 //
-// and no path acquires them in the other direction (serveConn calls setPos
-// and update as siblings, not nested). Nothing blocking ever runs under any
-// of these locks.
+// and no path acquires them in the other direction. Nothing blocking ever
+// runs under any of these locks.
 //
 // Membership mirrors the old linear sweep exactly: a session joins the
 // directory with its first streamed Position and stays in it for the

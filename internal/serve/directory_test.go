@@ -10,13 +10,10 @@ import (
 )
 
 // newBareServer builds a Server skeleton with just the state the directory
-// and the two target-collection paths read — no HTTP, no store — so the
-// oracle property tests can churn sessions directly.
+// and the relay read — no HTTP, no store — so the oracle property tests can
+// churn sessions directly.
 func newBareServer(bounds geom.Rect, cell float64, shards int) *Server {
-	return &Server{
-		sessions: make(map[string]*session),
-		dir:      newSessionDirectory(bounds, cell, shards),
-	}
+	return &Server{dir: newSessionDirectory(bounds, cell, shards)}
 }
 
 // targetSet reduces a target slice to a comparable set. The directory
@@ -42,6 +39,7 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 		cell := cell
 		t.Run(fmt.Sprintf("cell=%g", cell), func(t *testing.T) {
 			s := newBareServer(bounds, cell, 8)
+			ps := newPositions()
 			rng := rand.New(rand.NewSource(7))
 			var all []*session
 			randPos := func() geom.Point {
@@ -56,12 +54,9 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						sess.conn = &WSConn{}
 					}
-					s.sessions[fmt.Sprintf("s%d", len(all))] = sess
 					all = append(all, sess)
 					if rng.Intn(4) > 0 { // most sessions stream a position
-						p := randPos()
-						sess.setPos(p)
-						s.dir.update(sess, p)
+						ps.stream(s.dir, sess, randPos())
 					}
 				case op < 5: // disconnect / reconnect
 					sess := all[rng.Intn(len(all))]
@@ -74,9 +69,7 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 					sess.mu.Unlock()
 				default: // move
 					sess := all[rng.Intn(len(all))]
-					p := randPos()
-					sess.setPos(p)
-					s.dir.update(sess, p)
+					ps.stream(s.dir, sess, randPos())
 				}
 
 				for q := 0; q < 4; q++ {
@@ -87,7 +80,7 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 						exclude = all[rng.Intn(len(all))]
 					}
 					grid := s.dir.collectTargets(exclude, loc, radius, nil)
-					linear := s.collectTargetsLinear(exclude, loc, radius, nil)
+					linear := ps.collectTargetsLinear(exclude, loc, radius, nil)
 					gs, ls := targetSet(grid), targetSet(linear)
 					if len(grid) != len(gs) {
 						t.Fatalf("round %d: directory returned %d targets with duplicates (%d unique)",
@@ -136,7 +129,6 @@ func TestDirectoryDegenerateBounds(t *testing.T) {
 		d := newSessionDirectory(bounds, 0, 0)
 		sess := &session{conn: &WSConn{}}
 		p := geom.Pt(1e9, -1e9)
-		sess.setPos(p)
 		d.update(sess, p)
 		got := d.collectTargets(nil, p, 1, nil)
 		if len(got) != 1 || got[0].sess != sess {
@@ -152,11 +144,11 @@ func TestDirectoryDegenerateBounds(t *testing.T) {
 func TestDirectoryConcurrentChurn(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}
 	s := newBareServer(bounds, 200, 16)
+	ps := newPositions()
 	const nSessions = 64
 	sessions := make([]*session, nSessions)
 	for i := range sessions {
 		sessions[i] = &session{conn: &WSConn{}}
-		s.sessions[fmt.Sprintf("s%d", i)] = sessions[i]
 	}
 	const iters = 400
 	var wg sync.WaitGroup
@@ -169,9 +161,7 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
 				sess := sessions[rng.Intn(nSessions)]
-				p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
-				sess.setPos(p)
-				s.dir.update(sess, p)
+				ps.stream(s.dir, sess, geom.Pt(rng.Float64()*10000, rng.Float64()*10000))
 			}
 		}(int64(w))
 	}
@@ -197,7 +187,7 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 
 	// The index must still agree with the oracle once the dust settles.
 	grid := targetSet(s.dir.collectTargets(nil, geom.Pt(5000, 5000), 50000, nil))
-	linear := targetSet(s.collectTargetsLinear(nil, geom.Pt(5000, 5000), 50000, nil))
+	linear := targetSet(ps.collectTargetsLinear(nil, geom.Pt(5000, 5000), 50000, nil))
 	if len(grid) != len(linear) {
 		t.Fatalf("post-churn mismatch: directory %d targets, oracle %d", len(grid), len(linear))
 	}
@@ -208,22 +198,42 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 	}
 }
 
-// collectTargetsLinear is the pre-directory implementation — a linear sweep
-// of the whole session table under Server.mu — kept as the oracle the
-// property tests pin the grid directory against and as the baseline
-// BenchmarkRelayFanout measures the speedup from. It must keep selecting
-// exactly the target set collectTargets selects.
-func (s *Server) collectTargetsLinear(exclude *session, q geom.Point, radius float64, dst []relayTarget) []relayTarget {
+// positions is the pre-directory implementation — every session's last
+// streamed position in one table, swept whole under one lock — kept as the
+// oracle the property tests pin the grid directory against and as the
+// baseline BenchmarkRelayFanout measures the speedup from. The table is its
+// own: production keeps positions only in the directory's cells.
+type positions struct {
+	mu sync.Mutex
+	at map[*session]geom.Point
+}
+
+func newPositions() *positions {
+	return &positions{at: make(map[*session]geom.Point)}
+}
+
+// stream records p for the oracle and moves sess in the directory, the two
+// things a Position frame means to the two implementations.
+func (ps *positions) stream(d *sessionDirectory, sess *session, p geom.Point) {
+	ps.mu.Lock()
+	ps.at[sess] = p
+	ps.mu.Unlock()
+	d.update(sess, p)
+}
+
+// collectTargetsLinear must keep selecting exactly the target set
+// collectTargets selects.
+func (ps *positions) collectTargetsLinear(exclude *session, q geom.Point, radius float64, dst []relayTarget) []relayTarget {
 	r2 := radius * radius
-	s.mu.Lock()
-	for _, sess := range s.sessions {
+	ps.mu.Lock()
+	for sess, pos := range ps.at {
 		if sess == exclude {
 			continue
 		}
 		sess.mu.Lock()
-		conn, pos, hasPos := sess.conn, sess.pos, sess.hasPos
+		conn := sess.conn
 		sess.mu.Unlock()
-		if conn == nil || !hasPos {
+		if conn == nil {
 			continue
 		}
 		if q.Dist2(pos) > r2 {
@@ -231,6 +241,6 @@ func (s *Server) collectTargetsLinear(exclude *session, q geom.Point, radius flo
 		}
 		dst = append(dst, relayTarget{sess: sess, conn: conn})
 	}
-	s.mu.Unlock()
+	ps.mu.Unlock()
 	return dst
 }

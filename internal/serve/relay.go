@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/wire"
 )
 
@@ -371,11 +370,4 @@ func (s *Server) dropConn(sess *session, ws *WSConn) {
 		s.deliverRelay(pr)
 		recycleRelay(pr)
 	}
-}
-
-// position returns the session's last streamed position (used by tests).
-func (sess *session) position() (geom.Point, bool) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.pos, sess.hasPos
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -25,15 +24,13 @@ func BenchmarkRelayFanout(b *testing.B) {
 		{"100k", 100000},
 	} {
 		s := newBareServer(bounds, 0, 0)
+		ps := newPositions()
 		rng := rand.New(rand.NewSource(11))
 		sessions := make([]*session, bc.n)
 		conn := &WSConn{} // attached is all the sweep asks of it; one serves every session
 		for i := range sessions {
 			sess := &session{conn: conn}
-			p := geom.Pt(rng.Float64()*20000, rng.Float64()*20000)
-			sess.setPos(p)
-			s.dir.update(sess, p)
-			s.sessions[fmt.Sprintf("s%d", i)] = sess
+			ps.stream(s.dir, sess, geom.Pt(rng.Float64()*20000, rng.Float64()*20000))
 			sessions[i] = sess
 		}
 		queries := make([]geom.Point, 256)
@@ -60,12 +57,12 @@ func BenchmarkRelayFanout(b *testing.B) {
 		b.Run("linear/sessions="+bc.name, func(b *testing.B) {
 			var targets []relayTarget
 			for _, q := range queries {
-				targets = s.collectTargetsLinear(exclude, q, radius, targets[:0])
+				targets = ps.collectTargetsLinear(exclude, q, radius, targets[:0])
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				targets = s.collectTargetsLinear(exclude, queries[i%len(queries)], radius, targets[:0])
+				targets = ps.collectTargetsLinear(exclude, queries[i%len(queries)], radius, targets[:0])
 			}
 			_ = targets
 		})

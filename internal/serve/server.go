@@ -102,15 +102,12 @@ type Server struct {
 // 4-7, 8-15, 16-31, 32+.
 const peersInRangeBuckets = 7
 
-// session is one registered client. The server keeps its last reported
-// position — the state the peer relay's range sweep reads — its live
-// connection for relay probes, and its traffic counts.
+// session is one registered client: its live connection for relay probes
+// and its place in the spatial directory, which holds the last reported
+// position the peer relay's range scan reads.
 type session struct {
-	mu      sync.Mutex
-	conn    *WSConn
-	pos     geom.Point
-	hasPos  bool
-	queries int64
+	mu   sync.Mutex
+	conn *WSConn
 
 	// Spatial-directory bookkeeping. dirMu serializes this session's cell
 	// transitions; dirIn/dirCell are read and written only under dirMu, and
@@ -120,12 +117,6 @@ type session struct {
 	dirIn   bool
 	dirCell int32
 	dirSlot int32
-}
-
-func (s *session) setPos(p geom.Point) {
-	s.mu.Lock()
-	s.pos, s.hasPos = p, true
-	s.mu.Unlock()
 }
 
 // NewServer wraps mod with the network service.
@@ -355,7 +346,6 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 		}
 		switch msg.Type {
 		case wire.TypePosition:
-			sess.setPos(msg.Pos)
 			s.dir.update(sess, msg.Pos)
 			s.stat.positions.Add(1)
 		case wire.TypeQuery:
@@ -371,9 +361,6 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			var pages int64
 			scratch, pages = s.querier.KNN(q.Loc, q.K, b, scratch)
 			s.stat.queries.Add(1)
-			sess.mu.Lock()
-			sess.queries++
-			sess.mu.Unlock()
 			ans := wire.Answer{
 				ReqID: q.ReqID,
 				Pages: pages,
@@ -388,9 +375,6 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			var ok bool
 			scratch, ok = s.querier.RangeInto(rq.Loc, rq.Radius, s.maxAnswer, scratch)
 			s.stat.ranges.Add(1)
-			sess.mu.Lock()
-			sess.queries++
-			sess.mu.Unlock()
 			if !ok {
 				// A truncated range answer would claim a certain region it
 				// does not cover; refuse instead. The search itself stopped

@@ -290,7 +290,7 @@ const (
 	QuerySize       = headerSize + 4 + 4 + pointSize + 1 + 8 + 8
 	RangeSize       = headerSize + 4 + pointSize + 8
 	ErrorSize       = headerSize + 4 + 4
-	PeerRequestSize = headerSize + 4 + pointSize + 8
+	PeerRequestSize = RangeSize // the same body: request id, location, radius
 	PeerProbeSize   = headerSize + 4
 )
 
@@ -609,22 +609,32 @@ func decodeQuery(buf []byte) (Message, error) {
 	return Message{Type: TypeQuery, Query: q}, nil
 }
 
-func decodeRange(buf []byte) (Message, error) {
+// decodeRadiusRequest parses the request id + location + radius body that
+// Range and PeerRequest share.
+func decodeRadiusRequest(buf []byte) (RangeQuery, error) {
 	if len(buf) != RangeSize {
-		return Message{}, ErrTruncated
+		return RangeQuery{}, ErrTruncated
 	}
 	r := RangeQuery{ReqID: binary.LittleEndian.Uint32(buf[headerSize:])}
 	r.Loc = getPoint(buf, headerSize+4)
 	if !finite(r.Loc) {
-		return Message{}, ErrBadFloat
+		return RangeQuery{}, ErrBadFloat
 	}
 	r.Radius = math.Float64frombits(binary.LittleEndian.Uint64(buf[headerSize+4+pointSize:]))
 	if math.IsNaN(r.Radius) || math.IsInf(r.Radius, 0) {
-		return Message{}, ErrBadFloat
+		return RangeQuery{}, ErrBadFloat
 	}
 	if r.Radius < 0 || math.Signbit(r.Radius) {
 		// Negative zero is excluded too: encoding must be canonical.
-		return Message{}, fmt.Errorf("%w: radius %g", ErrBadValue, r.Radius)
+		return RangeQuery{}, fmt.Errorf("%w: radius %g", ErrBadValue, r.Radius)
+	}
+	return r, nil
+}
+
+func decodeRange(buf []byte) (Message, error) {
+	r, err := decodeRadiusRequest(buf)
+	if err != nil {
+		return Message{}, err
 	}
 	return Message{Type: TypeRange, Range: r}, nil
 }
@@ -648,26 +658,11 @@ func decodeAnswer(buf []byte) (Message, error) {
 	if len(buf) != AnswerSize(n) {
 		return Message{}, ErrTruncated
 	}
-	neighbors := make([]core.POI, n)
-	off += 4
-	prev := -1.0
-	for i := 0; i < n; i++ {
-		id := int64(binary.LittleEndian.Uint64(buf[off:]))
-		p := getPoint(buf, off+8)
-		if !finite(p) {
-			return Message{}, ErrBadFloat
-		}
-		// The answer's order is part of the protocol: neighbors arrive in
-		// non-decreasing distance from the query location, so the decoded
-		// PeerCache satisfies the certain-region invariant without a
-		// re-sort that could reorder the server's tie-breaking.
-		d2 := loc.Dist2(p)
-		if d2 < prev {
-			return Message{}, ErrUnsorted
-		}
-		prev = d2
-		neighbors[i] = core.POI{ID: id, Loc: p}
-		off += poiSize
+	// An answer's length is bounded by the exact-size check above (and by the
+	// k its Query may carry), not by the relayed-share cap.
+	neighbors, err := scanNeighbors(buf, off+4, loc, n, true, make([]core.POI, 0, n))
+	if err != nil {
+		return Message{}, err
 	}
 	a.Cache = core.PeerCache{QueryLoc: loc, Neighbors: neighbors}
 	return Message{Type: TypeAnswer, Answer: a}, nil
@@ -684,23 +679,11 @@ func decodeError(buf []byte) (Message, error) {
 }
 
 func decodePeerRequest(buf []byte) (Message, error) {
-	if len(buf) != PeerRequestSize {
-		return Message{}, ErrTruncated
+	r, err := decodeRadiusRequest(buf)
+	if err != nil {
+		return Message{}, err
 	}
-	r := PeerRequest{ReqID: binary.LittleEndian.Uint32(buf[headerSize:])}
-	r.Loc = getPoint(buf, headerSize+4)
-	if !finite(r.Loc) {
-		return Message{}, ErrBadFloat
-	}
-	r.Radius = math.Float64frombits(binary.LittleEndian.Uint64(buf[headerSize+4+pointSize:]))
-	if math.IsNaN(r.Radius) || math.IsInf(r.Radius, 0) {
-		return Message{}, ErrBadFloat
-	}
-	if r.Radius < 0 || math.Signbit(r.Radius) {
-		// Negative zero is excluded too: encoding must be canonical.
-		return Message{}, fmt.Errorf("%w: relay radius %g", ErrBadValue, r.Radius)
-	}
-	return Message{Type: TypePeerRequest, PeerReq: r}, nil
+	return Message{Type: TypePeerRequest, PeerReq: PeerRequest(r)}, nil
 }
 
 func decodePeerProbe(buf []byte) (Message, error) {
@@ -716,7 +699,8 @@ func decodePeerProbe(buf []byte) (Message, error) {
 // past it. With keep set the neighbors are also appended to arena (returned
 // grown); without it the walk only validates, which is all a relay that
 // forwards the block's bytes needs. Single validation path for every
-// relayed-share decoder and for ShareReplyBlock.
+// relayed-share decoder and for ShareReplyBlock; a served Answer, whose
+// header differs, runs the same neighbor walk (scanNeighbors).
 func scanShare(buf []byte, off int, keep bool, arena []core.POI) (geom.Point, int, int, []core.POI, error) {
 	if len(buf) < off+pointSize+4 {
 		return geom.Point{}, 0, 0, arena, ErrTruncated
@@ -733,6 +717,17 @@ func scanShare(buf []byte, off int, keep bool, arena []core.POI) (geom.Point, in
 	if len(buf) < off+n*poiSize {
 		return geom.Point{}, 0, 0, arena, ErrTruncated
 	}
+	arena, err := scanNeighbors(buf, off, loc, n, keep, arena)
+	if err != nil {
+		return geom.Point{}, 0, 0, arena, err
+	}
+	return loc, n, off + n*poiSize, arena, nil
+}
+
+// scanNeighbors walks the n neighbors at off (the caller has checked that buf
+// holds them), validating finiteness and non-decreasing distance from loc;
+// with keep set they are appended to arena, which is returned.
+func scanNeighbors(buf []byte, off int, loc geom.Point, n int, keep bool, arena []core.POI) ([]core.POI, error) {
 	if keep {
 		arena = slices.Grow(arena, n)
 	}
@@ -740,14 +735,15 @@ func scanShare(buf []byte, off int, keep bool, arena []core.POI) (geom.Point, in
 	for i := 0; i < n; i++ {
 		p := getPoint(buf, off+8)
 		if !finite(p) {
-			return geom.Point{}, 0, 0, arena, ErrBadFloat
+			return arena, ErrBadFloat
 		}
-		// Relayed shares descend from served answers, whose ascending order
-		// is authoritative; validating instead of re-sorting keeps the
-		// encoding canonical and the PeerCache invariant intact.
+		// A served answer's ascending order is authoritative (ties in the
+		// server's index order) and relayed shares descend from answers;
+		// validating instead of re-sorting keeps the encoding canonical and
+		// the PeerCache invariant intact.
 		d2 := loc.Dist2(p)
 		if d2 < prev {
-			return geom.Point{}, 0, 0, arena, ErrUnsorted
+			return arena, ErrUnsorted
 		}
 		prev = d2
 		if keep {
@@ -755,7 +751,7 @@ func scanShare(buf []byte, off int, keep bool, arena []core.POI) (geom.Point, in
 		}
 		off += poiSize
 	}
-	return loc, n, off, arena, nil
+	return arena, nil
 }
 
 // decodeShareInto is scanShare keeping the neighbors: they are appended to
@@ -769,12 +765,6 @@ func decodeShareInto(buf []byte, off int, arena []core.POI) (core.PeerCache, int
 	}
 	end := len(arena)
 	return core.PeerCache{QueryLoc: loc, Neighbors: arena[start:end:end]}, next, arena, nil
-}
-
-// decodeShare is decodeShareInto with fresh storage per share.
-func decodeShare(buf []byte, off int) (core.PeerCache, int, error) {
-	pc, next, _, err := decodeShareInto(buf, off, nil)
-	return pc, next, err
 }
 
 // shareReplyBlockOff is where a ShareReply's share block starts: past the
@@ -857,36 +847,9 @@ func ShareReplyBlock(buf []byte) (probeID uint32, neighbors int, block []byte, e
 }
 
 func decodePeerShares(buf []byte) (Message, error) {
-	if len(buf) < PeerSharesHeaderSize {
-		return Message{}, ErrTruncated
-	}
-	ps := PeerShares{
-		ReqID:        binary.LittleEndian.Uint32(buf[headerSize:]),
-		PeersInRange: int(binary.LittleEndian.Uint32(buf[headerSize+4:])),
-	}
-	m := int(binary.LittleEndian.Uint32(buf[headerSize+8:]))
-	// Each share block is at least pointSize+4 bytes, so m is bounded by the
-	// message length before anything is allocated.
-	if m > (len(buf)-PeerSharesHeaderSize)/(pointSize+4) {
-		return Message{}, ErrTruncated
-	}
-	off := PeerSharesHeaderSize
-	if m > 0 {
-		ps.Shares = make([]core.PeerCache, 0, m)
-	}
-	for i := 0; i < m; i++ {
-		pc, next, err := decodeShare(buf, off)
-		if err != nil {
-			return Message{}, err
-		}
-		if len(pc.Neighbors) == 0 {
-			return Message{}, fmt.Errorf("%w: relayed share with 0 neighbors", ErrBadValue)
-		}
-		ps.Shares = append(ps.Shares, pc)
-		off = next
-	}
-	if off != len(buf) {
-		return Message{}, ErrTruncated
+	ps, err := DecodePeerSharesInto(buf, new(SharesScratch))
+	if err != nil {
+		return Message{}, err
 	}
 	return Message{Type: TypePeerShares, Shares: ps}, nil
 }
@@ -905,8 +868,8 @@ type SharesScratch struct {
 // returned PeerShares (its Shares slice and every Neighbors slice) aliases
 // sc and is valid only until the next call with the same scratch — callers
 // that retain shares must copy them (which every cache-storing path in this
-// repo already does). Validation is byte-for-byte the same as Decode's:
-// both run the single decodeShareInto path.
+// repo already does). Decode is this function over a fresh scratch, so the
+// two accept exactly the same messages.
 func DecodePeerSharesInto(buf []byte, sc *SharesScratch) (PeerShares, error) {
 	typ, err := PeekType(buf)
 	if err != nil {
@@ -923,6 +886,8 @@ func DecodePeerSharesInto(buf []byte, sc *SharesScratch) (PeerShares, error) {
 		PeersInRange: int(binary.LittleEndian.Uint32(buf[headerSize+4:])),
 	}
 	m := int(binary.LittleEndian.Uint32(buf[headerSize+8:]))
+	// Each share block is at least pointSize+4 bytes, so m is bounded by the
+	// message length before anything is allocated.
 	if m > (len(buf)-PeerSharesHeaderSize)/(pointSize+4) {
 		return PeerShares{}, ErrTruncated
 	}
