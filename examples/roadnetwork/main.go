@@ -62,21 +62,31 @@ func main() {
 		fmt.Printf("  station #%-3d ED %7.1f m\n", n.ID, n.Dist)
 	}
 
-	// Network-distance answer via SNNN: fetch draws growing Euclidean NN
-	// prefixes through the same sharing pipeline; distances come from the
-	// host's local road graph.
+	// Network-distance answer via SNNN: fetch is one exchange of the same
+	// sharing pipeline. A host asks for its cache capacity, not for k (cache
+	// policy 2), so the first exchange usually returns every candidate SNNN
+	// goes on to price and a second one happens only when that ascending
+	// prefix runs out (Algorithm 2 as printed runs one exchange per extra
+	// candidate). Distances come from one bounded expansion over the host's
+	// local road graph.
+	const cacheSize = 5
+	exchanges := 0
 	fetch := func(n int) []senn.POI {
-		r := senn.Query(q, n, peers, db, senn.QueryOptions{})
+		exchanges++
+		r := senn.Query(q, max(n, cacheSize), peers, db, senn.QueryOptions{})
 		out := make([]senn.POI, len(r.Neighbors))
 		for i, rp := range r.Neighbors {
 			out[i] = rp.POI
 		}
 		return out
 	}
-	network := senn.NetworkQuery(q, k, fetch, senn.NetworkDistance(roads, q))
+	search := senn.NewRoadSearch(roads)
+	network := senn.NetworkQuery(search, q, k, fetch)
 	fmt.Printf("\nNetwork %dNN of %v (travel distance over the roads):\n", k, q)
 	for _, n := range network {
 		fmt.Printf("  station #%-3d ND %7.1f m  (ED %7.1f m)\n", n.ID, n.ND, n.ED)
 	}
-	fmt.Printf("\nserver queries: %d, page accesses: %d\n", db.Queries(), db.PageAccesses())
+	fmt.Printf("\nSENN exchanges for the network query: %d\n", exchanges)
+	fmt.Printf("road nodes settled: %d of %d\n", search.Settled(), roads.NumNodes())
+	fmt.Printf("server queries: %d, page accesses: %d\n", db.Queries(), db.PageAccesses())
 }

@@ -9,6 +9,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/client"
+	"repro/internal/nn"
+	"repro/internal/rtree"
+	"repro/internal/sim"
 	"repro/internal/spatialnet"
 )
 
@@ -37,6 +42,7 @@ func TestSNNNOverSENNMatchesBruteForce(t *testing.T) {
 		peers = append(peers, NewPeerCache(loc, db.KNN(loc, 8, Bounds{})))
 	}
 
+	search := NewRoadSearch(roads)
 	for trial := 0; trial < 10; trial++ {
 		q := Pt(rng.Float64()*3000, rng.Float64()*3000)
 		k := 1 + rng.Intn(4)
@@ -48,9 +54,8 @@ func TestSNNNOverSENNMatchesBruteForce(t *testing.T) {
 			}
 			return out
 		}
-		nd := NetworkDistance(roads, q)
-		got := NetworkQuery(q, k, fetch, nd)
-		want := spatialnet.BruteForceNetworkKNN(q, k, pois, nd)
+		got := NetworkQuery(search, q, k, fetch)
+		want := spatialnet.BruteForceNetworkKNN(search, q, k, pois)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d results, want %d", trial, len(got), len(want))
 		}
@@ -59,6 +64,91 @@ func TestSNNNOverSENNMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d rank %d: ND %v, want %v", trial, i+1, got[i].ND, want[i].ND)
 			}
 		}
+	}
+}
+
+// resolverServer mounts a Database as the client core's server channel.
+type resolverServer struct {
+	db *Database
+	it nn.Iterator[rtree.Node]
+}
+
+func (s *resolverServer) KNNInto(q Point, k int, b Bounds, dst []POI) ([]POI, int64, error) {
+	out, pages := s.db.KNNInto(q, k, b, &s.it, dst)
+	return out, pages, nil
+}
+
+// TestSNNNExchangesPerQuery pins what a network query costs a Table-4 Los
+// Angeles host (30×30 mi road grid, 4,050 POIs, C_Size 20, k = λ_kNN = 5) in
+// the two units §3.4 spends: SENN exchanges and Dijkstra settles. A fetch is
+// the real client pipeline — client.Resolver over the host's own cache with
+// the server behind it — so one exchange leaves the cache holding the C_Size
+// nearest POIs and SNNN reads its candidates off that entry; Algorithm 2 as
+// printed ran 8.3 exchanges per query on this scene, one per extra candidate.
+func TestSNNNExchangesPerQuery(t *testing.T) {
+	cfg, err := PaperConfig(LosAngeles, Area30mi).Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roads, err := GenerateRoadNetwork(GridConfig{Width: cfg.AreaWidth, Height: cfg.AreaHeight,
+		Spacing: cfg.RoadSpacing, SecondaryEvery: 5, HighwayEvery: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	pois := sim.RandomPOIs(cfg.NumPOIs, cfg.Bounds(), rng)
+	srv := &resolverServer{db: NewDatabaseFanout(pois, cfg.RTreeFanout)}
+	resolver := client.NewResolver()
+	search := NewRoadSearch(roads)
+
+	const queries, k = 200, 5
+	exchanges, settles, worst := 0, 0, 0
+	for trial := 0; trial < queries; trial++ {
+		q := Pt(rng.Float64()*cfg.AreaWidth, rng.Float64()*cfg.AreaHeight)
+		own := cache.New(cfg.CacheSize) // a host that has not queried here before
+		made := 0
+		fetch := func(n int) []POI {
+			made++
+			out := resolver.Resolve(client.Request{Q: q, K: n, Cache: own, NeedAnswer: true}, nil, srv)
+			if out.Err != nil {
+				t.Fatal(out.Err)
+			}
+			out.Write.Apply(own)
+			resolver.ResetArena()
+			if ent, ok := own.Entry(); ok && len(ent.Neighbors) >= len(out.Answer) {
+				return ent.Neighbors // every neighbour the exchange certified, up to C_Size
+			}
+			answer := make([]POI, len(out.Answer)) // asked for more than the cache keeps
+			for i, c := range out.Answer {
+				answer[i] = c.POI
+			}
+			return answer
+		}
+		got := NetworkQuery(search, q, k, fetch)
+		exchanges += made
+		settles += search.Settled()
+		worst = max(worst, made)
+		if trial%10 != 0 {
+			continue // pricing all 4,050 POIs is the slow part: one query in ten
+		}
+		want := spatialnet.BruteForceNetworkKNN(search, q, k, pois)
+		if len(got) != len(want) {
+			t.Fatalf("query %d: got %d results, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("query %d rank %d: %+v, want %+v", trial, i+1, got[i], want[i])
+			}
+		}
+	}
+	perQuery := func(n int) float64 { return float64(n) / queries }
+	t.Logf("%d queries: %.2f exchanges (worst %d) and %.1f of %d nodes settled per query",
+		queries, perQuery(exchanges), worst, perQuery(settles), roads.NumNodes())
+	if perQuery(exchanges) > 2 {
+		t.Errorf("%.2f exchanges per query, want at most 2: candidates are not read off the certified prefix", perQuery(exchanges))
+	}
+	if perQuery(settles) > 40 {
+		t.Errorf("%.1f nodes settled per query, want at most 40: the expansion is not bounded by S_bound", perQuery(settles))
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package spatialnet provides the spatial-network substrate of §3.4: a road
-// graph model with per-class speed limits, Dijkstra shortest paths, snapping
-// of arbitrary points onto the network, a synthetic TIGER/LINE-style road
-// network generator (including over-pass handling), and the network-distance
-// nearest neighbor algorithms — IER (Incremental Euclidean Restriction,
-// Papadias et al. VLDB 2003) and the paper's sharing-based SNNN
-// (Algorithm 2).
+// graph model with per-class speed limits, one Dijkstra expansion
+// (PathFinder) that plans routes and prices network distances, snapping of
+// arbitrary points onto the network through the node grid, a synthetic
+// TIGER/LINE-style road network generator (including over-pass handling), and
+// the network-distance nearest neighbor algorithms — IER (Incremental
+// Euclidean Restriction, Papadias et al. VLDB 2003) and the paper's
+// sharing-based SNNN (Algorithm 2), which is IER over the sharing
+// infrastructure's candidate stream.
 package spatialnet
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -79,10 +80,11 @@ type Edge struct {
 // carry lengths (usually the Euclidean distance between the endpoints, but
 // longer values model curved roads) and road classes.
 type Graph struct {
-	locs    []geom.Point
-	adj     [][]halfEdge
-	edges   int
-	nodeIdx *grid.Index // optional, built by BuildNodeIndex
+	locs     []geom.Point
+	adj      [][]halfEdge
+	edges    int
+	maxChord float64     // longest straight-line edge: how far Snap looks past its best hit
+	nodeIdx  *grid.Index // built by BuildNodeIndex, dropped when a node is added
 }
 
 // NewGraph returns an empty graph.
@@ -92,6 +94,7 @@ func NewGraph() *Graph { return &Graph{} }
 func (g *Graph) AddNode(p geom.Point) NodeID {
 	g.locs = append(g.locs, p)
 	g.adj = append(g.adj, nil)
+	g.nodeIdx = nil
 	return NodeID(len(g.locs) - 1)
 }
 
@@ -124,9 +127,11 @@ func (g *Graph) AddEdgeLength(a, b NodeID, length float64, class RoadClass) erro
 	if int(a) >= len(g.locs) || int(b) >= len(g.locs) || a < 0 || b < 0 {
 		return fmt.Errorf("spatialnet: edge (%d,%d) references missing node", a, b)
 	}
-	if ed := g.locs[a].Dist(g.locs[b]); length < ed-geom.Eps {
+	ed := g.locs[a].Dist(g.locs[b])
+	if length < ed-geom.Eps {
 		return fmt.Errorf("spatialnet: edge length %v below Euclidean distance %v", length, ed)
 	}
+	g.maxChord = max(g.maxChord, ed)
 	g.adj[a] = append(g.adj[a], halfEdge{to: b, length: length, class: class})
 	g.adj[b] = append(g.adj[b], halfEdge{to: a, length: length, class: class})
 	g.edges++
@@ -163,51 +168,4 @@ func (g *Graph) Bounds() geom.Rect {
 		r = r.Union(geom.RectFromPoint(p))
 	}
 	return r
-}
-
-// NearestNode returns the node closest to p. ok is false for an empty graph.
-func (g *Graph) NearestNode(p geom.Point) (NodeID, bool) {
-	best, bestD := NodeID(-1), math.Inf(1)
-	for i, loc := range g.locs {
-		if d := p.Dist2(loc); d < bestD {
-			best, bestD = NodeID(i), d
-		}
-	}
-	return best, best >= 0
-}
-
-// SnapResult locates a point on the road network: the nearest edge, the
-// parameter t in [0,1] along it from From to To, the snapped location, and
-// the Euclidean snap distance.
-type SnapResult struct {
-	Edge     Edge
-	T        float64
-	Loc      geom.Point
-	SnapDist float64
-}
-
-// Snap projects p onto the nearest road segment. ok is false for a graph
-// without edges.
-func (g *Graph) Snap(p geom.Point) (SnapResult, bool) {
-	best := SnapResult{SnapDist: math.Inf(1)}
-	found := false
-	for from, hes := range g.adj {
-		for _, he := range hes {
-			if NodeID(from) > he.to {
-				continue
-			}
-			a, b := g.locs[from], g.locs[he.to]
-			c, t := geom.SegmentClosest(p, a, b)
-			if d := p.Dist(c); d < best.SnapDist {
-				best = SnapResult{
-					Edge:     Edge{From: NodeID(from), To: he.to, Length: he.length, Class: he.class},
-					T:        t,
-					Loc:      c,
-					SnapDist: d,
-				}
-				found = true
-			}
-		}
-	}
-	return best, found
 }

@@ -97,14 +97,15 @@ func TestNearestNodeAndSnap(t *testing.T) {
 
 func TestShortestPathLine(t *testing.T) {
 	g := lineGraph(10)
-	d, path, ok := g.ShortestPath(0, 9)
+	pf := NewPathFinder(g)
+	d, path, ok := pf.ShortestPath(0, 9)
 	if !ok || math.Abs(d-9) > 1e-12 {
 		t.Fatalf("dist = %v ok=%v", d, ok)
 	}
 	if len(path) != 10 || path[0] != 0 || path[9] != 9 {
 		t.Errorf("path = %v", path)
 	}
-	d, path, ok = g.ShortestPath(4, 4)
+	d, path, ok = pf.ShortestPath(4, 4)
 	if !ok || d != 0 || len(path) != 1 {
 		t.Errorf("self path = %v %v %v", d, path, ok)
 	}
@@ -126,7 +127,7 @@ func TestShortestPathPicksShorterRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := geom.Pt(0, 0).Dist(geom.Pt(5, 1)) * 2
-	d, path, ok := g.ShortestPath(a, b)
+	d, path, ok := NewPathFinder(g).ShortestPath(a, b)
 	if !ok || math.Abs(d-want) > 1e-9 {
 		t.Fatalf("dist = %v, want %v", d, want)
 	}
@@ -147,12 +148,15 @@ func TestShortestPathDisconnected(t *testing.T) {
 	if err := g.AddEdge(c, d, ClassRural); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := g.ShortestPath(a, c); ok {
+	pf := NewPathFinder(g)
+	if _, _, ok := pf.ShortestPath(a, c); ok {
 		t.Error("path across components should fail")
 	}
-	dists := g.ShortestDistances(a, 0)
-	if !math.IsInf(dists[c], 1) || dists[b] != 1 {
-		t.Errorf("distances = %v", dists)
+	if dist, _, ok := pf.ShortestPath(a, b); !ok || dist != 1 {
+		t.Errorf("a->b = %v ok=%v after a failed search", dist, ok)
+	}
+	if _, ok := pf.NetworkDistance(geom.Pt(0, 0), geom.Pt(100, 100)); ok {
+		t.Error("network distance across components should fail")
 	}
 }
 
@@ -199,33 +203,49 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 				}
 			}
 		}
+		pf := NewPathFinder(g)
 		for i := 0; i < n; i++ {
-			got := g.ShortestDistances(NodeID(i), 0)
 			for j := 0; j < n; j++ {
 				want := dist[i][j]
-				if math.IsInf(want, 1) != math.IsInf(got[j], 1) {
+				got, _, ok := pf.ShortestPath(NodeID(i), NodeID(j))
+				if math.IsInf(want, 1) == ok {
 					t.Fatalf("trial %d: reachability mismatch %d->%d", trial, i, j)
 				}
-				if !math.IsInf(want, 1) && math.Abs(got[j]-want) > 1e-9 {
-					t.Fatalf("trial %d: dist %d->%d = %v, want %v", trial, i, j, got[j], want)
+				if ok && math.Abs(got-want) > 1e-9 {
+					t.Fatalf("trial %d: dist %d->%d = %v, want %v", trial, i, j, got, want)
 				}
 			}
 		}
 	}
 }
 
-func TestShortestDistancesCutoff(t *testing.T) {
+// The expansion is bounded: pricing a point beyond the bound settles the
+// nodes within it and no more, and a later, looser bound resumes the same
+// search rather than starting over.
+func TestSettleStopsAtBound(t *testing.T) {
 	g := lineGraph(100)
-	dists := g.ShortestDistances(0, 10)
-	// Everything within the cutoff must be exact.
-	for i := 0; i <= 10; i++ {
-		if math.Abs(dists[i]-float64(i)) > 1e-12 {
-			t.Errorf("dist[%d] = %v", i, dists[i])
+	pf := NewPathFinder(g)
+	pf.Expand(geom.Pt(0, 0))
+	if d, ok := pf.Dist(geom.Pt(50, 0), 10); ok {
+		t.Errorf("point at 50 priced %v under bound 10", d)
+	}
+	if n := pf.Settled(); n < 10 || n > 12 {
+		t.Errorf("bound 10 settled %d nodes, want the ~11 within it", n)
+	}
+	if !math.IsInf(pf.label(99), 1) {
+		t.Errorf("bound did not stop the search: node 99 labelled %v", pf.label(99))
+	}
+	for i := 0; i <= 10; i++ { // everything within the bound is exact
+		if d, ok := pf.Dist(geom.Pt(float64(i), 0), 10); !ok || math.Abs(d-float64(i)) > 1e-12 {
+			t.Errorf("dist to %d = %v ok=%v", i, d, ok)
 		}
 	}
-	// Far nodes may be unsettled (infinite).
-	if !math.IsInf(dists[99], 1) {
-		t.Errorf("cutoff did not stop the search: dist[99] = %v", dists[99])
+	before := pf.Settled()
+	if d, ok := pf.Dist(geom.Pt(50, 0), math.Inf(1)); !ok || math.Abs(d-50) > 1e-12 {
+		t.Errorf("dist to 50 = %v ok=%v", d, ok)
+	}
+	if n := pf.Settled(); n <= before || n > 52 {
+		t.Errorf("resumed search settled %d nodes in total (had %d), want ~51", n, before)
 	}
 }
 
@@ -256,11 +276,35 @@ func TestNetworkDistance(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got, ok := g.NetworkDistance(tc.p, tc.q)
+			got, ok := NewPathFinder(g).NetworkDistance(tc.p, tc.q)
 			if !ok || math.Abs(got-tc.want) > 1e-9 {
 				t.Errorf("NetworkDistance = %v ok=%v, want %v", got, ok, tc.want)
 			}
 		})
+	}
+}
+
+// A point is priced only once both endpoints of its edge are settled: the
+// near endpoint settles first, but the way through the far one can be shorter.
+func TestDistSettlesBothEndpoints(t *testing.T) {
+	g := NewGraph()
+	s := g.AddNode(geom.Pt(0, 0))
+	u := g.AddNode(geom.Pt(10, 0))
+	v := g.AddNode(geom.Pt(110, 0))
+	w := g.AddNode(geom.Pt(55, -5))
+	if err := g.AddEdgeLength(u, v, 300, ClassRural); err != nil { // a winding road
+		t.Fatal(err)
+	}
+	for _, e := range [][2]NodeID{{s, u}, {s, w}, {w, v}} {
+		if err := g.AddEdge(e[0], e[1], ClassRural); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 90 % of the way along the winding road: 280 m through u, or round by
+	// w to v and 30 m back.
+	want := 2*geom.Pt(0, 0).Dist(geom.Pt(55, -5)) + 30
+	if got, ok := NewPathFinder(g).NetworkDistance(geom.Pt(0, 0), geom.Pt(100, 0)); !ok || math.Abs(got-want) > 1e-9 {
+		t.Errorf("NetworkDistance = %v ok=%v, want %v", got, ok, want)
 	}
 }
 
@@ -272,13 +316,14 @@ func TestEuclideanLowerBoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
+	pf := NewPathFinder(g)
 	edges := g.Edges()
 	for i := 0; i < 200; i++ {
 		e1 := edges[rng.Intn(len(edges))]
 		e2 := edges[rng.Intn(len(edges))]
 		p := g.Loc(e1.From).Lerp(g.Loc(e1.To), rng.Float64())
 		q := g.Loc(e2.From).Lerp(g.Loc(e2.To), rng.Float64())
-		nd, ok := g.NetworkDistance(p, q)
+		nd, ok := pf.NetworkDistance(p, q)
 		if !ok {
 			t.Fatalf("unreachable pair in connected grid")
 		}
@@ -295,12 +340,13 @@ func TestNetworkDistanceSymmetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(6))
+	pf := NewPathFinder(g)
 	b := g.Bounds()
 	for i := 0; i < 100; i++ {
 		p := geom.Pt(rng.Float64()*b.Width(), rng.Float64()*b.Height())
 		q := geom.Pt(rng.Float64()*b.Width(), rng.Float64()*b.Height())
-		d1, ok1 := g.NetworkDistance(p, q)
-		d2, ok2 := g.NetworkDistance(q, p)
+		d1, ok1 := pf.NetworkDistance(p, q)
+		d2, ok2 := pf.NetworkDistance(q, p)
 		if ok1 != ok2 || math.Abs(d1-d2) > 1e-9 {
 			t.Fatalf("asymmetry: %v vs %v", d1, d2)
 		}

@@ -16,52 +16,55 @@ type NetworkResult struct {
 	ND float64
 }
 
-// NetworkDistFunc maps a POI location to its network distance from the
-// (implicit) query point. ok is false when the location is unreachable.
-type NetworkDistFunc func(p geom.Point) (float64, bool)
-
-// NDFrom returns a NetworkDistFunc measuring network distance from q over g.
-func NDFrom(g *Graph, q geom.Point) NetworkDistFunc {
-	return func(p geom.Point) (float64, bool) { return g.NetworkDistance(q, p) }
-}
-
 // IER computes the k network-distance nearest neighbors of q with the
 // Incremental Euclidean Restriction algorithm of Papadias et al. (§3.4,
 // Figure 8): Euclidean NNs are drawn in ascending order from next; each
-// candidate's network distance is evaluated; the search stops once the next
-// Euclidean NN lies beyond the current k-th network distance (the Euclidean
-// lower-bound property guarantees no better candidate remains). Unreachable
-// candidates are skipped.
-func IER(q geom.Point, k int, next func() (core.POI, bool), nd NetworkDistFunc) []NetworkResult {
+// candidate's network distance is priced by the one expansion pf grows from q,
+// bounded by the current k-th network distance; the search stops once the
+// next Euclidean NN lies beyond that bound (the Euclidean lower-bound property
+// guarantees no better candidate remains). Unreachable candidates are
+// skipped. Results ascend by (ND, POI ID).
+func IER(pf *PathFinder, q geom.Point, k int, next func() (core.POI, bool)) []NetworkResult {
 	if k <= 0 {
 		return nil
 	}
-	var results []NetworkResult // sorted ascending by ND
-	bound := math.Inf(1)
+	pf.Expand(q)
+	results := make([]NetworkResult, 0, k+1)
+	bound := math.Inf(1) // S_bound: the k-th network distance once k are known
 	for {
 		poi, ok := next()
 		if !ok {
 			break
 		}
 		ed := q.Dist(poi.Loc)
-		if len(results) >= k && ed > bound {
+		if ed > bound {
 			break
 		}
-		d, reachable := nd(poi.Loc)
-		if !reachable {
+		nd, ok := pf.Dist(poi.Loc, bound)
+		if !ok {
 			continue
 		}
-		results = insertByND(results, NetworkResult{POI: poi, ED: ed, ND: d}, k)
-		if len(results) >= k {
-			bound = results[len(results)-1].ND
+		results = insertByND(results, NetworkResult{POI: poi, ED: ed, ND: nd}, k)
+		if len(results) == k {
+			bound = results[k-1].ND
 		}
 	}
 	return results
 }
 
-// insertByND inserts r into the ND-ascending slice, trimming to k entries.
+// byND is the result order: ascending network distance, equal distances by
+// ascending POI ID — a total order, so every implementation agrees on which
+// of several equidistant POIs makes the k-th place.
+func byND(a, b NetworkResult) bool {
+	if a.ND != b.ND {
+		return a.ND < b.ND
+	}
+	return a.ID < b.ID
+}
+
+// insertByND inserts r into the byND-ascending slice, trimming to k entries.
 func insertByND(rs []NetworkResult, r NetworkResult, k int) []NetworkResult {
-	i := sort.Search(len(rs), func(i int) bool { return rs[i].ND > r.ND })
+	i := sort.Search(len(rs), func(i int) bool { return byND(r, rs[i]) })
 	rs = append(rs, NetworkResult{})
 	copy(rs[i+1:], rs[i:])
 	rs[i] = r
@@ -71,73 +74,50 @@ func insertByND(rs []NetworkResult, r NetworkResult, k int) []NetworkResult {
 	return rs
 }
 
-// FetchFunc returns the n Euclidean nearest neighbors of the (implicit)
-// query point in ascending distance order — fewer when the data set is
-// exhausted. SNNN drives it with growing n, exactly as Algorithm 2 invokes
-// SENN(Q, k+i).
+// FetchFunc runs one exchange of the sharing infrastructure for the
+// (implicit) query point and returns its Euclidean nearest neighbors in
+// ascending distance order: at least n of them unless the data set holds
+// fewer, and as many more as the exchange certified — a host's cache keeps
+// up to C_Size.
 type FetchFunc func(n int) []core.POI
 
 // SNNN executes Algorithm 2, the Sharing-based Network distance Nearest
-// Neighbor query: obtain k Euclidean NNs via the sharing infrastructure,
-// compute their network distances over the host's local modeling graph, and
-// keep swapping in subsequent Euclidean NNs until the next one's Euclidean
-// distance exceeds the k-th network distance (the search upper bound
-// S_bound). Unreachable POIs are skipped.
-func SNNN(q geom.Point, k int, fetch FetchFunc, nd NetworkDistFunc) []NetworkResult {
-	if k <= 0 {
-		return nil
-	}
-	initial := fetch(k)
-	var results []NetworkResult
-	for _, poi := range initial {
-		d, reachable := nd(poi.Loc)
-		if !reachable {
-			continue
-		}
-		results = insertByND(results, NetworkResult{POI: poi, ED: q.Dist(poi.Loc), ND: d}, k)
-	}
-	seen := len(initial)
-	if seen < k {
-		// Fewer POIs exist than requested: nothing more to fetch.
-		return results
-	}
-	sBound := math.Inf(1)
-	if len(results) >= k {
-		sBound = results[len(results)-1].ND
-	}
-	for i := 1; ; i++ {
-		batch := fetch(k + i)
-		if len(batch) < k+i {
-			break // data set exhausted
-		}
-		next := batch[len(batch)-1]
-		ed := q.Dist(next.Loc)
-		if ed > sBound {
-			break // Euclidean lower bound: no remaining POI can improve
-		}
-		d, reachable := nd(next.Loc)
-		if reachable && (len(results) < k || d < results[len(results)-1].ND) {
-			results = insertByND(results, NetworkResult{POI: next, ED: ed, ND: d}, k)
-			if len(results) >= k {
-				sBound = results[len(results)-1].ND
+// Neighbor query: IER whose Euclidean candidates come from the sharing
+// infrastructure. Algorithm 2 re-runs SENN(Q, k+i) for every extra candidate;
+// one exchange already returns every neighbor it certified, so the candidates
+// are read off the last fetch's ascending prefix and a further exchange —
+// for one neighbor more than seen so far — happens only when that prefix runs
+// out before the next Euclidean distance exceeds S_bound. Same answers, fewer
+// exchanges.
+func SNNN(pf *PathFinder, q geom.Point, k int, fetch FetchFunc) []NetworkResult {
+	var prefix []core.POI
+	seen, asked := 0, 0
+	return IER(pf, q, k, func() (core.POI, bool) {
+		if seen == len(prefix) {
+			if len(prefix) < asked {
+				return core.POI{}, false // the last exchange came back short: data set exhausted
+			}
+			asked = max(k, seen+1)
+			if prefix = fetch(asked); len(prefix) <= seen {
+				return core.POI{}, false
 			}
 		}
-	}
-	return results
+		seen++
+		return prefix[seen-1], true
+	})
 }
 
 // BruteForceNetworkKNN computes the exact k network-distance nearest
-// neighbors by evaluating every POI — the correctness oracle for IER/SNNN.
-func BruteForceNetworkKNN(q geom.Point, k int, pois []core.POI, nd NetworkDistFunc) []NetworkResult {
+// neighbors by pricing every POI — the correctness oracle for IER/SNNN.
+func BruteForceNetworkKNN(pf *PathFinder, q geom.Point, k int, pois []core.POI) []NetworkResult {
+	pf.Expand(q)
 	var all []NetworkResult
 	for _, p := range pois {
-		d, ok := nd(p.Loc)
-		if !ok {
-			continue
+		if nd, ok := pf.Dist(p.Loc, math.Inf(1)); ok {
+			all = append(all, NetworkResult{POI: p, ED: q.Dist(p.Loc), ND: nd})
 		}
-		all = append(all, NetworkResult{POI: p, ED: q.Dist(p.Loc), ND: d})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ND < all[j].ND })
+	sort.Slice(all, func(i, j int) bool { return byND(all[i], all[j]) })
 	if len(all) > k {
 		all = all[:k]
 	}

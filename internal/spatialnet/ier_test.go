@@ -13,7 +13,8 @@ import (
 // newTestRand keeps rand construction in one place for the test files.
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// euclideanFetcher returns a FetchFunc over a static POI slice, with a call
+// euclideanFetcher returns a FetchFunc over a static POI slice that answers
+// with exactly the n asked for — Algorithm 2's SENN(Q, k+i) — with a call
 // counter to observe incremental behavior.
 func euclideanFetcher(q geom.Point, pois []core.POI, calls *int) FetchFunc {
 	sorted := append([]core.POI(nil), pois...)
@@ -81,28 +82,28 @@ func sameNetworkResults(t *testing.T, label string, got, want []NetworkResult) {
 
 func TestIERMatchesBruteForce(t *testing.T) {
 	g, pois := testGridWithPOIs(t, 1, 60)
+	pf := NewPathFinder(g)
 	rng := newTestRand(2)
 	b := g.Bounds()
 	for trial := 0; trial < 20; trial++ {
 		q := geom.Pt(rng.Float64()*b.Width(), rng.Float64()*b.Height())
 		k := 1 + rng.Intn(6)
-		nd := NDFrom(g, q)
-		got := IER(q, k, incrementalSource(q, pois), nd)
-		want := BruteForceNetworkKNN(q, k, pois, nd)
+		got := IER(pf, q, k, incrementalSource(q, pois))
+		want := BruteForceNetworkKNN(pf, q, k, pois)
 		sameNetworkResults(t, "IER", got, want)
 	}
 }
 
 func TestSNNNMatchesBruteForce(t *testing.T) {
 	g, pois := testGridWithPOIs(t, 3, 60)
+	pf := NewPathFinder(g)
 	rng := newTestRand(4)
 	b := g.Bounds()
 	for trial := 0; trial < 20; trial++ {
 		q := geom.Pt(rng.Float64()*b.Width(), rng.Float64()*b.Height())
 		k := 1 + rng.Intn(6)
-		nd := NDFrom(g, q)
-		got := SNNN(q, k, euclideanFetcher(q, pois, nil), nd)
-		want := BruteForceNetworkKNN(q, k, pois, nd)
+		got := SNNN(pf, q, k, euclideanFetcher(q, pois, nil))
+		want := BruteForceNetworkKNN(pf, q, k, pois)
 		sameNetworkResults(t, "SNNN", got, want)
 	}
 }
@@ -113,7 +114,7 @@ func TestSNNNIncrementalTermination(t *testing.T) {
 	g, pois := testGridWithPOIs(t, 5, 200)
 	q := geom.Pt(1000, 1000)
 	calls := 0
-	_ = SNNN(q, 3, euclideanFetcher(q, pois, &calls), NDFrom(g, q))
+	_ = SNNN(NewPathFinder(g), q, 3, euclideanFetcher(q, pois, &calls))
 	if calls > 40 {
 		t.Errorf("SNNN made %d fetch calls for 200 POIs; bound not effective", calls)
 	}
@@ -125,7 +126,7 @@ func TestSNNNIncrementalTermination(t *testing.T) {
 func TestIERResultsSortedByND(t *testing.T) {
 	g, pois := testGridWithPOIs(t, 7, 80)
 	q := geom.Pt(500, 1500)
-	got := IER(q, 10, incrementalSource(q, pois), NDFrom(g, q))
+	got := IER(NewPathFinder(g), q, 10, incrementalSource(q, pois))
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].ND < got[j].ND }) {
 		t.Error("IER results not ND-sorted")
 	}
@@ -139,10 +140,10 @@ func TestIERResultsSortedByND(t *testing.T) {
 func TestIERKZero(t *testing.T) {
 	g, pois := testGridWithPOIs(t, 9, 10)
 	q := geom.Pt(0, 0)
-	if got := IER(q, 0, incrementalSource(q, pois), NDFrom(g, q)); got != nil {
+	if got := IER(NewPathFinder(g), q, 0, incrementalSource(q, pois)); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
-	if got := SNNN(q, 0, euclideanFetcher(q, pois, nil), NDFrom(g, q)); got != nil {
+	if got := SNNN(NewPathFinder(g), q, 0, euclideanFetcher(q, pois, nil)); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
 }
@@ -150,7 +151,7 @@ func TestIERKZero(t *testing.T) {
 func TestSNNNFewerPOIsThanK(t *testing.T) {
 	g, pois := testGridWithPOIs(t, 11, 3)
 	q := geom.Pt(1000, 1000)
-	got := SNNN(q, 10, euclideanFetcher(q, pois, nil), NDFrom(g, q))
+	got := SNNN(NewPathFinder(g), q, 10, euclideanFetcher(q, pois, nil))
 	if len(got) != 3 {
 		t.Errorf("got %d results, want all 3", len(got))
 	}
@@ -172,8 +173,7 @@ func TestIERSkipsUnreachable(t *testing.T) {
 	}
 	q := geom.Pt(0, 0)
 	// Network distance from q measures within component A only.
-	nd := NDFrom(g, q)
-	got := IER(q, 3, incrementalSource(q, pois), nd)
+	got := IER(NewPathFinder(g), q, 3, incrementalSource(q, pois))
 	if len(got) != 2 {
 		t.Fatalf("got %d results, want 2 reachable", len(got))
 	}
@@ -201,8 +201,7 @@ func TestIERReordersByNetworkDistance(t *testing.T) {
 	a := core.POI{ID: 1, Loc: geom.Pt(10, 90)} // ED from q: ~90.5, ND: 100
 	b := core.POI{ID: 2, Loc: geom.Pt(95, 0)}  // ED from q: 95,  ND: 95
 	q := geom.Pt(0, 0)
-	nd := NDFrom(g, q)
-	got := IER(q, 1, incrementalSource(q, []core.POI{a, b}), nd)
+	got := IER(NewPathFinder(g), q, 1, incrementalSource(q, []core.POI{a, b}))
 	if len(got) != 1 || got[0].ID != 2 {
 		t.Fatalf("network NN should be POI 2, got %v", got)
 	}

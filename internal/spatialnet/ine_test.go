@@ -1,12 +1,209 @@
 package spatialnet
 
 import (
+	"container/heap"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 )
+
+// INE — Incremental Network Expansion (Papadias et al., VLDB 2003) — is the
+// second network-kNN algorithm the paper references in §3.4. Instead of
+// drawing Euclidean candidates and validating them (IER), INE expands the
+// network around the query point in Dijkstra order and collects POIs in the
+// order their network distance is settled. Nothing in production calls it; it
+// shares no code with PathFinder (its own container/heap search, its own
+// every-edge snapping), which is what makes it the referee of IER and SNNN.
+
+// POIIndex locates POIs on a road network: every POI is snapped to its
+// nearest edge once, and lookups enumerate the POIs of an edge in order.
+// Build one index per (graph, POI set) pair and reuse it across queries.
+type POIIndex struct {
+	g *Graph
+	// perEdge maps the canonical edge key to POIs on it, sorted by the
+	// snap parameter t.
+	perEdge map[edgeKey][]snappedPOI
+	n       int
+}
+
+type edgeKey struct{ a, b NodeID }
+
+type snappedPOI struct {
+	poi core.POI
+	t   float64 // parameter along the canonical edge direction (a -> b)
+	off float64 // snap offset: Euclidean distance from the POI to the edge
+}
+
+func canonicalKey(a, b NodeID) (edgeKey, bool) {
+	if a <= b {
+		return edgeKey{a, b}, false
+	}
+	return edgeKey{b, a}, true
+}
+
+// NewPOIIndex snaps every POI onto the network. POIs that cannot snap (an
+// empty graph) are dropped.
+func NewPOIIndex(g *Graph, pois []core.POI) *POIIndex {
+	idx := &POIIndex{g: g, perEdge: make(map[edgeKey][]snappedPOI)}
+	for _, p := range pois {
+		snap, ok := g.snapLinear(p.Loc)
+		if !ok {
+			continue
+		}
+		key, flipped := canonicalKey(snap.Edge.From, snap.Edge.To)
+		t := snap.T
+		if flipped {
+			t = 1 - t
+		}
+		idx.perEdge[key] = append(idx.perEdge[key], snappedPOI{poi: p, t: t, off: snap.SnapDist})
+		idx.n++
+	}
+	//simvet:ordered — each entry is sorted in place independently; no state crosses iterations
+	for key := range idx.perEdge {
+		ps := idx.perEdge[key]
+		sort.Slice(ps, func(i, j int) bool {
+			if ps[i].t != ps[j].t {
+				return ps[i].t < ps[j].t
+			}
+			return ps[i].poi.ID < ps[j].poi.ID // total order: co-located POIs enumerate deterministically
+		})
+		idx.perEdge[key] = ps
+	}
+	return idx
+}
+
+// Len returns the number of indexed POIs.
+func (idx *POIIndex) Len() int { return idx.n }
+
+// edgePOIs returns the POIs snapped onto edge (a, b) together with their
+// parameter measured from a.
+func (idx *POIIndex) edgePOIs(a, b NodeID) []snappedPOI {
+	key, flipped := canonicalKey(a, b)
+	ps := idx.perEdge[key]
+	if !flipped || len(ps) == 0 {
+		return ps
+	}
+	out := make([]snappedPOI, len(ps))
+	for i, p := range ps {
+		out[len(ps)-1-i] = snappedPOI{poi: p.poi, t: 1 - p.t, off: p.off}
+	}
+	return out
+}
+
+// INE computes the k network-distance nearest neighbors of q by incremental
+// network expansion: a Dijkstra wavefront grows from the query point's snap
+// position; whenever an edge is first traversed, the POIs on it are scored
+// with their exact network distance (including their snap offsets, matching
+// NetworkDistance semantics) and pushed into the result set. The search
+// stops when the wavefront distance exceeds the current k-th result — every
+// undiscovered POI must then be farther.
+func INE(g *Graph, idx *POIIndex, q geom.Point, k int) []NetworkResult {
+	if k <= 0 || g.NumNodes() == 0 {
+		return nil
+	}
+	snapQ, ok := g.snapLinear(q)
+	if !ok {
+		return nil
+	}
+
+	// best holds the smallest network distance seen per POI; the bound is
+	// the k-th smallest distinct value. A POI can be scored from both edge
+	// endpoints, so deduplication must happen before the bound tightens —
+	// otherwise two one-sided scores of one POI could masquerade as two
+	// results and cut the search off early.
+	best := make(map[int64]NetworkResult)
+	bound := math.Inf(1)
+	recomputeBound := func() {
+		if len(best) < k {
+			bound = math.Inf(1)
+			return
+		}
+		nds := make([]float64, 0, len(best))
+		for _, r := range best {
+			nds = append(nds, r.ND)
+		}
+		sort.Float64s(nds)
+		bound = nds[k-1]
+	}
+	consider := func(p snappedPOI, nd float64) {
+		old, ok := best[p.poi.ID]
+		if ok && old.ND <= nd {
+			return
+		}
+		best[p.poi.ID] = NetworkResult{POI: p.poi, ED: q.Dist(p.poi.Loc), ND: nd}
+		recomputeBound()
+	}
+
+	// The query's own edge: POIs reachable without leaving it.
+	qOff := snapQ.SnapDist
+	for _, p := range idx.edgePOIs(snapQ.Edge.From, snapQ.Edge.To) {
+		// p.t here is measured from snapQ.Edge.From.
+		nd := qOff + math.Abs(p.t-snapQ.T)*snapQ.Edge.Length + p.off
+		consider(p, nd)
+	}
+
+	// Dijkstra from the two virtual seeds. Each edge is scored one-sidedly
+	// when an endpoint settles (cur.dist is exact at that moment), so every
+	// edge POI eventually receives both one-sided distances and the dedup
+	// below keeps the minimum — which is its exact network distance
+	// min(d(u)+t·L, d(v)+(1−t)·L) + snap offset. Early termination is safe:
+	// an unsettled endpoint lies beyond the bound, so its one-sided value
+	// cannot affect the top-k. (The settled side's value is then already the
+	// true minimum for any POI that belongs in the result.)
+	dist := make(map[NodeID]float64, 64)
+	seedFrom := qOff + snapQ.T*snapQ.Edge.Length
+	seedTo := qOff + (1-snapQ.T)*snapQ.Edge.Length
+	dist[snapQ.Edge.From] = seedFrom
+	dist[snapQ.Edge.To] = seedTo
+	pq := distQueue{
+		{id: snapQ.Edge.From, dist: seedFrom},
+		{id: snapQ.Edge.To, dist: seedTo},
+	}
+	heap.Init(&pq)
+	settled := map[NodeID]bool{}
+
+	for pq.Len() > 0 {
+		cur := heap.Pop(&pq).(nodeDist)
+		if settled[cur.id] || cur.dist > dist[cur.id] {
+			continue
+		}
+		settled[cur.id] = true
+		if cur.dist > bound {
+			break // no POI beyond the settled frontier can improve
+		}
+		g.Neighbors(cur.id, func(to NodeID, length float64, _ RoadClass) {
+			for _, p := range idx.edgePOIs(cur.id, to) {
+				// p.t measured from cur.id.
+				consider(p, cur.dist+p.t*length+p.off)
+			}
+			nd := cur.dist + length
+			if old, ok := dist[to]; !ok || nd < old {
+				dist[to] = nd
+				heap.Push(&pq, nodeDist{id: to, dist: nd})
+			}
+		})
+	}
+	out := make([]NetworkResult, 0, len(best))
+	for _, r := range best {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].ND != out[j].ND {
+			return out[i].ND < out[j].ND
+		}
+		// out was collected from a map; without a total order, equal-ND
+		// POIs at the k boundary would be kept or dropped by iteration
+		// order — nondeterministic output for one fixed seed.
+		return out[i].POI.ID < out[j].POI.ID
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
 
 func TestPOIIndexBasics(t *testing.T) {
 	g := lineGraph(5) // nodes at x = 0..4
@@ -44,14 +241,14 @@ func TestPOIIndexBasics(t *testing.T) {
 func TestINEMatchesBruteForce(t *testing.T) {
 	g, pois := testGridWithPOIs(t, 21, 80)
 	idx := NewPOIIndex(g, pois)
+	pf := NewPathFinder(g)
 	rng := newTestRand(22)
 	b := g.Bounds()
 	for trial := 0; trial < 25; trial++ {
 		q := geom.Pt(rng.Float64()*b.Width(), rng.Float64()*b.Height())
 		k := 1 + rng.Intn(6)
-		nd := NDFrom(g, q)
 		got := INE(g, idx, q, k)
-		want := BruteForceNetworkKNN(q, k, pois, nd)
+		want := BruteForceNetworkKNN(pf, q, k, pois)
 		sameNetworkResults(t, "INE", got, want)
 	}
 }
@@ -59,14 +256,14 @@ func TestINEMatchesBruteForce(t *testing.T) {
 func TestINEAgreesWithIER(t *testing.T) {
 	g, pois := testGridWithPOIs(t, 31, 60)
 	idx := NewPOIIndex(g, pois)
+	pf := NewPathFinder(g)
 	rng := newTestRand(32)
 	b := g.Bounds()
 	for trial := 0; trial < 20; trial++ {
 		q := geom.Pt(rng.Float64()*b.Width(), rng.Float64()*b.Height())
 		k := 1 + rng.Intn(5)
-		nd := NDFrom(g, q)
 		ine := INE(g, idx, q, k)
-		ier := IER(q, k, incrementalSource(q, pois), nd)
+		ier := IER(pf, q, k, incrementalSource(q, pois))
 		sameNetworkResults(t, "INE vs IER", ine, ier)
 	}
 }
@@ -133,8 +330,7 @@ func TestINETerminatesEarly(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("got %d results", len(got))
 	}
-	nd := NDFrom(g, q)
-	want := BruteForceNetworkKNN(q, 2, pois, nd)
+	want := BruteForceNetworkKNN(NewPathFinder(g), q, 2, pois)
 	sameNetworkResults(t, "early-term INE", got, want)
 }
 
@@ -171,10 +367,11 @@ func BenchmarkIER(b *testing.B) {
 	for i, l := range locs {
 		pois[i] = core.POI{ID: int64(i), Loc: l}
 	}
+	pf := NewPathFinder(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
-		IER(q, 5, incrementalSource(q, pois), NDFrom(g, q))
+		IER(pf, q, 5, incrementalSource(q, pois))
 	}
 }

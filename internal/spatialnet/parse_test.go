@@ -105,8 +105,8 @@ func TestSegmentsRoundTrip(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		d1, ok1 := g.NetworkDistance(p, q)
-		d2, ok2 := g2.NetworkDistance(p, q)
+		d1, ok1 := NewPathFinder(g).NetworkDistance(p, q)
+		d2, ok2 := NewPathFinder(g2).NetworkDistance(p, q)
 		if ok1 != ok2 || (ok1 && (d1-d2 > 1e-3 || d2-d1 > 1e-3)) {
 			t.Fatalf("distance changed after round trip: %v vs %v", d1, d2)
 		}

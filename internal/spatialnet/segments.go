@@ -46,33 +46,63 @@ func FromSegments(segs []Segment) (*Graph, error) {
 			return nil, fmt.Errorf("spatialnet: segment %d is degenerate at %v", i, s.A)
 		}
 	}
-	// splits[i] collects the interior parameters at which segment i must be
-	// cut.
+	// Only segments whose bounding boxes meet can intersect, so the pairs to
+	// test are found by a sweep over the boxes sorted by left edge. Each box
+	// is padded by what geom.SegmentsIntersect tolerates: Eps in parameter
+	// space along the segment, Eps/length across it.
+	boxes := make([]geom.Rect, len(segs))
+	order := make([]int, len(segs))
+	for i, s := range segs {
+		l := s.A.Dist(s.B)
+		pad := geom.Pt(1, 1).Scale(2 * geom.Eps * (l + 1/l))
+		boxes[i] = geom.NewRect(s.A, s.B)
+		boxes[i].Min, boxes[i].Max = boxes[i].Min.Sub(pad), boxes[i].Max.Add(pad)
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return boxes[order[a]].Min.X < boxes[order[b]].Min.X })
 	splits := make([][]float64, len(segs))
-	const tEps = 1e-9
-	interior := func(t float64) bool { return t > tEps && t < 1-tEps }
-
-	for i := 0; i < len(segs); i++ {
-		for j := i + 1; j < len(segs); j++ {
-			si, sj := segs[i], segs[j]
-			if !Connects(si.Class, sj.Class) {
-				continue
+	for a, i := range order {
+		for _, j := range order[a+1:] {
+			if boxes[j].Min.X > boxes[i].Max.X {
+				break
 			}
-			p, ok := geom.SegmentsIntersect(si.A, si.B, sj.A, sj.B)
-			if !ok {
-				continue
-			}
-			ti := paramOn(si, p)
-			tj := paramOn(sj, p)
-			if interior(ti) {
-				splits[i] = append(splits[i], ti)
-			}
-			if interior(tj) {
-				splits[j] = append(splits[j], tj)
+			if boxes[i].Intersects(boxes[j]) {
+				cut(segs, splits, min(i, j), max(i, j))
 			}
 		}
 	}
+	return assemble(segs, splits)
+}
 
+// tEps is the parameter distance under which two cuts of one segment, or a
+// cut and an endpoint, are the same point.
+const tEps = 1e-9
+
+// cut records where segments i < j meet, when they do and their classes
+// connect: the interior parameter on each goes into splits. The lower index
+// always plays the first segment, so the recorded parameters do not depend
+// on the order in which pairs are visited.
+func cut(segs []Segment, splits [][]float64, i, j int) {
+	si, sj := segs[i], segs[j]
+	if !Connects(si.Class, sj.Class) {
+		return
+	}
+	p, ok := geom.SegmentsIntersect(si.A, si.B, sj.A, sj.B)
+	if !ok {
+		return
+	}
+	interior := func(t float64) bool { return t > tEps && t < 1-tEps }
+	if ti := paramOn(si, p); interior(ti) {
+		splits[i] = append(splits[i], ti)
+	}
+	if tj := paramOn(sj, p); interior(tj) {
+		splits[j] = append(splits[j], tj)
+	}
+}
+
+// assemble builds the graph of segs cut at splits[i] (the interior
+// parameters of segment i, in any order).
+func assemble(segs []Segment, splits [][]float64) (*Graph, error) {
 	g := NewGraph()
 	nodeAt := make(map[[2]int64]NodeID)
 	getNode := func(p geom.Point) NodeID {

@@ -39,7 +39,7 @@ func TestFromSegmentsSharedEndpoints(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Errorf("nodes=%d edges=%d, want 3/2", g.NumNodes(), g.NumEdges())
 	}
-	d, _, ok := g.ShortestPath(0, 2)
+	d, _, ok := NewPathFinder(g).ShortestPath(0, 2)
 	if !ok || math.Abs(d-20) > 1e-9 {
 		t.Errorf("path through junction = %v ok=%v", d, ok)
 	}
@@ -59,7 +59,7 @@ func TestFromSegmentsCrossingSameClass(t *testing.T) {
 		t.Fatalf("nodes=%d edges=%d, want 5/4", g.NumNodes(), g.NumEdges())
 	}
 	// Travel from the west arm to the north arm turns at the junction.
-	d, ok := g.NetworkDistance(geom.Pt(-10, 0), geom.Pt(0, 10))
+	d, ok := NewPathFinder(g).NetworkDistance(geom.Pt(-10, 0), geom.Pt(0, 10))
 	if !ok || math.Abs(d-20) > 1e-9 {
 		t.Errorf("network distance = %v ok=%v, want 20", d, ok)
 	}
@@ -114,7 +114,7 @@ func TestFromSegmentsTJunction(t *testing.T) {
 	if g.NumNodes() != 4 || g.NumEdges() != 3 {
 		t.Fatalf("nodes=%d edges=%d, want 4/3", g.NumNodes(), g.NumEdges())
 	}
-	d, ok := g.NetworkDistance(geom.Pt(0, 0), geom.Pt(10, 10))
+	d, ok := NewPathFinder(g).NetworkDistance(geom.Pt(0, 0), geom.Pt(10, 10))
 	if !ok || math.Abs(d-20) > 1e-9 {
 		t.Errorf("distance through T junction = %v ok=%v", d, ok)
 	}

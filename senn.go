@@ -151,10 +151,12 @@ type (
 	GridConfig = spatialnet.GridConfig
 	// NetworkResult is one network-distance nearest neighbor.
 	NetworkResult = spatialnet.NetworkResult
-	// FetchFunc supplies Euclidean NNs incrementally to SNNN.
+	// FetchFunc is one exchange of the sharing infrastructure: the Euclidean
+	// NNs SNNN draws its candidates from.
 	FetchFunc = spatialnet.FetchFunc
-	// NetworkDistFunc measures network distance from the query point.
-	NetworkDistFunc = spatialnet.NetworkDistFunc
+	// RoadSearch is the reusable Dijkstra scratch over one road network that
+	// network queries and distances run on. Not safe for concurrent use.
+	RoadSearch = spatialnet.PathFinder
 )
 
 // Road classes.
@@ -175,17 +177,23 @@ func RoadNetworkFromSegments(segs []RoadSegment) (*RoadNetwork, error) {
 	return spatialnet.FromSegments(segs)
 }
 
-// NetworkQuery executes the SNNN algorithm (Algorithm 2): k network-distance
-// nearest neighbors, drawing Euclidean candidates from fetch — typically
-// backed by Query — and measuring distances with nd.
-func NetworkQuery(q Point, k int, fetch FetchFunc, nd NetworkDistFunc) []NetworkResult {
-	return spatialnet.SNNN(q, k, fetch, nd)
+// NewRoadSearch returns the search scratch for network queries over g. Keep
+// one per goroutine and reuse it: a query then allocates only its result.
+func NewRoadSearch(g *RoadNetwork) *RoadSearch { return spatialnet.NewPathFinder(g) }
+
+// NetworkQuery executes the SNNN algorithm (Algorithm 2): the k
+// network-distance nearest neighbors of q, drawing Euclidean candidates from
+// fetch — typically backed by Query — and pricing them with one bounded
+// expansion of s from q.
+func NetworkQuery(s *RoadSearch, q Point, k int, fetch FetchFunc) []NetworkResult {
+	return spatialnet.SNNN(s, q, k, fetch)
 }
 
-// NetworkDistance returns a NetworkDistFunc measuring network distance from
-// q over g.
-func NetworkDistance(g *RoadNetwork, q Point) NetworkDistFunc {
-	return spatialnet.NDFrom(g, q)
+// NetworkDistance returns the network distance between two arbitrary points:
+// each is snapped onto its nearest road segment and the snap offsets are
+// added. ok is false when no road connects them.
+func NetworkDistance(s *RoadSearch, p, q Point) (float64, bool) {
+	return s.NetworkDistance(p, q)
 }
 
 // Simulation (§4).

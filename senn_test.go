@@ -73,12 +73,16 @@ func TestFacadeNetworkQuery(t *testing.T) {
 	db := NewDatabase(pois)
 	q := Pt(480, 500)
 	fetch := func(n int) []POI { return db.KNN(q, n, Bounds{}) }
-	res := NetworkQuery(q, 1, fetch, NetworkDistance(roads, q))
+	search := NewRoadSearch(roads)
+	res := NetworkQuery(search, q, 1, fetch)
 	if len(res) != 1 || res[0].ID != 3 {
 		t.Fatalf("network NN = %v, want POI 3", res)
 	}
 	if res[0].ND < res[0].ED {
 		t.Errorf("ND %v < ED %v", res[0].ND, res[0].ED)
+	}
+	if nd, ok := NetworkDistance(search, q, pois[2].Loc); !ok || nd != res[0].ND {
+		t.Errorf("NetworkDistance = %v ok=%v, want the query's ND %v", nd, ok, res[0].ND)
 	}
 }
 
