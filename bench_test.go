@@ -105,15 +105,15 @@ func BenchmarkFig16K30mi(b *testing.B) {
 func BenchmarkFreeMovementComparison(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		road, free, err := experiments.FreeMovementComparison(
+		row, err := experiments.FreeMovementComparison(
 			experiments.LosAngeles, experiments.Area2mi, benchOpts2mi)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(road, "roadSQRR%")
-			b.ReportMetric(free, "freeSQRR%")
-			b.ReportMetric(road-free, "delta%")
+			b.ReportMetric(row.RoadSQRR, "roadSQRR%")
+			b.ReportMetric(row.FreeSQRR, "freeSQRR%")
+			b.ReportMetric(row.Delta, "delta%")
 		}
 	}
 }
@@ -246,7 +246,7 @@ func figureSuite(b *testing.B, workers int) {
 				reportShares(b, fr)
 			}
 		}
-		if _, _, err := experiments.FreeMovementComparison(
+		if _, err := experiments.FreeMovementComparison(
 			experiments.LosAngeles, experiments.Area2mi, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -7,8 +7,7 @@
 //
 //	experiments [-fig 9|10|11|12|13|14|15|16|17|free|uncertain|diskio|all]
 //	            [-scale N] [-queries N] [-area 2mi|30mi] [-chart]
-//	            [-parallel N] [-worldworkers N] [-queryworkers N]
-//	            [-repeats N] [-json dir]
+//	            [-parallel N] [-repeats N] [-json dir]
 //	            [-cpuprofile file] [-memprofile file]
 package main
 
@@ -35,11 +34,7 @@ func main() {
 		areaSel  = flag.String("area", "", "restrict the free comparison to one area: 2mi or 30mi")
 		chart    = flag.Bool("chart", false, "render ASCII charts next to the numeric tables")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"core budget per figure: concurrent simulation runs × per-run workers (1 = fully sequential; output is identical either way)")
-		worldWorkers = flag.Int("worldworkers", 0,
-			"movement workers inside each simulation (0 = derive from the -parallel budget; output is identical for any value)")
-		queryWorkers = flag.Int("queryworkers", 0,
-			"query-resolve workers inside each simulation (0 = derive from the -parallel budget; output is identical for any value)")
+			"core budget per figure: concurrent simulation runs × movement and query workers per run (1 = fully sequential; output is identical either way)")
 		repeats = flag.Int("repeats", 0,
 			"independent runs per sweep point, reported as mean ± stddev in the JSON output (0 = runner default: 1 for sweeps, 3 for the free comparison)")
 		jsonDir = flag.String("json", "",
@@ -73,8 +68,7 @@ func main() {
 	}
 	opts := experiments.Options{
 		DurationScale: *scale, HostScale: *hostSc, Seed: *seed,
-		Workers: *parallel, WorldWorkers: *worldWorkers,
-		QueryWorkers: *queryWorkers, Repeats: *repeats,
+		Workers: *parallel, Repeats: *repeats,
 	}
 	persist := func(err error) {
 		if err != nil {
@@ -134,15 +128,12 @@ func main() {
 		fmt.Printf("%-22s %-10s %12s %12s %10s\n", "region", "area", "road SQRR", "free SQRR", "delta")
 		for _, a := range areas {
 			for _, r := range experiments.Regions {
-				road, free, err := experiments.FreeMovementComparison(r, a, opts)
+				row, err := experiments.FreeMovementComparison(r, a, opts)
 				if err != nil {
 					fatal(err)
 				}
-				fmt.Printf("%-22s %-10s %12.1f %12.1f %10.1f\n", r, a, road, free, road-free)
-				rows = append(rows, experiments.FreeComparisonRow{
-					Region: r.String(), Area: a.String(),
-					RoadSQRR: road, FreeSQRR: free, Delta: road - free,
-				})
+				fmt.Printf("%-22s %-10s %12.1f %12.1f %10.1f\n", row.Region, row.Area, row.RoadSQRR, row.FreeSQRR, row.Delta)
+				rows = append(rows, row)
 			}
 		}
 		fmt.Println()
@@ -155,14 +146,13 @@ func main() {
 		fmt.Println("Uncertain-answer quality (AcceptUncertain on; extension study)")
 		fmt.Printf("%-22s %12s %12s %12s %12s\n",
 			"region", "uncertain %", "server %", "precision", "rank acc.")
-		uqs, err := experiments.UncertainQualityAll(experiments.Area2mi, opts)
+		uqs, err := experiments.UncertainQuality(experiments.Area2mi, opts)
 		if err != nil {
 			fatal(err)
 		}
-		for i, r := range experiments.Regions {
-			uq := uqs[i]
+		for _, uq := range uqs {
 			fmt.Printf("%-22s %12.1f %12.1f %12.2f %12.2f\n",
-				r, uq.UncertainShare, uq.ServerShare, uq.Precision, uq.RankAccuracy)
+				uq.Region, uq.UncertainShare, uq.ServerShare, uq.Precision, uq.RankAccuracy)
 		}
 		fmt.Println()
 		if *jsonDir != "" {

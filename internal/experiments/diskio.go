@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/nn"
 	"repro/internal/pagestore"
-	"repro/internal/sim"
 )
 
 // DiskIOPoint is one buffer-pool size of the §4.4 I/O spectrum study.
@@ -48,28 +46,12 @@ type DiskIOResult struct {
 // across the spectrum — most visibly at small pools where every avoided
 // page access is a disk read avoided.
 func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
-	opts = opts.normalize()
 	base := BaseConfig(r, Area30mi)
-	rng := rand.New(rand.NewSource(base.Seed + opts.Seed + 44))
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(base.AreaWidth, base.AreaHeight))
-	pois := sim.ClusteredPOIs(base.NumPOIs, bounds, base.NumPOIs/25, base.AreaWidth/250, rng)
-
-	tree := sim.NewServerModule(pois, base.RTreeFanout).Tree()
+	rng := rand.New(rand.NewSource(sweepSeed(base.Seed+44, opts, 0, 0)))
+	s := newScene(base, 1200, rng)
 	pager := pagestore.NewMemPager()
-	if err := pagestore.Pack(tree, pager); err != nil {
+	if err := pagestore.Pack(s.tree, pager); err != nil {
 		return DiskIOResult{}, err
-	}
-
-	// Peer caches for realistic bounds, as in EINNvsINN.
-	caches := make([]core.PeerCache, 1200)
-	for i := range caches {
-		loc := geom.Pt(rng.Float64()*base.AreaWidth, rng.Float64()*base.AreaHeight)
-		res, _ := nn.BestFirst(tree, loc, base.CacheSize)
-		ns := make([]core.POI, len(res))
-		for j, rr := range res {
-			ns[j] = pois[rr.Ref]
-		}
-		caches[i] = core.NewPeerCache(loc, ns)
 	}
 
 	const k = 6
@@ -79,32 +61,11 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 		want   int
 	}
 	// Pre-generate the query workload once so every pool size sees the
-	// identical sequence. Cache lookups go through the uniform-grid index
-	// rather than a scan over all caches.
-	nearCaches := newCacheIndex(caches, bounds, base.TxRange)
-	var work []workItem
+	// identical sequence.
+	work := make([]workItem, queries)
 	var verify core.VerifierScratch
-	for len(work) < queries {
-		home := caches[rng.Intn(len(caches))]
-		drift := rng.Float64() * base.TxRange
-		angle := rng.Float64() * 2 * math.Pi
-		q := home.QueryLoc.Add(geom.Pt(drift*math.Cos(angle), drift*math.Sin(angle)))
-		peers := nearCaches(q, base.TxRange)
-		heap := core.NewResultHeap(base.CacheSize)
-		verify.VerifySinglePeers(q, k, peers, heap)
-		if heap.NumCertain() >= k {
-			continue // peer-resolved
-		}
-		b := heap.Bounds()
-		b.HasUpper = false
-		if ub, ok := heap.UpperBoundFor(k); ok {
-			b.Upper, b.HasUpper = ub, true
-		}
-		work = append(work, workItem{
-			q:      q,
-			bounds: b,
-			want:   base.CacheSize - heap.NumCertain(),
-		})
+	for i := range work {
+		work[i].q, work[i].bounds, work[i].want = s.serverQuery(rng, &verify, k)
 	}
 
 	total := pager.NumPages()
@@ -117,7 +78,6 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	// the shared pager only serves concurrent page reads.
 	tasks := make([]RunTask, len(fractions))
 	for i, frac := range fractions {
-		i, frac := i, frac
 		tasks[i] = func() error {
 			pool := int(frac * float64(total))
 			if pool < 2 {

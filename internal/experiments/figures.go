@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/nn"
 	"repro/internal/sim"
 )
@@ -17,20 +16,21 @@ import (
 // shares the paper's Figures 9–16 plot, plus the communication-overhead and
 // server page-access series the same runs produce. When Options.Repeats > 1
 // every value is a mean over the repeated runs and the Std fields carry their
-// sample standard deviations (zero for a single run).
+// sample standard deviations (zero for a single run, and then omitted from
+// the persisted document).
 type SeriesPoint struct {
-	X           float64 // swept parameter value
-	ShareSingle float64 // % solved by a single peer
-	ShareMulti  float64 // % solved by multiple peers
-	ShareServer float64 // % solved by the server (SQRR)
-	CommBytes   float64 // mean P2P wire bytes per query
-	ServerPages float64 // mean R*-tree page accesses per server-resolved query
+	X           float64 `json:"x"`                      // swept parameter value
+	ShareSingle float64 `json:"single_peer_pct"`        // % solved by a single peer
+	ShareMulti  float64 `json:"multi_peer_pct"`         // % solved by multiple peers
+	ShareServer float64 `json:"server_pct"`             // % solved by the server (SQRR)
+	CommBytes   float64 `json:"comm_bytes_per_query"`   // mean P2P wire bytes per query
+	ServerPages float64 `json:"pages_per_server_query"` // mean R*-tree page accesses per server-resolved query
 
-	StdSingle float64 // stddev of ShareSingle across repeats
-	StdMulti  float64 // stddev of ShareMulti across repeats
-	StdServer float64 // stddev of ShareServer across repeats
-	StdComm   float64 // stddev of CommBytes across repeats
-	StdPages  float64 // stddev of ServerPages across repeats
+	StdSingle float64 `json:"single_peer_std,omitempty"` // stddev of ShareSingle across repeats
+	StdMulti  float64 `json:"multi_peer_std,omitempty"`  // stddev of ShareMulti across repeats
+	StdServer float64 `json:"server_std,omitempty"`      // stddev of ShareServer across repeats
+	StdComm   float64 `json:"comm_bytes_std,omitempty"`  // stddev of CommBytes across repeats
+	StdPages  float64 `json:"pages_std,omitempty"`       // stddev of ServerPages across repeats
 }
 
 // FigureResult is one sub-figure: a sweep for one region.
@@ -53,34 +53,17 @@ type Options struct {
 	HostScale float64
 	// Seed offsets the base seed of every run.
 	Seed int64
-	// Workers is the total core budget of a runner: it caps how many
-	// independent simulation runs execute concurrently (0 = GOMAXPROCS,
-	// 1 = sequential) and, through WorkerBudget, how many movement workers
-	// each run gets (outer tasks × inner workers ≤ Workers). Any value
-	// produces bit-identical results; see RunParallel and WorkerBudget.
+	// Workers is the core budget of a runner (0 = GOMAXPROCS, 1 =
+	// sequential). WorkerBudget splits it between concurrent runs and the
+	// movement and query workers inside each; any value produces
+	// bit-identical results.
 	Workers int
-	// WorldWorkers overrides the intra-world movement worker count
-	// (sim.Config.Workers) of every simulation the runner launches. 0
-	// derives it from the Workers budget via WorkerBudget. Results are
-	// identical for any value.
-	WorldWorkers int
-	// QueryWorkers overrides the query-resolve worker count
-	// (sim.Config.QueryWorkers) of every simulation the runner launches. 0
-	// derives it from the Workers budget via WorkerBudget. Results are
-	// identical for any value.
-	QueryWorkers int
 	// Repeats runs every sweep point with this many independent seeds and
 	// reports the mean shares plus their sample standard deviation in the
 	// SeriesPoint Std fields. 0 or 1 = a single run per point (the
 	// FreeMovementComparison study defaults to 3 — its effect is below
 	// single-run noise).
 	Repeats int
-	// CommonRandomNumbers gives every point of a sweep the identical base
-	// seed, pairing the runs as a variance-reduction technique. Off by
-	// default: each point then draws an independent seed, so the points are
-	// independent samples. Repeated runs of the same point always draw
-	// distinct seeds.
-	CommonRandomNumbers bool
 }
 
 // normalize fills defaults.
@@ -94,21 +77,6 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// workerSplit resolves the three parallelism levels for a runner with the
-// given task count: the outer RunParallel worker count and the
-// sim.Config.Workers / sim.Config.QueryWorkers values of each launched
-// simulation, honoring explicit WorldWorkers / QueryWorkers overrides.
-func (o Options) workerSplit(tasks int) (outer, move, query int) {
-	outer, move, query = WorkerBudget(o.Workers, tasks)
-	if o.WorldWorkers > 0 {
-		move = o.WorldWorkers
-	}
-	if o.QueryWorkers > 0 {
-		query = o.QueryWorkers
-	}
-	return outer, move, query
-}
-
 // repeats resolves the effective per-point run count.
 func (o Options) repeats() int {
 	if o.Repeats < 1 {
@@ -117,100 +85,53 @@ func (o Options) repeats() int {
 	return o.Repeats
 }
 
-// sweepSeed derives the seed of repeat rep of sweep point i. By default
-// every point gets its own seed so the points are independent samples; with
-// CommonRandomNumbers all points share the base seed (paired runs). Repeats
-// of the same point always get distinct seeds — the same 7919 stride the
-// free-movement study has always used — so the per-point samples are
-// independent under either policy.
-func sweepSeed(baseSeed int64, opts Options, i, rep int) int64 {
-	s := baseSeed + opts.Seed
-	if !opts.CommonRandomNumbers {
-		s += int64(i) * 1_000_000
-	}
-	return s + int64(rep)*7919
-}
-
-// shareSample is one run's contribution to a sweep point.
-type shareSample struct {
-	single, multi, server float64
-	bytes, pages          float64
-}
-
-// aggregateShares folds the repeated samples of one x into its SeriesPoint:
-// mean shares, communication overhead, and page accesses, plus their sample
-// standard deviations (zero for n = 1).
-func aggregateShares(x float64, samples []shareSample) SeriesPoint {
-	n := float64(len(samples))
-	var p SeriesPoint
-	p.X = x
-	for _, s := range samples {
-		p.ShareSingle += s.single / n
-		p.ShareMulti += s.multi / n
-		p.ShareServer += s.server / n
-		p.CommBytes += s.bytes / n
-		p.ServerPages += s.pages / n
-	}
-	if len(samples) > 1 {
-		var vs, vm, vv, vb, vp float64
-		for _, s := range samples {
-			vs += (s.single - p.ShareSingle) * (s.single - p.ShareSingle)
-			vm += (s.multi - p.ShareMulti) * (s.multi - p.ShareMulti)
-			vv += (s.server - p.ShareServer) * (s.server - p.ShareServer)
-			vb += (s.bytes - p.CommBytes) * (s.bytes - p.CommBytes)
-			vp += (s.pages - p.ServerPages) * (s.pages - p.ServerPages)
-		}
-		p.StdSingle = math.Sqrt(vs / (n - 1))
-		p.StdMulti = math.Sqrt(vm / (n - 1))
-		p.StdServer = math.Sqrt(vv / (n - 1))
-		p.StdComm = math.Sqrt(vb / (n - 1))
-		p.StdPages = math.Sqrt(vp / (n - 1))
-	}
+// aggregateShares folds the repeated runs of one x into its SeriesPoint.
+func aggregateShares(x float64, ms []sim.Metrics) SeriesPoint {
+	p := SeriesPoint{X: x}
+	p.ShareSingle, p.StdSingle = meanStd(ms, sim.Metrics.ShareSingle)
+	p.ShareMulti, p.StdMulti = meanStd(ms, sim.Metrics.ShareMulti)
+	p.ShareServer, p.StdServer = meanStd(ms, sim.Metrics.SQRR)
+	p.CommBytes, p.StdComm = meanStd(ms, sim.Metrics.PeerBytesPerQuery)
+	p.ServerPages, p.StdPages = meanStd(ms, sim.Metrics.PagesPerServerQuery)
 	return p
 }
 
+// meanStd returns the mean of f over ms and its sample standard deviation
+// (zero for a single run).
+func meanStd(ms []sim.Metrics, f func(sim.Metrics) float64) (mean, std float64) {
+	n := float64(len(ms))
+	for _, m := range ms {
+		mean += f(m) / n
+	}
+	if len(ms) < 2 {
+		return mean, 0
+	}
+	var v float64
+	for _, m := range ms {
+		d := f(m) - mean
+		v += d * d
+	}
+	return mean, math.Sqrt(v / (n - 1))
+}
+
 // runSweep executes opts.Repeats simulations per sweep value, mutating the
-// base config through mut. The runs are independent and execute across
-// opts.Workers goroutines; each task owns its result slot and derives its
-// seed from its (point, repeat) index, so the series is identical for any
-// worker count.
+// base config through mut.
 func runSweep(base sim.Config, xs []float64, opts Options, mut func(cfg *sim.Config, x float64)) ([]SeriesPoint, error) {
-	opts = opts.normalize()
 	repeats := opts.repeats()
-	samples := make([]shareSample, len(xs)*repeats)
-	outer, move, query := opts.workerSplit(len(samples))
-	tasks := make([]RunTask, len(samples))
+	runs := make([]worldRun, 0, len(xs)*repeats)
 	for i, x := range xs {
-		for rep := 0; rep < repeats; rep++ {
-			slot, i, x, rep := i*repeats+rep, i, x, rep
-			tasks[slot] = func() error {
-				cfg := ScaleHosts(ScaleDuration(base, opts.DurationScale), opts.HostScale)
-				cfg.Seed = sweepSeed(base.Seed, opts, i, rep)
-				cfg.Workers = move
-				cfg.QueryWorkers = query
-				mut(&cfg, x)
-				w, err := sim.New(cfg)
-				if err != nil {
-					return fmt.Errorf("sweep x=%v: %w", x, err)
-				}
-				m := w.Run()
-				samples[slot] = shareSample{
-					single: m.ShareSingle(),
-					multi:  m.ShareMulti(),
-					server: m.SQRR(),
-					bytes:  m.PeerBytesPerQuery(),
-					pages:  m.PagesPerServerQuery(),
-				}
-				return nil
-			}
+		for rep := range repeats {
+			runs = append(runs, worldRun{base: base, point: i, rep: rep,
+				mut: func(cfg *sim.Config) { mut(cfg, x) }})
 		}
 	}
-	if err := RunParallel(tasks, outer); err != nil {
+	ms, err := runWorlds(runs, opts, nil)
+	if err != nil {
 		return nil, err
 	}
 	pts := make([]SeriesPoint, len(xs))
 	for i, x := range xs {
-		pts[i] = aggregateShares(x, samples[i*repeats:(i+1)*repeats])
+		pts[i] = aggregateShares(x, ms[i*repeats:(i+1)*repeats])
 	}
 	return pts, nil
 }
@@ -293,44 +214,27 @@ func KSweep(r Region, a Area, opts Options) (FigureResult, error) {
 // mode lowers the server share slightly relative to the road network mode,
 // most visibly in dense regions. The delta is a few percent — below
 // single-run noise — so each mode is averaged over Options.Repeats seeds
-// (defaulting to 3 here rather than 1: the study is meaningless unaveraged).
-// It returns the averaged (roadSQRR, freeSQRR).
-func FreeMovementComparison(r Region, a Area, opts Options) (road, free float64, err error) {
-	opts = opts.normalize()
+// (defaulting to 3 here rather than 1: the study is meaningless unaveraged),
+// and repeat rep of both modes runs on the same seed.
+func FreeMovementComparison(r Region, a Area, opts Options) (FreeComparisonRow, error) {
 	if opts.Repeats < 1 {
 		opts.Repeats = 3
 	}
-	repeats := opts.repeats()
-	modes := []sim.Mode{sim.ModeRoadNetwork, sim.ModeFreeMovement}
-	shares := make([]float64, len(modes)*repeats)
-	outer, move, query := opts.workerSplit(len(shares))
-	tasks := make([]RunTask, 0, len(shares))
-	for mi, mode := range modes {
-		for rep := 0; rep < repeats; rep++ {
-			slot, mode, rep := mi*repeats+rep, mode, rep
-			tasks = append(tasks, func() error {
-				cfg := ScaleHosts(ScaleDuration(BaseConfig(r, a), opts.DurationScale), opts.HostScale)
-				cfg.Mode = mode
-				cfg.Seed += opts.Seed + int64(rep)*7919
-				cfg.Workers = move
-				cfg.QueryWorkers = query
-				w, werr := sim.New(cfg)
-				if werr != nil {
-					return werr
-				}
-				shares[slot] = w.Run().SQRR()
-				return nil
-			})
+	var runs []worldRun
+	for _, mode := range []sim.Mode{sim.ModeRoadNetwork, sim.ModeFreeMovement} {
+		for rep := range opts.Repeats {
+			runs = append(runs, worldRun{base: BaseConfig(r, a), rep: rep,
+				mut: func(cfg *sim.Config) { cfg.Mode = mode }})
 		}
 	}
-	if err := RunParallel(tasks, outer); err != nil {
-		return 0, 0, err
+	ms, err := runWorlds(runs, opts, nil)
+	if err != nil {
+		return FreeComparisonRow{}, err
 	}
-	for rep := 0; rep < repeats; rep++ {
-		road += shares[rep] / float64(repeats)
-		free += shares[repeats+rep] / float64(repeats)
-	}
-	return road, free, nil
+	road, _ := meanStd(ms[:opts.Repeats], sim.Metrics.SQRR)
+	free, _ := meanStd(ms[opts.Repeats:], sim.Metrics.SQRR)
+	return FreeComparisonRow{Region: r.String(), Area: a.String(),
+		RoadSQRR: road, FreeSQRR: free, Delta: road - free}, nil
 }
 
 func subfig(r Region) string {
@@ -362,94 +266,32 @@ type Fig17Result struct {
 	Points []Fig17Point
 }
 
-// EINNvsINN reproduces Figure 17: for each k, queries are generated at
-// uniformly random locations (as in §4.4); each query first runs peer
-// verification against a synthetic population of cached results (giving the
-// realistic mix of pruning bounds a running system produces), then the
-// server executes the query with both INN (no bounds) and EINN (with the
-// client's bounds), counting R*-tree node accesses.
-//
-// The POI set is clustered, not uniform: the paper indexes real gas-station
-// locations, which concentrate along arterials, and the downward-pruning
-// benefit of EINN depends on leaf MBRs small enough to hide inside the
-// client's certain circle — exactly what clustering produces (DESIGN.md,
-// substitution D3).
+// EINNvsINN reproduces Figure 17: for each k, server-bound queries are drawn
+// from the region's scene (as in §4.4) — peer verification against the
+// scene's cached results gives the realistic mix of pruning bounds a running
+// system produces — and the server executes each with both INN (no bounds)
+// and EINN (with the client's bounds), counting R*-tree node accesses.
 func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error) {
-	opts = opts.normalize()
 	base := BaseConfig(r, a)
-	rng := rand.New(rand.NewSource(base.Seed + opts.Seed + 17))
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(base.AreaWidth, base.AreaHeight))
-	pois := sim.ClusteredPOIs(base.NumPOIs, bounds, base.NumPOIs/25, base.AreaWidth/250, rng)
-	// One read-only tree serves the cache setup and every k-task: each
-	// traversal returns its own page count, so concurrent tasks share no
-	// mutable state.
-	tree := sim.NewServerModule(pois, base.RTreeFanout).Tree()
-
-	// Synthetic peer caches: hosts that previously queried at random
-	// locations and hold their exact top-C_Size NN sets — what the running
-	// simulator's steady state produces. Built once, read-only afterwards.
-	nCaches := 2000
-	caches := make([]core.PeerCache, nCaches)
-	for i := range caches {
-		loc := geom.Pt(rng.Float64()*base.AreaWidth, rng.Float64()*base.AreaHeight)
-		res, _ := nn.BestFirst(tree, loc, base.CacheSize)
-		ns := make([]core.POI, len(res))
-		for j, rr := range res {
-			ns[j] = pois[rr.Ref]
-		}
-		caches[i] = core.NewPeerCache(loc, ns)
-	}
-	// Index cache locations in a uniform grid (sim.PointGrid, on the shared
-	// internal/grid layout) so each query scans only the cells within
-	// transmission range instead of all nCaches locations. Indices are sorted back to
-	// ascending cache order, so the gathered peer list is exactly what the
-	// old O(#caches) scan produced.
-	nearCaches := newCacheIndex(caches, bounds, base.TxRange)
-
+	s := newScene(base, 2000, rand.New(rand.NewSource(sweepSeed(base.Seed+17, opts, 0, 0))))
 	ks := []int{4, 6, 8, 10, 12, 14}
 	points := make([]Fig17Point, len(ks))
 	tasks := make([]RunTask, len(ks))
 	for ki, k := range ks {
-		ki, k := ki, k
 		tasks[ki] = func() error {
-			// Each k draws its workload from a seed derived from (base seed,
-			// k), so the series is independent of both the other ks and the
-			// execution order.
-			rng := rand.New(rand.NewSource(base.Seed + opts.Seed + 17 + int64(k)*7919))
+			// Each k draws its queries from its own stream, so the series is
+			// independent of the other ks and of the execution order.
+			rng := rand.New(rand.NewSource(sweepSeed(base.Seed+17, opts, 0, k)))
 			var einnTotal, innTotal int64
 			var verify core.VerifierScratch
-			for qi := 0; qi < queries; qi++ {
-				// A querying host always carries its own cached previous
-				// result, so sample the query displaced from a cache location
-				// by the travel since that query was cached.
-				home := caches[rng.Intn(nCaches)]
-				drift := rng.Float64() * base.TxRange
-				angle := rng.Float64() * 2 * math.Pi
-				q := home.QueryLoc.Add(geom.Pt(drift*math.Cos(angle), drift*math.Sin(angle)))
-				peers := nearCaches(q, base.TxRange)
-				heap := core.NewResultHeap(k)
-				verify.VerifySinglePeers(q, k, peers, heap)
-				if heap.Complete() {
-					// Peer-resolved queries never reach the server; Figure 17
-					// measures server-side behavior, so draw another query.
-					qi--
-					continue
-				}
-				b := heap.Bounds()
-				// Cache policy 2 (§4.1): a query that reaches the server asks
-				// for C_Size nearest neighbors to refill the host cache. The
-				// k-NN answer itself only needs the top k, which the upper
-				// bound guarantees; EINN therefore truncates the deep refill
-				// search at the bound while the original INN pages all the way
-				// to the C_Size-th neighbor.
-				want := base.CacheSize
-				if k > want {
-					want = k
-				}
-
-				_, innPages := nn.BestFirst(tree, q, want)
+			for range queries {
+				// EINN truncates the deep refill search at the bounds while
+				// the original INN pages all the way to the max(C_Size, k)-th
+				// neighbor.
+				q, b, want := s.serverQuery(rng, &verify, k)
+				_, innPages := nn.BestFirst(s.tree, q, max(base.CacheSize, k))
 				innTotal += innPages
-				_, einnPages := nn.EINN(tree, q, want-heap.NumCertain(), b)
+				_, einnPages := nn.EINN(s.tree, q, want, b)
 				einnTotal += einnPages
 			}
 			n := float64(queries)
@@ -458,9 +300,7 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 			if inn > 0 {
 				red = 100 * (inn - einn) / inn
 			}
-			points[ki] = Fig17Point{
-				K: k, EINNPages: einn, INNPages: inn, Reduction: red,
-			}
+			points[ki] = Fig17Point{K: k, EINNPages: einn, INNPages: inn, Reduction: red}
 			return nil
 		}
 	}

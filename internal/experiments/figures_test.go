@@ -175,11 +175,14 @@ func TestVelocitySweepRuns(t *testing.T) {
 }
 
 func TestFreeMovementComparisonRuns(t *testing.T) {
-	road, free, err := FreeMovementComparison(LosAngeles, Area2mi, Options{DurationScale: 30})
+	row, err := FreeMovementComparison(LosAngeles, Area2mi, Options{DurationScale: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if road <= 0 && free <= 0 {
+	if row.Region != "Los Angeles County" || row.Area != "2x2 mi" || row.Delta != row.RoadSQRR-row.FreeSQRR {
+		t.Errorf("row mislabelled or inconsistent: %+v", row)
+	}
+	if row.RoadSQRR <= 0 && row.FreeSQRR <= 0 {
 		t.Error("both modes report zero server share; implausible")
 	}
 }
@@ -204,9 +207,13 @@ func TestEINNvsINNReduction(t *testing.T) {
 }
 
 func TestUncertainQuality(t *testing.T) {
-	uq, err := UncertainQuality(LosAngeles, Area2mi, Options{DurationScale: 15})
+	uqs, err := UncertainQuality(Area2mi, Options{DurationScale: 15})
 	if err != nil {
 		t.Fatal(err)
+	}
+	uq := uqs[0]
+	if uq.Region != LosAngeles {
+		t.Fatalf("first row is %v, want Regions order", uq.Region)
 	}
 	if uq.Queries == 0 {
 		t.Fatal("no queries")

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+
+	"repro/internal/sim"
 )
 
 // RunTask is one independent unit of an experiment: typically "build one
@@ -18,37 +21,6 @@ type RunTask func() error
 // loop. Because every task owns its result slot and its seed, the output is
 // bit-identical for any worker count — the determinism contract the figure
 // suite relies on (verified by TestParallelMatchesSequential*).
-// WorkerBudget splits a core budget between the three levels of the
-// parallelism model: the outer fan-out of independent simulation runs
-// (RunParallel), the intra-world movement workers of each run
-// (sim.Config.Workers), and the query-resolve workers of each run
-// (sim.Config.QueryWorkers). The rule is outer × max(move, query) ≤ budget,
-// so a sweep never oversubscribes the machine: a wide sweep saturates the
-// budget with whole runs (move = query = 1), while a sweep with fewer
-// points than cores gives the spare cores to each run. Movement and query
-// resolution alternate within a step — they never run at the same time —
-// so both inner levels share the same per-run budget rather than splitting
-// it. budget <= 0 means runtime.GOMAXPROCS(0). All three levels are
-// deterministic, so the split is purely a scheduling decision — any
-// (outer, move, query) triple produces bit-identical results.
-func WorkerBudget(budget, tasks int) (outer, move, query int) {
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if tasks < 1 {
-		tasks = 1
-	}
-	outer = budget
-	if tasks < outer {
-		outer = tasks
-	}
-	inner := budget / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return outer, inner, inner
-}
-
 func RunParallel(tasks []RunTask, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -87,4 +59,70 @@ func RunParallel(tasks []RunTask, workers int) error {
 		}
 	}
 	return nil
+}
+
+// WorkerBudget splits a core budget between the outer fan-out of
+// independent runs (RunParallel) and the workers inside each run, so that
+// outer × inner ≤ budget: a wide sweep saturates the budget with whole runs
+// (inner = 1), a sweep with fewer runs than cores gives the spare cores to
+// each run. A world's movement and query phases alternate within a step and
+// never overlap, so both get the same inner count (sim.Config.Workers and
+// sim.Config.QueryWorkers). budget <= 0 means runtime.GOMAXPROCS(0). Every
+// level is deterministic, so the split decides wall-clock time only.
+func WorkerBudget(budget, tasks int) (outer, inner int) {
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	outer = min(budget, max(tasks, 1))
+	return outer, max(budget/outer, 1)
+}
+
+// sweepSeed is the one seed rule of the package: repeat rep of sweep point
+// i draws base + Options.Seed + i·10⁶ + rep·7919. Points are independent
+// samples, repeats of one point get distinct seeds, and a study whose runs
+// are paired — the §4.3 comparison's two modes, the uncertain study's
+// regions, a Figure 17 scene — passes point 0.
+func sweepSeed(base int64, opts Options, i, rep int) int64 {
+	return base + opts.Seed + int64(i)*1_000_000 + int64(rep)*7919
+}
+
+// worldRun is one simulation a study launches.
+type worldRun struct {
+	base       sim.Config            // a BaseConfig, before scaling
+	point, rep int                   // the sweepSeed indices
+	mut        func(cfg *sim.Config) // the study's change to the config
+}
+
+// runWorlds is the only place a study builds and runs a sim.World. Each
+// run's config is its base scaled by opts, seeded by sweepSeed, given the
+// inner worker budget, then changed by the run's mut; observe, when non-nil,
+// sees the world before it runs (the uncertain study installs its audit
+// there). The runs fan across the outer budget and run i's metrics land in
+// slot i, so the result does not depend on the schedule.
+func runWorlds(runs []worldRun, opts Options, observe func(i int, w *sim.World)) ([]sim.Metrics, error) {
+	opts = opts.normalize()
+	outer, inner := WorkerBudget(opts.Workers, len(runs))
+	out := make([]sim.Metrics, len(runs))
+	tasks := make([]RunTask, len(runs))
+	for i, r := range runs {
+		tasks[i] = func() error {
+			cfg := ScaleHosts(ScaleDuration(r.base, opts.DurationScale), opts.HostScale)
+			cfg.Seed = sweepSeed(r.base.Seed, opts, r.point, r.rep)
+			cfg.Workers, cfg.QueryWorkers = inner, inner
+			r.mut(&cfg)
+			w, err := sim.New(cfg)
+			if err != nil {
+				return fmt.Errorf("experiments: run %d (point %d, repeat %d): %w", i, r.point, r.rep, err)
+			}
+			if observe != nil {
+				observe(i, w)
+			}
+			out[i] = w.Run()
+			return nil
+		}
+	}
+	if err := RunParallel(tasks, outer); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -84,26 +84,23 @@ func TestWorkerBudget(t *testing.T) {
 		{1, 5, 1, 1},  // fully sequential
 		{7, 2, 2, 3},  // non-divisible budget rounds down
 		{4, 0, 1, 4},  // degenerate task count clamps to 1
+		{20, 5, 5, 4}, // CI's parallel leg on a five-point sweep
 	}
 	for _, c := range cases {
-		outer, move, query := WorkerBudget(c.budget, c.tasks)
-		if outer != c.wantOuter || move != c.wantInner || query != c.wantInner {
-			t.Errorf("WorkerBudget(%d, %d) = (%d, %d, %d), want (%d, %d, %d)",
-				c.budget, c.tasks, outer, move, query, c.wantOuter, c.wantInner, c.wantInner)
+		outer, inner := WorkerBudget(c.budget, c.tasks)
+		if outer != c.wantOuter || inner != c.wantInner {
+			t.Errorf("WorkerBudget(%d, %d) = (%d, %d), want (%d, %d)",
+				c.budget, c.tasks, outer, inner, c.wantOuter, c.wantInner)
 		}
-		// Movement and query phases alternate, so the subscription bound is
-		// outer × max(move, query), not outer × move × query.
-		inner := move
-		if query > inner {
-			inner = query
-		}
+		// Movement and query phases alternate and share the inner count, so
+		// the subscription bound is outer × inner.
 		if outer*inner > c.budget {
 			t.Errorf("WorkerBudget(%d, %d) oversubscribes: %d×%d > budget",
 				c.budget, c.tasks, outer, inner)
 		}
 	}
-	if outer, move, query := WorkerBudget(0, 4); outer < 1 || move < 1 || query < 1 {
-		t.Errorf("WorkerBudget(0, 4) = (%d, %d, %d); zero budget must fall back to GOMAXPROCS", outer, move, query)
+	if outer, inner := WorkerBudget(0, 4); outer < 1 || inner < 1 {
+		t.Errorf("WorkerBudget(0, 4) = (%d, %d); zero budget must fall back to GOMAXPROCS", outer, inner)
 	}
 }
 
@@ -120,12 +117,14 @@ func TestSweepSeedDerivation(t *testing.T) {
 	if r0, r1 := sweepSeed(1, opts, 0, 0), sweepSeed(1, opts, 0, 1); r0 == r1 {
 		t.Error("repeats of the same point share a seed")
 	}
-	opts.CommonRandomNumbers = true
-	if a, b := sweepSeed(1, opts, 0, 0), sweepSeed(1, opts, 9, 0); a != b {
-		t.Errorf("common random numbers: seeds differ (%d vs %d)", a, b)
+	// The paired studies (free-vs-road modes, uncertain regions, Figure 17
+	// scenes) pass point 0: base + offset + rep·7919, the rule their
+	// committed results were generated with.
+	if got := sweepSeed(1, opts, 0, 3); got != 1+5+3*7919 {
+		t.Errorf("point 0 repeat 3 seed = %d, want %d", got, 1+5+3*7919)
 	}
-	if a, b := sweepSeed(1, opts, 0, 1), sweepSeed(1, opts, 9, 1); a != b {
-		t.Error("common random numbers must pair by repeat index too")
+	if got := sweepSeed(1, opts, 2, 1); got != 1+5+2_000_000+7919 {
+		t.Errorf("point 2 repeat 1 seed = %d, want %d", got, 1+5+2_000_000+7919)
 	}
 }
 
@@ -159,12 +158,16 @@ func TestParallelMatchesSequentialSweep(t *testing.T) {
 
 // TestQueryWorkersMatchSequentialFigure pins the figure-level contract of
 // the query pipeline at the outermost observable layer: the rendered text
-// table and the persisted JSON document are byte-identical for query
-// workers 1, 4 and 8.
+// table and the persisted JSON document are byte-identical whether each
+// world resolves its queries on 1, 4 or 8 workers. The inner count is driven
+// through the budget alone: a five-point sweep at budget 5·n gives every
+// world n movement and n query workers.
 func TestQueryWorkersMatchSequentialFigure(t *testing.T) {
-	render := func(qworkers int) (string, []byte) {
-		opts := smokeOpts(1)
-		opts.QueryWorkers = qworkers
+	render := func(inner int) (string, []byte) {
+		opts := smokeOpts(5 * inner)
+		if _, got := WorkerBudget(opts.Workers, 5); got != inner {
+			t.Fatalf("budget %d gives %d inner workers, want %d", opts.Workers, got, inner)
+		}
 		fr, err := VelocitySweep(Riverside, Area2mi, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -180,15 +183,15 @@ func TestQueryWorkersMatchSequentialFigure(t *testing.T) {
 		return FormatFigure(fr), data
 	}
 	wantText, wantJSON := render(1)
-	for _, qworkers := range []int{4, 8} {
-		gotText, gotJSON := render(qworkers)
+	for _, inner := range []int{4, 8} {
+		gotText, gotJSON := render(inner)
 		if gotText != wantText {
-			t.Errorf("queryworkers=%d: figure text diverged:\n%s\nvs\n%s",
-				qworkers, gotText, wantText)
+			t.Errorf("inner workers %d: figure text diverged:\n%s\nvs\n%s",
+				inner, gotText, wantText)
 		}
 		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("queryworkers=%d: figure JSON diverged:\n%s\nvs\n%s",
-				qworkers, gotJSON, wantJSON)
+			t.Errorf("inner workers %d: figure JSON diverged:\n%s\nvs\n%s",
+				inner, gotJSON, wantJSON)
 		}
 	}
 }
@@ -232,17 +235,16 @@ func TestRepeatsReportStddev(t *testing.T) {
 }
 
 func TestParallelMatchesSequentialFreeMovement(t *testing.T) {
-	roadSeq, freeSeq, err := FreeMovementComparison(Riverside, Area2mi, smokeOpts(1))
+	seq, err := FreeMovementComparison(Riverside, Area2mi, smokeOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	roadPar, freePar, err := FreeMovementComparison(Riverside, Area2mi, smokeOpts(6))
+	par, err := FreeMovementComparison(Riverside, Area2mi, smokeOpts(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if roadSeq != roadPar || freeSeq != freePar {
-		t.Errorf("free-movement comparison diverged: (%v, %v) vs (%v, %v)",
-			roadSeq, freeSeq, roadPar, freePar)
+	if seq != par {
+		t.Errorf("free-movement comparison diverged: %+v vs %+v", seq, par)
 	}
 }
 
@@ -278,11 +280,11 @@ func TestParallelMatchesSequentialDiskIO(t *testing.T) {
 }
 
 func TestParallelMatchesSequentialUncertain(t *testing.T) {
-	seq, err := UncertainQualityAll(Area2mi, smokeOpts(1))
+	seq, err := UncertainQuality(Area2mi, smokeOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := UncertainQualityAll(Area2mi, smokeOpts(3))
+	par, err := UncertainQuality(Area2mi, smokeOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,33 +13,15 @@ import (
 // tables in results/, one file per figure. Documents are built from structs
 // only (no maps), so key order is fixed by field order and regenerated files
 // are byte-diffable — the determinism CI job compares the JSON written by
-// `cmd/experiments -parallel 1` against a run with both parallelism levels
-// enabled.
-
-// FigurePointJSON is one sweep point of a Figures 9–16 series: the three
-// resolution shares plus the communication-overhead and server page-access
-// series of the same runs. The std fields carry the sample standard
-// deviation across Options.Repeats runs and are omitted for single-run
-// sweeps.
-type FigurePointJSON struct {
-	X           float64 `json:"x"`
-	ShareSingle float64 `json:"single_peer_pct"`
-	ShareMulti  float64 `json:"multi_peer_pct"`
-	ShareServer float64 `json:"server_pct"`
-	CommBytes   float64 `json:"comm_bytes_per_query"`
-	ServerPages float64 `json:"pages_per_server_query"`
-	StdSingle   float64 `json:"single_peer_std,omitempty"`
-	StdMulti    float64 `json:"multi_peer_std,omitempty"`
-	StdServer   float64 `json:"server_std,omitempty"`
-	StdComm     float64 `json:"comm_bytes_std,omitempty"`
-	StdPages    float64 `json:"pages_std,omitempty"`
-}
+// `cmd/experiments -parallel 1` against a run with every parallelism level
+// enabled, and TestCommittedResultsRoundTrip decodes and re-encodes every
+// committed document through these types.
 
 // FigureRegionJSON is one sub-figure (one region's series).
 type FigureRegionJSON struct {
-	Subfigure string            `json:"subfigure"`
-	Region    string            `json:"region"`
-	Points    []FigurePointJSON `json:"points"`
+	Subfigure string        `json:"subfigure"`
+	Region    string        `json:"region"`
+	Points    []SeriesPoint `json:"points"`
 }
 
 // FigureJSON groups the per-region sub-figures of one paper figure.
@@ -63,26 +45,10 @@ func WriteFigureJSON(dir string, frs []FigureResult) error {
 		XLabel: frs[0].XLabel,
 	}
 	for _, fr := range frs {
-		pts := make([]FigurePointJSON, len(fr.Points))
-		for i, p := range fr.Points {
-			pts[i] = FigurePointJSON{
-				X:           p.X,
-				ShareSingle: p.ShareSingle,
-				ShareMulti:  p.ShareMulti,
-				ShareServer: p.ShareServer,
-				CommBytes:   p.CommBytes,
-				ServerPages: p.ServerPages,
-				StdSingle:   p.StdSingle,
-				StdMulti:    p.StdMulti,
-				StdServer:   p.StdServer,
-				StdComm:     p.StdComm,
-				StdPages:    p.StdPages,
-			}
-		}
 		doc.Regions = append(doc.Regions, FigureRegionJSON{
 			Subfigure: fr.Figure,
 			Region:    fr.Region.String(),
-			Points:    pts,
+			Points:    fr.Points,
 		})
 	}
 	return writeJSON(filepath.Join(dir, "fig"+num+".json"), doc)

@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -30,112 +31,67 @@ type UncertainQualityResult struct {
 	Queries int64
 }
 
-// UncertainQuality runs a simulation with AcceptUncertain enabled and audits
-// every uncertain answer against brute-force ground truth.
-func UncertainQuality(r Region, a Area, opts Options) (UncertainQualityResult, error) {
-	opts = opts.normalize()
-	cfg := ScaleHosts(ScaleDuration(BaseConfig(r, a), opts.DurationScale), opts.HostScale)
-	cfg.AcceptUncertain = true
-	cfg.Seed += opts.Seed
-	_, cfg.Workers, cfg.QueryWorkers = opts.workerSplit(1)
-	w, err := sim.New(cfg)
-	if err != nil {
-		return UncertainQualityResult{}, err
+// UncertainQuality runs one simulation per region of the study area with
+// AcceptUncertain enabled and audits every uncertain answer against
+// brute-force ground truth. Results are returned in Regions order.
+func UncertainQuality(a Area, opts Options) ([]UncertainQualityResult, error) {
+	runs := make([]worldRun, len(Regions))
+	for i, r := range Regions {
+		runs[i] = worldRun{base: BaseConfig(r, a), mut: func(cfg *sim.Config) { cfg.AcceptUncertain = true }}
 	}
-	pois := w.Server().POIs()
-
-	var hits, rankHits, returned int64
-	w.SetAudit(func(q geom.Point, k int, answer []core.Candidate, src core.Source) {
-		if src != core.SolvedUncertain {
-			return
-		}
-		truth := kNearestIDs(q, pois, k)
-		inTruth := make(map[int64]int, len(truth))
-		for rank, id := range truth {
-			inTruth[id] = rank
-		}
-		for i, c := range answer {
-			returned++
-			if rank, ok := inTruth[c.ID]; ok {
-				hits++
-				if rank == i {
-					rankHits++
+	// Each world's audit runs on that world's commit path, in event order,
+	// so every tally is written by one goroutine.
+	tallies := make([]struct{ hits, rankHits, returned int64 }, len(runs))
+	ms, err := runWorlds(runs, opts, func(i int, w *sim.World) {
+		t, pois := &tallies[i], w.Server().POIs()
+		w.SetAudit(func(q geom.Point, k int, answer []core.Candidate, src core.Source) {
+			if src != core.SolvedUncertain {
+				return
+			}
+			truth := kNearestIDs(q, pois, k)
+			for pos, c := range answer {
+				t.returned++
+				if rank := slices.Index(truth, c.ID); rank >= 0 {
+					t.hits++
+					if rank == pos {
+						t.rankHits++
+					}
 				}
 			}
-		}
+		})
 	})
-	m := w.Run()
-	res := UncertainQualityResult{
-		Region:         r,
-		Area:           a,
-		UncertainShare: m.ShareUncertain(),
-		ServerShare:    m.SQRR(),
-		Queries:        m.TotalQueries,
-	}
-	if returned > 0 {
-		res.Precision = float64(hits) / float64(returned)
-		res.RankAccuracy = float64(rankHits) / float64(returned)
-	} else {
-		res.Precision = math.NaN()
-		res.RankAccuracy = math.NaN()
-	}
-	return res, nil
-}
-
-// UncertainQualityAll runs UncertainQuality for every region of the study
-// area, fanning the independent simulations across opts.Workers. Results are
-// returned in Regions order regardless of scheduling.
-func UncertainQualityAll(a Area, opts Options) ([]UncertainQualityResult, error) {
-	opts = opts.normalize()
-	outer, move, query := opts.workerSplit(len(Regions))
-	if opts.WorldWorkers == 0 {
-		// Pin the derived split so each region's UncertainQuality call does
-		// not re-derive a budget that assumes it runs alone.
-		opts.WorldWorkers = move
-	}
-	if opts.QueryWorkers == 0 {
-		opts.QueryWorkers = query
-	}
-	out := make([]UncertainQualityResult, len(Regions))
-	tasks := make([]RunTask, len(Regions))
-	for i, r := range Regions {
-		i, r := i, r
-		tasks[i] = func() error {
-			res, err := UncertainQuality(r, a, opts)
-			if err != nil {
-				return err
-			}
-			out[i] = res
-			return nil
-		}
-	}
-	if err := RunParallel(tasks, outer); err != nil {
+	if err != nil {
 		return nil, err
+	}
+	out := make([]UncertainQualityResult, len(runs))
+	for i, m := range ms {
+		out[i] = UncertainQualityResult{
+			Region:         Regions[i],
+			Area:           a,
+			UncertainShare: m.ShareUncertain(),
+			ServerShare:    m.SQRR(),
+			Precision:      math.NaN(),
+			RankAccuracy:   math.NaN(),
+			Queries:        m.TotalQueries,
+		}
+		if t := tallies[i]; t.returned > 0 {
+			out[i].Precision = float64(t.hits) / float64(t.returned)
+			out[i].RankAccuracy = float64(t.rankHits) / float64(t.returned)
+		}
 	}
 	return out, nil
 }
 
-// kNearestIDs returns the IDs of the k nearest POIs of q in rank order.
+// kNearestIDs returns the IDs of the k nearest POIs of q in rank order,
+// equal distances by ascending ID — the total order of every other oracle.
 func kNearestIDs(q geom.Point, pois []core.POI, k int) []int64 {
-	type hit struct {
-		id int64
-		d  float64
-	}
-	hits := make([]hit, len(pois))
-	for i, p := range pois {
-		hits[i] = hit{id: p.ID, d: q.Dist2(p.Loc)}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].d < hits[j].d })
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	ids := make([]int64, len(hits))
-	for i, h := range hits {
-		ids[i] = h.id
+	byRank := slices.Clone(pois)
+	slices.SortFunc(byRank, func(a, b core.POI) int {
+		return cmp.Or(cmp.Compare(q.Dist2(a.Loc), q.Dist2(b.Loc)), cmp.Compare(a.ID, b.ID))
+	})
+	ids := make([]int64, min(k, len(byRank)))
+	for i := range ids {
+		ids[i] = byRank[i].ID
 	}
 	return ids
 }
-
-// AuditedUncertainSims documents the knob: uncertain answers are only
-// produced when the host opts in, so the main figures are unaffected.
-var _ = core.SolvedUncertain

@@ -1,11 +1,11 @@
 // Package mobility implements the two movement generators of the paper's
 // simulator (§4.1): the free movement mode — the random waypoint model of
-// Broch et al. with a fixed velocity and random pauses — and the road
-// network mode, where hosts travel along a spatialnet graph at the speed
-// limit of the segment they are on (capped by the host's own target
-// velocity).
+// Broch et al. with a fixed velocity and random pauses (Waypoints) — and the
+// road network mode (RoadNetwork), where hosts travel along a spatialnet
+// graph at the speed limit of the segment they are on (capped by the host's
+// own target velocity).
 //
-// Models are deterministic given their random source, which the simulator
+// Both are deterministic given their random source, which the simulator
 // exploits for reproducible experiments.
 package mobility
 
@@ -16,114 +16,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/spatialnet"
 )
-
-// Model advances a mobile host's position through simulated time.
-type Model interface {
-	// Pos returns the current position.
-	Pos() geom.Point
-	// Advance moves the host by dt seconds and returns the new position.
-	Advance(dt float64) geom.Point
-}
-
-// Stationary is the trivial model for the non-moving share of hosts (the
-// paper's M_Percentage parameter leaves 20 % of hosts parked).
-type Stationary struct{ P geom.Point }
-
-// Pos returns the fixed position.
-func (s Stationary) Pos() geom.Point { return s.P }
-
-// Advance returns the fixed position regardless of dt.
-func (s Stationary) Advance(float64) geom.Point { return s.P }
-
-// RandomWaypoint implements the free movement mode: the host picks a random
-// destination in the area, travels there in a straight line at a fixed
-// speed, pauses for a uniform random interval up to MaxPause, and repeats.
-// An optional trip radius bounds destination choice, mirroring the road
-// mode's bounded trips so the two modes stay comparable (DESIGN.md D6).
-type RandomWaypoint struct {
-	bounds     geom.Rect
-	speed      float64 // m/s
-	maxPause   float64 // seconds
-	tripRadius float64 // 0 = anywhere in bounds
-	rng        *rand.Rand
-
-	pos   geom.Point
-	dest  geom.Point
-	pause float64 // remaining pause time
-}
-
-// NewRandomWaypoint creates a free-movement host starting at start. speed
-// must be positive; maxPause may be zero for continuous movement.
-func NewRandomWaypoint(bounds geom.Rect, start geom.Point, speed, maxPause float64, rng *rand.Rand) *RandomWaypoint {
-	return NewRandomWaypointWith(bounds, start, speed, maxPause, rng, 0)
-}
-
-// NewRandomWaypointWith is NewRandomWaypoint with a trip radius bound
-// (0 = unbounded).
-func NewRandomWaypointWith(bounds geom.Rect, start geom.Point, speed, maxPause float64, rng *rand.Rand, tripRadius float64) *RandomWaypoint {
-	if speed <= 0 {
-		panic("mobility: speed must be positive")
-	}
-	m := &RandomWaypoint{
-		bounds:     bounds,
-		speed:      speed,
-		maxPause:   maxPause,
-		tripRadius: tripRadius,
-		rng:        rng,
-		pos:        start,
-	}
-	m.dest = m.randomPoint()
-	return m
-}
-
-func (m *RandomWaypoint) randomPoint() geom.Point {
-	if m.tripRadius > 0 {
-		for attempt := 0; attempt < 16; attempt++ {
-			angle := m.rng.Float64() * 2 * math.Pi
-			r := m.tripRadius * math.Sqrt(m.rng.Float64())
-			p := m.pos.Add(geom.Pt(r*math.Cos(angle), r*math.Sin(angle)))
-			if m.bounds.Contains(p) {
-				return p
-			}
-		}
-		// Corner-trapped: fall through to an unbounded pick.
-	}
-	return geom.Pt(
-		m.bounds.Min.X+m.rng.Float64()*m.bounds.Width(),
-		m.bounds.Min.Y+m.rng.Float64()*m.bounds.Height(),
-	)
-}
-
-// Pos returns the current position.
-func (m *RandomWaypoint) Pos() geom.Point { return m.pos }
-
-// Advance implements Model.
-func (m *RandomWaypoint) Advance(dt float64) geom.Point {
-	for dt > 0 {
-		if m.pause > 0 {
-			if m.pause >= dt {
-				m.pause -= dt
-				return m.pos
-			}
-			dt -= m.pause
-			m.pause = 0
-		}
-		remaining := m.pos.Dist(m.dest)
-		step := m.speed * dt
-		if step < remaining {
-			m.pos = m.pos.Lerp(m.dest, step/remaining)
-			return m.pos
-		}
-		// Arrive, pause, and pick the next destination.
-		m.pos = m.dest
-		dt -= remaining / m.speed
-		if m.maxPause > 0 {
-			m.pause = m.rng.Float64() * m.maxPause
-		}
-		m.dest = m.randomPoint()
-	}
-	return m.pos
-}
 
 // RoadNetwork implements the road network mode: the host picks a random
 // destination node, follows the shortest path to it, and travels each
@@ -149,7 +41,7 @@ type RoadNetwork struct {
 	segLen, segSpeed float64
 }
 
-// RoadNetworkOptions configures NewRoadNetwork beyond the required
+// RoadNetworkOptions configures NewRoadNetworkWith beyond the required
 // parameters.
 type RoadNetworkOptions struct {
 	// Finder is a shared route planner; nil creates a private one. Sharing
@@ -161,13 +53,8 @@ type RoadNetworkOptions struct {
 	TripRadius float64
 }
 
-// NewRoadNetwork creates a road-bound host starting at the given node.
+// NewRoadNetworkWith creates a road-bound host starting at the given node.
 // target is the host's desired velocity in m/s (the M_Velocity parameter).
-func NewRoadNetwork(g *spatialnet.Graph, start spatialnet.NodeID, target, maxPause float64, rng *rand.Rand) *RoadNetwork {
-	return NewRoadNetworkWith(g, start, target, maxPause, rng, RoadNetworkOptions{})
-}
-
-// NewRoadNetworkWith is NewRoadNetwork with explicit options.
 func NewRoadNetworkWith(g *spatialnet.Graph, start spatialnet.NodeID, target, maxPause float64, rng *rand.Rand, opts RoadNetworkOptions) *RoadNetwork {
 	if target <= 0 {
 		panic("mobility: target velocity must be positive")
@@ -255,7 +142,7 @@ func (m *RoadNetwork) SetFinder(f *spatialnet.PathFinder) {
 	}
 }
 
-// Advance implements Model.
+// Advance moves the host by dt seconds and returns the new position.
 func (m *RoadNetwork) Advance(dt float64) geom.Point {
 	for dt > 0 {
 		if m.pause > 0 {

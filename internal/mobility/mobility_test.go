@@ -9,87 +9,6 @@ import (
 	"repro/internal/spatialnet"
 )
 
-func TestStationary(t *testing.T) {
-	s := Stationary{P: geom.Pt(3, 4)}
-	if !s.Pos().Eq(geom.Pt(3, 4)) {
-		t.Error("Pos wrong")
-	}
-	if !s.Advance(1000).Eq(geom.Pt(3, 4)) {
-		t.Error("stationary host moved")
-	}
-}
-
-func TestRandomWaypointStaysInBounds(t *testing.T) {
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
-	rng := rand.New(rand.NewSource(1))
-	m := NewRandomWaypoint(bounds, geom.Pt(50, 50), 10, 5, rng)
-	for i := 0; i < 5000; i++ {
-		p := m.Advance(1)
-		if !bounds.Contains(p) {
-			t.Fatalf("step %d: position %v out of bounds", i, p)
-		}
-	}
-}
-
-func TestRandomWaypointSpeedRespected(t *testing.T) {
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
-	rng := rand.New(rand.NewSource(2))
-	speed := 13.4 // 30 mph
-	m := NewRandomWaypoint(bounds, geom.Pt(500, 500), speed, 0, rng)
-	prev := m.Pos()
-	for i := 0; i < 2000; i++ {
-		dt := 0.5 + rng.Float64()
-		p := m.Advance(dt)
-		if d := prev.Dist(p); d > speed*dt+1e-9 {
-			t.Fatalf("step %d: moved %v m in %v s at speed %v", i, d, dt, speed)
-		}
-		prev = p
-	}
-}
-
-func TestRandomWaypointPauses(t *testing.T) {
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
-	rng := rand.New(rand.NewSource(3))
-	m := NewRandomWaypoint(bounds, geom.Pt(5, 5), 100, 10, rng)
-	// With a tiny area, high speed and long pauses the host is usually
-	// paused: consecutive positions often coincide.
-	same := 0
-	prev := m.Pos()
-	for i := 0; i < 1000; i++ {
-		p := m.Advance(0.1)
-		if p.Eq(prev) {
-			same++
-		}
-		prev = p
-	}
-	if same == 0 {
-		t.Error("host never paused despite maxPause=10")
-	}
-}
-
-func TestRandomWaypointEventuallyCoversArea(t *testing.T) {
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
-	rng := rand.New(rand.NewSource(4))
-	m := NewRandomWaypoint(bounds, geom.Pt(0, 0), 20, 0, rng)
-	visited := map[[2]int]bool{}
-	for i := 0; i < 20000; i++ {
-		p := m.Advance(1)
-		visited[[2]int{int(p.X / 25), int(p.Y / 25)}] = true
-	}
-	if len(visited) < 12 {
-		t.Errorf("visited only %d of 16 area cells", len(visited))
-	}
-}
-
-func TestRandomWaypointValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero speed should panic")
-		}
-	}()
-	NewRandomWaypoint(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)), geom.Pt(0, 0), 0, 0, rand.New(rand.NewSource(1)))
-}
-
 func testGrid(t *testing.T) *spatialnet.Graph {
 	t.Helper()
 	g, err := spatialnet.GenerateGrid(spatialnet.GridConfig{
@@ -105,7 +24,7 @@ func testGrid(t *testing.T) *spatialnet.Graph {
 func TestRoadNetworkStaysOnNetwork(t *testing.T) {
 	g := testGrid(t)
 	rng := rand.New(rand.NewSource(5))
-	m := NewRoadNetwork(g, 0, 22.35, 5, rng)
+	m := NewRoadNetworkWith(g, 0, 22.35, 5, rng, RoadNetworkOptions{})
 	for i := 0; i < 3000; i++ {
 		p := m.Advance(1)
 		snap, ok := g.Snap(p)
@@ -119,7 +38,7 @@ func TestRoadNetworkRespectsSpeedLimits(t *testing.T) {
 	g := testGrid(t)
 	rng := rand.New(rand.NewSource(6))
 	target := 29.0 // ~65 mph: always capped by the segment limit
-	m := NewRoadNetwork(g, 0, target, 0, rng)
+	m := NewRoadNetworkWith(g, 0, target, 0, rng, RoadNetworkOptions{})
 	prev := m.Pos()
 	maxLimit := spatialnet.ClassHighway.SpeedLimit()
 	for i := 0; i < 3000; i++ {
@@ -136,7 +55,7 @@ func TestRoadNetworkSlowTargetIsCap(t *testing.T) {
 	g := testGrid(t)
 	rng := rand.New(rand.NewSource(7))
 	target := 4.5 // 10 mph, below every class limit
-	m := NewRoadNetwork(g, 0, target, 0, rng)
+	m := NewRoadNetworkWith(g, 0, target, 0, rng, RoadNetworkOptions{})
 	prev := m.Pos()
 	for i := 0; i < 1000; i++ {
 		p := m.Advance(2)
@@ -150,7 +69,7 @@ func TestRoadNetworkSlowTargetIsCap(t *testing.T) {
 func TestRoadNetworkTravels(t *testing.T) {
 	g := testGrid(t)
 	rng := rand.New(rand.NewSource(8))
-	m := NewRoadNetwork(g, 0, 13.4, 0, rng)
+	m := NewRoadNetworkWith(g, 0, 13.4, 0, rng, RoadNetworkOptions{})
 	start := m.Pos()
 	far := 0.0
 	for i := 0; i < 2000; i++ {
@@ -168,7 +87,7 @@ func TestRoadNetworkIsolatedNode(t *testing.T) {
 	g := spatialnet.NewGraph()
 	id := g.AddNode(geom.Pt(5, 5))
 	rng := rand.New(rand.NewSource(9))
-	m := NewRoadNetwork(g, id, 10, 0, rng)
+	m := NewRoadNetworkWith(g, id, 10, 0, rng, RoadNetworkOptions{})
 	p := m.Advance(100)
 	if !p.Eq(geom.Pt(5, 5)) {
 		t.Errorf("isolated host moved to %v", p)
@@ -179,7 +98,7 @@ func TestRoadNetworkDeterminism(t *testing.T) {
 	g := testGrid(t)
 	run := func(seed int64) []geom.Point {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewRoadNetwork(g, 3, 15, 2, rng)
+		m := NewRoadNetworkWith(g, 3, 15, 2, rng, RoadNetworkOptions{})
 		var out []geom.Point
 		for i := 0; i < 500; i++ {
 			out = append(out, m.Advance(1))
@@ -212,21 +131,33 @@ func TestRoadNetworkValidation(t *testing.T) {
 			t.Error("non-positive target should panic")
 		}
 	}()
-	NewRoadNetwork(g, 0, -1, 0, rand.New(rand.NewSource(1)))
+	NewRoadNetworkWith(g, 0, -1, 0, rand.New(rand.NewSource(1)), RoadNetworkOptions{})
 }
 
 // Large dt values must be consumed fully (multi-segment, multi-destination
-// progress within one Advance call).
+// progress within one Advance call). A waypoint slot draws only on arrival,
+// so one call of 10^4 s must end on the same leg, at the same place, as
+// 10^4 calls of 1 s; a road host must end on the network.
 func TestAdvanceLargeDt(t *testing.T) {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(50, 50))
-	rng := rand.New(rand.NewSource(10))
-	m := NewRandomWaypoint(bounds, geom.Pt(0, 0), 10, 0, rng)
-	p1 := m.Advance(1e4)
+	once := NewWaypoints(bounds, 10, 0, 0, 1)
+	stepped := NewWaypoints(bounds, 10, 0, 0, 1)
+	once.Seed(0, geom.Pt(0, 0), 10)
+	stepped.Seed(0, geom.Pt(0, 0), 10)
+	p1 := once.Advance(0, geom.Pt(0, 0), 1e4)
 	if math.IsNaN(p1.X) || !bounds.Contains(p1) {
 		t.Errorf("large dt produced %v", p1)
 	}
+	ps := geom.Pt(0, 0)
+	for i := 0; i < 1e4; i++ {
+		ps = stepped.Advance(0, ps, 1)
+	}
+	if !once.dest[0].Eq(stepped.dest[0]) || p1.Dist(ps) > 1e-6 {
+		t.Errorf("one 1e4 s call ended at %v heading to %v; 1 s steps at %v heading to %v",
+			p1, once.dest[0], ps, stepped.dest[0])
+	}
 	g := testGrid(t)
-	rm := NewRoadNetwork(g, 0, 20, 1, rng)
+	rm := NewRoadNetworkWith(g, 0, 20, 1, rand.New(rand.NewSource(10)), RoadNetworkOptions{})
 	p2 := rm.Advance(1e4)
 	snap, ok := g.Snap(p2)
 	if !ok || snap.SnapDist > 1e-6 {

@@ -28,13 +28,13 @@ func (s *SplitMix64) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Waypoints is a structure-of-arrays random waypoint engine: one instance
-// advances an entire free-movement population through parallel slices
-// instead of one heap-allocated RandomWaypoint (with a private rand.Rand)
-// per host. The trip semantics mirror RandomWaypoint — pick a destination
-// (optionally within the trip radius), travel straight at fixed speed,
-// arrive, pause uniformly in [0, maxPause), repeat — but the per-step state
-// is laid out for streaming:
+// Waypoints is the free movement mode, a structure-of-arrays random waypoint
+// engine: one instance advances an entire free-movement population through
+// parallel slices. Each slot picks a destination (optionally within the trip
+// radius of where it stands, mirroring the road mode's bounded trips so the
+// two modes stay comparable — DESIGN.md D6), travels straight at the
+// population's fixed speed, arrives, pauses uniformly in [0, maxPause), and
+// repeats. The per-step state is laid out for streaming:
 //
 //   - dest/vel/left encode the current leg as an endpoint, a velocity vector
 //     and the travel time remaining, so a steady-state step is a
@@ -91,16 +91,17 @@ func (w *Waypoints) Bytes() int64 {
 }
 
 // Seed arms slot i at start: installs its private RNG seed and picks the
-// first destination, like NewRandomWaypointWith does.
+// first destination.
 func (w *Waypoints) Seed(i int, start geom.Point, seed uint64) {
 	w.rng[i] = SplitMix64(seed)
 	w.pause[i] = 0
 	w.pickLeg(i, start)
 }
 
-// pickLeg draws the next destination from pos (RandomWaypoint.randomPoint's
-// trip-radius rejection sampling) and caches the leg's velocity vector and
-// duration — the one place a distance (and its square root) is computed.
+// pickLeg draws the next destination from pos — within the trip radius by
+// rejection sampling, anywhere in bounds when that fails or is off — and
+// caches the leg's velocity vector and duration, the one place a distance
+// (and its square root) is computed.
 func (w *Waypoints) pickLeg(i int, pos geom.Point) {
 	rng := &w.rng[i]
 	dest := geom.Point{}
@@ -152,8 +153,8 @@ func (w *Waypoints) Advance(i int, pos geom.Point, dt float64) geom.Point {
 			v := w.vel[i]
 			return geom.Pt(pos.X+v.X*dt, pos.Y+v.Y*dt)
 		}
-		// Arrive exactly (no drift accumulation), pause, pick the next leg —
-		// the same draw order as RandomWaypoint.Advance.
+		// Arrive exactly (no drift accumulation), draw the pause, then pick
+		// the next leg.
 		pos = w.dest[i]
 		dt -= left
 		if w.maxPause > 0 {

@@ -41,6 +41,41 @@ func TestWaypointsSpeedRespected(t *testing.T) {
 	}
 }
 
+// TestRandomWaypointStaysInBounds: with a small trip radius and a start in a
+// corner, many destination draws land outside the area and are rejected; the
+// host must still never leave the bounds.
+func TestRandomWaypointStaysInBounds(t *testing.T) {
+	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
+	w := NewWaypoints(bounds, 10, 5, 30, 1)
+	pos := geom.Pt(0, 0)
+	w.Seed(0, pos, 1)
+	for i := 0; i < 5000; i++ {
+		pos = w.Advance(0, pos, 1)
+		if !bounds.Contains(pos) {
+			t.Fatalf("step %d: position %v out of bounds", i, pos)
+		}
+	}
+}
+
+// TestRandomWaypointSpeedRespected: the speed cap holds across arrivals,
+// pauses and leg re-picks that fall inside a single uneven step.
+func TestRandomWaypointSpeedRespected(t *testing.T) {
+	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
+	speed := 13.4 // 30 mph
+	w := NewWaypoints(bounds, speed, 5, 40, 1)
+	pos := geom.Pt(500, 500)
+	w.Seed(0, pos, 2)
+	var rng SplitMix64 = 2
+	for i := 0; i < 2000; i++ {
+		dt := 0.5 + rng.Float64()
+		p := w.Advance(0, pos, dt)
+		if d := pos.Dist(p); d > speed*dt+1e-9 {
+			t.Fatalf("step %d: moved %v m in %v s at speed %v", i, d, dt, speed)
+		}
+		pos = p
+	}
+}
+
 func TestWaypointsTripRadius(t *testing.T) {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000))
 	const radius = 500.0
@@ -68,6 +103,57 @@ func TestWaypointsTripRadius(t *testing.T) {
 	if legs < 10 {
 		t.Fatalf("only %d legs observed", legs)
 	}
+}
+
+// TestWaypointsPauses: with a tiny area, high speed and long pauses a host
+// is usually paused, so consecutive positions often coincide, and every
+// pause it draws lies in [0, maxPause).
+func TestWaypointsPauses(t *testing.T) {
+	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
+	const maxPause = 10.0
+	w := NewWaypoints(bounds, 100, maxPause, 0, 1)
+	pos := geom.Pt(5, 5)
+	w.Seed(0, pos, 3)
+	same := 0
+	for i := 0; i < 1000; i++ {
+		p := w.Advance(0, pos, 0.1)
+		if p.Eq(pos) {
+			same++
+		}
+		if pause := w.pause[0]; pause < 0 || pause >= maxPause {
+			t.Fatalf("step %d: pause %v outside [0, %v)", i, pause, maxPause)
+		}
+		pos = p
+	}
+	if same == 0 {
+		t.Error("host never paused despite maxPause=10")
+	}
+}
+
+// TestWaypointsEventuallyCoversArea: unbounded destination choice reaches
+// every part of the area, not a corner of it.
+func TestWaypointsEventuallyCoversArea(t *testing.T) {
+	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
+	w := NewWaypoints(bounds, 20, 0, 0, 1)
+	pos := geom.Pt(0, 0)
+	w.Seed(0, pos, 4)
+	visited := map[[2]int]bool{}
+	for i := 0; i < 20000; i++ {
+		pos = w.Advance(0, pos, 1)
+		visited[[2]int{int(pos.X / 25), int(pos.Y / 25)}] = true
+	}
+	if len(visited) < 12 {
+		t.Errorf("visited only %d of 16 area cells", len(visited))
+	}
+}
+
+func TestWaypointsValidation(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("zero speed should panic")
+		}
+	}()
+	NewWaypoints(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)), 0, 0, 0, 1)
 }
 
 // TestWaypointsArrivesExactly pins the no-drift property the sqrt-free leg
