@@ -260,8 +260,7 @@ func BenchmarkFigureSuiteSequential(b *testing.B) { figureSuite(b, 1) }
 // BenchmarkFigureSuiteParallel fans the same independent simulations across
 // GOMAXPROCS workers. Compare against BenchmarkFigureSuiteSequential for the
 // wall-clock speedup (≈ linear up to the 10-runs-per-sweep fan-out on
-// multi-core hardware; identical on one core). EXPERIMENTS.md records the
-// measured ratios.
+// multi-core hardware; identical on one core).
 func BenchmarkFigureSuiteParallel(b *testing.B) {
 	figureSuite(b, runtime.GOMAXPROCS(0))
 }

@@ -17,7 +17,7 @@
 // keeps its own), so concurrent readers share nothing mutable.
 //
 // Nodes live in pointer-free arenas addressed by int32 node id (DESIGN.md
-// §16): the collector never traces the index, and a node is one contiguous
+// §10): the collector never traces the index, and a node is one contiguous
 // run of slots, as a disk page is.
 //
 // The paper configures the branching factor of both index and leaf nodes to

@@ -416,7 +416,7 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-// Bytes prices the arenas with the slot sizes DESIGN.md §16 budgets for; the
+// Bytes prices the arenas with the slot sizes DESIGN.md §10 budgets for; the
 // compiler's view of the same slices must agree.
 func TestBytesMatchesLayout(t *testing.T) {
 	tr := New(8)

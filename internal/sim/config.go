@@ -103,7 +103,7 @@ type Config struct {
 	SeriesWindow float64
 	// Workers is the number of goroutines the movement phase of World.Run
 	// shards the host population across — the middle level of the
-	// three-level parallelism model (EXPERIMENTS.md); the outer level fans
+	// three-level parallelism model (DESIGN.md §8); the outer level fans
 	// whole simulations via experiments.RunParallel. 0 or 1 advances hosts
 	// on the coordinating goroutine. Every worker count produces
 	// bit-identical simulation output; only wall-clock time changes.

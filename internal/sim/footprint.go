@@ -10,7 +10,7 @@ import (
 // Footprint is a World's host state in bytes, column by column. Every figure
 // is computed from slice lengths — no runtime or allocator query — so it is
 // deterministic for a configuration and a point in the run, and a test can
-// hold the layout to a budget (TestWorldBytesPerHost). DESIGN.md §10 has the
+// hold the layout to a budget (TestWorldBytesPerHost). DESIGN.md §8 has the
 // budget these columns add up to.
 type Footprint struct {
 	Hosts      int // population

@@ -127,8 +127,8 @@ func BenchmarkWorldStep(b *testing.B) {
 // all million hosts every step no matter how few moved, while applyDelta
 // pays for the moved-host delta. (At Table 4's 80% moving x 30 mph roughly a
 // tenth of the population crosses a cell boundary every second, nearly every
-// cell is touched, and the rebuild's clean linear passes win; EXPERIMENTS.md
-// documents that crossover.) Building a world this size takes seconds; the
+// cell is touched, and the rebuild's clean linear passes win; DESIGN.md
+// §8 notes that crossover.) Building a world this size takes seconds; the
 // movement phase is what the benchmarks time.
 var bigWorld = struct {
 	once sync.Once

@@ -18,7 +18,7 @@ import (
 // instead of chasing one heap object per host. What only some hosts use is
 // sized to them: movement state per mover, cache storage per host that has
 // queried. The layout is what lets a single machine hold million-host worlds
-// — see DESIGN.md §10 for the per-host memory budget, and Footprint for the
+// — see DESIGN.md §8 for the per-host memory budget, and Footprint for the
 // live numbers.
 type World struct {
 	cfg    Config

@@ -38,7 +38,7 @@ fence "function-style sync/atomic call (use atomic.Int64 and friends)" \
 # rule and the per-shard RNG rule either way: a wall-clock read or a
 # global-source draw changes output between two runs of one seed, which fails
 # the determinism job, TestWorldParallelDeterminism and
-# TestParallelMatchesSequential* (EXPERIMENTS.md, "Seeded faults").
+# TestParallelMatchesSequential* (DESIGN.md §7 names the tests).
 fence "wall clock in a simulation package (virtual step time is the only clock)" \
 	"$(grep -rnE '\btime\.(Now|Since|Sleep)\b' --include='*.go' internal/sim internal/core internal/experiments | grep -v '_test\.go:' || true)"
 
