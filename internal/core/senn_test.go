@@ -19,10 +19,7 @@ type rtreeServer struct {
 }
 
 func newRtreeServer(pois []POI) *rtreeServer {
-	t := rtree.NewDefault()
-	for i, p := range pois {
-		t.InsertPoint(p.Loc, int32(i))
-	}
+	t := rtree.Build(rtree.DefaultMaxEntries, len(pois), func(i int) geom.Point { return pois[i].Loc })
 	return &rtreeServer{tree: t, pois: pois}
 }
 

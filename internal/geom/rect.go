@@ -103,8 +103,7 @@ func (r Rect) Intersect(s Rect) Rect {
 // OverlapArea returns the area shared by r and s. It is bit-equal to
 // r.Intersect(s).Area() for every NaN-free input — the built-in min/max
 // order signed zeros the way math.Min/math.Max do — without materializing
-// the intersection; R*-tree insertion calls it hundreds of times per
-// descent.
+// the intersection.
 func (r Rect) OverlapArea(s Rect) float64 {
 	loX, loY := max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)
 	hiX, hiY := min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)

@@ -248,10 +248,10 @@ func TestUnionMonotone(t *testing.T) {
 	}
 }
 
-// OverlapArea and Union are on the R*-tree insertion hot path and written
-// with the built-in min/max; they must stay bit-equal to the plain
-// formulations — Intersect(...).Area(), and math.Min/math.Max per
-// coordinate — or the tree the simulator and the daemon build would move.
+// OverlapArea and Union are written with the built-in min/max; they must
+// stay bit-equal to the plain formulations — Intersect(...).Area(), and
+// math.Min/math.Max per coordinate. Union bounds every node of the tree the
+// simulator and the daemon build, so a drift would move it.
 func TestOverlapAreaAndUnionBitExact(t *testing.T) {
 	unionRef := func(r, s Rect) Rect {
 		if r.IsEmpty() {

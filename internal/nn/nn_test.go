@@ -13,13 +13,15 @@ import (
 // buildTree returns a tree over n uniform random points and the point slice.
 func buildTree(seed int64, n int, span float64, maxEntries int) (*rtree.Tree, []geom.Point) {
 	rng := rand.New(rand.NewSource(seed))
-	t := rtree.New(maxEntries)
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Pt(rng.Float64()*span, rng.Float64()*span)
-		t.InsertPoint(pts[i], int32(i))
 	}
-	return t, pts
+	return buildPoints(maxEntries, pts), pts
+}
+
+func buildPoints(maxEntries int, pts []geom.Point) *rtree.Tree {
+	return rtree.Build(maxEntries, len(pts), func(i int) geom.Point { return pts[i] })
 }
 
 // bestFirst, einn and depthFirst drop the page count for the tests that only
@@ -232,7 +234,7 @@ func TestKZeroAndEmptyTree(t *testing.T) {
 	if got, pages := depthFirstCounted(tree, geom.Pt(0, 0), -1); got != nil || pages != 0 {
 		t.Errorf("negative k should return nil and read 0 pages, got %v, %d", got, pages)
 	}
-	empty := rtree.NewDefault()
+	empty := rtree.Build(rtree.DefaultMaxEntries, 0, nil)
 	if got, pages := BestFirst(empty, geom.Pt(0, 0), 5); len(got) != 0 || pages != 1 {
 		t.Errorf("empty tree should return no results for 1 page, got %v, %d", got, pages)
 	}
@@ -376,21 +378,22 @@ func TestEINNAccessesAtMostINN(t *testing.T) {
 // near the query point is skipped wholesale by the MAXDIST rule while plain
 // INN pages through it.
 func TestEINNDownwardPruningStrictWin(t *testing.T) {
-	tree := rtree.New(8)
 	rng := rand.New(rand.NewSource(55))
 	q := geom.Pt(0, 0)
 	// 2000 points packed within 100 m of the query point, all of which the
 	// client already knows (they fall inside the lower bound).
+	var pts []geom.Point
 	for i := 0; i < 2000; i++ {
 		th := rng.Float64() * 2 * math.Pi
 		rad := 100 * math.Sqrt(rng.Float64())
-		tree.InsertPoint(geom.Pt(rad*math.Cos(th), rad*math.Sin(th)), int32(i))
+		pts = append(pts, geom.Pt(rad*math.Cos(th), rad*math.Sin(th)))
 	}
 	// A handful of points farther out: the part the server must produce.
 	for i := 0; i < 20; i++ {
 		th := rng.Float64() * 2 * math.Pi
-		tree.InsertPoint(geom.Pt(300*math.Cos(th), 300*math.Sin(th)), int32(2000+i))
+		pts = append(pts, geom.Pt(300*math.Cos(th), 300*math.Sin(th)))
 	}
+	tree := buildPoints(8, pts)
 	k := 2005
 	full := BruteForce(tree, q, k)
 	lower := full[1999].Dist
@@ -420,12 +423,13 @@ func TestBestFirstOptimality(t *testing.T) {
 
 func TestDuplicateDistances(t *testing.T) {
 	// Points arranged on a circle: all equidistant from the center.
-	tree := rtree.New(4)
 	center := geom.Pt(100, 100)
-	for i := 0; i < 16; i++ {
+	pts := make([]geom.Point, 16)
+	for i := range pts {
 		th := 2 * math.Pi * float64(i) / 16
-		tree.InsertPoint(geom.Pt(center.X+50*math.Cos(th), center.Y+50*math.Sin(th)), int32(i))
+		pts[i] = geom.Pt(center.X+50*math.Cos(th), center.Y+50*math.Sin(th))
 	}
+	tree := buildPoints(4, pts)
 	got := bestFirst(tree, center, 7)
 	if len(got) != 7 {
 		t.Fatalf("got %d results", len(got))

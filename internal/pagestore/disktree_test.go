@@ -15,11 +15,11 @@ import (
 // number is the point's index.
 func buildSource(seed int64, n int, span float64) *rtree.Tree {
 	rng := rand.New(rand.NewSource(seed))
-	t := rtree.New(30)
-	for i := 0; i < n; i++ {
-		t.InsertPoint(geom.Pt(rng.Float64()*span, rng.Float64()*span), int32(i))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64()*span, rng.Float64()*span)
 	}
-	return t
+	return rtree.Build(30, n, func(i int) geom.Point { return pts[i] })
 }
 
 func packToMem(t *testing.T, tree *rtree.Tree) *MemPager {
@@ -32,7 +32,7 @@ func packToMem(t *testing.T, tree *rtree.Tree) *MemPager {
 }
 
 func TestPackEmptyTreeFails(t *testing.T) {
-	if err := Pack(rtree.NewDefault(), NewMemPager()); err == nil {
+	if err := Pack(rtree.Build(rtree.DefaultMaxEntries, 0, nil), NewMemPager()); err == nil {
 		t.Error("packing an empty tree should fail")
 	}
 }

@@ -1,6 +1,10 @@
 package rtree
 
-import "repro/internal/geom"
+import (
+	"fmt"
+
+	"repro/internal/geom"
+)
 
 // Build returns the tree over the n points at(0) … at(n-1), point i stored as
 // item number i. It is how a point set that is known in full gets indexed:
@@ -10,20 +14,21 @@ import "repro/internal/geom"
 // recursive bisection: the P children are divided ⌊P/2⌋ to the rest, and S
 // is cut at the proportional rank along the longer side of its MBR, points
 // ordered by that coordinate, then the other, then their item number. Every
-// subtree is therefore at least half full — a packed tree meets the
-// invariants InsertPoint and DeletePoint maintain, and may be mutated by
-// them — and the tree is a function of its input alone. A leaf lists its
-// points by item number, so a set small enough for one leaf is stored in the
-// order given, as insertion would store it.
+// subtree is therefore at least half full — a packed tree meets the R*
+// invariants — and the tree is a function of its input alone. A leaf lists
+// its points by item number, so a set small enough for one leaf is stored in
+// the order given, as insertion would store it. No points (n = 0) make one
+// empty leaf. maxEntries must be at least 4.
 //
 // The arenas are sized exactly, once, from n, and the points are ordered in
 // place inside the leaf arena: a build allocates the finished index and
 // nothing else.
 func Build(maxEntries, n int, at func(i int) geom.Point) *Tree {
-	if n == 0 {
-		return New(maxEntries)
+	if maxEntries < 4 {
+		panic(fmt.Sprintf("rtree: maxEntries must be >= 4, got %d", maxEntries))
 	}
-	t := newTree(maxEntries)
+	// The minimum fill is 40 % of the maximum, the R*-tree authors' recommendation.
+	t := &Tree{minEntries: max(maxEntries*2/5, 2), maxEntries: maxEntries}
 	// full is maxEntries^level, the most points one child of the root indexes.
 	level, full := int32(0), 1
 	for full*maxEntries < n {
@@ -31,7 +36,7 @@ func Build(maxEntries, n int, at func(i int) geom.Point) *Tree {
 	}
 	b := packer{t: t, dry: true}
 	b.part(-1, level, full, 0, n, 1, geom.Rect{})
-	leafSlots, innerSlots := b.count[0]*t.stride, b.count[1]*t.stride
+	leafSlots, innerSlots := b.count[0]*maxEntries, b.count[1]*maxEntries
 	t.nodes = make([]node, 0, b.count[0]+b.count[1])
 	t.leafPts, t.leafRefs = make([]geom.Point, leafSlots), make([]int32, leafSlots)
 	t.innerRects, t.innerKids = make([]geom.Rect, innerSlots), make([]int32, innerSlots)
@@ -86,7 +91,9 @@ func (b *packer) part(parent, level int32, full, lo, hi, p int, r geom.Rect) {
 	if !b.dry {
 		t.nodes = append(t.nodes, node{level: level, run: int32(*run)})
 		if parent >= 0 {
-			t.push(parent, entry{rect: r, ref: id})
+			s := int(t.nodes[parent].run)*t.maxEntries + int(t.nodes[parent].count)
+			t.innerRects[s], t.innerKids[s] = r, id
+			t.nodes[parent].count++
 		}
 	}
 	*run++

@@ -11,8 +11,68 @@ import (
 	"repro/internal/racebuild"
 )
 
-func buildPoints(fanout int, pts []geom.Point) *Tree {
-	return Build(fanout, len(pts), func(i int) geom.Point { return pts[i] })
+// equivInputs are the point sets Build is held to. The lattice, the
+// duplicates and the collinear set make most coordinate comparisons a tie,
+// which the item number then breaks.
+var equivInputs = []struct {
+	name string
+	gen  func(rng *rand.Rand, n int) []geom.Point
+}{
+	{"uniform", func(rng *rand.Rand, n int) []geom.Point { return randPoints(rng, n, 20000) }},
+	{"clusters16", func(rng *rand.Rand, n int) []geom.Point {
+		centers := randPoints(rng, 16, 20000)
+		out := make([]geom.Point, n)
+		for i := range out {
+			c := centers[rng.Intn(len(centers))]
+			out[i] = geom.Pt(c.X+rng.NormFloat64()*400, c.Y+rng.NormFloat64()*400)
+		}
+		return out
+	}},
+	{"lattice", func(rng *rand.Rand, n int) []geom.Point {
+		side := int(math.Ceil(math.Sqrt(float64(n))))
+		out := make([]geom.Point, n)
+		for i, j := range rng.Perm(n) {
+			out[i] = geom.Pt(float64(j%side)*100, float64(j/side)*100)
+		}
+		return out
+	}},
+	{"duplicates", func(rng *rand.Rand, n int) []geom.Point {
+		out := make([]geom.Point, n)
+		for i := range out {
+			out[i] = geom.Pt(7, -3)
+		}
+		return out
+	}},
+	// One line, on it about three points per position: a tie on the cut
+	// coordinate is a tie on the other too.
+	{"collinear", func(rng *rand.Rand, n int) []geom.Point {
+		out := make([]geom.Point, n)
+		for i := range out {
+			s := float64(rng.Intn(n/3 + 1))
+			out[i] = geom.Pt(300*s, 200*s+5)
+		}
+		return out
+	}},
+}
+
+func sameBits(a, b geom.Rect) bool {
+	return math.Float64bits(a.Min.X) == math.Float64bits(b.Min.X) &&
+		math.Float64bits(a.Min.Y) == math.Float64bits(b.Min.Y) &&
+		math.Float64bits(a.Max.X) == math.Float64bits(b.Max.X) &&
+		math.Float64bits(a.Max.Y) == math.Float64bits(b.Max.Y)
+}
+
+// liveNodes counts the leaf and inner nodes reachable from nd.
+func liveNodes(nd Node) (leaves, inner int) {
+	if nd.IsLeaf() {
+		return 1, 0
+	}
+	inner = 1
+	for i := 0; i < nd.Len(); i++ {
+		l, in := liveNodes(nd.Child(i))
+		leaves, inner = leaves+l, inner+in
+	}
+	return leaves, inner
 }
 
 // checkPacked holds a packed tree to everything that is true of it by
@@ -32,25 +92,25 @@ func checkPacked(tr *Tree, fanout int, pts []geom.Point) error {
 	seen := make([]bool, len(pts))
 	var bad error
 	tr.All(func(p geom.Point, ref int32) bool {
-		if int(ref) >= len(pts) || seen[ref] || p != pts[ref] {
+		if ref < 0 || int(ref) >= len(pts) || seen[ref] || p != pts[ref] {
 			bad = fmt.Errorf("item %d at %v: out of range, stored twice or misplaced", ref, p)
+			return false
 		}
 		seen[ref] = true
-		return bad == nil
+		return true
 	})
 	root, _ := tr.Root()
 	leaves, inner := liveNodes(root)
-	if bad == nil && (len(tr.nodes) != leaves+inner || len(tr.leafRefs) != leaves*tr.stride || len(tr.innerKids) != inner*tr.stride) {
+	if bad == nil && (len(tr.nodes) != leaves+inner || len(tr.leafRefs) != leaves*fanout || len(tr.innerKids) != inner*fanout) {
 		bad = fmt.Errorf("%d leaves + %d inner nodes in arenas of %d nodes, %d leaf and %d inner slots",
 			leaves, inner, len(tr.nodes), len(tr.leafRefs), len(tr.innerKids))
 	}
 	return bad
 }
 
-// Every size from nothing to 2,000 points, at three fan-outs, on inputs where
-// no coordinate ties, where every coordinate ties (the lattice) and where
-// every point is the same point: the packed tree is a valid R*-tree. The full
-// run adds the sizes around a power of the fan-out and the large ones.
+// Every size from where TestBuildSweep stops to 2,000 points, at three
+// fan-outs, on every input: the packed tree is a valid R*-tree. The full run
+// adds the sizes around a power of the fan-out and the large ones.
 func TestBuildInvariants(t *testing.T) {
 	step := 1
 	if testing.Short() {
@@ -59,7 +119,7 @@ func TestBuildInvariants(t *testing.T) {
 	for _, in := range equivInputs {
 		for _, fanout := range []int{4, 8, 30} {
 			sizes := []int{}
-			for n := 0; n <= 2000; n += step {
+			for n := 301; n <= 2000; n += step {
 				sizes = append(sizes, n)
 			}
 			if !testing.Short() {
@@ -75,18 +135,88 @@ func TestBuildInvariants(t *testing.T) {
 	}
 }
 
-// Build of no points is New: an empty tree that can be searched and grown.
+// Build of no points is one empty leaf, a tree that can be searched.
 func TestBuildEmpty(t *testing.T) {
 	tr := Build(8, 0, nil)
-	if _, ok := tr.Root(); ok || tr.Len() != 0 || tr.Height() != 1 || !tr.Bounds().IsEmpty() {
-		t.Fatalf("empty build: Len %d Height %d Bounds %v", tr.Len(), tr.Height(), tr.Bounds())
+	if _, ok := tr.Root(); ok || tr.Len() != 0 || tr.Height() != 1 || tr.Nodes() != 1 || !tr.Bounds().IsEmpty() {
+		t.Fatalf("empty build: Len %d Height %d Nodes %d Bounds %v", tr.Len(), tr.Height(), tr.Nodes(), tr.Bounds())
 	}
 	tr.All(func(geom.Point, int32) bool { t.Fatal("empty tree yielded an item"); return false })
-	for i := 0; i < 100; i++ {
-		tr.InsertPoint(geom.Pt(float64(i%10), float64(i/10)), int32(i))
+	if err := checkPacked(tr, 8, nil); err != nil {
+		t.Fatal(err)
 	}
-	if err := tr.CheckInvariants(); err != nil || tr.Len() != 100 {
-		t.Fatalf("after 100 inserts: Len %d, %v", tr.Len(), err)
+}
+
+// Every fan-out from 4 to 32 over every population from 0 to 300, on each
+// input: the packed tree is a valid R*-tree, ten random windows return what
+// a scan returns, and All yields every item exactly once at its own point.
+func TestBuildSweep(t *testing.T) {
+	for _, in := range equivInputs {
+		for fanout := 4; fanout <= 32; fanout++ {
+			for n := 0; n <= 300; n++ {
+				rng := rand.New(rand.NewSource(int64(fanout*1000 + n)))
+				pts := in.gen(rng, n)
+				tr := buildPoints(fanout, pts)
+				if err := checkPacked(tr, fanout, pts); err != nil {
+					t.Fatalf("%s fanout=%d n=%d: %v", in.name, fanout, n, err)
+				}
+				if n == 0 {
+					continue
+				}
+				b := tr.Bounds()
+				corner := func() geom.Point {
+					return geom.Pt(b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height())
+				}
+				for range 10 {
+					// Half the windows have a stored point as a corner, so an edge carries it.
+					q := geom.NewRect(corner(), corner())
+					if rng.Intn(2) == 0 {
+						q = geom.NewRect(pts[rng.Intn(n)], corner())
+					}
+					want := 0
+					for _, p := range pts {
+						if q.Contains(p) {
+							want++
+						}
+					}
+					got := 0
+					tr.Search(q, func(p geom.Point, ref int32) bool {
+						if p != pts[ref] || !q.Contains(p) {
+							t.Fatalf("%s fanout=%d n=%d: item %d at %v reported by %v", in.name, fanout, n, ref, p, q)
+						}
+						got++
+						return true
+					})
+					if got != want {
+						t.Fatalf("%s fanout=%d n=%d window %v: %d items, a scan finds %d", in.name, fanout, n, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Build cuts a point set across the longer side of its MBR: 400 points in a
+// 10 × 1000 strip, 20 leaves of 20, are cut into 20 slices of the long side,
+// each about 50 long, never into slivers that run the strip's whole length.
+// The same holds for the strip turned on its side.
+func TestBuildCutsTheLongerSide(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tall := make([]geom.Point, 400)
+	for i := range tall {
+		tall[i] = geom.Pt(rng.Float64()*10, rng.Float64()*1000)
+	}
+	wide := make([]geom.Point, len(tall))
+	for i, p := range tall {
+		wide[i] = geom.Pt(p.Y, p.X)
+	}
+	for _, pts := range [][]geom.Point{tall, wide} {
+		root, _ := buildPoints(20, pts).Root()
+		for i := 0; i < root.Len(); i++ {
+			if r := root.Rect(i); max(r.Width(), r.Height()) > 200 {
+				t.Fatalf("leaf %d spans %v, a sliver along the long side", i, r)
+			}
+		}
 	}
 }
 
@@ -230,67 +360,6 @@ func TestBuildIgnoresInputOrder(t *testing.T) {
 	}
 }
 
-// The PR 15 churn, restarted from a packed tree: insertion and deletion take
-// over a tree they did not build, and the invariants hold after every
-// mutation while the tree gains and loses levels.
-func TestChurnFromPackedTree(t *testing.T) {
-	type item struct {
-		p  geom.Point
-		id int32
-	}
-	steps := 2500
-	if testing.Short() {
-		steps = 800
-	}
-	for _, fanout := range []int{4, 8, 30} {
-		rng := rand.New(rand.NewSource(int64(fanout)))
-		live := make([]item, 600)
-		for i := range live {
-			live[i] = item{geom.Pt(float64(rng.Intn(40)), float64(rng.Intn(40))), int32(i)}
-		}
-		tr := Build(fanout, len(live), func(i int) geom.Point { return live[i].p })
-		nextID := int32(len(live))
-		for step := 0; step < steps; step++ {
-			// Shrink first: the packed nodes are dissolved by condense.
-			pInsert := 0.25
-			if (step/400)%2 == 1 {
-				pInsert = 0.7
-			}
-			if len(live) == 0 || rng.Float64() < pInsert {
-				it := item{geom.Pt(float64(rng.Intn(40)), float64(rng.Intn(40))), nextID}
-				nextID++
-				live = append(live, it)
-				tr.InsertPoint(it.p, it.id)
-			} else {
-				i := rng.Intn(len(live))
-				it := live[i]
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-				if !tr.DeletePoint(it.p, it.id) {
-					t.Fatalf("fanout=%d step %d: delete of live item %v failed", fanout, step, it)
-				}
-			}
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("fanout=%d step %d: %v", fanout, step, err)
-			}
-		}
-		want := make(map[int32]geom.Point, len(live))
-		for _, it := range live {
-			want[it.id] = it.p
-		}
-		tr.All(func(p geom.Point, ref int32) bool {
-			if want[ref] != p {
-				t.Fatalf("fanout=%d: item %d at %v, want %v", fanout, ref, p, want[ref])
-			}
-			delete(want, ref)
-			return true
-		})
-		if len(want) != 0 || tr.Len() != len(live) {
-			t.Fatalf("fanout=%d: %d live items missing from the tree, Len %d vs %d", fanout, len(want), tr.Len(), len(live))
-		}
-	}
-}
-
 // A build allocates the index and nothing else: the five arenas and the Tree,
 // sized once — no second copy of the points, no growth garbage.
 func TestBuildAllocatesTheIndexOnly(t *testing.T) {
@@ -313,4 +382,19 @@ func TestBuildAllocatesTheIndexOnly(t *testing.T) {
 	}
 	t.Logf("%d points: index %d bytes (%.1f B/point), build allocated %d bytes in %d allocations",
 		len(pts), tr.Bytes(), float64(tr.Bytes())/float64(len(pts)), bytes, allocs)
+}
+
+// BenchmarkBuild packs the daemon-sized index — 50,000 points at the
+// paper's fan-out — the way production builds it.
+func BenchmarkBuild(b *testing.B) {
+	const n = 50000
+	pts := randPoints(rand.New(rand.NewSource(1)), n, 20000)
+	b.Run("pack/n=50k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if tr := buildPoints(DefaultMaxEntries, pts); tr.Len() != n {
+				b.Fatal("short build")
+			}
+		}
+	})
 }

@@ -13,17 +13,29 @@ func randPoint(rng *rand.Rand, span float64) geom.Point {
 	return geom.Pt(rng.Float64()*span, rng.Float64()*span)
 }
 
-func TestNewValidation(t *testing.T) {
+func randPoints(rng *rand.Rand, n int, span float64) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = randPoint(rng, span)
+	}
+	return pts
+}
+
+func buildPoints(fanout int, pts []geom.Point) *Tree {
+	return Build(fanout, len(pts), func(i int) geom.Point { return pts[i] })
+}
+
+func TestBuildValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("New(3) should panic")
+			t.Error("Build(3, …) should panic")
 		}
 	}()
-	New(3)
+	Build(3, 0, nil)
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := NewDefault()
+	tr := Build(DefaultMaxEntries, 0, nil)
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
@@ -49,15 +61,12 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-func TestInsertAndSearchSmall(t *testing.T) {
-	tr := New(4)
+func TestBuildAndSearchSmall(t *testing.T) {
 	pts := []geom.Point{
 		geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(3, 3), geom.Pt(10, 10),
 		geom.Pt(11, 11), geom.Pt(12, 12), geom.Pt(20, 1), geom.Pt(21, 2),
 	}
-	for i, p := range pts {
-		tr.InsertPoint(p, int32(i))
-	}
+	tr := buildPoints(4, pts)
 	if tr.Len() != len(pts) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(pts))
 	}
@@ -82,10 +91,11 @@ func TestInsertAndSearchSmall(t *testing.T) {
 }
 
 func TestSearchEarlyStop(t *testing.T) {
-	tr := New(4)
-	for i := 0; i < 100; i++ {
-		tr.InsertPoint(geom.Pt(float64(i), 0), int32(i))
+	pts := make([]geom.Point, 100)
+	for i := range pts {
+		pts[i] = geom.Pt(float64(i), 0)
 	}
+	tr := buildPoints(4, pts)
 	count := 0
 	tr.Search(geom.NewRect(geom.Pt(-1, -1), geom.Pt(200, 1)), func(geom.Point, int32) bool {
 		count++
@@ -97,17 +107,12 @@ func TestSearchEarlyStop(t *testing.T) {
 }
 
 // Randomized search correctness against a brute-force reference, across
-// several branching factors to exercise splits at every level.
+// several branching factors.
 func TestSearchMatchesBruteForce(t *testing.T) {
 	for _, maxEntries := range []int{4, 8, 30} {
 		rng := rand.New(rand.NewSource(int64(maxEntries)))
-		tr := New(maxEntries)
-		const n = 2000
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = randPoint(rng, 1000)
-			tr.InsertPoint(pts[i], int32(i))
-		}
+		pts := randPoints(rng, 2000, 1000)
+		tr := buildPoints(maxEntries, pts)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("maxEntries=%d invariants: %v", maxEntries, err)
 		}
@@ -137,134 +142,13 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := New(4)
-	rng := rand.New(rand.NewSource(42))
-	const n = 800
-	pts := make([]geom.Point, n)
-	alive := make(map[int]bool, n)
-	for i := range pts {
-		pts[i] = randPoint(rng, 300)
-		tr.InsertPoint(pts[i], int32(i))
-		alive[i] = true
-	}
-	// Delete a random 60 % interleaved with invariant checks.
-	order := rng.Perm(n)
-	for k, i := range order[:n*6/10] {
-		if !tr.DeletePoint(pts[i], int32(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-		delete(alive, i)
-		if k%50 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("invariants after %d deletes: %v", k+1, err)
-			}
-		}
-	}
-	if tr.Len() != len(alive) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(alive))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	got := map[int]bool{}
-	tr.All(func(_ geom.Point, d int32) bool { got[int(d)] = true; return true })
-	if len(got) != len(alive) {
-		t.Fatalf("All found %d, want %d", len(got), len(alive))
-	}
-	for i := range alive {
-		if !got[i] {
-			t.Fatalf("surviving item %d missing", i)
-		}
-	}
-	// Deleting something absent must fail without corrupting the tree.
-	if tr.DeletePoint(geom.Pt(-1, -1), int32(12345)) {
-		t.Error("delete of absent item reported success")
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after failed delete: %v", err)
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	tr := New(4)
-	rng := rand.New(rand.NewSource(9))
-	const n = 300
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = randPoint(rng, 100)
-		tr.InsertPoint(pts[i], int32(i))
-	}
-	for i := range pts {
-		if !tr.DeletePoint(pts[i], int32(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len after deleting all = %d", tr.Len())
-	}
-	if tr.Height() != 1 {
-		t.Errorf("Height after deleting all = %d, want 1", tr.Height())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	// Tree remains usable.
-	tr.InsertPoint(geom.Pt(5, 5), 777)
-	found := false
-	tr.Search(geom.RectFromPoint(geom.Pt(5, 5)), func(_ geom.Point, d int32) bool {
-		found = d == 777
-		return true
-	})
-	if !found {
-		t.Error("reuse after full deletion failed")
-	}
-}
-
-func TestInterleavedInsertDelete(t *testing.T) {
-	tr := New(6)
-	rng := rand.New(rand.NewSource(1234))
-	type rec struct {
-		p  geom.Point
-		id int
-	}
-	var live []rec
-	nextID := 0
-	for step := 0; step < 4000; step++ {
-		if len(live) == 0 || rng.Float64() < 0.6 {
-			r := rec{p: randPoint(rng, 200), id: nextID}
-			nextID++
-			tr.InsertPoint(r.p, int32(r.id))
-			live = append(live, r)
-		} else {
-			i := rng.Intn(len(live))
-			r := live[i]
-			if !tr.DeletePoint(r.p, int32(r.id)) {
-				t.Fatalf("step %d: delete %d failed", step, r.id)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		if step%500 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("step %d invariants: %v", step, err)
-			}
-			if tr.Len() != len(live) {
-				t.Fatalf("step %d: Len %d, want %d", step, tr.Len(), len(live))
-			}
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("final invariants: %v", err)
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
-	tr := New(4)
 	p := geom.Pt(7, 7)
-	for i := 0; i < 50; i++ {
-		tr.InsertPoint(p, int32(i))
+	pts := make([]geom.Point, 50)
+	for i := range pts {
+		pts[i] = p
 	}
+	tr := buildPoints(4, pts)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants with duplicates: %v", err)
 	}
@@ -273,53 +157,25 @@ func TestDuplicatePoints(t *testing.T) {
 	if count != 50 {
 		t.Fatalf("found %d duplicates, want 50", count)
 	}
-	// Delete a specific duplicate by value.
-	if !tr.DeletePoint(p, int32(25)) {
-		t.Fatal("delete of specific duplicate failed")
-	}
-	count = 0
-	seen25 := false
-	tr.Search(geom.RectFromPoint(p), func(_ geom.Point, d int32) bool {
-		count++
-		if int(d) == 25 {
-			seen25 = true
-		}
-		return true
-	})
-	if count != 49 || seen25 {
-		t.Fatalf("after delete: count=%d seen25=%v", count, seen25)
-	}
 }
 
 // Search reports the nodes it visited: at least the root, and for a window
 // covering everything exactly the node count of the tree.
 func TestSearchReturnsNodesVisited(t *testing.T) {
-	tr := New(4)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		tr.InsertPoint(randPoint(rng, 100), int32(i))
-	}
+	tr := buildPoints(4, randPoints(rand.New(rand.NewSource(5)), 1000, 100))
 	all := func(geom.Point, int32) bool { return true }
-	if got := New(4).Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)), all); got != 1 {
+	if got := Build(4, 0, nil).Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)), all); got != 1 {
 		t.Fatalf("empty tree: search visited %d nodes, want the root alone", got)
 	}
 	small := tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), all)
 	if small < int64(tr.Height()) {
 		t.Fatalf("small search visited %d nodes, want at least one per level (%d)", small, tr.Height())
 	}
-	var nodes int64
-	var walk func(nd Node)
-	walk = func(nd Node) {
-		nodes++
-		for i := 0; !nd.IsLeaf() && i < nd.Len(); i++ {
-			walk(nd.Child(i))
-		}
-	}
 	root, _ := tr.Root()
-	walk(root)
+	leaves, inner := liveNodes(root)
 	full := tr.Search(geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100)), all)
-	if full != nodes {
-		t.Errorf("full-area search visited %d nodes, tree has %d", full, nodes)
+	if full != int64(leaves+inner) {
+		t.Errorf("full-area search visited %d nodes, tree has %d", full, leaves+inner)
 	}
 	if full <= small {
 		t.Errorf("full-area search (%d nodes) should exceed small search (%d)", full, small)
@@ -331,13 +187,8 @@ func TestSearchReturnsNodesVisited(t *testing.T) {
 }
 
 func TestNodeTraversalSeesEverything(t *testing.T) {
-	tr := New(5)
-	rng := rand.New(rand.NewSource(8))
-	want := map[int]bool{}
-	for i := 0; i < 700; i++ {
-		tr.InsertPoint(randPoint(rng, 50), int32(i))
-		want[i] = true
-	}
+	const n = 700
+	tr := buildPoints(5, randPoints(rand.New(rand.NewSource(8)), n, 50))
 	got := map[int]bool{}
 	var walk func(nd Node)
 	walk = func(nd Node) {
@@ -365,49 +216,22 @@ func TestNodeTraversalSeesEverything(t *testing.T) {
 		t.Fatal("Root not ok")
 	}
 	walk(root)
-	if len(got) != len(want) {
-		t.Fatalf("traversal saw %d items, want %d", len(got), len(want))
+	if len(got) != n {
+		t.Fatalf("traversal saw %d items, want %d", len(got), n)
 	}
 }
 
+// A packed tree has the least height that holds its points: 8^4 < 5000 ≤ 8^5.
 func TestHeightGrowsLogarithmically(t *testing.T) {
-	tr := New(8)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		tr.InsertPoint(randPoint(rng, 10000), int32(i))
-	}
-	h := tr.Height()
-	// With fan-out 8 and min fill 3, height of 5000 items stays modest.
-	if h < 3 || h > 7 {
-		t.Errorf("height = %d, expected between 3 and 7", h)
-	}
-}
-
-func TestClusteredInsertionKeepsInvariants(t *testing.T) {
-	// Highly clustered data exercises forced reinsertion heavily.
-	tr := New(10)
-	rng := rand.New(rand.NewSource(13))
-	for c := 0; c < 20; c++ {
-		cx, cy := rng.Float64()*1000, rng.Float64()*1000
-		for i := 0; i < 200; i++ {
-			p := geom.Pt(cx+rng.NormFloat64(), cy+rng.NormFloat64())
-			tr.InsertPoint(p, int32(c*200+i))
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	if tr.Len() != 4000 {
-		t.Fatalf("Len = %d", tr.Len())
+	tr := buildPoints(8, randPoints(rand.New(rand.NewSource(3)), 5000, 10000))
+	if h := tr.Height(); h != 5 {
+		t.Errorf("height = %d, want 5", h)
 	}
 }
 
 func BenchmarkSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	tr := NewDefault()
-	for i := 0; i < 100000; i++ {
-		tr.InsertPoint(randPoint(rng, 1e5), int32(i))
-	}
+	tr := buildPoints(DefaultMaxEntries, randPoints(rng, 100000, 1e5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := randPoint(rng, 1e5)
@@ -417,17 +241,21 @@ func BenchmarkSearch(b *testing.B) {
 }
 
 // Bytes prices the arenas with the slot sizes DESIGN.md §10 budgets for; the
-// compiler's view of the same slices must agree.
+// compiler's view of the same slices must agree, and every node owns exactly
+// M slots of its kind.
 func TestBytesMatchesLayout(t *testing.T) {
-	tr := New(8)
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 3000; i++ {
-		tr.InsertPoint(randPoint(rng, 100), int32(i))
-	}
+	const m = 8
+	tr := buildPoints(m, randPoints(rand.New(rand.NewSource(6)), 3000, 100))
 	want := int64(len(tr.nodes))*int64(unsafe.Sizeof(tr.nodes[0])) +
 		int64(len(tr.leafPts))*int64(unsafe.Sizeof(tr.leafPts[0])) + int64(len(tr.leafRefs))*int64(unsafe.Sizeof(tr.leafRefs[0])) +
 		int64(len(tr.innerRects))*int64(unsafe.Sizeof(tr.innerRects[0])) + int64(len(tr.innerKids))*int64(unsafe.Sizeof(tr.innerKids[0]))
 	if got := tr.Bytes(); got != want || len(tr.leafPts) != len(tr.leafRefs) || len(tr.innerRects) != len(tr.innerKids) {
 		t.Fatalf("Bytes() = %d, arenas hold %d", got, want)
+	}
+	root, _ := tr.Root()
+	leaves, inner := liveNodes(root)
+	if len(tr.leafRefs) != m*leaves || len(tr.innerKids) != m*inner {
+		t.Fatalf("%d leaves and %d inner nodes own %d and %d slots, want %d each", leaves, inner,
+			len(tr.leafRefs), len(tr.innerKids), m)
 	}
 }

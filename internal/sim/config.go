@@ -88,8 +88,9 @@ type Config struct {
 	// RoadSpacing is the grid spacing of the generated road network in
 	// meters. Default: area width / 20, clamped to [100, 500].
 	RoadSpacing float64
-	// TripRadius bounds destination choice for road hosts (0 = automatic:
-	// a quarter of the area diagonal).
+	// TripRadius bounds destination choice in both movement modes (0 =
+	// automatic: a quarter of the area diagonal, capped at 2.5 km and
+	// floored at 4 × RoadSpacing; see Validate).
 	TripRadius float64
 	// RTreeFanout is the server index branching factor. Default 30 (§4.4).
 	RTreeFanout int
@@ -175,8 +176,11 @@ func (c Config) Validate() (Config, error) {
 	if c.TripRadius <= 0 {
 		// Bound trips so route planning stays local: unbounded waypoint
 		// destinations make every plan a near-whole-graph Dijkstra in the
-		// 30x30 mi region. Local trips keep per-host planning O(trip area)
-		// without changing the encounter statistics the queries depend on.
+		// 30x30 mi region. The bound applies to every figure: 1.14 km in the
+		// 2x2 mi region (diagonal/4, above its 644 m floor) and 2.5 km in
+		// the 30x30 mi one, where the paper's destinations lie anywhere in
+		// the region. Whether this leaves the encounter statistics the
+		// queries depend on unchanged has not been measured (DESIGN §4 D6).
 		c.TripRadius = geom.Pt(c.AreaWidth, c.AreaHeight).Norm() / 4
 		if c.TripRadius > 2500 {
 			c.TripRadius = 2500

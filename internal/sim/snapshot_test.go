@@ -205,7 +205,7 @@ func sweepQueries() []geom.Point {
 }
 
 // The index costs at most 24 bytes per POI on top of the POI table itself:
-// a 20-byte leaf slot in leaves packed to 29.8 of their 31 slots, plus inner
+// a 20-byte leaf slot in leaves packed to 29.8 of their 30 slots, plus inner
 // nodes and the node table (DESIGN.md §10). Grown by insertion, at ~70 %
 // fill, it was 31.2; while nodes owned entry slices and leaves boxed a copy
 // of every POI, about 140.

@@ -29,6 +29,11 @@ fence "peer verification outside internal/core" "$(grep -rnE 'VerifySinglePeer(A
 # may import it.
 fence "geomtest imported outside _test.go" "$(grep -rl '"repro/internal/geom/geomtest"' --include='*.go' . | grep -v '_test\.go$' || true)"
 
+# The index is static: rtree.Build is its only constructor, and the R*
+# insertion the packed tree is measured against lives in
+# internal/rtree/rtreetest, which likewise only _test.go files may import.
+fence "rtreetest imported outside _test.go" "$(grep -rl '"repro/internal/rtree/rtreetest"' --include='*.go' . | grep -v '_test\.go$' || true)"
+
 # Every atomic is a typed sync/atomic value, which has no plain-access
 # spelling for go test -race to miss.
 fence "function-style sync/atomic call (use atomic.Int64 and friends)" \
