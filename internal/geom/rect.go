@@ -88,31 +88,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// Intersect returns the intersection of r and s (possibly empty).
-func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
-	}
-	if out.IsEmpty() {
-		return EmptyRect()
-	}
-	return out
-}
-
-// OverlapArea returns the area shared by r and s. It is bit-equal to
-// r.Intersect(s).Area() for every NaN-free input — the built-in min/max
-// order signed zeros the way math.Min/math.Max do — without materializing
-// the intersection.
-func (r Rect) OverlapArea(s Rect) float64 {
-	loX, loY := max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)
-	hiX, hiY := min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)
-	if loX > hiX || loY > hiY {
-		return 0
-	}
-	return (hiX - loX) * (hiY - loY)
-}
-
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {
@@ -128,9 +103,6 @@ func (r Rect) Union(s Rect) Rect {
 		Max: Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
 	}
 }
-
-// Enlargement returns the area increase needed for r to also cover s.
-func (r Rect) Enlargement(s Rect) float64 { return r.Union(s).Area() - r.Area() }
 
 // MinDist returns the minimum Euclidean distance from p to any point of r
 // (zero when p is inside r). This is the MINDIST metric of Roussopoulos et

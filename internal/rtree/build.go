@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -21,8 +22,8 @@ import (
 // empty leaf. maxEntries must be at least 4.
 //
 // The arenas are sized exactly, once, from n, and the points are ordered in
-// place inside the leaf arena: a build allocates the finished index and
-// nothing else.
+// place inside the leaf arena, each cut by Floyd–Rivest selection: a build
+// allocates the finished index and nothing else.
 func Build(maxEntries, n int, at func(i int) geom.Point) *Tree {
 	if maxEntries < 4 {
 		panic(fmt.Sprintf("rtree: maxEntries must be >= 4, got %d", maxEntries))
@@ -66,7 +67,6 @@ type packer struct {
 	t     *Tree
 	dry   bool
 	count [2]int // leaves, inner nodes so far: the next run of each arena
-	byY   bool   // the coordinate less orders by
 }
 
 // part packs points [lo, hi) of the leaf arena, whose MBR is r, into p sibling
@@ -78,8 +78,7 @@ func (b *packer) part(parent, level int32, full, lo, hi, p int, r geom.Rect) {
 		mid := lo + (hi-lo)*half/p
 		var rl, rr geom.Rect
 		if !b.dry {
-			b.byY = r.Width() < r.Height()
-			b.selectNth(lo, hi, mid)
+			b.selectNth(lo, hi, mid, r.Width() < r.Height())
 			rl, rr = b.mbr(lo, mid), b.mbr(mid, hi)
 		}
 		b.part(parent, level, full, lo, mid, half, rl)
@@ -103,55 +102,86 @@ func (b *packer) part(parent, level int32, full, lo, hi, p int, r geom.Rect) {
 	case !b.dry:
 		// A leaf lists its points by item number, however the cuts left them.
 		t.nodes[id].count = int32(hi - lo)
-		for i := lo + 1; i < hi; i++ {
-			for j := i; j > lo && t.leafRefs[j] < t.leafRefs[j-1]; j-- {
-				b.swap(j, j-1)
+		pts, refs := t.leafPts[lo:hi], t.leafRefs[lo:hi]
+		for i := 1; i < len(refs); i++ {
+			p, ref, j := pts[i], refs[i], i
+			for ; j > 0 && refs[j-1] > ref; j-- {
+				pts[j], refs[j] = pts[j-1], refs[j-1]
 			}
+			pts[j], refs[j] = p, ref
 		}
 	}
 }
 
-// less orders leaf-arena slots by the cut coordinate, then the other, then
-// the item number: a total order, no two slots compare equal.
-func (b *packer) less(i, j int) bool {
-	p, q := b.t.leafPts[i], b.t.leafPts[j]
-	if b.byY {
-		p.X, p.Y, q.X, q.Y = p.Y, p.X, q.Y, q.X
-	}
-	if p != q {
-		return p.X < q.X || p.X == q.X && p.Y < q.Y
-	}
-	return b.t.leafRefs[i] < b.t.leafRefs[j]
-}
-
-func (b *packer) swap(i, j int) {
-	t := b.t
-	t.leafPts[i], t.leafPts[j] = t.leafPts[j], t.leafPts[i]
-	t.leafRefs[i], t.leafRefs[j] = t.leafRefs[j], t.leafRefs[i]
-}
-
-// selectNth rearranges slots [lo, hi) so that each of [lo, k) orders before
-// each of [k, hi): quickselect, the middle slot as pivot.
-func (b *packer) selectNth(lo, hi, k int) {
-	for hi-lo > 1 && k > lo {
-		b.swap(lo, lo+(hi-lo)/2)
-		store := lo
-		for i := lo + 1; i < hi; i++ {
-			if b.less(i, lo) {
-				store++
-				b.swap(i, store)
+// selectNth moves the slot that orders k-th in [lo, hi) to k, the slots
+// that order before it to [lo, k) and the rest to (k, hi), by the order a
+// cut sorts by: the cut coordinate (y if byY, else x), then the other, then
+// the item number — a total order, so the slots that end up before k do not
+// depend on how they got there. It is Floyd and Rivest's SELECT (CACM
+// 18(3), 1975): a range of more than 600 slots first selects k within a
+// sample around k's expected rank, so the slot then at k splits the range
+// close to k and the scans add up to about 1.5 (hi-lo).
+func (b *packer) selectNth(lo, hi, k int, byY bool) {
+	pts, refs := b.t.leafPts[:hi], b.t.leafRefs[:hi]
+	for hi-lo > 1 {
+		if hi-lo > 600 {
+			n, i := float64(hi-lo), float64(k-lo+1)
+			z := math.Log(n)
+			s := 0.5 * math.Exp(2*z/3)
+			sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
+			if i < n/2 {
+				sd = -sd
 			}
+			b.selectNth(max(lo, int(float64(k)-i*s/n+sd)), min(hi, int(float64(k)+(n-i)*s/n+sd)+1), k, byY)
 		}
-		b.swap(lo, store)
+		// Partition around the slot at k, parked at the end meanwhile.
+		pivot, pref := pts[k], refs[k]
+		pts[k], refs[k] = pts[hi-1], refs[hi-1]
+		j := lo + partition(pts[lo:hi-1], refs[lo:hi-1], pivot, pref, byY)
+		pts[hi-1], refs[hi-1] = pts[j], refs[j]
+		pts[j], refs[j] = pivot, pref
 		switch {
-		case k < store:
-			hi = store
-		case k > store:
-			lo = store + 1
+		case j < k:
+			lo = j + 1
+		case j > k:
+			hi = j
 		default:
 			return
 		}
 	}
+}
+
+// partition moves the slots that order before the pivot (pivot, pref) to the
+// front and returns how many there are. It is a branch-free Lomuto scan: every
+// slot is swapped with the boundary, and the comparison decides only whether
+// the boundary moves, so a comparison the branch predictor cannot guess costs
+// no misprediction.
+func partition(pts []geom.Point, refs []int32, pivot geom.Point, pref int32, byY bool) int {
+	pc, po := pivot.X, pivot.Y
+	if byY {
+		pc, po = po, pc
+	}
+	refs = refs[:len(pts)]
+	j := 0
+	for i, p := range pts {
+		c, o := p.X, p.Y
+		if byY {
+			c, o = o, c
+		}
+		ref := refs[i]
+		before := c < pc
+		if c == pc {
+			before = o < po || o == po && ref < pref
+		}
+		step := 0
+		if before {
+			step = 1
+		}
+		pts[i], refs[i] = pts[j], refs[j]
+		pts[j], refs[j] = p, ref
+		j += step
+	}
+	return j
 }
 
 func (b *packer) mbr(lo, hi int) geom.Rect {

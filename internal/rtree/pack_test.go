@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -148,8 +149,10 @@ func TestBuildEmpty(t *testing.T) {
 }
 
 // Every fan-out from 4 to 32 over every population from 0 to 300, on each
-// input: the packed tree is a valid R*-tree, ten random windows return what
-// a scan returns, and All yields every item exactly once at its own point.
+// input: the packed tree is a valid R*-tree, field for field the quickselect
+// referee's (every seventh population under -short), ten random windows
+// return what a scan returns, and All yields every item exactly once at its
+// own point.
 func TestBuildSweep(t *testing.T) {
 	for _, in := range equivInputs {
 		for fanout := 4; fanout <= 32; fanout++ {
@@ -159,6 +162,9 @@ func TestBuildSweep(t *testing.T) {
 				tr := buildPoints(fanout, pts)
 				if err := checkPacked(tr, fanout, pts); err != nil {
 					t.Fatalf("%s fanout=%d n=%d: %v", in.name, fanout, n, err)
+				}
+				if (n%7 == 0 || !testing.Short()) && !reflect.DeepEqual(tr, buildQuickselect(fanout, n, func(i int) geom.Point { return pts[i] })) {
+					t.Fatalf("%s fanout=%d n=%d: Build and the quickselect referee differ", in.name, fanout, n)
 				}
 				if n == 0 {
 					continue
@@ -385,16 +391,23 @@ func TestBuildAllocatesTheIndexOnly(t *testing.T) {
 }
 
 // BenchmarkBuild packs the daemon-sized index — 50,000 points at the
-// paper's fan-out — the way production builds it.
+// paper's fan-out — the way production builds it (pack), and the way it was
+// built before Floyd–Rivest selection (ref, the referee).
 func BenchmarkBuild(b *testing.B) {
 	const n = 50000
 	pts := randPoints(rand.New(rand.NewSource(1)), n, 20000)
-	b.Run("pack/n=50k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if tr := buildPoints(DefaultMaxEntries, pts); tr.Len() != n {
-				b.Fatal("short build")
+	at := func(i int) geom.Point { return pts[i] }
+	for _, arm := range []struct {
+		name  string
+		build func(maxEntries, n int, at func(i int) geom.Point) *Tree
+	}{{"pack/n=50k", Build}, {"ref/n=50k", buildQuickselect}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if tr := arm.build(DefaultMaxEntries, n, at); tr.Len() != n {
+					b.Fatal("short build")
+				}
 			}
-		}
-	})
+		})
+	}
 }

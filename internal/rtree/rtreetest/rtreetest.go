@@ -151,11 +151,11 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 				if j == i {
 					continue
 				}
-				overlap += n.entries[i].rect.Intersect(n.entries[j].rect).Area()
-				overlapNew += enlarged.Intersect(n.entries[j].rect).Area()
+				overlap += intersect(n.entries[i].rect, n.entries[j].rect).Area()
+				overlapNew += intersect(enlarged, n.entries[j].rect).Area()
 			}
 			dOverlap := overlapNew - overlap
-			enl := n.entries[i].rect.Enlargement(r)
+			enl := enlargement(n.entries[i].rect, r)
 			area := n.entries[i].rect.Area()
 			if dOverlap < bestOverlap-1e-12 ||
 				(almostEq(dOverlap, bestOverlap) && enl < bestEnl-1e-12) ||
@@ -168,7 +168,7 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 	// Inner levels: minimize area enlargement, then area.
 	best, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1)
 	for i := range n.entries {
-		enl := n.entries[i].rect.Enlargement(r)
+		enl := enlargement(n.entries[i].rect, r)
 		area := n.entries[i].rect.Area()
 		if enl < bestEnl-1e-12 || (almostEq(enl, bestEnl) && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
@@ -178,6 +178,21 @@ func (t *Tree) chooseSubtree(n *Node, r geom.Rect) int {
 }
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
+
+// intersect returns the intersection of r and s (possibly empty).
+func intersect(r, s geom.Rect) geom.Rect {
+	out := geom.Rect{
+		Min: geom.Pt(math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)),
+		Max: geom.Pt(math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)),
+	}
+	if out.IsEmpty() {
+		return geom.EmptyRect()
+	}
+	return out
+}
+
+// enlargement returns the area increase needed for r to also cover s.
+func enlargement(r, s geom.Rect) float64 { return r.Union(s).Area() - r.Area() }
 
 // overflow resolves an overfull node at path[idx], either by forced
 // reinsertion (first overflow at this level for the current insert, non-root)
@@ -286,7 +301,7 @@ func (t *Tree) chooseSplit(n *Node) (left, right []entry) {
 				left:    l,
 				right:   r,
 				margin:  lb.Margin() + rb.Margin(),
-				overlap: lb.Intersect(rb).Area(),
+				overlap: intersect(lb, rb).Area(),
 				area:    lb.Area() + rb.Area(),
 			}
 			dists = append(dists, d)
