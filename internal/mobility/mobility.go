@@ -12,6 +12,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/spatialnet"
@@ -129,6 +130,25 @@ func (m *RoadNetwork) enterSegment() {
 
 // Pos returns the current position.
 func (m *RoadNetwork) Pos() geom.Point { return m.pos }
+
+// Bytes returns the host's movement state as the heap holds it: the
+// RoadNetwork and its generator at their allocation sizes, and the route,
+// 4 B per node of its capacity. The generator is counted as the simulator
+// makes it, math/rand.New(rand.NewSource(seed)): a Rand over a 607-word
+// lagged Fibonacci state, ≈ 5.4 KB — most of a road mover.
+func (m *RoadNetwork) Bytes() int64 {
+	return roadMoverBytes + int64(cap(m.path))*int64(unsafe.Sizeof(spatialnet.NodeID(0)))
+}
+
+// roadMoverBytes is a RoadNetwork, its Rand and the Rand's source, each
+// rounded up to the size class the allocator serves it from — the capacity
+// appending that many bytes to a nil slice yields. The source is math/rand's
+// rngSource: the 607-word vector and two int indices.
+var roadMoverBytes = func() int64 {
+	alloc := func(n uintptr) int64 { return int64(cap(append([]byte(nil), make([]byte, n)...))) }
+	const sourceBytes = (607 + 2) * 8
+	return alloc(unsafe.Sizeof(RoadNetwork{})) + alloc(unsafe.Sizeof(rand.Rand{})) + alloc(sourceBytes)
+}()
 
 // SetFinder replaces the host's route planner. A PathFinder is per-query
 // scratch state that is not safe for concurrent use, so a simulator that

@@ -106,8 +106,9 @@ type Config struct {
 	// shards the host population across — the middle level of the
 	// three-level parallelism model (DESIGN.md §8); the outer level fans
 	// whole simulations via experiments.RunParallel. 0 or 1 advances hosts
-	// on the coordinating goroutine. Every worker count produces
-	// bit-identical simulation output; only wall-clock time changes.
+	// on the coordinating goroutine. New builds the population on as many
+	// (World.placeHosts). Every worker count produces bit-identical
+	// simulation output; only wall-clock time changes.
 	Workers int
 	// QueryWorkers is the number of goroutines the resolve phase of each
 	// step's query batch fans across — the innermost level of the worker

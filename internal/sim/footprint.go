@@ -8,10 +8,11 @@ import (
 )
 
 // Footprint is a World's host state in bytes, column by column. Every figure
-// is computed from slice lengths — no runtime or allocator query — so it is
+// is computed from slice lengths — no heap statistics — so it is
 // deterministic for a configuration and a point in the run, and a test can
-// hold the layout to a budget (TestWorldBytesPerHost). DESIGN.md §8 has the
-// budget these columns add up to.
+// hold the layout to a budget (TestWorldBytesPerHost) and to the heap
+// (TestRoadWorldFootprintMatchesHeap). DESIGN.md §8 has the budget these
+// columns add up to.
 type Footprint struct {
 	Hosts      int // population
 	Movers     int // hosts with movement state
@@ -27,8 +28,9 @@ type Footprint struct {
 	CacheIndexBytes int64 // cache slot index, 4 B per host
 	CacheSlotBytes  int64 // cache slot storage, 24 + 4·C_Size B per slot, whole chunks, first-store order
 	// MoverBytes is the moving list plus, per mover, the 56 B waypoint slot
-	// (free movement) or the pointer to its road mover (road mode; the
-	// mover's own route state is a heap object and not counted).
+	// (free movement) or the pointer to its road mover and the mover itself
+	// (road mode, mobility.RoadNetwork.Bytes: ≈ 5.6 KB, most of it the
+	// mover's math/rand generator).
 	MoverBytes int64
 
 	// The server's POI index, which is not host state and not in Total: the
@@ -79,6 +81,9 @@ func (w *World) Footprint() Footprint {
 		f.MoverBytes += w.wp.Bytes()
 	} else {
 		f.MoverBytes += int64(len(w.road)) * int64(unsafe.Sizeof(w.road[0]))
+		for _, m := range w.road {
+			f.MoverBytes += m.Bytes()
+		}
 	}
 	return f
 }

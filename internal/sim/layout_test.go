@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -211,19 +214,25 @@ func (r *refWorld) run() Metrics {
 			}
 			o.Write.Apply(r.caches[p.host])
 		}
-		for j, i := range r.moving {
-			if r.wp != nil {
-				r.pos[i] = r.wp.Advance(int(i), r.pos[i], stepEnd-now)
-			} else {
-				r.pos[i] = r.road[j].Advance(stepEnd - now)
-			}
-			r.cells[i] = r.grid.CellIndex(r.pos[i])
-		}
-		r.grid.Build(r.cells)
+		r.advance(stepEnd - now)
 		now = stepEnd
 	}
 	m.MeasuredSeconds = cfg.Duration - warmupEnd
 	return m
+}
+
+// advance moves every mover of the reference world by dt and rebuilds its
+// grid.
+func (r *refWorld) advance(dt float64) {
+	for j, i := range r.moving {
+		if r.wp != nil {
+			r.pos[i] = r.wp.Advance(int(i), r.pos[i], dt)
+		} else {
+			r.pos[i] = r.road[j].Advance(dt)
+		}
+		r.cells[i] = r.grid.CellIndex(r.pos[i])
+	}
+	r.grid.Build(r.cells)
 }
 
 func sameBits(a, b geom.Point) bool {
@@ -312,6 +321,72 @@ func TestWorldLayoutEquivalence(t *testing.T) {
 	}
 }
 
+// TestNewMatchesReference fences New's construction rule: only the serial
+// phase draws from the world's stream, in host order, and everything fanned
+// across Config.Workers depends on a host's own draws alone. Right after New,
+// positions, grid cells, the moving list and the grid's buckets must equal
+// the reference world's — built host by host on one goroutine — bit for bit,
+// and so must every position and cell over a few movement steps, which is
+// where a mover's seeded generator and first leg or route show. Both modes;
+// worker counts that divide the population evenly, unevenly and beyond the
+// movers; a world with fewer movers than workers and one with none.
+func TestNewMatchesReference(t *testing.T) {
+	base := Config{
+		AreaWidth: 3000, AreaHeight: 3000,
+		NumPOIs: 40, NumHosts: 1500, CacheSize: 10,
+		MovePercentage: 0.6, Velocity: 13.4, MaxPause: 10,
+		QueriesPerMinute: 60, TxRange: 250,
+		KMin: 1, KMax: 5,
+		Duration: 60, Seed: 33,
+	}
+	populations := []struct {
+		name      string
+		hosts     int
+		move      float64
+		maxMovers int // the drawn mover count must stay below it
+	}{
+		{"mixed", 1500, 0.6, 1500},
+		{"few-movers", 40, 0.1, 8}, // fewer movers than the widest worker count
+		{"no-movers", 300, 0, 1},
+	}
+	for _, mode := range []Mode{ModeFreeMovement, ModeRoadNetwork} {
+		for _, pop := range populations {
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg := base
+				cfg.Mode, cfg.NumHosts, cfg.MovePercentage, cfg.Workers = mode, pop.hosts, pop.move, workers
+				w, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%v/%s/workers=%d", mode, pop.name, workers)
+				if n := len(w.moving); n >= pop.maxMovers || pop.move > 0 && n == 0 {
+					t.Fatalf("%s: %d movers of %d hosts", name, n, len(w.pos))
+				}
+				ref := newRefWorld(w.Config(), w.Roads())
+				if !slices.Equal(w.moving, ref.moving) {
+					t.Fatalf("%s: moving list %v, reference %v", name, w.moving, ref.moving)
+				}
+				if !slices.Equal(w.grid.Start, ref.grid.Start) || !slices.Equal(w.grid.Entries, ref.grid.Entries) {
+					t.Fatalf("%s: grid buckets differ from the reference after New", name)
+				}
+				// Minute-long steps: legs end, pauses are drawn, routes replan.
+				for step := 0; step <= 5; step++ {
+					if step > 0 {
+						w.advanceMovement(60)
+						ref.advance(60)
+					}
+					for i := range ref.pos {
+						if !sameBits(w.pos[i], ref.pos[i]) || w.cells[i] != ref.cells[i] {
+							t.Fatalf("%s: after %d steps host %d at %v in cell %d, reference %v in cell %d",
+								name, step, i, w.pos[i], w.cells[i], ref.pos[i], ref.cells[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWorldBytesPerHost is the gate that keeps the diet: on a 200,000-host
 // world with one host in ten moving, New must spend exactly 4 B per host on
 // caches and 56 B of waypoint state per mover — nothing per parked host —
@@ -369,4 +444,40 @@ func TestWorldBytesPerHost(t *testing.T) {
 	if f.CacheIndexBytes != 4*hosts || f.MoverBytes != 60*movers {
 		t.Errorf("fixed columns moved during the run: %+v", f)
 	}
+}
+
+// TestRoadWorldFootprintMatchesHeap holds Footprint to what a road-mode
+// world costs: at Table 4 Los Angeles density — on 10×10 mi, 13,500 hosts,
+// 80 % moving — its Total must be within 10 % of the live heap New adds.
+// Road movers are nearly all of it: each holds a RoadNetwork, its route and
+// a math/rand generator with a 607-word state, ≈ 5.6 KB, where the free
+// mode's waypoint slot is 56 B; a column that counted a pointer per road
+// mover read about 1 % of the heap.
+func TestRoadWorldFootprintMatchesHeap(t *testing.T) {
+	const mile = 1609.344
+	cfg := Config{
+		AreaWidth: 10 * mile, AreaHeight: 10 * mile,
+		NumPOIs: 450, NumHosts: 13500, CacheSize: 20,
+		MovePercentage: 0.8, Velocity: 13.4112, MaxPause: 30,
+		QueriesPerMinute: 900, TxRange: 200,
+		KMin: 3, KMax: 7,
+		Duration: 60, Mode: ModeRoadNetwork, Seed: 1,
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	f := w.Footprint()
+	t.Logf("%d hosts, %d movers: heap +%d B (%.0f B/host), footprint %d B (%.0f B/host), movement %d B",
+		f.Hosts, f.Movers, heap, float64(heap)/float64(f.Hosts), f.Total(), float64(f.Total())/float64(f.Hosts), f.MoverBytes)
+	if r := float64(f.Total()) / float64(heap); r < 0.9 || r > 1.1 {
+		t.Errorf("footprint %d B is %.2f of the heap New added (%d B); want within 10 %%", f.Total(), r, heap)
+	}
+	runtime.KeepAlive(w)
 }

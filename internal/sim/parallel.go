@@ -96,10 +96,12 @@ func (e *stepEngine) step(dt float64) {
 }
 
 // initEngine arms (or disarms) the parallel movement engine for the given
-// worker count and, in road mode, gives every shard a private route planner:
-// a PathFinder is scratch state that is not safe for concurrent use, but the
+// worker count. In road mode every shard needs a private route planner: a
+// PathFinder is scratch state that is not safe for concurrent use, but the
 // paths it returns are a pure function of the graph, so trajectories do not
-// depend on which finder a host holds.
+// depend on which finder a host holds. New's placeHosts already gave each
+// shard of this layout its own; only a re-sharded world (the step
+// benchmarks re-shard one) hands its movers out again.
 func (w *World) initEngine(workers int) {
 	if workers > len(w.moving) {
 		workers = len(w.moving)
@@ -109,13 +111,17 @@ func (w *World) initEngine(workers int) {
 		return
 	}
 	w.engine = newStepEngine(w, workers)
-	if w.roads == nil {
+	k := len(w.engine.shards)
+	if w.roads == nil || k == len(w.finders) {
 		return
 	}
-	for _, sh := range w.engine.shards {
-		finder := spatialnet.NewPathFinder(w.roads)
+	for len(w.finders) < k {
+		w.finders = append(w.finders, spatialnet.NewPathFinder(w.roads))
+	}
+	w.finders = w.finders[:k]
+	for s, sh := range w.engine.shards {
 		for j := sh[0]; j < sh[1]; j++ {
-			w.road[j].SetFinder(finder)
+			w.road[j].SetFinder(w.finders[s])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -117,6 +118,56 @@ func BenchmarkWorldStep(b *testing.B) {
 				w.qengine.runBatch()
 			}
 		})
+	}
+}
+
+// BenchmarkWorldNew measures New, a world's cold start, at one and two
+// workers. free is the sim-query workload's world: Table 4 Los Angeles,
+// 121,500 hosts on 30×30 mi, 80 % moving in free movement. road is Table 4
+// density in road mode on 12×12 mi (19,440 hosts, the same 500 m road
+// spacing and 2.5 km trip radius as the full area), so one op stays well
+// under half a second; per mover it is the full world's work, a math/rand
+// generator seeded and a first route planned. Both build the same world bit
+// for bit at every worker count (TestNewMatchesReference); the CI bench job
+// gates the workers=1 / workers=2 ratios.
+func BenchmarkWorldNew(b *testing.B) {
+	const mile = 1609.344
+	worlds := []struct {
+		name string
+		cfg  Config
+	}{
+		{"free", Config{
+			AreaWidth: 30 * mile, AreaHeight: 30 * mile,
+			NumPOIs: 4050, NumHosts: 121500, CacheSize: 20,
+			MovePercentage: 0.80, Velocity: 13.4112, MaxPause: 30,
+			QueriesPerMinute: 162000, TxRange: 200, KMin: 3, KMax: 7,
+			Duration: 150, Mode: ModeFreeMovement, Seed: 1,
+		}},
+		{"road", Config{
+			AreaWidth: 12 * mile, AreaHeight: 12 * mile,
+			NumPOIs: 648, NumHosts: 19440, CacheSize: 20,
+			MovePercentage: 0.80, Velocity: 13.4112, MaxPause: 30,
+			QueriesPerMinute: 8100, TxRange: 200, KMin: 3, KMax: 7,
+			Duration: 150, Mode: ModeRoadNetwork, Seed: 1,
+		}},
+	}
+	for _, world := range worlds {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", world.name, workers), func(b *testing.B) {
+				cfg := world.cfg
+				cfg.Workers = workers
+				for i := 0; i < b.N; i++ {
+					// Each op starts from a collected heap, as a benchmark
+					// repetition does: the previous world is garbage.
+					b.StopTimer()
+					runtime.GC()
+					b.StartTimer()
+					if _, err := New(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -40,6 +42,10 @@ type World struct {
 	moving []int32
 	wp     *mobility.Waypoints
 	road   []*mobility.RoadNetwork
+	// finders are the road movers' route planners, one per shard: the movers
+	// of shard s of splitRange(len(moving), len(finders)) plan with
+	// finders[s], so shards of that layout never share one.
+	finders []*spatialnet.PathFinder
 
 	grid *hostGrid
 	// engine shards the movement phase across Config.Workers goroutines;
@@ -98,6 +104,13 @@ func (w *World) PeerCachesSnapshot() []core.PeerCache {
 
 // New builds a world from cfg: the road network (road mode), the POI set,
 // the server module, and the host population with its movement state.
+//
+// The population is built in two phases. The serial phase makes every draw
+// from the world's random stream, host by host in host order; placeHosts
+// then does the rest — first legs or first routes, snaps to the network,
+// grid cells — across Config.Workers goroutines. What it computes depends
+// only on a host's draws and the read-only road graph, so the world is the
+// same bit for bit for any worker count (TestNewMatchesReference).
 func New(cfg Config) (*World, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
@@ -129,49 +142,30 @@ func New(cfg Config) (*World, error) {
 	w.pos = make([]geom.Point, n)
 	w.cells = make([]int32, n)
 	w.caches = cache.NewTable(n, cfg.CacheSize, pois)
-	// Free movers' waypoint seeds in moving order: the engine is sized to
-	// the movers, whose number is only known once every host has drawn.
-	var wpSeeds []uint64
-	var finder *spatialnet.PathFinder
-	if w.roads != nil {
-		finder = spatialnet.NewPathFinder(w.roads)
-	}
+
+	// Serial phase, the only reader of the world's stream after the POIs:
+	// per host in host order its start, whether it moves and, for a mover,
+	// the seed of its private generator (movement state is indexed by
+	// position in the moving list).
+	movers := expectedMovers(n, cfg.MovePercentage)
+	w.moving = make([]int32, 0, movers)
+	seeds := make([]uint64, 0, movers)
 	for i := 0; i < n; i++ {
-		start := geom.Pt(
+		w.pos[i] = geom.Pt(
 			rng.Float64()*cfg.AreaWidth,
 			rng.Float64()*cfg.AreaHeight,
 		)
-		moving := rng.Float64() < cfg.MovePercentage
-		switch {
-		case !moving:
-			if w.roads != nil {
-				// Parked hosts in road mode still sit on the network.
-				node, _ := w.roads.NearestNodeIndexed(start)
-				w.pos[i] = w.roads.Loc(node)
-			} else {
-				w.pos[i] = start
-			}
-		case cfg.Mode == ModeFreeMovement:
-			w.pos[i] = start
-			wpSeeds = append(wpSeeds, rng.Uint64())
-			w.moving = append(w.moving, int32(i))
-		default:
-			node, _ := w.roads.NearestNodeIndexed(start)
-			m := mobility.NewRoadNetworkWith(w.roads, node, cfg.Velocity, cfg.MaxPause,
-				rand.New(rand.NewSource(rng.Int63())),
-				mobility.RoadNetworkOptions{Finder: finder, TripRadius: cfg.TripRadius})
-			w.pos[i] = m.Pos()
-			w.road = append(w.road, m)
-			w.moving = append(w.moving, int32(i))
+		if moving := rng.Float64() < cfg.MovePercentage; !moving {
+			continue
 		}
-		w.cells[i] = w.grid.CellIndex(w.pos[i])
-	}
-	if cfg.Mode == ModeFreeMovement {
-		w.wp = mobility.NewWaypoints(cfg.Bounds(), cfg.Velocity, cfg.MaxPause, cfg.TripRadius, len(w.moving))
-		for j, i := range w.moving {
-			w.wp.Seed(j, w.pos[i], wpSeeds[j])
+		w.moving = append(w.moving, int32(i))
+		if w.roads == nil {
+			seeds = append(seeds, rng.Uint64())
+		} else {
+			seeds = append(seeds, uint64(rng.Int63()))
 		}
 	}
+	w.placeHosts(seeds)
 	w.grid.Build(w.cells)
 	w.initEngine(cfg.Workers)
 	w.initQueryEngine(cfg.QueryWorkers)
@@ -180,6 +174,68 @@ func New(cfg Config) (*World, error) {
 	}
 	w.scheduleNextQuery()
 	return w, nil
+}
+
+// expectedMovers sizes the moving list and the seed list before the hosts
+// draw: the mean of the binomial mover count plus four standard deviations,
+// so the lists almost never grow.
+func expectedMovers(n int, p float64) int {
+	mean := float64(n) * p
+	return min(n, int(mean+4*math.Sqrt(mean*(1-p)))+1)
+}
+
+// placeHosts is New's parallel phase, fanned across Config.Workers
+// goroutines in contiguous shards. Over shards of the moving list it arms
+// every mover from its seed and its drawn start: a free mover's first leg
+// (Waypoints.Seed); a road mover's snap to the network, its generator and
+// its first route, planned with the shard's own PathFinder. Then, over
+// shards of the population, it snaps each parked road host to the network
+// and computes every host's grid cell. Each shard writes only its own
+// slots, and each mover's state is a pure function of its seed, its start
+// and the graph, so no shard layout can change the result.
+func (w *World) placeHosts(seeds []uint64) {
+	cfg := w.cfg
+	movers := splitRange(len(w.moving), cfg.Workers)
+	if w.roads == nil {
+		w.wp = mobility.NewWaypoints(cfg.Bounds(), cfg.Velocity, cfg.MaxPause, cfg.TripRadius, len(w.moving))
+		runWorkers(len(movers), func(s int) {
+			for j := movers[s][0]; j < movers[s][1]; j++ {
+				w.wp.Seed(j, w.pos[w.moving[j]], seeds[j])
+			}
+		})
+	} else {
+		w.road = make([]*mobility.RoadNetwork, len(w.moving))
+		w.finders = make([]*spatialnet.PathFinder, len(movers))
+		runWorkers(len(movers), func(s int) {
+			w.finders[s] = spatialnet.NewPathFinder(w.roads)
+			opts := mobility.RoadNetworkOptions{Finder: w.finders[s], TripRadius: cfg.TripRadius}
+			for j := movers[s][0]; j < movers[s][1]; j++ {
+				i := w.moving[j]
+				node, _ := w.roads.NearestNodeIndexed(w.pos[i])
+				m := mobility.NewRoadNetworkWith(w.roads, node, cfg.Velocity, cfg.MaxPause,
+					rand.New(rand.NewSource(int64(seeds[j]))), opts)
+				w.road[j] = m
+				w.pos[i] = m.Pos()
+			}
+		})
+	}
+	hosts := splitRange(len(w.pos), cfg.Workers)
+	runWorkers(len(hosts), func(s int) {
+		lo, hi := hosts[s][0], hosts[s][1]
+		// next walks the moving list alongside the hosts: the first mover
+		// at or after lo, then the next one not yet passed.
+		next, _ := slices.BinarySearch(w.moving, int32(lo))
+		for i := lo; i < hi; i++ {
+			if next < len(w.moving) && int(w.moving[next]) == i {
+				next++
+			} else if w.roads != nil {
+				// Parked hosts in road mode still sit on the network.
+				node, _ := w.roads.NearestNodeIndexed(w.pos[i])
+				w.pos[i] = w.roads.Loc(node)
+			}
+			w.cells[i] = w.grid.CellIndex(w.pos[i])
+		}
+	})
 }
 
 // Config returns the validated configuration in effect.
