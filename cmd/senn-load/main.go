@@ -78,6 +78,13 @@ func main() {
 	flag.StringVar(&cfg.sweep, "sweep", "", "comma-separated session counts: run once per count, emit a combined sweep report (overrides -sessions)")
 	flag.Parse()
 
+	// The sessions' sockets would otherwise grow this process's descriptor
+	// table by doubling, one kernel wait at each of 64, 128, 256, … inside
+	// the ramp (DESIGN §16, "Connections").
+	if _, err := serve.ReserveDescriptors(); err != nil {
+		fmt.Fprintln(os.Stderr, "senn-load: descriptor table left to grow on demand:", err)
+	}
+
 	var err error
 	if cfg.sweep != "" {
 		err = runSweep(cfg)

@@ -62,6 +62,21 @@ func main() {
 		fatal(errors.New("missing -store (or -mkstore to create one)"))
 	}
 
+	// Grow the descriptor table to its limit now, so admitting sessions 64,
+	// 128, 256, … never waits for the kernel to double it (DESIGN §16,
+	// "Connections"). Not joined: the one wait it takes overlaps the store
+	// read and the index build, and boot's few descriptors fit the table
+	// it starts with, so nothing on the way to /healthz waits for it.
+	go func() {
+		t0 := time.Now()
+		slots, err := serve.ReserveDescriptors()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "senn-serverd: descriptor table left to grow on demand:", err)
+			return
+		}
+		fmt.Printf("senn-serverd: reserved %d descriptor slots in %v\n", slots, time.Since(t0).Round(100*time.Microsecond))
+	}()
+
 	// The two halves of a cold start are timed apart and reported on
 	// /v1/stats: the index build is what a restart costs.
 	t0 := time.Now()
