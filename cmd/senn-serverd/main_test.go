@@ -74,7 +74,7 @@ func TestHalfWrittenRequestIsClosed(t *testing.T) {
 	}
 
 	// The WebSocket sat idle for the whole wait and must be unaffected.
-	if err := ws.WriteBinary(wire.EncodeQuery(wire.Query{ReqID: 1, K: 3, Loc: geom.Pt(500, 500)})); err != nil {
+	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 1, K: 3, Loc: geom.Pt(500, 500)})); err != nil {
 		t.Fatal(err)
 	}
 	if err := ws.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {

@@ -183,6 +183,22 @@ var (
 // function in some _test.go file, or a prefix of one (`-run 'TestResolve|…'`,
 // `TestParallelMatchesSequential*`).
 func TestDocsCitedTestsExist(t *testing.T) {
+	defined := definedTests(t)
+	for _, doc := range describingDocs {
+		for i, l := range readLines(t, doc) {
+			for _, name := range testFuncCite.FindAllString(l, -1) {
+				if !slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) }) {
+					t.Errorf("%s:%d: cites %s, which no _test.go file defines", doc, i+1, name)
+				}
+			}
+		}
+	}
+}
+
+// definedTests lists every Test, Benchmark and Fuzz function the _test.go
+// files define.
+func definedTests(t *testing.T) []string {
+	t.Helper()
 	var defined []string
 	for _, path := range sourceFiles(t) {
 		if !strings.HasSuffix(path, "_test.go") {
@@ -196,13 +212,41 @@ func TestDocsCitedTestsExist(t *testing.T) {
 			defined = append(defined, m[1])
 		}
 	}
-	for _, doc := range describingDocs {
-		for i, l := range readLines(t, doc) {
-			for _, name := range testFuncCite.FindAllString(l, -1) {
-				if !slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) }) {
-					t.Errorf("%s:%d: cites %s, which no _test.go file defines", doc, i+1, name)
-				}
-			}
+	return defined
+}
+
+// TestDocsProdcoverRecord holds results/PRODCOVER.txt to the tree: every
+// function it lists is still declared in the file it names, every entry
+// carries one of the five dispositions, and every defensive entry names a
+// test, benchmark or fuzz function that exists. A change that deletes or
+// moves a listed function without re-running scripts/prodcover.sh fails here.
+func TestDocsProdcoverRecord(t *testing.T) {
+	defined := definedTests(t)
+	dispositions := []string{"facade", "bench-pinned", "referee", "defensive", "dead"}
+	for i, line := range readLines(t, "results/PRODCOVER.txt") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		head, _, _ := strings.Cut(line, " --")
+		f := strings.Fields(head)
+		if len(f) < 3 || !slices.Contains(dispositions, f[2]) {
+			t.Errorf("PRODCOVER.txt:%d: %q carries none of the dispositions %v", i+1, line, dispositions)
+			continue
+		}
+		if f[2] == "defensive" && (len(f) != 4 || !slices.Contains(defined, f[3])) {
+			t.Errorf("PRODCOVER.txt:%d: defensive entry %s names no existing test", i+1, f[1])
+		}
+		src, err := os.ReadFile(f[0])
+		if err != nil {
+			t.Errorf("PRODCOVER.txt:%d: %v", i+1, err)
+			continue
+		}
+		decl := `(?m)^func ` + regexp.QuoteMeta(f[1]) + `[[(]`
+		if recv, name, ok := strings.Cut(f[1], "."); ok {
+			decl = `(?m)^func \((?:\w+ )?\*?` + recv + `(?:\[[^]]*\])?\) ` + name + `[[(]`
+		}
+		if !regexp.MustCompile(decl).Match(src) {
+			t.Errorf("PRODCOVER.txt:%d: %s no longer declares %s; re-run scripts/prodcover.sh", i+1, f[0], f[1])
 		}
 	}
 }

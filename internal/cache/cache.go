@@ -76,7 +76,7 @@ func (c *Cache) Store(queryLoc geom.Point, certain []core.POI) {
 // empty.
 //
 // The entry's Neighbors alias the cache's storage: they are valid until the
-// next Store (or Invalidate) on this cache, which overwrites them in place.
+// next Store on this cache, which overwrites them in place.
 // Callers that keep an entry across a Store must copy the neighbors first;
 // encoding it or verifying against it before the next Store needs no copy.
 func (c *Cache) Entry() (core.PeerCache, bool) {
@@ -85,9 +85,6 @@ func (c *Cache) Entry() (core.PeerCache, bool) {
 	}
 	return c.entry, true
 }
-
-// Invalidate clears the cache.
-func (c *Cache) Invalidate() { c.entry = core.PeerCache{} }
 
 // StagedWrite is a deferred cache update: the resolve phase of a concurrent
 // query batch records what Store call each query *would* make, and the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/geom"
@@ -79,10 +78,4 @@ func (pc PeerCache) CertainCircle() geom.Circle {
 // (the peer certifies nothing at q).
 func (pc PeerCache) Reach(q geom.Point) float64 {
 	return pc.Radius() - q.Dist(pc.QueryLoc)
-}
-
-// String implements fmt.Stringer.
-func (pc PeerCache) String() string {
-	return fmt.Sprintf("peercache(%s, %d neighbors, r=%.2f)",
-		pc.QueryLoc, len(pc.Neighbors), pc.Radius())
 }

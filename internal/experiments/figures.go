@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -352,10 +351,4 @@ func FormatFig17(fr Fig17Result) string {
 		fmt.Fprintf(&b, "%-6d %14.2f %14.2f %12.1f\n", p.K, p.EINNPages, p.INNPages, p.Reduction)
 	}
 	return b.String()
-}
-
-// SortPointsByX orders sweep points ascending (sweeps already run in order,
-// but external callers composing results may need it).
-func SortPointsByX(pts []SeriesPoint) {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -218,6 +221,14 @@ func TestUncertainQuality(t *testing.T) {
 	if uq.Queries == 0 {
 		t.Fatal("no queries")
 	}
+	dir := t.TempDir()
+	if err := WriteUncertainJSON(dir, uqs); err != nil {
+		t.Fatal(err)
+	}
+	var doc UncertainJSON
+	if b, err := os.ReadFile(filepath.Join(dir, "uncertain.json")); err != nil || json.Unmarshal(b, &doc) != nil || len(doc.Rows) != len(uqs) {
+		t.Fatalf("uncertain.json: %v, %d rows for %d results", err, len(doc.Rows), len(uqs))
+	}
 	if uq.UncertainShare <= 0 {
 		t.Skip("no uncertain answers at this scale")
 	}
@@ -253,13 +264,5 @@ func TestDiskIOStudy(t *testing.T) {
 	}
 	if !strings.Contains(FormatDiskIO(fr), "Disk I/O spectrum") {
 		t.Error("format output missing header")
-	}
-}
-
-func TestSortPointsByX(t *testing.T) {
-	pts := []SeriesPoint{{X: 3}, {X: 1}, {X: 2}}
-	SortPointsByX(pts)
-	if pts[0].X != 1 || pts[2].X != 3 {
-		t.Errorf("sort failed: %v", pts)
 	}
 }

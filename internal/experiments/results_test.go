@@ -43,7 +43,12 @@ func TestCommittedResultsRoundTrip(t *testing.T) {
 			continue
 		}
 		out := filepath.Join(dir, name)
-		if err := writeJSON(out, v); err != nil {
+		if free, ok := v.(*FreeComparisonJSON); ok {
+			err = WriteFreeJSON(dir, free.Rows) // the writer cmd/experiments calls
+		} else {
+			err = writeJSON(out, v)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		rewritten, err := os.ReadFile(out)

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -57,9 +56,4 @@ func (c Circle) PointAt(theta float64) Point {
 		X: c.Center.X + c.Radius*math.Cos(theta),
 		Y: c.Center.Y + c.Radius*math.Sin(theta),
 	}
-}
-
-// String implements fmt.Stringer.
-func (c Circle) String() string {
-	return fmt.Sprintf("circle(%s, r=%.3f)", c.Center, c.Radius)
 }

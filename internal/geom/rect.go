@@ -126,41 +126,6 @@ func (r Rect) MaxDist(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// MinMaxDist returns the MINMAXDIST metric of Roussopoulos et al.: the
-// smallest upper bound on the distance from p to the nearest object inside
-// an MBR that is known to touch all of its faces. For each axis, assume the
-// nearest object lies on the closer face along that axis and as far as
-// possible along the others; the minimum over axes is the guarantee. The
-// depth-first kNN search uses it to discard sibling MBRs that provably
-// cannot contain the nearest neighbor.
-func (r Rect) MinMaxDist(p Point) float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	// rm: the closer face coordinate per axis; rM: the farther face.
-	rmX := r.Min.X
-	if p.X > (r.Min.X+r.Max.X)/2 {
-		rmX = r.Max.X
-	}
-	rmY := r.Min.Y
-	if p.Y > (r.Min.Y+r.Max.Y)/2 {
-		rmY = r.Max.Y
-	}
-	rMX := r.Max.X
-	if p.X >= (r.Min.X+r.Max.X)/2 {
-		rMX = r.Min.X
-	}
-	rMY := r.Max.Y
-	if p.Y >= (r.Min.Y+r.Max.Y)/2 {
-		rMY = r.Min.Y
-	}
-	dx, dy := p.X-rmX, p.Y-rmY
-	fx, fy := p.X-rMX, p.Y-rMY
-	viaX := dx*dx + fy*fy // nearest object on the closer x face
-	viaY := fx*fx + dy*dy // nearest object on the closer y face
-	return math.Sqrt(math.Min(viaX, viaY))
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s - %s]", r.Min, r.Max)

@@ -135,55 +135,6 @@ func TestMaxDist(t *testing.T) {
 	}
 }
 
-func TestMinMaxDist(t *testing.T) {
-	r := NewRect(Pt(0, 0), Pt(10, 10))
-	// Query at the center: nearest face is 5 away; the guaranteed object on
-	// that face may sit at the far end of the other axis: sqrt(25+25).
-	if got, want := r.MinMaxDist(Pt(5, 5)), math.Sqrt(50); math.Abs(got-want) > 1e-12 {
-		t.Errorf("center MinMaxDist = %v, want %v", got, want)
-	}
-	// Query far left: closer x face is x=0; object may be at y=10:
-	// sqrt(100 + 100) via x; via y: closer y face 0 with far x face 10:
-	// sqrt(400+100). min is via x.
-	if got, want := r.MinMaxDist(Pt(-10, 0)), math.Hypot(10, 10); math.Abs(got-want) > 1e-12 {
-		t.Errorf("left MinMaxDist = %v, want %v", got, want)
-	}
-}
-
-// MINMAXDIST's defining guarantee: for any MBR tightly bounding a point set
-// (every face touched), at least one point lies within MinMaxDist of any
-// query. And MINDIST <= MINMAXDIST <= MAXDIST always.
-func TestMinMaxDistGuarantee(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 300; trial++ {
-		// A point set whose MBR touches all faces by construction.
-		n := 4 + rng.Intn(20)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		}
-		mbr := EmptyRect()
-		for _, p := range pts {
-			mbr = mbr.Union(RectFromPoint(p))
-		}
-		q := Pt(rng.Float64()*300-100, rng.Float64()*300-100)
-		mmd := mbr.MinMaxDist(q)
-		if mbr.MinDist(q) > mmd+1e-9 || mmd > mbr.MaxDist(q)+1e-9 {
-			t.Fatalf("ordering violated: min %v mm %v max %v",
-				mbr.MinDist(q), mmd, mbr.MaxDist(q))
-		}
-		nearest := math.Inf(1)
-		for _, p := range pts {
-			if d := q.Dist(p); d < nearest {
-				nearest = d
-			}
-		}
-		if nearest > mmd+1e-9 {
-			t.Fatalf("guarantee violated: nearest object %v beyond MinMaxDist %v", nearest, mmd)
-		}
-	}
-}
-
 // MinDist and MaxDist must bracket the distance to every point inside the
 // rectangle — the invariant the kNN pruning rules depend on.
 func TestMinMaxDistBracketInterior(t *testing.T) {

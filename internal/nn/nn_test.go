@@ -88,7 +88,7 @@ func dfVisit(nd rtree.Node, q geom.Point, best *resultHeap, pages *int64) {
 		r := nd.Rect(i)
 		branches = append(branches, branch{i, r.MinDist(q)})
 		if best.k == 1 {
-			if mm := r.MinMaxDist(q); mm < minMaxBound {
+			if mm := minMaxDist(r, q); mm < minMaxBound {
 				minMaxBound = mm
 			}
 		}

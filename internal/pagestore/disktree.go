@@ -167,12 +167,6 @@ func OpenDiskTree(pager Pager, poolPages int) (*DiskTree, error) {
 	return &DiskTree{pool: pool, root: PageID(root), height: int(height), count: int(count)}, nil
 }
 
-// Len returns the number of stored items.
-func (dt *DiskTree) Len() int { return dt.count }
-
-// Height returns the tree height recorded at pack time.
-func (dt *DiskTree) Height() int { return dt.height }
-
 // Pool exposes the buffer pool for statistics.
 func (dt *DiskTree) Pool() *BufferPool { return dt.pool }
 

@@ -55,9 +55,9 @@ func TestDiskTreeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dt.Len() != 5000 || dt.Height() != tree.Height() {
+	if dt.count != 5000 || dt.height != tree.Height() {
 		t.Fatalf("metadata: len %d height %d, want %d/%d",
-			dt.Len(), dt.Height(), tree.Len(), tree.Height())
+			dt.count, dt.height, tree.Len(), tree.Height())
 	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 40; trial++ {

@@ -128,13 +128,6 @@ func (pf *PageFile) Reads() int64 {
 	return pf.reads
 }
 
-// ResetReads zeroes the physical read counter.
-func (pf *PageFile) ResetReads() {
-	pf.mu.Lock()
-	pf.reads = 0
-	pf.mu.Unlock()
-}
-
 // Sync flushes the file.
 func (pf *PageFile) Sync() error { return pf.f.Sync() }
 
@@ -182,9 +175,6 @@ func (m *MemPager) NumPages() int { return len(m.pages) }
 
 // Reads returns the backing reads performed so far.
 func (m *MemPager) Reads() int64 { return m.reads.Load() }
-
-// ResetReads zeroes the read counter.
-func (m *MemPager) ResetReads() { m.reads.Store(0) }
 
 // ---------------------------------------------------------------------------
 // LRU buffer pool.
@@ -275,9 +265,6 @@ func (bp *BufferPool) HitRate() float64 {
 
 // ResetStats zeroes the hit/miss counters.
 func (bp *BufferPool) ResetStats() { bp.hits, bp.misses = 0, 0 }
-
-// Resident returns the number of cached pages.
-func (bp *BufferPool) Resident() int { return len(bp.frames) }
 
 func (bp *BufferPool) pushFront(fr *frame) {
 	fr.prev = nil

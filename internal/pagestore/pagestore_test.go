@@ -128,8 +128,8 @@ func TestBufferPoolLRUAndStats(t *testing.T) {
 	}
 	// Page 1 is now LRU; reading page 2 evicts it.
 	_ = get(2)
-	if bp.Resident() != 2 {
-		t.Fatalf("resident = %d", bp.Resident())
+	if len(bp.frames) != 2 {
+		t.Fatalf("resident = %d", len(bp.frames))
 	}
 	_ = get(1) // must be a miss again
 	_, misses = bp.Stats()

@@ -261,8 +261,8 @@ func TestBuildSearchMatchesBruteForce(t *testing.T) {
 // their Node views: levels, entry counts and every inner rectangle bit for
 // bit, in slot order, with sameLeaf comparing two leaves in the same place.
 func sameShape(a, b Node, sameLeaf func(a, b Node) bool, at string) error {
-	if a.Level() != b.Level() || a.Len() != b.Len() {
-		return fmt.Errorf("%s: level/entries %d/%d vs %d/%d", at, a.Level(), a.Len(), b.Level(), b.Len())
+	if a.level != b.level || a.Len() != b.Len() {
+		return fmt.Errorf("%s: level/entries %d/%d vs %d/%d", at, a.level, a.Len(), b.level, b.Len())
 	}
 	if a.IsLeaf() {
 		if !sameLeaf(a, b) {

@@ -159,9 +159,6 @@ func (t *Tree) Node(ref int32) Node {
 // IsLeaf reports whether the node's entries carry items rather than children.
 func (nd Node) IsLeaf() bool { return nd.level == 0 }
 
-// Level returns the node's height above the leaves (0 for a leaf).
-func (nd Node) Level() int { return int(nd.level) }
-
 // Len returns the number of entries in the node.
 func (nd Node) Len() int { return int(nd.n) }
 

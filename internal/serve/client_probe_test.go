@@ -109,10 +109,10 @@ func probeShipsCurrentEntry(t *testing.T, sharing, rangeFirst bool) {
 		// and the probe is written to A's socket inside the PeerRequest
 		// handler, so once the answer is back the probe is queued at A.
 		reqID := uint32(100 + round)
-		if err := b.WriteBinary(wire.EncodePeerRequest(wire.PeerRequest{ReqID: reqID, Loc: current.QueryLoc, Radius: 50})); err != nil {
+		if err := b.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: reqID, Loc: current.QueryLoc, Radius: 50})); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.WriteBinary(wire.EncodeQuery(wire.Query{ReqID: 0xfff1, K: 1, Loc: geom.Pt(1, 1)})); err != nil {
+		if err := b.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 0xfff1, K: 1, Loc: geom.Pt(1, 1)})); err != nil {
 			t.Fatal(err)
 		}
 		if msg := readDecoded(t, b); msg.Type != wire.TypeAnswer || msg.Answer.ReqID != 0xfff1 {

@@ -70,10 +70,10 @@ func TestFramesPipelinedBehindHandshakeAreServed(t *testing.T) {
 	pos := geom.Pt(4000, 4000)
 	// Enough pipelined frames to overflow the inline read buffer, so the
 	// leftover takes the heap-copy path as well as the inline one.
-	frames := [][]byte{wire.EncodePosition(pos)}
+	frames := [][]byte{wire.AppendPosition(nil, pos)}
 	const queries = 12
 	for i := 0; i < queries; i++ {
-		frames = append(frames, wire.EncodeQuery(wire.Query{ReqID: uint32(100 + i), K: 3, Loc: pos}))
+		frames = append(frames, wire.AppendQuery(nil, wire.Query{ReqID: uint32(100 + i), K: 3, Loc: pos}))
 	}
 	ws, err := dialRaw(srv, frames...)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestDisconnectReturnsToBaseline(t *testing.T) {
 
 	// One relay in flight that nobody will answer: conn 0 asks, the other 23
 	// are probed and stay silent, so only the disconnects can settle it.
-	if err := conns[0].WriteBinary(wire.EncodePeerRequest(wire.PeerRequest{ReqID: 1, Loc: centre, Radius: 100})); err != nil {
+	if err := conns[0].WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: 1, Loc: centre, Radius: 100})); err != nil {
 		t.Fatal(err)
 	}
 	if msg := readDecoded(t, conns[1]); msg.Type != wire.TypePeerProbe {
@@ -194,7 +194,7 @@ func TestCloseDrainsAttachedConnections(t *testing.T) {
 		syncPosition(t, conns[i], geom.Pt(centre.X+float64(i), centre.Y))
 	}
 	// A relay nobody answers is in flight when the drain starts.
-	if err := conns[0].WriteBinary(wire.EncodePeerRequest(wire.PeerRequest{ReqID: 1, Loc: centre, Radius: 100})); err != nil {
+	if err := conns[0].WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: 1, Loc: centre, Radius: 100})); err != nil {
 		t.Fatal(err)
 	}
 	if msg := readDecoded(t, conns[1]); msg.Type != wire.TypePeerProbe {
@@ -296,7 +296,7 @@ func TestIdleSessionFootprint(t *testing.T) {
 	for i := 0; i < sessions; i++ {
 		pos := geom.Pt(float64(10*i%10000), float64(7*i%10000))
 		ws, err := dialRaw(srv,
-			wire.EncodePosition(pos), wire.EncodeQuery(wire.Query{ReqID: 1, K: 5, Loc: pos}))
+			wire.AppendPosition(nil, pos), wire.AppendQuery(nil, wire.Query{ReqID: 1, K: 5, Loc: pos}))
 		if errors.Is(err, syscall.EMFILE) {
 			t.Skipf("descriptor limit reached after %d sessions: %v", i, err)
 		}

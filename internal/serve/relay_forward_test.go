@@ -108,16 +108,16 @@ func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
 			var frame []byte
 			switch kind := rng.Intn(10); {
 			case kind == 0:
-				frame = wire.EncodeShareReply(probeID, false, core.PeerCache{})
+				frame = wire.AppendShareReply(nil, probeID, false, core.PeerCache{})
 			case kind == 1:
-				frame = wire.EncodeShareReply(probeID, true, tiedCache(rng))
+				frame = wire.AppendShareReply(nil, probeID, true, tiedCache(rng))
 			case kind == 2:
-				frame = wire.EncodeShareReply(probeID, true, sortedCache(maxAnswer+1+rng.Intn(40), rng))
+				frame = wire.AppendShareReply(nil, probeID, true, sortedCache(maxAnswer+1+rng.Intn(40), rng))
 				rejected++
 			case kind == 3:
-				frame = wire.EncodeShareReply(probeID, true, sortedCache(maxAnswer, rng))
+				frame = wire.AppendShareReply(nil, probeID, true, sortedCache(maxAnswer, rng))
 			default:
-				frame = wire.EncodeShareReply(probeID, true, sortedCache(1+rng.Intn(24), rng))
+				frame = wire.AppendShareReply(nil, probeID, true, sortedCache(1+rng.Intn(24), rng))
 			}
 			msg, err := wire.Decode(frame)
 			if err != nil {
@@ -151,7 +151,7 @@ func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
 			t.Fatalf("trial %d: %d relays pending after delivery", trial, n)
 		}
 		// A duplicate after the fact is a late reply: counted, not forwarded.
-		if err := s.handleShareReply(targets[0].sess, wire.EncodeShareReply(probeID, false, core.PeerCache{})); err != nil {
+		if err := s.handleShareReply(targets[0].sess, wire.AppendShareReply(nil, probeID, false, core.PeerCache{})); err != nil {
 			t.Fatal(err)
 		}
 		if s.stat.relayUnknown.Load() != 1 || len(serverFrames(t, sink.out.Bytes())) != 1 {
@@ -169,7 +169,7 @@ func TestRelayForwardLimits(t *testing.T) {
 	probeID := s.registerRelay(req, 5, targets)
 	big := sortedCache(wire.MaxShareNeighbors, rng)
 
-	bad := wire.EncodeShareReply(probeID, true, big)
+	bad := wire.AppendShareReply(nil, probeID, true, big)
 	bad = bad[:len(bad)-1]
 	_, wantErr := wire.Decode(bad)
 	if err := s.handleShareReply(targets[0].sess, bad); err == nil || err.Error() != wantErr.Error() {
@@ -180,12 +180,12 @@ func TestRelayForwardLimits(t *testing.T) {
 	}
 
 	for _, tg := range targets {
-		if err := s.handleShareReply(tg.sess, wire.EncodeShareReply(probeID, true, big)); err != nil {
+		if err := s.handleShareReply(tg.sess, wire.AppendShareReply(nil, probeID, true, big)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	frames := serverFrames(t, sink.out.Bytes())
-	want := wire.EncodePeerShares(wire.PeerShares{ReqID: 5, PeersInRange: 2, Shares: []core.PeerCache{big, big}})
+	want := wire.AppendPeerShares(nil, wire.PeerShares{ReqID: 5, PeersInRange: 2, Shares: []core.PeerCache{big, big}})
 	if len(frames) != 1 || !bytes.Equal(frames[0], want) {
 		t.Fatalf("two %d-neighbor shares not forwarded intact", wire.MaxShareNeighbors)
 	}
@@ -203,7 +203,7 @@ func BenchmarkRelayForward(b *testing.B) {
 		rng := rand.New(rand.NewSource(63))
 		frames := make([][]byte, peers)
 		for i := range frames {
-			frames[i] = wire.EncodeShareReply(0, true, sortedCache(16, rng))
+			frames[i] = wire.AppendShareReply(nil, 0, true, sortedCache(16, rng))
 		}
 		exchange := func(timed bool) {
 			probeID := s.registerRelay(req, 1, targets)

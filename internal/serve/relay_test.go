@@ -47,10 +47,10 @@ func readDecoded(t *testing.T, ws *WSConn) wire.Message {
 // own, and relay tests need the sweep to see the peer.
 func syncPosition(t *testing.T, ws *WSConn, pos geom.Point) {
 	t.Helper()
-	if err := ws.WriteBinary(wire.EncodePosition(pos)); err != nil {
+	if err := ws.WriteBinary(wire.AppendPosition(nil, pos)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ws.WriteBinary(wire.EncodeQuery(wire.Query{ReqID: 0xfff0, K: 1, Loc: pos})); err != nil {
+	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 0xfff0, K: 1, Loc: pos})); err != nil {
 		t.Fatal(err)
 	}
 	if msg := readDecoded(t, ws); msg.Type != wire.TypeAnswer || msg.Answer.ReqID != 0xfff0 {
@@ -65,7 +65,7 @@ func TestRelayZeroPeersInRange(t *testing.T) {
 	ws := openSession(t, srv)
 	defer ws.Close()
 
-	if err := ws.WriteBinary(wire.EncodePeerRequest(wire.PeerRequest{
+	if err := ws.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{
 		ReqID: 7, Loc: geom.Pt(100, 100), Radius: 500,
 	})); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestRelaySessionChurnCompletesByDisconnect(t *testing.T) {
 	b := openSession(t, srv)
 	syncPosition(t, b, geom.Pt(5000, 5000))
 
-	if err := a.WriteBinary(wire.EncodePeerRequest(wire.PeerRequest{
+	if err := a.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{
 		ReqID: 9, Loc: geom.Pt(5000, 5010), Radius: 100,
 	})); err != nil {
 		t.Fatal(err)
@@ -117,6 +117,43 @@ func TestRelaySessionChurnCompletesByDisconnect(t *testing.T) {
 	}
 }
 
+// A probed peer that stays connected and silent is what the relay timer is
+// for: the requester gets the empty aggregate once it fires, the timeout is
+// counted, and the late reply that follows is dropped as unknown.
+func TestRelayTimeout(t *testing.T) {
+	srv, _ := testServer(t, 200, Options{RelayTimeout: 50 * time.Millisecond})
+	a := openSession(t, srv)
+	defer a.Close()
+	b := openSession(t, srv)
+	defer b.Close()
+	syncPosition(t, b, geom.Pt(5000, 5000))
+
+	if err := a.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{
+		ReqID: 11, Loc: geom.Pt(5000, 5010), Radius: 100,
+	})); err != nil {
+		t.Fatal(err)
+	}
+	probe := readDecoded(t, b)
+	if probe.Type != wire.TypePeerProbe {
+		t.Fatalf("peer got %+v, want probe", probe)
+	}
+	if err := a.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	msg := readDecoded(t, a)
+	if msg.Type != wire.TypePeerShares || msg.Shares.ReqID != 11 ||
+		msg.Shares.PeersInRange != 1 || len(msg.Shares.Shares) != 0 {
+		t.Fatalf("got %+v, want empty shares from a 1-peer relay", msg)
+	}
+	if err := b.WriteBinary(wire.AppendShareReply(nil, probe.ProbeID, false, core.PeerCache{})); err != nil {
+		t.Fatal(err)
+	}
+	syncPosition(t, b, geom.Pt(5000, 5000))
+	if st := fetchStats(t, srv); st.RelayTimeouts != 1 || st.RelayUnknownReplies != 1 {
+		t.Fatalf("stats %+v, want 1 relay timeout and 1 unknown reply", st)
+	}
+}
+
 // A ShareReply with a probe ID the server never issued is counted and
 // dropped; the connection is not penalized.
 func TestRelayForgedReplyIgnored(t *testing.T) {
@@ -124,11 +161,11 @@ func TestRelayForgedReplyIgnored(t *testing.T) {
 	ws := openSession(t, srv)
 	defer ws.Close()
 
-	if err := ws.WriteBinary(wire.EncodeShareReply(12345, false, core.PeerCache{})); err != nil {
+	if err := ws.WriteBinary(wire.AppendShareReply(nil, 12345, false, core.PeerCache{})); err != nil {
 		t.Fatal(err)
 	}
 	// No reply is owed; the next query must still be served.
-	if err := ws.WriteBinary(wire.EncodeQuery(wire.Query{ReqID: 8, K: 3, Loc: geom.Pt(1, 1)})); err != nil {
+	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 8, K: 3, Loc: geom.Pt(1, 1)})); err != nil {
 		t.Fatal(err)
 	}
 	msg := readDecoded(t, ws)
@@ -155,7 +192,7 @@ func TestRelayOversizedShareRejected(t *testing.T) {
 	pos := geom.Pt(5000, 5000)
 	syncPosition(t, b, pos)
 
-	if err := a.WriteBinary(wire.EncodePeerRequest(wire.PeerRequest{
+	if err := a.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{
 		ReqID: 11, Loc: pos, Radius: 50,
 	})); err != nil {
 		t.Fatal(err)
@@ -169,7 +206,7 @@ func TestRelayOversizedShareRejected(t *testing.T) {
 		{ID: 2, Loc: geom.Pt(5002, 5000)},
 		{ID: 3, Loc: geom.Pt(5003, 5000)},
 	})
-	if err := b.WriteBinary(wire.EncodeShareReply(msg.ProbeID, true, big)); err != nil {
+	if err := b.WriteBinary(wire.AppendShareReply(nil, msg.ProbeID, true, big)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +271,7 @@ func TestNetworkedSENNMatchesOracle(t *testing.T) {
 				if err != nil || msg.Type != wire.TypePeerProbe {
 					return
 				}
-				if ws.WriteBinary(wire.EncodeShareReply(msg.ProbeID, true, pc)) != nil {
+				if ws.WriteBinary(wire.AppendShareReply(nil, msg.ProbeID, true, pc)) != nil {
 					return
 				}
 			}
@@ -334,7 +371,7 @@ func TestRelayCountdownOrderInsensitive(t *testing.T) {
 		syncPosition(t, b1, pos1)
 		syncPosition(t, b2, pos2)
 
-		if err := a.WriteBinary(wire.EncodePeerRequest(wire.PeerRequest{
+		if err := a.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{
 			ReqID: 21, Loc: geom.Pt(5025, 5000), Radius: 200,
 		})); err != nil {
 			t.Fatal(err)
@@ -344,7 +381,7 @@ func TestRelayCountdownOrderInsensitive(t *testing.T) {
 			t.Fatalf("probes got %+v / %+v", m1, m2)
 		}
 		reply := func(ws *WSConn, probeID uint32, pc core.PeerCache) {
-			if err := ws.WriteBinary(wire.EncodeShareReply(probeID, true, pc)); err != nil {
+			if err := ws.WriteBinary(wire.AppendShareReply(nil, probeID, true, pc)); err != nil {
 				t.Fatal(err)
 			}
 		}

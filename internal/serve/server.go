@@ -334,14 +334,14 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			// it does not alias data past this iteration (the next
 			// ReadMessage overwrites it).
 			if s.handleShareReply(sess, data) != nil {
-				s.rejectFrame(ws)
+				s.rejectFrame(ws, encBuf[:0])
 				return
 			}
 			continue
 		}
 		msg, err := wire.Decode(data)
 		if err != nil {
-			s.rejectFrame(ws)
+			s.rejectFrame(ws, encBuf[:0])
 			return
 		}
 		switch msg.Type {
@@ -352,7 +352,8 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			q := msg.Query
 			if q.K > s.maxK {
 				s.stat.protoErrors.Add(1)
-				if ws.WriteBinary(wire.EncodeError(wire.ErrorMsg{ReqID: q.ReqID, Code: wire.ErrCodeBadRequest})) != nil {
+				encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{ReqID: q.ReqID, Code: wire.ErrCodeBadRequest})
+				if ws.WriteBinary(encBuf) != nil {
 					return
 				}
 				continue
@@ -379,7 +380,8 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 				// A truncated range answer would claim a certain region it
 				// does not cover; refuse instead. The search itself stopped
 				// at the cap, so a whole-map radius costs one bounded scan.
-				if ws.WriteBinary(wire.EncodeError(wire.ErrorMsg{ReqID: rq.ReqID, Code: wire.ErrCodeTooLarge})) != nil {
+				encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{ReqID: rq.ReqID, Code: wire.ErrCodeTooLarge})
+				if ws.WriteBinary(encBuf) != nil {
 					return
 				}
 				continue
@@ -401,7 +403,8 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 			// server-to-client messages have no meaning client-to-server;
 			// the relayed forms (PeerRequest, ShareReply) are handled above.
 			s.stat.protoErrors.Add(1)
-			if ws.WriteBinary(wire.EncodeError(wire.ErrorMsg{Code: wire.ErrCodeUnsupported})) != nil {
+			encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{Code: wire.ErrCodeUnsupported})
+			if ws.WriteBinary(encBuf) != nil {
 				return
 			}
 		}
@@ -409,12 +412,12 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 }
 
 // rejectFrame accounts and reports garbage framing inside a valid WebSocket
-// message; the caller then tears the connection down — strict, like a
-// WebSocket protocol violation.
-func (s *Server) rejectFrame(ws *WSConn) {
+// message, encoding the report into buf; the caller then tears the
+// connection down — strict, like a WebSocket protocol violation.
+func (s *Server) rejectFrame(ws *WSConn, buf []byte) {
 	s.stat.protoErrors.Add(1)
 	//simvet:discard — best-effort error report on a connection being torn down; the write failing changes nothing
-	_ = ws.WriteBinary(wire.EncodeError(wire.ErrorMsg{Code: wire.ErrCodeBadRequest}))
+	_ = ws.WriteBinary(wire.AppendError(buf, wire.ErrorMsg{Code: wire.ErrCodeBadRequest}))
 }
 
 // Stats is the /v1/stats document.

@@ -105,7 +105,7 @@ func TestServedKNNMatchesOracle(t *testing.T) {
 		if rng.Float64() < 0.3 {
 			q.HasUpper, q.Upper = true, 300+rng.Float64()*2000
 		}
-		if err := ws.WriteBinary(wire.EncodeQuery(q)); err != nil {
+		if err := ws.WriteBinary(wire.AppendQuery(nil, q)); err != nil {
 			t.Fatalf("trial %d: write: %v", trial, err)
 		}
 		got, err := ws.ReadMessage()
@@ -118,7 +118,7 @@ func TestServedKNNMatchesOracle(t *testing.T) {
 		// call bumps them again, which is fine — counters are stats, not
 		// answer content.
 		neighbors, pages := oracle.KNN(q.Loc, q.K, b, nil)
-		want := wire.EncodeAnswer(wire.Answer{
+		want := wire.AppendAnswer(nil, wire.Answer{
 			ReqID: q.ReqID,
 			Pages: pages,
 			Cache: core.PeerCache{QueryLoc: q.Loc, Neighbors: neighbors},
@@ -149,7 +149,7 @@ func TestServedRangeMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: read: %v", trial, err)
 		}
-		want := wire.EncodeAnswer(wire.Answer{
+		want := wire.AppendAnswer(nil, wire.Answer{
 			ReqID: rq.ReqID,
 			Cache: core.PeerCache{QueryLoc: rq.Loc, Neighbors: mod.Range(rq.Loc, rq.Radius)},
 		})
@@ -260,7 +260,7 @@ func TestServedPageAccessesExactUnderConcurrentTraffic(t *testing.T) {
 			for i, o := range ops[c] {
 				frame := wire.EncodeRange(wire.RangeQuery{ReqID: uint32(i), Loc: o.loc, Radius: o.radius})
 				if o.k > 0 {
-					frame = wire.EncodeQuery(wire.Query{ReqID: uint32(i), K: o.k, Loc: o.loc})
+					frame = wire.AppendQuery(nil, wire.Query{ReqID: uint32(i), K: o.k, Loc: o.loc})
 				}
 				if err := ws.WriteBinary(frame); err != nil {
 					errs <- fmt.Errorf("conn %d op %d: write: %v", c, i, err)
@@ -321,7 +321,7 @@ func TestOverLimitKKeepsConnUsable(t *testing.T) {
 	ws := openSession(t, srv)
 	defer ws.Close()
 
-	if err := ws.WriteBinary(wire.EncodeQuery(wire.Query{ReqID: 7, K: 9, Loc: geom.Pt(1, 1)})); err != nil {
+	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 7, K: 9, Loc: geom.Pt(1, 1)})); err != nil {
 		t.Fatal(err)
 	}
 	data, err := ws.ReadMessage()
@@ -337,7 +337,7 @@ func TestOverLimitKKeepsConnUsable(t *testing.T) {
 	}
 
 	// Connection must survive the rejection.
-	if err := ws.WriteBinary(wire.EncodeQuery(wire.Query{ReqID: 8, K: 3, Loc: geom.Pt(1, 1)})); err != nil {
+	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 8, K: 3, Loc: geom.Pt(1, 1)})); err != nil {
 		t.Fatal(err)
 	}
 	data, err = ws.ReadMessage()
@@ -359,7 +359,7 @@ func TestPeerMessagesUnsupported(t *testing.T) {
 	ws := openSession(t, srv)
 	defer ws.Close()
 
-	if err := ws.WriteBinary(wire.EncodeCacheRequest()); err != nil {
+	if err := ws.WriteBinary(wire.AppendCacheShare(nil, core.PeerCache{})); err != nil {
 		t.Fatal(err)
 	}
 	data, err := ws.ReadMessage()
@@ -420,12 +420,12 @@ func TestSessionLifecycleConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < queriesPerWorker; i++ {
 				pos := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
-				if err := ws.WriteBinary(wire.EncodePosition(pos)); err != nil {
+				if err := ws.WriteBinary(wire.AppendPosition(nil, pos)); err != nil {
 					errs <- fmt.Errorf("worker %d: position: %v", w, err)
 					return
 				}
 				q := wire.Query{ReqID: uint32(w<<16 | i), K: 1 + rng.Intn(10), Loc: pos}
-				if err := ws.WriteBinary(wire.EncodeQuery(q)); err != nil {
+				if err := ws.WriteBinary(wire.AppendQuery(nil, q)); err != nil {
 					errs <- fmt.Errorf("worker %d: query: %v", w, err)
 					return
 				}

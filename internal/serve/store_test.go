@@ -56,7 +56,7 @@ func TestStoreRoundTrip(t *testing.T) {
 // sameIndex compares two R*-tree nodes and everything below them: levels,
 // entry counts, item numbers in slot order and every coordinate bit for bit.
 func sameIndex(a, b rtree.Node) bool {
-	if a.Level() != b.Level() || a.Len() != b.Len() {
+	if a.IsLeaf() != b.IsLeaf() || a.Len() != b.Len() {
 		return false
 	}
 	for i := 0; i < a.Len(); i++ {

@@ -237,6 +237,38 @@ func TestOversizeRefusedWith1009(t *testing.T) {
 	})
 }
 
+// Frames RFC 6455 or this protocol forbids are refused with a 1002 close,
+// and the read fails with ErrProtocol.
+func TestProtocolViolationsRefusedWith1002(t *testing.T) {
+	unmasked := clientFrame(true, opBinary, []byte{1})
+	unmasked[1] &^= 0x80
+	rsv := clientFrame(true, opBinary, []byte{1})
+	rsv[0] |= 0x40
+	for name, frame := range map[string][]byte{
+		"text frame":          clientFrame(true, opText, []byte("hi")),
+		"orphan continuation": clientFrame(true, opContinuation, []byte{1}),
+		"reserved opcode":     clientFrame(true, 0x3, nil),
+		"RSV bit":             rsv,
+		"unmasked frame":      unmasked,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ws, cli := pipeServer(t)
+			res := readAsync(ws, 1)
+			go cli.Write(frame) // the refusal may come before every byte is read
+			got := make([]byte, 4)
+			if _, err := io.ReadFull(cli, got); err != nil {
+				t.Fatal(err)
+			}
+			if want := []byte{0x80 | opClose, 2, 0x03, 0xEA}; !bytes.Equal(got, want) {
+				t.Fatalf("close frame = % x, want % x (1002)", got, want)
+			}
+			if r := <-res; !errors.Is(r.err, ErrProtocol) {
+				t.Fatalf("read returned %v, want ErrProtocol", r.err)
+			}
+		})
+	}
+}
+
 // A buffer grown for one large message is not pinned by the connection once
 // it goes back to waiting.
 func TestLargeMessageBufferDroppedWhenParked(t *testing.T) {

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +20,55 @@ func TestAcceptKeyRFCVector(t *testing.T) {
 	want := "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
 	if got != want {
 		t.Fatalf("acceptKey = %q, want %q", got, want)
+	}
+}
+
+// A handshake DialWS cannot complete fails the dial and closes the socket
+// it opened: the server, having answered, reads EOF instead of a socket
+// left open until its deadline.
+func TestDialWSHandshakeFailures(t *testing.T) {
+	cases := []struct {
+		name    string
+		respond func(conn net.Conn, w *bufio.Writer)
+	}{
+		{"non-101 status", func(_ net.Conn, w *bufio.Writer) {
+			w.WriteString("HTTP/1.1 403 Forbidden\r\nContent-Length: 4\r\n\r\nnope")
+		}},
+		{"wrong accept key", func(_ net.Conn, w *bufio.Writer) {
+			w.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n" +
+				"Connection: Upgrade\r\nSec-WebSocket-Accept: bm90IHRoZSBrZXk=\r\n\r\n")
+		}},
+		{"closed mid-handshake", func(conn net.Conn, w *bufio.Writer) {
+			w.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgr")
+			w.Flush()
+			conn.(*net.TCPConn).CloseWrite()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serverRead := make(chan error, 1)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				conn, brw, err := http.NewResponseController(w).Hijack()
+				if err != nil {
+					serverRead <- err
+					return
+				}
+				defer conn.Close()
+				tc.respond(conn, brw.Writer)
+				brw.Flush()
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				_, err = brw.ReadByte()
+				serverRead <- err
+			}))
+			defer srv.Close()
+			if ws, err := DialWS("ws" + strings.TrimPrefix(srv.URL, "http")); err == nil {
+				ws.Close()
+				t.Fatal("DialWS succeeded")
+			}
+			if err := <-serverRead; err != io.EOF {
+				t.Fatalf("server read %v after the failed dial, want EOF", err)
+			}
+		})
 	}
 }
 

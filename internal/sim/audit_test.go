@@ -166,7 +166,7 @@ func TestCertifiedSharesKeepCachesDeep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		early := newRefWorld(w.Config(), w.Roads())
+		early := newRefWorld(w.cfg, w.roads)
 		early.earlyExit = true
 		want := early.run()
 		wantEntries, wantNeighbors := 0, 0

@@ -275,7 +275,7 @@ func TestWorldLayoutEquivalence(t *testing.T) {
 				if want.TotalQueries == 0 {
 					// The reference has no worker knobs: it runs once per
 					// mode, on the first validated configuration.
-					ref := newRefWorld(w.Config(), w.Roads())
+					ref := newRefWorld(w.cfg, w.roads)
 					want = ref.run()
 					wantPos = ref.pos
 					wantEnt = make([]core.PeerCache, len(ref.caches))
@@ -362,7 +362,7 @@ func TestNewMatchesReference(t *testing.T) {
 				if n := len(w.moving); n >= pop.maxMovers || pop.move > 0 && n == 0 {
 					t.Fatalf("%s: %d movers of %d hosts", name, n, len(w.pos))
 				}
-				ref := newRefWorld(w.Config(), w.Roads())
+				ref := newRefWorld(w.cfg, w.roads)
 				if !slices.Equal(w.moving, ref.moving) {
 					t.Fatalf("%s: moving list %v, reference %v", name, w.moving, ref.moving)
 				}

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Metrics aggregates the measurements the paper's evaluation plots. Counts
 // cover the post-warm-up (steady state) portion of a run.
 type Metrics struct {
@@ -66,12 +64,4 @@ func (m Metrics) PeerBytesPerQuery() float64 {
 		return 0
 	}
 	return float64(m.PeerBytes) / float64(m.TotalQueries)
-}
-
-// String implements fmt.Stringer.
-func (m Metrics) String() string {
-	return fmt.Sprintf(
-		"queries=%d single=%.1f%% multi=%.1f%% server=%.1f%% uncertain=%.1f%% pages/serverquery=%.1f",
-		m.TotalQueries, m.ShareSingle(), m.ShareMulti(), m.SQRR(),
-		m.ShareUncertain(), m.PagesPerServerQuery())
 }

@@ -176,11 +176,13 @@ func BenchmarkWorldNew(b *testing.B) {
 // hosts-per-cell stays the paper's, with a 10% movement duty cycle. The duty
 // cycle is the point of the grid=1M comparison: a counting rebuild pays for
 // all million hosts every step no matter how few moved, while applyDelta
-// pays for the moved-host delta. (At Table 4's 80% moving x 30 mph roughly a
-// tenth of the population crosses a cell boundary every second, nearly every
-// cell is touched, and the rebuild's clean linear passes win; DESIGN.md
-// §8 notes that crossover.) Building a world this size takes seconds; the
-// movement phase is what the benchmarks time.
+// pays for the moved-host delta. (At Table 4 Los Angeles with 80% moving,
+// 4.8% of hosts change cell per step on the road network and 6% in free
+// movement; there the rebuild's linear passes are the faster grid update,
+// 0.80-0.86 ms against 1.5-1.7 ms, while on this world the delta wins,
+// 1.8-2.4 ms against 12.3 ms. DESIGN.md §8 gives the crossover.) Building a
+// world this size takes seconds; the movement phase is what the benchmarks
+// time.
 var bigWorld = struct {
 	once sync.Once
 	w    *World

@@ -238,14 +238,8 @@ func (w *World) placeHosts(seeds []uint64) {
 	})
 }
 
-// Config returns the validated configuration in effect.
-func (w *World) Config() Config { return w.cfg }
-
 // Server exposes the server module (for benchmark harnesses).
 func (w *World) Server() *ServerModule { return w.server }
-
-// Roads returns the generated road network, nil in free-movement mode.
-func (w *World) Roads() *spatialnet.Graph { return w.roads }
 
 // scheduleNextQuery advances the query-event clock by one exponential
 // inter-arrival gap of the λ_Query Poisson process. The gap is added to the

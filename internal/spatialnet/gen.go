@@ -101,22 +101,6 @@ func GenerateGrid(cfg GridConfig) (*Graph, error) {
 	return FromSegments(segs)
 }
 
-// RandomPOIs scatters n points of interest uniformly over the graph's
-// bounding box using the provided random source. POIs model stationary
-// objects such as gas stations; they are not required to lie on the network
-// (network distance snaps them to the nearest segment).
-func RandomPOIs(g *Graph, n int, rng *rand.Rand) []geom.Point {
-	b := g.Bounds()
-	out := make([]geom.Point, n)
-	for i := range out {
-		out[i] = geom.Pt(
-			b.Min.X+rng.Float64()*b.Width(),
-			b.Min.Y+rng.Float64()*b.Height(),
-		)
-	}
-	return out
-}
-
 // RandomOnNetworkPOIs places n POIs at uniformly random positions along
 // random edges of the network, modeling roadside objects.
 func RandomOnNetworkPOIs(g *Graph, n int, rng *rand.Rand) []geom.Point {

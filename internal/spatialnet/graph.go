@@ -35,20 +35,6 @@ const (
 	ClassRural
 )
 
-// String implements fmt.Stringer.
-func (c RoadClass) String() string {
-	switch c {
-	case ClassHighway:
-		return "highway"
-	case ClassSecondary:
-		return "secondary"
-	case ClassRural:
-		return "rural"
-	default:
-		return "unknown"
-	}
-}
-
 // SpeedLimit returns the class speed limit in m/s (65, 45 and 30 mph).
 func (c RoadClass) SpeedLimit() float64 {
 	const mph = 0.44704
@@ -144,9 +130,6 @@ func (g *Graph) Neighbors(id NodeID, fn func(to NodeID, length float64, class Ro
 		fn(he.to, he.length, he.class)
 	}
 }
-
-// Degree returns the number of edges incident to id.
-func (g *Graph) Degree(id NodeID) int { return len(g.adj[id]) }
 
 // Edges returns all undirected edges (each reported once, From < To).
 func (g *Graph) Edges() []Edge {

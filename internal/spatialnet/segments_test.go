@@ -208,18 +208,7 @@ func TestRandomPOIsInBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := newTestRand(42)
-	pois := RandomPOIs(g, 100, rng)
-	if len(pois) != 100 {
-		t.Fatalf("got %d POIs", len(pois))
-	}
-	b := g.Bounds()
-	for _, p := range pois {
-		if !b.Contains(p) {
-			t.Fatalf("POI %v outside bounds %v", p, b)
-		}
-	}
-	onNet := RandomOnNetworkPOIs(g, 50, rng)
+	onNet := RandomOnNetworkPOIs(g, 50, newTestRand(42))
 	for _, p := range onNet {
 		snap, ok := g.Snap(p)
 		if !ok || snap.SnapDist > 1e-9 {

@@ -63,11 +63,11 @@ func TestShareReplyBlockForwardsExactBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	negZero := math.Copysign(0, -1)
 	frames := map[string][]byte{
-		"empty":          EncodeShareReply(1, false, core.PeerCache{}),
-		"one neighbor":   EncodeShareReply(2, true, samplePC(1, rng)),
-		"cache capacity": EncodeShareReply(3, true, samplePC(16, rng)),
-		"hundred":        EncodeShareReply(4, true, samplePC(100, rng)),
-		"at the cap":     EncodeShareReply(5, true, samplePC(MaxShareNeighbors, rng)),
+		"empty":          AppendShareReply(nil, 1, false, core.PeerCache{}),
+		"one neighbor":   AppendShareReply(nil, 2, true, samplePC(1, rng)),
+		"cache capacity": AppendShareReply(nil, 3, true, samplePC(16, rng)),
+		"hundred":        AppendShareReply(nil, 4, true, samplePC(100, rng)),
+		"at the cap":     AppendShareReply(nil, 5, true, samplePC(MaxShareNeighbors, rng)),
 		// Equal distances in either order are both ascending; the bytes, not a
 		// re-sort, decide what the requester sees.
 		"ties": rawShareReply(6, 1, geom.Pt(0, 0), 3, []core.POI{
@@ -85,7 +85,7 @@ func TestShareReplyBlockForwardsExactBytes(t *testing.T) {
 		t.Run(name, func(t *testing.T) { checkForwardable(t, frame) })
 	}
 	for trial := 0; trial < 200; trial++ {
-		checkForwardable(t, EncodeShareReply(rng.Uint32(), true, samplePC(1+rng.Intn(64), rng)))
+		checkForwardable(t, AppendShareReply(nil, rng.Uint32(), true, samplePC(1+rng.Intn(64), rng)))
 	}
 }
 
@@ -95,8 +95,8 @@ func TestShareReplyBlockForwardsExactBytes(t *testing.T) {
 func TestShareReplyBlockRejectsWhatDecodeRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	pc := samplePC(4, rng)
-	valid := EncodeShareReply(1, true, pc)
-	empty := EncodeShareReply(1, false, core.PeerCache{})
+	valid := AppendShareReply(nil, 1, true, pc)
+	empty := AppendShareReply(nil, 1, false, core.PeerCache{})
 	withNeighbor := func(i int, p geom.Point) []byte {
 		pois := append([]core.POI(nil), pc.Neighbors...)
 		pois[i].Loc = p
@@ -149,9 +149,9 @@ func TestShareReplyBlockRejectsWhatDecodeRejects(t *testing.T) {
 	}
 	// Every other message type is Decode's to accept and not a ShareReply.
 	for _, frame := range [][]byte{
-		EncodePosition(geom.Pt(1, 2)),
-		EncodePeerProbe(3),
-		EncodePeerShares(PeerShares{ReqID: 1, PeersInRange: 1, Shares: []core.PeerCache{pc}}),
+		AppendPosition(nil, geom.Pt(1, 2)),
+		AppendPeerProbe(nil, 3),
+		AppendPeerShares(nil, PeerShares{ReqID: 1, PeersInRange: 1, Shares: []core.PeerCache{pc}}),
 	} {
 		if _, _, _, err := ShareReplyBlock(frame); err == nil {
 			t.Errorf("ShareReplyBlock accepted a type-%d message", frame[5])
@@ -165,16 +165,16 @@ func TestShareReplyBlockRejectsWhatDecodeRejects(t *testing.T) {
 // cache and re-encodes to the spliced bytes.
 func FuzzShareReplyForward(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
-	f.Add(EncodeShareReply(1, false, core.PeerCache{}))
-	f.Add(EncodeShareReply(2, true, samplePC(1, rng)))
-	f.Add(EncodeShareReply(3, true, samplePC(16, rng)))
+	f.Add(AppendShareReply(nil, 1, false, core.PeerCache{}))
+	f.Add(AppendShareReply(nil, 2, true, samplePC(1, rng)))
+	f.Add(AppendShareReply(nil, 3, true, samplePC(16, rng)))
 	f.Add(rawShareReply(4, 1, geom.Pt(0, 0), 2, []core.POI{{ID: 1, Loc: geom.Pt(3, 4)}, {ID: 2, Loc: geom.Pt(4, 3)}}))
 	f.Add(rawShareReply(5, 1, geom.Pt(math.Copysign(0, -1), 0), 1, []core.POI{{ID: 1, Loc: geom.Pt(0, math.Copysign(0, -1))}}))
 	f.Add(rawShareReply(6, 1, geom.Pt(0, 0), 2, []core.POI{{ID: 1, Loc: geom.Pt(9, 9)}, {ID: 2, Loc: geom.Pt(1, 1)}}))
 	f.Add(rawShareReply(7, 2, geom.Pt(0, 0), 0, nil))
 	f.Add(rawShareReply(8, 0, geom.Pt(1, 0), 0, nil))
-	f.Add(EncodeShareReply(9, true, samplePC(3, rng))[:40])
-	f.Add(EncodePeerProbe(10))
+	f.Add(AppendShareReply(nil, 9, true, samplePC(3, rng))[:40])
+	f.Add(AppendPeerProbe(nil, 10))
 	f.Add([]byte("SENN\x01\x0a"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, decErr := Decode(data)
@@ -200,10 +200,10 @@ func FuzzShareReplyForward(f *testing.F) {
 		if err != nil {
 			t.Fatalf("spliced frame rejected: %v", err)
 		}
-		if !bytes.Equal(EncodePeerShares(got.Shares), spliced) {
+		if !bytes.Equal(AppendPeerShares(nil, got.Shares), spliced) {
 			t.Fatal("spliced frame does not re-encode to itself")
 		}
-		if !bytes.Equal(EncodeShareReply(probeID, true, got.Shares.Shares[0]), data) {
+		if !bytes.Equal(AppendShareReply(nil, probeID, true, got.Shares.Shares[0]), data) {
 			t.Fatal("the forwarded share is not the share that was sent")
 		}
 	})

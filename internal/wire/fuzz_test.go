@@ -17,23 +17,23 @@ import (
 // the weaker semantic equivalence instead.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	f.Add(EncodeCacheRequest())
-	f.Add(EncodeCacheShare(samplePC(0, rng)))
-	f.Add(EncodeCacheShare(samplePC(3, rng)))
-	f.Add(EncodeCacheShare(samplePC(40, rng)))
-	f.Add(EncodePosition(geom.Pt(12.5, -7.75)))
-	f.Add(EncodeQuery(Query{ReqID: 1, K: 5, Loc: geom.Pt(100, 200)}))
-	f.Add(EncodeQuery(Query{ReqID: 2, K: 1, Loc: geom.Pt(-1, 1),
+	f.Add(appendHeader(nil, TypeCacheRequest))
+	f.Add(AppendCacheShare(nil, samplePC(0, rng)))
+	f.Add(AppendCacheShare(nil, samplePC(3, rng)))
+	f.Add(AppendCacheShare(nil, samplePC(40, rng)))
+	f.Add(AppendPosition(nil, geom.Pt(12.5, -7.75)))
+	f.Add(AppendQuery(nil, Query{ReqID: 1, K: 5, Loc: geom.Pt(100, 200)}))
+	f.Add(AppendQuery(nil, Query{ReqID: 2, K: 1, Loc: geom.Pt(-1, 1),
 		HasLower: true, Lower: 10, HasUpper: true, Upper: 90}))
 	f.Add(EncodeRange(RangeQuery{ReqID: 3, Loc: geom.Pt(0, 0), Radius: 500}))
-	f.Add(EncodeAnswer(sampleAnswer(4, 0, rng)))
-	f.Add(EncodeAnswer(sampleAnswer(5, 7, rng)))
-	f.Add(EncodeError(ErrorMsg{ReqID: 6, Code: ErrCodeBadRequest}))
-	f.Add(EncodePeerRequest(PeerRequest{ReqID: 7, Loc: geom.Pt(5, 6), Radius: 400}))
-	f.Add(EncodePeerProbe(8))
-	f.Add(EncodeShareReply(9, false, samplePC(0, rng)))
-	f.Add(EncodeShareReply(10, true, samplePC(4, rng)))
-	f.Add(EncodePeerShares(PeerShares{ReqID: 11, PeersInRange: 2,
+	f.Add(AppendAnswer(nil, sampleAnswer(4, 0, rng)))
+	f.Add(AppendAnswer(nil, sampleAnswer(5, 7, rng)))
+	f.Add(AppendError(nil, ErrorMsg{ReqID: 6, Code: ErrCodeBadRequest}))
+	f.Add(AppendPeerRequest(nil, PeerRequest{ReqID: 7, Loc: geom.Pt(5, 6), Radius: 400}))
+	f.Add(AppendPeerProbe(nil, 8))
+	f.Add(AppendShareReply(nil, 9, false, samplePC(0, rng)))
+	f.Add(AppendShareReply(nil, 10, true, samplePC(4, rng)))
+	f.Add(AppendPeerShares(nil, PeerShares{ReqID: 11, PeersInRange: 2,
 		Shares: []core.PeerCache{samplePC(2, rng), samplePC(3, rng)}}))
 	f.Add([]byte("SENN"))
 	f.Add([]byte{})
@@ -45,11 +45,11 @@ func FuzzDecode(f *testing.F) {
 		var re []byte
 		switch msg.Type {
 		case TypeCacheRequest:
-			re = EncodeCacheRequest()
+			re = appendHeader(nil, TypeCacheRequest)
 		case TypeCacheShare:
 			// Accepted cache-shares must re-encode to a decodable message
 			// describing the same cache (the decoder may have re-sorted).
-			re := EncodeCacheShare(msg.Cache)
+			re := AppendCacheShare(nil, msg.Cache)
 			msg2, err := Decode(re)
 			if err != nil {
 				t.Fatalf("re-encode not decodable: %v", err)
@@ -62,23 +62,23 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		case TypePosition:
-			re = EncodePosition(msg.Pos)
+			re = AppendPosition(nil, msg.Pos)
 		case TypeQuery:
-			re = EncodeQuery(msg.Query)
+			re = AppendQuery(nil, msg.Query)
 		case TypeRange:
 			re = EncodeRange(msg.Range)
 		case TypeAnswer:
-			re = EncodeAnswer(msg.Answer)
+			re = AppendAnswer(nil, msg.Answer)
 		case TypeError:
-			re = EncodeError(msg.Err)
+			re = AppendError(nil, msg.Err)
 		case TypePeerRequest:
-			re = EncodePeerRequest(msg.PeerReq)
+			re = AppendPeerRequest(nil, msg.PeerReq)
 		case TypePeerProbe:
-			re = EncodePeerProbe(msg.ProbeID)
+			re = AppendPeerProbe(nil, msg.ProbeID)
 		case TypeShareReply:
-			re = EncodeShareReply(msg.Share.ProbeID, msg.Share.Has, msg.Share.Cache)
+			re = AppendShareReply(nil, msg.Share.ProbeID, msg.Share.Has, msg.Share.Cache)
 		case TypePeerShares:
-			re = EncodePeerShares(msg.Shares)
+			re = AppendPeerShares(nil, msg.Shares)
 		default:
 			t.Fatalf("decoder accepted unknown type %d", msg.Type)
 		}
@@ -113,7 +113,7 @@ func FuzzQueryRoundTrip(f *testing.F) {
 		if hasHi {
 			q.HasUpper, q.Upper = true, hi
 		}
-		msg, err := Decode(EncodeQuery(q))
+		msg, err := Decode(AppendQuery(nil, q))
 		if err != nil {
 			t.Fatalf("well-formed query rejected: %v (%+v)", err, q)
 		}
@@ -136,7 +136,7 @@ func FuzzAnswerRoundTrip(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		a := Answer{ReqID: reqID, Pages: pages, Cache: samplePC(int(n)%128, rng)}
-		buf := EncodeAnswer(a)
+		buf := AppendAnswer(nil, a)
 		msg, err := Decode(buf)
 		if err != nil {
 			t.Fatalf("well-formed answer rejected: %v", err)
@@ -152,7 +152,7 @@ func FuzzAnswerRoundTrip(f *testing.F) {
 				t.Fatalf("round trip changed neighbor %d", i)
 			}
 		}
-		if !bytes.Equal(EncodeAnswer(msg.Answer), buf) {
+		if !bytes.Equal(AppendAnswer(nil, msg.Answer), buf) {
 			t.Fatalf("re-encode differs")
 		}
 	})

@@ -18,7 +18,7 @@ func TestPeerRequestRoundTrip(t *testing.T) {
 		{ReqID: ^uint32(0), Loc: geom.Pt(-1e6, 1e6), Radius: 0},
 		{ReqID: 0, Loc: geom.Pt(0, 0), Radius: 1e9},
 	} {
-		buf := EncodePeerRequest(r)
+		buf := AppendPeerRequest(nil, r)
 		if len(buf) != PeerRequestSize {
 			t.Fatalf("size %d, want %d", len(buf), PeerRequestSize)
 		}
@@ -29,7 +29,7 @@ func TestPeerRequestRoundTrip(t *testing.T) {
 		if msg.Type != TypePeerRequest || msg.PeerReq != r {
 			t.Fatalf("round trip changed request: %+v != %+v", msg.PeerReq, r)
 		}
-		if !bytes.Equal(EncodePeerRequest(msg.PeerReq), buf) {
+		if !bytes.Equal(AppendPeerRequest(nil, msg.PeerReq), buf) {
 			t.Fatal("re-encode not canonical")
 		}
 	}
@@ -49,7 +49,7 @@ func TestPeerRequestRejectsBadRadius(t *testing.T) {
 
 func TestPeerProbeRoundTrip(t *testing.T) {
 	for _, id := range []uint32{0, 7, ^uint32(0)} {
-		buf := EncodePeerProbe(id)
+		buf := AppendPeerProbe(nil, id)
 		if len(buf) != PeerProbeSize {
 			t.Fatalf("size %d, want %d", len(buf), PeerProbeSize)
 		}
@@ -67,7 +67,7 @@ func TestShareReplyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 10, 100} {
 		pc := samplePC(n, rng)
-		buf := EncodeShareReply(42, true, pc)
+		buf := AppendShareReply(nil, 42, true, pc)
 		if len(buf) != ShareReplySize(n) {
 			t.Fatalf("n=%d: size %d, want %d", n, len(buf), ShareReplySize(n))
 		}
@@ -95,7 +95,7 @@ func TestShareReplyRoundTrip(t *testing.T) {
 func TestShareReplyEmpty(t *testing.T) {
 	// An empty reply is canonical regardless of the cache handed in.
 	rng := rand.New(rand.NewSource(8))
-	buf := EncodeShareReply(9, false, samplePC(3, rng))
+	buf := AppendShareReply(nil, 9, false, samplePC(3, rng))
 	if len(buf) != ShareReplySize(0) {
 		t.Fatalf("size %d, want %d", len(buf), ShareReplySize(0))
 	}
@@ -106,12 +106,12 @@ func TestShareReplyEmpty(t *testing.T) {
 	if msg.Share.ProbeID != 9 || msg.Share.Has || len(msg.Share.Cache.Neighbors) != 0 {
 		t.Fatalf("got %+v", msg.Share)
 	}
-	if !bytes.Equal(EncodeShareReply(9, false, core.PeerCache{}), buf) {
+	if !bytes.Equal(AppendShareReply(nil, 9, false, core.PeerCache{}), buf) {
 		t.Fatal("re-encode not canonical")
 	}
 	// A cache with zero neighbors encodes as the canonical empty reply even
 	// when flagged has=true.
-	if !bytes.Equal(EncodeShareReply(9, true, core.PeerCache{QueryLoc: geom.Pt(1, 2)}), buf) {
+	if !bytes.Equal(AppendShareReply(nil, 9, true, core.PeerCache{QueryLoc: geom.Pt(1, 2)}), buf) {
 		t.Fatal("empty cache with has=true not normalized")
 	}
 }
@@ -119,7 +119,7 @@ func TestShareReplyEmpty(t *testing.T) {
 func TestShareReplyRejectsMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pc := samplePC(3, rng)
-	valid := EncodeShareReply(1, true, pc)
+	valid := AppendShareReply(nil, 1, true, pc)
 
 	// Unsorted neighbors.
 	unsorted := append([]byte(nil), valid...)
@@ -136,7 +136,7 @@ func TestShareReplyRejectsMalformed(t *testing.T) {
 	}
 
 	// Non-canonical empty reply: flag 0 but stale location bits.
-	dirty := EncodeShareReply(1, false, core.PeerCache{})
+	dirty := AppendShareReply(nil, 1, false, core.PeerCache{})
 	dirty[headerSize+5] = 0xFF
 	if _, err := Decode(dirty); !errors.Is(err, ErrBadValue) {
 		t.Fatalf("dirty empty reply: err = %v, want ErrBadValue", err)
@@ -180,7 +180,7 @@ func TestPeerSharesRoundTrip(t *testing.T) {
 			shares[i] = samplePC(n, rng)
 		}
 		ps := PeerShares{ReqID: 77, PeersInRange: len(counts) + 2, Shares: shares}
-		buf := EncodePeerShares(ps)
+		buf := AppendPeerShares(nil, ps)
 		if len(buf) != PeerSharesSize(counts) {
 			t.Fatalf("counts %v: size %d, want %d", counts, len(buf), PeerSharesSize(counts))
 		}
@@ -212,7 +212,7 @@ func TestPeerSharesRoundTrip(t *testing.T) {
 func TestPeerSharesRejectsMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ps := PeerShares{ReqID: 1, PeersInRange: 1, Shares: []core.PeerCache{samplePC(2, rng)}}
-	valid := EncodePeerShares(ps)
+	valid := AppendPeerShares(nil, ps)
 
 	// Share count larger than the bytes can hold.
 	huge := append([]byte(nil), valid...)
@@ -239,42 +239,32 @@ func TestPeerSharesRejectsMalformed(t *testing.T) {
 	}
 }
 
-// The append-style encoders must produce the same bytes as the allocating
-// ones and compose onto a shared buffer without interfering.
-func TestAppendEncodersMatchEncode(t *testing.T) {
+// The append-style encoders write the same bytes into a reused buffer as
+// into a fresh one, and appended after other bytes they leave those intact.
+func TestAppendEncodersReuseBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	pc := samplePC(5, rng)
 	ans := sampleAnswer(3, 4, rng)
-	buf := make([]byte, 0, 64)
-
-	buf = AppendAnswer(buf[:0], ans)
-	if !bytes.Equal(buf, EncodeAnswer(ans)) {
-		t.Fatal("AppendAnswer differs from EncodeAnswer")
-	}
-	buf = AppendError(buf[:0], ErrorMsg{ReqID: 9, Code: ErrCodeTooLarge})
-	if !bytes.Equal(buf, EncodeError(ErrorMsg{ReqID: 9, Code: ErrCodeTooLarge})) {
-		t.Fatal("AppendError differs from EncodeError")
-	}
-	buf = AppendCacheShare(buf[:0], pc)
-	if !bytes.Equal(buf, EncodeCacheShare(pc)) {
-		t.Fatal("AppendCacheShare differs from EncodeCacheShare")
-	}
-	buf = AppendShareReply(buf[:0], 2, true, pc)
-	if !bytes.Equal(buf, EncodeShareReply(2, true, pc)) {
-		t.Fatal("AppendShareReply differs from EncodeShareReply")
-	}
 	ps := PeerShares{ReqID: 1, PeersInRange: 3, Shares: []core.PeerCache{pc}}
-	buf = AppendPeerShares(buf[:0], ps)
-	if !bytes.Equal(buf, EncodePeerShares(ps)) {
-		t.Fatal("AppendPeerShares differs from EncodePeerShares")
+	encoders := map[string]func([]byte) []byte{
+		"Answer":     func(b []byte) []byte { return AppendAnswer(b, ans) },
+		"Error":      func(b []byte) []byte { return AppendError(b, ErrorMsg{ReqID: 9, Code: ErrCodeTooLarge}) },
+		"CacheShare": func(b []byte) []byte { return AppendCacheShare(b, pc) },
+		"ShareReply": func(b []byte) []byte { return AppendShareReply(b, 2, true, pc) },
+		"PeerShares": func(b []byte) []byte { return AppendPeerShares(b, ps) },
+		"PeerProbe":  func(b []byte) []byte { return AppendPeerProbe(b, 99) },
+		"Position":   func(b []byte) []byte { return AppendPosition(b, geom.Pt(3, 4)) },
 	}
-	buf = AppendPeerProbe(buf[:0], 99)
-	if !bytes.Equal(buf, EncodePeerProbe(99)) {
-		t.Fatal("AppendPeerProbe differs from EncodePeerProbe")
-	}
-	buf = AppendPosition(buf[:0], geom.Pt(3, 4))
-	if !bytes.Equal(buf, EncodePosition(geom.Pt(3, 4))) {
-		t.Fatal("AppendPosition differs from EncodePosition")
+	buf := make([]byte, 0, 64)
+	prefix := []byte("prefix")
+	for name, enc := range encoders {
+		fresh := enc(nil)
+		if buf = enc(buf[:0]); !bytes.Equal(buf, fresh) {
+			t.Errorf("Append%s into a reused buffer differs from a fresh encode", name)
+		}
+		if got := enc(bytes.Clone(prefix)); !bytes.Equal(got, append(bytes.Clone(prefix), fresh...)) {
+			t.Errorf("Append%s after a prefix: %x", name, got)
+		}
 	}
 }
 
@@ -283,10 +273,10 @@ func TestAppendEncodersMatchEncode(t *testing.T) {
 func TestPeekType(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, buf := range [][]byte{
-		EncodeCacheRequest(),
-		EncodePosition(geom.Pt(1, 2)),
-		EncodePeerProbe(7),
-		EncodePeerShares(PeerShares{ReqID: 1, Shares: []core.PeerCache{samplePC(2, rng)}}),
+		appendHeader(nil, TypeCacheRequest),
+		AppendPosition(nil, geom.Pt(1, 2)),
+		AppendPeerProbe(nil, 7),
+		AppendPeerShares(nil, PeerShares{ReqID: 1, Shares: []core.PeerCache{samplePC(2, rng)}}),
 	} {
 		typ, err := PeekType(buf)
 		if err != nil {
@@ -319,7 +309,7 @@ func TestDecodePeerSharesIntoMatchesDecode(t *testing.T) {
 			shares[i] = samplePC(n, rng)
 		}
 		ps := PeerShares{ReqID: uint32(round), PeersInRange: len(counts) + 1, Shares: shares}
-		buf := EncodePeerShares(ps)
+		buf := AppendPeerShares(nil, ps)
 
 		want, err := Decode(buf)
 		if err != nil {
@@ -353,9 +343,9 @@ func TestDecodePeerSharesIntoMatchesDecode(t *testing.T) {
 	}
 
 	// Rejections must match Decode's rejections exactly.
-	valid := EncodePeerShares(PeerShares{ReqID: 1, PeersInRange: 1, Shares: []core.PeerCache{samplePC(2, rng)}})
+	valid := AppendPeerShares(nil, PeerShares{ReqID: 1, PeersInRange: 1, Shares: []core.PeerCache{samplePC(2, rng)}})
 	for name, corrupt := range map[string][]byte{
-		"wrong type":     EncodePosition(geom.Pt(1, 2)),
+		"wrong type":     AppendPosition(nil, geom.Pt(1, 2)),
 		"short":          valid[:headerSize+4],
 		"trailing":       append(append([]byte(nil), valid...), 0),
 		"bad magic":      append([]byte("XENN"), valid[4:]...),

@@ -188,11 +188,6 @@ const CacheRequestSize = headerSize
 // n neighbors.
 func CacheShareSize(n int) int { return headerSize + pointSize + 4 + n*poiSize }
 
-// EncodeCacheRequest emits a cache request message.
-func EncodeCacheRequest() []byte {
-	return appendHeader(nil, TypeCacheRequest)
-}
-
 // AppendCacheShare appends an encoded cache-share message for pc to dst and
 // returns the extended slice. The append-style encoders exist so hot serving
 // paths can reuse one encode buffer per connection instead of allocating a
@@ -202,11 +197,6 @@ func AppendCacheShare(dst []byte, pc core.PeerCache) []byte {
 	dst = appendPoint(dst, pc.QueryLoc)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pc.Neighbors)))
 	return appendNeighbors(dst, pc.Neighbors)
-}
-
-// EncodeCacheShare emits a cache-share message for pc.
-func EncodeCacheShare(pc core.PeerCache) []byte {
-	return AppendCacheShare(make([]byte, 0, CacheShareSize(len(pc.Neighbors))), pc)
 }
 
 func appendNeighbors(dst []byte, neighbors []core.POI) []byte {
@@ -316,11 +306,6 @@ func AppendPosition(dst []byte, p geom.Point) []byte {
 	return appendPoint(appendHeader(dst, TypePosition), p)
 }
 
-// EncodePosition emits a position update.
-func EncodePosition(p geom.Point) []byte {
-	return AppendPosition(make([]byte, 0, PositionSize), p)
-}
-
 // Bound flags of the Query layout.
 const (
 	queryFlagLower byte = 1 << 0
@@ -350,11 +335,6 @@ func AppendQuery(dst []byte, q Query) []byte {
 	return buf
 }
 
-// EncodeQuery emits a kNN request (see AppendQuery).
-func EncodeQuery(q Query) []byte {
-	return AppendQuery(make([]byte, 0, QuerySize), q)
-}
-
 // EncodeRange emits a range request.
 func EncodeRange(r RangeQuery) []byte {
 	buf := appendHeader(make([]byte, 0, RangeSize), TypeRange)
@@ -376,21 +356,11 @@ func AppendAnswer(dst []byte, a Answer) []byte {
 	return appendNeighbors(dst, a.Cache.Neighbors)
 }
 
-// EncodeAnswer emits a served answer (see AppendAnswer).
-func EncodeAnswer(a Answer) []byte {
-	return AppendAnswer(make([]byte, 0, AnswerSize(len(a.Cache.Neighbors))), a)
-}
-
 // AppendError appends an encoded per-request failure reply to dst.
 func AppendError(dst []byte, e ErrorMsg) []byte {
 	dst = appendHeader(dst, TypeError)
 	dst = binary.LittleEndian.AppendUint32(dst, e.ReqID)
 	return binary.LittleEndian.AppendUint32(dst, e.Code)
-}
-
-// EncodeError emits a per-request failure reply.
-func EncodeError(e ErrorMsg) []byte {
-	return AppendError(make([]byte, 0, ErrorSize), e)
 }
 
 // AppendPeerRequest appends an encoded relay request to dst.
@@ -401,20 +371,10 @@ func AppendPeerRequest(dst []byte, r PeerRequest) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Radius))
 }
 
-// EncodePeerRequest emits a relay request (see AppendPeerRequest).
-func EncodePeerRequest(r PeerRequest) []byte {
-	return AppendPeerRequest(make([]byte, 0, PeerRequestSize), r)
-}
-
 // AppendPeerProbe appends a relayed cache request carrying the probe id the
 // peer must echo in its ShareReply.
 func AppendPeerProbe(dst []byte, probeID uint32) []byte {
 	return binary.LittleEndian.AppendUint32(appendHeader(dst, TypePeerProbe), probeID)
-}
-
-// EncodePeerProbe emits a relayed cache request (see AppendPeerProbe).
-func EncodePeerProbe(probeID uint32) []byte {
-	return AppendPeerProbe(make([]byte, 0, PeerProbeSize), probeID)
 }
 
 // AppendShareReply appends an encoded probe reply to dst. When has is false
@@ -431,11 +391,6 @@ func AppendShareReply(dst []byte, probeID uint32, has bool, pc core.PeerCache) [
 	dst = appendPoint(dst, pc.QueryLoc)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pc.Neighbors)))
 	return appendNeighbors(dst, pc.Neighbors)
-}
-
-// EncodeShareReply emits a probe reply (see AppendShareReply).
-func EncodeShareReply(probeID uint32, has bool, pc core.PeerCache) []byte {
-	return AppendShareReply(make([]byte, 0, ShareReplySize(len(pc.Neighbors))), probeID, has, pc)
 }
 
 // AppendPeerShares appends an encoded aggregated relay reply to dst. Every
@@ -465,11 +420,6 @@ func AppendPeerSharesHeader(dst []byte, reqID uint32, peersInRange, shares int) 
 	dst = binary.LittleEndian.AppendUint32(dst, reqID)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(peersInRange))
 	return binary.LittleEndian.AppendUint32(dst, uint32(shares))
-}
-
-// EncodePeerShares emits an aggregated relay reply (see AppendPeerShares).
-func EncodePeerShares(ps PeerShares) []byte {
-	return AppendPeerShares(nil, ps)
 }
 
 func appendHeader(dst []byte, typ byte) []byte {

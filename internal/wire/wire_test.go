@@ -27,7 +27,7 @@ func TestCacheShareRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 10, 100} {
 		pc := samplePC(n, rng)
-		buf := EncodeCacheShare(pc)
+		buf := AppendCacheShare(nil, pc)
 		if len(buf) != CacheShareSize(n) {
 			t.Fatalf("n=%d: size %d, want %d", n, len(buf), CacheShareSize(n))
 		}
@@ -54,7 +54,7 @@ func TestCacheShareRoundTrip(t *testing.T) {
 }
 
 func TestCacheRequestRoundTrip(t *testing.T) {
-	buf := EncodeCacheRequest()
+	buf := appendHeader(nil, TypeCacheRequest)
 	if len(buf) != CacheRequestSize {
 		t.Fatalf("size %d", len(buf))
 	}
@@ -66,7 +66,7 @@ func TestCacheRequestRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	valid := EncodeCacheShare(samplePC(3, rng))
+	valid := AppendCacheShare(nil, samplePC(3, rng))
 	cases := []struct {
 		name string
 		buf  []byte
@@ -108,11 +108,11 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 		QueryLoc:  geom.Pt(math.NaN(), 0),
 		Neighbors: []core.POI{{ID: 1, Loc: geom.Pt(1, 1)}},
 	}
-	if _, err := Decode(EncodeCacheShare(pc)); !errors.Is(err, ErrBadFloat) {
+	if _, err := Decode(AppendCacheShare(nil, pc)); !errors.Is(err, ErrBadFloat) {
 		t.Errorf("NaN location accepted: %v", err)
 	}
 	pc2 := core.NewPeerCache(geom.Pt(0, 0), []core.POI{{ID: 1, Loc: geom.Pt(math.Inf(1), 0)}})
-	if _, err := Decode(EncodeCacheShare(pc2)); !errors.Is(err, ErrBadFloat) {
+	if _, err := Decode(AppendCacheShare(nil, pc2)); !errors.Is(err, ErrBadFloat) {
 		t.Errorf("Inf neighbor accepted: %v", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestDecodeRestoresSortInvariant(t *testing.T) {
 			{ID: 2, Loc: geom.Pt(1, 0)},
 		},
 	}
-	msg, err := Decode(EncodeCacheShare(pc))
+	msg, err := Decode(AppendCacheShare(nil, pc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRoundTripQuick(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		pc := samplePC(int(n%64), rng)
-		msg, err := Decode(EncodeCacheShare(pc))
+		msg, err := Decode(AppendCacheShare(nil, pc))
 		if err != nil {
 			return false
 		}
@@ -201,7 +201,7 @@ func sampleAnswer(reqID uint32, n int, rng *rand.Rand) Answer {
 
 func TestPositionRoundTrip(t *testing.T) {
 	p := geom.Pt(123.5, -77.25)
-	buf := EncodePosition(p)
+	buf := AppendPosition(nil, p)
 	if len(buf) != PositionSize {
 		t.Fatalf("size %d, want %d", len(buf), PositionSize)
 	}
@@ -212,7 +212,7 @@ func TestPositionRoundTrip(t *testing.T) {
 	if !msg.Pos.Eq(p) {
 		t.Errorf("pos %v != %v", msg.Pos, p)
 	}
-	if !bytes.Equal(EncodePosition(msg.Pos), buf) {
+	if !bytes.Equal(AppendPosition(nil, msg.Pos), buf) {
 		t.Error("re-encode differs")
 	}
 }
@@ -226,7 +226,7 @@ func TestQueryRoundTrip(t *testing.T) {
 			HasLower: true, Lower: 3, HasUpper: true, Upper: 30},
 	}
 	for i, q := range cases {
-		buf := EncodeQuery(q)
+		buf := AppendQuery(nil, q)
 		if len(buf) != QuerySize {
 			t.Fatalf("case %d: size %d, want %d", i, len(buf), QuerySize)
 		}
@@ -237,7 +237,7 @@ func TestQueryRoundTrip(t *testing.T) {
 		if msg.Query != q {
 			t.Errorf("case %d: decoded %+v, want %+v", i, msg.Query, q)
 		}
-		if !bytes.Equal(EncodeQuery(msg.Query), buf) {
+		if !bytes.Equal(AppendQuery(nil, msg.Query), buf) {
 			t.Errorf("case %d: re-encode differs", i)
 		}
 	}
@@ -265,7 +265,7 @@ func TestAnswerRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{0, 1, 3, 50, 500} {
 		a := sampleAnswer(uint32(n)+1, n, rng)
-		buf := EncodeAnswer(a)
+		buf := AppendAnswer(nil, a)
 		if len(buf) != AnswerSize(n) {
 			t.Fatalf("n=%d: size %d, want %d", n, len(buf), AnswerSize(n))
 		}
@@ -279,7 +279,7 @@ func TestAnswerRoundTrip(t *testing.T) {
 		// The decoder must preserve the server's exact neighbor order (no
 		// re-sort): byte-for-byte re-encode equality is the oracle property
 		// the serve tests rely on.
-		if !bytes.Equal(EncodeAnswer(msg.Answer), buf) {
+		if !bytes.Equal(AppendAnswer(nil, msg.Answer), buf) {
 			t.Fatalf("n=%d: re-encode differs", n)
 		}
 	}
@@ -287,7 +287,7 @@ func TestAnswerRoundTrip(t *testing.T) {
 
 func TestErrorRoundTrip(t *testing.T) {
 	e := ErrorMsg{ReqID: 42, Code: ErrCodeBadRequest}
-	buf := EncodeError(e)
+	buf := AppendError(nil, e)
 	if len(buf) != ErrorSize {
 		t.Fatalf("size %d, want %d", len(buf), ErrorSize)
 	}
@@ -298,7 +298,7 @@ func TestErrorRoundTrip(t *testing.T) {
 	if msg.Err != e {
 		t.Errorf("decoded %+v, want %+v", msg.Err, e)
 	}
-	if !bytes.Equal(EncodeError(msg.Err), buf) {
+	if !bytes.Equal(AppendError(nil, msg.Err), buf) {
 		t.Error("re-encode differs")
 	}
 }
@@ -311,32 +311,32 @@ func TestDecodeRejectsBadClientServerMessages(t *testing.T) {
 		want error
 	}{
 		{"query k=0", func() []byte {
-			b := EncodeQuery(Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1)})
+			b := AppendQuery(nil, Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1)})
 			b[10] = 0 // k field
 			return b
 		}(), ErrBadValue},
-		{"query k over cap", EncodeQuery(Query{ReqID: 1, K: MaxQueryK + 1, Loc: geom.Pt(1, 1)}), ErrBadValue},
+		{"query k over cap", AppendQuery(nil, Query{ReqID: 1, K: MaxQueryK + 1, Loc: geom.Pt(1, 1)}), ErrBadValue},
 		{"query unknown flag", func() []byte {
-			b := EncodeQuery(Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1)})
+			b := AppendQuery(nil, Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1)})
 			b[30] = 0x80
 			return b
 		}(), ErrBadValue},
 		{"query lower without flag", func() []byte {
-			b := EncodeQuery(Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1), HasLower: true, Lower: 5})
+			b := AppendQuery(nil, Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1), HasLower: true, Lower: 5})
 			b[30] = 0 // clear flags, leave the bound bits behind
 			return b
 		}(), ErrBadValue},
-		{"query NaN bound", EncodeQuery(Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1),
+		{"query NaN bound", AppendQuery(nil, Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1),
 			HasUpper: true, Upper: math.NaN()}), ErrBadFloat},
-		{"query NaN location", EncodeQuery(Query{ReqID: 1, K: 1, Loc: geom.Pt(math.NaN(), 0)}), ErrBadFloat},
-		{"query truncated", EncodeQuery(Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1)})[:20], ErrTruncated},
-		{"position Inf", EncodePosition(geom.Pt(math.Inf(1), 0)), ErrBadFloat},
+		{"query NaN location", AppendQuery(nil, Query{ReqID: 1, K: 1, Loc: geom.Pt(math.NaN(), 0)}), ErrBadFloat},
+		{"query truncated", AppendQuery(nil, Query{ReqID: 1, K: 1, Loc: geom.Pt(1, 1)})[:20], ErrTruncated},
+		{"position Inf", AppendPosition(nil, geom.Pt(math.Inf(1), 0)), ErrBadFloat},
 		{"range negative radius", EncodeRange(RangeQuery{ReqID: 1, Loc: geom.Pt(1, 1), Radius: -5}), ErrBadValue},
 		{"range negative zero radius", EncodeRange(RangeQuery{ReqID: 1, Loc: geom.Pt(1, 1),
 			Radius: math.Copysign(0, -1)}), ErrBadValue},
 		{"range Inf radius", EncodeRange(RangeQuery{ReqID: 1, Loc: geom.Pt(1, 1), Radius: math.Inf(1)}), ErrBadFloat},
-		{"answer negative pages", EncodeAnswer(Answer{ReqID: 1, Pages: -1, Cache: samplePC(2, rng)}), ErrBadValue},
-		{"answer unsorted", EncodeAnswer(Answer{ReqID: 1, Cache: core.PeerCache{
+		{"answer negative pages", AppendAnswer(nil, Answer{ReqID: 1, Pages: -1, Cache: samplePC(2, rng)}), ErrBadValue},
+		{"answer unsorted", AppendAnswer(nil, Answer{ReqID: 1, Cache: core.PeerCache{
 			QueryLoc: geom.Pt(0, 0),
 			Neighbors: []core.POI{
 				{ID: 1, Loc: geom.Pt(9, 0)},
@@ -344,15 +344,15 @@ func TestDecodeRejectsBadClientServerMessages(t *testing.T) {
 			},
 		}}), ErrUnsorted},
 		{"answer count lies", func() []byte {
-			b := EncodeAnswer(sampleAnswer(1, 3, rng))
+			b := AppendAnswer(nil, sampleAnswer(1, 3, rng))
 			b[34] = 200
 			return b
 		}(), ErrTruncated},
-		{"answer NaN neighbor", EncodeAnswer(Answer{ReqID: 1, Cache: core.PeerCache{
+		{"answer NaN neighbor", AppendAnswer(nil, Answer{ReqID: 1, Cache: core.PeerCache{
 			QueryLoc:  geom.Pt(0, 0),
 			Neighbors: []core.POI{{ID: 1, Loc: geom.Pt(math.NaN(), 0)}},
 		}}), ErrBadFloat},
-		{"error truncated", EncodeError(ErrorMsg{ReqID: 1, Code: 2})[:12], ErrTruncated},
+		{"error truncated", AppendError(nil, ErrorMsg{ReqID: 1, Code: 2})[:12], ErrTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -376,7 +376,7 @@ func TestAnswerKeepsEqualDistanceOrder(t *testing.T) {
 			{ID: 9, Loc: geom.Pt(-5, 0)},
 		},
 	}}
-	msg, err := Decode(EncodeAnswer(a))
+	msg, err := Decode(AppendAnswer(nil, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,18 +387,18 @@ func TestAnswerKeepsEqualDistanceOrder(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeCacheShare(b *testing.B) {
+func BenchmarkAppendCacheShare(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pc := samplePC(20, rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeCacheShare(pc)
+		AppendCacheShare(nil, pc)
 	}
 }
 
 func BenchmarkDecodeCacheShare(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	buf := EncodeCacheShare(samplePC(20, rng))
+	buf := AppendCacheShare(nil, samplePC(20, rng))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
