@@ -5,10 +5,11 @@
 # ever have fired on real code, rather than only on their own fixtures — and
 # removes nothing. Needs only git and the Go toolchain; no network.
 #
-# The committed results/SIMVET_HISTORY.txt is PR 24's run, over nine analyzers.
-# PR 25 acted on it and deleted the four that never fired (globalrand, walltime,
-# counteratomic, annotation), so re-running this script now reports the five
-# survivors only — write to another file unless that is what you want.
+# The committed results/SIMVET_HISTORY.txt was recorded with five analyzers
+# (maporder, floateq, locksafe, goleak, errsink). floateq and goleak never
+# fired on any parent in it and were deleted — tests now catch the faults
+# they guarded against (DESIGN §7) — so re-running this script reports the
+# three survivors only: write to another file unless that is what you want.
 #
 # A "PR" is a commit on the first-parent history whose subject is not a
 # roadmap re-anchor or a growth seed; its parent tree is what the PR's author
@@ -18,7 +19,8 @@
 # same rules. Suppression annotations already present in an old tree still
 # suppress: the "annotated" column counts them per analyzer, so a low
 # diagnostic count next to a high annotation count reads as "fired and was
-# reviewed", not as "never fired".
+# reviewed", not as "never fired". The suite's own source (internal/analysis,
+# cmd/simvet) names every key in its docs and tests and is not counted.
 #
 # Usage: bash cmd/simvet/history.sh [out-file]
 set -euo pipefail
@@ -30,11 +32,11 @@ export GOTOOLCHAIN=local
 
 (cd "$root" && go build -o "$tmp/simvet" ./cmd/simvet)
 analyzers=$("$tmp/simvet" -list | sed -n 's/^\([a-z]*\): .*/\1/p')
-declare -A key=([maporder]=ordered [floateq]=exact [errsink]=discard [locksafe]=lockio [goleak]=detached)
+declare -A key=([maporder]=ordered [errsink]=discard [locksafe]=lockio)
 
 {
   echo "simvet history: today's analyzers ($(git -C "$root" rev-parse --short HEAD)+working tree) over the parent tree of every PR"
-  echo "diagnostics = findings not suppressed in that tree; annotated = //simvet:<key> suppressions present in it"
+  echo "diagnostics = findings not suppressed in that tree; annotated = //simvet:<key> suppressions in it outside internal/analysis and cmd/simvet"
   echo
   printf '%-9s %-52s %-14s %11s %9s\n' parent "of PR" analyzer diagnostics annotated
 } > "$out"
@@ -60,7 +62,8 @@ git -C "$root" rev-list --first-parent --reverse HEAD | while read -r c; do
     n=$(grep -c ": $a: " "$tmp/diags" || true)
     annotated=-
     if [ -n "${key[$a]:-}" ]; then
-      annotated=$( (grep -rhoE "//simvet:${key[$a]}\b" --include='*.go' --exclude-dir=testdata "$tree" || true) | wc -l)
+      annotated=$( (grep -roE "//simvet:${key[$a]}\b" --include='*.go' --exclude-dir=testdata "$tree" || true) |
+        grep -cv "^$tree/\(internal/analysis\|cmd/simvet\)/" || true)
     fi
     printf '%-9s %-52.52s %-14s %11d %9s\n' "$parent" "$subject" "$a" "$n" "$annotated" >> "$out"
   done

@@ -1,21 +1,21 @@
 // Command simvet runs the repository's determinism-and-concurrency lint
-// suite (internal/analysis) over the module. maporder and floateq are the
-// static half of the reproducibility gate: the CI determinism job
-// byte-diffs simulator output at run time; simvet rejects two bug classes
-// that would make that diff fail (or make it pass by luck) before they
-// compile into the tree. The other three ride on a per-package call graph
-// with bottom-up function summaries and guard the serving stack: locksafe
-// (a mutex held across a blocking call; sync types copied by value), goleak
-// (a goroutine spawned with no reachable termination path), errsink (a
-// discarded error from conn/wire/pagestore operations or their same-package
-// wrappers). Every analyzer in the suite has a record
-// (results/SIMVET_HISTORY.txt); the invariants whose analyzers never fired
-// are held by the gates DESIGN §7 names.
+// suite (internal/analysis) over the module. maporder is the static half of
+// the reproducibility gate: the CI determinism job byte-diffs simulator
+// output at run time; simvet rejects order-sensitive map iteration, which
+// would make that diff fail (or make it pass by luck), before it compiles
+// into the tree. The other two ride on a per-package call graph with
+// bottom-up function summaries and guard the serving stack: locksafe (a
+// mutex held across a blocking call; sync types copied by value) and
+// errsink (a discarded error from conn/wire/pagestore operations or their
+// same-package wrappers). Every analyzer in the suite has fired on a tree a
+// change started from (results/SIMVET_HISTORY.txt); the invariants whose
+// analyzers never fired are held by the tests and gates DESIGN §7 names.
 //
 // Usage:
 //
 //	go run ./cmd/simvet ./...
-//	go run ./cmd/simvet -only maporder ./internal/sim
+//	go run ./cmd/simvet ./internal/sim
+//	go run ./cmd/simvet -list
 //
 // Patterns are package directories; a trailing /... walks recursively,
 // skipping testdata and vendor like the go tool. With no patterns, ./...
@@ -34,7 +34,6 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "print the analyzers and their scopes, then exit")
 	flag.Parse()
 
@@ -48,20 +47,6 @@ func main() {
 			fmt.Printf("%-14s %s\n%14s scope: %s\n", a.Name+":", a.Doc, "", scope)
 		}
 		return
-	}
-	if *only != "" {
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fatalf("unknown analyzer %q", name)
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := flag.Args()

@@ -1,13 +1,13 @@
-// Package analysis is simvet's determinism-and-concurrency lint suite: five
-// static analyzers, each of which has fired on a tree a PR started from or
-// carries reviewed suppressions (results/SIMVET_HISTORY.txt). Two encode
-// reproducibility invariants — ordered iteration (maporder) and exact float
-// comparisons only where proven safe (floateq) — so violations are caught at
-// lint time, before they reach the CI byte-diff determinism gate; three guard
-// the serving stack (below). The invariants that have no analyzer here —
-// per-shard RNGs, virtual step time, atomic counter discipline — belong to
-// the gates DESIGN §7 names: the determinism byte diff, typed atomics under
-// go test -race, and two grep lines in the CI lint job.
+// Package analysis is simvet's determinism-and-concurrency lint suite: three
+// static analyzers, each of which has fired on a tree a change started from
+// (results/SIMVET_HISTORY.txt). One encodes a reproducibility invariant —
+// ordered iteration (maporder) — so a violation is caught at lint time,
+// before it reaches the CI byte-diff determinism gate; two guard the serving
+// stack (below). The invariants that have no analyzer here — per-shard RNGs,
+// virtual step time, Eps-tolerant geometry, goroutines that exit, atomic
+// counter discipline — belong to the gates DESIGN §7 names: the determinism
+// byte diff, named tests, typed atomics under go test -race, and the grep
+// fences in scripts/fences.sh.
 //
 // The types here deliberately mirror golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, pass.Reportf) but are implemented on the
@@ -19,12 +19,10 @@
 // analyzer; our driver reads it from the Analyzer itself).
 //
 // The v2 layer (summary.go) adds a per-package call graph with bottom-up
-// function summaries — blocking behavior, loop shape, termination signals,
-// error sources — shared by the cross-function analyzers: locksafe (mutex
-// held across a blocking call; sync types copied by value), goleak
-// (goroutine spawned with no reachable termination path) and errsink
-// (discarded errors from conn/wire/pagestore operations and their
-// same-package wrappers).
+// function summaries — blocking behavior, error sources — shared by the
+// cross-function analyzers: locksafe (mutex held across a blocking call;
+// sync types copied by value) and errsink (discarded errors from
+// conn/wire/pagestore operations and their same-package wrappers).
 //
 // Suppression annotations: a comment of the form
 //
@@ -32,18 +30,11 @@
 //
 // on the same line as a statement, or alone on the line immediately above
 // it, marks that statement as reviewed-and-safe for the maporder analyzer
-// (the iteration feeds an order-insensitive sink). A file whose comments
-// contain
+// (the iteration feeds an order-insensitive sink). The serving-layer
+// analyzers add two more keys:
 //
-//	//simvet:exact
-//
-// declares that the file implements exact-arithmetic float comparisons and
-// is exempt from floateq. The serving-layer analyzers add three more
-// statement-level keys:
-//
-//	//simvet:discard  — errsink: this error is uninformative here (say why)
-//	//simvet:lockio   — locksafe: this lock deliberately serializes this I/O
-//	//simvet:detached — goleak: this goroutine intentionally runs to exit
+//	//simvet:discard — errsink: this error is uninformative here (say why)
+//	//simvet:lockio  — locksafe: this lock deliberately serializes this I/O
 //
 // Annotations are deliberately narrow: each one names the analyzer class it
 // silences, so a grep for "simvet:" enumerates every reviewed exception in
@@ -62,8 +53,7 @@ import (
 
 // An Analyzer describes one simvet check.
 type Analyzer struct {
-	// Name is the analyzer's short identifier, used in diagnostics and by
-	// the -only driver flag.
+	// Name is the analyzer's short identifier, used in diagnostics.
 	Name string
 
 	// Doc describes what the analyzer reports and why it matters for the
@@ -188,21 +178,6 @@ func (p *Pass) Annotated(pos token.Pos, key string) bool {
 	return false
 }
 
-// FileExempt reports whether the file containing pos carries a
-// //simvet:<key> annotation anywhere (file-level opt-out, used by floateq
-// for exact-arithmetic files).
-func (p *Pass) FileExempt(pos token.Pos, key string) bool {
-	filename := p.Fset.Position(pos).Filename
-	for _, keys := range p.annotations[filename] {
-		for _, k := range keys {
-			if k == key {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diagnostics = append(p.diagnostics, Diagnostic{
@@ -241,9 +216,7 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MapOrder,
-		FloatEq,
 		LockSafe,
-		GoLeak,
 		ErrSink,
 	}
 }
@@ -263,11 +236,11 @@ var DeterministicPackages = []string{
 }
 
 // ServingPackages are the import-path prefixes the cross-function
-// concurrency analyzers (locksafe, goleak, errsink) run over: the network
-// serving stack, the simulator it drives, the wire protocol, and the
-// command binaries that tie them together. These are the packages where a
-// wedged peer or a leaked goroutine is a cross-connection outage rather
-// than a local bug.
+// analyzers (locksafe, errsink) run over: the network serving stack, the
+// simulator it drives, the client core, the wire protocol, and the command
+// binaries that tie them together. These are the packages where a wedged
+// peer or a swallowed I/O error is a cross-connection outage rather than a
+// local bug.
 var ServingPackages = []string{
 	"repro/internal/serve",
 	"repro/internal/sim",

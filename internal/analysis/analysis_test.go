@@ -10,7 +10,7 @@ func TestAnnotationKey(t *testing.T) {
 	}{
 		{"//simvet:ordered", "ordered", true},
 		{"//simvet:ordered — summation is commutative", "ordered", true},
-		{"//simvet:exact impl notes", "exact", true},
+		{"//simvet:lockio serializes the frame", "lockio", true},
 		{"// simvet:ordered", "", false}, // a space disables, like //go: directives
 		{"//simvet:", "", false},
 		{"// plain comment", "", false},

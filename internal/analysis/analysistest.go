@@ -21,9 +21,9 @@ import (
 // RunWant loads the fixture, runs the analyzer, and fails the test when a
 // diagnostic has no matching want clause on its line or a want clause goes
 // unmatched. Lines without a want comment must stay silent, so fixtures
-// double as negative tests — in particular the //simvet:ordered and
-// //simvet:exact allowlist annotations are exercised by fixture lines that
-// would be findings without them.
+// double as negative tests — in particular the //simvet:ordered,
+// //simvet:lockio and //simvet:discard allowlist annotations are exercised by
+// fixture lines that would be findings without them.
 
 // TB is the subset of *testing.T the harness needs.
 type TB interface {

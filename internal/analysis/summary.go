@@ -8,19 +8,18 @@ import (
 	"strings"
 )
 
-// This file is the cross-function core the v2 analyzers (locksafe, goleak,
+// This file is the cross-function core the serving-stack analyzers (locksafe,
 // errsink) share: a per-package call graph plus a summary of each function's
-// concurrency-relevant behavior, computed bottom-up over the same AST+types
-// representation the single-function analyzers use. Summaries start from
-// direct facts (blocking operations performed, loops with no exit,
-// termination signals referenced, error sources called, static callees) and
-// close over the call graph with a worklist fixpoint, so an analyzer asking
-// "may this call block?" or "does this goroutine body ever terminate?" sees
-// through any depth of same-package calls. Cross-package calls are opaque
-// except for the explicitly modeled externals (net.Conn-shaped I/O, sync
-// primitives, io copy helpers, time.Sleep) — a deliberate approximation:
-// each package is audited with its own summaries, and the externals cover
-// the boundaries that matter for the serving stack.
+// blocking and error behavior, computed bottom-up over the same AST+types
+// representation maporder uses. Summaries start from direct facts (blocking
+// operations performed, error sources called, static callees) and close over
+// the call graph with a worklist fixpoint, so an analyzer asking "may this
+// call block?" or "is this error worth checking?" sees through any depth of
+// same-package calls. Cross-package calls are opaque except for the
+// explicitly modeled externals (net.Conn-shaped I/O, sync primitives, io
+// copy helpers, time.Sleep) — a deliberate approximation: each package is
+// audited with its own summaries, and the externals cover the boundaries
+// that matter for the serving stack.
 
 // A BlockSite is one potentially blocking operation, with a description
 // suitable for diagnostics ("net.Conn Write", "a channel receive", ...).
@@ -50,17 +49,6 @@ type FuncSummary struct {
 	// the first blocking path found, for diagnostics.
 	MayBlock  bool
 	BlockDesc string
-
-	// LoopsForever marks a body containing a `for` with no condition and no
-	// reachable exit (no return, no break out of the loop, no panic), or a
-	// call to a same-package function that loops forever.
-	LoopsForever bool
-
-	// TermSignal marks a body that references a termination mechanism — a
-	// context.Context value, any channel operation (receive, send, close,
-	// select, range), or sync.WaitGroup.Done — directly or through a
-	// same-package call.
-	TermSignal bool
 
 	// ErrSource marks a function whose error result derives from an
 	// explicitly modeled fallible operation (net.Conn Write/Close/Read,
@@ -116,10 +104,9 @@ func (s *Summaries) collectDirect(fs *FuncSummary) {
 	pass := s.pass
 	seenCall := make(map[*types.Func]bool)
 
-	// Blocking operations and loop shape are properties of the function's
-	// own execution, so nested literals are excluded from them; calls and
-	// termination signals are collected everywhere, since they describe what
-	// the function's code can reach.
+	// Blocking operations are a property of the function's own execution, so
+	// nested literals are excluded from them; calls are collected everywhere,
+	// since they describe what the function's code can reach.
 	var walk func(n ast.Node, inLit bool)
 	walk = func(n ast.Node, inLit bool) {
 		ast.Inspect(n, func(m ast.Node) bool {
@@ -134,12 +121,6 @@ func (s *Summaries) collectDirect(fs *FuncSummary) {
 				if site, ok := directBlocking(pass, m); ok {
 					fs.Blocking = append(fs.Blocking, site)
 				}
-				if loop, ok := m.(*ast.ForStmt); ok && loopsForever(loop) {
-					fs.LoopsForever = true
-				}
-			}
-			if isTermSignal(pass, m) {
-				fs.TermSignal = true
 			}
 			if call, ok := m.(*ast.CallExpr); ok {
 				if callee := staticCallee(pass, call); callee != nil && callee.Pkg() == pass.Pkg && !seenCall[callee] {
@@ -185,14 +166,6 @@ func (s *Summaries) propagate() {
 					fs.BlockDesc = fmt.Sprintf("%s (which blocks on %s)", callee.Name(), cs.BlockDesc)
 					changed = true
 				}
-				if cs.LoopsForever && !fs.LoopsForever {
-					fs.LoopsForever = true
-					changed = true
-				}
-				if cs.TermSignal && !fs.TermSignal {
-					fs.TermSignal = true
-					changed = true
-				}
 				if cs.ErrSource && fs.returnsError && !fs.ErrSource {
 					fs.ErrSource = true
 					changed = true
@@ -200,58 +173,6 @@ func (s *Summaries) propagate() {
 			}
 		}
 	}
-}
-
-// SpawnFacts resolves the function a `go` statement spawns and returns its
-// closed termination facts. known is false when the spawned function cannot
-// be resolved (external call, method value, dynamic function).
-func (s *Summaries) SpawnFacts(call *ast.CallExpr) (loopsForever, termSignal, known bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.FuncLit:
-		return s.litFacts(fun), litTermSignal(s, fun), true
-	default:
-		_ = fun
-	}
-	if fs := s.ForFunc(staticCallee(s.pass, call)); fs != nil {
-		return fs.LoopsForever, fs.TermSignal, true
-	}
-	return false, false, false
-}
-
-// litFacts reports whether a function literal's body loops forever, merging
-// the closed summaries of the same-package functions it calls.
-func (s *Summaries) litFacts(lit *ast.FuncLit) bool {
-	loops := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if loop, ok := n.(*ast.ForStmt); ok && loopsForever(loop) {
-			loops = true
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fs := s.ForFunc(staticCallee(s.pass, call)); fs != nil && fs.LoopsForever {
-				loops = true
-			}
-		}
-		return !loops
-	})
-	return loops
-}
-
-// litTermSignal reports whether a termination signal reaches the literal's
-// body, directly or through same-package calls.
-func litTermSignal(s *Summaries, lit *ast.FuncLit) bool {
-	term := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if isTermSignal(s.pass, n) {
-			term = true
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fs := s.ForFunc(staticCallee(s.pass, call)); fs != nil && fs.TermSignal {
-				term = true
-			}
-		}
-		return !term
-	})
-	return term
 }
 
 // BlockingIn scans a statement or expression subtree (excluding nested
@@ -337,96 +258,6 @@ func directBlocking(pass *Pass, n ast.Node) (BlockSite, bool) {
 		}
 	}
 	return BlockSite{}, false
-}
-
-// isTermSignal reports whether n references a goroutine termination
-// mechanism: a context.Context value, any channel operation, or
-// sync.WaitGroup.Done.
-func isTermSignal(pass *Pass, n ast.Node) bool {
-	switch n := n.(type) {
-	case *ast.Ident:
-		if obj := pass.TypesInfo.Uses[n]; obj != nil && isContextType(obj.Type()) {
-			return true
-		}
-	case *ast.SendStmt, *ast.SelectStmt:
-		return true
-	case *ast.UnaryExpr:
-		return n.Op == token.ARROW
-	case *ast.RangeStmt:
-		if tv, ok := pass.TypesInfo.Types[n.X]; ok {
-			_, isChan := tv.Type.Underlying().(*types.Chan)
-			return isChan
-		}
-	case *ast.CallExpr:
-		if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "close" {
-			if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-				return true
-			}
-		}
-		if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-			if obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok &&
-				obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Done" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// loopsForever reports a `for` statement with no condition and no exit path
-// in its body: no return, no break that targets it, no goto, no panic.
-func loopsForever(loop *ast.ForStmt) bool {
-	if loop.Cond != nil {
-		return false
-	}
-	exit := false
-	var walk func(n ast.Node, plainBreakExits bool)
-	walk = func(n ast.Node, plainBreakExits bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if exit || m == nil || m == n {
-				return !exit
-			}
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false // its returns/breaks don't exit this loop
-			case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-				walk(m, false) // plain break now targets the inner statement
-				return false
-			case *ast.ReturnStmt:
-				exit = true
-			case *ast.BranchStmt:
-				switch m.Tok {
-				case token.GOTO:
-					exit = true
-				case token.BREAK:
-					if m.Label != nil || plainBreakExits {
-						exit = true
-					}
-				}
-			case *ast.CallExpr:
-				if isAbortCall(m) {
-					exit = true
-				}
-			}
-			return !exit
-		})
-	}
-	walk(loop.Body, true)
-	return !exit
-}
-
-// isAbortCall recognizes panic and os.Exit-style calls as loop exits.
-func isAbortCall(call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		if pkg, ok := fun.X.(*ast.Ident); ok {
-			return (pkg.Name == "os" && fun.Sel.Name == "Exit") ||
-				(pkg.Name == "log" && strings.HasPrefix(fun.Sel.Name, "Fatal"))
-		}
-	}
-	return false
 }
 
 // externalErrSource classifies a call to an explicitly modeled fallible
@@ -524,16 +355,6 @@ func lastResultIsError(obj *types.Func) bool {
 
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
 // typeContainsSync reports whether a value of type t embeds (by value) a

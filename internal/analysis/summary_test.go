@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 // The summary layer's correctness rests on one thing the rest of the suite
-// only assumes: that the fixpoint actually closes blocking/loop/error facts
+// only assumes: that the fixpoint actually closes blocking and error facts
 // over same-package calls. It is pinned here against the analyzer fixtures.
 
 func loadFixturePkg(t *testing.T, name string) *Package {
@@ -43,21 +43,5 @@ func TestSummaryErrAndBlockFacts(t *testing.T) {
 	}
 	if fire := summaryOf(t, sums, "fire"); fire.ErrSource || fire.MayBlock {
 		t.Error("fire does nothing; want no ErrSource, no MayBlock")
-	}
-}
-
-func TestSummaryLoopFixpoint(t *testing.T) {
-	pkg := loadFixturePkg(t, "goleak")
-	sums := Summarize(NewPass(GoLeak, pkg))
-
-	if spin := summaryOf(t, sums, "spinForever"); !spin.LoopsForever {
-		t.Error("spinForever: want LoopsForever")
-	}
-	// runLoop loops only through its call to spinForever — the closed fact.
-	if run := summaryOf(t, sums, "runLoop"); !run.LoopsForever {
-		t.Error("runLoop reaches spinForever; want LoopsForever via fixpoint")
-	}
-	if w := summaryOf(t, sums, "work"); w.LoopsForever {
-		t.Error("work is straight-line; want !LoopsForever")
 	}
 }

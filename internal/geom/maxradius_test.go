@@ -29,11 +29,13 @@ func TestMaxCoveredRadiusCenterOutside(t *testing.T) {
 	if got := r.MaxCoveredRadius(Pt(10, 0), 4); got != 0 {
 		t.Errorf("center outside all circles: MaxCoveredRadius = %v, want 0", got)
 	}
-	// A zero-radius point circle contributes no interior: a center covered
-	// only by it has uncovered points arbitrarily close.
-	pt := NewRegion(NewCircle(Pt(7, 7), 0))
-	if got := pt.MaxCoveredRadius(Pt(7, 7), 4); got != 0 {
-		t.Errorf("point-circle-only coverage: MaxCoveredRadius = %v, want 0", got)
+	// A point circle (radius at most Eps) contributes no interior: a
+	// center covered only by it has uncovered points arbitrarily close.
+	for _, radius := range []float64{0, Eps / 2} {
+		pt := NewRegion(NewCircle(Pt(7, 7), radius))
+		if got := pt.MaxCoveredRadius(Pt(7, 7), 4); got != 0 {
+			t.Errorf("point-circle-only coverage (radius %g): MaxCoveredRadius = %v, want 0", radius, got)
+		}
 	}
 	if NewRegion().MaxCoveredRadius(Pt(0, 0), 4) != 0 {
 		t.Error("empty region: MaxCoveredRadius should be 0")
@@ -73,6 +75,15 @@ func TestMaxCoveredRadiusVertexBound(t *testing.T) {
 	want := math.Sqrt(99.75)
 	if got := r.MaxCoveredRadius(Pt(0, 0), 20); math.Abs(got-want) > 1e-9 {
 		t.Errorf("vertex-bound MaxCoveredRadius = %v, want %v", got, want)
+	}
+	// Point circles sitting on both vertices cover nothing, so they must
+	// not hide the vertices they sit on: the bound is still 0.8.
+	pts := NewRegion(
+		NewCircle(Pt(0, 0), 1), NewCircle(Pt(1.2, 0), 1),
+		NewCircle(Pt(0.6, 0.8), Eps/2), NewCircle(Pt(0.6, -0.8), Eps/2),
+	)
+	if got := pts.MaxCoveredRadius(Pt(0.6, 0), 10); math.Abs(got-0.8) > 1e-9 {
+		t.Errorf("vertices under point circles: MaxCoveredRadius = %v, want 0.8", got)
 	}
 }
 

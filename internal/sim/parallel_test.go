@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 )
@@ -58,7 +59,8 @@ func workerCounts() []int {
 
 // TestWorldParallelDeterminism is the tentpole contract: a full World.Run
 // produces bit-identical metrics and time series for every worker count, in
-// both movement modes.
+// both movement modes, and every movement and query worker it starts
+// (QueryWorkers defaults to Workers) has exited when it returns.
 func TestWorldParallelDeterminism(t *testing.T) {
 	for _, mode := range []Mode{ModeRoadNetwork, ModeFreeMovement} {
 		base := smallConfig()
@@ -68,11 +70,19 @@ func TestWorldParallelDeterminism(t *testing.T) {
 		run := func(workers int) (Metrics, []WindowPoint) {
 			cfg := base
 			cfg.Workers = workers
+			baseline := runtime.NumGoroutine()
 			w, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return w.Run(), w.Series()
+			m := w.Run()
+			// A worker that has called wg.Done may not have exited yet.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%v workers=%d: %d goroutines after Run, %d before", mode, workers, runtime.NumGoroutine(), baseline)
+				}
+			}
+			return m, w.Series()
 		}
 		wantM, wantS := run(1)
 		for _, workers := range workerCounts()[1:] {
