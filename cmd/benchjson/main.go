@@ -19,14 +19,15 @@
 // ratio is also recorded in the output document's "speedups" section (e.g.
 // the WorldStep workers=8/workers=1 ratio in BENCH_ci.json).
 //
-// The -baseline comparison is informational by default: differences beyond
-// the -tolerance are reported on stderr but do not fail the run. Pass
-// -gate-absolute to restore hard failing for same-machine workflows (e.g.
-// a developer comparing against their own committed baseline); -update
-// rewrites the baseline from the current run instead. Benchmarks missing
-// from the baseline (or present only there) are noted but never fail, so
+// The -baseline comparison is informational: benchmarks more than 20 %
+// slower than the baseline are reported on stderr but never fail the run;
+// -update rewrites the baseline from the current run instead. Benchmarks
+// missing from the baseline (or present only there) are noted too, so
 // adding or removing benchmarks does not require a lockstep baseline
 // update.
+//
+// Flags: -in, -out, -baseline, -update, and the repeatable gates
+// -minspeedup and -maxallocs.
 package main
 
 import (
@@ -85,10 +86,7 @@ func main() {
 	var (
 		in        = flag.String("in", "", "benchmark text to parse (default stdin)")
 		out       = flag.String("out", "", "JSON output path (default stdout)")
-		baseline  = flag.String("baseline", "", "baseline JSON to compare against (informational unless -gate-absolute)")
-		tolerance = flag.Float64("tolerance", 0.20, "slowdown vs baseline worth reporting (0.20 = +20%)")
-		gateAbs   = flag.Bool("gate-absolute", false,
-			"fail when a benchmark exceeds the baseline tolerance (off: only -minspeedup ratios gate)")
+		baseline  = flag.String("baseline", "", "baseline JSON to compare against (informational)")
 		update    = flag.Bool("update", false, "rewrite the baseline from this run instead of comparing")
 		speedups  multiFlag
 		maxallocs multiFlag
@@ -99,13 +97,13 @@ func main() {
 		"require benchmark NAME to allocate at most N objects per op, as 'NAME:N' (repeatable; needs -benchmem output)")
 	flag.Parse()
 
-	if err := run(*in, *out, *baseline, *tolerance, *gateAbs, *update, speedups, maxallocs); err != nil {
+	if err := run(*in, *out, *baseline, *update, speedups, maxallocs); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, out, baseline string, tolerance float64, gateAbs, update bool, speedups, maxallocs []string) error {
+func run(in, out, baseline string, update bool, speedups, maxallocs []string) error {
 	var src io.Reader = os.Stdin
 	if in != "" {
 		f, err := os.Open(in)
@@ -164,13 +162,10 @@ func run(in, out, baseline string, tolerance float64, gateAbs, update bool, spee
 	if err != nil {
 		return fmt.Errorf("read baseline: %w", err)
 	}
-	if err := Gate(os.Stderr, doc, base, tolerance); err != nil {
-		if gateAbs {
-			return err
-		}
+	if err := Gate(os.Stderr, doc, base); err != nil {
 		// Ratio-only gating: absolute ns/op differences against a baseline
 		// recorded on a different machine are noise, so report and move on.
-		fmt.Fprintf(os.Stderr, "benchjson: baseline comparison informational only (-gate-absolute off): %v\n", err)
+		fmt.Fprintf(os.Stderr, "benchjson: baseline comparison informational only: %v\n", err)
 	}
 	return nil
 }
@@ -256,12 +251,14 @@ func extraMetric(tail, unit string) (float64, bool) {
 	return 0, false
 }
 
+// tolerance is the slowdown against the baseline worth reporting (+20 %).
+const tolerance = 0.20
+
 // Gate compares doc against base and returns an error when any shared
-// benchmark regressed beyond the tolerance. Diagnostics go to w. Whether
-// the error fails the run is the caller's decision: CI treats it as
-// informational (-gate-absolute off) because absolute ns/op from
-// heterogeneous runners is not comparable; only the speedup ratios gate.
-func Gate(w io.Writer, doc, base Document, tolerance float64) error {
+// benchmark regressed beyond the tolerance. Diagnostics go to w. run treats
+// the error as informational because absolute ns/op from heterogeneous
+// runners is not comparable; only the speedup ratios gate.
+func Gate(w io.Writer, doc, base Document) error {
 	baseBy := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
 		baseBy[b.Name] = b

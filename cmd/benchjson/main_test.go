@@ -62,18 +62,18 @@ func TestGate(t *testing.T) {
 		{Name: "B", NsPerOp: 50},  // faster: fine
 		{Name: "New", NsPerOp: 9e9},
 	}}
-	if err := Gate(io.Discard, ok, base, 0.20); err != nil {
+	if err := Gate(io.Discard, ok, base); err != nil {
 		t.Errorf("within-tolerance run failed the gate: %v", err)
 	}
 	bad := Document{Benchmarks: []Benchmark{{Name: "A", NsPerOp: 130}}}
-	if err := Gate(io.Discard, bad, base, 0.20); err == nil {
+	if err := Gate(io.Discard, bad, base); err == nil {
 		t.Error("+30% regression passed a +20% gate")
 	}
 }
 
 // TestRatioOnlyGating pins the CI gate semantics end to end: an absolute
-// regression against the baseline is informational unless -gate-absolute is
-// set, while a missed -minspeedup ratio always fails.
+// regression against the baseline is informational, while a missed
+// -minspeedup ratio always fails.
 func TestRatioOnlyGating(t *testing.T) {
 	dir := t.TempDir()
 	benchTxt := filepath.Join(dir, "bench.txt")
@@ -97,25 +97,22 @@ func TestRatioOnlyGating(t *testing.T) {
 
 	// sample has workers=1 at 8e7 and workers=8 at 2e7 ns/op: a 4x ratio.
 	okSpeedup := []string{"WorldStep/workers=1:WorldStep/workers=8:2.0"}
-	if err := run(benchTxt, out, basePath, 0.20, false, false, okSpeedup, nil); err != nil {
+	if err := run(benchTxt, out, basePath, false, okSpeedup, nil); err != nil {
 		t.Errorf("absolute regression failed a ratio-only run: %v", err)
 	}
-	if err := run(benchTxt, out, basePath, 0.20, true, false, okSpeedup, nil); err == nil {
-		t.Error("-gate-absolute did not fail on a regression beyond tolerance")
-	}
 	badSpeedup := []string{"WorldStep/workers=1:WorldStep/workers=8:9.0"}
-	if err := run(benchTxt, out, basePath, 0.20, false, false, badSpeedup, nil); err == nil {
+	if err := run(benchTxt, out, basePath, false, badSpeedup, nil); err == nil {
 		t.Error("missed speedup ratio passed a ratio-only run")
 	}
 
 	// The alloc gate rides the same pipeline: workers=8 reports 7 allocs/op
 	// in sample, so a ceiling of 7 passes and a ceiling of 0 fails.
 	okAllocs := []string{"WorldStep/workers=8:7"}
-	if err := run(benchTxt, out, basePath, 0.20, false, false, nil, okAllocs); err != nil {
+	if err := run(benchTxt, out, basePath, false, nil, okAllocs); err != nil {
 		t.Errorf("7 allocs/op failed a <=7 gate: %v", err)
 	}
 	badAllocs := []string{"WorldStep/workers=8:0"}
-	if err := run(benchTxt, out, basePath, 0.20, false, false, nil, badAllocs); err == nil {
+	if err := run(benchTxt, out, basePath, false, nil, badAllocs); err == nil {
 		t.Error("7 allocs/op passed a <=0 gate")
 	}
 }

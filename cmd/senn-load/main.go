@@ -1,11 +1,10 @@
 // Command senn-load drives a senn-serverd instance with N concurrent mobile
 // sessions. Each session walks the service area with random-waypoint
 // movement (internal/mobility), streams position updates, and issues kNN
-// queries (plus an occasional range query), measuring per-query round-trip
-// latency. At the end it prints a JSON report: sustained queries/sec and
-// p50/p99/p999 latency, shaped as a benchjson Document so the repo's
-// benchmark gate can ingest it, plus a "load" summary block with raw counts
-// that CI gates on (zero errors, nonzero throughput).
+// queries (k = 5; every tenth query a 300 m range query instead), measuring
+// per-query round-trip latency. At the end it prints a JSON report whose
+// "load" block holds sustained queries/sec, p50/p99/p999 latency and the raw
+// counts CI gates on (zero errors, nonzero throughput).
 //
 // With -sweep "64,256,1024" it instead runs the same load once per session
 // count and emits one combined JSON document whose "sweep" array holds a
@@ -13,6 +12,10 @@
 // single run. When -share is on, the report also carries relay-exchange
 // latency percentiles (PeerRequest sent → PeerShares received), the
 // end-to-end measure of the server's in-range sweep.
+//
+// Flags: -addr, -sessions (or -sweep), -duration, -share, -txrange (the
+// radius sent with each peer request) and -out (a copy of the report).
+// Each session keeps a 16-entry cache; the workload seed is fixed.
 //
 // Usage:
 //
@@ -24,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -38,19 +42,23 @@ import (
 	"repro/internal/serve"
 )
 
+// The workload every session runs.
+const (
+	k           = 5   // neighbors per kNN query
+	rangeEvery  = 10  // every tenth query is a range query
+	rangeRadius = 300 // range query radius (m)
+	cacheSize   = 16  // C_Size per session
+	seed        = 1   // movement and workload seed
+)
+
 type config struct {
-	addr        string
-	sessions    int
-	duration    time.Duration
-	k           int
-	rangeEvery  int
-	rangeRadius float64
-	share       bool
-	csize       int
-	txRange     float64
-	seed        int64
-	out         string
-	sweep       string
+	addr     string
+	sessions int
+	duration time.Duration
+	share    bool
+	txRange  float64
+	out      string
+	sweep    string
 }
 
 // result aggregates one session's outcome.
@@ -67,13 +75,8 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8046", "senn-serverd address")
 	flag.IntVar(&cfg.sessions, "sessions", 64, "concurrent sessions")
 	flag.DurationVar(&cfg.duration, "duration", 15*time.Second, "run length")
-	flag.IntVar(&cfg.k, "k", 5, "neighbors per kNN query")
-	flag.IntVar(&cfg.rangeEvery, "range-every", 10, "issue a range query every Nth query (0 = never)")
-	flag.Float64Var(&cfg.rangeRadius, "range-radius", 300, "range query radius (m)")
 	flag.BoolVar(&cfg.share, "share", true, "exchange peer caches through the daemon relay before falling back to the server")
-	flag.IntVar(&cfg.csize, "csize", 16, "local cache capacity C_Size per session")
 	flag.Float64Var(&cfg.txRange, "txrange", 1000, "transmission radius sent with each peer request (m)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "movement/workload seed")
 	flag.StringVar(&cfg.out, "out", "", "write the JSON report here too (stdout always)")
 	flag.StringVar(&cfg.sweep, "sweep", "", "comma-separated session counts: run once per count, emit a combined sweep report (overrides -sessions)")
 	flag.Parse()
@@ -109,8 +112,8 @@ func runSingle(cfg config) error {
 }
 
 // runSweep repeats the load once per requested session count and emits one
-// document: a "sweep" array of per-point summaries plus session-suffixed
-// benchjson entries, so the scaling curve lands in a single artifact.
+// document whose "sweep" array holds the per-point summaries, so the scaling
+// curve lands in a single artifact.
 func runSweep(cfg config) error {
 	var counts []int
 	for _, f := range strings.Split(cfg.sweep, ",") {
@@ -120,10 +123,9 @@ func runSweep(cfg config) error {
 		}
 		counts = append(counts, n)
 	}
-	doc := struct {
-		Benchmarks []benchmark   `json:"benchmarks"`
-		Sweep      []loadSummary `json:"sweep"`
-	}{}
+	var doc struct {
+		Sweep []loadSummary `json:"sweep"`
+	}
 	for _, n := range counts {
 		pt := cfg
 		pt.sessions = n
@@ -131,11 +133,6 @@ func runSweep(cfg config) error {
 		one, err := run(pt)
 		if err != nil {
 			return fmt.Errorf("sessions=%d: %w", n, err)
-		}
-		suffix := "/sessions=" + strconv.Itoa(n)
-		for _, b := range one.Benchmarks {
-			b.Name += suffix
-			doc.Benchmarks = append(doc.Benchmarks, b)
 		}
 		doc.Sweep = append(doc.Sweep, one.Load)
 		if err := gateAndNarrate(pt, one.Load); err != nil {
@@ -170,7 +167,7 @@ func run(cfg config) (loadDoc, error) {
 	// Walking speed with short pauses, trips across a tenth of the area.
 	diag := bounds.Max.X - bounds.Min.X
 	wp := mobility.NewWaypoints(bounds, 1.5, 5, diag/10, cfg.sessions)
-	var seedRNG mobility.SplitMix64 = mobility.SplitMix64(cfg.seed)
+	seedRNG := mobility.SplitMix64(seed)
 
 	stop := make(chan struct{})
 	results := make([]result, cfg.sessions)
@@ -241,7 +238,7 @@ func session(cfg config, slot int, pos geom.Point, wp *mobility.Waypoints, stop 
 		return err
 	}
 	defer ws.Close()
-	cl := serve.NewSENNClient(ws, cfg.csize, cfg.txRange, cfg.share)
+	cl := serve.NewSENNClient(ws, cacheSize, cfg.txRange, cfg.share)
 	cl.SetRelayObserver(func(d time.Duration) {
 		res.relayLatencies = append(res.relayLatencies, d)
 	})
@@ -261,10 +258,10 @@ func session(cfg config, slot int, pos geom.Point, wp *mobility.Waypoints, stop 
 		}
 		n++
 		t0 := time.Now()
-		if cfg.rangeEvery > 0 && n%uint32(cfg.rangeEvery) == 0 {
-			_, err = cl.Range(cfg.rangeRadius)
+		if n%rangeEvery == 0 {
+			_, err = cl.Range(rangeRadius)
 		} else {
-			_, _, err = cl.Query(cfg.k)
+			_, _, err = cl.Query(k)
 		}
 		if err != nil {
 			// A close while the run is winding down is orderly; anything
@@ -300,26 +297,15 @@ func newSession(addr string) (string, error) {
 	return doc.Session, nil
 }
 
-// percentile returns the nearest-rank percentile of sorted latencies.
+// percentile returns the nearest-rank percentile of sorted latencies: the
+// ⌈p/100 · n⌉-th smallest. p·n is divided by 100 last so that exact ranks
+// stay exact (99.9/100 · 1000 rounds up past 999 in floating point).
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// benchmark mirrors benchjson's Benchmark JSON shape.
-type benchmark struct {
-	Name    string  `json:"name"`
-	Runs    int     `json:"runs"`
-	NsPerOp float64 `json:"ns_per_op"`
+	rank := int(math.Ceil(p*float64(len(sorted))/100)) - 1
+	return sorted[min(max(rank, 0), len(sorted)-1)]
 }
 
 type loadSummary struct {
@@ -353,11 +339,9 @@ type loadSummary struct {
 	RelayP999Ms    float64 `json:"relay_p999_ms"`
 }
 
-// loadDoc is one run's report: benchjson-shaped entries plus the raw "load"
-// block CI gates on.
+// loadDoc is one run's report: the "load" block CI gates on.
 type loadDoc struct {
-	Benchmarks []benchmark `json:"benchmarks"`
-	Load       loadSummary `json:"load"`
+	Load loadSummary `json:"load"`
 }
 
 func buildDoc(cfg config, results []result, elapsed time.Duration, dialErrors int64) loadDoc {
@@ -380,27 +364,20 @@ func buildDoc(cfg config, results []result, elapsed time.Duration, dialErrors in
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	sort.Slice(relay, func(i, j int) bool { return relay[i] < relay[j] })
 
-	p50 := percentile(all, 50)
-	p99 := percentile(all, 99)
-	p999 := percentile(all, 99.9)
-	qps := float64(queries) / elapsed.Seconds()
-
+	ms := func(sorted []time.Duration, p float64) float64 {
+		return float64(percentile(sorted, p)) / float64(time.Millisecond)
+	}
 	doc := loadDoc{
-		Benchmarks: []benchmark{
-			{Name: "ServeQuery/p50", Runs: int(queries), NsPerOp: float64(p50.Nanoseconds())},
-			{Name: "ServeQuery/p99", Runs: int(queries), NsPerOp: float64(p99.Nanoseconds())},
-			{Name: "ServeQuery/p999", Runs: int(queries), NsPerOp: float64(p999.Nanoseconds())},
-		},
 		Load: loadSummary{
 			Sessions:       cfg.sessions,
 			DurationSec:    elapsed.Seconds(),
 			Queries:        queries,
 			Errors:         errs,
 			DialErrors:     dialErrors,
-			QueriesPerSec:  qps,
-			P50Ms:          float64(p50) / float64(time.Millisecond),
-			P99Ms:          float64(p99) / float64(time.Millisecond),
-			P999Ms:         float64(p999) / float64(time.Millisecond),
+			QueriesPerSec:  float64(queries) / elapsed.Seconds(),
+			P50Ms:          ms(all, 50),
+			P99Ms:          ms(all, 99),
+			P999Ms:         ms(all, 99.9),
 			Sharing:        cfg.share,
 			KNNQueries:     cs.Queries,
 			PeerSolved:     cs.PeerSolved,
@@ -409,22 +386,14 @@ func buildDoc(cfg config, results []result, elapsed time.Duration, dialErrors in
 			SharesReceived: cs.SharesReceived,
 			PeerBytes:      cs.PeerBytes,
 			RelayExchanges: int64(len(relay)),
+			RelayP50Ms:     ms(relay, 50),
+			RelayP99Ms:     ms(relay, 99),
+			RelayP999Ms:    ms(relay, 99.9),
 		},
 	}
 	if cs.Queries > 0 {
 		doc.Load.PeerSolvedFraction = float64(cs.PeerSolved) / float64(cs.Queries)
 		doc.Load.CacheHitRate = float64(cs.OwnCacheSolved) / float64(cs.Queries)
-	}
-	if len(relay) > 0 {
-		rp50, rp99, rp999 := percentile(relay, 50), percentile(relay, 99), percentile(relay, 99.9)
-		doc.Load.RelayP50Ms = float64(rp50) / float64(time.Millisecond)
-		doc.Load.RelayP99Ms = float64(rp99) / float64(time.Millisecond)
-		doc.Load.RelayP999Ms = float64(rp999) / float64(time.Millisecond)
-		doc.Benchmarks = append(doc.Benchmarks,
-			benchmark{Name: "RelayExchange/p50", Runs: len(relay), NsPerOp: float64(rp50.Nanoseconds())},
-			benchmark{Name: "RelayExchange/p99", Runs: len(relay), NsPerOp: float64(rp99.Nanoseconds())},
-			benchmark{Name: "RelayExchange/p999", Runs: len(relay), NsPerOp: float64(rp999.Nanoseconds())},
-		)
 	}
 	return doc
 }

@@ -43,7 +43,7 @@ func main() {
 
 		mkstore  = flag.String("mkstore", "", "write a fresh POI store to this path and exit")
 		nPOIs    = flag.Int("pois", 50000, "mkstore: number of POIs")
-		fanout   = flag.Int("fanout", 30, "mkstore: fan-out the serving daemon packs its R*-tree with")
+		fanout   = flag.Int("fanout", sim.Fanout, "mkstore: fan-out the serving daemon packs its R*-tree with")
 		width    = flag.Float64("width", 20000, "mkstore: square area side (m)")
 		clusters = flag.Int("clusters", 0, "mkstore: POI clusters (0 = uniform)")
 		sigma    = flag.Float64("sigma", 400, "mkstore: cluster spread (m)")

@@ -1,7 +1,13 @@
-// Command senn-sim runs one configured simulation of the sharing-based
-// nearest-neighbor system and prints its steady-state metrics: the share of
-// queries resolved by a single peer, by multiple peers, and by the server
-// (SQRR), plus the server's R*-tree page accesses (PAR).
+// Command senn-sim runs one simulation of the sharing-based nearest-neighbor
+// system and prints its steady-state metrics: the share of queries resolved
+// by a single peer, by multiple peers, and by the server (SQRR), plus the
+// server's R*-tree page accesses (PAR).
+//
+// The world is one of the paper's parameter sets (-region, -area; Tables 3
+// and 4), shortened by -scale and thinned by -hostscale. -tx, -cache,
+// -velocity, -k and -free override single parameters; -series prints the
+// query-resolution mix per window, warm-up included; -seed and -cpuprofile
+// do what they say.
 //
 // Usage:
 //
@@ -11,7 +17,6 @@
 //
 //	senn-sim -region la -area 2mi
 //	senn-sim -region riverside -area 30mi -scale 100 -tx 100
-//	senn-sim -hosts 500 -pois 20 -width 3218 -height 3218 -rate 23
 package main
 
 import (
@@ -38,11 +43,6 @@ func main() {
 		free    = flag.Bool("free", false, "use free movement instead of the road network")
 		series  = flag.Float64("series", 0, "print a query-resolution time series with this window (seconds)")
 		seed    = flag.Int64("seed", 1, "random seed")
-
-		hosts   = flag.Int("hosts", 0, "custom: number of hosts (enables custom mode)")
-		pois    = flag.Int("pois", 0, "custom: number of POIs")
-		width   = flag.Float64("width", 0, "custom: area width (m)")
-		rate    = flag.Float64("rate", 0, "custom: queries per minute")
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	)
 	flag.Parse()
@@ -58,29 +58,17 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	var cfg sim.Config
-	if *hosts > 0 {
-		cfg = sim.Config{
-			AreaWidth: *width, AreaHeight: *width,
-			NumPOIs: *pois, NumHosts: *hosts,
-			CacheSize: 10, MovePercentage: 0.8,
-			Velocity: 30 * experiments.MPH, QueriesPerMinute: *rate,
-			TxRange: 200, KMin: 1, KMax: 5, Duration: 600,
-			Mode: sim.ModeRoadNetwork, MaxPause: 30, Seed: *seed,
-		}
-	} else {
-		r, err := experiments.ParseRegion(*region)
-		if err != nil {
-			fatal(err)
-		}
-		a := experiments.Area2mi
-		if strings.Contains(*area, "30") {
-			a = experiments.Area30mi
-		}
-		cfg = experiments.ScaleHosts(
-			experiments.ScaleDuration(experiments.BaseConfig(r, a), *scale), *hostSc)
-		cfg.Seed = *seed
+	r, err := experiments.ParseRegion(*region)
+	if err != nil {
+		fatal(err)
 	}
+	a := experiments.Area2mi
+	if strings.Contains(*area, "30") {
+		a = experiments.Area30mi
+	}
+	cfg := experiments.ScaleHosts(
+		experiments.ScaleDuration(experiments.BaseConfig(r, a), *scale), *hostSc)
+	cfg.Seed = *seed
 	if *tx >= 0 {
 		cfg.TxRange = *tx
 	}

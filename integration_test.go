@@ -97,7 +97,7 @@ func TestSNNNExchangesPerQuery(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pois := sim.RandomPOIs(cfg.NumPOIs, cfg.Bounds(), rng)
-	srv := &resolverServer{db: NewDatabaseFanout(pois, cfg.RTreeFanout)}
+	srv := &resolverServer{db: NewDatabase(pois)}
 	resolver := client.NewResolver()
 	search := NewRoadSearch(roads)
 

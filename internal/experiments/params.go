@@ -111,7 +111,6 @@ func BaseConfig(r Region, a Area) sim.Config {
 		TxRange:        200,
 		Mode:           sim.ModeRoadNetwork,
 		MaxPause:       30,
-		RTreeFanout:    30,
 		Seed:           1,
 	}
 	if a == Area2mi {
@@ -155,8 +154,8 @@ func BaseConfig(r Region, a Area) sim.Config {
 }
 
 // ScaleDuration shrinks a configuration's simulated time by the given factor
-// (>= 1). The warm-up fraction is preserved, so steady-state measurement
-// still applies; the query rate is unchanged, only the observation window
+// (>= 1). The warm-up stays the first quarter of the run, so steady-state
+// measurement still applies; the query rate is unchanged, only the observation window
 // shortens. Scale 1 reproduces the paper's full durations.
 func ScaleDuration(cfg sim.Config, scale float64) sim.Config {
 	if scale > 1 {

@@ -32,7 +32,7 @@ type scene struct {
 // the POIs first and then the cache locations from rng.
 func newScene(base sim.Config, n int, rng *rand.Rand) *scene {
 	pois := sim.ClusteredPOIs(base.NumPOIs, base.Bounds(), base.NumPOIs/25, base.AreaWidth/250, rng)
-	s := &scene{base: base, tree: sim.NewServerModule(pois, base.RTreeFanout).Tree()}
+	s := &scene{base: base, tree: sim.NewServerModule(pois, sim.Fanout).Tree()}
 	s.caches = make([]core.PeerCache, n)
 	locs := make([]geom.Point, n)
 	for i := range s.caches {

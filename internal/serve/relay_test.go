@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -418,7 +419,10 @@ func TestRelayCountdownOrderInsensitive(t *testing.T) {
 // several SENN clients move and query concurrently, so Position-driven
 // index patches race relay range scans, probe servicing, and pending-table
 // transitions. The nightly -race run is the real referee; here we gate on
-// every query completing and the server seeing zero protocol errors.
+// every query completing, the server seeing zero protocol errors, and no
+// relay waiting out its timer. A client that has finished its queries keeps
+// reading — Range awaits its Answer and answers probes meanwhile, without
+// relaying — until every client is done, so no probe goes unanswered.
 func TestRelayUnderConcurrentMoves(t *testing.T) {
 	srv, _ := testServer(t, 1000, Options{})
 	const (
@@ -427,6 +431,7 @@ func TestRelayUnderConcurrentMoves(t *testing.T) {
 		txRange  = 2000.0
 	)
 	var wg sync.WaitGroup
+	var done atomic.Int32
 	errs := make(chan error, nClients)
 	for i := 0; i < nClients; i++ {
 		ws := openSession(t, srv)
@@ -436,16 +441,24 @@ func TestRelayUnderConcurrentMoves(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			cl := NewSENNClient(ws, 4, txRange, true)
-			for j := 0; j < iters; j++ {
-				p := geom.Pt(4000+rng.Float64()*2000, 4000+rng.Float64()*2000)
-				if err := cl.Move(p); err != nil {
-					errs <- err
-					return
+			err := func() error {
+				for j := 0; j < iters; j++ {
+					p := geom.Pt(4000+rng.Float64()*2000, 4000+rng.Float64()*2000)
+					if err := cl.Move(p); err != nil {
+						return err
+					}
+					if _, _, err := cl.Query(1 + rng.Intn(4)); err != nil {
+						return err
+					}
 				}
-				if _, _, err := cl.Query(1 + rng.Intn(4)); err != nil {
-					errs <- err
-					return
-				}
+				return nil
+			}()
+			done.Add(1)
+			for err == nil && done.Load() < nClients {
+				_, err = cl.Range(1)
+			}
+			if err != nil {
+				errs <- err
 			}
 		}(ws, int64(i))
 	}
@@ -460,6 +473,9 @@ func TestRelayUnderConcurrentMoves(t *testing.T) {
 	}
 	if st.RelayRequests != nClients*iters {
 		t.Fatalf("relay_requests = %d, want %d", st.RelayRequests, nClients*iters)
+	}
+	if st.RelayTimeouts != 0 {
+		t.Fatalf("relay_timeouts = %d, want 0", st.RelayTimeouts)
 	}
 	if st.DirPatchOps == 0 || st.DirCellsScanned == 0 {
 		t.Fatalf("directory counters flat: %+v", st)

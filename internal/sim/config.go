@@ -10,8 +10,7 @@
 // forwarding the §3.3 pruning bounds. The metrics the paper's figures plot —
 // the share of queries resolved by a single peer, by multiple peers, and by
 // the server (SQRR), plus the server page access counts (PAR) — are
-// collected after a configurable warm-up so measurements reflect steady
-// state.
+// collected after a fixed warm-up so measurements reflect steady state.
 package sim
 
 import (
@@ -44,6 +43,17 @@ func (m Mode) String() string {
 	}
 }
 
+// The simulation protocol's fixed values. The paper records results only
+// "after the system reached steady state" (§4): the first quarter of every
+// run is the warm-up, excluded from Metrics. Movement advances in 1 s steps.
+const (
+	warmupFraction = 0.25
+	stepSeconds    = 1.0
+)
+
+// Fanout is the branching factor of every server index (§4.4).
+const Fanout = 30
+
 // Config holds every simulation parameter of Table 2.
 type Config struct {
 	// AreaWidth and AreaHeight of the simulated region in meters.
@@ -68,23 +78,10 @@ type Config struct {
 	KMin, KMax int
 	// Duration is the simulated time in seconds (T execution).
 	Duration float64
-	// WarmupFraction is the share of Duration excluded from metrics so the
-	// system reaches steady state (the paper records results only after
-	// steady state). Default 0.25 when zero; a literal zero warm-up is
-	// requested with NoWarmup (a float field cannot distinguish an explicit
-	// 0 from unset).
-	WarmupFraction float64
-	// NoWarmup records metrics from t=0. It exists because WarmupFraction=0
-	// used to silently mean "default to 0.25": callers who want the warm-up
-	// transient measured set this instead. Combining it with a non-zero
-	// WarmupFraction is a validation error.
-	NoWarmup bool
 	// Mode selects road-network or free movement.
 	Mode Mode
 	// MaxPause is the random waypoint pause ceiling in seconds.
 	MaxPause float64
-	// StepSeconds is the movement update granularity. Default 1 s.
-	StepSeconds float64
 	// RoadSpacing is the grid spacing of the generated road network in
 	// meters. Default: area width / 20, clamped to [100, 500].
 	RoadSpacing float64
@@ -92,8 +89,6 @@ type Config struct {
 	// automatic: a quarter of the area diagonal, capped at 2.5 km and
 	// floored at 4 × RoadSpacing; see Validate).
 	TripRadius float64
-	// RTreeFanout is the server index branching factor. Default 30 (§4.4).
-	RTreeFanout int
 	// AcceptUncertain lets hosts accept full-but-uncertain heaps without
 	// querying the server (Algorithm 1 line 15). The paper's experiments
 	// keep this off.
@@ -153,18 +148,6 @@ func (c Config) Validate() (Config, error) {
 	if c.Duration <= 0 {
 		return c, fmt.Errorf("sim: Duration must be positive")
 	}
-	if c.WarmupFraction < 0 || c.WarmupFraction >= 1 {
-		return c, fmt.Errorf("sim: WarmupFraction must be in [0,1)")
-	}
-	if c.NoWarmup && c.WarmupFraction != 0 {
-		return c, fmt.Errorf("sim: NoWarmup conflicts with WarmupFraction %v", c.WarmupFraction)
-	}
-	if c.WarmupFraction == 0 && !c.NoWarmup {
-		c.WarmupFraction = 0.25
-	}
-	if c.StepSeconds <= 0 {
-		c.StepSeconds = 1
-	}
 	if c.RoadSpacing <= 0 {
 		c.RoadSpacing = c.AreaWidth / 20
 		if c.RoadSpacing < 100 {
@@ -198,12 +181,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.QueryWorkers == 0 {
 		c.QueryWorkers = c.Workers
-	}
-	if c.RTreeFanout == 0 {
-		c.RTreeFanout = 30
-	}
-	if c.RTreeFanout < 4 {
-		return c, fmt.Errorf("sim: RTreeFanout must be >= 4")
 	}
 	return c, nil
 }

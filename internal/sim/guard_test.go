@@ -25,7 +25,6 @@ func smokeConfig() Config {
 		QueriesPerMinute: 60,
 		Duration:         120,
 		Mode:             ModeFreeMovement,
-		RTreeFanout:      8,
 		Seed:             42,
 	}
 }

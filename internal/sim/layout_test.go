@@ -53,7 +53,7 @@ type refWorld struct {
 func newRefWorld(cfg Config, roads *spatialnet.Graph) *refWorld {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	r := &refWorld{cfg: cfg, rng: rng}
-	r.server = NewServerModule(RandomPOIs(cfg.NumPOIs, cfg.Bounds(), rng), cfg.RTreeFanout)
+	r.server = NewServerModule(RandomPOIs(cfg.NumPOIs, cfg.Bounds(), rng), Fanout)
 	r.srv.mod = r.server
 
 	n := cfg.NumHosts
@@ -170,9 +170,9 @@ func (r *refWorld) run() Metrics {
 		res   = client.NewResolver()
 		cfg   = r.cfg
 	)
-	warmupEnd := cfg.Duration * cfg.WarmupFraction
+	warmupEnd := cfg.Duration * warmupFraction
 	for now := 0.0; now < cfg.Duration; {
-		stepEnd := math.Min(now+cfg.StepSeconds, cfg.Duration)
+		stepEnd := math.Min(now+stepSeconds, cfg.Duration)
 		plans, outs = plans[:0], outs[:0]
 		for r.nextAt <= stepEnd {
 			plans = append(plans, plan{

@@ -61,7 +61,7 @@ func BenchmarkWorldStep(b *testing.B) {
 			w.initEngine(workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.advanceMovement(w.cfg.StepSeconds)
+				w.advanceMovement(stepSeconds)
 			}
 		})
 	}
@@ -71,7 +71,7 @@ func BenchmarkWorldStep(b *testing.B) {
 		w := bigStepWorld(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.advanceMovement(w.cfg.StepSeconds)
+			w.advanceMovement(stepSeconds)
 		}
 	})
 	// Grid maintenance alone on that world's one-step moved-host delta:
@@ -216,7 +216,7 @@ func bigStepWorld(b *testing.B) *World {
 			// (tens of ms of one-off cost). CI runs -benchtime 1x, where a
 			// single cold step would be the entire sample.
 			for i := 0; i < 5; i++ {
-				w.advanceMovement(w.cfg.StepSeconds)
+				w.advanceMovement(stepSeconds)
 			}
 		}
 		bigWorld.w, bigWorld.err = w, err
@@ -246,7 +246,7 @@ func bigGridDelta(b *testing.B) *gridDelta {
 	bigDelta.once.Do(func() {
 		d := &bigDelta.d
 		d.before = append([]int32(nil), w.cells...)
-		w.advanceMovement(w.cfg.StepSeconds)
+		w.advanceMovement(stepSeconds)
 		d.after = append([]int32(nil), w.cells...)
 		for i, from := range d.before {
 			if to := d.after[i]; to != from {

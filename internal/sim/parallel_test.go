@@ -166,7 +166,7 @@ func TestForNeighborsOrderAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s := 0; s < steps; s++ {
-			w.advanceMovement(cfg.StepSeconds)
+			w.advanceMovement(stepSeconds)
 		}
 		out := make([][]int32, len(probes))
 		for i, p := range probes {
@@ -217,7 +217,7 @@ func TestEngineGridMatchesSequentialRebuild(t *testing.T) {
 	ref := newHostGrid(cfg.Bounds(), cfg.NumHosts, cfg.TxRange)
 	cells := make([]int32, cfg.NumHosts)
 	for step := 0; step < 30; step++ {
-		w.engine.step(cfg.StepSeconds)
+		w.engine.step(stepSeconds)
 		for i, p := range w.pos {
 			cells[i] = ref.CellIndex(p)
 		}

@@ -251,18 +251,7 @@ func (e *queryEngine) resolve(p *queryPlan, sc *resolverScratch) queryResult {
 func (e *queryEngine) commit(p *queryPlan, r *queryResult) {
 	w := e.w
 	if w.series != nil {
-		var s querySource
-		switch r.src {
-		case core.SolvedBySinglePeer:
-			s = srcSingle
-		case core.SolvedByMultiPeer:
-			s = srcMulti
-		case core.SolvedUncertain:
-			s = srcUncertain
-		default:
-			s = srcServer
-		}
-		w.series.observe(p.at, s)
+		w.series.observe(p.at, r.src)
 	}
 	if p.recording {
 		w.metrics.TotalQueries++

@@ -6,6 +6,8 @@ package sim
 // from t=0, so the warm-up transient (caches filling up, SQRR falling) and
 // the steady-state plateau are visible and testable.
 
+import "repro/internal/core"
+
 // WindowPoint is the query-resolution mix of one time window.
 type WindowPoint struct {
 	// Start and End bound the window in simulated seconds.
@@ -39,19 +41,19 @@ func newSeriesRecorder(window float64) *seriesRecorder {
 }
 
 // observe records one query outcome at simulated time now.
-func (s *seriesRecorder) observe(now float64, src querySource) {
+func (s *seriesRecorder) observe(now float64, src core.Source) {
 	for now >= s.cur.End {
 		s.flush()
 	}
 	s.cur.Queries++
 	switch src {
-	case srcSingle:
+	case core.SolvedBySinglePeer:
 		s.cur.Single++
-	case srcMulti:
+	case core.SolvedByMultiPeer:
 		s.cur.Multi++
-	case srcUncertain:
+	case core.SolvedUncertain:
 		s.cur.Uncertain++
-	case srcServer:
+	default:
 		s.cur.Server++
 	}
 }
@@ -68,13 +70,3 @@ func (s *seriesRecorder) finish() []WindowPoint {
 	}
 	return s.points
 }
-
-// querySource is a compact outcome tag for the series recorder.
-type querySource int
-
-const (
-	srcSingle querySource = iota
-	srcMulti
-	srcUncertain
-	srcServer
-)

@@ -1,13 +1,17 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 func TestSeriesRecorderWindows(t *testing.T) {
 	s := newSeriesRecorder(10)
-	s.observe(1, srcServer)
-	s.observe(2, srcSingle)
-	s.observe(12, srcServer) // second window
-	s.observe(35, srcMulti)  // fourth window (skipping the third)
+	s.observe(1, core.SolvedByServer)
+	s.observe(2, core.SolvedBySinglePeer)
+	s.observe(12, core.SolvedByServer)    // second window
+	s.observe(35, core.SolvedByMultiPeer) // fourth window (skipping the third)
 	pts := s.finish()
 	if len(pts) != 4 {
 		t.Fatalf("got %d windows, want 4", len(pts))

@@ -45,8 +45,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.KMin = 0 },
 		func(c *Config) { c.KMax = 0 },
 		func(c *Config) { c.Duration = 0 },
-		func(c *Config) { c.WarmupFraction = 1 },
-		func(c *Config) { c.RTreeFanout = 2 },
 	}
 	for i, brk := range breakers {
 		c := smallConfig()
@@ -57,8 +55,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	// Defaults fill in.
 	c, _ := smallConfig().Validate()
-	if c.WarmupFraction == 0 || c.StepSeconds == 0 || c.RTreeFanout != 30 ||
-		c.RoadSpacing == 0 || c.TripRadius == 0 {
+	if c.RoadSpacing == 0 || c.TripRadius == 0 {
 		t.Errorf("defaults not applied: %+v", c)
 	}
 }

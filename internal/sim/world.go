@@ -135,7 +135,7 @@ func New(cfg Config) (*World, error) {
 	}
 
 	pois := RandomPOIs(cfg.NumPOIs, cfg.Bounds(), rng)
-	w.server = NewServerModule(pois, cfg.RTreeFanout)
+	w.server = NewServerModule(pois, Fanout)
 
 	n := cfg.NumHosts
 	w.grid = newHostGrid(cfg.Bounds(), n, cfg.TxRange)
@@ -265,10 +265,9 @@ func (w *World) Run() Metrics {
 		panic("sim: World.Run called twice; build a new World per run")
 	}
 	w.ran = true
-	warmupEnd := w.cfg.Duration * w.cfg.WarmupFraction
-	dt := w.cfg.StepSeconds
+	warmupEnd := w.cfg.Duration * warmupFraction
 	for w.now < w.cfg.Duration {
-		stepEnd := w.now + dt
+		stepEnd := w.now + stepSeconds
 		if stepEnd > w.cfg.Duration {
 			stepEnd = w.cfg.Duration
 		}

@@ -131,13 +131,8 @@ func VerifyMultiPeer(q Point, peers []PeerCache, h *ResultHeap) {
 // page accesses. It implements Server.
 type Database = sim.ServerModule
 
-// NewDatabase indexes pois with the paper's default branching factor (30).
-func NewDatabase(pois []POI) *Database { return sim.NewServerModule(pois, 30) }
-
-// NewDatabaseFanout indexes pois with an explicit branching factor.
-func NewDatabaseFanout(pois []POI, fanout int) *Database {
-	return sim.NewServerModule(pois, fanout)
-}
+// NewDatabase indexes pois with the paper's branching factor (sim.Fanout).
+func NewDatabase(pois []POI) *Database { return sim.NewServerModule(pois, sim.Fanout) }
 
 // Spatial network queries (§3.4).
 type (
