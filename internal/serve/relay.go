@@ -43,10 +43,12 @@ import (
 // block's bytes to the pending relay's aggregate — behind the PeerShares
 // header reserved when the relay started — and the delivery is that buffer.
 // No share is ever decoded into a cache on the daemon. The per-request
-// scratch (target slice, pending state with its waiting map and aggregate,
-// probe buffer) is pooled, so the reply path allocates nothing in steady
-// state (BenchmarkRelayForward gates it at zero); what a relay does allocate
-// is its timer.
+// scratch (target slice, pending state with its waiting map, aggregate and
+// timer, probe buffer) is pooled, so a relay exchange allocates nothing in
+// steady state (BenchmarkRelayForward and TestRelayExchangeAllocatesNothing
+// gate it at zero). Each pooled state keeps one timer, re-armed by every
+// registration, and is recycled only when that timer's Stop wins or its
+// callback ran the expiry: a stale firing never reaches a later relay.
 
 // defaultRelayTimeout bounds how long a relay waits for probed peers.
 const defaultRelayTimeout = 2 * time.Second
@@ -60,12 +62,12 @@ const defaultMaxTxRange = 10_000.0
 const relayShards = 16
 
 // pendingRelay is one in-flight fan-out. Instances are pooled: the waiting
-// map and the aggregate buffer survive recycling, so a steady relay load
-// stops allocating once the pool is warm.
+// map, the aggregate buffer and the timer survive recycling, so a steady
+// relay load stops allocating once the pool is warm.
 type pendingRelay struct {
 	reqConn *WSConn
 	reqID   uint32
-	probeID uint32
+	probeID atomic.Uint32 // the timer's callback reads it without a lock
 	// waiting holds the probed sessions that have not replied yet; the
 	// relay completes when it drains (or the timer / a disconnect ends it).
 	waiting map[*session]bool
@@ -75,7 +77,7 @@ type pendingRelay struct {
 	agg          []byte
 	nShares      int
 	peersInRange int
-	timer        *time.Timer
+	timer        *time.Timer // re-armed by each registration; fires relayExpired(probeID)
 	done         bool
 }
 
@@ -89,6 +91,9 @@ type relayShard struct {
 type relayTable struct {
 	nextProbe atomic.Uint32
 	shards    [relayShards]relayShard
+	// free recycles pendingRelay state. It belongs to the Server because a
+	// state's timer callback recycles the state it expires.
+	free sync.Pool
 }
 
 // shard returns the stripe owning a probe ID.
@@ -101,12 +106,6 @@ var relayTargetPool = sync.Pool{
 	New: func() any { s := make([]relayTarget, 0, 64); return &s },
 }
 
-// relayPendingPool recycles pendingRelay state (including the waiting map
-// and the aggregate buffer's backing array).
-var relayPendingPool = sync.Pool{
-	New: func() any { return &pendingRelay{waiting: make(map[*session]bool)} },
-}
-
 // relayBufPool recycles relay encode buffers (probe frames and the empty
 // zero-peer PeerShares). The batched and immediate writers both copy the
 // payload into the connection's own buffer before returning, so recycling is
@@ -116,15 +115,28 @@ var relayBufPool = sync.Pool{
 }
 
 // recycleRelay returns a terminal pendingRelay to the pool. The caller owns
-// pr exclusively: it has been removed from its shard's pending map, so no
-// concurrent reply, drop, or timer path can find it anymore.
-func recycleRelay(pr *pendingRelay) {
+// pr exclusively: it has been removed from its shard's pending map, and its
+// timer is stopped or has fired into this very call, so no concurrent reply,
+// drop, or timer path can reach it anymore.
+func (s *Server) recycleRelay(pr *pendingRelay) {
 	clear(pr.waiting)
 	pr.reqConn = nil
 	pr.nShares = 0
-	pr.timer = nil
 	pr.done = false
-	relayPendingPool.Put(pr)
+	s.relay.free.Put(pr)
+}
+
+// settleRelay finishes a relay a countdown or a disconnect ended. A lost Stop
+// means the callback is already running: it will find the probe ID gone, and
+// the state it reads is left to the collector instead of the pool.
+func (s *Server) settleRelay(pr *pendingRelay, deliver bool) {
+	stopped := pr.timer.Stop()
+	if deliver {
+		s.deliverRelay(pr)
+	}
+	if stopped {
+		s.recycleRelay(pr)
+	}
 }
 
 // peersInRangeBucket maps a peer count to its histogram bucket:
@@ -196,7 +208,10 @@ func (s *Server) startRelay(reqSess *session, ws *WSConn, req wire.PeerRequest) 
 // aggregate starts as a PeerShares header with a zero share count (see
 // deliverRelay).
 func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []relayTarget) uint32 {
-	pr := relayPendingPool.Get().(*pendingRelay)
+	pr, _ := s.relay.free.Get().(*pendingRelay)
+	if pr == nil {
+		pr = &pendingRelay{waiting: make(map[*session]bool)}
+	}
 	pr.reqConn = reqConn
 	pr.reqID = reqID
 	pr.peersInRange = len(targets)
@@ -205,7 +220,7 @@ func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []relayTar
 		pr.waiting[t.sess] = true
 	}
 	probeID := s.relay.nextProbe.Add(1)
-	pr.probeID = probeID
+	pr.probeID.Store(probeID)
 	sh := s.relay.shard(probeID)
 	sh.mu.Lock()
 	if sh.pending == nil {
@@ -214,9 +229,13 @@ func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []relayTar
 	sh.pending[probeID] = pr
 	// Arm the timer inside the registration critical section: any path that
 	// finds pr in the pending map — including a reply racing in before the
-	// caller proceeds — is then guaranteed to observe a non-nil timer at
-	// its terminal transition.
-	pr.timer = time.AfterFunc(s.relayTimeout, func() { s.relayExpired(probeID) })
+	// caller proceeds — then finds it armed, so that path's Stop decides
+	// whether the state may be recycled.
+	if pr.timer == nil {
+		pr.timer = time.AfterFunc(s.relayTimeout, func() { s.relayExpired(pr.probeID.Load()) })
+	} else {
+		pr.timer.Reset(s.relayTimeout)
+	}
 	sh.mu.Unlock()
 	return probeID
 }
@@ -254,13 +273,11 @@ func (s *Server) handleShareReply(from *session, frame []byte) error {
 	fire := len(pr.waiting) == 0 && !pr.done
 	if fire {
 		pr.done = true
-		delete(st.pending, pr.probeID)
+		delete(st.pending, probeID)
 	}
 	st.mu.Unlock()
 	if fire {
-		pr.timer.Stop()
-		s.deliverRelay(pr)
-		recycleRelay(pr)
+		s.settleRelay(pr, true)
 	}
 	return nil
 }
@@ -279,20 +296,19 @@ func (s *Server) relayDropPeer(probeID uint32, sess *session) {
 	fire := len(pr.waiting) == 0 && !pr.done
 	if fire {
 		pr.done = true
-		delete(st.pending, pr.probeID)
+		delete(st.pending, probeID)
 	}
 	st.mu.Unlock()
 	if fire {
-		pr.timer.Stop()
-		s.deliverRelay(pr)
-		recycleRelay(pr)
+		s.settleRelay(pr, true)
 	}
 }
 
-// relayExpired is the timer path: deliver whatever arrived in time. The
-// probe ID (not the pendingRelay) names the relay, so a stale timer whose
-// relay already completed — and whose state may have been recycled into a
-// different relay — finds nothing in the map and leaves.
+// relayExpired is the timer path: deliver whatever arrived in time, then
+// recycle the state, whose timer has just fired. The probe ID names the
+// relay, so a callback that lost the race against a countdown or a
+// disconnect finds nothing in the map and leaves; that path left the state
+// out of the pool, so the ID it read cannot belong to a later relay.
 func (s *Server) relayExpired(probeID uint32) {
 	st := s.relay.shard(probeID)
 	st.mu.Lock()
@@ -306,7 +322,7 @@ func (s *Server) relayExpired(probeID uint32) {
 	st.mu.Unlock()
 	s.stat.relayTimeouts.Add(1)
 	s.deliverRelay(pr)
-	recycleRelay(pr)
+	s.recycleRelay(pr)
 }
 
 // deliverRelay sends the aggregated PeerShares to the requester. Callers
@@ -362,12 +378,9 @@ func (s *Server) dropConn(sess *session, ws *WSConn) {
 		st.mu.Unlock()
 	}
 	for _, pr := range cancelled {
-		pr.timer.Stop()
-		recycleRelay(pr)
+		s.settleRelay(pr, false)
 	}
 	for _, pr := range fire {
-		pr.timer.Stop()
-		s.deliverRelay(pr)
-		recycleRelay(pr)
+		s.settleRelay(pr, true)
 	}
 }

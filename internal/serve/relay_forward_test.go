@@ -191,11 +191,11 @@ func TestRelayForwardLimits(t *testing.T) {
 	}
 }
 
-// BenchmarkRelayForward measures the relay's reply path: 32 ShareReply
+// BenchmarkRelayForward measures the relay's exchange on the daemon:
+// registration (pooled state, its timer re-armed), then 32 ShareReply
 // frames, each a cache-capacity share, validated and forwarded into one
-// PeerShares delivery. Registration (which allocates the relay's timer) is
-// outside the measured window; with the pooled state warm the reply path
-// itself must not allocate — CI gates it at zero.
+// PeerShares delivery. With the pooled state warm nothing in it allocates —
+// CI gates it at zero.
 func BenchmarkRelayForward(b *testing.B) {
 	const peers = 32
 	b.Run("peers=32", func(b *testing.B) {
@@ -205,34 +205,28 @@ func BenchmarkRelayForward(b *testing.B) {
 		for i := range frames {
 			frames[i] = wire.AppendShareReply(nil, 0, true, sortedCache(16, rng))
 		}
-		exchange := func(timed bool) {
+		exchange := func() {
 			probeID := s.registerRelay(req, 1, targets)
-			for _, f := range frames {
-				binary.LittleEndian.PutUint32(f[6:], probeID) // the probe id follows the 6-byte header
-			}
-			if timed {
-				b.StartTimer()
-			}
 			for i, f := range frames {
+				binary.LittleEndian.PutUint32(f[6:], probeID) // the probe id follows the 6-byte header
 				if err := s.handleShareReply(targets[i].sess, f); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if timed {
-				b.StopTimer()
-			}
 		}
-		for i := 0; i < 4; i++ {
-			exchange(false) // warm the pools and the requester's write buffer
+		// Warm the pools, the requester's write buffer and every shard's
+		// pending map: probe ids are dealt round-robin over the shards.
+		const warm = 2 * relayShards
+		for i := 0; i < warm; i++ {
+			exchange()
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		b.StopTimer()
 		for i := 0; i < b.N; i++ {
-			exchange(true)
+			exchange()
 		}
-		if got := s.stat.relayShares.Load(); got != int64(peers*(b.N+4)) {
-			b.Fatalf("forwarded %d shares, want %d", got, peers*(b.N+4))
+		if got := s.stat.relayShares.Load(); got != int64(peers*(b.N+warm)) {
+			b.Fatalf("forwarded %d shares, want %d", got, peers*(b.N+warm))
 		}
 	})
 }

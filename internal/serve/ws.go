@@ -64,9 +64,10 @@ const firstReadSize = 512
 // peer that then stalls has pinned one chunk, not the announced size.
 const payloadChunk = 16 << 10
 
-// maxParkedPayload is the largest message buffer a connection keeps while it
-// waits for the next message; one grown for a rare large message is dropped
-// instead of being pinned by an idle session.
+// maxParkedPayload is the largest message buffer a daemon-side connection
+// keeps while it waits for the next message; one grown for a rare large
+// message is dropped instead of being pinned by an idle session. DialWS
+// connections keep theirs: a client's steady-state PeerShares is larger.
 const maxParkedPayload = 4 << 10
 
 // flushThreshold is the write-coalescing limit of a server-side connection:
@@ -169,7 +170,7 @@ func (c *WSConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadl
 // message buffer: it is valid until the next ReadMessage call, so a caller
 // that keeps the bytes must copy them (wire.Decode and its variants do).
 func (c *WSConn) ReadMessage() ([]byte, error) {
-	if len(c.unread) == 0 && cap(c.payload) > maxParkedPayload {
+	if !c.client && len(c.unread) == 0 && cap(c.payload) > maxParkedPayload {
 		c.payload = nil // parking: see maxParkedPayload
 	}
 	// A fragmented message accumulates in payload[:assembled]; each further

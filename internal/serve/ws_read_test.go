@@ -288,3 +288,30 @@ func TestLargeMessageBufferDroppedWhenParked(t *testing.T) {
 		t.Fatalf("connection still holds a %d-byte buffer after parking (cap %d)", r.payloadCap, maxParkedPayload)
 	}
 }
+
+// The parking trim is the daemon's: a DialWS connection keeps the buffer its
+// largest message grew, because a relaying client's steady-state message is
+// a PeerShares well past maxParkedPayload (13.25 KB at 32 shares) and
+// re-growing it every exchange would allocate on each one.
+func TestClientKeepsMessageBufferWhenParked(t *testing.T) {
+	server, client := upgradedPair(t)
+	big := bytes.Repeat([]byte{0x5A}, 13<<10)
+	sent := make(chan error, 1)
+	go func() { sent <- server.WriteBinary(big) }()
+	if msg, err := client.ReadMessage(); err != nil || !bytes.Equal(msg, big) {
+		t.Fatalf("large message corrupted (%d bytes, %v)", len(msg), err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	// Sent only now, so the client's next read starts parked, nothing unread.
+	if err := server.WriteBinary([]byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := client.ReadMessage(); err != nil || string(msg) != "small" {
+		t.Fatalf("got %q, %v", msg, err)
+	}
+	if cap(client.payload) < len(big) {
+		t.Fatalf("client dropped its %d-byte buffer while parked (cap now %d)", len(big), cap(client.payload))
+	}
+}
