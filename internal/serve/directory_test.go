@@ -12,8 +12,8 @@ import (
 // newBareServer builds a Server skeleton with just the state the directory
 // and the relay read — no HTTP, no store — so the oracle property tests can
 // churn sessions directly.
-func newBareServer(bounds geom.Rect, cell float64, shards int) *Server {
-	return &Server{dir: newSessionDirectory(bounds, cell, shards)}
+func newBareServer(bounds geom.Rect, cell float64) *Server {
+	return &Server{dir: newSessionDirectory(bounds, cell)}
 }
 
 // targetSet reduces a target slice to a comparable set. The directory
@@ -38,8 +38,8 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 	for _, cell := range []float64{0, 100, 3000, 20000} {
 		cell := cell
 		t.Run(fmt.Sprintf("cell=%g", cell), func(t *testing.T) {
-			s := newBareServer(bounds, cell, 8)
-			ps := newPositions()
+			s := newBareServer(bounds, cell)
+			ps := newPositions(s.dir)
 			rng := rand.New(rand.NewSource(7))
 			var all []*session
 			randPos := func() geom.Point {
@@ -52,24 +52,22 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 				case op < 3 || len(all) == 0: // join
 					sess := &session{}
 					if rng.Intn(2) == 0 {
-						sess.conn = &WSConn{}
+						s.dir.attach(sess, &WSConn{})
 					}
 					all = append(all, sess)
 					if rng.Intn(4) > 0 { // most sessions stream a position
-						ps.stream(s.dir, sess, randPos())
+						ps.stream(sess, randPos())
 					}
 				case op < 5: // disconnect / reconnect
 					sess := all[rng.Intn(len(all))]
-					sess.mu.Lock()
-					if sess.conn == nil {
-						sess.conn = &WSConn{}
+					if ws := sess.conn; ws == nil {
+						s.dir.attach(sess, &WSConn{})
 					} else {
-						sess.conn = nil
+						s.dir.detach(sess, ws)
 					}
-					sess.mu.Unlock()
 				default: // move
 					sess := all[rng.Intn(len(all))]
-					ps.stream(s.dir, sess, randPos())
+					ps.stream(sess, randPos())
 				}
 
 				for q := 0; q < 4; q++ {
@@ -105,13 +103,10 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 	}
 }
 
-// The daemon's layout is fixed: 64 lock stripes and a cell of 1/64 of the
-// service area's larger side.
+// The daemon's layout is fixed: a cell of 1/64 of the service area's
+// larger side.
 func TestDirectoryDefaultLayout(t *testing.T) {
-	d := newSessionDirectory(geom.Rect{Min: geom.Pt(-500, 100), Max: geom.Pt(19500, 10100)}, 0, 0)
-	if len(d.shards) != 64 || d.mask != 63 {
-		t.Errorf("%d shards, mask %#x; want 64, 0x3f", len(d.shards), d.mask)
-	}
+	d := newSessionDirectory(geom.Rect{Min: geom.Pt(-500, 100), Max: geom.Pt(19500, 10100)}, 0)
 	if d.geo.Cell() != 20000.0/64 || d.geo.NX() != 64 || d.geo.NY() != 32 {
 		t.Errorf("cell %g, %dx%d cells; want %g, 64x32", d.geo.Cell(), d.geo.NX(), d.geo.NY(), 20000.0/64)
 	}
@@ -126,7 +121,7 @@ func TestDirectoryDegenerateBounds(t *testing.T) {
 		{Min: geom.Pt(5, 5), Max: geom.Pt(5, 5)},
 		{Min: geom.Pt(0, 0), Max: geom.Pt(1, 0)},
 	} {
-		d := newSessionDirectory(bounds, 0, 0)
+		d := newSessionDirectory(bounds, 0)
 		sess := &session{conn: &WSConn{}}
 		p := geom.Pt(1e9, -1e9)
 		d.update(sess, p)
@@ -138,22 +133,26 @@ func TestDirectoryDegenerateBounds(t *testing.T) {
 }
 
 // A session that streams positions from two goroutines (a superseded
-// connection racing its replacement) and range scans running throughout
-// must stay race-free and keep the directory's slot bookkeeping intact.
+// connection racing its replacement), range scans, and connections detached
+// and re-attached throughout must stay race-free, never yield a target
+// without a connection, and keep the directory's slot bookkeeping intact.
 // Run under -race in CI's test job.
 func TestDirectoryConcurrentChurn(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}
-	s := newBareServer(bounds, 200, 16)
-	ps := newPositions()
+	s := newBareServer(bounds, 200)
+	ps := newPositions(s.dir)
 	const nSessions = 64
 	sessions := make([]*session, nSessions)
+	conns := make([]*WSConn, nSessions)
 	for i := range sessions {
-		sessions[i] = &session{conn: &WSConn{}}
+		sessions[i], conns[i] = &session{}, &WSConn{}
+		s.dir.attach(sessions[i], conns[i])
 	}
 	const iters = 400
 	var wg sync.WaitGroup
-	// Two writers per session stripe plus scanners: every combination of
-	// update/update and update/scan interleavings gets exercised.
+	// Writers, scanners and reconnectors: every combination of
+	// update/update, update/scan and attach-or-detach/scan interleavings
+	// gets exercised.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -161,7 +160,22 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
 				sess := sessions[rng.Intn(nSessions)]
-				ps.stream(s.dir, sess, geom.Pt(rng.Float64()*10000, rng.Float64()*10000))
+				ps.stream(sess, geom.Pt(rng.Float64()*10000, rng.Float64()*10000))
+			}
+		}(int64(w))
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(200 + seed))
+			for i := 0; i < iters; i++ {
+				j := rng.Intn(nSessions)
+				if rng.Intn(2) == 0 {
+					s.dir.detach(sessions[j], conns[j])
+				} else {
+					s.dir.attach(sessions[j], conns[j])
+				}
 			}
 		}(int64(w))
 	}
@@ -198,27 +212,28 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 	}
 }
 
-// positions is the pre-directory implementation — every session's last
-// streamed position in one table, swept whole under one lock — kept as the
-// oracle the property tests pin the grid directory against and as the
-// baseline BenchmarkRelayFanout measures the speedup from. The table is its
-// own: production keeps positions only in the directory's cells.
+// positions is the linear oracle: every session's last streamed position in
+// one table, swept whole, which the property tests pin the grid directory
+// against and BenchmarkRelayFanout measures the speedup from. The table is
+// its own: production keeps positions only in the directory's cells.
+// Connections are the directory's, read under its lock.
 type positions struct {
-	mu sync.Mutex
-	at map[*session]geom.Point
+	dir *sessionDirectory
+	mu  sync.Mutex
+	at  map[*session]geom.Point
 }
 
-func newPositions() *positions {
-	return &positions{at: make(map[*session]geom.Point)}
+func newPositions(d *sessionDirectory) *positions {
+	return &positions{dir: d, at: make(map[*session]geom.Point)}
 }
 
 // stream records p for the oracle and moves sess in the directory, the two
 // things a Position frame means to the two implementations.
-func (ps *positions) stream(d *sessionDirectory, sess *session, p geom.Point) {
+func (ps *positions) stream(sess *session, p geom.Point) {
 	ps.mu.Lock()
 	ps.at[sess] = p
 	ps.mu.Unlock()
-	d.update(sess, p)
+	ps.dir.update(sess, p)
 }
 
 // collectTargetsLinear must keep selecting exactly the target set
@@ -226,21 +241,14 @@ func (ps *positions) stream(d *sessionDirectory, sess *session, p geom.Point) {
 func (ps *positions) collectTargetsLinear(exclude *session, q geom.Point, radius float64, dst []relayTarget) []relayTarget {
 	r2 := radius * radius
 	ps.mu.Lock()
+	ps.dir.mu.Lock()
 	for sess, pos := range ps.at {
-		if sess == exclude {
+		if sess == exclude || sess.conn == nil || q.Dist2(pos) > r2 {
 			continue
 		}
-		sess.mu.Lock()
-		conn := sess.conn
-		sess.mu.Unlock()
-		if conn == nil {
-			continue
-		}
-		if q.Dist2(pos) > r2 {
-			continue
-		}
-		dst = append(dst, relayTarget{sess: sess, conn: conn})
+		dst = append(dst, relayTarget{sess: sess, conn: sess.conn})
 	}
+	ps.dir.mu.Unlock()
 	ps.mu.Unlock()
 	return dst
 }

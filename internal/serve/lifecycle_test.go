@@ -94,16 +94,11 @@ func TestFramesPipelinedBehindHandshakeAreServed(t *testing.T) {
 	}
 }
 
-// pendingRelays counts the in-flight relays across every shard.
+// pendingRelays counts the in-flight relays.
 func pendingRelays(s *Server) int {
-	n := 0
-	for i := range s.relay.shards {
-		st := &s.relay.shards[i]
-		st.mu.Lock()
-		n += len(st.pending)
-		st.mu.Unlock()
-	}
-	return n
+	s.relay.mu.Lock()
+	defer s.relay.mu.Unlock()
+	return len(s.relay.pending)
 }
 
 // waitFor polls cond until it holds; the daemon signals teardown to nobody,
@@ -281,7 +276,7 @@ func TestIdleSessionFootprint(t *testing.T) {
 		return ms.HeapInuse + ms.StackInuse
 	}
 	// One throwaway session first, so lazily built state (HTTP client pool,
-	// directory shard maps, querier scratch) is in the baseline.
+	// directory cell buckets, querier scratch) is in the baseline.
 	warm := openSession(t, srv)
 	syncPosition(t, warm, geom.Pt(10, 10))
 	warm.Close()

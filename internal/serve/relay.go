@@ -24,16 +24,14 @@ import (
 // peers that die or stall mid-probe; late replies after either look like
 // forged probe IDs and are counted, not forwarded.
 //
-// Concurrency: in-flight relays are striped across relayShards pending
-// maps keyed by probe ID, so concurrent relays touch different locks; each
-// relay's state transitions are ordered by its shard's mutex, the terminal
-// transition (countdown reaching zero, timeout, or requester disconnect)
-// flips done exactly once, and the PeerShares write to the requester always
-// happens after the lock is released — no mutex is ever held across a
-// transport write. The in-range sweep reads the sharded session directory
-// (directory.go), scanning only the covered grid cells — it never takes the
-// global Server.mu, so relay fan-out stays sublinear in the session count
-// and free of global contention.
+// Concurrency: in-flight relays live in one pending map keyed by probe ID,
+// guarded by the relay table's mutex; the terminal transition (countdown
+// reaching zero, timeout, or requester disconnect) flips done exactly once
+// under it, and the PeerShares write to the requester always happens after
+// the lock is released — no mutex is ever held across a transport write.
+// The in-range sweep reads the session directory (directory.go), scanning
+// only the covered grid cells. No path holds the relay lock together with
+// the directory's lock or Server.mu.
 //
 // Shares are forwarded, not re-encoded. A ShareReply's share block (query
 // location, neighbor count, neighbors) is byte for byte the block a
@@ -57,10 +55,6 @@ const defaultRelayTimeout = 2 * time.Second
 // one session cannot conscript the whole service area as its neighborhood.
 const defaultMaxTxRange = 10_000.0
 
-// relayShards stripes the pending-relay table. Power of two; probe IDs are
-// dealt round-robin, so consecutive relays land on distinct locks.
-const relayShards = 16
-
 // pendingRelay is one in-flight fan-out. Instances are pooled: the waiting
 // map, the aggregate buffer and the timer survive recycling, so a steady
 // relay load stops allocating once the pool is warm.
@@ -81,24 +75,15 @@ type pendingRelay struct {
 	done         bool
 }
 
-// relayShard is one stripe of the pending table.
-type relayShard struct {
-	mu      sync.Mutex
-	pending map[uint32]*pendingRelay
-}
-
 // relayTable is the daemon's in-flight relay state.
 type relayTable struct {
-	nextProbe atomic.Uint32
-	shards    [relayShards]relayShard
+	// mu guards nextProbe and pending.
+	mu        sync.Mutex
+	nextProbe uint32
+	pending   map[uint32]*pendingRelay
 	// free recycles pendingRelay state. It belongs to the Server because a
 	// state's timer callback recycles the state it expires.
 	free sync.Pool
-}
-
-// shard returns the stripe owning a probe ID.
-func (t *relayTable) shard(probeID uint32) *relayShard {
-	return &t.shards[probeID&(relayShards-1)]
 }
 
 // relayTargetPool recycles the per-request target snapshot slices.
@@ -115,7 +100,7 @@ var relayBufPool = sync.Pool{
 }
 
 // recycleRelay returns a terminal pendingRelay to the pool. The caller owns
-// pr exclusively: it has been removed from its shard's pending map, and its
+// pr exclusively: it has been removed from the pending map, and its
 // timer is stopped or has fired into this very call, so no concurrent reply,
 // drop, or timer path can reach it anymore.
 func (s *Server) recycleRelay(pr *pendingRelay) {
@@ -219,14 +204,14 @@ func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []relayTar
 	for _, t := range targets {
 		pr.waiting[t.sess] = true
 	}
-	probeID := s.relay.nextProbe.Add(1)
+	s.relay.mu.Lock()
+	s.relay.nextProbe++
+	probeID := s.relay.nextProbe
 	pr.probeID.Store(probeID)
-	sh := s.relay.shard(probeID)
-	sh.mu.Lock()
-	if sh.pending == nil {
-		sh.pending = make(map[uint32]*pendingRelay)
+	if s.relay.pending == nil {
+		s.relay.pending = make(map[uint32]*pendingRelay)
 	}
-	sh.pending[probeID] = pr
+	s.relay.pending[probeID] = pr
 	// Arm the timer inside the registration critical section: any path that
 	// finds pr in the pending map — including a reply racing in before the
 	// caller proceeds — then finds it armed, so that path's Stop decides
@@ -236,7 +221,7 @@ func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []relayTar
 	} else {
 		pr.timer.Reset(s.relayTimeout)
 	}
-	sh.mu.Unlock()
+	s.relay.mu.Unlock()
 	return probeID
 }
 
@@ -253,11 +238,10 @@ func (s *Server) handleShareReply(from *session, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	st := s.relay.shard(probeID)
-	st.mu.Lock()
-	pr := st.pending[probeID]
+	s.relay.mu.Lock()
+	pr := s.relay.pending[probeID]
 	if pr == nil || !pr.waiting[from] {
-		st.mu.Unlock()
+		s.relay.mu.Unlock()
 		s.stat.relayUnknown.Add(1)
 		return nil
 	}
@@ -273,9 +257,9 @@ func (s *Server) handleShareReply(from *session, frame []byte) error {
 	fire := len(pr.waiting) == 0 && !pr.done
 	if fire {
 		pr.done = true
-		delete(st.pending, probeID)
+		delete(s.relay.pending, probeID)
 	}
-	st.mu.Unlock()
+	s.relay.mu.Unlock()
 	if fire {
 		s.settleRelay(pr, true)
 	}
@@ -285,20 +269,19 @@ func (s *Server) handleShareReply(from *session, frame []byte) error {
 // relayDropPeer removes one probed session from a relay's countdown (failed
 // probe write or disconnect), delivering the aggregate if it was the last.
 func (s *Server) relayDropPeer(probeID uint32, sess *session) {
-	st := s.relay.shard(probeID)
-	st.mu.Lock()
-	pr := st.pending[probeID]
+	s.relay.mu.Lock()
+	pr := s.relay.pending[probeID]
 	if pr == nil || !pr.waiting[sess] {
-		st.mu.Unlock()
+		s.relay.mu.Unlock()
 		return
 	}
 	delete(pr.waiting, sess)
 	fire := len(pr.waiting) == 0 && !pr.done
 	if fire {
 		pr.done = true
-		delete(st.pending, probeID)
+		delete(s.relay.pending, probeID)
 	}
-	st.mu.Unlock()
+	s.relay.mu.Unlock()
 	if fire {
 		s.settleRelay(pr, true)
 	}
@@ -310,16 +293,15 @@ func (s *Server) relayDropPeer(probeID uint32, sess *session) {
 // disconnect finds nothing in the map and leaves; that path left the state
 // out of the pool, so the ID it read cannot belong to a later relay.
 func (s *Server) relayExpired(probeID uint32) {
-	st := s.relay.shard(probeID)
-	st.mu.Lock()
-	pr := st.pending[probeID]
+	s.relay.mu.Lock()
+	pr := s.relay.pending[probeID]
 	if pr == nil || pr.done {
-		st.mu.Unlock()
+		s.relay.mu.Unlock()
 		return
 	}
 	pr.done = true
-	delete(st.pending, probeID)
-	st.mu.Unlock()
+	delete(s.relay.pending, probeID)
+	s.relay.mu.Unlock()
 	s.stat.relayTimeouts.Add(1)
 	s.deliverRelay(pr)
 	s.recycleRelay(pr)
@@ -345,38 +327,31 @@ func (s *Server) deliverRelay(pr *pendingRelay) {
 // every relay it touches: relays waiting on this session lose one countdown
 // slot (completing if it was the last), and relays this connection
 // requested are cancelled outright — there is nobody left to deliver to.
-// Walks every shard of the pending table; disconnects are rare enough that
-// the sweep is fine.
+// Walks the whole pending table; disconnects are rare enough that the sweep
+// is fine.
 func (s *Server) dropConn(sess *session, ws *WSConn) {
-	sess.mu.Lock()
-	if sess.conn == ws {
-		sess.conn = nil
-	}
-	sess.mu.Unlock()
+	s.dir.detach(sess, ws)
 
 	var fire []*pendingRelay
 	var cancelled []*pendingRelay
-	for i := range s.relay.shards {
-		st := &s.relay.shards[i]
-		st.mu.Lock()
-		for id, pr := range st.pending {
-			if pr.reqConn == ws {
+	s.relay.mu.Lock()
+	for id, pr := range s.relay.pending {
+		if pr.reqConn == ws {
+			pr.done = true
+			delete(s.relay.pending, id)
+			cancelled = append(cancelled, pr)
+			continue
+		}
+		if pr.waiting[sess] {
+			delete(pr.waiting, sess)
+			if len(pr.waiting) == 0 && !pr.done {
 				pr.done = true
-				delete(st.pending, id)
-				cancelled = append(cancelled, pr)
-				continue
-			}
-			if pr.waiting[sess] {
-				delete(pr.waiting, sess)
-				if len(pr.waiting) == 0 && !pr.done {
-					pr.done = true
-					delete(st.pending, id)
-					fire = append(fire, pr)
-				}
+				delete(s.relay.pending, id)
+				fire = append(fire, pr)
 			}
 		}
-		st.mu.Unlock()
 	}
+	s.relay.mu.Unlock()
 	for _, pr := range cancelled {
 		s.settleRelay(pr, false)
 	}

@@ -55,7 +55,7 @@ func serverFrames(t *testing.T, raw []byte) [][]byte {
 // forwardFixture is a bare server with one requester connection writing into
 // a sink and m probed sessions, ready for registerRelay.
 func forwardFixture(m, maxAnswer int, discard bool) (*Server, *WSConn, *sinkConn, []relayTarget) {
-	s := newBareServer(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}, 0, 0)
+	s := newBareServer(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}, 0)
 	s.maxAnswer = maxAnswer
 	s.relayTimeout = time.Hour
 	sink := &sinkConn{discard: discard}
@@ -214,9 +214,8 @@ func BenchmarkRelayForward(b *testing.B) {
 				}
 			}
 		}
-		// Warm the pools, the requester's write buffer and every shard's
-		// pending map: probe ids are dealt round-robin over the shards.
-		const warm = 2 * relayShards
+		// Warm the pools, the requester's write buffer and the pending map.
+		const warm = 32
 		for i := 0; i < warm; i++ {
 			exchange()
 		}

@@ -270,7 +270,7 @@ func TestRelayRecycledTimerRace(t *testing.T) {
 // with an empty PeerShares that still reports the one peer in range — and the
 // timer (an hour) never fires.
 func TestRelayDropsPeerWhoseProbeWriteFails(t *testing.T) {
-	s := newBareServer(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}, 0, 0)
+	s := newBareServer(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}, 0)
 	s.maxTxRange = defaultMaxTxRange
 	s.relayTimeout = time.Hour
 	srvEnd, cliEnd := net.Pipe()

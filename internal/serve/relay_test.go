@@ -415,7 +415,7 @@ func TestRelayCountdownOrderInsensitive(t *testing.T) {
 	}
 }
 
-// End-to-end churn stress for the directory and the sharded relay table:
+// End-to-end churn stress for the directory and the relay's pending table:
 // several SENN clients move and query concurrently, so Position-driven
 // index patches race relay range scans, probe servicing, and pending-table
 // transitions. The nightly -race run is the real referee; here we gate on

@@ -71,8 +71,9 @@ type Server struct {
 	closed bool
 	connWG sync.WaitGroup
 
-	// dir is the sharded spatial index over session positions: the relay's
-	// range sweep reads it instead of walking s.sessions under s.mu.
+	// dir is the spatial index over session positions, and the guard of
+	// every session's attached connection: the relay's range sweep reads
+	// it instead of walking s.sessions under s.mu.
 	dir *sessionDirectory
 
 	relay relayTable
@@ -104,16 +105,13 @@ const peersInRangeBuckets = 7
 
 // session is one registered client: its live connection for relay probes
 // and its place in the spatial directory, which holds the last reported
-// position the peer relay's range scan reads.
+// position the peer relay's range scan reads. Every field is guarded by the
+// directory's mutex (Server.dir.mu); a session has no lock of its own.
 type session struct {
-	mu   sync.Mutex
 	conn *WSConn
 
-	// Spatial-directory bookkeeping. dirMu serializes this session's cell
-	// transitions; dirIn/dirCell are read and written only under dirMu, and
-	// dirSlot only under the owning cell's shard lock (see directory.go for
-	// the full lock-ordering story).
-	dirMu   sync.Mutex
+	// Spatial-directory bookkeeping: whether the session has been filed,
+	// and the cell and slot it was filed under.
 	dirIn   bool
 	dirCell int32
 	dirSlot int32
@@ -151,7 +149,7 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		indexBuild:   opts.IndexBuild,
 		sessions:     make(map[string]*session),
 		conns:        make(map[*WSConn]struct{}),
-		dir:          newSessionDirectory(bounds, 0, 0),
+		dir:          newSessionDirectory(bounds, 0),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/session", s.handleNewSession)
@@ -243,9 +241,7 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	}
 	// Attach the connection to the session so the peer relay can probe it;
 	// a reconnect simply supersedes the previous attachment.
-	sess.mu.Lock()
-	sess.conn = ws
-	sess.mu.Unlock()
+	s.dir.attach(sess, ws)
 	s.stat.activeConns.Add(1)
 	// The connection gets a goroutine of its own and the handler returns:
 	// net/http's conn.serve frame (the better part of a 16 KB stack), its

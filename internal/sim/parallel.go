@@ -57,11 +57,15 @@ func newStepEngine(w *World, workers int) *stepEngine {
 	return e
 }
 
-// runWorkers runs fn(s) for s in [0,n) concurrently and waits. It is the
-// fan-out primitive shared by the movement stepEngine and the query
-// engine's resolve phase; callers guarantee the fn invocations touch
-// disjoint state.
+// runWorkers runs fn(s) for s in [0,n) concurrently and waits; one worker
+// runs inline on the caller's goroutine. It is the fan-out primitive shared
+// by the movement stepEngine and the query engine's resolve phase; callers
+// guarantee the fn invocations touch disjoint state.
 func runWorkers(n int, fn func(s int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for s := 0; s < n; s++ {
@@ -95,22 +99,16 @@ func (e *stepEngine) step(dt float64) {
 	g.applyDelta(w.cells, e.movers, e.workers)
 }
 
-// initEngine arms (or disarms) the parallel movement engine for the given
-// worker count. In road mode every shard needs a private route planner: a
-// PathFinder is scratch state that is not safe for concurrent use, but the
-// paths it returns are a pure function of the graph, so trajectories do not
-// depend on which finder a host holds. New's placeHosts already gave each
+// initEngine arms the movement engine for the given worker count: one
+// shard per worker, at least one, at most one per mover. In road mode every
+// shard needs a private route planner: a PathFinder is scratch state that
+// is not safe for concurrent use, but the paths it returns are a pure
+// function of the graph, so trajectories do not depend on which finder a
+// host holds. New's placeHosts already gave each
 // shard of this layout its own; only a re-sharded world (the step
 // benchmarks re-shard one) hands its movers out again.
 func (w *World) initEngine(workers int) {
-	if workers > len(w.moving) {
-		workers = len(w.moving)
-	}
-	if workers <= 1 {
-		w.engine = nil
-		return
-	}
-	w.engine = newStepEngine(w, workers)
+	w.engine = newStepEngine(w, max(1, min(workers, len(w.moving))))
 	k := len(w.engine.shards)
 	if w.roads == nil || k == len(w.finders) {
 		return
@@ -129,12 +127,7 @@ func (w *World) initEngine(workers int) {
 // advanceMovement runs one movement step: every moving host's trajectory,
 // then deterministic grid maintenance.
 func (w *World) advanceMovement(dt float64) {
-	if w.engine != nil {
-		w.engine.step(dt)
-		return
-	}
-	w.movers = w.advanceRange(0, len(w.moving), dt, w.movers[:0])
-	w.grid.applyDelta(w.cells, w.movers, 1)
+	w.engine.step(dt)
 }
 
 // advanceRange advances movers lo..hi-1 of the moving list by dt — slot j

@@ -185,24 +185,13 @@ func (e *queryEngine) runBatch() {
 		sc.r.ResetArena()
 	}
 
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		sc := e.scratch[0]
-		for i := range e.plans {
+	shards := splitRange(n, e.workers)
+	runWorkers(len(shards), func(s int) {
+		sc := e.scratch[s]
+		for i := shards[s][0]; i < shards[s][1]; i++ {
 			e.results[i] = e.resolve(&e.plans[i], sc)
 		}
-	} else {
-		shards := splitRange(n, workers)
-		runWorkers(len(shards), func(s int) {
-			sc := e.scratch[s]
-			for i := shards[s][0]; i < shards[s][1]; i++ {
-				e.results[i] = e.resolve(&e.plans[i], sc)
-			}
-		})
-	}
+	})
 
 	for i := range e.plans {
 		e.commit(&e.plans[i], &e.results[i])

@@ -48,11 +48,9 @@ type World struct {
 	finders []*spatialnet.PathFinder
 
 	grid *hostGrid
-	// engine shards the movement phase across Config.Workers goroutines;
-	// nil when the movement phase runs on the coordinating goroutine.
-	// movers is the sequential path's per-step cell-crossing delta.
+	// engine shards the movement phase across Config.Workers goroutines
+	// (one shard, run on the coordinating goroutine, when Workers <= 1).
 	engine *stepEngine
-	movers []moverRec
 
 	// qengine runs each step's query batch through the plan/resolve/commit
 	// pipeline (queryengine.go), fanning the resolve phase across
@@ -287,8 +285,8 @@ func (w *World) Run() Metrics {
 		// Resolve concurrently, commit in event order (bit-identical output
 		// for any Config.QueryWorkers).
 		w.qengine.runBatch()
-		// Advance movement (sharded across Config.Workers goroutines when
-		// configured; output is bit-identical for any worker count).
+		// Advance movement (sharded across Config.Workers goroutines;
+		// output is bit-identical for any worker count).
 		w.advanceMovement(stepEnd - w.now)
 		w.now = stepEnd
 	}
