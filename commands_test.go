@@ -25,7 +25,7 @@ func TestCommandPathsOutsideTheRecord(t *testing.T) {
 		{[]string{"experiments", "-fig", "nope"}, true, `experiments: unknown figure "nope"`},
 		{[]string{"experiments", "-fig", "11", "-hostscale", "40", "-scale", "300", "-chart"}, false, "1=single-peer  m=multi-peer  S=server"},
 		{[]string{"senn-sim", "-region", "nowhere"}, true, `senn-sim: unknown region "nowhere"`},
-		{[]string{"senn-serverd", "-store", filepath.Join(bin, "missing.senp")}, true, "senn-serverd: pagestore: open"},
+		{[]string{"senn-serverd", "-store", filepath.Join(bin, "missing.senp")}, true, "senn-serverd: serve: open"},
 		{[]string{"senn-load", "-sweep", "0"}, true, `senn-load: bad -sweep point "0"`},
 	}
 	for _, tc := range cases {

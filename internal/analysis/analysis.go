@@ -22,7 +22,7 @@
 // function summaries — blocking behavior, error sources — shared by the
 // cross-function analyzers: locksafe (mutex held across a blocking call;
 // sync types copied by value) and errsink (discarded errors from
-// conn/wire/pagestore operations and their same-package wrappers).
+// conn and wire operations and their same-package wrappers).
 //
 // Suppression annotations: a comment of the form
 //

@@ -6,14 +6,13 @@ import (
 
 // ErrSink flags discarded errors from the serving stack's fallible
 // operations. An operation is in scope when it is one of the explicitly
-// modeled externals — net.Conn Write/Close/Read, internal/pagestore I/O
-// (AppendPage, ReadPage, Sync, Close), internal/wire decoding — or a
-// same-package function whose summary marks it an error source: it returns
-// an error and transitively performs one of those operations (WSConn.Close
-// wraps net.Conn.Close three frames down; discarding its error discards
-// the transport's). The wire encoders return plain []byte and are immune
-// by construction; the decoders are the untrusted-input edge and their
-// errors are the protocol gate.
+// modeled externals — net.Conn Write/Close/Read, internal/wire decoding —
+// or a same-package function whose summary marks it an error source: it
+// returns an error and transitively performs one of those operations
+// (WSConn.Close wraps net.Conn.Close three frames down; discarding its error
+// discards the transport's). The wire encoders return plain []byte and are
+// immune by construction; the decoders are the untrusted-input edge and
+// their errors are the protocol gate.
 //
 // A discard is: the call as a bare expression statement, a `defer` or `go`
 // of the call, or an assignment whose error position is blank. Errors
@@ -26,7 +25,7 @@ import (
 // on or above the call.
 var ErrSink = &Analyzer{
 	Name:  "errsink",
-	Doc:   "flags discarded errors from net.Conn Write/Close, wire decoding, pagestore I/O, and same-package wrappers of them (//simvet:discard suppresses after review)",
+	Doc:   "flags discarded errors from net.Conn Write/Close, wire decoding, and same-package wrappers of them (//simvet:discard suppresses after review)",
 	Scope: ServingPackages,
 	Run:   runErrSink,
 }

@@ -51,9 +51,9 @@ type FuncSummary struct {
 	BlockDesc string
 
 	// ErrSource marks a function whose error result derives from an
-	// explicitly modeled fallible operation (net.Conn Write/Close/Read,
-	// pagestore I/O, wire decoding): it returns an error and performs, or
-	// transitively calls something that performs, such an operation.
+	// explicitly modeled fallible operation (net.Conn Write/Close/Read, wire
+	// decoding): it returns an error and performs, or transitively calls
+	// something that performs, such an operation.
 	// Discarding the error of an ErrSource call is what errsink reports.
 	ErrSource    bool
 	returnsError bool
@@ -261,8 +261,8 @@ func directBlocking(pass *Pass, n ast.Node) (BlockSite, bool) {
 }
 
 // externalErrSource classifies a call to an explicitly modeled fallible
-// operation outside the package: net.Conn Write/Close/Read, pagestore I/O,
-// and wire decoding. Returns a short name for diagnostics.
+// operation outside the package: net.Conn Write/Close/Read and wire
+// decoding. Returns a short name for diagnostics.
 func externalErrSource(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -270,9 +270,6 @@ func externalErrSource(pass *Pass, call *ast.CallExpr) (string, bool) {
 	}
 	if obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && obj.Pkg() != nil {
 		path := obj.Pkg().Path()
-		if isPkgPath(path, "internal/pagestore") && lastResultIsError(obj) {
-			return "pagestore." + recvTypeName(obj) + "." + obj.Name(), true
-		}
 		if isPkgPath(path, "internal/wire") && lastResultIsError(obj) {
 			return "wire." + obj.Name(), true
 		}

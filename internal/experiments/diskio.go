@@ -14,7 +14,7 @@ import (
 // DiskIOPoint is one buffer-pool size of the §4.4 I/O spectrum study.
 type DiskIOPoint struct {
 	// PoolPages is the buffer pool capacity; PoolFraction the ratio to the
-	// packed file size.
+	// packed file size (pagestore.Pages).
 	PoolPages    int     `json:"pool_pages"`
 	PoolFraction float64 `json:"pool_fraction"`
 	// INNFaults and EINNFaults are mean disk faults (buffer misses) per
@@ -39,20 +39,17 @@ type DiskIOResult struct {
 // objects than INN, we believe that the kNN search algorithm with query
 // pruning bounds will have good scalability with large data sets."
 //
-// The study packs the region's clustered POI set into a page file, then runs
-// the Figure 17 workload against buffer pools from nearly-nothing to
-// everything-resident, measuring actual disk faults per query for INN and
-// EINN. The paper's claim holds when EINN's fault count stays below INN's
-// across the spectrum — most visibly at small pools where every avoided
-// page access is a disk read avoided.
+// The study indexes the region's clustered POI set, models it as a file of
+// one node per page (internal/pagestore), then runs the Figure 17 workload
+// against LRU buffer pools from nearly-nothing to everything-resident,
+// counting disk faults (pool misses) per query for INN and EINN. The paper's
+// claim holds when EINN's fault count stays below INN's across the spectrum
+// — most visibly at small pools where every avoided page access is a disk
+// read avoided.
 func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	base := BaseConfig(r, Area30mi)
 	rng := rand.New(rand.NewSource(sweepSeed(base.Seed+44, opts, 0, 0)))
 	s := newScene(base, 1200, rng)
-	pager := pagestore.NewMemPager()
-	if err := pagestore.Pack(s.tree, pager); err != nil {
-		return DiskIOResult{}, err
-	}
 
 	const k = 6
 	type workItem struct {
@@ -68,14 +65,13 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 		work[i].q, work[i].bounds, work[i].want = s.serverQuery(rng, &verify, k)
 	}
 
-	total := pager.NumPages()
+	total := pagestore.Pages(s.tree)
 	fractions := []float64{0.02, 0.05, 0.1, 0.25, 0.5, 1.0}
 	out := DiskIOResult{Region: r, TotalPages: total, K: k}
 	out.Points = make([]DiskIOPoint, len(fractions))
 	// The pool sizes are independent measurements over the same read-only
-	// page file and workload: fan them across opts.Workers. Each task opens
-	// its own DiskTree, so the buffer pool and its statistics are private;
-	// the shared pager only serves concurrent page reads.
+	// tree and workload: fan them across opts.Workers. Each run opens its
+	// own view, so the buffer pool and its statistics are private.
 	tasks := make([]RunTask, len(fractions))
 	for i, frac := range fractions {
 		tasks[i] = func() error {
@@ -83,35 +79,26 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 			if pool < 2 {
 				pool = 2
 			}
-			run := func(useBounds bool) (faults float64, hitRate float64, err error) {
-				dt, err := pagestore.OpenDiskTree(pager, pool)
-				if err != nil {
-					return 0, 0, err
-				}
+			run := func(useBounds bool) (faults float64, hitRate float64) {
+				pt := pagestore.Open(s.tree, pool)
 				// One pass to warm the pool, one measured pass.
 				for pass := 0; pass < 2; pass++ {
 					if pass == 1 {
-						dt.Pool().ResetStats()
+						pt.Pool().ResetStats()
 					}
 					for _, wi := range work {
 						if useBounds {
-							nn.EINN(dt, wi.q, wi.want, wi.bounds)
+							nn.EINN(pt, wi.q, wi.want, wi.bounds)
 						} else {
-							nn.BestFirst(dt, wi.q, base.CacheSize)
+							nn.BestFirst(pt, wi.q, base.CacheSize)
 						}
 					}
 				}
-				_, misses := dt.Pool().Stats()
-				return float64(misses) / float64(len(work)), dt.Pool().HitRate(), nil
+				_, misses := pt.Pool().Stats()
+				return float64(misses) / float64(len(work)), pt.Pool().HitRate()
 			}
-			innFaults, hitRate, err := run(false)
-			if err != nil {
-				return err
-			}
-			einnFaults, _, err := run(true)
-			if err != nil {
-				return err
-			}
+			innFaults, hitRate := run(false)
+			einnFaults, _ := run(true)
 			out.Points[i] = DiskIOPoint{
 				PoolPages:    pool,
 				PoolFraction: frac,
@@ -122,10 +109,8 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 			return nil
 		}
 	}
-	if err := RunParallel(tasks, opts.Workers); err != nil {
-		return out, err
-	}
-	return out, nil
+	err := RunParallel(tasks, opts.Workers)
+	return out, err
 }
 
 // FormatDiskIO renders the study as an aligned text table.

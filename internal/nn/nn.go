@@ -11,10 +11,11 @@
 //
 // There is one traversal, generic over the node type, and it owns its page
 // count: the iterator that fetches a node is the only thing that counts the
-// fetch. The in-memory R*-tree (rtree.Node, by value) and the disk-backed
-// packed tree (internal/pagestore) both instantiate it directly. A result
-// names its object by the int32 item number the index stores, never by a
-// boxed value: the caller owns the table the number indexes.
+// fetch. The R*-tree's own rtree.Node (by value; internal/pagestore's paged
+// view returns it too) and the test referee's inserted tree both instantiate
+// it directly. A result names its object by the int32 item number the index
+// stores, never by a boxed value: the caller owns the table the number
+// indexes.
 package nn
 
 import (

@@ -1,260 +1,89 @@
-// Package pagestore provides the disk-resident storage substrate behind the
-// paper's I/O discussion (§4.4): "at the end of a spectrum there are two
-// extreme I/O behaviors of the spatial database server: all requested memory
-// pages are found in main memory or every I/O leads to disk activity."
+// Package pagestore models the paged storage behind the paper's I/O
+// discussion (§4.4): "at the end of a spectrum there are two extreme I/O
+// behaviors of the spatial database server: all requested memory pages are
+// found in main memory or every I/O leads to disk activity."
 //
-// It implements a fixed-size page file and an LRU buffer pool with pin
-// counting and hit/miss statistics, plus a packed, read-only R-tree layout
-// (one node per page) whose node view the generic iterator in internal/nn
-// traverses directly. Running INN/EINN over a DiskTree
-// reports true buffer hits versus disk faults, locating a configuration
-// anywhere between the paper's two extremes by sizing the pool.
+// The modelled file is the R*-tree packed one node per 4 KiB page behind a
+// header page. Whether a fetch hits the buffer or faults to disk depends on
+// which page it asks for, not on what the page holds, so the model keeps no
+// page bytes: BufferPool is an LRU over page ids with hit and miss counters,
+// and Tree is a view of an *rtree.Tree whose every node fetch is one pool
+// access. Running INN/EINN over a Tree reports buffer hits versus disk
+// faults, locating a configuration anywhere between the paper's two
+// extremes by sizing the pool.
 package pagestore
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-	"os"
-	"sync"
-	"sync/atomic"
+import "repro/internal/rtree"
+
+// A page id is the rtree.Tree.Node reference of the node the page holds. The
+// header page and the root have no parent entry to name them, so they take
+// the two negative ids.
+const (
+	headerPage int32 = -2
+	rootPage   int32 = -1
 )
 
-// PageSize is the fixed page size in bytes. 4 KiB matches common disk and
-// OS page granularity.
-const PageSize = 4096
-
-// PageID identifies a page within a file, starting at 0.
-type PageID uint32
-
-// InvalidPage is the sentinel for "no page".
-const InvalidPage = PageID(^uint32(0))
-
-// Pager reads fixed-size pages by ID.
-type Pager interface {
-	// ReadPage fills buf (len PageSize) with page id's content.
-	ReadPage(id PageID, buf []byte) error
-	// NumPages returns the page count.
-	NumPages() int
-}
-
-// ---------------------------------------------------------------------------
-// File-backed pager.
-
-// PageFile is a page-granular file. It supports appending pages during
-// construction and random reads afterwards. Writes are not buffered — the
-// packed-tree builder writes each page once.
-type PageFile struct {
-	f     *os.File
-	pages int
-	// reads counts physical page reads (the "disk I/O" statistic).
-	reads int64
-	mu    sync.Mutex
-}
-
-// CreatePageFile creates (or truncates) a page file at path.
-func CreatePageFile(path string) (*PageFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: create: %w", err)
-	}
-	return &PageFile{f: f}, nil
-}
-
-// OpenPageFile opens an existing page file read-only.
-func OpenPageFile(path string) (*PageFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: open: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pagestore: stat: %w", err)
-	}
-	if st.Size()%PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("pagestore: file size %d not page aligned", st.Size())
-	}
-	return &PageFile{f: f, pages: int(st.Size() / PageSize)}, nil
-}
-
-// AppendPage writes buf (len PageSize) as the next page, returning its ID.
-func (pf *PageFile) AppendPage(buf []byte) (PageID, error) {
-	if len(buf) != PageSize {
-		return InvalidPage, fmt.Errorf("pagestore: append of %d bytes, want %d", len(buf), PageSize)
-	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	off := int64(pf.pages) * PageSize
-	if _, err := pf.f.WriteAt(buf, off); err != nil {
-		return InvalidPage, fmt.Errorf("pagestore: write page %d: %w", pf.pages, err)
-	}
-	id := PageID(pf.pages)
-	pf.pages++
-	return id, nil
-}
-
-// ReadPage implements Pager.
-func (pf *PageFile) ReadPage(id PageID, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("pagestore: read into %d bytes, want %d", len(buf), PageSize)
-	}
-	if int(id) >= pf.pages {
-		return fmt.Errorf("pagestore: page %d out of range (%d pages)", id, pf.pages)
-	}
-	pf.mu.Lock()
-	pf.reads++
-	pf.mu.Unlock()
-	_, err := pf.f.ReadAt(buf, int64(id)*PageSize)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("pagestore: read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// NumPages implements Pager.
-func (pf *PageFile) NumPages() int {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.pages
-}
-
-// Reads returns the physical page reads performed so far.
-func (pf *PageFile) Reads() int64 {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.reads
-}
-
-// Sync flushes the file.
-func (pf *PageFile) Sync() error { return pf.f.Sync() }
-
-// Close closes the underlying file.
-func (pf *PageFile) Close() error { return pf.f.Close() }
-
-// ---------------------------------------------------------------------------
-// In-memory pager (for tests and small data sets).
-
-// MemPager keeps all pages in memory; "disk" reads are still counted so the
-// statistics remain meaningful. Once construction (AppendPage) is done, the
-// pager is safe for concurrent readers — experiment runners fan independent
-// buffer pools over one shared pager.
-type MemPager struct {
-	pages [][]byte
-	reads atomic.Int64
-}
-
-// NewMemPager returns an empty in-memory pager.
-func NewMemPager() *MemPager { return &MemPager{} }
-
-// AppendPage stores a copy of buf as the next page.
-func (m *MemPager) AppendPage(buf []byte) (PageID, error) {
-	if len(buf) != PageSize {
-		return InvalidPage, fmt.Errorf("pagestore: append of %d bytes, want %d", len(buf), PageSize)
-	}
-	cp := make([]byte, PageSize)
-	copy(cp, buf)
-	m.pages = append(m.pages, cp)
-	return PageID(len(m.pages) - 1), nil
-}
-
-// ReadPage implements Pager.
-func (m *MemPager) ReadPage(id PageID, buf []byte) error {
-	if int(id) >= len(m.pages) {
-		return fmt.Errorf("pagestore: page %d out of range (%d pages)", id, len(m.pages))
-	}
-	m.reads.Add(1)
-	copy(buf, m.pages[id])
-	return nil
-}
-
-// NumPages implements Pager.
-func (m *MemPager) NumPages() int { return len(m.pages) }
-
-// Reads returns the backing reads performed so far.
-func (m *MemPager) Reads() int64 { return m.reads.Load() }
-
-// ---------------------------------------------------------------------------
-// LRU buffer pool.
-
-// frame is one resident page.
+// frame is one resident page in the LRU list.
 type frame struct {
-	id   PageID
-	data []byte
-	pins int
-	prev *frame
-	next *frame
+	id         int32
+	prev, next *frame
 }
 
-// BufferPool caches pages with LRU replacement and pin counting. It is safe
-// for single-goroutine use — concurrent experiment runners give every task
-// its own pool; the underlying pagers are independently synchronized and may
-// be shared.
+// BufferPool is an LRU set of resident page ids with hit and miss counters.
+// It is for single-goroutine use: concurrent experiment runners give every
+// task its own pool.
 type BufferPool struct {
-	pager    Pager
 	capacity int
-	frames   map[PageID]*frame
+	frames   map[int32]*frame
 	// LRU list: head = most recently used.
 	head, tail *frame
 
 	hits, misses int64
 }
 
-// NewBufferPool wraps pager with an LRU cache of capacity pages. capacity
-// must be at least 1.
-func NewBufferPool(pager Pager, capacity int) *BufferPool {
+// NewBufferPool returns an empty pool of capacity pages. capacity must be at
+// least 1.
+func NewBufferPool(capacity int) *BufferPool {
 	if capacity < 1 {
 		panic("pagestore: buffer pool capacity must be >= 1")
 	}
-	return &BufferPool{
-		pager:    pager,
-		capacity: capacity,
-		frames:   make(map[PageID]*frame, capacity),
-	}
+	return &BufferPool{capacity: capacity, frames: make(map[int32]*frame, capacity)}
 }
 
-// Get returns the content of page id, pinning it. The returned slice aliases
-// the buffer frame: callers must not retain it past Unpin and must not
-// write to it.
-func (bp *BufferPool) Get(id PageID) ([]byte, error) {
-	if fr, ok := bp.frames[id]; ok {
+// Access records one fetch of page id: a hit when the page is resident,
+// otherwise a miss that reads it in, evicting the least recently used page
+// when the pool is full.
+func (bp *BufferPool) Access(id int32) {
+	fr, ok := bp.frames[id]
+	if ok {
 		bp.hits++
-		fr.pins++
-		bp.touch(fr)
-		return fr.data, nil
-	}
-	bp.misses++
-	// Evict if full.
-	for len(bp.frames) >= bp.capacity {
-		victim := bp.lruVictim()
-		if victim == nil {
-			return nil, errors.New("pagestore: buffer pool exhausted (all pages pinned)")
+		bp.unlink(fr)
+	} else {
+		bp.misses++
+		if len(bp.frames) < bp.capacity {
+			fr = &frame{}
+		} else {
+			fr = bp.tail
+			bp.unlink(fr)
+			delete(bp.frames, fr.id)
 		}
-		bp.remove(victim)
+		fr.id = id
+		bp.frames[id] = fr
 	}
-	fr := &frame{id: id, data: make([]byte, PageSize), pins: 1}
-	if err := bp.pager.ReadPage(id, fr.data); err != nil {
-		return nil, err
+	fr.next = bp.head
+	if bp.head != nil {
+		bp.head.prev = fr
 	}
-	bp.frames[id] = fr
-	bp.pushFront(fr)
-	return fr.data, nil
-}
-
-// Unpin releases one pin on page id. Unpinned pages become eviction
-// candidates.
-func (bp *BufferPool) Unpin(id PageID) {
-	if fr, ok := bp.frames[id]; ok && fr.pins > 0 {
-		fr.pins--
+	bp.head = fr
+	if bp.tail == nil {
+		bp.tail = fr
 	}
 }
 
 // Stats returns buffer hits and misses since the last reset.
 func (bp *BufferPool) Stats() (hits, misses int64) { return bp.hits, bp.misses }
 
-// HitRate returns the fraction of Get calls served from memory.
+// HitRate returns the fraction of accesses served from memory.
 func (bp *BufferPool) HitRate() float64 {
 	total := bp.hits + bp.misses
 	if total == 0 {
@@ -265,18 +94,6 @@ func (bp *BufferPool) HitRate() float64 {
 
 // ResetStats zeroes the hit/miss counters.
 func (bp *BufferPool) ResetStats() { bp.hits, bp.misses = 0, 0 }
-
-func (bp *BufferPool) pushFront(fr *frame) {
-	fr.prev = nil
-	fr.next = bp.head
-	if bp.head != nil {
-		bp.head.prev = fr
-	}
-	bp.head = fr
-	if bp.tail == nil {
-		bp.tail = fr
-	}
-}
 
 func (bp *BufferPool) unlink(fr *frame) {
 	if fr.prev != nil {
@@ -292,43 +109,37 @@ func (bp *BufferPool) unlink(fr *frame) {
 	fr.prev, fr.next = nil, nil
 }
 
-func (bp *BufferPool) touch(fr *frame) {
-	bp.unlink(fr)
-	bp.pushFront(fr)
+// Pages returns the page count of t's packed file: the header and one page
+// per node.
+func Pages(t *rtree.Tree) int { return 1 + t.Nodes() }
+
+// Tree is an *rtree.Tree read through a buffer pool. Root and Node record
+// one pool access per fetch and return the tree's own nodes, so the generic
+// iterator in internal/nn traverses it unchanged.
+type Tree struct {
+	tree *rtree.Tree
+	pool *BufferPool
 }
 
-// lruVictim returns the least recently used unpinned frame, or nil.
-func (bp *BufferPool) lruVictim() *frame {
-	for fr := bp.tail; fr != nil; fr = fr.prev {
-		if fr.pins == 0 {
-			return fr
-		}
-	}
-	return nil
+// Open returns t behind an empty pool of poolPages pages, after reading the
+// header page once, as opening the packed file would.
+func Open(t *rtree.Tree, poolPages int) *Tree {
+	pool := NewBufferPool(poolPages)
+	pool.Access(headerPage)
+	return &Tree{tree: t, pool: pool}
 }
 
-func (bp *BufferPool) remove(fr *frame) {
-	bp.unlink(fr)
-	delete(bp.frames, fr.id)
+// Pool exposes the buffer pool for statistics.
+func (pt *Tree) Pool() *BufferPool { return pt.pool }
+
+// Root fetches the root page. ok is false for an empty tree.
+func (pt *Tree) Root() (rtree.Node, bool) {
+	pt.pool.Access(rootPage)
+	return pt.tree.Root()
 }
 
-// ---------------------------------------------------------------------------
-// Small binary helpers shared by the packed tree layout.
-
-func putU32(buf []byte, off int, v uint32) int {
-	binary.LittleEndian.PutUint32(buf[off:], v)
-	return off + 4
-}
-
-func getU32(buf []byte, off int) (uint32, int) {
-	return binary.LittleEndian.Uint32(buf[off:]), off + 4
-}
-
-func putU64(buf []byte, off int, v uint64) int {
-	binary.LittleEndian.PutUint64(buf[off:], v)
-	return off + 8
-}
-
-func getU64(buf []byte, off int) (uint64, int) {
-	return binary.LittleEndian.Uint64(buf[off:]), off + 8
+// Node fetches the page of the node an inner entry's Ref names.
+func (pt *Tree) Node(ref int32) rtree.Node {
+	pt.pool.Access(ref)
+	return pt.tree.Node(ref)
 }

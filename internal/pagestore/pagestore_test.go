@@ -1,167 +1,106 @@
 package pagestore
 
 import (
+	"fmt"
 	"math/rand"
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/nn"
+	"repro/internal/rtree"
 )
 
-func TestPageFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	pf, err := CreatePageFile(path)
-	if err != nil {
-		t.Fatal(err)
+// buildSource indexes n random points at the paper's fan-out; the item
+// number is the point's index.
+func buildSource(seed int64, n int, span float64) *rtree.Tree {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64()*span, rng.Float64()*span)
 	}
-	rng := rand.New(rand.NewSource(1))
-	var want [][]byte
-	for i := 0; i < 10; i++ {
-		buf := make([]byte, PageSize)
-		rng.Read(buf)
-		id, err := pf.AppendPage(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(id) != i {
-			t.Fatalf("page id %d, want %d", id, i)
-		}
-		want = append(want, buf)
-	}
-	if err := pf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return rtree.Build(30, n, func(i int) geom.Point { return pts[i] })
+}
 
-	ro, err := OpenPageFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	if ro.NumPages() != 10 {
-		t.Fatalf("NumPages = %d", ro.NumPages())
-	}
-	buf := make([]byte, PageSize)
-	for i, w := range want {
-		if err := ro.ReadPage(PageID(i), buf); err != nil {
-			t.Fatal(err)
+// resident lists the pool's pages, most recently used first, after checking
+// that the LRU list and the id map hold the same pages.
+func resident(t *testing.T, bp *BufferPool) []int32 {
+	t.Helper()
+	var ids []int32
+	for fr := bp.head; fr != nil; fr = fr.next {
+		if bp.frames[fr.id] != fr {
+			t.Fatalf("page %d is on the LRU list but not in the map", fr.id)
 		}
-		for j := range buf {
-			if buf[j] != w[j] {
-				t.Fatalf("page %d differs at byte %d", i, j)
+		ids = append(ids, fr.id)
+	}
+	if len(ids) != len(bp.frames) {
+		t.Fatalf("LRU list holds %d pages, map %d", len(ids), len(bp.frames))
+	}
+	return ids
+}
+
+// The referee is the textbook LRU on a slice, most recent first: a hit
+// moves the page to the front, a miss inserts it there and drops the last
+// page once the slice is over capacity. After every access the pool must
+// agree with it on hits, misses and the resident pages in recency order.
+func TestBufferPoolMatchesSliceLRU(t *testing.T) {
+	for capacity := 1; capacity <= 20; capacity++ {
+		t.Run(fmt.Sprintf("capacity_%d", capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			bp := NewBufferPool(capacity)
+			var lru []int32
+			var hits, misses int64
+			for step := 0; step < 10000; step++ {
+				id := int32(rng.Intn(50))
+				bp.Access(id)
+				if i := slices.Index(lru, id); i >= 0 {
+					hits++
+					lru = slices.Delete(lru, i, i+1)
+				} else {
+					misses++
+				}
+				lru = slices.Insert(lru, 0, id)
+				if len(lru) > capacity {
+					lru = lru[:capacity]
+				}
+				if h, m := bp.Stats(); h != hits || m != misses {
+					t.Fatalf("step %d (page %d): pool %d hits / %d misses, referee %d / %d", step, id, h, m, hits, misses)
+				}
+				if got := resident(t, bp); !slices.Equal(got, lru) {
+					t.Fatalf("step %d (page %d): resident %v, referee %v", step, id, got, lru)
+				}
 			}
-		}
-	}
-	if ro.Reads() != 10 {
-		t.Errorf("Reads = %d", ro.Reads())
-	}
-	if err := ro.ReadPage(99, buf); err == nil {
-		t.Error("out-of-range read accepted")
-	}
-	if _, err := ro.AppendPage(make([]byte, 5)); err == nil {
-		t.Error("short append accepted")
-	}
-}
-
-func TestOpenPageFileValidation(t *testing.T) {
-	if _, err := OpenPageFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file opened")
-	}
-}
-
-func TestMemPager(t *testing.T) {
-	m := NewMemPager()
-	buf := make([]byte, PageSize)
-	buf[0] = 42
-	id, err := m.AppendPage(buf)
-	if err != nil || id != 0 {
-		t.Fatalf("append: %v %v", id, err)
-	}
-	// The pager must copy: mutating the source buffer later is invisible.
-	buf[0] = 7
-	out := make([]byte, PageSize)
-	if err := m.ReadPage(0, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 42 {
-		t.Error("MemPager did not copy the page")
-	}
-	if m.Reads() != 1 {
-		t.Errorf("Reads = %d", m.Reads())
-	}
-	if err := m.ReadPage(3, out); err == nil {
-		t.Error("out-of-range read accepted")
+		})
 	}
 }
 
 func TestBufferPoolLRUAndStats(t *testing.T) {
-	m := NewMemPager()
-	for i := 0; i < 5; i++ {
-		buf := make([]byte, PageSize)
-		buf[0] = byte(i)
-		m.AppendPage(buf)
-	}
-	bp := NewBufferPool(m, 2)
-	get := func(id PageID) byte {
-		t.Helper()
-		data, err := bp.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := data[0]
-		bp.Unpin(id)
-		return v
-	}
-	if get(0) != 0 || get(1) != 1 {
-		t.Fatal("wrong content")
-	}
-	hits, misses := bp.Stats()
-	if hits != 0 || misses != 2 {
+	bp := NewBufferPool(2)
+	bp.Access(0)
+	bp.Access(1)
+	if hits, misses := bp.Stats(); hits != 0 || misses != 2 {
 		t.Fatalf("stats after cold reads: %d/%d", hits, misses)
 	}
-	_ = get(0) // hit
-	hits, _ = bp.Stats()
-	if hits != 1 {
+	bp.Access(0) // hit
+	if hits, _ := bp.Stats(); hits != 1 {
 		t.Fatalf("hits = %d", hits)
 	}
 	// Page 1 is now LRU; reading page 2 evicts it.
-	_ = get(2)
-	if len(bp.frames) != 2 {
-		t.Fatalf("resident = %d", len(bp.frames))
+	bp.Access(2)
+	if got := resident(t, bp); !slices.Equal(got, []int32{2, 0}) {
+		t.Fatalf("resident = %v, want [2 0]", got)
 	}
-	_ = get(1) // must be a miss again
-	_, misses = bp.Stats()
-	if misses != 4 {
+	bp.Access(1) // must be a miss again
+	if _, misses := bp.Stats(); misses != 4 {
 		t.Fatalf("misses = %d, want 4 (page 1 was evicted)", misses)
 	}
-	if bp.HitRate() <= 0 || bp.HitRate() >= 1 {
-		t.Errorf("hit rate = %v", bp.HitRate())
+	if bp.HitRate() != 0.2 {
+		t.Errorf("hit rate = %v, want 0.2", bp.HitRate())
 	}
 	bp.ResetStats()
-	if h, ms := bp.Stats(); h != 0 || ms != 0 {
+	if h, ms := bp.Stats(); h != 0 || ms != 0 || bp.HitRate() != 0 {
 		t.Error("reset failed")
 	}
-}
-
-func TestBufferPoolPinPreventsEviction(t *testing.T) {
-	m := NewMemPager()
-	for i := 0; i < 3; i++ {
-		m.AppendPage(make([]byte, PageSize))
-	}
-	bp := NewBufferPool(m, 1)
-	if _, err := bp.Get(0); err != nil { // pinned
-		t.Fatal(err)
-	}
-	if _, err := bp.Get(1); err == nil {
-		t.Error("pool should refuse when every frame is pinned")
-	}
-	bp.Unpin(0)
-	if _, err := bp.Get(1); err != nil {
-		t.Errorf("after unpin: %v", err)
-	}
-	bp.Unpin(1)
 }
 
 func TestBufferPoolValidation(t *testing.T) {
@@ -170,33 +109,104 @@ func TestBufferPoolValidation(t *testing.T) {
 			t.Error("capacity 0 should panic")
 		}
 	}()
-	NewBufferPool(NewMemPager(), 0)
+	NewBufferPool(0)
 }
 
-func TestWritePage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	pf, err := CreatePageFile(path)
-	if err != nil {
-		t.Fatal(err)
+// The paged view must return exactly the bare tree's kNN results and page
+// counts, for both INN and EINN, and the pool must see one access per page
+// the iterator counts.
+func TestDiskTreeEquivalence(t *testing.T) {
+	tree := buildSource(1, 5000, 10000)
+	pt := Open(tree, Pages(tree)) // pool holds everything
+	if h, ms := pt.Pool().Stats(); h != 0 || ms != 1 {
+		t.Fatalf("open: %d hits / %d misses, want the header page's one miss", h, ms)
 	}
-	defer pf.Close()
-	buf := make([]byte, PageSize)
-	if _, err := pf.AppendPage(buf); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 40; trial++ {
+		q := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
+		k := 1 + rng.Intn(12)
+
+		memRes, memAcc := nn.BestFirst(tree, q, k)
+
+		pt.Pool().ResetStats()
+		diskRes, diskAcc := nn.BestFirst(pt, q, k)
+		h, ms := pt.Pool().Stats()
+
+		if !slices.Equal(memRes, diskRes) {
+			t.Fatalf("trial %d: results %v, bare tree %v", trial, diskRes, memRes)
+		}
+		if diskAcc != memAcc {
+			t.Fatalf("trial %d: paged accesses %d != bare accesses %d", trial, diskAcc, memAcc)
+		}
+		// The buffer pool counts lookups independently of the iterator.
+		if h+ms != diskAcc {
+			t.Fatalf("trial %d: pool served %d lookups, traversal counted %d pages", trial, h+ms, diskAcc)
+		}
+		// EINN with bounds agrees too.
+		full := nn.BruteForce(tree, q, k+5)
+		if len(full) > 2 {
+			b := nn.Bounds{Lower: full[0].Dist, HasLower: true, Upper: full[len(full)-1].Dist, HasUpper: true}
+			memE, memPages := nn.EINN(tree, q, k, b)
+			pt.Pool().ResetStats()
+			diskE, diskPages := nn.EINN(pt, q, k, b)
+			h, ms := pt.Pool().Stats()
+			if !slices.Equal(memE, diskE) || memPages != diskPages || h+ms != diskPages {
+				t.Fatalf("trial %d: EINN results %d/%d, pages %d/%d, pool lookups %d differ",
+					trial, len(memE), len(diskE), memPages, diskPages, h+ms)
+			}
+		}
 	}
-	buf[0] = 99
-	if err := pf.WritePage(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, PageSize)
-	if err := pf.ReadPage(0, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 99 {
-		t.Error("WritePage content lost")
-	}
-	if err := pf.WritePage(5, buf); err == nil {
-		t.Error("out-of-range write accepted")
-	}
-	_ = geom.Point{}
 }
+
+// A tiny pool forces disk faults; a big pool after warm-up serves from
+// memory — the two I/O extremes of §4.4.
+func TestBufferPoolExtremes(t *testing.T) {
+	tree := buildSource(3, 20000, 48000)
+
+	queries := func(pt *Tree) {
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < 200; i++ {
+			q := geom.Pt(rng.Float64()*48000, rng.Float64()*48000)
+			nn.BestFirst(pt, q, 5)
+		}
+	}
+
+	// Tiny pool: almost every access faults.
+	small := Open(tree, 2)
+	small.Pool().ResetStats()
+	queries(small)
+	smallRate := small.Pool().HitRate()
+
+	// Pool sized for the whole file: after warm-up everything hits.
+	big := Open(tree, Pages(tree))
+	queries(big) // warm up
+	big.Pool().ResetStats()
+	queries(big)
+	bigRate := big.Pool().HitRate()
+
+	if smallRate > 0.6 {
+		t.Errorf("tiny pool hit rate %.2f implausibly high", smallRate)
+	}
+	if bigRate < 0.999 {
+		t.Errorf("warm full pool hit rate %.3f, want ~1", bigRate)
+	}
+}
+
+func benchmarkKNNPool(b *testing.B, poolPages func(*rtree.Tree) int) {
+	tree := buildSource(7, 50000, 48280)
+	pt := Open(tree, poolPages(tree))
+	rng := rand.New(rand.NewSource(8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := geom.Pt(rng.Float64()*48280, rng.Float64()*48280)
+		nn.BestFirst(pt, q, 5)
+	}
+	b.ReportMetric(pt.Pool().HitRate()*100, "hit%")
+}
+
+func BenchmarkPagedKNNColdPool(b *testing.B) {
+	benchmarkKNNPool(b, func(*rtree.Tree) int { return 8 })
+}
+
+func BenchmarkPagedKNNWarmPool(b *testing.B) { benchmarkKNNPool(b, Pages) }

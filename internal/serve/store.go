@@ -3,18 +3,19 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/pagestore"
 )
 
 // The POI store is the server's on-disk data set: the POIs in their
 // canonical order — a POI's row is its item number in the index — plus the
-// R*-tree fan-out they are meant to be indexed with, laid out on pagestore's
-// fixed 4 KiB pages. Storing the POI table and fan-out (rather than a
-// serialized tree) makes the boot-time index bit-identical to the in-process
+// R*-tree fan-out they are meant to be indexed with, laid out on fixed 4 KiB
+// pages. Storing the POI table and fan-out (rather than a serialized tree)
+// makes the boot-time index bit-identical to the in-process
 // sim.NewServerModule tree packed from the same inputs — which is what lets
 // the serve-vs-in-process oracle test demand byte equality of answers and
 // page counts — and packing 50,000 POIs takes less time than reading them.
@@ -28,8 +29,9 @@ import (
 const (
 	storeMagic    = uint32(0x504E4553) // "SENP"
 	storeVersion  = uint32(1)
+	storePageSize = 4096
 	poiRecordSize = 24
-	poisPerPage   = pagestore.PageSize / poiRecordSize
+	poisPerPage   = storePageSize / poiRecordSize
 )
 
 // maxStorePOIs caps what ReadStore will load (a format sanity bound, far
@@ -51,19 +53,19 @@ func WriteStore(path string, pois []core.POI, fanout int, bounds geom.Rect) (err
 	if fanout < 4 {
 		return fmt.Errorf("serve: store fanout %d, want >= 4", fanout)
 	}
-	pf, err := pagestore.CreatePageFile(path)
+	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: %w", err)
 	}
 	defer func() {
 		// A close failure after a clean write is still a failed write: the
 		// pages may never have reached the device.
-		if cerr := pf.Close(); err == nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}()
 
-	header := make([]byte, pagestore.PageSize)
+	header := make([]byte, storePageSize)
 	binary.LittleEndian.PutUint32(header[0:], storeMagic)
 	binary.LittleEndian.PutUint32(header[4:], storeVersion)
 	binary.LittleEndian.PutUint32(header[8:], uint32(fanout))
@@ -71,11 +73,11 @@ func WriteStore(path string, pois []core.POI, fanout int, bounds geom.Rect) (err
 	for i, v := range []float64{bounds.Min.X, bounds.Min.Y, bounds.Max.X, bounds.Max.Y} {
 		binary.LittleEndian.PutUint64(header[20+8*i:], math.Float64bits(v))
 	}
-	if _, err := pf.AppendPage(header); err != nil {
+	if _, err := f.Write(header); err != nil {
 		return err
 	}
 
-	page := make([]byte, pagestore.PageSize)
+	page := make([]byte, storePageSize)
 	for start := 0; start < len(pois); start += poisPerPage {
 		clear(page)
 		end := start + poisPerPage
@@ -89,29 +91,36 @@ func WriteStore(path string, pois []core.POI, fanout int, bounds geom.Rect) (err
 			binary.LittleEndian.PutUint64(page[off+16:], math.Float64bits(p.Loc.Y))
 			off += poiRecordSize
 		}
-		if _, err := pf.AppendPage(page); err != nil {
+		if _, err := f.Write(page); err != nil {
 			return err
 		}
 	}
-	return pf.Sync()
+	return f.Sync()
 }
 
 // ReadStore opens a store file and returns its metadata and POIs in stored
-// order.
+// order. It reads one page at a time through a single page buffer.
 func ReadStore(path string) (StoreInfo, []core.POI, error) {
-	pf, err := pagestore.OpenPageFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return StoreInfo{}, nil, err
+		return StoreInfo{}, nil, fmt.Errorf("serve: %w", err)
 	}
-	//simvet:discard — read-only open; there is nothing to flush and the pages are already copied out
-	defer pf.Close()
-	if pf.NumPages() == 0 {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return StoreInfo{}, nil, fmt.Errorf("serve: %w", err)
+	}
+	if st.Size()%storePageSize != 0 {
+		return StoreInfo{}, nil, fmt.Errorf("serve: %s: size %d not page aligned", path, st.Size())
+	}
+	numPages := int(st.Size() / storePageSize)
+	if numPages == 0 {
 		return StoreInfo{}, nil, fmt.Errorf("serve: %s: empty store file", path)
 	}
 
-	buf := make([]byte, pagestore.PageSize)
-	if err := pf.ReadPage(0, buf); err != nil {
-		return StoreInfo{}, nil, err
+	buf := make([]byte, storePageSize)
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return StoreInfo{}, nil, fmt.Errorf("serve: %s: %w", path, err)
 	}
 	if got := binary.LittleEndian.Uint32(buf[0:]); got != storeMagic {
 		return StoreInfo{}, nil, fmt.Errorf("serve: %s: bad store magic %#x", path, got)
@@ -142,15 +151,15 @@ func ReadStore(path string) (StoreInfo, []core.POI, error) {
 	}
 
 	wantPages := 1 + (info.Count+poisPerPage-1)/poisPerPage
-	if pf.NumPages() != wantPages {
+	if numPages != wantPages {
 		return StoreInfo{}, nil, fmt.Errorf("serve: %s: %d pages, want %d for %d POIs",
-			path, pf.NumPages(), wantPages, info.Count)
+			path, numPages, wantPages, info.Count)
 	}
 
 	pois := make([]core.POI, 0, info.Count)
 	for pageIdx := 1; pageIdx < wantPages; pageIdx++ {
-		if err := pf.ReadPage(pagestore.PageID(pageIdx), buf); err != nil {
-			return StoreInfo{}, nil, err
+		if _, err := io.ReadFull(f, buf); err != nil {
+			return StoreInfo{}, nil, fmt.Errorf("serve: %s: %w", path, err)
 		}
 		n := poisPerPage
 		if remaining := info.Count - len(pois); remaining < n {

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"os"
@@ -9,8 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/pagestore"
 	"repro/internal/rtree"
 	"repro/internal/sim"
 )
@@ -73,6 +75,36 @@ func sameIndex(a, b rtree.Node) bool {
 	return true
 }
 
+// The store file's bytes are a format, not an implementation detail: a
+// daemon must boot from a store written by any earlier build. The digest
+// was recorded from WriteStore as it stood before the store did its own file
+// I/O (it wrote through a generic page-file type then); any change to it is
+// a format change and needs a new storeVersion.
+func TestStoreFormatUnchanged(t *testing.T) {
+	const want = "211e9347c46e5d2fe3d69c1a485b74ee9381cee2b3c5246e00052d4f61d37cf4"
+	rng := rand.New(rand.NewSource(40))
+	pois := make([]core.POI, 500)
+	for i := range pois {
+		pois[i] = core.POI{ID: int64(i)*1_000_003 - 250_000, Loc: geom.Pt(rng.Float64()*9000-1000, rng.Float64()*7000)}
+	}
+	bounds := geom.Rect{Min: geom.Pt(-1000, 0), Max: geom.Pt(8000, 7000)}
+	path := filepath.Join(t.TempDir(), "pois.senp")
+	if err := WriteStore(path, pois, 30, bounds); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != 4*storePageSize {
+		t.Errorf("store is %d bytes, want 4 pages (a header and 500 POIs at %d per page)", len(b), poisPerPage)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("store SHA-256 %s, want %s", got, want)
+	}
+}
+
 func TestWriteStoreRejectsBadFanout(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pois.senp")
 	if err := WriteStore(path, nil, 3, geom.Rect{}); err == nil {
@@ -124,14 +156,24 @@ func TestReadStoreRejectsCorruption(t *testing.T) {
 			patch(t, p, 20, b[:])
 		}, "bounds"},
 		{"truncated", func(t *testing.T, p string) {
-			if err := os.Truncate(p, pagestore.PageSize); err != nil {
+			if err := os.Truncate(p, storePageSize); err != nil {
 				t.Fatal(err)
 			}
 		}, "pages"},
+		{"unaligned", func(t *testing.T, p string) {
+			if err := os.Truncate(p, storePageSize+100); err != nil {
+				t.Fatal(err)
+			}
+		}, "aligned"},
+		{"empty", func(t *testing.T, p string) {
+			if err := os.Truncate(p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}, "empty"},
 		{"nan poi", func(t *testing.T, p string) {
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(math.NaN()))
-			patch(t, p, pagestore.PageSize+8, b[:])
+			patch(t, p, storePageSize+8, b[:])
 		}, "POI"},
 	}
 	for _, tc := range cases {

@@ -10,8 +10,8 @@
 //
 // Everything is stdlib: the WebSocket layer below is a minimal RFC 6455
 // implementation (handshake, masking, fragmentation, control frames), the
-// HTTP layer is net/http, and the on-disk POI store rides on
-// internal/pagestore's fixed-size pages.
+// HTTP layer is net/http, and the on-disk POI store is fixed-size pages
+// read and written with package os (store.go).
 package serve
 
 import (
