@@ -5,8 +5,8 @@
 // would make that diff fail (or make it pass by luck), before it compiles
 // into the tree. The other two ride on a per-package call graph with
 // bottom-up function summaries and guard the serving stack: locksafe (a
-// mutex held across a blocking call; sync types copied by value) and
-// errsink (a discarded error from conn or wire operations or their
+// mutex held across a blocking call; a copied lock is go vet's copylocks)
+// and errsink (a discarded error from conn or wire operations or their
 // same-package wrappers). Every analyzer in the suite has fired on a tree a
 // change started from (results/SIMVET_HISTORY.txt); the invariants whose
 // analyzers never fired are held by the tests and gates DESIGN §7 names.

@@ -20,9 +20,9 @@
 //
 // The v2 layer (summary.go) adds a per-package call graph with bottom-up
 // function summaries — blocking behavior, error sources — shared by the
-// cross-function analyzers: locksafe (mutex held across a blocking call;
-// sync types copied by value) and errsink (discarded errors from
-// conn and wire operations and their same-package wrappers).
+// cross-function analyzers: locksafe (mutex held across a blocking call)
+// and errsink (discarded errors from conn and wire operations and their
+// same-package wrappers).
 //
 // Suppression annotations: a comment of the form
 //

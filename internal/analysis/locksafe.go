@@ -8,28 +8,20 @@ import (
 	"strings"
 )
 
-// LockSafe guards the serving layer's mutex discipline with two checks
-// built on the cross-function summaries:
-//
-//  1. A mutex held across a blocking operation. Between a sync.Mutex /
-//     sync.RWMutex Lock (or a defer'd Unlock, which holds to function end)
-//     and its Unlock, the critical section must not perform a blocking
-//     operation — net.Conn I/O, a channel send/receive/range, a select
-//     with no default, sync.WaitGroup.Wait, io.ReadFull-style copies, or
-//     time.Sleep — nor call a same-package function whose summary says it
-//     may block. One wedged peer (a client that stops reading its TCP
-//     socket, a channel nobody drains) then wedges every goroutine
-//     contending for the lock: for a per-connection server that is a
-//     cross-connection denial of service. Deliberate serialization locks
-//     (a write mutex that exists precisely to serialize whole frames onto
-//     a conn) are reviewed and annotated //simvet:lockio at the blocking
-//     call.
-//
-//  2. A sync primitive copied by value: a parameter, assignment, or range
-//     variable whose type embeds sync.Mutex, sync.RWMutex, sync.WaitGroup,
-//     sync.Once, sync.Cond, sync.Map, sync.Pool, or a sync/atomic type. A
-//     copied lock guards nothing — the copy and the original serialize
-//     independently — so such types must be shared by pointer.
+// LockSafe guards the serving layer's mutex discipline with the
+// cross-function summaries: between a sync.Mutex / sync.RWMutex Lock (or a
+// defer'd Unlock, which holds to function end) and its Unlock, the critical
+// section must not perform a blocking operation — net.Conn I/O, a channel
+// send/receive/range, a select with no default, sync.WaitGroup.Wait,
+// io.ReadFull-style copies, or time.Sleep — nor call a same-package
+// function whose summary says it may block. One wedged peer (a client that
+// stops reading its TCP socket, a channel nobody drains) then wedges every
+// goroutine contending for the lock: for a per-connection server that is a
+// cross-connection denial of service. Deliberate serialization locks (a
+// write mutex that exists precisely to serialize whole frames onto a conn)
+// are reviewed and annotated //simvet:lockio at the blocking call. A sync
+// primitive copied by value is go vet's copylocks check, which CI runs over
+// every package.
 //
 // The critical-section walk is a linear over-approximation: branch bodies
 // are analyzed with a copy of the held set, so an Unlock inside an `if`
@@ -38,7 +30,7 @@ import (
 // (or later) and are excluded from the enclosing critical section.
 var LockSafe = &Analyzer{
 	Name:  "locksafe",
-	Doc:   "flags mutexes held across blocking calls (net.Conn I/O, channel ops, Wait) and sync primitives copied by value in the serving packages",
+	Doc:   "flags mutexes held across blocking calls (net.Conn I/O, channel ops, Wait) in the serving packages",
 	Scope: ServingPackages,
 	Run:   runLockSafe,
 }
@@ -51,7 +43,6 @@ func runLockSafe(pass *Pass) error {
 			if !ok {
 				continue
 			}
-			checkValueCopies(pass, fd)
 			if fd.Body != nil {
 				walkHeld(pass, sums, fd.Body.List, make(map[string]token.Pos))
 			}
@@ -202,74 +193,4 @@ func mutexOp(pass *Pass, call *ast.CallExpr) (lock bool, key string, ok bool) {
 		return false, types.ExprString(sel.X), true
 	}
 	return false, "", false
-}
-
-// checkValueCopies reports sync primitives copied by value: value
-// parameters and receivers, value assignments from existing values, and
-// range value variables.
-func checkValueCopies(pass *Pass, fd *ast.FuncDecl) {
-	reportIfSync := func(pos token.Pos, t types.Type, what string) {
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			return
-		}
-		if prim, ok := typeContainsSync(t); ok {
-			pass.Reportf(pos,
-				"%s copies %s, which contains %s; a copied lock no longer guards the original — share it by pointer",
-				what, types.TypeString(t, types.RelativeTo(pass.Pkg)), prim)
-		}
-	}
-	checkFields := func(fields *ast.FieldList, what string) {
-		if fields == nil {
-			return
-		}
-		for _, f := range fields.List {
-			for _, name := range f.Names {
-				if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-					reportIfSync(name.Pos(), v.Type(), what+" "+name.Name)
-				}
-			}
-		}
-	}
-	checkFields(fd.Recv, "value receiver")
-	checkFields(fd.Type.Params, "value parameter")
-	if fd.Body == nil {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) || !isLvalueExpr(rhs) {
-					continue // composite literals and call results are fresh values
-				}
-				if tv, ok := pass.TypesInfo.Types[rhs]; ok {
-					reportIfSync(rhs.Pos(), tv.Type, "assignment")
-				}
-			}
-		case *ast.RangeStmt:
-			if id, ok := n.Value.(*ast.Ident); ok && id.Name != "_" {
-				if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-					reportIfSync(id.Pos(), v.Type(), "range value "+id.Name)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// isLvalueExpr reports whether e denotes an existing addressable value
-// (identifier, field, element, or dereference) rather than a fresh one.
-func isLvalueExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	case *ast.ParenExpr:
-		return isLvalueExpr(e.X)
-	}
-	return false
 }

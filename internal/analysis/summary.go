@@ -353,38 +353,3 @@ func lastResultIsError(obj *types.Func) bool {
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
-
-// typeContainsSync reports whether a value of type t embeds (by value) a
-// sync or sync/atomic primitive, and names the first one found. Pointers
-// and interfaces are fine — sharing by pointer is the contract this check
-// enforces.
-func typeContainsSync(t types.Type) (string, bool) {
-	return containsSync(t, make(map[types.Type]bool))
-}
-
-func containsSync(t types.Type, seen map[types.Type]bool) (string, bool) {
-	if seen[t] {
-		return "", false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "sync", "sync/atomic":
-				return obj.Pkg().Name() + "." + obj.Name(), true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name, ok := containsSync(u.Field(i).Type(), seen); ok {
-				return name, ok
-			}
-		}
-	case *types.Array:
-		return containsSync(u.Elem(), seen)
-	}
-	return "", false
-}

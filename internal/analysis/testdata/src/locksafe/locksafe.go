@@ -1,8 +1,8 @@
 // Package locksafe is the fixture for the locksafe analyzer: mutexes held
 // across blocking operations (conn I/O, channel ops, Wait — directly or
-// through a same-package call) and sync primitives copied by value must be
-// flagged; released-before-blocking sections, goroutine hand-offs, pointer
-// sharing, and //simvet:lockio-reviewed serialization locks stay silent.
+// through a same-package call) must be flagged; released-before-blocking
+// sections, goroutine hand-offs, and //simvet:lockio-reviewed serialization
+// locks stay silent.
 package locksafe
 
 import (
@@ -93,40 +93,4 @@ func (s *server) serialized(p []byte) {
 	//simvet:lockio — this lock exists precisely to serialize frames onto the conn
 	_, _ = s.c.Write(p)
 	s.mu.Unlock()
-}
-
-// guarded is the value-copy half of the fixture.
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func copiesParam(g guarded) int { // want `value parameter g copies guarded, which contains sync\.Mutex`
-	return g.n
-}
-
-func sharesPointer(g *guarded) int { // pointer: silent
-	return g.n
-}
-
-func (g guarded) valueReceiver() int { // want `value receiver g copies guarded`
-	return g.n
-}
-
-func copiesAssign(g *guarded) {
-	snapshot := *g // want `assignment copies guarded`
-	_ = snapshot.n
-}
-
-func copiesRange(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want `range value g copies guarded`
-		total += g.n
-	}
-	return total
-}
-
-func freshValue() *guarded {
-	g := guarded{} // a fresh composite literal copies nothing: silent
-	return &g
 }

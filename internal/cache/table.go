@@ -79,7 +79,7 @@ func (a *Arena) take(n int) []core.POI {
 type Table struct {
 	capacity int
 	pois     []core.POI // the world's POI set; pois[i].ID == i
-	slot     []int32    // per host: slot index, −1 = never stored
+	slot     []int32    // per host: slot index + 1, 0 = never stored
 	chunks   []chunk
 	used     int        // slots handed out; slot s lives in chunks[s/slotsPerChunk]
 	scratch  []core.POI // Store's policy buffer
@@ -96,11 +96,7 @@ func NewTable(hosts, capacity int, pois []core.POI) *Table {
 	if len(pois) > math.MaxInt32 {
 		panic("cache: POI set too large for int32 indices")
 	}
-	t := &Table{capacity: capacity, pois: pois, slot: make([]int32, hosts)}
-	for i := range t.slot {
-		t.slot[i] = -1
-	}
-	return t
+	return &Table{capacity: capacity, pois: pois, slot: make([]int32, hosts)}
 }
 
 // Slots returns how many hosts have ever stored a non-empty result — the
@@ -146,7 +142,7 @@ func (t *Table) at(s int32) (*slotHeader, []int32) {
 // The entry is a copy: it stays intact until arena is Reset, whatever is
 // stored to the table in between.
 func (t *Table) Entry(host int, arena *Arena) (core.PeerCache, bool) {
-	s := t.slot[host]
+	s := t.slotOf(host)
 	if s < 0 {
 		return core.PeerCache{}, false
 	}
@@ -182,7 +178,7 @@ func (t *Table) View(host int, arena *Arena) Cache {
 // so a foreign POI would read back with different coordinates and silently
 // change an answer a peer certifies from it.
 func (t *Table) Store(host int, queryLoc geom.Point, certain []core.POI) {
-	s := t.slot[host]
+	s := t.slotOf(host)
 	if s < 0 {
 		if len(certain) == 0 {
 			return // nothing to invalidate, and no reason to claim a slot
@@ -209,6 +205,10 @@ func sameBits(a, b core.POI) bool {
 		math.Float64bits(a.Loc.Y) == math.Float64bits(b.Loc.Y)
 }
 
+// slotOf returns host's slot index, −1 if it never stored. The column holds
+// the index + 1, so a freshly allocated (zeroed) table is the empty one.
+func (t *Table) slotOf(host int) int32 { return t.slot[host] - 1 }
+
 // claim hands host the next free slot, allocating a chunk when the last one
 // is full.
 func (t *Table) claim(host int) int32 {
@@ -220,7 +220,7 @@ func (t *Table) claim(host int) int32 {
 	}
 	s := int32(t.used)
 	t.used++
-	t.slot[host] = s
+	t.slot[host] = s + 1
 	h, _ := t.at(s)
 	h.host = int32(host)
 	return s

@@ -75,7 +75,8 @@ func checkInvariants(t *testing.T, tb *Table) {
 	t.Helper()
 	var arena Arena
 	owned := 0
-	for host, s := range tb.slot {
+	for host := range tb.slot {
+		s := tb.slotOf(host)
 		if s < 0 {
 			if s != -1 {
 				t.Fatalf("host %d: slot index %d", host, s)
@@ -102,8 +103,8 @@ func checkInvariants(t *testing.T, tb *Table) {
 	entries, neighbors := 0, 0
 	for s := int32(0); int(s) < tb.used; s++ {
 		h, idx := tb.at(s)
-		if tb.slot[h.host] != s {
-			t.Fatalf("slot %d names host %d, whose slot is %d", s, h.host, tb.slot[h.host])
+		if tb.slotOf(int(h.host)) != s {
+			t.Fatalf("slot %d names host %d, whose slot is %d", s, h.host, tb.slotOf(int(h.host)))
 		}
 		if h.n < 0 || int(h.n) > tb.capacity || len(idx) != tb.capacity || cap(idx) != tb.capacity {
 			t.Fatalf("slot %d: n=%d len=%d cap=%d, capacity %d", s, h.n, len(idx), cap(idx), tb.capacity)
@@ -239,8 +240,8 @@ func TestTableChurn(t *testing.T) {
 			}
 		default:
 			what = "read never-stored"
-			if _, ok := tb.Entry(host, &arena); ok != (tb.slot[host] >= 0 && ref[host].valid) {
-				t.Fatalf("op %d: Entry(%d) ok=%v on a host with slot %d", op, host, ok, tb.slot[host])
+			if _, ok := tb.Entry(host, &arena); ok != (tb.slotOf(host) >= 0 && ref[host].valid) {
+				t.Fatalf("op %d: Entry(%d) ok=%v on a host with slot %d", op, host, ok, tb.slotOf(host))
 			}
 			if v := tb.View(host, &arena); v.Capacity() != capacity {
 				t.Fatalf("op %d: view capacity %d", op, v.Capacity())
@@ -266,18 +267,18 @@ func TestTableFirstStoreOrder(t *testing.T) {
 	order := []int{999_999, 3, 500_000, 42}
 	for want, host := range order {
 		tb.Store(host, q, nil) // never stored: no slot
-		if tb.slot[host] != -1 {
-			t.Fatalf("empty store gave host %d slot %d", host, tb.slot[host])
+		if tb.slotOf(host) != -1 {
+			t.Fatalf("empty store gave host %d slot %d", host, tb.slotOf(host))
 		}
 		tb.Store(host, q, world)
-		if int(tb.slot[host]) != want {
-			t.Fatalf("host %d got slot %d, want %d", host, tb.slot[host], want)
+		if int(tb.slotOf(host)) != want {
+			t.Fatalf("host %d got slot %d, want %d", host, tb.slotOf(host), want)
 		}
 	}
 	tb.Store(3, q, nil) // invalidates, keeps the slot
 	var arena Arena
-	if _, ok := tb.Entry(3, &arena); ok || tb.slot[3] != 1 || tb.Slots() != 4 {
-		t.Fatalf("empty store to a stored host: ok=%v slot=%d slots=%d", ok, tb.slot[3], tb.Slots())
+	if _, ok := tb.Entry(3, &arena); ok || tb.slotOf(3) != 1 || tb.Slots() != 4 {
+		t.Fatalf("empty store to a stored host: ok=%v slot=%d slots=%d", ok, tb.slotOf(3), tb.Slots())
 	}
 	checkInvariants(t, tb)
 }

@@ -9,6 +9,7 @@ package grid
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -142,26 +143,72 @@ func NewPointIndex(bounds geom.Rect, cell float64, pts []geom.Point) Index {
 }
 
 // Build recomputes the whole index from cells[i] = CellIndex of item i with
-// a counting sort: every bucket lists its items in ascending index, whatever
-// order produced the positions. len(cells) must equal len(Entries).
+// a counting sort on the calling goroutine: every bucket lists its items in
+// ascending index, whatever order produced the positions. len(cells) must
+// equal len(Entries).
 func (ix *Index) Build(cells []int32) {
-	start := ix.Start
-	clear(start)
+	clear(ix.Start)
+	Count(ix.Start[1:], cells)
+	ix.Place(cells, 1)
+}
+
+// Count is the counting sort's count half: it adds cells' histogram to
+// counts, one per item at counts[cell], so len(counts) must be NumCells().
+// Histograms of disjoint runs of items add up, so the items may be counted
+// chunk by chunk, or into several tables that are summed before Place. An
+// Index's own table is Start[1:].
+func Count(counts, cells []int32) {
 	for _, c := range cells {
-		start[c+1]++
+		counts[c]++
 	}
+}
+
+// Place is the counting sort's place half. Start[1:] must hold the
+// histogram of cells (Count) and Start[0] zero; Place fills Entries and
+// leaves Start the bucket boundaries. The cell rows are cut into bands
+// (at most one per row, at least one), each placed on its own goroutine —
+// the first on the caller's, so at most bands goroutines run. Every band
+// scans cells in ascending item order and writes only its own buckets and
+// their Start slots, so the bands share no counter and every bucket comes
+// out ascending whatever the band count.
+func (ix *Index) Place(cells []int32, bands int) {
+	start := ix.Start
+	// Exclusive prefix sum: Start[c+1] becomes the first slot of bucket c,
+	// the cursor its band advances; placing leaves it at the end of bucket
+	// c, which is the start of bucket c+1.
+	sum := int32(0)
 	for c := 1; c < len(start); c++ {
-		start[c] += start[c-1]
+		n := start[c]
+		start[c] = sum
+		sum += n
 	}
-	// Place with Start[c] as bucket c's cursor; afterwards Start[c] holds
-	// the end of bucket c — the start of bucket c+1 — so shifting the table
-	// one slot right restores it without a second counts array.
+	bands = max(1, min(bands, ix.ny))
+	band := func(b int) { // rows [b*ny/bands, (b+1)*ny/bands)
+		ix.placeBand(cells, int32(b*ix.ny/bands*ix.nx), int32((b+1)*ix.ny/bands*ix.nx))
+	}
+	var wg sync.WaitGroup
+	for b := 1; b < bands; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			band(b)
+		}()
+	}
+	band(0)
+	wg.Wait()
+}
+
+// placeBand files every item whose cell lies in [lo, hi), in ascending item
+// order, at its bucket's cursor.
+func (ix *Index) placeBand(cells []int32, lo, hi int32) {
+	cursor, entries := ix.Start[1:], ix.Entries
+	span := uint32(hi - lo)
 	for i, c := range cells {
-		ix.Entries[start[c]] = int32(i)
-		start[c]++
+		if uint32(c-lo) < span {
+			entries[cursor[c]] = int32(i)
+			cursor[c]++
+		}
 	}
-	copy(start[1:], start[:len(start)-1])
-	start[0] = 0
 }
 
 // Row returns the items filed in cells x0..x1 (inclusive) of row y, in cell

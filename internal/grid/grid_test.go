@@ -2,6 +2,8 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -210,4 +212,88 @@ func FuzzCover(f *testing.F) {
 		}
 		checkCover(t, seed, w, h, cell, r, int(n))
 	})
+}
+
+// TestBuildMatchesStableSort holds the split counting sort to its
+// definition: however the histogram is accumulated — in one Count, chunk by
+// chunk, or into several tables summed afterwards — and however many bands
+// Place cuts the rows into, from one to one more than there are rows,
+// Entries must list the items stably sorted by cell and Start[c] must be
+// the number of items in cells before c. The populations include every
+// item in one cell, no items at all, a 1×1 grid and a one-row grid.
+func TestBuildMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, tc := range []struct {
+		name    string
+		w, h    float64
+		cell    float64
+		n       int
+		oneCell bool // every item in one cell
+	}{
+		{"square", 1000, 1000, 100, 2000, false},
+		{"wide", 2500, 300, 100, 777, false},
+		{"tall", 300, 2500, 100, 1001, false},
+		{"sparse", 1000, 1000, 50, 37, false},
+		{"one cell holds all", 1000, 1000, 100, 500, true},
+		{"no items", 1000, 1000, 100, 0, false},
+		{"1x1 grid", 100, 100, 500, 300, false},
+		{"one row", 1000, 50, 100, 400, false},
+	} {
+		ix := NewIndex(rect(tc.w, tc.h), tc.cell, tc.n)
+		cells := make([]int32, tc.n)
+		shared := int32(rng.Intn(ix.NumCells()))
+		for i := range cells {
+			if tc.oneCell {
+				cells[i] = shared
+			} else {
+				cells[i] = ix.CellIndex(geom.Pt(rng.Float64()*tc.w, rng.Float64()*tc.h))
+			}
+		}
+		wantEntries := make([]int32, tc.n)
+		for i := range wantEntries {
+			wantEntries[i] = int32(i)
+		}
+		sort.SliceStable(wantEntries, func(a, b int) bool { return cells[wantEntries[a]] < cells[wantEntries[b]] })
+		wantStart := make([]int32, ix.NumCells()+1)
+		for c := range ix.NumCells() {
+			wantStart[c+1] = wantStart[c]
+			for _, k := range cells {
+				if int(k) == c {
+					wantStart[c+1]++
+				}
+			}
+		}
+		check := func(how string, bands int) {
+			t.Helper()
+			if !slices.Equal(ix.Start, wantStart) || !slices.Equal(ix.Entries, wantEntries) {
+				t.Fatalf("%s (%dx%d cells, n=%d), %s, %d bands: Start %v Entries %v, want %v %v",
+					tc.name, ix.NX(), ix.NY(), tc.n, how, bands, ix.Start, ix.Entries, wantStart, wantEntries)
+			}
+		}
+		ix.Build(cells)
+		check("Build", 1)
+		for bands := 1; bands <= ix.NY()+1; bands++ {
+			clear(ix.Start)
+			Count(ix.Start[1:], cells)
+			ix.Place(cells, bands)
+			check("one Count", bands)
+
+			// Counted chunk by chunk at random cut points, the chunks
+			// spread over three tables that are summed before Place.
+			clear(ix.Start)
+			tables := [][]int32{ix.Start[1:], make([]int32, ix.NumCells()), make([]int32, ix.NumCells())}
+			for lo := 0; lo < tc.n; {
+				hi := min(tc.n, lo+1+rng.Intn(97))
+				Count(tables[rng.Intn(len(tables))], cells[lo:hi])
+				lo = hi
+			}
+			for _, tb := range tables[1:] {
+				for c, k := range tb {
+					ix.Start[c+1] += k
+				}
+			}
+			ix.Place(cells, bands)
+			check("chunked Count", bands)
+		}
+	}
 }

@@ -83,6 +83,34 @@ func NewWaypoints(bounds geom.Rect, speed, maxPause, tripRadius float64, n int) 
 	}
 }
 
+// Resize sets the engine's slot count to n. The first min(n, old count)
+// slots keep their state and any slot added starts unseeded. Memory moves
+// only past the capacity the engine already has, so an engine built for an
+// upper bound on its movers is cut to the exact count for free.
+func (w *Waypoints) Resize(n int) {
+	w.dest = resize(w.dest, n)
+	w.vel = resize(w.vel, n)
+	w.left = resize(w.left, n)
+	w.pause = resize(w.pause, n)
+	w.rng = resize(w.rng, n)
+}
+
+// resize returns s with length n: resliced (the added tail zeroed) within
+// its capacity, copied into a new array beyond it.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		t := make([]T, n)
+		copy(t, s)
+		return t
+	}
+	if old := len(s); n > old {
+		s = s[:n]
+		clear(s[old:])
+		return s
+	}
+	return s[:n]
+}
+
 // Bytes returns the engine's per-slot state in bytes — 56 per slot: dest,
 // vel, left, pause, rng — computed from the slice lengths.
 func (w *Waypoints) Bytes() int64 {

@@ -102,7 +102,7 @@ type Config struct {
 	// three-level parallelism model (DESIGN.md §8); the outer level fans
 	// whole simulations via experiments.RunParallel. 0 or 1 advances hosts
 	// on the coordinating goroutine. New builds the population on as many
-	// (World.placeHosts). Every worker count produces bit-identical
+	// (World.populate). Every worker count produces bit-identical
 	// simulation output; only wall-clock time changes.
 	Workers int
 	// QueryWorkers is the number of goroutines the resolve phase of each

@@ -10,9 +10,10 @@ import (
 // transmission range. Cells are sized to the transmission range so a range
 // query touches at most 25 cells.
 //
-// It is a grid.Index (cell layout plus CSR buckets, built once by the
-// counting sort of Index.Build) that applyDelta then patches every movement
-// step from the moved-host delta. Either way every bucket lists its hosts in
+// It is a grid.Index (cell layout plus CSR buckets, built once by New's
+// pipelined counting sort: grid.Count per chunk, then Index.Place in bands)
+// that applyDelta then patches every movement step from the moved-host
+// delta. Either way every bucket lists its hosts in
 // ascending host index, whatever execution order produced the positions, so
 // a neighborhood enumerates a bit-identical sequence for any Config.Workers
 // value — which is what keeps the gathered peer list, its message and byte

@@ -321,15 +321,18 @@ func TestWorldLayoutEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewMatchesReference fences New's construction rule: only the serial
-// phase draws from the world's stream, in host order, and everything fanned
-// across Config.Workers depends on a host's own draws alone. Right after New,
-// positions, grid cells, the moving list and the grid's buckets must equal
-// the reference world's — built host by host on one goroutine — bit for bit,
-// and so must every position and cell over a few movement steps, which is
-// where a mover's seeded generator and first leg or route show. Both modes;
-// worker counts that divide the population evenly, unevenly and beyond the
-// movers; a world with fewer movers than workers and one with none.
+// TestNewMatchesReference fences New's construction rule: only the
+// drawing goroutine reads the world's stream, in host order, and everything
+// the placing workers do depends on a host's own draws alone. Right after
+// New, positions, grid cells, the moving list and the grid's buckets must
+// equal the reference world's — built host by host on one goroutine — bit
+// for bit, and so must every position and cell over a few movement steps,
+// which is where a mover's seeded generator and first leg or route show.
+// Both modes; worker counts that divide the population evenly, unevenly and
+// beyond the movers; a world with fewer movers than workers and one with
+// none; one whose drawn movers overrun the presized bound many times over,
+// so the movement columns grow while chunks are being placed; and a
+// 100,000-host free world whose 7,001-host chunks do not divide it.
 func TestNewMatchesReference(t *testing.T) {
 	base := Config{
 		AreaWidth: 3000, AreaHeight: 3000,
@@ -339,27 +342,43 @@ func TestNewMatchesReference(t *testing.T) {
 		KMin: 1, KMax: 5,
 		Duration: 60, Seed: 33,
 	}
+	bothModes := []Mode{ModeFreeMovement, ModeRoadNetwork}
 	populations := []struct {
 		name      string
+		modes     []Mode
 		hosts     int
 		move      float64
 		maxMovers int // the drawn mover count must stay below it
+		chunk     int // hosts per chunk (0: New's own)
+		bound     int // movers the columns are presized for (0: New's own)
 	}{
-		{"mixed", 1500, 0.6, 1500},
-		{"few-movers", 40, 0.1, 8}, // fewer movers than the widest worker count
-		{"no-movers", 300, 0, 1},
+		{"mixed", bothModes, 1500, 0.6, 1500, 0, 0},
+		{"few-movers", bothModes, 40, 0.1, 8, 0, 0}, // fewer movers than the widest worker count
+		{"no-movers", bothModes, 300, 0, 1, 0, 0},
+		{"over-bound", bothModes, 1500, 0.6, 1500, 97, 10},
+		{"many-chunks", []Mode{ModeFreeMovement}, 100_000, 0.1, 11_000, 7001, 0},
 	}
-	for _, mode := range []Mode{ModeFreeMovement, ModeRoadNetwork} {
-		for _, pop := range populations {
+	for _, pop := range populations {
+		for _, mode := range pop.modes {
 			for _, workers := range []int{1, 2, 3, 8} {
 				cfg := base
 				cfg.Mode, cfg.NumHosts, cfg.MovePercentage, cfg.Workers = mode, pop.hosts, pop.move, workers
-				w, err := New(cfg)
+				name := fmt.Sprintf("%v/%s/workers=%d", mode, pop.name, workers)
+				var w *World
+				cfg, err := cfg.Validate()
+				if err == nil && pop.chunk == 0 {
+					w, err = New(cfg)
+				} else if err == nil {
+					bound := pop.bound
+					if bound == 0 {
+						bound = expectedMovers(cfg.NumHosts, cfg.MovePercentage)
+					}
+					w, err = build(cfg, pop.chunk, bound)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				name := fmt.Sprintf("%v/%s/workers=%d", mode, pop.name, workers)
-				if n := len(w.moving); n >= pop.maxMovers || pop.move > 0 && n == 0 {
+				if n := len(w.moving); n >= pop.maxMovers || pop.move > 0 && n == 0 || pop.bound > 0 && n <= 10*pop.bound {
 					t.Fatalf("%s: %d movers of %d hosts", name, n, len(w.pos))
 				}
 				ref := newRefWorld(w.cfg, w.roads)

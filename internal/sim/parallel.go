@@ -104,19 +104,23 @@ func (e *stepEngine) step(dt float64) {
 // shard needs a private route planner: a PathFinder is scratch state that
 // is not safe for concurrent use, but the paths it returns are a pure
 // function of the graph, so trajectories do not depend on which finder a
-// host holds. New's placeHosts already gave each
-// shard of this layout its own; only a re-sharded world (the step
-// benchmarks re-shard one) hands its movers out again.
+// host holds. New's placers each planned with their own, whichever chunks
+// they took; here the movers are handed out again by shard, keeping the
+// finders the placers made.
 func (w *World) initEngine(workers int) {
 	w.engine = newStepEngine(w, max(1, min(workers, len(w.moving))))
-	k := len(w.engine.shards)
-	if w.roads == nil || k == len(w.finders) {
+	if w.roads == nil {
 		return
 	}
-	for len(w.finders) < k {
-		w.finders = append(w.finders, spatialnet.NewPathFinder(w.roads))
+	finders := make([]*spatialnet.PathFinder, len(w.engine.shards))
+	for s := range finders {
+		if s < len(w.finders) && w.finders[s] != nil {
+			finders[s] = w.finders[s]
+		} else {
+			finders[s] = spatialnet.NewPathFinder(w.roads)
+		}
 	}
-	w.finders = w.finders[:k]
+	w.finders = finders
 	for s, sh := range w.engine.shards {
 		for j := sh[0]; j < sh[1]; j++ {
 			w.road[j].SetFinder(w.finders[s])

@@ -127,9 +127,11 @@ func BenchmarkWorldStep(b *testing.B) {
 // density in road mode on 12×12 mi (19,440 hosts, the same 500 m road
 // spacing and 2.5 km trip radius as the full area), so one op stays well
 // under half a second; per mover it is the full world's work, a math/rand
-// generator seeded and a first route planned. Both build the same world bit
-// for bit at every worker count (TestNewMatchesReference); the CI bench job
-// gates the workers=1 / workers=2 ratios.
+// generator seeded and a first route planned. move is the sim-move
+// workload's world: a million hosts at 10 % duty, where the stream's draws
+// and the grid's counting sort are most of the work. Every world is the
+// same bit for bit at every worker count (TestNewMatchesReference); the CI
+// bench job gates the workers=1 / workers=2 ratios.
 func BenchmarkWorldNew(b *testing.B) {
 	const mile = 1609.344
 	worlds := []struct {
@@ -149,6 +151,13 @@ func BenchmarkWorldNew(b *testing.B) {
 			MovePercentage: 0.80, Velocity: 13.4112, MaxPause: 30,
 			QueriesPerMinute: 8100, TxRange: 200, KMin: 3, KMax: 7,
 			Duration: 150, Mode: ModeRoadNetwork, Seed: 1,
+		}},
+		{"move", Config{
+			AreaWidth: 138470, AreaHeight: 138470,
+			NumPOIs: 4050, NumHosts: 1_000_000, CacheSize: 20,
+			MovePercentage: 0.10, Velocity: 13.4112, MaxPause: 30,
+			QueriesPerMinute: 8100, TxRange: 200, KMin: 3, KMax: 7,
+			Duration: 300, Mode: ModeFreeMovement, Seed: 1,
 		}},
 	}
 	for _, world := range worlds {

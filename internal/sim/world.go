@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/mobility"
 	"repro/internal/spatialnet"
 )
@@ -103,17 +105,24 @@ func (w *World) PeerCachesSnapshot() []core.PeerCache {
 // New builds a world from cfg: the road network (road mode), the POI set,
 // the server module, and the host population with its movement state.
 //
-// The population is built in two phases. The serial phase makes every draw
-// from the world's random stream, host by host in host order; placeHosts
-// then does the rest — first legs or first routes, snaps to the network,
-// grid cells — across Config.Workers goroutines. What it computes depends
-// only on a host's draws and the read-only road graph, so the world is the
-// same bit for bit for any worker count (TestNewMatchesReference).
+// The population is built in one pipelined pass (populate): the calling
+// goroutine makes every draw from the world's random stream, host by host
+// in host order, and hands each chunk of drawn hosts to Config.Workers-1
+// placing workers while it keeps drawing. What a chunk's placing computes
+// depends only on its hosts' draws and the read-only road graph, so the
+// world is the same bit for bit for any worker count
+// (TestNewMatchesReference).
 func New(cfg Config) (*World, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
+	return build(cfg, chunkHosts(cfg.NumHosts, cfg.Workers), expectedMovers(cfg.NumHosts, cfg.MovePercentage))
+}
+
+// build is New on a validated config, given the pipeline's chunk size and
+// the mover count its movement columns are presized for.
+func build(cfg Config, chunk, moverBound int) (*World, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &World{cfg: cfg, rng: rng}
 
@@ -135,36 +144,7 @@ func New(cfg Config) (*World, error) {
 	pois := RandomPOIs(cfg.NumPOIs, cfg.Bounds(), rng)
 	w.server = NewServerModule(pois, Fanout)
 
-	n := cfg.NumHosts
-	w.grid = newHostGrid(cfg.Bounds(), n, cfg.TxRange)
-	w.pos = make([]geom.Point, n)
-	w.cells = make([]int32, n)
-	w.caches = cache.NewTable(n, cfg.CacheSize, pois)
-
-	// Serial phase, the only reader of the world's stream after the POIs:
-	// per host in host order its start, whether it moves and, for a mover,
-	// the seed of its private generator (movement state is indexed by
-	// position in the moving list).
-	movers := expectedMovers(n, cfg.MovePercentage)
-	w.moving = make([]int32, 0, movers)
-	seeds := make([]uint64, 0, movers)
-	for i := 0; i < n; i++ {
-		w.pos[i] = geom.Pt(
-			rng.Float64()*cfg.AreaWidth,
-			rng.Float64()*cfg.AreaHeight,
-		)
-		if moving := rng.Float64() < cfg.MovePercentage; !moving {
-			continue
-		}
-		w.moving = append(w.moving, int32(i))
-		if w.roads == nil {
-			seeds = append(seeds, rng.Uint64())
-		} else {
-			seeds = append(seeds, uint64(rng.Int63()))
-		}
-	}
-	w.placeHosts(seeds)
-	w.grid.Build(w.cells)
+	w.populate(pois, chunk, moverBound)
 	w.initEngine(cfg.Workers)
 	w.initQueryEngine(cfg.QueryWorkers)
 	if cfg.SeriesWindow > 0 {
@@ -174,66 +154,228 @@ func New(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// expectedMovers sizes the moving list and the seed list before the hosts
-// draw: the mean of the binomial mover count plus four standard deviations,
-// so the lists almost never grow.
+// chunkHosts is how many hosts New draws before it hands them to a placing
+// worker: at most 16,384 — 62 hand-offs for a million hosts, and a last
+// chunk small enough that placing ends soon after the last draw — and at
+// least eight chunks per placer, so that a road world, where placing a
+// mover plans a route and costs far more than drawing it, still spreads
+// over every placer.
+func chunkHosts(n, workers int) int {
+	return max(1, min(1<<14, n/(8*max(1, workers))))
+}
+
+// expectedMovers sizes the moving list, the seed list and the movement
+// columns before the hosts draw: the mean of the binomial mover count plus
+// four standard deviations, so they almost never grow.
 func expectedMovers(n int, p float64) int {
 	mean := float64(n) * p
 	return min(n, int(mean+4*math.Sqrt(mean*(1-p)))+1)
 }
 
-// placeHosts is New's parallel phase, fanned across Config.Workers
-// goroutines in contiguous shards. Over shards of the moving list it arms
-// every mover from its seed and its drawn start: a free mover's first leg
-// (Waypoints.Seed); a road mover's snap to the network, its generator and
-// its first route, planned with the shard's own PathFinder. Then, over
-// shards of the population, it snaps each parked road host to the network
-// and computes every host's grid cell. Each shard writes only its own
-// slots, and each mover's state is a pure function of its seed, its start
-// and the graph, so no shard layout can change the result.
-func (w *World) placeHosts(seeds []uint64) {
-	cfg := w.cfg
-	movers := splitRange(len(w.moving), cfg.Workers)
-	if w.roads == nil {
-		w.wp = mobility.NewWaypoints(cfg.Bounds(), cfg.Velocity, cfg.MaxPause, cfg.TripRadius, len(w.moving))
-		runWorkers(len(movers), func(s int) {
-			for j := movers[s][0]; j < movers[s][1]; j++ {
-				w.wp.Seed(j, w.pos[w.moving[j]], seeds[j])
+// chunkJob is one chunk of New's pipeline: hosts [lo, hi), whose movers
+// are movers (ascending), at moving-list positions j0, j0+1, ..., drawing
+// seeds.
+type chunkJob struct {
+	lo, hi, j0 int
+	movers     []int32
+	seeds      []uint64
+}
+
+// populate builds the host columns, drawing and placing the population in
+// one pass on at most Config.Workers goroutines, the calling one counted.
+//
+// The calling goroutine is the only reader of the world's stream after the
+// POIs: per host in host order its start, whether it moves and, for a
+// mover, the seed of its private generator (movement state is indexed by
+// position in the moving list). After each chunk of hosts it queues the
+// chunk for Workers-1 placing workers and keeps drawing; after the last
+// draw it places queued chunks beside them. With one worker it places each
+// chunk itself as soon as the chunk is drawn.
+//
+// The columns no draw writes — grid cells, the grid, the cache table and
+// the movement columns — are allocated, and so zeroed, by the first worker
+// (the coordinator when it is the only one) before its first chunk, while
+// the draws go on. The movement columns come last: the collector paces the
+// run that follows from what is live when New's last cycle ends, and
+// allocating them first left the sim-query world's heap 4 MB larger for
+// its whole run.
+//
+// Each placer counts the grid cells of the chunks it takes into its own
+// histogram: the first worker into the grid's own table, the coordinator
+// into the cell table the first movement step's applyDelta allocates
+// anyway, any further worker into one it allocates. Once every chunk is
+// placed the histograms are summed and the grid's place half runs in
+// Workers bands of cell rows.
+func (w *World) populate(pois []core.POI, chunk, moverBound int) {
+	cfg, rng, n := w.cfg, w.rng, w.cfg.NumHosts
+	workers := max(1, cfg.Workers)
+	w.pos = make([]geom.Point, n)
+	moving := make([]int32, 0, moverBound)
+	seeds := make([]uint64, 0, moverBound)
+	if w.roads != nil {
+		w.finders = make([]*spatialnet.PathFinder, workers)
+	}
+
+	// Placer p's histogram and route planner are its own; the coordinator
+	// is placer workers-1. A placer's first chunk, and any growth of the
+	// movement columns, waits for the columns.
+	counts := make([][]int32, workers)
+	ready := make(chan struct{})
+	columns := func() {
+		w.cells = make([]int32, n)
+		w.grid = newHostGrid(cfg.Bounds(), n, cfg.TxRange)
+		counts[0] = w.grid.Start[1:]
+		w.caches = cache.NewTable(n, cfg.CacheSize, pois)
+		if w.roads == nil {
+			w.wp = mobility.NewWaypoints(cfg.Bounds(), cfg.Velocity, cfg.MaxPause, cfg.TripRadius, moverBound)
+		} else {
+			w.road = make([]*mobility.RoadNetwork, moverBound)
+		}
+		close(ready)
+	}
+	place := func(p int, job chunkJob) {
+		if counts[p] == nil {
+			<-ready
+			if p == workers-1 {
+				w.grid.delta.touch = make([]int32, w.grid.NumCells())
+				counts[p] = w.grid.delta.touch
+			} else {
+				counts[p] = make([]int32, w.grid.NumCells())
 			}
-		})
-	} else {
-		w.road = make([]*mobility.RoadNetwork, len(w.moving))
-		w.finders = make([]*spatialnet.PathFinder, len(movers))
-		runWorkers(len(movers), func(s int) {
-			w.finders[s] = spatialnet.NewPathFinder(w.roads)
-			opts := mobility.RoadNetworkOptions{Finder: w.finders[s], TripRadius: cfg.TripRadius}
-			for j := movers[s][0]; j < movers[s][1]; j++ {
-				i := w.moving[j]
+		}
+		var finder *spatialnet.PathFinder
+		if w.roads != nil {
+			if w.finders[p] == nil {
+				w.finders[p] = spatialnet.NewPathFinder(w.roads)
+			}
+			finder = w.finders[p]
+		}
+		w.placeChunk(job, counts[p], finder)
+	}
+	// One buffer slot per chunk: the coordinator never waits to queue one.
+	jobs := make(chan chunkJob, (n+chunk-1)/chunk)
+	var pending, exited sync.WaitGroup
+	if workers == 1 {
+		columns()
+	}
+	exited.Add(workers - 1)
+	for p := 0; p < workers-1; p++ {
+		go func() {
+			defer exited.Done()
+			if p == 0 {
+				columns()
+			}
+			for job := range jobs {
+				place(p, job)
+				pending.Done()
+			}
+		}()
+	}
+
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		j0 := len(moving)
+		for i := lo; i < hi; i++ {
+			w.pos[i] = geom.Pt(
+				rng.Float64()*cfg.AreaWidth,
+				rng.Float64()*cfg.AreaHeight,
+			)
+			if rng.Float64() >= cfg.MovePercentage {
+				continue
+			}
+			if len(moving) == cap(moving) {
+				// More movers than the bound: the movement columns move,
+				// so no queued chunk may be writing them.
+				<-ready
+				pending.Wait()
+				moving = slices.Grow(moving, 1)
+				seeds = slices.Grow(seeds, cap(moving)-len(seeds))
+				w.resizeMovers(cap(moving))
+			}
+			moving = append(moving, int32(i))
+			if w.roads == nil {
+				seeds = append(seeds, rng.Uint64())
+			} else {
+				seeds = append(seeds, uint64(rng.Int63()))
+			}
+		}
+		job := chunkJob{
+			lo: lo, hi: hi, j0: j0,
+			movers: moving[j0:len(moving):len(moving)],
+			seeds:  seeds[j0:len(seeds):len(seeds)],
+		}
+		if workers == 1 {
+			place(0, job)
+			continue
+		}
+		pending.Add(1)
+		jobs <- job
+	}
+	close(jobs)
+	for job := range jobs {
+		place(workers-1, job)
+		pending.Done()
+	}
+	exited.Wait()
+
+	w.moving = moving
+	w.resizeMovers(len(moving))
+	start := w.grid.Start
+	for _, t := range counts[1:] {
+		for c, k := range t {
+			start[c+1] += k
+		}
+	}
+	clear(w.grid.delta.touch)
+	w.grid.Place(w.cells, workers)
+}
+
+// resizeMovers sets the movement columns to n slots (mobility.Waypoints
+// or the road movers), reallocating only past their capacity.
+func (w *World) resizeMovers(n int) {
+	if w.wp != nil {
+		w.wp.Resize(n)
+		return
+	}
+	if n > len(w.road) {
+		w.road = slices.Grow(w.road, n-len(w.road))
+	}
+	w.road = w.road[:n]
+}
+
+// placeChunk places one chunk, writing only its own hosts' and movers'
+// slots. It arms every mover from its seed and its drawn start — a free
+// mover's first leg (Waypoints.Seed); a road mover's snap to the network,
+// its generator and its first route, planned with finder — snaps every
+// parked road host to the network, and computes every host's grid cell and
+// counts it into counts. A mover's state is a pure function of its seed,
+// its start and the graph, so neither the chunk size nor which placer
+// takes a chunk can change the result.
+func (w *World) placeChunk(job chunkJob, counts []int32, finder *spatialnet.PathFinder) {
+	cfg := w.cfg
+	next := 0
+	for i := job.lo; i < job.hi; i++ {
+		if next < len(job.movers) && int(job.movers[next]) == i {
+			j := job.j0 + next
+			if w.wp != nil {
+				w.wp.Seed(j, w.pos[i], job.seeds[next])
+			} else {
 				node, _ := w.roads.NearestNodeIndexed(w.pos[i])
 				m := mobility.NewRoadNetworkWith(w.roads, node, cfg.Velocity, cfg.MaxPause,
-					rand.New(rand.NewSource(int64(seeds[j]))), opts)
+					rand.New(rand.NewSource(int64(job.seeds[next]))),
+					mobility.RoadNetworkOptions{Finder: finder, TripRadius: cfg.TripRadius})
 				w.road[j] = m
 				w.pos[i] = m.Pos()
 			}
-		})
-	}
-	hosts := splitRange(len(w.pos), cfg.Workers)
-	runWorkers(len(hosts), func(s int) {
-		lo, hi := hosts[s][0], hosts[s][1]
-		// next walks the moving list alongside the hosts: the first mover
-		// at or after lo, then the next one not yet passed.
-		next, _ := slices.BinarySearch(w.moving, int32(lo))
-		for i := lo; i < hi; i++ {
-			if next < len(w.moving) && int(w.moving[next]) == i {
-				next++
-			} else if w.roads != nil {
-				// Parked hosts in road mode still sit on the network.
-				node, _ := w.roads.NearestNodeIndexed(w.pos[i])
-				w.pos[i] = w.roads.Loc(node)
-			}
-			w.cells[i] = w.grid.CellIndex(w.pos[i])
+			next++
+		} else if w.roads != nil {
+			// Parked hosts in road mode still sit on the network.
+			node, _ := w.roads.NearestNodeIndexed(w.pos[i])
+			w.pos[i] = w.roads.Loc(node)
 		}
-	})
+		w.cells[i] = w.grid.CellIndex(w.pos[i])
+	}
+	grid.Count(counts, w.cells[job.lo:job.hi])
 }
 
 // Server exposes the server module (for benchmark harnesses).
