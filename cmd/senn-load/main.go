@@ -229,11 +229,7 @@ func fetchBounds(addr string) (geom.Rect, error) {
 // completes. With -share=false the relay exchange is skipped but the local
 // cache still serves — the paper's no-sharing baseline.
 func session(cfg config, slot int, pos geom.Point, wp *mobility.Waypoints, stop <-chan struct{}, res *result) error {
-	token, err := newSession(cfg.addr)
-	if err != nil {
-		return err
-	}
-	ws, err := serve.DialWS("ws://" + cfg.addr + "/v1/ws?session=" + token)
+	ws, err := serve.DialWS("ws://" + cfg.addr + "/v1/ws")
 	if err != nil {
 		return err
 	}
@@ -277,24 +273,6 @@ func session(cfg config, slot int, pos geom.Point, wp *mobility.Waypoints, stop 
 		res.queries++
 		res.latencies = append(res.latencies, time.Since(t0))
 	}
-}
-
-func newSession(addr string) (string, error) {
-	resp, err := http.Post("http://"+addr+"/v1/session", "application/json", nil)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("session: status %d", resp.StatusCode)
-	}
-	var doc struct {
-		Session string `json:"session"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return "", err
-	}
-	return doc.Session, nil
 }
 
 // percentile returns the nearest-rank percentile of sorted latencies: the

@@ -1,6 +1,6 @@
 // Command senn-serverd serves SENN spatial queries over the network: HTTP
-// for session setup and stats, WebSocket + the internal/wire binary protocol
-// for position updates and kNN/range queries. The POI data set comes from an
+// for stats, WebSocket + the internal/wire binary protocol for position
+// updates and kNN/range queries, one session per connection. The POI data set comes from an
 // on-disk page-aligned store (see internal/serve), which the daemon packs at
 // boot into the same R*-tree the in-process simulator builds — served
 // answers are bit-identical to ServerModule's, page counts included.

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"math/rand"
 	"net"
@@ -89,21 +88,10 @@ func TestHalfWrittenRequestIsClosed(t *testing.T) {
 	}
 }
 
-// openSession POSTs /v1/session and dials the query WebSocket.
+// openSession dials the query WebSocket, which is the session.
 func openSession(t *testing.T, addr string) *serve.WSConn {
 	t.Helper()
-	resp, err := http.Post("http://"+addr+"/v1/session", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Session string `json:"session"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	ws, err := serve.DialWS("ws://" + addr + "/v1/ws?session=" + doc.Session)
+	ws, err := serve.DialWS("ws://" + addr + "/v1/ws")
 	if err != nil {
 		t.Fatal(err)
 	}

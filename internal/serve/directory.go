@@ -18,20 +18,20 @@ import (
 // CSR grid from the moved-host delta.
 //
 // Locking. One mutex, mu, guards the cell map and, for every session, its
-// place in it (dirIn, dirCell, dirSlot) and its attached connection (conn).
-// A relay's range scan holds it across the covered cells; an update holds
+// place in it (dirIn, dirCell, dirSlot). A session's conn is set when the
+// session is created and never changes, so it needs no guard. A relay's
+// range scan holds mu across the covered cells; an update or a removal holds
 // it across one cell move. Nothing blocking runs under it, and no path
 // holds it together with Server.mu or the relay table's lock.
 // BenchmarkRelayFanout/contended measures the lock under concurrent updates
 // and scans; on two and eight cores it beat per-cell lock stripes, whose
 // acquisitions a 1 km scan paid once per covered cell.
 //
-// A session joins the directory with its first streamed Position and stays
-// in it for the session's whole lifetime: a disconnect detaches the conn
-// but keeps the position, because a reconnect resumes relaying from the
-// last streamed position (pinned by the oracle property test). Whether a
-// candidate is probed is decided at scan time by the exact distance filter
-// and a non-nil conn.
+// A session is its connection: it joins the directory with its first
+// streamed Position and leaves it when the connection ends (dropConn), so
+// the cells hold exactly the live connections that have streamed a
+// position. Whether a member is probed is decided at scan time by the exact
+// distance filter alone.
 type sessionDirectory struct {
 	geo grid.Geom
 
@@ -73,28 +73,10 @@ func newSessionDirectory(bounds geom.Rect, cell float64) *sessionDirectory {
 	}
 }
 
-// attach makes ws the connection relays probe sess on; a reconnect
-// supersedes the previous attachment.
-func (d *sessionDirectory) attach(sess *session, ws *WSConn) {
-	d.mu.Lock()
-	sess.conn = ws
-	d.mu.Unlock()
-}
-
-// detach clears sess's connection if it is still ws: a superseded
-// connection that finishes late leaves its replacement attached.
-func (d *sessionDirectory) detach(sess *session, ws *WSConn) {
-	d.mu.Lock()
-	if sess.conn == ws {
-		sess.conn = nil
-	}
-	d.mu.Unlock()
-}
-
 // update files sess under pos, patching the index incrementally: the
 // same-cell case rewrites the stored position in place; a cell change
-// removes the session from its old bucket (swap-remove, fixing the swapped
-// session's slot) and appends it to the new one.
+// removes the session from its old bucket (unfile) and appends it to the
+// new one.
 func (d *sessionDirectory) update(sess *session, pos geom.Point) {
 	c := d.geo.CellIndex(pos)
 	d.mu.Lock()
@@ -103,18 +85,7 @@ func (d *sessionDirectory) update(sess *session, pos geom.Point) {
 		d.mu.Unlock()
 		return
 	}
-	if sess.dirIn {
-		cell := d.cells[sess.dirCell]
-		i, last := sess.dirSlot, int32(len(cell.sessions)-1)
-		if i != last {
-			cell.sessions[i] = cell.sessions[last]
-			cell.pos[i] = cell.pos[last]
-			cell.sessions[i].dirSlot = i
-		}
-		cell.sessions[last] = nil // drop the reference; the bucket is reused
-		cell.sessions = cell.sessions[:last]
-		cell.pos = cell.pos[:last]
-	}
+	d.unfile(sess)
 	cell := d.cells[c]
 	if cell == nil {
 		// An emptied bucket is kept in the map (buckets are not freed on
@@ -131,20 +102,39 @@ func (d *sessionDirectory) update(sess *session, pos geom.Point) {
 	d.patchOps.Add(1)
 }
 
-// relayTarget pairs a probed session with the connection captured at
-// snapshot time: probes go to the conn that was attached when the scan ran.
-type relayTarget struct {
-	sess *session
-	conn *WSConn
+// remove retires sess from the directory when its connection ends.
+func (d *sessionDirectory) remove(sess *session) {
+	d.mu.Lock()
+	d.unfile(sess)
+	d.mu.Unlock()
+}
+
+// unfile swap-removes sess from its bucket, if it is filed, fixing the
+// swapped session's slot. The caller holds mu.
+func (d *sessionDirectory) unfile(sess *session) {
+	if !sess.dirIn {
+		return
+	}
+	cell := d.cells[sess.dirCell]
+	i, last := sess.dirSlot, int32(len(cell.sessions)-1)
+	if i != last {
+		cell.sessions[i] = cell.sessions[last]
+		cell.pos[i] = cell.pos[last]
+		cell.sessions[i].dirSlot = i
+	}
+	cell.sessions[last] = nil // drop the reference; the bucket is reused
+	cell.sessions = cell.sessions[:last]
+	cell.pos = cell.pos[:last]
+	sess.dirIn = false
 }
 
 // collectTargets appends every relay target within radius of q to dst: a
-// connected session, other than exclude, whose last filed position passes
-// the exact distance filter. It scans only the covered cells — O(r²/cell²)
+// session, other than exclude, whose last filed position passes the exact
+// distance filter. It scans only the covered cells — O(r²/cell²)
 // map lookups — instead of the whole session table. Enumeration order is
 // cell-major (insertion order within a bucket); relay countdown semantics
 // are order-insensitive, which the order property test pins.
-func (d *sessionDirectory) collectTargets(exclude *session, q geom.Point, radius float64, dst []relayTarget) []relayTarget {
+func (d *sessionDirectory) collectTargets(exclude *session, q geom.Point, radius float64, dst []*session) []*session {
 	r2 := radius * radius
 	cx, cy := d.geo.RawCell(q)
 	x0, y0, x1, y1 := d.geo.Cover(cx, cy, radius)
@@ -166,10 +156,7 @@ func (d *sessionDirectory) collectTargets(exclude *session, q geom.Point, radius
 					rejected++
 					continue
 				}
-				if sess.conn == nil {
-					continue
-				}
-				dst = append(dst, relayTarget{sess: sess, conn: sess.conn})
+				dst = append(dst, sess)
 			}
 		}
 	}

@@ -20,17 +20,17 @@ func newBareServer(bounds geom.Rect, cell float64) *Server {
 // enumerates cell-major and the linear sweep in map order, so equivalence
 // is set equality — the relay's countdown is order-insensitive (pinned by
 // TestRelayCountdownOrderInsensitive).
-func targetSet(ts []relayTarget) map[*session]*WSConn {
-	m := make(map[*session]*WSConn, len(ts))
-	for _, t := range ts {
-		m[t.sess] = t.conn
+func targetSet(ts []*session) map[*session]bool {
+	m := make(map[*session]bool, len(ts))
+	for _, sess := range ts {
+		m[sess] = true
 	}
 	return m
 }
 
 // The directory's target selection must be exactly the linear sweep's under
-// randomized join/leave/move churn: same sessions, same captured conns, for
-// query points and radii inside, on, and far outside the service area.
+// randomized join/move/leave churn, for query points and radii inside, on,
+// and far outside the service area.
 func TestDirectoryMatchesLinearOracle(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}
 	// Exercise several cell layouts, including a deliberately tiny grid
@@ -50,20 +50,18 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 			for round := 0; round < 300; round++ {
 				switch op := rng.Intn(10); {
 				case op < 3 || len(all) == 0: // join
-					sess := &session{}
-					if rng.Intn(2) == 0 {
-						s.dir.attach(sess, &WSConn{})
-					}
+					sess := &session{conn: &WSConn{}}
 					all = append(all, sess)
 					if rng.Intn(4) > 0 { // most sessions stream a position
 						ps.stream(sess, randPos())
 					}
-				case op < 5: // disconnect / reconnect
-					sess := all[rng.Intn(len(all))]
-					if ws := sess.conn; ws == nil {
-						s.dir.attach(sess, &WSConn{})
-					} else {
-						s.dir.detach(sess, ws)
+				case op < 5: // leave
+					i := rng.Intn(len(all))
+					ps.leave(all[i])
+					all[i] = all[len(all)-1]
+					all = all[:len(all)-1]
+					if len(all) == 0 {
+						continue
 					}
 				default: // move
 					sess := all[rng.Intn(len(all))]
@@ -88,9 +86,9 @@ func TestDirectoryMatchesLinearOracle(t *testing.T) {
 						t.Fatalf("round %d q=%v r=%g: directory found %d targets, linear oracle %d",
 							round, loc, radius, len(gs), len(ls))
 					}
-					for sess, conn := range ls {
-						if gs[sess] != conn {
-							t.Fatalf("round %d q=%v r=%g: target/conn mismatch vs oracle", round, loc, radius)
+					for sess := range ls {
+						if !gs[sess] {
+							t.Fatalf("round %d q=%v r=%g: target mismatch vs oracle", round, loc, radius)
 						}
 					}
 				}
@@ -126,41 +124,38 @@ func TestDirectoryDegenerateBounds(t *testing.T) {
 		p := geom.Pt(1e9, -1e9)
 		d.update(sess, p)
 		got := d.collectTargets(nil, p, 1, nil)
-		if len(got) != 1 || got[0].sess != sess {
+		if len(got) != 1 || got[0] != sess {
 			t.Fatalf("bounds %+v: far-out session not found via clamped cell", bounds)
 		}
 	}
 }
 
-// A session that streams positions from two goroutines (a superseded
-// connection racing its replacement), range scans, and connections detached
-// and re-attached throughout must stay race-free, never yield a target
-// without a connection, and keep the directory's slot bookkeeping intact.
-// Run under -race in CI's test job.
+// Movers streaming positions, scanners, and sessions leaving and joining
+// throughout must stay race-free, never yield a target without a
+// connection, and keep the directory's slot bookkeeping intact. Each
+// session is driven by one goroutine, as its connection drives it in the
+// daemon. Run under -race in CI's test job.
 func TestDirectoryConcurrentChurn(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10000, 10000)}
 	s := newBareServer(bounds, 200)
 	ps := newPositions(s.dir)
-	const nSessions = 64
-	sessions := make([]*session, nSessions)
-	conns := make([]*WSConn, nSessions)
-	for i := range sessions {
-		sessions[i], conns[i] = &session{}, &WSConn{}
-		s.dir.attach(sessions[i], conns[i])
-	}
-	const iters = 400
+	const perWorker, iters = 16, 400
+	randPt := func(rng *rand.Rand) geom.Point { return geom.Pt(rng.Float64()*10000, rng.Float64()*10000) }
 	var wg sync.WaitGroup
-	// Writers, scanners and reconnectors: every combination of
-	// update/update, update/scan and attach-or-detach/scan interleavings
-	// gets exercised.
+	// Movers, churners and scanners: every combination of update/update,
+	// update/remove, update/scan and remove/scan interleavings gets
+	// exercised, on shared cell buckets.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			own := make([]*session, perWorker)
+			for i := range own {
+				own[i] = &session{conn: &WSConn{}}
+			}
 			for i := 0; i < iters; i++ {
-				sess := sessions[rng.Intn(nSessions)]
-				ps.stream(sess, geom.Pt(rng.Float64()*10000, rng.Float64()*10000))
+				ps.stream(own[rng.Intn(perWorker)], randPt(rng))
 			}
 		}(int64(w))
 	}
@@ -169,13 +164,18 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(200 + seed))
+			own := make([]*session, perWorker)
 			for i := 0; i < iters; i++ {
-				j := rng.Intn(nSessions)
-				if rng.Intn(2) == 0 {
-					s.dir.detach(sessions[j], conns[j])
-				} else {
-					s.dir.attach(sessions[j], conns[j])
+				j := rng.Intn(perWorker)
+				if own[j] != nil && rng.Intn(2) == 0 {
+					ps.leave(own[j])
+					own[j] = nil
+					continue
 				}
+				if own[j] == nil {
+					own[j] = &session{conn: &WSConn{}}
+				}
+				ps.stream(own[j], randPt(rng))
 			}
 		}(int64(w))
 	}
@@ -184,10 +184,9 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(100 + seed))
-			var scratch []relayTarget
+			var scratch []*session
 			for i := 0; i < iters; i++ {
-				loc := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
-				scratch = s.dir.collectTargets(nil, loc, 1000, scratch[:0])
+				scratch = s.dir.collectTargets(nil, randPt(rng), 1000, scratch[:0])
 				for _, tg := range scratch {
 					if tg.conn == nil {
 						t.Error("collected target with nil conn")
@@ -205,9 +204,9 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 	if len(grid) != len(linear) {
 		t.Fatalf("post-churn mismatch: directory %d targets, oracle %d", len(grid), len(linear))
 	}
-	for sess, conn := range linear {
-		if grid[sess] != conn {
-			t.Fatal("post-churn target/conn mismatch vs oracle")
+	for sess := range linear {
+		if !grid[sess] {
+			t.Fatal("post-churn target mismatch vs oracle")
 		}
 	}
 }
@@ -216,7 +215,6 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 // one table, swept whole, which the property tests pin the grid directory
 // against and BenchmarkRelayFanout measures the speedup from. The table is
 // its own: production keeps positions only in the directory's cells.
-// Connections are the directory's, read under its lock.
 type positions struct {
 	dir *sessionDirectory
 	mu  sync.Mutex
@@ -236,19 +234,25 @@ func (ps *positions) stream(sess *session, p geom.Point) {
 	ps.dir.update(sess, p)
 }
 
+// leave forgets sess in both, as its connection's end does.
+func (ps *positions) leave(sess *session) {
+	ps.mu.Lock()
+	delete(ps.at, sess)
+	ps.mu.Unlock()
+	ps.dir.remove(sess)
+}
+
 // collectTargetsLinear must keep selecting exactly the target set
 // collectTargets selects.
-func (ps *positions) collectTargetsLinear(exclude *session, q geom.Point, radius float64, dst []relayTarget) []relayTarget {
+func (ps *positions) collectTargetsLinear(exclude *session, q geom.Point, radius float64, dst []*session) []*session {
 	r2 := radius * radius
 	ps.mu.Lock()
-	ps.dir.mu.Lock()
 	for sess, pos := range ps.at {
-		if sess == exclude || sess.conn == nil || q.Dist2(pos) > r2 {
+		if sess == exclude || q.Dist2(pos) > r2 {
 			continue
 		}
-		dst = append(dst, relayTarget{sess: sess, conn: sess.conn})
+		dst = append(dst, sess)
 	}
-	ps.dir.mu.Unlock()
 	ps.mu.Unlock()
 	return dst
 }

@@ -26,17 +26,13 @@ import (
 // read of the request and have to survive the hijack. It returns a client
 // WSConn over the connection.
 func dialRaw(srv *httptest.Server, frames ...[]byte) (*WSConn, error) {
-	token, err := sessionToken(srv)
-	if err != nil {
-		return nil, err
-	}
 	addr := strings.TrimPrefix(srv.URL, "http://")
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	const key = "dGhlIHNhbXBsZSBub25jZQ=="
-	out := []byte("GET /v1/ws?session=" + token + " HTTP/1.1\r\n" +
+	out := []byte("GET /v1/ws HTTP/1.1\r\n" +
 		"Host: " + addr + "\r\n" +
 		"Upgrade: websocket\r\n" +
 		"Connection: Upgrade\r\n" +
@@ -113,11 +109,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// The connection goroutine, not the HTTP handler, owns teardown now: once
-// clients disconnect — orderly, abruptly, or with a relay in flight —
-// active_conns, the sessions' attached conns (what the directory's sweep
-// probes), the pending table and the goroutine count are all back where they
-// started.
+// The connection goroutine, not the HTTP handler, owns teardown: once
+// clients disconnect — orderly, abruptly, or with a relay in flight — the
+// sessions retire with them, and active_conns, the directory's buckets, the
+// pending table and the goroutine count are all back where they started.
 func TestDisconnectReturnsToBaseline(t *testing.T) {
 	s, srv := testServerHandle(t, 500, Options{RelayTimeout: time.Hour})
 	http.DefaultClient.CloseIdleConnections()
@@ -160,13 +155,13 @@ func TestDisconnectReturnsToBaseline(t *testing.T) {
 	if got := pendingRelays(s); got != 0 {
 		t.Fatalf("%d relays still pending after every participant left", got)
 	}
-	if got := s.dir.collectTargets(nil, centre, 100, nil); len(got) != 0 {
-		t.Fatalf("directory sweep still finds %d attached conns", len(got))
+	if got := len(filedPositions(s)); got != 0 {
+		t.Fatalf("directory buckets still hold %d sessions", got)
 	}
 	http.DefaultClient.CloseIdleConnections()
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
-	if st := fetchStats(t, srv); st.Sessions != n || st.RelayTimeouts != 0 {
-		t.Fatalf("stats %+v: sessions outlive their conns and no relay rode the timer", st)
+	if st := fetchStats(t, srv); st.Sessions != 0 || st.RelayTimeouts != 0 {
+		t.Fatalf("stats %+v: want no session left and no relay that rode the timer", st)
 	}
 }
 
@@ -194,10 +189,6 @@ func TestCloseDrainsAttachedConnections(t *testing.T) {
 	}
 	if msg := readDecoded(t, conns[1]); msg.Type != wire.TypePeerProbe {
 		t.Fatalf("peer got %+v, want probe", msg)
-	}
-	late, err := sessionToken(srv)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -237,7 +228,7 @@ func TestCloseDrainsAttachedConnections(t *testing.T) {
 	for i, ws := range conns {
 		expectGoingAway(fmt.Sprintf("conn %d", i), ws)
 	}
-	lateWS, err := DialWS(wsURL(srv) + "/v1/ws?session=" + late)
+	lateWS, err := tryOpenSession(srv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // paper's hosts have over the air (§4.1): a client that wants peer caches
 // sends PeerRequest with its position and transmission radius; the daemon —
 // which already tracks every session's last streamed Position — plays the
-// broadcast medium. It probes each connected session within the radius
+// broadcast medium. It probes each session within the radius
 // (PeerProbe), collects their ShareReply frames, and returns the aggregate
 // to the requester as one PeerShares message. The requester then runs the
 // exact same verification core (internal/client) a simulated host runs on
@@ -88,7 +88,7 @@ type relayTable struct {
 
 // relayTargetPool recycles the per-request target snapshot slices.
 var relayTargetPool = sync.Pool{
-	New: func() any { s := make([]relayTarget, 0, 64); return &s },
+	New: func() any { s := make([]*session, 0, 64); return &s },
 }
 
 // relayBufPool recycles relay encode buffers (probe frames and the empty
@@ -141,17 +141,17 @@ func peersInRangeBucket(n int) int {
 // registered and every target probed. The returned error is a requester
 // write failure (the caller tears the connection down); probe failures to
 // other sessions only shrink the countdown.
-func (s *Server) startRelay(reqSess *session, ws *WSConn, req wire.PeerRequest) error {
+func (s *Server) startRelay(reqSess *session, req wire.PeerRequest) error {
 	radius := req.Radius
 	if radius > s.maxTxRange {
 		radius = s.maxTxRange
 	}
 	s.stat.relayRequests.Add(1)
 
-	// Snapshot the in-range targets from the spatial directory: connected
-	// sessions (other than the requester) whose last streamed position lies
-	// within the radius. Only the covered grid cells are scanned.
-	tp := relayTargetPool.Get().(*[]relayTarget)
+	// Snapshot the in-range targets from the spatial directory: sessions
+	// (other than the requester) whose last streamed position lies within
+	// the radius. Only the covered grid cells are scanned.
+	tp := relayTargetPool.Get().(*[]*session)
 	targets := s.dir.collectTargets(reqSess, req.Loc, radius, (*tp)[:0])
 	s.stat.peersInRange[peersInRangeBucket(len(targets))].Add(1)
 
@@ -160,13 +160,13 @@ func (s *Server) startRelay(reqSess *session, ws *WSConn, req wire.PeerRequest) 
 		relayTargetPool.Put(tp)
 		bp := relayBufPool.Get().(*[]byte)
 		buf := wire.AppendPeerShares((*bp)[:0], wire.PeerShares{ReqID: req.ReqID})
-		err := ws.WriteBinaryBatched(buf)
+		err := reqSess.conn.WriteBinaryBatched(buf)
 		*bp = buf
 		relayBufPool.Put(bp)
 		return err
 	}
 
-	probeID := s.registerRelay(ws, req.ReqID, targets)
+	probeID := s.registerRelay(reqSess.conn, req.ReqID, targets)
 
 	// Probe outside every lock. A dead target's failed write just removes
 	// it from the countdown, exactly like a disconnect. The pending relay is
@@ -175,9 +175,9 @@ func (s *Server) startRelay(reqSess *session, ws *WSConn, req wire.PeerRequest) 
 	// and the probe ID alone.
 	bp := relayBufPool.Get().(*[]byte)
 	probe := wire.AppendPeerProbe((*bp)[:0], probeID)
-	for _, t := range targets {
-		if t.conn.WriteBinary(probe) != nil {
-			s.relayDropPeer(probeID, t.sess)
+	for _, peer := range targets {
+		if peer.conn.WriteBinary(probe) != nil {
+			s.relayDropPeer(probeID, peer)
 		}
 	}
 	*bp = probe
@@ -192,7 +192,7 @@ func (s *Server) startRelay(reqSess *session, ws *WSConn, req wire.PeerRequest) 
 // timer armed, and returns the probe id that names it from then on. The
 // aggregate starts as a PeerShares header with a zero share count (see
 // deliverRelay).
-func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []relayTarget) uint32 {
+func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []*session) uint32 {
 	pr, _ := s.relay.free.Get().(*pendingRelay)
 	if pr == nil {
 		pr = &pendingRelay{waiting: make(map[*session]bool)}
@@ -201,8 +201,8 @@ func (s *Server) registerRelay(reqConn *WSConn, reqID uint32, targets []relayTar
 	pr.reqID = reqID
 	pr.peersInRange = len(targets)
 	pr.agg = wire.AppendPeerSharesHeader(pr.agg[:0], reqID, len(targets), 0)
-	for _, t := range targets {
-		pr.waiting[t.sess] = true
+	for _, peer := range targets {
+		pr.waiting[peer] = true
 	}
 	s.relay.mu.Lock()
 	s.relay.nextProbe++
@@ -323,20 +323,20 @@ func (s *Server) deliverRelay(pr *pendingRelay) {
 	_ = pr.reqConn.WriteBinary(pr.agg)
 }
 
-// dropConn detaches a finished connection from its session and settles
-// every relay it touches: relays waiting on this session lose one countdown
-// slot (completing if it was the last), and relays this connection
-// requested are cancelled outright — there is nobody left to deliver to.
-// Walks the whole pending table; disconnects are rare enough that the sweep
-// is fine.
-func (s *Server) dropConn(sess *session, ws *WSConn) {
-	s.dir.detach(sess, ws)
+// dropConn retires the session of a finished connection: it leaves the
+// directory, and every relay it touches is settled — relays waiting on it
+// lose one countdown slot (completing if it was the last), and relays it
+// requested are cancelled outright, since there is nobody left to deliver
+// to. Walks the whole pending table; disconnects are rare enough that the
+// sweep is fine.
+func (s *Server) dropConn(sess *session) {
+	s.dir.remove(sess)
 
 	var fire []*pendingRelay
 	var cancelled []*pendingRelay
 	s.relay.mu.Lock()
 	for id, pr := range s.relay.pending {
-		if pr.reqConn == ws {
+		if pr.reqConn == sess.conn {
 			pr.done = true
 			delete(s.relay.pending, id)
 			cancelled = append(cancelled, pr)

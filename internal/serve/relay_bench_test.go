@@ -30,7 +30,7 @@ func BenchmarkRelayFanout(b *testing.B) {
 		ps := newPositions(s.dir)
 		rng := rand.New(rand.NewSource(11))
 		sessions := make([]*session, bc.n)
-		conn := &WSConn{} // attached is all the sweep asks of it; one serves every session
+		conn := &WSConn{} // the sweep never touches it; one serves every session
 		for i := range sessions {
 			sess := &session{conn: conn}
 			ps.stream(sess, geom.Pt(rng.Float64()*20000, rng.Float64()*20000))
@@ -43,7 +43,7 @@ func BenchmarkRelayFanout(b *testing.B) {
 		exclude := sessions[0]
 
 		b.Run("grid/sessions="+bc.name, func(b *testing.B) {
-			var targets []relayTarget
+			var targets []*session
 			// Warm the scratch to the worst-case neighborhood before the
 			// measured window so steady state reports zero allocations even
 			// at -benchtime 1x.
@@ -58,7 +58,7 @@ func BenchmarkRelayFanout(b *testing.B) {
 			_ = targets
 		})
 		b.Run("linear/sessions="+bc.name, func(b *testing.B) {
-			var targets []relayTarget
+			var targets []*session
 			for _, q := range queries {
 				targets = ps.collectTargetsLinear(exclude, q, radius, targets[:0])
 			}
@@ -85,15 +85,14 @@ func BenchmarkRelayFanout(b *testing.B) {
 		sessions := make([]*session, n)
 		conn := &WSConn{}
 		for i := range sessions {
-			sessions[i] = &session{}
-			s.dir.attach(sessions[i], conn)
+			sessions[i] = &session{conn: conn}
 			s.dir.update(sessions[i], randPt(rng))
 		}
 		// Every cell gets its bucket, and the buckets their usual sizes,
 		// before the timer starts, so the measured window does not
 		// allocate.
 		cell := s.dir.geo.Cell()
-		walker := &session{}
+		walker := &session{conn: conn}
 		for y := 0; y < s.dir.geo.NY(); y++ {
 			for x := 0; x < s.dir.geo.NX(); x++ {
 				s.dir.update(walker, geom.Pt((float64(x)+0.5)*cell, (float64(y)+0.5)*cell))
@@ -104,11 +103,11 @@ func BenchmarkRelayFanout(b *testing.B) {
 		}
 		type worker struct {
 			rng     *rand.Rand
-			targets []relayTarget
+			targets []*session
 		}
 		workers := make([]worker, runtime.GOMAXPROCS(0))
 		for i := range workers {
-			workers[i] = worker{rand.New(rand.NewSource(int64(100 + i))), make([]relayTarget, 0, n)}
+			workers[i] = worker{rand.New(rand.NewSource(int64(100 + i))), make([]*session, 0, n)}
 		}
 		var next atomic.Int32
 		b.ReportAllocs()

@@ -54,14 +54,14 @@ func serverFrames(t *testing.T, raw []byte) [][]byte {
 
 // forwardFixture is a bare server with one requester connection writing into
 // a sink and m probed sessions, ready for registerRelay.
-func forwardFixture(m, maxAnswer int, discard bool) (*Server, *WSConn, *sinkConn, []relayTarget) {
+func forwardFixture(m, maxAnswer int, discard bool) (*Server, *WSConn, *sinkConn, []*session) {
 	s := newBareServer(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}, 0)
 	s.maxAnswer = maxAnswer
 	s.relayTimeout = time.Hour
 	sink := &sinkConn{discard: discard}
-	targets := make([]relayTarget, m)
+	targets := make([]*session, m)
 	for i := range targets {
-		targets[i] = relayTarget{sess: &session{}, conn: &WSConn{}}
+		targets[i] = &session{conn: &WSConn{}}
 	}
 	return s, &WSConn{conn: sink}, sink, targets
 }
@@ -129,7 +129,7 @@ func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
 			if sink.out.Len() != 0 {
 				t.Fatalf("trial %d: delivered before the last reply", trial)
 			}
-			if err := s.handleShareReply(targets[i].sess, frame); err != nil {
+			if err := s.handleShareReply(targets[i], frame); err != nil {
 				t.Fatalf("trial %d: valid reply refused: %v", trial, err)
 			}
 		}
@@ -151,7 +151,7 @@ func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
 			t.Fatalf("trial %d: %d relays pending after delivery", trial, n)
 		}
 		// A duplicate after the fact is a late reply: counted, not forwarded.
-		if err := s.handleShareReply(targets[0].sess, wire.AppendShareReply(nil, probeID, false, core.PeerCache{})); err != nil {
+		if err := s.handleShareReply(targets[0], wire.AppendShareReply(nil, probeID, false, core.PeerCache{})); err != nil {
 			t.Fatal(err)
 		}
 		if s.stat.relayUnknown.Load() != 1 || len(serverFrames(t, sink.out.Bytes())) != 1 {
@@ -172,7 +172,7 @@ func TestRelayForwardLimits(t *testing.T) {
 	bad := wire.AppendShareReply(nil, probeID, true, big)
 	bad = bad[:len(bad)-1]
 	_, wantErr := wire.Decode(bad)
-	if err := s.handleShareReply(targets[0].sess, bad); err == nil || err.Error() != wantErr.Error() {
+	if err := s.handleShareReply(targets[0], bad); err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("truncated reply: err = %v, want Decode's %v", err, wantErr)
 	}
 	if pendingRelays(s) != 1 || sink.out.Len() != 0 {
@@ -180,7 +180,7 @@ func TestRelayForwardLimits(t *testing.T) {
 	}
 
 	for _, tg := range targets {
-		if err := s.handleShareReply(tg.sess, wire.AppendShareReply(nil, probeID, true, big)); err != nil {
+		if err := s.handleShareReply(tg, wire.AppendShareReply(nil, probeID, true, big)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func BenchmarkRelayForward(b *testing.B) {
 			probeID := s.registerRelay(req, 1, targets)
 			for i, f := range frames {
 				binary.LittleEndian.PutUint32(f[6:], probeID) // the probe id follows the 6-byte header
-				if err := s.handleShareReply(targets[i].sess, f); err != nil {
+				if err := s.handleShareReply(targets[i], f); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -280,7 +280,7 @@ func TestRelayDropsPeerWhoseProbeWriteFails(t *testing.T) {
 	s.dir.update(target, geom.Pt(500, 500))
 
 	sink := &sinkConn{}
-	if err := s.startRelay(&session{}, &WSConn{conn: sink}, wire.PeerRequest{ReqID: 3, Loc: geom.Pt(505, 500), Radius: 50}); err != nil {
+	if err := s.startRelay(&session{conn: &WSConn{conn: sink}}, wire.PeerRequest{ReqID: 3, Loc: geom.Pt(505, 500), Radius: 50}); err != nil {
 		t.Fatal(err)
 	}
 	frames := serverFrames(t, sink.out.Bytes())

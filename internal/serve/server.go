@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"runtime/metrics"
@@ -48,8 +46,8 @@ type Options struct {
 }
 
 // Server is the network face of the remote spatial database: HTTP for
-// session setup and statistics, WebSocket + internal/wire binary messages
-// for the query channel. All query traffic funnels into a
+// statistics, WebSocket + internal/wire binary messages for the query
+// channel, one session per connection. All query traffic funnels into a
 // sim.SnapshotQuerier over the shared read-only R*-tree, so any number of
 // connection goroutines serve concurrently.
 type Server struct {
@@ -63,23 +61,21 @@ type Server struct {
 	indexBuild   time.Duration
 	mux          *http.ServeMux
 
-	mu       sync.Mutex
-	sessions map[string]*session
+	mu sync.Mutex
 	// conns are the connections with a running runConn, counted by connWG;
 	// once closed is set (Close) no further one is admitted.
 	conns  map[*WSConn]struct{}
 	closed bool
 	connWG sync.WaitGroup
 
-	// dir is the spatial index over session positions, and the guard of
-	// every session's attached connection: the relay's range sweep reads
-	// it instead of walking s.sessions under s.mu.
+	// dir is the spatial index over session positions the relay's range
+	// sweep reads.
 	dir *sessionDirectory
 
 	relay relayTable
 
 	stat struct {
-		sessions    atomic.Int64
+		// activeConns counts the live connections, which are the sessions.
 		activeConns atomic.Int64
 		positions   atomic.Int64
 		queries     atomic.Int64
@@ -103,10 +99,12 @@ type Server struct {
 // 4-7, 8-15, 16-31, 32+.
 const peersInRangeBuckets = 7
 
-// session is one registered client: its live connection for relay probes
-// and its place in the spatial directory, which holds the last reported
-// position the peer relay's range scan reads. Every field is guarded by the
-// directory's mutex (Server.dir.mu); a session has no lock of its own.
+// session is one connected client: its connection, which relays probe, and
+// its place in the spatial directory, which holds the last reported position
+// the peer relay's range scan reads. The upgrade creates the session and the
+// disconnect retires it. conn is set at creation and never changes; the
+// directory fields are guarded by the directory's mutex (Server.dir.mu). A
+// session has no lock of its own.
 type session struct {
 	conn *WSConn
 
@@ -147,12 +145,11 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		bounds:       bounds,
 		storeRead:    opts.StoreRead,
 		indexBuild:   opts.IndexBuild,
-		sessions:     make(map[string]*session),
 		conns:        make(map[*WSConn]struct{}),
 		dir:          newSessionDirectory(bounds, 0),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/session", s.handleNewSession)
+	mux.HandleFunc("POST /v1/session", handleSessionShim)
 	mux.HandleFunc("GET /v1/ws", s.handleWS)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -187,43 +184,18 @@ func poiBounds(pois []core.POI) geom.Rect {
 // Handler returns the HTTP handler serving all endpoints.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// newToken mints a 128-bit random session token.
-func newToken() (string, error) {
-	var raw [16]byte
-	if _, err := rand.Read(raw[:]); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(raw[:]), nil
+// handleSessionShim answers the retired session mint with a constant token
+// and stores nothing: a session is its connection, created by the upgrade.
+// Its only caller is the benchmark harness (bench/daemon.go), which still
+// mints before it dials; ROADMAP item 1-III(j) moves that caller to a plain
+// dial and deletes this endpoint.
+func handleSessionShim(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, map[string]string{"session": "0"})
 }
 
-func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
-	token, err := newToken()
-	if err != nil {
-		http.Error(w, "session: entropy unavailable", http.StatusInternalServerError)
-		return
-	}
-	s.mu.Lock()
-	s.sessions[token] = &session{}
-	s.mu.Unlock()
-	s.stat.sessions.Add(1)
-	writeJSON(w, map[string]string{"session": token})
-}
-
-func (s *Server) lookup(token string) *session {
-	if token == "" {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sessions[token]
-}
-
+// handleWS upgrades the query channel and creates its session; any session
+// parameter is ignored.
 func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookup(r.URL.Query().Get("session"))
-	if sess == nil {
-		http.Error(w, "unknown session (POST /v1/session first)", http.StatusForbidden)
-		return
-	}
 	ws, err := Upgrade(w, r)
 	if err != nil {
 		return // Upgrade wrote the HTTP error
@@ -239,16 +211,13 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 		ws.goingAway()
 		return
 	}
-	// Attach the connection to the session so the peer relay can probe it;
-	// a reconnect simply supersedes the previous attachment.
-	s.dir.attach(sess, ws)
 	s.stat.activeConns.Add(1)
 	// The connection gets a goroutine of its own and the handler returns:
 	// net/http's conn.serve frame (the better part of a 16 KB stack), its
 	// http.conn, the Request and its contexts are all released, instead of
 	// idling under every parked session. The goroutine ends when the
 	// transport does (peer close, protocol error, write failure, Close).
-	go s.runConn(sess, ws)
+	go s.runConn(&session{conn: ws})
 }
 
 // Close drains the server for a restart: it admits no further connection,
@@ -290,8 +259,9 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// runConn owns one upgraded connection from attachment to teardown.
-func (s *Server) runConn(sess *session, ws *WSConn) {
+// runConn owns one session from its upgrade to its teardown.
+func (s *Server) runConn(sess *session) {
+	ws := sess.conn
 	defer s.connWG.Done()
 	defer func() {
 		s.mu.Lock()
@@ -299,10 +269,10 @@ func (s *Server) runConn(sess *session, ws *WSConn) {
 		s.mu.Unlock()
 	}()
 	defer s.stat.activeConns.Add(-1)
-	defer s.dropConn(sess, ws)
+	defer s.dropConn(sess)
 	//simvet:discard — teardown of a finished connection; serveConn already accounted the session-ending error
 	defer ws.Close()
-	s.serveConn(sess, ws)
+	s.serveConn(sess)
 }
 
 // serveConn runs one connection's read-dispatch-answer loop. The scratch
@@ -310,7 +280,8 @@ func (s *Server) runConn(sess *session, ws *WSConn) {
 // allocation-free: results land in scratch, answers are encoded append-style
 // into encBuf and handed to the batched writer, which copies into the
 // connection's pending buffer before returning.
-func (s *Server) serveConn(sess *session, ws *WSConn) {
+func (s *Server) serveConn(sess *session) {
+	ws := sess.conn
 	var scratch []core.POI
 	var encBuf []byte
 	for {
@@ -391,7 +362,7 @@ func (s *Server) serveConn(sess *session, ws *WSConn) {
 				return
 			}
 		case wire.TypePeerRequest:
-			if s.startRelay(sess, ws, msg.PeerReq) != nil {
+			if s.startRelay(sess, msg.PeerReq) != nil {
 				return
 			}
 		default:
@@ -416,7 +387,8 @@ func (s *Server) rejectFrame(ws *WSConn, buf []byte) {
 	_ = ws.WriteBinary(wire.AppendError(buf, wire.ErrorMsg{Code: wire.ErrCodeBadRequest}))
 }
 
-// Stats is the /v1/stats document.
+// Stats is the /v1/stats document. Sessions and ActiveConns are both the
+// live connection count: a session is its connection.
 type Stats struct {
 	POIs         int     `json:"pois"`
 	BoundsMinX   float64 `json:"bounds_min_x"`
@@ -508,9 +480,7 @@ func readRuntime(st *Stats) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	nSessions := len(s.sessions)
-	s.mu.Unlock()
+	live := s.stat.activeConns.Load()
 	mod := s.querier.Module()
 	hist := make([]int64, peersInRangeBuckets)
 	for i := range hist {
@@ -522,8 +492,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BoundsMinY:          s.bounds.Min.Y,
 		BoundsMaxX:          s.bounds.Max.X,
 		BoundsMaxY:          s.bounds.Max.Y,
-		Sessions:            nSessions,
-		ActiveConns:         s.stat.activeConns.Load(),
+		Sessions:            int(live),
+		ActiveConns:         live,
 		Positions:           s.stat.positions.Load(),
 		Queries:             s.stat.queries.Load(),
 		RangeQueries:        s.stat.ranges.Load(),

@@ -46,7 +46,7 @@ func testServer(t *testing.T, nPOIs int, opts Options) (*httptest.Server, *sim.S
 	return srv, s.querier.Module()
 }
 
-// openSession POSTs /v1/session and dials the query WebSocket.
+// openSession dials the query WebSocket, which is the session.
 func openSession(t *testing.T, srv *httptest.Server) *WSConn {
 	t.Helper()
 	ws, err := tryOpenSession(srv)
@@ -56,31 +56,8 @@ func openSession(t *testing.T, srv *httptest.Server) *WSConn {
 	return ws
 }
 
-// sessionToken registers a session and returns its token.
-func sessionToken(srv *httptest.Server) (string, error) {
-	resp, err := http.Post(srv.URL+"/v1/session", "application/json", nil)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("session: status %d", resp.StatusCode)
-	}
-	var doc struct {
-		Session string `json:"session"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return "", fmt.Errorf("session: %v", err)
-	}
-	return doc.Session, nil
-}
-
 func tryOpenSession(srv *httptest.Server) (*WSConn, error) {
-	token, err := sessionToken(srv)
-	if err != nil {
-		return nil, err
-	}
-	return DialWS(wsURL(srv) + "/v1/ws?session=" + token)
+	return DialWS(wsURL(srv) + "/v1/ws")
 }
 
 // The acceptance bar for the whole server: a served kNN answer must be the
@@ -300,19 +277,32 @@ func TestServedPageAccessesExactUnderConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// The query channel requires a registered session.
-func TestWSAuthRequired(t *testing.T) {
+// The upgrade is the session: a bare /v1/ws upgrades and serves, while the
+// mint shim left for the benchmark harness answers a token and files
+// nothing, so a hundred mints leave no session behind.
+func TestUpgradeCreatesSessionMintStoresNothing(t *testing.T) {
 	srv, _ := testServer(t, 100, Options{})
-	for _, path := range []string{"/v1/ws", "/v1/ws?session=deadbeef"} {
-		resp, err := http.Get(srv.URL + path)
+	ws := openSession(t, srv)
+	syncPosition(t, ws, geom.Pt(50, 50))
+	if st := fetchStats(t, srv); st.Sessions != 1 || st.ActiveConns != 1 {
+		t.Fatalf("one bare upgrade: sessions %d, active_conns %d; want 1 and 1", st.Sessions, st.ActiveConns)
+	}
+	ws.Close()
+	for i := 0; i < 100; i++ {
+		resp, err := http.Post(srv.URL+"/v1/session", "application/json", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var doc struct {
+			Session string `json:"session"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusForbidden {
-			t.Fatalf("%s: status %d, want 403", path, resp.StatusCode)
+		if err != nil || resp.StatusCode != http.StatusOK || doc.Session == "" {
+			t.Fatalf("mint %d: status %d, token %q, %v", i, resp.StatusCode, doc.Session, err)
 		}
 	}
+	waitFor(t, "sessions to reach 0", func() bool { return fetchStats(t, srv).Sessions == 0 })
 }
 
 // Over-limit k gets an error reply, and the connection stays usable.
@@ -464,21 +454,14 @@ func TestSessionLifecycleConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	// The workers have closed: their sessions retire with the connections.
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	waitFor(t, "sessions to reach 0", func() bool { st = fetchStats(t, srv); return st.Sessions == 0 })
 	if st.ProtoErrors != 0 {
 		t.Fatalf("protocol_errors = %d, want 0", st.ProtoErrors)
 	}
-	if st.Sessions != workers || st.Queries != workers*queriesPerWorker ||
-		st.Positions != workers*queriesPerWorker {
-		t.Fatalf("stats = %+v, want %d sessions / %d queries", st, workers, workers*queriesPerWorker)
+	if st.Queries != workers*queriesPerWorker || st.Positions != workers*queriesPerWorker {
+		t.Fatalf("stats = %+v, want %d queries and positions", st, workers*queriesPerWorker)
 	}
 }
 

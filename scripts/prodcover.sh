@@ -42,6 +42,8 @@ for _ in $(seq 1 100); do curl -fsS http://127.0.0.1:8046/healthz >/dev/null 2>&
 x senn-load -addr 127.0.0.1:8046 -sessions 2 -share=false -duration 5s
 x senn-load -addr 127.0.0.1:8046 -sessions 512 -duration 15s -share -txrange 3000
 curl -fsS http://127.0.0.1:8046/v1/stats >/dev/null
+# Stands in for bench/daemon.go's session mint, the shim's only caller.
+curl -fsS -X POST http://127.0.0.1:8046/v1/session >/dev/null
 kill -TERM "$daemon"
 wait "$daemon"
 daemon=
