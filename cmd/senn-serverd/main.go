@@ -1,9 +1,10 @@
 // Command senn-serverd serves SENN spatial queries over the network: HTTP
 // for stats, WebSocket + the internal/wire binary protocol for position
-// updates and kNN/range queries, one session per connection. The POI data set comes from an
-// on-disk page-aligned store (see internal/serve), which the daemon packs at
-// boot into the same R*-tree the in-process simulator builds — served
-// answers are bit-identical to ServerModule's, page counts included.
+// updates and kNN/range queries, one session per connection, both on one
+// listener. The POI data set comes from an on-disk page-aligned store (see
+// internal/serve), which the daemon packs at boot into the same R*-tree the
+// in-process simulator builds — served answers are bit-identical to
+// ServerModule's, page counts included.
 //
 // Usage:
 //
@@ -20,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -102,7 +104,7 @@ func main() {
 		StoreRead:    storeRead,
 		IndexBuild:   indexBuild,
 	})
-	httpSrv := newHTTPServer(*addr, srv.Handler())
+	httpSrv := newHTTPServer(srv.Handler())
 
 	if *pprofAddr != "" {
 		// The profiling endpoint rides a separate listener so it is never
@@ -118,8 +120,12 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	done := make(chan error, 1)
-	go func() { done <- httpSrv.ListenAndServe() }()
+	go func() { done <- serveOn(httpSrv, srv, ln) }()
 	fmt.Printf("senn-serverd: listening on %s\n", *addr)
 
 	select {
@@ -129,8 +135,9 @@ func main() {
 		fmt.Println("senn-serverd: shutting down")
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		// Shutdown does not know the hijacked WebSocket connections: Close
-		// tells each client the daemon is going away and waits for them.
+		// Shutdown does not know the WebSocket connections, which never
+		// enter net/http: Close tells each client the daemon is going away
+		// and waits for them.
 		if err := srv.Close(shutCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "senn-serverd: connections still open at exit:", err)
 		}
@@ -142,13 +149,20 @@ func main() {
 // deliver its request line and headers.
 const readHeaderTimeout = 5 * time.Second
 
-// newHTTPServer builds the service listener's http.Server. Without a header
-// deadline a client that opens a socket and never finishes its request line
-// holds a goroutine and a descriptor forever. The deadline covers the header
-// read only: net/http clears it once the headers are in, so a hijacked
-// WebSocket connection may idle as long as it likes.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+// newHTTPServer builds the http.Server for the daemon's HTTP routes. Without
+// a header deadline a client that opens a socket and never finishes its
+// request line holds a goroutine and a descriptor forever.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
+// serveOn serves both faces of the daemon on ln until hs is shut down: srv
+// reads each connection's request head itself and keeps the query channel,
+// hs gets every other connection. Both heads have hs's header deadline,
+// which covers the head only: an admitted WebSocket may idle as long as it
+// likes.
+func serveOn(hs *http.Server, srv *serve.Server, ln net.Listener) error {
+	return hs.Serve(srv.Listen(ln, hs.ReadHeaderTimeout))
 }
 
 func makeStore(path string, n, fanout int, width float64, clusters int, sigma float64, seed int64) error {

@@ -16,13 +16,15 @@ import (
 
 // A client that opens a socket and never finishes its request must be cut
 // off at the handshake deadline instead of holding a goroutine and a
-// descriptor forever, while a WebSocket that was upgraded before the wait
-// and idles through all of it keeps working: the deadline covers the header
-// read only.
+// descriptor forever — whether the request line is an HTTP route's, which
+// net/http reads, or the query channel's, which the daemon reads itself —
+// while a WebSocket that was admitted before the wait and idles through all
+// of it keeps working: the deadline covers the head only.
 func TestHalfWrittenRequestIsClosed(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}
 	mod := sim.NewServerModule(sim.RandomPOIs(200, bounds, rand.New(rand.NewSource(1))), 30)
-	srv := newHTTPServer("127.0.0.1:0", serve.NewServer(mod, serve.Options{}).Handler())
+	s := serve.NewServer(mod, serve.Options{})
+	srv := newHTTPServer(s.Handler())
 	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout = %v, want the %v handshake deadline", srv.ReadHeaderTimeout, readHeaderTimeout)
 	}
@@ -32,12 +34,12 @@ func TestHalfWrittenRequestIsClosed(t *testing.T) {
 		bound = 300 * time.Millisecond
 		srv.ReadHeaderTimeout = bound
 	}
-	ln, err := net.Listen("tcp", srv.Addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
+	go func() { served <- serveOn(srv, s, ln) }()
 	t.Cleanup(func() {
 		srv.Close()
 		if err := <-served; err != http.ErrServerClosed {
@@ -49,27 +51,38 @@ func TestHalfWrittenRequestIsClosed(t *testing.T) {
 	ws := openSession(t, addr)
 	defer ws.Close()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	// A request line and one header, but never the blank line that ends them.
-	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: senn\r\n"); err != nil {
-		t.Fatal(err)
+	heads := []string{
+		"GET /healthz HTTP/1.1\r\nHost: senn\r\n",
+		"GET /v1/ws HTTP/1.1\r\nHost: senn\r\n",
+	}
+	conns := make([]net.Conn, len(heads))
+	start := time.Now()
+	for i, h := range heads {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, h); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = conn
 	}
 	const slack = 3 * time.Second
-	start := time.Now()
-	if err := conn.SetReadDeadline(start.Add(bound + slack)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = io.ReadAll(conn)
-	elapsed := time.Since(start)
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatalf("server still holds the half-written request after %v (deadline %v)", elapsed, bound)
-	}
-	if elapsed < bound/2 {
-		t.Fatalf("connection closed after %v, well before the %v deadline: not the header timeout", elapsed, bound)
+	var elapsed time.Duration
+	for i, conn := range conns {
+		if err := conn.SetReadDeadline(start.Add(bound + slack)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.ReadAll(conn)
+		elapsed = time.Since(start)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%q: server still holds the half-written request after %v (deadline %v)", heads[i], elapsed, bound)
+		}
+		if elapsed < bound/2 {
+			t.Fatalf("%q: connection closed after %v, well before the %v deadline: not the header timeout", heads[i], elapsed, bound)
+		}
 	}
 
 	// The WebSocket sat idle for the whole wait and must be unaffected.

@@ -1,0 +1,281 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"io"
+	"net"
+	"net/http"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/racebuild"
+)
+
+// rawHead is a complete query-channel handshake with RFC 6455 §1.3's sample
+// key, and rawAccepted the 101 that admits it.
+const (
+	rawHead = "GET /v1/ws HTTP/1.1\r\nHost: senn\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n" +
+		"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\nSec-WebSocket-Version: 13\r\n\r\n"
+	rawAccepted = "HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n" +
+		"Sec-WebSocket-Accept: s3pPLMBiTxaQ9kYGzzhZRbK+xOo=\r\n\r\n"
+)
+
+// Admitting a session is what the daemon pays each time a host arrives, so
+// it must stay cheap: the head is read into the connection's own buffer and
+// answered from there. The client here is a socket, one pre-built write and
+// a read into a fixed array, so the process's allocation is the daemon's
+// admission plus the dial: 2.4-2.5 KB per admission when this bound was
+// set, 17.9 KB while net/http read the head and the connection was
+// hijacked.
+func TestAdmissionAllocatesLittle(t *testing.T) {
+	if racebuild.Enabled() {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	const (
+		sessions = 200
+		budget   = 4 << 10
+	)
+	s, srv := testServerHandle(t, 500, Options{})
+	addr := srv.Listener.Addr().String()
+	head := []byte(rawHead)
+	var resp [len(rawAccepted)]byte
+	conns := make([]net.Conn, 0, sessions+1)
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	admit := func() {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+		if _, err := conn.Write(head); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, resp[:]); err != nil || string(resp[:]) != rawAccepted {
+			t.Fatalf("handshake answered %q, %v", resp[:], err)
+		}
+	}
+	allocated := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	admit() // lazily built state (the conns map, the poller) into the baseline
+	waitFor(t, "the warm-up session", func() bool { return s.stat.activeConns.Load() == 1 })
+
+	before := allocated()
+	for i := 0; i < sessions; i++ {
+		admit()
+	}
+	waitFor(t, "every session to park", func() bool { return s.stat.activeConns.Load() == sessions+1 })
+	per := (allocated() - before) / sessions
+	t.Logf("%d admissions: %d bytes allocated each, dial included", sessions, per)
+	if per > budget {
+		t.Fatalf("an admission allocates %d bytes, budget %d", per, budget)
+	}
+}
+
+// Closing the listener Listen returns ends the accept loop, and a hand-off
+// that nobody accepted by then is closed, not left waiting.
+func TestListenerCloseEndsAdmission(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := listen(ln, testHandshakeTimeout, func(ws *WSConn) { ws.Close() })
+	addr := ln.Addr().String()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: senn\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// EOF, or a reset if the close came before the loop accepted it.
+	n, err := conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); n > 0 || err == nil || ok && ne.Timeout() {
+		t.Fatalf("handed-off connection read %d bytes, %v after the close; want it closed", n, err)
+	}
+	if _, err := l.Accept(); err == nil {
+		t.Fatal("Accept succeeded after Close")
+	}
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Fatal("the listener still accepts after Close")
+	}
+}
+
+// upgradeStatus is the status the handshake got while net/http parsed it and
+// Upgrade judged it: the server's own refusals first, then Upgrade's rules,
+// then 101. It is the referee FuzzHandshake holds parseHead to.
+func upgradeStatus(r *http.Request, hasHost bool) int {
+	validName := func(k string) bool {
+		for _, c := range []byte(k) {
+			if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
+				return false
+			}
+		}
+		return true
+	}
+	hasToken := func(name, token string) bool {
+		for _, v := range r.Header.Values(name) {
+			for _, part := range strings.Split(v, ",") {
+				if strings.EqualFold(strings.TrimSpace(part), token) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	switch {
+	case r.ProtoMajor != 1:
+		return http.StatusHTTPVersionNotSupported
+	case r.ProtoAtLeast(1, 1) && !hasHost:
+		return http.StatusBadRequest
+	}
+	for k := range r.Header {
+		if !validName(k) {
+			return http.StatusBadRequest
+		}
+	}
+	switch {
+	case !hasToken("Connection", "upgrade") || !hasToken("Upgrade", "websocket"):
+		return http.StatusBadRequest
+	case r.Header.Get("Sec-WebSocket-Version") != "13":
+		return http.StatusUpgradeRequired
+	case r.Header.Get("Sec-WebSocket-Key") == "":
+		return http.StatusBadRequest
+	}
+	return http.StatusSwitchingProtocols
+}
+
+// headerLines reports, from a plain scan of the header lines of a head,
+// whether it names a Host and whether it carries a folded line or a body
+// header — the two places parseHead is stricter than net/http.
+func headerLines(data []byte) (hasHost, stricter bool) {
+	headEnd := len(data)
+	if i := bytes.Index(data, []byte("\n\r\n")); i >= 0 {
+		headEnd = i + 1
+	}
+	if i := bytes.Index(data, []byte("\n\n")); i >= 0 && i+1 < headEnd {
+		headEnd = i + 1
+	}
+	lines := strings.Split(string(data[:headEnd]), "\n")
+	for _, l := range lines[1:] {
+		if strings.HasPrefix(l, " ") || strings.HasPrefix(l, "\t") {
+			stricter = true
+		}
+		name, _, _ := strings.Cut(l, ":")
+		switch strings.ToLower(name) {
+		case "host":
+			hasHost = true
+		case "content-length", "transfer-encoding":
+			stricter = true
+		}
+	}
+	return hasHost, stricter
+}
+
+// chunkConn serves a fixed byte string in reads of at most chunk bytes and
+// counts what it hands out; nothing else of net.Conn is used.
+type chunkConn struct {
+	net.Conn
+	data  []byte
+	chunk int
+	read  int
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	if c.read == len(c.data) {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.chunk)], c.data[c.read:])
+	c.read += n
+	return n, nil
+}
+
+// For any bytes a client sends, the handshake reads at most maxHead of them
+// and decides as net/http and Upgrade decided: a head it admits parses with
+// http.ReadRequest into a GET of /v1/ws that Upgrade accepted, with the
+// same key; a head it refuses got the same status, unless it is one of the
+// heads parseHead refuses by its own stricter rules (longer than maxHead, a
+// folded line, a body header); a head it hands off is not the query
+// channel's. Reading in chunks decides as parsing all at once does.
+func FuzzHandshake(f *testing.F) {
+	f.Add([]byte(rawHead), uint8(0))
+	f.Add([]byte("GET /v1/ws?session=0 HTTP/1.1\r\nHost: 127.0.0.1:8046\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"+
+		"Sec-WebSocket-Key: AAAAAAAAAAAAAAAAAAAAAA==\r\nSec-WebSocket-Version: 13\r\n\r\n"), uint8(7))
+	f.Add([]byte(rawHead+"\x82\x80\x12\x34\x56\x78"), uint8(3)) // dialRaw's: a frame pipelined behind the head
+	f.Add([]byte("GET /v1/ws HTTP/1.1\r\nHost: senn\r\nSec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\nSec-WebSocket-Version: 13\r\n\r\n"), uint8(1))
+	f.Add([]byte(strings.Replace(rawHead, "Version: 13", "Version: 8", 1)), uint8(2))
+	f.Add([]byte(strings.Replace(rawHead, "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n", "", 1)), uint8(5))
+	f.Add([]byte(strings.Replace(rawHead, "Key: dGhlIHNhbXBsZSBub25jZQ==", "Key:", 1)), uint8(6))
+	f.Add([]byte(strings.Replace(rawHead, "Host: senn", "Host: senn\r\nX-Padding: "+strings.Repeat("x", maxHead), 1)), uint8(64))
+	f.Add([]byte("POST /v1/ws HTTP/1.1\r\nHost: senn\r\nContent-Length: 0\r\n\r\n"), uint8(4))
+	f.Add([]byte("GET /v1/ws HTTP/1.1\nhost: a\nupgrade: WebSocket\nconnection: keep-alive, upgrade\n"+
+		"sec-websocket-key: k\nsec-websocket-version: 13\n\n"), uint8(9))
+	f.Add([]byte("GET /v1/ws HTTP/1.1\r\nHost: senn\r\nUpgrade:\r\n websocket\r\n\r\n"), uint8(11))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		got := parseHead(data[:min(len(data), maxHead)])
+
+		c := &chunkConn{data: data, chunk: int(chunk%64) + 1}
+		read, n, _ := (&WSConn{conn: c}).readHead()
+		if c.read > maxHead || n != c.read {
+			t.Fatalf("read %d bytes, reported %d; the cap is %d", c.read, n, maxHead)
+		}
+		if read.status != got.status || read.end != got.end || !bytes.Equal(read.key, got.key) {
+			t.Fatalf("read in %d-byte chunks: %+v, parsed at once: %+v", c.chunk, read, got)
+		}
+
+		src := bytes.NewReader(data)
+		br := bufio.NewReader(src)
+		req, rerr := http.ReadRequest(br)
+		ours := rerr == nil && req.Method == http.MethodGet && strings.Split(req.RequestURI, "?")[0] == "/v1/ws"
+		hasHost, stricter := headerLines(data)
+		switch got.status {
+		case headHandoff:
+			if ours {
+				t.Fatalf("handed off a GET of %q", req.RequestURI)
+			}
+		case headIncomplete:
+			if rerr == nil {
+				t.Fatalf("waits for more of a head http.ReadRequest parsed: %+v", req)
+			}
+		case http.StatusSwitchingProtocols:
+			if !ours {
+				t.Fatalf("admitted a head net/http parses as %v / %v", req, rerr)
+			}
+			if want := upgradeStatus(req, hasHost); want != http.StatusSwitchingProtocols {
+				t.Fatalf("admitted a head net/http answered %d", want)
+			}
+			if key := req.Header.Get("Sec-WebSocket-Key"); string(got.key) != key {
+				t.Fatalf("admitted with key %q, net/http read %q", got.key, key)
+			}
+			if consumed := len(data) - src.Len() - br.Buffered(); got.end != consumed {
+				t.Fatalf("head ends at %d, net/http read %d bytes of it", got.end, consumed)
+			}
+		default:
+			want := http.StatusBadRequest // what net/http answers a head it cannot parse
+			if rerr == nil {
+				want = upgradeStatus(req, hasHost)
+			}
+			if got.status != want && !(stricter && got.status == http.StatusBadRequest) &&
+				!(len(data) >= maxHead && got.status == http.StatusRequestHeaderFieldsTooLarge) {
+				t.Fatalf("refused with %d, net/http answered %d (%v)", got.status, want, rerr)
+			}
+		}
+	})
+}

@@ -22,9 +22,9 @@ import (
 
 // dialRaw opens a session's WebSocket on a bare TCP connection, writing the
 // opening handshake and the given client frames in ONE write — one TCP
-// segment on loopback — so the frames reach the server inside net/http's
-// read of the request and have to survive the hijack. It returns a client
-// WSConn over the connection.
+// segment on loopback — so the frames reach the server inside its read of
+// the request head and have to be kept as the session's first unread bytes.
+// It returns a client WSConn over the connection.
 func dialRaw(srv *httptest.Server, frames ...[]byte) (*WSConn, error) {
 	addr := strings.TrimPrefix(srv.URL, "http://")
 	conn, err := net.Dial("tcp", addr)
@@ -55,17 +55,17 @@ func dialRaw(srv *httptest.Server, frames ...[]byte) (*WSConn, error) {
 		conn.Close()
 		return nil, errors.New("handshake refused: " + resp.Status)
 	}
-	return newWSConn(conn, br, true), nil
+	return newWSConn(conn, br), nil
 }
 
 // A client that does not wait for the 101 before sending — handshake and
-// first frames in one segment — is served: the bytes net/http had already
-// buffered behind the request are carried over when its reader is dropped.
+// first frames in one segment — is served: the bytes read behind the
+// request head are the session's first unread bytes.
 func TestFramesPipelinedBehindHandshakeAreServed(t *testing.T) {
 	_, srv := testServerHandle(t, 500, Options{})
 	pos := geom.Pt(4000, 4000)
-	// Enough pipelined frames to overflow the inline read buffer, so the
-	// leftover takes the heap-copy path as well as the inline one.
+	// Enough pipelined frames to overflow the inline read buffer, so some
+	// arrive in the head's read and the rest in the session's own reads.
 	frames := [][]byte{wire.AppendPosition(nil, pos)}
 	const queries = 12
 	for i := 0; i < queries; i++ {
@@ -167,7 +167,7 @@ func TestDisconnectReturnsToBaseline(t *testing.T) {
 
 // Close is what a restart owes its clients: every attached connection reads a
 // 1001 (going away) close frame — not a reset, which is what process exit
-// after http.Server.Shutdown alone gives a hijacked connection — and when
+// after http.Server.Shutdown alone gives a connection it never served — and when
 // Close returns the connection goroutines are gone, a pending relay with
 // them. A connection arriving afterwards is turned away the same way.
 func TestCloseDrainsAttachedConnections(t *testing.T) {
@@ -246,7 +246,10 @@ func TestCloseDrainsAttachedConnections(t *testing.T) {
 // serving path) and then sits in ReadMessage. The budget covers everything
 // the process holds per session — both ends of the socket live in this
 // process; this test read 29.5 KB when the HTTP handler's stack and
-// net/http's buffers stayed under every session.
+// net/http's buffers stayed under every session, 8.1 KB when net/http read
+// the handshake and let go of the connection after the hijack, and 8.2 KB
+// since the daemon reads it itself (the write buffer the 101 goes out
+// through stays with the session).
 func TestIdleSessionFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens a thousand sockets")

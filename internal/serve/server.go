@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"runtime/metrics"
 	"sync"
@@ -46,10 +47,10 @@ type Options struct {
 }
 
 // Server is the network face of the remote spatial database: HTTP for
-// statistics, WebSocket + internal/wire binary messages for the query
-// channel, one session per connection. All query traffic funnels into a
-// sim.SnapshotQuerier over the shared read-only R*-tree, so any number of
-// connection goroutines serve concurrently.
+// statistics (Handler), WebSocket + internal/wire binary messages for the
+// query channel (Listen), one session per connection. All query traffic
+// funnels into a sim.SnapshotQuerier over the shared read-only R*-tree, so
+// any number of connection goroutines serve concurrently.
 type Server struct {
 	querier      *sim.SnapshotQuerier
 	maxK         int
@@ -101,10 +102,10 @@ const peersInRangeBuckets = 7
 
 // session is one connected client: its connection, which relays probe, and
 // its place in the spatial directory, which holds the last reported position
-// the peer relay's range scan reads. The upgrade creates the session and the
-// disconnect retires it. conn is set at creation and never changes; the
-// directory fields are guarded by the directory's mutex (Server.dir.mu). A
-// session has no lock of its own.
+// the peer relay's range scan reads. The admitted handshake creates the
+// session and the disconnect retires it. conn is set at creation and never
+// changes; the directory fields are guarded by the directory's mutex
+// (Server.dir.mu). A session has no lock of its own.
 type session struct {
 	conn *WSConn
 
@@ -150,7 +151,6 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/session", handleSessionShim)
-	mux.HandleFunc("GET /v1/ws", s.handleWS)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux = mux
@@ -181,50 +181,31 @@ func poiBounds(pois []core.POI) geom.Rect {
 	return b
 }
 
-// Handler returns the HTTP handler serving all endpoints.
+// Handler returns the HTTP handler serving the statistics, health and
+// session-mint endpoints; the query channel is Listen's.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// handleSessionShim answers the retired session mint with a constant token
-// and stores nothing: a session is its connection, created by the upgrade.
-// Its only caller is the benchmark harness (bench/daemon.go), which still
-// mints before it dials; ROADMAP item 1-III(j) moves that caller to a plain
-// dial and deletes this endpoint.
-func handleSessionShim(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{"session": "0"})
-}
+// sessionShimBody is the constant token the shim answers, as writeJSON
+// encodes it.
+const sessionShimBody = "{\n  \"session\": \"0\"\n}\n"
 
-// handleWS upgrades the query channel and creates its session; any session
-// parameter is ignored.
-func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
-	ws, err := Upgrade(w, r)
-	if err != nil {
-		return // Upgrade wrote the HTTP error
-	}
-	s.mu.Lock()
-	closed := s.closed
-	if !closed {
-		s.conns[ws] = struct{}{}
-		s.connWG.Add(1)
-	}
-	s.mu.Unlock()
-	if closed {
-		ws.goingAway()
-		return
-	}
-	s.stat.activeConns.Add(1)
-	// The connection gets a goroutine of its own and the handler returns:
-	// net/http's conn.serve frame (the better part of a 16 KB stack), its
-	// http.conn, the Request and its contexts are all released, instead of
-	// idling under every parked session. The goroutine ends when the
-	// transport does (peer close, protocol error, write failure, Close).
-	go s.runConn(&session{conn: ws})
+// handleSessionShim answers the retired session mint with a constant token
+// and stores nothing: a session is its connection, created by the
+// handshake. Its only caller is the benchmark harness (bench/daemon.go),
+// which still mints before it dials; ROADMAP item 1-III(j) moves that caller
+// to a plain dial and deletes this endpoint.
+func handleSessionShim(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	//simvet:discard — a client that hung up on its mint has nothing to be told
+	_, _ = io.WriteString(w, sessionShimBody)
 }
 
 // Close drains the server for a restart: it admits no further connection,
 // ends every open one with a 1001 (going away) close frame and waits for the
 // connection goroutines to finish, or for ctx. http.Server.Shutdown cannot do
-// this — it does not know hijacked connections, so without Close a process
-// exit cuts every WebSocket with a reset. Call it before Shutdown.
+// this — the query channel's connections never enter net/http, so without
+// Close a process exit cuts every WebSocket with a reset. Call it before
+// Shutdown.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -259,9 +240,24 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// runConn owns one session from its upgrade to its teardown.
-func (s *Server) runConn(sess *session) {
-	ws := sess.conn
+// runConn owns one session from its admitted handshake to its teardown, on
+// the goroutine that read the handshake. It ends when the transport does
+// (peer close, protocol error, write failure, Close); a connection admitted
+// after Close began gets the 1001 close instead.
+func (s *Server) runConn(ws *WSConn) {
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.conns[ws] = struct{}{}
+		s.connWG.Add(1)
+	}
+	s.mu.Unlock()
+	if closed {
+		ws.goingAway()
+		return
+	}
+	s.stat.activeConns.Add(1)
+	sess := &session{conn: ws}
 	defer s.connWG.Done()
 	defer func() {
 		s.mu.Lock()

@@ -28,12 +28,18 @@ func testModule(nPOIs int) *sim.ServerModule {
 	return sim.NewServerModule(sim.RandomPOIs(nPOIs, bounds, rng), 30)
 }
 
-// testServerHandle boots a Server over a fresh random POI set, for tests
-// that inspect the Server itself.
+// testHandshakeTimeout is the test servers' handshake deadline.
+const testHandshakeTimeout = 5 * time.Second
+
+// testServerHandle boots a Server over a fresh random POI set, wired as the
+// daemon wires it: the Server admits the query channel off the listener and
+// the HTTP routes get the rest. For tests that inspect the Server itself.
 func testServerHandle(t *testing.T, nPOIs int, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s := NewServer(testModule(nPOIs), opts)
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewUnstartedServer(s.Handler())
+	srv.Listener = s.Listen(srv.Listener, testHandshakeTimeout)
+	srv.Start()
 	t.Cleanup(srv.Close)
 	return s, srv
 }

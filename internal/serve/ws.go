@@ -2,16 +2,17 @@
 // simulator into a long-running network service: the paper's architecture
 // (§3) made literal, with a remote spatial database answering kNN/range
 // queries from mobile clients that cache, share, and verify results. A
-// client opens a session over HTTP, upgrades to a WebSocket, streams
-// position updates, and issues queries as internal/wire binary messages;
+// client opens a WebSocket, which is its session (the daemon reads the
+// handshake straight off its listener, admit.go), streams position updates,
+// and issues queries as internal/wire binary messages;
 // answers carry the certain-region metadata (query location + complete
 // ascending neighbor set) that the simulator's hosts exchange, so a network
 // client can run exactly the verification lemmas a simulated host does.
 //
 // Everything is stdlib: the WebSocket layer below is a minimal RFC 6455
-// implementation (handshake, masking, fragmentation, control frames), the
-// HTTP layer is net/http, and the on-disk POI store is fixed-size pages
-// read and written with package os (store.go).
+// implementation (handshake, masking, fragmentation, control frames),
+// statistics and health are served by net/http, and the on-disk POI store
+// is fixed-size pages read and written with package os (store.go).
 package serve
 
 import (
@@ -91,21 +92,25 @@ var (
 )
 
 // acceptKey computes the Sec-WebSocket-Accept value for a handshake key.
-func acceptKey(key string) string {
-	h := sha1.New() // mandated by RFC 6455 §4.2.2; not used for security
-	io.WriteString(h, key)
-	io.WriteString(h, wsGUID)
-	return base64.StdEncoding.EncodeToString(h.Sum(nil))
+func acceptKey(key string) string { return string(appendAcceptKey(nil, []byte(key))) }
+
+// appendAcceptKey appends the Sec-WebSocket-Accept value for key to dst. The
+// daemon's handshake keys fit its head buffer, so hashing them takes no
+// allocation.
+func appendAcceptKey(dst, key []byte) []byte {
+	var in [firstReadSize + len(wsGUID)]byte
+	sum := sha1.Sum(append(append(in[:0], key...), wsGUID...)) // mandated by RFC 6455 §4.2.2; not used for security
+	return base64.StdEncoding.AppendEncode(dst, sum[:])
 }
 
 // WSConn is one WebSocket connection carrying binary messages. Reads must
 // come from a single goroutine; writes are internally serialized, so the
 // reader's automatic pong replies never interleave with application frames.
 //
-// Writes are coalesced on connections made by Upgrade: WriteBinaryBatched
-// appends the frame to a pending buffer and only hits the transport once the
-// buffer passes flushThreshold (or an immediate write / explicit Flush
-// drains it); on DialWS connections every write flushes. A
+// Writes are coalesced on connections the daemon admits (admit.go):
+// WriteBinaryBatched appends the frame to a pending buffer and only hits the
+// transport once the buffer passes flushThreshold (or an immediate write /
+// explicit Flush drains it); on DialWS connections every write flushes. A
 // fan-out workload — one answer or relayed share per peer — then costs one
 // syscall per few frames instead of one per frame. ReadMessage flushes the
 // pending buffer before it can block on an idle transport, so a batched
@@ -113,8 +118,10 @@ func acceptKey(key string) string {
 type WSConn struct {
 	conn net.Conn
 	// unread is the window of transport bytes read but not yet parsed. It
-	// aliases first or, right after the opening handshake, a one-off copy of
-	// what the HTTP reader had buffered behind it (see newWSConn).
+	// aliases first: on the daemon's side the request head is read into
+	// first and unread starts as whatever arrived behind it; a DialWS
+	// connection starts with what the HTTP reader had buffered behind the
+	// 101 (see newWSConn).
 	unread []byte
 	first  [firstReadSize]byte
 	// payload is the connection's one message buffer: every frame's payload
@@ -131,8 +138,8 @@ type WSConn struct {
 	// append and flush in one step, so frame order on the transport is
 	// always the order the write calls acquired wmu.
 	pending []byte
-	// batch arms write coalescing (set by Upgrade, before the connection is
-	// shared); without it every write flushes immediately.
+	// batch arms write coalescing (set at admission, before the connection
+	// is shared); without it every write flushes immediately.
 	batch bool
 	// maskRNG generates frame mask keys on the client side. Masking exists
 	// to defeat proxy cache poisoning, not cryptanalysis, so a fast stream
@@ -143,20 +150,16 @@ type WSConn struct {
 	closeErr  error
 }
 
-// newWSConn wraps conn once the opening handshake has been read through br.
-// Frames the peer pipelined behind the handshake are already in br; they are
-// copied out (inline when they fit) so br can be dropped — on the server side
-// it is net/http's reader, which pins that connection's whole http.conn,
-// Request and 4 KB buffer for as long as anything holds it.
-func newWSConn(conn net.Conn, br *bufio.Reader, client bool) *WSConn {
-	c := &WSConn{conn: conn, client: client, maxMsg: DefaultMaxMessage}
+// newWSConn wraps the client side of conn once DialWS has read the 101
+// through br. Frames the server sent behind the 101 are already in br; they
+// are copied out (inline when they fit) so br can be dropped.
+func newWSConn(conn net.Conn, br *bufio.Reader) *WSConn {
+	c := &WSConn{conn: conn, client: true, maxMsg: DefaultMaxMessage}
 	leftover, _ := br.Peek(br.Buffered()) // exactly what is buffered: no read, no error
 	c.unread = append(c.first[:0], leftover...)
-	if client {
-		var seed [8]byte
-		if _, err := rand.Read(seed[:]); err == nil {
-			c.maskRNG = mobility.SplitMix64(binary.LittleEndian.Uint64(seed[:]))
-		}
+	var seed [8]byte
+	if _, err := rand.Read(seed[:]); err == nil {
+		c.maskRNG = mobility.SplitMix64(binary.LittleEndian.Uint64(seed[:]))
 	}
 	return c
 }
@@ -470,64 +473,6 @@ func abortConn(conn net.Conn) {
 	_ = conn.Close()
 }
 
-// headerHasToken reports whether a comma-separated header contains the token
-// (case-insensitive), as required for Connection/Upgrade parsing.
-func headerHasToken(h http.Header, name, token string) bool {
-	for _, v := range h.Values(name) {
-		for _, part := range strings.Split(v, ",") {
-			if strings.EqualFold(strings.TrimSpace(part), token) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Upgrade performs the server side of the RFC 6455 opening handshake,
-// hijacking the HTTP connection. On failure it writes the HTTP error
-// response itself and returns a non-nil error.
-func Upgrade(w http.ResponseWriter, r *http.Request) (*WSConn, error) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "websocket: handshake requires GET", http.StatusMethodNotAllowed)
-		return nil, fmt.Errorf("serve: handshake method %s", r.Method)
-	}
-	if !headerHasToken(r.Header, "Connection", "upgrade") ||
-		!headerHasToken(r.Header, "Upgrade", "websocket") {
-		http.Error(w, "websocket: upgrade required", http.StatusBadRequest)
-		return nil, errors.New("serve: missing upgrade headers")
-	}
-	if v := r.Header.Get("Sec-WebSocket-Version"); v != "13" {
-		w.Header().Set("Sec-WebSocket-Version", "13")
-		http.Error(w, "websocket: unsupported version", http.StatusUpgradeRequired)
-		return nil, fmt.Errorf("serve: websocket version %q", v)
-	}
-	key := r.Header.Get("Sec-WebSocket-Key")
-	if key == "" {
-		http.Error(w, "websocket: missing Sec-WebSocket-Key", http.StatusBadRequest)
-		return nil, errors.New("serve: missing Sec-WebSocket-Key")
-	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		http.Error(w, "websocket: hijacking unsupported", http.StatusInternalServerError)
-		return nil, errors.New("serve: response writer cannot hijack")
-	}
-	conn, brw, err := hj.Hijack()
-	if err != nil {
-		return nil, fmt.Errorf("serve: hijack: %w", err)
-	}
-	resp := "HTTP/1.1 101 Switching Protocols\r\n" +
-		"Upgrade: websocket\r\n" +
-		"Connection: Upgrade\r\n" +
-		"Sec-WebSocket-Accept: " + acceptKey(key) + "\r\n\r\n"
-	if _, err := conn.Write([]byte(resp)); err != nil {
-		abortConn(conn)
-		return nil, fmt.Errorf("serve: handshake write: %w", err)
-	}
-	c := newWSConn(conn, brw.Reader, false)
-	c.batch = true
-	return c, nil
-}
-
 // DialWS performs the client side of the opening handshake against a ws://
 // (or http://) URL and returns the connection.
 func DialWS(rawURL string) (*WSConn, error) {
@@ -581,5 +526,5 @@ func DialWS(rawURL string) (*WSConn, error) {
 		abortConn(conn)
 		return nil, fmt.Errorf("serve: dial: bad Sec-WebSocket-Accept %q", got)
 	}
-	return newWSConn(conn, br, true), nil
+	return newWSConn(conn, br), nil
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -24,7 +23,7 @@ func pipeServer(t *testing.T) (*WSConn, net.Conn) {
 		cliEnd.Close()
 		srvEnd.Close()
 	})
-	return newWSConn(srvEnd, bufio.NewReader(strings.NewReader("")), false), cliEnd
+	return &WSConn{conn: srvEnd, maxMsg: DefaultMaxMessage}, cliEnd
 }
 
 var testMaskKey = [4]byte{0x12, 0x34, 0x56, 0x78}

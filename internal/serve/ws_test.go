@@ -46,22 +46,32 @@ func TestDialWSHandshakeFailures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
 			serverRead := make(chan error, 1)
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				conn, brw, err := http.NewResponseController(w).Hijack()
+			go func() {
+				conn, err := ln.Accept()
 				if err != nil {
 					serverRead <- err
 					return
 				}
 				defer conn.Close()
-				tc.respond(conn, brw.Writer)
-				brw.Flush()
+				br := bufio.NewReader(conn)
+				if _, err := http.ReadRequest(br); err != nil {
+					serverRead <- err
+					return
+				}
+				w := bufio.NewWriter(conn)
+				tc.respond(conn, w)
+				w.Flush()
 				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				_, err = brw.ReadByte()
+				_, err = br.ReadByte()
 				serverRead <- err
-			}))
-			defer srv.Close()
-			if ws, err := DialWS("ws" + strings.TrimPrefix(srv.URL, "http")); err == nil {
+			}()
+			if ws, err := DialWS("ws://" + ln.Addr().String()); err == nil {
 				ws.Close()
 				t.Fatal("DialWS succeeded")
 			}
@@ -72,14 +82,24 @@ func TestDialWSHandshakeFailures(t *testing.T) {
 	}
 }
 
-// echoServer upgrades and echoes every binary message back.
-func echoServer(t *testing.T) *httptest.Server {
+// wsServer admits WebSocket handshakes on a plain loopback listener as the
+// daemon does and runs serve on each admitted connection's goroutine. It
+// returns the query channel's ws:// URL.
+func wsServer(t *testing.T, serve func(*WSConn)) string {
 	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ws, err := Upgrade(w, r)
-		if err != nil {
-			return
-		}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := listen(ln, testHandshakeTimeout, serve)
+	t.Cleanup(func() { l.Close() })
+	return "ws://" + ln.Addr().String() + "/v1/ws"
+}
+
+// echoServer echoes every binary message back; it returns the URL to dial.
+func echoServer(t *testing.T) string {
+	t.Helper()
+	return wsServer(t, func(ws *WSConn) {
 		defer ws.Close()
 		for {
 			data, err := ws.ReadMessage()
@@ -90,9 +110,7 @@ func echoServer(t *testing.T) *httptest.Server {
 				return
 			}
 		}
-	}))
-	t.Cleanup(srv.Close)
-	return srv
+	})
 }
 
 func wsURL(srv *httptest.Server) string {
@@ -102,8 +120,7 @@ func wsURL(srv *httptest.Server) string {
 // Echo payloads sized to exercise all three frame length encodings (7-bit,
 // 16-bit, 64-bit) and fragment-free round-tripping of masked client frames.
 func TestEchoAcrossLengthEncodings(t *testing.T) {
-	srv := echoServer(t)
-	ws, err := DialWS(wsURL(srv))
+	ws, err := DialWS(echoServer(t))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -130,18 +147,13 @@ func TestEchoAcrossLengthEncodings(t *testing.T) {
 // reader sees ErrConnClosed, not a protocol or transport error.
 func TestCloseHandshake(t *testing.T) {
 	gotErr := make(chan error, 1)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ws, err := Upgrade(w, r)
-		if err != nil {
-			return
-		}
+	url := wsServer(t, func(ws *WSConn) {
 		defer ws.Close()
-		_, err = ws.ReadMessage()
+		_, err := ws.ReadMessage()
 		gotErr <- err
-	}))
-	t.Cleanup(srv.Close)
+	})
 
-	ws, err := DialWS(wsURL(srv))
+	ws, err := DialWS(url)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -154,12 +166,11 @@ func TestCloseHandshake(t *testing.T) {
 }
 
 // A server must reject upgrade attempts that are not proper WebSocket
-// handshakes, with the HTTP status the RFC prescribes.
+// handshakes, with the HTTP status the RFC prescribes, and a head too long
+// for the connection's read buffer with 431. A request for /v1/ws that is
+// not a GET goes to net/http, which has no such route: 404.
 func TestUpgradeRejections(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		Upgrade(w, r)
-	}))
-	t.Cleanup(srv.Close)
+	_, srv := testServerHandle(t, 100, Options{})
 
 	cases := []struct {
 		name   string
@@ -176,10 +187,13 @@ func TestUpgradeRejections(t *testing.T) {
 		{"missing key", func(r *http.Request) {
 			r.Header.Del("Sec-WebSocket-Key")
 		}, http.StatusBadRequest},
+		{"head over the cap", func(r *http.Request) {
+			r.Header.Set("X-Padding", strings.Repeat("x", maxHead))
+		}, http.StatusRequestHeaderFieldsTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(http.MethodGet, srv.URL, nil)
+			req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/ws", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,13 +214,13 @@ func TestUpgradeRejections(t *testing.T) {
 	}
 
 	t.Run("POST", func(t *testing.T) {
-		resp, err := http.Post(srv.URL, "application/octet-stream", nil)
+		resp, err := http.Post(srv.URL+"/v1/ws", "application/octet-stream", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("status = %d, want %d", resp.StatusCode, http.StatusMethodNotAllowed)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("status = %d, want %d", resp.StatusCode, http.StatusNotFound)
 		}
 	})
 }
@@ -214,8 +228,7 @@ func TestUpgradeRejections(t *testing.T) {
 // Concurrent writers on one connection must not interleave frame bytes; the
 // reader must get every message back intact.
 func TestConcurrentWritersDoNotInterleave(t *testing.T) {
-	srv := echoServer(t)
-	ws, err := DialWS(wsURL(srv))
+	ws, err := DialWS(echoServer(t))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -254,24 +267,20 @@ func TestConcurrentWritersDoNotInterleave(t *testing.T) {
 }
 
 // upgradedPair returns the two ends of one live connection: the server side
-// as Upgrade made it (write batching armed) and the DialWS client. The
-// handler parks until the test ends, so the test drives both ends itself.
+// as the daemon's handshake admits it (write batching armed) and the DialWS
+// client. The server goroutine parks until the test ends, so the test
+// drives both ends itself.
 func upgradedPair(t *testing.T) (server, client *WSConn) {
 	t.Helper()
 	conns := make(chan *WSConn, 1)
 	done := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ws, err := Upgrade(w, r)
-		if err != nil {
-			return
-		}
+	url := wsServer(t, func(ws *WSConn) {
 		defer ws.Close()
 		conns <- ws
 		<-done
-	}))
-	t.Cleanup(srv.Close)
+	})
 	t.Cleanup(func() { close(done) })
-	client, err := DialWS(wsURL(srv))
+	client, err := DialWS(url)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
