@@ -1,7 +1,8 @@
 // Command senn-serverd serves SENN spatial queries over the network: HTTP
-// for stats, WebSocket + the internal/wire binary protocol for position
-// updates and kNN/range queries, one session per connection, both on one
-// listener. The POI data set comes from an on-disk page-aligned store (see
+// for stats and health, WebSocket + the internal/wire binary protocol for
+// position updates and kNN/range queries, one session per connection, both
+// on one listener whose connections the daemon reads itself (it links no
+// net/http). The POI data set comes from an on-disk page-aligned store (see
 // internal/serve), which the daemon packs at boot into the same R*-tree the
 // in-process simulator builds — served answers are bit-identical to
 // ServerModule's, page counts included.
@@ -22,8 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -41,7 +40,6 @@ func main() {
 		maxK         = flag.Int("maxk", 512, "largest k served per query")
 		maxTxRange   = flag.Float64("max-txrange", 0, "cap on relayed transmission radius (0 = default 10000 m)")
 		relayTimeout = flag.Duration("relay-timeout", 0, "peer relay wait bound (0 = default 2s)")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 
 		mkstore  = flag.String("mkstore", "", "write a fresh POI store to this path and exit")
 		nPOIs    = flag.Int("pois", 50000, "mkstore: number of POIs")
@@ -104,19 +102,6 @@ func main() {
 		StoreRead:    storeRead,
 		IndexBuild:   indexBuild,
 	})
-	httpSrv := newHTTPServer(srv.Handler())
-
-	if *pprofAddr != "" {
-		// The profiling endpoint rides a separate listener so it is never
-		// reachable through the service address; http.DefaultServeMux is
-		// what net/http/pprof registers its handlers on.
-		go func() {
-			fmt.Printf("senn-serverd: pprof on http://%s/debug/pprof/\n", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "senn-serverd: pprof:", err)
-			}
-		}()
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -125,7 +110,7 @@ func main() {
 		fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- serveOn(httpSrv, srv, ln) }()
+	go func() { done <- srv.Serve(ln, headTimeout) }()
 	fmt.Printf("senn-serverd: listening on %s\n", *addr)
 
 	select {
@@ -135,35 +120,23 @@ func main() {
 		fmt.Println("senn-serverd: shutting down")
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		// Shutdown does not know the WebSocket connections, which never
-		// enter net/http: Close tells each client the daemon is going away
-		// and waits for them.
+		// No new connection arrives once the listener is closed; Close
+		// tells each session the daemon is going away, ends the HTTP
+		// connections and waits for them all.
+		//simvet:discard — the accept loop's error on a listener closed for shutdown is the expected one
+		_ = ln.Close()
 		if err := srv.Close(shutCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "senn-serverd: connections still open at exit:", err)
 		}
-		_ = httpSrv.Shutdown(shutCtx)
 	}
 }
 
-// readHeaderTimeout is the handshake deadline: how long a client may take to
-// deliver its request line and headers.
-const readHeaderTimeout = 5 * time.Second
-
-// newHTTPServer builds the http.Server for the daemon's HTTP routes. Without
-// a header deadline a client that opens a socket and never finishes its
-// request line holds a goroutine and a descriptor forever.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
-}
-
-// serveOn serves both faces of the daemon on ln until hs is shut down: srv
-// reads each connection's request head itself and keeps the query channel,
-// hs gets every other connection. Both heads have hs's header deadline,
-// which covers the head only: an admitted WebSocket may idle as long as it
-// likes.
-func serveOn(hs *http.Server, srv *serve.Server, ln net.Listener) error {
-	return hs.Serve(srv.Listen(ln, hs.ReadHeaderTimeout))
-}
+// headTimeout is the handshake deadline: how long a client may take to
+// deliver a request head, and how long a keep-alive connection may idle
+// before its next one. Without it a client that opens a socket and never
+// finishes its request line holds a goroutine and a descriptor forever; it
+// does not cover an admitted WebSocket, which may idle as long as it likes.
+const headTimeout = 5 * time.Second
 
 func makeStore(path string, n, fanout int, width float64, clusters int, sigma float64, seed int64) error {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(width, width)}

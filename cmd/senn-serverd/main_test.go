@@ -1,10 +1,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
 	"testing"
 	"time"
 
@@ -16,34 +17,37 @@ import (
 
 // A client that opens a socket and never finishes its request must be cut
 // off at the handshake deadline instead of holding a goroutine and a
-// descriptor forever — whether the request line is an HTTP route's, which
-// net/http reads, or the query channel's, which the daemon reads itself —
-// while a WebSocket that was admitted before the wait and idles through all
-// of it keeps working: the deadline covers the head only.
+// descriptor forever — whether the request line is an HTTP route's or the
+// query channel's, both of which the daemon reads itself — while a WebSocket
+// that was admitted before the wait and idles through all of it keeps
+// working: the deadline covers the head only.
 func TestHalfWrittenRequestIsClosed(t *testing.T) {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}
 	mod := sim.NewServerModule(sim.RandomPOIs(200, bounds, rand.New(rand.NewSource(1))), 30)
 	s := serve.NewServer(mod, serve.Options{})
-	srv := newHTTPServer(s.Handler())
-	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
-		t.Fatalf("ReadHeaderTimeout = %v, want the %v handshake deadline", srv.ReadHeaderTimeout, readHeaderTimeout)
+	if headTimeout <= 0 {
+		t.Fatalf("headTimeout = %v, want a handshake deadline", headTimeout)
 	}
-	bound := readHeaderTimeout
+	bound := headTimeout
 	if testing.Short() {
 		// Same server, same mechanism, a deadline short enough for -short.
 		bound = 300 * time.Millisecond
-		srv.ReadHeaderTimeout = bound
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
-	go func() { served <- serveOn(srv, s, ln) }()
+	go func() { served <- s.Serve(ln, bound) }()
 	t.Cleanup(func() {
-		srv.Close()
-		if err := <-served; err != http.ErrServerClosed {
+		ln.Close()
+		if err := <-served; !errors.Is(err, net.ErrClosed) {
 			t.Errorf("Serve returned %v", err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("Close: %v", err)
 		}
 	})
 	addr := ln.Addr().String()

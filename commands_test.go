@@ -35,3 +35,34 @@ func TestCommandPathsOutsideTheRecord(t *testing.T) {
 		}
 	}
 }
+
+// senn-serverd answers its few HTTP routes itself (internal/serve/admit.go)
+// and links none of net/http's server, client, TLS or profiler code, which
+// was most of its executable and of its resident floor (DESIGN §16). One
+// stray import anywhere under it brings all of it back, so the link set is
+// fenced: a failure names the banned package and what imports it.
+func TestServerdLinksNoHTTPStack(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "-f", "{{.ImportPath}} {{join .Imports \" \"}}", "./cmd/senn-serverd").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	banned := map[string][]string{"net/http": nil, "crypto/tls": nil, "net/http/pprof": nil, "runtime/pprof": nil}
+	linked := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		pkg, imports, _ := strings.Cut(line, " ")
+		linked[pkg] = true
+		for _, imp := range strings.Fields(imports) {
+			if _, ok := banned[imp]; ok {
+				banned[imp] = append(banned[imp], pkg)
+			}
+		}
+	}
+	if len(linked) == 0 {
+		t.Fatal("go list named no packages")
+	}
+	for pkg, importers := range banned {
+		if linked[pkg] {
+			t.Errorf("senn-serverd links %s, imported by %s", pkg, strings.Join(importers, ", "))
+		}
+	}
+}

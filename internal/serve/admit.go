@@ -4,72 +4,96 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"encoding/base64"
-	"errors"
+	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"strconv"
-	"sync"
+	"slices"
+	"strings"
 	"time"
 )
 
-// The query channel's opening handshake is read straight off the listener:
-// net/http would give every connection a 4 KB bufio.Reader and Writer that a
-// hijacked connection never returns to their pools, a third Writer for the
-// hijack, a parsed Request and two goroutines, all of it garbage once the
-// session starts. Here the head lands in the connection's own inline read
-// buffer, is checked in place and answered, and the goroutine that read it
-// becomes the session's. Every other connection goes to net/http untouched.
+// The daemon speaks the little HTTP/1.1 it needs itself, straight off its
+// listener: each request head lands in the connection's own inline read
+// buffer, is judged in place and answered from there. GET /v1/ws is answered
+// 101 and the goroutine that read it becomes the session's; the other routes
+// (routeAllow) are answered on the connection, which then waits for its next
+// head. Nothing here links net/http, whose server, client, TLS and HTTP/2
+// code was most of the daemon's executable (DESIGN §16).
 
-// maxHead is the longest request head the query channel admits: the head is
-// read into the connection's inline read buffer (DialWS sends ≈ 170 B).
+// maxHead is the longest request head the daemon reads: every head is read
+// into the connection's inline read buffer (DialWS sends ≈ 170 B, Go's HTTP
+// client ≈ 150 B, curl ≈ 90 B).
 const maxHead = firstReadSize
 
-// wsRequestLine is how the query channel's request line starts; the target
-// then ends or continues with a query string.
-const wsRequestLine = "GET /v1/ws"
+// statusText is the reason phrase net/http's StatusText gives each status.
+var statusText = map[int]string{
+	101: "Switching Protocols", 200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
+	426: "Upgrade Required", 431: "Request Header Fields Too Large", 505: "HTTP Version Not Supported",
+}
 
-// Head verdicts besides an HTTP status (101 admits; anything else refuses).
-const (
-	headIncomplete = 0  // more bytes are needed to decide
-	headHandoff    = -1 // not the query channel: net/http serves it
-)
+// headIncomplete is parseHead's verdict while more bytes are needed.
+const headIncomplete = 0
 
 // head is parseHead's verdict on the bytes read so far.
 type head struct {
+	// status is the answer: 101 admits the query channel, 200 answers route,
+	// 404 and 405 are answered on a connection that stays open, anything
+	// else refuses the connection.
 	status int
-	// end is the head's length, blank line included, and key its first
-	// Sec-WebSocket-Key value: both set when status is 101.
+	// route is the request's path when it is one of routeAllow's, and allow
+	// that route's methods (the Allow header of a 405).
+	route, allow string
+	// end is the head's length, blank line included: set when the head was
+	// read to its end.
 	end int
+	// key is the first Sec-WebSocket-Key value: set when status is 101.
 	key []byte
+	// bodyless marks a HEAD request; close a client that asked the
+	// connection to end with this answer (Connection: close, or HTTP/1.0).
+	bodyless, close bool
 }
 
-// parseHead routes on the request line and judges a query-channel head by
-// the rules the handshake followed while net/http parsed it: what
-// http.ReadRequest and the server refuse is refused with their status, an
-// admitted head carries both Upgrade tokens, version 13 and a key. The
-// parser is stricter than net/http in three places, each a 400 or a 431: a
-// folded header line, a Content-Length or Transfer-Encoding on the
-// handshake, and a head longer than maxHead. The Host value is not read.
+// routeAllow maps each path the daemon answers to the methods it answers
+// there; a known path asked with another method gets 405, any other path
+// 404. The query string is not part of the path.
+func routeAllow(path []byte) (route, allow string) {
+	switch string(path) {
+	case "/v1/ws":
+		return "/v1/ws", "GET"
+	case "/healthz":
+		return "/healthz", "GET, HEAD"
+	case "/v1/stats":
+		return "/v1/stats", "GET, HEAD"
+	case "/v1/session":
+		return "/v1/session", "POST"
+	}
+	return "", ""
+}
+
+// parseHead judges a request head by the rules net/http applied when it
+// served these routes: what http.ReadRequest and the server refused is
+// refused with their status, an admitted query-channel head carries both
+// Upgrade tokens, version 13 and a key. The parser is stricter than net/http
+// in four places: a folded header line and a request body (a
+// Transfer-Encoding or a Content-Length other than 0) are a 400, a head
+// longer than maxHead a 431, and the path is matched byte for byte as sent,
+// so a target net/http would have decoded or refused is a 404. The Host
+// value is not read.
 func parseHead(b []byte) head {
-	if n := min(len(b), len(wsRequestLine)); string(b[:n]) != wsRequestLine[:n] {
-		return head{status: headHandoff}
-	}
-	if len(b) <= len(wsRequestLine) {
-		return head{status: headIncomplete}
-	}
-	if c := b[len(wsRequestLine)]; c != ' ' && c != '?' {
-		return head{status: headHandoff}
-	}
 	line, rest, ok := cutLine(b)
 	if !ok {
 		return moreHead(b)
 	}
-	// Split where net/http splits: the target ends at the second space.
-	target, proto, ok := bytes.Cut(line[len("GET "):], []byte(" "))
-	if !ok || !ctlFree(target, false) || !validProto(proto) {
-		return head{status: http.StatusBadRequest}
+	// Split where net/http splits: the method ends at the first space, the
+	// target at the second.
+	method, line, ok1 := bytes.Cut(line, []byte(" "))
+	target, proto, ok2 := bytes.Cut(line, []byte(" "))
+	if methodOK, _ := headerName(method); !ok1 || !ok2 || !methodOK || !ctlFree(target, false) || !validProto(proto) {
+		return head{status: 400}
 	}
+	h := head{bodyless: string(method) == "HEAD", close: proto[7] == '0'}
+	path, _, _ := bytes.Cut(target, []byte("?"))
+	h.route, h.allow = routeAllow(path)
 	var (
 		hosts                 int
 		conn, upgrade         bool
@@ -87,7 +111,7 @@ func parseHead(b []byte) head {
 		name, value, ok := bytes.Cut(line, []byte(":"))
 		nameOK, spaced := headerName(name)
 		if !ok || !nameOK || name[0] == ' ' || !ctlFree(value, true) {
-			return head{status: http.StatusBadRequest} // no colon, a folded line or a control byte
+			return head{status: 400} // no colon, a folded line or a control byte
 		}
 		spaceName = spaceName || spaced
 		value = bytes.Trim(value, " \t")
@@ -96,6 +120,7 @@ func parseHead(b []byte) head {
 			hosts++
 		case bytes.EqualFold(name, []byte("Connection")):
 			conn = conn || hasToken(value, "upgrade")
+			h.close = h.close || hasToken(value, "close")
 		case bytes.EqualFold(name, []byte("Upgrade")):
 			upgrade = upgrade || hasToken(value, "websocket")
 		case bytes.EqualFold(name, []byte("Sec-WebSocket-Version")):
@@ -106,29 +131,55 @@ func parseHead(b []byte) head {
 			if !haveKey {
 				key, haveKey = value, true
 			}
-		case bytes.EqualFold(name, []byte("Content-Length")), bytes.EqualFold(name, []byte("Transfer-Encoding")):
+		case bytes.EqualFold(name, []byte("Content-Length")):
+			bodyHeader = bodyHeader || string(value) != "0"
+		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
 			bodyHeader = true
 		}
 	}
+	h.end = len(b) - len(rest)
 	switch {
 	case bodyHeader || hosts > 1:
-		return head{status: http.StatusBadRequest}
+		h.status = 400
 	case proto[5] != '1':
-		return head{status: http.StatusHTTPVersionNotSupported}
-	case spaceName, hosts == 0 && proto[7] >= '1', !conn || !upgrade: // HTTP/1.1 requires a Host
-		return head{status: http.StatusBadRequest}
+		h.status = 505
+	case spaceName, hosts == 0 && proto[7] >= '1': // HTTP/1.1 requires a Host
+		h.status = 400
+	case h.route == "":
+		h.status = 404
+	case !methodIn(method, h.allow):
+		h.status = 405
+	case h.route != "/v1/ws":
+		h.status = 200
+	case !conn || !upgrade:
+		h.status = 400
 	case string(version) != "13":
-		return head{status: http.StatusUpgradeRequired}
+		h.status = 426
 	case len(key) == 0:
-		return head{status: http.StatusBadRequest}
+		h.status = 400
+	default:
+		h.status, h.key = 101, key
 	}
-	return head{status: http.StatusSwitchingProtocols, end: len(b) - len(rest), key: key}
+	return h
 }
 
-// moreHead is the verdict on a query-channel head that has not ended yet.
+// methodIn reports whether method is one of the comma-separated methods in
+// allow; methods are case-sensitive.
+func methodIn(method []byte, allow string) bool {
+	for rest := allow; rest != ""; {
+		var m string
+		m, rest, _ = strings.Cut(rest, ", ")
+		if string(method) == m {
+			return true
+		}
+	}
+	return false
+}
+
+// moreHead is the verdict on a head that has not ended yet.
 func moreHead(b []byte) head {
 	if len(b) >= maxHead {
-		return head{status: http.StatusRequestHeaderFieldsTooLarge}
+		return head{status: 431}
 	}
 	return head{status: headIncomplete}
 }
@@ -158,7 +209,7 @@ func ctlFree(b []byte, tabOK bool) bool {
 
 // headerName reports whether net/textproto reads b as a header name: an
 // RFC 7230 token, into which it also lets spaces, for the server to refuse
-// once it has checked the version.
+// once it has checked the version. A method is a token too.
 func headerName(b []byte) (ok, spaced bool) {
 	for _, c := range b {
 		spaced = spaced || c == ' '
@@ -184,107 +235,44 @@ func hasToken(value []byte, token string) bool {
 	return false
 }
 
-// readHead reads the request head into c.first until parseHead decides,
-// never more than maxHead bytes, and returns the verdict and the bytes read.
-// err is the transport's when the head ended undecided.
-func (c *WSConn) readHead() (h head, n int, err error) {
+// readHead reads into c.first, behind the n bytes already there, until
+// parseHead decides on them, never more than maxHead bytes in all, and
+// returns the verdict and the bytes held. err is the transport's when the
+// head ended undecided.
+func (c *WSConn) readHead(n int) (h head, _ int, err error) {
 	for {
-		var m int
-		m, err = c.conn.Read(c.first[n:])
-		n += m
 		if h = parseHead(c.first[:n]); h.status != headIncomplete || err != nil {
 			return h, n, err
 		}
+		var m int
+		m, err = c.conn.Read(c.first[n:])
+		n += m
 	}
 }
 
-// Listen admits the query channel straight off ln and returns the listener
-// for everything else, which http.Server.Serve consumes. Each accepted
-// connection gets one goroutine: it reads the request head under the
-// handshake deadline and, for GET /v1/ws, answers it and serves the session
-// itself; any other request line is handed to the returned listener with
-// the bytes already read replayed in front of the connection. Closing the
-// returned listener (http.Server.Shutdown does) closes ln and ends the
-// accept loop.
-func (s *Server) Listen(ln net.Listener, handshakeTimeout time.Duration) net.Listener {
-	return listen(ln, handshakeTimeout, s.runConn)
-}
-
-// listen is Listen with the session left to run: run gets each admitted
-// connection on the goroutine that read its handshake.
-func listen(ln net.Listener, timeout time.Duration, run func(*WSConn)) *handoffListener {
-	l := &handoffListener{Listener: ln, timeout: timeout,
-		conns: make(chan accepted), done: make(chan struct{}), exited: make(chan struct{})}
-	go func() {
-		defer close(l.exited)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				// http.Server.Serve backs off on a temporary error before it
-				// asks again, which paces this loop.
-				l.pass(accepted{err: err})
-				if errors.Is(err, net.ErrClosed) {
-					return
-				}
+// Serve accepts connections on ln until Accept fails for good (closing ln
+// ends it) and returns that error. Each connection gets one goroutine, which
+// reads its request heads itself, each under headTimeout: the HTTP routes
+// are answered and the connection kept for the next head, and GET /v1/ws is
+// answered 101 and becomes a session served on the same goroutine. The
+// deadline covers a head and the wait for it, so it also ends an idle
+// keep-alive connection; an admitted session may idle as long as it likes.
+// A temporary accept error (descriptors exhausted, say) is retried after a
+// pause that doubles from 5 ms to 1 s, as http.Server.Serve paced it.
+func (s *Server) Serve(ln net.Listener, headTimeout time.Duration) error {
+	var pause time.Duration
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			if ne, ok := err.(interface{ Temporary() bool }); ok && ne.Temporary() {
+				pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+				time.Sleep(pause)
 				continue
 			}
-			go func() {
-				if ws := l.handshake(conn); ws != nil {
-					run(ws)
-				}
-			}()
+			return err
 		}
-	}()
-	return l
-}
-
-// handoffListener yields the connections that are not the query channel's.
-type handoffListener struct {
-	net.Listener
-	timeout   time.Duration
-	conns     chan accepted
-	done      chan struct{}
-	closeOnce sync.Once
-	// exited is closed when the accept loop has returned.
-	exited chan struct{}
-}
-
-// accepted is one hand-off: a connection or an accept error.
-type accepted struct {
-	conn net.Conn
-	err  error
-}
-
-func (l *handoffListener) Accept() (net.Conn, error) {
-	select {
-	case a := <-l.conns:
-		return a.conn, a.err
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-// Close closes the listener and returns once the accept loop has. Handshakes
-// in flight end by their deadline; admitted sessions are the Server's.
-func (l *handoffListener) Close() error {
-	err := net.ErrClosed
-	l.closeOnce.Do(func() {
-		close(l.done)
-		err = l.Listener.Close()
-		<-l.exited
-	})
-	return err
-}
-
-// pass hands a to whoever accepts; a connection nobody will accept any more
-// is closed.
-func (l *handoffListener) pass(a accepted) {
-	select {
-	case l.conns <- a:
-	case <-l.done:
-		if a.conn != nil {
-			abortConn(a.conn)
-		}
+		pause = 0
+		go s.runConn(conn, headTimeout)
 	}
 }
 
@@ -292,70 +280,89 @@ func (l *handoffListener) pass(a accepted) {
 const acceptResponse = "HTTP/1.1 101 Switching Protocols\r\n" +
 	"Upgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Accept: "
 
-// handshake reads conn's request head and acts on it: a query-channel head
-// is answered with 101 and its WSConn returned; a refused one is answered
-// with its status and closed; any other connection is handed off. It
-// returns nil in every case but the first.
-func (l *handoffListener) handshake(conn net.Conn) *WSConn {
-	ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true}
-	//simvet:discard — a connection that refuses a deadline is dead; the head read below fails on it
-	_ = conn.SetReadDeadline(time.Now().Add(l.timeout))
-	h, n, err := ws.readHead()
-	switch {
-	case h.status == headHandoff:
-		l.pass(accepted{conn: &replayConn{Conn: conn, head: ws.first[:n]}})
-		return nil
-	case err != nil: // the client went away or missed the deadline mid-head
-		abortConn(conn)
-		return nil
-	case h.status != http.StatusSwitchingProtocols:
-		refuse(conn, h.status)
-		return nil
+// admit answers ws's requests until one opens the query channel, which it
+// answers 101 with whatever followed that head left unread for the session:
+// it then reports true. It reports false, the connection closed, when the
+// client leaves, misses the deadline, asks to close or is refused.
+func (s *Server) admit(ws *WSConn, timeout time.Duration) bool {
+	n := 0
+	for {
+		//simvet:discard — a connection that refuses a deadline is dead; the head read below fails on it
+		_ = ws.conn.SetReadDeadline(time.Now().Add(timeout))
+		h, m, err := ws.readHead(n)
+		switch {
+		case err != nil: // the client went away or missed the deadline mid-head
+			abortConn(ws.conn)
+			return false
+		case h.status == 101:
+			ws.pending = slices.Grow(ws.pending[:0], len(acceptResponse)+base64.StdEncoding.EncodedLen(sha1.Size)+len("\r\n\r\n"))
+			ws.pending = append(appendAcceptKey(append(ws.pending, acceptResponse...), h.key), "\r\n\r\n"...)
+			ws.unread = ws.first[h.end:m]
+			if ws.conn.SetReadDeadline(time.Time{}) != nil || ws.Flush() != nil {
+				abortConn(ws.conn)
+				return false
+			}
+			return true
+		case h.status != 200 && h.status != 404 && h.status != 405:
+			closeAfter(ws.conn, s.appendAnswer(nil, head{status: h.status, close: true}))
+			return false
+		}
+		h.close = h.close || s.draining()
+		ws.pending = s.appendAnswer(ws.pending[:0], h)
+		if h.close {
+			closeAfter(ws.conn, ws.pending)
+			return false
+		}
+		if ws.Flush() != nil {
+			abortConn(ws.conn)
+			return false
+		}
+		// Pipelined bytes behind the head are the start of the next one.
+		n = copy(ws.first[:], ws.first[h.end:m])
 	}
-	ws.pending = make([]byte, 0, len(acceptResponse)+base64.StdEncoding.EncodedLen(sha1.Size)+len("\r\n\r\n"))
-	ws.pending = append(appendAcceptKey(append(ws.pending, acceptResponse...), h.key), "\r\n\r\n"...)
-	ws.unread = ws.first[h.end:n]
-	if conn.SetReadDeadline(time.Time{}) != nil || ws.Flush() != nil {
-		abortConn(conn)
-		return nil
-	}
-	return ws
 }
 
-// refuse answers a head the query channel does not admit and closes the
-// connection. The write side is closed first and what the client still
-// sends is drained until it closes or the handshake deadline passes:
-// closing with unread bytes would reset the connection, which can discard
-// the answer before the client reads it.
-func refuse(conn net.Conn, status int) {
-	text := http.StatusText(status)
-	resp := "HTTP/1.1 " + strconv.Itoa(status) + " " + text + "\r\n"
-	if status == http.StatusUpgradeRequired {
-		resp += "Sec-WebSocket-Version: 13\r\n"
+// appendAnswer appends the HTTP/1.1 response to h: a route's document, or
+// an error whose text is its status, as net/http's http.Error wrote it. The
+// body is left out for HEAD, and Connection: close put in when h.close.
+func (s *Server) appendAnswer(dst []byte, h head) []byte {
+	extra, contentType, body := "", "text/plain; charset=utf-8", []byte("ok\n")
+	switch {
+	case h.status == 405:
+		extra = "Allow: " + h.allow + "\r\n"
+	case h.status == 426:
+		extra = "Sec-WebSocket-Version: 13\r\n"
+	case h.status != 200:
+	case h.route == "/v1/stats":
+		contentType, body = "application/json", s.statsJSON()
+	case h.route == "/v1/session":
+		contentType, body = "application/json", []byte(sessionShimBody)
 	}
-	resp += "Content-Type: text/plain; charset=utf-8\r\nConnection: close\r\n" +
-		"Content-Length: " + strconv.Itoa(len(text)+1) + "\r\n\r\n" + text + "\n"
-	//simvet:discard — the refusal is a courtesy to a client being turned away; the connection is closed either way
-	_, _ = io.WriteString(conn, resp)
+	if h.status != 200 {
+		body = []byte(statusText[h.status] + "\n")
+	}
+	if h.close {
+		extra += "Connection: close\r\n"
+	}
+	dst = fmt.Appendf(dst, "HTTP/1.1 %d %s\r\n%sDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+		h.status, statusText[h.status], extra, time.Now().UTC().Format("Mon, 02 Jan 2006 15:04:05 GMT"), contentType, len(body))
+	if h.bodyless {
+		return dst
+	}
+	return append(dst, body...)
+}
+
+// closeAfter writes resp, the connection's last answer, and closes the
+// connection. The write side is closed first and what the client still
+// sends is drained until it closes or the head deadline passes: closing with
+// unread bytes would reset the connection, which can discard the answer
+// before the client reads it.
+func closeAfter(conn net.Conn, resp []byte) {
+	//simvet:discard — the last answer is a courtesy to a client whose connection is being closed either way
+	_, _ = conn.Write(resp)
 	if cw, ok := conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
 		//simvet:discard — draining ends at the client's close, the deadline or any error alike
 		_, _ = io.Copy(io.Discard, conn)
 	}
 	abortConn(conn)
-}
-
-// replayConn is a handed-off connection: its reads return the bytes the
-// handshake already consumed, then the transport's.
-type replayConn struct {
-	net.Conn
-	head []byte
-}
-
-func (c *replayConn) Read(p []byte) (int, error) {
-	if len(c.head) == 0 {
-		return c.Conn.Read(p)
-	}
-	n := copy(p, c.head)
-	c.head = c.head[n:]
-	return n, nil
 }

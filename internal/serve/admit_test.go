@@ -3,10 +3,15 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -81,47 +86,72 @@ func TestAdmissionAllocatesLittle(t *testing.T) {
 	}
 }
 
-// Closing the listener Listen returns ends the accept loop, and a hand-off
-// that nobody accepted by then is closed, not left waiting.
+// Closing the listener ends Serve's accept loop with the listener's error
+// and nothing is accepted afterwards; a connection accepted before keeps
+// being answered until Close ends it.
 func TestListenerCloseEndsAdmission(t *testing.T) {
+	s := NewServer(testModule(100), Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := listen(ln, testHandshakeTimeout, func(ws *WSConn) { ws.Close() })
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln, testHandshakeTimeout) }()
 	addr := ln.Addr().String()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: senn\r\n\r\n"); err != nil {
+	br := bufio.NewReader(conn)
+	get := func() {
+		t.Helper()
+		if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: senn\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		if resp := readResponse(t, br, "GET"); resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("/healthz answered %d, close %v", resp.StatusCode, resp.Close)
+		}
+	}
+	get()
+	if err := ln.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	// EOF, or a reset if the close came before the loop accepted it.
-	n, err := conn.Read(make([]byte, 1))
-	if ne, ok := err.(net.Error); n > 0 || err == nil || ok && ne.Timeout() {
-		t.Fatalf("handed-off connection read %d bytes, %v after the close; want it closed", n, err)
-	}
-	if _, err := l.Accept(); err == nil {
-		t.Fatal("Accept succeeded after Close")
+	if err := <-served; !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve returned %v, want the closed listener's error", err)
 	}
 	if c, err := net.Dial("tcp", addr); err == nil {
 		c.Close()
 		t.Fatal("the listener still accepts after Close")
 	}
+	get()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the connection read %q, %v after Close; want it closed", n, err)
+	}
 }
 
-// upgradeStatus is the status the handshake got while net/http parsed it and
-// Upgrade judged it: the server's own refusals first, then Upgrade's rules,
-// then 101. It is the referee FuzzHandshake holds parseHead to.
-func upgradeStatus(r *http.Request, hasHost bool) int {
+// testRoutes is the daemon's route table as FuzzHandshake's referee knows
+// it: path (the request target up to any '?') to the methods served there.
+var testRoutes = map[string][]string{
+	"/v1/ws":      {http.MethodGet},
+	"/healthz":    {http.MethodGet, http.MethodHead},
+	"/v1/stats":   {http.MethodGet, http.MethodHead},
+	"/v1/session": {http.MethodPost},
+}
+
+// routeStatus is the status a parsed request got while net/http served the
+// daemon: the server's own refusals first, then the route table (404, 405),
+// then Upgrade's rules for the query channel (101) and 200 for any other
+// route. It is the referee FuzzHandshake holds parseHead to.
+func routeStatus(r *http.Request, hasHost bool) int {
 	validName := func(k string) bool {
 		for _, c := range []byte(k) {
 			if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
@@ -151,7 +181,15 @@ func upgradeStatus(r *http.Request, hasHost bool) int {
 			return http.StatusBadRequest
 		}
 	}
+	path := strings.Split(r.RequestURI, "?")[0]
+	methods, ok := testRoutes[path]
 	switch {
+	case !ok:
+		return http.StatusNotFound
+	case !slices.Contains(methods, r.Method):
+		return http.StatusMethodNotAllowed
+	case path != "/v1/ws":
+		return http.StatusOK
 	case !hasToken("Connection", "upgrade") || !hasToken("Upgrade", "websocket"):
 		return http.StatusBadRequest
 	case r.Header.Get("Sec-WebSocket-Version") != "13":
@@ -164,7 +202,8 @@ func upgradeStatus(r *http.Request, hasHost bool) int {
 
 // headerLines reports, from a plain scan of the header lines of a head,
 // whether it names a Host and whether it carries a folded line or a body
-// header — the two places parseHead is stricter than net/http.
+// header (a Transfer-Encoding, a Content-Length other than 0) — two of the
+// places parseHead is stricter than net/http.
 func headerLines(data []byte) (hasHost, stricter bool) {
 	headEnd := len(data)
 	if i := bytes.Index(data, []byte("\n\r\n")); i >= 0 {
@@ -178,11 +217,13 @@ func headerLines(data []byte) (hasHost, stricter bool) {
 		if strings.HasPrefix(l, " ") || strings.HasPrefix(l, "\t") {
 			stricter = true
 		}
-		name, _, _ := strings.Cut(l, ":")
+		name, value, _ := strings.Cut(strings.TrimSuffix(l, "\r"), ":")
 		switch strings.ToLower(name) {
 		case "host":
 			hasHost = true
-		case "content-length", "transfer-encoding":
+		case "content-length":
+			stricter = stricter || strings.Trim(value, " \t") != "0"
+		case "transfer-encoding":
 			stricter = true
 		}
 	}
@@ -207,13 +248,18 @@ func (c *chunkConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// For any bytes a client sends, the handshake reads at most maxHead of them
-// and decides as net/http and Upgrade decided: a head it admits parses with
-// http.ReadRequest into a GET of /v1/ws that Upgrade accepted, with the
-// same key; a head it refuses got the same status, unless it is one of the
-// heads parseHead refuses by its own stricter rules (longer than maxHead, a
-// folded line, a body header); a head it hands off is not the query
-// channel's. Reading in chunks decides as parsing all at once does.
+// For any bytes a client sends, admission reads at most maxHead of them and
+// decides as net/http decided while it served the daemon's routes: a head
+// admitted to the query channel parses with http.ReadRequest into a GET of
+// /v1/ws that Upgrade accepted, with the same key; a head answered on the
+// connection (200, 404, 405) parses into a request of that route and method
+// that carries no body, ends where net/http's head ended, and is kept open
+// only if net/http would have kept it; a head refused got the same status,
+// unless it is one of the heads parseHead refuses by its own stricter rules
+// (longer than maxHead, a folded line, a body). A target net/http could not
+// parse as a URI is no path the daemon serves: the rest of the head decides
+// between a refusal and a 404. Reading in chunks decides as parsing all at
+// once does.
 func FuzzHandshake(f *testing.F) {
 	f.Add([]byte(rawHead), uint8(0))
 	f.Add([]byte("GET /v1/ws?session=0 HTTP/1.1\r\nHost: 127.0.0.1:8046\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"+
@@ -228,49 +274,75 @@ func FuzzHandshake(f *testing.F) {
 	f.Add([]byte("GET /v1/ws HTTP/1.1\nhost: a\nupgrade: WebSocket\nconnection: keep-alive, upgrade\n"+
 		"sec-websocket-key: k\nsec-websocket-version: 13\n\n"), uint8(9))
 	f.Add([]byte("GET /v1/ws HTTP/1.1\r\nHost: senn\r\nUpgrade:\r\n websocket\r\n\r\n"), uint8(11))
+	// The HTTP routes: the heads Go's client (the benchmark harness) and
+	// curl (CI's smoke job) send, and their neighbours.
+	f.Add([]byte("POST /v1/session HTTP/1.1\r\nHost: 127.0.0.1:8046\r\nUser-Agent: Go-http-client/1.1\r\n"+
+		"Content-Length: 0\r\nContent-Type: application/json\r\nAccept-Encoding: gzip\r\n\r\n"), uint8(13))
+	f.Add([]byte("GET /v1/stats HTTP/1.1\r\nHost: 127.0.0.1:8046\r\nUser-Agent: Go-http-client/1.1\r\nAccept-Encoding: gzip\r\n\r\n"), uint8(5))
+	f.Add([]byte("GET /healthz HTTP/1.1\r\nHost: 127.0.0.1:8046\r\nUser-Agent: curl/8.5.0\r\nAccept: */*\r\n\r\n"), uint8(63))
+	f.Add([]byte("HEAD /v1/stats?pretty HTTP/1.1\r\nHost: senn\r\nConnection: close\r\n\r\nGET /healthz HTTP/1.1\r\n"), uint8(8))
+	f.Add([]byte("GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"), uint8(2))
+	f.Add([]byte("DELETE /v1/stats HTTP/1.1\r\nHost: senn\r\n\r\n"), uint8(4))
+	f.Add([]byte("GET /v1/%73tats HTTP/1.1\r\nHost: senn\r\n\r\n"), uint8(4))
+	f.Add([]byte("GET /nope%zz HTTP/1.1\r\nHost: senn\r\n\r\n"), uint8(4))
+	f.Add([]byte("POST /v1/session HTTP/1.1\r\nHost: senn\r\nContent-Length: 5\r\n\r\nhello"), uint8(9))
+	f.Add([]byte("POST /v1/session HTTP/1.1\r\nHost: senn\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"), uint8(9))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		got := parseHead(data[:min(len(data), maxHead)])
 
 		c := &chunkConn{data: data, chunk: int(chunk%64) + 1}
-		read, n, _ := (&WSConn{conn: c}).readHead()
+		read, n, _ := (&WSConn{conn: c}).readHead(0)
 		if c.read > maxHead || n != c.read {
 			t.Fatalf("read %d bytes, reported %d; the cap is %d", c.read, n, maxHead)
 		}
-		if read.status != got.status || read.end != got.end || !bytes.Equal(read.key, got.key) {
+		if read.status != got.status || read.end != got.end || !bytes.Equal(read.key, got.key) || read.close != got.close {
 			t.Fatalf("read in %d-byte chunks: %+v, parsed at once: %+v", c.chunk, read, got)
 		}
 
 		src := bytes.NewReader(data)
 		br := bufio.NewReader(src)
 		req, rerr := http.ReadRequest(br)
-		ours := rerr == nil && req.Method == http.MethodGet && strings.Split(req.RequestURI, "?")[0] == "/v1/ws"
 		hasHost, stricter := headerLines(data)
-		switch got.status {
-		case headHandoff:
-			if ours {
-				t.Fatalf("handed off a GET of %q", req.RequestURI)
+		if urlErr := (*url.Error)(nil); errors.As(rerr, &urlErr) {
+			// net/http refused the target itself. Here it is no path the
+			// daemon serves, and the rest of the head decides.
+			if got.status == http.StatusOK || got.status == http.StatusSwitchingProtocols || got.status == http.StatusMethodNotAllowed ||
+				strings.Contains(rerr.Error(), "invalid control character") && got.status != headIncomplete && got.status != http.StatusBadRequest {
+				t.Fatalf("answered %d to a target net/http refused: %v", got.status, rerr)
 			}
+			return
+		}
+		switch got.status {
 		case headIncomplete:
 			if rerr == nil {
 				t.Fatalf("waits for more of a head http.ReadRequest parsed: %+v", req)
 			}
-		case http.StatusSwitchingProtocols:
-			if !ours {
-				t.Fatalf("admitted a head net/http parses as %v / %v", req, rerr)
+		case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusOK, http.StatusSwitchingProtocols:
+			if rerr != nil {
+				t.Fatalf("answered %d to a head net/http refused: %v", got.status, rerr)
 			}
-			if want := upgradeStatus(req, hasHost); want != http.StatusSwitchingProtocols {
-				t.Fatalf("admitted a head net/http answered %d", want)
-			}
-			if key := req.Header.Get("Sec-WebSocket-Key"); string(got.key) != key {
-				t.Fatalf("admitted with key %q, net/http read %q", got.key, key)
+			if want := routeStatus(req, hasHost); got.status != want {
+				t.Fatalf("answered %d to %s %q, net/http answered %d", got.status, req.Method, req.RequestURI, want)
 			}
 			if consumed := len(data) - src.Len() - br.Buffered(); got.end != consumed {
 				t.Fatalf("head ends at %d, net/http read %d bytes of it", got.end, consumed)
 			}
+			if got.status == http.StatusSwitchingProtocols {
+				if key := req.Header.Get("Sec-WebSocket-Key"); string(got.key) != key {
+					t.Fatalf("admitted with key %q, net/http read %q", got.key, key)
+				}
+				break
+			}
+			if req.ContentLength != 0 || len(req.TransferEncoding) > 0 {
+				t.Fatalf("answered %d to a request net/http read a body behind: %+v", got.status, req)
+			}
+			if req.Close && !got.close || got.bodyless != (req.Method == http.MethodHead) {
+				t.Fatalf("close %v, bodyless %v; net/http read Close %v for a %s", got.close, got.bodyless, req.Close, req.Method)
+			}
 		default:
 			want := http.StatusBadRequest // what net/http answers a head it cannot parse
 			if rerr == nil {
-				want = upgradeStatus(req, hasHost)
+				want = routeStatus(req, hasHost)
 			}
 			if got.status != want && !(stricter && got.status == http.StatusBadRequest) &&
 				!(len(data) >= maxHead && got.status == http.StatusRequestHeaderFieldsTooLarge) {

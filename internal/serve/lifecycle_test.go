@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"syscall"
@@ -25,7 +23,7 @@ import (
 // segment on loopback — so the frames reach the server inside its read of
 // the request head and have to be kept as the session's first unread bytes.
 // It returns a client WSConn over the connection.
-func dialRaw(srv *httptest.Server, frames ...[]byte) (*WSConn, error) {
+func dialRaw(srv *testHTTP, frames ...[]byte) (*WSConn, error) {
 	addr := strings.TrimPrefix(srv.URL, "http://")
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -45,17 +43,12 @@ func dialRaw(srv *httptest.Server, frames ...[]byte) (*WSConn, error) {
 		conn.Close()
 		return nil, err
 	}
-	br := bufio.NewReader(conn)
-	resp, err := http.ReadResponse(br, nil)
-	if err != nil {
+	ws := newWSConn(conn)
+	if err := ws.readSwitch(key); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Sec-WebSocket-Accept") != acceptKey(key) {
-		conn.Close()
-		return nil, errors.New("handshake refused: " + resp.Status)
-	}
-	return newWSConn(conn, br), nil
+	return ws, nil
 }
 
 // A client that does not wait for the 101 before sending — handshake and

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/wire"
 )
 
-func fetchStats(t *testing.T, srv *httptest.Server) Stats {
+func fetchStats(t *testing.T, srv *testHTTP) Stats {
 	t.Helper()
 	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {

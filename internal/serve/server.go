@@ -3,8 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"io"
-	"net/http"
+	"maps"
+	"net"
 	"runtime/metrics"
 	"sync"
 	"sync/atomic"
@@ -47,10 +47,11 @@ type Options struct {
 }
 
 // Server is the network face of the remote spatial database: HTTP for
-// statistics (Handler), WebSocket + internal/wire binary messages for the
-// query channel (Listen), one session per connection. All query traffic
-// funnels into a sim.SnapshotQuerier over the shared read-only R*-tree, so
-// any number of connection goroutines serve concurrently.
+// statistics and health, WebSocket + internal/wire binary messages for the
+// query channel, one session per connection, all on one listener (Serve).
+// All query traffic funnels into a sim.SnapshotQuerier over the shared
+// read-only R*-tree, so any number of connection goroutines serve
+// concurrently.
 type Server struct {
 	querier      *sim.SnapshotQuerier
 	maxK         int
@@ -60,12 +61,12 @@ type Server struct {
 	bounds       geom.Rect
 	storeRead    time.Duration
 	indexBuild   time.Duration
-	mux          *http.ServeMux
 
 	mu sync.Mutex
-	// conns are the connections with a running runConn, counted by connWG;
-	// once closed is set (Close) no further one is admitted.
-	conns  map[*WSConn]struct{}
+	// conns are the connections with a running runConn, counted by connWG,
+	// each marked true once admitted as a session; once closed is set
+	// (Close) no further one is tracked or admitted.
+	conns  map[*WSConn]bool
 	closed bool
 	connWG sync.WaitGroup
 
@@ -146,14 +147,9 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		bounds:       bounds,
 		storeRead:    opts.StoreRead,
 		indexBuild:   opts.IndexBuild,
-		conns:        make(map[*WSConn]struct{}),
+		conns:        make(map[*WSConn]bool),
 		dir:          newSessionDirectory(bounds, 0),
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/session", handleSessionShim)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux = mux
 	return s
 }
 
@@ -181,44 +177,33 @@ func poiBounds(pois []core.POI) geom.Rect {
 	return b
 }
 
-// Handler returns the HTTP handler serving the statistics, health and
-// session-mint endpoints; the query channel is Listen's.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// sessionShimBody is the constant token the shim answers, as writeJSON
-// encodes it.
+// sessionShimBody is POST /v1/session's answer: the retired session mint
+// answers a constant token and stores nothing, since a session is its
+// connection, created by the handshake. Its only caller is the benchmark
+// harness (bench/daemon.go), which still mints before it dials; ROADMAP item
+// 1-III(j) moves that caller to a plain dial and deletes the route.
 const sessionShimBody = "{\n  \"session\": \"0\"\n}\n"
 
-// handleSessionShim answers the retired session mint with a constant token
-// and stores nothing: a session is its connection, created by the
-// handshake. Its only caller is the benchmark harness (bench/daemon.go),
-// which still mints before it dials; ROADMAP item 1-III(j) moves that caller
-// to a plain dial and deletes this endpoint.
-func handleSessionShim(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	//simvet:discard — a client that hung up on its mint has nothing to be told
-	_, _ = io.WriteString(w, sessionShimBody)
-}
-
-// Close drains the server for a restart: it admits no further connection,
-// ends every open one with a 1001 (going away) close frame and waits for the
-// connection goroutines to finish, or for ctx. http.Server.Shutdown cannot do
-// this — the query channel's connections never enter net/http, so without
-// Close a process exit cuts every WebSocket with a reset. Call it before
-// Shutdown.
+// Close drains the server for a restart: it admits no further session, ends
+// every open one with a 1001 (going away) close frame, closes every
+// connection that is between HTTP requests or inside one, and waits for the
+// connection goroutines to finish, or for ctx. A connection accepted later
+// gets one HTTP answer with Connection: close, or a 101 and then the 1001.
+// Close leaves the listener to its owner: close it first, and Serve returns.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	conns := make([]*WSConn, 0, len(s.conns))
-	for ws := range s.conns {
-		conns = append(conns, ws)
-	}
+	conns := maps.Clone(s.conns)
 	s.mu.Unlock()
-	for _, ws := range conns {
+	for ws, session := range conns {
 		if ctx.Err() != nil {
 			break
 		}
-		ws.goingAway()
+		if session {
+			ws.goingAway()
+		} else {
+			abortConn(ws.conn)
+		}
 	}
 	done := make(chan struct{})
 	go func() {
@@ -240,16 +225,35 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// runConn owns one session from its admitted handshake to its teardown, on
-// the goroutine that read the handshake. It ends when the transport does
-// (peer close, protocol error, write failure, Close); a connection admitted
-// after Close began gets the 1001 close instead.
-func (s *Server) runConn(ws *WSConn) {
+// runConn owns one accepted connection from its first request head to its
+// teardown: it answers HTTP requests (admit) until one opens the query
+// channel, then serves that session on the same goroutine until the
+// transport ends (peer close, protocol error, write failure, Close). A
+// connection admitted after Close began gets the 1001 close instead.
+func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
+	ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true}
+	s.mu.Lock()
+	tracked := !s.closed
+	if tracked {
+		s.conns[ws] = false
+		s.connWG.Add(1)
+	}
+	s.mu.Unlock()
+	if tracked {
+		defer s.connWG.Done()
+		defer func() {
+			s.mu.Lock()
+			delete(s.conns, ws)
+			s.mu.Unlock()
+		}()
+	}
+	if !s.admit(ws, headTimeout) {
+		return
+	}
 	s.mu.Lock()
 	closed := s.closed
 	if !closed {
-		s.conns[ws] = struct{}{}
-		s.connWG.Add(1)
+		s.conns[ws] = true
 	}
 	s.mu.Unlock()
 	if closed {
@@ -258,12 +262,6 @@ func (s *Server) runConn(ws *WSConn) {
 	}
 	s.stat.activeConns.Add(1)
 	sess := &session{conn: ws}
-	defer s.connWG.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, ws)
-		s.mu.Unlock()
-	}()
 	defer s.stat.activeConns.Add(-1)
 	defer s.dropConn(sess)
 	//simvet:discard — teardown of a finished connection; serveConn already accounted the session-ending error
@@ -440,6 +438,14 @@ type Stats struct {
 	StackInuseBytes int64 `json:"stack_inuse_bytes"`
 	TotalAllocBytes int64 `json:"total_alloc_bytes"`
 	GCCycles        int64 `json:"gc_cycles"`
+	// What the kernel holds resident for the process (Linux's
+	// /proc/self/status; 0 elsewhere): anonymous pages (heap, stacks, the
+	// runtime's own), file-backed pages (the executable and its shared
+	// libraries, mapped in as they are touched) and the high-water mark of
+	// their sum (VmHWM, what the benchmark reads as peak_rss_mb).
+	RSSAnonBytes int64 `json:"rss_anon_bytes"`
+	RSSFileBytes int64 `json:"rss_file_bytes"`
+	PeakRSSBytes int64 `json:"peak_rss_bytes"`
 }
 
 // runtimeMetrics are the runtime/metrics samples behind the Stats memory
@@ -475,7 +481,8 @@ func readRuntime(st *Stats) {
 	st.GCCycles = v[5]
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// statsJSON is the /v1/stats document, encoded as it is served.
+func (s *Server) statsJSON() []byte {
 	live := s.stat.activeConns.Load()
 	mod := s.querier.Module()
 	hist := make([]int64, peersInRangeBuckets)
@@ -511,17 +518,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.IndexBytes, st.POITableBytes = mod.Bytes()
 	st.IndexHeight, st.IndexNodes = mod.Tree().Height(), mod.Tree().Nodes()
 	readRuntime(&st)
-	writeJSON(w, st)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte("ok\n"))
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	readResident(&st)
+	//simvet:discard — Stats is plain numbers and a slice of them: encoding it cannot fail
+	doc, _ := json.MarshalIndent(st, "", "  ")
+	return append(doc, '\n')
 }

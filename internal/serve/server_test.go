@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"slices"
 	"sync"
@@ -31,29 +33,55 @@ func testModule(nPOIs int) *sim.ServerModule {
 // testHandshakeTimeout is the test servers' handshake deadline.
 const testHandshakeTimeout = 5 * time.Second
 
-// testServerHandle boots a Server over a fresh random POI set, wired as the
-// daemon wires it: the Server admits the query channel off the listener and
-// the HTTP routes get the rest. For tests that inspect the Server itself.
-func testServerHandle(t *testing.T, nPOIs int, opts Options) (*Server, *httptest.Server) {
+// testHTTP is a Server serving on a loopback listener: URL is its
+// http://host:port.
+type testHTTP struct {
+	URL      string
+	Listener net.Listener
+}
+
+// testServerHandle boots a Server over a fresh random POI set, served as the
+// daemon serves it. For tests that inspect the Server itself.
+func testServerHandle(t *testing.T, nPOIs int, opts Options) (*Server, *testHTTP) {
 	t.Helper()
 	s := NewServer(testModule(nPOIs), opts)
-	srv := httptest.NewUnstartedServer(s.Handler())
-	srv.Listener = s.Listen(srv.Listener, testHandshakeTimeout)
-	srv.Start()
-	t.Cleanup(srv.Close)
-	return s, srv
+	return s, serveTest(t, s, testHandshakeTimeout)
+}
+
+// serveTest serves s on a fresh loopback listener with the given head
+// deadline until the test ends, when the listener is closed and s drained.
+func serveTest(t *testing.T, s *Server, headTimeout time.Duration) *testHTTP {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln, headTimeout) }()
+	t.Cleanup(func() {
+		ln.Close()
+		if err := <-served; !errors.Is(err, net.ErrClosed) {
+			t.Errorf("Serve returned %v, want the closed listener's error", err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return &testHTTP{URL: "http://" + ln.Addr().String(), Listener: ln}
 }
 
 // testServer is testServerHandle returning the module instead, so oracle
 // tests can query it directly.
-func testServer(t *testing.T, nPOIs int, opts Options) (*httptest.Server, *sim.ServerModule) {
+func testServer(t *testing.T, nPOIs int, opts Options) (*testHTTP, *sim.ServerModule) {
 	t.Helper()
 	s, srv := testServerHandle(t, nPOIs, opts)
 	return srv, s.querier.Module()
 }
 
 // openSession dials the query WebSocket, which is the session.
-func openSession(t *testing.T, srv *httptest.Server) *WSConn {
+func openSession(t *testing.T, srv *testHTTP) *WSConn {
 	t.Helper()
 	ws, err := tryOpenSession(srv)
 	if err != nil {
@@ -62,7 +90,7 @@ func openSession(t *testing.T, srv *httptest.Server) *WSConn {
 	return ws
 }
 
-func tryOpenSession(srv *httptest.Server) (*WSConn, error) {
+func tryOpenSession(srv *testHTTP) (*WSConn, error) {
 	return DialWS(wsURL(srv) + "/v1/ws")
 }
 
@@ -507,9 +535,11 @@ func TestStatsReportBootCosts(t *testing.T) {
 
 // /v1/stats is an interface: bench/ and the CI smoke gate decode it by JSON
 // name. The document is exactly the fields below — the names that existed
-// before the memory fields were added, unchanged, plus those five and the two
-// store sizes — and the memory fields behave: gauges are positive, the
-// cumulative two never go back, the store sizes are what the module reports.
+// before the memory fields were added, unchanged, plus those five, the two
+// store sizes and the three resident-memory fields — and the memory fields
+// behave: gauges are positive, the cumulative two never go back, the store
+// sizes are what the module reports, and on Linux the kernel reports
+// resident pages of both kinds.
 func TestStatsMemoryFields(t *testing.T) {
 	srv, _ := testServer(t, 200, Options{})
 	fetch := func() map[string]any {
@@ -534,6 +564,7 @@ func TestStatsMemoryFields(t *testing.T) {
 		"relay_timeouts", "peers_in_range_hist",
 		"dir_cells_scanned", "dir_candidates_rejected", "dir_patch_ops",
 		"goroutines", "heap_inuse_bytes", "stack_inuse_bytes", "total_alloc_bytes", "gc_cycles",
+		"rss_anon_bytes", "rss_file_bytes", "peak_rss_bytes",
 	}
 	for _, key := range want {
 		if _, ok := first[key]; !ok {
@@ -559,6 +590,11 @@ func TestStatsMemoryFields(t *testing.T) {
 	}
 	for _, key := range []string{"index_bytes", "goroutines", "heap_inuse_bytes", "stack_inuse_bytes", "total_alloc_bytes"} {
 		if num(first, key) <= 0 {
+			t.Errorf("%s = %v, want > 0", key, first[key])
+		}
+	}
+	for _, key := range []string{"rss_anon_bytes", "rss_file_bytes", "peak_rss_bytes"} {
+		if runtime.GOOS == "linux" && num(first, key) <= 0 {
 			t.Errorf("%s = %v, want > 0", key, first[key])
 		}
 	}

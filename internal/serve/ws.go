@@ -2,21 +2,22 @@
 // simulator into a long-running network service: the paper's architecture
 // (§3) made literal, with a remote spatial database answering kNN/range
 // queries from mobile clients that cache, share, and verify results. A
-// client opens a WebSocket, which is its session (the daemon reads the
-// handshake straight off its listener, admit.go), streams position updates,
-// and issues queries as internal/wire binary messages;
+// client opens a WebSocket, which is its session, streams position
+// updates, and issues queries as internal/wire binary messages;
 // answers carry the certain-region metadata (query location + complete
 // ascending neighbor set) that the simulator's hosts exchange, so a network
 // client can run exactly the verification lemmas a simulated host does.
 //
-// Everything is stdlib: the WebSocket layer below is a minimal RFC 6455
-// implementation (handshake, masking, fragmentation, control frames),
-// statistics and health are served by net/http, and the on-disk POI store
-// is fixed-size pages read and written with package os (store.go).
+// Everything is stdlib and nothing is net/http: the WebSocket layer below is
+// a minimal RFC 6455 implementation (masking, fragmentation, control frames,
+// the client's handshake), the daemon reads every request head itself and
+// answers its few HTTP routes and the WebSocket upgrade from the
+// connection's own buffer (admit.go), and the on-disk POI store is
+// fixed-size pages read and written with package os (store.go).
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/rand"
 	"crypto/sha1"
 	"encoding/base64"
@@ -25,10 +26,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"net/url"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -118,10 +117,9 @@ func appendAcceptKey(dst, key []byte) []byte {
 type WSConn struct {
 	conn net.Conn
 	// unread is the window of transport bytes read but not yet parsed. It
-	// aliases first: on the daemon's side the request head is read into
-	// first and unread starts as whatever arrived behind it; a DialWS
-	// connection starts with what the HTTP reader had buffered behind the
-	// 101 (see newWSConn).
+	// aliases first: the handshake's head — the request on the daemon's
+	// side, the 101 on DialWS's — is read into first, and unread starts as
+	// whatever arrived behind it.
 	unread []byte
 	first  [firstReadSize]byte
 	// payload is the connection's one message buffer: every frame's payload
@@ -150,13 +148,9 @@ type WSConn struct {
 	closeErr  error
 }
 
-// newWSConn wraps the client side of conn once DialWS has read the 101
-// through br. Frames the server sent behind the 101 are already in br; they
-// are copied out (inline when they fit) so br can be dropped.
-func newWSConn(conn net.Conn, br *bufio.Reader) *WSConn {
+// newWSConn wraps the client side of conn, before its handshake.
+func newWSConn(conn net.Conn) *WSConn {
 	c := &WSConn{conn: conn, client: true, maxMsg: DefaultMaxMessage}
-	leftover, _ := br.Peek(br.Buffered()) // exactly what is buffered: no read, no error
-	c.unread = append(c.first[:0], leftover...)
 	var seed [8]byte
 	if _, err := rand.Read(seed[:]); err == nil {
 		c.maskRNG = mobility.SplitMix64(binary.LittleEndian.Uint64(seed[:]))
@@ -509,22 +503,40 @@ func DialWS(rawURL string) (*WSConn, error) {
 		abortConn(conn)
 		return nil, fmt.Errorf("serve: dial: %w", err)
 	}
-	br := bufio.NewReader(conn)
-	resp, err := http.ReadResponse(br, nil)
-	if err != nil {
+	c := newWSConn(conn)
+	if err := c.readSwitch(key); err != nil {
 		abortConn(conn)
-		return nil, fmt.Errorf("serve: dial: read handshake: %w", err)
+		return nil, fmt.Errorf("serve: dial: %w", err)
 	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		resp.Body.Close()
-		abortConn(conn)
-		return nil, fmt.Errorf("serve: dial: handshake refused: %s: %s",
-			resp.Status, strings.TrimSpace(string(body)))
+	return c, nil
+}
+
+// readSwitch reads the server's answer to the opening handshake into
+// c.first and checks it is the 101 for key; the frames that arrived behind
+// it are left unread. The answer's head must fit c.first, as the daemon's
+// 129-byte 101 does.
+func (c *WSConn) readSwitch(key string) error {
+	n, end := 0, -1
+	for end < 0 {
+		if n == len(c.first) {
+			return fmt.Errorf("handshake answer longer than %d bytes", len(c.first))
+		}
+		m, err := c.conn.Read(c.first[n:])
+		n += m
+		if end = bytes.Index(c.first[:n], []byte("\r\n\r\n")); end < 0 && err != nil {
+			return fmt.Errorf("read handshake: %w", err)
+		}
 	}
-	if got := resp.Header.Get("Sec-WebSocket-Accept"); got != acceptKey(key) {
-		abortConn(conn)
-		return nil, fmt.Errorf("serve: dial: bad Sec-WebSocket-Accept %q", got)
+	c.unread = c.first[end+len("\r\n\r\n") : n]
+	status, fields, _ := bytes.Cut(c.first[:end], []byte("\r\n"))
+	if !bytes.HasPrefix(status, []byte("HTTP/1.1 101 ")) {
+		return fmt.Errorf("handshake refused: %s: %s", status, bytes.TrimSpace(c.unread))
 	}
-	return newWSConn(conn, br), nil
+	for _, line := range bytes.Split(fields, []byte("\r\n")) {
+		if name, value, _ := bytes.Cut(line, []byte(":")); bytes.EqualFold(name, []byte("Sec-WebSocket-Accept")) &&
+			string(bytes.TrimSpace(value)) == acceptKey(key) {
+			return nil
+		}
+	}
+	return errors.New("handshake answered without the Sec-WebSocket-Accept for its key")
 }

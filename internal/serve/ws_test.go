@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -82,17 +81,31 @@ func TestDialWSHandshakeFailures(t *testing.T) {
 	}
 }
 
-// wsServer admits WebSocket handshakes on a plain loopback listener as the
-// daemon does and runs serve on each admitted connection's goroutine. It
-// returns the query channel's ws:// URL.
+// wsServer admits WebSocket handshakes on a plain loopback listener with
+// the daemon's admission and runs serve on each admitted connection's
+// goroutine instead of a session. It returns the query channel's ws:// URL.
 func wsServer(t *testing.T, serve func(*WSConn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := listen(ln, testHandshakeTimeout, serve)
-	t.Cleanup(func() { l.Close() })
+	t.Cleanup(func() { ln.Close() })
+	s := &Server{}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true}
+				if s.admit(ws, testHandshakeTimeout) {
+					serve(ws)
+				}
+			}()
+		}
+	}()
 	return "ws://" + ln.Addr().String() + "/v1/ws"
 }
 
@@ -113,7 +126,7 @@ func echoServer(t *testing.T) string {
 	})
 }
 
-func wsURL(srv *httptest.Server) string {
+func wsURL(srv *testHTTP) string {
 	return "ws" + strings.TrimPrefix(srv.URL, "http")
 }
 
@@ -219,8 +232,8 @@ func TestUpgradeRejections(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status = %d, want %d", resp.StatusCode, http.StatusNotFound)
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet {
+			t.Fatalf("status = %d, Allow %q; want %d, GET", resp.StatusCode, resp.Header.Get("Allow"), http.StatusMethodNotAllowed)
 		}
 	})
 }
