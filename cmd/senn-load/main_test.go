@@ -1,6 +1,9 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,5 +39,27 @@ func TestPercentileNearestRank(t *testing.T) {
 		if got := percentile(sorted, tc.p); got != time.Duration(tc.rank) {
 			t.Errorf("n=%d p=%v: got rank %d, want %d", tc.n, tc.p, got, tc.rank)
 		}
+	}
+}
+
+// A session whose dial fails is counted, as an error and as a dial error,
+// and the run goes on: here every dial fails, against a server that reports
+// its bounds but refuses the query channel.
+func TestDialFailuresCounted(t *testing.T) {
+	stats := []byte(`{"bounds_min_x": 0, "bounds_min_y": 0, "bounds_max_x": 1000, "bounds_max_y": 1000}`)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/stats" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(stats)
+	}))
+	defer srv.Close()
+	doc, err := run(config{addr: strings.TrimPrefix(srv.URL, "http://"), sessions: 3, duration: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Load.DialErrors != 3 || doc.Load.Errors != 3 || doc.Load.Queries != 0 {
+		t.Fatalf("dial_errors = %d, errors = %d, queries = %d; want 3, 3, 0", doc.Load.DialErrors, doc.Load.Errors, doc.Load.Queries)
 	}
 }

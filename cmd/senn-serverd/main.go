@@ -123,7 +123,8 @@ func main() {
 		// No new connection arrives once the listener is closed; Close
 		// tells each session the daemon is going away, ends the HTTP
 		// connections and waits for them all.
-		//simvet:discard — the accept loop's error on a listener closed for shutdown is the expected one
+		// The accept loop's error on a listener closed for shutdown is the
+		// expected one.
 		_ = ln.Close()
 		if err := srv.Close(shutCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "senn-serverd: connections still open at exit:", err)

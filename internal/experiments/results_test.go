@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -43,9 +44,12 @@ func TestCommittedResultsRoundTrip(t *testing.T) {
 			continue
 		}
 		out := filepath.Join(dir, name)
-		if free, ok := v.(*FreeComparisonJSON); ok {
-			err = WriteFreeJSON(dir, free.Rows) // the writer cmd/experiments calls
-		} else {
+		switch v := v.(type) { // the writers cmd/experiments calls
+		case *FreeComparisonJSON:
+			err = WriteFreeJSON(dir, v.Rows)
+		case *FigureJSON:
+			err = WriteFigureJSON(dir, figureResults(t, v))
+		default:
 			err = writeJSON(out, v)
 		}
 		if err != nil {
@@ -57,6 +61,54 @@ func TestCommittedResultsRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(rewritten, committed) {
 			t.Errorf("%s does not round-trip through %T:\n%s", name, v, rewritten)
+		}
+	}
+}
+
+// figureResults turns a committed figure document back into the sub-figures
+// WriteFigureJSON is handed, in the document's order.
+func figureResults(t *testing.T, doc *FigureJSON) []FigureResult {
+	t.Helper()
+	area := Area2mi
+	if doc.Area == Area30mi.String() {
+		area = Area30mi
+	}
+	var frs []FigureResult
+	for _, r := range doc.Regions {
+		i := slices.IndexFunc(Regions, func(reg Region) bool { return reg.String() == r.Region })
+		if i < 0 {
+			t.Fatalf("fig%s: unknown region %q", doc.Figure, r.Region)
+		}
+		frs = append(frs, FigureResult{Figure: r.Subfigure, Region: Regions[i], Area: area, XLabel: doc.XLabel, Points: r.Points})
+	}
+	return frs
+}
+
+// WriteFigureJSON keeps the sub-figures in the order it is handed them, the
+// order the runners produce: the documents are diffed byte for byte between
+// sequential and parallel runs and against results/.
+func TestWriteFigureJSONKeepsSubfigureOrder(t *testing.T) {
+	var frs []FigureResult
+	for i := range 26 {
+		frs = append(frs, FigureResult{Figure: "9" + string(rune('a'+i)), Region: Regions[i%len(Regions)], XLabel: "x"})
+	}
+	dir := t.TempDir()
+	for range 3 {
+		if err := WriteFigureJSON(dir, frs); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "fig9.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc FigureJSON
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range doc.Regions {
+			if r.Subfigure != frs[i].Figure {
+				t.Fatalf("sub-figure %d written is %s, want %s", i, r.Subfigure, frs[i].Figure)
+			}
 		}
 	}
 }

@@ -287,7 +287,8 @@ const acceptResponse = "HTTP/1.1 101 Switching Protocols\r\n" +
 func (s *Server) admit(ws *WSConn, timeout time.Duration) bool {
 	n := 0
 	for {
-		//simvet:discard — a connection that refuses a deadline is dead; the head read below fails on it
+		// A connection that refuses a deadline is dead; the head read below
+		// fails on it.
 		_ = ws.conn.SetReadDeadline(time.Now().Add(timeout))
 		h, m, err := ws.readHead(n)
 		switch {
@@ -358,10 +359,11 @@ func (s *Server) appendAnswer(dst []byte, h head) []byte {
 // unread bytes would reset the connection, which can discard the answer
 // before the client reads it.
 func closeAfter(conn net.Conn, resp []byte) {
-	//simvet:discard — the last answer is a courtesy to a client whose connection is being closed either way
+	// The last answer is a courtesy to a client whose connection is being
+	// closed either way.
 	_, _ = conn.Write(resp)
 	if cw, ok := conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
-		//simvet:discard — draining ends at the client's close, the deadline or any error alike
+		// Draining ends at the client's close, the deadline or any error alike.
 		_, _ = io.Copy(io.Discard, conn)
 	}
 	abortConn(conn)

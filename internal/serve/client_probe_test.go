@@ -149,3 +149,18 @@ func probeShipsCurrentEntry(t *testing.T, sharing, rangeFirst bool) {
 		t.Fatalf("client answered %d probes, want 25", st.ProbesAnswered)
 	}
 }
+
+// Every SENNClient call reports its own transport's failure: a Move on a
+// connection that has ended fails there, not one query later.
+func TestMoveReportsTransportFailure(t *testing.T) {
+	srv, _ := testServer(t, 100, Options{})
+	ws := openSession(t, srv)
+	cl := NewSENNClient(ws, 8, 100, false)
+	if err := cl.Move(geom.Pt(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ws.Close()
+	if err := cl.Move(geom.Pt(2, 2)); err == nil {
+		t.Fatal("Move on a closed connection reported no error")
+	}
+}

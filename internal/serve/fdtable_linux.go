@@ -38,13 +38,13 @@ func ReserveDescriptors() (slots int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("open /dev/null: %w", err)
 	}
-	//simvet:discard — /dev/null opened read-only has nothing to flush; a close error cannot mean lost data
+	// /dev/null opened read-only, and its duplicate below, have nothing to
+	// flush: a close error cannot mean lost data.
 	defer syscall.Close(fd)
 	hi, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_DUPFD_CLOEXEC, uintptr(top))
 	if errno != 0 {
 		return 0, fmt.Errorf("fcntl(F_DUPFD_CLOEXEC, %d): %w", top, errno)
 	}
-	//simvet:discard — a duplicate of /dev/null opened read-only has nothing to flush
 	syscall.Close(int(hi))
 	return int(hi) + 1, nil
 }

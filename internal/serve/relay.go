@@ -246,11 +246,7 @@ func (s *Server) handleShareReply(from *session, frame []byte) error {
 		return nil
 	}
 	delete(pr.waiting, from)
-	if n > s.maxAnswer {
-		// An oversized share would be refused as an answer too; it does
-		// not reach the requester.
-		s.stat.relayRejected.Add(1)
-	} else if n > 0 {
+	if n > 0 {
 		pr.agg = append(pr.agg, block...)
 		pr.nShares++
 	}
@@ -319,7 +315,8 @@ func (s *Server) deliverRelay(pr *pendingRelay) {
 	// An immediate write, not a batched one: delivery often runs on a peer's
 	// connection goroutine, and the requester's own reader is blocked
 	// waiting for exactly this message — it cannot flush its own batch.
-	//simvet:discard — a failed delivery means the requester's transport died; its serveConn observes and accounts that on its next read
+	// A failed delivery means the requester's transport died; its serveConn
+	// observes and accounts that on its next read.
 	_ = pr.reqConn.WriteBinary(pr.agg)
 }
 

@@ -54,9 +54,8 @@ func serverFrames(t *testing.T, raw []byte) [][]byte {
 
 // forwardFixture is a bare server with one requester connection writing into
 // a sink and m probed sessions, ready for registerRelay.
-func forwardFixture(m, maxAnswer int, discard bool) (*Server, *WSConn, *sinkConn, []*session) {
+func forwardFixture(m int, discard bool) (*Server, *WSConn, *sinkConn, []*session) {
 	s := newBareServer(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}, 0)
-	s.maxAnswer = maxAnswer
 	s.relayTimeout = time.Hour
 	sink := &sinkConn{discard: discard}
 	targets := make([]*session, m)
@@ -90,20 +89,19 @@ func sortedCache(n int, rng *rand.Rand) core.PeerCache {
 }
 
 // The relay's contract after the move to byte forwarding: whatever mix of
-// replies arrives — empty, ordinary, tied, oversized and refused — the
-// PeerShares frame the requester receives is byte for byte what encoding the
-// decoded replies would have produced, shares in arrival order.
+// replies arrives — empty, ordinary, tied, small and large — the PeerShares
+// frame the requester receives is byte for byte what encoding the decoded
+// replies would have produced, shares in arrival order. Every share the codec
+// accepts is forwarded: none is larger than an answer may be.
 func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
-	const maxAnswer = 64
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 300; trial++ {
 		m := 1 + rng.Intn(12)
-		s, req, sink, targets := forwardFixture(m, maxAnswer, false)
+		s, req, sink, targets := forwardFixture(m, false)
 		reqID := rng.Uint32()
 		probeID := s.registerRelay(req, reqID, targets)
 
 		want := wire.PeerShares{ReqID: reqID, PeersInRange: m}
-		var rejected int64
 		for _, i := range rng.Perm(m) { // arrival order, not target order
 			var frame []byte
 			switch kind := rng.Intn(10); {
@@ -112,10 +110,9 @@ func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
 			case kind == 1:
 				frame = wire.AppendShareReply(nil, probeID, true, tiedCache(rng))
 			case kind == 2:
-				frame = wire.AppendShareReply(nil, probeID, true, sortedCache(maxAnswer+1+rng.Intn(40), rng))
-				rejected++
+				frame = wire.AppendShareReply(nil, probeID, true, sortedCache(65+rng.Intn(40), rng))
 			case kind == 3:
-				frame = wire.AppendShareReply(nil, probeID, true, sortedCache(maxAnswer, rng))
+				frame = wire.AppendShareReply(nil, probeID, true, sortedCache(64, rng))
 			default:
 				frame = wire.AppendShareReply(nil, probeID, true, sortedCache(1+rng.Intn(24), rng))
 			}
@@ -123,7 +120,7 @@ func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if msg.Share.Has && len(msg.Share.Cache.Neighbors) <= maxAnswer {
+			if msg.Share.Has {
 				want.Shares = append(want.Shares, msg.Share.Cache)
 			}
 			if sink.out.Len() != 0 {
@@ -144,9 +141,6 @@ func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
 		if got := s.stat.relayShares.Load(); got != int64(len(want.Shares)) {
 			t.Fatalf("trial %d: relay_shares_forwarded = %d, want %d", trial, got, len(want.Shares))
 		}
-		if got := s.stat.relayRejected.Load(); got != rejected {
-			t.Fatalf("trial %d: relay_rejected = %d, want %d", trial, got, rejected)
-		}
 		if n := pendingRelays(s); n != 0 {
 			t.Fatalf("trial %d: %d relays pending after delivery", trial, n)
 		}
@@ -160,12 +154,12 @@ func TestRelayForwardsExactBytesInArrivalOrder(t *testing.T) {
 	}
 }
 
-// The codec's largest share goes through at the default answer cap, and a
-// malformed reply is the sender's protocol error: it returns the codec's
-// error and leaves the relay waiting on that peer.
+// The codec's largest share goes through, and a malformed reply is the
+// sender's protocol error: it returns the codec's error and leaves the relay
+// waiting on that peer.
 func TestRelayForwardLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	s, req, sink, targets := forwardFixture(2, wire.MaxShareNeighbors, false)
+	s, req, sink, targets := forwardFixture(2, false)
 	probeID := s.registerRelay(req, 5, targets)
 	big := sortedCache(wire.MaxShareNeighbors, rng)
 
@@ -199,7 +193,7 @@ func TestRelayForwardLimits(t *testing.T) {
 func BenchmarkRelayForward(b *testing.B) {
 	const peers = 32
 	b.Run("peers=32", func(b *testing.B) {
-		s, req, _, targets := forwardFixture(peers, 4096, true)
+		s, req, _, targets := forwardFixture(peers, true)
 		rng := rand.New(rand.NewSource(63))
 		frames := make([][]byte, peers)
 		for i := range frames {

@@ -141,7 +141,7 @@ func TestRelayRecycledTimerRace(t *testing.T) {
 				replies.Add(1)
 				time.AfterFunc(time.Duration(rng.Int63n(int64(2*timeout))), func() {
 					defer replies.Done()
-					//simvet:discard — a reply racing the test's teardown meets a closed transport
+					// A reply racing the test's teardown meets a closed transport.
 					_ = ws.WriteBinary(reply)
 				})
 			}

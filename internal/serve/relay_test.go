@@ -181,46 +181,6 @@ func TestRelayForgedReplyIgnored(t *testing.T) {
 	}
 }
 
-// A share larger than the server's answer cap is refused — counted, never
-// forwarded — but still completes the peer's countdown slot.
-func TestRelayOversizedShareRejected(t *testing.T) {
-	srv, _ := testServer(t, 200, Options{MaxAnswer: 2, RelayTimeout: time.Hour})
-	a := openSession(t, srv)
-	defer a.Close()
-	b := openSession(t, srv)
-	defer b.Close()
-	pos := geom.Pt(5000, 5000)
-	syncPosition(t, b, pos)
-
-	if err := a.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{
-		ReqID: 11, Loc: pos, Radius: 50,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	msg := readDecoded(t, b)
-	if msg.Type != wire.TypePeerProbe {
-		t.Fatalf("peer got %+v, want probe", msg)
-	}
-	big := core.NewPeerCache(pos, []core.POI{
-		{ID: 1, Loc: geom.Pt(5001, 5000)},
-		{ID: 2, Loc: geom.Pt(5002, 5000)},
-		{ID: 3, Loc: geom.Pt(5003, 5000)},
-	})
-	if err := b.WriteBinary(wire.AppendShareReply(nil, msg.ProbeID, true, big)); err != nil {
-		t.Fatal(err)
-	}
-
-	msg = readDecoded(t, a)
-	if msg.Type != wire.TypePeerShares || msg.Shares.ReqID != 11 ||
-		msg.Shares.PeersInRange != 1 || len(msg.Shares.Shares) != 0 {
-		t.Fatalf("got %+v, want 1 peer in range and 0 forwarded shares", msg)
-	}
-	st := fetchStats(t, srv)
-	if st.RelayRejected != 1 || st.RelaySharesFwd != 0 {
-		t.Fatalf("stats rejected=%d forwarded=%d, want 1/0", st.RelayRejected, st.RelaySharesFwd)
-	}
-}
-
 // TestNetworkedSENNMatchesOracle is the over-the-socket conformance gate:
 // a SENNClient resolving through the daemon — relay exchange, shared client
 // core, wire server fallback — must produce the same source and the same

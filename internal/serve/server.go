@@ -23,11 +23,6 @@ type Options struct {
 	// wire.MaxQueryK — the codec rejects larger requests before the server
 	// sees them).
 	MaxK int
-	// MaxAnswer caps the neighbors a single answer may carry; range
-	// queries whose result exceeds it get a wire.ErrCodeTooLarge error
-	// reply instead of a truncated (and therefore uncertifiable) region.
-	// Default 4096.
-	MaxAnswer int
 	// Bounds is the service area reported to clients (default: the store's
 	// or the POI set's bounding box).
 	Bounds geom.Rect
@@ -55,7 +50,6 @@ type Options struct {
 type Server struct {
 	querier      *sim.SnapshotQuerier
 	maxK         int
-	maxAnswer    int
 	maxTxRange   float64
 	relayTimeout time.Duration
 	bounds       geom.Rect
@@ -84,18 +78,24 @@ type Server struct {
 		ranges      atomic.Int64
 		protoErrors atomic.Int64
 		// Relay counters: requests received, shares delivered to
-		// requesters, oversized shares refused, replies with unknown
-		// (forged, duplicate, or post-timeout) probe IDs, relays that rode
-		// the timeout, and the peers-in-range histogram (see
-		// peersInRangeBucket for the bucket boundaries).
+		// requesters, replies with unknown (forged, duplicate, or
+		// post-timeout) probe IDs, relays that rode the timeout, and the
+		// peers-in-range histogram (see peersInRangeBucket for the bucket
+		// boundaries).
 		relayRequests atomic.Int64
 		relayShares   atomic.Int64
-		relayRejected atomic.Int64
 		relayUnknown  atomic.Int64
 		relayTimeouts atomic.Int64
 		peersInRange  [peersInRangeBuckets]atomic.Int64
 	}
 }
+
+// maxAnswer caps the neighbors a single answer may carry: a range query
+// whose result exceeds it gets a wire.ErrCodeTooLarge error reply instead of
+// a truncated (and therefore uncertifiable) region. It is the codec's cap on
+// a relayed share, so wire.ShareReplyBlock already refuses any peer share
+// larger than an answer could be.
+const maxAnswer = wire.MaxShareNeighbors
 
 // peersInRangeBuckets is the peers-in-range histogram size: 0, 1, 2-3,
 // 4-7, 8-15, 16-31, 32+.
@@ -125,9 +125,6 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 	if opts.MaxK > wire.MaxQueryK {
 		opts.MaxK = wire.MaxQueryK
 	}
-	if opts.MaxAnswer <= 0 {
-		opts.MaxAnswer = 4096
-	}
 	if opts.MaxTxRange <= 0 {
 		opts.MaxTxRange = defaultMaxTxRange
 	}
@@ -141,7 +138,6 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 	s := &Server{
 		querier:      sim.NewSnapshotQuerier(mod),
 		maxK:         opts.MaxK,
-		maxAnswer:    opts.MaxAnswer,
 		maxTxRange:   opts.MaxTxRange,
 		relayTimeout: opts.RelayTimeout,
 		bounds:       bounds,
@@ -264,7 +260,7 @@ func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
 	sess := &session{conn: ws}
 	defer s.stat.activeConns.Add(-1)
 	defer s.dropConn(sess)
-	//simvet:discard — teardown of a finished connection; serveConn already accounted the session-ending error
+	// serveConn has already accounted the error that ended the session.
 	defer ws.Close()
 	s.serveConn(sess)
 }
@@ -335,7 +331,7 @@ func (s *Server) serveConn(sess *session) {
 		case wire.TypeRange:
 			rq := msg.Range
 			var ok bool
-			scratch, ok = s.querier.RangeInto(rq.Loc, rq.Radius, s.maxAnswer, scratch)
+			scratch, ok = s.querier.RangeInto(rq.Loc, rq.Radius, maxAnswer, scratch)
 			s.stat.ranges.Add(1)
 			if !ok {
 				// A truncated range answer would claim a certain region it
@@ -377,7 +373,8 @@ func (s *Server) serveConn(sess *session) {
 // connection down — strict, like a WebSocket protocol violation.
 func (s *Server) rejectFrame(ws *WSConn, buf []byte) {
 	s.stat.protoErrors.Add(1)
-	//simvet:discard — best-effort error report on a connection being torn down; the write failing changes nothing
+	// Best effort: the connection is torn down whether or not the report
+	// reaches the client.
 	_ = ws.WriteBinary(wire.AppendError(buf, wire.ErrorMsg{Code: wire.ErrCodeBadRequest}))
 }
 
@@ -416,7 +413,9 @@ type Stats struct {
 	PageAccesses  int64 `json:"page_accesses"`
 	// Relay counters: see the relay documentation in relay.go. The
 	// histogram buckets are peers-in-range counts 0, 1, 2-3, 4-7, 8-15,
-	// 16-31, 32+.
+	// 16-31, 32+. RelayRejected stays 0: the codec refuses a share larger
+	// than an answer (maxAnswer) before the relay sees it, and the field
+	// stays only while the benchmark harness reads it (ROADMAP item 1-I).
 	RelayRequests       int64   `json:"relay_requests"`
 	RelaySharesFwd      int64   `json:"relay_shares_forwarded"`
 	RelayRejected       int64   `json:"relay_rejected"`
@@ -507,7 +506,6 @@ func (s *Server) statsJSON() []byte {
 		PageAccesses:        mod.PageAccesses(),
 		RelayRequests:       s.stat.relayRequests.Load(),
 		RelaySharesFwd:      s.stat.relayShares.Load(),
-		RelayRejected:       s.stat.relayRejected.Load(),
 		RelayUnknownReplies: s.stat.relayUnknown.Load(),
 		RelayTimeouts:       s.stat.relayTimeouts.Load(),
 		PeersInRangeHist:    hist,
@@ -519,7 +517,7 @@ func (s *Server) statsJSON() []byte {
 	st.IndexHeight, st.IndexNodes = mod.Tree().Height(), mod.Tree().Nodes()
 	readRuntime(&st)
 	readResident(&st)
-	//simvet:discard — Stats is plain numbers and a slice of them: encoding it cannot fail
+	// Stats is plain numbers and a slice of them: encoding it cannot fail.
 	doc, _ := json.MarshalIndent(st, "", "  ")
 	return append(doc, '\n')
 }

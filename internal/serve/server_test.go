@@ -56,6 +56,12 @@ func serveTest(t *testing.T, s *Server, headTimeout time.Duration) *testHTTP {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, s, ln, headTimeout)
+}
+
+// serveOn is serveTest on a listener the test made.
+func serveOn(t *testing.T, s *Server, ln net.Listener, headTimeout time.Duration) *testHTTP {
+	t.Helper()
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(ln, headTimeout) }()
 	t.Cleanup(func() {
@@ -170,13 +176,67 @@ func TestServedRangeMatchesOracle(t *testing.T) {
 	}
 }
 
-// A Range whose disc holds more POIs than one answer may carry is refused
-// with ErrCodeTooLarge, and the refusal is cheap: the search stopped at the
-// cap instead of collecting, copying and sorting the whole store first. The
-// connection stays usable, and an answer of exactly MaxAnswer POIs is served.
+// scriptConn is a transport whose reads deliver a fixed byte stream and
+// then io.EOF, and whose every write fails, as on a peer that has reset.
+type scriptConn struct {
+	net.Conn // nil: serveConn calls only Read and Write
+	in       *bytes.Reader
+}
+
+func (c *scriptConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
+func (c *scriptConn) Write(p []byte) (int, error) { return 0, errors.New("connection reset by peer") }
+
+// A failed transport write ends the session: the daemon serves nothing more
+// to a client it can no longer answer. Each script's first message draws an
+// answer whose write fails, and a kNN query follows it in the same read, so
+// the session would serve that query if it went on after the failure.
+func TestFailedWriteEndsSession(t *testing.T) {
+	mod := testModule(200)
+	query := func(k int) []byte {
+		return wire.AppendQuery(nil, wire.Query{ReqID: 1, K: k, Loc: geom.Pt(5000, 5000)})
+	}
+	// An answer frame just short of the flush threshold, so the next reply
+	// queued behind it is the one that flushes.
+	short := 1
+	for 4+wire.AnswerSize(short+1) < flushThreshold {
+		short++
+	}
+	cases := []struct {
+		name    string
+		script  [][]byte
+		queries int64 // kNN queries served before the failed write
+	}{
+		{"kNN answer", [][]byte{query(200)}, 1},
+		{"range answer", [][]byte{wire.EncodeRange(wire.RangeQuery{ReqID: 1, Loc: geom.Pt(5000, 5000), Radius: 6000})}, 0},
+		{"k over the limit", [][]byte{query(600)}, 0},
+		{"unsupported message", [][]byte{wire.AppendCacheShare(nil, core.PeerCache{})}, 0},
+		{"empty PeerShares", [][]byte{query(short), wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: 2, Loc: geom.Pt(5000, 5000), Radius: 100})}, 1},
+	}
+	for _, tc := range cases {
+		var in []byte
+		for _, m := range append(tc.script, query(1)) {
+			in = append(in, clientFrame(true, opBinary, m)...)
+		}
+		if len(in) > firstReadSize {
+			t.Fatalf("%s: script of %d bytes does not arrive in one read", tc.name, len(in))
+		}
+		s := NewServer(mod, Options{})
+		ws := &WSConn{conn: &scriptConn{in: bytes.NewReader(in)}, maxMsg: DefaultMaxMessage, batch: true}
+		s.serveConn(&session{conn: ws})
+		if got := s.stat.queries.Load(); got != tc.queries {
+			t.Errorf("%s: %d kNN queries served, want %d: the session went on after its write failed", tc.name, got, tc.queries)
+		}
+	}
+}
+
+// A Range whose disc holds more POIs than one answer may carry (maxAnswer,
+// the codec's 4,096) is refused with ErrCodeTooLarge, and the refusal is
+// cheap: the search stopped at the cap instead of collecting, copying and
+// sorting the whole store first. The connection stays usable, and an answer
+// of exactly maxAnswer POIs is served.
 func TestOversizedRangeRefusedAtTheCap(t *testing.T) {
 	const nPOIs = 20000
-	srv, mod := testServer(t, nPOIs, Options{MaxAnswer: 500})
+	srv, mod := testServer(t, nPOIs, Options{})
 	ws := openSession(t, srv)
 	defer ws.Close()
 	exchange := func(rq wire.RangeQuery) wire.Message {
@@ -202,26 +262,23 @@ func TestOversizedRangeRefusedAtTheCap(t *testing.T) {
 		t.Fatalf("whole-map range got %+v, want too-large error for req 11", msg)
 	}
 	st := fetchStats(t, srv)
-	// 501 hits at no fewer than 12 per leaf, the inner nodes above those
-	// leaves and one root-to-leaf path; the whole tree is ~950 nodes.
-	if st.RangeQueries != 1 || st.PageAccesses > 501/12+1+8 {
+	// maxAnswer+1 hits at no fewer than 12 per leaf, the inner nodes above
+	// those leaves and one root-to-leaf path; the whole tree is ~950 nodes.
+	if st.RangeQueries != 1 || st.PageAccesses > (maxAnswer+1)/12+1+8 {
 		t.Fatalf("refused range: %d range queries, %d pages read", st.RangeQueries, st.PageAccesses)
 	}
 
-	// The radius whose disc holds exactly MaxAnswer POIs is served whole;
+	// The radius whose disc holds exactly maxAnswer POIs is served whole;
 	// the next POI out tips it over.
-	byDist := mod.Range(centre, 1500)
-	if len(byDist) <= 500 {
-		t.Fatalf("test geometry: only %d POIs within 1500 m", len(byDist))
-	}
-	atCap := (centre.Dist(byDist[499].Loc) + centre.Dist(byDist[500].Loc)) / 2
+	byDist := mod.Range(centre, diagonal)
+	atCap := (centre.Dist(byDist[maxAnswer-1].Loc) + centre.Dist(byDist[maxAnswer].Loc)) / 2
 	msg = exchange(wire.RangeQuery{ReqID: 12, Loc: centre, Radius: atCap})
-	if msg.Type != wire.TypeAnswer || msg.Answer.ReqID != 12 || !slices.Equal(msg.Answer.Cache.Neighbors, byDist[:500]) {
-		t.Fatalf("range holding exactly MaxAnswer POIs: got type %v with %d neighbors", msg.Type, len(msg.Answer.Cache.Neighbors))
+	if msg.Type != wire.TypeAnswer || msg.Answer.ReqID != 12 || !slices.Equal(msg.Answer.Cache.Neighbors, byDist[:maxAnswer]) {
+		t.Fatalf("range holding exactly maxAnswer POIs: got type %v with %d neighbors", msg.Type, len(msg.Answer.Cache.Neighbors))
 	}
-	msg = exchange(wire.RangeQuery{ReqID: 13, Loc: centre, Radius: centre.Dist(byDist[500].Loc)})
+	msg = exchange(wire.RangeQuery{ReqID: 13, Loc: centre, Radius: centre.Dist(byDist[maxAnswer].Loc)})
 	if msg.Type != wire.TypeError || msg.Err.Code != wire.ErrCodeTooLarge {
-		t.Fatalf("range holding MaxAnswer+1 POIs got %+v, want too-large error", msg)
+		t.Fatalf("range holding maxAnswer+1 POIs got %+v, want too-large error", msg)
 	}
 	if st := fetchStats(t, srv); st.ProtoErrors != 0 {
 		t.Fatalf("protocol_errors = %d: a refused range is an answer, not a violation", st.ProtoErrors)

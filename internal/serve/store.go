@@ -110,10 +110,16 @@ func ReadStore(path string) (StoreInfo, []core.POI, error) {
 	if err != nil {
 		return StoreInfo{}, nil, fmt.Errorf("serve: %w", err)
 	}
-	if st.Size()%storePageSize != 0 {
-		return StoreInfo{}, nil, fmt.Errorf("serve: %s: size %d not page aligned", path, st.Size())
+	return readStore(f, st.Size(), path)
+}
+
+// readStore decodes a store of size bytes read from f; path names it in
+// errors. A read that fails fails the whole load.
+func readStore(f io.Reader, size int64, path string) (StoreInfo, []core.POI, error) {
+	if size%storePageSize != 0 {
+		return StoreInfo{}, nil, fmt.Errorf("serve: %s: size %d not page aligned", path, size)
 	}
-	numPages := int(st.Size() / storePageSize)
+	numPages := int(size / storePageSize)
 	if numPages == 0 {
 		return StoreInfo{}, nil, fmt.Errorf("serve: %s: empty store file", path)
 	}

@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -188,5 +192,29 @@ func TestReadStoreRejectsCorruption(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// A read that fails mid-store fails the load; it never leaves a page of
+// stale bytes to be decoded as POIs. The size check has already proved the
+// file long enough, so only the device (or a file shrinking under the
+// reader) can fail a read, and the test stands in for it.
+func TestReadStoreReportsReadErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}
+	path := filepath.Join(t.TempDir(), "pois.senp")
+	if err := WriteStore(path, sim.RandomPOIs(400, bounds, rng), 16, bounds); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eio := errors.New("input/output error")
+	for _, at := range []int{0, storePageSize, 2 * storePageSize, 2*storePageSize + 100} {
+		r := io.MultiReader(bytes.NewReader(data[:at]), iotest.ErrReader(eio))
+		if _, _, err := readStore(r, int64(len(data)), path); !errors.Is(err, eio) {
+			t.Errorf("read failing at byte %d of %d: err = %v, want the read's error", at, len(data), err)
+		}
 	}
 }

@@ -242,7 +242,6 @@ func (c *WSConn) WriteBinaryBatched(p []byte) error {
 	if c.batch && len(c.pending) < flushThreshold {
 		return nil
 	}
-	//simvet:lockio — wmu serializes whole frames onto the transport; shutdown bounds a wedged write with a deadline before contending for it
 	return c.flushLocked()
 }
 
@@ -250,7 +249,6 @@ func (c *WSConn) WriteBinaryBatched(p []byte) error {
 func (c *WSConn) Flush() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	//simvet:lockio — wmu serializes whole frames onto the transport; shutdown bounds a wedged write with a deadline before contending for it
 	return c.flushLocked()
 }
 
@@ -284,9 +282,10 @@ func (c *WSConn) close1009() error {
 // Close to return.
 func (c *WSConn) shutdown(code []byte) {
 	c.closeOnce.Do(func() {
-		//simvet:discard — a deadline refusal means the transport is already dead; conn.Close below reports that
+		// A deadline refusal means the transport is already dead; conn.Close
+		// below reports that. The close frame is a best-effort courtesy
+		// (§5.5.1): the teardown error from conn.Close is the one surfaced.
 		_ = c.conn.SetWriteDeadline(time.Now().Add(closeGrace))
-		//simvet:discard — the close frame is a best-effort courtesy (§5.5.1); the teardown error from conn.Close is the one surfaced
 		_ = c.writeFrame(opClose, code)
 		c.closeErr = c.conn.Close()
 	})
@@ -408,7 +407,6 @@ func (c *WSConn) writeFrame(op byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.pending = c.appendFrame(c.pending, op, payload)
-	//simvet:lockio — wmu serializes whole frames onto the transport; shutdown bounds a wedged write with a deadline before contending for it
 	return c.flushLocked()
 }
 
@@ -454,7 +452,9 @@ func (c *WSConn) flushLocked() error {
 	if len(c.pending) == 0 {
 		return nil
 	}
-	//simvet:lockio — wmu exists precisely to serialize whole frames onto the transport; shutdown bounds a wedged write with a deadline before contending for it
+	// wmu is held across the transport write: it serializes whole frames.
+	// A write wedged behind a peer that stopped reading holds it until
+	// shutdown's deadline ends the write (closeGrace).
 	_, err := c.conn.Write(c.pending)
 	c.pending = c.pending[:0]
 	return err
@@ -463,7 +463,6 @@ func (c *WSConn) flushLocked() error {
 // abortConn tears down a half-made connection on a handshake failure path,
 // where the handshake error already in flight is the informative one.
 func abortConn(conn net.Conn) {
-	//simvet:discard — failure-path teardown; the handshake error being returned supersedes the close error
 	_ = conn.Close()
 }
 

@@ -61,7 +61,7 @@ func NewPOIIndex(g *Graph, pois []core.POI) *POIIndex {
 		idx.perEdge[key] = append(idx.perEdge[key], snappedPOI{poi: p, t: t, off: snap.SnapDist})
 		idx.n++
 	}
-	//simvet:ordered — each entry is sorted in place independently; no state crosses iterations
+	// Map order does not matter: each entry is sorted in place on its own.
 	for key := range idx.perEdge {
 		ps := idx.perEdge[key]
 		sort.Slice(ps, func(i, j int) bool {

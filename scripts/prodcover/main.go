@@ -22,11 +22,10 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
-
-	"repro/internal/analysis"
 )
 
 // funcs reads covdata func lines ("repro/file.go:line:  Func  pct") and
@@ -105,8 +104,7 @@ func findCallers(zero map[string]string) map[string][]string {
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil), Error: func(error) {}}
 	out := map[string][]string{}
 	for _, mod := range []string{".", "bench"} {
-		dirs, paths, err := analysis.ModulePackages(mod)
-		check(err)
+		dirs, paths := modulePackages(mod)
 		for i, dir := range dirs {
 			bp, err := build.ImportDir(dir, 0)
 			check(err)
@@ -138,6 +136,18 @@ func findCallers(zero map[string]string) map[string][]string {
 		slices.Sort(cs)
 	}
 	return out
+}
+
+// modulePackages lists the package directories of the module at mod and
+// their import paths, as go list reports them.
+func modulePackages(mod string) (dirs, paths []string) {
+	out, err := exec.Command("go", "-C", mod, "list", "-f", "{{.ImportPath}} {{.Dir}}", "./...").Output()
+	check(err)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, dir, _ := strings.Cut(line, " ")
+		dirs, paths = append(dirs, dir), append(paths, path)
+	}
+	return dirs, paths
 }
 
 func isFacade(file string) bool { return file == "senn.go" || strings.HasPrefix(file, "examples/") }
