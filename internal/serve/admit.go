@@ -305,13 +305,12 @@ func (s *Server) admit(ws *WSConn, timeout time.Duration) bool {
 			}
 			return true
 		case h.status != 200 && h.status != 404 && h.status != 405:
-			closeAfter(ws.conn, s.appendAnswer(nil, head{status: h.status, close: true}))
-			return false
+			h = head{status: h.status, close: true}
 		}
 		h.close = h.close || s.draining()
 		ws.pending = s.appendAnswer(ws.pending[:0], h)
 		if h.close {
-			closeAfter(ws.conn, ws.pending)
+			closeAfter(ws)
 			return false
 		}
 		if ws.Flush() != nil {
@@ -353,18 +352,18 @@ func (s *Server) appendAnswer(dst []byte, h head) []byte {
 	return append(dst, body...)
 }
 
-// closeAfter writes resp, the connection's last answer, and closes the
-// connection. The write side is closed first and what the client still
+// closeAfter writes the pending answer, the connection's last, and closes
+// the connection. The write side is closed first and what the client still
 // sends is drained until it closes or the head deadline passes: closing with
 // unread bytes would reset the connection, which can discard the answer
 // before the client reads it.
-func closeAfter(conn net.Conn, resp []byte) {
+func closeAfter(ws *WSConn) {
 	// The last answer is a courtesy to a client whose connection is being
-	// closed either way.
-	_, _ = conn.Write(resp)
-	if cw, ok := conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+	// closed either way; a failed write has closed it already.
+	_ = ws.Flush()
+	if cw, ok := ws.conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
 		// Draining ends at the client's close, the deadline or any error alike.
-		_, _ = io.Copy(io.Discard, conn)
+		_, _ = io.Copy(io.Discard, ws.conn)
 	}
-	abortConn(conn)
+	abortConn(ws.conn)
 }

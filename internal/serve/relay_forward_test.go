@@ -30,6 +30,8 @@ func (c *sinkConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
+
 // serverFrames splits the unmasked frames a server-side WSConn wrote into
 // their payloads.
 func serverFrames(t *testing.T, raw []byte) [][]byte {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"maps"
 	"net"
 	"runtime/metrics"
@@ -31,7 +32,9 @@ type Options struct {
 	// not refused — the paper's hosts cannot grow their antennas either.
 	MaxTxRange float64
 	// RelayTimeout bounds how long a peer-cache relay waits for probed
-	// sessions before delivering what arrived (default 2s).
+	// sessions before delivering what arrived (default 2s), and every
+	// transport write to a connection: a write that misses it closes that
+	// connection.
 	RelayTimeout time.Duration
 	// StoreRead and IndexBuild are what the caller measured reading the POI
 	// store and building the R*-tree at boot. They are not knobs: the server
@@ -76,7 +79,12 @@ type Server struct {
 		positions   atomic.Int64
 		queries     atomic.Int64
 		ranges      atomic.Int64
-		protoErrors atomic.Int64
+		// What the daemon refused, the sessions that ended without a close
+		// handshake (accountEnd) and the connections a missed write
+		// deadline closed (runConn).
+		protoErrors   atomic.Int64
+		connResets    atomic.Int64
+		writeTimeouts atomic.Int64
 		// Relay counters: requests received, shares delivered to
 		// requesters, replies with unknown (forged, duplicate, or
 		// post-timeout) probe IDs, relays that rode the timeout, and the
@@ -225,9 +233,17 @@ func (s *Server) draining() bool {
 // teardown: it answers HTTP requests (admit) until one opens the query
 // channel, then serves that session on the same goroutine until the
 // transport ends (peer close, protocol error, write failure, Close). A
-// connection admitted after Close began gets the 1001 close instead.
+// connection admitted after Close began gets the 1001 close instead. Every
+// write to the connection is bounded by the relay timeout.
 func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
-	ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true}
+	ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true, writeTimeout: s.relayTimeout}
+	// Counted once the connection is closed, after which no write to it can
+	// reach its deadline.
+	defer func() {
+		if ws.writeTimedOut.Load() {
+			s.stat.writeTimeouts.Add(1)
+		}
+	}()
 	s.mu.Lock()
 	tracked := !s.closed
 	if tracked {
@@ -260,31 +276,40 @@ func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
 	sess := &session{conn: ws}
 	defer s.stat.activeConns.Add(-1)
 	defer s.dropConn(sess)
-	// serveConn has already accounted the error that ended the session.
 	defer ws.Close()
-	s.serveConn(sess)
+	s.accountEnd(ws, s.serveConn(sess))
 }
 
-// serveConn runs one connection's read-dispatch-answer loop. The scratch
-// slice and the encode buffer keep steady-state kNN and range serving
-// allocation-free: results land in scratch, answers are encoded append-style
-// into encBuf and handed to the batched writer, which copies into the
-// connection's pending buffer before returning.
-func (s *Server) serveConn(sess *session) {
+// accountEnd counts what ended a session, err being serveConn's: a frame the
+// framer refused is a protocol violation, and a transport that ended without
+// a close handshake a reset. An orderly close, a refusal serveConn already
+// counted (nil), a transport the write deadline closed (runConn counts it)
+// and the drain are neither.
+func (s *Server) accountEnd(ws *WSConn, err error) {
+	switch {
+	case errors.Is(err, ErrProtocol) || errors.Is(err, ErrTooLarge):
+		s.stat.protoErrors.Add(1)
+	case err == nil || err == ErrConnClosed || ws.writeTimedOut.Load() || s.draining():
+	default:
+		s.stat.connResets.Add(1)
+	}
+}
+
+// serveConn runs one connection's read-dispatch-answer loop until a read or
+// a write fails, and returns that error; nil when it refused a malformed
+// message, which it has counted. The scratch slice and the encode buffer keep
+// steady-state kNN and range serving allocation-free: results land in
+// scratch, answers are encoded append-style into encBuf and handed to the
+// batched writer, which copies into the connection's pending buffer before
+// returning.
+func (s *Server) serveConn(sess *session) error {
 	ws := sess.conn
 	var scratch []core.POI
 	var encBuf []byte
 	for {
 		data, err := ws.ReadMessage()
 		if err != nil {
-			// Orderly close, peer protocol violation, or transport death:
-			// the connection is done either way. Protocol violations are
-			// accounted so the load harness can gate on zero; the read that
-			// fails because Close took the transport away is not one.
-			if err != ErrConnClosed && !s.draining() {
-				s.stat.protoErrors.Add(1)
-			}
-			return
+			return err
 		}
 		if typ, err := wire.PeekType(data); err == nil && typ == wire.TypeShareReply {
 			// Forwarded as bytes, never decoded; like every decoded message
@@ -292,14 +317,14 @@ func (s *Server) serveConn(sess *session) {
 			// ReadMessage overwrites it).
 			if s.handleShareReply(sess, data) != nil {
 				s.rejectFrame(ws, encBuf[:0])
-				return
+				return nil
 			}
 			continue
 		}
 		msg, err := wire.Decode(data)
 		if err != nil {
 			s.rejectFrame(ws, encBuf[:0])
-			return
+			return nil
 		}
 		switch msg.Type {
 		case wire.TypePosition:
@@ -310,8 +335,8 @@ func (s *Server) serveConn(sess *session) {
 			if q.K > s.maxK {
 				s.stat.protoErrors.Add(1)
 				encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{ReqID: q.ReqID, Code: wire.ErrCodeBadRequest})
-				if ws.WriteBinary(encBuf) != nil {
-					return
+				if err := ws.WriteBinary(encBuf); err != nil {
+					return err
 				}
 				continue
 			}
@@ -325,8 +350,8 @@ func (s *Server) serveConn(sess *session) {
 				Cache: core.PeerCache{QueryLoc: q.Loc, Neighbors: scratch},
 			}
 			encBuf = wire.AppendAnswer(encBuf[:0], ans)
-			if ws.WriteBinaryBatched(encBuf) != nil {
-				return
+			if err := ws.WriteBinaryBatched(encBuf); err != nil {
+				return err
 			}
 		case wire.TypeRange:
 			rq := msg.Range
@@ -338,8 +363,8 @@ func (s *Server) serveConn(sess *session) {
 				// does not cover; refuse instead. The search itself stopped
 				// at the cap, so a whole-map radius costs one bounded scan.
 				encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{ReqID: rq.ReqID, Code: wire.ErrCodeTooLarge})
-				if ws.WriteBinary(encBuf) != nil {
-					return
+				if err := ws.WriteBinary(encBuf); err != nil {
+					return err
 				}
 				continue
 			}
@@ -348,12 +373,12 @@ func (s *Server) serveConn(sess *session) {
 				Cache: core.PeerCache{QueryLoc: rq.Loc, Neighbors: scratch},
 			}
 			encBuf = wire.AppendAnswer(encBuf[:0], ans)
-			if ws.WriteBinaryBatched(encBuf) != nil {
-				return
+			if err := ws.WriteBinaryBatched(encBuf); err != nil {
+				return err
 			}
 		case wire.TypePeerRequest:
-			if s.startRelay(sess, msg.PeerReq) != nil {
-				return
+			if err := s.startRelay(sess, msg.PeerReq); err != nil {
+				return err
 			}
 		default:
 			// Raw air-interface messages (CacheShare, CacheRequest) and
@@ -361,8 +386,8 @@ func (s *Server) serveConn(sess *session) {
 			// the relayed forms (PeerRequest, ShareReply) are handled above.
 			s.stat.protoErrors.Add(1)
 			encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{Code: wire.ErrCodeUnsupported})
-			if ws.WriteBinary(encBuf) != nil {
-				return
+			if err := ws.WriteBinary(encBuf); err != nil {
+				return err
 			}
 		}
 	}
@@ -391,7 +416,14 @@ type Stats struct {
 	Positions    int64   `json:"positions"`
 	Queries      int64   `json:"queries"`
 	RangeQueries int64   `json:"range_queries"`
-	ProtoErrors  int64   `json:"protocol_errors"`
+	// ProtoErrors counts what the daemon refused: a frame the framer or a
+	// message the decoder rejects, an unsupported type, a k over the limit;
+	// ConnResets sessions whose transport ended without a close handshake
+	// (a reset, a bare EOF); WriteTimeouts connections a write missed its
+	// deadline on (Options.RelayTimeout), which closed them.
+	ProtoErrors   int64 `json:"protocol_errors"`
+	ConnResets    int64 `json:"conn_resets"`
+	WriteTimeouts int64 `json:"write_timeouts"`
 	// StoreReadMs and IndexBuildMs are the boot costs the daemon measured
 	// (Options.StoreRead, Options.IndexBuild), set once and never updated;
 	// zero when the embedder reported none.
@@ -445,6 +477,11 @@ type Stats struct {
 	RSSAnonBytes int64 `json:"rss_anon_bytes"`
 	RSSFileBytes int64 `json:"rss_file_bytes"`
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
+	// The CPU time the process has used in user and kernel mode
+	// (getrusage(RUSAGE_SELF) on Linux; 0 elsewhere), cumulative: their
+	// growth over a stretch of traffic is what serving it cost.
+	CPUUserNs int64 `json:"cpu_user_ns"`
+	CPUSysNs  int64 `json:"cpu_sys_ns"`
 }
 
 // runtimeMetrics are the runtime/metrics samples behind the Stats memory
@@ -500,6 +537,8 @@ func (s *Server) statsJSON() []byte {
 		Queries:             s.stat.queries.Load(),
 		RangeQueries:        s.stat.ranges.Load(),
 		ProtoErrors:         s.stat.protoErrors.Load(),
+		ConnResets:          s.stat.connResets.Load(),
+		WriteTimeouts:       s.stat.writeTimeouts.Load(),
 		StoreReadMs:         float64(s.storeRead) / float64(time.Millisecond),
 		IndexBuildMs:        float64(s.indexBuild) / float64(time.Millisecond),
 		ServerQueries:       mod.Queries(),
@@ -517,6 +556,7 @@ func (s *Server) statsJSON() []byte {
 	st.IndexHeight, st.IndexNodes = mod.Tree().Height(), mod.Tree().Nodes()
 	readRuntime(&st)
 	readResident(&st)
+	readCPU(&st)
 	// Stats is plain numbers and a slice of them: encoding it cannot fail.
 	doc, _ := json.MarshalIndent(st, "", "  ")
 	return append(doc, '\n')

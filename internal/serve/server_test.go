@@ -179,12 +179,13 @@ func TestServedRangeMatchesOracle(t *testing.T) {
 // scriptConn is a transport whose reads deliver a fixed byte stream and
 // then io.EOF, and whose every write fails, as on a peer that has reset.
 type scriptConn struct {
-	net.Conn // nil: serveConn calls only Read and Write
+	net.Conn // nil: serveConn calls only the methods below
 	in       *bytes.Reader
 }
 
-func (c *scriptConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
-func (c *scriptConn) Write(p []byte) (int, error) { return 0, errors.New("connection reset by peer") }
+func (c *scriptConn) Read(p []byte) (int, error)         { return c.in.Read(p) }
+func (c *scriptConn) Write(p []byte) (int, error)        { return 0, errors.New("connection reset by peer") }
+func (c *scriptConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // A failed transport write ends the session: the daemon serves nothing more
 // to a client it can no longer answer. Each script's first message draws an
@@ -593,7 +594,8 @@ func TestStatsReportBootCosts(t *testing.T) {
 // /v1/stats is an interface: bench/ and the CI smoke gate decode it by JSON
 // name. The document is exactly the fields below — the names that existed
 // before the memory fields were added, unchanged, plus those five, the two
-// store sizes and the three resident-memory fields — and the memory fields
+// store sizes, the three resident-memory fields, the two session-end
+// counters and the two CPU times — and the memory fields
 // behave: gauges are positive, the cumulative two never go back, the store
 // sizes are what the module reports, and on Linux the kernel reports
 // resident pages of both kinds.
@@ -615,6 +617,7 @@ func TestStatsMemoryFields(t *testing.T) {
 	want := []string{
 		"pois", "bounds_min_x", "bounds_min_y", "bounds_max_x", "bounds_max_y",
 		"sessions", "active_conns", "positions", "queries", "range_queries", "protocol_errors",
+		"conn_resets", "write_timeouts",
 		"store_read_ms", "index_build_ms", "index_bytes", "poi_table_bytes", "index_height", "index_nodes",
 		"server_queries", "page_accesses",
 		"relay_requests", "relay_shares_forwarded", "relay_rejected", "relay_unknown_replies",
@@ -622,6 +625,7 @@ func TestStatsMemoryFields(t *testing.T) {
 		"dir_cells_scanned", "dir_candidates_rejected", "dir_patch_ops",
 		"goroutines", "heap_inuse_bytes", "stack_inuse_bytes", "total_alloc_bytes", "gc_cycles",
 		"rss_anon_bytes", "rss_file_bytes", "peak_rss_bytes",
+		"cpu_user_ns", "cpu_sys_ns",
 	}
 	for _, key := range want {
 		if _, ok := first[key]; !ok {

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,16 +119,20 @@ func relayedWithin(t *testing.T, who string, req, peer *WSConn, loc geom.Point, 
 	}
 }
 
-// A client that stops reading wedges only the goroutines that write to it.
-// Session A floods queries and never reads its answers, so the daemon's
-// write to A blocks in conn.Write while it holds A's write lock. Around it:
-// B, in A's range, asks for peer caches, and its probe write to A parks;
-// A's own relay, registered before the flood, is settled by a reply (D3), a
+// A client that stops reading is torn down by the write deadline, and until
+// then it stalls only the goroutines writing to it. Session A floods queries
+// and never reads its answers, so the daemon's write to A blocks in
+// conn.Write while it holds A's write lock. Around it: B, in A's range, asks
+// for peer caches, and its probe write to A waits on that lock; A's own
+// relay, registered before the flood, is settled by a reply (D3), a
 // disconnect (D1) and the timeout (D2), each of which ends in a write to A.
-// Sessions C and E, far from A, must still have a Position and a Query served
-// and complete a relay exchange between them, both while A's relay is pending
-// and after it timed out: none of the daemon's table locks (the directory's,
-// the relay table's, Server.mu) may be held across a write to a connection.
+// Sessions C and E, far from A, must still have a Position and a Query
+// served and complete a relay exchange between them, both while A's relay
+// is pending and after it timed out: none of the daemon's table locks (the
+// directory's, the relay table's, Server.mu) may be held across a write to a
+// connection. Then the wedged write misses its deadline (the relay timeout):
+// A's connection is closed, B's relay completes on the countdown without
+// A's share, and no goroutine is left parked on A.
 func TestWedgedPeerIsolation(t *testing.T) {
 	const (
 		relayTimeout = time.Second
@@ -160,6 +167,8 @@ func TestWedgedPeerIsolation(t *testing.T) {
 	syncPosition(t, b, bPos)
 	syncPosition(t, c, cPos)
 	syncPosition(t, e, ePos)
+	// Every session's goroutine is parked in its read: the baseline.
+	baseline := runtime.NumGoroutine()
 
 	// A's relay probes the three D sessions (and nobody else: B is 200 m
 	// from dPos); it stays pending until the last of them settles.
@@ -179,6 +188,8 @@ func TestWedgedPeerIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Blocked for 100 ms: the write's deadline passes at least that long
+	// before B's relay could time out.
 	aSrv := ln.conn(0)
 	var since time.Time
 	waitFor(t, "the daemon's write to A to block", func() bool {
@@ -189,10 +200,11 @@ func TestWedgedPeerIsolation(t *testing.T) {
 		if since.IsZero() {
 			since = time.Now()
 		}
-		return time.Since(since) > 50*time.Millisecond
+		return time.Since(since) > 100*time.Millisecond
 	})
 
-	// B scans the directory, finds A and parks in its probe write.
+	// B scans the directory, finds A and waits to write its probe.
+	bSent := time.Now()
 	if err := b.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: 2, Loc: bPos, Radius: 150})); err != nil {
 		t.Fatal(err)
 	}
@@ -222,4 +234,30 @@ func TestWedgedPeerIsolation(t *testing.T) {
 	waitFor(t, "A's relay to time out", func() bool { return s.stat.relayTimeouts.Load() > 0 })
 	servedWithin(t, "C after A's relay timed out", c, cPos, bound)
 	relayedWithin(t, "C and E after A's relay timed out", c, e, cPos, 4, bound)
+
+	// A's write misses its deadline and closes A; B's probe write fails and
+	// its relay completes on the countdown, A's share missing.
+	if err := b.SetReadDeadline(bSent.Add(relayTimeout + 500*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if msg := readDecoded(t, b); msg.Type != wire.TypePeerShares || msg.Shares.ReqID != 2 ||
+		msg.Shares.PeersInRange != 1 || len(msg.Shares.Shares) != 0 {
+		t.Fatalf("B got %+v, want PeerShares 2 with A in range and no share", msg)
+	}
+	waitFor(t, "A's teardown to be counted", func() bool { return s.stat.writeTimeouts.Load() == 1 })
+	if p, r := s.stat.protoErrors.Load(), s.stat.relayTimeouts.Load(); p != 0 || r != 1 {
+		t.Fatalf("protocol_errors = %d, relay_timeouts = %d; want 0 and 1 (A's relay alone)", p, r)
+	}
+	if err := a.SetReadDeadline(time.Now().Add(bound)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err = a.ReadMessage(); err != nil {
+			break
+		}
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("A's connection still open after its write deadline: %v", err)
+	}
+	waitFor(t, "goroutines to return to baseline less A's and D1's", func() bool { return runtime.NumGoroutine() <= baseline-2 })
 }

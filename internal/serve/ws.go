@@ -27,8 +27,10 @@ import (
 	"io"
 	"net"
 	"net/url"
+	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mobility"
@@ -74,11 +76,9 @@ const maxParkedPayload = 4 << 10
 // WriteBinaryBatched holds frames back until this many bytes are pending.
 const flushThreshold = 2048
 
-// closeGrace bounds the transport writes of the closing handshake. Without
-// it, a writer wedged in conn.Write behind a peer that stopped reading
-// holds wmu indefinitely, and every Close/fail caller queues behind that
-// lock forever — shutdown could never interrupt a stuck write.
-const closeGrace = 5 * time.Second
+// dialWriteTimeout bounds every transport write of a DialWS connection
+// (flushLocked); the daemon's connections use the relay timeout (runConn).
+const dialWriteTimeout = 5 * time.Second
 
 // Errors surfaced by the WebSocket layer.
 var (
@@ -139,6 +139,11 @@ type WSConn struct {
 	// batch arms write coalescing (set at admission, before the connection
 	// is shared); without it every write flushes immediately.
 	batch bool
+	// writeTimeout bounds every transport write (flushLocked), set at
+	// creation. writeTimedOut records that a write missed it, which closed
+	// the transport.
+	writeTimeout  time.Duration
+	writeTimedOut atomic.Bool
 	// maskRNG generates frame mask keys on the client side. Masking exists
 	// to defeat proxy cache poisoning, not cryptanalysis, so a fast stream
 	// seeded once from crypto/rand is appropriate.
@@ -150,7 +155,7 @@ type WSConn struct {
 
 // newWSConn wraps the client side of conn, before its handshake.
 func newWSConn(conn net.Conn) *WSConn {
-	c := &WSConn{conn: conn, client: true, maxMsg: DefaultMaxMessage}
+	c := &WSConn{conn: conn, client: true, maxMsg: DefaultMaxMessage, writeTimeout: dialWriteTimeout}
 	var seed [8]byte
 	if _, err := rand.Read(seed[:]); err == nil {
 		c.maskRNG = mobility.SplitMix64(binary.LittleEndian.Uint64(seed[:]))
@@ -274,18 +279,14 @@ func (c *WSConn) close1009() error {
 	return ErrTooLarge
 }
 
-// shutdown runs the closing handshake exactly once: bound every transport
-// write with a deadline first — interrupting any writer currently wedged in
-// conn.Write, which would otherwise hold wmu and block the close frame (and
-// every other Close caller) forever — then send the close frame best-effort
-// and tear the transport down. closeErr carries the teardown error for
-// Close to return.
+// shutdown runs the closing handshake exactly once: send the close frame
+// best-effort and tear the transport down. A writer wedged behind a peer
+// that stopped reading delays it by at most one write deadline
+// (flushLocked). closeErr carries the teardown error for Close to return.
 func (c *WSConn) shutdown(code []byte) {
 	c.closeOnce.Do(func() {
-		// A deadline refusal means the transport is already dead; conn.Close
-		// below reports that. The close frame is a best-effort courtesy
-		// (§5.5.1): the teardown error from conn.Close is the one surfaced.
-		_ = c.conn.SetWriteDeadline(time.Now().Add(closeGrace))
+		// The close frame is a best-effort courtesy (§5.5.1): the teardown
+		// error from conn.Close is the one surfaced.
 		_ = c.writeFrame(opClose, code)
 		c.closeErr = c.conn.Close()
 	})
@@ -445,18 +446,30 @@ func (c *WSConn) appendFrame(dst []byte, op byte, payload []byte) []byte {
 	return buf
 }
 
-// flushLocked writes the pending buffer in one transport write. Callers
-// hold wmu. The buffer is recycled even on error: a failed transport write
-// kills the connection, so the unsent frames are moot.
+// flushLocked writes the pending buffer in one transport write, the only
+// place a frame or an HTTP answer reaches the transport. Callers hold wmu,
+// which serializes whole frames, so every write carries the connection's
+// deadline: a peer that stops reading holds wmu for at most writeTimeout,
+// whichever goroutine is writing. A write that misses it may have cut a
+// frame on a live transport, so it closes the connection and the reader
+// ends; any other failed write found the transport dead already, and the
+// reader sees how it ended. The buffer is recycled either way, its unsent
+// frames moot.
 func (c *WSConn) flushLocked() error {
 	if len(c.pending) == 0 {
 		return nil
 	}
-	// wmu is held across the transport write: it serializes whole frames.
-	// A write wedged behind a peer that stopped reading holds it until
-	// shutdown's deadline ends the write (closeGrace).
-	_, err := c.conn.Write(c.pending)
+	err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	if err == nil {
+		_, err = c.conn.Write(c.pending)
+	}
 	c.pending = c.pending[:0]
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		c.writeTimedOut.Store(true)
+		// The missed deadline is the error reported; closing the
+		// transport can only fail if it is already closed.
+		_ = c.conn.Close()
+	}
 	return err
 }
 
@@ -492,17 +505,17 @@ func DialWS(rawURL string) (*WSConn, error) {
 		return nil, fmt.Errorf("serve: dial: %w", err)
 	}
 	key := base64.StdEncoding.EncodeToString(keyRaw[:])
-	req := "GET " + u.RequestURI() + " HTTP/1.1\r\n" +
-		"Host: " + u.Host + "\r\n" +
-		"Upgrade: websocket\r\n" +
-		"Connection: Upgrade\r\n" +
-		"Sec-WebSocket-Key: " + key + "\r\n" +
-		"Sec-WebSocket-Version: 13\r\n\r\n"
-	if _, err := conn.Write([]byte(req)); err != nil {
+	c := newWSConn(conn)
+	c.pending = append(c.pending, "GET "+u.RequestURI()+" HTTP/1.1\r\n"+
+		"Host: "+u.Host+"\r\n"+
+		"Upgrade: websocket\r\n"+
+		"Connection: Upgrade\r\n"+
+		"Sec-WebSocket-Key: "+key+"\r\n"+
+		"Sec-WebSocket-Version: 13\r\n\r\n"...)
+	if err := c.Flush(); err != nil {
 		abortConn(conn)
 		return nil, fmt.Errorf("serve: dial: %w", err)
 	}
-	c := newWSConn(conn)
 	if err := c.readSwitch(key); err != nil {
 		abortConn(conn)
 		return nil, fmt.Errorf("serve: dial: %w", err)

@@ -23,7 +23,7 @@ func pipeServer(t *testing.T) (*WSConn, net.Conn) {
 		cliEnd.Close()
 		srvEnd.Close()
 	})
-	return &WSConn{conn: srvEnd, maxMsg: DefaultMaxMessage}, cliEnd
+	return &WSConn{conn: srvEnd, maxMsg: DefaultMaxMessage, writeTimeout: dialWriteTimeout}, cliEnd
 }
 
 var testMaskKey = [4]byte{0x12, 0x34, 0x56, 0x78}

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // RFC 6455 §1.3's worked example pins the accept-key derivation.
@@ -99,7 +101,7 @@ func wsServer(t *testing.T, serve func(*WSConn)) string {
 				return
 			}
 			go func() {
-				ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true}
+				ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true, writeTimeout: dialWriteTimeout}
 				if s.admit(ws, testHandshakeTimeout) {
 					serve(ws)
 				}
@@ -407,5 +409,38 @@ func TestBatchedWritesFlushAtThreshold(t *testing.T) {
 	}
 	if err := <-got; err != nil {
 		t.Fatalf("client read: %v", err)
+	}
+}
+
+// BenchmarkWriteBinaryLoopback prices one immediate frame write on a
+// loopback socket whose peer drains everything, the per-write deadline
+// included (one runtime timer update): a probe-sized frame per op.
+func BenchmarkWriteBinaryLoopback(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_, _ = io.Copy(io.Discard, c)
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, writeTimeout: time.Minute}
+	defer ws.Close()
+	frame := make([]byte, wire.PeerProbeSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := ws.WriteBinary(frame); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
