@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	senn-serverd -store pois.senp [-addr 127.0.0.1:8046] [-maxk 512]
+//	senn-serverd -store pois.senp [-addr 127.0.0.1:8046] [-relay-timeout 2s]
 //
 // Generate a store first (clustered POIs, the paper's workload shape):
 //
@@ -37,8 +37,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8046", "listen address")
 		store        = flag.String("store", "", "POI store file to serve (required unless -mkstore)")
-		maxK         = flag.Int("maxk", 512, "largest k served per query")
-		maxTxRange   = flag.Float64("max-txrange", 0, "cap on relayed transmission radius (0 = default 10000 m)")
 		relayTimeout = flag.Duration("relay-timeout", 0, "peer relay wait bound (0 = default 2s)")
 
 		mkstore  = flag.String("mkstore", "", "write a fresh POI store to this path and exit")
@@ -46,13 +44,12 @@ func main() {
 		fanout   = flag.Int("fanout", sim.Fanout, "mkstore: fan-out the serving daemon packs its R*-tree with")
 		width    = flag.Float64("width", 20000, "mkstore: square area side (m)")
 		clusters = flag.Int("clusters", 0, "mkstore: POI clusters (0 = uniform)")
-		sigma    = flag.Float64("sigma", 400, "mkstore: cluster spread (m)")
 		seed     = flag.Int64("seed", 1, "mkstore: random seed")
 	)
 	flag.Parse()
 
 	if *mkstore != "" {
-		if err := makeStore(*mkstore, *nPOIs, *fanout, *width, *clusters, *sigma, *seed); err != nil {
+		if err := makeStore(*mkstore, *nPOIs, *fanout, *width, *clusters, *seed); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s: %d POIs, fanout %d, %gx%g m\n", *mkstore, *nPOIs, *fanout, *width, *width)
@@ -95,9 +92,7 @@ func main() {
 		mod.Tree().Height(), mod.Tree().Nodes(), float64(indexBytes)*perPOI, float64(tableBytes)*perPOI)
 
 	srv := serve.NewServer(mod, serve.Options{
-		MaxK:         *maxK,
 		Bounds:       info.Bounds,
-		MaxTxRange:   *maxTxRange,
 		RelayTimeout: *relayTimeout,
 		StoreRead:    storeRead,
 		IndexBuild:   indexBuild,
@@ -139,12 +134,12 @@ func main() {
 // does not cover an admitted WebSocket, which may idle as long as it likes.
 const headTimeout = 5 * time.Second
 
-func makeStore(path string, n, fanout int, width float64, clusters int, sigma float64, seed int64) error {
+func makeStore(path string, n, fanout int, width float64, clusters int, seed int64) error {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(width, width)}
 	rng := rand.New(rand.NewSource(seed))
 	var pois = sim.RandomPOIs(n, bounds, rng)
 	if clusters > 0 {
-		pois = sim.ClusteredPOIs(n, bounds, clusters, sigma, rng)
+		pois = sim.ClusteredPOIs(n, bounds, clusters, 400, rng) // 400 m spread
 	}
 	return serve.WriteStore(path, pois, fanout, bounds)
 }

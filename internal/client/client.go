@@ -44,7 +44,8 @@ import (
 // carries it (grid sweep, daemon relay). Gather appends the
 // peers to dst and returns the extended slice together with the exchange's
 // accounted cost: message count (the broadcast request plus one share per
-// responding peer) and wire volume (internal/wire codec sizes).
+// responding peer) and wire volume (internal/wire's priced air-interface
+// sizes).
 //
 // Verification does not depend on the enumeration order (the result heap
 // orders what it is fed); the accounted cost must be deterministic for a

@@ -67,9 +67,9 @@ type ClientStats struct {
 	// ProbesAnswered counts PeerProbes this client replied to.
 	SharesReceived int64
 	ProbesAnswered int64
-	// PeerMsgs and PeerBytes are the P2P exchange cost at air-interface
-	// (CacheRequest/CacheShare) codec sizes — the same accounting the
-	// simulator reports, so the two are comparable.
+	// PeerMsgs and PeerBytes are the P2P exchange cost at the priced
+	// air-interface sizes (wire.CacheRequestSize, wire.CacheShareSize) —
+	// the same accounting the simulator reports, so the two are comparable.
 	PeerMsgs  int64
 	PeerBytes int64
 	// Pages is the server-side page-access cost of this client's fallback
@@ -281,9 +281,10 @@ func (c *SENNClient) answerProbe(probeID uint32) error {
 }
 
 // relayPeerSource adapts the relayed shares to client.PeerSource. The cost
-// accounting uses air-interface (CacheRequest/CacheShare) codec sizes, not
-// relay-frame sizes: PeerBytes then measures the paper's P2P channel and
-// stays directly comparable with the simulator's metric.
+// accounting uses the priced air-interface sizes (wire.CacheRequestSize,
+// wire.CacheShareSize), not relay-frame sizes: PeerBytes then measures the
+// paper's P2P channel and stays directly comparable with the simulator's
+// metric.
 type relayPeerSource struct{ c *SENNClient }
 
 func (r *relayPeerSource) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerCache, int64, int64) {

@@ -51,9 +51,11 @@ import (
 // defaultRelayTimeout bounds how long a relay waits for probed peers.
 const defaultRelayTimeout = 2 * time.Second
 
-// defaultMaxTxRange caps the transmission radius a client may request, so
-// one session cannot conscript the whole service area as its neighborhood.
-const defaultMaxTxRange = 10_000.0
+// maxTxRange caps the transmission radius a PeerRequest may ask the relay to
+// sweep, so one session cannot conscript the whole service area as its
+// neighborhood. Larger requested radii are clamped, not refused: the paper's
+// hosts cannot grow their antennas either.
+const maxTxRange = 10_000.0
 
 // pendingRelay is one in-flight fan-out. Instances are pooled: the waiting
 // map, the aggregate buffer and the timer survive recycling, so a steady
@@ -143,8 +145,8 @@ func peersInRangeBucket(n int) int {
 // other sessions only shrink the countdown.
 func (s *Server) startRelay(reqSess *session, req wire.PeerRequest) error {
 	radius := req.Radius
-	if radius > s.maxTxRange {
-		radius = s.maxTxRange
+	if radius > maxTxRange {
+		radius = maxTxRange
 	}
 	s.stat.relayRequests.Add(1)
 

@@ -271,7 +271,6 @@ func TestRelayRecycledTimerRace(t *testing.T) {
 // timer (an hour) never fires.
 func TestRelayDropsPeerWhoseProbeWriteFails(t *testing.T) {
 	s := newBareServer(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}, 0)
-	s.maxTxRange = defaultMaxTxRange
 	s.relayTimeout = time.Hour
 	srvEnd, cliEnd := net.Pipe()
 	cliEnd.Close()

@@ -20,17 +20,9 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// MaxK caps the k served per query (default 512, never above
-	// wire.MaxQueryK — the codec rejects larger requests before the server
-	// sees them).
-	MaxK int
 	// Bounds is the service area reported to clients (default: the store's
 	// or the POI set's bounding box).
 	Bounds geom.Rect
-	// MaxTxRange caps the transmission radius a PeerRequest may ask the
-	// relay to sweep (default 10000). Larger requested radii are clamped,
-	// not refused — the paper's hosts cannot grow their antennas either.
-	MaxTxRange float64
 	// RelayTimeout bounds how long a peer-cache relay waits for probed
 	// sessions before delivering what arrived (default 2s), and every
 	// transport write to a connection: a write that misses it closes that
@@ -52,8 +44,6 @@ type Options struct {
 // concurrently.
 type Server struct {
 	querier      *sim.SnapshotQuerier
-	maxK         int
-	maxTxRange   float64
 	relayTimeout time.Duration
 	bounds       geom.Rect
 	storeRead    time.Duration
@@ -98,6 +88,11 @@ type Server struct {
 	}
 }
 
+// maxK caps the k served per query: a Query the codec accepts (k up to
+// wire.MaxQueryK) asking for more gets an ErrCodeBadRequest reply, and the
+// connection stays usable.
+const maxK = 512
+
 // maxAnswer caps the neighbors a single answer may carry: a range query
 // whose result exceeds it gets a wire.ErrCodeTooLarge error reply instead of
 // a truncated (and therefore uncertifiable) region. It is the codec's cap on
@@ -127,15 +122,6 @@ type session struct {
 
 // NewServer wraps mod with the network service.
 func NewServer(mod *sim.ServerModule, opts Options) *Server {
-	if opts.MaxK <= 0 {
-		opts.MaxK = 512
-	}
-	if opts.MaxK > wire.MaxQueryK {
-		opts.MaxK = wire.MaxQueryK
-	}
-	if opts.MaxTxRange <= 0 {
-		opts.MaxTxRange = defaultMaxTxRange
-	}
 	if opts.RelayTimeout <= 0 {
 		opts.RelayTimeout = defaultRelayTimeout
 	}
@@ -145,8 +131,6 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 	}
 	s := &Server{
 		querier:      sim.NewSnapshotQuerier(mod),
-		maxK:         opts.MaxK,
-		maxTxRange:   opts.MaxTxRange,
 		relayTimeout: opts.RelayTimeout,
 		bounds:       bounds,
 		storeRead:    opts.StoreRead,
@@ -311,7 +295,13 @@ func (s *Server) serveConn(sess *session) error {
 		if err != nil {
 			return err
 		}
-		if typ, err := wire.PeekType(data); err == nil && typ == wire.TypeShareReply {
+		typ, err := wire.PeekType(data)
+		if err != nil {
+			s.rejectFrame(ws, encBuf[:0])
+			return nil
+		}
+		switch typ {
+		case wire.TypeShareReply:
 			// Forwarded as bytes, never decoded; like every decoded message
 			// it does not alias data past this iteration (the next
 			// ReadMessage overwrites it).
@@ -320,7 +310,18 @@ func (s *Server) serveConn(sess *session) error {
 				return nil
 			}
 			continue
+		case wire.TypeAnswer, wire.TypeError, wire.TypePeerProbe, wire.TypePeerShares:
+			// Server-to-client messages mean nothing client-to-server: they
+			// are refused unread, and the session goes on.
+			s.stat.protoErrors.Add(1)
+			encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{Code: wire.ErrCodeUnsupported})
+			if err := ws.WriteBinary(encBuf); err != nil {
+				return err
+			}
+			continue
 		}
+		// What is left is a client request to decode, or an unknown type
+		// Decode refuses.
 		msg, err := wire.Decode(data)
 		if err != nil {
 			s.rejectFrame(ws, encBuf[:0])
@@ -332,7 +333,7 @@ func (s *Server) serveConn(sess *session) error {
 			s.stat.positions.Add(1)
 		case wire.TypeQuery:
 			q := msg.Query
-			if q.K > s.maxK {
+			if q.K > maxK {
 				s.stat.protoErrors.Add(1)
 				encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{ReqID: q.ReqID, Code: wire.ErrCodeBadRequest})
 				if err := ws.WriteBinary(encBuf); err != nil {
@@ -378,15 +379,6 @@ func (s *Server) serveConn(sess *session) error {
 			}
 		case wire.TypePeerRequest:
 			if err := s.startRelay(sess, msg.PeerReq); err != nil {
-				return err
-			}
-		default:
-			// Raw air-interface messages (CacheShare, CacheRequest) and
-			// server-to-client messages have no meaning client-to-server;
-			// the relayed forms (PeerRequest, ShareReply) are handled above.
-			s.stat.protoErrors.Add(1)
-			encBuf = wire.AppendError(encBuf[:0], wire.ErrorMsg{Code: wire.ErrCodeUnsupported})
-			if err := ws.WriteBinary(encBuf); err != nil {
 				return err
 			}
 		}

@@ -210,7 +210,7 @@ func TestFailedWriteEndsSession(t *testing.T) {
 		{"kNN answer", [][]byte{query(200)}, 1},
 		{"range answer", [][]byte{wire.EncodeRange(wire.RangeQuery{ReqID: 1, Loc: geom.Pt(5000, 5000), Radius: 6000})}, 0},
 		{"k over the limit", [][]byte{query(600)}, 0},
-		{"unsupported message", [][]byte{wire.AppendCacheShare(nil, core.PeerCache{})}, 0},
+		{"unsupported message", [][]byte{wire.AppendAnswer(nil, wire.Answer{})}, 0},
 		{"empty PeerShares", [][]byte{query(short), wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: 2, Loc: geom.Pt(5000, 5000), Radius: 100})}, 1},
 	}
 	for _, tc := range cases {
@@ -399,11 +399,11 @@ func TestUpgradeCreatesSessionMintStoresNothing(t *testing.T) {
 
 // Over-limit k gets an error reply, and the connection stays usable.
 func TestOverLimitKKeepsConnUsable(t *testing.T) {
-	srv, _ := testServer(t, 500, Options{MaxK: 8})
+	srv, _ := testServer(t, 500, Options{})
 	ws := openSession(t, srv)
 	defer ws.Close()
 
-	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 7, K: 9, Loc: geom.Pt(1, 1)})); err != nil {
+	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 7, K: maxK + 1, Loc: geom.Pt(1, 1)})); err != nil {
 		t.Fatal(err)
 	}
 	data, err := ws.ReadMessage()
@@ -435,25 +435,35 @@ func TestOverLimitKKeepsConnUsable(t *testing.T) {
 	}
 }
 
-// Peer-channel message types are meaningless client-to-server.
+// Server-to-client message types are meaningless client-to-server: each is
+// refused with ErrCodeUnsupported before its payload is read (a truncated
+// Answer draws the same reply as a whole one), and the session goes on.
 func TestPeerMessagesUnsupported(t *testing.T) {
 	srv, _ := testServer(t, 100, Options{})
 	ws := openSession(t, srv)
 	defer ws.Close()
 
-	if err := ws.WriteBinary(wire.AppendCacheShare(nil, core.PeerCache{})); err != nil {
+	answer := wire.AppendAnswer(nil, wire.Answer{})
+	for _, m := range [][]byte{
+		answer,
+		answer[:len(answer)-1],
+		wire.AppendError(nil, wire.ErrorMsg{ReqID: 1, Code: wire.ErrCodeBadRequest}),
+		wire.AppendPeerProbe(nil, 3),
+		wire.AppendPeerShares(nil, wire.PeerShares{ReqID: 4}),
+	} {
+		if err := ws.WriteBinary(m); err != nil {
+			t.Fatal(err)
+		}
+		msg := readDecoded(t, ws)
+		if msg.Type != wire.TypeError || msg.Err.Code != wire.ErrCodeUnsupported {
+			t.Fatalf("type %d: got %+v, want unsupported error", m[5], msg)
+		}
+	}
+	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 5, K: 3, Loc: geom.Pt(1, 1)})); err != nil {
 		t.Fatal(err)
 	}
-	data, err := ws.ReadMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err := wire.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Type != wire.TypeError || msg.Err.Code != wire.ErrCodeUnsupported {
-		t.Fatalf("got %+v, want unsupported error", msg)
+	if msg := readDecoded(t, ws); msg.Type != wire.TypeAnswer || msg.Answer.ReqID != 5 {
+		t.Fatalf("query after the refusals got %+v", msg)
 	}
 }
 
@@ -461,22 +471,33 @@ func TestPeerMessagesUnsupported(t *testing.T) {
 // down after an error reply.
 func TestGarbagePayloadClosesConn(t *testing.T) {
 	srv, _ := testServer(t, 100, Options{})
-	ws := openSession(t, srv)
-	defer ws.Close()
-
-	if err := ws.WriteBinary([]byte{0xff, 0x01, 0x02}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := ws.ReadMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err := wire.Decode(data)
-	if err != nil || msg.Type != wire.TypeError {
-		t.Fatalf("got %+v (%v), want error message", msg, err)
-	}
-	if _, err := ws.ReadMessage(); err == nil {
-		t.Fatal("connection still open after protocol garbage")
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"garbage", []byte{0xff, 0x01, 0x02}},
+		// A retired air-interface type byte (the cache request) is an
+		// unknown type like any other.
+		{"retired type", []byte("SENN\x01\x02")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := openSession(t, srv)
+			defer ws.Close()
+			// A frame the daemon took for a request it answers nothing to
+			// fails here instead of hanging.
+			if err := ws.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ws.WriteBinary(tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			if msg := readDecoded(t, ws); msg.Type != wire.TypeError || msg.Err.Code != wire.ErrCodeBadRequest {
+				t.Fatalf("got %+v, want bad-request error", msg)
+			}
+			if _, err := ws.ReadMessage(); err == nil {
+				t.Fatal("connection still open after protocol garbage")
+			}
+		})
 	}
 }
 

@@ -21,8 +21,8 @@ type Metrics struct {
 	// query plus one cache-share response per non-empty peer cache) — the
 	// communication overhead the paper names as the approach's cost.
 	PeerMessages int64
-	// PeerBytes is the wire volume of those messages, using the
-	// internal/wire codec sizes.
+	// PeerBytes is the wire volume of those messages, at the priced
+	// air-interface sizes of internal/wire.
 	PeerBytes int64
 	// MeasuredSeconds is the simulated time covered by the counts.
 	MeasuredSeconds float64

@@ -92,9 +92,10 @@ type simPeerSource struct {
 
 // Gather appends every in-range peer's shareable cache entry to dst and
 // accounts the P2P exchange: one broadcast request plus one cache-share
-// response per peer holding data, costed at internal/wire codec sizes. It
-// sweeps the host grid around q — cells row-major, hosts ascending within a
-// cell — reading step-start positions and caches, which cannot change until
+// response per peer holding data, priced at internal/wire's air-interface
+// sizes (wire.CacheRequestSize, wire.CacheShareSize). It sweeps the host
+// grid around q — cells row-major, hosts ascending within a cell — reading
+// step-start positions and caches, which cannot change until
 // every resolve of the batch has finished, so the peer sequence is the same
 // for any worker count (TestGatherMatchesLinearScan).
 func (s *simPeerSource) Gather(q geom.Point, dst []core.PeerCache) ([]core.PeerCache, int64, int64) {

@@ -17,10 +17,9 @@ import (
 func rawShareReply(probeID uint32, flag byte, loc geom.Point, count uint32, pois []core.POI) []byte {
 	buf := appendHeader(nil, TypeShareReply)
 	buf = binary.LittleEndian.AppendUint32(buf, probeID)
-	buf = append(buf, flag)
-	buf = appendPoint(buf, loc)
-	buf = binary.LittleEndian.AppendUint32(buf, count)
-	return appendNeighbors(buf, pois)
+	buf = appendShare(append(buf, flag), core.PeerCache{QueryLoc: loc, Neighbors: pois})
+	binary.LittleEndian.PutUint32(buf[shareReplyBlockOff+pointSize:], count)
+	return buf
 }
 
 // checkForwardable demands, of a frame Decode accepts as a ShareReply, that

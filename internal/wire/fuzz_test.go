@@ -11,16 +11,16 @@ import (
 )
 
 // FuzzDecode drives the decoder with arbitrary bytes; it must never panic
-// and must round-trip every message it accepts. For the client-server
-// messages the encoding is canonical, so acceptance implies byte-identical
-// re-encoding; the peer-channel CacheShare re-sorts on decode and is held to
-// the weaker semantic equivalence instead.
+// and must round-trip every message it accepts. The encoding is canonical,
+// so acceptance implies byte-identical re-encoding, for every type.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	f.Add(appendHeader(nil, TypeCacheRequest))
-	f.Add(AppendCacheShare(nil, samplePC(0, rng)))
-	f.Add(AppendCacheShare(nil, samplePC(3, rng)))
-	f.Add(AppendCacheShare(nil, samplePC(40, rng)))
+	// The retired air-interface layouts (type 1, a header and a share block;
+	// type 2, a bare header), which Decode refuses as unknown types.
+	f.Add(appendShare(appendHeader(nil, 1), samplePC(3, rng)))
+	f.Add(appendHeader(nil, 2))
+	f.Add(AppendAnswer(nil, sampleAnswer(12, 40, rng)))
+	f.Add(AppendPeerShares(nil, PeerShares{ReqID: 13, PeersInRange: 4}))
 	f.Add(AppendPosition(nil, geom.Pt(12.5, -7.75)))
 	f.Add(AppendQuery(nil, Query{ReqID: 1, K: 5, Loc: geom.Pt(100, 200)}))
 	f.Add(AppendQuery(nil, Query{ReqID: 2, K: 1, Loc: geom.Pt(-1, 1),
@@ -44,23 +44,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		var re []byte
 		switch msg.Type {
-		case TypeCacheRequest:
-			re = appendHeader(nil, TypeCacheRequest)
-		case TypeCacheShare:
-			// Accepted cache-shares must re-encode to a decodable message
-			// describing the same cache (the decoder may have re-sorted).
-			re := AppendCacheShare(nil, msg.Cache)
-			msg2, err := Decode(re)
-			if err != nil {
-				t.Fatalf("re-encode not decodable: %v", err)
-			}
-			if len(msg2.Cache.Neighbors) != len(msg.Cache.Neighbors) {
-				t.Fatalf("re-encode changed neighbor count")
-			}
-			if msg2.Cache.Radius() != msg.Cache.Radius() {
-				t.Fatalf("re-encode changed radius")
-			}
-			return
 		case TypePosition:
 			re = AppendPosition(nil, msg.Pos)
 		case TypeQuery:

@@ -249,7 +249,6 @@ func TestAppendEncodersReuseBuffer(t *testing.T) {
 	encoders := map[string]func([]byte) []byte{
 		"Answer":     func(b []byte) []byte { return AppendAnswer(b, ans) },
 		"Error":      func(b []byte) []byte { return AppendError(b, ErrorMsg{ReqID: 9, Code: ErrCodeTooLarge}) },
-		"CacheShare": func(b []byte) []byte { return AppendCacheShare(b, pc) },
 		"ShareReply": func(b []byte) []byte { return AppendShareReply(b, 2, true, pc) },
 		"PeerShares": func(b []byte) []byte { return AppendPeerShares(b, ps) },
 		"PeerProbe":  func(b []byte) []byte { return AppendPeerProbe(b, 99) },
@@ -273,7 +272,7 @@ func TestAppendEncodersReuseBuffer(t *testing.T) {
 func TestPeekType(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, buf := range [][]byte{
-		appendHeader(nil, TypeCacheRequest),
+		AppendAnswer(nil, sampleAnswer(1, 0, rng)),
 		AppendPosition(nil, geom.Pt(1, 2)),
 		AppendPeerProbe(nil, 7),
 		AppendPeerShares(nil, PeerShares{ReqID: 1, Shares: []core.PeerCache{samplePC(2, rng)}}),

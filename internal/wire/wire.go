@@ -1,12 +1,15 @@
-// Package wire provides the binary message codec for the system's two
-// channels. The peer-to-peer channel carries cached NN results over
-// short-range ad-hoc links (IEEE 802.11x); the codec makes that exchange
-// concrete so the simulator can account for the communication overhead the
-// paper names as the technique's main cost ("it may increase the
-// communication overheads among mobile hosts", §2). The client-server
-// channel (internal/serve) carries position updates, kNN/range queries, and
-// served answers between a mobile client and the remote spatial database
-// over WebSocket binary frames.
+// Package wire is the binary message codec of the system's two socket
+// channels, and the priced size of the paper's air interface. The
+// client-server channel (internal/serve) carries position updates, kNN/range
+// queries and served answers between a mobile client and the remote spatial
+// database over WebSocket binary frames; the daemon-relayed peer channel
+// carries the §4.1 exchange for hosts whose connection has no ad-hoc radio.
+// The air interface itself (one broadcast cache request, then one cached
+// result from each peer in range, over short-range IEEE 802.11x links) is on
+// no socket: the simulator and the networked client charge its sizes,
+// CacheRequestSize and CacheShareSize, which price the communication
+// overhead the paper names as the technique's main cost ("it may increase
+// the communication overheads among mobile hosts", §2).
 //
 // The format is a fixed little-endian layout with a versioned header:
 //
@@ -16,18 +19,19 @@
 //	5       1     message type
 //	6       ...   type-specific payload
 //
-// A CacheShare payload carries the peer's cached query location and its
-// certain nearest neighbors:
+// Every neighbor list travels in one share block, the unit of the format: a
+// cached query location and its certain nearest neighbors.
 //
-//	6       8+8   query location x, y (float64)
-//	22      4     neighbor count n (uint32)
-//	26      n*24  neighbors: id (int64), x, y (float64)
+//	0       8+8   query location x, y (float64)
+//	16      4     neighbor count n (uint32, <= MaxShareNeighbors)
+//	20      n*24  neighbors: id (int64), x, y (float64), ascending distance
 //
-// The client-server payloads are documented on their message types below.
-// Encoding is canonical: for every message Decode accepts (except
-// CacheShare, whose decoder re-sorts neighbors), re-encoding the decoded
-// message reproduces the input bytes exactly — the property the round-trip
-// fuzz targets pin.
+// An Answer, a ShareReply and each share of a PeerShares carry one, written
+// by one appender and checked by one scanner; a priced cache share is a
+// header and one block. The payloads are documented on their message types
+// below. Encoding is canonical: for every message Decode accepts,
+// re-encoding the decoded message reproduces the input bytes exactly, the
+// property FuzzDecode pins.
 package wire
 
 import (
@@ -41,14 +45,10 @@ import (
 	"repro/internal/geom"
 )
 
-// Message types.
+// Message types. Bytes 1 and 2 are retired: they named the air-interface
+// cache share and request, which no socket carries, and Decode refuses them
+// as unknown.
 const (
-	// TypeCacheShare carries a PeerCache from a peer to the querying host.
-	TypeCacheShare byte = 1
-	// TypeCacheRequest asks peers in range to share their caches. Its
-	// payload is empty; the type exists so request traffic can be accounted.
-	TypeCacheRequest byte = 2
-
 	// Client-server channel (internal/serve).
 
 	// TypePosition is a client position update:
@@ -81,9 +81,7 @@ const (
 	//
 	//	6       4     request id (uint32)
 	//	10      8     page accesses this query cost the server (int64, >= 0)
-	//	18      8+8   query location x, y (float64)
-	//	34      4     neighbor count n (uint32)
-	//	38      n*24  neighbors: id (int64), x, y (float64), ascending dist
+	//	18      ...   share block: the query location and its neighbors
 	TypeAnswer byte = 6
 	// TypeError is the server's per-request failure reply.
 	//
@@ -117,23 +115,15 @@ const (
 	//
 	//	6       4     probe id (uint32)
 	//	10      1     has-cache flag (0 or 1)
-	//	11      8+8   cached query location x, y (zero bits when empty)
-	//	27      4     neighbor count n (uint32; 0 when empty, >= 1 when not)
-	//	31      n*24  neighbors: id (int64), x, y (float64), ascending dist
-	//
-	// Unlike the ad-hoc CacheShare, a ShareReply's neighbor order is part of
-	// the protocol (ascending distance from the cached query location, the
-	// order every cache entry already has); the decoder validates instead of
-	// re-sorting, keeping the encoding canonical.
+	//	11      ...   share block: the cached entry (n >= 1), or with the
+	//	              flag 0 the empty block (zero location bits, n = 0)
 	TypeShareReply byte = 10
 	// TypePeerShares is the aggregated relay result (server → requester):
 	//
 	//	6       4     request id (uint32)
 	//	10      4     peers in range (uint32: sessions probed)
 	//	14      4     share count m (uint32)
-	//	18      ...   m shares, each: query location x, y (float64),
-	//	              neighbor count n (uint32, >= 1), then n*24 neighbors
-	//	              (id, x, y) in ascending distance order
+	//	18      ...   m share blocks, each with n >= 1
 	TypePeerShares byte = 11
 )
 
@@ -141,8 +131,9 @@ const (
 const (
 	// ErrCodeBadRequest: malformed or out-of-range request parameters.
 	ErrCodeBadRequest uint32 = 1
-	// ErrCodeUnsupported: a message type this channel does not serve
-	// (e.g. a peer-channel CacheShare sent to the server).
+	// ErrCodeUnsupported: a server-to-client message (Answer, Error,
+	// PeerProbe, PeerShares) sent to the server, refused before its payload
+	// is decoded.
 	ErrCodeUnsupported uint32 = 2
 	// ErrCodeTooLarge: the answer would exceed the channel's message cap.
 	ErrCodeTooLarge uint32 = 3
@@ -153,11 +144,11 @@ const (
 // the transport's message cap).
 const MaxQueryK = 4096
 
-// MaxShareNeighbors caps the neighbors one relayed share (ShareReply, or a
-// share inside PeerShares) may carry. A cache entry is at most the peer's
-// cache capacity deep, which is always far below this; anything larger is a
-// forged or corrupt share, rejected at decode before it can bloat a relay
-// fan-out.
+// MaxShareNeighbors caps the neighbors one share block may carry: an
+// answer's (the most a Query may ask for) and a relayed share's. A cache
+// entry is at most the peer's cache capacity deep, which is always far below
+// this; anything larger is a forged or corrupt share, rejected at decode
+// before it can bloat a relay fan-out.
 const MaxShareNeighbors = MaxQueryK
 
 const (
@@ -178,29 +169,30 @@ var (
 	ErrTruncated  = errors.New("wire: truncated payload")
 	ErrBadFloat   = errors.New("wire: non-finite coordinate")
 	ErrBadValue   = errors.New("wire: invalid field value")
-	ErrUnsorted   = errors.New("wire: answer neighbors not in ascending distance order")
+	ErrUnsorted   = errors.New("wire: share neighbors not in ascending distance order")
 )
 
-// CacheRequestSize is the encoded size of a cache request.
+// CacheRequestSize is the priced size of the §4.1 broadcast cache request:
+// a bare header. No socket carries it; a peer exchange is charged one.
 const CacheRequestSize = headerSize
 
-// CacheShareSize returns the encoded size of a cache-share message carrying
-// n neighbors.
-func CacheShareSize(n int) int { return headerSize + pointSize + 4 + n*poiSize }
+// CacheShareSize is the priced size of one peer's cached result carrying n
+// neighbors: a header and one share block. No socket carries it; a peer
+// exchange is charged one per share received.
+func CacheShareSize(n int) int { return headerSize + shareBlockSize(n) }
 
-// AppendCacheShare appends an encoded cache-share message for pc to dst and
-// returns the extended slice. The append-style encoders exist so hot serving
-// paths can reuse one encode buffer per connection instead of allocating a
-// fresh message each time.
-func AppendCacheShare(dst []byte, pc core.PeerCache) []byte {
-	dst = appendHeader(dst, TypeCacheShare)
+// shareBlockSize is the encoded size of a share block carrying n neighbors,
+// the one size every message holding a neighbor list is measured by.
+func shareBlockSize(n int) int { return pointSize + 4 + n*poiSize }
+
+// appendShare appends pc's share block to dst: the one encoder of a neighbor
+// list. The neighbors must be in ascending distance order from pc.QueryLoc
+// (the order every answer and cache entry has); scanShare refuses anything
+// else.
+func appendShare(dst []byte, pc core.PeerCache) []byte {
 	dst = appendPoint(dst, pc.QueryLoc)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pc.Neighbors)))
-	return appendNeighbors(dst, pc.Neighbors)
-}
-
-func appendNeighbors(dst []byte, neighbors []core.POI) []byte {
-	for _, n := range neighbors {
+	for _, n := range pc.Neighbors {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(n.ID))
 		dst = appendPoint(dst, n.Loc)
 	}
@@ -231,11 +223,10 @@ type RangeQuery struct {
 // metadata (query location + ascending neighbor set); Pages is the server's
 // page-access cost for this one query (the PAR metric over the wire).
 //
-// Unlike a CacheShare, an Answer's neighbor order is authoritative — the
-// server emits ascending distance with ties in index order, and the decoder
-// validates rather than re-sorts, so a decode/encode round trip preserves
-// the server's exact bytes (what the served-vs-in-process oracle test
-// compares).
+// An Answer's neighbor order is authoritative: the server emits ascending
+// distance with ties in index order, and the decoder validates rather than
+// re-sorts, so a decode/encode round trip preserves the server's exact bytes
+// (what the served-vs-in-process oracle test compares).
 type Answer struct {
 	ReqID uint32
 	Pages int64
@@ -284,19 +275,27 @@ const (
 	PeerProbeSize   = headerSize + 4
 )
 
+// Where the share block starts in an Answer (past the header, the request id
+// and the page count) and in a ShareReply (past the header, the probe id and
+// the has-cache flag).
+const (
+	answerBlockOff     = headerSize + 4 + 8
+	shareReplyBlockOff = headerSize + 4 + 1
+)
+
 // AnswerSize returns the encoded size of an answer carrying n neighbors.
-func AnswerSize(n int) int { return headerSize + 4 + 8 + pointSize + 4 + n*poiSize }
+func AnswerSize(n int) int { return answerBlockOff + shareBlockSize(n) }
 
 // ShareReplySize returns the encoded size of a share reply carrying n
 // neighbors (n = 0 for the empty-cache reply).
-func ShareReplySize(n int) int { return headerSize + 4 + 1 + pointSize + 4 + n*poiSize }
+func ShareReplySize(n int) int { return shareReplyBlockOff + shareBlockSize(n) }
 
 // PeerSharesSize returns the encoded size of an aggregated relay reply whose
 // shares carry the given neighbor counts.
 func PeerSharesSize(neighborCounts []int) int {
 	size := PeerSharesHeaderSize
 	for _, n := range neighborCounts {
-		size += pointSize + 4 + n*poiSize
+		size += shareBlockSize(n)
 	}
 	return size
 }
@@ -351,9 +350,7 @@ func AppendAnswer(dst []byte, a Answer) []byte {
 	dst = appendHeader(dst, TypeAnswer)
 	dst = binary.LittleEndian.AppendUint32(dst, a.ReqID)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.Pages))
-	dst = appendPoint(dst, a.Cache.QueryLoc)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a.Cache.Neighbors)))
-	return appendNeighbors(dst, a.Cache.Neighbors)
+	return appendShare(dst, a.Cache)
 }
 
 // AppendError appends an encoded per-request failure reply to dst.
@@ -383,14 +380,9 @@ func AppendShareReply(dst []byte, probeID uint32, has bool, pc core.PeerCache) [
 	dst = appendHeader(dst, TypeShareReply)
 	dst = binary.LittleEndian.AppendUint32(dst, probeID)
 	if !has || len(pc.Neighbors) == 0 {
-		dst = append(dst, 0)
-		dst = appendPoint(dst, geom.Point{})
-		return binary.LittleEndian.AppendUint32(dst, 0)
+		return appendShare(append(dst, 0), core.PeerCache{})
 	}
-	dst = append(dst, 1)
-	dst = appendPoint(dst, pc.QueryLoc)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pc.Neighbors)))
-	return appendNeighbors(dst, pc.Neighbors)
+	return appendShare(append(dst, 1), pc)
 }
 
 // AppendPeerShares appends an encoded aggregated relay reply to dst. Every
@@ -399,9 +391,7 @@ func AppendShareReply(dst []byte, probeID uint32, has bool, pc core.PeerCache) [
 func AppendPeerShares(dst []byte, ps PeerShares) []byte {
 	dst = AppendPeerSharesHeader(dst, ps.ReqID, ps.PeersInRange, len(ps.Shares))
 	for _, pc := range ps.Shares {
-		dst = appendPoint(dst, pc.QueryLoc)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pc.Neighbors)))
-		dst = appendNeighbors(dst, pc.Neighbors)
+		dst = appendShare(dst, pc)
 	}
 	return dst
 }
@@ -441,16 +431,15 @@ func getPoint(buf []byte, off int) geom.Point {
 // Message is a decoded wire message.
 type Message struct {
 	Type    byte
-	Cache   core.PeerCache // valid when Type == TypeCacheShare
-	Pos     geom.Point     // valid when Type == TypePosition
-	Query   Query          // valid when Type == TypeQuery
-	Range   RangeQuery     // valid when Type == TypeRange
-	Answer  Answer         // valid when Type == TypeAnswer
-	Err     ErrorMsg       // valid when Type == TypeError
-	PeerReq PeerRequest    // valid when Type == TypePeerRequest
-	ProbeID uint32         // valid when Type == TypePeerProbe
-	Share   ShareReply     // valid when Type == TypeShareReply
-	Shares  PeerShares     // valid when Type == TypePeerShares
+	Pos     geom.Point  // valid when Type == TypePosition
+	Query   Query       // valid when Type == TypeQuery
+	Range   RangeQuery  // valid when Type == TypeRange
+	Answer  Answer      // valid when Type == TypeAnswer
+	Err     ErrorMsg    // valid when Type == TypeError
+	PeerReq PeerRequest // valid when Type == TypePeerRequest
+	ProbeID uint32      // valid when Type == TypePeerProbe
+	Share   ShareReply  // valid when Type == TypeShareReply
+	Shares  PeerShares  // valid when Type == TypePeerShares
 }
 
 // PeekType validates the message header and returns the message type
@@ -477,10 +466,6 @@ func Decode(buf []byte) (Message, error) {
 		return Message{}, err
 	}
 	switch typ {
-	case TypeCacheRequest:
-		return Message{Type: TypeCacheRequest}, nil
-	case TypeCacheShare:
-		return decodeCacheShare(buf)
 	case TypePosition:
 		return decodePosition(buf)
 	case TypeQuery:
@@ -593,28 +578,19 @@ func decodeAnswer(buf []byte) (Message, error) {
 	if len(buf) < AnswerSize(0) {
 		return Message{}, ErrTruncated
 	}
-	off := headerSize
-	a := Answer{ReqID: binary.LittleEndian.Uint32(buf[off:])}
-	a.Pages = int64(binary.LittleEndian.Uint64(buf[off+4:]))
+	a := Answer{ReqID: binary.LittleEndian.Uint32(buf[headerSize:])}
+	a.Pages = int64(binary.LittleEndian.Uint64(buf[headerSize+4:]))
 	if a.Pages < 0 {
 		return Message{}, fmt.Errorf("%w: negative page count", ErrBadValue)
 	}
-	loc := getPoint(buf, off+12)
-	if !finite(loc) {
-		return Message{}, ErrBadFloat
-	}
-	off += 12 + pointSize
-	n := int(binary.LittleEndian.Uint32(buf[off:]))
-	if len(buf) != AnswerSize(n) {
-		return Message{}, ErrTruncated
-	}
-	// An answer's length is bounded by the exact-size check above (and by the
-	// k its Query may carry), not by the relayed-share cap.
-	neighbors, err := scanNeighbors(buf, off+4, loc, n, true, make([]core.POI, 0, n))
+	pc, _, end, _, err := scanShare(buf, answerBlockOff, true, nil)
 	if err != nil {
 		return Message{}, err
 	}
-	a.Cache = core.PeerCache{QueryLoc: loc, Neighbors: neighbors}
+	if end != len(buf) {
+		return Message{}, ErrTruncated
+	}
+	a.Cache = pc
 	return Message{Type: TypeAnswer, Answer: a}, nil
 }
 
@@ -643,49 +619,42 @@ func decodePeerProbe(buf []byte) (Message, error) {
 	return Message{Type: TypePeerProbe, ProbeID: binary.LittleEndian.Uint32(buf[headerSize:])}, nil
 }
 
-// scanShare walks one loc + count + neighbors share block at off, validating
-// finiteness, the neighbor cap, and the ascending-distance invariant. It
-// returns the block's query location, its neighbor count, and the offset
-// past it. With keep set the neighbors are also appended to arena (returned
-// grown); without it the walk only validates, which is all a relay that
-// forwards the block's bytes needs. Single validation path for every
-// relayed-share decoder and for ShareReplyBlock; a served Answer, whose
-// header differs, runs the same neighbor walk (scanNeighbors).
-func scanShare(buf []byte, off int, keep bool, arena []core.POI) (geom.Point, int, int, []core.POI, error) {
-	if len(buf) < off+pointSize+4 {
-		return geom.Point{}, 0, 0, arena, ErrTruncated
+// scanShare walks the share block at off: the one validation path for every
+// neighbor list the codec accepts, an Answer's, a ShareReply's and each of a
+// PeerShares'. It checks that the block lies within buf, that the location
+// and every neighbor are finite, that the count is at most
+// MaxShareNeighbors, and that the neighbors ascend in distance from the
+// location (ties in any order). It returns the block as a cache, its
+// neighbor count and the offset past it. With keep set the neighbors are
+// appended to arena (returned grown) and the cache's Neighbors alias the
+// appended region, capped so that appending to the arena later cannot write
+// through them; without it the walk only validates and the cache has no
+// neighbors, which is all a relay that forwards the block's bytes needs.
+func scanShare(buf []byte, off int, keep bool, arena []core.POI) (core.PeerCache, int, int, []core.POI, error) {
+	if len(buf) < off+shareBlockSize(0) {
+		return core.PeerCache{}, 0, 0, arena, ErrTruncated
 	}
 	loc := getPoint(buf, off)
 	if !finite(loc) {
-		return geom.Point{}, 0, 0, arena, ErrBadFloat
+		return core.PeerCache{}, 0, 0, arena, ErrBadFloat
 	}
 	n := int(binary.LittleEndian.Uint32(buf[off+pointSize:]))
 	if n > MaxShareNeighbors {
-		return geom.Point{}, 0, 0, arena, fmt.Errorf("%w: share carries %d neighbors", ErrBadValue, n)
+		return core.PeerCache{}, 0, 0, arena, fmt.Errorf("%w: share carries %d neighbors", ErrBadValue, n)
 	}
-	off += pointSize + 4
+	off += shareBlockSize(0)
 	if len(buf) < off+n*poiSize {
-		return geom.Point{}, 0, 0, arena, ErrTruncated
+		return core.PeerCache{}, 0, 0, arena, ErrTruncated
 	}
-	arena, err := scanNeighbors(buf, off, loc, n, keep, arena)
-	if err != nil {
-		return geom.Point{}, 0, 0, arena, err
-	}
-	return loc, n, off + n*poiSize, arena, nil
-}
-
-// scanNeighbors walks the n neighbors at off (the caller has checked that buf
-// holds them), validating finiteness and non-decreasing distance from loc;
-// with keep set they are appended to arena, which is returned.
-func scanNeighbors(buf []byte, off int, loc geom.Point, n int, keep bool, arena []core.POI) ([]core.POI, error) {
+	start := len(arena)
 	if keep {
 		arena = slices.Grow(arena, n)
 	}
 	prev := -1.0
-	for i := 0; i < n; i++ {
+	for range n {
 		p := getPoint(buf, off+8)
 		if !finite(p) {
-			return arena, ErrBadFloat
+			return core.PeerCache{}, 0, 0, arena, ErrBadFloat
 		}
 		// A served answer's ascending order is authoritative (ties in the
 		// server's index order) and relayed shares descend from answers;
@@ -693,7 +662,7 @@ func scanNeighbors(buf []byte, off int, loc geom.Point, n int, keep bool, arena 
 		// the PeerCache invariant intact.
 		d2 := loc.Dist2(p)
 		if d2 < prev {
-			return arena, ErrUnsorted
+			return core.PeerCache{}, 0, 0, arena, ErrUnsorted
 		}
 		prev = d2
 		if keep {
@@ -701,29 +670,17 @@ func scanNeighbors(buf []byte, off int, loc geom.Point, n int, keep bool, arena 
 		}
 		off += poiSize
 	}
-	return arena, nil
-}
-
-// decodeShareInto is scanShare keeping the neighbors: they are appended to
-// arena and the returned cache's Neighbors alias the appended region (capped,
-// so appending to the arena later cannot write through them).
-func decodeShareInto(buf []byte, off int, arena []core.POI) (core.PeerCache, int, []core.POI, error) {
-	start := len(arena)
-	loc, _, next, arena, err := scanShare(buf, off, true, arena)
-	if err != nil {
-		return core.PeerCache{}, 0, arena, err
+	pc := core.PeerCache{QueryLoc: loc}
+	if keep {
+		end := len(arena)
+		pc.Neighbors = arena[start:end:end]
 	}
-	end := len(arena)
-	return core.PeerCache{QueryLoc: loc, Neighbors: arena[start:end:end]}, next, arena, nil
+	return pc, n, off, arena, nil
 }
-
-// shareReplyBlockOff is where a ShareReply's share block starts: past the
-// header, the probe id and the has-cache flag.
-const shareReplyBlockOff = headerSize + 4 + 1
 
 // scanShareReply validates a ShareReply and returns it with its neighbor
-// count (0 for the canonical empty reply). With keep unset the cache is
-// validated but not materialised (r.Cache stays zero). Decode and
+// count (0 for the canonical empty reply). With keep unset the neighbors are
+// validated but not materialised (r.Cache.Neighbors stays nil). Decode and
 // ShareReplyBlock both run it, so they accept exactly the same messages.
 func scanShareReply(buf []byte, keep bool) (ShareReply, int, error) {
 	if len(buf) < ShareReplySize(0) {
@@ -743,20 +700,17 @@ func scanShareReply(buf []byte, keep bool) (ShareReply, int, error) {
 		}
 		return r, 0, nil
 	case 1:
-		loc, n, off, neighbors, err := scanShare(buf, shareReplyBlockOff, keep, nil)
+		pc, n, end, _, err := scanShare(buf, shareReplyBlockOff, keep, nil)
 		if err != nil {
 			return ShareReply{}, 0, err
 		}
-		if off != len(buf) {
+		if end != len(buf) {
 			return ShareReply{}, 0, ErrTruncated
 		}
 		if n == 0 {
 			return ShareReply{}, 0, fmt.Errorf("%w: share reply flagged non-empty with 0 neighbors", ErrBadValue)
 		}
-		r.Has = true
-		if keep {
-			r.Cache = core.PeerCache{QueryLoc: loc, Neighbors: neighbors[:n:n]}
-		}
+		r.Has, r.Cache = true, pc
 		return r, n, nil
 	default:
 		return ShareReply{}, 0, fmt.Errorf("%w: share flag %d", ErrBadValue, buf[headerSize+4])
@@ -773,9 +727,9 @@ func decodeShareReply(buf []byte) (Message, error) {
 
 // ShareReplyBlock validates a TypeShareReply message exactly as Decode does
 // — both run scanShareReply — but returns the share as wire bytes instead of
-// a decoded cache: block is the message's loc + count + neighbors region,
-// which is byte for byte the block AppendPeerShares emits for the same cache
-// (the encoding is canonical), so a relay forwards it behind
+// a decoded cache: block is the message's share block, byte for byte the
+// block AppendPeerShares emits for the same cache (appendShare writes both,
+// and the encoding is canonical), so a relay forwards it behind
 // AppendPeerSharesHeader without decoding or re-encoding. block aliases buf
 // and is nil for the empty reply (neighbors == 0).
 func ShareReplyBlock(buf []byte) (probeID uint32, neighbors int, block []byte, err error) {
@@ -836,22 +790,23 @@ func DecodePeerSharesInto(buf []byte, sc *SharesScratch) (PeerShares, error) {
 		PeersInRange: int(binary.LittleEndian.Uint32(buf[headerSize+4:])),
 	}
 	m := int(binary.LittleEndian.Uint32(buf[headerSize+8:]))
-	// Each share block is at least pointSize+4 bytes, so m is bounded by the
-	// message length before anything is allocated.
-	if m > (len(buf)-PeerSharesHeaderSize)/(pointSize+4) {
+	// Each share block is at least shareBlockSize(0) bytes, so m is bounded
+	// by the message length before anything is allocated.
+	if m > (len(buf)-PeerSharesHeaderSize)/shareBlockSize(0) {
 		return PeerShares{}, ErrTruncated
 	}
 	shares := sc.shares[:0]
 	arena := sc.arena[:0]
 	off := PeerSharesHeaderSize
-	for i := 0; i < m; i++ {
+	for range m {
 		var pc core.PeerCache
-		pc, off, arena, err = decodeShareInto(buf, off, arena)
+		var n int
+		pc, n, off, arena, err = scanShare(buf, off, true, arena)
 		if err != nil {
 			sc.arena = arena
 			return PeerShares{}, err
 		}
-		if len(pc.Neighbors) == 0 {
+		if n == 0 {
 			sc.arena = arena
 			return PeerShares{}, fmt.Errorf("%w: relayed share with 0 neighbors", ErrBadValue)
 		}
@@ -865,37 +820,6 @@ func DecodePeerSharesInto(buf []byte, sc *SharesScratch) (PeerShares, error) {
 		ps.Shares = shares
 	}
 	return ps, nil
-}
-
-func decodeCacheShare(buf []byte) (Message, error) {
-	if len(buf) < headerSize+pointSize+4 {
-		return Message{}, ErrTruncated
-	}
-	loc := getPoint(buf, headerSize)
-	if !finite(loc) {
-		return Message{}, ErrBadFloat
-	}
-	n := int(binary.LittleEndian.Uint32(buf[headerSize+pointSize:]))
-	if len(buf) != CacheShareSize(n) {
-		return Message{}, ErrTruncated
-	}
-	neighbors := make([]core.POI, n)
-	off := headerSize + pointSize + 4
-	for i := 0; i < n; i++ {
-		id := int64(binary.LittleEndian.Uint64(buf[off:]))
-		p := getPoint(buf, off+8)
-		if !finite(p) {
-			return Message{}, ErrBadFloat
-		}
-		neighbors[i] = core.POI{ID: id, Loc: p}
-		off += poiSize
-	}
-	// Re-sorting on decode keeps the PeerCache invariant even against a
-	// peer that serialized out of order.
-	return Message{
-		Type:  TypeCacheShare,
-		Cache: core.NewPeerCache(loc, neighbors),
-	}, nil
 }
 
 func finite(p geom.Point) bool {

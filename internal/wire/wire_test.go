@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -23,50 +24,25 @@ func samplePC(n int, rng *rand.Rand) core.PeerCache {
 	return core.NewPeerCache(geom.Pt(rng.Float64()*1e4, rng.Float64()*1e4), pois)
 }
 
-func TestCacheShareRoundTrip(t *testing.T) {
+// The priced air-interface cost is the share block's: a cache share is a
+// header and one block, the block the socket messages carry, so every
+// figure's comm_bytes_per_query moves with the wire format or not at all.
+func TestCacheShareSizeIsOneBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		pc := samplePC(n, rng)
-		buf := AppendCacheShare(nil, pc)
-		if len(buf) != CacheShareSize(n) {
-			t.Fatalf("n=%d: size %d, want %d", n, len(buf), CacheShareSize(n))
-		}
-		msg, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
-		}
-		if msg.Type != TypeCacheShare {
-			t.Fatalf("type = %d", msg.Type)
-		}
-		if !msg.Cache.QueryLoc.Eq(pc.QueryLoc) {
-			t.Errorf("query loc %v != %v", msg.Cache.QueryLoc, pc.QueryLoc)
-		}
-		if len(msg.Cache.Neighbors) != n {
-			t.Fatalf("neighbors %d, want %d", len(msg.Cache.Neighbors), n)
-		}
-		for i := range pc.Neighbors {
-			if msg.Cache.Neighbors[i].ID != pc.Neighbors[i].ID ||
-				!msg.Cache.Neighbors[i].Loc.Eq(pc.Neighbors[i].Loc) {
-				t.Fatalf("neighbor %d mismatch", i)
-			}
+	for _, n := range []int{0, 1, 20} {
+		if got, want := CacheShareSize(n), CacheRequestSize+len(appendShare(nil, samplePC(n, rng))); got != want {
+			t.Errorf("CacheShareSize(%d) = %d, want header + block = %d", n, got, want)
 		}
 	}
-}
-
-func TestCacheRequestRoundTrip(t *testing.T) {
-	buf := appendHeader(nil, TypeCacheRequest)
-	if len(buf) != CacheRequestSize {
-		t.Fatalf("size %d", len(buf))
-	}
-	msg, err := Decode(buf)
-	if err != nil || msg.Type != TypeCacheRequest {
-		t.Fatalf("decode: %v type %d", err, msg.Type)
+	// One share at the paper's C_Size of 20.
+	if got := CacheShareSize(20); got != 506 {
+		t.Errorf("CacheShareSize(20) = %d B, want 506", got)
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	valid := AppendCacheShare(nil, samplePC(3, rng))
+	valid := AppendAnswer(nil, sampleAnswer(1, 3, rng))
 	cases := []struct {
 		name string
 		buf  []byte
@@ -85,13 +61,22 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			b[5] = 77
 			return b
 		}(), ErrBadType},
+		// Type bytes 1 and 2 named the air-interface cache share and
+		// request, which no socket carries.
+		{"retired type 1", appendShare(appendHeader(nil, 1), samplePC(3, rng)), ErrBadType},
+		{"retired type 2", appendHeader(nil, 2), ErrBadType},
 		{"truncated payload", valid[:len(valid)-5], ErrTruncated},
 		{"extended payload", append(bytes.Clone(valid), 0), ErrTruncated},
 		{"count lies", func() []byte {
 			b := bytes.Clone(valid)
-			b[22] = 200 // count field far beyond actual data
+			b[answerBlockOff+pointSize] = 200 // count field far beyond actual data
 			return b
 		}(), ErrTruncated},
+		{"count beyond the cap", func() []byte {
+			b := bytes.Clone(valid)
+			binary.LittleEndian.PutUint32(b[answerBlockOff+pointSize:], MaxShareNeighbors+1)
+			return b
+		}(), ErrBadValue},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,55 +93,33 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 		QueryLoc:  geom.Pt(math.NaN(), 0),
 		Neighbors: []core.POI{{ID: 1, Loc: geom.Pt(1, 1)}},
 	}
-	if _, err := Decode(AppendCacheShare(nil, pc)); !errors.Is(err, ErrBadFloat) {
+	if _, err := Decode(AppendAnswer(nil, Answer{Cache: pc})); !errors.Is(err, ErrBadFloat) {
 		t.Errorf("NaN location accepted: %v", err)
 	}
 	pc2 := core.NewPeerCache(geom.Pt(0, 0), []core.POI{{ID: 1, Loc: geom.Pt(math.Inf(1), 0)}})
-	if _, err := Decode(AppendCacheShare(nil, pc2)); !errors.Is(err, ErrBadFloat) {
+	if _, err := Decode(AppendShareReply(nil, 1, true, pc2)); !errors.Is(err, ErrBadFloat) {
 		t.Errorf("Inf neighbor accepted: %v", err)
 	}
 }
 
-// Decoding must restore the PeerCache sorting invariant even if a peer sent
-// neighbors out of order (e.g. a buggy or adversarial implementation).
-func TestDecodeRestoresSortInvariant(t *testing.T) {
-	// Hand-craft an out-of-order message by encoding a cache whose struct
-	// was assembled without NewPeerCache.
-	pc := core.PeerCache{
-		QueryLoc: geom.Pt(0, 0),
-		Neighbors: []core.POI{
-			{ID: 1, Loc: geom.Pt(9, 0)},
-			{ID: 2, Loc: geom.Pt(1, 0)},
-		},
-	}
-	msg, err := Decode(AppendCacheShare(nil, pc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Cache.Neighbors[0].ID != 2 {
-		t.Error("decoded cache not re-sorted by distance")
-	}
-	if msg.Cache.Radius() != 9 {
-		t.Errorf("radius = %v", msg.Cache.Radius())
-	}
-}
-
-// Round-trip property over arbitrary finite caches.
+// Round-trip property over arbitrary finite caches, through the share block
+// every carrier shares.
 func TestRoundTripQuick(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		pc := samplePC(int(n%64), rng)
-		msg, err := Decode(AppendCacheShare(nil, pc))
+		buf := AppendAnswer(nil, Answer{Cache: pc})
+		msg, err := Decode(buf)
 		if err != nil {
 			return false
 		}
-		if len(msg.Cache.Neighbors) != len(pc.Neighbors) {
+		if len(msg.Answer.Cache.Neighbors) != len(pc.Neighbors) {
 			return false
 		}
-		if msg.Cache.Radius() != pc.Radius() {
+		if msg.Answer.Cache.Radius() != pc.Radius() {
 			return false
 		}
-		return true
+		return bytes.Equal(AppendAnswer(nil, msg.Answer), buf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -173,7 +136,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 			// Often plant a plausible header so the payload parser runs.
 			copy(buf[:4], "SENN")
 			buf[4] = 1
-			buf[5] = byte(1 + rng.Intn(7))
+			buf[5] = byte(1 + rng.Intn(int(TypePeerShares)))
 		}
 		func() {
 			defer func() {
@@ -383,27 +346,6 @@ func TestAnswerKeepsEqualDistanceOrder(t *testing.T) {
 	for i, want := range []int64{3, 8, 9} {
 		if msg.Answer.Cache.Neighbors[i].ID != want {
 			t.Fatalf("neighbor %d = %d, want %d (tie order not preserved)", i, msg.Answer.Cache.Neighbors[i].ID, want)
-		}
-	}
-}
-
-func BenchmarkAppendCacheShare(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pc := samplePC(20, rng)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		AppendCacheShare(nil, pc)
-	}
-}
-
-func BenchmarkDecodeCacheShare(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	buf := AppendCacheShare(nil, samplePC(20, rng))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

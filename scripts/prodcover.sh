@@ -2,8 +2,9 @@
 # prodcover.sh — the production functions the running system never runs.
 # Builds the four binaries with coverage over every repro package, runs the
 # workloads CI runs (the determinism job's figure invocations, one road-mode
-# senn-sim, serve-smoke's boot and load runs, ended by SIGTERM so the daemon
-# writes its counters) and the examples, and rewrites results/PRODCOVER.txt:
+# and one free-movement senn-sim, serve-smoke's boot and load runs, ended by
+# SIGTERM so the daemon writes its counters) and the examples, and rewrites
+# results/PRODCOVER.txt:
 # one line per function with zero hits, its non-production callers and its
 # disposition (scripts/prodcover/main.go says how each is decided). Standard
 # toolchain only; about a minute on 2 vCPUs. Uses port 8046.
@@ -33,6 +34,8 @@ x experiments -fig 17 -queries 400 -json "$work/out"
 x experiments -fig diskio -queries 300 -json "$work/out"
 x experiments -fig 13 -scale 1 -json "$work/out"
 x senn-sim -region riverside -hostscale 2
+# Free movement (mobility.Waypoints), the sim-query and sim-move worlds' mode.
+x senn-sim -region riverside -hostscale 2 -free
 
 # serve-smoke: boot, the sharing-off run (kNN + Range), the sharing-on run.
 x senn-serverd -mkstore "$work/pois.senp" -pois 50000 -clusters 16 -width 20000
