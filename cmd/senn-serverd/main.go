@@ -1,11 +1,11 @@
 // Command senn-serverd serves SENN spatial queries over the network: HTTP
-// for stats and health, WebSocket + the internal/wire binary protocol for
-// position updates and kNN/range queries, one session per connection, both
-// on one listener whose connections the daemon reads itself (it links no
-// net/http). The POI data set comes from an on-disk page-aligned store (see
-// internal/serve), which the daemon packs at boot into the same R*-tree the
-// in-process simulator builds — served answers are bit-identical to
-// ServerModule's, page counts included.
+// for stats and health, an upgraded query channel of length-prefixed
+// internal/wire messages for position updates and kNN/range queries, one
+// session per connection, both on one listener whose connections the daemon
+// reads itself (it links no net/http). The POI data set comes from an
+// on-disk page-aligned store (see internal/serve), which the daemon packs at
+// boot into the same R*-tree the in-process simulator builds — served
+// answers are bit-identical to ServerModule's, page counts included.
 //
 // Usage:
 //
@@ -116,8 +116,7 @@ func main() {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		// No new connection arrives once the listener is closed; Close
-		// tells each session the daemon is going away, ends the HTTP
-		// connections and waits for them all.
+		// closes every connection, session or HTTP, and waits for them all.
 		// The accept loop's error on a listener closed for shutdown is the
 		// expected one.
 		_ = ln.Close()
@@ -131,7 +130,7 @@ func main() {
 // deliver a request head, and how long a keep-alive connection may idle
 // before its next one. Without it a client that opens a socket and never
 // finishes its request line holds a goroutine and a descriptor forever; it
-// does not cover an admitted WebSocket, which may idle as long as it likes.
+// does not cover an admitted session, which may idle as long as it likes.
 const headTimeout = 5 * time.Second
 
 func makeStore(path string, n, fanout int, width float64, clusters int, seed int64) error {

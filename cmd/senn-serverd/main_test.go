@@ -18,7 +18,7 @@ import (
 // A client that opens a socket and never finishes its request must be cut
 // off at the handshake deadline instead of holding a goroutine and a
 // descriptor forever — whether the request line is an HTTP route's or the
-// query channel's, both of which the daemon reads itself — while a WebSocket
+// query channel's, both of which the daemon reads itself — while a session
 // that was admitted before the wait and idles through all of it keeps
 // working: the deadline covers the head only.
 func TestHalfWrittenRequestIsClosed(t *testing.T) {
@@ -89,7 +89,7 @@ func TestHalfWrittenRequestIsClosed(t *testing.T) {
 		}
 	}
 
-	// The WebSocket sat idle for the whole wait and must be unaffected.
+	// The session sat idle for the whole wait and must be unaffected.
 	if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: 1, K: 3, Loc: geom.Pt(500, 500)})); err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func TestHalfWrittenRequestIsClosed(t *testing.T) {
 	}
 	data, err := ws.ReadMessage()
 	if err != nil {
-		t.Fatalf("WebSocket idle for %v did not survive: %v", elapsed, err)
+		t.Fatalf("session idle for %v did not survive: %v", elapsed, err)
 	}
 	if msg, err := wire.Decode(data); err != nil || msg.Type != wire.TypeAnswer || len(msg.Answer.Cache.Neighbors) != 3 {
 		t.Fatalf("query after the idle got %+v, %v", msg, err)
 	}
 }
 
-// openSession dials the query WebSocket, which is the session.
+// openSession dials the query channel, which is the session.
 func openSession(t *testing.T, addr string) *serve.WSConn {
 	t.Helper()
 	ws, err := serve.DialWS("ws://" + addr + "/v1/ws")

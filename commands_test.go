@@ -38,15 +38,21 @@ func TestCommandPathsOutsideTheRecord(t *testing.T) {
 
 // senn-serverd answers its few HTTP routes itself (internal/serve/admit.go)
 // and links none of net/http's server, client, TLS or profiler code, which
-// was most of its executable and of its resident floor (DESIGN §16). One
+// was most of its executable and of its resident floor (DESIGN §16), nor the
+// crypto/rand and crypto/sha1 a WebSocket handshake needed, which brought 27
+// more packages of FIPS DRBG, AES-GCM, SHA-2/3 and math/big with them. One
 // stray import anywhere under it brings all of it back, so the link set is
 // fenced: a failure names the banned package and what imports it.
+// encoding/base64 stays linked: encoding/json imports it.
 func TestServerdLinksNoHTTPStack(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", "-f", "{{.ImportPath}} {{join .Imports \" \"}}", "./cmd/senn-serverd").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go list: %v\n%s", err, out)
 	}
-	banned := map[string][]string{"net/http": nil, "crypto/tls": nil, "net/http/pprof": nil, "runtime/pprof": nil}
+	banned := map[string][]string{
+		"net/http": nil, "crypto/tls": nil, "net/http/pprof": nil, "runtime/pprof": nil,
+		"crypto/rand": nil, "crypto/sha1": nil,
+	}
 	linked := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		pkg, imports, _ := strings.Cut(line, " ")

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"io"
+	"math"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -10,20 +12,21 @@ import (
 	"repro/internal/wire"
 )
 
-// How a session ended is counted once: a frame the framer or the decoder
-// refused is a protocol violation, a transport that ended without a close
-// handshake a reset, and an orderly close neither. A violation's session
-// reads the daemon's close to the end before it closes, so the refusal is
-// the only thing the daemon sees.
+// How a session ended is counted once: a message the daemon refused (a
+// length over the cap, bytes that do not decode) is a protocol violation, a
+// transport that failed or ended inside a message a reset, and a stream that
+// ended between messages neither. A violation's session reads the daemon's
+// refusal to the end before it closes, so the refusal is the only thing the
+// daemon sees.
 func TestSessionEndsAccounted(t *testing.T) {
-	rsv := clientFrame(true, opBinary, []byte{1})
-	rsv[0] |= 0x40
-	unmasked := clientFrame(true, opBinary, []byte{1})
-	unmasked[1] &^= 0x80
-	raw := func(frame []byte) func(*testing.T, *WSConn) {
+	// raw sends bytes and the end of the stream, then reads until the daemon
+	// closes: whatever it answered, then EOF.
+	raw := func(sent []byte) func(*testing.T, *WSConn) {
 		return func(t *testing.T, ws *WSConn) {
-			mustWrite(t, ws.conn, frame)
-			// Until the daemon closes: whatever it answered, then EOF.
+			mustWrite(t, ws.conn, sent)
+			if err := ws.conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := io.Copy(io.Discard, ws.conn); err != nil {
 				t.Fatal(err)
 			}
@@ -35,11 +38,16 @@ func TestSessionEndsAccounted(t *testing.T) {
 		violations, resets int64
 	}{
 		{"orderly close", func(t *testing.T, ws *WSConn) { ws.Close() }, 0, 0},
-		{"transport closed", func(t *testing.T, ws *WSConn) { ws.conn.Close() }, 0, 1},
-		{"malformed frame", raw(rsv), 1, 0},
-		{"unmasked client frame", raw(unmasked), 1, 0},
-		{"oversized message", raw(clientFrameHeader(true, opBinary, DefaultMaxMessage+1)), 1, 0},
-		{"undecodable message", raw(clientFrame(true, opBinary, []byte{0xff, 0x01, 0x02})), 1, 0},
+		{"transport reset", func(t *testing.T, ws *WSConn) {
+			if err := ws.conn.(*net.TCPConn).SetLinger(0); err != nil {
+				t.Fatal(err)
+			}
+			ws.Close()
+		}, 0, 1},
+		{"mid-message EOF", raw(frame(wire.AppendPosition(nil, geom.Pt(1, 1)))[:10]), 0, 1},
+		{"oversized length", raw(frameHeader(math.MaxUint32)), 1, 0},
+		{"oversized message", raw(frameHeader(DefaultMaxMessage + 1)), 1, 0},
+		{"undecodable message", raw(frame([]byte{0xff, 0x01, 0x02})), 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, srv := testServerHandle(t, 100, Options{})
@@ -52,6 +60,21 @@ func TestSessionEndsAccounted(t *testing.T) {
 				t.Fatalf("protocol_errors %d, conn_resets %d, write_timeouts %d; want %d, %d, 0", p, r, w, tc.violations, tc.resets)
 			}
 		})
+	}
+}
+
+// A message over the length cap is refused with ErrCodeTooLarge before its
+// payload is read, and the session is torn down.
+func TestOversizeRefusedTooLarge(t *testing.T) {
+	_, srv := testServerHandle(t, 100, Options{})
+	ws := openSession(t, srv)
+	defer ws.Close()
+	mustWrite(t, ws.conn, frameHeader(DefaultMaxMessage+1))
+	if msg := readDecoded(t, ws); msg.Type != wire.TypeError || msg.Err.Code != wire.ErrCodeTooLarge {
+		t.Fatalf("got %+v, want a too-large error", msg)
+	}
+	if _, err := ws.ReadMessage(); err != ErrConnClosed {
+		t.Fatalf("after the refusal read %v, want the session closed", err)
 	}
 }
 

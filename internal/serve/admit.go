@@ -2,26 +2,24 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha1"
-	"encoding/base64"
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"strings"
 	"time"
 )
 
 // The daemon speaks the little HTTP/1.1 it needs itself, straight off its
 // listener: each request head lands in the connection's own inline read
-// buffer, is judged in place and answered from there. GET /v1/ws is answered
-// 101 and the goroutine that read it becomes the session's; the other routes
-// (routeAllow) are answered on the connection, which then waits for its next
-// head. Nothing here links net/http, whose server, client, TLS and HTTP/2
-// code was most of the daemon's executable (DESIGN §16).
+// buffer, is judged in place and answered from there. GET /v1/ws upgrading
+// to senn/1 is answered 101 and the goroutine that read it becomes the
+// session's; the other routes (routeAllow) are answered on the connection,
+// which then waits for its next head. Nothing here links net/http, whose
+// server, client, TLS and HTTP/2 code was most of the daemon's executable
+// (DESIGN §16).
 
 // maxHead is the longest request head the daemon reads: every head is read
-// into the connection's inline read buffer (DialWS sends ≈ 170 B, Go's HTTP
+// into the connection's inline read buffer (DialWS sends ≈ 85 B, Go's HTTP
 // client ≈ 150 B, curl ≈ 90 B).
 const maxHead = firstReadSize
 
@@ -46,8 +44,6 @@ type head struct {
 	// end is the head's length, blank line included: set when the head was
 	// read to its end.
 	end int
-	// key is the first Sec-WebSocket-Key value: set when status is 101.
-	key []byte
 	// bodyless marks a HEAD request; close a client that asked the
 	// connection to end with this answer (Connection: close, or HTTP/1.0).
 	bodyless, close bool
@@ -72,9 +68,10 @@ func routeAllow(path []byte) (route, allow string) {
 
 // parseHead judges a request head by the rules net/http applied when it
 // served these routes: what http.ReadRequest and the server refused is
-// refused with their status, an admitted query-channel head carries both
-// Upgrade tokens, version 13 and a key. The parser is stricter than net/http
-// in four places: a folded header line and a request body (a
+// refused with their status. A query-channel head without an Upgrade
+// header or Connection's upgrade token is a 400, one whose Upgrade names no
+// senn/1 a 426, and one with both is admitted. The parser is stricter than
+// net/http in four places: a folded header line and a request body (a
 // Transfer-Encoding or a Content-Length other than 0) are a 400, a head
 // longer than maxHead a 431, and the path is matched byte for byte as sent,
 // so a target net/http would have decoded or refused is a 404. The Host
@@ -96,9 +93,7 @@ func parseHead(b []byte) head {
 	h.route, h.allow = routeAllow(path)
 	var (
 		hosts                 int
-		conn, upgrade         bool
-		version, key          []byte
-		haveVersion, haveKey  bool
+		conn, upgrade, senn   bool
 		bodyHeader, spaceName bool
 	)
 	for {
@@ -122,15 +117,8 @@ func parseHead(b []byte) head {
 			conn = conn || hasToken(value, "upgrade")
 			h.close = h.close || hasToken(value, "close")
 		case bytes.EqualFold(name, []byte("Upgrade")):
-			upgrade = upgrade || hasToken(value, "websocket")
-		case bytes.EqualFold(name, []byte("Sec-WebSocket-Version")):
-			if !haveVersion {
-				version, haveVersion = value, true
-			}
-		case bytes.EqualFold(name, []byte("Sec-WebSocket-Key")):
-			if !haveKey {
-				key, haveKey = value, true
-			}
+			upgrade = upgrade || len(value) > 0
+			senn = senn || hasToken(value, upgradeToken)
 		case bytes.EqualFold(name, []byte("Content-Length")):
 			bodyHeader = bodyHeader || string(value) != "0"
 		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
@@ -153,12 +141,10 @@ func parseHead(b []byte) head {
 		h.status = 200
 	case !conn || !upgrade:
 		h.status = 400
-	case string(version) != "13":
+	case !senn:
 		h.status = 426
-	case len(key) == 0:
-		h.status = 400
 	default:
-		h.status, h.key = 101, key
+		h.status = 101
 	}
 	return h
 }
@@ -276,9 +262,9 @@ func (s *Server) Serve(ln net.Listener, headTimeout time.Duration) error {
 	}
 }
 
-// acceptResponse is the 101 that admits a handshake, up to its accept key.
+// acceptResponse is the 101 that admits a handshake.
 const acceptResponse = "HTTP/1.1 101 Switching Protocols\r\n" +
-	"Upgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Accept: "
+	"Upgrade: " + upgradeToken + "\r\nConnection: Upgrade\r\n\r\n"
 
 // admit answers ws's requests until one opens the query channel, which it
 // answers 101 with whatever followed that head left unread for the session:
@@ -296,10 +282,9 @@ func (s *Server) admit(ws *WSConn, timeout time.Duration) bool {
 			abortConn(ws.conn)
 			return false
 		case h.status == 101:
-			ws.pending = slices.Grow(ws.pending[:0], len(acceptResponse)+base64.StdEncoding.EncodedLen(sha1.Size)+len("\r\n\r\n"))
-			ws.pending = append(appendAcceptKey(append(ws.pending, acceptResponse...), h.key), "\r\n\r\n"...)
+			ws.pending = append(ws.pending[:0], acceptResponse...)
 			ws.unread = ws.first[h.end:m]
-			if ws.conn.SetReadDeadline(time.Time{}) != nil || ws.Flush() != nil {
+			if ws.conn.SetReadDeadline(time.Time{}) != nil || ws.flush() != nil {
 				abortConn(ws.conn)
 				return false
 			}
@@ -313,7 +298,7 @@ func (s *Server) admit(ws *WSConn, timeout time.Duration) bool {
 			closeAfter(ws)
 			return false
 		}
-		if ws.Flush() != nil {
+		if ws.flush() != nil {
 			abortConn(ws.conn)
 			return false
 		}
@@ -331,7 +316,7 @@ func (s *Server) appendAnswer(dst []byte, h head) []byte {
 	case h.status == 405:
 		extra = "Allow: " + h.allow + "\r\n"
 	case h.status == 426:
-		extra = "Sec-WebSocket-Version: 13\r\n"
+		extra = "Upgrade: " + upgradeToken + "\r\n"
 	case h.status != 200:
 	case h.route == "/v1/stats":
 		contentType, body = "application/json", s.statsJSON()
@@ -360,7 +345,7 @@ func (s *Server) appendAnswer(dst []byte, h head) []byte {
 func closeAfter(ws *WSConn) {
 	// The last answer is a courtesy to a client whose connection is being
 	// closed either way; a failed write has closed it already.
-	_ = ws.Flush()
+	_ = ws.flush()
 	if cw, ok := ws.conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
 		// Draining ends at the client's close, the deadline or any error alike.
 		_, _ = io.Copy(io.Discard, ws.conn)

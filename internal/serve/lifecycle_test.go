@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strings"
 	"syscall"
@@ -18,46 +18,41 @@ import (
 	"repro/internal/wire"
 )
 
-// dialRaw opens a session's WebSocket on a bare TCP connection, writing the
-// opening handshake and the given client frames in ONE write — one TCP
-// segment on loopback — so the frames reach the server inside its read of
-// the request head and have to be kept as the session's first unread bytes.
-// It returns a client WSConn over the connection.
-func dialRaw(srv *testHTTP, frames ...[]byte) (*WSConn, error) {
+// dialRaw opens a session's query channel on a bare TCP connection, writing
+// the upgrade and the given messages in ONE write — one TCP segment on
+// loopback — so the messages reach the server inside its read of the
+// request head and have to be kept as the session's first unread bytes. It
+// returns a client WSConn over the connection, its replies due within
+// sessionReadTimeout.
+func dialRaw(srv *testHTTP, msgs ...[]byte) (*WSConn, error) {
 	addr := strings.TrimPrefix(srv.URL, "http://")
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	const key = "dGhlIHNhbXBsZSBub25jZQ=="
-	out := []byte("GET /v1/ws HTTP/1.1\r\n" +
-		"Host: " + addr + "\r\n" +
-		"Upgrade: websocket\r\n" +
-		"Connection: Upgrade\r\n" +
-		"Sec-WebSocket-Key: " + key + "\r\n" +
-		"Sec-WebSocket-Version: 13\r\n\r\n")
-	for _, f := range frames {
-		out = append(out, clientFrame(true, opBinary, f)...)
+	out := appendUpgradeRequest(nil, &url.URL{Scheme: "ws", Host: addr, Path: "/v1/ws"})
+	for _, m := range msgs {
+		out = append(out, frame(m)...)
 	}
 	if _, err := conn.Write(out); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	ws := newWSConn(conn)
-	if err := ws.readSwitch(key); err != nil {
+	ws := &WSConn{conn: conn, client: true, writeTimeout: dialWriteTimeout}
+	if err := ws.readSwitch(); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return ws, nil
+	return ws, ws.SetReadDeadline(time.Now().Add(sessionReadTimeout))
 }
 
 // A client that does not wait for the 101 before sending — handshake and
-// first frames in one segment — is served: the bytes read behind the
+// first messages in one segment — is served: the bytes read behind the
 // request head are the session's first unread bytes.
 func TestFramesPipelinedBehindHandshakeAreServed(t *testing.T) {
 	_, srv := testServerHandle(t, 500, Options{})
 	pos := geom.Pt(4000, 4000)
-	// Enough pipelined frames to overflow the inline read buffer, so some
+	// Enough pipelined messages to overflow the inline read buffer, so some
 	// arrive in the head's read and the rest in the session's own reads.
 	frames := [][]byte{wire.AppendPosition(nil, pos)}
 	const queries = 12
@@ -139,9 +134,10 @@ func TestDisconnectReturnsToBaseline(t *testing.T) {
 
 	for i, c := range conns {
 		if i%2 == 0 {
-			c.Close() // orderly close handshake
+			c.Close() // between messages
 		} else {
-			c.conn.Close() // abrupt transport death
+			c.conn.(*net.TCPConn).SetLinger(0) // a reset
+			c.conn.Close()
 		}
 	}
 	waitFor(t, "active_conns to drain", func() bool { return s.stat.activeConns.Load() == 0 })
@@ -158,11 +154,11 @@ func TestDisconnectReturnsToBaseline(t *testing.T) {
 	}
 }
 
-// Close is what a restart owes its clients: every attached connection reads a
-// 1001 (going away) close frame — not a reset, which is what process exit
-// after http.Server.Shutdown alone gives a connection it never served — and when
-// Close returns the connection goroutines are gone, a pending relay with
-// them. A connection arriving afterwards is turned away the same way.
+// Close is what a restart owes its clients: every attached connection reads
+// what was sent to it and then the end of the stream, between messages —
+// not a reset — and when Close returns the connection goroutines are gone,
+// a pending relay with them. A connection arriving afterwards is turned
+// away the same way, after its 101.
 func TestCloseDrainsAttachedConnections(t *testing.T) {
 	s, srv := testServerHandle(t, 500, Options{RelayTimeout: time.Hour})
 	http.DefaultClient.CloseIdleConnections()
@@ -195,38 +191,35 @@ func TestCloseDrainsAttachedConnections(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
 
-	// The next frame on every client is the close, status 1001, then EOF.
-	expectGoingAway := func(name string, ws *WSConn) {
+	// Every client reads the probes conn 0's relay sent before the drain,
+	// if any, and then the end of the stream.
+	expectClosed := func(name string, ws *WSConn) {
 		t.Helper()
 		if err := ws.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
 		for {
-			_, op, n, err := ws.readFrame(0)
+			msg, err := ws.ReadMessage()
+			if err == ErrConnClosed {
+				return
+			}
 			if err != nil {
-				t.Fatalf("%s: read %v, want a close frame", name, err)
+				t.Fatalf("%s: read %v, want the stream to end between messages", name, err)
 			}
-			if op == opBinary {
-				continue // the probes conn 0's relay sent before the drain
+			if typ, _ := wire.PeekType(msg); typ != wire.TypePeerProbe {
+				t.Fatalf("%s: read a type-%d message, want a probe or the end", name, typ)
 			}
-			if op != opClose || n != 2 || ws.payload[0] != 0x03 || ws.payload[1] != 0xE9 {
-				t.Fatalf("%s: frame op %#x payload %x, want close 1001", name, op, ws.payload[:n])
-			}
-			break
-		}
-		if _, _, _, err := ws.readFrame(0); !errors.Is(err, io.EOF) {
-			t.Fatalf("%s: after the close frame read %v, want EOF", name, err)
 		}
 	}
 	for i, ws := range conns {
-		expectGoingAway(fmt.Sprintf("conn %d", i), ws)
+		expectClosed(fmt.Sprintf("conn %d", i), ws)
 	}
 	lateWS, err := tryOpenSession(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lateWS.conn.Close()
-	expectGoingAway("late conn", lateWS)
+	expectClosed("late conn", lateWS)
 	if st := fetchStats(t, srv); st.ActiveConns != 0 || st.ProtoErrors != 0 {
 		t.Fatalf("stats after the drain: %+v", st)
 	}

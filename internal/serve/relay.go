@@ -93,10 +93,9 @@ var relayTargetPool = sync.Pool{
 	New: func() any { s := make([]*session, 0, 64); return &s },
 }
 
-// relayBufPool recycles relay encode buffers (probe frames and the empty
-// zero-peer PeerShares). The batched and immediate writers both copy the
-// payload into the connection's own buffer before returning, so recycling is
-// safe.
+// relayBufPool recycles relay encode buffers (probe messages and the empty
+// zero-peer PeerShares). The writer copies the payload into the connection's
+// own buffer before returning, so recycling is safe.
 var relayBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 256); return &b },
 }
@@ -162,7 +161,7 @@ func (s *Server) startRelay(reqSess *session, req wire.PeerRequest) error {
 		relayTargetPool.Put(tp)
 		bp := relayBufPool.Get().(*[]byte)
 		buf := wire.AppendPeerShares((*bp)[:0], wire.PeerShares{ReqID: req.ReqID})
-		err := reqSess.conn.WriteBinaryBatched(buf)
+		err := reqSess.conn.WriteBinary(buf)
 		*bp = buf
 		relayBufPool.Put(bp)
 		return err
@@ -314,9 +313,6 @@ func (s *Server) deliverRelay(pr *pendingRelay) {
 	// final: appending to agg[:0] lands on the same PeerSharesHeaderSize
 	// bytes and leaves the forwarded blocks behind them untouched.
 	wire.AppendPeerSharesHeader(pr.agg[:0], pr.reqID, pr.peersInRange, pr.nShares)
-	// An immediate write, not a batched one: delivery often runs on a peer's
-	// connection goroutine, and the requester's own reader is blocked
-	// waiting for exactly this message — it cannot flush its own batch.
 	// A failed delivery means the requester's transport died; its serveConn
 	// observes and accounts that on its next read.
 	_ = pr.reqConn.WriteBinary(pr.agg)

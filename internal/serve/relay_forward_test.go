@@ -32,24 +32,17 @@ func (c *sinkConn) Write(p []byte) (int, error) {
 
 func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
-// serverFrames splits the unmasked frames a server-side WSConn wrote into
-// their payloads.
+// serverFrames splits the messages a WSConn wrote into their payloads.
 func serverFrames(t *testing.T, raw []byte) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for len(raw) > 0 {
-		if len(raw) < 2 || raw[0] != 0x80|opBinary || raw[1]&0x80 != 0 {
-			t.Fatalf("not a whole unmasked binary frame: % x…", raw[:min(len(raw), 8)])
+		if len(raw) < lenSize || len(raw)-lenSize < int(binary.LittleEndian.Uint32(raw)) {
+			t.Fatalf("not a whole message: % x…", raw[:min(len(raw), 8)])
 		}
-		n, hdr := int(raw[1]), 2
-		switch n {
-		case 126:
-			n, hdr = int(binary.BigEndian.Uint16(raw[2:])), 4
-		case 127:
-			n, hdr = int(binary.BigEndian.Uint64(raw[2:])), 10
-		}
-		out = append(out, raw[hdr:hdr+n])
-		raw = raw[hdr+n:]
+		n := int(binary.LittleEndian.Uint32(raw))
+		out = append(out, raw[lenSize:lenSize+n])
+		raw = raw[lenSize+n:]
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"maps"
 	"net"
 	"runtime/metrics"
@@ -37,8 +36,8 @@ type Options struct {
 }
 
 // Server is the network face of the remote spatial database: HTTP for
-// statistics and health, WebSocket + internal/wire binary messages for the
-// query channel, one session per connection, all on one listener (Serve).
+// statistics and health, length-prefixed internal/wire binary messages for
+// the query channel, one session per connection, all on one listener (Serve).
 // All query traffic funnels into a sim.SnapshotQuerier over the shared
 // read-only R*-tree, so any number of connection goroutines serve
 // concurrently.
@@ -50,10 +49,9 @@ type Server struct {
 	indexBuild   time.Duration
 
 	mu sync.Mutex
-	// conns are the connections with a running runConn, counted by connWG,
-	// each marked true once admitted as a session; once closed is set
-	// (Close) no further one is tracked or admitted.
-	conns  map[*WSConn]bool
+	// conns are the connections with a running runConn, counted by connWG;
+	// once closed is set (Close) no further one is tracked or admitted.
+	conns  map[*WSConn]struct{}
 	closed bool
 	connWG sync.WaitGroup
 
@@ -69,9 +67,9 @@ type Server struct {
 		positions   atomic.Int64
 		queries     atomic.Int64
 		ranges      atomic.Int64
-		// What the daemon refused, the sessions that ended without a close
-		// handshake (accountEnd) and the connections a missed write
-		// deadline closed (runConn).
+		// What the daemon refused, the sessions whose transport failed or
+		// ended inside a message (accountEnd) and the connections a missed
+		// write deadline closed (runConn).
 		protoErrors   atomic.Int64
 		connResets    atomic.Int64
 		writeTimeouts atomic.Int64
@@ -135,7 +133,7 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		bounds:       bounds,
 		storeRead:    opts.StoreRead,
 		indexBuild:   opts.IndexBuild,
-		conns:        make(map[*WSConn]bool),
+		conns:        make(map[*WSConn]struct{}),
 		dir:          newSessionDirectory(bounds, 0),
 	}
 	return s
@@ -172,26 +170,21 @@ func poiBounds(pois []core.POI) geom.Rect {
 // 1-III(j) moves that caller to a plain dial and deletes the route.
 const sessionShimBody = "{\n  \"session\": \"0\"\n}\n"
 
-// Close drains the server for a restart: it admits no further session, ends
-// every open one with a 1001 (going away) close frame, closes every
-// connection that is between HTTP requests or inside one, and waits for the
-// connection goroutines to finish, or for ctx. A connection accepted later
-// gets one HTTP answer with Connection: close, or a 101 and then the 1001.
-// Close leaves the listener to its owner: close it first, and Serve returns.
+// Close drains the server for a restart: it admits no further session,
+// closes every connection, session or HTTP alike, and waits for the
+// connection goroutines to finish, or for ctx. Closing unblocks a write
+// wedged on a peer that stopped reading, so no connection holds the drain.
+// A connection accepted later gets one HTTP answer with Connection: close,
+// or a 101 and then the close. Close leaves the listener to its owner:
+// close it first, and Serve returns.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	conns := maps.Clone(s.conns)
 	s.mu.Unlock()
-	for ws, session := range conns {
-		if ctx.Err() != nil {
-			break
-		}
-		if session {
-			ws.goingAway()
-		} else {
-			abortConn(ws.conn)
-		}
+	for ws := range conns {
+		// The drain needs the connection gone, not word of how it went.
+		_ = ws.Close()
 	}
 	done := make(chan struct{})
 	go func() {
@@ -216,11 +209,11 @@ func (s *Server) draining() bool {
 // runConn owns one accepted connection from its first request head to its
 // teardown: it answers HTTP requests (admit) until one opens the query
 // channel, then serves that session on the same goroutine until the
-// transport ends (peer close, protocol error, write failure, Close). A
-// connection admitted after Close began gets the 1001 close instead. Every
+// transport ends (peer close, refused message, write failure, Close). A
+// connection admitted after Close began is closed after its 101. Every
 // write to the connection is bounded by the relay timeout.
 func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
-	ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true, writeTimeout: s.relayTimeout}
+	ws := &WSConn{conn: conn, writeTimeout: s.relayTimeout}
 	// Counted once the connection is closed, after which no write to it can
 	// reach its deadline.
 	defer func() {
@@ -231,7 +224,7 @@ func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
 	s.mu.Lock()
 	tracked := !s.closed
 	if tracked {
-		s.conns[ws] = false
+		s.conns[ws] = struct{}{}
 		s.connWG.Add(1)
 	}
 	s.mu.Unlock()
@@ -246,14 +239,8 @@ func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
 	if !s.admit(ws, headTimeout) {
 		return
 	}
-	s.mu.Lock()
-	closed := s.closed
-	if !closed {
-		s.conns[ws] = true
-	}
-	s.mu.Unlock()
-	if closed {
-		ws.goingAway()
+	if !tracked {
+		abortConn(conn)
 		return
 	}
 	s.stat.activeConns.Add(1)
@@ -264,40 +251,39 @@ func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
 	s.accountEnd(ws, s.serveConn(sess))
 }
 
-// accountEnd counts what ended a session, err being serveConn's: a frame the
-// framer refused is a protocol violation, and a transport that ended without
-// a close handshake a reset. An orderly close, a refusal serveConn already
-// counted (nil), a transport the write deadline closed (runConn counts it)
-// and the drain are neither.
+// accountEnd counts what ended a session, err being serveConn's: a
+// transport that failed, or ended inside a message, is a reset. A stream
+// that ended between messages, a refusal serveConn already counted (nil), a
+// transport the write deadline closed (runConn counts it) and the drain are
+// not.
 func (s *Server) accountEnd(ws *WSConn, err error) {
-	switch {
-	case errors.Is(err, ErrProtocol) || errors.Is(err, ErrTooLarge):
-		s.stat.protoErrors.Add(1)
-	case err == nil || err == ErrConnClosed || ws.writeTimedOut.Load() || s.draining():
-	default:
+	if err != nil && err != ErrConnClosed && !ws.writeTimedOut.Load() && !s.draining() {
 		s.stat.connResets.Add(1)
 	}
 }
 
 // serveConn runs one connection's read-dispatch-answer loop until a read or
-// a write fails, and returns that error; nil when it refused a malformed
-// message, which it has counted. The scratch slice and the encode buffer keep
+// a write fails, and returns that error; nil when it refused a message,
+// which it has counted. The scratch slice and the encode buffer keep
 // steady-state kNN and range serving allocation-free: results land in
 // scratch, answers are encoded append-style into encBuf and handed to the
-// batched writer, which copies into the connection's pending buffer before
-// returning.
+// writer, which copies them into the connection's write buffer.
 func (s *Server) serveConn(sess *session) error {
 	ws := sess.conn
 	var scratch []core.POI
 	var encBuf []byte
 	for {
 		data, err := ws.ReadMessage()
+		if err == ErrTooLarge {
+			s.rejectFrame(ws, encBuf[:0], wire.ErrCodeTooLarge)
+			return nil
+		}
 		if err != nil {
 			return err
 		}
 		typ, err := wire.PeekType(data)
 		if err != nil {
-			s.rejectFrame(ws, encBuf[:0])
+			s.rejectFrame(ws, encBuf[:0], wire.ErrCodeBadRequest)
 			return nil
 		}
 		switch typ {
@@ -306,7 +292,7 @@ func (s *Server) serveConn(sess *session) error {
 			// it does not alias data past this iteration (the next
 			// ReadMessage overwrites it).
 			if s.handleShareReply(sess, data) != nil {
-				s.rejectFrame(ws, encBuf[:0])
+				s.rejectFrame(ws, encBuf[:0], wire.ErrCodeBadRequest)
 				return nil
 			}
 			continue
@@ -324,7 +310,7 @@ func (s *Server) serveConn(sess *session) error {
 		// Decode refuses.
 		msg, err := wire.Decode(data)
 		if err != nil {
-			s.rejectFrame(ws, encBuf[:0])
+			s.rejectFrame(ws, encBuf[:0], wire.ErrCodeBadRequest)
 			return nil
 		}
 		switch msg.Type {
@@ -351,7 +337,7 @@ func (s *Server) serveConn(sess *session) error {
 				Cache: core.PeerCache{QueryLoc: q.Loc, Neighbors: scratch},
 			}
 			encBuf = wire.AppendAnswer(encBuf[:0], ans)
-			if err := ws.WriteBinaryBatched(encBuf); err != nil {
+			if err := ws.WriteBinary(encBuf); err != nil {
 				return err
 			}
 		case wire.TypeRange:
@@ -374,7 +360,7 @@ func (s *Server) serveConn(sess *session) error {
 				Cache: core.PeerCache{QueryLoc: rq.Loc, Neighbors: scratch},
 			}
 			encBuf = wire.AppendAnswer(encBuf[:0], ans)
-			if err := ws.WriteBinaryBatched(encBuf); err != nil {
+			if err := ws.WriteBinary(encBuf); err != nil {
 				return err
 			}
 		case wire.TypePeerRequest:
@@ -385,14 +371,15 @@ func (s *Server) serveConn(sess *session) error {
 	}
 }
 
-// rejectFrame accounts and reports garbage framing inside a valid WebSocket
-// message, encoding the report into buf; the caller then tears the
-// connection down — strict, like a WebSocket protocol violation.
-func (s *Server) rejectFrame(ws *WSConn, buf []byte) {
+// rejectFrame accounts and reports a message the daemon refuses — one over
+// the length cap (ErrCodeTooLarge) or one that is not a valid request
+// (ErrCodeBadRequest) — encoding the report into buf; the caller then tears
+// the connection down.
+func (s *Server) rejectFrame(ws *WSConn, buf []byte, code uint32) {
 	s.stat.protoErrors.Add(1)
 	// Best effort: the connection is torn down whether or not the report
 	// reaches the client.
-	_ = ws.WriteBinary(wire.AppendError(buf, wire.ErrorMsg{Code: wire.ErrCodeBadRequest}))
+	_ = ws.WriteBinary(wire.AppendError(buf, wire.ErrorMsg{Code: code}))
 }
 
 // Stats is the /v1/stats document. Sessions and ActiveConns are both the
@@ -408,11 +395,11 @@ type Stats struct {
 	Positions    int64   `json:"positions"`
 	Queries      int64   `json:"queries"`
 	RangeQueries int64   `json:"range_queries"`
-	// ProtoErrors counts what the daemon refused: a frame the framer or a
+	// ProtoErrors counts what the daemon refused: a length over the cap, a
 	// message the decoder rejects, an unsupported type, a k over the limit;
-	// ConnResets sessions whose transport ended without a close handshake
-	// (a reset, a bare EOF); WriteTimeouts connections a write missed its
-	// deadline on (Options.RelayTimeout), which closed them.
+	// ConnResets sessions whose transport failed (a reset) or ended inside a
+	// message; WriteTimeouts connections a write missed its deadline on
+	// (Options.RelayTimeout), which closed them.
 	ProtoErrors   int64 `json:"protocol_errors"`
 	ConnResets    int64 `json:"conn_resets"`
 	WriteTimeouts int64 `json:"write_timeouts"`

@@ -86,7 +86,12 @@ func testServer(t *testing.T, nPOIs int, opts Options) (*testHTTP, *sim.ServerMo
 	return srv, s.querier.Module()
 }
 
-// openSession dials the query WebSocket, which is the session.
+// sessionReadTimeout bounds every read on a test session from its dial, so
+// a reply that never comes fails the test instead of hanging it; a test
+// that needs another deadline sets its own.
+const sessionReadTimeout = 30 * time.Second
+
+// openSession dials the query channel, which is the session.
 func openSession(t *testing.T, srv *testHTTP) *WSConn {
 	t.Helper()
 	ws, err := tryOpenSession(srv)
@@ -97,7 +102,11 @@ func openSession(t *testing.T, srv *testHTTP) *WSConn {
 }
 
 func tryOpenSession(srv *testHTTP) (*WSConn, error) {
-	return DialWS(wsURL(srv) + "/v1/ws")
+	ws, err := DialWS(wsURL(srv) + "/v1/ws")
+	if err != nil {
+		return nil, err
+	}
+	return ws, ws.SetReadDeadline(time.Now().Add(sessionReadTimeout))
 }
 
 // The acceptance bar for the whole server: a served kNN answer must be the
@@ -196,12 +205,6 @@ func TestFailedWriteEndsSession(t *testing.T) {
 	query := func(k int) []byte {
 		return wire.AppendQuery(nil, wire.Query{ReqID: 1, K: k, Loc: geom.Pt(5000, 5000)})
 	}
-	// An answer frame just short of the flush threshold, so the next reply
-	// queued behind it is the one that flushes.
-	short := 1
-	for 4+wire.AnswerSize(short+1) < flushThreshold {
-		short++
-	}
 	cases := []struct {
 		name    string
 		script  [][]byte
@@ -211,18 +214,18 @@ func TestFailedWriteEndsSession(t *testing.T) {
 		{"range answer", [][]byte{wire.EncodeRange(wire.RangeQuery{ReqID: 1, Loc: geom.Pt(5000, 5000), Radius: 6000})}, 0},
 		{"k over the limit", [][]byte{query(600)}, 0},
 		{"unsupported message", [][]byte{wire.AppendAnswer(nil, wire.Answer{})}, 0},
-		{"empty PeerShares", [][]byte{query(short), wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: 2, Loc: geom.Pt(5000, 5000), Radius: 100})}, 1},
+		{"empty PeerShares", [][]byte{wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: 2, Loc: geom.Pt(5000, 5000), Radius: 100})}, 0},
 	}
 	for _, tc := range cases {
 		var in []byte
 		for _, m := range append(tc.script, query(1)) {
-			in = append(in, clientFrame(true, opBinary, m)...)
+			in = append(in, frame(m)...)
 		}
 		if len(in) > firstReadSize {
 			t.Fatalf("%s: script of %d bytes does not arrive in one read", tc.name, len(in))
 		}
 		s := NewServer(mod, Options{})
-		ws := &WSConn{conn: &scriptConn{in: bytes.NewReader(in)}, maxMsg: DefaultMaxMessage, batch: true}
+		ws := &WSConn{conn: &scriptConn{in: bytes.NewReader(in)}}
 		s.serveConn(&session{conn: ws})
 		if got := s.stat.queries.Load(); got != tc.queries {
 			t.Errorf("%s: %d kNN queries served, want %d: the session went on after its write failed", tc.name, got, tc.queries)
@@ -467,8 +470,8 @@ func TestPeerMessagesUnsupported(t *testing.T) {
 	}
 }
 
-// Malformed wire bytes inside a valid WebSocket frame tear the connection
-// down after an error reply.
+// A message whose wire bytes do not decode tears the connection down after
+// an error reply.
 func TestGarbagePayloadClosesConn(t *testing.T) {
 	srv, _ := testServer(t, 100, Options{})
 	for _, tc := range []struct {
@@ -483,11 +486,6 @@ func TestGarbagePayloadClosesConn(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := openSession(t, srv)
 			defer ws.Close()
-			// A frame the daemon took for a request it answers nothing to
-			// fails here instead of hanging.
-			if err := ws.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-				t.Fatal(err)
-			}
 			if err := ws.WriteBinary(tc.payload); err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net"
 	"os"
@@ -57,6 +58,33 @@ func (c *watchedConn) Write(p []byte) (int, error) {
 	c.writing.Store(true)
 	defer c.writing.Store(false)
 	return c.Conn.Write(p)
+}
+
+// flood sends 64 512-NN queries on ws, whose answers of ~12 KB each fill
+// both sockets' buffers when nobody reads them.
+func flood(t *testing.T, ws *WSConn, loc geom.Point) {
+	t.Helper()
+	for i := range 64 {
+		if err := ws.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: uint32(100 + i), K: 512, Loc: loc})); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// waitWedged waits until a daemon write on c has been blocked for 100 ms.
+func waitWedged(t *testing.T, c *watchedConn) {
+	t.Helper()
+	var since time.Time
+	waitFor(t, "the daemon's write to block", func() bool {
+		if !c.writing.Load() {
+			since = time.Time{}
+			return false
+		}
+		if since.IsZero() {
+			since = time.Now()
+		}
+		return time.Since(since) > 100*time.Millisecond
+	})
 }
 
 // servedWithin streams pos and a query on ws and fails unless the answer
@@ -182,26 +210,10 @@ func TestWedgedPeerIsolation(t *testing.T) {
 		}
 	}
 
-	// The flood: 512-NN answers of ~12 KB each fill both sockets' buffers.
-	for i := range 64 {
-		if err := a.WriteBinary(wire.AppendQuery(nil, wire.Query{ReqID: uint32(100 + i), K: 512, Loc: aPos})); err != nil {
-			t.Fatal(err)
-		}
-	}
+	flood(t, a, aPos)
 	// Blocked for 100 ms: the write's deadline passes at least that long
 	// before B's relay could time out.
-	aSrv := ln.conn(0)
-	var since time.Time
-	waitFor(t, "the daemon's write to A to block", func() bool {
-		if !aSrv.writing.Load() {
-			since = time.Time{}
-			return false
-		}
-		if since.IsZero() {
-			since = time.Now()
-		}
-		return time.Since(since) > 100*time.Millisecond
-	})
+	waitWedged(t, ln.conn(0))
 
 	// B scans the directory, finds A and waits to write its probe.
 	bSent := time.Now()
@@ -260,4 +272,40 @@ func TestWedgedPeerIsolation(t *testing.T) {
 		t.Fatalf("A's connection still open after its write deadline: %v", err)
 	}
 	waitFor(t, "goroutines to return to baseline less A's and D1's", func() bool { return runtime.NumGoroutine() <= baseline-2 })
+}
+
+// Close does not wait on a session that stopped reading: closing the
+// transport unblocks the daemon's write wedged on it, so the drain ends at
+// once instead of after that write's deadline (the relay timeout).
+func TestCloseDoesNotWaitOnWedgedSession(t *testing.T) {
+	const relayTimeout = 10 * time.Second
+	s := NewServer(testModule(2000), Options{RelayTimeout: relayTimeout})
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &smallSendListener{Listener: raw}
+	srv := serveOn(t, s, ln, testHandshakeTimeout)
+	a := openSession(t, srv)
+	defer a.Close()
+	if err := a.conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	aPos := geom.Pt(1000, 1000)
+	syncPosition(t, a, aPos)
+	flood(t, a, aPos)
+	waitWedged(t, ln.conn(0))
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), relayTimeout)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if took := time.Since(start); took > relayTimeout/10 {
+		t.Fatalf("Close took %v with one wedged session, want well inside the %v write deadline", took, relayTimeout)
+	}
+	if w := s.stat.writeTimeouts.Load(); w != 0 {
+		t.Fatalf("write_timeouts = %d: the drain, not the deadline, ended the session", w)
+	}
 }

@@ -5,60 +5,53 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
-// pipeServer returns a server-side WSConn (it requires masked frames) on one
-// end of a net.Pipe, and the raw client end. A pipe has no buffer: a Write
-// returns once the other side has read every byte of it, so after a raw
-// client Write the WSConn has consumed exactly what was sent and is blocked
-// asking for more.
+// readOnlyConn is a daemon-side transport that records any write instead of
+// sending it: the read path has nothing to say to the peer.
+type readOnlyConn struct {
+	net.Conn
+	wrote atomic.Bool
+}
+
+func (c *readOnlyConn) Write(p []byte) (int, error) {
+	c.wrote.Store(true)
+	return len(p), nil
+}
+
+// pipeServer returns a daemon-side WSConn on one end of a net.Pipe, and the
+// raw client end; the test fails if the WSConn writes anything. A pipe has
+// no buffer: a Write returns once the other side has read every byte of it,
+// so after a raw client Write the WSConn has consumed exactly what was sent
+// and is blocked asking for more.
 func pipeServer(t *testing.T) (*WSConn, net.Conn) {
 	t.Helper()
 	srvEnd, cliEnd := net.Pipe()
+	conn := &readOnlyConn{Conn: srvEnd}
 	t.Cleanup(func() {
 		cliEnd.Close()
 		srvEnd.Close()
+		if conn.wrote.Load() {
+			t.Error("the reader wrote to the peer")
+		}
 	})
-	return &WSConn{conn: srvEnd, maxMsg: DefaultMaxMessage, writeTimeout: dialWriteTimeout}, cliEnd
+	return &WSConn{conn: conn, writeTimeout: dialWriteTimeout}, cliEnd
 }
 
-var testMaskKey = [4]byte{0x12, 0x34, 0x56, 0x78}
+// frameHeader encodes the length that announces an n-byte message.
+func frameHeader(n int) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(n)) }
 
-// clientFrameHeader encodes a masked frame header announcing n payload bytes.
-func clientFrameHeader(fin bool, op byte, n int) []byte {
-	b0 := op
-	if fin {
-		b0 |= 0x80
-	}
-	buf := []byte{b0}
-	switch {
-	case n < 126:
-		buf = append(buf, 0x80|byte(n))
-	case n < 1<<16:
-		buf = append(buf, 0x80|126, byte(n>>8), byte(n))
-	default:
-		buf = append(buf, 0x80|127)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
-	}
-	return append(buf, testMaskKey[:]...)
-}
-
-// masked returns payload XORed with the test mask key.
-func masked(payload []byte) []byte {
-	out := make([]byte, len(payload))
-	for i, b := range payload {
-		out[i] = b ^ testMaskKey[i&3]
-	}
-	return out
-}
-
-func clientFrame(fin bool, op byte, payload []byte) []byte {
-	return append(clientFrameHeader(fin, op, len(payload)), masked(payload)...)
-}
+// frame is payload behind its length, as WriteBinary sends it.
+func frame(payload []byte) []byte { return append(frameHeader(len(payload)), payload...) }
 
 type readResult struct {
 	msg []byte
@@ -98,8 +91,8 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// A frame header is a claim, not bytes: connections that announce a
-// maximum-size frame, deliver a fraction of it and stall must hold memory in
+// A length is a claim, not bytes: connections that announce a maximum-size
+// message, deliver a fraction of it and stall must hold memory in
 // proportion to what arrived, not to what was announced.
 func TestStalledFrameHoldsOnlyWhatArrived(t *testing.T) {
 	const (
@@ -107,7 +100,7 @@ func TestStalledFrameHoldsOnlyWhatArrived(t *testing.T) {
 		announced = DefaultMaxMessage
 		sent      = 40 << 10
 	)
-	partial := append(clientFrameHeader(true, opBinary, announced), masked(make([]byte, sent))...)
+	partial := append(frameHeader(announced), make([]byte, sent)...)
 	results := make([]<-chan readResult, conns)
 	clients := make([]net.Conn, conns)
 
@@ -131,42 +124,13 @@ func TestStalledFrameHoldsOnlyWhatArrived(t *testing.T) {
 	for i, c := range clients {
 		c.Close()
 		if res := <-results[i]; !errors.Is(res.err, io.ErrUnexpectedEOF) {
-			t.Fatalf("conn %d: read of a truncated frame returned %v, want io.ErrUnexpectedEOF", i, res.err)
+			t.Fatalf("conn %d: read of a truncated message returned %v, want io.ErrUnexpectedEOF", i, res.err)
 		}
 	}
 }
 
-// A fragmented message is reassembled in the connection's one buffer, with a
-// ping between the fragments answered on the spot and not mixed into it.
-func TestFragmentedMessageWithInterleavedPing(t *testing.T) {
-	ws, cli := pipeServer(t)
-	res := readAsync(ws, 2)
-
-	mustWrite(t, cli, clientFrame(false, opBinary, []byte("ab")))
-	mustWrite(t, cli, clientFrame(true, opPing, []byte("hello")))
-	pong := make([]byte, 2+5)
-	if _, err := io.ReadFull(cli, pong); err != nil {
-		t.Fatal(err)
-	}
-	if want := append([]byte{0x80 | opPong, 5}, "hello"...); !bytes.Equal(pong, want) {
-		t.Fatalf("pong = % x, want % x", pong, want)
-	}
-	mustWrite(t, cli, clientFrame(false, opContinuation, []byte("cd")))
-	mustWrite(t, cli, clientFrame(true, opPong, nil)) // unsolicited, ignored
-	mustWrite(t, cli, clientFrame(true, opContinuation, []byte("ef")))
-	if r := <-res; r.err != nil || string(r.msg) != "abcdef" {
-		t.Fatalf("reassembled %q, %v; want %q", r.msg, r.err, "abcdef")
-	}
-
-	// The buffer is reused: the next message starts from its beginning.
-	mustWrite(t, cli, clientFrame(true, opBinary, []byte("xyz")))
-	if r := <-res; r.err != nil || string(r.msg) != "xyz" {
-		t.Fatalf("next message %q, %v; want %q", r.msg, r.err, "xyz")
-	}
-}
-
-// Frames pipelined in one segment are all served, including those whose
-// header straddles the end of the inline read buffer.
+// Messages pipelined in one segment are all served, including those whose
+// length straddles the end of the inline read buffer.
 func TestPipelinedFramesAcrossReadBuffer(t *testing.T) {
 	ws, cli := pipeServer(t)
 	const frames = 60
@@ -174,7 +138,7 @@ func TestPipelinedFramesAcrossReadBuffer(t *testing.T) {
 	want := make([]string, frames)
 	for i := range want {
 		want[i] = strings.Repeat(string(rune('a'+i%26)), 20+i%17)
-		burst = append(burst, clientFrame(true, opBinary, []byte(want[i]))...)
+		burst = append(burst, frame([]byte(want[i]))...)
 	}
 	if len(burst) < 3*firstReadSize {
 		t.Fatalf("burst of %d bytes does not span the %d-byte read buffer", len(burst), firstReadSize)
@@ -183,89 +147,125 @@ func TestPipelinedFramesAcrossReadBuffer(t *testing.T) {
 	mustWrite(t, cli, burst)
 	for i, w := range want {
 		if r := <-res; r.err != nil || string(r.msg) != w {
-			t.Fatalf("frame %d: got %q, %v; want %q", i, r.msg, r.err, w)
+			t.Fatalf("message %d: got %q, %v; want %q", i, r.msg, r.err, w)
 		}
 	}
 }
 
-// expectClose1009 reads the server's close frame off the raw client end.
-func expectClose1009(t *testing.T, cli net.Conn) {
-	t.Helper()
-	frame := make([]byte, 4)
-	if _, err := io.ReadFull(cli, frame); err != nil {
-		t.Fatal(err)
-	}
-	if want := []byte{0x80 | opClose, 2, 0x03, 0xF1}; !bytes.Equal(frame, want) {
-		t.Fatalf("close frame = % x, want % x (1009)", frame, want)
-	}
-}
-
-// Oversized input is refused with a 1009 close before its payload is read:
-// a single frame beyond the cap, and a fragmented message whose fragments
-// each fit but whose sum does not.
-func TestOversizeRefusedWith1009(t *testing.T) {
-	t.Run("single frame", func(t *testing.T) {
-		ws, cli := pipeServer(t)
-		res := readAsync(ws, 1)
-		mustWrite(t, cli, clientFrameHeader(true, opBinary, DefaultMaxMessage+1))
-		expectClose1009(t, cli)
-		if r := <-res; r.err != ErrTooLarge {
-			t.Fatalf("read returned %v, want ErrTooLarge", r.err)
-		}
-	})
-	t.Run("reassembled message", func(t *testing.T) {
-		ws, cli := pipeServer(t)
-		ws.maxMsg = 100
-		res := readAsync(ws, 1)
-		mustWrite(t, cli, clientFrame(false, opBinary, make([]byte, 60)))
-		mustWrite(t, cli, clientFrameHeader(true, opContinuation, 41))
-		expectClose1009(t, cli)
-		if r := <-res; r.err != ErrTooLarge {
-			t.Fatalf("read returned %v, want ErrTooLarge", r.err)
-		}
-	})
-	t.Run("exactly at the cap", func(t *testing.T) {
-		ws, cli := pipeServer(t)
-		ws.maxMsg = 100
-		res := readAsync(ws, 1)
-		mustWrite(t, cli, clientFrame(false, opBinary, make([]byte, 60)))
-		mustWrite(t, cli, clientFrame(true, opContinuation, make([]byte, 40)))
-		if r := <-res; r.err != nil || len(r.msg) != 100 {
-			t.Fatalf("read %d bytes, %v; want the 100-byte message", len(r.msg), r.err)
-		}
-	})
-}
-
-// Frames RFC 6455 or this protocol forbids are refused with a 1002 close,
-// and the read fails with ErrProtocol.
-func TestProtocolViolationsRefusedWith1002(t *testing.T) {
-	unmasked := clientFrame(true, opBinary, []byte{1})
-	unmasked[1] &^= 0x80
-	rsv := clientFrame(true, opBinary, []byte{1})
-	rsv[0] |= 0x40
-	for name, frame := range map[string][]byte{
-		"text frame":          clientFrame(true, opText, []byte("hi")),
-		"orphan continuation": clientFrame(true, opContinuation, []byte{1}),
-		"reserved opcode":     clientFrame(true, 0x3, nil),
-		"RSV bit":             rsv,
-		"unmasked frame":      unmasked,
+// A length over DefaultMaxMessage is refused with ErrTooLarge as soon as its
+// four bytes arrive: no payload is awaited or buffered. A message exactly at
+// the cap is read whole.
+func TestLengthCap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    uint32
+	}{
+		{"one past the cap", DefaultMaxMessage + 1},
+		{"largest length", math.MaxUint32},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			ws, cli := pipeServer(t)
 			res := readAsync(ws, 1)
-			go cli.Write(frame) // the refusal may come before every byte is read
-			got := make([]byte, 4)
-			if _, err := io.ReadFull(cli, got); err != nil {
-				t.Fatal(err)
-			}
-			if want := []byte{0x80 | opClose, 2, 0x03, 0xEA}; !bytes.Equal(got, want) {
-				t.Fatalf("close frame = % x, want % x (1002)", got, want)
-			}
-			if r := <-res; !errors.Is(r.err, ErrProtocol) {
-				t.Fatalf("read returned %v, want ErrProtocol", r.err)
+			mustWrite(t, cli, binary.LittleEndian.AppendUint32(nil, tc.n))
+			if r := <-res; r.err != ErrTooLarge || r.payloadCap != 0 {
+				t.Fatalf("read returned %v with a %d-byte buffer, want ErrTooLarge and none", r.err, r.payloadCap)
 			}
 		})
 	}
+	t.Run("exactly at the cap", func(t *testing.T) {
+		ws, cli := pipeServer(t)
+		res := readAsync(ws, 1)
+		mustWrite(t, cli, frame(make([]byte, DefaultMaxMessage)))
+		if r := <-res; r.err != nil || len(r.msg) != DefaultMaxMessage {
+			t.Fatalf("read %d bytes, %v; want the %d-byte message", len(r.msg), r.err, DefaultMaxMessage)
+		}
+	})
+}
+
+// How a stream ends is what the read reports: between messages
+// ErrConnClosed, inside the length or the payload io.ErrUnexpectedEOF.
+func TestEndOfStream(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sent []byte
+		want error
+	}{
+		{"between messages", frame([]byte("last")), ErrConnClosed},
+		{"inside the length", frameHeader(7)[:2], io.ErrUnexpectedEOF},
+		{"inside the payload", frame([]byte("cut short"))[:9], io.ErrUnexpectedEOF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, cli := pipeServer(t)
+			res := readAsync(ws, 2)
+			mustWrite(t, cli, tc.sent)
+			cli.Close()
+			r := <-res
+			if tc.want == ErrConnClosed {
+				if r.err != nil || string(r.msg) != "last" {
+					t.Fatalf("first read %q, %v; want the message sent", r.msg, r.err)
+				}
+				r = <-res
+			}
+			if r.err != tc.want {
+				t.Fatalf("read returned %v, want %v", r.err, tc.want)
+			}
+		})
+	}
+}
+
+// For any bytes a peer sends, in any read sizes, a daemon-side ReadMessage
+// never panics and never writes (chunkConn has no Write to call): each
+// message it returns is, framed again, exactly the bytes it arrived as; a
+// length over the cap ends the stream in ErrTooLarge before the payload
+// buffer grows; the buffer never runs more than payloadChunk past the
+// payload bytes that arrived; and the stream ends in ErrConnClosed between
+// messages and io.ErrUnexpectedEOF inside one.
+func FuzzReadMessage(f *testing.F) {
+	f.Add(frame(wire.AppendPosition(nil, geom.Pt(1, 2))), uint8(0))
+	f.Add(append(frame(wire.AppendQuery(nil, wire.Query{ReqID: 1, K: 5, Loc: geom.Pt(3, 4)})), frame(nil)...), uint8(7))
+	f.Add(frame(bytes.Repeat([]byte{0xA5}, 3*firstReadSize)), uint8(63))
+	f.Add(append(frame([]byte("ok")), frameHeader(DefaultMaxMessage+1)...), uint8(2))
+	f.Add(frameHeader(DefaultMaxMessage), uint8(3))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, uint8(1))
+	f.Add(frame([]byte("cut short"))[:7], uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		ws := &WSConn{conn: &chunkConn{data: data, chunk: int(chunk%64) + 1}}
+		for off := 0; ; {
+			before := len(ws.payload)
+			msg, err := ws.ReadMessage()
+			rest := data[off:]
+			if len(rest) == 0 {
+				if err != ErrConnClosed {
+					t.Fatalf("at the end of the stream read %d bytes, %v; want ErrConnClosed", len(msg), err)
+				}
+				return
+			}
+			if len(rest) < lenSize {
+				if err != io.ErrUnexpectedEOF {
+					t.Fatalf("inside a length read %d bytes, %v; want io.ErrUnexpectedEOF", len(msg), err)
+				}
+				return
+			}
+			n := int(binary.LittleEndian.Uint32(rest))
+			switch arrived := len(rest) - lenSize; {
+			case n > DefaultMaxMessage:
+				if err != ErrTooLarge || len(ws.payload) > before {
+					t.Fatalf("length %d: read %v, buffer %d -> %d bytes; want ErrTooLarge and no growth", n, err, before, len(ws.payload))
+				}
+				return
+			case arrived < n:
+				if err != io.ErrUnexpectedEOF || len(ws.payload) > arrived+payloadChunk {
+					t.Fatalf("%d of %d bytes arrived: read %v, buffer %d bytes; want io.ErrUnexpectedEOF, at most %d",
+						arrived, n, err, len(ws.payload), arrived+payloadChunk)
+				}
+				return
+			}
+			if err != nil || !bytes.Equal(frame(msg), rest[:lenSize+n]) {
+				t.Fatalf("message at %d: read %d bytes, %v; want the %d bytes framed there", off, len(msg), err, n)
+			}
+			off += lenSize + n
+		}
+	})
 }
 
 // A buffer grown for one large message is not pinned by the connection once
@@ -274,13 +274,13 @@ func TestLargeMessageBufferDroppedWhenParked(t *testing.T) {
 	ws, cli := pipeServer(t)
 	res := readAsync(ws, 2)
 	big := bytes.Repeat([]byte{0xA5}, 70000)
-	mustWrite(t, cli, clientFrame(true, opBinary, big))
+	mustWrite(t, cli, frame(big))
 	if r := <-res; r.err != nil || !bytes.Equal(r.msg, big) {
 		t.Fatalf("large message corrupted (%d bytes, %v)", len(r.msg), r.err)
 	} else if r.payloadCap < len(big) {
 		t.Fatalf("payload cap %d below the %d-byte message it returned", r.payloadCap, len(big))
 	}
-	mustWrite(t, cli, clientFrame(true, opBinary, []byte("small")))
+	mustWrite(t, cli, frame([]byte("small")))
 	if r := <-res; r.err != nil || string(r.msg) != "small" {
 		t.Fatalf("got %q, %v", r.msg, r.err)
 	} else if r.payloadCap > maxParkedPayload {

@@ -15,15 +15,6 @@ import (
 	"repro/internal/wire"
 )
 
-// RFC 6455 §1.3's worked example pins the accept-key derivation.
-func TestAcceptKeyRFCVector(t *testing.T) {
-	got := acceptKey("dGhlIHNhbXBsZSBub25jZQ==")
-	want := "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
-	if got != want {
-		t.Fatalf("acceptKey = %q, want %q", got, want)
-	}
-}
-
 // A handshake DialWS cannot complete fails the dial and closes the socket
 // it opened: the server, having answered, reads EOF instead of a socket
 // left open until its deadline.
@@ -35,9 +26,8 @@ func TestDialWSHandshakeFailures(t *testing.T) {
 		{"non-101 status", func(_ net.Conn, w *bufio.Writer) {
 			w.WriteString("HTTP/1.1 403 Forbidden\r\nContent-Length: 4\r\n\r\nnope")
 		}},
-		{"wrong accept key", func(_ net.Conn, w *bufio.Writer) {
-			w.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n" +
-				"Connection: Upgrade\r\nSec-WebSocket-Accept: bm90IHRoZSBrZXk=\r\n\r\n")
+		{"wrong upgrade token", func(_ net.Conn, w *bufio.Writer) {
+			w.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n\r\n")
 		}},
 		{"closed mid-handshake", func(conn net.Conn, w *bufio.Writer) {
 			w.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgr")
@@ -83,7 +73,7 @@ func TestDialWSHandshakeFailures(t *testing.T) {
 	}
 }
 
-// wsServer admits WebSocket handshakes on a plain loopback listener with
+// wsServer admits query-channel handshakes on a plain loopback listener with
 // the daemon's admission and runs serve on each admitted connection's
 // goroutine instead of a session. It returns the query channel's ws:// URL.
 func wsServer(t *testing.T, serve func(*WSConn)) string {
@@ -101,7 +91,7 @@ func wsServer(t *testing.T, serve func(*WSConn)) string {
 				return
 			}
 			go func() {
-				ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, batch: true, writeTimeout: dialWriteTimeout}
+				ws := &WSConn{conn: conn, writeTimeout: dialWriteTimeout}
 				if s.admit(ws, testHandshakeTimeout) {
 					serve(ws)
 				}
@@ -132,8 +122,8 @@ func wsURL(srv *testHTTP) string {
 	return "ws" + strings.TrimPrefix(srv.URL, "http")
 }
 
-// Echo payloads sized to exercise all three frame length encodings (7-bit,
-// 16-bit, 64-bit) and fragment-free round-tripping of masked client frames.
+// Echo payloads from empty to past a 16-bit length, across the inline read
+// buffer and the payload chunk, round-trip byte for byte.
 func TestEchoAcrossLengthEncodings(t *testing.T) {
 	ws, err := DialWS(echoServer(t))
 	if err != nil {
@@ -158,32 +148,9 @@ func TestEchoAcrossLengthEncodings(t *testing.T) {
 	}
 }
 
-// Closing the client side must complete the close handshake: the server's
-// reader sees ErrConnClosed, not a protocol or transport error.
-func TestCloseHandshake(t *testing.T) {
-	gotErr := make(chan error, 1)
-	url := wsServer(t, func(ws *WSConn) {
-		defer ws.Close()
-		_, err := ws.ReadMessage()
-		gotErr <- err
-	})
-
-	ws, err := DialWS(url)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	if err := ws.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if err := <-gotErr; err != ErrConnClosed {
-		t.Fatalf("server read error = %v, want ErrConnClosed", err)
-	}
-}
-
-// A server must reject upgrade attempts that are not proper WebSocket
-// handshakes, with the HTTP status the RFC prescribes, and a head too long
-// for the connection's read buffer with 431. A request for /v1/ws that is
-// not a GET goes to net/http, which has no such route: 404.
+// A request for /v1/ws that does not upgrade is a 400, and one that upgrades
+// to any protocol but senn/1 a 426 that names senn/1; a head too long for
+// the connection's read buffer is a 431, and a method other than GET a 405.
 func TestUpgradeRejections(t *testing.T) {
 	_, srv := testServerHandle(t, 100, Options{})
 
@@ -196,12 +163,15 @@ func TestUpgradeRejections(t *testing.T) {
 			r.Header.Del("Upgrade")
 			r.Header.Del("Connection")
 		}, http.StatusBadRequest},
-		{"wrong version", func(r *http.Request) {
-			r.Header.Set("Sec-WebSocket-Version", "8")
-		}, http.StatusUpgradeRequired},
-		{"missing key", func(r *http.Request) {
-			r.Header.Del("Sec-WebSocket-Key")
+		{"no upgrade header", func(r *http.Request) {
+			r.Header.Del("Upgrade")
 		}, http.StatusBadRequest},
+		{"wrong version", func(r *http.Request) {
+			r.Header.Set("Upgrade", "senn/2")
+		}, http.StatusUpgradeRequired},
+		{"websocket", func(r *http.Request) {
+			r.Header.Set("Upgrade", "websocket")
+		}, http.StatusUpgradeRequired},
 		{"head over the cap", func(r *http.Request) {
 			r.Header.Set("X-Padding", strings.Repeat("x", maxHead))
 		}, http.StatusRequestHeaderFieldsTooLarge},
@@ -212,10 +182,8 @@ func TestUpgradeRejections(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			req.Header.Set("Upgrade", "websocket")
+			req.Header.Set("Upgrade", upgradeToken)
 			req.Header.Set("Connection", "Upgrade")
-			req.Header.Set("Sec-WebSocket-Version", "13")
-			req.Header.Set("Sec-WebSocket-Key", "dGhlIHNhbXBsZSBub25jZQ==")
 			tc.mangle(req)
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
@@ -224,6 +192,9 @@ func TestUpgradeRejections(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != tc.want {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.want)
+			}
+			if up := resp.Header.Get("Upgrade"); tc.want == http.StatusUpgradeRequired && up != upgradeToken {
+				t.Fatalf("426 names Upgrade %q, want %q", up, upgradeToken)
 			}
 		})
 	}
@@ -282,9 +253,8 @@ func TestConcurrentWritersDoNotInterleave(t *testing.T) {
 }
 
 // upgradedPair returns the two ends of one live connection: the server side
-// as the daemon's handshake admits it (write batching armed) and the DialWS
-// client. The server goroutine parks until the test ends, so the test
-// drives both ends itself.
+// as the daemon's handshake admits it and the DialWS client. The server
+// goroutine parks until the test ends, so the test drives both ends itself.
 func upgradedPair(t *testing.T) (server, client *WSConn) {
 	t.Helper()
 	conns := make(chan *WSConn, 1)
@@ -301,120 +271,16 @@ func upgradedPair(t *testing.T) (server, client *WSConn) {
 	}
 	t.Cleanup(func() { client.Close() })
 	server = <-conns
-	// A lost flush must fail the test's reads, not hang them.
+	// A lost message must fail the test's reads, not hang them.
 	deadline := time.Now().Add(10 * time.Second)
 	server.SetReadDeadline(deadline)
 	client.SetReadDeadline(deadline)
 	return server, client
 }
 
-// pendingBytes reports how many encoded bytes c is holding back.
-func pendingBytes(c *WSConn) int {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return len(c.pending)
-}
-
-// expectMessages reads len(want) messages from c and requires them in order.
-func expectMessages(t *testing.T, c *WSConn, want ...string) {
-	t.Helper()
-	for i, w := range want {
-		got, err := c.ReadMessage()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if string(got) != w {
-			t.Fatalf("read %d: got %q, want %q", i, got, w)
-		}
-	}
-}
-
-// Frames queued below the threshold stay in the pending buffer until the
-// connection's own reader is about to block: ReadMessage's pre-block flush is
-// what delivers a coalesced reply when no further write comes.
-func TestBatchedWritesFlushBeforeReaderBlocks(t *testing.T) {
-	server, client := upgradedPair(t)
-	for _, m := range []string{"a", "b"} {
-		if err := server.WriteBinaryBatched([]byte(m)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := pendingBytes(server); n == 0 || n >= flushThreshold {
-		t.Fatalf("%d bytes pending after two small batched writes, want them held back", n)
-	}
-	read := make(chan string, 1)
-	go func() {
-		got, _ := server.ReadMessage() // flushes, then blocks until the client writes
-		read <- string(got)
-	}()
-	expectMessages(t, client, "a", "b")
-	// A DialWS connection is not batched: the same call flushes at once.
-	if err := client.WriteBinaryBatched([]byte("c")); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-read; got != "c" {
-		t.Fatalf("server read %q, want %q", got, "c")
-	}
-}
-
-// An immediate write drains the queued frames ahead of itself, so transport
-// order is call order with no read on the writing side.
-func TestImmediateWriteDrainsBatchedFramesInOrder(t *testing.T) {
-	server, client := upgradedPair(t)
-	if err := server.WriteBinaryBatched([]byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.WriteBinaryBatched([]byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.WriteBinary([]byte("3")); err != nil {
-		t.Fatal(err)
-	}
-	if n := pendingBytes(server); n != 0 {
-		t.Fatalf("%d bytes still pending after an immediate write", n)
-	}
-	expectMessages(t, client, "1", "2", "3")
-}
-
-// Crossing flushThreshold flushes by itself: neither a read nor an immediate
-// write is needed once enough bytes are pending.
-func TestBatchedWritesFlushAtThreshold(t *testing.T) {
-	server, client := upgradedPair(t)
-	frame := strings.Repeat("x", 512)
-	got := make(chan error, 1)
-	go func() { // concurrent reader: the flush must not wait for it
-		for i := 0; i < 4; i++ {
-			m, err := client.ReadMessage()
-			if err == nil && string(m) != frame {
-				err = ErrProtocol
-			}
-			if err != nil {
-				got <- err
-				return
-			}
-		}
-		got <- nil
-	}()
-	for i := 1; i <= 4; i++ {
-		if err := server.WriteBinaryBatched([]byte(frame)); err != nil {
-			t.Fatal(err)
-		}
-		held := i * (len(frame) + 4) // 4-byte header: 16-bit extended length
-		switch n := pendingBytes(server); {
-		case held < flushThreshold && n != held:
-			t.Fatalf("after %d frames: %d bytes pending, want %d held back", i, n, held)
-		case held >= flushThreshold && n != 0:
-			t.Fatalf("after %d frames (%d bytes): %d bytes still pending past the threshold", i, held, n)
-		}
-	}
-	if err := <-got; err != nil {
-		t.Fatalf("client read: %v", err)
-	}
-}
-
-// BenchmarkWriteBinaryLoopback prices one immediate frame write on a
-// loopback socket whose peer drains everything, the per-write deadline
-// included (one runtime timer update): a probe-sized frame per op.
+// BenchmarkWriteBinaryLoopback prices one message write on a loopback
+// socket whose peer drains everything, the per-write deadline included (one
+// runtime timer update): a probe-sized message per op.
 func BenchmarkWriteBinaryLoopback(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -433,7 +299,7 @@ func BenchmarkWriteBinaryLoopback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws := &WSConn{conn: conn, maxMsg: DefaultMaxMessage, writeTimeout: time.Minute}
+	ws := &WSConn{conn: conn, writeTimeout: time.Minute}
 	defer ws.Close()
 	frame := make([]byte, wire.PeerProbeSize)
 	b.ReportAllocs()

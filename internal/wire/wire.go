@@ -2,8 +2,9 @@
 // channels, and the priced size of the paper's air interface. The
 // client-server channel (internal/serve) carries position updates, kNN/range
 // queries and served answers between a mobile client and the remote spatial
-// database over WebSocket binary frames; the daemon-relayed peer channel
-// carries the §4.1 exchange for hosts whose connection has no ad-hoc radio.
+// database, each message behind a 4-byte length on the query channel; the
+// daemon-relayed peer channel carries the §4.1 exchange for hosts whose
+// connection has no ad-hoc radio.
 // The air interface itself (one broadcast cache request, then one cached
 // result from each peer in range, over short-range IEEE 802.11x links) is on
 // no socket: the simulator and the networked client charge its sizes,
@@ -135,7 +136,8 @@ const (
 	// PeerProbe, PeerShares) sent to the server, refused before its payload
 	// is decoded.
 	ErrCodeUnsupported uint32 = 2
-	// ErrCodeTooLarge: the answer would exceed the channel's message cap.
+	// ErrCodeTooLarge: a message longer than the channel's cap, or a range
+	// answer that would carry more neighbors than a share may.
 	ErrCodeTooLarge uint32 = 3
 )
 

@@ -69,9 +69,9 @@ func main() {
 	slices.SortFunc(keys, func(a, b string) int { return strings.Compare(padLine(a), padLine(b)) })
 	fmt.Println("# Production functions no workload of scripts/prodcover.sh runs.")
 	fmt.Println("# file Func disposition -- non-production callers (docs_test.go checks every line)")
-	fmt.Println("# Timing-dependent, all defensive: Server.relayExpired (a probe reply slower than the")
-	fmt.Println("# relay timeout), Server.relayDropPeer (a probe written to a session that has just")
-	fmt.Println("# closed), Server.draining and WSConn.goingAway (a session still open at SIGTERM).")
+	fmt.Println("# Timing-dependent, both defensive: Server.relayExpired (a probe reply slower than the")
+	fmt.Println("# relay timeout) and Server.relayDropPeer (a probe written to a session that has just")
+	fmt.Println("# closed).")
 	for _, key := range keys {
 		file, _, _ := strings.Cut(key, ":")
 		entry, cs := file+" "+zero[key], callers[key]
