@@ -99,12 +99,15 @@ func TestRelayExchangeAllocatesNothing(t *testing.T) {
 
 // Completion and expiry collide on recycled relay state: the relay timeout is
 // about a peer's (jittered) reply delay, so some relays complete by countdown
-// while their timer is firing, and the state either path leaves behind is
-// re-armed by the next registration. Every peer answers with a share whose one
-// neighbor's ID is the probe id it answered, so a delivery that mixed relays
-// would show it. Each request must get exactly one PeerShares; a short one
-// only after the timeout; every relay ends by the timer or the countdown,
-// never both; and every reply is forwarded once or counted unknown.
+// while their timer is firing, and the state the countdown returns to the pool
+// is re-registered by the next request, its timer re-armed. The firing that
+// lost the race wakes relayExpired on that state, which must find the relay
+// gone or a successor whose deadline is still ahead, and end nothing. Every
+// peer answers with a share whose one neighbor's ID is the probe id it
+// answered, so a delivery that mixed relays would show it. Each request must
+// get exactly one PeerShares; a short one only after the timeout; every relay
+// ends by the timer or the countdown, never both; and every reply is
+// forwarded once or counted unknown.
 func TestRelayRecycledTimerRace(t *testing.T) {
 	const (
 		timeout    = 3 * time.Millisecond
@@ -264,7 +267,7 @@ func TestRelayRecycledTimerRace(t *testing.T) {
 	}
 }
 
-// relayDropPeer's one caller is startRelay's failed probe write. Here the
+// A failed probe write counts its target down like a disconnect. Here the
 // only in-range target's transport is closed before the probe, so the write
 // fails every time: the target leaves the countdown, which completes at once
 // with an empty PeerShares that still reports the one peer in range — and the
@@ -279,7 +282,7 @@ func TestRelayDropsPeerWhoseProbeWriteFails(t *testing.T) {
 	s.dir.update(target, geom.Pt(500, 500))
 
 	sink := &sinkConn{}
-	if err := s.startRelay(&session{conn: &WSConn{conn: sink}}, wire.PeerRequest{ReqID: 3, Loc: geom.Pt(505, 500), Radius: 50}); err != nil {
+	if _, err := s.startRelay(&session{conn: &WSConn{conn: sink}}, wire.PeerRequest{ReqID: 3, Loc: geom.Pt(505, 500), Radius: 50}, nil); err != nil {
 		t.Fatal(err)
 	}
 	frames := serverFrames(t, sink.out.Bytes())
@@ -298,5 +301,75 @@ func TestRelayDropsPeerWhoseProbeWriteFails(t *testing.T) {
 	}
 	if n := pendingRelays(s); n != 0 {
 		t.Fatalf("%d relays still pending", n)
+	}
+}
+
+// The timer only wakes relayExpired, which ends a relay only while it is in
+// the pending table and past its deadline. Driven directly, with the real
+// timer an hour away: a wake-up before the deadline changes nothing; a stale
+// one on pooled state that a later relay has re-registered leaves that
+// successor pending; one past the deadline delivers what arrived, once, as a
+// timeout; and a second one finds nothing to end.
+func TestRelayExpiresOnlyPastItsDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	s, req, sink, targets := forwardFixture(2, false)
+	stateOf := func(probeID uint32) *pendingRelay {
+		s.relay.mu.Lock()
+		defer s.relay.mu.Unlock()
+		return s.relay.pending[probeID]
+	}
+	reply := func(probeID uint32, from *session) {
+		t.Helper()
+		if err := s.handleShareReply(from, wire.AppendShareReply(nil, probeID, true, sortedCache(3, rng))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delivered := func() int { return len(serverFrames(t, sink.out.Bytes())) }
+
+	id := s.registerRelay(req, 1, targets)
+	pr := stateOf(id)
+	s.relayExpired(pr)
+	if stateOf(id) != pr || delivered() != 0 || s.stat.relayTimeouts.Load() != 0 {
+		t.Fatal("a wake-up before the deadline ended the relay")
+	}
+
+	// End relays by countdown until a registration reuses the state its
+	// predecessor returned to the pool (the race detector's pool drops some).
+	for {
+		reply(id, targets[0])
+		reply(id, targets[1])
+		prev := pr
+		id = s.registerRelay(req, 2, targets)
+		if pr = stateOf(id); pr == prev {
+			break
+		}
+	}
+	done := delivered()
+	s.relayExpired(pr)
+	if stateOf(id) != pr || delivered() != done || s.stat.relayTimeouts.Load() != 0 {
+		t.Fatal("a stale wake-up ended the relay that reused its state")
+	}
+
+	reply(id, targets[0])
+	s.relay.mu.Lock()
+	pr.deadline = time.Now()
+	s.relay.mu.Unlock()
+	s.relayExpired(pr)
+	frames := serverFrames(t, sink.out.Bytes())
+	if len(frames) != done+1 || s.stat.relayTimeouts.Load() != 1 || pendingRelays(s) != 0 {
+		t.Fatalf("past its deadline: %d deliveries after %d, relay_timeouts = %d, %d pending; want one timeout delivered",
+			len(frames), done, s.stat.relayTimeouts.Load(), pendingRelays(s))
+	}
+	msg, err := wire.Decode(frames[done])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Type != wire.TypePeerShares || msg.Shares.ReqID != 2 || msg.Shares.PeersInRange != 2 || len(msg.Shares.Shares) != 1 {
+		t.Fatalf("timed-out relay delivered %+v, want request 2's one share of two peers", msg)
+	}
+
+	s.relayExpired(pr)
+	if delivered() != done+1 || s.stat.relayTimeouts.Load() != 1 {
+		t.Fatal("a second wake-up ended the relay again")
 	}
 }

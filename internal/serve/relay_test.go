@@ -440,3 +440,76 @@ func TestRelayUnderConcurrentMoves(t *testing.T) {
 		t.Fatalf("directory counters flat: %+v", st)
 	}
 }
+
+// The relay never delivers more than a requester may read. Eleven peers in
+// range each answer with the largest share the codec accepts (4,096
+// neighbors, a 98,324-byte block); ten of those blocks fit in
+// DefaultMaxMessage behind the PeerShares header, the eleventh would not. It
+// is dropped and counted in relay_rejected, its reply still counts down, and
+// the requester reads one 983,258-byte PeerShares of ten shares that still
+// reports all eleven peers in range — and goes on to be served.
+func TestRelayAggregateCappedAtMessageLimit(t *testing.T) {
+	const peers = 11
+	srv, _ := testServer(t, 200, Options{RelayTimeout: 10 * time.Second})
+	center := geom.Pt(5000, 5000)
+	rng := rand.New(rand.NewSource(73))
+	var wg sync.WaitGroup
+	conns := make([]*WSConn, peers)
+	for i := range conns {
+		ws := openSession(t, srv)
+		conns[i] = ws
+		syncPosition(t, ws, geom.Pt(center.X+float64(i), center.Y))
+		reply := wire.AppendShareReply(nil, 0, true, sortedCache(wire.MaxShareNeighbors, rng))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			msg, err := ws.ReadMessage()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			copy(reply[probeIDOffset:], msg[probeIDOffset:])
+			if err := ws.WriteBinary(reply); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	defer func() {
+		for _, ws := range conns {
+			ws.Close()
+		}
+		wg.Wait()
+	}()
+
+	req := openSession(t, srv)
+	defer req.Close()
+	if err := req.WriteBinary(wire.AppendPeerRequest(nil, wire.PeerRequest{ReqID: 4, Loc: center, Radius: 100})); err != nil {
+		t.Fatal(err)
+	}
+	data, err := req.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSize = 983_258
+	counts := make([]int, peers-1)
+	for i := range counts {
+		counts[i] = wire.MaxShareNeighbors
+	}
+	if len(data) != wantSize || wire.PeerSharesSize(counts) != wantSize {
+		t.Fatalf("requester read %d bytes, want the %d-byte PeerShares of %d largest shares", len(data), wantSize, peers-1)
+	}
+	msg, err := wire.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Type != wire.TypePeerShares || msg.Shares.ReqID != 4 || msg.Shares.PeersInRange != peers || len(msg.Shares.Shares) != peers-1 {
+		t.Fatalf("got request %d with %d peers in range and %d shares, want request 4 with %d and %d",
+			msg.Shares.ReqID, msg.Shares.PeersInRange, len(msg.Shares.Shares), peers, peers-1)
+	}
+	syncPosition(t, req, center) // the requester's session is still served
+	st := fetchStats(t, srv)
+	if st.RelayRejected != 1 || st.RelaySharesFwd != peers-1 || st.RelayTimeouts != 0 || st.ProtoErrors != 0 {
+		t.Fatalf("relay_rejected %d, shares forwarded %d, timeouts %d, protocol errors %d; want 1, %d, 0, 0",
+			st.RelayRejected, st.RelaySharesFwd, st.RelayTimeouts, st.ProtoErrors, peers-1)
+	}
+}

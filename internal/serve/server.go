@@ -74,12 +74,13 @@ type Server struct {
 		connResets    atomic.Int64
 		writeTimeouts atomic.Int64
 		// Relay counters: requests received, shares delivered to
-		// requesters, replies with unknown (forged, duplicate, or
-		// post-timeout) probe IDs, relays that rode the timeout, and the
-		// peers-in-range histogram (see peersInRangeBucket for the bucket
-		// boundaries).
+		// requesters, shares dropped at the aggregate's size cap, replies
+		// with unknown (forged, duplicate, or post-timeout) probe IDs,
+		// relays that rode the timeout, and the peers-in-range histogram
+		// (see peersInRangeBucket for the bucket boundaries).
 		relayRequests atomic.Int64
 		relayShares   atomic.Int64
+		relayRejected atomic.Int64
 		relayUnknown  atomic.Int64
 		relayTimeouts atomic.Int64
 		peersInRange  [peersInRangeBuckets]atomic.Int64
@@ -107,9 +108,14 @@ const peersInRangeBuckets = 7
 // the peer relay's range scan reads. The admitted handshake creates the
 // session and the disconnect retires it. conn is set at creation and never
 // changes; the directory fields are guarded by the directory's mutex
-// (Server.dir.mu). A session has no lock of its own.
+// (Server.dir.mu); targets is touched only by the session's own connection
+// goroutine. A session has no lock of its own.
 type session struct {
 	conn *WSConn
+
+	// targets is startRelay's scratch for the sessions one request probes,
+	// cleared after probing.
+	targets []*session
 
 	// Spatial-directory bookkeeping: whether the session has been filed,
 	// and the cell and slot it was filed under.
@@ -364,7 +370,7 @@ func (s *Server) serveConn(sess *session) error {
 				return err
 			}
 		case wire.TypePeerRequest:
-			if err := s.startRelay(sess, msg.PeerReq); err != nil {
+			if encBuf, err = s.startRelay(sess, msg.PeerReq, encBuf); err != nil {
 				return err
 			}
 		}
@@ -424,9 +430,9 @@ type Stats struct {
 	PageAccesses  int64 `json:"page_accesses"`
 	// Relay counters: see the relay documentation in relay.go. The
 	// histogram buckets are peers-in-range counts 0, 1, 2-3, 4-7, 8-15,
-	// 16-31, 32+. RelayRejected stays 0: the codec refuses a share larger
-	// than an answer (maxAnswer) before the relay sees it, and the field
-	// stays only while the benchmark harness reads it (ROADMAP item 1-I).
+	// 16-31, 32+. RelayRejected counts shares the relay dropped because
+	// forwarding them would have grown the requester's PeerShares past
+	// DefaultMaxMessage; their replies still counted down.
 	RelayRequests       int64   `json:"relay_requests"`
 	RelaySharesFwd      int64   `json:"relay_shares_forwarded"`
 	RelayRejected       int64   `json:"relay_rejected"`
@@ -524,6 +530,7 @@ func (s *Server) statsJSON() []byte {
 		PageAccesses:        mod.PageAccesses(),
 		RelayRequests:       s.stat.relayRequests.Load(),
 		RelaySharesFwd:      s.stat.relayShares.Load(),
+		RelayRejected:       s.stat.relayRejected.Load(),
 		RelayUnknownReplies: s.stat.relayUnknown.Load(),
 		RelayTimeouts:       s.stat.relayTimeouts.Load(),
 		PeersInRangeHist:    hist,

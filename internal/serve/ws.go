@@ -38,7 +38,9 @@ import (
 const upgradeToken = "senn/1"
 
 // DefaultMaxMessage bounds a message (1 MiB — comfortably above the largest
-// well-formed wire answer, AnswerSize(MaxQueryK) ≈ 96 KiB).
+// well-formed wire answer, AnswerSize(MaxQueryK) ≈ 96 KiB). The relay bounds
+// the PeerShares aggregates it delivers by it too, so a requester can always
+// read its reply.
 const DefaultMaxMessage = 1 << 20
 
 // lenSize is the width of the length that precedes every message.

@@ -69,9 +69,9 @@ func main() {
 	slices.SortFunc(keys, func(a, b string) int { return strings.Compare(padLine(a), padLine(b)) })
 	fmt.Println("# Production functions no workload of scripts/prodcover.sh runs.")
 	fmt.Println("# file Func disposition -- non-production callers (docs_test.go checks every line)")
-	fmt.Println("# Timing-dependent, both defensive: Server.relayExpired (a probe reply slower than the")
-	fmt.Println("# relay timeout) and Server.relayDropPeer (a probe written to a session that has just")
-	fmt.Println("# closed).")
+	fmt.Println("# Timing-dependent and defensive: Server.relayExpired (a probe reply slower than the")
+	fmt.Println("# relay timeout). A probe written to a session that has just closed is a branch of")
+	fmt.Println("# Server.countDown, which every relay runs.")
 	for _, key := range keys {
 		file, _, _ := strings.Cut(key, ":")
 		entry, cs := file+" "+zero[key], callers[key]
