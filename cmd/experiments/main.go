@@ -1,7 +1,8 @@
 // Command experiments regenerates the paper's evaluation figures. Every
 // sub-figure of Figures 9–17 has a runner; by default all of them execute
 // with durations scaled down 30x from the paper's (1 h and 5 h); pass
-// -scale 1 for full-length runs.
+// -scale 1 for full-length runs. Each study prints the table of one results
+// document (-fig free: one per area) and, with -json, writes its JSON.
 //
 // Usage:
 //
@@ -37,7 +38,7 @@ func main() {
 		repeats = flag.Int("repeats", 0,
 			"independent runs per sweep point, reported as mean ± stddev in the JSON output (0 = runner default: 1 for sweeps, 3 for the free comparison)")
 		jsonDir = flag.String("json", "",
-			"directory to also write machine-readable results into (one JSON file per figure, stable key order)")
+			"directory to also write machine-readable results into (one JSON file per table, stable key order)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -69,121 +70,63 @@ func main() {
 		DurationScale: *scale, HostScale: *hostSc, Seed: *seed,
 		Workers: *parallel, Repeats: *repeats,
 	}
-	persist := func(err error) {
-		if err != nil {
-			fatal(err)
-		}
+	// A study is one results document; -fig picks studies by name and -area
+	// picks one of the two §4.3 documents (any other value leaves both).
+	area := *areaSel
+	if area != "2mi" && area != "30mi" {
+		area = ""
 	}
-
-	want := func(name string) bool { return *fig == "all" || *fig == name }
 	type sweepFn func(experiments.Region, experiments.Area, experiments.Options) (experiments.FigureResult, error)
-	sweeps := []struct {
-		name string
-		area experiments.Area
-		fn   sweepFn
-	}{
-		{"9", experiments.Area2mi, experiments.TransmissionRangeSweep},
-		{"10", experiments.Area30mi, experiments.TransmissionRangeSweep},
-		{"11", experiments.Area2mi, experiments.CacheCapacitySweep},
-		{"12", experiments.Area30mi, experiments.CacheCapacitySweep},
-		{"13", experiments.Area2mi, experiments.VelocitySweep},
-		{"14", experiments.Area30mi, experiments.VelocitySweep},
-		{"15", experiments.Area2mi, experiments.KSweep},
-		{"16", experiments.Area30mi, experiments.KSweep},
+	figure := func(fn sweepFn, a experiments.Area) func() (experiments.Document, error) {
+		return func() (experiments.Document, error) { return document(experiments.SweepFigure(fn, a, opts)) }
 	}
-	// ran: some study executed; timed: one of them was a duration-scaled
-	// simulation (the sweeps, free, uncertain), the only output -scale shortens.
+	free := func(a experiments.Area) func() (experiments.Document, error) {
+		return func() (experiments.Document, error) { return document(experiments.FreeMovementStudy(a, opts)) }
+	}
+	studies := []struct {
+		name, area string
+		timed      bool // a duration-scaled simulation, the only output -scale shortens
+		run        func() (experiments.Document, error)
+	}{
+		{"9", "", true, figure(experiments.TransmissionRangeSweep, experiments.Area2mi)},
+		{"10", "", true, figure(experiments.TransmissionRangeSweep, experiments.Area30mi)},
+		{"11", "", true, figure(experiments.CacheCapacitySweep, experiments.Area2mi)},
+		{"12", "", true, figure(experiments.CacheCapacitySweep, experiments.Area30mi)},
+		{"13", "", true, figure(experiments.VelocitySweep, experiments.Area2mi)},
+		{"14", "", true, figure(experiments.VelocitySweep, experiments.Area30mi)},
+		{"15", "", true, figure(experiments.KSweep, experiments.Area2mi)},
+		{"16", "", true, figure(experiments.KSweep, experiments.Area30mi)},
+		{"free", "2mi", true, free(experiments.Area2mi)},
+		{"free", "30mi", true, free(experiments.Area30mi)},
+		{"uncertain", "", true, func() (experiments.Document, error) {
+			return document(experiments.UncertainQuality(experiments.Area2mi, opts))
+		}},
+		{"diskio", "", false, func() (experiments.Document, error) {
+			return document(experiments.DiskIOStudy(experiments.LosAngeles, *queries, opts))
+		}},
+		{"17", "", false, func() (experiments.Document, error) {
+			return document(experiments.Figure17(*queries, opts))
+		}},
+	}
 	ran, timed := false, false
-	for _, s := range sweeps {
-		if !want(s.name) {
+	for _, s := range studies {
+		if *fig != "all" && *fig != s.name || area != "" && s.area != "" && s.area != area {
 			continue
 		}
-		ran, timed = true, true
-		frs := make([]experiments.FigureResult, 0, len(experiments.Regions))
-		for _, r := range experiments.Regions {
-			fr, err := s.fn(r, s.area, opts)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(experiments.FormatFigure(fr))
-			if *chart {
-				fmt.Println(figureChart(fr))
-			}
-			frs = append(frs, fr)
-		}
-		if *jsonDir != "" {
-			persist(experiments.WriteFigureJSON(*jsonDir, frs))
-		}
-	}
-	if want("free") {
-		ran, timed = true, true
-		areas := []experiments.Area{experiments.Area2mi, experiments.Area30mi}
-		switch *areaSel {
-		case "2mi":
-			areas = areas[:1]
-		case "30mi":
-			areas = areas[1:]
-		}
-		var rows []experiments.FreeComparisonRow
-		fmt.Println("Section 4.3 — free movement vs road network mode (server share %)")
-		fmt.Printf("%-22s %-10s %12s %12s %10s\n", "region", "area", "road SQRR", "free SQRR", "delta")
-		for _, a := range areas {
-			for _, r := range experiments.Regions {
-				row, err := experiments.FreeMovementComparison(r, a, opts)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Printf("%-22s %-10s %12.1f %12.1f %10.1f\n", row.Region, row.Area, row.RoadSQRR, row.FreeSQRR, row.Delta)
-				rows = append(rows, row)
-			}
-		}
-		fmt.Println()
-		if *jsonDir != "" {
-			persist(experiments.WriteFreeJSON(*jsonDir, rows))
-		}
-	}
-	if want("uncertain") {
-		ran, timed = true, true
-		fmt.Println("Uncertain-answer quality (AcceptUncertain on; extension study)")
-		fmt.Printf("%-22s %12s %12s %12s %12s\n",
-			"region", "uncertain %", "server %", "precision", "rank acc.")
-		uqs, err := experiments.UncertainQuality(experiments.Area2mi, opts)
+		ran, timed = true, timed || s.timed
+		doc, err := s.run()
 		if err != nil {
 			fatal(err)
 		}
-		for _, uq := range uqs {
-			fmt.Printf("%-22s %12.1f %12.1f %12.2f %12.2f\n",
-				uq.Region, uq.UncertainShare, uq.ServerShare, uq.Precision, uq.RankAccuracy)
+		text := doc.Text()
+		if f, ok := doc.(experiments.Figure); ok && *chart {
+			text = f.TextWith(figureChart)
 		}
-		fmt.Println()
+		fmt.Print(text)
 		if *jsonDir != "" {
-			persist(experiments.WriteUncertainJSON(*jsonDir, uqs))
-		}
-	}
-	if want("diskio") {
-		ran = true
-		fr, err := experiments.DiskIOStudy(experiments.LosAngeles, *queries, opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.FormatDiskIO(fr))
-		if *jsonDir != "" {
-			persist(experiments.WriteDiskIOJSON(*jsonDir, fr))
-		}
-	}
-	if want("17") {
-		ran = true
-		frs := make([]experiments.Fig17Result, 0, len(experiments.Regions))
-		for _, r := range experiments.Regions {
-			fr, err := experiments.EINNvsINN(r, experiments.Area30mi, *queries, opts)
-			if err != nil {
+			if err := experiments.WriteJSON(*jsonDir, doc); err != nil {
 				fatal(err)
 			}
-			fmt.Println(experiments.FormatFig17(fr))
-			frs = append(frs, fr)
-		}
-		if *jsonDir != "" {
-			persist(experiments.WriteFig17JSON(*jsonDir, frs))
 		}
 	}
 	if !ran {
@@ -192,6 +135,11 @@ func main() {
 	if timed && *scale > 1 {
 		fmt.Printf("note: durations scaled down %.0fx from the paper's; pass -scale 1 for full runs\n", *scale)
 	}
+}
+
+// document widens a study's result to the Document it is.
+func document[D experiments.Document](d D, err error) (experiments.Document, error) {
+	return d, err
 }
 
 func fatal(err error) {

@@ -25,12 +25,32 @@ type DiskIOPoint struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// DiskIOResult is the full study for one region's POI set.
+// DiskIOResult is the full study for one region's POI set, and its
+// document (results/diskio.txt and .json).
 type DiskIOResult struct {
-	Region     Region
-	TotalPages int
-	K          int
-	Points     []DiskIOPoint
+	Study      string        `json:"study"`
+	Region     Region        `json:"region"`
+	TotalPages int           `json:"total_pages"`
+	K          int           `json:"k"`
+	Points     []DiskIOPoint `json:"points"`
+}
+
+// Name implements Document.
+func (DiskIOResult) Name() string { return "diskio" }
+
+// Text implements Document: the study as an aligned table and a blank line.
+func (r DiskIOResult) Text() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Disk I/O spectrum (§4.4) — %s, %d pages packed, k=%d\n",
+		r.Region, r.TotalPages, r.K)
+	fmt.Fprintf(&b, "%-12s %10s %14s %14s %10s\n",
+		"pool frac", "pages", "INN faults/q", "EINN faults/q", "hit rate")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "%-12.2f %10d %14.2f %14.2f %9.1f%%\n",
+			p.PoolFraction, p.PoolPages, p.INNFaults, p.EINNFaults, 100*p.HitRate)
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
 // DiskIOStudy reproduces the I/O spectrum discussion of §4.4: "all requested
@@ -67,7 +87,7 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 
 	total := pagestore.Pages(s.tree)
 	fractions := []float64{0.02, 0.05, 0.1, 0.25, 0.5, 1.0}
-	out := DiskIOResult{Region: r, TotalPages: total, K: k}
+	out := DiskIOResult{Study: "disk-io-spectrum", Region: r, TotalPages: total, K: k}
 	out.Points = make([]DiskIOPoint, len(fractions))
 	// The pool sizes are independent measurements over the same read-only
 	// tree and workload: fan them across opts.Workers. Each run opens its
@@ -75,10 +95,7 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	tasks := make([]RunTask, len(fractions))
 	for i, frac := range fractions {
 		tasks[i] = func() error {
-			pool := int(frac * float64(total))
-			if pool < 2 {
-				pool = 2
-			}
+			pool := max(int(frac*float64(total)), 2)
 			run := func(useBounds bool) (faults float64, hitRate float64) {
 				pt := pagestore.Open(s.tree, pool)
 				// One pass to warm the pool, one measured pass.
@@ -111,18 +128,4 @@ func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	}
 	err := RunParallel(tasks, opts.Workers)
 	return out, err
-}
-
-// FormatDiskIO renders the study as an aligned text table.
-func FormatDiskIO(r DiskIOResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Disk I/O spectrum (§4.4) — %s, %d pages packed, k=%d\n",
-		r.Region, r.TotalPages, r.K)
-	fmt.Fprintf(&b, "%-12s %10s %14s %14s %10s\n",
-		"pool frac", "pages", "INN faults/q", "EINN faults/q", "hit rate")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-12.2f %10d %14.2f %14.2f %9.1f%%\n",
-			p.PoolFraction, p.PoolPages, p.INNFaults, p.EINNFaults, 100*p.HitRate)
-	}
-	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -32,13 +33,53 @@ type SeriesPoint struct {
 	StdPages  float64 `json:"pages_std,omitempty"`       // stddev of ServerPages across repeats
 }
 
-// FigureResult is one sub-figure: a sweep for one region.
+// FigureResult is one sub-figure: a sweep for one region. A Figure document
+// carries the area and x label once, for all of its sub-figures.
 type FigureResult struct {
-	Figure string // e.g. "9a"
-	Region Region
-	Area   Area
-	XLabel string
-	Points []SeriesPoint
+	Figure string        `json:"subfigure"` // e.g. "9a"
+	Region Region        `json:"region"`
+	Area   Area          `json:"-"`
+	XLabel string        `json:"-"`
+	Points []SeriesPoint `json:"points"`
+}
+
+// Figure is the document of one of Figures 9–16 (results/fig<N>.txt and
+// .json): a sweep's sub-figures, one per region in Regions order.
+type Figure struct {
+	Figure  string         `json:"figure"` // e.g. "9"
+	Area    Area           `json:"area"`
+	XLabel  string         `json:"x_label"`
+	Regions []FigureResult `json:"regions"`
+}
+
+// SweepFigure runs sweep on every region of area a, in Regions order.
+func SweepFigure(sweep func(Region, Area, Options) (FigureResult, error), a Area, opts Options) (Figure, error) {
+	frs, err := eachRegion(func(r Region) (FigureResult, error) { return sweep(r, a, opts) })
+	if err != nil {
+		return Figure{}, err
+	}
+	return Figure{Figure: strings.TrimRight(frs[0].Figure, "abc"), Area: a, XLabel: frs[0].XLabel, Regions: frs}, nil
+}
+
+// Name implements Document.
+func (f Figure) Name() string { return "fig" + f.Figure }
+
+// Text implements Document: each sub-figure's FormatFigure table and a
+// blank line.
+func (f Figure) Text() string { return f.TextWith(nil) }
+
+// TextWith is Text with extra(fr) and a blank line after each sub-figure's
+// table, when extra is non-nil (cmd/experiments' -chart).
+func (f Figure) TextWith(extra func(FigureResult) string) string {
+	var b strings.Builder
+	for _, fr := range f.Regions {
+		fr.Area, fr.XLabel = f.Area, f.XLabel
+		b.WriteString(FormatFigure(fr) + "\n")
+		if extra != nil {
+			b.WriteString(extra(fr) + "\n")
+		}
+	}
+	return b.String()
 }
 
 // Options tunes how the experiment runners execute.
@@ -113,10 +154,11 @@ func meanStd(ms []sim.Metrics, f func(sim.Metrics) float64) (mean, std float64) 
 	return mean, math.Sqrt(v / (n - 1))
 }
 
-// runSweep executes opts.Repeats simulations per sweep value, mutating the
-// base config through mut.
-func runSweep(base sim.Config, xs []float64, opts Options, mut func(cfg *sim.Config, x float64)) ([]SeriesPoint, error) {
-	repeats := opts.repeats()
+// runSweep executes opts.Repeats simulations per sweep value on region r of
+// area a, mutating its base config through mut, and labels the series
+// sub-figure fig (2×2 mi) or fig+1 (30×30 mi) of r.
+func runSweep(r Region, a Area, opts Options, fig int, xLabel string, xs []float64, mut func(cfg *sim.Config, x float64)) (FigureResult, error) {
+	base, repeats := BaseConfig(r, a), opts.repeats()
 	runs := make([]worldRun, 0, len(xs)*repeats)
 	for i, x := range xs {
 		for rep := range repeats {
@@ -126,30 +168,26 @@ func runSweep(base sim.Config, xs []float64, opts Options, mut func(cfg *sim.Con
 	}
 	ms, err := runWorlds(runs, opts, nil)
 	if err != nil {
-		return nil, err
+		return FigureResult{}, err
 	}
-	pts := make([]SeriesPoint, len(xs))
+	if a == Area30mi {
+		fig++
+	}
+	fr := FigureResult{Figure: strconv.Itoa(fig) + subfig(r), Region: r, Area: a, XLabel: xLabel,
+		Points: make([]SeriesPoint, len(xs))}
 	for i, x := range xs {
-		pts[i] = aggregateShares(x, ms[i*repeats:(i+1)*repeats])
+		fr.Points[i] = aggregateShares(x, ms[i*repeats:(i+1)*repeats])
 	}
-	return pts, nil
+	return fr, nil
 }
 
 // TransmissionRangeSweep reproduces Figures 9 (2×2 mi) and 10 (30×30 mi):
 // the wireless transmission range varies from 10/20 m to 200 m.
 func TransmissionRangeSweep(r Region, a Area, opts Options) (FigureResult, error) {
 	xs := []float64{20, 40, 60, 80, 100, 120, 140, 160, 180, 200}
-	pts, err := runSweep(BaseConfig(r, a), xs, opts, func(cfg *sim.Config, x float64) {
+	return runSweep(r, a, opts, 9, "Transmission Range (m)", xs, func(cfg *sim.Config, x float64) {
 		cfg.TxRange = x
 	})
-	fig := "9"
-	if a == Area30mi {
-		fig = "10"
-	}
-	return FigureResult{
-		Figure: fig + subfig(r), Region: r, Area: a,
-		XLabel: "Transmission Range (m)", Points: pts,
-	}, err
 }
 
 // CacheCapacitySweep reproduces Figures 11 and 12: the per-host cache
@@ -159,34 +197,18 @@ func CacheCapacitySweep(r Region, a Area, opts Options) (FigureResult, error) {
 	if a == Area30mi {
 		xs = []float64{4, 8, 12, 16, 20}
 	}
-	pts, err := runSweep(BaseConfig(r, a), xs, opts, func(cfg *sim.Config, x float64) {
+	return runSweep(r, a, opts, 11, "Number of Cached Items", xs, func(cfg *sim.Config, x float64) {
 		cfg.CacheSize = int(x)
 	})
-	fig := "11"
-	if a == Area30mi {
-		fig = "12"
-	}
-	return FigureResult{
-		Figure: fig + subfig(r), Region: r, Area: a,
-		XLabel: "Number of Cached Items", Points: pts,
-	}, err
 }
 
 // VelocitySweep reproduces Figures 13 and 14: the host movement velocity
 // varies from 10 to 50 mph.
 func VelocitySweep(r Region, a Area, opts Options) (FigureResult, error) {
 	xs := []float64{10, 20, 30, 40, 50}
-	pts, err := runSweep(BaseConfig(r, a), xs, opts, func(cfg *sim.Config, x float64) {
+	return runSweep(r, a, opts, 13, "Mobile Host Speed (mph)", xs, func(cfg *sim.Config, x float64) {
 		cfg.Velocity = x * MPH
 	})
-	fig := "13"
-	if a == Area30mi {
-		fig = "14"
-	}
-	return FigureResult{
-		Figure: fig + subfig(r), Region: r, Area: a,
-		XLabel: "Mobile Host Speed (mph)", Points: pts,
-	}, err
 }
 
 // KSweep reproduces Figures 15 and 16: the requested neighbor count k is
@@ -196,17 +218,51 @@ func KSweep(r Region, a Area, opts Options) (FigureResult, error) {
 	if a == Area30mi {
 		xs = []float64{3, 6, 9, 12, 15}
 	}
-	pts, err := runSweep(BaseConfig(r, a), xs, opts, func(cfg *sim.Config, x float64) {
+	return runSweep(r, a, opts, 15, "Number of k", xs, func(cfg *sim.Config, x float64) {
 		cfg.KMin, cfg.KMax = int(x), int(x)
 	})
-	fig := "15"
-	if a == Area30mi {
-		fig = "16"
+}
+
+// FreeComparisonRow is one region×area row of the §4.3 comparison.
+type FreeComparisonRow struct {
+	Region   Region  `json:"region"`
+	Area     Area    `json:"area"`
+	RoadSQRR float64 `json:"road_sqrr_pct"`
+	FreeSQRR float64 `json:"free_sqrr_pct"`
+	Delta    float64 `json:"delta_pct"`
+}
+
+// FreeStudy is the §4.3 document of one area (results/free2mi and
+// results/free30mi): a row per region, in Regions order.
+type FreeStudy struct {
+	Study string              `json:"study"`
+	Rows  []FreeComparisonRow `json:"rows"`
+}
+
+// FreeMovementStudy runs FreeMovementComparison on every region of area a.
+func FreeMovementStudy(a Area, opts Options) (FreeStudy, error) {
+	rows, err := eachRegion(func(r Region) (FreeComparisonRow, error) { return FreeMovementComparison(r, a, opts) })
+	return FreeStudy{Study: "free-movement-vs-road-network", Rows: rows}, err
+}
+
+// Name implements Document: free2mi or free30mi, after the rows' area.
+func (d FreeStudy) Name() string {
+	if d.Rows[0].Area == Area30mi {
+		return "free30mi"
 	}
-	return FigureResult{
-		Figure: fig + subfig(r), Region: r, Area: a,
-		XLabel: "Number of k", Points: pts,
-	}, err
+	return "free2mi"
+}
+
+// Text implements Document.
+func (d FreeStudy) Text() string {
+	var b strings.Builder
+	b.WriteString("Section 4.3 — free movement vs road network mode (server share %)\n")
+	fmt.Fprintf(&b, "%-22s %-10s %12s %12s %10s\n", "region", "area", "road SQRR", "free SQRR", "delta")
+	for _, r := range d.Rows {
+		fmt.Fprintf(&b, "%-22s %-10s %12.1f %12.1f %10.1f\n", r.Region, r.Area, r.RoadSQRR, r.FreeSQRR, r.Delta)
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
 // FreeMovementComparison reproduces the §4.3 observation: the free movement
@@ -232,7 +288,7 @@ func FreeMovementComparison(r Region, a Area, opts Options) (FreeComparisonRow, 
 	}
 	road, _ := meanStd(ms[:opts.Repeats], sim.Metrics.SQRR)
 	free, _ := meanStd(ms[opts.Repeats:], sim.Metrics.SQRR)
-	return FreeComparisonRow{Region: r.String(), Area: a.String(),
+	return FreeComparisonRow{Region: r, Area: a,
 		RoadSQRR: road, FreeSQRR: free, Delta: road - free}, nil
 }
 
@@ -245,6 +301,19 @@ func subfig(r Region) string {
 	default:
 		return "c"
 	}
+}
+
+// eachRegion runs study on every region, in Regions order.
+func eachRegion[T any](study func(Region) (T, error)) ([]T, error) {
+	out := make([]T, 0, len(Regions))
+	for _, r := range Regions {
+		v, err := study(r)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -261,8 +330,38 @@ type Fig17Point struct {
 
 // Fig17Result is the Figure 17 series for one region.
 type Fig17Result struct {
-	Region Region
-	Points []Fig17Point
+	Region Region       `json:"region"`
+	Points []Fig17Point `json:"points"`
+}
+
+// Fig17 is the Figure 17 document (results/fig17.txt and .json): a series
+// per region, in Regions order.
+type Fig17 struct {
+	Figure  string        `json:"figure"`
+	Regions []Fig17Result `json:"regions"`
+}
+
+// Figure17 runs EINNvsINN on every region's 30×30 mi POI set.
+func Figure17(queries int, opts Options) (Fig17, error) {
+	frs, err := eachRegion(func(r Region) (Fig17Result, error) { return EINNvsINN(r, Area30mi, queries, opts) })
+	return Fig17{Figure: "17", Regions: frs}, err
+}
+
+// Name implements Document.
+func (Fig17) Name() string { return "fig17" }
+
+// Text implements Document: a table and a blank line per region.
+func (d Fig17) Text() string {
+	var b strings.Builder
+	for _, fr := range d.Regions {
+		fmt.Fprintf(&b, "Figure 17 — EINN vs INN page accesses (%s)\n", fr.Region)
+		fmt.Fprintf(&b, "%-6s %14s %14s %12s\n", "k", "EINN pages", "INN pages", "reduction %")
+		for _, p := range fr.Points {
+			fmt.Fprintf(&b, "%-6d %14.2f %14.2f %12.1f\n", p.K, p.EINNPages, p.INNPages, p.Reduction)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 // EINNvsINN reproduces Figure 17: for each k, server-bound queries are drawn
@@ -338,17 +437,6 @@ func FormatFigure(fr FigureResult) string {
 			fmt.Fprintf(&b, "%-26.0f %14.1f %14.1f %14.1f %16.0f %14.1f\n",
 				p.X, p.ShareSingle, p.ShareMulti, p.ShareServer, p.CommBytes, p.ServerPages)
 		}
-	}
-	return b.String()
-}
-
-// FormatFig17 renders the Figure 17 comparison as an aligned text table.
-func FormatFig17(fr Fig17Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 17 — EINN vs INN page accesses (%s)\n", fr.Region)
-	fmt.Fprintf(&b, "%-6s %14s %14s %12s\n", "k", "EINN pages", "INN pages", "reduction %")
-	for _, p := range fr.Points {
-		fmt.Fprintf(&b, "%-6d %14.2f %14.2f %12.1f\n", p.K, p.EINNPages, p.INNPages, p.Reduction)
 	}
 	return b.String()
 }

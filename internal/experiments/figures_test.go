@@ -182,7 +182,7 @@ func TestFreeMovementComparisonRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Region != "Los Angeles County" || row.Area != "2x2 mi" || row.Delta != row.RoadSQRR-row.FreeSQRR {
+	if row.Region != LosAngeles || row.Area != Area2mi || row.Delta != row.RoadSQRR-row.FreeSQRR {
 		t.Errorf("row mislabelled or inconsistent: %+v", row)
 	}
 	if row.RoadSQRR <= 0 && row.FreeSQRR <= 0 {
@@ -203,7 +203,7 @@ func TestEINNvsINNReduction(t *testing.T) {
 			t.Errorf("k=%d: EINN pages %v exceed INN %v", p.K, p.EINNPages, p.INNPages)
 		}
 	}
-	out := FormatFig17(fr)
+	out := Fig17{Regions: []Fig17Result{fr}}.Text()
 	if !strings.Contains(out, "Figure 17") {
 		t.Errorf("format output wrong:\n%s", out)
 	}
@@ -214,7 +214,7 @@ func TestUncertainQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uq := uqs[0]
+	uq := uqs.Rows[0]
 	if uq.Region != LosAngeles {
 		t.Fatalf("first row is %v, want Regions order", uq.Region)
 	}
@@ -222,12 +222,12 @@ func TestUncertainQuality(t *testing.T) {
 		t.Fatal("no queries")
 	}
 	dir := t.TempDir()
-	if err := WriteUncertainJSON(dir, uqs); err != nil {
+	if err := WriteJSON(dir, uqs); err != nil {
 		t.Fatal(err)
 	}
-	var doc UncertainJSON
-	if b, err := os.ReadFile(filepath.Join(dir, "uncertain.json")); err != nil || json.Unmarshal(b, &doc) != nil || len(doc.Rows) != len(uqs) {
-		t.Fatalf("uncertain.json: %v, %d rows for %d results", err, len(doc.Rows), len(uqs))
+	var doc UncertainStudy
+	if b, err := os.ReadFile(filepath.Join(dir, "uncertain.json")); err != nil || json.Unmarshal(b, &doc) != nil || len(doc.Rows) != len(uqs.Rows) {
+		t.Fatalf("uncertain.json: %v, %d rows for %d results", err, len(doc.Rows), len(uqs.Rows))
 	}
 	if uq.UncertainShare <= 0 {
 		t.Skip("no uncertain answers at this scale")
@@ -262,7 +262,7 @@ func TestDiskIOStudy(t *testing.T) {
 	if last.PoolFraction == 1 && last.INNFaults != 0 {
 		t.Errorf("full pool still faults: %v", last.INNFaults)
 	}
-	if !strings.Contains(FormatDiskIO(fr), "Disk I/O spectrum") {
+	if !strings.Contains(fr.Text(), "Disk I/O spectrum") {
 		t.Error("format output missing header")
 	}
 }

@@ -173,7 +173,7 @@ func TestQueryWorkersMatchSequentialFigure(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		if err := WriteFigureJSON(dir, []FigureResult{fr}); err != nil {
+		if err := WriteJSON(dir, Figure{Figure: "13", Area: fr.Area, XLabel: fr.XLabel, Regions: []FigureResult{fr}}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, "fig13.json"))
@@ -260,7 +260,7 @@ func TestParallelMatchesSequentialFig17(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("Fig17 diverged:\nseq: %+v\npar: %+v", seq, par)
 	}
-	if FormatFig17(seq) != FormatFig17(par) {
+	if (Fig17{Regions: []Fig17Result{seq}}).Text() != (Fig17{Regions: []Fig17Result{par}}).Text() {
 		t.Error("Fig17 rendered output diverged")
 	}
 }
@@ -291,13 +291,13 @@ func TestParallelMatchesSequentialUncertain(t *testing.T) {
 	// Precision/RankAccuracy are NaN when no uncertain answer occurred at
 	// this smoke scale; NaN != NaN would fail DeepEqual even on identical
 	// runs, so map NaN to a sentinel first.
-	norm := func(rs []UncertainQualityResult) []UncertainQualityResult {
-		out := append([]UncertainQualityResult(nil), rs...)
+	norm := func(d UncertainStudy) []UncertainQualityResult {
+		out := append([]UncertainQualityResult(nil), d.Rows...)
 		for i := range out {
-			if math.IsNaN(out[i].Precision) {
+			if math.IsNaN(float64(out[i].Precision)) {
 				out[i].Precision = -1
 			}
-			if math.IsNaN(out[i].RankAccuracy) {
+			if math.IsNaN(float64(out[i].RankAccuracy)) {
 				out[i].RankAccuracy = -1
 			}
 		}

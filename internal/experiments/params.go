@@ -46,6 +46,13 @@ func (r Region) String() string {
 	}
 }
 
+// MarshalText writes the region's name, as every results document spells
+// it.
+func (r Region) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText reads a name MarshalText wrote.
+func (r *Region) UnmarshalText(b []byte) error { return unmarshalName(Regions, b, r) }
+
 // Regions lists the three parameter sets in the order the paper's figures
 // show them (a: LA, b: Suburbia, c: Riverside).
 var Regions = []Region{LosAngeles, Suburbia, Riverside}
@@ -84,6 +91,23 @@ func (a Area) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// MarshalText writes the area as every results document spells it.
+func (a Area) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText reads an area MarshalText wrote.
+func (a *Area) UnmarshalText(b []byte) error { return unmarshalName([]Area{Area2mi, Area30mi}, b, a) }
+
+// unmarshalName sets *v to the one of all whose String is b.
+func unmarshalName[T fmt.Stringer](all []T, b []byte, v *T) error {
+	for _, c := range all {
+		if c.String() == string(b) {
+			*v = c
+			return nil
+		}
+	}
+	return fmt.Errorf("experiments: unknown name %q", b)
 }
 
 // Side returns the region side length in meters.
@@ -159,10 +183,7 @@ func BaseConfig(r Region, a Area) sim.Config {
 // shortens. Scale 1 reproduces the paper's full durations.
 func ScaleDuration(cfg sim.Config, scale float64) sim.Config {
 	if scale > 1 {
-		cfg.Duration /= scale
-		if cfg.Duration < 120 {
-			cfg.Duration = 120
-		}
+		cfg.Duration = max(cfg.Duration/scale, 120)
 	}
 	return cfg
 }
@@ -173,14 +194,8 @@ func ScaleDuration(cfg sim.Config, scale float64) sim.Config {
 // scale duration instead.
 func ScaleHosts(cfg sim.Config, scale float64) sim.Config {
 	if scale > 1 {
-		cfg.NumHosts = int(float64(cfg.NumHosts) / scale)
-		if cfg.NumHosts < 1 {
-			cfg.NumHosts = 1
-		}
-		cfg.QueriesPerMinute /= scale
-		if cfg.QueriesPerMinute < 0.5 {
-			cfg.QueriesPerMinute = 0.5
-		}
+		cfg.NumHosts = max(int(float64(cfg.NumHosts)/scale), 1)
+		cfg.QueriesPerMinute = max(cfg.QueriesPerMinute/scale, 0.5)
 	}
 	return cfg
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"cmp"
+	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -17,24 +20,65 @@ import (
 // true kNN set; RankAccuracy the fraction returned in the exactly correct
 // rank position.
 type UncertainQualityResult struct {
-	Region Region
-	Area   Area
-	// UncertainShare is the % of queries answered uncertainly.
-	UncertainShare float64
-	// ServerShare is the remaining % that still reached the server.
-	ServerShare float64
-	// Precision over all uncertain answers, in [0,1].
-	Precision float64
-	// RankAccuracy over all uncertain answers, in [0,1].
-	RankAccuracy float64
-	// Queries audited.
-	Queries int64
+	Region         Region  `json:"region"`
+	Area           Area    `json:"area"`
+	UncertainShare float64 `json:"uncertain_pct"` // % of queries answered uncertainly
+	ServerShare    float64 `json:"server_pct"`    // the remaining % that still reached the server
+	Precision      Ratio   `json:"precision"`     // over all uncertain answers, in [0,1]
+	RankAccuracy   Ratio   `json:"rank_accuracy"` // over all uncertain answers, in [0,1]
+	Queries        int64   `json:"queries"`       // queries audited
+}
+
+// Ratio is a fraction that is NaN when nothing was measured (no uncertain
+// answer occurred); a document writes the NaN as null, which JSON has in
+// place of NaN.
+type Ratio float64
+
+// MarshalJSON implements json.Marshaler.
+func (r Ratio) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(r)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(r))
+}
+
+// UnmarshalJSON implements json.Unmarshaler: null reads as NaN.
+func (r *Ratio) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*r = Ratio(math.NaN())
+		return nil
+	}
+	return json.Unmarshal(b, (*float64)(r))
+}
+
+// UncertainStudy is the uncertain-answer document (results/uncertain.txt
+// and .json): a row per region, in Regions order.
+type UncertainStudy struct {
+	Study string                   `json:"study"`
+	Rows  []UncertainQualityResult `json:"rows"`
+}
+
+// Name implements Document.
+func (UncertainStudy) Name() string { return "uncertain" }
+
+// Text implements Document.
+func (d UncertainStudy) Text() string {
+	var b strings.Builder
+	b.WriteString("Uncertain-answer quality (AcceptUncertain on; extension study)\n")
+	fmt.Fprintf(&b, "%-22s %12s %12s %12s %12s\n",
+		"region", "uncertain %", "server %", "precision", "rank acc.")
+	for _, r := range d.Rows {
+		fmt.Fprintf(&b, "%-22s %12.1f %12.1f %12.2f %12.2f\n",
+			r.Region, r.UncertainShare, r.ServerShare, r.Precision, r.RankAccuracy)
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
 // UncertainQuality runs one simulation per region of the study area with
 // AcceptUncertain enabled and audits every uncertain answer against
-// brute-force ground truth. Results are returned in Regions order.
-func UncertainQuality(a Area, opts Options) ([]UncertainQualityResult, error) {
+// brute-force ground truth.
+func UncertainQuality(a Area, opts Options) (UncertainStudy, error) {
 	runs := make([]worldRun, len(Regions))
 	for i, r := range Regions {
 		runs[i] = worldRun{base: BaseConfig(r, a), mut: func(cfg *sim.Config) { cfg.AcceptUncertain = true }}
@@ -61,7 +105,7 @@ func UncertainQuality(a Area, opts Options) ([]UncertainQualityResult, error) {
 		})
 	})
 	if err != nil {
-		return nil, err
+		return UncertainStudy{}, err
 	}
 	out := make([]UncertainQualityResult, len(runs))
 	for i, m := range ms {
@@ -70,16 +114,16 @@ func UncertainQuality(a Area, opts Options) ([]UncertainQualityResult, error) {
 			Area:           a,
 			UncertainShare: m.ShareUncertain(),
 			ServerShare:    m.SQRR(),
-			Precision:      math.NaN(),
-			RankAccuracy:   math.NaN(),
+			Precision:      Ratio(math.NaN()),
+			RankAccuracy:   Ratio(math.NaN()),
 			Queries:        m.TotalQueries,
 		}
 		if t := tallies[i]; t.returned > 0 {
-			out[i].Precision = float64(t.hits) / float64(t.returned)
-			out[i].RankAccuracy = float64(t.rankHits) / float64(t.returned)
+			out[i].Precision = Ratio(float64(t.hits) / float64(t.returned))
+			out[i].RankAccuracy = Ratio(float64(t.rankHits) / float64(t.returned))
 		}
 	}
-	return out, nil
+	return UncertainStudy{Study: "uncertain-answer-quality", Rows: out}, nil
 }
 
 // kNearestIDs returns the IDs of the k nearest POIs of q in rank order,

@@ -1,8 +1,8 @@
 // Package geom provides the planar geometry substrate used throughout the
 // SENN/SNNN reproduction: points, axis-aligned rectangles (MBRs), circles,
-// convex polygons with half-plane clipping, and the union-of-circles
-// "certain region" coverage test required by the multi-peer verification
-// step (Lemma 3.8 of the paper).
+// and the union-of-circles "certain region" with its covered radius, the
+// coverage predicate the multi-peer verification step needs (Lemma 3.8 of
+// the paper).
 //
 // All coordinates are in meters. The package is purely computational and has
 // no dependencies beyond the standard library.

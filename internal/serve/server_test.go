@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
+	"repro/internal/racebuild"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -182,6 +183,47 @@ func TestServedRangeMatchesOracle(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: served range answer differs from in-process oracle", trial)
 		}
+	}
+}
+
+// Serving a warm session allocates nothing anywhere in the process: a
+// position update, a kNN query (k = 5) and a 300 m range query, each frame
+// pre-encoded and each answer read on the session's own connection. This is
+// the exact, in-process form of CI serve-smoke's steady-state gate (a second
+// identical senn-load run grows total_alloc_bytes by < 64 KB); it does not
+// cover that gate's counter lag or a fresh session's buffers.
+func TestServedQueriesAllocateNothing(t *testing.T) {
+	if racebuild.Enabled() {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	srv, _ := testServer(t, 5000, Options{})
+	ws := openSession(t, srv)
+	defer ws.Close()
+	loc := geom.Pt(5000, 5000)
+	position := wire.AppendPosition(nil, loc)
+	query := wire.AppendQuery(nil, wire.Query{ReqID: 1, K: 5, Loc: loc})
+	rangeQuery := wire.EncodeRange(wire.RangeQuery{ReqID: 2, Loc: loc, Radius: 300})
+	serve := func() {
+		for _, frame := range [][]byte{position, query, rangeQuery} {
+			if err := ws.WriteBinary(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 2 {
+			msg, err := ws.ReadMessage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ, _ := wire.PeekType(msg); typ != wire.TypeAnswer {
+				t.Fatalf("got a message of type %d, want an answer", typ)
+			}
+		}
+	}
+	for range 20 {
+		serve()
+	}
+	if allocs := testing.AllocsPerRun(500, serve); allocs != 0 {
+		t.Fatalf("a warm session's position, query and range allocate %.3f times, want 0", allocs)
 	}
 }
 

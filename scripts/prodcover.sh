@@ -33,6 +33,10 @@ done
 x experiments -fig 17 -queries 400 -json "$work/out"
 x experiments -fig diskio -queries 300 -json "$work/out"
 x experiments -fig 13 -scale 1 -json "$work/out"
+for fig in 9 11 15 uncertain; do
+	x experiments -fig "$fig" -scale 1 -json "$work/out"
+done
+x experiments -fig free -scale 1 -area 2mi -json "$work/out"
 x senn-sim -region riverside -hostscale 2
 # Free movement (mobility.Waypoints), the sim-query and sim-move worlds' mode.
 x senn-sim -region riverside -hostscale 2 -free
