@@ -5,7 +5,7 @@
 //
 //	benchjson -in bench.txt -out BENCH_ci.json \
 //	          -baseline results/BENCH_baseline.json \
-//	          -minspeedup 'WorldStep/workers=1:WorldStep/workers=8:2.0'
+//	          -minspeedup 'WorldStep/grid=1M/rebuild:WorldStep/grid=1M/delta:2.0'
 //
 // With -count N the same benchmark appears N times; benchjson keeps the
 // fastest run (minimum ns/op), the standard noise-rejection choice for
@@ -17,7 +17,7 @@
 // machine-speed independent — the number to trust on heterogeneous CI
 // runners, where absolute ns/op would need a per-runner baseline. Every
 // ratio is also recorded in the output document's "speedups" section (e.g.
-// the WorldStep workers=8/workers=1 ratio in BENCH_ci.json).
+// the WorldStep grid=1M rebuild/delta ratio in BENCH_ci.json).
 //
 // The -baseline comparison is informational: benchmarks more than 20 %
 // slower than the baseline are reported on stderr but never fail the run;
@@ -185,7 +185,7 @@ func readDocument(path string) (Document, error) {
 
 // benchLine matches one `go test -bench` result line, e.g.
 //
-//	BenchmarkWorldStep/workers=4-8   3   123456 ns/op   64 B/op   2 allocs/op
+//	BenchmarkWorldStep/queries/qworkers=4-8   3   123456 ns/op   64 B/op   2 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(.*)$`)
 
 // procSuffix is the trailing -GOMAXPROCS tag Go appends to benchmark names.

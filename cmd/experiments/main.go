@@ -31,10 +31,10 @@ func main() {
 		hostSc   = flag.Float64("hostscale", 1, "host-count scale divisor for smoke runs")
 		queries  = flag.Int("queries", 300, "query count per k for the Figure 17 study")
 		seed     = flag.Int64("seed", 0, "seed offset applied to every run")
-		areaSel  = flag.String("area", "", "restrict the free comparison to one area: 2mi or 30mi")
+		areaSel  = flag.String("area", "", "restrict the free comparison to one area: 2mi or 30mi (empty: both)")
 		chart    = flag.Bool("chart", false, "render ASCII charts next to the numeric tables")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"core budget per figure: concurrent simulation runs × movement and query workers per run (1 = fully sequential; output is identical either way)")
+			"core budget per figure: concurrent simulation runs × construction and query workers per run (1 = fully sequential; output is identical either way)")
 		repeats = flag.Int("repeats", 0,
 			"independent runs per sweep point, reported as mean ± stddev in the JSON output (0 = runner default: 1 for sweeps, 3 for the free comparison)")
 		jsonDir = flag.String("json", "",
@@ -71,10 +71,12 @@ func main() {
 		Workers: *parallel, Repeats: *repeats,
 	}
 	// A study is one results document; -fig picks studies by name and -area
-	// picks one of the two §4.3 documents (any other value leaves both).
+	// picks one of the two §4.3 documents (empty leaves both).
 	area := *areaSel
-	if area != "2mi" && area != "30mi" {
-		area = ""
+	if area != "" {
+		if _, err := experiments.ParseArea(area); err != nil {
+			fatal(err)
+		}
 	}
 	type sweepFn func(experiments.Region, experiments.Area, experiments.Options) (experiments.FigureResult, error)
 	figure := func(fn sweepFn, a experiments.Area) func() (experiments.Document, error) {

@@ -62,9 +62,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	a := experiments.Area2mi
-	if strings.Contains(*area, "30") {
-		a = experiments.Area30mi
+	a, err := experiments.ParseArea(*area)
+	if err != nil {
+		fatal(err)
 	}
 	cfg := experiments.ScaleHosts(
 		experiments.ScaleDuration(experiments.BaseConfig(r, a), *scale), *hostSc)

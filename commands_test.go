@@ -9,7 +9,8 @@ import (
 
 // TestCommandPathsOutsideTheRecord runs the binaries on the inputs and flags
 // none of scripts/prodcover.sh's workloads supply — each command's error
-// exit, experiments -chart and senn-load -sweep — which
+// exits (an unknown -area among them), experiments -chart and senn-load
+// -sweep — which
 // results/PRODCOVER.txt lists as defensive with this test's name.
 func TestCommandPathsOutsideTheRecord(t *testing.T) {
 	bin := t.TempDir()
@@ -24,7 +25,9 @@ func TestCommandPathsOutsideTheRecord(t *testing.T) {
 	}{
 		{[]string{"experiments", "-fig", "nope"}, true, `experiments: unknown figure "nope"`},
 		{[]string{"experiments", "-fig", "11", "-hostscale", "40", "-scale", "300", "-chart"}, false, "1=single-peer  m=multi-peer  S=server"},
+		{[]string{"experiments", "-fig", "free", "-area", "bogus"}, true, `experiments: unknown area "bogus" (want 2mi or 30mi)`},
 		{[]string{"senn-sim", "-region", "nowhere"}, true, `senn-sim: unknown region "nowhere"`},
+		{[]string{"senn-sim", "-area", "30"}, true, `senn-sim: unknown area "30" (want 2mi or 30mi)`},
 		{[]string{"senn-serverd", "-store", filepath.Join(bin, "missing.senp")}, true, "senn-serverd: serve: open"},
 		{[]string{"senn-load", "-sweep", "0"}, true, `senn-load: bad -sweep point "0"`},
 	}

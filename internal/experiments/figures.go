@@ -95,7 +95,7 @@ type Options struct {
 	Seed int64
 	// Workers is the core budget of a runner (0 = GOMAXPROCS, 1 =
 	// sequential). WorkerBudget splits it between concurrent runs and the
-	// movement and query workers inside each; any value produces
+	// construction and query workers inside each; any value produces
 	// bit-identical results.
 	Workers int
 	// Repeats runs every sweep point with this many independent seeds and

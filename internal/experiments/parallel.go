@@ -65,10 +65,12 @@ func RunParallel(tasks []RunTask, workers int) error {
 // independent runs (RunParallel) and the workers inside each run, so that
 // outer × inner ≤ budget: a wide sweep saturates the budget with whole runs
 // (inner = 1), a sweep with fewer runs than cores gives the spare cores to
-// each run. A world's movement and query phases alternate within a step and
-// never overlap, so both get the same inner count (sim.Config.Workers and
-// sim.Config.QueryWorkers). budget <= 0 means runtime.GOMAXPROCS(0). Every
-// level is deterministic, so the split decides wall-clock time only.
+// each run. Inside a run, construction (sim.New) comes first and the query
+// phase of each step after it, never overlapping, so both get the same
+// inner count (sim.Config.Workers and sim.Config.QueryWorkers); movement
+// runs on the world's own goroutine. budget <= 0 means
+// runtime.GOMAXPROCS(0). Every level is deterministic, so the split decides
+// wall-clock time only.
 func WorkerBudget(budget, tasks int) (outer, inner int) {
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)

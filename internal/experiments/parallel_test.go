@@ -161,7 +161,7 @@ func TestParallelMatchesSequentialSweep(t *testing.T) {
 // table and the persisted JSON document are byte-identical whether each
 // world resolves its queries on 1, 4 or 8 workers. The inner count is driven
 // through the budget alone: a five-point sweep at budget 5·n gives every
-// world n movement and n query workers.
+// world n construction and n query workers.
 func TestQueryWorkersMatchSequentialFigure(t *testing.T) {
 	render := func(inner int) (string, []byte) {
 		opts := smokeOpts(5 * inner)

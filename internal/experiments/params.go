@@ -99,6 +99,18 @@ func (a Area) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
 // UnmarshalText reads an area MarshalText wrote.
 func (a *Area) UnmarshalText(b []byte) error { return unmarshalName([]Area{Area2mi, Area30mi}, b, a) }
 
+// ParseArea resolves the command-line spellings of the two areas: 2mi and
+// 30mi.
+func ParseArea(s string) (Area, error) {
+	switch s {
+	case "2mi":
+		return Area2mi, nil
+	case "30mi":
+		return Area30mi, nil
+	}
+	return 0, fmt.Errorf("unknown area %q (want 2mi or 30mi)", s)
+}
+
 // unmarshalName sets *v to the one of all whose String is b.
 func unmarshalName[T fmt.Stringer](all []T, b []byte, v *T) error {
 	for _, c := range all {

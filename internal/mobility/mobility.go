@@ -150,18 +150,6 @@ var roadMoverBytes = func() int64 {
 	return alloc(unsafe.Sizeof(RoadNetwork{})) + alloc(unsafe.Sizeof(rand.Rand{})) + alloc(sourceBytes)
 }()
 
-// SetFinder replaces the host's route planner. A PathFinder is per-query
-// scratch state that is not safe for concurrent use, so a simulator that
-// advances hosts on several goroutines assigns each shard its own finder.
-// The shortest paths a finder returns are a pure function of the graph, so
-// the host's trajectory does not depend on which finder it holds. A nil
-// finder is ignored.
-func (m *RoadNetwork) SetFinder(f *spatialnet.PathFinder) {
-	if f != nil {
-		m.finder = f
-	}
-}
-
 // Advance moves the host by dt seconds and returns the new position.
 func (m *RoadNetwork) Advance(dt float64) geom.Point {
 	for dt > 0 {

@@ -97,19 +97,21 @@ type Config struct {
 	// with the given window length in seconds (including the warm-up
 	// phase), retrievable via World.Series after Run.
 	SeriesWindow float64
-	// Workers is the number of goroutines the movement phase of World.Run
-	// shards the host population across — the middle level of the
-	// three-level parallelism model (DESIGN.md §8); the outer level fans
-	// whole simulations via experiments.RunParallel. 0 or 1 advances hosts
-	// on the coordinating goroutine. New builds the population on as many
-	// (World.populate). Every worker count produces bit-identical
-	// simulation output; only wall-clock time changes.
+	// Workers is the number of goroutines New builds the population on
+	// (World.populate): one draws the world's stream, the others place the
+	// drawn hosts. It is the inner level of the worker budget (DESIGN.md
+	// §8), beside QueryWorkers; the outer level fans whole simulations via
+	// experiments.RunParallel. 0 or 1 builds on the calling goroutine. Run
+	// advances hosts on the coordinating goroutine whatever the count.
+	// Every worker count produces bit-identical simulation output; only
+	// wall-clock time changes.
 	Workers int
 	// QueryWorkers is the number of goroutines the resolve phase of each
-	// step's query batch fans across — the innermost level of the worker
-	// budget (sweep × movement × query). 0 inherits Workers. Every worker
-	// count produces bit-identical simulation output; only wall-clock time
-	// changes (see the plan/resolve/commit pipeline in queryengine.go).
+	// step's query batch fans across — the other inner level of the worker
+	// budget (sweep, then construction and query). 0 inherits Workers.
+	// Every worker count produces bit-identical simulation output; only
+	// wall-clock time changes (see the plan/resolve/commit pipeline in
+	// queryengine.go).
 	QueryWorkers int
 	// Seed makes runs reproducible.
 	Seed int64

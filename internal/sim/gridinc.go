@@ -21,15 +21,12 @@ package sim
 //     arriving there, already in ascending host order);
 //  4. the buffers swap.
 //
-// Double-buffering is what makes step 3 embarrassingly parallel: every copy
-// reads the intact old array and writes a disjoint slice of the new one, so
-// the copy units can be sharded across workers with no ordering constraints
+// The second buffer is what keeps step 3 one pass: every copy reads the
+// intact old array, so no run can overwrite entries a later one still needs
 // (an in-place variant would need a strict run-move schedule). The result is
 // byte-identical to a full counting rebuild over the same cell assignment —
 // buckets ascending by host index, cells dense in row-major order — which
-// TestIncrementalGridMatchesFullRebuild and FuzzApplyDelta pin. The output
-// depends only on the movers list, which callers assemble in ascending host
-// order whatever the movement worker count.
+// TestIncrementalGridMatchesFullRebuild and FuzzApplyDelta pin.
 
 // moverRec records one host whose grid cell changed during a movement step.
 type moverRec struct {
@@ -46,13 +43,8 @@ type deltaScratch struct {
 
 	joiners   []int32 // mover hosts grouped by destination slot, host-ascending
 	joinStart []int32 // per slot: offset of its joiners (len nSlots+1)
-
-	oldLo    []int32 // per slot: old bucket start
-	oldHi    []int32 // per slot: old bucket end
-	newLo    []int32 // per slot: new bucket start
-	newCount []int32 // per slot: new bucket size
-	runShift []int32 // per slot: shift of the unchanged run preceding the bucket
-	delta    []int32 // per slot: joiners - leavers
+	cursor    []int32 // per slot: placement cursor while joiners are grouped
+	delta     []int32 // per slot: joiners - leavers
 }
 
 // grow returns s resized to n, reallocating only when capacity is exceeded.
@@ -97,9 +89,8 @@ func radixSortInt32(keys, scratch []int32) (sorted, buf []int32) {
 // applyDelta updates the CSR index for the given moved-host delta. cells must
 // hold every host's new cell (as maintained by the movement phase); movers
 // must list exactly the hosts whose cell changed, in ascending host order,
-// with from/to matching the previous and current cells values. workers > 1
-// shards the copy phase.
-func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) {
+// with from/to matching the previous and current cells values.
+func (g *hostGrid) applyDelta(cells []int32, movers []moverRec) {
 	if len(movers) == 0 {
 		return
 	}
@@ -149,80 +140,40 @@ func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) {
 	}
 	sc.joinStart[nSlots] = pos
 	sc.joiners = grow(sc.joiners, len(movers))
-	cursor := grow(sc.newCount, nSlots) // borrow newCount as the placement cursor
-	copy(cursor, sc.joinStart[:nSlots])
+	sc.cursor = grow(sc.cursor, nSlots)
+	copy(sc.cursor, sc.joinStart[:nSlots])
 	for _, m := range movers {
 		s := sc.touch[m.to] - 1
-		sc.joiners[cursor[s]] = m.host
-		cursor[s]++
+		sc.joiners[sc.cursor[s]] = m.host
+		sc.cursor[s]++
 	}
 
-	// Walk the affected cells in index order: capture each bucket's old
-	// interval, compute its new offset and size, record the shift of the
-	// unchanged run preceding it, and rewrite the start offsets. The running
-	// shift returns to zero past the last affected cell (the population size
-	// is constant), so the tail run and every start offset after it are
-	// untouched.
-	sc.oldLo = grow(sc.oldLo, nSlots)
-	sc.oldHi = grow(sc.oldHi, nSlots)
-	sc.newLo = grow(sc.newLo, nSlots)
-	sc.runShift = grow(sc.runShift, nSlots)
+	// Walk the affected cells in index order, assembling the new entries
+	// array in the ping-pong buffer: copy the unchanged run before each
+	// affected bucket at its shifted offset, then write the bucket as the
+	// merge of its stayers and joiners, and rewrite the start offsets as the
+	// running shift moves them. The shift returns to zero past the last
+	// affected cell (the population size is constant), so the tail run and
+	// every start offset after it are untouched.
+	sc.alt = grow(sc.alt, len(g.Entries))
 	shift := int32(0)
 	prev := int32(-1)
-	for s := 0; s < nSlots; s++ {
-		c := sc.affected[s]
+	run := int32(0) // old-array start of the unchanged run before this bucket
+	for s, c := range sc.affected {
 		lo, hi := g.Start[c], g.Start[c+1]
-		sc.oldLo[s], sc.oldHi[s] = lo, hi
-		sc.runShift[s] = shift
-		sc.newLo[s] = lo + shift
+		copy(sc.alt[run+shift:lo+shift], g.Entries[run:lo])
 		if shift != 0 {
 			for cc := prev + 1; cc < c; cc++ {
 				g.Start[cc] += shift
 			}
 		}
 		g.Start[c] = lo + shift
-		shift += sc.delta[s]
-		prev = c
-	}
-	sc.newCount = cursor[:nSlots]
-	for s := 0; s < nSlots; s++ {
-		sc.newCount[s] = (sc.oldHi[s] - sc.oldLo[s]) + sc.delta[s]
-	}
 
-	// Assemble the new entries array in the ping-pong buffer. The work is cut
-	// into 2*nSlots+1 units laid out in new-array order: run s (the unchanged
-	// block before affected bucket s), bucket s, ..., tail run. Every unit
-	// reads the old array and writes a disjoint interval of the new one, so
-	// the units shard across workers freely.
-	sc.alt = grow(sc.alt, len(g.Entries))
-	nUnits := 2*nSlots + 1
-	copyUnit := func(u int) {
-		if u == 2*nSlots { // tail run, never shifted
-			lo := sc.oldHi[nSlots-1]
-			copy(sc.alt[lo:], g.Entries[lo:])
-			return
-		}
-		s := u / 2
-		if u%2 == 0 { // run before bucket s
-			lo := int32(0)
-			if s > 0 {
-				lo = sc.oldHi[s-1]
-			}
-			hi := sc.oldLo[s]
-			if lo < hi {
-				d := sc.runShift[s]
-				copy(sc.alt[lo+d:hi+d], g.Entries[lo:hi])
-			}
-			return
-		}
 		// Bucket s: merge stayers with joiners, both ascending by host.
-		c := sc.affected[s]
-		dst := sc.alt[sc.newLo[s] : sc.newLo[s]+sc.newCount[s]]
-		old := g.Entries[sc.oldLo[s]:sc.oldHi[s]]
+		dst := sc.alt[lo+shift : hi+shift+sc.delta[s]]
 		jn := sc.joiners[sc.joinStart[s]:sc.joinStart[s+1]]
-		k := 0
-		j := 0
-		for _, h := range old {
+		k, j := 0, 0
+		for _, h := range g.Entries[lo:hi] {
 			if cells[h] != c {
 				continue // leaver
 			}
@@ -234,24 +185,13 @@ func (g *hostGrid) applyDelta(cells []int32, movers []moverRec, workers int) {
 			dst[k] = h
 			k++
 		}
-		for j < len(jn) {
-			dst[k] = jn[j]
-			k++
-			j++
-		}
+		copy(dst[k:], jn[j:])
+
+		shift += sc.delta[s]
+		prev = c
+		run = hi
 	}
-	if workers > 1 && nUnits >= 4*workers {
-		shards := splitRange(nUnits, workers)
-		runWorkers(len(shards), func(s int) {
-			for u := shards[s][0]; u < shards[s][1]; u++ {
-				copyUnit(u)
-			}
-		})
-	} else {
-		for u := 0; u < nUnits; u++ {
-			copyUnit(u)
-		}
-	}
+	copy(sc.alt[run:], g.Entries[run:])
 	g.Entries, sc.alt = sc.alt, g.Entries
 
 	// Wipe the touch table for the next delta.

@@ -12,7 +12,7 @@ import (
 // applyDelta while a reference grid is fully rebuilt (grid.Index.Build) from
 // the same cell assignment, and requires the raw CSR arrays to stay
 // byte-identical.
-func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float64) {
+func deltaTrace(t *testing.T, seed int64, n, steps int, moveFrac float64) {
 	t.Helper()
 	const w, h = 3000.0, 2000.0
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(w, h))
@@ -46,7 +46,7 @@ func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float6
 				cells[i] = c
 			}
 		}
-		g.applyDelta(cells, movers, workers)
+		g.applyDelta(cells, movers)
 		ref.Build(cells)
 		if !reflect.DeepEqual(g.Start, ref.Start) {
 			t.Fatalf("step %d (%d movers): start arrays diverged", step, len(movers))
@@ -59,24 +59,20 @@ func deltaTrace(t *testing.T, seed int64, n, steps, workers int, moveFrac float6
 
 // TestIncrementalGridMatchesFullRebuild is the tentpole oracle at the data-
 // structure level, swept over move fractions from nobody-moved to
-// everybody-moved and over copy-phase worker counts.
+// everybody-moved.
 func TestIncrementalGridMatchesFullRebuild(t *testing.T) {
 	cases := []struct {
 		name     string
 		moveFrac float64
-		workers  int
 	}{
-		{"none-moved", 0, 1},
-		{"sparse", 0.01, 1},
-		{"third", 0.33, 1},
-		{"third-workers4", 0.33, 4},
-		{"third-workers7", 0.33, 7},
-		{"all-moved", 1, 1},
-		{"all-moved-workers8", 1, 8},
+		{"none-moved", 0},
+		{"sparse", 0.01},
+		{"third", 0.33},
+		{"all-moved", 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			deltaTrace(t, 11, 800, 40, tc.workers, tc.moveFrac)
+			deltaTrace(t, 11, 800, 40, tc.moveFrac)
 		})
 	}
 }
@@ -91,7 +87,7 @@ func TestApplyDeltaSingleCellWorld(t *testing.T) {
 	g := newHostGrid(bounds, 4, 500) // one cell covers everything
 	cells := []int32{0, 0, 0, 0}
 	g.Build(cells)
-	g.applyDelta(cells, nil, 1)
+	g.applyDelta(cells, nil)
 	ref := newHostGrid(bounds, 4, 500)
 	ref.Build(cells)
 	if !reflect.DeepEqual(g.Entries, ref.Entries) || !reflect.DeepEqual(g.Start, ref.Start) {
@@ -100,17 +96,16 @@ func TestApplyDeltaSingleCellWorld(t *testing.T) {
 }
 
 // FuzzApplyDelta fuzzes incremental maintenance against the counting rebuild
-// over randomized populations, trace lengths, move fractions and worker
-// counts.
+// over randomized populations, trace lengths and move fractions.
 func FuzzApplyDelta(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint8(5), uint8(30), uint8(1))
-	f.Add(int64(7), uint16(1), uint8(8), uint8(100), uint8(4))
-	f.Add(int64(42), uint16(900), uint8(3), uint8(0), uint8(8))
-	f.Add(int64(-9), uint16(64), uint8(12), uint8(75), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, steps, movePct, workers uint8) {
+	f.Add(int64(1), uint16(100), uint8(5), uint8(30))
+	f.Add(int64(7), uint16(1), uint8(8), uint8(100))
+	f.Add(int64(42), uint16(900), uint8(3), uint8(0))
+	f.Add(int64(-9), uint16(64), uint8(12), uint8(75))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, steps, movePct uint8) {
 		if n == 0 || n > 1500 {
 			return
 		}
-		deltaTrace(t, seed, int(n), int(steps%16)+1, int(workers%9)+1, float64(movePct%101)/100)
+		deltaTrace(t, seed, int(n), int(steps%16)+1, float64(movePct%101)/100)
 	})
 }

@@ -10,10 +10,9 @@ import (
 
 // benchWorld is the Table 4 Los Angeles population (121,500 hosts over
 // 30×30 mi) — the heaviest movement phase in the figure suite and the
-// configuration the ISSUE's speedup target is stated against. The world is
-// built once and shared: advanceMovement mutates only host positions and the
-// grid, so successive measurements stay representative, and initEngine can
-// re-shard the same population between sub-benchmarks.
+// configuration whose step the baseline tracks. The world is built once and
+// shared: advanceMovement mutates only host positions and the grid, so
+// successive measurements stay representative.
 var benchWorld = struct {
 	once sync.Once
 	w    *World
@@ -47,24 +46,21 @@ func benchStepWorld(b *testing.B) *World {
 }
 
 // BenchmarkWorldStep measures one movement step (advance every mobility
-// model + rebuild the host grid) at several intra-world worker counts, and
-// — under the queries/ sub-benchmarks — the query pipeline's
+// model + patch the host grid), which runs on the coordinating goroutine,
+// and — under the queries/ sub-benchmarks — the query pipeline's
 // resolve+commit phase on a query-heavy batch at several
 // Config.QueryWorkers counts. Output is bit-identical across all counts
-// (TestWorldParallelDeterminism, TestWorldQueryParallelDeterminism); the
-// CI bench job gates both the movement workers=1 vs workers=8 ratio and
-// the query qworkers=1 vs qworkers=8 ratio.
+// (TestWorldQueryParallelDeterminism); the CI bench job gates the query
+// qworkers=1 vs qworkers=8 ratio. workers=1 keeps the name the movement
+// step had while it was sharded, so the baseline's series continues.
 func BenchmarkWorldStep(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			w := benchStepWorld(b)
-			w.initEngine(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.advanceMovement(stepSeconds)
-			}
-		})
-	}
+	b.Run("workers=1", func(b *testing.B) {
+		w := benchStepWorld(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.advanceMovement(stepSeconds)
+		}
+	})
 	// Million-host movement step on the coordinating goroutine (advance the
 	// 10% that move, patch the grid from their delta).
 	b.Run("hosts=1M", func(b *testing.B) {
@@ -83,8 +79,8 @@ func BenchmarkWorldStep(b *testing.B) {
 		d := bigGridDelta(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d.g.applyDelta(d.after, d.fwd, 1)
-			d.g.applyDelta(d.before, d.rev, 1)
+			d.g.applyDelta(d.after, d.fwd)
+			d.g.applyDelta(d.before, d.rev)
 		}
 	})
 	b.Run("grid=1M/rebuild", func(b *testing.B) {
@@ -214,15 +210,13 @@ func bigStepWorld(b *testing.B) *World {
 			Duration: 5 * 3600,
 			Mode:     ModeFreeMovement,
 			MaxPause: 30,
-			// The workers=1/8 sub-benchmarks above cover parallel scaling.
-			Workers: 1,
-			Seed:    1,
+			Seed:     1,
 		}
 		w, err := New(cfg)
 		if err == nil {
 			// Warm the world before it is ever timed: the first steps fault
-			// in the grid-delta scratch and the movement engine's buffers
-			// (tens of ms of one-off cost). CI runs -benchtime 1x, where a
+			// in the grid-delta scratch and the movers buffer (tens of ms
+			// of one-off cost). CI runs -benchtime 1x, where a
 			// single cold step would be the entire sample.
 			for i := 0; i < 5; i++ {
 				w.advanceMovement(stepSeconds)
@@ -266,8 +260,8 @@ func bigGridDelta(b *testing.B) *gridDelta {
 		d.g = newHostGrid(w.cfg.Bounds(), len(d.before), w.cfg.TxRange)
 		d.g.Build(d.before)
 		// Fault in the delta scratch outside any timed window (see above).
-		d.g.applyDelta(d.after, d.fwd, 1)
-		d.g.applyDelta(d.before, d.rev, 1)
+		d.g.applyDelta(d.after, d.fwd)
+		d.g.applyDelta(d.before, d.rev)
 	})
 	return &bigDelta.d
 }

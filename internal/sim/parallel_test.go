@@ -47,8 +47,8 @@ func TestSplitRange(t *testing.T) {
 }
 
 // workerCounts is the sweep the determinism properties run over: sequential,
-// even, prime (so shards straddle cell boundaries unevenly), and whatever the
-// machine would default to.
+// even, prime (so construction chunks, grid bands and query shards split
+// unevenly), and whatever the machine would default to.
 func workerCounts() []int {
 	counts := []int{1, 2, 7}
 	if gm := runtime.GOMAXPROCS(0); gm > 1 {
@@ -59,7 +59,7 @@ func workerCounts() []int {
 
 // TestWorldParallelDeterminism is the tentpole contract: a full World.Run
 // produces bit-identical metrics and time series for every worker count, in
-// both movement modes, and every movement and query worker it starts
+// both movement modes, and every construction and query worker it starts
 // (QueryWorkers defaults to Workers) has exited when it returns.
 func TestWorldParallelDeterminism(t *testing.T) {
 	for _, mode := range []Mode{ModeRoadNetwork, ModeFreeMovement} {
@@ -200,24 +200,21 @@ func TestForNeighborsOrderAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineGridMatchesSequentialRebuild drives the sharded movement engine
-// (per-shard deltas, applyDelta) and a sequential counting rebuild over the
-// same relocation history and requires the raw CSR arrays to come out
-// identical.
-func TestEngineGridMatchesSequentialRebuild(t *testing.T) {
+// TestStepGridMatchesSequentialRebuild drives the movement step (the
+// cell-crossing delta, applyDelta) on a world five construction workers
+// built, and a sequential counting rebuild over the same relocation
+// history, and requires the raw CSR arrays to come out identical.
+func TestStepGridMatchesSequentialRebuild(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Workers = 5
 	w, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.engine == nil {
-		t.Fatal("engine not armed for Workers=5")
-	}
 	ref := newHostGrid(cfg.Bounds(), cfg.NumHosts, cfg.TxRange)
 	cells := make([]int32, cfg.NumHosts)
 	for step := 0; step < 30; step++ {
-		w.engine.step(stepSeconds)
+		w.advanceMovement(stepSeconds)
 		for i, p := range w.pos {
 			cells[i] = ref.CellIndex(p)
 		}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+
 	"repro/internal/cache"
 	"repro/internal/client"
 	"repro/internal/core"
@@ -198,6 +200,44 @@ func (e *queryEngine) runBatch() {
 		e.commit(&e.plans[i], &e.results[i])
 	}
 	e.plans = e.plans[:0]
+}
+
+// splitRange cuts [0,n) into k near-equal contiguous pieces (fewer when
+// n < k; never empty).
+func splitRange(n, k int) [][2]int {
+	if k > n {
+		k = n
+	}
+	if k < 1 {
+		k = 1
+	}
+	out := make([][2]int, 0, k)
+	lo := 0
+	for s := 0; s < k; s++ {
+		hi := lo + (n-lo)/(k-s)
+		out = append(out, [2]int{lo, hi})
+		lo = hi
+	}
+	return out
+}
+
+// runWorkers runs fn(s) for s in [0,n) concurrently and waits; one worker
+// runs inline on the caller's goroutine. runBatch's shards touch disjoint
+// results and scratch.
+func runWorkers(n int, fn func(s int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for s := 0; s < n; s++ {
+		go func(s int) {
+			defer wg.Done()
+			fn(s)
+		}(s)
+	}
+	wg.Wait()
 }
 
 // resolve runs one complete SENN query against the step-start snapshot by

@@ -18,7 +18,7 @@ import (
 //
 // Host state is stored structure-of-arrays: positions, grid cells, and the
 // cache slot index live in parallel pointer-free slices indexed by host, so
-// the movement shards and the gather phase stream through contiguous memory
+// the movement step and the gather phase stream through contiguous memory
 // instead of chasing one heap object per host. What only some hosts use is
 // sized to them: movement state per mover, cache storage per host that has
 // queried. The layout is what lets a single machine hold million-host worlds
@@ -44,15 +44,11 @@ type World struct {
 	moving []int32
 	wp     *mobility.Waypoints
 	road   []*mobility.RoadNetwork
-	// finders are the road movers' route planners, one per shard: the movers
-	// of shard s of splitRange(len(moving), len(finders)) plan with
-	// finders[s], so shards of that layout never share one.
-	finders []*spatialnet.PathFinder
 
 	grid *hostGrid
-	// engine shards the movement phase across Config.Workers goroutines
-	// (one shard, run on the coordinating goroutine, when Workers <= 1).
-	engine *stepEngine
+	// movers is the last movement step's cell-crossing delta, reused every
+	// step (advanceMovement).
+	movers []moverRec
 
 	// qengine runs each step's query batch through the plan/resolve/commit
 	// pipeline (queryengine.go), fanning the resolve phase across
@@ -145,7 +141,6 @@ func build(cfg Config, chunk, moverBound int) (*World, error) {
 	w.server = NewServerModule(pois, Fanout)
 
 	w.populate(pois, chunk, moverBound)
-	w.initEngine(cfg.Workers)
 	w.initQueryEngine(cfg.QueryWorkers)
 	if cfg.SeriesWindow > 0 {
 		w.series = newSeriesRecorder(cfg.SeriesWindow)
@@ -212,14 +207,14 @@ func (w *World) populate(pois []core.POI, chunk, moverBound int) {
 	w.pos = make([]geom.Point, n)
 	moving := make([]int32, 0, moverBound)
 	seeds := make([]uint64, 0, moverBound)
-	if w.roads != nil {
-		w.finders = make([]*spatialnet.PathFinder, workers)
-	}
 
 	// Placer p's histogram and route planner are its own; the coordinator
-	// is placer workers-1. A placer's first chunk, and any growth of the
-	// movement columns, waits for the columns.
+	// is placer workers-1. A road mover keeps the planner of the placer that
+	// built it: only one goroutine moves hosts (advanceMovement), so movers
+	// sharing a planner never use it at once. A placer's first chunk, and
+	// any growth of the movement columns, waits for the columns.
 	counts := make([][]int32, workers)
+	finders := make([]*spatialnet.PathFinder, workers)
 	ready := make(chan struct{})
 	columns := func() {
 		w.cells = make([]int32, n)
@@ -243,14 +238,10 @@ func (w *World) populate(pois []core.POI, chunk, moverBound int) {
 				counts[p] = make([]int32, w.grid.NumCells())
 			}
 		}
-		var finder *spatialnet.PathFinder
-		if w.roads != nil {
-			if w.finders[p] == nil {
-				w.finders[p] = spatialnet.NewPathFinder(w.roads)
-			}
-			finder = w.finders[p]
+		if w.roads != nil && finders[p] == nil {
+			finders[p] = spatialnet.NewPathFinder(w.roads)
 		}
-		w.placeChunk(job, counts[p], finder)
+		w.placeChunk(job, counts[p], finders[p])
 	}
 	// One buffer slot per chunk: the coordinator never waits to queue one.
 	jobs := make(chan chunkJob, (n+chunk-1)/chunk)
@@ -378,6 +369,31 @@ func (w *World) placeChunk(job chunkJob, counts []int32, finder *spatialnet.Path
 	grid.Count(counts, w.cells[job.lo:job.hi])
 }
 
+// advanceMovement runs one movement step on the coordinating goroutine:
+// every mover advances by dt — slot j of the mode's movement state drives
+// host moving[j] — and each host whose grid cell changed is recorded, in
+// ascending host order as applyDelta requires, before the grid is patched
+// from that delta. Stationary hosts are never visited.
+func (w *World) advanceMovement(dt float64) {
+	g := w.grid
+	movers := w.movers[:0]
+	for j, i := range w.moving {
+		var p geom.Point
+		if w.wp != nil {
+			p = w.wp.Advance(j, w.pos[i], dt)
+		} else {
+			p = w.road[j].Advance(dt)
+		}
+		w.pos[i] = p
+		if c := g.CellIndex(p); c != w.cells[i] {
+			movers = append(movers, moverRec{host: i, from: w.cells[i], to: c})
+			w.cells[i] = c
+		}
+	}
+	g.applyDelta(w.cells, movers)
+	w.movers = movers
+}
+
 // Server exposes the server module (for benchmark harnesses).
 func (w *World) Server() *ServerModule { return w.server }
 
@@ -398,8 +414,9 @@ func (w *World) scheduleNextQuery() {
 // Each step runs the query pipeline of queryengine.go: plan every query
 // event falling inside the step (all RNG draws, in event order), resolve
 // the batch concurrently against the step-start snapshot, and commit the
-// effects in event order. Metrics — including ServerPageAccesses, summed
-// from per-query counts — cover exactly the events past warm-up.
+// effects in event order. Then every mover advances on this goroutine
+// (advanceMovement). Metrics — including ServerPageAccesses, summed from
+// per-query counts — cover exactly the events past warm-up.
 func (w *World) Run() Metrics {
 	if w.ran {
 		panic("sim: World.Run called twice; build a new World per run")
@@ -427,8 +444,6 @@ func (w *World) Run() Metrics {
 		// Resolve concurrently, commit in event order (bit-identical output
 		// for any Config.QueryWorkers).
 		w.qengine.runBatch()
-		// Advance movement (sharded across Config.Workers goroutines;
-		// output is bit-identical for any worker count).
 		w.advanceMovement(stepEnd - w.now)
 		w.now = stepEnd
 	}

@@ -40,7 +40,7 @@ fence "function-style sync/atomic call (use atomic.Int64 and friends)" \
 	"$(grep -rnE 'atomic\.(Add|And|CompareAndSwap|Load|Or|Store|Swap)[A-Z][A-Za-z0-9]*\(' --include='*.go' . | grep -v '/testdata/' || true)"
 
 # The simulator's only clock is virtual step time. The dynamic gates own this
-# rule and the per-shard RNG rule either way: a wall-clock read or a
+# rule and the per-mover RNG rule either way: a wall-clock read or a
 # global-source draw changes output between two runs of one seed, which fails
 # the determinism job, TestWorldParallelDeterminism and
 # TestParallelMatchesSequential* (DESIGN.md §7 names the tests).
