@@ -3,9 +3,10 @@
 // internal/wire messages for position updates and kNN/range queries, one
 // session per connection, both on one listener whose connections the daemon
 // reads itself (it links no net/http). The POI data set comes from an
-// on-disk page-aligned store (see internal/serve), which the daemon packs at
-// boot into the same R*-tree the in-process simulator builds — served
-// answers are bit-identical to ServerModule's, page counts included.
+// on-disk store (see internal/serve: a header, then the POI points in row
+// order, a POI's ID being its row), which the daemon packs at boot into the
+// same R*-tree the in-process simulator builds — served answers are
+// bit-identical to ServerModule's, page counts included.
 //
 // Usage:
 //

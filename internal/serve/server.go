@@ -131,7 +131,11 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 	}
 	bounds := opts.Bounds
 	if bounds.Max.X <= bounds.Min.X || bounds.Max.Y <= bounds.Min.Y {
-		bounds = poiBounds(mod.POIs())
+		// The packed tree's root MBR is the data set's; an empty tree has
+		// none and serves the zero rectangle.
+		if bounds = mod.Tree().Bounds(); bounds.IsEmpty() {
+			bounds = geom.Rect{}
+		}
 	}
 	s := &Server{
 		querier:      sim.NewSnapshotQuerier(mod),
@@ -143,30 +147,6 @@ func NewServer(mod *sim.ServerModule, opts Options) *Server {
 		dir:          newSessionDirectory(bounds, 0),
 	}
 	return s
-}
-
-// poiBounds computes the bounding box of the data set (zero rect when
-// empty).
-func poiBounds(pois []core.POI) geom.Rect {
-	if len(pois) == 0 {
-		return geom.Rect{}
-	}
-	b := geom.Rect{Min: pois[0].Loc, Max: pois[0].Loc}
-	for _, p := range pois[1:] {
-		if p.Loc.X < b.Min.X {
-			b.Min.X = p.Loc.X
-		}
-		if p.Loc.Y < b.Min.Y {
-			b.Min.Y = p.Loc.Y
-		}
-		if p.Loc.X > b.Max.X {
-			b.Max.X = p.Loc.X
-		}
-		if p.Loc.Y > b.Max.Y {
-			b.Max.Y = p.Loc.Y
-		}
-	}
-	return b
 }
 
 // sessionShimBody is POST /v1/session's answer: the retired session mint

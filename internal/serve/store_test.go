@@ -24,9 +24,10 @@ import (
 func TestStoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(8000, 8000)}
-	// 1000 POIs straddles several pages; also try counts at exact page
-	// boundaries and an empty store.
-	for _, n := range []int{0, 1, poisPerPage, poisPerPage + 1, 1000} {
+	// 1000 POIs take several of readStore's buffers; also try counts at a
+	// buffer's exact boundary and an empty store.
+	perRead := storeReadBuf / storePointSize
+	for _, n := range []int{0, 1, perRead, perRead + 1, 1000} {
 		pois := sim.RandomPOIs(n, bounds, rng)
 		path := filepath.Join(t.TempDir(), "pois.senp")
 		if err := WriteStore(path, pois, 30, bounds); err != nil {
@@ -80,16 +81,15 @@ func sameIndex(a, b rtree.Node) bool {
 }
 
 // The store file's bytes are a format, not an implementation detail: a
-// daemon must boot from a store written by any earlier build. The digest
-// was recorded from WriteStore as it stood before the store did its own file
-// I/O (it wrote through a generic page-file type then); any change to it is
-// a format change and needs a new storeVersion.
+// daemon must boot from a store written by any earlier build of the same
+// version. The digest was recorded from version 2's first WriteStore; any
+// change to it is a format change and needs a new storeVersion.
 func TestStoreFormatUnchanged(t *testing.T) {
-	const want = "211e9347c46e5d2fe3d69c1a485b74ee9381cee2b3c5246e00052d4f61d37cf4"
+	const want = "604f2a0f7987f7e62496d17279038d0ae82c9b34bb382ca4299ab6629c136df6"
 	rng := rand.New(rand.NewSource(40))
 	pois := make([]core.POI, 500)
 	for i := range pois {
-		pois[i] = core.POI{ID: int64(i)*1_000_003 - 250_000, Loc: geom.Pt(rng.Float64()*9000-1000, rng.Float64()*7000)}
+		pois[i] = core.POI{ID: int64(i), Loc: geom.Pt(rng.Float64()*9000-1000, rng.Float64()*7000)}
 	}
 	bounds := geom.Rect{Min: geom.Pt(-1000, 0), Max: geom.Pt(8000, 7000)}
 	path := filepath.Join(t.TempDir(), "pois.senp")
@@ -100,8 +100,8 @@ func TestStoreFormatUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != 4*storePageSize {
-		t.Errorf("store is %d bytes, want 4 pages (a header and 500 POIs at %d per page)", len(b), poisPerPage)
+	if len(b) != 52+500*16 {
+		t.Errorf("store is %d bytes, want a 52-byte header and 500 POIs at 16 bytes", len(b))
 	}
 	sum := sha256.Sum256(b)
 	if got := hex.EncodeToString(sum[:]); got != want {
@@ -113,6 +113,20 @@ func TestWriteStoreRejectsBadFanout(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pois.senp")
 	if err := WriteStore(path, nil, 3, geom.Rect{}); err == nil {
 		t.Fatal("fanout 3 accepted")
+	}
+}
+
+// A store has no ID column, so a POI whose ID is not its row cannot be
+// written: it would come back under another ID.
+func TestWriteStoreRejectsNonRowIDs(t *testing.T) {
+	pois := []core.POI{{ID: 0}, {ID: 2, Loc: geom.Pt(1, 1)}}
+	path := filepath.Join(t.TempDir(), "pois.senp")
+	err := WriteStore(path, pois, 30, geom.Rect{})
+	if err == nil || !strings.Contains(err.Error(), "row 1 has ID 2") {
+		t.Fatalf("err = %v, want the row and ID named", err)
+	}
+	if _, serr := os.Stat(path); !errors.Is(serr, os.ErrNotExist) {
+		t.Errorf("a refused store left a file behind: %v", serr)
 	}
 }
 
@@ -147,37 +161,48 @@ func TestReadStoreRejectsCorruption(t *testing.T) {
 		wantSub string
 	}{
 		{"bad magic", func(t *testing.T, p string) { patch(t, p, 0, []byte{0xde, 0xad}) }, "magic"},
-		{"bad version", func(t *testing.T, p string) { patch(t, p, 4, []byte{9}) }, "version"},
+		{"bad version", func(t *testing.T, p string) { patch(t, p, 4, []byte{9}) }, "version 9"},
+		{"version 1", func(t *testing.T, p string) { patch(t, p, 4, []byte{1}) }, "version 1, this build reads version 2: write it again with senn-serverd -mkstore"},
 		{"tiny fanout", func(t *testing.T, p string) { patch(t, p, 8, []byte{1, 0, 0, 0}) }, "fanout"},
 		{"count lies", func(t *testing.T, p string) {
 			var cnt [8]byte
 			binary.LittleEndian.PutUint64(cnt[:], 5000)
 			patch(t, p, 12, cnt[:])
-		}, "pages"},
+		}, "size"},
 		{"nan bounds", func(t *testing.T, p string) {
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(math.NaN()))
 			patch(t, p, 20, b[:])
 		}, "bounds"},
 		{"truncated", func(t *testing.T, p string) {
-			if err := os.Truncate(p, storePageSize); err != nil {
+			if err := os.Truncate(p, storeHeaderSize+9*storePointSize); err != nil {
 				t.Fatal(err)
 			}
-		}, "pages"},
+		}, "size"},
 		{"unaligned", func(t *testing.T, p string) {
-			if err := os.Truncate(p, storePageSize+100); err != nil {
+			if err := os.Truncate(p, storeHeaderSize+10*storePointSize-8); err != nil {
 				t.Fatal(err)
 			}
-		}, "aligned"},
+		}, "size"},
+		{"trailing bytes", func(t *testing.T, p string) {
+			if err := os.Truncate(p, storeHeaderSize+10*storePointSize+1); err != nil {
+				t.Fatal(err)
+			}
+		}, "size"},
+		{"header cut", func(t *testing.T, p string) {
+			if err := os.Truncate(p, storeHeaderSize-1); err != nil {
+				t.Fatal(err)
+			}
+		}, "header"},
 		{"empty", func(t *testing.T, p string) {
 			if err := os.Truncate(p, 0); err != nil {
 				t.Fatal(err)
 			}
-		}, "empty"},
+		}, "header"},
 		{"nan poi", func(t *testing.T, p string) {
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(math.NaN()))
-			patch(t, p, storePageSize+8, b[:])
+			patch(t, p, storeHeaderSize+3*storePointSize+8, b[:])
 		}, "POI"},
 	}
 	for _, tc := range cases {
@@ -195,7 +220,7 @@ func TestReadStoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-// A read that fails mid-store fails the load; it never leaves a page of
+// A read that fails mid-store fails the load; it never leaves a buffer of
 // stale bytes to be decoded as POIs. The size check has already proved the
 // file long enough, so only the device (or a file shrinking under the
 // reader) can fail a read, and the test stands in for it.
@@ -211,10 +236,49 @@ func TestReadStoreReportsReadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	eio := errors.New("input/output error")
-	for _, at := range []int{0, storePageSize, 2 * storePageSize, 2*storePageSize + 100} {
+	// In the header, at the body's first byte, inside the first buffer, at
+	// the second buffer's first byte and inside it.
+	for _, at := range []int{0, 20, storeHeaderSize, storeHeaderSize + 100, storeHeaderSize + storeReadBuf, storeHeaderSize + storeReadBuf + 100} {
 		r := io.MultiReader(bytes.NewReader(data[:at]), iotest.ErrReader(eio))
 		if _, _, err := readStore(r, int64(len(data)), path); !errors.Is(err, eio) {
 			t.Errorf("read failing at byte %d of %d: err = %v, want the read's error", at, len(data), err)
 		}
 	}
+}
+
+// A store has one spelling: any bytes readStore accepts are exactly the
+// bytes WriteStore writes for what they decode to (encodeStore is its
+// encoder), so no padding, trailing byte or stale field is ever accepted
+// and ignored.
+func FuzzReadStore(f *testing.F) {
+	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}
+	valid, err := encodeStore(sim.RandomPOIs(3, bounds, rand.New(rand.NewSource(34))), 30, bounds)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	// An empty version-1 store: the same header fields on a zero-padded
+	// 4 KiB page.
+	v1 := make([]byte, 4096)
+	copy(v1, valid[:storeHeaderSize])
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	binary.LittleEndian.PutUint64(v1[12:], 0)
+	f.Add(v1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		info, pois, err := readStore(bytes.NewReader(data), int64(len(data)), "fuzz")
+		if err != nil {
+			return
+		}
+		if info.Count != len(pois) {
+			t.Fatalf("count %d, %d POIs", info.Count, len(pois))
+		}
+		back, err := encodeStore(pois, info.Fanout, info.Bounds)
+		if err != nil {
+			t.Fatalf("accepted store does not encode: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different ones:\n in %x\nout %x", len(data), len(back), data, back)
+		}
+	})
 }
