@@ -33,9 +33,9 @@ const (
 	storeVersion    = uint32(2)
 	storeHeaderSize = 52
 	storePointSize  = 16
-	// storeReadBuf is readStore's one buffer, 256 points a read. A larger
-	// one read a 50,000-POI store no faster and stayed resident in the
-	// booted daemon.
+	// storeReadBuf is readStore's one buffer, 256 points a read: the
+	// previous format's 4 KiB. 16 and 64 KiB buffers showed no resolved
+	// difference in store_read_ms or resident memory over the boots made.
 	storeReadBuf = 4 << 10
 )
 

@@ -2,7 +2,7 @@
 # sharecpu.sh — what sharing costs the daemon: senn-serverd CPU per 1,000
 # client queries with senn-load's sharing on and off (ROADMAP item 28(a)).
 # Boots one daemon on CI's store (50,000 POIs, 16 clusters, 20 km square),
-# warms it up, then runs `senn-load -sessions 64 -duration 10s` RUNS times
+# warms it up, then runs `senn-load -sessions 64 -duration 10s` ten times
 # per side, alternating (on, off, off, on, on, off, …). Each run reads
 # cpu_user_ns and cpu_sys_ns from /v1/stats before and after and divides
 # the difference by the run's completed queries. Writes the table to
@@ -14,7 +14,6 @@
 # curl and jq only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-runs=${RUNS:-10}
 addr=127.0.0.1:8046
 work=$(mktemp -d)
 daemon=
@@ -29,7 +28,7 @@ for _ in $(seq 1 100); do curl -fsS "http://$addr/healthz" >/dev/null 2>&1 && br
 load() { "$work/senn-load" -addr "$addr" -sessions 64 -duration "$2" -share="$1" -out "$work/load.json" >/dev/null; }
 load true 3s
 load false 3s
-for i in $(seq 1 "$runs"); do
+for i in $(seq 1 10); do
 	if [ $((i % 2)) -eq 1 ]; then order="true false"; else order="false true"; fi
 	for share in $order; do
 		curl -fsS "http://$addr/v1/stats" >"$work/before.json"
@@ -56,7 +55,7 @@ def mq: "\(q(0.5) | r(100)) [\(q(0.25) | r(100)), \(q(0.75) | r(100))]";
 def tot: .user + .sys;
 map(select(.share)) as $on | map(select(.share | not)) as $off
 | def ratio(f): ($on | map(f) | q(0.5)) / ($off | map(f) | q(0.5)) | r(100);
-"Daemon CPU per 1,000 client queries, sharing on and off (ms; median [Q1, Q3] of \($on | length) runs per side; extension study)",
+"Daemon CPU per 1,000 client queries, sharing on and off (ms; median [Q1, Q3] of 10 runs per side; extension study)",
 "sharing  user                   system                 total                  server-solved",
 ($on, $off | "\(if .[0].share then "on" else "off" end | pad(9))\(map(.user) | mq | pad(23))\(map(.sys) | mq | pad(23))\(map(tot) | mq | pad(23))\(map(.server / .knn * 100) | q(0.5) | r(10)) %"),
 "on/off   user \(ratio(.user))x, system \(ratio(.sys))x, total \(ratio(tot))x (ratio of medians); total per run pair \([range($on | length) as $k | ($on[$k] | tot) / ($off[$k] | tot)] | mq)x",
