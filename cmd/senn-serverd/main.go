@@ -137,11 +137,10 @@ const headTimeout = 5 * time.Second
 func makeStore(path string, n, fanout int, width float64, clusters int, seed int64) error {
 	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(width, width)}
 	rng := rand.New(rand.NewSource(seed))
-	var pois = sim.RandomPOIs(n, bounds, rng)
 	if clusters > 0 {
-		pois = sim.ClusteredPOIs(n, bounds, clusters, 400, rng) // 400 m spread
+		return serve.WriteStore(path, sim.ClusteredPOIs(n, bounds, clusters, 400, rng), fanout, bounds) // 400 m spread
 	}
-	return serve.WriteStore(path, pois, fanout, bounds)
+	return serve.WriteStore(path, sim.RandomPOIs(n, bounds, rng), fanout, bounds)
 }
 
 func fatal(err error) {

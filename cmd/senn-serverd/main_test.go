@@ -6,6 +6,8 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -102,6 +104,34 @@ func TestHalfWrittenRequestIsClosed(t *testing.T) {
 	}
 	if msg, err := wire.Decode(data); err != nil || msg.Type != wire.TypeAnswer || len(msg.Answer.Cache.Neighbors) != 3 {
 		t.Fatalf("query after the idle got %+v, %v", msg, err)
+	}
+}
+
+// -mkstore writes exactly one draw from the seed: the clustered set for
+// -clusters > 0, the uniform set for -clusters 0, each from a fresh
+// generator.
+func TestMakeStoreDrawsOneSet(t *testing.T) {
+	const n, fanout, width, seed = 2000, 30, 20000.0, 7
+	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(width, width)}
+	for _, clusters := range []int{0, 16} {
+		want := sim.RandomPOIs(n, bounds, rand.New(rand.NewSource(seed)))
+		if clusters > 0 {
+			want = sim.ClusteredPOIs(n, bounds, clusters, 400, rand.New(rand.NewSource(seed)))
+		}
+		path := filepath.Join(t.TempDir(), "pois.senp")
+		if err := makeStore(path, n, fanout, width, clusters, seed); err != nil {
+			t.Fatal(err)
+		}
+		info, got, err := serve.ReadStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info != (serve.StoreInfo{Count: n, Fanout: fanout, Bounds: bounds}) {
+			t.Errorf("clusters %d: store header %+v", clusters, info)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("clusters %d: the store's POIs are not the seed's one draw", clusters)
+		}
 	}
 }
 

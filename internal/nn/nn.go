@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/pq"
 	"repro/internal/rtree"
 )
 
@@ -96,13 +97,12 @@ type Tree[N Node] interface {
 	Node(ref int32) N
 }
 
-// item is an entry of the best-first priority queue: either a reference to a
-// tree node awaiting expansion or an object (leaf entry) awaiting reporting.
-// A node item holds only the child's reference, so the child page is fetched
-// — and counted — only if and when the item is actually popped and
-// expanded.
+// item is a value of the best-first priority queue, keyed by its distance:
+// either a reference to a tree node awaiting expansion or an object (leaf
+// entry) awaiting reporting. A node item holds only the child's reference,
+// so the child page is fetched — and counted — only if and when the item is
+// actually popped and expanded.
 type item struct {
-	dist   float64
 	ref    int32
 	isNode bool
 }
@@ -118,7 +118,7 @@ type Iterator[N Node] struct {
 	tree   Tree[N]
 	query  geom.Point
 	bounds Bounds
-	pq     []item
+	pq     pq.Queue[item]
 	pages  int64
 }
 
@@ -146,17 +146,17 @@ func (it *Iterator[N]) Pages() int64 { return it.pages }
 func (it *Iterator[N]) Next() (Result, bool) {
 	hi := it.bounds.upper()
 	for len(it.pq) > 0 {
-		top := it.pop()
-		if top.dist > hi {
+		top := it.pq.Pop()
+		if top.Key > hi {
 			// Everything still queued is at least this far: stop for good.
 			it.pq = it.pq[:0]
 			break
 		}
-		if !top.isNode {
-			return Result{Ref: top.ref, Dist: top.dist}, true
+		if !top.Val.isNode {
+			return Result{Ref: top.Val.ref, Dist: top.Key}, true
 		}
 		it.pages++
-		it.expand(it.tree.Node(top.ref))
+		it.expand(it.tree.Node(top.Val.ref))
 	}
 	return Result{}, false
 }
@@ -172,7 +172,7 @@ func (it *Iterator[N]) expand(nd N) {
 			if d > hi || d <= lo {
 				continue // beyond the upper bound, or already certain at the client
 			}
-			it.push(item{dist: d, ref: nd.Ref(i)})
+			it.pq.Push(d, item{ref: nd.Ref(i)})
 		}
 		return
 	}
@@ -185,57 +185,7 @@ func (it *Iterator[N]) expand(nd N) {
 		if it.bounds.HasLower && r.MaxDist(it.query) <= lo {
 			continue // downward pruning: MBR inside the certain circle
 		}
-		it.push(item{dist: mind, ref: nd.Ref(i), isNode: true})
-	}
-}
-
-// push, pop, up and down follow the standard library heap's sift order, ties
-// included: the visit order among equal distances — and with it result tie
-// order and page counts — is pinned against a reference built on that
-// package in internal/sim's tests.
-func (it *Iterator[N]) push(x item) {
-	it.pq = append(it.pq, x)
-	it.up(len(it.pq) - 1)
-}
-
-func (it *Iterator[N]) pop() item {
-	n := len(it.pq) - 1
-	it.pq[0], it.pq[n] = it.pq[n], it.pq[0]
-	it.down(0, n)
-	x := it.pq[n]
-	it.pq = it.pq[:n]
-	return x
-}
-
-func (it *Iterator[N]) up(j int) {
-	pq := it.pq
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !(pq[j].dist < pq[i].dist) {
-			break
-		}
-		pq[i], pq[j] = pq[j], pq[i]
-		j = i
-	}
-}
-
-func (it *Iterator[N]) down(i0, n int) {
-	pq := it.pq
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && pq[j2].dist < pq[j1].dist {
-			j = j2
-		}
-		if !(pq[j].dist < pq[i].dist) {
-			break
-		}
-		pq[i], pq[j] = pq[j], pq[i]
-		i = j
+		it.pq.Push(mind, item{ref: nd.Ref(i), isNode: true})
 	}
 }
 

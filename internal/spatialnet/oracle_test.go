@@ -51,6 +51,13 @@ func (g *Graph) snapLinear(p geom.Point) (SnapResult, bool) {
 	return best, found
 }
 
+// nodeDist is an entry of the container/heap referees below: a node and a
+// tentative distance.
+type nodeDist struct {
+	id   NodeID
+	dist float64
+}
+
 type distQueue []nodeDist
 
 func (q distQueue) Len() int           { return len(q) }
@@ -66,7 +73,7 @@ func (q *distQueue) Pop() any {
 }
 
 // refShortestPath is Dijkstra on container/heap, stopped when to is popped:
-// the route planner as it was before PathFinder got its typed heap.
+// the route planner as it was before PathFinder ran on internal/pq.
 func refShortestPath(g *Graph, from, to NodeID) (dist float64, path []NodeID, ok bool) {
 	if from == to {
 		return 0, []NodeID{from}, true

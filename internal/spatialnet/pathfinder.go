@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/pq"
 )
 
 // PathFinder is the package's one Dijkstra search: epoch-stamped scratch over
@@ -20,7 +21,7 @@ type PathFinder struct {
 	prev  []NodeID
 	stamp []uint32
 	epoch uint32
-	pq    []nodeDist
+	pq    pq.Queue[NodeID]
 	// frontier is the distance of the last node settled: every label at or
 	// below it is final, because a later relaxation starts from a node at
 	// least that far out and edge lengths are non-negative.
@@ -30,12 +31,6 @@ type PathFinder struct {
 	// The query-scoped expansion (Expand): the query point's snap, whose two
 	// edge endpoints seed the search with the snap offset already added.
 	src SnapResult
-}
-
-// nodeDist is a priority-queue entry: a node and a tentative distance.
-type nodeDist struct {
-	id   NodeID
-	dist float64
 }
 
 // NewPathFinder returns a PathFinder over g. The graph must not gain nodes
@@ -77,7 +72,7 @@ func (pf *PathFinder) relax(id NodeID, d float64, via NodeID) {
 		pf.stamp[id] = pf.epoch
 		pf.dist[id] = d
 		pf.prev[id] = via
-		pf.push(nodeDist{id: id, dist: d})
+		pf.pq.Push(d, id)
 	}
 }
 
@@ -85,70 +80,22 @@ func (pf *PathFinder) relax(id NodeID, d float64, via NodeID) {
 // queue runs dry, or every unsettled node is so far out that its distance
 // plus slack exceeds bound. It resumes where the previous call stopped.
 func (pf *PathFinder) settle(a, b NodeID, slack, bound float64) {
-	for len(pf.pq) > 0 && pf.pq[0].dist+slack <= bound &&
+	for len(pf.pq) > 0 && pf.pq[0].Key+slack <= bound &&
 		!(pf.label(a) <= pf.frontier && pf.label(b) <= pf.frontier) {
-		cur := pf.pop()
-		if cur.dist > pf.dist[cur.id] {
+		cur := pf.pq.Pop()
+		if cur.Key > pf.dist[cur.Val] {
 			continue // stale entry
 		}
-		pf.frontier = cur.dist
+		pf.frontier = cur.Key
 		pf.settles++
-		for _, he := range pf.g.adj[cur.id] {
-			pf.relax(he.to, cur.dist+he.length, cur.id)
+		for _, he := range pf.g.adj[cur.Val] {
+			pf.relax(he.to, cur.Key+he.length, cur.Val)
 		}
 	}
 }
 
 // Settled returns the number of nodes the current search has settled.
 func (pf *PathFinder) Settled() int { return pf.settles }
-
-// push, pop, up and down follow the standard library heap's sift order, ties
-// included: which of several equally short routes a mobile host takes — and
-// with it every road-mode figure — depends on the pop order among equal
-// distances, pinned against a container/heap reference in the tests.
-func (pf *PathFinder) push(x nodeDist) {
-	pf.pq = append(pf.pq, x)
-	pf.up(len(pf.pq) - 1)
-}
-
-func (pf *PathFinder) pop() nodeDist {
-	n := len(pf.pq) - 1
-	pf.pq[0], pf.pq[n] = pf.pq[n], pf.pq[0]
-	pf.down(0, n)
-	x := pf.pq[n]
-	pf.pq = pf.pq[:n]
-	return x
-}
-
-func (pf *PathFinder) up(j int) {
-	pq := pf.pq
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !(pq[j].dist < pq[i].dist) {
-			break
-		}
-		pq[i], pq[j] = pq[j], pq[i]
-		j = i
-	}
-}
-
-func (pf *PathFinder) down(i, n int) {
-	pq := pf.pq
-	for {
-		j := 2*i + 1
-		if j >= n || j < 0 {
-			break
-		}
-		if j2 := j + 1; j2 < n && pq[j2].dist < pq[j].dist {
-			j = j2
-		}
-		if !(pq[j].dist < pq[i].dist) {
-			break
-		}
-		pq[i], pq[j] = pq[j], pq[i]
-		i = j
-	}
-}
 
 // ShortestPath returns the network distance between two nodes and the node
 // sequence of one shortest path. ok is false when to is unreachable from

@@ -34,6 +34,13 @@ fence "geomtest imported outside _test.go" "$(grep -rl '"repro/internal/geom/geo
 # internal/rtree/rtreetest, which likewise only _test.go files may import.
 fence "rtreetest imported outside _test.go" "$(grep -rl '"repro/internal/rtree/rtreetest"' --include='*.go' . | grep -v '_test\.go$' || true)"
 
+# Both best-first searches (nn's INN/EINN iterator and spatialnet's
+# PathFinder) run on internal/pq, whose sift is pinned to container/heap's
+# tie order once: container/heap imported outside _test.go, or a heap's
+# parent index anywhere but internal/pq, means a second queue has grown back.
+fence "priority queue outside internal/pq" \
+	"$(grep -rnE '"container/heap"|\([A-Za-z_][A-Za-z0-9_]* - 1\) / 2' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/pq/' || true)"
+
 # Every atomic is a typed sync/atomic value, which has no plain-access
 # spelling for go test -race to miss.
 fence "function-style sync/atomic call (use atomic.Int64 and friends)" \
