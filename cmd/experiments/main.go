@@ -1,13 +1,15 @@
-// Command experiments regenerates the paper's evaluation figures. Every
-// sub-figure of Figures 9–17 has a runner; by default all of them execute
-// with durations scaled down 30x from the paper's (1 h and 5 h); pass
-// -scale 1 for full-length runs. Each study prints the table of one results
-// document (-fig free: one per area) and, with -json, writes its JSON.
+// Command experiments regenerates the paper's evaluation figures. Each
+// study is one results document, named as its file: -fig fig9 … fig17,
+// free2mi, free30mi, uncertain, diskio or all. It prints the document's
+// table (and the study's note line) and, with -json, writes its JSON, so
+// `experiments -fig <name> -json out > out/<name>.txt` writes
+// results/<name>.txt and .json byte for byte. Timed studies run at their
+// area's committed duration scale (1 at 2x2 mi, 10 at 30x30 mi); -scale
+// overrides it, 1 being the paper's full length.
 //
 // Usage:
 //
-//	experiments [-fig 9|10|11|12|13|14|15|16|17|free|uncertain|diskio|all]
-//	            [-scale N] [-queries N] [-area 2mi|30mi] [-chart]
+//	experiments [-fig name|all] [-scale N] [-hostscale N] [-seed N] [-chart]
 //	            [-parallel N] [-repeats N] [-json dir]
 //	            [-cpuprofile file] [-memprofile file]
 package main
@@ -26,12 +28,10 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 9..17, free (the §4.3 comparison), or all")
-		scale    = flag.Float64("scale", 30, "duration scale divisor (1 = full paper-length runs)")
+		fig      = flag.String("fig", "all", "results file to regenerate: fig9..fig17, free2mi, free30mi, uncertain, diskio, or all")
+		scale    = flag.Float64("scale", 0, "duration scale divisor (0 = the committed scale: 1 at 2x2 mi, 10 at 30x30 mi; 1 = full paper-length runs)")
 		hostSc   = flag.Float64("hostscale", 1, "host-count scale divisor for smoke runs")
-		queries  = flag.Int("queries", 300, "query count per k for the Figure 17 study")
 		seed     = flag.Int64("seed", 0, "seed offset applied to every run")
-		areaSel  = flag.String("area", "", "restrict the free comparison to one area: 2mi or 30mi (empty: both)")
 		chart    = flag.Bool("chart", false, "render ASCII charts next to the numeric tables")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"core budget per figure: concurrent simulation runs × construction and query workers per run (1 = fully sequential; output is identical either way)")
@@ -70,53 +70,13 @@ func main() {
 		DurationScale: *scale, HostScale: *hostSc, Seed: *seed,
 		Workers: *parallel, Repeats: *repeats,
 	}
-	// A study is one results document; -fig picks studies by name and -area
-	// picks one of the two §4.3 documents (empty leaves both).
-	area := *areaSel
-	if area != "" {
-		if _, err := experiments.ParseArea(area); err != nil {
-			fatal(err)
-		}
-	}
-	type sweepFn func(experiments.Region, experiments.Area, experiments.Options) (experiments.FigureResult, error)
-	figure := func(fn sweepFn, a experiments.Area) func() (experiments.Document, error) {
-		return func() (experiments.Document, error) { return document(experiments.SweepFigure(fn, a, opts)) }
-	}
-	free := func(a experiments.Area) func() (experiments.Document, error) {
-		return func() (experiments.Document, error) { return document(experiments.FreeMovementStudy(a, opts)) }
-	}
-	studies := []struct {
-		name, area string
-		timed      bool // a duration-scaled simulation, the only output -scale shortens
-		run        func() (experiments.Document, error)
-	}{
-		{"9", "", true, figure(experiments.TransmissionRangeSweep, experiments.Area2mi)},
-		{"10", "", true, figure(experiments.TransmissionRangeSweep, experiments.Area30mi)},
-		{"11", "", true, figure(experiments.CacheCapacitySweep, experiments.Area2mi)},
-		{"12", "", true, figure(experiments.CacheCapacitySweep, experiments.Area30mi)},
-		{"13", "", true, figure(experiments.VelocitySweep, experiments.Area2mi)},
-		{"14", "", true, figure(experiments.VelocitySweep, experiments.Area30mi)},
-		{"15", "", true, figure(experiments.KSweep, experiments.Area2mi)},
-		{"16", "", true, figure(experiments.KSweep, experiments.Area30mi)},
-		{"free", "2mi", true, free(experiments.Area2mi)},
-		{"free", "30mi", true, free(experiments.Area30mi)},
-		{"uncertain", "", true, func() (experiments.Document, error) {
-			return document(experiments.UncertainQuality(experiments.Area2mi, opts))
-		}},
-		{"diskio", "", false, func() (experiments.Document, error) {
-			return document(experiments.DiskIOStudy(experiments.LosAngeles, *queries, opts))
-		}},
-		{"17", "", false, func() (experiments.Document, error) {
-			return document(experiments.Figure17(*queries, opts))
-		}},
-	}
-	ran, timed := false, false
-	for _, s := range studies {
-		if *fig != "all" && *fig != s.name || area != "" && s.area != "" && s.area != area {
+	ran := false
+	for _, s := range experiments.Studies {
+		if *fig != "all" && *fig != s.Name {
 			continue
 		}
-		ran, timed = true, timed || s.timed
-		doc, err := s.run()
+		ran = true
+		doc, err := s.Run(opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -124,7 +84,7 @@ func main() {
 		if f, ok := doc.(experiments.Figure); ok && *chart {
 			text = f.TextWith(figureChart)
 		}
-		fmt.Print(text)
+		fmt.Print(text + s.Note(opts))
 		if *jsonDir != "" {
 			if err := experiments.WriteJSON(*jsonDir, doc); err != nil {
 				fatal(err)
@@ -132,16 +92,8 @@ func main() {
 		}
 	}
 	if !ran {
-		fatal(fmt.Errorf("unknown figure %q; want one of 9..17, free, uncertain, diskio, all", *fig))
+		fatal(fmt.Errorf("unknown figure %q; want fig9..fig17, free2mi, free30mi, uncertain, diskio, or all", *fig))
 	}
-	if timed && *scale > 1 {
-		fmt.Printf("note: durations scaled down %.0fx from the paper's; pass -scale 1 for full runs\n", *scale)
-	}
-}
-
-// document widens a study's result to the Document it is.
-func document[D experiments.Document](d D, err error) (experiments.Document, error) {
-	return d, err
 }
 
 func fatal(err error) {

@@ -9,9 +9,9 @@ import (
 
 // TestCommandPathsOutsideTheRecord runs the binaries on the inputs and flags
 // none of scripts/prodcover.sh's workloads supply — each command's error
-// exits (an unknown -area among them), experiments -chart and senn-load
-// -sweep — which
-// results/PRODCOVER.txt lists as defensive with this test's name.
+// exits (senn-sim's unknown -area among them), experiments -chart and
+// senn-load -sweep — which results/PRODCOVER.txt lists as defensive with
+// this test's name.
 func TestCommandPathsOutsideTheRecord(t *testing.T) {
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin, "./cmd/experiments", "./cmd/senn-sim", "./cmd/senn-serverd", "./cmd/senn-load")
@@ -24,8 +24,7 @@ func TestCommandPathsOutsideTheRecord(t *testing.T) {
 		wantText string
 	}{
 		{[]string{"experiments", "-fig", "nope"}, true, `experiments: unknown figure "nope"`},
-		{[]string{"experiments", "-fig", "11", "-hostscale", "40", "-scale", "300", "-chart"}, false, "1=single-peer  m=multi-peer  S=server"},
-		{[]string{"experiments", "-fig", "free", "-area", "bogus"}, true, `experiments: unknown area "bogus" (want 2mi or 30mi)`},
+		{[]string{"experiments", "-fig", "fig11", "-hostscale", "40", "-scale", "300", "-chart"}, false, "1=single-peer  m=multi-peer  S=server"},
 		{[]string{"senn-sim", "-region", "nowhere"}, true, `senn-sim: unknown region "nowhere"`},
 		{[]string{"senn-sim", "-area", "30"}, true, `senn-sim: unknown area "30" (want 2mi or 30mi)`},
 		{[]string{"senn-serverd", "-store", filepath.Join(bin, "missing.senp")}, true, "senn-serverd: serve: open"},

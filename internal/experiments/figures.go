@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -84,12 +85,12 @@ func (f Figure) TextWith(extra func(FigureResult) string) string {
 
 // Options tunes how the experiment runners execute.
 type Options struct {
-	// DurationScale divides the paper's simulated durations (default 30:
-	// the 1 h runs become 2 min, the 5 h runs 10 min). Use 1 for the full
-	// paper-length runs.
+	// DurationScale divides the paper's simulated durations: 0 means the
+	// area's CommittedScale (1 at 2×2 mi, 10 at 30×30 mi), 1 the full
+	// paper-length runs, more a shorter smoke run.
 	DurationScale float64
 	// HostScale optionally divides host counts and query rates for smoke
-	// runs (default 1 = faithful densities).
+	// runs (0 or 1 = faithful densities).
 	HostScale float64
 	// Seed offsets the base seed of every run.
 	Seed int64
@@ -106,15 +107,9 @@ type Options struct {
 	Repeats int
 }
 
-// normalize fills defaults.
-func (o Options) normalize() Options {
-	if o.DurationScale <= 0 {
-		o.DurationScale = 30
-	}
-	if o.HostScale <= 0 {
-		o.HostScale = 1
-	}
-	return o
+// durationScale is the divisor a world of area a runs at.
+func (o Options) durationScale(a Area) float64 {
+	return cmp.Or(o.DurationScale, a.CommittedScale())
 }
 
 // repeats resolves the effective per-point run count.
@@ -158,11 +153,11 @@ func meanStd(ms []sim.Metrics, f func(sim.Metrics) float64) (mean, std float64) 
 // area a, mutating its base config through mut, and labels the series
 // sub-figure fig (2×2 mi) or fig+1 (30×30 mi) of r.
 func runSweep(r Region, a Area, opts Options, fig int, xLabel string, xs []float64, mut func(cfg *sim.Config, x float64)) (FigureResult, error) {
-	base, repeats := BaseConfig(r, a), opts.repeats()
+	repeats := opts.repeats()
 	runs := make([]worldRun, 0, len(xs)*repeats)
 	for i, x := range xs {
 		for rep := range repeats {
-			runs = append(runs, worldRun{base: base, point: i, rep: rep,
+			runs = append(runs, worldRun{region: r, area: a, point: i, rep: rep,
 				mut: func(cfg *sim.Config) { mut(cfg, x) }})
 		}
 	}
@@ -278,7 +273,7 @@ func FreeMovementComparison(r Region, a Area, opts Options) (FreeComparisonRow, 
 	var runs []worldRun
 	for _, mode := range []sim.Mode{sim.ModeRoadNetwork, sim.ModeFreeMovement} {
 		for rep := range opts.Repeats {
-			runs = append(runs, worldRun{base: BaseConfig(r, a), rep: rep,
+			runs = append(runs, worldRun{region: r, area: a, rep: rep,
 				mut: func(cfg *sim.Config) { cfg.Mode = mode }})
 		}
 	}

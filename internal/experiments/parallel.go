@@ -90,26 +90,28 @@ func sweepSeed(base int64, opts Options, i, rep int) int64 {
 
 // worldRun is one simulation a study launches.
 type worldRun struct {
-	base       sim.Config            // a BaseConfig, before scaling
+	region     Region
+	area       Area                  // with region, the BaseConfig
 	point, rep int                   // the sweepSeed indices
 	mut        func(cfg *sim.Config) // the study's change to the config
 }
 
 // runWorlds is the only place a study builds and runs a sim.World. Each
-// run's config is its base scaled by opts, seeded by sweepSeed, given the
+// run's config is its BaseConfig scaled by opts (the area's CommittedScale
+// unless opts.DurationScale overrides it), seeded by sweepSeed, given the
 // inner worker budget, then changed by the run's mut; observe, when non-nil,
 // sees the world before it runs (the uncertain study installs its audit
 // there). The runs fan across the outer budget and run i's metrics land in
 // slot i, so the result does not depend on the schedule.
 func runWorlds(runs []worldRun, opts Options, observe func(i int, w *sim.World)) ([]sim.Metrics, error) {
-	opts = opts.normalize()
 	outer, inner := WorkerBudget(opts.Workers, len(runs))
 	out := make([]sim.Metrics, len(runs))
 	tasks := make([]RunTask, len(runs))
 	for i, r := range runs {
 		tasks[i] = func() error {
-			cfg := ScaleHosts(ScaleDuration(r.base, opts.DurationScale), opts.HostScale)
-			cfg.Seed = sweepSeed(r.base.Seed, opts, r.point, r.rep)
+			base := BaseConfig(r.region, r.area)
+			cfg := ScaleHosts(ScaleDuration(base, opts.durationScale(r.area)), opts.HostScale)
+			cfg.Seed = sweepSeed(base.Seed, opts, r.point, r.rep)
 			cfg.Workers, cfg.QueryWorkers = inner, inner
 			r.mut(&cfg)
 			w, err := sim.New(cfg)

@@ -130,14 +130,25 @@ func (a Area) Side() float64 {
 	return 2 * Mile
 }
 
+// CommittedScale is the duration divisor every committed timed results
+// file of the area ran at: 1 at 2×2 mi (the paper's full hour), 10 at
+// 30×30 mi (30 of its 5 hours). Options.DurationScale 0 and both commands'
+// -scale default mean it.
+func (a Area) CommittedScale() float64 {
+	if a == Area30mi {
+		return 10
+	}
+	return 1
+}
+
 // BaseConfig returns the simulation configuration of Table 3 (2×2 mi) or
 // Table 4 (30×30 mi) for the given region, in SI units. The paper draws k
 // randomly around λ_kNN; the returned KMin/KMax spread uniformly over
 // [1, 2λ−1] (2×2) and [λ−2, λ+2] clipped per the Figure 15/16 sweeps.
 //
-// Durations are the paper's (1 h and 5 h). Experiment runners scale them
-// down (see ScaleDuration) so the full figure suite regenerates quickly; the
-// cmd/experiments binary exposes a flag to restore the full length.
+// Durations are the paper's (1 h and 5 h). Experiment runners divide them
+// by the area's CommittedScale (see ScaleDuration) unless
+// Options.DurationScale overrides it.
 func BaseConfig(r Region, a Area) sim.Config {
 	cfg := sim.Config{
 		AreaWidth:      a.Side(),

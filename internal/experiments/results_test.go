@@ -6,12 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// committedDocuments names every results/*.json document and the type its
-// study returns. BENCH_baseline.json is cmd/benchjson's, not a study's.
+// committedDocuments names the type each study's document decodes into.
 var committedDocuments = map[string]func() Document{
 	"fig9": func() Document { return new(Figure) }, "fig10": func() Document { return new(Figure) },
 	"fig11": func() Document { return new(Figure) }, "fig12": func() Document { return new(Figure) },
@@ -24,33 +24,102 @@ var committedDocuments = map[string]func() Document{
 	"diskio":    func() Document { return new(DiskIOResult) },
 }
 
-// TestCommittedResultsRoundTrip holds every committed results pair to one
-// value, without running a simulation: the .json decodes into its study's
-// document type, re-encodes byte for byte through WriteJSON under the same
-// name, and the decoded value's Text is the committed .txt up to the
-// command's trailing note line. A renamed tag, a reordered field, a lost
-// omitempty, a table layout that moved, or a .txt and .json written by
-// different runs fail here. CI regenerates the 2×2 mi pairs, Figure 17 and
-// the disk-I/O study; the 30×30 mi pairs only this test checks.
-func TestCommittedResultsRoundTrip(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "results", "*.json"))
+var resultsDir = filepath.Join("..", "..", "results")
+
+// studyFileMismatches lists what keeps studies and the *.json documents in
+// dir from naming each other one to one. BENCH_baseline.json is
+// cmd/benchjson's, not a study's.
+func studyFileMismatches(t *testing.T, studies []Study, dir string) []string {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
-	dir := t.TempDir()
+	files := map[string]bool{}
 	for _, path := range paths {
-		name := strings.TrimSuffix(filepath.Base(path), ".json")
-		if name == "BENCH_baseline" {
-			continue
+		if name := strings.TrimSuffix(filepath.Base(path), ".json"); name != "BENCH_baseline" {
+			files[name] = true
 		}
+	}
+	var bad []string
+	seen := map[string]bool{}
+	for _, s := range studies {
+		switch {
+		case seen[s.Name]:
+			bad = append(bad, "two studies named "+s.Name)
+		case !files[s.Name]:
+			bad = append(bad, "study "+s.Name+" has no "+s.Name+".json")
+		}
+		seen[s.Name] = true
+	}
+	for name := range files {
+		if !seen[name] {
+			bad = append(bad, name+".json has no study")
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// Every committed results document is one study's, and every study has
+// its committed document: -fig <name> regenerates results/<name>.
+func TestStudiesAreTheResultsFiles(t *testing.T) {
+	if bad := studyFileMismatches(t, Studies, resultsDir); len(bad) > 0 {
+		t.Fatalf("studies and results/ disagree: %q", bad)
+	}
+	// The check itself: a renamed study, a second study of one name and a
+	// stray document each fail it.
+	renamed := slices.Clone(Studies)
+	renamed[0].Name = "fig9b"
+	twice := append(slices.Clone(Studies), Studies[0])
+	stray := t.TempDir()
+	for _, name := range []string{"x", "BENCH_baseline"} {
+		if err := os.WriteFile(filepath.Join(stray, name+".json"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range Studies {
+		if err := os.WriteFile(filepath.Join(stray, s.Name+".json"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		studies []Study
+		dir     string
+		want    []string
+	}{
+		{renamed, resultsDir, []string{"fig9.json has no study", "study fig9b has no fig9b.json"}},
+		{twice, resultsDir, []string{"two studies named fig9"}},
+		{Studies, stray, []string{"x.json has no study"}},
+	} {
+		if got := studyFileMismatches(t, c.studies, c.dir); !slices.Equal(got, c.want) {
+			t.Errorf("mismatches %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestCommittedResultsRoundTrip holds every committed results pair to one
+// value, without running a simulation: the .json decodes into its study's
+// document type, re-encodes byte for byte through WriteJSON under the same
+// name, and the .txt is the decoded value's Text followed by the study's
+// Note at the committed scale (the 10× line on a 30×30 mi timed file,
+// nothing on a 2×2 mi or untimed one). A renamed tag, a reordered field, a
+// lost omitempty, a table layout that moved, an edited note, or a .txt and
+// .json written by different runs fail here. CI regenerates the 2×2 mi
+// pairs, Figure 17 and the disk-I/O study on every change and the 30×30 mi
+// pairs nightly.
+func TestCommittedResultsRoundTrip(t *testing.T) {
+	if len(committedDocuments) != len(Studies) {
+		t.Errorf("%d document types for %d studies", len(committedDocuments), len(Studies))
+	}
+	dir := t.TempDir()
+	for _, s := range Studies {
+		name := s.Name
 		newDoc, ok := committedDocuments[name]
 		if !ok {
-			t.Errorf("results/%s.json has no document type", name)
+			t.Errorf("study %s has no document type", name)
 			continue
 		}
-		seen++
-		committed, err := os.ReadFile(path)
+		committed, err := os.ReadFile(filepath.Join(resultsDir, name+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,20 +144,13 @@ func TestCommittedResultsRoundTrip(t *testing.T) {
 		if !bytes.Equal(rewritten, committed) {
 			t.Errorf("%s.json does not round-trip through %T:\n%s", name, doc, rewritten)
 		}
-		txt, err := os.ReadFile(filepath.Join("..", "..", "results", name+".txt"))
+		txt, err := os.ReadFile(filepath.Join(resultsDir, name+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		table := string(txt)
-		if i := strings.LastIndex(table, "\nnote: "); i >= 0 {
-			table = table[:i+1]
+		if want := doc.Text() + s.Note(Options{}); string(txt) != want {
+			t.Errorf("%s.txt is not its document's text and note; the study prints:\n%s", name, want)
 		}
-		if got := doc.Text(); got != table {
-			t.Errorf("%s.txt is not its document's text; the document renders:\n%s", name, got)
-		}
-	}
-	if seen != len(committedDocuments) {
-		t.Errorf("found %d of the %d committed documents", seen, len(committedDocuments))
 	}
 }
 

@@ -81,7 +81,7 @@ func (d UncertainStudy) Text() string {
 func UncertainQuality(a Area, opts Options) (UncertainStudy, error) {
 	runs := make([]worldRun, len(Regions))
 	for i, r := range Regions {
-		runs[i] = worldRun{base: BaseConfig(r, a), mut: func(cfg *sim.Config) { cfg.AcceptUncertain = true }}
+		runs[i] = worldRun{region: r, area: a, mut: func(cfg *sim.Config) { cfg.AcceptUncertain = true }}
 	}
 	// Each world's audit runs on that world's commit path, in event order,
 	// so every tally is written by one goroutine.

@@ -165,7 +165,7 @@ func TestDirectoryHoldsLiveConnsUnderChurn(t *testing.T) {
 	checkInvariants(t, s, ops, "quiescence", live)
 	http.DefaultClient.CloseIdleConnections()
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
-	if st := fetchStats(t, srv); st.Sessions != base.Sessions {
-		t.Fatalf("at quiescence: sessions %d, baseline %d", st.Sessions, base.Sessions)
+	if st := fetchStats(t, srv); st.ActiveConns != base.ActiveConns {
+		t.Fatalf("at quiescence: active_conns %d, baseline %d", st.ActiveConns, base.ActiveConns)
 	}
 }

@@ -149,7 +149,7 @@ func TestDisconnectReturnsToBaseline(t *testing.T) {
 	}
 	http.DefaultClient.CloseIdleConnections()
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
-	if st := fetchStats(t, srv); st.Sessions != 0 || st.RelayTimeouts != 0 {
+	if st := fetchStats(t, srv); st.ActiveConns != 0 || st.RelayTimeouts != 0 {
 		t.Fatalf("stats %+v: want no session left and no relay that rode the timer", st)
 	}
 }

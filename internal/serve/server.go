@@ -368,15 +368,14 @@ func (s *Server) rejectFrame(ws *WSConn, buf []byte, code uint32) {
 	_ = ws.WriteBinary(wire.AppendError(buf, wire.ErrorMsg{Code: code}))
 }
 
-// Stats is the /v1/stats document. Sessions and ActiveConns are both the
-// live connection count: a session is its connection.
+// Stats is the /v1/stats document. ActiveConns is the live connection
+// count, and so the session count: a session is its connection.
 type Stats struct {
 	POIs         int     `json:"pois"`
 	BoundsMinX   float64 `json:"bounds_min_x"`
 	BoundsMinY   float64 `json:"bounds_min_y"`
 	BoundsMaxX   float64 `json:"bounds_max_x"`
 	BoundsMaxY   float64 `json:"bounds_max_y"`
-	Sessions     int     `json:"sessions"`
 	ActiveConns  int64   `json:"active_conns"`
 	Positions    int64   `json:"positions"`
 	Queries      int64   `json:"queries"`
@@ -484,7 +483,6 @@ func readRuntime(st *Stats) {
 
 // statsJSON is the /v1/stats document, encoded as it is served.
 func (s *Server) statsJSON() []byte {
-	live := s.stat.activeConns.Load()
 	mod := s.querier.Module()
 	hist := make([]int64, peersInRangeBuckets)
 	for i := range hist {
@@ -496,8 +494,7 @@ func (s *Server) statsJSON() []byte {
 		BoundsMinY:          s.bounds.Min.Y,
 		BoundsMaxX:          s.bounds.Max.X,
 		BoundsMaxY:          s.bounds.Max.Y,
-		Sessions:            int(live),
-		ActiveConns:         live,
+		ActiveConns:         s.stat.activeConns.Load(),
 		Positions:           s.stat.positions.Load(),
 		Queries:             s.stat.queries.Load(),
 		RangeQueries:        s.stat.ranges.Load(),

@@ -421,8 +421,8 @@ func TestUpgradeCreatesSessionMintStoresNothing(t *testing.T) {
 	srv, _ := testServer(t, 100, Options{})
 	ws := openSession(t, srv)
 	syncPosition(t, ws, geom.Pt(50, 50))
-	if st := fetchStats(t, srv); st.Sessions != 1 || st.ActiveConns != 1 {
-		t.Fatalf("one bare upgrade: sessions %d, active_conns %d; want 1 and 1", st.Sessions, st.ActiveConns)
+	if st := fetchStats(t, srv); st.ActiveConns != 1 {
+		t.Fatalf("one bare upgrade: active_conns %d, want 1", st.ActiveConns)
 	}
 	ws.Close()
 	for i := 0; i < 100; i++ {
@@ -439,7 +439,7 @@ func TestUpgradeCreatesSessionMintStoresNothing(t *testing.T) {
 			t.Fatalf("mint %d: status %d, token %q, %v", i, resp.StatusCode, doc.Session, err)
 		}
 	}
-	waitFor(t, "sessions to reach 0", func() bool { return fetchStats(t, srv).Sessions == 0 })
+	waitFor(t, "active_conns to reach 0", func() bool { return fetchStats(t, srv).ActiveConns == 0 })
 }
 
 // Over-limit k gets an error reply, and the connection stays usable.
@@ -609,7 +609,7 @@ func TestSessionLifecycleConcurrent(t *testing.T) {
 
 	// The workers have closed: their sessions retire with the connections.
 	var st Stats
-	waitFor(t, "sessions to reach 0", func() bool { st = fetchStats(t, srv); return st.Sessions == 0 })
+	waitFor(t, "active_conns to reach 0", func() bool { st = fetchStats(t, srv); return st.ActiveConns == 0 })
 	if st.ProtoErrors != 0 {
 		t.Fatalf("protocol_errors = %d, want 0", st.ProtoErrors)
 	}
@@ -677,7 +677,7 @@ func TestStatsMemoryFields(t *testing.T) {
 	first := fetch()
 	want := []string{
 		"pois", "bounds_min_x", "bounds_min_y", "bounds_max_x", "bounds_max_y",
-		"sessions", "active_conns", "positions", "queries", "range_queries", "protocol_errors",
+		"active_conns", "positions", "queries", "range_queries", "protocol_errors",
 		"conn_resets", "write_timeouts",
 		"store_read_ms", "index_build_ms", "index_bytes", "poi_table_bytes", "index_height", "index_nodes",
 		"server_queries", "page_accesses",

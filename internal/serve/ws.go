@@ -14,7 +14,8 @@
 // framer below, which also holds the client's handshake), the daemon reads
 // every request head itself and answers its few HTTP routes and the upgrade
 // from the connection's own buffer (admit.go), and the on-disk POI store is
-// fixed-size pages read and written with package os (store.go).
+// a header and then the points in row order, read and written with package
+// os (store.go).
 package serve
 
 import (

@@ -13,12 +13,12 @@ import (
 // It is a grid.Index (cell layout plus CSR buckets, built once by New's
 // pipelined counting sort: grid.Count per chunk, then Index.Place in bands)
 // that applyDelta then patches every movement step from the moved-host
-// delta. Either way every bucket lists its hosts in
-// ascending host index, whatever execution order produced the positions, so
-// a neighborhood enumerates a bit-identical sequence for any Config.Workers
-// value — which is what keeps the gathered peer list, its message and byte
-// accounting (and with it every simulation metric) independent of the
-// movement phase's parallelism.
+// delta. Either way every bucket lists its hosts in ascending host index,
+// however many construction workers placed them, so a neighborhood
+// enumerates a bit-identical sequence for any Config.Workers value — which
+// is what keeps the gathered peer list, its message and byte accounting
+// (and with it every simulation metric) independent of the construction's
+// parallelism.
 type hostGrid struct {
 	grid.Index
 	delta deltaScratch // scratch for incremental maintenance (gridinc.go)

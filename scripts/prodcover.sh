@@ -26,17 +26,13 @@ x() { "$work/$1" "${@:2}" >/dev/null; }
 
 # The determinism job verbatim: at -parallel 2 each world gets one worker.
 for p in 1 20; do
-	x experiments -fig 13 -parallel "$p" -json "$work/out"
-	x experiments -fig 14 -hostscale 8 -parallel "$p" -json "$work/out"
-	x experiments -fig 17 -parallel "$p" -json "$work/out"
+	x experiments -fig fig13 -scale 30 -parallel "$p" -json "$work/out"
+	x experiments -fig fig14 -scale 30 -hostscale 8 -parallel "$p" -json "$work/out"
+	x experiments -fig fig17 -parallel "$p" -json "$work/out"
 done
-x experiments -fig 17 -queries 400 -json "$work/out"
-x experiments -fig diskio -queries 300 -json "$work/out"
-x experiments -fig 13 -scale 1 -json "$work/out"
-for fig in 9 11 15 uncertain; do
-	x experiments -fig "$fig" -scale 1 -json "$work/out"
+for name in fig9 fig11 fig13 fig15 free2mi uncertain fig17 diskio; do
+	x experiments -fig "$name" -json "$work/out"
 done
-x experiments -fig free -scale 1 -area 2mi -json "$work/out"
 x senn-sim -region riverside -hostscale 2
 # Free movement (mobility.Waypoints), the sim-query and sim-move worlds' mode.
 x senn-sim -region riverside -hostscale 2 -free
