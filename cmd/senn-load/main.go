@@ -4,23 +4,19 @@
 // queries (k = 5; every tenth query a 300 m range query instead), measuring
 // per-query round-trip latency. At the end it prints a JSON report whose
 // "load" block holds sustained queries/sec, p50/p99/p999 latency and the raw
-// counts CI gates on (zero errors, nonzero throughput).
+// counts CI gates on (zero errors, nonzero throughput). When -share is on,
+// the report also carries relay-exchange latency percentiles (PeerRequest
+// sent → PeerShares received), the end-to-end measure of the server's
+// in-range sweep.
 //
-// With -sweep "64,256,1024" it instead runs the same load once per session
-// count and emits one combined JSON document whose "sweep" array holds a
-// summary per point — the scaling curve of the daemon's relay fan-out in a
-// single run. When -share is on, the report also carries relay-exchange
-// latency percentiles (PeerRequest sent → PeerShares received), the
-// end-to-end measure of the server's in-range sweep.
-//
-// Flags: -addr, -sessions (or -sweep), -duration, -share, -txrange (the
-// radius sent with each peer request) and -out (a copy of the report).
-// Each session keeps a 16-entry cache; the workload seed is fixed.
+// Flags: -addr, -sessions, -duration, -share, -txrange (the radius sent
+// with each peer request) and -out (a copy of the report). Each session
+// keeps a 16-entry cache; the workload seed is fixed. A scaling curve over
+// session counts is one run per count against the same daemon.
 //
 // Usage:
 //
 //	senn-load -addr 127.0.0.1:8046 -sessions 64 -duration 15s -out load.json
-//	senn-load -addr 127.0.0.1:8046 -sweep 64,256,1024 -duration 10s
 package main
 
 import (
@@ -31,8 +27,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +52,6 @@ type config struct {
 	share    bool
 	txRange  float64
 	out      string
-	sweep    string
 }
 
 // result aggregates one session's outcome.
@@ -78,7 +71,6 @@ func main() {
 	flag.BoolVar(&cfg.share, "share", true, "exchange peer caches through the daemon relay before falling back to the server")
 	flag.Float64Var(&cfg.txRange, "txrange", 1000, "transmission radius sent with each peer request (m)")
 	flag.StringVar(&cfg.out, "out", "", "write the JSON report here too (stdout always)")
-	flag.StringVar(&cfg.sweep, "sweep", "", "comma-separated session counts: run once per count, emit a combined sweep report (overrides -sessions)")
 	flag.Parse()
 
 	// The sessions' sockets would otherwise grow this process's descriptor
@@ -88,11 +80,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "senn-load: descriptor table left to grow on demand:", err)
 	}
 
-	var err error
-	if cfg.sweep != "" {
-		err = runSweep(cfg)
-	} else {
-		err = runSingle(cfg)
+	doc, err := run(cfg)
+	if err == nil {
+		err = emit(doc, cfg.out)
+	}
+	if err == nil {
+		err = gateAndNarrate(cfg, doc.Load)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "senn-load:", err)
@@ -100,49 +93,7 @@ func main() {
 	}
 }
 
-func runSingle(cfg config) error {
-	doc, err := run(cfg)
-	if err != nil {
-		return err
-	}
-	if err := emit(doc, cfg.out); err != nil {
-		return err
-	}
-	return gateAndNarrate(cfg, doc.Load)
-}
-
-// runSweep repeats the load once per requested session count and emits one
-// document whose "sweep" array holds the per-point summaries, so the scaling
-// curve lands in a single artifact.
-func runSweep(cfg config) error {
-	var counts []int
-	for _, f := range strings.Split(cfg.sweep, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -sweep point %q", f)
-		}
-		counts = append(counts, n)
-	}
-	var doc struct {
-		Sweep []loadSummary `json:"sweep"`
-	}
-	for _, n := range counts {
-		pt := cfg
-		pt.sessions = n
-		fmt.Fprintf(os.Stderr, "senn-load: sweep point sessions=%d\n", n)
-		one, err := run(pt)
-		if err != nil {
-			return fmt.Errorf("sessions=%d: %w", n, err)
-		}
-		doc.Sweep = append(doc.Sweep, one.Load)
-		if err := gateAndNarrate(pt, one.Load); err != nil {
-			return err
-		}
-	}
-	return emit(doc, cfg.out)
-}
-
-func emit(doc any, out string) error {
+func emit(doc loadDoc, out string) error {
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

@@ -4,11 +4,11 @@
 // server's R*-tree page accesses (PAR).
 //
 // The world is one of the paper's parameter sets (-region, -area; Tables 3
-// and 4), shortened by -scale (by default the area's committed scale, the
-// one the results files ran at) and thinned by -hostscale. -tx, -cache,
-// -velocity, -k and -free override single parameters; -series prints the
-// query-resolution mix per window, warm-up included; -seed and -cpuprofile
-// do what they say.
+// and 4), its duration divided by -scale (by default the area's committed
+// scale, the one the results files ran at; below 1 it runs longer than the
+// paper) and thinned by -hostscale. -tx, -cache, -velocity, -k and -free
+// override single parameters; -series prints the query-resolution mix per
+// window, warm-up included; -seed and -cpuprofile do what they say.
 //
 // Usage:
 //
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +35,7 @@ func main() {
 	var (
 		region  = flag.String("region", "la", "parameter set: la, suburbia, riverside")
 		area    = flag.String("area", "2mi", "simulation area: 2mi or 30mi")
-		scale   = flag.Float64("scale", 0, "duration scale divisor (0 = the committed scale: 1 at 2mi, 10 at 30mi; 1 = full paper-length run)")
+		scale   = flag.Float64("scale", 0, "duration scale divisor, any positive number (0 = the committed scale: 1 at 2mi, 10 at 30mi; 1 = full paper-length run; below 1 = longer)")
 		hostSc  = flag.Float64("hostscale", 1, "host-count scale divisor for smoke runs")
 		tx      = flag.Float64("tx", -1, "override transmission range (m)")
 		cacheSz = flag.Int("cache", -1, "override cache capacity")
@@ -69,7 +68,7 @@ func main() {
 		fatal(err)
 	}
 	cfg := experiments.ScaleHosts(
-		experiments.ScaleDuration(experiments.BaseConfig(r, a), cmp.Or(*scale, a.CommittedScale())), *hostSc)
+		experiments.ScaleDuration(experiments.BaseConfig(r, a), a.DurationScale(*scale)), *hostSc)
 	cfg.Seed = *seed
 	if *tx >= 0 {
 		cfg.TxRange = *tx

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// TestCommandPathsOutsideTheRecord runs the binaries on the inputs and flags
-// none of scripts/prodcover.sh's workloads supply — each command's error
-// exits (senn-sim's unknown -area among them), experiments -chart and
-// senn-load -sweep — which results/PRODCOVER.txt lists as defensive with
-// this test's name.
+// TestCommandPathsOutsideTheRecord runs the binaries on the inputs none of
+// scripts/prodcover.sh's workloads supply — each command's error exits
+// (senn-sim's unknown -area and a duration scale that is not positive among
+// them) — which results/PRODCOVER.txt lists as defensive with this test's
+// name.
 func TestCommandPathsOutsideTheRecord(t *testing.T) {
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin, "./cmd/experiments", "./cmd/senn-sim", "./cmd/senn-serverd", "./cmd/senn-load")
@@ -24,11 +24,11 @@ func TestCommandPathsOutsideTheRecord(t *testing.T) {
 		wantText string
 	}{
 		{[]string{"experiments", "-fig", "nope"}, true, `experiments: unknown figure "nope"`},
-		{[]string{"experiments", "-fig", "fig11", "-hostscale", "40", "-scale", "300", "-chart"}, false, "1=single-peer  m=multi-peer  S=server"},
+		{[]string{"experiments", "-fig", "fig11", "-scale", "-1"}, true, "experiments: run 0 (point 0, repeat 0): sim: Duration must be positive and finite, got -3600"},
 		{[]string{"senn-sim", "-region", "nowhere"}, true, `senn-sim: unknown region "nowhere"`},
 		{[]string{"senn-sim", "-area", "30"}, true, `senn-sim: unknown area "30" (want 2mi or 30mi)`},
+		{[]string{"senn-sim", "-scale", "-1"}, true, "senn-sim: sim: Duration must be positive and finite, got -3600"},
 		{[]string{"senn-serverd", "-store", filepath.Join(bin, "missing.senp")}, true, "senn-serverd: serve: open"},
-		{[]string{"senn-load", "-sweep", "0"}, true, `senn-load: bad -sweep point "0"`},
 	}
 	for _, tc := range cases {
 		out, err := exec.Command(filepath.Join(bin, tc.args[0]), tc.args[1:]...).CombinedOutput()

@@ -68,7 +68,7 @@ func (r DiskIOResult) Text() string {
 // read avoided.
 func DiskIOStudy(r Region, queries int, opts Options) (DiskIOResult, error) {
 	base := BaseConfig(r, Area30mi)
-	rng := rand.New(rand.NewSource(sweepSeed(base.Seed+44, opts, 0, 0)))
+	rng := rand.New(rand.NewSource(sweepSeed(base.Seed+44, 0, 0)))
 	s := newScene(base, 1200, rng)
 
 	const k = 6

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -67,33 +66,23 @@ func (f Figure) Name() string { return "fig" + f.Figure }
 
 // Text implements Document: each sub-figure's FormatFigure table and a
 // blank line.
-func (f Figure) Text() string { return f.TextWith(nil) }
-
-// TextWith is Text with extra(fr) and a blank line after each sub-figure's
-// table, when extra is non-nil (cmd/experiments' -chart).
-func (f Figure) TextWith(extra func(FigureResult) string) string {
+func (f Figure) Text() string {
 	var b strings.Builder
 	for _, fr := range f.Regions {
 		fr.Area, fr.XLabel = f.Area, f.XLabel
 		b.WriteString(FormatFigure(fr) + "\n")
-		if extra != nil {
-			b.WriteString(extra(fr) + "\n")
-		}
 	}
 	return b.String()
 }
 
 // Options tunes how the experiment runners execute.
 type Options struct {
-	// DurationScale divides the paper's simulated durations: 0 means the
-	// area's CommittedScale (1 at 2×2 mi, 10 at 30×30 mi), 1 the full
-	// paper-length runs, more a shorter smoke run.
+	// DurationScale divides the paper's simulated durations, as
+	// Area.DurationScale resolves it: 0 means the area's committed scale.
 	DurationScale float64
 	// HostScale optionally divides host counts and query rates for smoke
 	// runs (0 or 1 = faithful densities).
 	HostScale float64
-	// Seed offsets the base seed of every run.
-	Seed int64
 	// Workers is the core budget of a runner (0 = GOMAXPROCS, 1 =
 	// sequential). WorkerBudget splits it between concurrent runs and the
 	// construction and query workers inside each; any value produces
@@ -105,11 +94,6 @@ type Options struct {
 	// FreeMovementComparison study defaults to 3 — its effect is below
 	// single-run noise).
 	Repeats int
-}
-
-// durationScale is the divisor a world of area a runs at.
-func (o Options) durationScale(a Area) float64 {
-	return cmp.Or(o.DurationScale, a.CommittedScale())
 }
 
 // repeats resolves the effective per-point run count.
@@ -366,7 +350,7 @@ func (d Fig17) Text() string {
 // and EINN (with the client's bounds), counting R*-tree node accesses.
 func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error) {
 	base := BaseConfig(r, a)
-	s := newScene(base, 2000, rand.New(rand.NewSource(sweepSeed(base.Seed+17, opts, 0, 0))))
+	s := newScene(base, 2000, rand.New(rand.NewSource(sweepSeed(base.Seed+17, 0, 0))))
 	ks := []int{4, 6, 8, 10, 12, 14}
 	points := make([]Fig17Point, len(ks))
 	tasks := make([]RunTask, len(ks))
@@ -374,7 +358,7 @@ func EINNvsINN(r Region, a Area, queries int, opts Options) (Fig17Result, error)
 		tasks[ki] = func() error {
 			// Each k draws its queries from its own stream, so the series is
 			// independent of the other ks and of the execution order.
-			rng := rand.New(rand.NewSource(sweepSeed(base.Seed+17, opts, 0, k)))
+			rng := rand.New(rand.NewSource(sweepSeed(base.Seed+17, 0, k)))
 			var einnTotal, innTotal int64
 			var verify core.VerifierScratch
 			for range queries {

@@ -60,12 +60,15 @@ func TestBaseConfigTables(t *testing.T) {
 
 func TestScaleHelpers(t *testing.T) {
 	cfg := BaseConfig(LosAngeles, Area2mi)
-	scaled := ScaleDuration(cfg, 30)
-	if scaled.Duration != 120 {
-		t.Errorf("scaled duration = %v, want 120", scaled.Duration)
-	}
-	if ScaleDuration(cfg, 1).Duration != 3600 {
-		t.Error("scale 1 must preserve the paper duration")
+	for _, c := range []struct{ scale, want float64 }{
+		{1, 3600}, // the paper's hour
+		{30, 120},
+		{300, 12},      // no floor
+		{0.25, 14_400}, // longer than the paper
+	} {
+		if got := ScaleDuration(cfg, c.scale).Duration; got != c.want {
+			t.Errorf("scale %v: duration %v s, want %v", c.scale, got, c.want)
+		}
 	}
 	hosts := ScaleHosts(cfg, 10)
 	if hosts.NumHosts != 46 || hosts.QueriesPerMinute != 2.3 {

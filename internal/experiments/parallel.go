@@ -80,12 +80,12 @@ func WorkerBudget(budget, tasks int) (outer, inner int) {
 }
 
 // sweepSeed is the one seed rule of the package: repeat rep of sweep point
-// i draws base + Options.Seed + i·10⁶ + rep·7919. Points are independent
-// samples, repeats of one point get distinct seeds, and a study whose runs
-// are paired — the §4.3 comparison's two modes, the uncertain study's
-// regions, a Figure 17 scene — passes point 0.
-func sweepSeed(base int64, opts Options, i, rep int) int64 {
-	return base + opts.Seed + int64(i)*1_000_000 + int64(rep)*7919
+// i draws base + i·10⁶ + rep·7919. Points are independent samples, repeats
+// of one point get distinct seeds, and a study whose runs are paired — the
+// §4.3 comparison's two modes, the uncertain study's regions, a Figure 17
+// scene — passes point 0.
+func sweepSeed(base int64, i, rep int) int64 {
+	return base + int64(i)*1_000_000 + int64(rep)*7919
 }
 
 // worldRun is one simulation a study launches.
@@ -97,8 +97,8 @@ type worldRun struct {
 }
 
 // runWorlds is the only place a study builds and runs a sim.World. Each
-// run's config is its BaseConfig scaled by opts (the area's CommittedScale
-// unless opts.DurationScale overrides it), seeded by sweepSeed, given the
+// run's config is its BaseConfig scaled by opts (Area.DurationScale of
+// opts.DurationScale), seeded by sweepSeed, given the
 // inner worker budget, then changed by the run's mut; observe, when non-nil,
 // sees the world before it runs (the uncertain study installs its audit
 // there). The runs fan across the outer budget and run i's metrics land in
@@ -110,8 +110,8 @@ func runWorlds(runs []worldRun, opts Options, observe func(i int, w *sim.World))
 	for i, r := range runs {
 		tasks[i] = func() error {
 			base := BaseConfig(r.region, r.area)
-			cfg := ScaleHosts(ScaleDuration(base, opts.durationScale(r.area)), opts.HostScale)
-			cfg.Seed = sweepSeed(base.Seed, opts, r.point, r.rep)
+			cfg := ScaleHosts(ScaleDuration(base, r.area.DurationScale(opts.DurationScale)), opts.HostScale)
+			cfg.Seed = sweepSeed(base.Seed, r.point, r.rep)
 			cfg.Workers, cfg.QueryWorkers = inner, inner
 			r.mut(&cfg)
 			w, err := sim.New(cfg)

@@ -105,26 +105,25 @@ func TestWorkerBudget(t *testing.T) {
 }
 
 func TestSweepSeedDerivation(t *testing.T) {
-	opts := Options{Seed: 5}
-	s0 := sweepSeed(1, opts, 0, 0)
-	s1 := sweepSeed(1, opts, 1, 0)
+	s0 := sweepSeed(1, 0, 0)
+	s1 := sweepSeed(1, 1, 0)
 	if s0 == s1 {
 		t.Error("independent sweep points share a seed")
 	}
-	if s0 != 6 {
-		t.Errorf("point 0 seed = %d, want base+offset = 6", s0)
+	if s0 != 1 {
+		t.Errorf("point 0 seed = %d, want the base 1", s0)
 	}
-	if r0, r1 := sweepSeed(1, opts, 0, 0), sweepSeed(1, opts, 0, 1); r0 == r1 {
+	if r0, r1 := sweepSeed(1, 0, 0), sweepSeed(1, 0, 1); r0 == r1 {
 		t.Error("repeats of the same point share a seed")
 	}
 	// The paired studies (free-vs-road modes, uncertain regions, Figure 17
-	// scenes) pass point 0: base + offset + rep·7919, the rule their
-	// committed results were generated with.
-	if got := sweepSeed(1, opts, 0, 3); got != 1+5+3*7919 {
-		t.Errorf("point 0 repeat 3 seed = %d, want %d", got, 1+5+3*7919)
+	// scenes) pass point 0: base + rep·7919, the rule their committed
+	// results were generated with.
+	if got := sweepSeed(1, 0, 3); got != 1+3*7919 {
+		t.Errorf("point 0 repeat 3 seed = %d, want %d", got, 1+3*7919)
 	}
-	if got := sweepSeed(1, opts, 2, 1); got != 1+5+2_000_000+7919 {
-		t.Errorf("point 2 repeat 1 seed = %d, want %d", got, 1+5+2_000_000+7919)
+	if got := sweepSeed(1, 2, 1); got != 1+2_000_000+7919 {
+		t.Errorf("point 2 repeat 1 seed = %d, want %d", got, 1+2_000_000+7919)
 	}
 }
 

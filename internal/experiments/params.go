@@ -130,12 +130,16 @@ func (a Area) Side() float64 {
 	return 2 * Mile
 }
 
-// CommittedScale is the duration divisor every committed timed results
-// file of the area ran at: 1 at 2×2 mi (the paper's full hour), 10 at
-// 30×30 mi (30 of its 5 hours). Options.DurationScale 0 and both commands'
-// -scale default mean it.
-func (a Area) CommittedScale() float64 {
-	if a == Area30mi {
+// DurationScale is the duration divisor a world of area a runs at when
+// scale is asked for (Options.DurationScale, both commands' -scale): scale
+// itself, or for 0 the area's committed scale, the one every committed
+// timed results file of the area ran at: 1 at 2×2 mi (the paper's full
+// hour), 10 at 30×30 mi (30 of its 5 hours).
+func (a Area) DurationScale(scale float64) float64 {
+	switch {
+	case scale != 0:
+		return scale
+	case a == Area30mi:
 		return 10
 	}
 	return 1
@@ -147,8 +151,7 @@ func (a Area) CommittedScale() float64 {
 // [1, 2λ−1] (2×2) and [λ−2, λ+2] clipped per the Figure 15/16 sweeps.
 //
 // Durations are the paper's (1 h and 5 h). Experiment runners divide them
-// by the area's CommittedScale (see ScaleDuration) unless
-// Options.DurationScale overrides it.
+// by Area.DurationScale (see ScaleDuration).
 func BaseConfig(r Region, a Area) sim.Config {
 	cfg := sim.Config{
 		AreaWidth:      a.Side(),
@@ -200,14 +203,14 @@ func BaseConfig(r Region, a Area) sim.Config {
 	return cfg
 }
 
-// ScaleDuration shrinks a configuration's simulated time by the given factor
-// (>= 1). The warm-up stays the first quarter of the run, so steady-state
-// measurement still applies; the query rate is unchanged, only the observation window
-// shortens. Scale 1 reproduces the paper's full durations.
+// ScaleDuration divides a configuration's simulated time by scale: 1
+// reproduces the paper's durations, more runs shorter and a positive scale
+// below 1 longer. The warm-up stays the first quarter of the run and the
+// query rate is unchanged; only the observation window changes. A scale
+// that is not positive and finite leaves a Duration sim.Config.Validate
+// refuses.
 func ScaleDuration(cfg sim.Config, scale float64) sim.Config {
-	if scale > 1 {
-		cfg.Duration = max(cfg.Duration/scale, 120)
-	}
+	cfg.Duration /= scale
 	return cfg
 }
 

@@ -81,7 +81,7 @@ func document[D Document](d D, err error) (Document, error) { return d, err }
 // for a timed study run shorter than the paper's, what it was divided by;
 // otherwise nothing.
 func (s Study) Note(opts Options) string {
-	if scale := opts.durationScale(s.Area); s.Timed && scale > 1 {
+	if scale := s.Area.DurationScale(opts.DurationScale); s.Timed && scale > 1 {
 		return fmt.Sprintf("note: durations scaled down %gx from the paper's; pass -scale 1 for full runs\n", scale)
 	}
 	return ""

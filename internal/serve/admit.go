@@ -292,7 +292,7 @@ func (s *Server) admit(ws *WSConn, timeout time.Duration) bool {
 		case h.status != 200 && h.status != 404 && h.status != 405:
 			h = head{status: h.status, close: true}
 		}
-		h.close = h.close || s.draining()
+		h.close = h.close || s.closed.Load()
 		ws.pending = s.appendAnswer(ws.pending[:0], h)
 		if h.close {
 			closeAfter(ws)

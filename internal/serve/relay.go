@@ -255,11 +255,14 @@ func (s *Server) relayExpired(pr *pendingRelay) {
 
 // finishRelay ends a relay its caller has just removed from the pending map,
 // and so owns exclusively: it stops the wake-up, sends the aggregated
-// PeerShares to the requester if deliver is set, and returns the state to the
-// pool. Callers hold no locks.
+// PeerShares to the requester if deliver is set and Close has not begun, and
+// returns the state to the pool. Callers hold no locks. Once the drain has
+// begun nothing is delivered: Close closes connections in no fixed order,
+// and the probed peers' disconnects would otherwise finish a relay onto a
+// requester that is still open.
 func (s *Server) finishRelay(pr *pendingRelay, deliver bool) {
 	pr.timer.Stop()
-	if deliver {
+	if deliver && !s.closed.Load() {
 		s.stat.relayShares.Add(int64(pr.nShares))
 		// Rewrite the reserved header in place now that the share count is
 		// final: appending to agg[:0] lands on the same PeerSharesHeaderSize

@@ -50,9 +50,11 @@ type Server struct {
 
 	mu sync.Mutex
 	// conns are the connections with a running runConn, counted by connWG;
-	// once closed is set (Close) no further one is tracked or admitted.
+	// once closed is set (Close) no further one is tracked or admitted, and
+	// no relay is delivered (finishRelay). It is stored and checked against
+	// conns under mu; the other readers load it without the lock.
 	conns  map[*WSConn]struct{}
-	closed bool
+	closed atomic.Bool
 	connWG sync.WaitGroup
 
 	// dir is the spatial index over session positions the relay's range
@@ -161,11 +163,12 @@ const sessionShimBody = "{\n  \"session\": \"0\"\n}\n"
 // connection goroutines to finish, or for ctx. Closing unblocks a write
 // wedged on a peer that stopped reading, so no connection holds the drain.
 // A connection accepted later gets one HTTP answer with Connection: close,
-// or a 101 and then the close. Close leaves the listener to its owner:
-// close it first, and Serve returns.
+// or a 101 and then the close. A relay that ends after Close began is not
+// delivered. Close leaves the listener to its owner: close it first, and
+// Serve returns.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	conns := maps.Clone(s.conns)
 	s.mu.Unlock()
 	for ws := range conns {
@@ -185,13 +188,6 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 }
 
-// draining reports whether Close has begun.
-func (s *Server) draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // runConn owns one accepted connection from its first request head to its
 // teardown: it answers HTTP requests (admit) until one opens the query
 // channel, then serves that session on the same goroutine until the
@@ -208,7 +204,7 @@ func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
 		}
 	}()
 	s.mu.Lock()
-	tracked := !s.closed
+	tracked := !s.closed.Load()
 	if tracked {
 		s.conns[ws] = struct{}{}
 		s.connWG.Add(1)
@@ -243,7 +239,7 @@ func (s *Server) runConn(conn net.Conn, headTimeout time.Duration) {
 // transport the write deadline closed (runConn counts it) and the drain are
 // not.
 func (s *Server) accountEnd(ws *WSConn, err error) {
-	if err != nil && err != ErrConnClosed && !ws.writeTimedOut.Load() && !s.draining() {
+	if err != nil && err != ErrConnClosed && !ws.writeTimedOut.Load() && !s.closed.Load() {
 		s.stat.connResets.Add(1)
 	}
 }

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -147,8 +148,8 @@ func (c Config) Validate() (Config, error) {
 	if c.KMin <= 0 || c.KMax < c.KMin {
 		return c, fmt.Errorf("sim: need 0 < KMin <= KMax, got [%d, %d]", c.KMin, c.KMax)
 	}
-	if c.Duration <= 0 {
-		return c, fmt.Errorf("sim: Duration must be positive")
+	if !(c.Duration > 0) || math.IsInf(c.Duration, 1) {
+		return c, fmt.Errorf("sim: Duration must be positive and finite, got %v", c.Duration)
 	}
 	if c.RoadSpacing <= 0 {
 		c.RoadSpacing = c.AreaWidth / 20

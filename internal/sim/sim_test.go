@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,6 +46,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.KMin = 0 },
 		func(c *Config) { c.KMax = 0 },
 		func(c *Config) { c.Duration = 0 },
+		func(c *Config) { c.Duration = math.NaN() },
+		func(c *Config) { c.Duration = math.Inf(1) },
 	}
 	for i, brk := range breakers {
 		c := smallConfig()
